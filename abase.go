@@ -179,11 +179,6 @@ type ClusterConfig struct {
 	// run on every MonitorTrafficOnce cycle and on proxy suspect
 	// reports.
 	DownAfterProbes int
-	// DisableDeadlineShed turns off deadline-aware admission shedding
-	// on every DataNode: requests whose context deadline cannot be met
-	// by the estimated queue wait are then queued anyway (the
-	// DeadlineShedding experiment ablates this).
-	DisableDeadlineShed bool
 }
 
 // Cluster is an embedded ABase deployment.
@@ -249,7 +244,6 @@ func (c *Cluster) addNodeLocked() *datanode.Node {
 		RUCapacity:           cfg.NodeRUCapacity,
 		AdmitCost:            cfg.AdmitCost,
 		HotSampleRate:        cfg.HotSampleRate,
-		DisableDeadlineShed:  cfg.DisableDeadlineShed,
 	})
 	c.nextNode++
 	c.Meta.RegisterNode(n)

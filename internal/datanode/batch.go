@@ -3,7 +3,6 @@ package datanode
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"abase/internal/lavastore"
@@ -13,13 +12,10 @@ import (
 )
 
 // WriteOp is one element of a batched write: a put, or a delete when
-// Delete is set (Value and TTL are then ignored).
-type WriteOp struct {
-	Key    []byte
-	Value  []byte
-	TTL    time.Duration
-	Delete bool
-}
+// Delete is set (Value and TTL are then ignored). It is the engine's
+// own batch element, so group commits and replication messages hand
+// their ops to LavaStore without a conversion copy.
+type WriteOp = lavastore.BatchOp
 
 // BatchValue is one key's outcome inside a batch operation. Err is nil
 // on success, ErrNotFound for an absent key, or an engine error; the
@@ -60,490 +56,300 @@ type PutBatch struct {
 	Epoch uint64
 }
 
-// groupRun is the per-partition execution state of one node batch.
-type groupRun struct {
-	idx  int // index into the caller's group slice
-	rep  *replica
-	ts   *tenantStats
-	est  *ru.Estimator
-	cost float64 // RU admission cost for the whole sub-batch
-	task *wfq.Task
-	// charged flips once the partition limiter admits the sub-batch; a
-	// task dropped after that point (queue abort, closed scheduler)
-	// never executes, so the RU goes back. Written before sched.Submit
-	// and read only by the scheduler afterwards, so it is ordered.
-	charged bool
-	// lastSeq is the engine sequence the sub-batch's final record
-	// committed at — the whole group's replication position. Written in
-	// the IOStage, read after wg.Wait, so it is ordered.
-	lastSeq uint64
-}
-
-// runMulti is the shared node-batch engine: it enters the request
-// queue ONCE for the whole batch (one AdmitCost, one queue slot — the
-// batched request is one network request), admits each partition
-// sub-batch against its own partition quota at the summed cost, and
-// submits one WFQ task per admitted sub-batch. Each task's Done (wired
-// by the caller) must release wg exactly once; runs whose quota
-// rejects or whose submission fails are released here.
-func (n *Node) runMulti(ctx context.Context, runs []*groupRun, out []BatchResult, wg *sync.WaitGroup) {
-	queued := n.admit.submit(func() {
-		// A batch canceled while queued aborts before the worker spends
-		// admit cost or quota on any of its sub-batches.
-		if err := ctx.Err(); err != nil {
-			for _, r := range runs {
-				out[r.idx].Err = err
-				wg.Done()
-			}
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		for _, r := range runs {
-			if n.quotaOn.Load() {
-				if !r.rep.limiter.Allow(r.cost) {
-					burn(n.cfg.Clock, n.cfg.RejectCost)
-					r.ts.throttled.Inc()
-					out[r.idx].Err = ErrThrottled
-					wg.Done()
-					continue
-				}
-				r.charged = true
-			}
-			if !n.sched.Submit(r.task) {
-				if r.charged {
-					r.rep.limiter.Refund(r.cost)
-				}
-				out[r.idx].Err = errors.New("datanode: scheduler closed")
-				wg.Done()
-			}
-		}
-	})
-	if !queued {
-		for _, r := range runs {
-			r.ts.errors.Inc()
-			out[r.idx].Err = ErrOverloaded
-			wg.Done()
+// batch is the shared shape of the node-batch operations: build turns
+// group i into a unit (nil for an empty group, an error for one this
+// node cannot serve), every unit runs under ONE request-queue
+// admission, and each group's outcome lands in its result slot. The
+// result slice is parallel to the caller's groups.
+func (n *Node) batch(ctx context.Context, groups int, build func(i int, out *BatchResult) (*unit, error)) []BatchResult {
+	out := make([]BatchResult, groups)
+	units := make([]*unit, 0, groups)
+	slots := make([]*BatchResult, 0, groups)
+	for i := range out {
+		u, err := build(i, &out[i])
+		if err != nil {
+			out[i].Err = err
+		} else if u != nil {
+			units = append(units, u)
+			slots = append(slots, &out[i])
 		}
 	}
+	n.run(ctx, units)
+	for k, u := range units {
+		slots[k].Err, slots[k].RU, slots[k].Latency = u.err, u.billed, u.lat
+	}
+	return out
+}
+
+// readOp reads keys of one partition: a point Get is a readOp of one
+// key, a MultiGet sub-batch one of many — one quota charge, one WFQ
+// task and one SA-LRU/engine pass over its keys. The value-free form
+// (TTL, MultiContains) answers existence and expiry from record
+// metadata without transferring values, and is admitted and billed at
+// a metadata-sized RU cost per key rather than a full read estimate.
+type readOp struct {
+	unit
+	keys      [][]byte
+	vals      []BatchValue // per-key outcome, parallel to keys
+	valueFree bool
+}
+
+func (n *Node) newReadOp(pid partition.ID, keys [][]byte, valueFree bool) (*readOp, error) {
+	r := &readOp{keys: keys, vals: make([]BatchValue, len(keys)), valueFree: valueFree}
+	if err := n.place(&r.unit, r, pid, false, 0); err != nil {
+		return nil, err
+	}
+	r.class, r.cost = wfq.ClassFor(false, int(r.est.ExpectedReadSize())), r.est.EstimateReadRU()
+	if valueFree {
+		r.class, r.cost = wfq.SmallRead, r.est.EstimateHLenRU()
+	}
+	r.iops = float64(len(keys))
+	r.cost *= r.iops
+	return r, nil
+}
+
+func (r *readOp) heat() {
+	r.rep.heat.Add(float64(len(r.keys)))
+	for _, key := range r.keys {
+		r.rep.hot.Touch(key)
+	}
+}
+
+// cpu answers what it can from the SA-LRU. Presence there answers the
+// value-free form completely: cached values never carry a TTL.
+func (r *readOp) cpu() bool {
+	needIO := false
+	for k, key := range r.keys {
+		v, ok := r.n.cache.Get(r.rep.cacheKey(key))
+		if !ok {
+			needIO = true
+			continue
+		}
+		r.vals[k].CacheHit = true
+		if !r.valueFree {
+			r.vals[k].Value = v
+		}
+	}
+	return needIO
+}
+
+func (r *readOp) io() {
+	cfg := &r.n.cfg
+	for k, key := range r.keys {
+		bv := &r.vals[k]
+		if bv.CacheHit {
+			continue
+		}
+		var err error
+		if r.valueFree {
+			var ttl time.Duration
+			burn(cfg.Clock, cfg.Cost.IOReadTime)
+			if ttl, err = r.rep.db.TTL(key); err == nil {
+				bv.ExpireAt = cfg.Clock.Now().Add(ttl).Unix()
+			} else if errors.Is(err, lavastore.ErrNoTTL) {
+				err = nil // exists, without expiry
+			}
+		} else {
+			var got lavastore.GetResult
+			got, err = r.rep.db.Get(key)
+			burn(cfg.Clock, time.Duration(max(got.IOReads, 1))*cfg.Cost.IOReadTime)
+			// The SA-LRU has no per-entry expiry, so caching a
+			// TTL-bearing value would keep serving it after the record
+			// expires — point reads would then disagree with Scan/Keys,
+			// which consult the engine. TTL'd values stay uncached.
+			if err == nil && got.ExpireAt == 0 {
+				r.n.cache.Put(r.rep.cacheKey(key), got.Value)
+			}
+			bv.Value, bv.ExpireAt = got.Value, got.ExpireAt
+		}
+		if errors.Is(err, lavastore.ErrNotFound) {
+			err = ErrNotFound
+		}
+		bv.Err = err // an engine failure is not "absent": it surfaces as itself
+	}
+}
+
+// settle bills what the keys really cost: a value read at ReadRU of its
+// size and hit/miss (which also feeds the estimator), the value-free
+// form at the estimate it was admitted at.
+func (r *readOp) settle() {
+	charged := 0.0
+	for k := range r.vals {
+		bv := &r.vals[k]
+		if bv.Err != nil {
+			if !r.valueFree && errors.Is(bv.Err, ErrNotFound) {
+				r.est.ObserveRead(0, false) // an absent key still cost a lookup
+			}
+			r.ts.errors.Inc()
+			continue
+		}
+		r.ts.success.Inc()
+		if r.valueFree {
+			continue
+		}
+		r.est.ObserveRead(len(bv.Value), bv.CacheHit)
+		if bv.CacheHit {
+			charged += ru.ReadRU(len(bv.Value), 1)
+			r.ts.cacheHits.Inc()
+		} else {
+			charged += ru.ReadRU(len(bv.Value), 0)
+			r.ts.cacheMiss.Inc()
+		}
+	}
+	if r.valueFree {
+		charged = r.cost
+	}
+	r.bill(charged)
+}
+
+func (n *Node) multiRead(ctx context.Context, groups []GetBatch, valueFree bool) []BatchResult {
+	return n.batch(ctx, len(groups), func(i int, out *BatchResult) (*unit, error) {
+		if len(groups[i].Keys) == 0 {
+			return nil, nil
+		}
+		r, err := n.newReadOp(groups[i].PID, groups[i].Keys, valueFree)
+		if err != nil {
+			return nil, err
+		}
+		out.Values = r.vals
+		return &r.unit, nil
+	})
 }
 
 // MultiGet executes one node batch of reads: every partition sub-batch
-// hosted here is served under a single request-queue admission, one
-// WFQ task and one quota charge per sub-batch, and one SA-LRU/engine
-// pass over its keys. The result slice is parallel to groups.
+// hosted here is served under a single request-queue admission, as one
+// readOp each. The result slice is parallel to groups.
 func (n *Node) MultiGet(ctx context.Context, groups []GetBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g.Keys) == 0 {
-			continue
-		}
-		rep, err := n.getReplica(g.PID)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessBatch(g.Keys) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Keys))
-		out[i].Values = vals
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est,
-			cost: est.EstimateReadRU() * float64(len(g.Keys))}
-		pid, keys := g.PID, g.Keys
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.ClassFor(false, int(est.ExpectedReadSize())),
-			RUCost:     r.cost,
-			IOPSCost:   float64(len(keys)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-		}
-		task.CPUStage = func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			needIO := false
-			for k, key := range keys {
-				if v, ok := n.cache.Get(cacheKey(pid, key)); ok {
-					vals[k] = BatchValue{Value: v, CacheHit: true}
-				} else {
-					needIO = true
-				}
-			}
-			return needIO
-		}
-		task.IOStage = func() {
-			for k, key := range keys {
-				if vals[k].CacheHit {
-					continue
-				}
-				got, err := rep.db.Get(key)
-				reads := got.IOReads
-				if reads < 1 {
-					reads = 1
-				}
-				burn(n.cfg.Clock, time.Duration(reads)*n.cfg.Cost.IOReadTime)
-				if err != nil {
-					if errors.Is(err, lavastore.ErrNotFound) {
-						vals[k].Err = ErrNotFound
-					} else {
-						vals[k].Err = err
-					}
-					continue
-				}
-				// TTL-bearing values stay uncached: the SA-LRU has no
-				// per-entry expiry (see Node.Get).
-				if got.ExpireAt == 0 {
-					n.cache.Put(cacheKey(pid, key), got.Value)
-				}
-				vals[k].Value = got.Value
-				vals[k].ExpireAt = got.ExpireAt
-			}
-		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
-			}
-			out[r.idx].Err = err
-			wg.Done()
-		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
-	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
-		}
-		for k := range o.Values {
-			bv := &o.Values[k]
-			switch {
-			case bv.Err == nil:
-				r.est.ObserveRead(len(bv.Value), bv.CacheHit)
-				o.RU += ru.ReadRU(len(bv.Value), boolTo01(bv.CacheHit))
-				r.ts.success.Inc()
-				if bv.CacheHit {
-					r.ts.cacheHits.Inc()
-				} else {
-					r.ts.cacheMiss.Inc()
-				}
-			case errors.Is(bv.Err, ErrNotFound):
-				r.est.ObserveRead(0, false)
-				r.ts.errors.Inc()
-			default:
-				r.ts.errors.Inc()
-			}
-		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
-	}
-	return out
-}
-
-// MultiWrite executes one node batch of writes: a single request-queue
-// admission for the node batch, one WFQ write task and one quota
-// charge per partition sub-batch, and per-op error slots. Successful
-// ops replicate individually (replication stays per-key and
-// asynchronous). The result slice is parallel to groups.
-func (n *Node) MultiWrite(ctx context.Context, groups []PutBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g.Ops) == 0 {
-			continue
-		}
-		rep, err := n.getReplica(g.PID)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		// Fence the whole sub-batch before any accounting (see write).
-		if err := rep.checkWrite(g.Epoch); err != nil {
-			out[i].Err = err
-			continue
-		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessOps(g.Ops) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Ops))
-		out[i].Values = vals
-		var cost float64
-		totalSize := 0
-		for _, op := range g.Ops {
-			size := 0
-			if !op.Delete {
-				size = len(op.Value)
-			}
-			cost += ru.WriteRU(size, n.cfg.Replicas)
-			totalSize += size
-		}
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est, cost: cost}
-		pid, ops := g.PID, g.Ops
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.ClassFor(true, totalSize),
-			RUCost:     cost,
-			IOPSCost:   float64(len(ops)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-			CPUStage: func() bool {
-				burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-				return true // writes always reach the I/O layer (WAL)
-			},
-			IOStage: func() {
-				burn(n.cfg.Clock, time.Duration(len(ops))*n.cfg.Cost.IOWriteTime)
-				prefix := cacheKeyPrefix(pid)
-				batch := make([]lavastore.BatchOp, 0, len(ops))
-				applied := make([]int, 0, len(ops)) // op index per batch entry
-				// live tracks each touched key's existence as the
-				// batch's own ops apply in order; the engine probe
-				// only answers for pre-batch state.
-				var live map[string]bool
-				liveState := func(key []byte) (exists, known bool) {
-					exists, known = live[string(key)]
-					return exists, known
-				}
-				setLive := func(key []byte, exists bool) {
-					if live == nil {
-						live = make(map[string]bool)
-					}
-					live[string(key)] = exists
-				}
-				for k, op := range ops {
-					if op.Delete {
-						// Deleting an absent key is a no-op that must
-						// report ErrNotFound (Redis DEL counts only
-						// existing keys).
-						exists, known := liveState(op.Key)
-						if !known {
-							// Real metadata read; charge it as one.
-							burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-							_, err := rep.db.TTL(op.Key)
-							exists = !errors.Is(err, lavastore.ErrNotFound)
-						}
-						if !exists {
-							vals[k].Err = ErrNotFound
-							setLive(op.Key, false)
-							continue
-						}
-						setLive(op.Key, false)
-					} else {
-						setLive(op.Key, true)
-					}
-					batch = append(batch, lavastore.BatchOp{Key: op.Key, Value: op.Value, TTL: op.TTL, Delete: op.Delete})
-					applied = append(applied, k)
-				}
-				last, err := rep.db.WriteBatchSeq(batch)
-				if err != nil {
-					for _, k := range applied {
-						vals[k].Err = err
-					}
-					return
-				}
-				r.lastSeq = last
-				// Write-through keeps the node cache coherent — except
-				// for TTL-bearing values, which the SA-LRU cannot expire
-				// and so must not hold (see Node.Get).
-				for _, k := range applied {
-					op := ops[k]
-					ck := prefix + string(op.Key)
-					if op.Delete || op.TTL > 0 {
-						n.cache.Delete(ck)
-					} else {
-						n.cache.Put(ck, op.Value)
-					}
-				}
-			},
-		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
-			}
-			out[r.idx].Err = err
-			wg.Done()
-		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
-	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
-		}
-		ok := make([]WriteOp, 0, len(groups[r.idx].Ops))
-		for k, op := range groups[r.idx].Ops {
-			if o.Values[k].Err != nil {
-				r.ts.errors.Inc()
-				continue
-			}
-			size := 0
-			if !op.Delete {
-				size = len(op.Value)
-			}
-			o.RU += ru.WriteRU(size, n.cfg.Replicas)
-			ok = append(ok, op)
-			r.ts.success.Inc()
-		}
-		if len(ok) > 0 {
-			// ok is exactly the set (and order) the engine committed, so
-			// the batch's records occupy the contiguous sequence range
-			// ending at lastSeq on every replica (see ops.go write).
-			r.rep.advancePos(r.lastSeq)
-			n.replicator.ReplicateBatch(r.rep.id, ok, r.lastSeq)
-		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
-	}
-	return out
+	return n.multiRead(ctx, groups, false)
 }
 
 // MultiContains resolves key existence for one node batch without
-// transferring values: SA-LRU presence answers directly, and the rest
-// use the engine's record-metadata lookup (the same value-free path
-// TTL uses). Each sub-batch is admitted at a metadata-sized RU cost
-// rather than a full read estimate per key. In the result, a slot's
+// transferring values (the value-free readOp). In the result, a slot's
 // Err is nil when the key exists and ErrNotFound when it does not.
 func (n *Node) MultiContains(ctx context.Context, groups []GetBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
-		if len(g.Keys) == 0 {
-			continue
-		}
-		rep, err := n.getReplica(g.PID)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessBatch(g.Keys) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Keys))
-		out[i].Values = vals
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est,
-			cost: est.EstimateHLenRU() * float64(len(g.Keys))}
-		pid, keys := g.PID, g.Keys
-		resolved := make([]bool, len(keys))
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.SmallRead,
-			RUCost:     r.cost,
-			IOPSCost:   float64(len(keys)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-		}
-		task.CPUStage = func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			needIO := false
-			for k, key := range keys {
-				if _, ok := n.cache.Get(cacheKey(pid, key)); ok {
-					resolved[k] = true
-				} else {
-					needIO = true
-				}
-			}
-			return needIO
-		}
-		task.IOStage = func() {
-			for k, key := range keys {
-				if resolved[k] {
-					continue
-				}
+	return n.multiRead(ctx, groups, true)
+}
+
+// writeBatchOp applies the write sub-batch of one partition as one
+// group commit with per-op error slots.
+type writeBatchOp struct {
+	unit
+	ops  []WriteOp
+	vals []BatchValue // per-op outcome, parallel to ops
+	// committed is the ops the engine committed, in order (absent-key
+	// deletes drop out); lastSeq is the sequence the final one landed
+	// at — the whole group's replication position.
+	committed []WriteOp
+	lastSeq   uint64
+}
+
+// writeRU is the RU one op of a write batch costs (a delete carries no
+// value).
+func (n *Node) writeRU(op WriteOp) float64 {
+	if op.Delete {
+		return ru.WriteRU(0, n.cfg.Replicas)
+	}
+	return ru.WriteRU(len(op.Value), n.cfg.Replicas)
+}
+
+func (w *writeBatchOp) heat() {
+	w.rep.heat.Add(float64(len(w.ops)))
+	for _, op := range w.ops {
+		w.rep.hot.Touch(op.Key)
+	}
+}
+
+func (w *writeBatchOp) cpu() bool { return true } // writes always reach the I/O layer (WAL)
+
+func (w *writeBatchOp) io() {
+	n, db := w.n, w.rep.db
+	burn(n.cfg.Clock, time.Duration(len(w.ops))*n.cfg.Cost.IOWriteTime)
+	batch := make([]WriteOp, 0, len(w.ops))
+	// live tracks each touched key's existence as the batch's own ops
+	// apply in order; the engine probe only answers for pre-batch state.
+	live := make(map[string]bool)
+	for k, op := range w.ops {
+		if op.Delete {
+			// Deleting an absent key is a no-op that must report
+			// ErrNotFound (Redis DEL counts only existing keys).
+			exists, known := live[string(op.Key)]
+			if !known {
+				// Real metadata read; charge it as one.
 				burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-				switch _, err := rep.db.TTL(key); {
-				case err == nil || errors.Is(err, lavastore.ErrNoTTL):
-					// exists
-				case errors.Is(err, lavastore.ErrNotFound):
-					vals[k].Err = ErrNotFound
-				default:
-					// Engine failure is not "absent" — surface it.
-					vals[k].Err = err
-				}
+				_, err := db.TTL(op.Key)
+				exists = !errors.Is(err, lavastore.ErrNotFound)
+			}
+			if !exists {
+				live[string(op.Key)] = false
+				w.vals[k].Err = ErrNotFound
+				continue
 			}
 		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
+		live[string(op.Key)] = !op.Delete
+		batch = append(batch, op)
+	}
+	last, err := db.WriteBatchSeq(batch)
+	for k, op := range w.ops {
+		switch {
+		case w.vals[k].Err != nil: // absent-key delete: not in the batch
+		case err != nil:
+			w.vals[k].Err = err
+		case op.Delete || op.TTL > 0:
+			// TTL-bearing values stay out of the SA-LRU, which cannot
+			// expire them (see readOp.io).
+			n.cache.Delete(w.rep.cacheKey(op.Key))
+		default:
+			n.cache.Put(w.rep.cacheKey(op.Key), op.Value) // write-through keeps the node cache coherent
+		}
+	}
+	if err == nil {
+		w.committed, w.lastSeq = batch, last
+	}
+}
+
+// settle bills the ops that committed and hands exactly those to the
+// replication fabric as one message (replication stays asynchronous).
+func (w *writeBatchOp) settle() {
+	charged := 0.0
+	for _, op := range w.committed {
+		charged += w.n.writeRU(op)
+	}
+	w.ts.success.Add(int64(len(w.committed)))
+	w.ts.errors.Add(int64(len(w.ops) - len(w.committed)))
+	if len(w.committed) > 0 {
+		// The committed ops occupy the contiguous sequence range ending
+		// at lastSeq on every replica (see putOp.settle).
+		w.rep.advancePos(w.lastSeq)
+		w.n.replicator.Replicate(w.rep.id, w.committed, w.lastSeq)
+	}
+	w.bill(charged)
+}
+
+// MultiWrite executes one node batch of writes: a single request-queue
+// admission for the node batch, one WFQ write task and one quota charge
+// per partition sub-batch (at its summed cost), and per-op error slots.
+// The result slice is parallel to groups.
+func (n *Node) MultiWrite(ctx context.Context, groups []PutBatch) []BatchResult {
+	return n.batch(ctx, len(groups), func(i int, out *BatchResult) (*unit, error) {
+		g := groups[i]
+		if len(g.Ops) == 0 {
+			return nil, nil
+		}
+		w := &writeBatchOp{ops: g.Ops, vals: make([]BatchValue, len(g.Ops))}
+		if err := n.place(&w.unit, w, g.PID, true, g.Epoch); err != nil {
+			return nil, err
+		}
+		size := 0
+		for _, op := range g.Ops {
+			w.cost += n.writeRU(op)
+			if !op.Delete {
+				size += len(op.Value)
 			}
-			out[r.idx].Err = err
-			wg.Done()
 		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
-	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
-		}
-		o.RU = r.cost
-		for k := range o.Values {
-			if o.Values[k].Err == nil {
-				r.ts.success.Inc()
-			} else {
-				r.ts.errors.Inc()
-			}
-		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
-	}
-	return out
+		w.class, w.iops = wfq.ClassFor(true, size), float64(len(g.Ops))
+		out.Values = w.vals
+		return &w.unit, nil
+	})
 }
 
 // BatchGet reads a sub-batch of keys that all live in pid — the

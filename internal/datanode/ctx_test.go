@@ -11,129 +11,249 @@ import (
 )
 
 // wfqOneWorker serializes the WFQ so one slow request reliably makes
-// the next one wait in a queue.
+// the next one of its class wait in a queue.
 func wfqOneWorker() wfq.Config {
 	return wfq.Config{CPUWorkers: 1, BasicIOThreads: 1, ExtraIOThreads: -1}
 }
 
-// slowNode builds a single-replica node whose request queue drains one
-// request per admitCost through a single worker, so a second request
-// reliably waits in the admission queue behind the first.
+// slowNode builds a single-replica node, partition quota ON, whose
+// request queue drains one request per admitCost through a single
+// worker, so a second request reliably waits in the admission queue
+// behind the first.
 func slowNode(t *testing.T, cost CostModel, admitCost time.Duration) (*Node, partition.ID) {
 	t.Helper()
-	n := New(Config{
-		ID:           "ctx-node",
-		Cost:         cost,
-		AdmitWorkers: 1,
-		AdmitCost:    admitCost,
-		WFQ:          wfqOneWorker(),
-		Replicas:     1,
-	})
+	return quotaNode(t, Config{Cost: cost, AdmitCost: admitCost}, 1e9)
+}
+
+func quotaNode(t *testing.T, cfg Config, quotaRU float64) (*Node, partition.ID) {
+	t.Helper()
+	cfg.ID, cfg.AdmitWorkers, cfg.WFQ, cfg.Replicas = "ctx-node", 1, wfqOneWorker(), 1
+	cfg.EnablePartitionQuota = true
+	n := New(cfg)
 	t.Cleanup(func() { n.Close() })
 	pid := partition.ID{Tenant: "t", Index: 0}
-	if err := n.AddReplica(partition.ReplicaID{Partition: pid}, 1e9, true); err != nil {
+	if err := n.AddReplica(partition.ReplicaID{Partition: pid}, quotaRU, true); err != nil {
 		t.Fatal(err)
 	}
 	return n, pid
 }
 
+// opKinds is every client-facing operation kind, as one call on one
+// key. The conformance tests below hold each of them to the same
+// pipeline contract: what run promises, it promises for all.
+var opKinds = []struct {
+	name string
+	call func(ctx context.Context, n *Node, pid partition.ID, key []byte) error
+}{
+	{"Get", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, err := n.Get(ctx, pid, key)
+		return err
+	}},
+	{"Put", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, err := n.Put(ctx, pid, key, []byte("v"), 0)
+		return err
+	}},
+	{"Delete", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, err := n.Delete(ctx, pid, key)
+		return err
+	}},
+	{"PutWith", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, err := n.PutWith(ctx, pid, 0, key, []byte("v"), PutOptions{Cond: CondNX})
+		return err
+	}},
+	{"MultiGet", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		return n.MultiGet(ctx, []GetBatch{{PID: pid, Keys: [][]byte{key}}})[0].Err
+	}},
+	{"MultiWrite", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		return n.MultiWrite(ctx, []PutBatch{{PID: pid, Ops: []WriteOp{{Key: key, Value: []byte("v")}}}})[0].Err
+	}},
+	{"MultiContains", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		return n.MultiContains(ctx, []GetBatch{{PID: pid, Keys: [][]byte{key}}})[0].Err
+	}},
+	{"RangeScan", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, err := n.RangeScan(ctx, pid, ScanOptions{Start: key})
+		return err
+	}},
+	{"TTL", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		_, _, err := n.TTL(ctx, pid, key)
+		return err
+	}},
+}
+
+// ioServed sums the I/O stages the node's four WFQs have run.
+func ioServed(n *Node) (total int64) {
+	for _, c := range []wfq.Class{wfq.SmallRead, wfq.LargeRead, wfq.SmallWrite, wfq.LargeWrite} {
+		total += n.Scheduler().Queue(c).Stats().IOServed
+	}
+	return total
+}
+
+// netCharged is what partition admission has billed the test tenant.
+func netCharged(n *Node) float64 {
+	charged, refunded := n.TenantRULedger("t")
+	return charged - refunded
+}
+
 // TestPreCanceledNeverReachesEngine: a context that is already done is
-// refused before admission — the storage engine is never touched and
-// no RU is charged.
+// refused before admission — no op kind heats the partition, touches
+// the engine, or leaves a counter or a charge behind.
 func TestPreCanceledNeverReachesEngine(t *testing.T) {
-	n, pid := slowNode(t, CostModel{time.Nanosecond, time.Nanosecond, time.Nanosecond}, time.Nanosecond)
+	n, pid := slowNode(t, fastCost(), time.Nanosecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-
-	if _, err := n.Put(ctx, pid, []byte("k"), []byte("v"), 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Put err = %v, want context.Canceled", err)
+	for _, op := range opKinds {
+		if err := op.call(ctx, n, pid, []byte("k")); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s err = %v, want context.Canceled", op.name, err)
+		}
 	}
-	if _, err := n.Get(ctx, pid, []byte("k")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Get err = %v, want context.Canceled", err)
-	}
-	if _, err := n.RangeScan(ctx, pid, ScanOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RangeScan err = %v, want context.Canceled", err)
-	}
-	res := n.MultiWrite(ctx, []PutBatch{{PID: pid, Ops: []WriteOp{{Key: []byte("k"), Value: []byte("v")}}}})
-	if !errors.Is(res[0].Err, context.Canceled) {
-		t.Fatalf("MultiWrite err = %v, want context.Canceled", res[0].Err)
-	}
-
-	// Nothing was admitted, executed, or charged.
 	st := n.TenantStats("t")
-	if st.RUUsed != 0 || st.Success != 0 || st.Errors != 0 || st.Throttled != 0 {
-		t.Fatalf("pre-canceled requests left stats behind: %+v", st)
+	st.Tenant, st.LatencyP50, st.LatencyP99 = "", 0, 0
+	if st != (TenantSnapshot{}) {
+		t.Errorf("pre-canceled requests left stats behind: %+v", st)
+	}
+	if charged, _ := n.TenantRULedger("t"); charged != 0 || n.PartitionHeat(pid) != 0 || ioServed(n) != 0 {
+		t.Errorf("pre-canceled requests were offered: charged %v, heat %v, I/O stages %d",
+			charged, n.PartitionHeat(pid), ioServed(n))
 	}
 	if _, err := n.Get(context.Background(), pid, []byte("k")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("canceled Put reached the engine: Get err = %v", err)
+		t.Errorf("a canceled write reached the engine: Get err = %v", err)
 	}
 }
 
-// TestCanceledInAdmissionQueueAborts: a request canceled while it
-// waits in the admission queue resolves with the context error without
-// burning admit cost or touching the engine.
+// TestCanceledInAdmissionQueueAborts: a request of any kind canceled
+// while it waits in the admission queue resolves with the context
+// error when the worker dequeues it — without burning admit cost,
+// spending quota, or running a stage.
 func TestCanceledInAdmissionQueueAborts(t *testing.T) {
-	// One admit worker spending 30ms per request: the second request
-	// sits in the queue while we cancel it.
-	n, pid := slowNode(t, CostModel{time.Nanosecond, time.Nanosecond, time.Nanosecond}, 30*time.Millisecond)
+	for _, op := range opKinds {
+		t.Run(op.name, func(t *testing.T) {
+			// One admit worker spending 30ms per request: the second
+			// request sits in the queue while we cancel it.
+			n, pid := slowNode(t, fastCost(), 30*time.Millisecond)
+			first := make(chan struct{})
+			go func() {
+				op.call(context.Background(), n, pid, []byte("occupy"))
+				close(first)
+			}()
+			time.Sleep(5 * time.Millisecond) // the first request reaches the admit worker
 
-	first := make(chan struct{})
-	go func() {
-		n.Put(context.Background(), pid, []byte("occupy"), []byte("v"), 0)
-		close(first)
-	}()
-	// Give the first request time to reach the admit worker.
-	time.Sleep(5 * time.Millisecond)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := n.Put(ctx, pid, []byte("victim"), []byte("v"), 0)
-		done <- err
-	}()
-	time.Sleep(2 * time.Millisecond) // let it enqueue behind the first
-	cancel()
-	err := <-done
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued Put err = %v, want context.Canceled", err)
-	}
-	// It must resolve when the worker dequeues it (~30ms), not after
-	// burning its own 30ms admit cost too.
-	if lat := time.Since(start); lat > 55*time.Millisecond {
-		t.Fatalf("canceled request held for %v: admit cost was burned for it", lat)
-	}
-	<-first
-	if _, err := n.Get(context.Background(), pid, []byte("victim")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("canceled queued Put executed: Get err = %v", err)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			start := time.Now()
+			go func() { done <- op.call(ctx, n, pid, []byte("victim")) }()
+			time.Sleep(2 * time.Millisecond) // let it enqueue behind the first
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("queued err = %v, want context.Canceled", err)
+			}
+			// It must resolve when the worker dequeues it (~30ms), not
+			// after burning its own 30ms admit cost too.
+			if lat := time.Since(start); lat > 55*time.Millisecond {
+				t.Errorf("canceled request held for %v: admit cost was burned for it", lat)
+			}
+			<-first
+			if got := ioServed(n); got != 1 {
+				t.Errorf("I/O stages run = %d, want only the occupier's", got)
+			}
+			if st := n.TenantStats("t"); st.Throttled != 0 || st.Success+st.Errors != 1 {
+				t.Errorf("canceled request was counted: %+v", st)
+			}
+		})
 	}
 }
 
-// TestCanceledMidWFQWaitAborts: a request canceled while queued in the
-// WFQ (past admission) aborts at the dequeue point without executing
-// its stages.
+// TestCanceledMidWFQWaitAborts: a request of any kind canceled while
+// queued in the WFQ — past admission, its partition quota charged —
+// aborts at the dequeue point: context error, no stage run, and the
+// charge returned in full.
 func TestCanceledMidWFQWaitAborts(t *testing.T) {
-	// Single CPU worker, 40ms CPU stage: the second request waits in
-	// the CPU-WFQ while the first burns.
-	n, pid := slowNode(t, CostModel{CPUTime: 40 * time.Millisecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}, time.Nanosecond)
+	for _, op := range opKinds {
+		t.Run(op.name, func(t *testing.T) {
+			// One CPU worker per class and a 40ms CPU stage: a second
+			// request of the same kind waits in the CPU-WFQ while the
+			// first burns.
+			n, pid := slowNode(t, CostModel{CPUTime: 40 * time.Millisecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}, time.Nanosecond)
+			first := make(chan struct{})
+			go func() {
+				op.call(context.Background(), n, pid, []byte("occupy"))
+				close(first)
+			}()
+			time.Sleep(5 * time.Millisecond) // the first request occupies the CPU worker
+			before := netCharged(n)
 
-	go n.Put(context.Background(), pid, []byte("occupy"), []byte("v"), 0)
-	time.Sleep(5 * time.Millisecond) // first request occupies the CPU worker
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() { done <- op.call(ctx, n, pid, []byte("victim")) }()
+			time.Sleep(5 * time.Millisecond) // let it pass admission into the WFQ
+			if netCharged(n) <= before {
+				t.Fatal("the victim was not charged: it never passed admission")
+			}
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("WFQ-queued err = %v, want context.Canceled", err)
+			}
+			if after := netCharged(n); after != before {
+				t.Errorf("aborted request still billed: net charge %v, want %v", after, before)
+			}
+			<-first
+			if got := ioServed(n); got != 1 {
+				t.Errorf("I/O stages run = %d, want only the occupier's", got)
+			}
+		})
+	}
+}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := n.Put(ctx, pid, []byte("victim"), []byte("v"), 0)
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond) // let it pass admission into the WFQ
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("WFQ-queued Put err = %v, want context.Canceled", err)
-	}
-	if _, err := n.Get(context.Background(), pid, []byte("victim")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("canceled WFQ-queued Put executed: Get err = %v", err)
-	}
+// TestRefusalsConform: the three ways the pipeline turns a request away
+// after arrival look the same for every op kind — an exhausted
+// partition quota throttles (counted as throttled, not as an error), a
+// full request queue overloads, and a closed scheduler reports
+// ErrClosed with the charge returned.
+func TestRefusalsConform(t *testing.T) {
+	t.Run("quota exhausted", func(t *testing.T) {
+		// The bucket holds 3× the quota: less than a one-byte write.
+		n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: time.Nanosecond}, 1e-9)
+		for i, op := range opKinds {
+			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrThrottled) {
+				t.Errorf("%s err = %v, want ErrThrottled", op.name, err)
+			}
+			if st := n.TenantStats("t"); st.Throttled != int64(i+1) || st.Errors != 0 {
+				t.Errorf("%s: throttled %d errors %d, want %d and 0", op.name, st.Throttled, st.Errors, i+1)
+			}
+		}
+	})
+	t.Run("queue full", func(t *testing.T) {
+		// One worker holding a request for 150ms and a queue of one:
+		// the third arrival finds no slot.
+		n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: 150 * time.Millisecond, AdmitQueueCap: 1}, 1e9)
+		for i := 0; i < 2; i++ {
+			go n.Put(bg, pid, []byte{byte(i)}, []byte("v"), 0)
+			time.Sleep(5 * time.Millisecond)
+		}
+		for i, op := range opKinds {
+			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrOverloaded) {
+				t.Errorf("%s err = %v, want ErrOverloaded", op.name, err)
+			}
+			if st := n.TenantStats("t"); st.Errors != int64(i+1) {
+				t.Errorf("%s: errors %d, want %d", op.name, st.Errors, i+1)
+			}
+		}
+	})
+	t.Run("scheduler closed", func(t *testing.T) {
+		n, pid := slowNode(t, fastCost(), time.Nanosecond)
+		n.sched.Close()
+		for _, op := range opKinds {
+			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrClosed) {
+				t.Errorf("%s err = %v, want ErrClosed", op.name, err)
+			}
+		}
+		if charged, refunded := n.TenantRULedger("t"); charged == 0 || charged != refunded {
+			t.Errorf("ledger charged %v refunded %v, want every charge returned", charged, refunded)
+		}
+		n.Close()
+		if err := n.AddReplica(partition.ReplicaID{Partition: partition.ID{Tenant: "t", Index: 1}}, 1, true); !errors.Is(err, ErrClosed) {
+			t.Errorf("AddReplica on a closed node: %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestDeadlineShedding: when the node's estimated wait exceeds a
@@ -188,7 +308,7 @@ func TestDeadlineShedding(t *testing.T) {
 // TestPutWithConditionalSemantics covers the NX/XX/KEEPTTL/GET matrix
 // at the data plane: one read-modify-write through the write pipeline.
 func TestPutWithConditionalSemantics(t *testing.T) {
-	n, pid := slowNode(t, CostModel{time.Nanosecond, time.Nanosecond, time.Nanosecond}, time.Nanosecond)
+	n, pid := slowNode(t, fastCost(), time.Nanosecond)
 	bg := context.Background()
 	key := []byte("cond")
 

@@ -48,6 +48,12 @@ var ErrNotPrimary = errors.New("datanode: not the primary replica")
 // proxy refreshes its routes and retries.
 var ErrStaleEpoch = errors.New("datanode: stale route epoch")
 
+// ErrClosed is returned when the node turns a request away because it
+// is shutting down — or, for a write, because the WFQ's write-RU
+// ceiling refused it: either way the request provably did no work, and
+// whatever admission charged for it has been refunded.
+var ErrClosed = errors.New("datanode: closed")
+
 // ErrDeadlineShed is returned when deadline-aware admission sheds a
 // request before enqueueing it: the caller's remaining deadline budget
 // was smaller than the node's estimated queue wait, so serving it
@@ -123,11 +129,6 @@ type Config struct {
 	// HotWindow is the sketch decay half-life and the heat meter time
 	// constant (default 10s).
 	HotWindow time.Duration
-	// DisableDeadlineShed turns off deadline-aware admission shedding:
-	// requests whose context deadline cannot be met by the node's
-	// estimated queue wait are then queued anyway (the pre-redesign
-	// behavior; the DeadlineShedding experiment ablates this).
-	DisableDeadlineShed bool
 }
 
 func (c Config) withDefaults() Config {
@@ -167,28 +168,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Replicator propagates writes to follower replicas on other nodes.
-// Implementations must not block the caller for long; ABase replication
-// is asynchronous (eventual consistency). pos is the primary's
-// replication position after this write (after the batch's last op for
-// ReplicateBatch): followers adopt it monotonically, which keeps
-// positions comparable across replicas — a rebuilt follower does not
-// restart from zero and a long-dead one cannot look fresher than it is.
+// Replicator propagates committed writes to follower replicas on other
+// nodes: ops (one for a point write, the committed ops of a group
+// commit for a batch) travel as one replication message per follower.
+// Implementations must not block the caller for long — ABase
+// replication is asynchronous (eventual consistency) — and must copy
+// what they keep: ops and the bytes they reference belong to the caller.
+// pos is the primary's replication position after the last op:
+// followers adopt it monotonically, which keeps positions comparable
+// across replicas — a rebuilt follower does not restart from zero and a
+// long-dead one cannot look fresher than it is.
 type Replicator interface {
-	Replicate(rid partition.ReplicaID, key, value []byte, ttl time.Duration, delete bool, pos uint64)
-	// ReplicateBatch propagates a group-committed sub-batch as one
-	// replication message per follower instead of one per key.
-	ReplicateBatch(rid partition.ReplicaID, ops []WriteOp, pos uint64)
+	Replicate(rid partition.ReplicaID, ops []WriteOp, pos uint64)
 }
 
 // NopReplicator discards replication traffic (single-node tests).
 type NopReplicator struct{}
 
 // Replicate implements Replicator.
-func (NopReplicator) Replicate(partition.ReplicaID, []byte, []byte, time.Duration, bool, uint64) {}
-
-// ReplicateBatch implements Replicator.
-func (NopReplicator) ReplicateBatch(partition.ReplicaID, []WriteOp, uint64) {}
+func (NopReplicator) Replicate(partition.ReplicaID, []WriteOp, uint64) {}
 
 // replica is one hosted partition replica.
 // ruLedger is the cumulative quota charge/refund total retained for a
@@ -199,7 +197,10 @@ type ruLedger struct {
 }
 
 type replica struct {
-	id      partition.ReplicaID
+	id partition.ReplicaID
+	// part is id.Partition.String(): the WFQ partition name and the
+	// partition half of a cache key, rendered once.
+	part    string
 	db      *lavastore.DB
 	limiter *quota.PartitionLimiter
 	quotaRU float64
@@ -315,7 +316,7 @@ func New(cfg Config) *Node {
 		replicator: NopReplicator{},
 	}
 	n.quotaOn.Store(c.EnablePartitionQuota)
-	n.shedOn.Store(!c.DisableDeadlineShed)
+	n.shedOn.Store(true)
 	return n
 }
 
@@ -412,7 +413,7 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return errors.New("datanode: closed")
+		return ErrClosed
 	}
 	if _, ok := n.replicas[rid.Partition]; ok {
 		return fmt.Errorf("datanode: replica for %s already hosted", rid.Partition)
@@ -428,6 +429,7 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 	}
 	rep := &replica{
 		id:      rid,
+		part:    rid.Partition.String(),
 		db:      db,
 		limiter: quota.NewPartitionLimiter(quotaRU, n.cfg.Clock),
 		quotaRU: quotaRU,
@@ -616,39 +618,9 @@ func (n *Node) quotaShare(rep *replica) float64 {
 	return rep.quotaRU / sum
 }
 
-// recordAccess feeds one key access into the replica's heavy-hitter
-// sketch (sampled) and heat meter (exact). Called at request arrival,
-// before admission, so heat reflects offered load.
-func (r *replica) recordAccess(key []byte) {
-	r.heat.Add(1)
-	r.hot.Touch(key)
-}
-
-// recordAccessBatch is recordAccess for a sub-batch: one meter update
-// for the batch, one sampled sketch touch per key.
-func (r *replica) recordAccessBatch(keys [][]byte) {
-	r.heat.Add(float64(len(keys)))
-	for _, k := range keys {
-		r.hot.Touch(k)
-	}
-}
-
-// recordAccessOps is recordAccessBatch for a write sub-batch.
-func (r *replica) recordAccessOps(ops []WriteOp) {
-	r.heat.Add(float64(len(ops)))
-	for _, op := range ops {
-		r.hot.Touch(op.Key)
-	}
-}
-
-// cacheKeyPrefix is the partition half of a cache key; batch paths
-// compute it once and concatenate per key.
-func cacheKeyPrefix(pid partition.ID) string {
-	return pid.String() + "\x00"
-}
-
-func cacheKey(pid partition.ID, key []byte) string {
-	return cacheKeyPrefix(pid) + string(key)
+// cacheKey is key's name in the node-wide SA-LRU.
+func (r *replica) cacheKey(key []byte) string {
+	return r.part + "\x00" + string(key)
 }
 
 // Close drains the WFQ and closes all replica stores.

@@ -168,7 +168,7 @@ func TestReplicationFabric(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			follower.ApplyReplicated(r.Partition, key, value, ttl, del)
+			follower.ApplyReplicated(r.Partition, WriteOp{Key: key, Value: value, TTL: ttl, Delete: del})
 		}()
 	}))
 	primary.Put(bg, pid("t1", 0), []byte("k"), []byte("v"), 0)
@@ -181,11 +181,7 @@ func TestReplicationFabric(t *testing.T) {
 
 type replFunc func(partition.ReplicaID, []byte, []byte, time.Duration, bool)
 
-func (f replFunc) Replicate(r partition.ReplicaID, k, v []byte, ttl time.Duration, del bool, _ uint64) {
-	f(r, k, v, ttl, del)
-}
-
-func (f replFunc) ReplicateBatch(r partition.ReplicaID, ops []WriteOp, _ uint64) {
+func (f replFunc) Replicate(r partition.ReplicaID, ops []WriteOp, _ uint64) {
 	for _, op := range ops {
 		f(r, op.Key, op.Value, op.TTL, op.Delete)
 	}

@@ -25,174 +25,40 @@ type OpResult struct {
 	ExpireAt int64
 }
 
-// Get reads key from the hosted replica of pid, flowing through the
-// full isolation pipeline. ctx bounds the request end to end: a
-// context that is already done (or whose deadline cannot be met by the
-// estimated queue wait) fails fast before any admission, and a cancel
-// while the request waits in the admission queue or a WFQ aborts it
-// at the next dequeue point without executing.
-func (n *Node) Get(ctx context.Context, pid partition.ID, key []byte) (OpResult, error) {
-	rep, err := n.getReplica(pid)
+// readOne runs a readOp of one key. The error is the pipeline's or,
+// failing that, the key's own (ErrNotFound, engine failure).
+func (n *Node) readOne(ctx context.Context, pid partition.ID, key []byte, valueFree bool) (OpResult, error) {
+	r, err := n.newReadOp(pid, [][]byte{key}, valueFree)
 	if err != nil {
 		return OpResult{}, err
 	}
-	ts, est := n.tenantState(pid.Tenant)
-	if err := ctx.Err(); err != nil {
-		return OpResult{}, err // the caller is gone: not offered load
+	n.run(ctx, []*unit{&r.unit})
+	bv := r.vals[0]
+	if r.err == nil {
+		r.err = bv.Err
 	}
-	// Heat is recorded at arrival (before admission — including the
-	// deadline shed below) so the control plane sees offered load: a
-	// partition shedding or throttling its burst away is exactly the
-	// one that needs a split.
-	rep.recordAccess(key)
-	if err := n.admitCtx(ctx, ts); err != nil {
-		return OpResult{}, err
-	}
-	estimate := est.EstimateReadRU()
-
-	start := n.cfg.Clock.Now()
-	ck := cacheKey(pid, key)
-	type outcome struct {
-		val []byte
-		hit bool
-		exp int64
-		err error
-	}
-	var out outcome
-	done := make(chan struct{})
-	finish := func(o outcome) {
-		out = o
-		close(done)
-	}
-	task := &wfq.Task{
-		Tenant:     pid.Tenant,
-		Partition:  pid.String(),
-		Class:      wfq.ClassFor(false, int(est.ExpectedReadSize())),
-		RUCost:     estimate,
-		IOPSCost:   1,
-		QuotaShare: n.quotaShare(rep),
-		Ctx:        ctx,
-	}
-	// quotaCharged flips once the partition limiter admits the request; a
-	// task dropped after that point (queue abort, closed scheduler)
-	// never executes, so the RU goes back. Written before sched.Submit
-	// and read only by the scheduler afterwards, so it is ordered.
-	var quotaCharged bool
-	task.Abort = func(err error) {
-		if quotaCharged {
-			rep.limiter.Refund(estimate)
-		}
-		finish(outcome{err: err})
-	}
-	var res outcome
-	task.CPUStage = func() bool {
-		burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-		if v, ok := n.cache.Get(ck); ok {
-			res = outcome{val: v, hit: true}
-			return false
-		}
-		return true // miss: proceed to the I/O layer
-	}
-	task.IOStage = func() {
-		got, err := rep.db.Get(key)
-		reads := got.IOReads
-		if reads < 1 {
-			reads = 1
-		}
-		burn(n.cfg.Clock, time.Duration(reads)*n.cfg.Cost.IOReadTime)
-		if err != nil {
-			if errors.Is(err, lavastore.ErrNotFound) {
-				res = outcome{err: ErrNotFound}
-			} else {
-				res = outcome{err: err}
-			}
-			return
-		}
-		// The SA-LRU has no per-entry expiry, so caching a TTL-bearing
-		// value would keep serving it after the record expires — point
-		// reads would then disagree with Scan/Keys, which consult the
-		// engine. TTL'd values stay uncached.
-		if got.ExpireAt == 0 {
-			n.cache.Put(ck, got.Value)
-		}
-		res = outcome{val: got.Value, exp: got.ExpireAt}
-	}
-	task.Done = func() { finish(res) }
-
-	// Request-queue stage: quota filtering happens here, so a flood of
-	// over-quota traffic occupies the queue workers (Figure 6).
-	queued := n.admit.submit(func() {
-		// A request canceled while queued aborts before the worker
-		// spends admit cost or quota on it.
-		if err := ctx.Err(); err != nil {
-			finish(outcome{err: err})
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		if n.quotaOn.Load() {
-			if !rep.limiter.Allow(estimate) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				ts.throttled.Inc()
-				finish(outcome{err: ErrThrottled})
-				return
-			}
-			quotaCharged = true
-		}
-		if !n.sched.Submit(task) {
-			if quotaCharged {
-				rep.limiter.Refund(estimate)
-			}
-			finish(outcome{err: errors.New("datanode: scheduler closed")})
-		}
-	})
-	if !queued {
-		ts.errors.Inc()
-		return OpResult{}, ErrOverloaded
-	}
-	<-done
-
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	if out.err != nil {
-		if errors.Is(out.err, ErrThrottled) {
-			return OpResult{Latency: lat}, out.err // counted as throttled already
-		}
-		if isCtxErr(out.err) {
-			// The caller left; the service didn't fail.
-			return OpResult{Latency: lat}, out.err
-		}
-		if errors.Is(out.err, ErrNotFound) {
-			// Absent key still cost a lookup; observe size 0, miss.
-			est.ObserveRead(0, false)
-		}
-		ts.errors.Inc()
-		return OpResult{Latency: lat}, out.err
-	}
-	est.ObserveRead(len(out.val), out.hit)
-	charged := ru.ReadRU(len(out.val), boolTo01(out.hit))
-	ts.success.Inc()
-	ts.ruUsed.Add(charged)
-	ts.latency.Observe(lat)
-	if out.hit {
-		ts.cacheHits.Inc()
-	} else {
-		ts.cacheMiss.Inc()
-	}
-	return OpResult{Value: out.val, CacheHit: out.hit, RU: charged, Latency: lat, ExpireAt: out.exp}, nil
+	return OpResult{Value: bv.Value, CacheHit: bv.CacheHit, RU: r.billed, Latency: r.lat, ExpireAt: bv.ExpireAt}, r.err
 }
 
-func boolTo01(hit bool) float64 {
-	if hit {
-		return 1
-	}
-	return 0
+// Get reads key from the hosted replica of pid, flowing through the
+// full isolation pipeline (see run).
+func (n *Node) Get(ctx context.Context, pid partition.ID, key []byte) (OpResult, error) {
+	return n.readOne(ctx, pid, key, false)
 }
 
-// isCtxErr reports whether err is a context sentinel (including the
-// shed error, which wraps context.DeadlineExceeded): the caller's
-// budget ran out, as opposed to the node failing.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+// TTL returns the remaining time-to-live of key (ttl=0, found=true for
+// keys without expiry) from record metadata — the value-free read,
+// admitted, charged and fair-queued like any other request.
+func (n *Node) TTL(ctx context.Context, pid partition.ID, key []byte) (time.Duration, bool, error) {
+	res, err := n.readOne(ctx, pid, key, true)
+	if err != nil {
+		return 0, false, err
+	}
+	ttl, alive := n.RemainingTTL(res.ExpireAt)
+	if !alive {
+		return 0, false, ErrNotFound // lapsed since the probe
+	}
+	return ttl, true, nil
 }
 
 // Put writes key=value with an optional TTL on the primary replica and
@@ -200,153 +66,26 @@ func isCtxErr(err error) bool {
 // check (trusted internal callers); proxies use PutAt with the epoch
 // from their route cache.
 func (n *Node) Put(ctx context.Context, pid partition.ID, key, value []byte, ttl time.Duration) (OpResult, error) {
-	return n.write(ctx, pid, 0, key, value, ttl, false)
+	return n.PutAt(ctx, pid, 0, key, value, ttl)
 }
 
 // PutAt is Put with the caller's route epoch: the write is fenced with
 // ErrStaleEpoch when the epoch does not match the replica's, and with
 // ErrNotPrimary when this replica no longer serves writes.
 func (n *Node) PutAt(ctx context.Context, pid partition.ID, epoch uint64, key, value []byte, ttl time.Duration) (OpResult, error) {
-	return n.write(ctx, pid, epoch, key, value, ttl, false)
+	res, err := n.put(ctx, pid, epoch, &putOp{key: key, value: value, ttl: ttl})
+	return res.OpResult, err
 }
 
 // Delete removes key.
 func (n *Node) Delete(ctx context.Context, pid partition.ID, key []byte) (OpResult, error) {
-	return n.write(ctx, pid, 0, key, nil, 0, true)
+	return n.DeleteAt(ctx, pid, 0, key)
 }
 
 // DeleteAt is Delete with the caller's route epoch (see PutAt).
 func (n *Node) DeleteAt(ctx context.Context, pid partition.ID, epoch uint64, key []byte) (OpResult, error) {
-	return n.write(ctx, pid, epoch, key, nil, 0, true)
-}
-
-func (n *Node) write(ctx context.Context, pid partition.ID, epoch uint64, key, value []byte, ttl time.Duration, del bool) (OpResult, error) {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return OpResult{}, err
-	}
-	// Fence before any accounting: a demoted primary must reject the
-	// write outright so the proxy re-routes to the new primary.
-	if err := rep.checkWrite(epoch); err != nil {
-		return OpResult{}, err
-	}
-	ts, _ := n.tenantState(pid.Tenant)
-	if err := ctx.Err(); err != nil {
-		return OpResult{}, err
-	}
-	rep.recordAccess(key) // offered load heats the partition even if shed
-	if err := n.admitCtx(ctx, ts); err != nil {
-		return OpResult{}, err
-	}
-	cost := ru.WriteRU(len(value), n.cfg.Replicas)
-
-	start := n.cfg.Clock.Now()
-	ck := cacheKey(pid, key)
-	var opErr error
-	done := make(chan struct{})
-	finish := func(err error) {
-		opErr = err
-		close(done)
-	}
-	var ioErr error
-	var ioSeq uint64 // engine-assigned sequence = the write's replication position
-	// See Get: a charge whose task never executes is returned.
-	var quotaCharged bool
-	task := &wfq.Task{
-		Tenant:     pid.Tenant,
-		Partition:  pid.String(),
-		Class:      wfq.ClassFor(true, len(value)),
-		RUCost:     cost,
-		IOPSCost:   1,
-		QuotaShare: n.quotaShare(rep),
-		Ctx:        ctx,
-		Abort: func(err error) {
-			if quotaCharged {
-				rep.limiter.Refund(cost)
-			}
-			finish(err)
-		},
-		CPUStage: func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			return true // writes always reach the I/O layer (WAL)
-		},
-		IOStage: func() {
-			burn(n.cfg.Clock, n.cfg.Cost.IOWriteTime)
-			if del {
-				// Deleting an absent key reports ErrNotFound and
-				// writes no tombstone (matching the batched path and
-				// Redis DEL counting). The probe is a real metadata
-				// read; charge it as one.
-				burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-				if _, err := rep.db.TTL(key); errors.Is(err, lavastore.ErrNotFound) {
-					ioErr = ErrNotFound
-				} else {
-					ioSeq, ioErr = rep.db.DeleteSeq(key)
-				}
-				n.cache.Delete(ck)
-			} else {
-				ioSeq, ioErr = rep.db.PutSeq(key, value, ttl)
-				// Write-through keeps the node cache coherent — except
-				// for TTL-bearing values, which the SA-LRU cannot expire
-				// and so must not hold (see Get).
-				if ttl > 0 {
-					n.cache.Delete(ck)
-				} else {
-					n.cache.Put(ck, value)
-				}
-			}
-		},
-	}
-	task.Done = func() { finish(ioErr) }
-
-	queued := n.admit.submit(func() {
-		if err := ctx.Err(); err != nil {
-			finish(err)
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		if n.quotaOn.Load() {
-			if !rep.limiter.Allow(cost) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				ts.throttled.Inc()
-				finish(ErrThrottled)
-				return
-			}
-			quotaCharged = true
-		}
-		if !n.sched.Submit(task) {
-			if quotaCharged {
-				rep.limiter.Refund(cost)
-			}
-			finish(errors.New("datanode: write rejected (ceiling or closed)"))
-		}
-	})
-	if !queued {
-		ts.errors.Inc()
-		return OpResult{}, ErrOverloaded
-	}
-	<-done
-
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	if opErr != nil {
-		if errors.Is(opErr, ErrThrottled) || isCtxErr(opErr) {
-			return OpResult{Latency: lat}, opErr
-		}
-		ts.errors.Inc()
-		return OpResult{Latency: lat}, opErr
-	}
-	// The engine sequence assigned under the commit lock IS the write's
-	// replication position: followers apply at the same sequence, so
-	// change-log offsets stay comparable across replicas and a resume
-	// token survives promotion. (A position counter bumped out here
-	// could order two concurrent commits differently from the engine.)
-	rep.advancePos(ioSeq)
-	n.replicator.Replicate(rep.id, key, value, ttl, del, ioSeq)
-	ts.success.Inc()
-	ts.ruUsed.Add(cost)
-	ts.latency.Observe(lat)
-	return OpResult{RU: cost, Latency: lat}, nil
+	res, err := n.put(ctx, pid, epoch, &putOp{key: key, del: true})
+	return res.OpResult, err
 }
 
 // PutCond selects a conditional-write predicate (Redis SET NX/XX).
@@ -398,177 +137,202 @@ type PutResult struct {
 // inside one I/O stage, so no other client write can interleave
 // between them on this replica.
 func (n *Node) PutWith(ctx context.Context, pid partition.ID, epoch uint64, key, value []byte, opts PutOptions) (PutResult, error) {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return PutResult{}, err
-	}
-	if err := rep.checkWrite(epoch); err != nil {
-		return PutResult{}, err
-	}
-	ts, est := n.tenantState(pid.Tenant)
-	if err := ctx.Err(); err != nil {
-		return PutResult{}, err
-	}
-	rep.recordAccess(key) // offered load heats the partition even if shed
-	if err := n.admitCtx(ctx, ts); err != nil {
-		return PutResult{}, err
-	}
-	// Read-modify-write: the admission charge covers the probe read
-	// plus the replicated write.
-	cost := est.EstimateReadRU() + ru.WriteRU(len(value), n.cfg.Replicas)
-
-	start := n.cfg.Clock.Now()
-	ck := cacheKey(pid, key)
-	var res PutResult
-	var ioErr error
-	var effTTL time.Duration
-	var wroteSeq uint64
-	probeLen := 0
-	done := make(chan struct{})
-	finish := func(err error) {
-		ioErr = err
-		close(done)
-	}
-	var stageErr error
-	// See Get: a charge whose task never executes is returned.
-	var quotaCharged bool
-	task := &wfq.Task{
-		Tenant:     pid.Tenant,
-		Partition:  pid.String(),
-		Class:      wfq.ClassFor(true, len(value)),
-		RUCost:     cost,
-		IOPSCost:   2, // probe read + write
-		QuotaShare: n.quotaShare(rep),
-		Ctx:        ctx,
-		Abort: func(err error) {
-			if quotaCharged {
-				rep.limiter.Refund(cost)
-			}
-			finish(err)
-		},
-		CPUStage: func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			return true
-		},
-		IOStage: func() {
-			// The probe is a real record read; charge its I/O time.
-			burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-			got, gerr := rep.db.Get(key)
-			exists := gerr == nil
-			if gerr != nil && !errors.Is(gerr, lavastore.ErrNotFound) {
-				stageErr = gerr
-				return
-			}
-			res.OldExists = exists
-			probeLen = len(got.Value)
-			if opts.ReturnOld && exists {
-				res.Old = got.Value
-			}
-			if (opts.Cond == CondNX && exists) || (opts.Cond == CondXX && !exists) {
-				return // condition not met: probe only, no write
-			}
-			ttl := opts.TTL
-			if ttl == 0 && opts.KeepTTL && exists && got.ExpireAt != 0 {
-				if remaining := time.Unix(got.ExpireAt, 0).Sub(n.cfg.Clock.Now()); remaining > 0 {
-					ttl = remaining
-				}
-			}
-			burn(n.cfg.Clock, n.cfg.Cost.IOWriteTime)
-			if wroteSeq, stageErr = rep.db.PutSeq(key, value, ttl); stageErr != nil {
-				return
-			}
-			res.Written = true
-			res.Expiring = ttl > 0
-			effTTL = ttl
-			// Write-through for TTL-free values, invalidate otherwise
-			// (the SA-LRU cannot expire entries; see Get).
-			if ttl > 0 {
-				n.cache.Delete(ck)
-			} else {
-				n.cache.Put(ck, value)
-			}
-		},
-	}
-	task.Done = func() { finish(stageErr) }
-
-	queued := n.admit.submit(func() {
-		if err := ctx.Err(); err != nil {
-			finish(err)
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		if n.quotaOn.Load() {
-			if !rep.limiter.Allow(cost) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				ts.throttled.Inc()
-				finish(ErrThrottled)
-				return
-			}
-			quotaCharged = true
-		}
-		if !n.sched.Submit(task) {
-			if quotaCharged {
-				rep.limiter.Refund(cost)
-			}
-			finish(errors.New("datanode: write rejected (ceiling or closed)"))
-		}
-	})
-	if !queued {
-		ts.errors.Inc()
-		return PutResult{}, ErrOverloaded
-	}
-	<-done
-
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	res.Latency = lat
-	if ioErr != nil {
-		if errors.Is(ioErr, ErrThrottled) || isCtxErr(ioErr) {
-			return PutResult{OpResult: OpResult{Latency: lat}}, ioErr
-		}
-		ts.errors.Inc()
-		return PutResult{OpResult: OpResult{Latency: lat}}, ioErr
-	}
-	est.ObserveRead(probeLen, false)
-	charged := ru.ReadRU(probeLen, 0)
-	if res.Written {
-		charged += ru.WriteRU(len(value), n.cfg.Replicas)
-		// Engine sequence as position: see write.
-		rep.advancePos(wroteSeq)
-		n.replicator.Replicate(rep.id, key, value, effTTL, false, wroteSeq)
-	}
-	res.RU = charged
-	ts.success.Inc()
-	ts.ruUsed.Add(charged)
-	ts.latency.Observe(lat)
-	return res, nil
+	return n.put(ctx, pid, epoch, &putOp{key: key, value: value, ttl: opts.TTL, rmw: true, opts: opts})
 }
 
-// ApplyReplicated applies a replicated write on a follower replica,
-// bypassing quota and WFQ (replication traffic is system traffic).
-// Direct callers (preload, split rehash, replica copy) use this form;
-// the replication fabric uses ApplyReplicatedAt so the follower's
-// position tracks the primary's instead of a local count.
-func (n *Node) ApplyReplicated(pid partition.ID, key, value []byte, ttl time.Duration, del bool) error {
+// putOp is one point write on a partition primary: a put, a delete, or
+// (rmw) the conditional read-modify-write form.
+type putOp struct {
+	unit
+	key, value []byte
+	ttl        time.Duration // as requested; under KEEPTTL resolved by the I/O stage
+	del        bool
+	rmw        bool // probe the record and evaluate opts before writing
+	opts       PutOptions
+
+	res      PutResult
+	probeLen int    // size of the record the rmw probe read
+	seq      uint64 // engine sequence the write committed at (0: nothing written)
+	ioErr    error
+}
+
+func (n *Node) put(ctx context.Context, pid partition.ID, epoch uint64, p *putOp) (PutResult, error) {
+	if err := n.place(&p.unit, p, pid, true, epoch); err != nil {
+		return PutResult{}, err
+	}
+	p.class, p.iops = wfq.ClassFor(true, len(p.value)), 1
+	p.cost = ru.WriteRU(len(p.value), n.cfg.Replicas)
+	if p.rmw {
+		// The admission charge covers the probe read plus the
+		// replicated write.
+		p.cost += p.est.EstimateReadRU()
+		p.iops = 2
+	}
+	n.run(ctx, []*unit{&p.unit})
+	if p.err != nil {
+		return PutResult{OpResult: OpResult{Latency: p.lat}}, p.err
+	}
+	p.res.RU, p.res.Latency = p.billed, p.lat
+	return p.res, nil
+}
+
+func (p *putOp) heat() {
+	p.rep.heat.Add(1)
+	p.rep.hot.Touch(p.key)
+}
+
+func (p *putOp) cpu() bool { return true } // writes always reach the I/O layer (WAL)
+
+func (p *putOp) io() {
+	cfg, db, ck := &p.n.cfg, p.rep.db, p.rep.cacheKey(p.key)
+	if p.rmw && !p.probe() {
+		return
+	}
+	burn(cfg.Clock, cfg.Cost.IOWriteTime)
+	if p.del {
+		// Deleting an absent key reports ErrNotFound and writes no
+		// tombstone (matching the batched path and Redis DEL
+		// counting). The probe is a real metadata read; charge it as
+		// one.
+		burn(cfg.Clock, cfg.Cost.IOReadTime)
+		if _, err := db.TTL(p.key); errors.Is(err, lavastore.ErrNotFound) {
+			p.ioErr = ErrNotFound
+		} else {
+			p.seq, p.ioErr = db.DeleteSeq(p.key)
+		}
+		p.n.cache.Delete(ck)
+		return
+	}
+	if p.seq, p.ioErr = db.PutSeq(p.key, p.value, p.ttl); p.ioErr != nil {
+		return
+	}
+	p.res.Written, p.res.Expiring = true, p.ttl > 0
+	// Write-through keeps the node cache coherent — except for
+	// TTL-bearing values, which the SA-LRU cannot expire and so must
+	// not hold (see readOp.io).
+	if p.ttl > 0 {
+		p.n.cache.Delete(ck)
+	} else {
+		p.n.cache.Put(ck, p.value)
+	}
+}
+
+// probe is the read half of the read-modify-write: it reads the
+// existing record, evaluates the NX/XX predicate and resolves KEEPTTL,
+// reporting whether the write should go ahead.
+func (p *putOp) probe() bool {
+	cfg := &p.n.cfg
+	burn(cfg.Clock, cfg.Cost.IOReadTime) // a real record read
+	got, err := p.rep.db.Get(p.key)
+	exists := err == nil
+	if err != nil && !errors.Is(err, lavastore.ErrNotFound) {
+		p.ioErr = err
+		return false
+	}
+	p.res.OldExists, p.probeLen = exists, len(got.Value)
+	if p.opts.ReturnOld && exists {
+		p.res.Old = got.Value
+	}
+	if (p.opts.Cond == CondNX && exists) || (p.opts.Cond == CondXX && !exists) {
+		return false // condition not met: probe only, no write
+	}
+	if p.ttl == 0 && p.opts.KeepTTL && exists && got.ExpireAt != 0 {
+		if remaining := time.Unix(got.ExpireAt, 0).Sub(cfg.Clock.Now()); remaining > 0 {
+			p.ttl = remaining
+		}
+	}
+	return true
+}
+
+// settle bills the probe at the size it really read plus the write if
+// one was applied, and hands an applied write to the fabric.
+func (p *putOp) settle() {
+	if p.ioErr != nil {
+		p.fail(p.ioErr)
+		return
+	}
+	charged := 0.0
+	if p.rmw {
+		p.est.ObserveRead(p.probeLen, false)
+		charged = ru.ReadRU(p.probeLen, 0)
+	}
+	if p.seq != 0 {
+		charged += ru.WriteRU(len(p.value), p.n.cfg.Replicas)
+		// The engine sequence assigned under the commit lock IS the
+		// write's replication position: followers apply at the same
+		// sequence, so change-log offsets stay comparable across
+		// replicas and a resume token survives promotion. (A position
+		// counter bumped out here could order two concurrent commits
+		// differently from the engine.)
+		p.rep.advancePos(p.seq)
+		p.n.replicator.Replicate(p.rep.id, []WriteOp{{Key: p.key, Value: p.value, TTL: p.ttl, Delete: p.del}}, p.seq)
+	}
+	p.ts.success.Inc()
+	p.bill(charged)
+}
+
+// apply is the one body behind every system write — replication
+// applies, bulk-copy records, split rehash, fixture preload: ops commit
+// on the hosted replica of pid as one group, bypassing quota and the
+// WFQ (replication traffic is system traffic). The callers differ only
+// in the three parameters: seq forces the sequence of the LAST op (the
+// ops then take the contiguous range ending there) or, when 0, lets the
+// engine assign the next ones; advance raises the replication position
+// to the last sequence; forward hands the committed ops to the
+// replication fabric.
+func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forward bool) error {
 	rep, err := n.getReplica(pid)
+	if err != nil || len(ops) == 0 {
+		return err
+	}
+	forced := seq != 0
+	if len(ops) == 1 {
+		switch op := ops[0]; {
+		case forced:
+			err = rep.db.ApplyAt(op.Key, op.Value, op.TTL, op.Delete, seq)
+		case op.Delete:
+			seq, err = rep.db.DeleteSeq(op.Key)
+		default:
+			seq, err = rep.db.PutSeq(op.Key, op.Value, op.TTL)
+		}
+	} else if forced {
+		err = rep.db.ApplyBatchAt(ops, seq)
+	} else {
+		seq, err = rep.db.WriteBatchSeq(ops)
+	}
 	if err != nil {
 		return err
 	}
 	// Invalidate rather than populate: follower reads are rare next to
 	// primary traffic, so write-through would fill the cache with
 	// values that are seldom read while still risking staleness.
-	n.cache.Delete(cacheKey(pid, key))
-	var seq uint64
-	var werr error
-	if del {
-		seq, werr = rep.db.DeleteSeq(key)
-	} else {
-		seq, werr = rep.db.PutSeq(key, value, ttl)
+	for _, op := range ops {
+		n.cache.Delete(rep.cacheKey(op.Key))
 	}
-	if werr == nil {
+	if advance {
 		rep.advancePos(seq)
 	}
-	return werr
+	if forward {
+		n.replicator.Replicate(rep.id, ops, seq)
+	}
+	return nil
+}
+
+// ApplyReplicated applies system writes directly on a hosted replica at
+// engine-assigned sequences, advancing its replication position
+// (fixture preload, tests).
+func (n *Node) ApplyReplicated(pid partition.ID, ops ...WriteOp) error {
+	return n.apply(pid, ops, 0, true, false)
+}
+
+// ApplyReplicatedAt is the replication fabric's apply: pos (never 0 —
+// engine sequences start at 1) is the sequence the PRIMARY's engine
+// committed the last op at. The follower applies the ops at the same
+// sequences and adopts pos, so every replica's change log is
+// offset-aligned and a subscriber's resume token stays valid across a
+// promotion.
+func (n *Node) ApplyReplicatedAt(pid partition.ID, pos uint64, ops []WriteOp) error {
+	return n.apply(pid, ops, pos, true, false)
 }
 
 // ApplyCopied applies one record of a replica-repair bulk copy at its
@@ -578,117 +342,18 @@ func (n *Node) ApplyReplicated(pid partition.ID, key, value []byte, ttl time.Dur
 // engine sequence at or below the primary's, so post-repair replicated
 // applies are never mistaken for stale ones.
 func (n *Node) ApplyCopied(pid partition.ID, seq uint64, key, value []byte, ttl time.Duration) error {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return err
-	}
-	n.cache.Delete(cacheKey(pid, key))
-	return rep.db.ApplyAt(key, value, ttl, false, seq)
+	return n.apply(pid, []WriteOp{{Key: key, Value: value, TTL: ttl}}, seq, false, false)
 }
 
 // WriteThrough applies a system write on a partition primary and hands
-// it to the replication fabric, bypassing quota and WFQ. The split
-// rehash uses it: migrated records and their source tombstones commit
-// on the primary (taking an engine sequence) and reach followers
-// through the same FIFO lanes as client writes — applying directly on
-// followers would interleave differently per replica and misalign the
-// change logs that resume tokens index into.
+// it to the replication fabric. The split rehash uses it: migrated
+// records and their source tombstones commit on the primary (taking an
+// engine sequence) and reach followers through the same FIFO lanes as
+// client writes — applying directly on followers would interleave
+// differently per replica and misalign the change logs that resume
+// tokens index into.
 func (n *Node) WriteThrough(pid partition.ID, key, value []byte, ttl time.Duration, del bool) error {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return err
-	}
-	n.cache.Delete(cacheKey(pid, key))
-	var seq uint64
-	var werr error
-	if del {
-		seq, werr = rep.db.DeleteSeq(key)
-	} else {
-		seq, werr = rep.db.PutSeq(key, value, ttl)
-	}
-	if werr != nil {
-		return werr
-	}
-	rep.advancePos(seq)
-	n.replicator.Replicate(rep.id, key, value, ttl, del, seq)
-	return nil
-}
-
-// ApplyReplicatedAt is ApplyReplicated for the replication fabric: pos
-// is the sequence number the PRIMARY's engine committed this write at.
-// The follower applies the record at that same sequence, so every
-// replica's change log is offset-aligned and a subscriber's resume
-// token stays valid across a promotion. pos 0 is the snapshot-copy
-// escape hatch (CopyReplicaTo): the record takes a local sequence and
-// the position counter is left for AdoptReplicationPosition — a bulk
-// copy is state transfer, not history.
-func (n *Node) ApplyReplicatedAt(pid partition.ID, pos uint64, key, value []byte, ttl time.Duration, del bool) error {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return err
-	}
-	n.cache.Delete(cacheKey(pid, key))
-	if pos == 0 {
-		if del {
-			return rep.db.Delete(key)
-		}
-		return rep.db.Put(key, value, ttl)
-	}
-	if err := rep.db.ApplyAt(key, value, ttl, del, pos); err != nil {
-		return err
-	}
-	rep.advancePos(pos)
-	return nil
-}
-
-// ApplyReplicatedBatchAt is ApplyReplicatedBatch for the replication
-// fabric (see ApplyReplicatedAt); pos is the primary's sequence after
-// the batch's last op, and the batch occupies the contiguous range
-// ending there on every replica.
-func (n *Node) ApplyReplicatedBatchAt(pid partition.ID, pos uint64, ops []WriteOp) error {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return err
-	}
-	if err := rep.db.ApplyBatchAt(toBatchOps(ops), pos); err != nil {
-		return err
-	}
-	n.invalidateBatch(pid, ops)
-	rep.advancePos(pos)
-	return nil
-}
-
-// ApplyReplicatedBatch applies a replicated sub-batch on a follower
-// replica as one group commit, bypassing quota and WFQ.
-func (n *Node) ApplyReplicatedBatch(pid partition.ID, ops []WriteOp) error {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return err
-	}
-	last, err := rep.db.WriteBatchSeq(toBatchOps(ops))
-	if err != nil {
-		return err
-	}
-	n.invalidateBatch(pid, ops)
-	rep.advancePos(last)
-	return nil
-}
-
-func toBatchOps(ops []WriteOp) []lavastore.BatchOp {
-	batch := make([]lavastore.BatchOp, len(ops))
-	for i, op := range ops {
-		batch[i] = lavastore.BatchOp{Key: op.Key, Value: op.Value, TTL: op.TTL, Delete: op.Delete}
-	}
-	return batch
-}
-
-// invalidateBatch drops the touched cache entries (invalidate rather
-// than populate: see ApplyReplicated).
-func (n *Node) invalidateBatch(pid partition.ID, ops []WriteOp) {
-	prefix := cacheKeyPrefix(pid)
-	for _, op := range ops {
-		n.cache.Delete(prefix + string(op.Key))
-	}
+	return n.apply(pid, []WriteOp{{Key: key, Value: value, TTL: ttl, Delete: del}}, 0, true, true)
 }
 
 // --- Hash (Redis hash) operations ---
@@ -749,6 +414,19 @@ func (n *Node) HSet(ctx context.Context, pid partition.ID, key []byte, field str
 	return n.HSetMulti(ctx, pid, key, []FieldValue{{Field: field, Value: value}})
 }
 
+// readHash loads the hash at key; an absent key reads as the empty
+// hash (a stored hash always has at least one field).
+func (n *Node) readHash(ctx context.Context, pid partition.ID, key []byte) (map[string][]byte, error) {
+	res, err := n.Get(ctx, pid, key)
+	if errors.Is(err, ErrNotFound) {
+		return map[string][]byte{}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decodeHash(res.Value)
+}
+
 // HSetMulti sets every field/value pair in the hash at key as ONE
 // read-modify-write — one Get and one Put regardless of how many
 // fields the command carries — returning how many fields were new.
@@ -758,15 +436,8 @@ func (n *Node) HSetMulti(ctx context.Context, pid partition.ID, key []byte, fvs 
 	if len(fvs) == 0 {
 		return 0, nil
 	}
-	res, err := n.Get(ctx, pid, key)
-	m := map[string][]byte{}
-	switch {
-	case err == nil:
-		if m, err = decodeHash(res.Value); err != nil {
-			return 0, err
-		}
-	case errors.Is(err, ErrNotFound):
-	default:
+	m, err := n.readHash(ctx, pid, key)
+	if err != nil {
 		return 0, err
 	}
 	added := 0
@@ -784,11 +455,7 @@ func (n *Node) HSetMulti(ctx context.Context, pid partition.ID, key []byte, fvs 
 
 // HGet returns the value of field in the hash at key.
 func (n *Node) HGet(ctx context.Context, pid partition.ID, key []byte, field string) ([]byte, error) {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeHash(res.Value)
+	m, err := n.readHash(ctx, pid, key)
 	if err != nil {
 		return nil, err
 	}
@@ -799,53 +466,26 @@ func (n *Node) HGet(ctx context.Context, pid partition.ID, key []byte, field str
 	return v, nil
 }
 
-// HLen returns the number of fields in the hash at key. The observed
-// length feeds the complex-operation RU estimator.
+// HLen returns the number of fields in the hash at key.
 func (n *Node) HLen(ctx context.Context, pid partition.ID, key []byte) (int, error) {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	m, err := decodeHash(res.Value)
-	if err != nil {
-		return 0, err
-	}
-	_, est := n.tenantState(pid.Tenant)
-	est.ObserveCollectionLen(len(m))
-	return len(m), nil
+	m, err := n.HGetAll(ctx, pid, key)
+	return len(m), err
 }
 
-// HGetAll returns all fields and values of the hash at key.
+// HGetAll returns all fields and values of the hash at key. The
+// observed length feeds the complex-operation RU estimator.
 func (n *Node) HGetAll(ctx context.Context, pid partition.ID, key []byte) (map[string][]byte, error) {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return map[string][]byte{}, nil
-		}
-		return nil, err
+	m, err := n.readHash(ctx, pid, key)
+	if len(m) > 0 {
+		_, est := n.tenantState(pid.Tenant)
+		est.ObserveCollectionLen(len(m))
 	}
-	m, err := decodeHash(res.Value)
-	if err != nil {
-		return nil, err
-	}
-	_, est := n.tenantState(pid.Tenant)
-	est.ObserveCollectionLen(len(m))
-	return m, nil
+	return m, err
 }
 
 // HDel removes fields from the hash at key, returning how many existed.
 func (n *Node) HDel(ctx context.Context, pid partition.ID, key []byte, fields ...string) (int, error) {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	m, err := decodeHash(res.Value)
+	m, err := n.readHash(ctx, pid, key)
 	if err != nil {
 		return 0, err
 	}
@@ -867,29 +507,6 @@ func (n *Node) HDel(ctx context.Context, pid partition.ID, key []byte, fields ..
 		}
 	}
 	return removed, nil
-}
-
-// TTL returns the remaining time-to-live of key (lavastore.ErrNoTTL
-// mapped to ttl=0, found=true for keys without expiry).
-func (n *Node) TTL(ctx context.Context, pid partition.ID, key []byte) (time.Duration, bool, error) {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return 0, false, err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, false, err
-	}
-	ttl, err := rep.db.TTL(key)
-	switch {
-	case err == nil:
-		return ttl, true, nil
-	case errors.Is(err, lavastore.ErrNoTTL):
-		return 0, true, nil
-	case errors.Is(err, lavastore.ErrNotFound):
-		return 0, false, ErrNotFound
-	default:
-		return 0, false, err
-	}
 }
 
 // Expire sets key's TTL, going through the full write pipeline so it

@@ -2,7 +2,6 @@ package datanode
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"abase/internal/lavastore"
@@ -40,136 +39,69 @@ type ScanResult struct {
 	Latency time.Duration
 }
 
-// RangeScan reads one bounded page of the hosted replica of pid in
-// ascending key order, flowing through the full isolation pipeline
-// exactly like a point read: one request-queue admission, a partition
-// quota charge at the scan estimate, and a large-read WFQ task whose
-// I/O stage burns time proportional to the records examined. Scans
-// bypass the SA-LRU (a range traversal would only churn it), so the
-// CPU stage always proceeds to the I/O layer.
-func (n *Node) RangeScan(ctx context.Context, pid partition.ID, opts ScanOptions) (ScanResult, error) {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return ScanResult{}, err
+// scanOp reads one bounded page of a partition in ascending key order.
+type scanOp struct {
+	unit
+	opts  ScanOptions
+	page  lavastore.ScanPage
+	ioErr error // engine failure from the I/O stage
+}
+
+// Scans heat the partition (IO-equivalent units per page) but mark no
+// individual key hot: a range traversal says nothing about per-key
+// popularity.
+func (s *scanOp) heat() { s.rep.heat.Add(s.iops) }
+
+// Scans bypass the SA-LRU (a range traversal would only churn it), so
+// the CPU stage always proceeds to the I/O layer.
+func (s *scanOp) cpu() bool { return true }
+
+func (s *scanOp) io() {
+	scan := s.rep.db.ScanRange
+	if s.opts.KeysOnly {
+		// Value-free variant: no value bytes are copied, billing
+		// unchanged (the engine read the records either way).
+		scan = s.rep.db.ScanRangeKeys
 	}
+	s.page, s.ioErr = scan(s.opts.Start, nil, s.opts.Limit)
+	// Sequential reads amortize across the sparse-index granularity:
+	// one simulated disk read covers a block of examined records.
+	reads := 1 + s.page.Examined/scanEntriesPerIO
+	burn(s.n.cfg.Clock, time.Duration(reads)*s.n.cfg.Cost.IOReadTime)
+}
+
+func (s *scanOp) settle() {
+	if s.ioErr != nil {
+		s.fail(s.ioErr)
+		return
+	}
+	s.ts.success.Inc()
+	s.bill(ru.ScanRU(int(s.page.Bytes), s.page.Examined))
+}
+
+// RangeScan reads one bounded page of the hosted replica of pid,
+// flowing through the full isolation pipeline exactly like a point
+// read: one request-queue admission, a partition quota charge at the
+// scan estimate, and a large-read WFQ task whose I/O stage burns time
+// proportional to the records examined.
+func (n *Node) RangeScan(ctx context.Context, pid partition.ID, opts ScanOptions) (ScanResult, error) {
 	if opts.Limit <= 0 {
 		opts.Limit = lavastore.DefaultScanLimit
 	}
-	ts, est := n.tenantState(pid.Tenant)
-	if err := ctx.Err(); err != nil {
+	s := &scanOp{opts: opts}
+	if err := n.place(&s.unit, s, pid, false, 0); err != nil {
 		return ScanResult{}, err
 	}
-	// Scans heat the partition (IO-equivalent units per page, counted
-	// before admission — including the deadline shed — so the control
-	// plane sees offered load) but mark no individual key hot: a range
-	// traversal says nothing about per-key popularity.
-	rep.heat.Add(1 + float64(opts.Limit)/scanEntriesPerIO)
-	if err := n.admitCtx(ctx, ts); err != nil {
-		return ScanResult{}, err
-	}
-	estimate := est.EstimateScanRU(opts.Limit)
-
-	start := n.cfg.Clock.Now()
-	type outcome struct {
-		page lavastore.ScanPage
-		err  error
-	}
-	var out outcome
-	done := make(chan struct{})
-	finish := func(o outcome) {
-		out = o
-		close(done)
-	}
-	var res outcome
-	task := &wfq.Task{
-		Tenant:     pid.Tenant,
-		Partition:  pid.String(),
-		Class:      wfq.LargeRead,
-		RUCost:     estimate,
-		IOPSCost:   1 + float64(opts.Limit)/scanEntriesPerIO,
-		QuotaShare: n.quotaShare(rep),
-		Ctx:        ctx,
-	}
-	// See Get (ops.go): a charge whose task never executes is returned.
-	var quotaCharged bool
-	task.Abort = func(err error) {
-		if quotaCharged {
-			rep.limiter.Refund(estimate)
-		}
-		finish(outcome{err: err})
-	}
-	task.CPUStage = func() bool {
-		burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-		return true // scans never resolve from the node cache
-	}
-	task.IOStage = func() {
-		scan := rep.db.ScanRange
-		if opts.KeysOnly {
-			// Value-free variant: no value bytes are copied, billing
-			// unchanged (the engine read the records either way).
-			scan = rep.db.ScanRangeKeys
-		}
-		page, err := scan(opts.Start, nil, opts.Limit)
-		// Sequential reads amortize across the sparse-index granularity:
-		// one simulated disk read covers a block of examined records.
-		reads := 1 + page.Examined/scanEntriesPerIO
-		burn(n.cfg.Clock, time.Duration(reads)*n.cfg.Cost.IOReadTime)
-		if err != nil {
-			res = outcome{err: err}
-			return
-		}
-		res = outcome{page: page}
-	}
-	task.Done = func() { finish(res) }
-
-	queued := n.admit.submit(func() {
-		if err := ctx.Err(); err != nil {
-			finish(outcome{err: err})
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		if n.quotaOn.Load() {
-			if !rep.limiter.Allow(estimate) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				ts.throttled.Inc()
-				finish(outcome{err: ErrThrottled})
-				return
-			}
-			quotaCharged = true
-		}
-		if !n.sched.Submit(task) {
-			if quotaCharged {
-				rep.limiter.Refund(estimate)
-			}
-			finish(outcome{err: errors.New("datanode: scheduler closed")})
-		}
-	})
-	if !queued {
-		ts.errors.Inc()
-		return ScanResult{}, ErrOverloaded
-	}
-	<-done
-
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	if out.err != nil {
-		if errors.Is(out.err, ErrThrottled) || isCtxErr(out.err) {
-			return ScanResult{Latency: lat}, out.err // counted as throttled already
-		}
-		ts.errors.Inc()
-		return ScanResult{Latency: lat}, out.err
-	}
-	charged := ru.ScanRU(int(out.page.Bytes), out.page.Examined)
-	ts.success.Inc()
-	ts.ruUsed.Add(charged)
-	ts.latency.Observe(lat)
+	s.class, s.cost = wfq.LargeRead, s.est.EstimateScanRU(opts.Limit)
+	s.iops = 1 + float64(opts.Limit)/scanEntriesPerIO
+	n.run(ctx, []*unit{&s.unit})
 	return ScanResult{
-		Entries:  out.page.Entries,
-		NextKey:  out.page.NextKey,
-		Examined: out.page.Examined,
-		RU:       charged,
-		Latency:  lat,
-	}, nil
+		Entries:  s.page.Entries,
+		NextKey:  s.page.NextKey,
+		Examined: s.page.Examined,
+		RU:       s.billed,
+		Latency:  s.lat,
+	}, s.err
 }
 
 // scanEntriesPerIO is how many sequential records one simulated disk

@@ -7,6 +7,7 @@ import (
 
 	"abase/internal/cache"
 	"abase/internal/clock"
+	"abase/internal/datanode"
 	"abase/internal/proxy"
 	"abase/internal/wfq"
 	"abase/internal/workload"
@@ -107,7 +108,7 @@ func AblationFanout(ops int) Table {
 			key := []byte(fmt.Sprintf("key-%012d", k))
 			route, _ := m.RouteFor(tenant, key)
 			node, _ := m.Node(route.Primary)
-			node.ApplyReplicated(route.Partition, key, val, 0, false)
+			node.ApplyReplicated(route.Partition, datanode.WriteOp{Key: key, Value: val})
 		}
 		gen := workload.NewZipfKeys(keys, 1.3, 5)
 		for op := 0; op < ops; op++ {

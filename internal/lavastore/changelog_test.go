@@ -400,14 +400,14 @@ func TestReplayNeverSilentGap(t *testing.T) {
 	// Simulate an operator deleting a retained segment out from under
 	// the log: Replay must fail loudly, not skip the hole.
 	db.mu.Lock()
-	if len(db.segs) == 0 {
-		db.mu.Unlock()
+	sealed := len(db.segs) > 0
+	if sealed {
+		db.segs[0].name = "missing.wal"
+	}
+	db.mu.Unlock()
+	if !sealed {
 		t.Fatal("no sealed segment to corrupt")
 	}
-	victim := db.segs[0].name
-	db.segs[0].name = "missing.wal"
-	db.mu.Unlock()
-	_ = victim
 
 	if _, err := db.Replay(1, 40); err == nil {
 		t.Fatal("Replay over a missing segment returned no error")

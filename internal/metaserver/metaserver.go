@@ -90,19 +90,15 @@ type Meta struct {
 	pendDone uint64
 }
 
+// replJob is one replication message for one follower: the ops a
+// primary committed together (one for a point write) and pos, the
+// primary's replication position after the last of them, which the
+// follower adopts monotonically.
 type replJob struct {
 	node *datanode.Node
 	pid  partition.ID
-	key  []byte
-	val  []byte
-	ttl  time.Duration
-	del  bool
-	// ops, when non-nil, is a group-committed sub-batch replacing the
-	// single key/val fields.
-	ops []datanode.WriteOp
-	// pos is the primary's replication position after this write (after
-	// the last op for batches); followers adopt it monotonically.
-	pos uint64
+	ops  []datanode.WriteOp
+	pos  uint64
 }
 
 // Config configures a Meta.
@@ -189,11 +185,7 @@ func (m *Meta) replWorker(jobs <-chan replJob) {
 	for job := range jobs {
 		// Best effort: eventual consistency tolerates transient errors
 		// (a down follower drops its deltas; repair rebuilds it).
-		if job.ops != nil {
-			_ = job.node.ApplyReplicatedBatchAt(job.pid, job.pos, job.ops)
-		} else {
-			_ = job.node.ApplyReplicatedAt(job.pid, job.pos, job.key, job.val, job.ttl, job.del)
-		}
+		_ = job.node.ApplyReplicatedAt(job.pid, job.pos, job.ops)
 		m.donePending()
 	}
 }
@@ -273,36 +265,27 @@ func (r *metaReplicator) followers(pid partition.ID) (targets []*datanode.Node, 
 	return targets, m.closed
 }
 
-// Replicate implements datanode.Replicator.
-func (r *metaReplicator) Replicate(rid partition.ReplicaID, key, value []byte, ttl time.Duration, del bool, pos uint64) {
+// Replicate implements datanode.Replicator: the ops travel as one
+// replication message per follower and are applied there as one group
+// commit. The message owns its bytes — one arena holds every copied key
+// and value, shared read-only by all followers.
+func (r *metaReplicator) Replicate(rid partition.ReplicaID, ops []datanode.WriteOp, pos uint64) {
 	targets, closed := r.followers(rid.Partition)
 	if closed || len(targets) == 0 {
 		return
 	}
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	r.meta.addPending(len(targets))
-	for _, n := range targets {
-		r.meta.replLane(rid.Partition, n.ID()) <- replJob{node: n, pid: rid.Partition, key: k, val: v, ttl: ttl, del: del, pos: pos}
+	size := 0
+	for _, op := range ops {
+		size += len(op.Key) + len(op.Value)
 	}
-}
-
-// ReplicateBatch implements datanode.Replicator: the whole sub-batch
-// travels as one replication message per follower and is applied there
-// as one group commit.
-func (r *metaReplicator) ReplicateBatch(rid partition.ReplicaID, ops []datanode.WriteOp, pos uint64) {
-	targets, closed := r.followers(rid.Partition)
-	if closed || len(targets) == 0 {
-		return
+	arena := make([]byte, 0, size)
+	own := func(b []byte) []byte {
+		arena = append(arena, b...)
+		return arena[len(arena)-len(b) : len(arena) : len(arena)]
 	}
 	copied := make([]datanode.WriteOp, len(ops))
 	for i, op := range ops {
-		copied[i] = datanode.WriteOp{
-			Key:    append([]byte(nil), op.Key...),
-			Value:  append([]byte(nil), op.Value...),
-			TTL:    op.TTL,
-			Delete: op.Delete,
-		}
+		copied[i] = datanode.WriteOp{Key: own(op.Key), Value: own(op.Value), TTL: op.TTL, Delete: op.Delete}
 	}
 	r.meta.addPending(len(targets))
 	for _, n := range targets {

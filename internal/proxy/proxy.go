@@ -336,13 +336,14 @@ func (p *Proxy) noteFailure(err error) {
 
 // noWorkErr reports whether err proves the charged request never
 // executed on a DataNode: routing-shaped failures (dead node, stale
-// epoch, wrong primary, unknown partition), deadline sheds (the node
-// refused before the request consumed a queue slot), and context
-// aborts. Engine errors, node-side throttles, and not-found reads all
+// epoch, wrong primary, unknown partition), a node turning requests
+// away as it closes, deadline sheds (the node refused before the
+// request consumed a queue slot), and context aborts. Engine errors, node-side throttles, and not-found reads all
 // represent work performed, so their charge stands.
 func noWorkErr(err error) bool {
 	return retryableRouteErr(err) ||
 		errors.Is(err, metaserver.ErrUnknownPartition) ||
+		errors.Is(err, datanode.ErrClosed) ||
 		errors.Is(err, datanode.ErrDeadlineShed) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
@@ -772,11 +773,17 @@ func (f *Fleet) ResetStats() {
 	}
 }
 
-// TTL returns key's remaining time-to-live; hasTTL is false for keys
-// stored without an expiry.
+// TTL returns key's remaining time-to-live through the proxy quota;
+// hasTTL is false for keys stored without an expiry.
 func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
+	}
+	// A value-free metadata read: charged what the node admits it at.
+	cost := p.est.EstimateHLenRU()
+	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
+		p.rejected.Inc()
+		return 0, false, ErrThrottled
 	}
 	var found bool
 	err = p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
@@ -786,9 +793,10 @@ func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL 
 	})
 	if err != nil {
 		if errors.Is(err, datanode.ErrNotFound) {
-			return 0, false, ErrNotFound
+			// The node probed the key; the attempt is billed.
+			return 0, false, ErrNotFound // ru:final
 		}
-		p.noteFailure(err)
+		p.refundFailure(cost, err)
 		return 0, false, err
 	}
 	p.success.Inc()

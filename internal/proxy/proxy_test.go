@@ -388,3 +388,36 @@ func TestHSetMultiOneRoundTrip(t *testing.T) {
 		t.Fatalf("HGetAll = %d fields, %v", len(all), err)
 	}
 }
+
+// TestClosedNodeRefundsProxyCharge: a node turning requests away as it
+// closes reports datanode.ErrClosed — provably no work done — so the
+// tenant's proxy-level charge goes back, like the node's own.
+func TestClosedNodeRefundsProxyCharge(t *testing.T) {
+	m, p := newStack(t, 100000, func(c *Config) { c.EnableCache = false })
+	for _, id := range m.Nodes() {
+		n, err := m.Node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Scheduler().Close()
+	}
+	if err := p.Put(bg, []byte("k"), []byte("v"), 0); !errors.Is(err, datanode.ErrClosed) {
+		t.Fatalf("Put on closing nodes: %v, want datanode.ErrClosed", err)
+	}
+	if charged, refunded := p.limiter.RUTotals(); charged == 0 || charged != refunded {
+		t.Fatalf("proxy ledger charged %v refunded %v, want the charge returned", charged, refunded)
+	}
+}
+
+// TestProxyTTLIsMetered: TTL is a metadata read charged against the
+// proxy quota like any other request, not a free side door.
+func TestProxyTTLIsMetered(t *testing.T) {
+	// The bucket's whole burst is below one metadata read.
+	_, p := newStack(t, 0.01, func(c *Config) { c.EnableCache = false })
+	if _, _, err := p.TTL(bg, []byte("k")); !errors.Is(err, ErrThrottled) {
+		t.Fatalf("TTL beyond quota: %v, want ErrThrottled", err)
+	}
+	if p.Stats().Rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", p.Stats().Rejected)
+	}
+}
