@@ -333,9 +333,6 @@ type TenantSpec struct {
 	ProxyCacheTTL time.Duration
 	// ProxyCacheBytes sizes each proxy's AU-LRU (default 32 MiB).
 	ProxyCacheBytes int64
-	// BatchFanout bounds how many per-partition sub-batches a batched
-	// operation dispatches to DataNodes concurrently (default 4).
-	BatchFanout int
 	// ProxyHotAdmitThreshold gates proxy-cache admission on the hotspot
 	// sketch: a fetched value is cached only once its key has been
 	// accessed this many times in the detection window. 0 uses the
@@ -393,7 +390,6 @@ func (c *Cluster) CreateTenant(spec TenantSpec) (*Tenant, error) {
 		EnableCache:       !spec.DisableProxyCache,
 		EnableQuota:       !spec.DisableProxyQuota,
 		ProxyQuota:        mt.Quota.ProxyQuota(),
-		BatchFanout:       spec.BatchFanout,
 		HotAdmitThreshold: spec.ProxyHotAdmitThreshold,
 		MaxFollowerLag:    spec.MaxFollowerLag,
 	}, spec.Proxies, spec.ProxyGroups, 1)

@@ -35,6 +35,8 @@ type AULRU struct {
 	gate      RefreshGate
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
+	// gen stamps every value a caller stores (see auEntry.gen).
+	gen uint64
 
 	hits      int64
 	misses    int64
@@ -46,6 +48,12 @@ type auEntry struct {
 	value    []byte
 	expireAt time.Time
 	hot      bool // accessed at least twice within the current TTL window
+	// gen identifies the Put or Update that stored value. A refresh
+	// reads the origin outside the lock; it installs what it read only
+	// if the entry still carries the generation it started from, so a
+	// write-through that lands meanwhile is never replaced by the older
+	// origin value.
+	gen uint64
 }
 
 // AUConfig configures an AULRU.
@@ -121,26 +129,27 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 		!c.refreshing[key] &&
 		(c.gate == nil || c.gate(key))
 	e.hot = true
-	val := e.value
+	val, gen := e.value, e.gen
 	if needRefresh {
 		c.refreshing[key] = true
 	}
 	c.mu.Unlock()
 
 	if needRefresh {
-		c.refresh(key)
+		c.refresh(key, gen)
 	}
 	return val, true
 }
 
-// refresh re-fetches key and renews its TTL.
-func (c *AULRU) refresh(key string) {
+// refresh re-fetches key and renews the entry of generation gen, unless
+// a caller stored a newer value (or deleted it) in the meantime.
+func (c *AULRU) refresh(key string, gen uint64) {
 	fresh, ok := c.refresher(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.refreshing, key)
 	el, present := c.items[key]
-	if !present {
+	if !present || el.Value.(*auEntry).gen != gen {
 		return
 	}
 	if !ok {
@@ -172,7 +181,8 @@ func (c *AULRU) Put(key string, value []byte) {
 	if el, ok := c.items[key]; ok {
 		c.removeElement(el)
 	}
-	e := &auEntry{key: key, value: value, expireAt: c.clk.Now().Add(c.ttl)}
+	c.gen++
+	e := &auEntry{key: key, value: value, expireAt: c.clk.Now().Add(c.ttl), gen: c.gen}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
 	c.used += size
@@ -203,6 +213,8 @@ func (c *AULRU) Update(key string, value []byte) bool {
 	c.used += int64(len(value)) - int64(len(e.value))
 	e.value = value
 	e.expireAt = c.clk.Now().Add(c.ttl)
+	c.gen++
+	e.gen = c.gen
 	c.ll.MoveToFront(el)
 	for c.used > c.capacity {
 		c.evictOne()

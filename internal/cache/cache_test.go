@@ -265,6 +265,40 @@ func TestAULRURefreshDeletesVanishedKeys(t *testing.T) {
 	}
 }
 
+// TestAULRURefreshKeepsNewerWriteThrough: a refresh reads the origin
+// outside the lock, so a write-through can land while the read is in
+// flight. What the caller stored is newer than what the refresh read
+// and must survive it — as must a delete, and a re-insert after one.
+func TestAULRURefreshKeepsNewerWriteThrough(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(c *AULRU) // lands while the refresh reads the origin
+		want  string         // "" = the key must stay absent
+	}{
+		{"update", func(c *AULRU) { c.Update("k", []byte("v2")) }, "v2"},
+		{"put", func(c *AULRU) { c.Put("k", []byte("v2")) }, "v2"},
+		{"delete", func(c *AULRU) { c.Delete("k") }, ""},
+		{"delete then put", func(c *AULRU) { c.Delete("k"); c.Put("k", []byte("v2")) }, "v2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := clock.NewSim(time.Unix(0, 0))
+			var c *AULRU
+			c = newTestAULRU(sim, func(string) ([]byte, bool) {
+				tc.write(c)
+				return []byte("v1"), true // what the origin held before the write
+			})
+			c.Put("k", []byte("v1"))
+			c.Get("k") // marks hot
+			sim.Advance(55 * time.Second)
+			c.Get("k") // inside the refresh window: runs the refresher
+			v, ok := c.Get("k")
+			if ok != (tc.want != "") || string(v) != tc.want {
+				t.Fatalf("after the racing refresh Get = %q %v, want %q", v, ok, tc.want)
+			}
+		})
+	}
+}
+
 func TestAULRUCapacity(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
 	c := NewAULRU(AUConfig{Capacity: 500, TTL: time.Minute, Clock: sim})

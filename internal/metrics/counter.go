@@ -45,6 +45,12 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// Swap stores v and returns the value it replaced: how a windowed
+// reader takes and resets an accumulator in one step.
+func (g *Gauge) Swap(v float64) float64 {
+	return math.Float64frombits(g.bits.Swap(math.Float64bits(v)))
+}
+
 // MovingAverage maintains the average of the last k observations. It is
 // used by the RU estimator for E[S_read] and E[R_hit] over the last k
 // requests (§4.1). Safe for concurrent use.

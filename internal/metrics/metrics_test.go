@@ -275,6 +275,9 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 2.0 {
 		t.Fatalf("Value = %v", g.Value())
 	}
+	if old := g.Swap(0); old != 2.0 || g.Value() != 0 {
+		t.Fatalf("Swap(0) = %v leaving %v, want 2 leaving 0", old, g.Value())
+	}
 }
 
 func TestGaugeConcurrentAdd(t *testing.T) {

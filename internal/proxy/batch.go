@@ -1,14 +1,15 @@
 package proxy
 
 // This file implements batched multi-key operations through the proxy
-// plane. A batch makes one pass over the routing table, admits each
-// proxy's share through the quota limiter once at the summed RU cost,
-// serves AU-LRU hits before any fan-out, and fans out to each owning
-// DataNode in parallel with bounded concurrency — one node round trip
-// (a single request-queue admission) carrying that node's per-partition
-// sub-batches. Results merge back into input order with per-key error
-// slots, so one throttled or missing key never aborts the rest of the
-// batch.
+// plane. One executor (batch) runs them all: it makes one pass over the
+// routing table, serves AU-LRU hits before any fan-out, admits the rest
+// through the quota limiter once at the summed RU cost, and fans out to
+// each owning DataNode in parallel with bounded concurrency — one node
+// round trip (a single request-queue admission) carrying that node's
+// per-partition sub-batches. Results merge back into input order with
+// per-key error slots, so one throttled or missing key never aborts the
+// rest of the batch, and every failed key is settled on its own: what
+// provably did no DataNode work gets its share of the charge back.
 
 import (
 	"context"
@@ -29,9 +30,9 @@ type KV struct {
 	TTL   time.Duration
 }
 
-// DefaultBatchFanout bounds how many DataNodes one proxy dispatches to
+// batchFanout bounds how many DataNodes one proxy dispatches to
 // concurrently during a batched operation.
-const DefaultBatchFanout = 4
+const batchFanout = 4
 
 // nodeBatch is the slice of a batch owned by one DataNode, split into
 // its per-partition sub-batches.
@@ -53,7 +54,6 @@ func (p *Proxy) groupByNode(keys [][]byte, idxs []int, errs []error) []*nodeBatc
 		}
 		for _, i := range idxs {
 			errs[i] = err
-			p.errors.Inc()
 		}
 		return nil
 	}
@@ -67,7 +67,6 @@ func (p *Proxy) groupByNode(keys [][]byte, idxs []int, errs []error) []*nodeBatc
 			node, err := p.cfg.Meta.Node(route.Primary)
 			if err != nil {
 				errs[i] = err
-				p.errors.Inc()
 				continue
 			}
 			nb = &nodeBatch{node: node}
@@ -101,8 +100,8 @@ func (p *Proxy) noteBatchNodeErr(nb *nodeBatch, err error, reported *bool) {
 
 // retryPass collects the batch positions whose error is
 // routing-shaped, clearing their slots for one more dispatch. The
-// caller loops at most twice, giving every keyed path the same single
-// bounded retry as withRoute.
+// batch executor loops at most twice, giving every keyed path the same
+// single bounded retry as withRoute.
 func retryPass(idxs []int, errs []error) []int {
 	var retry []int
 	for _, i := range idxs {
@@ -117,14 +116,11 @@ func retryPass(idxs []int, errs []error) []int {
 // fanout bounds the node-level dispatch concurrency. Tiny batches run
 // serially: a goroutine handoff costs more than the round trips it
 // would overlap.
-func (p *Proxy) fanout(totalKeys int) int {
+func fanout(totalKeys int) int {
 	if totalKeys <= 8 {
 		return 1
 	}
-	if p.cfg.BatchFanout > 0 {
-		return p.cfg.BatchFanout
-	}
-	return DefaultBatchFanout
+	return batchFanout
 }
 
 // runBounded invokes fn(i) for i in [0,n) with at most limit running
@@ -153,106 +149,93 @@ func runBounded(n, limit int, fn func(i int)) {
 	wg.Wait()
 }
 
-// mapNodeErr translates data-plane sentinels into the proxy's.
-func mapNodeErr(err error) error {
-	switch {
-	case errors.Is(err, datanode.ErrNotFound):
-		return ErrNotFound
-	case errors.Is(err, datanode.ErrThrottled):
-		return ErrThrottled
-	default:
-		return err
-	}
+// batchOp is what a batched operation hands the executor. Positions
+// index keys.
+type batchOp struct {
+	keys [][]byte
+	use  cacheUse
+	// cost is key i's share of the one summed admission charge: what
+	// the key gets back if it provably did no DataNode work.
+	cost func(i int) float64
+	// hit answers key i from the AU-LRU (cacheRead only).
+	hit func(i int, v []byte)
+	// dispatch sends one node its per-partition sub-batches; the results
+	// are parallel to nb.gets.
+	dispatch func(nb *nodeBatch) []datanode.BatchResult
+	// result takes key i's own answer from a served sub-batch, returning
+	// nil when the key was served. heat is the key's sketch estimate
+	// after this access, for the hotness-gated cache fills.
+	result func(i int, bv datanode.BatchValue, heat float64) error
 }
 
-// BatchGet reads keys through this proxy. The returned slices are
-// parallel to keys: errs[i] is nil on success, ErrNotFound for an
-// absent key, ErrThrottled when quota rejected the sub-batch holding
-// that key, or a transport error. AU-LRU hits are served first without
-// consuming quota; the remaining misses are admitted once at the
-// summed RU estimate and fanned out per node.
-func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, errs []error) {
-	start := p.cfg.Clock.Now()
-	values = make([][]byte, len(keys))
-	errs = make([]error, len(keys))
+// batch runs one batched operation and returns its per-key errors,
+// parallel to op.keys: nil when the key was served, ErrNotFound,
+// ErrThrottled when the quota rejected the batch (or the node the
+// sub-batch holding the key), a context sentinel, or a transport error.
+func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
+	errs := make([]error, len(op.keys))
+	if len(op.keys) == 0 {
+		return errs
+	}
 	// A pre-canceled batch never consumes cache slots, quota, or RU.
 	if err := ctx.Err(); err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
-		return values, errs
+		return errs
 	}
-	miss := make([]int, 0, len(keys))
-	ests := make([]float64, len(keys))
-	if p.cache != nil {
-		for i, k := range keys {
-			ests[i] = p.touchHot(k)
-			if v, ok := p.cache.Get(string(k)); ok {
-				values[i] = v
-				p.hits.Inc()
-				p.success.Inc()
-			} else {
-				p.misses.Inc()
-				miss = append(miss, i)
-			}
+	start := p.cfg.Clock.Now()
+	defer func() { p.latency.Observe(p.cfg.Clock.Since(start)) }()
+
+	// AU-LRU pre-pass, before the limiter: hits cost no quota and
+	// survive a throttle, and throttled traffic still heats the sketch.
+	heats := make([]float64, len(op.keys))
+	admit := make([]int, 0, len(op.keys))
+	var cost float64
+	for i, k := range op.keys {
+		heat, v, hit := p.cacheLookup(op.use, k)
+		if hit {
+			op.hit(i, v)
+			continue
 		}
-	} else {
-		for i := range keys {
-			miss = append(miss, i)
-		}
+		heats[i] = heat
+		admit = append(admit, i)
+		cost += op.cost(i)
 	}
-	if len(miss) == 0 {
-		p.latency.Observe(p.cfg.Clock.Since(start))
-		return values, errs
+	if len(admit) == 0 {
+		return errs
 	}
-	estimate := p.est.EstimateReadRU() * float64(len(miss))
-	if p.cfg.EnableQuota && !p.limiter.Allow(estimate) {
+	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
 		p.rejected.Inc()
-		for _, i := range miss {
+		for _, i := range admit {
 			errs[i] = ErrThrottled
 		}
-		p.latency.Observe(p.cfg.Clock.Since(start))
-		return values, errs
+		return errs
 	}
+
 	// Bounded retry: a pass whose failures are routing-shaped (node
-	// down, stale epoch, moved partition) re-resolves routes and
-	// re-dispatches exactly once, like withRoute on the point path.
-	pending := miss
+	// down, stale epoch or write fence from a demoted primary, moved
+	// partition) re-resolves routes and re-dispatches exactly once,
+	// like withRoute on the point path.
+	pending := admit
 	for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-		batches := p.groupByNode(keys, pending, errs)
-		runBounded(len(batches), p.fanout(len(pending)), func(bi int) {
+		batches := p.groupByNode(op.keys, pending, errs)
+		runBounded(len(batches), fanout(len(pending)), func(bi int) {
 			nb := batches[bi]
 			reported := false
-			results := nb.node.MultiGet(ctx, nb.gets)
-			for g, res := range results {
+			for g, res := range op.dispatch(nb) {
 				if res.Err != nil {
 					p.noteBatchNodeErr(nb, res.Err, &reported)
-					mapped := mapNodeErr(res.Err)
 					for _, i := range nb.idxs[g] {
-						errs[i] = mapped
-						p.errors.Inc()
+						errs[i] = res.Err
 					}
 					continue
 				}
 				p.windowRU.Add(res.RU)
 				for j, i := range nb.idxs[g] {
 					bv := res.Values[j]
-					if bv.Err != nil {
-						errs[i] = mapNodeErr(bv.Err)
-						if errors.Is(bv.Err, datanode.ErrNotFound) {
-							p.est.ObserveRead(0, false)
-						}
-						p.errors.Inc()
-						continue
-					}
-					p.est.ObserveRead(len(bv.Value), bv.CacheHit)
-					values[i] = bv.Value
-					// TTL-bearing values stay out of the AU-LRU (see Get);
-					// TTL-free fills go through the hotness gate.
-					if bv.ExpireAt == 0 {
-						p.cacheFill(keys[i], bv.Value, ests[i])
-					}
-					p.success.Inc()
+					p.cacheSettle(op.use, op.keys[i], bv.Err)
+					errs[i] = op.result(i, bv, heats[i])
 				}
 			}
 		})
@@ -260,140 +243,53 @@ func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, e
 			pending = retryPass(pending, errs)
 		}
 	}
-	p.latency.Observe(p.cfg.Clock.Since(start))
-	return values, errs
-}
-
-// batchWrite is the shared body of BatchPut and BatchDelete: admit the
-// whole batch once at the summed write cost, then fan out one MultiWrite
-// per owning node.
-func (p *Proxy) batchWrite(ctx context.Context, keys [][]byte, op func(i int) datanode.WriteOp, cost float64, onOK func(i int)) []error {
-	start := p.cfg.Clock.Now()
-	errs := make([]error, len(keys))
-	if len(keys) == 0 {
-		return errs
-	}
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		for i := range errs {
-			errs[i] = ErrThrottled
-		}
-		p.latency.Observe(p.cfg.Clock.Since(start))
-		return errs
-	}
-	idxs := make([]int, len(keys))
-	for i := range keys {
-		idxs[i] = i
-	}
-	// Bounded retry shared with BatchGet: routing-shaped failures
-	// (including write fences from a demoted primary) re-resolve and
-	// re-dispatch once.
-	pending := idxs
-	for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-		batches := p.groupByNode(keys, pending, errs)
-		runBounded(len(batches), p.fanout(len(pending)), func(bi int) {
-			nb := batches[bi]
-			reported := false
-			puts := make([]datanode.PutBatch, len(nb.gets))
-			for g := range nb.gets {
-				ops := make([]datanode.WriteOp, len(nb.idxs[g]))
-				for j, i := range nb.idxs[g] {
-					ops[j] = op(i)
-				}
-				puts[g] = datanode.PutBatch{PID: nb.gets[g].PID, Ops: ops, Epoch: nb.epochs[g]}
-			}
-			results := nb.node.MultiWrite(ctx, puts)
-			for g, res := range results {
-				if res.Err != nil {
-					p.noteBatchNodeErr(nb, res.Err, &reported)
-					mapped := mapNodeErr(res.Err)
-					for _, i := range nb.idxs[g] {
-						errs[i] = mapped
-						p.errors.Inc()
-					}
-					continue
-				}
-				p.windowRU.Add(res.RU)
-				for j, i := range nb.idxs[g] {
-					if bvErr := res.Values[j].Err; bvErr != nil {
-						errs[i] = mapNodeErr(bvErr)
-						// A delete of an absent key still invalidates the
-						// proxy cache: its TTL is independent of the
-						// engine's, so an engine-expired entry may linger
-						// here. (Put ops never report ErrNotFound.)
-						if errors.Is(bvErr, datanode.ErrNotFound) {
-							onOK(i)
-						}
-						p.errors.Inc()
-						continue
-					}
-					onOK(i)
-					p.success.Inc()
-				}
-			}
-		})
-		if attempt == 0 {
-			pending = retryPass(pending, errs)
+	for _, i := range admit {
+		if errs[i] != nil {
+			errs[i] = p.refundFailure(op.cost(i), errs[i])
+		} else {
+			p.success.Inc()
 		}
 	}
-	p.latency.Observe(p.cfg.Clock.Since(start))
 	return errs
 }
 
-// BatchPut writes kvs through this proxy, admitting the whole batch
-// once at the summed write cost and fanning one round trip out per
-// owning node. errs is parallel to kvs.
-func (p *Proxy) BatchPut(ctx context.Context, kvs []KV) []error {
-	keys := make([][]byte, len(kvs))
-	var cost float64
-	for i, kv := range kvs {
-		keys[i] = kv.Key
-		cost += ru.WriteRU(len(kv.Value), 3)
-	}
-	ests := make([]float64, len(kvs))
-	if p.cache != nil {
-		for i, kv := range kvs {
-			ests[i] = p.touchHot(kv.Key)
-		}
-	}
-	return p.batchWrite(ctx, keys,
-		func(i int) datanode.WriteOp {
-			return datanode.WriteOp{Key: kvs[i].Key, Value: kvs[i].Value, TTL: kvs[i].TTL}
-		},
-		cost,
-		func(i int) {
-			if p.cache == nil {
-				return
-			}
-			// TTL'd writes invalidate instead of populate (see Put).
-			if kvs[i].TTL > 0 {
-				p.cache.Delete(string(kvs[i].Key))
-			} else {
-				p.cacheWriteThrough(kvs[i].Key, kvs[i].Value, ests[i])
-			}
-		})
+// flatCost charges every key of a batch the same estimate.
+func flatCost(c float64) func(int) float64 {
+	return func(int) float64 { return c }
 }
 
-// BatchDelete removes keys through this proxy with one admission and a
-// per-node fan-out. errs is parallel to keys.
-func (p *Proxy) BatchDelete(ctx context.Context, keys [][]byte) []error {
-	cost := ru.WriteRU(0, 3) * float64(len(keys))
-	return p.batchWrite(ctx, keys,
-		func(i int) datanode.WriteOp {
-			return datanode.WriteOp{Key: keys[i], Delete: true}
+// BatchGet reads keys through this proxy. The returned slices are
+// parallel to keys. AU-LRU hits are served first without consuming
+// quota; the remaining misses are admitted once at the summed RU
+// estimate and fanned out per node.
+func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, errs []error) {
+	values = make([][]byte, len(keys))
+	errs = p.batch(ctx, batchOp{
+		keys: keys,
+		use:  cacheRead,
+		cost: flatCost(p.est.EstimateReadRU()),
+		hit:  func(i int, v []byte) { values[i] = v },
+		dispatch: func(nb *nodeBatch) []datanode.BatchResult {
+			return nb.node.MultiGet(ctx, nb.gets)
 		},
-		cost,
-		func(i int) {
-			if p.cache != nil {
-				p.cache.Delete(string(keys[i]))
+		result: func(i int, bv datanode.BatchValue, heat float64) error {
+			if bv.Err != nil {
+				if errors.Is(bv.Err, datanode.ErrNotFound) {
+					p.est.ObserveRead(0, false)
+				}
+				return bv.Err
 			}
-		})
+			p.est.ObserveRead(len(bv.Value), bv.CacheHit)
+			values[i] = bv.Value
+			// TTL-bearing values stay out of the AU-LRU (see GetPref);
+			// TTL-free fills go through the hotness gate.
+			if bv.ExpireAt == 0 {
+				p.cacheFill(keys[i], bv.Value, heat)
+			}
+			return nil
+		},
+	})
+	return values, errs
 }
 
 // BatchExists reports key existence without transferring values: AU-LRU
@@ -401,90 +297,83 @@ func (p *Proxy) BatchDelete(ctx context.Context, keys [][]byte) []error {
 // value-free metadata check at a metadata-sized RU cost. exists and
 // errs are parallel to keys.
 func (p *Proxy) BatchExists(ctx context.Context, keys [][]byte) (exists []bool, errs []error) {
-	start := p.cfg.Clock.Now()
 	exists = make([]bool, len(keys))
-	errs = make([]error, len(keys))
-	if err := ctx.Err(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return exists, errs
-	}
-	miss := make([]int, 0, len(keys))
-	if p.cache != nil {
-		for i, k := range keys {
-			p.touchHot(k)
-			if _, ok := p.cache.Get(string(k)); ok {
-				exists[i] = true
-				p.hits.Inc()
-				p.success.Inc()
-			} else {
-				p.misses.Inc()
-				miss = append(miss, i)
+	errs = p.batch(ctx, batchOp{
+		keys: keys,
+		use:  cacheRead,
+		cost: flatCost(p.est.EstimateHLenRU()),
+		hit:  func(i int, _ []byte) { exists[i] = true },
+		dispatch: func(nb *nodeBatch) []datanode.BatchResult {
+			return nb.node.MultiContains(ctx, nb.gets)
+		},
+		result: func(i int, bv datanode.BatchValue, _ float64) error {
+			// Absent is a successful answer, not a failure.
+			if errors.Is(bv.Err, datanode.ErrNotFound) {
+				return nil
 			}
-		}
-	} else {
-		for i := range keys {
-			miss = append(miss, i)
-		}
-	}
-	if len(miss) == 0 {
-		p.latency.Observe(p.cfg.Clock.Since(start))
-		return exists, errs
-	}
-	estimate := p.est.EstimateHLenRU() * float64(len(miss))
-	if p.cfg.EnableQuota && !p.limiter.Allow(estimate) {
-		p.rejected.Inc()
-		for _, i := range miss {
-			errs[i] = ErrThrottled
-		}
-		p.latency.Observe(p.cfg.Clock.Since(start))
-		return exists, errs
-	}
-	pending := miss
-	for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-		batches := p.groupByNode(keys, pending, errs)
-		runBounded(len(batches), p.fanout(len(pending)), func(bi int) {
-			nb := batches[bi]
-			reported := false
-			results := nb.node.MultiContains(ctx, nb.gets)
-			for g, res := range results {
-				if res.Err != nil {
-					p.noteBatchNodeErr(nb, res.Err, &reported)
-					mapped := mapNodeErr(res.Err)
-					for _, i := range nb.idxs[g] {
-						errs[i] = mapped
-						p.errors.Inc()
-					}
-					continue
-				}
-				// Existence checks consume DataNode RU too; feed traffic
-				// control like any other admitted work.
-				p.windowRU.Add(res.RU)
-				for j, i := range nb.idxs[g] {
-					switch bvErr := res.Values[j].Err; {
-					case bvErr == nil:
-						exists[i] = true
-						p.success.Inc()
-					case errors.Is(bvErr, datanode.ErrNotFound):
-						// Absent is a successful answer, not a failure.
-						p.success.Inc()
-					default:
-						errs[i] = mapNodeErr(bvErr)
-						p.errors.Inc()
-					}
-				}
-			}
-		})
-		if attempt == 0 {
-			pending = retryPass(pending, errs)
-		}
-	}
-	p.latency.Observe(p.cfg.Clock.Since(start))
+			exists[i] = bv.Err == nil
+			return bv.Err
+		},
+	})
 	return exists, errs
 }
 
-// fleetFanout mirrors Proxy.fanout at the fleet layer: tiny batches
+// multiWrite is the node dispatch of the write batches: one MultiWrite
+// carrying the node's sub-batches, fenced at their route epochs, with
+// write building the op for a batch position.
+func multiWrite(ctx context.Context, write func(i int) datanode.WriteOp) func(nb *nodeBatch) []datanode.BatchResult {
+	return func(nb *nodeBatch) []datanode.BatchResult {
+		puts := make([]datanode.PutBatch, len(nb.gets))
+		for g := range nb.gets {
+			ops := make([]datanode.WriteOp, len(nb.idxs[g]))
+			for j, i := range nb.idxs[g] {
+				ops[j] = write(i)
+			}
+			puts[g] = datanode.PutBatch{PID: nb.gets[g].PID, Ops: ops, Epoch: nb.epochs[g]}
+		}
+		return nb.node.MultiWrite(ctx, puts)
+	}
+}
+
+// BatchPut writes kvs through this proxy, admitting the whole batch
+// once at the summed write cost and fanning one round trip out per
+// owning node. errs is parallel to kvs.
+func (p *Proxy) BatchPut(ctx context.Context, kvs []KV) []error {
+	keys := make([][]byte, len(kvs))
+	for i, kv := range kvs {
+		keys[i] = kv.Key
+	}
+	return p.batch(ctx, batchOp{
+		keys: keys,
+		use:  cacheWrite,
+		cost: func(i int) float64 { return ru.WriteRU(len(kvs[i].Value), 3) },
+		dispatch: multiWrite(ctx, func(i int) datanode.WriteOp {
+			return datanode.WriteOp{Key: kvs[i].Key, Value: kvs[i].Value, TTL: kvs[i].TTL}
+		}),
+		result: func(i int, bv datanode.BatchValue, heat float64) error {
+			if bv.Err == nil {
+				p.cacheWriteThrough(kvs[i].Key, kvs[i].Value, kvs[i].TTL > 0, heat)
+			}
+			return bv.Err
+		},
+	})
+}
+
+// BatchDelete removes keys through this proxy with one admission and a
+// per-node fan-out. errs is parallel to keys.
+func (p *Proxy) BatchDelete(ctx context.Context, keys [][]byte) []error {
+	return p.batch(ctx, batchOp{
+		keys: keys,
+		use:  cacheInvalidate,
+		cost: flatCost(ru.WriteRU(0, 3)),
+		dispatch: multiWrite(ctx, func(i int) datanode.WriteOp {
+			return datanode.WriteOp{Key: keys[i], Delete: true}
+		}),
+		result: func(_ int, bv datanode.BatchValue, _ float64) error { return bv.Err },
+	})
+}
+
+// fleetFanout mirrors fanout at the fleet layer: tiny batches
 // dispatch to their proxies serially.
 func fleetFanout(totalKeys, subs int) int {
 	if totalKeys <= 8 {
@@ -522,21 +411,33 @@ func (f *Fleet) assign(keys [][]byte) []*fleetSub {
 	return order
 }
 
+// scatter splits a fleet batch by owning proxy and runs fn once per
+// share, concurrently for all but tiny batches.
+func (f *Fleet) scatter(keys [][]byte, fn func(p *Proxy, idxs []int)) {
+	subs := f.assign(keys)
+	runBounded(len(subs), fleetFanout(len(keys), len(subs)), func(si int) {
+		fn(subs[si].proxy, subs[si].idxs)
+	})
+}
+
+// pick gathers the batch positions idxs of all.
+func pick[T any](all []T, idxs []int) []T {
+	sel := make([]T, len(idxs))
+	for j, i := range idxs {
+		sel[j] = all[i]
+	}
+	return sel
+}
+
 // BatchGet reads keys across the fleet: keys group per proxy (one
 // routing decision per group), and each proxy executes its share as a
 // single admitted batch. The returned slices are parallel to keys.
 func (f *Fleet) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, errs []error) {
 	values = make([][]byte, len(keys))
 	errs = make([]error, len(keys))
-	subs := f.assign(keys)
-	runBounded(len(subs), fleetFanout(len(keys), len(subs)), func(si int) {
-		sub := subs[si]
-		sel := make([][]byte, len(sub.idxs))
-		for j, i := range sub.idxs {
-			sel[j] = keys[i]
-		}
-		vs, es := sub.proxy.BatchGet(ctx, sel)
-		for j, i := range sub.idxs {
+	f.scatter(keys, func(p *Proxy, idxs []int) {
+		vs, es := p.BatchGet(ctx, pick(keys, idxs))
+		for j, i := range idxs {
 			values[i], errs[i] = vs[j], es[j]
 		}
 	})
@@ -550,16 +451,9 @@ func (f *Fleet) BatchPut(ctx context.Context, kvs []KV) []error {
 	for i, kv := range kvs {
 		keys[i] = kv.Key
 	}
-	subs := f.assign(keys)
-	runBounded(len(subs), fleetFanout(len(kvs), len(subs)), func(si int) {
-		sub := subs[si]
-		sel := make([]KV, len(sub.idxs))
-		for j, i := range sub.idxs {
-			sel[j] = kvs[i]
-		}
-		es := sub.proxy.BatchPut(ctx, sel)
-		for j, i := range sub.idxs {
-			errs[i] = es[j]
+	f.scatter(keys, func(p *Proxy, idxs []int) {
+		for j, err := range p.BatchPut(ctx, pick(kvs, idxs)) {
+			errs[idxs[j]] = err
 		}
 	})
 	return errs
@@ -568,16 +462,9 @@ func (f *Fleet) BatchPut(ctx context.Context, kvs []KV) []error {
 // BatchDelete removes keys across the fleet; errs is parallel to keys.
 func (f *Fleet) BatchDelete(ctx context.Context, keys [][]byte) []error {
 	errs := make([]error, len(keys))
-	subs := f.assign(keys)
-	runBounded(len(subs), fleetFanout(len(keys), len(subs)), func(si int) {
-		sub := subs[si]
-		sel := make([][]byte, len(sub.idxs))
-		for j, i := range sub.idxs {
-			sel[j] = keys[i]
-		}
-		es := sub.proxy.BatchDelete(ctx, sel)
-		for j, i := range sub.idxs {
-			errs[i] = es[j]
+	f.scatter(keys, func(p *Proxy, idxs []int) {
+		for j, err := range p.BatchDelete(ctx, pick(keys, idxs)) {
+			errs[idxs[j]] = err
 		}
 	})
 	return errs
@@ -588,15 +475,9 @@ func (f *Fleet) BatchDelete(ctx context.Context, keys [][]byte) []error {
 func (f *Fleet) BatchExists(ctx context.Context, keys [][]byte) (exists []bool, errs []error) {
 	exists = make([]bool, len(keys))
 	errs = make([]error, len(keys))
-	subs := f.assign(keys)
-	runBounded(len(subs), fleetFanout(len(keys), len(subs)), func(si int) {
-		sub := subs[si]
-		sel := make([][]byte, len(sub.idxs))
-		for j, i := range sub.idxs {
-			sel[j] = keys[i]
-		}
-		ex, es := sub.proxy.BatchExists(ctx, sel)
-		for j, i := range sub.idxs {
+	f.scatter(keys, func(p *Proxy, idxs []int) {
+		ex, es := p.BatchExists(ctx, pick(keys, idxs))
+		for j, i := range idxs {
 			exists[i], errs[i] = ex[j], es[j]
 		}
 	})

@@ -14,43 +14,8 @@ import (
 	"time"
 
 	"abase/internal/datanode"
-	"abase/internal/metaserver"
 	"abase/internal/partition"
 )
-
-// partRoute resolves the current route for a partition index, with the
-// bounded one-refresh retry the key-based withRoute applies: fn sees
-// the route and its primary node; a routing-shaped failure invalidates
-// the cache once and re-resolves.
-func (p *Proxy) partRoute(ctx context.Context, part int, fn func(node *datanode.Node, route partition.Route) error) error {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		view, err := p.routingView()
-		if err != nil {
-			return err
-		}
-		if part < 0 || part >= len(view.Partitions) {
-			return metaserver.ErrUnknownPartition
-		}
-		route := view.Partitions[part]
-		node, err := p.cfg.Meta.Node(route.Primary)
-		if err != nil {
-			if attempt == 0 && retryableRouteErr(err) {
-				p.InvalidateRoutes()
-				continue
-			}
-			return err
-		}
-		err = fn(node, route)
-		if attempt == 0 && retryableRouteErr(err) {
-			p.noteRouteFailure(route.Primary, err)
-			continue
-		}
-		return err
-	}
-}
 
 // NumPartitions returns the tenant's current partition count.
 func (p *Proxy) NumPartitions() (int, error) {

@@ -1,0 +1,185 @@
+package proxy
+
+// This file is the proxy's request pipeline for keyed operations. Every
+// point operation is run by point and every batched one by batch
+// (batch.go); both finish a failure through refundFailure. What the
+// paper's proxy plane promises — a proxy quota that shields DataNodes
+// from a tenant's burst and feeds the MetaServer's traffic control
+// (§4.2), an AU-LRU in front of the hot keys (§4.4) — is therefore
+// spelled once per executor, and an operation supplies only what
+// actually differs: its admission cost, its DataNode call, and its
+// AU-LRU policy.
+
+import (
+	"context"
+	"errors"
+
+	"abase/internal/datanode"
+	"abase/internal/metaserver"
+	"abase/internal/partition"
+)
+
+// cacheUse is an operation's AU-LRU policy.
+type cacheUse uint8
+
+const (
+	// cacheBypass leaves the AU-LRU alone: the operation neither reads a
+	// plain value nor changes what a cached one should answer (TTL,
+	// Persist, HGet, HLen, HGetAll).
+	cacheBypass cacheUse = iota
+	// cacheRead heats the sketch and serves an AU-LRU hit before
+	// admission, free of quota (§4.2); on a miss the node call fills the
+	// cache (Get, BatchGet, BatchExists).
+	cacheRead
+	// cacheWrite heats the sketch — writes count toward hotness too —
+	// and its node call writes through or invalidates according to what
+	// it stored (Put, PutWith, BatchPut).
+	cacheWrite
+	// cacheInvalidate drops the entry once a node has answered, found or
+	// not: the AU-LRU's TTL is independent of the engine's, so an
+	// engine-expired key may linger here and must not outlive an
+	// explicit delete (Delete, Expire, HSetMulti, HDel, BatchDelete).
+	cacheInvalidate
+)
+
+// cacheLookup is the policy's half before admission — before the
+// limiter, so throttled traffic still heats the sketch. It returns the
+// key's sketch estimate after this access, for the hotness-gated cache
+// fills, and for a cacheRead the AU-LRU's answer: a hit is a served
+// request that cost no quota.
+func (p *Proxy) cacheLookup(use cacheUse, key []byte) (heat float64, v []byte, hit bool) {
+	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
+		return 0, nil, false
+	}
+	heat = p.touchHot(key)
+	if use == cacheWrite {
+		return heat, nil, false
+	}
+	if v, hit = p.cache.Get(string(key)); hit {
+		p.hits.Inc()
+		p.success.Inc()
+	} else {
+		p.misses.Inc()
+	}
+	return heat, v, hit
+}
+
+// cacheSettle is the policy's half after the node call, given the
+// key's own outcome: cacheInvalidate drops the entry once a node has
+// answered, found or not. (cacheRead and cacheWrite fill, write through
+// or invalidate inside the node call, where the stored value is known.)
+func (p *Proxy) cacheSettle(use cacheUse, key []byte, err error) {
+	if use == cacheInvalidate && p.cache != nil && (err == nil || errors.Is(err, datanode.ErrNotFound)) {
+		p.cache.Delete(string(key))
+	}
+}
+
+// keyed is what a point operation hands the executor.
+type keyed struct {
+	key []byte
+	// cost is the admission charge: the pre-execution RU estimate.
+	cost float64
+	use  cacheUse
+	// hit is where an AU-LRU hit lands (cacheRead only).
+	hit *[]byte
+}
+
+// point runs one keyed operation: refuse a context that is already
+// done, apply the AU-LRU policy, admit the cost through the proxy
+// quota, call the key's primary with the one bounded retry withRoute
+// gives every keyed path, and account for the outcome. call reports
+// the RU the node billed — the admitted cost where the node's API
+// returns none — which feeds the MetaServer's traffic-control window;
+// heat is the key's sketch estimate after this access, for the
+// hotness-gated cache fills.
+func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.Node, route partition.Route, heat float64) (float64, error)) error {
+	// A context that is already done never touches the sketch, the
+	// cache, the quota, or the data plane: doomed requests are shed at
+	// the door.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	start := p.cfg.Clock.Now()
+	heat, v, hit := p.cacheLookup(op.use, op.key)
+	if hit {
+		*op.hit = v
+		p.latency.Observe(p.cfg.Clock.Since(start))
+		return nil
+	}
+	if p.cfg.EnableQuota && !p.limiter.Allow(op.cost) {
+		p.rejected.Inc()
+		return ErrThrottled
+	}
+	var billed float64
+	err := p.withRoute(ctx, op.key, func(node *datanode.Node, route partition.Route) error {
+		var err error
+		billed, err = call(node, route, heat)
+		return err
+	})
+	p.cacheSettle(op.use, op.key, err)
+	if err != nil {
+		return p.refundFailure(op.cost, err)
+	}
+	p.windowRU.Add(billed)
+	p.success.Inc()
+	p.latency.Observe(p.cfg.Clock.Since(start))
+	return nil
+}
+
+// mapNodeErr translates data-plane sentinels into the proxy's.
+func mapNodeErr(err error) error {
+	switch {
+	case errors.Is(err, datanode.ErrNotFound):
+		return ErrNotFound
+	case errors.Is(err, datanode.ErrThrottled):
+		return ErrThrottled
+	default:
+		return err
+	}
+}
+
+// noWorkErr reports whether err proves the charged request never
+// executed on a DataNode: routing-shaped failures (dead node, stale
+// epoch, wrong primary, unknown partition), a node turning requests
+// away as it closes, deadline sheds (the node refused before the
+// request consumed a queue slot), and context aborts. Engine errors,
+// node-side throttles, and not-found answers all represent work
+// performed, so their charge stands.
+func noWorkErr(err error) bool {
+	return retryableRouteErr(err) ||
+		errors.Is(err, metaserver.ErrUnknownPartition) ||
+		errors.Is(err, datanode.ErrClosed) ||
+		errors.Is(err, datanode.ErrDeadlineShed) ||
+		errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// noteFailure classifies a data-plane failure into the proxy's
+// counters: a deadline shed means the node refused doomed work (its
+// own counter), and a context abort means the caller withdrew — only
+// everything else is a service error.
+func (p *Proxy) noteFailure(err error) {
+	switch {
+	case errors.Is(err, datanode.ErrDeadlineShed):
+		p.shed.Inc()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The caller's budget ran out; nothing here failed.
+	default:
+		p.errors.Inc()
+	}
+}
+
+// refundFailure settles a failed request, point or batched, and is the
+// only place the proxy returns RU: a failure that proves no DataNode
+// work happened gives cost back to the tenant's bucket — the tenant
+// must not pay for requests the system never executed — while every
+// other failure keeps its charge (a not-found answer was a read the
+// node performed; a node-side throttle is the throttling signal). The
+// error is counted once and returned as the proxy's own sentinel.
+func (p *Proxy) refundFailure(cost float64, err error) error {
+	if p.cfg.EnableQuota && noWorkErr(err) {
+		p.limiter.Refund(cost)
+	}
+	p.noteFailure(err)
+	return mapNodeErr(err)
+}

@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"context"
-	"errors"
 
 	"abase/internal/datanode"
 	"abase/internal/partition"
@@ -11,18 +10,9 @@ import (
 
 // Hash (Redis hash) operations forwarded to the primary DataNode.
 // Complex-operation RU estimation happens on the node (§4.1); the
-// proxy charges its quota with the pre-execution estimate.
-
-// allowComplex admits a complex (whole-hash) operation, returning the
-// RU charged so the caller can refund it if the operation never
-// reaches a node.
-func (p *Proxy) allowComplex() (float64, bool) {
-	cost := p.est.EstimateHGetAllRU()
-	if !p.cfg.EnableQuota {
-		return cost, true
-	}
-	return cost, p.limiter.Allow(cost)
-}
+// proxy charges its quota with the pre-execution estimate — whole-hash
+// operations (HLen, HGetAll, HDel) at the HGetAll estimate — and, the
+// node's hash API reporting no RU, feeds traffic control that estimate.
 
 // FieldValue is one field/value pair of a multi-field hash write.
 type FieldValue = datanode.FieldValue
@@ -36,12 +26,9 @@ func (p *Proxy) HSet(ctx context.Context, key []byte, field string, value []byte
 // DataNode round trip — the whole command is a single read-modify-write
 // on the node instead of one per pair. It returns how many fields were
 // new.
-func (p *Proxy) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (int, error) {
+func (p *Proxy) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (added int, err error) {
 	if len(fvs) == 0 {
 		return 0, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
 	}
 	// One read of the hash plus one write per command; charge the write
 	// at the summed payload size.
@@ -49,130 +36,58 @@ func (p *Proxy) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (in
 	for _, fv := range fvs {
 		payload += len(fv.Field) + len(fv.Value)
 	}
-	cost := p.est.EstimateReadRU() + ru.WriteRU(payload, 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return 0, ErrThrottled
-	}
-	var added int
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+	// Hashes are not proxy-cached; the write drops a stale plain entry.
+	op := keyed{key: key, cost: p.est.EstimateReadRU() + ru.WriteRU(payload, 3), use: cacheInvalidate}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		added, err = node.HSetMulti(ctx, route.Partition, key, fvs)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		p.refundFailure(cost, err)
-		return 0, err
-	}
-	if p.cache != nil {
-		p.cache.Delete(string(key)) // hashes are not proxy-cached; drop stale plain entries
-	}
-	p.success.Inc()
-	return added, nil
+	return added, err
 }
 
 // HGet returns the value of field in the hash at key.
-func (p *Proxy) HGet(ctx context.Context, key []byte, field string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cost := p.est.EstimateReadRU()
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return nil, ErrThrottled
-	}
-	var v []byte
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+func (p *Proxy) HGet(ctx context.Context, key []byte, field string) (v []byte, err error) {
+	op := keyed{key: key, cost: p.est.EstimateReadRU()}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		v, err = node.HGet(ctx, route.Partition, key, field)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			p.errors.Inc()
-			// The node performed the read; a miss still costs RU.
-			return nil, ErrNotFound // ru:final
-		}
-		p.refundFailure(cost, err)
-		return nil, err
-	}
-	p.success.Inc()
-	return v, nil
+	return v, err
 }
 
 // HLen returns the number of fields in the hash at key.
-func (p *Proxy) HLen(ctx context.Context, key []byte) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	cost, ok := p.allowComplex()
-	if !ok {
-		p.rejected.Inc()
-		return 0, ErrThrottled
-	}
-	var n int
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+func (p *Proxy) HLen(ctx context.Context, key []byte) (n int, err error) {
+	op := keyed{key: key, cost: p.est.EstimateHGetAllRU()}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		n, err = node.HLen(ctx, route.Partition, key)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		p.refundFailure(cost, err)
-		return 0, err
-	}
-	p.success.Inc()
-	return n, nil
+	return n, err
 }
 
 // HGetAll returns every field and value of the hash at key.
-func (p *Proxy) HGetAll(ctx context.Context, key []byte) (map[string][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cost, ok := p.allowComplex()
-	if !ok {
-		p.rejected.Inc()
-		return nil, ErrThrottled
-	}
-	var m map[string][]byte
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+func (p *Proxy) HGetAll(ctx context.Context, key []byte) (m map[string][]byte, err error) {
+	op := keyed{key: key, cost: p.est.EstimateHGetAllRU()}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		m, err = node.HGetAll(ctx, route.Partition, key)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		p.refundFailure(cost, err)
-		return nil, err
-	}
-	p.success.Inc()
-	return m, nil
+	return m, err
 }
 
 // HDel removes fields from the hash at key.
-func (p *Proxy) HDel(ctx context.Context, key []byte, fields ...string) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	cost, ok := p.allowComplex()
-	if !ok {
-		p.rejected.Inc()
-		return 0, ErrThrottled
-	}
-	var n int
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+func (p *Proxy) HDel(ctx context.Context, key []byte, fields ...string) (n int, err error) {
+	op := keyed{key: key, cost: p.est.EstimateHGetAllRU(), use: cacheInvalidate}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		n, err = node.HDel(ctx, route.Partition, key, fields...)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		p.refundFailure(cost, err)
-		return 0, err
-	}
-	if p.cache != nil {
-		p.cache.Delete(string(key))
-	}
-	p.success.Inc()
-	return n, nil
+	return n, err
 }
 
 // Fleet hash forwarding: route by key, then delegate.

@@ -49,9 +49,6 @@ type Config struct {
 	// ProxyQuota is this proxy's standard quota share in RU/s
 	// (tenant quota / proxy count).
 	ProxyQuota float64
-	// BatchFanout bounds how many per-partition sub-batches a batched
-	// operation dispatches concurrently (default DefaultBatchFanout).
-	BatchFanout int
 	// HotAdmitThreshold gates AU-LRU admission on the proxy's
 	// heavy-hitter sketch: a fetched value is inserted only once its
 	// key's windowed access estimate reaches the threshold, so cold
@@ -59,18 +56,6 @@ type Config struct {
 	// memory. 0 uses DefaultHotAdmitThreshold; negative disables the
 	// gate (the legacy cache-everything policy).
 	HotAdmitThreshold int
-	// HotWindow is the sketch decay half-life (default:
-	// hotspot.DefaultWindow, matching the data-plane sketches so
-	// HOTKEYS can merge proxy and node counts on a common scale).
-	HotWindow time.Duration
-	// HotTopK is the sketch's heavy-hitter summary size (default 32).
-	HotTopK int
-	// HotWidth is the sketch's count-min row width (default 4096
-	// cells, ~96 KiB of sketch per proxy). The gate uses debiased
-	// (count-mean-min) estimates, so the threshold stays meaningful at
-	// any traffic volume; width only controls the residual noise
-	// around zero for cold keys.
-	HotWidth int
 	// MaxFollowerLag bounds follower-read staleness in replication
 	// positions: a follower whose applied-write count trails its
 	// primary's by more than this serves no reads and the request
@@ -104,6 +89,19 @@ const (
 // sketched access within the detection window: one access is noise,
 // two is a candidate hot key.
 const DefaultHotAdmitThreshold = 2
+
+// The admission sketch's shape. It decays with hotspot.DefaultWindow,
+// like the data-plane sketches, so HOTKEYS can merge proxy and node
+// counts on a common scale.
+const (
+	// hotTopK is the sketch's heavy-hitter summary size.
+	hotTopK = 32
+	// hotWidth is the sketch's count-min row width (~96 KiB of sketch
+	// per proxy). The gate uses debiased (count-mean-min) estimates, so
+	// the threshold stays meaningful at any traffic volume; width only
+	// controls the residual noise around zero for cold keys.
+	hotWidth = 4096
+)
 
 // Proxy is one tenant proxy.
 type Proxy struct {
@@ -155,22 +153,10 @@ func New(cfg Config) (*Proxy, error) {
 			if threshold == 0 {
 				threshold = DefaultHotAdmitThreshold
 			}
-			window := cfg.HotWindow
-			if window <= 0 {
-				window = hotspot.DefaultWindow
-			}
-			topK := cfg.HotTopK
-			if topK <= 0 {
-				topK = 32
-			}
-			width := cfg.HotWidth
-			if width <= 0 {
-				width = 4096
-			}
 			p.hot = hotspot.NewDetector(hotspot.Config{
-				TopK:   topK,
-				Width:  width,
-				Window: window,
+				TopK:   hotTopK,
+				Width:  hotWidth,
+				Window: hotspot.DefaultWindow,
 				Clock:  cfg.Clock,
 			})
 			// Half-count tolerance: debiased estimates sit slightly
@@ -232,18 +218,19 @@ func (p *Proxy) cacheFill(key, value []byte, est float64) {
 	}
 }
 
-// cacheWriteThrough applies the write-through policy for a TTL-free
-// write: an already-cached entry is always updated in place
-// (coherence), but a write alone earns a cold key a slot only when the
-// sketch flags it hot.
-func (p *Proxy) cacheWriteThrough(key, value []byte, est float64) {
-	if p.cache == nil {
-		return
-	}
-	if p.cache.Update(string(key), value) {
-		return
-	}
-	if p.hotAdmit(est) {
+// cacheWriteThrough applies the write policy after a stored write. A
+// TTL-free value writes through: an already-cached entry is always
+// updated in place (coherence), but a write alone earns a cold key a
+// slot only when the sketch flags it hot. An expiring value invalidates
+// instead, so the AU-LRU never holds a copy that could outlive the
+// record (see GetPref).
+func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, heat float64) {
+	switch {
+	case p.cache == nil:
+	case expiring:
+		p.cache.Delete(string(key))
+	case p.cache.Update(string(key), value):
+	case p.hotAdmit(heat):
 		p.cache.Put(string(key), value)
 	}
 }
@@ -252,29 +239,19 @@ func (p *Proxy) cacheWriteThrough(key, value []byte, est float64) {
 // directly from the primary DataNode, bypassing quota (system traffic).
 // A record that acquired a TTL since it was cached reports not-found so
 // the entry drops instead of outliving the record's expiry (the AU-LRU
-// holds only TTL-free values; see Get).
+// holds only TTL-free values; see GetPref).
 func (p *Proxy) refreshFromOrigin(key string) ([]byte, bool) {
-	node, pid, err := p.route([]byte(key))
-	if err != nil {
-		return nil, false
-	}
-	res, err := node.Get(context.Background(), pid, []byte(key))
+	ctx := context.Background()
+	var res datanode.OpResult
+	err := p.withRoute(ctx, []byte(key), func(node *datanode.Node, route partition.Route) error {
+		var err error
+		res, err = node.Get(ctx, route.Partition, []byte(key))
+		return err
+	})
 	if err != nil || res.ExpireAt != 0 {
 		return nil, false
 	}
 	return res.Value, true
-}
-
-func (p *Proxy) route(key []byte) (*datanode.Node, partition.ID, error) {
-	route, err := p.routeForKey(key)
-	if err != nil {
-		return nil, partition.ID{}, err
-	}
-	node, err := p.cfg.Meta.Node(route.Primary)
-	if err != nil {
-		return nil, partition.ID{}, err
-	}
-	return node, route.Partition, nil
 }
 
 // maxFollowerLag resolves the configured staleness bound.
@@ -319,48 +296,6 @@ func (p *Proxy) followerRead(ctx context.Context, route partition.Route, key []b
 	return datanode.OpResult{}, nil, false
 }
 
-// noteFailure classifies a data-plane failure into the proxy's
-// counters: a deadline shed means the node refused doomed work (its
-// own counter), and a context abort means the caller withdrew — only
-// everything else is a service error.
-func (p *Proxy) noteFailure(err error) {
-	switch {
-	case errors.Is(err, datanode.ErrDeadlineShed):
-		p.shed.Inc()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// The caller's budget ran out; nothing here failed.
-	default:
-		p.errors.Inc()
-	}
-}
-
-// noWorkErr reports whether err proves the charged request never
-// executed on a DataNode: routing-shaped failures (dead node, stale
-// epoch, wrong primary, unknown partition), a node turning requests
-// away as it closes, deadline sheds (the node refused before the
-// request consumed a queue slot), and context aborts. Engine errors, node-side throttles, and not-found reads all
-// represent work performed, so their charge stands.
-func noWorkErr(err error) bool {
-	return retryableRouteErr(err) ||
-		errors.Is(err, metaserver.ErrUnknownPartition) ||
-		errors.Is(err, datanode.ErrClosed) ||
-		errors.Is(err, datanode.ErrDeadlineShed) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// refundFailure settles a failed operation's RU charge and counters in
-// one step: a failure that proves no downstream work happened returns
-// cost to the tenant's bucket — the tenant must not pay for requests
-// the system never executed — while every other failure keeps the
-// charge. The error is then classified into the proxy counters.
-func (p *Proxy) refundFailure(cost float64, err error) {
-	if p.cfg.EnableQuota && noWorkErr(err) {
-		p.limiter.Refund(cost)
-	}
-	p.noteFailure(err)
-}
-
 // Get reads key. Proxy cache hits return immediately without consuming
 // any quota (§4.2); misses are admitted by the proxy limiter and routed
 // to the primary DataNode.
@@ -373,30 +308,9 @@ func (p *Proxy) Get(ctx context.Context, key []byte) ([]byte, error) {
 // readable while its primary is down), falling back to the primary
 // when no follower qualifies.
 func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([]byte, error) {
-	// A context that is already done never touches the cache, the
-	// quota, or the data plane: doomed requests are shed at the door.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := p.cfg.Clock.Now()
-	var est float64
-	if p.cache != nil {
-		est = p.touchHot(key)
-		if v, ok := p.cache.Get(string(key)); ok {
-			p.hits.Inc()
-			p.success.Inc()
-			p.latency.Observe(p.cfg.Clock.Since(start))
-			return v, nil
-		}
-		p.misses.Inc()
-	}
-	estimate := p.est.EstimateReadRU()
-	if p.cfg.EnableQuota && !p.limiter.Allow(estimate) {
-		p.rejected.Inc()
-		return nil, ErrThrottled
-	}
 	var value []byte
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+	op := keyed{key: key, cost: p.est.EstimateReadRU(), use: cacheRead, hit: &value}
+	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
 		fromFollower := false
 		var res datanode.OpResult
 		var err error
@@ -407,10 +321,13 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 			res, err = node.Get(ctx, route.Partition, key)
 		}
 		if err != nil {
-			return err
+			if errors.Is(err, datanode.ErrNotFound) {
+				// The node performed the read; a miss still costs RU.
+				p.est.ObserveRead(0, false)
+			}
+			return 0, err
 		}
 		p.est.ObserveRead(len(res.Value), res.CacheHit)
-		p.windowRU.Add(res.RU)
 		// TTL-bearing values stay out of the AU-LRU: its entry TTL is
 		// independent of the record's, so a cached copy could outlive
 		// the record and make GET disagree with SCAN/KEYS/DBSIZE.
@@ -418,66 +335,25 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 		// except follower-read values, whose bounded staleness must
 		// not leak into the cache other clients share.
 		if res.ExpireAt == 0 && !fromFollower {
-			p.cacheFill(key, res.Value, est)
+			p.cacheFill(key, res.Value, heat)
 		}
 		value = res.Value
-		return nil
+		return res.RU, nil
 	})
-	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			p.est.ObserveRead(0, false)
-			p.errors.Inc()
-			// The node performed the read; a miss still costs RU.
-			return nil, ErrNotFound // ru:final
-		}
-		p.refundFailure(estimate, err)
-		return nil, err
-	}
-	p.success.Inc()
-	p.latency.Observe(p.cfg.Clock.Since(start))
-	return value, nil
+	return value, err
 }
 
 // Put writes key=value with an optional TTL through the proxy quota.
 func (p *Proxy) Put(ctx context.Context, key, value []byte, ttl time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	start := p.cfg.Clock.Now()
-	var est float64
-	if p.cache != nil {
-		est = p.touchHot(key) // writes count toward hotness too
-	}
-	cost := ru.WriteRU(len(value), 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return ErrThrottled
-	}
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+	op := keyed{key: key, cost: ru.WriteRU(len(value), 3), use: cacheWrite}
+	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
 		res, err := node.PutAt(ctx, route.Partition, route.Epoch, key, value, ttl)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		p.windowRU.Add(res.RU)
-		return nil
+		p.cacheWriteThrough(key, value, ttl > 0, heat)
+		return res.RU, nil
 	})
-	if err != nil {
-		p.refundFailure(cost, err)
-		return err
-	}
-	// Write-through for TTL-free values (hotness-gated for cold keys);
-	// TTL'd writes invalidate instead, so the AU-LRU never holds a copy
-	// that could outlive the record (see Get).
-	if p.cache != nil {
-		if ttl > 0 {
-			p.cache.Delete(string(key))
-		} else {
-			p.cacheWriteThrough(key, value, est)
-		}
-	}
-	p.success.Inc()
-	p.latency.Observe(p.cfg.Clock.Since(start))
-	return nil
 }
 
 // PutOptions are the typed per-op options of a conditional write
@@ -511,46 +387,24 @@ type SetResult struct {
 // round trip that probes, evaluates, and writes atomically on the
 // primary, replicated like any write.
 func (p *Proxy) PutWith(ctx context.Context, key, value []byte, opts PutOptions) (SetResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SetResult{}, err
-	}
-	start := p.cfg.Clock.Now()
-	var est float64
-	if p.cache != nil {
-		est = p.touchHot(key) // writes count toward hotness too
-	}
-	cost := p.est.EstimateReadRU() + ru.WriteRU(len(value), 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return SetResult{}, ErrThrottled
-	}
 	var res datanode.PutResult
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+	op := keyed{key: key, cost: p.est.EstimateReadRU() + ru.WriteRU(len(value), 3), use: cacheWrite}
+	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
 		var err error
 		res, err = node.PutWith(ctx, route.Partition, route.Epoch, key, value, opts)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		p.windowRU.Add(res.RU)
-		return nil
+		// An unmet condition left the stored value — and so the cache —
+		// as it was.
+		if res.Written {
+			p.cacheWriteThrough(key, value, res.Expiring, heat)
+		}
+		return res.RU, nil
 	})
 	if err != nil {
-		p.refundFailure(cost, err)
 		return SetResult{}, err
 	}
-	if p.cache != nil {
-		switch {
-		case !res.Written:
-			// The stored value is unchanged; the cache stays as it is.
-		case res.Expiring:
-			// Expiring values never live in the AU-LRU (see Put).
-			p.cache.Delete(string(key))
-		default:
-			p.cacheWriteThrough(key, value, est)
-		}
-	}
-	p.success.Inc()
-	p.latency.Observe(p.cfg.Clock.Since(start))
 	return SetResult{Written: res.Written, Old: res.Old, OldExists: res.OldExists}, nil
 }
 
@@ -561,37 +415,12 @@ func (f *Fleet) PutWith(ctx context.Context, key, value []byte, opts PutOptions)
 
 // Delete removes key, returning ErrNotFound for absent keys.
 func (p *Proxy) Delete(ctx context.Context, key []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	cost := ru.WriteRU(0, 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return ErrThrottled
-	}
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
-		_, err := node.DeleteAt(ctx, route.Partition, route.Epoch, key)
-		return err
+	// A delete of an absent key is still billed: the node probed it.
+	op := keyed{key: key, cost: ru.WriteRU(0, 3), use: cacheInvalidate}
+	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
+		res, err := node.DeleteAt(ctx, route.Partition, route.Epoch, key)
+		return res.RU, err
 	})
-	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			// Still invalidate: the proxy cache's TTL is independent
-			// of the engine's, so an engine-expired key may linger
-			// here and must not outlive an explicit delete.
-			if p.cache != nil {
-				p.cache.Delete(string(key))
-			}
-			// The node probed the key; the delete attempt is billed.
-			return ErrNotFound // ru:final
-		}
-		p.refundFailure(cost, err)
-		return err
-	}
-	if p.cache != nil {
-		p.cache.Delete(string(key))
-	}
-	p.success.Inc()
-	return nil
 }
 
 // --- metaserver.RestrictableProxy ---
@@ -610,11 +439,7 @@ func (p *Proxy) Relax() { p.limiter.Relax() }
 
 // WindowRU implements metaserver.RestrictableProxy: it returns and
 // resets the RU admitted since the previous call.
-func (p *Proxy) WindowRU() float64 {
-	v := p.windowRU.Value()
-	p.windowRU.Add(-v)
-	return v
-}
+func (p *Proxy) WindowRU() float64 { return p.windowRU.Swap(0) }
 
 // Stats is a snapshot of proxy counters.
 type Stats struct {
@@ -776,93 +601,47 @@ func (f *Fleet) ResetStats() {
 // TTL returns key's remaining time-to-live through the proxy quota;
 // hasTTL is false for keys stored without an expiry.
 func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return 0, false, err
-	}
 	// A value-free metadata read: charged what the node admits it at.
-	cost := p.est.EstimateHLenRU()
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return 0, false, ErrThrottled
-	}
-	var found bool
-	err = p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+	op := keyed{key: key, cost: p.est.EstimateHLenRU()}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
-		ttl, found, err = node.TTL(ctx, route.Partition, key)
-		return err
+		ttl, hasTTL, err = node.TTL(ctx, route.Partition, key)
+		return op.cost, err
 	})
 	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			// The node probed the key; the attempt is billed.
-			return 0, false, ErrNotFound // ru:final
-		}
-		p.refundFailure(cost, err)
 		return 0, false, err
 	}
-	p.success.Inc()
-	return ttl, found && ttl > 0, nil
+	return ttl, hasTTL && ttl > 0, nil
+}
+
+// rewriteCost is the admission charge of an operation that makes the
+// node rewrite the record in place (Expire, Persist): a read plus a
+// replicated write at the expected value size, like any other
+// read-modify-write (see HSetMulti) — admission must charge the write,
+// not just the read.
+func (p *Proxy) rewriteCost() float64 {
+	return p.est.EstimateReadRU() + ru.WriteRU(int(p.est.ExpectedReadSize()), 3)
 }
 
 // Expire sets key's TTL through the proxy quota.
 func (p *Proxy) Expire(ctx context.Context, key []byte, ttl time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// The node rewrites the record to apply the TTL: charge a read
-	// plus a replicated write at the expected value size, like any
-	// other read-modify-write (see HSetMulti).
-	cost := p.est.EstimateReadRU() + ru.WriteRU(int(p.est.ExpectedReadSize()), 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return ErrThrottled
-	}
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
-		return node.Expire(ctx, route.Partition, key, ttl)
+	op := keyed{key: key, cost: p.rewriteCost(), use: cacheInvalidate}
+	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
+		return op.cost, node.Expire(ctx, route.Partition, key, ttl)
 	})
-	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			// The node probed the key; the attempt is billed.
-			return ErrNotFound // ru:final
-		}
-		p.refundFailure(cost, err)
-		return err
-	}
-	if p.cache != nil {
-		p.cache.Delete(string(key))
-	}
-	p.success.Inc()
-	return nil
 }
 
 // Persist removes key's TTL through the proxy quota, reporting whether
-// an expiry was removed (false for keys stored without one).
-func (p *Proxy) Persist(ctx context.Context, key []byte) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	// Removing a TTL rewrites and re-replicates the value: admission
-	// must charge the write, not just the read (see Expire).
-	cost := p.est.EstimateReadRU() + ru.WriteRU(int(p.est.ExpectedReadSize()), 3)
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
-		p.rejected.Inc()
-		return false, ErrThrottled
-	}
-	var removed bool
-	err := p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
+// an expiry was removed (false for keys stored without one). The AU-LRU
+// needs no invalidation: it never held the expiring value.
+func (p *Proxy) Persist(ctx context.Context, key []byte) (removed bool, err error) {
+	op := keyed{key: key, cost: p.rewriteCost()}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
 		var err error
 		removed, err = node.Persist(ctx, route.Partition, key)
-		return err
+		return op.cost, err
 	})
-	if err != nil {
-		if errors.Is(err, datanode.ErrNotFound) {
-			// The node probed the key; the attempt is billed.
-			return false, ErrNotFound // ru:final
-		}
-		p.refundFailure(cost, err)
-		return false, err
-	}
-	p.success.Inc()
-	return removed, nil
+	return removed, err
 }
 
 // HotKey is one tenant-level heavy hitter: a key and its windowed
@@ -881,23 +660,19 @@ func (p *Proxy) HotKeys(ctx context.Context, k int) ([]HotKey, error) {
 	if k <= 0 {
 		k = 10
 	}
-	parts, err := p.cfg.Meta.NumPartitions(p.cfg.Tenant)
+	view, err := p.routingView()
 	if err != nil {
 		return nil, err
 	}
 	var merged []hotspot.HotKey
-	for idx := 0; idx < parts; idx++ {
+	for _, route := range view.Partitions {
 		// The per-partition fan-out honors cancellation between stops.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		route, err := p.cfg.Meta.RouteForIndex(p.cfg.Tenant, idx)
-		if err != nil {
-			continue // racing split/repair; partial data is fine here
-		}
 		node, err := p.cfg.Meta.Node(route.Primary)
 		if err != nil {
-			continue
+			continue // racing failover/repair; partial data is fine here
 		}
 		top, err := node.HotKeys(route.Partition, k)
 		if err != nil {
@@ -958,8 +733,8 @@ func (p *Proxy) LocalHotKeys(k int) []hotspot.HotKey {
 // entirely — offered load, not just origin load, is what the admin
 // wants to see. Where both planes report a key, the larger (offered)
 // estimate wins; both decay with the same default window, so the
-// counts compare on a common scale (deployments overriding HotWindow
-// asymmetrically skew the merge toward the longer window).
+// counts compare on a common scale (a deployment overriding the
+// DataNodes' HotWindow skews the merge toward the longer window).
 func (f *Fleet) HotKeys(ctx context.Context, k int) ([]HotKey, error) {
 	if k <= 0 {
 		k = 10

@@ -1,8 +1,9 @@
 package proxy
 
 // This file implements the proxy's epoch-stamped route cache and the
-// single bounded retry loop shared by the point, batch, and scan
-// paths. The cache holds one RoutingView (the tenant's whole table,
+// single bounded retry loop shared by the point, scan, and
+// change-stream paths (the batch executor applies the same
+// one-retry rule per dispatch pass). The cache holds one RoutingView (the tenant's whole table,
 // stamped with a version); it is refreshed on demand and invalidated
 // two ways: pushed from the MetaServer when the table changes (split,
 // failover, repair), and locally whenever an operation fails with a
@@ -88,6 +89,19 @@ func (p *Proxy) routeForKey(key []byte) (partition.Route, error) {
 	return view.Partitions[partition.PartitionOf(key, len(view.Partitions))], nil
 }
 
+// routeForIndex resolves partition index part's route from the cached
+// table.
+func (p *Proxy) routeForIndex(part int) (partition.Route, error) {
+	view, err := p.routingView()
+	if err != nil {
+		return partition.Route{}, err
+	}
+	if part < 0 || part >= len(view.Partitions) {
+		return partition.Route{}, metaserver.ErrUnknownPartition
+	}
+	return view.Partitions[part], nil
+}
+
 // retryableRouteErr reports whether err indicates the proxy's routing
 // knowledge (not the request itself) is bad: the shared signal for
 // "refresh the route cache and retry once".
@@ -110,20 +124,20 @@ func (p *Proxy) noteRouteFailure(nodeID string, err error) {
 	}
 }
 
-// withRoute is the bounded retry loop shared by every keyed operation:
-// resolve the key's primary from the cached table, run fn, and on a
-// routing-shaped failure refresh the cache and retry exactly once.
+// routed is the one bounded retry loop behind every routed call:
+// resolve a route from the cached table, run fn on its primary, and on
+// a routing-shaped failure refresh the cache and retry exactly once.
 // Anything else — including a second routing failure, which means the
 // control plane has not finished failing over yet — surfaces to the
 // caller unchanged. The retry honors ctx: a deadline that expires
 // between the first attempt and the retry surfaces the context
 // sentinel instead of dispatching doomed work.
-func (p *Proxy) withRoute(ctx context.Context, key []byte, fn func(node *datanode.Node, route partition.Route) error) error {
+func (p *Proxy) routed(ctx context.Context, resolve func() (partition.Route, error), fn func(node *datanode.Node, route partition.Route) error) error {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		route, err := p.routeForKey(key)
+		route, err := resolve()
 		if err != nil {
 			return err
 		}
@@ -143,4 +157,16 @@ func (p *Proxy) withRoute(ctx context.Context, key []byte, fn func(node *datanod
 		}
 		return err
 	}
+}
+
+// withRoute runs fn on the primary of key's partition (see routed):
+// the form every keyed operation uses.
+func (p *Proxy) withRoute(ctx context.Context, key []byte, fn func(node *datanode.Node, route partition.Route) error) error {
+	return p.routed(ctx, func() (partition.Route, error) { return p.routeForKey(key) }, fn)
+}
+
+// partRoute runs fn on the primary of partition index part (see
+// routed): the form scans and change streams use.
+func (p *Proxy) partRoute(ctx context.Context, part int, fn func(node *datanode.Node, route partition.Route) error) error {
+	return p.routed(ctx, func() (partition.Route, error) { return p.routeForIndex(part) }, fn)
 }

@@ -22,6 +22,7 @@ import (
 
 	"abase/internal/datanode"
 	"abase/internal/glob"
+	"abase/internal/partition"
 )
 
 // ErrBadCursor is returned when a scan cursor cannot be decoded. The
@@ -153,53 +154,38 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 	// budget runs out the partial page returns with a usable cursor and
 	// the caller pays for the next stretch separately.
 	examined := 0
-	// retried implements the scan half of the shared bounded retry: one
-	// route refresh per page when a sub-scan fails with a routing-shaped
-	// error (dead primary, moved partition).
-	retried := false
 	for fetched < count && examined < count*scanExamineFactor {
-		// A deadline that expires mid-page stops the partition walk:
-		// the gathered entries return with a resumable cursor AND the
-		// context sentinel, so the caller both keeps the paid-for work
-		// and learns its budget ran out.
-		if err := ctx.Err(); err != nil {
-			return p.refundFinishScan(page, cur, fetched, estimate, err, start)
-		}
 		// Re-read the cached table every iteration: a split mid-scan
 		// appends partitions (and invalidates the cache), which this
 		// walk then covers.
-		view, err := p.routingView()
+		parts, err := p.NumPartitions()
 		if err != nil {
 			return p.refundFinishScan(page, cur, fetched, estimate, err, start)
 		}
-		if cur.part >= len(view.Partitions) {
+		if cur.part >= parts {
 			// Traversal complete.
 			p.success.Inc()
 			p.latency.Observe(p.cfg.Clock.Since(start))
 			return page, nil
 		}
-		route := view.Partitions[cur.part]
-		node, err := p.cfg.Meta.Node(route.Primary)
-		if err != nil {
-			if !retried && retryableRouteErr(err) {
-				retried = true
-				p.InvalidateRoutes()
-				continue
-			}
-			return p.refundFinishScan(page, cur, fetched, estimate, err, start)
-		}
-		res, err := node.RangeScan(ctx, route.Partition, datanode.ScanOptions{
-			Start:    cur.resume,
-			Limit:    count - fetched,
-			KeysOnly: opts.KeysOnly,
+		// Each sub-scan is a routed call like any other: one route
+		// refresh and retry on a routing-shaped error (dead primary,
+		// moved partition), and a deadline that expires mid-page stops
+		// the partition walk — the gathered entries return with a
+		// resumable cursor AND the context sentinel, so the caller both
+		// keeps the paid-for work and learns its budget ran out.
+		var res datanode.ScanResult
+		err = p.partRoute(ctx, cur.part, func(node *datanode.Node, route partition.Route) error {
+			var err error
+			res, err = node.RangeScan(ctx, route.Partition, datanode.ScanOptions{
+				Start:    cur.resume,
+				Limit:    count - fetched,
+				KeysOnly: opts.KeysOnly,
+			})
+			return err
 		})
 		if err != nil {
-			if !retried && retryableRouteErr(err) {
-				retried = true
-				p.noteRouteFailure(route.Primary, err)
-				continue
-			}
-			return p.refundFinishScan(page, cur, fetched, estimate, mapNodeErr(err), start)
+			return p.refundFinishScan(page, cur, fetched, estimate, err, start)
 		}
 		p.windowRU.Add(res.RU)
 		// Even an empty sub-scan (exhausted or vacant partition) costs a
@@ -232,42 +218,38 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 	return page, nil
 }
 
-// refundFinishScan resolves a mid-page failure and settles its RU
-// charge: partial progress returns the page with a resumable cursor
-// (the error is swallowed — the work is already paid for and the
-// caller continues later); an empty page propagates the error with the
-// cursor unchanged and, when the failure proves no sub-scan ever
-// executed, refunds the page admission so the tenant does not pay for
-// a page the system never served.
+// refundFinishScan resolves a mid-page failure. Partial progress returns the
+// page with a resumable cursor: the work is already paid for, so the
+// error is swallowed and the caller continues later — except a context
+// abort, which is surfaced too so the caller knows why the page is
+// short. An empty page propagates the error and settles the page
+// admission like any other failed request: refunded when the failure
+// proves no sub-scan ever executed, so the tenant does not pay for a
+// page the system never served.
 func (p *Proxy) refundFinishScan(page ScanPage, cur scanCursor, fetched int, estimate float64, err error, start time.Time) (ScanPage, error) {
 	p.latency.Observe(p.cfg.Clock.Since(start))
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		// The caller's budget ran out mid-page: hand back whatever was
-		// gathered plus a cursor at the unfinished spot, and surface
-		// the sentinel so the caller knows why the page is short. With
-		// nothing gathered, no work was dispatched: refund the page.
+	aborted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	throttled := errors.Is(err, datanode.ErrThrottled)
+	switch {
+	case fetched > 0 && aborted:
 		page.Cursor = encodeCursor(cur)
-		if fetched == 0 && p.cfg.EnableQuota {
-			p.limiter.Refund(estimate)
-		}
 		p.noteFailure(err)
 		return page, err
-	}
-	if fetched > 0 {
+	case fetched > 0:
 		page.Cursor = encodeCursor(cur)
-		page.Throttled = errors.Is(err, ErrThrottled)
+		page.Throttled = throttled
 		p.success.Inc()
 		return page, nil
-	}
-	if errors.Is(err, ErrThrottled) {
+	case throttled:
+		// The DataNode's partition quota refused the first sub-scan: the
+		// page charge stands as the throttling signal.
 		p.rejected.Inc()
-		return ScanPage{}, err
+		return ScanPage{}, ErrThrottled
+	case aborted:
+		// The cursor stays at the unfinished spot.
+		page.Cursor = encodeCursor(cur)
 	}
-	if p.cfg.EnableQuota && noWorkErr(err) {
-		p.limiter.Refund(estimate)
-	}
-	p.errors.Inc()
-	return ScanPage{}, err
+	return page, p.refundFailure(estimate, err)
 }
 
 // Scan routes one cursor page to a random proxy: scans carry no key
