@@ -78,9 +78,16 @@ type Detector struct {
 
 	ctr atomic.Uint64 // sampling counter, lock-free
 
-	mu        sync.Mutex
-	rows      [][]float64
-	ss        map[string]*ssEntry
+	mu   sync.Mutex
+	rows [][]float64
+	ss   map[string]*ssEntry
+	// ssFloor is a lower bound of the smallest count in ss (+Inf while
+	// ss is empty). A key outside a full summary displaces the minimum
+	// only when its estimate exceeds it, so a touch whose estimate is
+	// at or below the floor skips the scan for the minimum. Counts only
+	// grow between decays, which keeps the floor valid without
+	// tracking the minimum itself; every scan re-tightens it.
+	ssFloor   float64
 	lastDecay time.Time
 	total     float64 // decayed total recorded weight
 }
@@ -107,14 +114,15 @@ func NewDetector(cfg Config) *Detector {
 		cfg.Clock = clock.Real{}
 	}
 	d := &Detector{
-		topK:   cfg.TopK,
-		width:  cfg.Width,
-		depth:  cfg.Depth,
-		window: cfg.Window,
-		rate:   uint64(cfg.SampleRate),
-		clk:    cfg.Clock,
-		rows:   make([][]float64, cfg.Depth),
-		ss:     make(map[string]*ssEntry, cfg.TopK),
+		topK:    cfg.TopK,
+		width:   cfg.Width,
+		depth:   cfg.Depth,
+		window:  cfg.Window,
+		rate:    uint64(cfg.SampleRate),
+		clk:     cfg.Clock,
+		rows:    make([][]float64, cfg.Depth),
+		ss:      make(map[string]*ssEntry, cfg.TopK),
+		ssFloor: math.Inf(1),
 	}
 	for i := range d.rows {
 		d.rows[i] = make([]float64, cfg.Width)
@@ -175,7 +183,7 @@ func (d *Detector) TouchDebiased(key []byte) float64 {
 	return d.touchN(key, float64(d.rate), true)
 }
 
-// TouchN records an access with explicit weight w (bypassing the
+// TouchN records an access with explicit weight w > 0 (bypassing the
 // sampler) and returns the key's post-touch estimate.
 func (d *Detector) TouchN(key []byte, w float64) float64 {
 	return d.touchN(key, w, false)
@@ -211,16 +219,21 @@ func (d *Detector) touchN(key []byte, w float64, debias bool) float64 {
 		e.count += w
 	} else if len(d.ss) < d.topK {
 		d.ss[string(key)] = &ssEntry{count: w}
-	} else {
-		// Evict the minimum counter and inherit its count as error.
+		d.ssFloor = math.Min(d.ssFloor, w)
+	} else if est > d.ssFloor { // est already includes this touch
+		// Evict the minimum counter and inherit its count as error;
+		// equal counts fall to the smallest key, so the summary is a
+		// function of the touch sequence and not of map order.
 		var minKey string
 		minCount := math.Inf(1)
 		for k, e := range d.ss {
-			if e.count < minCount {
+			if e.count < minCount || (e.count == minCount && k < minKey) {
 				minKey, minCount = k, e.count
 			}
 		}
-		if minCount < est { // est already includes this touch
+		// The entry that replaces the minimum counts more than it did.
+		d.ssFloor = minCount
+		if minCount < est {
 			delete(d.ss, minKey)
 			d.ss[string(key)] = &ssEntry{count: minCount + w, err: minCount}
 		}
@@ -306,6 +319,7 @@ func (d *Detector) Reset() {
 		}
 	}
 	d.ss = make(map[string]*ssEntry, d.topK)
+	d.ssFloor = math.Inf(1)
 	d.total = 0
 	d.lastDecay = d.clk.Now()
 }
@@ -333,6 +347,7 @@ func (d *Detector) maybeDecayLocked() {
 		}
 	}
 	d.total *= factor
+	d.ssFloor *= factor // Inf stays Inf: factor is never zero
 	for k, e := range d.ss {
 		e.count *= factor
 		e.err *= factor

@@ -2,13 +2,18 @@ package resp
 
 import (
 	"bytes"
+	"errors"
+	"runtime/metrics"
 	"testing"
 )
 
 // FuzzRESPParse feeds arbitrary bytes to the RESP reader: the decoder
 // must never panic, never allocate proportionally to an untrusted
 // length header, and every value it does parse must survive a
-// write/re-read round trip.
+// write/re-read round trip. The command decoder is held to the generic
+// one: on every input ReadCommand accepts what Read plus the command
+// shape check accepts, with the same name and arguments, and nothing
+// else.
 func FuzzRESPParse(f *testing.F) {
 	seeds := [][]byte{
 		[]byte("+OK\r\n"),
@@ -29,6 +34,22 @@ func FuzzRESPParse(f *testing.F) {
 		[]byte("$3\r\nab\r\n"),
 		[]byte("+no crlf"),
 		{0, 1, 2, '\r', '\n'},
+		// Command streams: pipelined, mixed case, unknown and over-long
+		// names, signed and zero-padded lengths, the shapes the command
+		// decoder must refuse.
+		[]byte("*1\r\n$4\r\nping\r\n*2\r\n$3\r\ngEt\r\n$1\r\nk\r\n*1\r\n$4\r\nPING\r\n"),
+		[]byte("*2\r\n$7\r\nfrobniz\r\n$0\r\n\r\n"),
+		append([]byte("*1\r\n$40\r\n"), append(bytes.Repeat([]byte("n"), 40), '\r', '\n')...),
+		[]byte("*+2\r\n$03\r\nGET\r\n$+1\r\nk\r\n"),
+		[]byte("*1\r\n$000000000000000000003\r\nGET\r\n"),
+		[]byte("*2\r\n$3\r\nGET\r\n$-1\r\n"),
+		[]byte("*2\r\n$3\r\nGET\r\n:5\r\n"),
+		[]byte("*2\r\n$3\r\nGET\r\n$1\r\nkXX"),
+		[]byte("*1\r\n$3\r\nGETxx"),
+		[]byte("*1048577\r\n$3\r\nGET\r\n"),
+		// Lengths inside the limits on a stream that ends at once.
+		[]byte("*2\r\n$3\r\nGET\r\n$400000000\r\nk\r\n"),
+		[]byte("*1000000\r\n$3\r\nGET\r\n"),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -58,14 +79,71 @@ func FuzzRESPParse(f *testing.F) {
 				t.Fatalf("round trip changed value: %#v -> %#v", v, v2)
 			}
 		}
-		// The command reader shares the parser but adds shape checks.
+		// The command decoder against the generic one.
+		ref := NewReader(bytes.NewReader(data))
 		rc := NewReader(bytes.NewReader(data))
+		before := heapAllocBytes()
 		for i := 0; i < 64; i++ {
-			if _, err := rc.ReadCommand(); err != nil {
+			want, wantErr := refReadCommand(ref)
+			got, err := rc.ReadCommand()
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("command %d: ReadCommand err %v, Read + shape check err %v", i, err, wantErr)
+			}
+			if err != nil {
+				// The generic reader parses the whole value before its
+				// shape is checked, so it may run out of input where the
+				// command decoder has already seen the malformed element;
+				// never the other way round.
+				if errors.Is(wantErr, ErrProtocol) && !errors.Is(err, ErrProtocol) {
+					t.Fatalf("command %d: ReadCommand err %v, want a protocol error (%v)", i, err, wantErr)
+				}
 				break
 			}
+			if got.Name != want.Name || len(got.Args) != len(want.Args) {
+				t.Fatalf("command %d: ReadCommand %q %q, reference %q %q", i, got.Name, got.Args, want.Name, want.Args)
+			}
+			for j := range got.Args {
+				if !bytes.Equal(got.Args[j], want.Args[j]) {
+					t.Fatalf("command %d arg %d: %q, reference %q", i, j, got.Args[j], want.Args[j])
+				}
+			}
+		}
+		// Both decoders allocate for the bytes that arrived, never for
+		// the lengths a header claims.
+		if grown := heapAllocBytes() - before; grown > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grown)
 		}
 	})
+}
+
+// heapAllocBytes is the process's cumulative heap allocation; large
+// allocations are counted as they happen.
+func heapAllocBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// refReadCommand is the command decoder ReadCommand replaced: the
+// generic parser, then the shape check.
+func refReadCommand(r *Reader) (Command, error) {
+	v, err := r.Read()
+	if err != nil {
+		return Command{}, err
+	}
+	if v.Kind != Array || v.Null || len(v.Array) == 0 {
+		return Command{}, ErrProtocol
+	}
+	for _, el := range v.Array {
+		if el.Kind != BulkString || el.Null {
+			return Command{}, ErrProtocol
+		}
+	}
+	cmd := Command{Name: upper(string(v.Array[0].Str))}
+	for _, el := range v.Array[1:] {
+		cmd.Args = append(cmd.Args, el.Str)
+	}
+	return cmd, nil
 }
 
 func valueEqual(a, b Value) bool {

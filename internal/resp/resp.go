@@ -29,13 +29,20 @@ type Value struct {
 	Null  bool    // null bulk string / null array
 }
 
-// Convenience constructors.
+// Convenience constructors. A reply's payload is read-only: OK and Pong
+// share one payload between all their replies, and Bulk wraps the
+// caller's bytes (often a cached value) without copying them, so
+// whoever receives a Value must not write through Str.
 
-// OK is the +OK simple string reply.
-func OK() Value { return Value{Kind: SimpleString, Str: []byte("OK")} }
+var okPayload, pongPayload = []byte("OK"), []byte("PONG")
 
-// Pong is the +PONG simple string reply.
-func Pong() Value { return Value{Kind: SimpleString, Str: []byte("PONG")} }
+// OK is the +OK simple string reply. Its payload is shared: do not
+// mutate it.
+func OK() Value { return Value{Kind: SimpleString, Str: okPayload} }
+
+// Pong is the +PONG simple string reply. Its payload is shared: do not
+// mutate it.
+func Pong() Value { return Value{Kind: SimpleString, Str: pongPayload} }
 
 // Str returns a simple-string value.
 func Str(s string) Value { return Value{Kind: SimpleString, Str: []byte(s)} }
@@ -48,7 +55,8 @@ func Err(format string, args ...interface{}) Value {
 // Int64 returns an integer value.
 func Int64(n int64) Value { return Value{Kind: Integer, Int: n} }
 
-// Bulk returns a bulk-string value.
+// Bulk returns a bulk-string value that aliases b: neither side may
+// mutate b while the value is in use.
 func Bulk(b []byte) Value { return Value{Kind: BulkString, Str: b} }
 
 // BulkStr returns a bulk-string value from a string.
@@ -94,10 +102,20 @@ const maxNestingDepth = 32
 // Writer serializes RESP values onto a buffered writer.
 type Writer struct {
 	w *bufio.Writer
+	// head is where a length or integer line is formatted: a type byte,
+	// at most 20 characters of int64 and CRLF.
+	head [24]byte
 }
 
 // NewWriter returns a Writer on w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
+
+// writeHead writes a length or integer line: kind, n in decimal, CRLF.
+func (w *Writer) writeHead(kind Kind, n int64) error {
+	line := strconv.AppendInt(append(w.head[:0], byte(kind)), n, 10)
+	_, err := w.w.Write(append(line, crlf...))
+	return err
+}
 
 // Write serializes one value (without flushing).
 func (w *Writer) Write(v Value) error {
@@ -108,18 +126,13 @@ func (w *Writer) Write(v Value) error {
 		_, err := w.w.Write(crlf)
 		return err
 	case Integer:
-		w.w.WriteByte(':')
-		w.w.WriteString(strconv.FormatInt(v.Int, 10))
-		_, err := w.w.Write(crlf)
-		return err
+		return w.writeHead(Integer, v.Int)
 	case BulkString:
 		if v.Null {
 			_, err := w.w.WriteString("$-1\r\n")
 			return err
 		}
-		w.w.WriteByte('$')
-		w.w.WriteString(strconv.Itoa(len(v.Str)))
-		w.w.Write(crlf)
+		w.writeHead(BulkString, int64(len(v.Str)))
 		w.w.Write(v.Str)
 		_, err := w.w.Write(crlf)
 		return err
@@ -128,9 +141,7 @@ func (w *Writer) Write(v Value) error {
 			_, err := w.w.WriteString("*-1\r\n")
 			return err
 		}
-		w.w.WriteByte('*')
-		w.w.WriteString(strconv.Itoa(len(v.Array)))
-		if _, err := w.w.Write(crlf); err != nil {
+		if err := w.writeHead(Array, int64(len(v.Array))); err != nil {
 			return err
 		}
 		for _, el := range v.Array {
@@ -150,6 +161,8 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader parses RESP values from a buffered reader.
 type Reader struct {
 	r *bufio.Reader
+	// args backs Command.Args, reused from one ReadCommand to the next.
+	args [][]byte
 }
 
 // NewReader returns a Reader on r.
@@ -166,9 +179,10 @@ func (r *Reader) readLine() ([]byte, error) {
 	return line[:len(line)-2], nil
 }
 
-// readBulk reads n payload bytes plus the trailing CRLF. The buffer
-// grows in bounded chunks as data actually arrives, so a crafted
-// length prefix on a short stream fails with EOF instead of
+// readBulk reads n payload bytes plus the trailing CRLF and returns the
+// payload, in a single allocation unless it is larger than a chunk.
+// The buffer grows in bounded chunks as data actually arrives, so a
+// crafted length prefix on a short stream fails with EOF instead of
 // pre-allocating up to maxBulkLen.
 func (r *Reader) readBulk(n int64) ([]byte, error) {
 	const chunk = 64 << 10
@@ -189,7 +203,10 @@ func (r *Reader) readBulk(n int64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return buf, nil
+	if buf[n] != '\r' || buf[n+1] != '\n' {
+		return nil, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+	}
+	return buf[:n], nil
 }
 
 // Read parses one RESP value.
@@ -211,14 +228,14 @@ func (r *Reader) read(depth int) (Value, error) {
 	case SimpleString, Error:
 		return Value{Kind: kind, Str: append([]byte(nil), rest...)}, nil
 	case Integer:
-		n, err := strconv.ParseInt(string(rest), 10, 64)
-		if err != nil {
+		n, ok := parseInt(rest)
+		if !ok {
 			return Value{}, fmt.Errorf("%w: bad integer %q", ErrProtocol, rest)
 		}
 		return Value{Kind: Integer, Int: n}, nil
 	case BulkString:
-		n, err := strconv.ParseInt(string(rest), 10, 64)
-		if err != nil || n < -1 || n > maxBulkLen {
+		n, ok := parseInt(rest)
+		if !ok || n < -1 || n > maxBulkLen {
 			return Value{}, fmt.Errorf("%w: bad bulk length %q", ErrProtocol, rest)
 		}
 		if n == -1 {
@@ -228,13 +245,10 @@ func (r *Reader) read(depth int) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Value{}, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
-		}
-		return Value{Kind: BulkString, Str: buf[:n]}, nil
+		return Value{Kind: BulkString, Str: buf}, nil
 	case Array:
-		n, err := strconv.ParseInt(string(rest), 10, 64)
-		if err != nil || n < -1 || n > maxArrayLen {
+		n, ok := parseInt(rest)
+		if !ok || n < -1 || n > maxArrayLen {
 			return Value{}, fmt.Errorf("%w: bad array length %q", ErrProtocol, rest)
 		}
 		if n == -1 {
@@ -256,30 +270,163 @@ func (r *Reader) read(depth int) (Value, error) {
 }
 
 // Command is a parsed client command: a name plus raw byte arguments.
+// Each argument is its own allocation, the receiver's to keep; the Args
+// slice holding them belongs to the Reader and is overwritten by its
+// next ReadCommand.
 type Command struct {
 	Name string
 	Args [][]byte
 }
 
-// ReadCommand parses a client command (an array of bulk strings).
+// commandNames are the names ReadCommand returns without building a
+// string: the bytes on the wire are matched against them, ignoring
+// case, in the read buffer. Any other name parses the same way at the
+// cost of one allocation, so the table only has to cover the commands
+// worth the saving; the hottest come first.
+var commandNames = [...]string{
+	"GET", "SET", "DEL", "EXISTS", "MGET", "MSET", "PING",
+	"HGET", "HSET", "HDEL", "HLEN", "HGETALL",
+	"TTL", "PTTL", "EXPIRE", "PERSIST",
+	"SCAN", "KEYS", "DBSIZE", "HOTKEYS", "CHANGES",
+	"AUTH", "READONLY", "READWRITE", "COMMAND", "RESET", "QUIT",
+	"SUBSCRIBE", "UNSUBSCRIBE", "PSUBSCRIBE", "PUNSUBSCRIBE",
+}
+
+// maxNameLen bounds the names looked up in place; a longer name is read
+// like an argument.
+const maxNameLen = 32
+
+// maxKeptArgs bounds the Args backing array a Reader keeps between
+// commands, so one huge MSET does not pin its slice for the life of the
+// connection.
+const maxKeptArgs = 1024
+
+// ReadCommand parses a client command (a non-empty array of non-null
+// bulk strings). It accepts exactly the inputs Read accepts with that
+// shape, but parses the length lines and the command name in the read
+// buffer, so the argument payloads are its only allocations.
 func (r *Reader) ReadCommand() (Command, error) {
-	v, err := r.Read()
+	n, err := r.readLen(Array)
 	if err != nil {
 		return Command{}, err
 	}
-	if v.Kind != Array || v.Null || len(v.Array) == 0 {
+	if n < 1 || n > maxArrayLen {
 		return Command{}, fmt.Errorf("%w: command must be a non-empty array", ErrProtocol)
 	}
-	for _, el := range v.Array {
-		if el.Kind != BulkString || el.Null {
-			return Command{}, fmt.Errorf("%w: command elements must be bulk strings", ErrProtocol)
+	name, err := r.readName()
+	if err != nil {
+		return Command{}, err
+	}
+	if cap(r.args) > maxKeptArgs {
+		r.args = nil
+	}
+	// The slice grows with the arguments parsed, not the untrusted count.
+	r.args = r.args[:0]
+	for i := int64(1); i < n; i++ {
+		arg, err := r.readArg()
+		if err != nil {
+			return Command{}, err
+		}
+		r.args = append(r.args, arg)
+	}
+	return Command{Name: name, Args: r.args}, nil
+}
+
+// readLen reads one length line of the given kind ("*3", "$5"). The
+// line is parsed where it lies in the read buffer; one that outgrows
+// the buffer is malformed, as parseInt takes 20 bytes at most.
+func (r *Reader) readLen(kind Kind) (int64, error) {
+	line, err := r.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return 0, fmt.Errorf("%w: length line too long", ErrProtocol)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if len(line) < 3 || line[len(line)-2] != '\r' || Kind(line[0]) != kind {
+		return 0, fmt.Errorf("%w: expected a %q length line, got %q", ErrProtocol, kind, line)
+	}
+	n, ok := parseInt(line[1 : len(line)-2])
+	if !ok {
+		return 0, fmt.Errorf("%w: bad length %q", ErrProtocol, line)
+	}
+	return n, nil
+}
+
+// readBulkLen reads the length line of a non-null bulk string.
+func (r *Reader) readBulkLen() (int64, error) {
+	n, err := r.readLen(BulkString)
+	if err == nil && (n < 0 || n > maxBulkLen) {
+		err = fmt.Errorf("%w: command elements must be bulk strings", ErrProtocol)
+	}
+	return n, err
+}
+
+// readArg reads one non-null bulk string into a fresh allocation.
+func (r *Reader) readArg() ([]byte, error) {
+	n, err := r.readBulkLen()
+	if err != nil {
+		return nil, err
+	}
+	return r.readBulk(n)
+}
+
+// readName reads the command name, a bulk string, upper-cased.
+func (r *Reader) readName() (string, error) {
+	n, err := r.readBulkLen()
+	if err != nil {
+		return "", err
+	}
+	if n > maxNameLen {
+		b, err := r.readBulk(n)
+		return upper(string(b)), err
+	}
+	b, err := r.r.Peek(int(n) + 2)
+	if err != nil {
+		return "", err
+	}
+	if b[n] != '\r' || b[n+1] != '\n' {
+		return "", fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+	}
+	name := ""
+	for _, known := range commandNames {
+		if len(known) == int(n) && equalFold(known, b[:n]) {
+			name = known
+			break
 		}
 	}
-	cmd := Command{Name: upper(string(v.Array[0].Str))}
-	for _, el := range v.Array[1:] {
-		cmd.Args = append(cmd.Args, el.Str)
+	if name == "" {
+		name = upper(string(b[:n]))
 	}
-	return cmd, nil
+	_, err = r.r.Discard(int(n) + 2)
+	return name, err
+}
+
+// equalFold reports whether b is the upper-case ASCII name in any case.
+func equalFold(name string, b []byte) bool {
+	for i := 0; i < len(name); i++ {
+		c := b[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != name[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// parseInt is strconv.ParseInt for the number on a length or integer
+// line, from no more than 20 bytes: the longest int64 has 19 digits and
+// a sign, so a longer line is zero padding at best, and both decoders
+// refuse it alike. Within that bound the string conversion stays on
+// the stack.
+func parseInt(b []byte) (int64, bool) {
+	if len(b) > 20 {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(string(b), 10, 64)
+	return n, err == nil
 }
 
 // WriteCommand serializes a command as an array of bulk strings.

@@ -2,6 +2,8 @@ package resp
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +114,77 @@ func TestReadCommand(t *testing.T) {
 	}
 	if len(cmd.Args) != 2 || string(cmd.Args[0]) != "key" {
 		t.Fatalf("Args = %v", cmd.Args)
+	}
+}
+
+// TestReadCommandArgsAreOwned: the caches keep SET values and keys, so
+// an argument handed out by ReadCommand must never change afterwards —
+// not when later commands reuse the Args slice, and not when the read
+// buffer is refilled over the bytes it was parsed from.
+func TestReadCommandArgsAreOwned(t *testing.T) {
+	const commands = 2000 // ~100 KB of wire: the 4 KiB buffer turns over many times
+	var wire bytes.Buffer
+	w := NewWriter(&wire)
+	for i := 0; i < commands; i++ {
+		w.WriteCommand("set", []byte(fmt.Sprint("key-", i)), []byte(fmt.Sprint("value-", i, "-", strings.Repeat("x", i%64))))
+	}
+	r := NewReader(&wire)
+	held := make([][][]byte, commands)
+	for i := range held {
+		cmd, err := r.ReadCommand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmd.Name != "SET" || len(cmd.Args) != 2 {
+			t.Fatalf("command %d = %q %q", i, cmd.Name, cmd.Args)
+		}
+		held[i] = [][]byte{cmd.Args[0], cmd.Args[1]} // the payloads, not the slice
+	}
+	for i, args := range held {
+		key, value := fmt.Sprint("key-", i), fmt.Sprint("value-", i, "-", strings.Repeat("x", i%64))
+		if string(args[0]) != key || string(args[1]) != value {
+			t.Fatalf("command %d's arguments changed after later reads: %q", i, args)
+		}
+	}
+}
+
+// TestCodecAllocations pins the hot path's allocation budget: a decoded
+// command costs its argument payloads (one more is allowed for), and
+// encoding a reply costs nothing.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	decode := func(cmd string) float64 {
+		const runs = 200
+		r := NewReader(strings.NewReader(strings.Repeat(cmd, runs+1)))
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := r.ReadCommand(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := decode("*2\r\n$3\r\nget\r\n$8\r\nkey-0001\r\n"); n > 2 {
+		t.Errorf("decoding GET: %v allocations, want at most 2", n)
+	}
+	if n := decode("*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$16\r\n0123456789abcdef\r\n"); n > 3 {
+		t.Errorf("decoding SET: %v allocations, want at most 3", n)
+	}
+	w := NewWriter(io.Discard)
+	for name, v := range map[string]Value{
+		"bulk": Bulk([]byte("0123456789abcdef")), "OK": OK(), "integer": Int64(-1234567),
+	} {
+		n := testing.AllocsPerRun(200, func() {
+			if err := w.Write(v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("encoding a %s reply: %v allocations, want 0", name, n)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _ = OK(), Pong() }); n != 0 {
+		t.Errorf("OK and Pong: %v allocations, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package resp
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -14,6 +15,11 @@ import (
 // implements io.Closer is closed when its connection ends — session
 // handlers use this to cancel their per-connection base context, which
 // aborts any of the connection's requests still queued in the cluster.
+//
+// Ownership: every cmd.Args[i] is a fresh allocation that is the
+// handler's to keep (the caches retain SET values), but the cmd.Args
+// slice holding them is reused for the connection's next command and is
+// valid only until Handle returns. The reply's payload is only read.
 type Handler interface {
 	Handle(cmd Command) Value
 }
@@ -27,7 +33,8 @@ func (f HandlerFunc) Handle(cmd Command) Value { return f(cmd) }
 // Pusher lets a handler write server-initiated messages to its
 // connection outside the request/reply cycle — the pub/sub push
 // protocol. Push serializes with command replies (one writer mutex
-// guards the connection), so a push never tears a reply mid-frame.
+// guards the connection), so a push never tears a reply mid-frame, and
+// it flushes at once, carrying any replies buffered before it.
 // Kick closes the connection; the server uses it to drop a consumer
 // that has stopped reading rather than buffer without bound.
 type Pusher interface {
@@ -47,8 +54,20 @@ type PushBinder interface {
 // confirmations, one per channel): the server writes nothing.
 func NoReply() Value { return Value{} }
 
-// connPusher is the per-connection writer shared by command replies
-// and pushes.
+// connBufSize sizes a connection's read buffer and its write buffer: a
+// 32-deep pipeline of 1 KiB SETs (34 KiB on the wire) arrives in one
+// read, and the replies to a batch leave in one write.
+const connBufSize = 64 << 10
+
+// connPusher is the per-connection buffered writer shared by command
+// replies and pushes, and the io.Reader the connection's commands are
+// parsed from. Replies collect in the write buffer and reach the wire
+// exactly when the connection is about to wait for more input (Read),
+// when the buffer fills, with a Push, and when serveConn returns. So a
+// pipelined batch costs one write however deep it is, a lone command's
+// reply is written before the server blocks for the next one, and the
+// server never waits for input with a reply unsent — the client it is
+// waiting for cannot be waiting for that reply.
 type connPusher struct {
 	mu   sync.Mutex
 	w    *Writer
@@ -63,6 +82,29 @@ func (p *connPusher) Push(v Value) error {
 		return err
 	}
 	return p.w.Flush()
+}
+
+// reply buffers one command reply.
+func (p *connPusher) reply(v Value) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.w.Write(v)
+}
+
+func (p *connPusher) flush() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.w.Flush()
+}
+
+// Read implements io.Reader under the connection's bufio.Reader, which
+// calls it only when its buffer holds no complete command: the moment
+// the replies buffered so far must go out.
+func (p *connPusher) Read(b []byte) (int, error) {
+	if err := p.flush(); err != nil {
+		return 0, err
+	}
+	return p.conn.Read(b)
 }
 
 // Kick implements Pusher.
@@ -148,8 +190,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	r := NewReader(conn)
-	push := &connPusher{w: NewWriter(conn), conn: conn}
+	push := &connPusher{w: &Writer{w: bufio.NewWriterSize(conn, connBufSize)}, conn: conn}
+	defer push.flush()
+	r := &Reader{r: bufio.NewReaderSize(push, connBufSize)}
 	handler := s.factory()
 	if c, ok := handler.(io.Closer); ok {
 		defer c.Close()
@@ -171,7 +214,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if reply.Kind == 0 {
 			continue // NoReply: the handler pushed its own responses
 		}
-		if err := push.Push(reply); err != nil {
+		if err := push.reply(reply); err != nil {
 			return
 		}
 	}

@@ -239,7 +239,7 @@ func (s *session) handlePubSub(cmd resp.Command) (v resp.Value, handled bool) {
 		s.channels = make(map[string]struct{})
 		s.patterns = make(map[string]struct{})
 		s.subMu.Unlock()
-		s.readPref = ReadPrimary
+		s.setReadPref(ReadPrimary)
 		return resp.Str("RESET"), true
 
 	case "QUIT":

@@ -1,6 +1,8 @@
 package abase
 
 import (
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +48,77 @@ func TestServeAuthReselect(t *testing.T) {
 	}
 	if v, _ := cl.DoStrings("GET", "k"); v.Text() != "from-s1" {
 		t.Fatalf("s1 key after re-AUTH = %+v", v)
+	}
+}
+
+// TestSessionResolvesClientOnce: a session looks its tenant up when it
+// is selected, not per command, and READONLY / READWRITE reach the
+// client it holds — across a re-AUTH too.
+func TestSessionResolvesClientOnce(t *testing.T) {
+	c := newCluster(t, ClusterConfig{Nodes: 3})
+	c.CreateTenant(TenantSpec{Name: "a", QuotaRU: 100000})
+	c.CreateTenant(TenantSpec{Name: "b", QuotaRU: 100000})
+	s := &session{cluster: c, tenant: "a"}
+	do := func(name string, args ...string) resp.Value {
+		cmd := resp.Command{Name: name}
+		for _, a := range args {
+			cmd.Args = append(cmd.Args, []byte(a))
+		}
+		return s.Handle(cmd)
+	}
+	if s.cl != nil {
+		t.Fatal("default tenant resolved before any command needed it")
+	}
+	if v := do("SET", "k", "v"); v.Text() != "OK" {
+		t.Fatalf("SET = %+v", v)
+	}
+	first := s.cl
+	if v := do("GET", "k"); v.Text() != "v" || s.cl != first {
+		t.Fatalf("GET = %+v, client re-resolved: %v", v, s.cl != first)
+	}
+	if do("READONLY"); first.ReadPreference() != ReadFollower {
+		t.Fatal("READONLY did not reach the session's client")
+	}
+	if v := do("AUTH", "ghost"); !v.IsError() || s.cl != first {
+		t.Fatalf("failed AUTH = %+v, client replaced: %v", v, s.cl != first)
+	}
+	if v := do("AUTH", "b"); v.Text() != "OK" || s.cl == first || s.cl.ReadPreference() != ReadFollower {
+		t.Fatalf("AUTH b = %+v, client %p (was %p), pref %v", v, s.cl, first, s.cl.ReadPreference())
+	}
+	if do("READWRITE"); s.cl.ReadPreference() != ReadPrimary {
+		t.Fatal("READWRITE did not reach the session's client")
+	}
+}
+
+// TestServePipelinedReadYourWrites: four commands sent as one write are
+// executed in order — each GET sees the SET before it — and answered in
+// order, however the replies are batched on the way out.
+func TestServePipelinedReadYourWrites(t *testing.T) {
+	c := newCluster(t, ClusterConfig{Nodes: 3})
+	c.CreateTenant(TenantSpec{Name: "pipe", QuotaRU: 100000})
+	addr, srv, err := c.Serve("127.0.0.1:0", "pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	batch := "*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\n1\r\n" +
+		"*2\r\n$3\r\nGET\r\n$1\r\nk\r\n" +
+		"*3\r\n$3\r\nset\r\n$1\r\nk\r\n$1\r\n2\r\n" +
+		"*2\r\n$3\r\nget\r\n$1\r\nk\r\n"
+	if _, err := conn.Write([]byte(batch)); err != nil {
+		t.Fatal(err)
+	}
+	want := "+OK\r\n$1\r\n1\r\n+OK\r\n$1\r\n2\r\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(conn, got); err != nil || string(got) != want {
+		t.Fatalf("pipelined replies %q (%v), want %q", got, err, want)
 	}
 }
 

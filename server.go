@@ -99,8 +99,13 @@ func (c *Cluster) Serve(addr, defaultTenant string, opts ...ServeOption) (string
 
 // session is the per-connection RESP command handler.
 type session struct {
-	cluster  *Cluster
+	cluster *Cluster
+	// tenant names the selected tenant and cl is its client, resolved
+	// once — by AUTH, or for the default tenant by the first command
+	// that needs it — so commands do not meet on the cluster's tenant
+	// table.
 	tenant   string
+	cl       *Client
 	readPref ReadPreference
 	// base is the connection's context; canceled on disconnect so the
 	// connection's in-flight and queued requests abort.
@@ -141,17 +146,37 @@ func (s *session) cmdCtx() (context.Context, context.CancelFunc) {
 	return base, func() {}
 }
 
-func (s *session) client() (*Client, resp.Value) {
-	if s.tenant == "" {
-		return nil, resp.Err("NOAUTH tenant not selected; AUTH <tenant>")
-	}
-	t, err := s.cluster.Tenant(s.tenant)
+// use selects tenant name for the session's commands; the zero Value
+// reports success. A failure leaves the current selection in place.
+func (s *session) use(name string) resp.Value {
+	t, err := s.cluster.Tenant(name)
 	if err != nil {
-		return nil, resp.Err("ERR unknown tenant %q", s.tenant)
+		return resp.Err("ERR unknown tenant %q", name)
 	}
-	c := t.Client()
-	c.SetReadPreference(s.readPref)
-	return c, resp.Value{}
+	s.tenant, s.cl = name, t.Client()
+	s.cl.SetReadPreference(s.readPref)
+	return resp.Value{}
+}
+
+func (s *session) client() (*Client, resp.Value) {
+	if s.cl == nil {
+		if s.tenant == "" {
+			return nil, resp.Err("NOAUTH tenant not selected; AUTH <tenant>")
+		}
+		if errV := s.use(s.tenant); errV.Kind != 0 {
+			return nil, errV
+		}
+	}
+	return s.cl, resp.Value{}
+}
+
+// setReadPref applies READONLY / READWRITE / RESET to the session and
+// to the client it has resolved.
+func (s *session) setReadPref(pref ReadPreference) {
+	s.readPref = pref
+	if s.cl != nil {
+		s.cl.SetReadPreference(pref)
+	}
 }
 
 func wrongArgs(name string) resp.Value {
@@ -217,11 +242,9 @@ func (s *session) Handle(cmd resp.Command) resp.Value {
 		if len(cmd.Args) != 1 {
 			return wrongArgs("auth")
 		}
-		name := string(cmd.Args[0])
-		if _, err := s.cluster.Tenant(name); err != nil {
-			return resp.Err("ERR unknown tenant %q", name)
+		if errV := s.use(string(cmd.Args[0])); errV.Kind != 0 {
+			return errV
 		}
-		s.tenant = name
 		return resp.OK()
 
 	case "GET":
@@ -696,7 +719,7 @@ func (s *session) Handle(cmd resp.Command) resp.Value {
 		if len(cmd.Args) != 0 {
 			return wrongArgs("readonly")
 		}
-		s.readPref = ReadFollower
+		s.setReadPref(ReadFollower)
 		return resp.OK()
 
 	case "READWRITE":
@@ -704,7 +727,7 @@ func (s *session) Handle(cmd resp.Command) resp.Value {
 		if len(cmd.Args) != 0 {
 			return wrongArgs("readwrite")
 		}
-		s.readPref = ReadPrimary
+		s.setReadPref(ReadPrimary)
 		return resp.OK()
 
 	case "COMMAND":
