@@ -320,7 +320,7 @@ func (w *writeBatchOp) settle() {
 		// The committed ops occupy the contiguous sequence range ending
 		// at lastSeq on every replica (see putOp.settle).
 		w.rep.advancePos(w.lastSeq)
-		w.n.replicator.Replicate(w.rep.id, w.committed, w.lastSeq)
+		w.n.forward(w.rep, w.committed, w.lastSeq)
 	}
 	w.bill(charged)
 }

@@ -170,23 +170,25 @@ func (c Config) withDefaults() Config {
 
 // Replicator propagates committed writes to follower replicas on other
 // nodes: ops (one for a point write, the committed ops of a group
-// commit for a batch) travel as one replication message per follower.
-// Implementations must not block the caller for long — ABase
-// replication is asynchronous (eventual consistency) — and must copy
-// what they keep: ops and the bytes they reference belong to the caller.
-// pos is the primary's replication position after the last op:
+// commit for a batch) travel as one replication message to each peer in
+// to — the follower set the control plane last pushed to the replica
+// (SetRoute). Implementations must not block the caller for long —
+// ABase replication is asynchronous (eventual consistency) — and must
+// copy what they keep: ops and the bytes they reference belong to the
+// caller. pos is the primary's replication position after the last op:
 // followers adopt it monotonically, which keeps positions comparable
 // across replicas — a rebuilt follower does not restart from zero and a
-// long-dead one cannot look fresher than it is.
+// long-dead one cannot look fresher than it is. The cluster's
+// implementation is Fabric.
 type Replicator interface {
-	Replicate(rid partition.ReplicaID, ops []WriteOp, pos uint64)
+	Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64)
 }
 
 // NopReplicator discards replication traffic (single-node tests).
 type NopReplicator struct{}
 
 // Replicate implements Replicator.
-func (NopReplicator) Replicate(partition.ReplicaID, []WriteOp, uint64) {}
+func (NopReplicator) Replicate(partition.ReplicaID, []Peer, []WriteOp, uint64) {}
 
 // replica is one hosted partition replica.
 // ruLedger is the cumulative quota charge/refund total retained for a
@@ -203,12 +205,18 @@ type replica struct {
 	part    string
 	db      *lavastore.DB
 	limiter *quota.PartitionLimiter
-	quotaRU float64
-	// primary and epoch change at runtime (failover promotion and
-	// fencing) while reads and writes are in flight, so they are
-	// atomics rather than mu-guarded fields.
-	primaryF atomic.Bool
-	epoch    atomic.Uint64
+	// ts is the owning tenant's node-wide state, resolved when the
+	// replica is added so no request looks it up.
+	ts *tenantStats
+	// quotaRU is the partition quota (changed by SetPartitionQuota while
+	// requests read it for their WFQ weight).
+	quotaRU metrics.Gauge
+	// route is what the control plane last pushed for this replica (see
+	// SetRoute). It changes at runtime — promotion, fencing, follower
+	// moves — while reads and writes are in flight, so it is swapped as
+	// one value: a write never sees a role from one push and an epoch or
+	// peer set from another.
+	route atomic.Pointer[replicaRoute]
 	// replPos counts the write operations applied to this replica's
 	// store (local writes on the primary, replicated applies on
 	// followers). The difference between a primary's and a follower's
@@ -230,8 +238,17 @@ type replica struct {
 	holds    map[string]changeHold
 }
 
+// replicaRoute is one pushed route as the replica sees it: its role,
+// the route epoch, and — on the primary — the followers its writes
+// replicate to.
+type replicaRoute struct {
+	primary bool
+	epoch   uint64
+	peers   []Peer
+}
+
 // isPrimary reports whether this replica currently serves writes.
-func (r *replica) isPrimary() bool { return r.primaryF.Load() }
+func (r *replica) isPrimary() bool { return r.route.Load().primary }
 
 // advancePos raises the replica's replication position to pos (never
 // lowers it) — the follower half of position propagation.
@@ -249,16 +266,18 @@ func (r *replica) advancePos(pos uint64) {
 // replica's configured epoch exactly — a mismatch in either direction
 // means someone missed a primary change.
 func (r *replica) checkWrite(epoch uint64) error {
-	if !r.isPrimary() {
+	cur := r.route.Load()
+	if !cur.primary {
 		return fmt.Errorf("%w: %s", ErrNotPrimary, r.id.Partition)
 	}
-	if epoch != 0 && epoch != r.epoch.Load() {
-		return fmt.Errorf("%w: request %d, replica %d", ErrStaleEpoch, epoch, r.epoch.Load())
+	if epoch != 0 && epoch != cur.epoch {
+		return fmt.Errorf("%w: request %d, replica %d", ErrStaleEpoch, epoch, cur.epoch)
 	}
 	return nil
 }
 
-// tenantStats aggregates per-tenant observability on this node.
+// tenantStats is one tenant's state on this node: its observability
+// counters and its RU estimator. It outlives the tenant's replicas.
 type tenantStats struct {
 	success   metrics.Counter
 	throttled metrics.Counter
@@ -268,6 +287,7 @@ type tenantStats struct {
 	cacheMiss metrics.Counter
 	ruUsed    metrics.Gauge
 	latency   *metrics.Histogram
+	est       *ru.Estimator
 }
 
 // Node is a DataNode instance.
@@ -280,14 +300,17 @@ type Node struct {
 	mu       sync.RWMutex
 	replicas map[partition.ID]*replica
 	tenants  map[string]*tenantStats
-	est      map[string]*ru.Estimator
 	// retired accumulates the quota charge/refund ledger of removed
 	// replicas so a tenant's cumulative RU accounting stays monotone
 	// across migrations and decommissions.
 	retired map[string]ruLedger
+	closed  bool
 
-	replicator Replicator
-	closed     bool
+	// quotaSum is the sum of the hosted replicas' partition quotas,
+	// recomputed wherever one changes (AddReplica, RemoveReplica,
+	// SetPartitionQuota) so a request reads its WFQ share without a lock.
+	quotaSum   metrics.Gauge
+	replicator atomic.Pointer[Replicator]
 
 	quotaOn atomic.Bool // runtime partition-quota toggle (experiments)
 	down    atomic.Bool // fault-injected or control-plane-declared outage
@@ -305,16 +328,15 @@ type Node struct {
 func New(cfg Config) *Node {
 	c := cfg.withDefaults()
 	n := &Node{
-		cfg:        c,
-		cache:      cache.NewSALRU(c.CacheBytes),
-		sched:      wfq.NewScheduler(c.WFQ),
-		admit:      newAdmission(c.AdmitWorkers, c.AdmitQueueCap),
-		replicas:   make(map[partition.ID]*replica),
-		tenants:    make(map[string]*tenantStats),
-		est:        make(map[string]*ru.Estimator),
-		retired:    make(map[string]ruLedger),
-		replicator: NopReplicator{},
+		cfg:      c,
+		cache:    cache.NewSALRU(c.CacheBytes),
+		sched:    wfq.NewScheduler(c.WFQ),
+		admit:    newAdmission(c.AdmitWorkers, c.AdmitQueueCap),
+		replicas: make(map[partition.ID]*replica),
+		tenants:  make(map[string]*tenantStats),
+		retired:  make(map[string]ruLedger),
 	}
+	n.SetReplicator(nil)
 	n.quotaOn.Store(c.EnablePartitionQuota)
 	n.shedOn.Store(true)
 	return n
@@ -396,14 +418,19 @@ func (n *Node) SetPartitionQuotaEnabled(on bool) { n.quotaOn.Store(on) }
 // ID returns the node's identifier.
 func (n *Node) ID() string { return n.cfg.ID }
 
-// SetReplicator wires the replication fabric (done by the cluster).
+// SetReplicator wires the replication fabric (done by the cluster when
+// the node joins it); nil discards replication traffic.
 func (n *Node) SetReplicator(r Replicator) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if r == nil {
 		r = NopReplicator{}
 	}
-	n.replicator = r
+	n.replicator.Store(&r)
+}
+
+// forward hands ops committed on rep, the last of them at position pos,
+// to the replication fabric, addressed to the peers last pushed to rep.
+func (n *Node) forward(rep *replica, ops []WriteOp, pos uint64) {
+	(*n.replicator.Load()).Replicate(rep.id, rep.route.Load().peers, ops, pos)
 }
 
 // AddReplica hosts a partition replica with the given partition quota
@@ -432,7 +459,7 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 		part:    rid.Partition.String(),
 		db:      db,
 		limiter: quota.NewPartitionLimiter(quotaRU, n.cfg.Clock),
-		quotaRU: quotaRU,
+		ts:      n.tenantStateLocked(rid.Partition.Tenant),
 		hot: hotspot.NewDetector(hotspot.Config{
 			TopK:       n.cfg.HotTopK,
 			SampleRate: n.cfg.HotSampleRate,
@@ -441,12 +468,13 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 		}),
 		heat: hotspot.NewMeter(n.cfg.HotWindow, n.cfg.Clock),
 	}
-	rep.primaryF.Store(primary)
-	rep.epoch.Store(1)
+	rep.quotaRU.Set(quotaRU)
+	rep.route.Store(&replicaRoute{primary: primary, epoch: 1})
 	// Commit hook: wake change-stream pollers. Runs under the engine
 	// lock, so it only flips per-watcher ready bits (see signalCommit).
 	db.SetCommitNotify(func(uint64) { rep.signalCommit() })
 	n.replicas[rid.Partition] = rep
+	n.sumQuotasLocked()
 	return nil
 }
 
@@ -461,23 +489,30 @@ func (n *Node) SetDown(down bool) { n.down.Store(down) }
 // health probe).
 func (n *Node) Alive() bool { return !n.down.Load() }
 
-// SetReplicaRole reconfigures a hosted replica's role under a new
-// route epoch: the control plane promotes a follower with
-// primary=true (after the replication backlog has drained) and fences
-// a demoted primary with primary=false. The epoch must not move
-// backwards; a lower epoch than the replica already holds is a stale
-// control message and is rejected.
-func (n *Node) SetReplicaRole(pid partition.ID, primary bool, epoch uint64) error {
+// SetRoute is the control plane's route push for a hosted replica: its
+// role, the route epoch and — for a primary — the followers its writes
+// replicate to, installed as one value. A promotion pushes primary=true
+// under a bumped epoch (after the replication backlog has drained), a
+// fence primary=false; a follower move re-pushes the primary's peers at
+// the epoch it already has. The epoch must not move backwards: a lower
+// one than the replica holds is a stale control message and is
+// rejected. Pushes at the SAME epoch are not ordered here — the
+// control plane serialises them.
+func (n *Node) SetRoute(pid partition.ID, primary bool, epoch uint64, followers []Peer) error {
 	rep, err := n.getReplica(pid)
 	if err != nil {
 		return err
 	}
-	if cur := rep.epoch.Load(); epoch < cur {
-		return fmt.Errorf("%w: role change at epoch %d, replica at %d", ErrStaleEpoch, epoch, cur)
+	next := &replicaRoute{primary: primary, epoch: epoch, peers: followers}
+	for {
+		cur := rep.route.Load()
+		if epoch < cur.epoch {
+			return fmt.Errorf("%w: route push at epoch %d, replica at %d", ErrStaleEpoch, epoch, cur.epoch)
+		}
+		if rep.route.CompareAndSwap(cur, next) {
+			return nil
+		}
 	}
-	rep.epoch.Store(epoch)
-	rep.primaryF.Store(primary)
-	return nil
 }
 
 // ReplicaRole reports a hosted replica's current role and epoch.
@@ -486,7 +521,23 @@ func (n *Node) ReplicaRole(pid partition.ID) (primary bool, epoch uint64, err er
 	if err != nil {
 		return false, 0, err
 	}
-	return rep.isPrimary(), rep.epoch.Load(), nil
+	cur := rep.route.Load()
+	return cur.primary, cur.epoch, nil
+}
+
+// ReplicaPeers reports the ids of the followers a hosted replica
+// replicates to: the peer set of the last route push (empty on a
+// follower).
+func (n *Node) ReplicaPeers(pid partition.ID) ([]string, error) {
+	rep, err := n.getReplica(pid)
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	for _, p := range rep.route.Load().peers {
+		ids = append(ids, p.node.ID())
+	}
+	return ids, nil
 }
 
 // ReplicationPosition returns how many write operations have been
@@ -531,6 +582,7 @@ func (n *Node) RemoveReplica(pid partition.ID) error {
 		l.charged += charged
 		l.refunded += refunded
 		n.retired[pid.Tenant] = l
+		n.sumQuotasLocked()
 	}
 	n.mu.Unlock()
 	if !ok {
@@ -566,8 +618,9 @@ func (n *Node) SetPartitionQuota(pid partition.ID, quotaRU float64) error {
 	if !ok {
 		return ErrNoPartition
 	}
-	rep.quotaRU = quotaRU
+	rep.quotaRU.Set(quotaRU)
 	rep.limiter.SetQuota(quotaRU)
+	n.sumQuotasLocked()
 	return nil
 }
 
@@ -587,35 +640,36 @@ func (n *Node) getReplica(pid partition.ID) (*replica, error) {
 	return rep, nil
 }
 
-func (n *Node) tenantState(tenant string) (*tenantStats, *ru.Estimator) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// tenantStateLocked returns tenant's state on this node, created when
+// its first replica arrives.
+// +locked:n.mu
+func (n *Node) tenantStateLocked(tenant string) *tenantStats {
 	ts, ok := n.tenants[tenant]
 	if !ok {
-		ts = &tenantStats{latency: metrics.NewHistogram()}
+		ts = &tenantStats{latency: metrics.NewHistogram(), est: ru.NewEstimator(0)}
 		n.tenants[tenant] = ts
 	}
-	e, ok := n.est[tenant]
-	if !ok {
-		e = ru.NewEstimator(0)
-		n.est[tenant] = e
+	return ts
+}
+
+// sumQuotasLocked recomputes quotaSum over the hosted replicas.
+// +locked:n.mu
+func (n *Node) sumQuotasLocked() {
+	var sum float64
+	for _, r := range n.replicas {
+		sum += r.quotaRU.Value()
 	}
-	return ts, e
+	n.quotaSum.Set(sum)
 }
 
 // quotaShare computes wPartition for the VFT: the replica's partition
 // quota over the sum of partition quotas hosted on this node.
 func (n *Node) quotaShare(rep *replica) float64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var sum float64
-	for _, r := range n.replicas {
-		sum += r.quotaRU
-	}
+	sum := n.quotaSum.Value()
 	if sum <= 0 {
 		return 1
 	}
-	return rep.quotaRU / sum
+	return rep.quotaRU.Value() / sum
 }
 
 // cacheKey is key's name in the node-wide SA-LRU.

@@ -181,7 +181,7 @@ func TestReplicationFabric(t *testing.T) {
 
 type replFunc func(partition.ReplicaID, []byte, []byte, time.Duration, bool)
 
-func (f replFunc) Replicate(r partition.ReplicaID, ops []WriteOp, _ uint64) {
+func (f replFunc) Replicate(r partition.ReplicaID, _ []Peer, ops []WriteOp, _ uint64) {
 	for _, op := range ops {
 		f(r, op.Key, op.Value, op.TTL, op.Delete)
 	}

@@ -75,7 +75,7 @@ func (n *Node) place(u *unit, op stages, pid partition.ID, write bool, epoch uin
 		}
 	}
 	u.n, u.op, u.rep = n, op, rep
-	u.ts, u.est = n.tenantState(pid.Tenant)
+	u.ts, u.est = rep.ts, rep.ts.est
 	return nil
 }
 

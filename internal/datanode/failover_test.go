@@ -65,7 +65,7 @@ func TestWriteFencing(t *testing.T) {
 	}
 	// Promote under epoch 5: plain and matching-epoch writes work,
 	// mismatched epochs are fenced in both directions.
-	if err := n.SetReplicaRole(pid, true, 5); err != nil {
+	if err := n.SetRoute(pid, true, 5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.PutAt(bg, pid, 5, []byte("k"), []byte("v"), 0); err != nil {
@@ -78,7 +78,7 @@ func TestWriteFencing(t *testing.T) {
 		t.Fatalf("future-epoch write: %v", err)
 	}
 	// Role changes never move the epoch backwards.
-	if err := n.SetReplicaRole(pid, false, 4); !errors.Is(err, ErrStaleEpoch) {
+	if err := n.SetRoute(pid, false, 4, nil); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("backwards role change: %v", err)
 	}
 	// Batch writes share the fence.

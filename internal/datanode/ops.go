@@ -265,7 +265,7 @@ func (p *putOp) settle() {
 		// counter bumped out here could order two concurrent commits
 		// differently from the engine.)
 		p.rep.advancePos(p.seq)
-		p.n.replicator.Replicate(p.rep.id, []WriteOp{{Key: p.key, Value: p.value, TTL: p.ttl, Delete: p.del}}, p.seq)
+		p.n.forward(p.rep, []WriteOp{{Key: p.key, Value: p.value, TTL: p.ttl, Delete: p.del}}, p.seq)
 	}
 	p.ts.success.Inc()
 	p.bill(charged)
@@ -313,7 +313,7 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 		rep.advancePos(seq)
 	}
 	if forward {
-		n.replicator.Replicate(rep.id, ops, seq)
+		n.forward(rep, ops, seq)
 	}
 	return nil
 }
@@ -477,8 +477,9 @@ func (n *Node) HLen(ctx context.Context, pid partition.ID, key []byte) (int, err
 func (n *Node) HGetAll(ctx context.Context, pid partition.ID, key []byte) (map[string][]byte, error) {
 	m, err := n.readHash(ctx, pid, key)
 	if len(m) > 0 {
-		_, est := n.tenantState(pid.Tenant)
-		est.ObserveCollectionLen(len(m))
+		if rep, rerr := n.getReplica(pid); rerr == nil {
+			rep.ts.est.ObserveCollectionLen(len(m))
+		}
 	}
 	return m, err
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"abase/internal/hotspot"
-	"abase/internal/metrics"
 	"abase/internal/partition"
 	"abase/internal/wfq"
 )
@@ -290,15 +289,3 @@ func (n *Node) MigrateTo(pid partition.ID, dst *Node) error {
 
 // Scheduler exposes the node's WFQ scheduler for observability.
 func (n *Node) Scheduler() *wfq.Scheduler { return n.sched }
-
-// CacheHistogram exposes a tenant's latency histogram for experiment
-// reporting (nil if the tenant is unknown).
-func (n *Node) CacheHistogram(tenant string) *metrics.Histogram {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	ts, ok := n.tenants[tenant]
-	if !ok {
-		return nil
-	}
-	return ts.latency
-}

@@ -8,23 +8,24 @@ package metaserver
 //
 //  1. detect  — MonitorNodeHealth (or a proxy's ReportNodeSuspect)
 //     sees DownAfterProbes consecutive failed probes;
-//  2. drain   — FlushReplication applies every write the dead primary
-//     acknowledged and handed to the replication fabric, so no
-//     acknowledged write is stranded in the queue;
+//  2. drain   — the replication fabric applies every write the dead
+//     primary acknowledged and handed to it, so no acknowledged write
+//     is stranded in a queue;
 //  3. promote — for each partition the node led, the live follower
 //     with the highest replication position becomes primary under
 //     route epoch+1;
-//  4. fence   — the old primary is demoted (best-effort now, and again
-//     on revival), so a write it still receives fails with a typed
-//     stale-epoch/not-primary error the proxy understands;
+//  4. fence   — the route push demotes the old primary (best-effort
+//     now, and again on revival), so a write it still receives fails
+//     with a typed stale-epoch/not-primary error the proxy understands;
 //  5. redirect — registered proxies' route caches are invalidated and
 //     their bounded retry re-resolves against the new table.
+//
+// Steps 2–5 are promote and commit (route.go), once per partition.
 
 import (
 	"fmt"
 	"sort"
 
-	"abase/internal/datanode"
 	"abase/internal/partition"
 )
 
@@ -32,84 +33,6 @@ import (
 type nodeHealth struct {
 	failedProbes int
 	down         bool
-}
-
-// RoutingView is a consistent snapshot of one tenant's routing table
-// for proxy-side caching. Version increases on every table change
-// (split, failover, repair), so a proxy can tell a fresh fetch from
-// the cache it just invalidated.
-type RoutingView struct {
-	Version    uint64
-	Partitions []partition.Route
-}
-
-// routeInvalidator is implemented by registered proxies that cache the
-// routing table; the MetaServer pushes invalidations on table changes.
-type routeInvalidator interface{ InvalidateRoutes() }
-
-// RoutingView returns the tenant's current routing table and version.
-func (m *Meta) RoutingView(tenant string) (RoutingView, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tenants[tenant]
-	if !ok {
-		return RoutingView{}, fmt.Errorf("%w: %s", ErrUnknownTenant, tenant)
-	}
-	return RoutingView{
-		Version:    t.version,
-		Partitions: append([]partition.Route(nil), t.Table.Partitions...),
-	}, nil
-}
-
-// notifyRouteChange bumps the named tenants' table versions and pushes
-// a cache invalidation to their registered proxies. Must be called
-// without m.mu held.
-func (m *Meta) notifyRouteChange(tenants ...string) {
-	var targets []RestrictableProxy
-	m.mu.Lock()
-	for _, name := range tenants {
-		if t, ok := m.tenants[name]; ok {
-			t.version++
-		}
-		targets = append(targets, m.proxies[name]...)
-	}
-	m.mu.Unlock()
-	for _, p := range targets {
-		if inv, ok := p.(routeInvalidator); ok {
-			inv.InvalidateRoutes()
-		}
-	}
-}
-
-// --- replication queue draining (catch-up gating) ---
-
-func (m *Meta) addPending(n int) {
-	m.pendMu.Lock()
-	m.pendEnq += uint64(n)
-	m.pendMu.Unlock()
-}
-
-func (m *Meta) donePending() {
-	m.pendMu.Lock()
-	m.pendDone++
-	m.pendCond.Broadcast()
-	m.pendMu.Unlock()
-}
-
-// FlushReplication blocks until every replication job enqueued BEFORE
-// the call has been applied (or failed against a down follower). The
-// wait is a drain marker, not a quiescence wait: jobs enqueued by
-// writes that keep flowing to healthy partitions do not extend it, so
-// failover promotion cannot stall behind unrelated traffic. Promotion
-// drains first so a follower's replication position reflects
-// everything the old primary acknowledged.
-func (m *Meta) FlushReplication() {
-	m.pendMu.Lock()
-	target := m.pendEnq
-	for m.pendDone < target {
-		m.pendCond.Wait()
-	}
-	m.pendMu.Unlock()
 }
 
 // --- health tracking ---
@@ -233,159 +156,55 @@ func (m *Meta) MarkNodeDown(id string) error {
 	return nil
 }
 
-// reviveNode clears a node's down state, fences any replica it still
-// believes it leads but whose route has moved on (demoted to follower
-// under the current route epoch), and re-syncs every follower replica
-// the node hosts from its current primary. The re-sync is load-bearing
-// for durability: replication applies the node missed while down are
-// holes in its history, yet a later apply advances its replication
-// position past them — so without a rebuild, a future catch-up-gated
-// promotion could crown a replica that silently lost acknowledged
-// writes. Revival does not change routing — a repair/rebalance pass
-// decides whether the node earns primaries back.
+// reviveNode clears a node's down state, re-pushes the current route of
+// every partition it is routed for — it missed the pushes made while it
+// was down, so this is what fences a replica it still believes it leads
+// and what refreshes the peers of one it really does — and re-syncs
+// every follower replica it hosts from its current primary. The re-sync
+// is load-bearing for durability: replication applies the node missed
+// while down are holes in its history, yet a later apply advances its
+// replication position past them — so without a rebuild, a future
+// catch-up-gated promotion could crown a replica that silently lost
+// acknowledged writes. Revival does not change routing — a
+// repair/rebalance pass decides whether the node earns primaries back.
 func (m *Meta) reviveNode(id string) {
 	m.mu.Lock()
 	n, ok := m.nodes[id]
-	if !ok {
-		m.mu.Unlock()
-		return
-	}
-	if h := m.health[id]; h != nil {
-		h.down = false
-		h.failedProbes = 0
-	}
-	type resync struct {
-		pid     partition.ID
-		epoch   uint64
-		primary *datanode.Node
-	}
-	var stale []resync
-	for _, t := range m.tenants {
-		for _, route := range t.Table.Partitions {
-			if route.Primary != id && n.HostsReplica(route.Partition) {
-				stale = append(stale, resync{route.Partition, route.Epoch, m.nodes[route.Primary]})
-			}
-		}
+	if h := m.health[id]; ok && h != nil {
+		h.down, h.failedProbes = false, 0
 	}
 	m.mu.Unlock()
-	for _, s := range stale {
-		_ = n.SetReplicaRole(s.pid, false, s.epoch)
-	}
-	if len(stale) == 0 {
+	if !ok {
 		return
+	}
+	parts := m.memberships(id)
+	for _, p := range parts {
+		_ = m.commit(p.tenant, p.idx, 1, func(*partition.Route) error { return nil })
 	}
 	// Drain the replication queue before copying so the backfill cannot
 	// be interleaved with (and overwrite) applies already in flight;
 	// the copy then holds everything the primary has acknowledged and
 	// adopts its replication position.
 	m.FlushReplication()
-	for _, s := range stale {
-		if s.primary == nil || !s.primary.Alive() {
-			continue
+	for _, p := range parts {
+		m.mu.RLock()
+		route := m.tenants[p.tenant].Table.Partitions[p.idx]
+		primary := m.usableLocked(route.Primary)
+		m.mu.RUnlock()
+		if primary != nil && primary != n {
+			_ = primary.CopyReplicaTo(route.Partition, n)
 		}
-		_ = s.primary.CopyReplicaTo(s.pid, n)
 	}
 }
 
 // failoverNode promotes a replacement primary for every partition the
-// down node led. Promotion is catch-up gated: the replication queue is
-// drained first, then the live follower with the highest replication
-// position wins (ties break on node ID for determinism). Partitions
-// with no live follower stay routed at the dead node — unavailable
-// until repair — rather than promoting nothing. Must be called without
-// m.mu held.
+// down node led (see promote). Partitions with no live follower stay
+// routed at the dead node — unavailable until repair. Must be called
+// without m.mu held.
 func (m *Meta) failoverNode(nodeID string) {
-	// Catch-up gate: everything the dead primary acknowledged and
-	// handed to the replication fabric reaches the surviving followers
-	// before any of them is measured or promoted.
-	m.FlushReplication()
-
-	type promotion struct {
-		tenant   string
-		idx      int
-		route    partition.Route // the new route
-		newLead  *datanode.Node
-		oldLead  *datanode.Node // may be nil (unregistered)
-		oldEpoch uint64
-	}
-	var promos []promotion
-
-	m.mu.Lock()
-	for name, t := range m.tenants {
-		for i, route := range t.Table.Partitions {
-			if route.Primary != nodeID {
-				continue
-			}
-			best := ""
-			var bestPos uint64
-			for _, f := range route.Followers {
-				fn, ok := m.nodes[f]
-				if !ok || !fn.Alive() {
-					continue
-				}
-				if h := m.health[f]; h != nil && h.down {
-					continue
-				}
-				pos := fn.ReplicationPosition(route.Partition)
-				if best == "" || pos > bestPos || (pos == bestPos && f < best) {
-					best, bestPos = f, pos
-				}
-			}
-			if best == "" {
-				continue // blacked out; repair must rebuild replicas
-			}
-			// The old primary stays listed as a follower: if it
-			// revives, the revival path re-syncs it from the new
-			// primary (a down window leaves holes in its history that
-			// later applies would otherwise paper over).
-			newFollowers := []string{nodeID}
-			for _, f := range route.Followers {
-				if f != best {
-					newFollowers = append(newFollowers, f)
-				}
-			}
-			newRoute := partition.Route{
-				Partition: route.Partition,
-				Primary:   best,
-				Followers: newFollowers,
-				Epoch:     route.Epoch + 1,
-			}
-			promos = append(promos, promotion{
-				tenant:   name,
-				idx:      i,
-				route:    newRoute,
-				newLead:  m.nodes[best],
-				oldLead:  m.nodes[nodeID],
-				oldEpoch: route.Epoch,
-			})
+	for _, p := range m.memberships(nodeID) {
+		if p.leads {
+			_ = m.promote(p.tenant, p.idx, nodeID, "", true)
 		}
-	}
-	// Install the new routes while still holding the lock, so a
-	// concurrent RoutingView never sees a half-promoted table.
-	changed := map[string]bool{}
-	for _, p := range promos {
-		m.tenants[p.tenant].Table.Partitions[p.idx] = p.route
-		changed[p.tenant] = true
-	}
-	m.mu.Unlock()
-
-	for _, p := range promos {
-		// Promote the caught-up follower under the bumped epoch; it
-		// replays nothing further because the queue drain above already
-		// applied its backlog.
-		_ = p.newLead.SetReplicaRole(p.route.Partition, true, p.route.Epoch)
-		// Fence the old primary best-effort: unreachable nodes are
-		// fenced again on revival (reviveNode).
-		if p.oldLead != nil {
-			_ = p.oldLead.SetReplicaRole(p.route.Partition, false, p.route.Epoch)
-		}
-	}
-	if len(changed) > 0 {
-		tenants := make([]string, 0, len(changed))
-		for t := range changed {
-			tenants = append(tenants, t)
-		}
-		sort.Strings(tenants)
-		m.notifyRouteChange(tenants...)
 	}
 }

@@ -3,7 +3,6 @@ package metaserver
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -71,34 +70,11 @@ type Meta struct {
 		maxPartitions int
 	}
 
-	replWG sync.WaitGroup
-	// replJobs is one FIFO lane per replication worker. Jobs shard by
-	// (partition, target node), so applies to one follower replica are
-	// processed in enqueue order — a single shared queue with several
-	// workers would let two writes to the same key land on a follower
-	// in reversed order, leaving the follower with the older value and
-	// a replication position that claims otherwise.
-	replJobs []chan replJob
-	closed   bool
-
-	// pendEnq/pendDone count replication jobs enqueued and applied;
-	// FlushReplication (the failover catch-up gate) waits for the
-	// done counter to reach the enqueue count captured at call time.
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	pendEnq  uint64
-	pendDone uint64
-}
-
-// replJob is one replication message for one follower: the ops a
-// primary committed together (one for a point write) and pos, the
-// primary's replication position after the last of them, which the
-// follower adopts monotonically.
-type replJob struct {
-	node *datanode.Node
-	pid  partition.ID
-	ops  []datanode.WriteOp
-	pos  uint64
+	// fabric is the data plane's replication fabric. The control plane
+	// starts it, hands it to every node that registers, resolves the
+	// peers it pushes to primaries through it and drains it before a
+	// promotion; it never sits between a write and its followers.
+	fabric *datanode.Fabric
 }
 
 // Config configures a Meta.
@@ -107,8 +83,6 @@ type Config struct {
 	Clock clock.Clock
 	// Replicas is the replication factor (default 3).
 	Replicas int
-	// ReplWorkers sizes the async replication worker pool (default 4).
-	ReplWorkers int
 	// HeatSplitThreshold is the per-partition heat (ops/sec, decayed)
 	// above which a tenant counts as hot for automatic splitting. Zero
 	// disables heat-driven splits.
@@ -136,9 +110,6 @@ func New(cfg Config) *Meta {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
-	if cfg.ReplWorkers <= 0 {
-		cfg.ReplWorkers = 4
-	}
 	if cfg.HeatSplitWindows <= 0 {
 		cfg.HeatSplitWindows = 3
 	}
@@ -157,60 +128,28 @@ func New(cfg Config) *Meta {
 		heatStreak:      make(map[string]int),
 		health:          make(map[string]*nodeHealth),
 		downAfterProbes: cfg.DownAfterProbes,
-		replJobs:        make([]chan replJob, cfg.ReplWorkers),
+		fabric:          datanode.NewFabric(),
 	}
-	m.pendCond = sync.NewCond(&m.pendMu)
 	m.heatCfg.threshold = cfg.HeatSplitThreshold
 	m.heatCfg.windows = cfg.HeatSplitWindows
 	m.heatCfg.maxPartitions = cfg.HeatSplitMaxPartitions
-	for i := 0; i < cfg.ReplWorkers; i++ {
-		m.replJobs[i] = make(chan replJob, 1024)
-		m.replWG.Add(1)
-		go m.replWorker(m.replJobs[i])
-	}
 	return m
 }
 
-// replLane picks the worker lane for one (partition, follower) pair.
-func (m *Meta) replLane(pid partition.ID, nodeID string) chan replJob {
-	h := fnv.New32a()
-	h.Write([]byte(pid.Tenant))
-	fmt.Fprintf(h, "/%d/", pid.Index)
-	h.Write([]byte(nodeID))
-	return m.replJobs[h.Sum32()%uint32(len(m.replJobs))]
-}
+// Close stops the replication fabric after it drains queued messages.
+func (m *Meta) Close() { m.fabric.Close() }
 
-func (m *Meta) replWorker(jobs <-chan replJob) {
-	defer m.replWG.Done()
-	for job := range jobs {
-		// Best effort: eventual consistency tolerates transient errors
-		// (a down follower drops its deltas; repair rebuilds it).
-		_ = job.node.ApplyReplicatedAt(job.pid, job.pos, job.ops)
-		m.donePending()
-	}
-}
+// FlushReplication blocks until every replication message enqueued
+// before the call has been applied (see datanode.Fabric.Flush).
+func (m *Meta) FlushReplication() { m.fabric.Flush() }
 
-// Close stops the replication workers after draining queued jobs.
-func (m *Meta) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
-	for _, lane := range m.replJobs {
-		close(lane)
-	}
-	m.replWG.Wait()
-}
-
-// RegisterNode adds a DataNode to the pool and wires its replication.
+// RegisterNode adds a DataNode to the pool and wires it to the
+// replication fabric.
 func (m *Meta) RegisterNode(n *datanode.Node) {
+	n.SetReplicator(m.fabric)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nodes[n.ID()] = n
-	n.SetReplicator(&metaReplicator{meta: m, origin: n.ID()})
 }
 
 // Nodes returns the registered node IDs, sorted.
@@ -234,63 +173,6 @@ func (m *Meta) Node(id string) (*datanode.Node, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
 	return n, nil
-}
-
-// metaReplicator routes a primary's write to the partition's followers.
-type metaReplicator struct {
-	meta   *Meta
-	origin string
-}
-
-// followers resolves the live follower nodes for a partition, skipping
-// the originating node. It reports closed=true when the meta server is
-// shutting down.
-func (r *metaReplicator) followers(pid partition.ID) (targets []*datanode.Node, closed bool) {
-	m := r.meta
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	ten, ok := m.tenants[pid.Tenant]
-	if !ok || pid.Index >= len(ten.Table.Partitions) {
-		return nil, m.closed
-	}
-	route := ten.Table.Partitions[pid.Index]
-	for _, f := range route.Followers {
-		if f == r.origin {
-			continue
-		}
-		if n, ok := m.nodes[f]; ok {
-			targets = append(targets, n)
-		}
-	}
-	return targets, m.closed
-}
-
-// Replicate implements datanode.Replicator: the ops travel as one
-// replication message per follower and are applied there as one group
-// commit. The message owns its bytes — one arena holds every copied key
-// and value, shared read-only by all followers.
-func (r *metaReplicator) Replicate(rid partition.ReplicaID, ops []datanode.WriteOp, pos uint64) {
-	targets, closed := r.followers(rid.Partition)
-	if closed || len(targets) == 0 {
-		return
-	}
-	size := 0
-	for _, op := range ops {
-		size += len(op.Key) + len(op.Value)
-	}
-	arena := make([]byte, 0, size)
-	own := func(b []byte) []byte {
-		arena = append(arena, b...)
-		return arena[len(arena)-len(b) : len(arena) : len(arena)]
-	}
-	copied := make([]datanode.WriteOp, len(ops))
-	for i, op := range ops {
-		copied[i] = datanode.WriteOp{Key: own(op.Key), Value: own(op.Value), TTL: op.TTL, Delete: op.Delete}
-	}
-	r.meta.addPending(len(targets))
-	for _, n := range targets {
-		r.meta.replLane(rid.Partition, n.ID()) <- replJob{node: n, pid: rid.Partition, ops: copied, pos: pos}
-	}
 }
 
 // TenantSpec describes a tenant to create.
@@ -323,38 +205,44 @@ func (m *Meta) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	if len(m.nodes) < m.replicas {
 		return nil, fmt.Errorf("%w: have %d nodes, need %d", ErrNotEnoughNodes, len(m.nodes), m.replicas)
 	}
-	q := quota.NewTenantQuota(spec.QuotaRU, spec.StorageGB, spec.Proxies, spec.Partitions)
-	table := &partition.Table{Tenant: spec.Name}
-	perPartition := q.PartitionQuota()
-
-	for idx := 0; idx < spec.Partitions; idx++ {
-		pid := partition.ID{Tenant: spec.Name, Index: idx}
-		hosts := m.pickHostsLocked(m.replicas, nil)
-		if len(hosts) < m.replicas {
-			return nil, ErrNotEnoughNodes
-		}
-		route := partition.Route{Partition: pid, Primary: hosts[0], Epoch: 1}
-		for r, host := range hosts {
-			rid := partition.ReplicaID{Partition: pid, Replica: r}
-			if err := m.nodes[host].AddReplica(rid, perPartition, r == 0); err != nil {
-				return nil, err
-			}
-			if r > 0 {
-				route.Followers = append(route.Followers, host)
-			}
-		}
-		table.Partitions = append(table.Partitions, route)
-	}
 	ten := &Tenant{
 		Name:    spec.Name,
-		Quota:   q,
-		Table:   table,
+		Quota:   quota.NewTenantQuota(spec.QuotaRU, spec.StorageGB, spec.Proxies, spec.Partitions),
+		Table:   &partition.Table{Tenant: spec.Name},
 		Proxies: spec.Proxies,
 		Groups:  spec.Groups,
-		version: 1,
 	}
+	// The first table is one route commit like any later change (no
+	// proxy can be registered for the tenant yet, so none is told).
 	m.tenants[spec.Name] = ten
+	if err := m.commitLocked(spec.Name, 0, spec.Partitions, m.placeLocked); err != nil {
+		delete(m.tenants, spec.Name)
+		return nil, err
+	}
 	return ten, nil
+}
+
+// placeLocked is the route edit that creates a partition: it places the
+// replicas on the pool's least-loaded live nodes and materialises them
+// at the tenant's current partition quota.
+// +locked:m.mu
+func (m *Meta) placeLocked(r *partition.Route) error {
+	if r.Primary != "" {
+		return fmt.Errorf("metaserver: %s already exists", r.Partition)
+	}
+	hosts := m.pickHostsLocked(m.replicas, nil)
+	if len(hosts) < m.replicas {
+		return ErrNotEnoughNodes
+	}
+	perPartition := m.tenants[r.Partition.Tenant].Quota.PartitionQuota()
+	for i, host := range hosts {
+		rid := partition.ReplicaID{Partition: r.Partition, Replica: i}
+		if err := m.nodes[host].AddReplica(rid, perPartition, i == 0); err != nil {
+			return err
+		}
+	}
+	r.Primary, r.Followers, r.Epoch = hosts[0], hosts[1:], 1
+	return nil
 }
 
 // pickHostsLocked returns up to k distinct node IDs with the fewest
@@ -423,23 +311,6 @@ func (m *Meta) RouteFor(tenant string, key []byte) (partition.Route, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return t.Table.RouteFor(key), nil
-}
-
-// RoutesFor resolves the route for every key in one routing-table
-// lookup pass: a single tenant lookup and a single lock acquisition
-// cover the whole batch, instead of one RouteFor round trip per key.
-func (m *Meta) RoutesFor(tenant string, keys [][]byte) ([]partition.Route, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tenants[tenant]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, tenant)
-	}
-	out := make([]partition.Route, len(keys))
-	for i, k := range keys {
-		out[i] = t.Table.RouteFor(k)
-	}
-	return out, nil
 }
 
 // NumPartitions returns the tenant's current partition count. Scans

@@ -2,6 +2,7 @@ package metaserver
 
 import (
 	"fmt"
+	"slices"
 
 	"abase/internal/partition"
 	"abase/internal/rescheduler"
@@ -13,17 +14,17 @@ import (
 //
 // A follower move is: materialise an empty replica on the target,
 // swap the route so new writes replicate to it, backfill history from
-// the primary, then drop the old follower. The primary serves client
-// traffic throughout — availability is untouched, and the new
+// the primary, then drop the old follower (join). The primary serves
+// client traffic throughout — availability is untouched, and the new
 // follower's staleness bound gates follower reads exactly as it does
 // after a repair.
 //
 // A primary move (the only replicas that carry heat in the model, so
 // heat-shedding depends on it) is a graceful handoff: the target
-// first joins as an extra follower and catches up, replication is
-// drained, then the route's primary swaps to the target with an epoch
-// bump — the old primary is fenced by the stale epoch exactly as in
-// failover — and the old replica is dropped.
+// first joins as an extra follower and catches up, then takes over
+// through the same promotion gate as a failover (promote) — drain,
+// epoch bump, the old primary fenced by the stale epoch — and the old
+// replica is dropped.
 func (m *Meta) RebalanceOnce(theta float64) ([]rescheduler.Migration, error) {
 	pool := m.LoadModel()
 	planned := pool.ReschedulePass(theta)
@@ -57,140 +58,117 @@ func (m *Meta) RebalanceOnce(theta float64) ([]rescheduler.Migration, error) {
 	return applied, nil
 }
 
-// movePrimary relocates a partition's primary replica from node
-// `from` to node `to` without losing acknowledged writes: join as
-// follower, backfill, drain, then promote with an epoch bump.
-func (m *Meta) movePrimary(tenant string, idx int, from, to string) error {
-	m.mu.Lock()
+// join adds node `to` — the least-loaded spare when "" — to partition
+// idx's replica set and backfills it, the half every replica move and
+// repair shares. An empty replica is materialised on the node before
+// the route mentions it (if that fails nothing has changed anywhere);
+// enter then edits it into the route, from which moment new writes
+// replicate to it through the fabric; the primary — which has
+// everything — backfills history, and the copy adopts the primary's
+// replication position, so the staleness bound converges. A failed
+// backfill is undone by leave, and any failure drops the new replica
+// again: a hosted replica the routing table cannot explain poisons
+// later repairs. The node and the primary must be registered and up —
+// the heat model can lag health, and a copy from or onto a down node
+// moves nothing.
+func (m *Meta) join(tenant string, idx int, to string, enter, leave func(r *partition.Route, to string) error) (partition.ID, error) {
+	m.mu.RLock()
 	t, ok := m.tenants[tenant]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownTenant, tenant)
-	}
-	if idx < 0 || idx >= len(t.Table.Partitions) {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: partition index %d out of range for %s", idx, tenant)
+	if !ok || idx < 0 || idx >= len(t.Table.Partitions) {
+		m.mu.RUnlock()
+		return partition.ID{}, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, tenant, idx)
 	}
 	route := t.Table.Partitions[idx]
 	pid := route.Partition
-	if route.Primary != from {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: %s is not the primary of %s", from, pid)
-	}
-	if to == from || contains(route.Followers, to) {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: %s already hosts %s", to, pid)
-	}
-	src := m.nodes[from]
-	target := m.nodes[to]
-	if src == nil || target == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: node missing for %s move %s→%s", pid, from, to)
-	}
-	if !src.Alive() || !target.Alive() {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: node down for %s move %s→%s", pid, from, to)
-	}
-	perPartition := t.Quota.PartitionQuota()
-	m.mu.Unlock()
-
-	// Phase 1: the target joins as an extra follower and receives a
-	// full backfill. New writes replicate to it from the moment the
-	// route lists it.
-	rid := partition.ReplicaID{Partition: pid, Replica: len(route.Followers) + 1}
-	if err := target.AddReplica(rid, perPartition, false); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	t, ok = m.tenants[tenant]
-	if !ok || idx >= len(t.Table.Partitions) || t.Table.Partitions[idx].Primary != from {
-		m.mu.Unlock()
-		_ = target.RemoveReplica(pid)
-		return fmt.Errorf("metaserver: route for %s changed mid-move", pid)
-	}
-	route = t.Table.Partitions[idx]
-	route.Followers = append(append([]string(nil), route.Followers...), to)
-	t.Table.Partitions[idx] = route
-	m.mu.Unlock()
-	m.notifyRouteChange(tenant)
-	if err := src.CopyReplicaTo(pid, target); err != nil {
-		// Undo the join: take the target back out of the route, then
-		// drop its (partial) replica. Leaving either half in place
-		// strands a replica the routing table no longer explains.
-		m.dropFollower(tenant, idx, pid, to)
-		_ = target.RemoveReplica(pid)
-		return err
-	}
-
-	// Phase 2: drain in-flight replication so the target holds every
-	// acknowledged write, then hand the primary role over.
-	m.FlushReplication()
-	m.mu.Lock()
-	t, ok = m.tenants[tenant]
-	if !ok || idx >= len(t.Table.Partitions) || t.Table.Partitions[idx].Primary != from {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: route for %s changed mid-handoff", pid)
-	}
-	route = t.Table.Partitions[idx]
-	var followers []string
-	for _, f := range route.Followers {
-		if f != to {
-			followers = append(followers, f)
+	if to == "" {
+		// Besides the routed hosts, pass over any node that physically
+		// hosts the replica without being routed for it.
+		exclude := map[string]bool{}
+		for id, n := range m.nodes {
+			exclude[id] = n.HostsReplica(pid)
+		}
+		if hosts := m.pickHostsLocked(1, exclude); len(hosts) == 1 {
+			to = hosts[0]
 		}
 	}
-	route.Primary = to
-	route.Followers = followers
-	route.Epoch++
-	t.Table.Partitions[idx] = route
-	m.mu.Unlock()
+	target, primary := m.usableLocked(to), m.usableLocked(route.Primary)
+	perPartition := t.Quota.PartitionQuota()
+	m.mu.RUnlock()
+	if target == nil || primary == nil {
+		return pid, fmt.Errorf("metaserver: node missing or down for %s to join %q", pid, to)
+	}
+	rid := partition.ReplicaID{Partition: pid, Replica: len(route.Followers) + 1}
+	if err := target.AddReplica(rid, perPartition, false); err != nil {
+		return pid, err
+	}
+	err := m.commit(tenant, idx, 1, func(r *partition.Route) error { return enter(r, to) })
+	if err == nil {
+		if err = primary.CopyReplicaTo(pid, target); err != nil {
+			_ = m.commit(tenant, idx, 1, func(r *partition.Route) error { return leave(r, to) })
+		}
+	}
+	if err != nil {
+		_ = target.RemoveReplica(pid)
+	}
+	return pid, err
+}
 
-	// Fence the old primary before announcing the new one: a write
-	// racing the handoff must land on exactly one side of the epoch.
-	// The route no longer mentions the old primary from here on, so
-	// even the error paths must drop its replica — a hosted replica
-	// the routing table cannot explain poisons later repairs.
-	if err := src.SetReplicaRole(pid, false, route.Epoch); err != nil {
-		m.notifyRouteChange(tenant)
-		_ = src.RemoveReplica(pid)
+// unjoin is the leave edit of a plain join: the node comes back out of
+// the follower list.
+func unjoin(r *partition.Route, to string) error {
+	r.Followers = without(r.Followers, to)
+	return nil
+}
+
+// movePrimary relocates a partition's primary replica from node
+// `from` to node `to` without losing acknowledged writes: `to` joins as
+// an extra follower, then takes over through the promotion gate (drain,
+// epoch bump, fence) and the old replica is dropped.
+func (m *Meta) movePrimary(tenant string, idx int, from, to string) error {
+	src, err := m.Node(from)
+	if err != nil {
 		return err
 	}
-	if err := target.SetReplicaRole(pid, true, route.Epoch); err != nil {
-		m.notifyRouteChange(tenant)
-		_ = src.RemoveReplica(pid)
+	pid, err := m.join(tenant, idx, to, func(r *partition.Route, to string) error {
+		if r.Primary != from {
+			return fmt.Errorf("metaserver: %s is not the primary of %s", from, r.Partition)
+		}
+		r.Followers = append(r.Followers, to)
+		return nil
+	}, unjoin)
+	if err != nil {
 		return err
 	}
-	m.notifyRouteChange(tenant)
+	if err := m.promote(tenant, idx, from, to, false); err != nil {
+		return err
+	}
 	return src.RemoveReplica(pid)
 }
 
-// dropFollower removes nodeID from a partition's follower list if it
-// is still there, re-validating the route under the lock (mover
-// rollback path). Must be called without m.mu held.
-func (m *Meta) dropFollower(tenant string, idx int, pid partition.ID, nodeID string) {
-	m.mu.Lock()
-	t, ok := m.tenants[tenant]
-	if !ok || idx >= len(t.Table.Partitions) || t.Table.Partitions[idx].Partition != pid {
-		m.mu.Unlock()
-		return
+// moveFollower relocates one follower replica from node `from` to
+// node `to`, keeping the primary and the route epoch untouched: `to`
+// takes `from`'s place in the route and `from`'s replica is dropped
+// once the backfill has landed.
+func (m *Meta) moveFollower(tenant string, idx int, from, to string) error {
+	src, err := m.Node(from)
+	if err != nil || !src.Alive() {
+		return fmt.Errorf("metaserver: node %s missing or down", from)
 	}
-	route := t.Table.Partitions[idx]
-	var followers []string
-	removed := false
-	for _, f := range route.Followers {
-		if f == nodeID && !removed {
-			removed = true
-			continue
+	replace := func(old, with string) func(*partition.Route, string) error {
+		return func(r *partition.Route, _ string) error {
+			i := slices.Index(r.Followers, old)
+			if i < 0 {
+				return fmt.Errorf("metaserver: %s no longer follows %s", old, r.Partition)
+			}
+			r.Followers[i] = with
+			return nil
 		}
-		followers = append(followers, f)
 	}
-	if !removed {
-		m.mu.Unlock()
-		return
+	pid, err := m.join(tenant, idx, to, replace(from, to), replace(to, from))
+	if err != nil {
+		return err
 	}
-	route.Followers = followers
-	t.Table.Partitions[idx] = route
-	m.mu.Unlock()
-	m.notifyRouteChange(tenant)
+	return src.RemoveReplica(pid)
 }
 
 // parseReplicaID decodes the model's "tenant/partIdx/replicaIdx" id.
@@ -203,127 +181,4 @@ func parseReplicaID(id, tenant string) (partIdx, replica int, ok bool) {
 		return 0, 0, false
 	}
 	return partIdx, replica, true
-}
-
-// moveFollower relocates one follower replica from node `from` to
-// node `to`, keeping the primary and the route epoch untouched.
-func (m *Meta) moveFollower(tenant string, idx int, from, to string) error {
-	m.mu.Lock()
-	t, ok := m.tenants[tenant]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownTenant, tenant)
-	}
-	if idx < 0 || idx >= len(t.Table.Partitions) {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: partition index %d out of range for %s", idx, tenant)
-	}
-	route := t.Table.Partitions[idx]
-	pid := route.Partition
-	if route.Primary == to || contains(route.Followers, to) {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: %s already hosts %s", to, pid)
-	}
-	pos := -1
-	for i, f := range route.Followers {
-		if f == from {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: %s no longer follows %s", from, pid)
-	}
-	primary := m.nodes[route.Primary]
-	target := m.nodes[to]
-	src := m.nodes[from]
-	if primary == nil || target == nil || src == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: node missing for %s move %s→%s", pid, from, to)
-	}
-	// The primary is the backfill source, so it must be up too — a
-	// down source used to yield a silent empty copy (the scan callback
-	// stopped on the first apply error and the store reported success).
-	if !primary.Alive() || !target.Alive() || !src.Alive() {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: node down for %s move %s→%s", pid, from, to)
-	}
-	perPartition := t.Quota.PartitionQuota()
-	m.mu.Unlock()
-
-	// Materialise the replica before the route mentions it: if this
-	// fails nothing has changed anywhere.
-	rid := partition.ReplicaID{Partition: pid, Replica: pos + 1}
-	if err := target.AddReplica(rid, perPartition, false); err != nil {
-		return err
-	}
-
-	// Swap the route under the lock, re-validating that it did not
-	// change while the replica was being created.
-	m.mu.Lock()
-	t, ok = m.tenants[tenant]
-	if !ok || idx >= len(t.Table.Partitions) {
-		m.mu.Unlock()
-		_ = target.RemoveReplica(pid)
-		return fmt.Errorf("metaserver: route for %s vanished mid-move", pid)
-	}
-	route = t.Table.Partitions[idx]
-	swapped := false
-	for i, f := range route.Followers {
-		if f == from {
-			route.Followers = append([]string(nil), route.Followers...)
-			route.Followers[i] = to
-			t.Table.Partitions[idx] = route
-			swapped = true
-			break
-		}
-	}
-	m.mu.Unlock()
-	if !swapped {
-		_ = target.RemoveReplica(pid)
-		return fmt.Errorf("metaserver: route for %s changed mid-move", pid)
-	}
-	m.notifyRouteChange(tenant)
-
-	// Backfill history from the primary (it has everything); writes
-	// landing during the copy replicate to the new follower through
-	// the fabric, and the copy adopts the primary's replication
-	// position, so the staleness bound converges.
-	if err := primary.CopyReplicaTo(pid, target); err != nil {
-		// Undo the swap so the route points back at the old follower
-		// (which still hosts its replica), then drop the target's
-		// partial copy. The move simply did not happen.
-		m.swapFollower(tenant, idx, pid, to, from)
-		_ = target.RemoveReplica(pid)
-		return err
-	}
-	return src.RemoveReplica(pid)
-}
-
-// swapFollower replaces oldID with newID in a partition's follower
-// list if oldID is still there (mover rollback path). Must be called
-// without m.mu held.
-func (m *Meta) swapFollower(tenant string, idx int, pid partition.ID, oldID, newID string) {
-	m.mu.Lock()
-	t, ok := m.tenants[tenant]
-	if !ok || idx >= len(t.Table.Partitions) || t.Table.Partitions[idx].Partition != pid {
-		m.mu.Unlock()
-		return
-	}
-	route := t.Table.Partitions[idx]
-	swapped := false
-	for i, f := range route.Followers {
-		if f == oldID {
-			route.Followers = append([]string(nil), route.Followers...)
-			route.Followers[i] = newID
-			t.Table.Partitions[idx] = route
-			swapped = true
-			break
-		}
-	}
-	m.mu.Unlock()
-	if swapped {
-		m.notifyRouteChange(tenant)
-	}
 }

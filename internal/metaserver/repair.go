@@ -4,173 +4,59 @@ import (
 	"fmt"
 	"sync"
 
-	"abase/internal/datanode"
 	"abase/internal/partition"
 )
 
 // FailNode removes a DataNode from the pool and reconstructs every
 // replica it hosted, in parallel, across the surviving nodes (§3.3).
-// Each lost replica is rebuilt by copying from a surviving replica of
-// the same partition, exploiting multi-node disk bandwidth.
+// Each lost replica is rebuilt by copying from the partition's primary,
+// exploiting multi-node disk bandwidth. The node goes down in the same
+// step that unregisters it: a proxy still holding its handle in a
+// cached view gets a routing-shaped error, never an acknowledgement —
+// a removed primary that stayed writable would acknowledge writes the
+// repair's promotion never sees.
 func (m *Meta) FailNode(nodeID string) error {
 	m.mu.Lock()
 	failed, ok := m.nodes[nodeID]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
-	}
-	delete(m.nodes, nodeID)
-
-	// Collect every partition whose route references the failed node.
-	type repair struct {
-		tenant *Tenant
-		idx    int
-	}
-	var repairs []repair
-	for _, t := range m.tenants {
-		for i, route := range t.Table.Partitions {
-			if route.Primary == nodeID || contains(route.Followers, nodeID) {
-				repairs = append(repairs, repair{t, i})
-			}
-		}
+	if ok {
+		delete(m.nodes, nodeID)
+		failed.SetDown(true) // its data is considered lost
 	}
 	m.mu.Unlock()
-	_ = failed // the failed node's data is considered lost
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownNode, nodeID)
+	}
 
+	parts := m.memberships(nodeID)
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(repairs))
-	for _, r := range repairs {
+	errCh := make(chan error, len(parts)) // one slot per repair: no send blocks
+	for _, p := range parts {
 		wg.Add(1)
-		go func(r repair) {
+		go func(p membership) {
 			defer wg.Done()
-			if err := m.repairPartition(r.tenant, r.idx, nodeID); err != nil {
+			if err := m.repairPartition(p, nodeID); err != nil {
 				errCh <- err
 			}
-		}(r)
+		}(p)
 	}
 	wg.Wait()
 	close(errCh)
-	for err := range errCh {
-		return err
-	}
-	return nil
+	return <-errCh // the first failure, nil when there was none
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// repairPartition rebuilds one partition's lost replica on a fresh node.
-func (m *Meta) repairPartition(t *Tenant, idx int, failedID string) error {
-	m.mu.Lock()
-	route := t.Table.Partitions[idx]
-	pid := route.Partition
-
-	// Identify a surviving source replica host. The source feeds the
-	// rebuild copy, so it must be registered and answering probes — a
-	// down source cannot stream anything.
-	usable := func(id string) bool {
-		if id == failedID {
-			return false
-		}
-		n, ok := m.nodes[id]
-		if !ok || !n.Alive() {
-			return false
-		}
-		h := m.health[id]
-		return h == nil || !h.down
-	}
-	var sourceID string
-	if usable(route.Primary) {
-		sourceID = route.Primary
-	} else {
-		for _, f := range route.Followers {
-			if usable(f) {
-				sourceID = f
-				break
-			}
-		}
-	}
-	if sourceID == "" {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: partition %s lost all replicas", pid)
-	}
-	source := m.nodes[sourceID]
-
-	// Pick a new host not already holding this partition. Besides the
-	// routed hosts, exclude any node that physically hosts the replica
-	// without being routed for it (a half-rolled-back move can leave
-	// one): AddReplica on such a node would fail the whole repair.
-	exclude := map[string]bool{}
-	for _, f := range route.Followers {
-		exclude[f] = true
-	}
-	exclude[route.Primary] = true
-	for id, n := range m.nodes {
-		if !exclude[id] && n.HostsReplica(pid) {
-			exclude[id] = true
-		}
-	}
-	hosts := m.pickHostsLocked(1, exclude)
-	if len(hosts) == 0 {
-		m.mu.Unlock()
-		return fmt.Errorf("metaserver: no spare node to repair %s", pid)
-	}
-	newHost := hosts[0]
-	target := m.nodes[newHost]
-
-	// Update the route: replace the failed node with the new host. A
-	// primary replacement is a promotion, so the route epoch bumps and
-	// the promoted replica learns its new role — without this, the
-	// data plane's write fence would reject traffic at the new primary.
-	promoted := false
-	if route.Primary == failedID {
-		// Promote the source (a surviving follower) to primary and add
-		// the new host as a follower.
-		newFollowers := []string{newHost}
-		for _, f := range route.Followers {
-			if f != failedID && f != sourceID {
-				newFollowers = append(newFollowers, f)
-			}
-		}
-		route.Primary = sourceID
-		route.Followers = newFollowers
-		route.Epoch++
-		promoted = true
-	} else {
-		var newFollowers []string
-		for _, f := range route.Followers {
-			if f != failedID {
-				newFollowers = append(newFollowers, f)
-			}
-		}
-		route.Followers = append(newFollowers, newHost)
-	}
-	t.Table.Partitions[idx] = route
-	perPartition := t.Quota.PartitionQuota()
-	tenant := t.Name
-	m.mu.Unlock()
-
-	if promoted {
-		if err := source.SetReplicaRole(pid, true, route.Epoch); err != nil {
+// repairPartition rebuilds one partition's lost replica on a spare
+// node. A lost primary is first replaced through the promotion gate —
+// a repair promotes exactly as a failover does; the spare then joins as
+// a follower in the lost replica's place.
+func (m *Meta) repairPartition(p membership, failedID string) error {
+	if p.leads {
+		if err := m.promote(p.tenant, p.idx, failedID, "", false); err != nil {
 			return err
 		}
 	}
-	m.notifyRouteChange(tenant)
-
-	rid := partition.ReplicaID{Partition: pid, Replica: len(route.Followers)}
-	if err := target.AddReplica(rid, perPartition, false); err != nil {
-		return err
-	}
-	return copyReplica(source, target, pid)
-}
-
-// copyReplica streams a partition's live data from src to dst.
-func copyReplica(src, dst *datanode.Node, pid partition.ID) error {
-	return src.CopyReplicaTo(pid, dst)
+	_, err := m.join(p.tenant, p.idx, "", func(r *partition.Route, to string) error {
+		r.Followers = append(without(r.Followers, failedID), to)
+		return nil
+	}, unjoin)
+	return err
 }

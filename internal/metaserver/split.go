@@ -2,9 +2,7 @@ package metaserver
 
 import (
 	"fmt"
-	"time"
 
-	"abase/internal/datanode"
 	"abase/internal/partition"
 )
 
@@ -25,83 +23,49 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 	t.Quota.SetPartitions(newN)
 	perPartition := t.Quota.PartitionQuota()
 
-	// Create the new partitions (indexes oldN..newN-1).
-	newRoutes := make([]partition.Route, 0, oldN)
-	for idx := oldN; idx < newN; idx++ {
-		pid := partition.ID{Tenant: tenant, Index: idx}
-		hosts := m.pickHostsLocked(m.replicas, nil)
-		if len(hosts) < m.replicas {
-			m.mu.Unlock()
-			return ErrNotEnoughNodes
-		}
-		route := partition.Route{Partition: pid, Primary: hosts[0], Epoch: 1}
-		for r, host := range hosts {
-			rid := partition.ReplicaID{Partition: pid, Replica: r}
-			if err := m.nodes[host].AddReplica(rid, perPartition, r == 0); err != nil {
-				m.mu.Unlock()
-				return err
-			}
-			if r > 0 {
-				route.Followers = append(route.Followers, host)
-			}
-		}
-		newRoutes = append(newRoutes, route)
-	}
-
 	// Lower the existing partitions' quotas to the new per-partition
-	// share and collect their primaries for the rehash pass.
-	type srcPart struct {
-		pid     partition.ID
-		primary string
-	}
-	var sources []srcPart
+	// share.
 	for _, route := range t.Table.Partitions {
-		sources = append(sources, srcPart{route.Partition, route.Primary})
 		for _, host := range append([]string{route.Primary}, route.Followers...) {
 			if n, ok := m.nodes[host]; ok {
 				_ = n.SetPartitionQuota(route.Partition, perPartition)
 			}
 		}
 	}
-	t.Table.Partitions = append(t.Table.Partitions, newRoutes...)
-	// Snapshot the routes while still locked: the rehash below runs
-	// unlocked and a concurrent failover may rewrite live table
-	// entries under m.mu.
-	routes := append([]partition.Route(nil), t.Table.Partitions...)
-	nodes := make(map[string]*datanode.Node, len(m.nodes))
-	for id, n := range m.nodes {
-		nodes[id] = n
-	}
 	m.mu.Unlock()
-	// The table changed shape: cached proxy routing tables must refetch
-	// before their next page/batch so the rehashed keys stay reachable.
-	m.notifyRouteChange(tenant)
 
-	// writeThrough commits a rehashed record (or its source tombstone)
-	// on the partition PRIMARY and lets the replication fabric carry it
-	// to followers — followers must hold the moved keys too, or the
-	// first failover after a split would promote a follower missing
-	// them (and source followers must drop their copies, or that same
-	// failover would resurrect keys the split migrated away). Routing
-	// through the fabric rather than applying on each replica directly
-	// keeps every replica's change log identical: each migrated record
-	// takes one sequence on the primary and lands at that same sequence
-	// on followers, so change-stream resume tokens stay valid across
-	// the split. The FlushReplication barrier below restores the
-	// synchronous guarantee direct applies used to give.
-	writeThrough := func(route partition.Route, pid partition.ID, k, v []byte, ttl time.Duration, del bool) error {
-		primary, ok := nodes[route.Primary]
-		if !ok {
-			return nil
-		}
-		return primary.WriteThrough(pid, k, v, ttl, del)
+	// The new half (indexes oldN..newN-1) is placed and installed as one
+	// route commit: the table doubles in a single step — keys hash modulo
+	// its length — and cached proxy tables are invalidated, so they
+	// refetch before their next page/batch and the rehashed keys stay
+	// reachable. A split that raced this one finds the half already there.
+	if err := m.commit(tenant, oldN, oldN, m.placeLocked); err != nil {
+		return err
 	}
+	// The rehash runs on a snapshot: a concurrent failover may rewrite
+	// live table entries.
+	view, err := m.RoutingView(tenant)
+	if err != nil {
+		return err
+	}
+	routes, nodes := view.Partitions, view.nodes
 
 	// Rehash: keys whose new partition differs move to it. With the
 	// doubled count, hash%newN == hash%oldN for roughly half the keys;
-	// the rest migrate, keeping their TTLs.
-	for _, src := range sources {
-		srcNode, ok := nodes[src.primary]
+	// the rest migrate, keeping their TTLs. A rehashed record (and its
+	// source tombstone) commits on the partition PRIMARY and the
+	// replication fabric carries it to followers — followers must hold the
+	// moved keys too, or the first failover after a split would promote a
+	// follower missing them (and source followers must drop their copies,
+	// or that same failover would resurrect keys the split migrated away).
+	// Routing through the fabric rather than applying on each replica
+	// directly keeps every replica's change log identical: each migrated
+	// record takes one sequence on the primary and lands at that same
+	// sequence on followers, so change-stream resume tokens stay valid
+	// across the split. The FlushReplication barrier below restores the
+	// synchronous guarantee direct applies used to give.
+	for _, src := range routes[:oldN] {
+		srcNode, ok := nodes[src.Primary]
 		if !ok {
 			continue
 		}
@@ -110,9 +74,8 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 			expireAt int64
 		}
 		var moved []kv
-		err := srcNode.ScanReplicaWithExpiry(src.pid, func(key, value []byte, expireAt int64) bool {
-			newIdx := partition.PartitionOf(key, newN)
-			if newIdx != src.pid.Index {
+		err := srcNode.ScanReplicaWithExpiry(src.Partition, func(key, value []byte, expireAt int64) bool {
+			if partition.PartitionOf(key, newN) != src.Partition.Index {
 				moved = append(moved, kv{
 					k:        append([]byte(nil), key...),
 					v:        append([]byte(nil), value...),
@@ -124,24 +87,21 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 		if err != nil {
 			return err
 		}
-		srcRoute := routes[src.pid.Index]
 		for _, e := range moved {
-			newIdx := partition.PartitionOf(e.k, newN)
-			route := routes[newIdx]
+			route := routes[partition.PartitionOf(e.k, newN)]
 			dst, ok := nodes[route.Primary]
 			if !ok {
 				continue
 			}
-			newPid := partition.ID{Tenant: tenant, Index: newIdx}
 			// Rewriting a TTL'd record must not make it immortal: carry
 			// the remaining TTL, and drop records that lapsed since the
 			// scan (deleting the source copy stays correct either way).
 			if ttl, alive := dst.RemainingTTL(e.expireAt); alive {
-				if err := writeThrough(route, newPid, e.k, e.v, ttl, false); err != nil {
+				if err := dst.WriteThrough(route.Partition, e.k, e.v, ttl, false); err != nil {
 					return err
 				}
 			}
-			if err := writeThrough(srcRoute, src.pid, e.k, nil, 0, true); err != nil {
+			if err := srcNode.WriteThrough(src.Partition, e.k, nil, 0, true); err != nil {
 				return err
 			}
 		}

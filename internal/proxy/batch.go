@@ -64,7 +64,7 @@ func (p *Proxy) groupByNode(keys [][]byte, idxs []int, errs []error) []*nodeBatc
 		route := view.Partitions[partition.PartitionOf(keys[i], len(view.Partitions))]
 		nb, ok := byNode[route.Primary]
 		if !ok {
-			node, err := p.cfg.Meta.Node(route.Primary)
+			node, err := view.Node(route.Primary)
 			if err != nil {
 				errs[i] = err
 				continue

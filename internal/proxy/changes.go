@@ -95,30 +95,31 @@ func (p *Proxy) ChangeSignal(ctx context.Context, part int) (<-chan struct{}, fu
 // best-effort (a down follower is re-synced wholesale on revival
 // anyway); the primary hold must land.
 func (p *Proxy) HoldChanges(ctx context.Context, part int, holder string, floor uint64, ttl time.Duration) error {
-	err := p.partRoute(ctx, part, func(node *datanode.Node, route partition.Route) error {
-		if err := node.HoldChanges(route.Partition, holder, floor, ttl); err != nil {
-			return err
-		}
-		for _, f := range route.Followers {
-			if fn, err := p.cfg.Meta.Node(f); err == nil {
-				_ = fn.HoldChanges(route.Partition, holder, floor, ttl)
-			}
-		}
-		return nil
+	return p.onMembers(ctx, part, func(n *datanode.Node, pid partition.ID) error {
+		return n.HoldChanges(pid, holder, floor, ttl)
 	})
-	return mapNodeErr(err)
 }
 
 // ReleaseChanges drops holder's hold from every reachable route
 // member. Unreachable members age the hold out via its TTL.
 func (p *Proxy) ReleaseChanges(ctx context.Context, part int, holder string) error {
+	return p.onMembers(ctx, part, func(n *datanode.Node, pid partition.ID) error {
+		return n.ReleaseChanges(pid, holder)
+	})
+}
+
+// onMembers runs do on every member of partition part's route: the
+// primary, whose outcome is the call's (with the shared routed retry),
+// then — best effort — each follower the cached view resolves.
+func (p *Proxy) onMembers(ctx context.Context, part int, do func(n *datanode.Node, pid partition.ID) error) error {
 	err := p.partRoute(ctx, part, func(node *datanode.Node, route partition.Route) error {
-		if err := node.ReleaseChanges(route.Partition, holder); err != nil {
+		if err := do(node, route.Partition); err != nil {
 			return err
 		}
+		view, _ := p.routingView() // the zero view resolves no follower
 		for _, f := range route.Followers {
-			if fn, err := p.cfg.Meta.Node(f); err == nil {
-				_ = fn.ReleaseChanges(route.Partition, holder)
+			if fn, err := view.Node(f); err == nil {
+				_ = do(fn, route.Partition)
 			}
 		}
 		return nil

@@ -23,13 +23,13 @@ import (
 func keysOnDistinctPrimaries(t *testing.T, p *Proxy) (a, b []byte, bNode *datanode.Node) {
 	t.Helper()
 	first := []byte("rk-0")
-	ra, err := p.routeForKey(first)
+	ra, _, err := p.routeForKey(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 64; i++ {
 		k := []byte(fmt.Sprintf("rk-%d", i))
-		rb, err := p.routeForKey(k)
+		rb, _, err := p.routeForKey(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 	}
 	p.Get(bg, key) // second sketched access: fills the AU-LRU
 	p.Get(bg, key) // a hit: the entry is now worth refreshing
-	route, err := p.routeForKey(key)
+	route, _, err := p.routeForKey(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,16 +267,16 @@ func (p *Proxy) maxFollowerLag() uint64 {
 // should read the primary. When the primary is unreachable the
 // staleness bound is waived: during a failover window a bounded-stale
 // answer is exactly what follower reads are for.
-func (p *Proxy) followerRead(ctx context.Context, route partition.Route, key []byte) (res datanode.OpResult, err error, served bool) {
+func (p *Proxy) followerRead(ctx context.Context, primary *datanode.Node, route partition.Route, key []byte) (res datanode.OpResult, err error, served bool) {
+	view, _ := p.routingView() // the zero view resolves no follower
 	var primaryPos uint64
-	primaryAlive := false
-	if pn, nerr := p.cfg.Meta.Node(route.Primary); nerr == nil && pn.Alive() {
-		primaryAlive = true
-		primaryPos = pn.ReplicationPosition(route.Partition)
+	primaryAlive := primary.Alive()
+	if primaryAlive {
+		primaryPos = primary.ReplicationPosition(route.Partition)
 	}
 	maxLag := p.maxFollowerLag()
 	for _, f := range route.Followers {
-		fn, nerr := p.cfg.Meta.Node(f)
+		fn, nerr := view.Node(f)
 		if nerr != nil || !fn.Alive() {
 			continue
 		}
@@ -315,7 +315,7 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 		var res datanode.OpResult
 		var err error
 		if pref == ReadFollower {
-			res, err, fromFollower = p.followerRead(ctx, route, key)
+			res, err, fromFollower = p.followerRead(ctx, node, route, key)
 		}
 		if !fromFollower {
 			res, err = node.Get(ctx, route.Partition, key)
@@ -670,7 +670,7 @@ func (p *Proxy) HotKeys(ctx context.Context, k int) ([]HotKey, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		node, err := p.cfg.Meta.Node(route.Primary)
+		node, err := view.Node(route.Primary)
 		if err != nil {
 			continue // racing failover/repair; partial data is fine here
 		}

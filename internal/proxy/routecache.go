@@ -77,29 +77,39 @@ func (p *Proxy) routingView() (metaserver.RoutingView, error) {
 	return view, nil
 }
 
+// hop resolves partition index part of view: its route and its
+// primary's handle. The view carries the node handles, so a routed call
+// reaches the control plane only to refetch an invalidated table.
+func hop(view metaserver.RoutingView, part int) (partition.Route, *datanode.Node, error) {
+	if part < 0 || part >= len(view.Partitions) {
+		return partition.Route{}, nil, metaserver.ErrUnknownPartition
+	}
+	route := view.Partitions[part]
+	node, err := view.Node(route.Primary)
+	return route, node, err
+}
+
 // routeForKey resolves key's route from the cached table.
-func (p *Proxy) routeForKey(key []byte) (partition.Route, error) {
+func (p *Proxy) routeForKey(key []byte) (partition.Route, *datanode.Node, error) {
 	view, err := p.routingView()
 	if err != nil {
-		return partition.Route{}, err
+		return partition.Route{}, nil, err
 	}
-	if len(view.Partitions) == 0 {
-		return partition.Route{}, metaserver.ErrUnknownPartition
+	part := -1 // an empty table has no partition for any key
+	if n := len(view.Partitions); n > 0 {
+		part = partition.PartitionOf(key, n)
 	}
-	return view.Partitions[partition.PartitionOf(key, len(view.Partitions))], nil
+	return hop(view, part)
 }
 
 // routeForIndex resolves partition index part's route from the cached
 // table.
-func (p *Proxy) routeForIndex(part int) (partition.Route, error) {
+func (p *Proxy) routeForIndex(part int) (partition.Route, *datanode.Node, error) {
 	view, err := p.routingView()
 	if err != nil {
-		return partition.Route{}, err
+		return partition.Route{}, nil, err
 	}
-	if part < 0 || part >= len(view.Partitions) {
-		return partition.Route{}, metaserver.ErrUnknownPartition
-	}
-	return view.Partitions[part], nil
+	return hop(view, part)
 }
 
 // retryableRouteErr reports whether err indicates the proxy's routing
@@ -132,18 +142,15 @@ func (p *Proxy) noteRouteFailure(nodeID string, err error) {
 // caller unchanged. The retry honors ctx: a deadline that expires
 // between the first attempt and the retry surfaces the context
 // sentinel instead of dispatching doomed work.
-func (p *Proxy) routed(ctx context.Context, resolve func() (partition.Route, error), fn func(node *datanode.Node, route partition.Route) error) error {
+func (p *Proxy) routed(ctx context.Context, resolve func() (partition.Route, *datanode.Node, error), fn func(node *datanode.Node, route partition.Route) error) error {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		route, err := resolve()
+		route, node, err := resolve()
 		if err != nil {
-			return err
-		}
-		node, err := p.cfg.Meta.Node(route.Primary)
-		if err != nil {
-			// Node vanished from the pool (FailNode): refresh and retry.
+			// The primary had left the pool when the view was taken
+			// (FailNode, repair still running): refresh and retry.
 			if attempt == 0 && retryableRouteErr(err) {
 				p.InvalidateRoutes()
 				continue
@@ -162,11 +169,11 @@ func (p *Proxy) routed(ctx context.Context, resolve func() (partition.Route, err
 // withRoute runs fn on the primary of key's partition (see routed):
 // the form every keyed operation uses.
 func (p *Proxy) withRoute(ctx context.Context, key []byte, fn func(node *datanode.Node, route partition.Route) error) error {
-	return p.routed(ctx, func() (partition.Route, error) { return p.routeForKey(key) }, fn)
+	return p.routed(ctx, func() (partition.Route, *datanode.Node, error) { return p.routeForKey(key) }, fn)
 }
 
 // partRoute runs fn on the primary of partition index part (see
 // routed): the form scans and change streams use.
 func (p *Proxy) partRoute(ctx context.Context, part int, fn func(node *datanode.Node, route partition.Route) error) error {
-	return p.routed(ctx, func() (partition.Route, error) { return p.routeForIndex(part) }, fn)
+	return p.routed(ctx, func() (partition.Route, *datanode.Node, error) { return p.routeForIndex(part) }, fn)
 }

@@ -2,6 +2,7 @@ package abase
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -97,5 +98,79 @@ func TestPoolShrinkBounds(t *testing.T) {
 	}
 	if n2.ID() != "dn-004" {
 		t.Fatalf("recycled id %s after decommission, want dn-004", n2.ID())
+	}
+}
+
+// TestWritesRacingRemoveNode decommissions a node that leads partitions
+// while writers keep writing to all of them: every write the cluster
+// acknowledged — before, during or after the removal — must read back.
+// The removed primary goes down as it is unregistered, so it cannot
+// acknowledge a write the repair's promotion (drain, then the freshest
+// follower) does not see.
+func TestWritesRacingRemoveNode(t *testing.T) {
+	c := newCluster(t, ClusterConfig{Nodes: 5, Replicas: 3, AdmitCost: time.Nanosecond})
+	tenant, err := c.CreateTenant(TenantSpec{Name: "race", QuotaRU: 1e9, Partitions: 4, DisableProxyCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := tenant.Client()
+	view, err := c.Meta.RoutingView("race")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := view.Partitions[0].Primary
+
+	const writers, warmup = 4, 50
+	acked := make([][]string, writers) // each writer's own acknowledged keys
+	stop := make(chan struct{})
+	var running, done sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		running.Add(1)
+		done.Add(1)
+		go func(w int) {
+			defer done.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := fmt.Sprintf("w%d-%06d", w, i)
+				// A write that fails mid-decommission was not acknowledged.
+				if err := cl.Set(bg, []byte(k), []byte("v-"+k)); err == nil {
+					acked[w] = append(acked[w], k)
+				}
+				if i == warmup {
+					running.Done()
+				}
+			}
+		}(w)
+	}
+	running.Wait()
+	if err := c.RemoveNode(victim); err != nil {
+		t.Fatalf("RemoveNode(%s): %v", victim, err)
+	}
+	close(stop)
+	done.Wait()
+	for i := 0; i < 20; i++ {
+		k := fmt.Sprintf("after-%02d", i)
+		if err := cl.Set(bg, []byte(k), []byte("v-"+k)); err != nil {
+			t.Fatalf("Set %s after the decommission: %v", k, err)
+		}
+		acked[0] = append(acked[0], k)
+	}
+
+	c.Meta.FlushReplication()
+	total := 0
+	for _, keys := range acked {
+		total += len(keys)
+		for _, k := range keys {
+			if v, err := cl.Get(bg, []byte(k)); err != nil || string(v) != "v-"+k {
+				t.Fatalf("acknowledged write %s reads back %q, %v", k, v, err)
+			}
+		}
+	}
+	if total < writers*warmup {
+		t.Fatalf("only %d writes acknowledged", total)
 	}
 }
