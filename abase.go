@@ -37,6 +37,7 @@ import (
 
 	"abase/internal/clock"
 	"abase/internal/datanode"
+	"abase/internal/hashfield"
 	"abase/internal/lavastore"
 	"abase/internal/metaserver"
 	"abase/internal/proxy"
@@ -67,6 +68,9 @@ var (
 	// burned resources on an answer the caller could not use. It
 	// matches errors.Is(err, ErrDeadlineExceeded).
 	ErrShed = datanode.ErrDeadlineShed
+	// ErrWrongType is returned by the hash operations for a key whose
+	// stored value is not a hash.
+	ErrWrongType = hashfield.ErrNotHash
 	// ErrConditionNotMet is returned by Set when an NX/XX condition
 	// left the key unchanged (use SetWith to observe this without an
 	// error).
@@ -569,73 +573,65 @@ func setOptions(opts []SetOption) proxy.PutOptions {
 	return o
 }
 
-// plainSet reports whether o is an unconditional fire-and-forget write
-// that can skip the read-modify-write probe.
-func plainSet(o proxy.PutOptions) bool {
-	return o.Cond == proxy.CondNone && !o.KeepTTL && !o.ReturnOld
-}
-
 // Set writes a key. Options select a TTL (WithTTL), conditional
 // semantics (IfNotExists/IfExists — an unmet condition returns
 // ErrConditionNotMet), TTL preservation (KeepTTL), or old-value
-// retrieval (use SetWith for the value itself).
+// retrieval (use SetWith for the value itself). Without options it is
+// the plain write: the primary probes nothing.
 func (c *Client) Set(ctx context.Context, key, value []byte, opts ...SetOption) error {
-	o := setOptions(opts)
-	if plainSet(o) {
-		// No condition, no probe: the plain write path.
-		return c.fleet.Put(ctx, key, value, o.TTL)
+	res, err := c.SetWith(ctx, key, value, opts...)
+	if err == nil && !res.Written {
+		err = ErrConditionNotMet
 	}
-	res, err := c.fleet.PutWith(ctx, key, value, o)
-	if err != nil {
-		return err
-	}
-	if !res.Written {
-		return ErrConditionNotMet
-	}
-	return nil
+	return err
 }
 
 // SetWith is Set returning the full conditional-write outcome: whether
 // the write applied, and (under ReturnOld) the previous value. An
 // unmet NX/XX condition is reported via Written=false, not an error.
 func (c *Client) SetWith(ctx context.Context, key, value []byte, opts ...SetOption) (SetResult, error) {
-	return c.fleet.PutWith(ctx, key, value, setOptions(opts))
+	return c.fleet.Route(key).PutWith(ctx, key, value, setOptions(opts))
 }
 
 // Delete removes a key, returning ErrNotFound when it does not exist.
-func (c *Client) Delete(ctx context.Context, key []byte) error { return c.fleet.Delete(ctx, key) }
+func (c *Client) Delete(ctx context.Context, key []byte) error {
+	return c.fleet.Route(key).Delete(ctx, key)
+}
 
 // FieldValue is one field/value pair of a multi-field hash write.
 type FieldValue = proxy.FieldValue
 
 // HSet sets a hash field, reporting 1 when the field is new.
 func (c *Client) HSet(ctx context.Context, key []byte, field string, value []byte) (int, error) {
-	return c.fleet.HSet(ctx, key, field, value)
+	return c.fleet.Route(key).HSet(ctx, key, field, value)
 }
 
 // HSetFields sets several hash fields in one proxy admission and one
-// DataNode read-modify-write (the multi-field HSET path), reporting
-// how many fields were new. Duplicate fields apply left to right.
+// read-modify-write applied atomically on the primary (the multi-field
+// HSET path), reporting how many fields were new. Duplicate fields apply
+// left to right; the key's TTL is kept.
 func (c *Client) HSetFields(ctx context.Context, key []byte, fields []FieldValue) (int, error) {
-	return c.fleet.HSetMulti(ctx, key, fields)
+	return c.fleet.Route(key).HSetMulti(ctx, key, fields)
 }
 
 // HGet reads a hash field.
 func (c *Client) HGet(ctx context.Context, key []byte, field string) ([]byte, error) {
-	return c.fleet.HGet(ctx, key, field)
+	return c.fleet.Route(key).HGet(ctx, key, field)
 }
 
 // HLen returns a hash's field count.
-func (c *Client) HLen(ctx context.Context, key []byte) (int, error) { return c.fleet.HLen(ctx, key) }
+func (c *Client) HLen(ctx context.Context, key []byte) (int, error) {
+	return c.fleet.Route(key).HLen(ctx, key)
+}
 
 // HGetAll returns a hash's full contents.
 func (c *Client) HGetAll(ctx context.Context, key []byte) (map[string][]byte, error) {
-	return c.fleet.HGetAll(ctx, key)
+	return c.fleet.Route(key).HGetAll(ctx, key)
 }
 
 // HDel deletes hash fields, reporting how many existed.
 func (c *Client) HDel(ctx context.Context, key []byte, fields ...string) (int, error) {
-	return c.fleet.HDel(ctx, key, fields...)
+	return c.fleet.Route(key).HDel(ctx, key, fields...)
 }
 
 // MGet reads several keys through the batched proxy path: one quota
@@ -649,17 +645,6 @@ func (c *Client) MGet(ctx context.Context, keys ...[]byte) ([][]byte, error) {
 	return values, batchError(errs, func(err error) bool {
 		return errors.Is(err, ErrNotFound)
 	})
-}
-
-// MSet writes several key/value pairs as one batch per proxy
-// sub-batch. On partial failure the error is a *BatchError; pair
-// order within the batch is unspecified (map iteration).
-func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
-	kvs := make([]KV, 0, len(pairs))
-	for k, v := range pairs {
-		kvs = append(kvs, KV{Key: []byte(k), Value: v})
-	}
-	return c.MSetPairs(ctx, kvs)
 }
 
 // MSetPairs writes kvs in order as one batch per proxy sub-batch.
@@ -699,7 +684,7 @@ func (c *Client) MExists(ctx context.Context, keys ...[]byte) ([]bool, error) {
 // TTL returns key's remaining time-to-live. hasTTL is false when the
 // key exists without an expiry; ErrNotFound when the key is absent.
 func (c *Client) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL bool, err error) {
-	return c.fleet.TTL(ctx, key)
+	return c.fleet.Route(key).TTL(ctx, key)
 }
 
 // scanPageSize is the pre-filter page budget Keys and DBSize use for
@@ -848,14 +833,14 @@ func (c *Client) DBSize(ctx context.Context) (int64, error) {
 
 // Expire sets key's TTL, returning ErrNotFound for absent keys.
 func (c *Client) Expire(ctx context.Context, key []byte, ttl time.Duration) error {
-	return c.fleet.Expire(ctx, key, ttl)
+	return c.fleet.Route(key).Expire(ctx, key, ttl)
 }
 
 // Persist removes key's TTL, reporting whether an expiry was actually
 // removed (false for keys stored without one); ErrNotFound for absent
 // keys.
 func (c *Client) Persist(ctx context.Context, key []byte) (bool, error) {
-	return c.fleet.Persist(ctx, key)
+	return c.fleet.Route(key).Persist(ctx, key)
 }
 
 // HotKey is one tenant-level heavy hitter: a key and its windowed

@@ -106,7 +106,7 @@ func TestMGetMSet(t *testing.T) {
 	c := newCluster(t, ClusterConfig{Nodes: 3})
 	tn, _ := c.CreateTenant(TenantSpec{Name: "m", QuotaRU: 100000})
 	cl := tn.Client()
-	if err := cl.MSet(bg, map[string][]byte{"a": []byte("1"), "b": []byte("2")}); err != nil {
+	if err := cl.MSetPairs(bg, []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}); err != nil {
 		t.Fatal(err)
 	}
 	vs, err := cl.MGet(bg, []byte("a"), []byte("missing"), []byte("b"))

@@ -81,3 +81,51 @@ func TestPlaneBoundaries(t *testing.T) {
 		t.Errorf("internal/proxy names the MetaServer handle %d times outside a method call, want 2 (Config.Meta's type, New's nil check)", bare)
 	}
 }
+
+// TestNodeOpIsOneRun keeps "one request is one admission, one RU charge
+// and one WFQ task" true by construction: a client-facing DataNode
+// operation — an exported *Node method that takes the caller's context —
+// never calls another one. A command built from two of them (the old
+// HSET was a Get then a Put) is two pipeline runs with a window between
+// them; it belongs in one op's I/O stage instead.
+func TestNodeOpIsOneRun(t *testing.T) {
+	fset := token.NewFileSet()
+	type method struct {
+		decl *ast.FuncDecl
+		recv string
+	}
+	ops := map[string]method{}
+	for _, f := range parseNonTest(t, fset, "internal/datanode") {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() || len(fn.Type.Params.List) == 0 {
+				continue
+			}
+			star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok || len(fn.Recv.List[0].Names) == 0 {
+				continue
+			}
+			ctx, ok := fn.Type.Params.List[0].Type.(*ast.SelectorExpr)
+			if id, isID := star.X.(*ast.Ident); ok && isID && id.Name == "Node" && ctx.Sel.Name == "Context" {
+				ops[fn.Name.Name] = method{fn, fn.Recv.List[0].Names[0].Name}
+			}
+		}
+	}
+	for _, want := range []string{"Get", "TTL", "Put", "PutAt", "Write", "MultiGet", "MultiContains", "MultiWrite", "RangeScan"} {
+		if _, ok := ops[want]; !ok {
+			t.Errorf("Node.%s is not recognised as a client-facing op: the rule below checks nothing for it", want)
+		}
+	}
+	for name, m := range ops {
+		ast.Inspect(m.decl.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if recv, isID := sel.X.(*ast.Ident); isID && recv.Name == m.recv {
+					if _, isOp := ops[sel.Sel.Name]; isOp {
+						t.Errorf("%s: Node.%s calls Node.%s: a client-facing op is one pipeline run", fset.Position(sel.Pos()), name, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	}
+}

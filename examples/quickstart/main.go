@@ -54,7 +54,7 @@ func main() {
 	fmt.Println()
 
 	// Batch operations.
-	c.MSet(ctx, map[string][]byte{"a": []byte("1"), "b": []byte("2")})
+	c.MSetPairs(ctx, []abase.KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}})
 	vs, _ := c.MGet(ctx, []byte("a"), []byte("missing"), []byte("b"))
 	fmt.Printf("mget: a=%s missing=%v b=%s\n", vs[0], vs[1], vs[2])
 

@@ -11,10 +11,11 @@ import (
 	"abase/internal/wfq"
 )
 
-// WriteOp is one element of a batched write: a put, or a delete when
-// Delete is set (Value and TTL are then ignored). It is the engine's
-// own batch element, so group commits and replication messages hand
-// their ops to LavaStore without a conversion copy.
+// WriteOp is one committed write — a put, or a delete when Delete is set
+// (Value and TTL are then ignored): what a mutation came to once the
+// primary had decided it. It is the engine's own batch element, so group
+// commits and replication messages hand their ops to LavaStore without a
+// conversion copy.
 type WriteOp = lavastore.BatchOp
 
 // BatchValue is one key's outcome inside a batch operation. Err is nil
@@ -52,7 +53,7 @@ type GetBatch struct {
 // current; the sub-batch is fenced with ErrStaleEpoch on mismatch.
 type PutBatch struct {
 	PID   partition.ID
-	Ops   []WriteOp
+	Ops   []Mutation
 	Epoch uint64
 }
 
@@ -230,161 +231,22 @@ func (n *Node) MultiContains(ctx context.Context, groups []GetBatch) []BatchResu
 	return n.multiRead(ctx, groups, true)
 }
 
-// writeBatchOp applies the write sub-batch of one partition as one
-// group commit with per-op error slots.
-type writeBatchOp struct {
-	unit
-	ops  []WriteOp
-	vals []BatchValue // per-op outcome, parallel to ops
-	// committed is the ops the engine committed, in order (absent-key
-	// deletes drop out); lastSeq is the sequence the final one landed
-	// at — the whole group's replication position.
-	committed []WriteOp
-	lastSeq   uint64
-}
-
-// writeRU is the RU one op of a write batch costs (a delete carries no
-// value).
-func (n *Node) writeRU(op WriteOp) float64 {
-	if op.Delete {
-		return ru.WriteRU(0, n.cfg.Replicas)
-	}
-	return ru.WriteRU(len(op.Value), n.cfg.Replicas)
-}
-
-func (w *writeBatchOp) heat() {
-	w.rep.heat.Add(float64(len(w.ops)))
-	for _, op := range w.ops {
-		w.rep.hot.Touch(op.Key)
-	}
-}
-
-func (w *writeBatchOp) cpu() bool { return true } // writes always reach the I/O layer (WAL)
-
-func (w *writeBatchOp) io() {
-	n, db := w.n, w.rep.db
-	burn(n.cfg.Clock, time.Duration(len(w.ops))*n.cfg.Cost.IOWriteTime)
-	batch := make([]WriteOp, 0, len(w.ops))
-	// live tracks each touched key's existence as the batch's own ops
-	// apply in order; the engine probe only answers for pre-batch state.
-	live := make(map[string]bool)
-	for k, op := range w.ops {
-		if op.Delete {
-			// Deleting an absent key is a no-op that must report
-			// ErrNotFound (Redis DEL counts only existing keys).
-			exists, known := live[string(op.Key)]
-			if !known {
-				// Real metadata read; charge it as one.
-				burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-				_, err := db.TTL(op.Key)
-				exists = !errors.Is(err, lavastore.ErrNotFound)
-			}
-			if !exists {
-				live[string(op.Key)] = false
-				w.vals[k].Err = ErrNotFound
-				continue
-			}
-		}
-		live[string(op.Key)] = !op.Delete
-		batch = append(batch, op)
-	}
-	last, err := db.WriteBatchSeq(batch)
-	for k, op := range w.ops {
-		switch {
-		case w.vals[k].Err != nil: // absent-key delete: not in the batch
-		case err != nil:
-			w.vals[k].Err = err
-		case op.Delete || op.TTL > 0:
-			// TTL-bearing values stay out of the SA-LRU, which cannot
-			// expire them (see readOp.io).
-			n.cache.Delete(w.rep.cacheKey(op.Key))
-		default:
-			n.cache.Put(w.rep.cacheKey(op.Key), op.Value) // write-through keeps the node cache coherent
-		}
-	}
-	if err == nil {
-		w.committed, w.lastSeq = batch, last
-	}
-}
-
-// settle bills the ops that committed and hands exactly those to the
-// replication fabric as one message (replication stays asynchronous).
-func (w *writeBatchOp) settle() {
-	charged := 0.0
-	for _, op := range w.committed {
-		charged += w.n.writeRU(op)
-	}
-	w.ts.success.Add(int64(len(w.committed)))
-	w.ts.errors.Add(int64(len(w.ops) - len(w.committed)))
-	if len(w.committed) > 0 {
-		// The committed ops occupy the contiguous sequence range ending
-		// at lastSeq on every replica (see putOp.settle).
-		w.rep.advancePos(w.lastSeq)
-		w.n.forward(w.rep, w.committed, w.lastSeq)
-	}
-	w.bill(charged)
-}
-
 // MultiWrite executes one node batch of writes: a single request-queue
-// admission for the node batch, one WFQ write task and one quota charge
-// per partition sub-batch (at its summed cost), and per-op error slots.
-// The result slice is parallel to groups.
+// admission for the node batch, and per partition sub-batch one writeOp —
+// one WFQ write task, one quota charge at its summed cost, one group
+// commit — with per-mutation error slots. Mutations of one sub-batch see
+// each other in order. The result slice is parallel to groups.
 func (n *Node) MultiWrite(ctx context.Context, groups []PutBatch) []BatchResult {
 	return n.batch(ctx, len(groups), func(i int, out *BatchResult) (*unit, error) {
 		g := groups[i]
 		if len(g.Ops) == 0 {
 			return nil, nil
 		}
-		w := &writeBatchOp{ops: g.Ops, vals: make([]BatchValue, len(g.Ops))}
-		if err := n.place(&w.unit, w, g.PID, true, g.Epoch); err != nil {
+		w := &writeOp{muts: g.Ops, vals: make([]BatchValue, len(g.Ops))}
+		if err := n.placeWrite(w, g.PID, g.Epoch); err != nil {
 			return nil, err
 		}
-		size := 0
-		for _, op := range g.Ops {
-			w.cost += n.writeRU(op)
-			if !op.Delete {
-				size += len(op.Value)
-			}
-		}
-		w.class, w.iops = wfq.ClassFor(true, size), float64(len(g.Ops))
 		out.Values = w.vals
 		return &w.unit, nil
 	})
-}
-
-// BatchGet reads a sub-batch of keys that all live in pid — the
-// single-partition form of MultiGet.
-func (n *Node) BatchGet(ctx context.Context, pid partition.ID, keys [][]byte) (BatchResult, error) {
-	if len(keys) == 0 {
-		return BatchResult{}, nil
-	}
-	res := n.MultiGet(ctx, []GetBatch{{PID: pid, Keys: keys}})[0]
-	return res, res.Err
-}
-
-// BatchWrite applies a sub-batch of writes that all live in pid — the
-// single-partition form of MultiWrite.
-func (n *Node) BatchWrite(ctx context.Context, pid partition.ID, ops []WriteOp) (BatchResult, error) {
-	if len(ops) == 0 {
-		return BatchResult{}, nil
-	}
-	res := n.MultiWrite(ctx, []PutBatch{{PID: pid, Ops: ops}})[0]
-	return res, res.Err
-}
-
-// BatchContains reports, for each key in pid, whether it currently
-// exists — the single-partition form of MultiContains.
-func (n *Node) BatchContains(ctx context.Context, pid partition.ID, keys [][]byte) ([]bool, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	res := n.MultiContains(ctx, []GetBatch{{PID: pid, Keys: keys}})[0]
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	exists := make([]bool, len(res.Values))
-	for i, bv := range res.Values {
-		exists[i] = bv.Err == nil
-	}
-	return exists, nil
 }

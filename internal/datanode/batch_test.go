@@ -4,7 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"abase/internal/partition"
 )
+
+// The tests below drive one partition's sub-batch through the node-batch
+// entry points; these run a one-group batch and return its result.
+
+func multiGet(n *Node, p partition.ID, keys [][]byte) (BatchResult, error) {
+	res := n.MultiGet(bg, []GetBatch{{PID: p, Keys: keys}})[0]
+	return res, res.Err
+}
+
+func multiWrite(n *Node, p partition.ID, ops []Mutation) (BatchResult, error) {
+	res := n.MultiWrite(bg, []PutBatch{{PID: p, Ops: ops}})[0]
+	return res, res.Err
+}
+
+func multiContains(n *Node, p partition.ID, keys [][]byte) ([]bool, error) {
+	res := n.MultiContains(bg, []GetBatch{{PID: p, Keys: keys}})[0]
+	exists := make([]bool, len(res.Values))
+	for i, bv := range res.Values {
+		exists[i] = bv.Err == nil
+	}
+	return exists, res.Err
+}
 
 func TestBatchGetOrderAndPartialMisses(t *testing.T) {
 	n := newTestNode(t, Config{})
@@ -17,7 +41,7 @@ func TestBatchGetOrderAndPartialMisses(t *testing.T) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("k%d", i))
 	}
-	res, err := n.BatchGet(bg, p, keys)
+	res, err := multiGet(n, p, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +76,7 @@ func TestBatchGetSingleQuotaAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := rep.limiter.Stats()
-	if _, err := n.BatchGet(bg, p, keys); err != nil {
+	if _, err := multiGet(n, p, keys); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := rep.limiter.Stats()
@@ -66,14 +90,14 @@ func TestBatchGetThrottledAsBatch(t *testing.T) {
 	n.AddReplica(rid("t1", 0, 0), 0.000001, true)
 	p := pid("t1", 0)
 	keys := [][]byte{[]byte("a"), []byte("b")}
-	if _, err := n.BatchGet(bg, p, keys); !errors.Is(err, ErrThrottled) {
+	if _, err := multiGet(n, p, keys); !errors.Is(err, ErrThrottled) {
 		t.Fatalf("err = %v, want ErrThrottled", err)
 	}
 }
 
 func TestBatchGetUnknownPartition(t *testing.T) {
 	n := newTestNode(t, Config{})
-	if _, err := n.BatchGet(bg, pid("nobody", 0), [][]byte{[]byte("k")}); !errors.Is(err, ErrNoPartition) {
+	if _, err := multiGet(n, pid("nobody", 0), [][]byte{[]byte("k")}); !errors.Is(err, ErrNoPartition) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -84,12 +108,12 @@ func TestBatchWriteMixedOpsAndContains(t *testing.T) {
 	p := pid("t1", 0)
 	n.Put(bg, p, []byte("gone"), []byte("v"), 0)
 
-	ops := []WriteOp{
+	ops := []Mutation{
 		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("gone"), Delete: true},
+		{Key: []byte("gone"), Kind: MutDelete},
 		{Key: []byte("b"), Value: []byte("2")},
 	}
-	res, err := n.BatchWrite(bg, p, ops)
+	res, err := multiWrite(n, p, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +133,7 @@ func TestBatchWriteMixedOpsAndContains(t *testing.T) {
 		t.Fatalf("gone still present: %v", err)
 	}
 
-	exists, err := n.BatchContains(bg, p, [][]byte{[]byte("a"), []byte("ghost"), []byte("b"), []byte("gone")})
+	exists, err := multiContains(n, p, [][]byte{[]byte("a"), []byte("ghost"), []byte("b"), []byte("gone")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +151,13 @@ func TestBatchWriteDeleteSemantics(t *testing.T) {
 	p := pid("t1", 0)
 	n.Put(bg, p, []byte("old"), []byte("v"), 0)
 
-	res, err := n.BatchWrite(bg, p, []WriteOp{
-		{Key: []byte("absent"), Delete: true},     // no-op: ErrNotFound
-		{Key: []byte("old"), Delete: true},        // exists: deleted
-		{Key: []byte("old"), Delete: true},        // gone mid-batch: ErrNotFound
+	res, err := multiWrite(n, p, []Mutation{
+		{Key: []byte("absent"), Kind: MutDelete},  // no-op: ErrNotFound
+		{Key: []byte("old"), Kind: MutDelete},     // exists: deleted
+		{Key: []byte("old"), Kind: MutDelete},     // gone mid-batch: ErrNotFound
 		{Key: []byte("new"), Value: []byte("1")},  // put of absent key
-		{Key: []byte("new"), Delete: true},        // sees the batch's own put
-		{Key: []byte("back"), Delete: true},       // absent
+		{Key: []byte("new"), Kind: MutDelete},     // sees the batch's own put
+		{Key: []byte("back"), Kind: MutDelete},    // absent
 		{Key: []byte("back"), Value: []byte("2")}, // revived by put
 	})
 	if err != nil {
@@ -156,7 +180,7 @@ func TestBatchWriteDeleteSemantics(t *testing.T) {
 func TestDeleteAbsentSingleOp(t *testing.T) {
 	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 100000, true)
-	if _, err := n.Delete(bg, pid("t1", 0), []byte("ghost")); !errors.Is(err, ErrNotFound) {
+	if _, err := n.Write(bg, pid("t1", 0), 0, Mutation{Kind: MutDelete, Key: []byte("ghost")}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete absent = %v, want ErrNotFound", err)
 	}
 }
@@ -165,13 +189,13 @@ func TestBatchWriteSingleQuotaAdmission(t *testing.T) {
 	n := newTestNode(t, Config{EnablePartitionQuota: true})
 	n.AddReplica(rid("t1", 0, 0), 100000, true)
 	p := pid("t1", 0)
-	ops := make([]WriteOp, 16)
+	ops := make([]Mutation, 16)
 	for i := range ops {
-		ops[i] = WriteOp{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")}
+		ops[i] = Mutation{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")}
 	}
 	rep, _ := n.getReplica(p)
 	before, _ := rep.limiter.Stats()
-	if _, err := n.BatchWrite(bg, p, ops); err != nil {
+	if _, err := multiWrite(n, p, ops); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := rep.limiter.Stats()
@@ -184,13 +208,13 @@ func TestBatchEmptyInputs(t *testing.T) {
 	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1000, true)
 	p := pid("t1", 0)
-	if res, err := n.BatchGet(bg, p, nil); err != nil || len(res.Values) != 0 {
-		t.Fatalf("empty BatchGet = %+v, %v", res, err)
+	if res, err := multiGet(n, p, nil); err != nil || len(res.Values) != 0 {
+		t.Fatalf("empty MultiGet = %+v, %v", res, err)
 	}
-	if res, err := n.BatchWrite(bg, p, nil); err != nil || len(res.Values) != 0 {
-		t.Fatalf("empty BatchWrite = %+v, %v", res, err)
+	if res, err := multiWrite(n, p, nil); err != nil || len(res.Values) != 0 {
+		t.Fatalf("empty MultiWrite = %+v, %v", res, err)
 	}
-	if ex, err := n.BatchContains(bg, p, nil); err != nil || len(ex) != 0 {
-		t.Fatalf("empty BatchContains = %v, %v", ex, err)
+	if ex, err := multiContains(n, p, nil); err != nil || len(ex) != 0 {
+		t.Fatalf("empty MultiContains = %v, %v", ex, err)
 	}
 }

@@ -19,7 +19,7 @@ func TestChangesReadsCommittedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Delete(bg, p, []byte("b")); err != nil {
+	if _, err := del(n, p, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
 	batch, err := n.Changes(bg, p, 0, 100)

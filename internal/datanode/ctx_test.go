@@ -53,19 +53,19 @@ var opKinds = []struct {
 		_, err := n.Put(ctx, pid, key, []byte("v"), 0)
 		return err
 	}},
-	{"Delete", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
-		_, err := n.Delete(ctx, pid, key)
-		return err
-	}},
-	{"PutWith", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
-		_, err := n.PutWith(ctx, pid, 0, key, []byte("v"), PutOptions{Cond: CondNX})
-		return err
-	}},
+	// One Node.Write row per mutation kind ("Delete" and "PutWith" keep
+	// the subtest names they had as methods of their own).
+	{"Delete", writeKind(Mutation{Kind: MutDelete})},
+	{"PutWith", writeKind(Mutation{Value: []byte("v"), PutOptions: PutOptions{Cond: CondNX}})},
+	{"SetFields", writeKind(Mutation{Kind: MutSetFields, Fields: []FieldValue{{Field: "f", Value: []byte("v")}}})},
+	{"DelFields", writeKind(Mutation{Kind: MutDelFields, Fields: []FieldValue{{Field: "f"}}})},
+	{"SetTTL", writeKind(Mutation{Kind: MutSetTTL, PutOptions: PutOptions{TTL: time.Hour}})},
+	{"ClearTTL", writeKind(Mutation{Kind: MutClearTTL})},
 	{"MultiGet", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
 		return n.MultiGet(ctx, []GetBatch{{PID: pid, Keys: [][]byte{key}}})[0].Err
 	}},
 	{"MultiWrite", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
-		return n.MultiWrite(ctx, []PutBatch{{PID: pid, Ops: []WriteOp{{Key: key, Value: []byte("v")}}}})[0].Err
+		return n.MultiWrite(ctx, []PutBatch{{PID: pid, Ops: []Mutation{{Key: key, Value: []byte("v")}}}})[0].Err
 	}},
 	{"MultiContains", func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
 		return n.MultiContains(ctx, []GetBatch{{PID: pid, Keys: [][]byte{key}}})[0].Err
@@ -78,6 +78,16 @@ var opKinds = []struct {
 		_, _, err := n.TTL(ctx, pid, key)
 		return err
 	}},
+}
+
+// writeKind is the opKinds row of one mutation kind: m on the row's key.
+func writeKind(m Mutation) func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+	return func(ctx context.Context, n *Node, pid partition.ID, key []byte) error {
+		mk := m // rows run concurrently
+		mk.Key = key
+		_, err := n.Write(ctx, pid, 0, mk)
+		return err
+	}
 }
 
 // ioServed sums the I/O stages the node's four WFQs have run.
@@ -313,12 +323,12 @@ func TestPutWithConditionalSemantics(t *testing.T) {
 	key := []byte("cond")
 
 	// NX on an absent key writes.
-	res, err := n.PutWith(bg, pid, 0, key, []byte("v1"), PutOptions{Cond: CondNX, ReturnOld: true})
+	res, err := n.Write(bg, pid, 0, Mutation{Key: key, Value: []byte("v1"), PutOptions: PutOptions{Cond: CondNX, ReturnOld: true}})
 	if err != nil || !res.Written || res.OldExists || res.Old != nil {
 		t.Fatalf("NX absent: res=%+v err=%v", res, err)
 	}
 	// NX on an existing key refuses, reporting the old value under GET.
-	res, err = n.PutWith(bg, pid, 0, key, []byte("v2"), PutOptions{Cond: CondNX, ReturnOld: true})
+	res, err = n.Write(bg, pid, 0, Mutation{Key: key, Value: []byte("v2"), PutOptions: PutOptions{Cond: CondNX, ReturnOld: true}})
 	if err != nil || res.Written || !res.OldExists || string(res.Old) != "v1" {
 		t.Fatalf("NX existing: res=%+v err=%v", res, err)
 	}
@@ -326,12 +336,12 @@ func TestPutWithConditionalSemantics(t *testing.T) {
 		t.Fatalf("NX overwrote: %q", got.Value)
 	}
 	// XX on an existing key writes.
-	res, err = n.PutWith(bg, pid, 0, key, []byte("v3"), PutOptions{Cond: CondXX})
+	res, err = n.Write(bg, pid, 0, Mutation{Key: key, Value: []byte("v3"), PutOptions: PutOptions{Cond: CondXX}})
 	if err != nil || !res.Written {
 		t.Fatalf("XX existing: res=%+v err=%v", res, err)
 	}
 	// XX on an absent key refuses.
-	res, err = n.PutWith(bg, pid, 0, []byte("ghost"), []byte("v"), PutOptions{Cond: CondXX})
+	res, err = n.Write(bg, pid, 0, Mutation{Key: []byte("ghost"), Value: []byte("v"), PutOptions: PutOptions{Cond: CondXX}})
 	if err != nil || res.Written || res.OldExists {
 		t.Fatalf("XX absent: res=%+v err=%v", res, err)
 	}
@@ -343,7 +353,7 @@ func TestPutWithConditionalSemantics(t *testing.T) {
 	if _, err := n.Put(bg, pid, key, []byte("v4"), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	res, err = n.PutWith(bg, pid, 0, key, []byte("v5"), PutOptions{KeepTTL: true})
+	res, err = n.Write(bg, pid, 0, Mutation{Key: key, Value: []byte("v5"), PutOptions: PutOptions{KeepTTL: true}})
 	if err != nil || !res.Written || !res.Expiring {
 		t.Fatalf("KEEPTTL: res=%+v err=%v", res, err)
 	}
@@ -352,7 +362,7 @@ func TestPutWithConditionalSemantics(t *testing.T) {
 		t.Fatalf("KEEPTTL remaining = %v (has=%v err=%v), want ~1h", ttl, has, err)
 	}
 	// A plain conditional write without KEEPTTL clears the expiry.
-	if _, err := n.PutWith(bg, pid, 0, key, []byte("v6"), PutOptions{Cond: CondXX}); err != nil {
+	if _, err := n.Write(bg, pid, 0, Mutation{Key: key, Value: []byte("v6"), PutOptions: PutOptions{Cond: CondXX}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := n.TTL(bg, pid, key); err != nil {
@@ -360,6 +370,6 @@ func TestPutWithConditionalSemantics(t *testing.T) {
 	}
 	got, err := n.Get(bg, pid, key)
 	if err != nil || got.ExpireAt != 0 {
-		t.Fatalf("plain PutWith kept expiry: %+v err=%v", got, err)
+		t.Fatalf("plain conditional put kept expiry: %+v err=%v", got, err)
 	}
 }

@@ -205,6 +205,10 @@ type replica struct {
 	part    string
 	db      *lavastore.DB
 	limiter *quota.PartitionLimiter
+	// writeGate orders client writes on this replica: a write op that
+	// reads before it writes holds it exclusively from the read to the
+	// commit, blind writes share it (see writeOp.io).
+	writeGate sync.RWMutex
 	// ts is the owning tenant's node-wide state, resolved when the
 	// replica is added so no request looks it up.
 	ts *tenantStats

@@ -48,7 +48,7 @@ func TestPutGetDelete(t *testing.T) {
 	if err != nil || string(res.Value) != "v" {
 		t.Fatalf("Get = %q, %v", res.Value, err)
 	}
-	if _, err := n.Delete(bg, pid("t1", 0), []byte("k")); err != nil {
+	if _, err := del(n, pid("t1", 0), []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Get(bg, pid("t1", 0), []byte("k")); !errors.Is(err, ErrNotFound) {
@@ -205,37 +205,37 @@ func TestHashOps(t *testing.T) {
 	p := pid("t1", 0)
 	k := []byte("h")
 
-	if added, err := n.HSet(bg, p, k, "f1", []byte("v1")); err != nil || added != 1 {
+	if added, err := hSet(n, p, k, "f1", []byte("v1")); err != nil || added != 1 {
 		t.Fatalf("HSet new = %d, %v", added, err)
 	}
-	if added, _ := n.HSet(bg, p, k, "f1", []byte("v1b")); added != 0 {
+	if added, _ := hSet(n, p, k, "f1", []byte("v1b")); added != 0 {
 		t.Fatalf("HSet overwrite = %d", added)
 	}
-	n.HSet(bg, p, k, "f2", []byte("v2"))
+	hSet(n, p, k, "f2", []byte("v2"))
 
-	v, err := n.HGet(bg, p, k, "f1")
+	v, err := hGet(n, p, k, "f1")
 	if err != nil || string(v) != "v1b" {
 		t.Fatalf("HGet = %q, %v", v, err)
 	}
-	if _, err := n.HGet(bg, p, k, "absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := hGet(n, p, k, "absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("HGet absent: %v", err)
 	}
-	if l, _ := n.HLen(bg, p, k); l != 2 {
+	if l, _ := hLen(n, p, k); l != 2 {
 		t.Fatalf("HLen = %d", l)
 	}
-	all, _ := n.HGetAll(bg, p, k)
+	all, _ := hGetAll(n, p, k)
 	if len(all) != 2 || string(all["f2"]) != "v2" {
 		t.Fatalf("HGetAll = %v", all)
 	}
-	if removed, _ := n.HDel(bg, p, k, "f1", "absent"); removed != 1 {
+	if removed, _ := hDel(n, p, k, "f1", "absent"); removed != 1 {
 		t.Fatalf("HDel = %d", removed)
 	}
-	if l, _ := n.HLen(bg, p, k); l != 1 {
+	if l, _ := hLen(n, p, k); l != 1 {
 		t.Fatalf("HLen after HDel = %d", l)
 	}
 	// Deleting the last field removes the key.
-	n.HDel(bg, p, k, "f2")
-	if l, _ := n.HLen(bg, p, k); l != 0 {
+	hDel(n, p, k, "f2")
+	if l, _ := hLen(n, p, k); l != 0 {
 		t.Fatalf("HLen after emptying = %d", l)
 	}
 }
@@ -244,13 +244,13 @@ func TestHashOnMissingKey(t *testing.T) {
 	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1000, true)
 	p := pid("t1", 0)
-	if l, err := n.HLen(bg, p, []byte("nope")); err != nil || l != 0 {
+	if l, err := hLen(n, p, []byte("nope")); err != nil || l != 0 {
 		t.Fatalf("HLen = %d, %v", l, err)
 	}
-	if all, err := n.HGetAll(bg, p, []byte("nope")); err != nil || len(all) != 0 {
+	if all, err := hGetAll(n, p, []byte("nope")); err != nil || len(all) != 0 {
 		t.Fatalf("HGetAll = %v, %v", all, err)
 	}
-	if removed, err := n.HDel(bg, p, []byte("nope"), "f"); err != nil || removed != 0 {
+	if removed, err := hDel(n, p, []byte("nope"), "f"); err != nil || removed != 0 {
 		t.Fatalf("HDel = %d, %v", removed, err)
 	}
 }
@@ -540,7 +540,7 @@ func TestHSetMultiSemantics(t *testing.T) {
 	}
 	p := pid("t1", 0)
 	key := []byte("h")
-	added, err := n.HSetMulti(bg, p, key, []FieldValue{
+	added, err := hSetMulti(n, p, key, []FieldValue{
 		{Field: "f1", Value: []byte("a")},
 		{Field: "f1", Value: []byte("b")}, // duplicate: last wins, counted once
 		{Field: "f2", Value: []byte("c")},
@@ -548,21 +548,21 @@ func TestHSetMultiSemantics(t *testing.T) {
 	if err != nil || added != 2 {
 		t.Fatalf("HSetMulti = %d, %v; want 2 new fields", added, err)
 	}
-	if v, err := n.HGet(bg, p, key, "f1"); err != nil || string(v) != "b" {
+	if v, err := hGet(n, p, key, "f1"); err != nil || string(v) != "b" {
 		t.Fatalf("f1 = %q, %v; want last-wins b", v, err)
 	}
 	// Overwriting existing fields adds nothing; a fresh one counts.
-	added, err = n.HSetMulti(bg, p, key, []FieldValue{
+	added, err = hSetMulti(n, p, key, []FieldValue{
 		{Field: "f2", Value: []byte("c2")},
 		{Field: "f3", Value: []byte("d")},
 	})
 	if err != nil || added != 1 {
 		t.Fatalf("second HSetMulti = %d, %v; want 1", added, err)
 	}
-	if added, err := n.HSetMulti(bg, p, key, nil); err != nil || added != 0 {
+	if added, err := hSetMulti(n, p, key, nil); err != nil || added != 0 {
 		t.Fatalf("empty HSetMulti = %d, %v", added, err)
 	}
-	if cnt, err := n.HLen(bg, p, key); err != nil || cnt != 3 {
+	if cnt, err := hLen(n, p, key); err != nil || cnt != 3 {
 		t.Fatalf("HLen = %d, %v", cnt, err)
 	}
 }

@@ -82,7 +82,7 @@ func TestWriteFencing(t *testing.T) {
 		t.Fatalf("backwards role change: %v", err)
 	}
 	// Batch writes share the fence.
-	res := n.MultiWrite(bg, []PutBatch{{PID: pid, Ops: []WriteOp{{Key: []byte("k"), Value: []byte("v")}}, Epoch: 3}})
+	res := n.MultiWrite(bg, []PutBatch{{PID: pid, Ops: []Mutation{{Key: []byte("k"), Value: []byte("v")}}, Epoch: 3}})
 	if !errors.Is(res[0].Err, ErrStaleEpoch) {
 		t.Fatalf("stale-epoch batch write: %v", res[0].Err)
 	}

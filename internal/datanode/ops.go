@@ -2,9 +2,7 @@ package datanode
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"abase/internal/lavastore"
@@ -66,218 +64,281 @@ func (n *Node) TTL(ctx context.Context, pid partition.ID, key []byte) (time.Dura
 // check (trusted internal callers); proxies use PutAt with the epoch
 // from their route cache.
 func (n *Node) Put(ctx context.Context, pid partition.ID, key, value []byte, ttl time.Duration) (OpResult, error) {
-	return n.PutAt(ctx, pid, 0, key, value, ttl)
+	res, err := n.write(ctx, pid, 0, Mutation{Key: key, Value: value, PutOptions: PutOptions{TTL: ttl}})
+	return res.OpResult, err
 }
 
 // PutAt is Put with the caller's route epoch: the write is fenced with
 // ErrStaleEpoch when the epoch does not match the replica's, and with
 // ErrNotPrimary when this replica no longer serves writes.
 func (n *Node) PutAt(ctx context.Context, pid partition.ID, epoch uint64, key, value []byte, ttl time.Duration) (OpResult, error) {
-	res, err := n.put(ctx, pid, epoch, &putOp{key: key, value: value, ttl: ttl})
+	res, err := n.write(ctx, pid, epoch, Mutation{Key: key, Value: value, PutOptions: PutOptions{TTL: ttl}})
 	return res.OpResult, err
 }
 
-// Delete removes key.
-func (n *Node) Delete(ctx context.Context, pid partition.ID, key []byte) (OpResult, error) {
-	return n.DeleteAt(ctx, pid, 0, key)
-}
-
-// DeleteAt is Delete with the caller's route epoch (see PutAt).
-func (n *Node) DeleteAt(ctx context.Context, pid partition.ID, epoch uint64, key []byte) (OpResult, error) {
-	res, err := n.put(ctx, pid, epoch, &putOp{key: key, del: true})
-	return res.OpResult, err
-}
-
-// PutCond selects a conditional-write predicate (Redis SET NX/XX).
-type PutCond int
-
-// Conditional-write predicates.
-const (
-	// CondNone writes unconditionally.
-	CondNone PutCond = iota
-	// CondNX writes only when the key does not already exist.
-	CondNX
-	// CondXX writes only when the key already exists.
-	CondXX
-)
-
-// PutOptions carries the typed per-op options of a conditional write.
-type PutOptions struct {
-	// TTL sets the new record's expiry (0 = none unless KeepTTL).
-	TTL time.Duration
-	// KeepTTL preserves the existing record's remaining TTL instead of
-	// clearing it (Redis SET KEEPTTL). Ignored when TTL is set.
-	KeepTTL bool
-	// Cond gates the write on the key's current existence.
-	Cond PutCond
-	// ReturnOld fetches the key's previous value (Redis SET ... GET).
-	ReturnOld bool
-}
-
-// PutResult reports one conditional write.
+// PutResult reports one keyed write.
 type PutResult struct {
 	OpResult
-	// Written reports whether the write was applied; false means the
-	// NX/XX condition was not met (not an error).
+	// Written reports whether the mutation changed the record; false
+	// means there was nothing to do — an unmet NX/XX condition, no such
+	// field, no expiry to clear (not an error).
 	Written bool
+	// Count is the kind's own tally: fields added (MutSetFields) or
+	// removed (MutDelFields), otherwise 1 when Written.
+	Count int
 	// Old is the key's previous value (populated only under ReturnOld).
 	Old []byte
-	// OldExists reports whether the key existed before the write.
+	// OldExists reports whether the key existed before the write (known
+	// whenever the mutation had to look: every kind but a plain put).
 	OldExists bool
 	// Expiring reports whether the record now carries a TTL — caching
 	// layers above must not hold expiring values.
 	Expiring bool
 }
 
-// PutWith is the conditional form of PutAt: one read-modify-write
-// through the primary's write pipeline — a single admission, one WFQ
-// write task whose I/O stage probes the existing record, evaluates the
-// NX/XX predicate, resolves KEEPTTL, and applies the write — then
-// replicated like any other write. The probe and the write happen
-// inside one I/O stage, so no other client write can interleave
-// between them on this replica.
-func (n *Node) PutWith(ctx context.Context, pid partition.ID, epoch uint64, key, value []byte, opts PutOptions) (PutResult, error) {
-	return n.put(ctx, pid, epoch, &putOp{key: key, value: value, ttl: opts.TTL, rmw: true, opts: opts})
+// Write runs one mutation on the partition primary, fenced at the
+// caller's route epoch like PutAt: a single admission, one quota charge
+// and one WFQ write task whose I/O stage reads what the mutation needs
+// of the existing record, decides, and commits — so no other client
+// write can interleave between the read and the write on this replica —
+// then replicated like any other write.
+func (n *Node) Write(ctx context.Context, pid partition.ID, epoch uint64, m Mutation) (PutResult, error) {
+	return n.write(ctx, pid, epoch, m)
 }
 
-// putOp is one point write on a partition primary: a put, a delete, or
-// (rmw) the conditional read-modify-write form.
-type putOp struct {
-	unit
-	key, value []byte
-	ttl        time.Duration // as requested; under KEEPTTL resolved by the I/O stage
-	del        bool
-	rmw        bool // probe the record and evaluate opts before writing
-	opts       PutOptions
-
-	res      PutResult
-	probeLen int    // size of the record the rmw probe read
-	seq      uint64 // engine sequence the write committed at (0: nothing written)
-	ioErr    error
-}
-
-func (n *Node) put(ctx context.Context, pid partition.ID, epoch uint64, p *putOp) (PutResult, error) {
-	if err := n.place(&p.unit, p, pid, true, epoch); err != nil {
+func (n *Node) write(ctx context.Context, pid partition.ID, epoch uint64, m Mutation) (PutResult, error) {
+	w := &writeOp{}
+	w.one.m[0] = m
+	w.muts, w.vals = w.one.m[:], w.one.v[:]
+	if err := n.placeWrite(w, pid, epoch); err != nil {
 		return PutResult{}, err
 	}
-	p.class, p.iops = wfq.ClassFor(true, len(p.value)), 1
-	p.cost = ru.WriteRU(len(p.value), n.cfg.Replicas)
-	if p.rmw {
-		// The admission charge covers the probe read plus the
-		// replicated write.
-		p.cost += p.est.EstimateReadRU()
-		p.iops = 2
+	n.run(ctx, []*unit{&w.unit})
+	if w.err == nil {
+		w.err = w.vals[0].Err
 	}
-	n.run(ctx, []*unit{&p.unit})
-	if p.err != nil {
-		return PutResult{OpResult: OpResult{Latency: p.lat}}, p.err
-	}
-	p.res.RU, p.res.Latency = p.billed, p.lat
-	return p.res, nil
+	w.res.RU, w.res.Latency = w.billed, w.lat
+	return w.res, w.err
 }
 
-func (p *putOp) heat() {
-	p.rep.heat.Add(1)
-	p.rep.hot.Touch(p.key)
+// writeOp runs mutations on one partition primary: a point write is a
+// writeOp of one mutation, a MultiWrite sub-batch one of many — one
+// quota charge, one WFQ task and one engine commit (a group commit when
+// more than one mutation writes), with per-mutation error slots.
+type writeOp struct {
+	unit
+	muts []Mutation
+	vals []BatchValue // per-mutation error slot, parallel to muts
+	// one backs muts and vals for a point write, so the request stays a
+	// single heap object.
+	one struct {
+		m [1]Mutation
+		v [1]BatchValue
+	}
+	res PutResult // the last mutation's outcome: a point write's result
+	// committed is what the engine committed, in order (mutations that
+	// left their record alone drop out); lastSeq is the sequence the
+	// final op landed at — the whole group's replication position.
+	committed []WriteOp
+	lastSeq   uint64
+	charged   float64 // probes at what they read, writes at what they stored
+	probes    bool    // some mutation reads the record before it writes
 }
 
-func (p *putOp) cpu() bool { return true } // writes always reach the I/O layer (WAL)
+// errUncommitted marks, during the I/O stage, the slots whose mutation
+// is part of the pending commit; the commit's outcome replaces it.
+var errUncommitted = errors.New("datanode: write not committed")
 
-func (p *putOp) io() {
-	cfg, db, ck := &p.n.cfg, p.rep.db, p.rep.cacheKey(p.key)
-	if p.rmw && !p.probe() {
-		return
+// placeWrite fences w at epoch and prices it: the summed admission
+// estimate of its mutations, one I/O per write plus one per record
+// probe.
+func (n *Node) placeWrite(w *writeOp, pid partition.ID, epoch uint64) error {
+	if err := n.place(&w.unit, w, pid, true, epoch); err != nil {
+		return err
 	}
-	burn(cfg.Clock, cfg.Cost.IOWriteTime)
-	if p.del {
-		// Deleting an absent key reports ErrNotFound and writes no
-		// tombstone (matching the batched path and Redis DEL
-		// counting). The probe is a real metadata read; charge it as
-		// one.
-		burn(cfg.Clock, cfg.Cost.IOReadTime)
-		if _, err := db.TTL(p.key); errors.Is(err, lavastore.ErrNotFound) {
-			p.ioErr = ErrNotFound
-		} else {
-			p.seq, p.ioErr = db.DeleteSeq(p.key)
+	size := 0
+	for k := range w.muts {
+		m := &w.muts[k]
+		w.cost += m.AdmitRU(w.est, n.cfg.Replicas)
+		w.iops++
+		nd := m.need()
+		if nd == needRecord {
+			w.iops++
 		}
-		p.n.cache.Delete(ck)
-		return
+		w.probes = w.probes || nd != needNothing
+		size += m.size()
 	}
-	if p.seq, p.ioErr = db.PutSeq(p.key, p.value, p.ttl); p.ioErr != nil {
-		return
+	w.class = wfq.ClassFor(true, size)
+	return nil
+}
+
+func (w *writeOp) heat() {
+	w.rep.heat.Add(float64(len(w.muts)))
+	for k := range w.muts {
+		w.rep.hot.Touch(w.muts[k].Key)
 	}
-	p.res.Written, p.res.Expiring = true, p.ttl > 0
-	// Write-through keeps the node cache coherent — except for
-	// TTL-bearing values, which the SA-LRU cannot expire and so must
-	// not hold (see readOp.io).
-	if p.ttl > 0 {
-		p.n.cache.Delete(ck)
+}
+
+func (w *writeOp) cpu() bool { return true } // writes always reach the I/O layer (WAL)
+
+func (w *writeOp) io() {
+	n := w.n
+	// The I/O-WFQ runs one replica's stages on several threads. A
+	// mutation that reads before it writes must see no other write of its
+	// key between the two, so it holds the replica's write gate alone;
+	// blind puts only share it.
+	if gate := &w.rep.writeGate; w.probes {
+		gate.Lock()
+		defer gate.Unlock()
 	} else {
-		p.n.cache.Put(ck, p.value)
+		gate.RLock()
+		defer gate.RUnlock()
 	}
-}
-
-// probe is the read half of the read-modify-write: it reads the
-// existing record, evaluates the NX/XX predicate and resolves KEEPTTL,
-// reporting whether the write should go ahead.
-func (p *putOp) probe() bool {
-	cfg := &p.n.cfg
-	burn(cfg.Clock, cfg.Cost.IOReadTime) // a real record read
-	got, err := p.rep.db.Get(p.key)
-	exists := err == nil
-	if err != nil && !errors.Is(err, lavastore.ErrNotFound) {
-		p.ioErr = err
-		return false
+	// overlay is each touched key's state as the op's own mutations
+	// apply in order; the engine only answers for the state before the
+	// op. A point write has one mutation and needs neither map nor slice.
+	var overlay map[string]keyState
+	if len(w.muts) > 1 {
+		overlay = make(map[string]keyState)
+		w.committed = make([]WriteOp, 0, len(w.muts))
 	}
-	p.res.OldExists, p.probeLen = exists, len(got.Value)
-	if p.opts.ReturnOld && exists {
-		p.res.Old = got.Value
-	}
-	if (p.opts.Cond == CondNX && exists) || (p.opts.Cond == CondXX && !exists) {
-		return false // condition not met: probe only, no write
-	}
-	if p.ttl == 0 && p.opts.KeepTTL && exists && got.ExpireAt != 0 {
-		if remaining := time.Unix(got.ExpireAt, 0).Sub(cfg.Clock.Now()); remaining > 0 {
-			p.ttl = remaining
+	for k := range w.muts {
+		m, slot := &w.muts[k], &w.vals[k]
+		cur, nd := overlay[string(m.Key)], m.need()
+		if cur.known < nd {
+			if cur, slot.Err = w.probe(m.Key, nd); slot.Err != nil {
+				continue
+			}
+		}
+		eff, next, count, err := m.apply(cur)
+		switch {
+		case err != nil:
+			slot.Err = err
+		case eff == effNotFound:
+			slot.Err = ErrNotFound
+		case eff != effLeave:
+			slot.Err = errUncommitted
+			w.committed = append(w.committed, WriteOp{Key: m.Key, Value: next.value, TTL: next.ttl, Delete: eff == effTombstone})
+		}
+		written := slot.Err == errUncommitted
+		w.res = PutResult{Written: written, Count: count, Expiring: written && next.ttl > 0, OldExists: cur.exists}
+		if m.ReturnOld && cur.exists {
+			w.res.Old = cur.value
+		}
+		if overlay != nil {
+			overlay[string(m.Key)] = next
 		}
 	}
-	return true
-}
-
-// settle bills the probe at the size it really read plus the write if
-// one was applied, and hands an applied write to the fabric.
-func (p *putOp) settle() {
-	if p.ioErr != nil {
-		p.fail(p.ioErr)
+	if len(w.committed) == 0 {
 		return
 	}
-	charged := 0.0
-	if p.rmw {
-		p.est.ObserveRead(p.probeLen, false)
-		charged = ru.ReadRU(p.probeLen, 0)
+	burn(n.cfg.Clock, time.Duration(len(w.committed))*n.cfg.Cost.IOWriteTime)
+	last, err := w.rep.commit(w.committed, 0)
+	for k := range w.vals {
+		if w.vals[k].Err == errUncommitted {
+			w.vals[k].Err = err
+		}
 	}
-	if p.seq != 0 {
-		charged += ru.WriteRU(len(p.value), p.n.cfg.Replicas)
+	if err != nil {
+		w.committed = nil
+		return
+	}
+	w.lastSeq = last
+	for _, op := range w.committed {
+		w.charged += ru.WriteRU(len(op.Value), n.cfg.Replicas) // a tombstone carries no value
+		// Write-through keeps the node cache coherent — except for
+		// TTL-bearing values, which the SA-LRU cannot expire and so must
+		// not hold (see readOp.io).
+		if ck := w.rep.cacheKey(op.Key); op.Delete || op.TTL > 0 {
+			n.cache.Delete(ck)
+		} else {
+			n.cache.Put(ck, op.Value)
+		}
+	}
+}
+
+// probe reads what a mutation needs of key's current record from the
+// engine: a real read — metadata for existence (so deleting an absent
+// key writes no tombstone), the record for everything else — burned as
+// one, and a record read billed at the size it returned.
+func (w *writeOp) probe(key []byte, nd need) (keyState, error) {
+	cfg := &w.n.cfg
+	burn(cfg.Clock, cfg.Cost.IOReadTime)
+	st := keyState{known: nd, exists: true}
+	var err error
+	if nd == needExistence {
+		if st.ttl, err = w.rep.db.TTL(key); errors.Is(err, lavastore.ErrNoTTL) {
+			err = nil
+		}
+	} else {
+		var got lavastore.GetResult
+		got, err = w.rep.db.Get(key)
+		if st.value = got.Value; got.ExpireAt != 0 {
+			// Never 0: a record about to lapse must not turn persistent.
+			st.ttl = max(time.Unix(got.ExpireAt, 0).Sub(cfg.Clock.Now()), 1)
+		}
+		w.est.ObserveRead(len(got.Value), false)
+		w.charged += ru.ReadRU(len(got.Value), 0)
+	}
+	if errors.Is(err, lavastore.ErrNotFound) {
+		st.exists, err = false, nil
+	}
+	return st, err
+}
+
+// settle counts each mutation's own outcome, hands exactly the committed
+// ops to the replication fabric as one message (replication stays
+// asynchronous) and bills what the op read and stored.
+func (w *writeOp) settle() {
+	failed := int64(0)
+	for k := range w.vals {
+		if w.vals[k].Err != nil {
+			failed++
+		}
+	}
+	w.ts.success.Add(int64(len(w.vals)) - failed)
+	w.ts.errors.Add(failed)
+	if len(w.committed) > 0 {
 		// The engine sequence assigned under the commit lock IS the
-		// write's replication position: followers apply at the same
-		// sequence, so change-log offsets stay comparable across
-		// replicas and a resume token survives promotion. (A position
-		// counter bumped out here could order two concurrent commits
-		// differently from the engine.)
-		p.rep.advancePos(p.seq)
-		p.n.forward(p.rep, []WriteOp{{Key: p.key, Value: p.value, TTL: p.ttl, Delete: p.del}}, p.seq)
+		// write's replication position: followers apply the ops at the
+		// same contiguous sequences ending at lastSeq, so change-log
+		// offsets stay comparable across replicas and a resume token
+		// survives promotion. (A position counter bumped out here could
+		// order two concurrent commits differently from the engine.)
+		w.rep.advancePos(w.lastSeq)
+		w.n.forward(w.rep, w.committed, w.lastSeq)
 	}
-	p.ts.success.Inc()
-	p.bill(charged)
+	w.bill(w.charged)
+}
+
+// commit is the engine half of every write, client or system: one op
+// commits alone, several as one group. seq forces the sequence of the
+// LAST op (the ops then take the contiguous range ending there) or, when
+// 0, lets the engine assign the next ones; the last op's sequence is
+// returned.
+func (r *replica) commit(ops []WriteOp, seq uint64) (uint64, error) {
+	var err error
+	switch op := ops[0]; {
+	case len(ops) > 1 && seq != 0:
+		err = r.db.ApplyBatchAt(ops, seq)
+	case len(ops) > 1:
+		seq, err = r.db.WriteBatchSeq(ops)
+	case seq != 0:
+		err = r.db.ApplyAt(op.Key, op.Value, op.TTL, op.Delete, seq)
+	case op.Delete:
+		seq, err = r.db.DeleteSeq(op.Key)
+	default:
+		seq, err = r.db.PutSeq(op.Key, op.Value, op.TTL)
+	}
+	return seq, err
 }
 
 // apply is the one body behind every system write — replication
 // applies, bulk-copy records, split rehash, fixture preload: ops commit
 // on the hosted replica of pid as one group, bypassing quota and the
 // WFQ (replication traffic is system traffic). The callers differ only
-// in the three parameters: seq forces the sequence of the LAST op (the
-// ops then take the contiguous range ending there) or, when 0, lets the
-// engine assign the next ones; advance raises the replication position
+// in the three parameters: seq is commit's (forced, or 0 for
+// engine-assigned); advance raises the replication position
 // to the last sequence; forward hands the committed ops to the
 // replication fabric.
 func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forward bool) error {
@@ -285,22 +346,7 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 	if err != nil || len(ops) == 0 {
 		return err
 	}
-	forced := seq != 0
-	if len(ops) == 1 {
-		switch op := ops[0]; {
-		case forced:
-			err = rep.db.ApplyAt(op.Key, op.Value, op.TTL, op.Delete, seq)
-		case op.Delete:
-			seq, err = rep.db.DeleteSeq(op.Key)
-		default:
-			seq, err = rep.db.PutSeq(op.Key, op.Value, op.TTL)
-		}
-	} else if forced {
-		err = rep.db.ApplyBatchAt(ops, seq)
-	} else {
-		seq, err = rep.db.WriteBatchSeq(ops)
-	}
-	if err != nil {
+	if seq, err = rep.commit(ops, seq); err != nil {
 		return err
 	}
 	// Invalidate rather than populate: follower reads are rare next to
@@ -354,189 +400,4 @@ func (n *Node) ApplyCopied(pid partition.ID, seq uint64, key, value []byte, ttl 
 // tokens index into.
 func (n *Node) WriteThrough(pid partition.ID, key, value []byte, ttl time.Duration, del bool) error {
 	return n.apply(pid, []WriteOp{{Key: key, Value: value, TTL: ttl, Delete: del}}, 0, true, true)
-}
-
-// --- Hash (Redis hash) operations ---
-//
-// A hash is stored as a single encoded value under its key:
-// count uvarint, then per field: flen uvarint | field | vlen uvarint | value.
-// Complex-operation RU estimation decomposes HGetAll into HLen + scan
-// (§4.1).
-
-func encodeHash(m map[string][]byte) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for f, v := range m {
-		buf = binary.AppendUvarint(buf, uint64(len(f)))
-		buf = append(buf, f...)
-		buf = binary.AppendUvarint(buf, uint64(len(v)))
-		buf = append(buf, v...)
-	}
-	return buf
-}
-
-func decodeHash(data []byte) (map[string][]byte, error) {
-	m := map[string][]byte{}
-	if len(data) == 0 {
-		return m, nil
-	}
-	count, s := binary.Uvarint(data)
-	if s <= 0 {
-		return nil, fmt.Errorf("datanode: corrupt hash header")
-	}
-	data = data[s:]
-	for i := uint64(0); i < count; i++ {
-		flen, s := binary.Uvarint(data)
-		if s <= 0 || uint64(len(data)) < uint64(s)+flen {
-			return nil, fmt.Errorf("datanode: corrupt hash field")
-		}
-		f := string(data[s : s+int(flen)])
-		data = data[s+int(flen):]
-		vlen, s2 := binary.Uvarint(data)
-		if s2 <= 0 || uint64(len(data)) < uint64(s2)+vlen {
-			return nil, fmt.Errorf("datanode: corrupt hash value")
-		}
-		m[f] = append([]byte(nil), data[s2:s2+int(vlen)]...)
-		data = data[s2+int(vlen):]
-	}
-	return m, nil
-}
-
-// FieldValue is one field/value pair of a multi-field hash write.
-type FieldValue struct {
-	Field string
-	Value []byte
-}
-
-// HSet sets field=value in the hash at key, returning 1 if the field is
-// new and 0 if it overwrote.
-func (n *Node) HSet(ctx context.Context, pid partition.ID, key []byte, field string, value []byte) (int, error) {
-	return n.HSetMulti(ctx, pid, key, []FieldValue{{Field: field, Value: value}})
-}
-
-// readHash loads the hash at key; an absent key reads as the empty
-// hash (a stored hash always has at least one field).
-func (n *Node) readHash(ctx context.Context, pid partition.ID, key []byte) (map[string][]byte, error) {
-	res, err := n.Get(ctx, pid, key)
-	if errors.Is(err, ErrNotFound) {
-		return map[string][]byte{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return decodeHash(res.Value)
-}
-
-// HSetMulti sets every field/value pair in the hash at key as ONE
-// read-modify-write — one Get and one Put regardless of how many
-// fields the command carries — returning how many fields were new.
-// Duplicate fields apply left to right (the last value wins, counted
-// once if the field was new).
-func (n *Node) HSetMulti(ctx context.Context, pid partition.ID, key []byte, fvs []FieldValue) (int, error) {
-	if len(fvs) == 0 {
-		return 0, nil
-	}
-	m, err := n.readHash(ctx, pid, key)
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	for _, fv := range fvs {
-		if _, existed := m[fv.Field]; !existed {
-			added++
-		}
-		m[fv.Field] = fv.Value
-	}
-	if _, err := n.Put(ctx, pid, key, encodeHash(m), 0); err != nil {
-		return 0, err
-	}
-	return added, nil
-}
-
-// HGet returns the value of field in the hash at key.
-func (n *Node) HGet(ctx context.Context, pid partition.ID, key []byte, field string) ([]byte, error) {
-	m, err := n.readHash(ctx, pid, key)
-	if err != nil {
-		return nil, err
-	}
-	v, ok := m[field]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return v, nil
-}
-
-// HLen returns the number of fields in the hash at key.
-func (n *Node) HLen(ctx context.Context, pid partition.ID, key []byte) (int, error) {
-	m, err := n.HGetAll(ctx, pid, key)
-	return len(m), err
-}
-
-// HGetAll returns all fields and values of the hash at key. The
-// observed length feeds the complex-operation RU estimator.
-func (n *Node) HGetAll(ctx context.Context, pid partition.ID, key []byte) (map[string][]byte, error) {
-	m, err := n.readHash(ctx, pid, key)
-	if len(m) > 0 {
-		if rep, rerr := n.getReplica(pid); rerr == nil {
-			rep.ts.est.ObserveCollectionLen(len(m))
-		}
-	}
-	return m, err
-}
-
-// HDel removes fields from the hash at key, returning how many existed.
-func (n *Node) HDel(ctx context.Context, pid partition.ID, key []byte, fields ...string) (int, error) {
-	m, err := n.readHash(ctx, pid, key)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, f := range fields {
-		if _, ok := m[f]; ok {
-			delete(m, f)
-			removed++
-		}
-	}
-	if removed > 0 {
-		if len(m) == 0 {
-			_, err = n.Delete(ctx, pid, key)
-		} else {
-			_, err = n.Put(ctx, pid, key, encodeHash(m), 0)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return removed, nil
-}
-
-// Expire sets key's TTL, going through the full write pipeline so it
-// is charged and replicated like any write.
-func (n *Node) Expire(ctx context.Context, pid partition.ID, key []byte, ttl time.Duration) error {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		return err
-	}
-	_, err = n.Put(ctx, pid, key, res.Value, ttl)
-	return err
-}
-
-// Persist removes key's TTL, reporting whether an expiry was actually
-// removed. A key without a TTL is left untouched (no write, no
-// replication); an absent key returns ErrNotFound. Like Expire and
-// HSet this is a read-modify-write of two node ops, so a racing write
-// between them can be overwritten; Get's ExpireAt supplies the expiry
-// check without a separate TTL read.
-func (n *Node) Persist(ctx context.Context, pid partition.ID, key []byte) (bool, error) {
-	res, err := n.Get(ctx, pid, key)
-	if err != nil {
-		return false, err
-	}
-	if res.ExpireAt == 0 {
-		return false, nil // exists but already persistent
-	}
-	if _, err := n.Put(ctx, pid, key, res.Value, 0); err != nil {
-		return false, err
-	}
-	return true, nil
 }

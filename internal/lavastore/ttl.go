@@ -30,26 +30,6 @@ func (db *DB) TTL(key []byte) (time.Duration, error) {
 	return time.Unix(r.ExpireAt, 0).Sub(now), nil
 }
 
-// Expire sets (or replaces) the TTL on an existing key, rewriting its
-// current value with the new expiry. It returns ErrNotFound when the
-// key is absent.
-func (db *DB) Expire(key []byte, ttl time.Duration) error {
-	res, err := db.Get(key)
-	if err != nil {
-		return err
-	}
-	return db.Put(key, res.Value, ttl)
-}
-
-// Persist removes the TTL from an existing key, keeping its value.
-func (db *DB) Persist(key []byte) error {
-	res, err := db.Get(key)
-	if err != nil {
-		return err
-	}
-	return db.Put(key, res.Value, 0)
-}
-
 // getRecord finds the newest raw record for key across the memtable,
 // immutable memtables, and SSTables.
 func (db *DB) getRecord(key []byte) ([]byte, error) {

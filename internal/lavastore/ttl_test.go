@@ -57,42 +57,3 @@ func TestTTLSurvivesFlush(t *testing.T) {
 		t.Fatalf("TTL after flush = %v, %v", ttl, err)
 	}
 }
-
-func TestExpireSetsTTL(t *testing.T) {
-	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
-	db := openMem(t, Options{Clock: sim})
-	db.Put([]byte("k"), []byte("v"), 0)
-	if err := db.Expire([]byte("k"), time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.TTL([]byte("k")); err != nil {
-		t.Fatalf("TTL after Expire: %v", err)
-	}
-	sim.Advance(2 * time.Minute)
-	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("key did not expire: %v", err)
-	}
-}
-
-func TestExpireAbsent(t *testing.T) {
-	db := openMem(t, Options{})
-	if err := db.Expire([]byte("ghost"), time.Minute); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPersistRemovesTTL(t *testing.T) {
-	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
-	db := openMem(t, Options{Clock: sim})
-	db.Put([]byte("k"), []byte("v"), time.Minute)
-	if err := db.Persist([]byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	sim.Advance(time.Hour)
-	if _, err := db.Get([]byte("k")); err != nil {
-		t.Fatalf("persisted key expired: %v", err)
-	}
-	if _, err := db.TTL([]byte("k")); !errors.Is(err, ErrNoTTL) {
-		t.Fatalf("TTL after Persist: %v", err)
-	}
-}

@@ -321,11 +321,11 @@ func (p *Proxy) BatchExists(ctx context.Context, keys [][]byte) (exists []bool, 
 // multiWrite is the node dispatch of the write batches: one MultiWrite
 // carrying the node's sub-batches, fenced at their route epochs, with
 // write building the op for a batch position.
-func multiWrite(ctx context.Context, write func(i int) datanode.WriteOp) func(nb *nodeBatch) []datanode.BatchResult {
+func multiWrite(ctx context.Context, write func(i int) datanode.Mutation) func(nb *nodeBatch) []datanode.BatchResult {
 	return func(nb *nodeBatch) []datanode.BatchResult {
 		puts := make([]datanode.PutBatch, len(nb.gets))
 		for g := range nb.gets {
-			ops := make([]datanode.WriteOp, len(nb.idxs[g]))
+			ops := make([]datanode.Mutation, len(nb.idxs[g]))
 			for j, i := range nb.idxs[g] {
 				ops[j] = write(i)
 			}
@@ -347,8 +347,8 @@ func (p *Proxy) BatchPut(ctx context.Context, kvs []KV) []error {
 		keys: keys,
 		use:  cacheWrite,
 		cost: func(i int) float64 { return ru.WriteRU(len(kvs[i].Value), 3) },
-		dispatch: multiWrite(ctx, func(i int) datanode.WriteOp {
-			return datanode.WriteOp{Key: kvs[i].Key, Value: kvs[i].Value, TTL: kvs[i].TTL}
+		dispatch: multiWrite(ctx, func(i int) datanode.Mutation {
+			return datanode.Mutation{Key: kvs[i].Key, Value: kvs[i].Value, PutOptions: PutOptions{TTL: kvs[i].TTL}}
 		}),
 		result: func(i int, bv datanode.BatchValue, heat float64) error {
 			if bv.Err == nil {
@@ -366,8 +366,8 @@ func (p *Proxy) BatchDelete(ctx context.Context, keys [][]byte) []error {
 		keys: keys,
 		use:  cacheInvalidate,
 		cost: flatCost(ru.WriteRU(0, 3)),
-		dispatch: multiWrite(ctx, func(i int) datanode.WriteOp {
-			return datanode.WriteOp{Key: keys[i], Delete: true}
+		dispatch: multiWrite(ctx, func(i int) datanode.Mutation {
+			return datanode.Mutation{Kind: datanode.MutDelete, Key: keys[i]}
 		}),
 		result: func(_ int, bv datanode.BatchValue, _ float64) error { return bv.Err },
 	})

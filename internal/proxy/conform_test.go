@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -33,12 +34,25 @@ func seedPlain(t *testing.T, p *Proxy) {
 	p.cfg.Meta.FlushReplication() // the follower-read row needs it applied
 }
 
-// seedHash stores the key as a one-field hash.
+// seedHash stores the key as a one-field hash — expiring, like
+// seedPlain and for the same reason (field writes keep the key's TTL).
 func seedHash(t *testing.T, p *Proxy) {
 	t.Helper()
 	if _, err := p.HSet(bg, conformKey, "f", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.Expire(bg, conformKey, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nodesBilled sums what the DataNodes have billed the test tenant.
+func nodesBilled(p *Proxy) (total float64) {
+	for _, id := range p.cfg.Meta.Nodes() {
+		n, _ := p.cfg.Meta.Node(id)
+		total += n.TenantStats("t1").RUUsed
+	}
+	return total
 }
 
 // An absent key shows as one of:
@@ -403,14 +417,15 @@ func TestProxyOpsConform(t *testing.T) {
 
 	t.Run("served", func(t *testing.T) {
 		// A served request counts one success, one latency observation,
-		// and feeds the MetaServer's traffic-control window.
+		// and feeds the MetaServer's traffic-control window what the
+		// nodes billed for it — never the proxy's own estimate.
 		p := conformStack(t, 1e9, 1e9, nil)
 		for _, op := range proxyOps {
 			if op.seed != nil {
 				op.seed(t, p)
 			}
 			p.WindowRU()
-			before := readBooks(p)
+			before, billed := readBooks(p), nodesBilled(p)
 			if err := op.call(bg, p); err != nil {
 				t.Errorf("%s err = %v", op.name, err)
 			}
@@ -418,10 +433,51 @@ func TestProxyOpsConform(t *testing.T) {
 			if want := (Stats{Success: 1}); d.stats != want || d.latencies != 1 {
 				t.Errorf("%s counted %+v with %d latency observations, want %+v with 1", op.name, d.stats, d.latencies, want)
 			}
-			if w := p.WindowRU(); w <= 0 {
-				t.Errorf("%s fed traffic control %v RU, want > 0", op.name, w)
+			if w, billed := p.WindowRU(), nodesBilled(p)-billed; w <= 0 || math.Abs(w-billed) > 1e-9 {
+				t.Errorf("%s fed traffic control %v RU, want the %v the nodes billed (> 0)", op.name, w, billed)
 			}
 			p.Delete(bg, conformKey) // the next row starts from an absent key
 		}
 	})
+}
+
+// TestStaleEpochFencesEveryWrite: every keyed write carries the proxy's
+// route epoch, so a primary that has moved on answers ErrStaleEpoch to a
+// hash, TTL or conditional write exactly as it does to a SET — and each
+// is retried once, refunded and counted once (the MetaServer's table is
+// held stale here, so the retry meets the same fence).
+func TestStaleEpochFencesEveryWrite(t *testing.T) {
+	p := conformStack(t, 1e9, 1e9, nil)
+	seedHash(t, p) // warms the route cache too
+	route, node, err := p.routeForKey(conformKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.SetRoute(route.Partition, true, route.Epoch+1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range proxyOps {
+		switch op.name {
+		case "Put", "PutWith", "Delete", "Expire", "Persist", "HSetMulti", "HDel", "BatchPut", "BatchDelete":
+		default:
+			continue // reads are not fenced
+		}
+		before := readBooks(p)
+		err := op.call(bg, p)
+		d := readBooks(p).moved(before)
+		if !errors.Is(err, datanode.ErrStaleEpoch) {
+			t.Errorf("%s err = %v, want datanode.ErrStaleEpoch", op.name, err)
+		}
+		wantRefreshes := uint64(1)
+		if op.batch {
+			wantRefreshes = 2
+		}
+		if d.refreshes != wantRefreshes || !d.refundedInFull() || d.stats != (Stats{Errors: 1}) {
+			t.Errorf("%s: %d route refreshes, charged %v refunded %v, counted %+v; want one retry, a full refund, one error",
+				op.name, d.refreshes, d.charged, d.refunded, d.stats)
+		}
+	}
+	if all, err := p.HGetAll(bg, conformKey); err != nil || len(all) != 1 || string(all["f"]) != "v" {
+		t.Errorf("a fenced write reached the engine: %v, %v", all, err)
+	}
 }

@@ -32,8 +32,8 @@ const (
 	// cache (Get, BatchGet, BatchExists).
 	cacheRead
 	// cacheWrite heats the sketch — writes count toward hotness too —
-	// and its node call writes through or invalidates according to what
-	// it stored (Put, PutWith, BatchPut).
+	// and writes through or invalidates according to what the node
+	// stored (Put, PutWith, BatchPut).
 	cacheWrite
 	// cacheInvalidate drops the entry once a node has answered, found or
 	// not: the AU-LRU's TTL is independent of the engine's, so an
@@ -88,9 +88,8 @@ type keyed struct {
 // done, apply the AU-LRU policy, admit the cost through the proxy
 // quota, call the key's primary with the one bounded retry withRoute
 // gives every keyed path, and account for the outcome. call reports
-// the RU the node billed — the admitted cost where the node's API
-// returns none — which feeds the MetaServer's traffic-control window;
-// heat is the key's sketch estimate after this access, for the
+// the RU the node billed, which feeds the MetaServer's traffic-control
+// window; heat is the key's sketch estimate after this access, for the
 // hotness-gated cache fills.
 func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.Node, route partition.Route, heat float64) (float64, error)) error {
 	// A context that is already done never touches the sketch, the
@@ -124,6 +123,28 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 	p.success.Inc()
 	p.latency.Observe(p.cfg.Clock.Since(start))
 	return nil
+}
+
+// write runs one keyed mutation: admitted at the same pre-execution
+// estimate the node will use (with the proxy's own estimator), fenced at
+// the route's epoch, applied atomically by the key's primary. What feeds
+// traffic control is the RU the node billed; a cacheWrite writes through
+// (or, for an expiring result, invalidates) once the node stored the
+// value — an unmet condition left the record, and so the cache, as it
+// was.
+func (p *Proxy) write(ctx context.Context, use cacheUse, m datanode.Mutation) (res datanode.PutResult, err error) {
+	op := keyed{key: m.Key, cost: m.AdmitRU(p.est, 3), use: use}
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
+		var err error
+		if res, err = node.Write(ctx, route.Partition, route.Epoch, m); err != nil {
+			return 0, err
+		}
+		if use == cacheWrite && res.Written {
+			p.cacheWriteThrough(m.Key, m.Value, res.Expiring, heat)
+		}
+		return res.RU, nil
+	})
+	return res, err
 }
 
 // mapNodeErr translates data-plane sentinels into the proxy's.

@@ -89,10 +89,12 @@ func TestBatchRefundsOnlyWhatDidNoWork(t *testing.T) {
 // autonomy gets it restricted within one monitoring cycle.
 func TestDeleteAndHashTrafficIsRestricted(t *testing.T) {
 	m, p := newStack(t, 10, func(c *Config) { c.EnableCache = false })
-	throttled := false
+	// Traffic control sees what the nodes bill, so the burst must really
+	// use RU: each HSET stores 2 KiB, three replicas' worth.
+	throttled, value := false, make([]byte, 2048)
 	for i := 0; i < 1000 && !throttled; i++ {
 		key := []byte(fmt.Sprintf("h-%d", i))
-		_, err := p.HSet(bg, key, "f", []byte("v"))
+		_, err := p.HSet(bg, key, "f", value)
 		if err == nil {
 			err = p.Delete(bg, key)
 		}

@@ -2,17 +2,17 @@ package proxy
 
 import (
 	"context"
+	"errors"
 
 	"abase/internal/datanode"
+	"abase/internal/hashfield"
 	"abase/internal/partition"
-	"abase/internal/ru"
 )
 
-// Hash (Redis hash) operations forwarded to the primary DataNode.
-// Complex-operation RU estimation happens on the node (§4.1); the
-// proxy charges its quota with the pre-execution estimate — whole-hash
-// operations (HLen, HGetAll, HDel) at the HGetAll estimate — and, the
-// node's hash API reporting no RU, feeds traffic control that estimate.
+// Hash (Redis hash) operations. A hash is one encoded value under its
+// key (internal/hashfield): a field write is a mutation the primary
+// applies atomically (write), a field read is a Get this proxy decodes.
+// Hashes are not proxy-cached.
 
 // FieldValue is one field/value pair of a multi-field hash write.
 type FieldValue = datanode.FieldValue
@@ -23,101 +23,76 @@ func (p *Proxy) HSet(ctx context.Context, key []byte, field string, value []byte
 }
 
 // HSetMulti sets every field/value pair in one admission and ONE
-// DataNode round trip — the whole command is a single read-modify-write
-// on the node instead of one per pair. It returns how many fields were
-// new.
-func (p *Proxy) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (added int, err error) {
+// read-modify-write on the primary, keeping the key's TTL. It returns
+// how many fields were new.
+func (p *Proxy) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (int, error) {
 	if len(fvs) == 0 {
 		return 0, nil
 	}
-	// One read of the hash plus one write per command; charge the write
-	// at the summed payload size.
-	var payload int
-	for _, fv := range fvs {
-		payload += len(fv.Field) + len(fv.Value)
+	// The write drops a stale plain entry.
+	res, err := p.write(ctx, cacheInvalidate, datanode.Mutation{Kind: datanode.MutSetFields, Key: key, Fields: fvs})
+	return res.Count, err
+}
+
+// HDel removes fields from the hash at key as one read-modify-write on
+// the primary, keeping the key's TTL; removing the last field deletes
+// the key. It returns how many fields existed.
+func (p *Proxy) HDel(ctx context.Context, key []byte, fields ...string) (int, error) {
+	fvs := make([]FieldValue, len(fields))
+	for i, f := range fields {
+		fvs[i].Field = f
 	}
-	// Hashes are not proxy-cached; the write drops a stale plain entry.
-	op := keyed{key: key, cost: p.est.EstimateReadRU() + ru.WriteRU(payload, 3), use: cacheInvalidate}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		added, err = node.HSetMulti(ctx, route.Partition, key, fvs)
-		return op.cost, err
+	res, err := p.write(ctx, cacheInvalidate, datanode.Mutation{Kind: datanode.MutDelFields, Key: key, Fields: fvs})
+	return res.Count, err
+}
+
+// readHash reads and decodes the hash at key, admitted at cost, and
+// hands it to pick inside the request — so a field pick misses as a
+// not-found read, counted and billed like one. An absent key reads as
+// the empty hash (a stored hash always has at least one field). The
+// decoded length feeds the complex-operation estimate (§4.1).
+func (p *Proxy) readHash(ctx context.Context, key []byte, cost float64, pick func(m map[string][]byte) error) error {
+	return p.point(ctx, keyed{key: key, cost: cost}, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
+		res, err := node.Get(ctx, route.Partition, key)
+		if err != nil && !errors.Is(err, datanode.ErrNotFound) {
+			return 0, err
+		}
+		m, err := hashfield.Decode(res.Value)
+		if err != nil {
+			return 0, err
+		}
+		if len(m) > 0 {
+			p.est.ObserveCollectionLen(len(m))
+		}
+		return res.RU, pick(m)
 	})
-	return added, err
 }
 
 // HGet returns the value of field in the hash at key.
 func (p *Proxy) HGet(ctx context.Context, key []byte, field string) (v []byte, err error) {
-	op := keyed{key: key, cost: p.est.EstimateReadRU()}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		v, err = node.HGet(ctx, route.Partition, key, field)
-		return op.cost, err
+	err = p.readHash(ctx, key, p.est.EstimateReadRU(), func(m map[string][]byte) error {
+		var ok bool
+		if v, ok = m[field]; !ok {
+			return datanode.ErrNotFound
+		}
+		return nil
 	})
 	return v, err
 }
 
 // HLen returns the number of fields in the hash at key.
-func (p *Proxy) HLen(ctx context.Context, key []byte) (n int, err error) {
-	op := keyed{key: key, cost: p.est.EstimateHGetAllRU()}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		n, err = node.HLen(ctx, route.Partition, key)
-		return op.cost, err
+func (p *Proxy) HLen(ctx context.Context, key []byte) (int, error) {
+	all, err := p.HGetAll(ctx, key)
+	return len(all), err
+}
+
+// HGetAll returns every field and value of the hash at key. Whole-hash
+// reads are admitted at the HGetAll estimate: a length query plus a scan
+// of the expected number of fields.
+func (p *Proxy) HGetAll(ctx context.Context, key []byte) (all map[string][]byte, err error) {
+	err = p.readHash(ctx, key, p.est.EstimateHGetAllRU(), func(m map[string][]byte) error {
+		all = m
+		return nil
 	})
-	return n, err
-}
-
-// HGetAll returns every field and value of the hash at key.
-func (p *Proxy) HGetAll(ctx context.Context, key []byte) (m map[string][]byte, err error) {
-	op := keyed{key: key, cost: p.est.EstimateHGetAllRU()}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		m, err = node.HGetAll(ctx, route.Partition, key)
-		return op.cost, err
-	})
-	return m, err
-}
-
-// HDel removes fields from the hash at key.
-func (p *Proxy) HDel(ctx context.Context, key []byte, fields ...string) (n int, err error) {
-	op := keyed{key: key, cost: p.est.EstimateHGetAllRU(), use: cacheInvalidate}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		n, err = node.HDel(ctx, route.Partition, key, fields...)
-		return op.cost, err
-	})
-	return n, err
-}
-
-// Fleet hash forwarding: route by key, then delegate.
-
-// HSet routes and sets a hash field.
-func (f *Fleet) HSet(ctx context.Context, key []byte, field string, value []byte) (int, error) {
-	return f.Route(key).HSet(ctx, key, field, value)
-}
-
-// HSetMulti routes and sets several hash fields as one admission.
-func (f *Fleet) HSetMulti(ctx context.Context, key []byte, fvs []FieldValue) (int, error) {
-	return f.Route(key).HSetMulti(ctx, key, fvs)
-}
-
-// HGet routes and reads a hash field.
-func (f *Fleet) HGet(ctx context.Context, key []byte, field string) ([]byte, error) {
-	return f.Route(key).HGet(ctx, key, field)
-}
-
-// HLen routes and returns a hash's field count.
-func (f *Fleet) HLen(ctx context.Context, key []byte) (int, error) {
-	return f.Route(key).HLen(ctx, key)
-}
-
-// HGetAll routes and returns a hash's full contents.
-func (f *Fleet) HGetAll(ctx context.Context, key []byte) (map[string][]byte, error) {
-	return f.Route(key).HGetAll(ctx, key)
-}
-
-// HDel routes and deletes hash fields.
-func (f *Fleet) HDel(ctx context.Context, key []byte, fields ...string) (int, error) {
-	return f.Route(key).HDel(ctx, key, fields...)
+	return all, err
 }

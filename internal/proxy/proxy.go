@@ -345,15 +345,8 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 
 // Put writes key=value with an optional TTL through the proxy quota.
 func (p *Proxy) Put(ctx context.Context, key, value []byte, ttl time.Duration) error {
-	op := keyed{key: key, cost: ru.WriteRU(len(value), 3), use: cacheWrite}
-	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
-		res, err := node.PutAt(ctx, route.Partition, route.Epoch, key, value, ttl)
-		if err != nil {
-			return 0, err
-		}
-		p.cacheWriteThrough(key, value, ttl > 0, heat)
-		return res.RU, nil
-	})
+	_, err := p.write(ctx, cacheWrite, datanode.Mutation{Key: key, Value: value, PutOptions: PutOptions{TTL: ttl}})
+	return err
 }
 
 // PutOptions are the typed per-op options of a conditional write
@@ -370,57 +363,24 @@ const (
 	CondXX = datanode.CondXX
 )
 
-// SetResult reports one conditional write through the proxy.
-type SetResult struct {
-	// Written reports whether the write was applied; false means the
-	// NX/XX condition was not met (not an error).
-	Written bool
-	// Old is the key's previous value (populated only when
-	// PutOptions.ReturnOld was set).
-	Old []byte
-	// OldExists reports whether the key existed before the write.
-	OldExists bool
-}
+// SetResult reports one conditional write (re-exported from the data
+// plane): Written is false when the NX/XX condition was not met (not an
+// error); Old and OldExists describe the key before the write.
+type SetResult = datanode.PutResult
 
 // PutWith is the conditional form of Put (Redis SET NX/XX/KEEPTTL/GET):
 // one proxy admission charged as a read-modify-write, one DataNode
 // round trip that probes, evaluates, and writes atomically on the
 // primary, replicated like any write.
 func (p *Proxy) PutWith(ctx context.Context, key, value []byte, opts PutOptions) (SetResult, error) {
-	var res datanode.PutResult
-	op := keyed{key: key, cost: p.est.EstimateReadRU() + ru.WriteRU(len(value), 3), use: cacheWrite}
-	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
-		var err error
-		res, err = node.PutWith(ctx, route.Partition, route.Epoch, key, value, opts)
-		if err != nil {
-			return 0, err
-		}
-		// An unmet condition left the stored value — and so the cache —
-		// as it was.
-		if res.Written {
-			p.cacheWriteThrough(key, value, res.Expiring, heat)
-		}
-		return res.RU, nil
-	})
-	if err != nil {
-		return SetResult{}, err
-	}
-	return SetResult{Written: res.Written, Old: res.Old, OldExists: res.OldExists}, nil
+	return p.write(ctx, cacheWrite, datanode.Mutation{Key: key, Value: value, PutOptions: opts})
 }
 
-// PutWith routes and conditionally writes key (Redis SET options).
-func (f *Fleet) PutWith(ctx context.Context, key, value []byte, opts PutOptions) (SetResult, error) {
-	return f.Route(key).PutWith(ctx, key, value, opts)
-}
-
-// Delete removes key, returning ErrNotFound for absent keys.
+// Delete removes key, returning ErrNotFound for absent keys (still
+// billed: the node probed it).
 func (p *Proxy) Delete(ctx context.Context, key []byte) error {
-	// A delete of an absent key is still billed: the node probed it.
-	op := keyed{key: key, cost: ru.WriteRU(0, 3), use: cacheInvalidate}
-	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		res, err := node.DeleteAt(ctx, route.Partition, route.Epoch, key)
-		return res.RU, err
-	})
+	_, err := p.write(ctx, cacheInvalidate, datanode.Mutation{Kind: datanode.MutDelete, Key: key})
+	return err
 }
 
 // --- metaserver.RestrictableProxy ---
@@ -561,9 +521,6 @@ func (f *Fleet) Put(ctx context.Context, key, value []byte, ttl time.Duration) e
 	return f.Route(key).Put(ctx, key, value, ttl)
 }
 
-// Delete routes and deletes key.
-func (f *Fleet) Delete(ctx context.Context, key []byte) error { return f.Route(key).Delete(ctx, key) }
-
 // Proxies returns all proxies in the fleet.
 func (f *Fleet) Proxies() []*Proxy { return f.proxies }
 
@@ -614,34 +571,19 @@ func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL 
 	return ttl, hasTTL && ttl > 0, nil
 }
 
-// rewriteCost is the admission charge of an operation that makes the
-// node rewrite the record in place (Expire, Persist): a read plus a
-// replicated write at the expected value size, like any other
-// read-modify-write (see HSetMulti) — admission must charge the write,
-// not just the read.
-func (p *Proxy) rewriteCost() float64 {
-	return p.est.EstimateReadRU() + ru.WriteRU(int(p.est.ExpectedReadSize()), 3)
-}
-
-// Expire sets key's TTL through the proxy quota.
+// Expire sets key's TTL through the proxy quota: one read-modify-write
+// on the primary, which keeps whatever value it finds there.
 func (p *Proxy) Expire(ctx context.Context, key []byte, ttl time.Duration) error {
-	op := keyed{key: key, cost: p.rewriteCost(), use: cacheInvalidate}
-	return p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		return op.cost, node.Expire(ctx, route.Partition, key, ttl)
-	})
+	_, err := p.write(ctx, cacheInvalidate, datanode.Mutation{Kind: datanode.MutSetTTL, Key: key, PutOptions: PutOptions{TTL: ttl}})
+	return err
 }
 
 // Persist removes key's TTL through the proxy quota, reporting whether
 // an expiry was removed (false for keys stored without one). The AU-LRU
 // needs no invalidation: it never held the expiring value.
-func (p *Proxy) Persist(ctx context.Context, key []byte) (removed bool, err error) {
-	op := keyed{key: key, cost: p.rewriteCost()}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
-		var err error
-		removed, err = node.Persist(ctx, route.Partition, key)
-		return op.cost, err
-	})
-	return removed, err
+func (p *Proxy) Persist(ctx context.Context, key []byte) (bool, error) {
+	res, err := p.write(ctx, cacheBypass, datanode.Mutation{Kind: datanode.MutClearTTL, Key: key})
+	return res.Written, err
 }
 
 // HotKey is one tenant-level heavy hitter: a key and its windowed
@@ -694,21 +636,6 @@ func (p *Proxy) HotKeys(ctx context.Context, k int) ([]HotKey, error) {
 		out[i] = HotKey{Key: []byte(hk.Key), Count: hk.Count}
 	}
 	return out, nil
-}
-
-// TTL routes and queries a key's TTL.
-func (f *Fleet) TTL(ctx context.Context, key []byte) (time.Duration, bool, error) {
-	return f.Route(key).TTL(ctx, key)
-}
-
-// Expire routes and sets a key's TTL.
-func (f *Fleet) Expire(ctx context.Context, key []byte, ttl time.Duration) error {
-	return f.Route(key).Expire(ctx, key, ttl)
-}
-
-// Persist routes and removes a key's TTL.
-func (f *Fleet) Persist(ctx context.Context, key []byte) (bool, error) {
-	return f.Route(key).Persist(ctx, key)
 }
 
 // LocalHotKeys returns this proxy's own admission-sketch top-k. Unlike

@@ -352,13 +352,11 @@ func TestProxyHotKeysAggregation(t *testing.T) {
 }
 
 // TestHSetMultiOneRoundTrip: a multi-field HSET must cost one DataNode
-// read-modify-write (2 node ops) regardless of how many pairs the
+// read-modify-write (1 node op) regardless of how many pairs the
 // command carries — not one round trip per pair.
 func TestHSetMultiOneRoundTrip(t *testing.T) {
 	m, p := newStack(t, 1e9, func(c *Config) { c.EnableCache = false })
 	key := []byte("h")
-	// Seed the hash so the measured HSetMulti's internal read is a
-	// counted success rather than a first-write not-found.
 	if _, err := p.HSet(bg, key, "seed", []byte("s")); err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +378,8 @@ func TestHSetMultiOneRoundTrip(t *testing.T) {
 		n, _ := m.Node(nid)
 		opsAfter += n.TenantStats("t1").Success
 	}
-	if got := opsAfter - opsBefore; got != 2 {
-		t.Fatalf("node ops for 6-field HSET = %d, want 2 (one Get + one Put)", got)
+	if got := opsAfter - opsBefore; got != 1 {
+		t.Fatalf("node ops for 6-field HSET = %d, want 1 (one write op)", got)
 	}
 	all, err := p.HGetAll(bg, key)
 	if err != nil || len(all) != 7 { // 6 + seed

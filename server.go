@@ -195,6 +195,8 @@ func opErr(err error) resp.Value {
 		return resp.Err("TIMEOUT command deadline exceeded")
 	case errors.Is(err, ErrCanceled):
 		return resp.Err("ERR request canceled")
+	case errors.Is(err, ErrWrongType):
+		return resp.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
 	case errors.Is(err, ErrUnavailable):
 		return resp.Err("UNAVAILABLE primary down, failover in progress; retry")
 	default:
@@ -315,14 +317,9 @@ func (s *session) Handle(cmd resp.Command) resp.Value {
 				return resp.Err("ERR syntax error")
 			}
 		}
-		if !nx && !xx && !get && !keepTTL {
-			// Plain SET (optionally with a TTL): the unconditional write
-			// path, with no read-modify-write probe to pay for.
-			if err := c.Set(ctx, cmd.Args[0], cmd.Args[1], opts...); err != nil {
-				return opErr(err)
-			}
-			return resp.OK()
-		}
+		// One write either way: a SET without NX/XX/GET/KEEPTTL is a
+		// mutation that needs nothing of the old record, so the primary
+		// pays for no probe.
 		res, err := c.SetWith(ctx, cmd.Args[0], cmd.Args[1], opts...)
 		if err != nil {
 			return opErr(err)
