@@ -29,6 +29,22 @@ func TestSALRUBasics(t *testing.T) {
 	}
 }
 
+func TestSALRUDeletePrefix(t *testing.T) {
+	c := NewSALRU(1 << 20)
+	for _, k := range []string{"p1\x00a", "p1\x00b", "p10\x00a", "p2\x00a"} {
+		c.Put(k, []byte("value"))
+	}
+	c.DeletePrefix("p1\x00")
+	for k, want := range map[string]bool{"p1\x00a": false, "p1\x00b": false, "p10\x00a": true, "p2\x00a": true} {
+		if _, ok := c.Get(k); ok != want {
+			t.Errorf("after DeletePrefix: %q present = %v, want %v", k, ok, want)
+		}
+	}
+	if want := int64(len("p10\x00a") + len("p2\x00a") + 2*len("value")); c.Len() != 2 || c.Used() != want {
+		t.Errorf("Len %d Used %d, want 2 and %d", c.Len(), c.Used(), want)
+	}
+}
+
 func TestSALRUUpdateReplaces(t *testing.T) {
 	c := NewSALRU(1 << 20)
 	c.Put("k", []byte("old"))

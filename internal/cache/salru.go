@@ -3,6 +3,7 @@ package cache
 import (
 	"container/list"
 	"math/bits"
+	"strings"
 	"sync"
 )
 
@@ -115,6 +116,19 @@ func (c *SALRU) Delete(key string) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.removeElement(el)
+	}
+}
+
+// DeletePrefix removes every key that starts with prefix — one owner's
+// whole share of a cache whose keys are namespaced by owner. It walks
+// all entries, so it is for rare events, not request paths.
+func (c *SALRU) DeletePrefix(prefix string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key, el := range c.items {
+		if strings.HasPrefix(key, prefix) {
+			c.removeElement(el)
+		}
 	}
 }
 

@@ -3,9 +3,11 @@ package datanode
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"abase/internal/clock"
 	"abase/internal/partition"
 	"abase/internal/wfq"
 )
@@ -130,6 +132,28 @@ func TestPreCanceledNeverReachesEngine(t *testing.T) {
 	}
 }
 
+// gateClock is the real clock, except that a Sleep of exactly hold is
+// counted and parks until release is closed: the test decides how long
+// an admit worker stays busy, and reads off how many requests it spent
+// admit cost on.
+type gateClock struct {
+	clock.Real
+	hold    time.Duration
+	sleeps  atomic.Int64
+	entered chan struct{} // receives once per counted Sleep
+	release chan struct{}
+}
+
+func (c *gateClock) Sleep(d time.Duration) {
+	if d != c.hold {
+		c.Real.Sleep(d)
+		return
+	}
+	c.sleeps.Add(1)
+	c.entered <- struct{}{}
+	<-c.release
+}
+
 // TestCanceledInAdmissionQueueAborts: a request of any kind canceled
 // while it waits in the admission queue resolves with the context
 // error when the worker dequeues it — without burning admit cost,
@@ -137,31 +161,35 @@ func TestPreCanceledNeverReachesEngine(t *testing.T) {
 func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 	for _, op := range opKinds {
 		t.Run(op.name, func(t *testing.T) {
-			// One admit worker spending 30ms per request: the second
-			// request sits in the queue while we cancel it.
-			n, pid := slowNode(t, fastCost(), 30*time.Millisecond)
+			// One admit worker, parked in the first request's admit cost
+			// for as long as the test likes: the second request sits in
+			// the queue while we cancel it.
+			const admitCost = 30 * time.Millisecond
+			clk := &gateClock{hold: admitCost, entered: make(chan struct{}, len(opKinds)), release: make(chan struct{})}
+			n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
 			first := make(chan struct{})
 			go func() {
 				op.call(context.Background(), n, pid, []byte("occupy"))
 				close(first)
 			}()
-			time.Sleep(5 * time.Millisecond) // the first request reaches the admit worker
+			<-clk.entered // the first request holds the admit worker
 
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
-			start := time.Now()
 			go func() { done <- op.call(ctx, n, pid, []byte("victim")) }()
-			time.Sleep(2 * time.Millisecond) // let it enqueue behind the first
+			for n.admit.depth() == 0 { // until it is queued behind the first
+				time.Sleep(50 * time.Microsecond)
+			}
 			cancel()
+			close(clk.release)
 			if err := <-done; !errors.Is(err, context.Canceled) {
 				t.Fatalf("queued err = %v, want context.Canceled", err)
 			}
-			// It must resolve when the worker dequeues it (~30ms), not
-			// after burning its own 30ms admit cost too.
-			if lat := time.Since(start); lat > 55*time.Millisecond {
-				t.Errorf("canceled request held for %v: admit cost was burned for it", lat)
-			}
 			<-first
+			// The worker dequeued both; only the occupier cost it anything.
+			if got := clk.sleeps.Load(); got != 1 {
+				t.Errorf("admit cost was burned %d times, want once: the canceled request must not pay it", got)
+			}
 			if got := ioServed(n); got != 1 {
 				t.Errorf("I/O stages run = %d, want only the occupier's", got)
 			}

@@ -202,7 +202,10 @@ type replica struct {
 	id partition.ReplicaID
 	// part is id.Partition.String(): the WFQ partition name and the
 	// partition half of a cache key, rendered once.
-	part    string
+	part string
+	// dir is the engine's directory on the node's FS; RemoveReplica
+	// empties it.
+	dir     string
 	db      *lavastore.DB
 	limiter *quota.PartitionLimiter
 	// writeGate orders client writes on this replica: a write op that
@@ -461,6 +464,7 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 	rep := &replica{
 		id:      rid,
 		part:    rid.Partition.String(),
+		dir:     dir,
 		db:      db,
 		limiter: quota.NewPartitionLimiter(quotaRU, n.cfg.Clock),
 		ts:      n.tenantStateLocked(rid.Partition.Tenant),
@@ -592,7 +596,17 @@ func (n *Node) RemoveReplica(pid partition.ID) error {
 	if !ok {
 		return ErrNoPartition
 	}
-	return rep.db.Close()
+	err := rep.db.Close()
+	// The replica is gone for good (a move copied it elsewhere first), so
+	// its files and cached values go too: left behind, the files stay
+	// resident on a MemFS forever, and a later replica of the same number
+	// would reopen them — or be answered from the cache — as its own.
+	n.cache.DeletePrefix(rep.cacheKey(nil)) // the empty key's name prefixes every key's
+	names, lerr := n.cfg.FS.List(rep.dir)
+	for _, name := range names {
+		err = errors.Join(err, n.cfg.FS.Remove(rep.dir+"/"+name))
+	}
+	return errors.Join(err, lerr)
 }
 
 // HostsReplica reports whether the node hosts pid.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"abase/internal/lavastore"
 	"abase/internal/partition"
 )
 
@@ -381,6 +382,43 @@ func TestRemoveReplica(t *testing.T) {
 	}
 	if len(n.Replicas()) != 0 {
 		t.Fatal("replica list not empty")
+	}
+}
+
+// TestRemoveReplicaDeletesItsFiles: a removed replica leaves nothing on
+// the node's filesystem, so a moved partition's bytes are released and
+// a later replica of the same number starts empty instead of reopening
+// the old one's tables beneath its backfill.
+func TestRemoveReplicaDeletesItsFiles(t *testing.T) {
+	fs := lavastore.NewMemFS()
+	n := newTestNode(t, Config{FS: fs})
+	other := rid("t1", 1, 0)
+	for _, r := range []partition.ReplicaID{rid("t1", 0, 0), other} {
+		if err := n.AddReplica(r, 1e6, true); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Put(bg, r.Partition, []byte("k"), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := "node-test/" + pid("t1", 0).String() + "-0"
+	if names, _ := fs.List(dir); len(names) == 0 {
+		t.Fatalf("no engine files under %q: the test is looking in the wrong place", dir)
+	}
+	if err := n.RemoveReplica(pid("t1", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := fs.List(dir); len(names) != 0 {
+		t.Errorf("removed replica left files behind: %v", names)
+	}
+	if err := n.AddReplica(rid("t1", 0, 0), 1e6, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := n.Get(bg, pid("t1", 0), []byte("k")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("re-added replica serves the removed one's data: %q, %v", got.Value, err)
+	}
+	if got, err := n.Get(bg, other.Partition, []byte("k")); err != nil || string(got.Value) != "v" {
+		t.Errorf("a neighbouring replica lost its data: %q, %v", got.Value, err)
 	}
 }
 

@@ -30,16 +30,20 @@ func newBloomFilter(nkeys int) *bloomFilter {
 	}
 }
 
-func bloomHash(key []byte) (uint32, uint32) {
+// bloomHash is the one hash a key's probe positions derive from.
+func bloomHash(key []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(key)
-	v := h.Sum64()
-	return uint32(v), uint32(v >> 32)
+	return h.Sum64()
 }
 
 // Add inserts key into the filter.
-func (b *bloomFilter) Add(key []byte) {
-	h1, h2 := bloomHash(key)
+func (b *bloomFilter) Add(key []byte) { b.addHash(bloomHash(key)) }
+
+// addHash inserts a key by its bloomHash, so a writer can keep eight
+// bytes per key, not the key, until the filter's size is known.
+func (b *bloomFilter) addHash(v uint64) {
+	h1, h2 := uint32(v), uint32(v>>32)
 	for i := uint32(0); i < b.k; i++ {
 		bit := (h1 + i*h2) % b.nbits
 		b.bits[bit/8] |= 1 << (bit % 8)
@@ -52,7 +56,8 @@ func (b *bloomFilter) MayContain(key []byte) bool {
 	if b.nbits == 0 {
 		return true
 	}
-	h1, h2 := bloomHash(key)
+	v := bloomHash(key)
+	h1, h2 := uint32(v), uint32(v>>32)
 	for i := uint32(0); i < b.k; i++ {
 		bit := (h1 + i*h2) % b.nbits
 		if b.bits[bit/8]&(1<<(bit%8)) == 0 {

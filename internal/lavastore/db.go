@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abase/internal/clock"
@@ -75,8 +76,8 @@ type DB struct {
 
 	mu        sync.RWMutex
 	mem       *skiplist.List
-	imm       []*skiplist.List // immutable memtables awaiting flush
-	tables    []*Table         // newest first
+	imm       []*skiplist.List // immutable memtables awaiting flush; replaced whole like tables
+	tables    []*Table         // newest first; replaced whole, never written in place
 	wal       *walWriter
 	walName   string
 	walBytes  int64 // appended to the live WAL since the last rotation
@@ -93,7 +94,7 @@ type DB struct {
 
 	flushes        int64
 	compactions    int64
-	getIOReads     int64
+	getIOReads     atomic.Int64 // bumped by Get outside mu
 	expiredDropped int64
 }
 
@@ -450,7 +451,7 @@ func (db *DB) Get(key []byte) (GetResult, error) {
 	}
 	mem := db.mem
 	imm := db.imm
-	tables := append([]*Table(nil), db.tables...)
+	tables := db.tables
 	db.mu.RUnlock()
 
 	now := db.opt.Clock.Now().Unix()
@@ -471,15 +472,11 @@ func (db *DB) Get(key []byte) (GetResult, error) {
 			return GetResult{IOReads: ioReads}, err
 		}
 		if found {
-			db.mu.Lock()
-			db.getIOReads += int64(ioReads)
-			db.mu.Unlock()
+			db.getIOReads.Add(int64(ioReads))
 			return db.finishGet(rec, ioReads, now)
 		}
 	}
-	db.mu.Lock()
-	db.getIOReads += int64(ioReads)
-	db.mu.Unlock()
+	db.getIOReads.Add(int64(ioReads))
 	return GetResult{IOReads: ioReads}, ErrNotFound
 }
 
@@ -523,7 +520,9 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		return false, nil
 	}
 	frozen := db.mem
-	db.imm = append(db.imm, frozen)
+	// imm and tables are replaced whole, never written in place: Get
+	// reads the slices it snapshotted after dropping mu.
+	db.imm = append(db.imm[:len(db.imm):len(db.imm)], frozen)
 	db.mem = skiplist.New(1)
 	// The old WAL holds frozen's records; it must outlive this flush
 	// (removed below only once the SSTable is installed), or a crash
@@ -565,13 +564,15 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 	}
 
 	db.mu.Lock()
-	// Remove frozen from imm and install the table as newest.
-	for i, m := range db.imm {
-		if m == frozen {
-			db.imm = append(db.imm[:i], db.imm[i+1:]...)
-			break
+	// Remove frozen from imm and install the table as newest, both as
+	// fresh slices (see the freeze above).
+	var imm []*skiplist.List
+	for _, m := range db.imm {
+		if m != frozen {
+			imm = append(imm, m)
 		}
 	}
+	db.imm = imm
 	db.tables = append([]*Table{t}, db.tables...)
 	db.flushes++
 	tooMany = len(db.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
@@ -678,7 +679,7 @@ func (db *DB) Compact() error {
 		}
 	}
 	next = append(next, t)
-	db.tables = next
+	db.tables = next // likewise built fresh
 	db.compactions++
 	db.expiredDropped += dropped
 	db.mu.Unlock()
@@ -717,7 +718,7 @@ func (db *DB) Stats() Stats {
 		Tables:         len(db.tables),
 		Flushes:        db.flushes,
 		Compactions:    db.compactions,
-		GetIOReads:     db.getIOReads,
+		GetIOReads:     db.getIOReads.Load(),
 		ExpiredDropped: db.expiredDropped,
 	}
 	for _, t := range db.tables {

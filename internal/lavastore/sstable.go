@@ -6,31 +6,51 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 )
 
 // SSTable layout:
 //
 //	entries:  repeated { klen uvarint | rlen uvarint | key | record }
 //	index:    count uvarint, repeated { klen uvarint | key | offset uvarint }
-//	          (one index entry per indexInterval entries; offset is the
-//	          file offset of the entry)
+//	          (sparse: one index entry per run of at most indexInterval
+//	          entries and about indexBytes entry bytes; offset is the file
+//	          offset of the run's first entry)
 //	bloom:    blen uvarint | marshaled bloom filter
 //	footer:   indexOff u64 LE | bloomOff u64 LE | entryCount u64 LE | magic u64 LE
+//
+// The format has no blocks: the constants below only set how much of
+// a file one operation touches. A reader needs nothing but the index
+// offsets, so tables cut by other rules (the earlier every-16-entries
+// one) open and serve unchanged.
 const (
-	sstMagic      = 0x4142617365535354 // "ABaseSST"
+	sstMagic   = 0x4142617365535354 // "ABaseSST"
+	footerSize = 32
+	// An index run ends after indexInterval entries or once it holds
+	// indexBytes of entry bytes, whichever comes first: a point read
+	// fetches one run, so it costs at most indexBytes plus one entry
+	// whatever the value size.
 	indexInterval = 16
-	footerSize    = 32
+	indexBytes    = 4 << 10
+	// ioBlockSize is the unit the writer hands the file and the
+	// iterator reads ahead by.
+	ioBlockSize = 64 << 10
 )
 
-// tableWriter streams sorted key/record pairs into an SSTable file.
+// tableWriter streams sorted key/record pairs into an SSTable file,
+// one File.Write per ioBlockSize of encoded bytes.
 type tableWriter struct {
 	f        File
-	off      int64
+	block    []byte // encoded bytes not yet handed to f
+	off      int64  // file offset the next encoded byte lands at
 	count    int
-	index    []indexEntry
-	keys     [][]byte // retained for the bloom filter
+	index    []byte   // encoded index entries
+	runs     int      // index entries in index
+	runCount int      // entries in the current index run
+	runBytes int      // entry bytes in the current index run
+	hashes   []uint64 // one bloom hash per key
 	lastKey  []byte
-	firstKey []byte
 }
 
 type indexEntry struct {
@@ -38,74 +58,72 @@ type indexEntry struct {
 	off int64
 }
 
-func newTableWriter(f File) *tableWriter { return &tableWriter{f: f} }
+func newTableWriter(f File) *tableWriter {
+	// A block is handed over once it reaches ioBlockSize, so it overshoots
+	// by part of one entry; the slack keeps ordinary entries from
+	// regrowing it.
+	return &tableWriter{f: f, block: make([]byte, 0, ioBlockSize+indexBytes)}
+}
 
 // Add appends a key/record pair. Keys must be added in strictly
 // ascending order.
 func (w *tableWriter) Add(key []byte, rec []byte) error {
-	if w.lastKey != nil && bytes.Compare(key, w.lastKey) <= 0 {
+	if w.count > 0 && bytes.Compare(key, w.lastKey) <= 0 {
 		return fmt.Errorf("lavastore: sstable keys out of order: %q after %q", key, w.lastKey)
 	}
-	if w.count%indexInterval == 0 {
-		w.index = append(w.index, indexEntry{key: append([]byte(nil), key...), off: w.off})
+	if w.count == 0 || w.runCount == indexInterval || w.runBytes >= indexBytes {
+		w.index = binary.AppendUvarint(w.index, uint64(len(key)))
+		w.index = append(w.index, key...)
+		w.index = binary.AppendUvarint(w.index, uint64(w.off))
+		w.runs++
+		w.runCount, w.runBytes = 0, 0
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(rec)))
-	for _, chunk := range [][]byte{hdr[:n], key, rec} {
-		m, err := w.f.Write(chunk)
-		if err != nil {
-			return err
-		}
-		w.off += int64(m)
-	}
-	kcopy := append([]byte(nil), key...)
-	w.keys = append(w.keys, kcopy)
-	w.lastKey = kcopy
-	if w.firstKey == nil {
-		w.firstKey = kcopy
-	}
+	start := len(w.block)
+	w.block = binary.AppendUvarint(w.block, uint64(len(key)))
+	w.block = binary.AppendUvarint(w.block, uint64(len(rec)))
+	w.block = append(w.block, key...)
+	w.block = append(w.block, rec...)
+	n := len(w.block) - start
+	w.off += int64(n)
+	w.runCount++
+	w.runBytes += n
+	w.hashes = append(w.hashes, bloomHash(key))
+	w.lastKey = append(w.lastKey[:0], key...)
 	w.count++
+	if len(w.block) >= ioBlockSize {
+		return w.flushBlock()
+	}
 	return nil
+}
+
+// flushBlock hands the buffered bytes to the file in one Write.
+func (w *tableWriter) flushBlock() error {
+	_, err := w.f.Write(w.block)
+	w.block = w.block[:0]
+	return err
 }
 
 // Finish writes the index, bloom filter, and footer, then syncs.
 func (w *tableWriter) Finish() error {
 	indexOff := w.off
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(w.index)))
-	for _, e := range w.index {
-		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-		buf = append(buf, e.key...)
-		buf = binary.AppendUvarint(buf, uint64(e.off))
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		return err
-	}
-	w.off += int64(len(buf))
+	start := len(w.block)
+	w.block = binary.AppendUvarint(w.block, uint64(w.runs))
+	w.block = append(w.block, w.index...)
+	bloomOff := indexOff + int64(len(w.block)-start)
 
-	bloomOff := w.off
-	bf := newBloomFilter(len(w.keys))
-	for _, k := range w.keys {
-		bf.Add(k)
+	bf := newBloomFilter(len(w.hashes))
+	for _, h := range w.hashes {
+		bf.addHash(h)
 	}
 	bb := bf.Marshal()
-	var blen []byte
-	blen = binary.AppendUvarint(blen, uint64(len(bb)))
-	if _, err := w.f.Write(blen); err != nil {
-		return err
-	}
-	if _, err := w.f.Write(bb); err != nil {
-		return err
-	}
-	w.off += int64(len(blen) + len(bb))
+	w.block = binary.AppendUvarint(w.block, uint64(len(bb)))
+	w.block = append(w.block, bb...)
 
-	var footer [footerSize]byte
-	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
-	binary.LittleEndian.PutUint64(footer[8:16], uint64(bloomOff))
-	binary.LittleEndian.PutUint64(footer[16:24], uint64(w.count))
-	binary.LittleEndian.PutUint64(footer[24:32], sstMagic)
-	if _, err := w.f.Write(footer[:]); err != nil {
+	w.block = binary.LittleEndian.AppendUint64(w.block, uint64(indexOff))
+	w.block = binary.LittleEndian.AppendUint64(w.block, uint64(bloomOff))
+	w.block = binary.LittleEndian.AppendUint64(w.block, uint64(w.count))
+	w.block = binary.LittleEndian.AppendUint64(w.block, sstMagic)
+	if err := w.flushBlock(); err != nil {
 		return err
 	}
 	return w.f.Sync()
@@ -137,7 +155,7 @@ func openTable(f File, name string) (*Table, error) {
 		return nil, fmt.Errorf("%w: file too small", errBadTable)
 	}
 	var footer [footerSize]byte
-	if _, err := f.ReadAt(footer[:], size-footerSize); err != nil {
+	if err := readFullAt(f, footer[:], size-footerSize); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint64(footer[24:32]) != sstMagic {
@@ -151,7 +169,7 @@ func openTable(f File, name string) (*Table, error) {
 	}
 
 	idxBuf := make([]byte, bloomOff-indexOff)
-	if _, err := io.ReadFull(io.NewSectionReader(f, indexOff, int64(len(idxBuf))), idxBuf); err != nil {
+	if err := readFullAt(f, idxBuf, indexOff); err != nil {
 		return nil, err
 	}
 	n, sz := binary.Uvarint(idxBuf)
@@ -176,7 +194,7 @@ func openTable(f File, name string) (*Table, error) {
 	}
 
 	bloomBuf := make([]byte, size-footerSize-bloomOff)
-	if _, err := io.ReadFull(io.NewSectionReader(f, bloomOff, int64(len(bloomBuf))), bloomBuf); err != nil {
+	if err := readFullAt(f, bloomBuf, bloomOff); err != nil {
 		return nil, err
 	}
 	blen, s := binary.Uvarint(bloomBuf)
@@ -200,25 +218,55 @@ func openTable(f File, name string) (*Table, error) {
 	return t, nil
 }
 
+// readFullAt fills buf from f at off; a short read is an error.
+func readFullAt(f File, buf []byte, off int64) error {
+	if n, err := f.ReadAt(buf, off); n < len(buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	return nil
+}
+
+// decodeEntry decodes the entry at the head of buf. size is the bytes
+// the entry occupies; when buf ends before the entry does, size exceeds
+// len(buf) (len(buf)+1 if not even the header fits) and key and rec are
+// nil. A header that cannot be a varint pair is an error.
+func decodeEntry(buf []byte) (key, rec []byte, size int, err error) {
+	klen, s := binary.Uvarint(buf)
+	rlen, s2 := binary.Uvarint(buf[max(s, 0):])
+	switch {
+	case s < 0 || s2 < 0 || klen > math.MaxInt32 || rlen > math.MaxInt32:
+		return nil, nil, 0, fmt.Errorf("%w: entry header", errBadTable)
+	case s == 0 || s2 == 0:
+		return nil, nil, len(buf) + 1, nil
+	}
+	hdr := s + s2
+	size = hdr + int(klen) + int(rlen)
+	if size > len(buf) {
+		return nil, nil, size, nil
+	}
+	return buf[hdr : hdr+int(klen)], buf[hdr+int(klen) : size], size, nil
+}
+
+// indexFloor returns the position of the last sparse-index entry with
+// key <= target, or -1 when target sorts before the table's first key.
+func (t *Table) indexFloor(target []byte) int {
+	return sort.Search(len(t.index), func(i int) bool {
+		return bytes.Compare(t.index[i].key, target) > 0
+	}) - 1
+}
+
 // Get looks up key. It returns the encoded record, whether the key is
 // present, and the number of simulated disk reads performed (0 when the
-// bloom filter rejects, 1 when the entry region was scanned).
+// bloom filter rejects, 1 when the entry region was scanned). A served
+// lookup is one ReadAt of one index run.
 func (t *Table) Get(key []byte) (rec []byte, found bool, ioReads int, err error) {
 	if !t.bloom.MayContain(key) {
 		return nil, false, 0, nil
 	}
-	// Binary search the sparse index for the last entry with key <= target.
-	lo, hi := 0, len(t.index)-1
-	pos := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(t.index[mid].key, key) <= 0 {
-			pos = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
+	pos := t.indexFloor(key)
 	if pos < 0 {
 		return nil, false, 1, nil // bloom false positive before first key
 	}
@@ -228,26 +276,18 @@ func (t *Table) Get(key []byte) (rec []byte, found bool, ioReads int, err error)
 		end = t.index[pos+1].off
 	}
 	buf := make([]byte, end-start)
-	if _, err := io.ReadFull(io.NewSectionReader(t.f, start, int64(len(buf))), buf); err != nil {
+	if err := readFullAt(t.f, buf, start); err != nil {
 		return nil, false, 1, fmt.Errorf("lavastore: read %s: %w", t.name, err)
 	}
 	for len(buf) > 0 {
-		klen, s := binary.Uvarint(buf)
-		if s <= 0 {
-			return nil, false, 1, fmt.Errorf("%w: entry klen in %s", errBadTable, t.name)
+		ekey, erec, size, err := decodeEntry(buf)
+		if err != nil {
+			return nil, false, 1, fmt.Errorf("%w in %s", err, t.name)
 		}
-		buf = buf[s:]
-		rlen, s := binary.Uvarint(buf)
-		if s <= 0 {
-			return nil, false, 1, fmt.Errorf("%w: entry rlen in %s", errBadTable, t.name)
-		}
-		buf = buf[s:]
-		if uint64(len(buf)) < klen+rlen {
+		if size > len(buf) {
 			return nil, false, 1, fmt.Errorf("%w: short entry in %s", errBadTable, t.name)
 		}
-		ekey := buf[:klen]
-		erec := buf[klen : klen+rlen]
-		buf = buf[klen+rlen:]
+		buf = buf[size:]
 		switch bytes.Compare(ekey, key) {
 		case 0:
 			return erec, true, 1, nil
@@ -270,69 +310,76 @@ func (t *Table) Name() string { return t.name }
 // Close releases the underlying file.
 func (t *Table) Close() error { return t.f.Close() }
 
-// tableIterator streams every entry of a table in key order.
+// tableIterator streams every entry of a table in key order, reading
+// the file ahead one ioBlockSize block at a time. After a seek to a
+// key the read-ahead starts at one index run and doubles per block, so
+// a page of a few entries does not pay for a block it will not read.
+// Blocks are filled alternately into two buffers, so the Key and Rec
+// of one entry stay intact across the following Next even when it
+// refills — the scan merge hands out a record after advancing past it.
 type tableIterator struct {
-	t   *Table
-	off int64
-	key []byte
-	rec []byte
-	err error
+	t     *Table
+	off   int64     // file offset of the next entry to decode
+	blk   []byte    // read-ahead bytes not yet decoded; blk[0] is at off
+	bufs  [2][]byte // the blocks blk alternates between
+	cur   int       // which of bufs holds blk
+	ahead int       // size of the next block
+	key   []byte
+	rec   []byte
+	err   error
 }
 
-func (t *Table) iterator() *tableIterator { return &tableIterator{t: t} }
+func (t *Table) iterator() *tableIterator { return &tableIterator{t: t, ahead: ioBlockSize} }
 
 // Next advances the iterator, reporting false at the end or on error.
 func (it *tableIterator) Next() bool {
 	if it.off >= it.t.dataEnd || it.err != nil {
 		return false
 	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	hn, _ := io.NewSectionReader(it.t.f, it.off, int64(len(hdr))).Read(hdr[:])
-	klen, s := binary.Uvarint(hdr[:hn])
-	if s <= 0 {
-		it.err = fmt.Errorf("%w: iterator klen", errBadTable)
-		return false
+	key, rec, size, err := decodeEntry(it.blk)
+	if err == nil && size > len(it.blk) {
+		if it.err = it.fill(size); it.err != nil {
+			return false
+		}
+		if key, rec, size, err = decodeEntry(it.blk); err == nil && size > len(it.blk) {
+			err = fmt.Errorf("%w: entry runs past the data region", errBadTable)
+		}
 	}
-	rlen, s2 := binary.Uvarint(hdr[s:hn])
-	if s2 <= 0 {
-		it.err = fmt.Errorf("%w: iterator rlen", errBadTable)
-		return false
-	}
-	dataOff := it.off + int64(s+s2)
-	buf := make([]byte, klen+rlen)
-	if _, err := io.ReadFull(io.NewSectionReader(it.t.f, dataOff, int64(len(buf))), buf); err != nil {
+	if err != nil {
 		it.err = err
 		return false
 	}
-	it.key = buf[:klen]
-	it.rec = buf[klen:]
-	it.off = dataOff + int64(klen+rlen)
+	it.key, it.rec = key, rec
+	it.blk = it.blk[size:]
+	it.off += int64(size)
 	return true
+}
+
+// fill reads the next block — at least need bytes, never past the data
+// region — from the current offset into the buffer not in use.
+func (it *tableIterator) fill(need int) error {
+	n := min(int64(max(need, it.ahead)), it.t.dataEnd-it.off)
+	it.ahead = min(2*it.ahead, ioBlockSize)
+	it.cur ^= 1
+	if int64(cap(it.bufs[it.cur])) < n {
+		it.bufs[it.cur] = make([]byte, n)
+	}
+	it.blk = it.bufs[it.cur][:n]
+	return readFullAt(it.t.f, it.blk, it.off)
 }
 
 // seek positions the iterator at the first entry with key >= target,
 // reporting whether one exists. A nil or empty target positions at the
 // first entry. The sparse index narrows the starting offset so only one
-// index block is walked.
+// index run is walked.
 func (it *tableIterator) seek(target []byte) bool {
-	it.off = 0
-	it.err = nil
+	it.off, it.blk, it.err = 0, nil, nil
 	if len(target) > 0 {
-		// Binary search for the last sparse-index entry with key <=
-		// target; entries before its offset are all < target.
-		lo, hi, pos := 0, len(it.t.index)-1, -1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			if bytes.Compare(it.t.index[mid].key, target) <= 0 {
-				pos = mid
-				lo = mid + 1
-			} else {
-				hi = mid - 1
-			}
-		}
-		if pos >= 0 {
+		// Entries before the floor run's offset are all < target.
+		if pos := it.t.indexFloor(target); pos >= 0 {
 			it.off = it.t.index[pos].off
 		}
+		it.ahead = indexBytes
 	}
 	for it.Next() {
 		if len(target) == 0 || bytes.Compare(it.key, target) >= 0 {

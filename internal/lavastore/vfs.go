@@ -112,41 +112,83 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
 }
 
+const (
+	// memChunkSize is the fixed unit a memFile grows by. An append
+	// copies only its own bytes into the tail chunk, so a file never
+	// holds more than one chunk of slack and is never moved as it grows.
+	memChunkSize = 256 << 10
+	// memFirstChunkMin is the capacity a file's first chunk starts at.
+	memFirstChunkMin = 512
+)
+
+// memFile is a file held as fixed-size chunks: chunk i covers bytes
+// [i*memChunkSize, (i+1)*memChunkSize), and every chunk but the last is
+// full. Only the first chunk starts small and grows geometrically up to
+// memChunkSize, so the many tiny files of tests and the soak stay tiny.
+//
+// A memFile removed from its MemFS keeps its bytes for as long as an
+// open handle references it (unlink semantics): readers of a table
+// that compaction has already deleted finish on intact data. Chunks
+// are therefore never recycled into other files.
 type memFile struct {
-	mu   sync.RWMutex
-	data []byte
-	fs   *MemFS
+	mu     sync.RWMutex
+	chunks [][]byte
+	size   int64
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	// Grow by doubling: append's growth factor shrinks for large
-	// slices, which turns append-heavy logs (WAL) into repeated
-	// whole-file copies.
-	if need := len(f.data) + len(p); need > cap(f.data) {
-		newCap := 2 * cap(f.data)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 4096 {
-			newCap = 4096
-		}
-		grown := make([]byte, len(f.data), newCap)
-		copy(grown, f.data)
-		f.data = grown
+	for rest := p; len(rest) > 0; {
+		f.makeRoom(len(rest))
+		tail := f.chunks[len(f.chunks)-1]
+		n := copy(tail[len(tail):cap(tail)], rest)
+		f.chunks[len(f.chunks)-1] = tail[:len(tail)+n]
+		rest = rest[n:]
 	}
-	f.data = append(f.data, p...)
+	f.size += int64(len(p))
 	return len(p), nil
+}
+
+// makeRoom leaves the last chunk with at least one free byte ahead of
+// a write of want more bytes, by growing the first chunk or starting a
+// new one.
+// +locked:f.mu
+func (f *memFile) makeRoom(want int) {
+	n := len(f.chunks)
+	if n == 0 {
+		f.chunks = append(f.chunks, make([]byte, 0, firstChunkCap(memFirstChunkMin, want)))
+		return
+	}
+	tail := f.chunks[n-1]
+	switch {
+	case len(tail) < cap(tail):
+	case n == 1 && cap(tail) < memChunkSize:
+		// The first chunk is the only one ever copied, and only while
+		// the whole file is smaller than one chunk.
+		grown := make([]byte, len(tail), firstChunkCap(2*cap(tail), len(tail)+want))
+		copy(grown, tail)
+		f.chunks[0] = grown
+	default:
+		f.chunks = append(f.chunks, make([]byte, 0, memChunkSize))
+	}
+}
+
+// firstChunkCap sizes the first chunk: at least floor and need, at
+// most one full chunk.
+func firstChunkCap(floor, need int) int {
+	return min(max(floor, need), memChunkSize)
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if off >= int64(len(f.data)) {
-		return 0, io.EOF
+	n := 0
+	for n < len(p) && off < f.size {
+		c := copy(p[n:], f.chunks[off/memChunkSize][off%memChunkSize:])
+		n += c
+		off += int64(c)
 	}
-	n := copy(p, f.data[off:])
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -158,14 +200,14 @@ func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Size() (int64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // Create implements FS.
 func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := &memFile{fs: m}
+	f := &memFile{}
 	m.files[name] = f
 	return f, nil
 }

@@ -15,31 +15,29 @@ import (
 // payload: klen uvarint | key | encoded record
 type walWriter struct {
 	f   File
-	buf []byte // payload scratch
 	out []byte // framed-output scratch
 }
 
 func newWALWriter(f File) *walWriter { return &walWriter{f: f} }
 
-// frame appends one length-prefixed, CRC-protected record to dst,
-// using w.buf as payload scratch.
-func (w *walWriter) frame(dst, key, rec []byte) []byte {
-	payload := w.buf[:0]
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = append(payload, rec...)
-	w.buf = payload // keep the grown scratch for the next record
-
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// appendFrame appends one length-prefixed, CRC-protected record to dst.
+// The payload is encoded once, in place behind a reserved header that
+// is patched when its length and checksum are known.
+func appendFrame(dst, key, rec []byte) []byte {
+	hdr := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	dst = append(dst, rec...)
+	payload := dst[hdr+8:]
+	binary.LittleEndian.PutUint32(dst[hdr:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(dst[hdr+4:], uint32(len(payload)))
+	return dst
 }
 
 // Append writes one key/record pair to the log.
 func (w *walWriter) Append(key []byte, rec []byte) error {
-	w.out = w.frame(w.out[:0], key, rec)
+	w.out = appendFrame(w.out[:0], key, rec)
 	if _, err := w.f.Write(w.out); err != nil {
 		return fmt.Errorf("lavastore: wal write: %w", err)
 	}
@@ -52,7 +50,7 @@ func (w *walWriter) Append(key []byte, rec []byte) error {
 func (w *walWriter) AppendMany(keys, recs [][]byte) error {
 	out := w.out[:0]
 	for i := range keys {
-		out = w.frame(out, keys[i], recs[i])
+		out = appendFrame(out, keys[i], recs[i])
 	}
 	w.out = out
 	if _, err := w.f.Write(out); err != nil {
