@@ -2,7 +2,7 @@ package datanode
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"abase/internal/clock"
@@ -15,17 +15,24 @@ import (
 var ErrOverloaded = errors.New("datanode: request queue overloaded")
 
 // Admission models the DataNode request queue (§4.2): every arriving
-// request enters a bounded FIFO processed by a small number of queue
-// workers. The workers spend AdmitCost per request (parse + route),
-// check the partition quota, and spend RejectCost on each rejection —
-// so a flood of over-quota traffic consumes real node resources and
-// delays co-tenants, unless the proxy intercepts it first.
+// request takes an admission step in one of a few slots — it spends
+// AdmitCost (parse + route), checks the partition quota, and spends
+// RejectCost on each rejection (see Node.admitStep) — so a flood of
+// over-quota traffic consumes real node resources and delays co-tenants,
+// unless the proxy intercepts it first. The queue has no workers: a
+// request takes its step on its caller's goroutine, at once when a slot
+// is free, and otherwise waits for one in a bounded FIFO — callers
+// blocked sending on a Go channel are served in the order they blocked,
+// and a freed slot passes straight to the first of them.
 type admission struct {
-	mu      sync.RWMutex
-	closed  bool
-	ch      chan func()
-	workers int
-	wg      sync.WaitGroup
+	closed atomic.Bool
+	// slots holds one token per request in its admission step; its
+	// capacity is the slot count.
+	slots chan struct{}
+	// pending counts the requests waiting for a slot: the queue's depth,
+	// bounded at limit.
+	pending atomic.Int64
+	limit   int64
 }
 
 const (
@@ -34,63 +41,48 @@ const (
 	defaultAdmitCost     = 2 * time.Microsecond
 )
 
-func newAdmission(workers, queueCap int) *admission {
-	if workers <= 0 {
-		workers = defaultAdmitWorkers
+func newAdmission(slots, queueCap int) *admission {
+	if slots <= 0 {
+		slots = defaultAdmitWorkers
 	}
 	if queueCap <= 0 {
 		queueCap = defaultAdmitQueueCap
 	}
-	a := &admission{ch: make(chan func(), queueCap), workers: workers}
-	for i := 0; i < workers; i++ {
-		a.wg.Add(1)
-		go a.worker()
-	}
-	return a
+	return &admission{slots: make(chan struct{}, slots), limit: int64(queueCap)}
 }
 
-func (a *admission) worker() {
-	defer a.wg.Done()
-	for fn := range a.ch {
-		fn()
-	}
-}
-
-// submit enqueues a request-processing closure, reporting false when
-// the queue is full or the node is shutting down.
-func (a *admission) submit(fn func()) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
+// enter takes an admission slot for the caller, waiting behind the
+// requests that wait already; it reports false when the queue is full or
+// the node is shutting down. The caller leaves once its step is done.
+func (a *admission) enter() bool {
+	if a.closed.Load() {
 		return false
 	}
-	select {
-	case a.ch <- fn:
-		return true
-	default:
+	if a.pending.Add(1) > a.limit {
+		a.pending.Add(-1)
 		return false
 	}
+	a.slots <- struct{}{}
+	a.pending.Add(-1)
+	return true
 }
 
-// depth returns the queued request count — one input to the
-// deadline-shedding wait estimate.
-func (a *admission) depth() int { return len(a.ch) }
+// leave releases an admission slot.
+func (a *admission) leave() { <-a.slots }
 
-func (a *admission) close() {
-	a.mu.Lock()
-	if !a.closed {
-		a.closed = true
-		close(a.ch)
-	}
-	a.mu.Unlock()
-	a.wg.Wait()
-}
+// depth returns the number of requests waiting for a slot — one input to
+// the deadline-shedding wait estimate.
+func (a *admission) depth() int { return int(a.pending.Load()) }
+
+// close turns new arrivals away; requests already waiting still take
+// their step.
+func (a *admission) close() { a.closed.Store(true) }
 
 // burn consumes d of simulated service time by occupying the calling
-// worker. Sleeping (rather than spinning) keeps the model faithful on
-// small hosts: a queue worker or I/O thread is unavailable for other
-// requests while it "serves" one, which is what creates queueing —
-// without monopolizing the machine's real cores.
+// goroutine and the slot it holds. Sleeping (rather than spinning) keeps
+// the model faithful on small hosts: an admission slot or a WFQ slot is
+// unavailable for other requests while it "serves" one, which is what
+// creates queueing — without monopolizing the machine's real cores.
 func burn(clk clock.Clock, d time.Duration) {
 	// Sub-microsecond costs are noise next to sleep syscall overhead;
 	// treat them as free (fast test/benchmark configurations use 1ns).

@@ -93,20 +93,27 @@ type readOp struct {
 	keys      [][]byte
 	vals      []BatchValue // per-key outcome, parallel to keys
 	valueFree bool
+	// one backs keys and vals for a point read, so the request stays a
+	// single heap object.
+	one struct {
+		k [1][]byte
+		v [1]BatchValue
+	}
 }
 
-func (n *Node) newReadOp(pid partition.ID, keys [][]byte, valueFree bool) (*readOp, error) {
-	r := &readOp{keys: keys, vals: make([]BatchValue, len(keys)), valueFree: valueFree}
+// placeRead places r and prices it: the read estimate per key, one I/O
+// per key.
+func (n *Node) placeRead(r *readOp, pid partition.ID) error {
 	if err := n.place(&r.unit, r, pid, false, 0); err != nil {
-		return nil, err
+		return err
 	}
 	r.class, r.cost = wfq.ClassFor(false, int(r.est.ExpectedReadSize())), r.est.EstimateReadRU()
-	if valueFree {
+	if r.valueFree {
 		r.class, r.cost = wfq.SmallRead, r.est.EstimateHLenRU()
 	}
-	r.iops = float64(len(keys))
+	r.iops = float64(len(r.keys))
 	r.cost *= r.iops
-	return r, nil
+	return nil
 }
 
 func (r *readOp) heat() {
@@ -208,8 +215,9 @@ func (n *Node) multiRead(ctx context.Context, groups []GetBatch, valueFree bool)
 		if len(groups[i].Keys) == 0 {
 			return nil, nil
 		}
-		r, err := n.newReadOp(groups[i].PID, groups[i].Keys, valueFree)
-		if err != nil {
+		keys := groups[i].Keys
+		r := &readOp{keys: keys, vals: make([]BatchValue, len(keys)), valueFree: valueFree}
+		if err := n.placeRead(r, groups[i].PID); err != nil {
 			return nil, err
 		}
 		out.Values = r.vals

@@ -134,8 +134,8 @@ func TestPreCanceledNeverReachesEngine(t *testing.T) {
 
 // gateClock is the real clock, except that a Sleep of exactly hold is
 // counted and parks until release is closed: the test decides how long
-// an admit worker stays busy, and reads off how many requests it spent
-// admit cost on.
+// an admission slot stays busy, and reads off how many requests spent
+// admit cost.
 type gateClock struct {
 	clock.Real
 	hold    time.Duration
@@ -156,14 +156,14 @@ func (c *gateClock) Sleep(d time.Duration) {
 
 // TestCanceledInAdmissionQueueAborts: a request of any kind canceled
 // while it waits in the admission queue resolves with the context
-// error when the worker dequeues it — without burning admit cost,
+// error when its admission step comes — without burning admit cost,
 // spending quota, or running a stage.
 func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 	for _, op := range opKinds {
 		t.Run(op.name, func(t *testing.T) {
-			// One admit worker, parked in the first request's admit cost
-			// for as long as the test likes: the second request sits in
-			// the queue while we cancel it.
+			// One admission slot, held by the first request parked in its
+			// admit cost for as long as the test likes: the second request
+			// sits in the queue while we cancel it.
 			const admitCost = 30 * time.Millisecond
 			clk := &gateClock{hold: admitCost, entered: make(chan struct{}, len(opKinds)), release: make(chan struct{})}
 			n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
@@ -172,7 +172,7 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 				op.call(context.Background(), n, pid, []byte("occupy"))
 				close(first)
 			}()
-			<-clk.entered // the first request holds the admit worker
+			<-clk.entered // the first request holds the admission slot
 
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
@@ -186,7 +186,7 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 				t.Fatalf("queued err = %v, want context.Canceled", err)
 			}
 			<-first
-			// The worker dequeued both; only the occupier cost it anything.
+			// Both took the admission step; only the occupier paid for it.
 			if got := clk.sleeps.Load(); got != 1 {
 				t.Errorf("admit cost was burned %d times, want once: the canceled request must not pay it", got)
 			}
@@ -260,8 +260,8 @@ func TestRefusalsConform(t *testing.T) {
 		}
 	})
 	t.Run("queue full", func(t *testing.T) {
-		// One worker holding a request for 150ms and a queue of one:
-		// the third arrival finds no slot.
+		// One admission slot held by a request for 150ms and a queue of
+		// one: the second arrival waits, the third finds no room.
 		n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: 150 * time.Millisecond, AdmitQueueCap: 1}, 1e9)
 		for i := 0; i < 2; i++ {
 			go n.Put(bg, pid, []byte{byte(i)}, []byte("v"), 0)

@@ -108,7 +108,8 @@ type Config struct {
 	// experiment shows this overhead starving co-tenants when a burst
 	// is not intercepted at the proxy.
 	RejectCost time.Duration
-	// AdmitWorkers is the request-queue worker count (default 2).
+	// AdmitWorkers is the number of admission slots: requests taking
+	// their admission step at once (default 2).
 	AdmitWorkers int
 	// AdmitQueueCap bounds the request queue; arrivals beyond it fail
 	// with ErrOverloaded (default 1024).

@@ -454,11 +454,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 func BenchmarkNodeGetCacheHit(b *testing.B) {
-	n := New(Config{ID: "bench", Cost: fastCost()})
+	n := New(Config{ID: "bench", Cost: fastCost(), AdmitCost: time.Nanosecond})
 	defer n.Close()
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
 	n.Put(bg, p, []byte("k"), bytes.Repeat([]byte("v"), 100), 0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Get(bg, p, []byte("k"))
@@ -466,11 +467,12 @@ func BenchmarkNodeGetCacheHit(b *testing.B) {
 }
 
 func BenchmarkNodePut(b *testing.B) {
-	n := New(Config{ID: "bench", Cost: fastCost()})
+	n := New(Config{ID: "bench", Cost: fastCost(), AdmitCost: time.Nanosecond})
 	defer n.Close()
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
 	val := bytes.Repeat([]byte("v"), 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Put(bg, p, []byte(fmt.Sprintf("k%09d", i)), val, 0)

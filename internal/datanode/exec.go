@@ -52,8 +52,8 @@ type unit struct {
 	task wfq.Task
 	// charged flips once the partition limiter admits the unit; a unit
 	// dropped after that point never executes, so the RU goes back.
-	// Written before sched.Submit and read only by the scheduler
-	// afterwards, so it is ordered.
+	// Written before the unit reaches the WFQ and read only from there
+	// on, so it is ordered.
 	charged bool
 	err     error         // why the stages did not run, or the stage failure settle reported
 	lat     time.Duration // request latency, set by run
@@ -110,14 +110,17 @@ func (u *unit) bill(charged float64) {
 
 // run is the DataNode's one request pipeline (§4.1–4.3): every unit is
 // checked against ctx and the deadline-aware front door, the units
-// enter the request queue ONCE together (one AdmitCost, one queue slot
-// — a node batch is one network request), each is charged against its
-// own partition quota and fair-queued as one WFQ task, and the outcome
-// is settled to what the request really cost. A point operation is a
-// run of one unit. ctx bounds the request end to end: done at arrival
-// it fails fast before any admission, and a cancel while a unit waits
-// in the request queue or a WFQ drops it at the next dequeue point
-// without executing.
+// take the request queue's admission step ONCE together (one AdmitCost,
+// one queue slot — a node batch is one network request), each is
+// charged against its own partition quota and fair-queued as one WFQ
+// task, and the outcome is settled to what the request really cost. A
+// point operation is a run of one unit. The admission step runs on the
+// caller's goroutine, after it waits for a slot if none is free; a WFQ
+// stage runs there too when its turn is free — nothing queued ahead and
+// a slot open — and waits for a worker otherwise. ctx bounds the request
+// end to end: done at arrival it fails fast before any admission, and a
+// cancel while a unit waits in the request queue or a WFQ drops it at
+// the next dequeue point without executing.
 func (n *Node) run(ctx context.Context, units []*unit) {
 	start := n.cfg.Clock.Now()
 	admitted := false
@@ -146,38 +149,14 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		admitted = true
 	}
 	// Request-queue stage: quota filtering happens here, so a flood of
-	// over-quota traffic occupies the queue workers (Figure 6). Units
+	// over-quota traffic occupies the admission slots (Figure 6). Units
 	// refused at arrival carry an err already and are skipped.
-	queued := admitted && n.admit.submit(func() {
-		// Canceled while queued: drop before the worker spends admit
-		// cost or quota on any unit.
-		cerr := ctx.Err()
-		if cerr == nil {
-			burn(n.cfg.Clock, n.cfg.AdmitCost)
-		}
-		for _, u := range units {
-			if u.err != nil {
-				continue
-			}
-			if cerr != nil {
-				u.drop(cerr)
-				continue
-			}
-			if n.quotaOn.Load() {
-				if !u.rep.limiter.Allow(u.cost) {
-					burn(n.cfg.Clock, n.cfg.RejectCost)
-					u.drop(ErrThrottled)
-					continue
-				}
-				u.charged = true
-			}
-			if !n.sched.Submit(&u.task) {
-				u.drop(ErrClosed)
-			}
-		}
-	})
+	entered := admitted && n.admit.enter()
 	var lat time.Duration
-	if queued {
+	if entered {
+		n.admitStep(ctx, units)
+		n.admit.leave()
+		n.dispatch(units)
 		for _, u := range units {
 			u.done.Wait()
 		}
@@ -185,7 +164,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		n.observeServiceTime(lat)
 	}
 	for _, u := range units {
-		if !queued && u.err == nil {
+		if !entered && u.err == nil {
 			u.err = ErrOverloaded
 		}
 		u.lat = lat
@@ -199,6 +178,64 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 			// door); the service didn't fail.
 		default:
 			u.ts.errors.Inc()
+		}
+	}
+}
+
+// admitStep is the request queue's work on one request, done in an
+// admission slot. A request canceled while it queued drops every unit
+// before spending admit cost or quota; otherwise the admit cost is
+// burned once for the request and each unit is charged against its own
+// partition quota, a refusal burning RejectCost.
+func (n *Node) admitStep(ctx context.Context, units []*unit) {
+	cerr := ctx.Err()
+	if cerr == nil {
+		burn(n.cfg.Clock, n.cfg.AdmitCost)
+	}
+	for _, u := range units {
+		if u.err != nil {
+			continue
+		}
+		if cerr != nil {
+			u.drop(cerr)
+			continue
+		}
+		if n.quotaOn.Load() {
+			if !u.rep.limiter.Allow(u.cost) {
+				burn(n.cfg.Clock, n.cfg.RejectCost)
+				u.drop(ErrThrottled)
+				continue
+			}
+			u.charged = true
+		}
+	}
+}
+
+// dispatch hands the units that passed admission to the WFQ. Every unit
+// but the last is submitted to the workers, so a batch's units still run
+// in parallel, and the last takes its turn on the caller if it is free
+// (wfq TryRun).
+func (n *Node) dispatch(units []*unit) {
+	last := -1
+	for i := len(units) - 1; i >= 0; i-- {
+		if units[i].err == nil {
+			last = i
+			break
+		}
+	}
+	for i, u := range units {
+		if u.err != nil {
+			continue
+		}
+		taken, ok := false, false
+		if i == last {
+			taken, ok = n.sched.TryRun(&u.task)
+		}
+		if !taken {
+			ok = n.sched.Submit(&u.task)
+		}
+		if !ok {
+			u.drop(ErrClosed)
 		}
 	}
 }

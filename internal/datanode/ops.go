@@ -26,8 +26,10 @@ type OpResult struct {
 // readOne runs a readOp of one key. The error is the pipeline's or,
 // failing that, the key's own (ErrNotFound, engine failure).
 func (n *Node) readOne(ctx context.Context, pid partition.ID, key []byte, valueFree bool) (OpResult, error) {
-	r, err := n.newReadOp(pid, [][]byte{key}, valueFree)
-	if err != nil {
+	r := &readOp{valueFree: valueFree}
+	r.one.k[0] = key
+	r.keys, r.vals = r.one.k[:], r.one.v[:]
+	if err := n.placeRead(r, pid); err != nil {
 		return OpResult{}, err
 	}
 	n.run(ctx, []*unit{&r.unit})

@@ -7,6 +7,7 @@ import (
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
 	"abase/internal/proxy"
+	"abase/internal/wfq"
 )
 
 // BatchOpts configures the batched-vs-looped comparison.
@@ -27,12 +28,19 @@ type BatchPoint struct {
 	LoopedOps  float64 // keys/sec via per-key Fleet.Get/Put
 	BatchedOps float64 // keys/sec via Fleet.BatchGet/BatchPut
 	Speedup    float64
+	// LoopedTasks and BatchedTasks are the WFQ tasks the DataNodes ran
+	// per key on each path: what batching saves, counted exactly rather
+	// than timed.
+	LoopedTasks  float64
+	BatchedTasks float64
 }
 
 // batchStack builds a minimal three-plane stack with a near-free cost
 // model, so the measurement isolates per-request orchestration overhead
 // (admission, quota, WFQ round trips) — exactly what batching amortizes.
-func batchStack() (*metaserver.Meta, *proxy.Fleet, func()) {
+// It returns the stack's DataNodes too, whose WFQ task counts wfqTasks
+// reads.
+func batchStack() (*proxy.Fleet, []*datanode.Node, func()) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	var nodes []*datanode.Node
 	for i := 0; i < 3; i++ {
@@ -67,7 +75,17 @@ func batchStack() (*metaserver.Meta, *proxy.Fleet, func()) {
 			n.Close()
 		}
 	}
-	return m, fleet, cleanup
+	return fleet, nodes, cleanup
+}
+
+// wfqTasks sums the WFQ tasks nodes have completed, over all classes.
+func wfqTasks(nodes []*datanode.Node) (total int64) {
+	for _, n := range nodes {
+		for c := wfq.SmallRead; c <= wfq.LargeWrite; c++ {
+			total += n.Scheduler().Queue(c).Stats().Completed
+		}
+	}
+	return total
 }
 
 // BatchComparison measures multi-key reads and writes through the
@@ -83,7 +101,7 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	if opts.ValueBytes <= 0 {
 		opts.ValueBytes = 128
 	}
-	_, fleet, cleanup := batchStack()
+	fleet, nodes, cleanup := batchStack()
 	defer cleanup()
 
 	keys := make([][]byte, opts.Keys)
@@ -114,7 +132,8 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	const passes = 4
 	for _, size := range opts.Sizes {
 		rounds := opts.Keys / size
-		start := clk.Now()
+		moved := float64(passes * rounds * size)
+		tasks, start := wfqTasks(nodes), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				for _, k := range keys[r*size : (r+1)*size] {
@@ -122,17 +141,22 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 				}
 			}
 		}
-		looped := float64(passes*rounds*size) / clk.Since(start).Seconds()
+		looped := moved / clk.Since(start).Seconds()
+		loopedTasks := float64(wfqTasks(nodes)-tasks) / moved
 
-		start = clk.Now()
+		tasks, start = wfqTasks(nodes), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				fleet.BatchGet(bg, keys[r*size:(r+1)*size])
 			}
 		}
-		batched := float64(passes*rounds*size) / clk.Since(start).Seconds()
+		batched := moved / clk.Since(start).Seconds()
+		batchedTasks := float64(wfqTasks(nodes)-tasks) / moved
 
-		pt := BatchPoint{BatchSize: size, LoopedOps: looped, BatchedOps: batched, Speedup: batched / looped}
+		pt := BatchPoint{
+			BatchSize: size, LoopedOps: looped, BatchedOps: batched, Speedup: batched / looped,
+			LoopedTasks: loopedTasks, BatchedTasks: batchedTasks,
+		}
 		points = append(points, pt)
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", size),

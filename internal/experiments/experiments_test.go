@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -396,28 +397,45 @@ func TestExperimentsDeadlineShedding(t *testing.T) {
 
 // TestExperimentsBatch is the CI smoke for the batched-vs-looped
 // harness (`go test -run TestExperiments`), asserting on the returned
-// structured points rather than the printed table: batching must be a
-// material amortization win — at the largest batch size, at least 2x
-// over the looped path — and every point must be internally coherent.
+// structured points rather than the printed table. What batching saves
+// is gated exactly: one WFQ task per key looped, at most one per
+// partition sub-batch batched. The wall-clock win — at least 2x at the
+// largest batch size — is a median of five samples, since one sample on
+// a loaded host is noise.
 func TestExperimentsBatch(t *testing.T) {
+	const samples, partitions = 5, 4 // batchStack's tenant has 4 partitions
 	sizes := []int{16, 64, 128}
-	points, tbl := BatchComparison(BatchOpts{Keys: 1024, Sizes: sizes})
-	if len(points) != len(sizes) {
-		t.Fatalf("points = %d, want %d", len(points), len(sizes))
+	var points []BatchPoint
+	var tbl Table
+	speedups := make([]float64, 0, samples)
+	for s := 0; s < samples; s++ {
+		points, tbl = BatchComparison(BatchOpts{Keys: 1024, Sizes: sizes})
+		if len(points) != len(sizes) {
+			t.Fatalf("points = %d, want %d", len(points), len(sizes))
+		}
+		for i, p := range points {
+			if p.BatchSize != sizes[i] {
+				t.Errorf("point %d batch size = %d, want %d", i, p.BatchSize, sizes[i])
+			}
+			if p.LoopedOps <= 0 || p.BatchedOps <= 0 {
+				t.Errorf("size %d: non-positive throughput (looped %.0f, batched %.0f)", p.BatchSize, p.LoopedOps, p.BatchedOps)
+			}
+			if want := p.BatchedOps / p.LoopedOps; p.Speedup != want {
+				t.Errorf("size %d: speedup %.3f inconsistent with ops ratio %.3f", p.BatchSize, p.Speedup, want)
+			}
+			if p.LoopedTasks != 1 {
+				t.Errorf("size %d: looped path ran %.4f WFQ tasks per key, want 1", p.BatchSize, p.LoopedTasks)
+			}
+			if limit := float64(partitions) / float64(p.BatchSize); p.BatchedTasks <= 0 || p.BatchedTasks > limit {
+				t.Errorf("size %d: batched path ran %.4f WFQ tasks per key, want (0, %.4f]", p.BatchSize, p.BatchedTasks, limit)
+			}
+		}
+		speedups = append(speedups, points[len(points)-1].Speedup)
 	}
-	for i, p := range points {
-		if p.BatchSize != sizes[i] {
-			t.Errorf("point %d batch size = %d, want %d", i, p.BatchSize, sizes[i])
-		}
-		if p.LoopedOps <= 0 || p.BatchedOps <= 0 {
-			t.Errorf("size %d: non-positive throughput (looped %.0f, batched %.0f)", p.BatchSize, p.LoopedOps, p.BatchedOps)
-		}
-		if want := p.BatchedOps / p.LoopedOps; p.Speedup != want {
-			t.Errorf("size %d: speedup %.3f inconsistent with ops ratio %.3f", p.BatchSize, p.Speedup, want)
-		}
-	}
-	if last := points[len(points)-1]; last.Speedup < 2 {
-		t.Errorf("batch size %d speedup = %.2fx, want >= 2x", last.BatchSize, last.Speedup)
+	slices.Sort(speedups)
+	t.Logf("batch size %d speedups %.2f", sizes[len(sizes)-1], speedups)
+	if med := speedups[samples/2]; med < 2 {
+		t.Errorf("batch size %d speedup median = %.2fx, want >= 2x", sizes[len(sizes)-1], med)
 	}
 	if len(tbl.Rows) != len(sizes) {
 		t.Fatalf("table rows = %d", len(tbl.Rows))

@@ -43,7 +43,7 @@ func PointLatency(opts PointOpts) ([]PointStats, Table) {
 	if opts.ValueBytes <= 0 {
 		opts.ValueBytes = 128
 	}
-	_, fleet, cleanup := batchStack()
+	fleet, _, cleanup := batchStack()
 	defer cleanup()
 
 	keys := make([][]byte, opts.Keys)

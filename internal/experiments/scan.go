@@ -39,7 +39,7 @@ func ScanThroughput(opts ScanOpts) ([]ScanPoint, Table) {
 	if len(opts.PageSizes) == 0 {
 		opts.PageSizes = []int{16, 64, 256}
 	}
-	_, fleet, cleanup := batchStack()
+	fleet, _, cleanup := batchStack()
 	defer cleanup()
 
 	value := make([]byte, opts.ValueBytes)

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func roundTrip(t *testing.T, v Value) Value {
@@ -310,5 +312,39 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerCloseLeavesNoGoroutines: Close stops the accept loop and
+// every connection's goroutine, including connections whose clients are
+// still open and idle.
+func TestServerCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := NewServer(echoHandler)
+	srv.Logf = func(string, ...interface{}) {}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if v, err := c.DoStrings("PING"); err != nil || v.Text() != "PONG" {
+			t.Fatalf("PING = %+v, %v", v, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

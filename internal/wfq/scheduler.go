@@ -47,29 +47,36 @@ func (c Config) withDefaults() Config {
 }
 
 // DualLayer is one dual-layer WFQ: a CPU queue feeding an I/O queue.
+//
+// A task runs each stage in a slot of its layer — CPUWorkers CPU slots
+// (Rule 2), BasicIOThreads basic I/O slots (Rule 4). A worker takes a
+// slot for the next queued task; TryRun takes one on its caller's
+// goroutine when nothing is queued ahead, so an idle layer starts a task
+// at once without a hand-off, as a work-conserving WFQ should.
 type DualLayer struct {
 	cfg Config
 
-	cpuQ *queue
-	ioQ  *queue
-
-	// signals
+	// mu guards both queues, closed, and the slot accounting below; the
+	// workers wait on the conds.
+	mu      sync.Mutex
+	cpuQ    *queue
+	ioQ     *queue
 	cpuCond *sync.Cond
 	ioCond  *sync.Cond
-	mu      sync.Mutex
 	closed  bool
 
-	// Rule 3 accounting: in-flight CPU tasks per tenant.
-	inflightMu  sync.Mutex
+	// CPU slots, and Rule 3's view of them: tasks holding a CPU slot per
+	// tenant and in total (cpuTotal <= CPUWorkers).
 	cpuInflight map[string]int
 	cpuTotal    int
 
-	// Rule 4 accounting: which tenants the basic IO threads are serving.
-	ioMu        sync.Mutex
-	ioBusy      map[string]int // tenant → busy basic threads
+	// Basic I/O slots, and Rule 4's view of them: which tenants the basic
+	// slots are serving (ioBusyTotal <= BasicIOThreads).
+	ioBusy      map[string]int
 	ioBusyTotal int
 	extraAlive  int
 
+	// wg counts the workers and the inline runs in progress.
 	wg sync.WaitGroup
 
 	// stats
@@ -77,6 +84,9 @@ type DualLayer struct {
 	ioServed    atomic.Int64
 	extraSpawns atomic.Int64
 	rule3Skips  atomic.Int64
+	// dequeued counts the stages workers took off either queue; a task
+	// whose stages all ran on its TryRun caller adds none.
+	dequeued atomic.Int64
 }
 
 // NewDualLayer starts the workers for one dual-layer WFQ.
@@ -96,7 +106,7 @@ func NewDualLayer(cfg Config) *DualLayer {
 	}
 	for i := 0; i < d.cfg.BasicIOThreads; i++ {
 		d.wg.Add(1)
-		go d.ioWorker(false, "")
+		go d.ioWorker()
 	}
 	return d
 }
@@ -106,28 +116,55 @@ func NewDualLayer(cfg Config) *DualLayer {
 // in which case Done is not called.
 func (d *DualLayer) Submit(t *Task) bool {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	if d.closed || !d.ceilingAllows(t) {
 		return false
 	}
-	d.mu.Unlock()
-	if t.Class.IsWrite() && d.cfg.WriteCeilingBucket != nil {
-		if !d.cfg.WriteCeilingBucket.Allow(t.RUCost) {
-			return false
-		}
-	}
 	d.cpuQ.push(t, t.RUCost) // Rule 1: CPU layer costs RU
-	d.mu.Lock()
 	d.cpuCond.Signal()
-	d.mu.Unlock()
 	return true
 }
 
-// monopolizingTenant returns the tenant currently holding at least
-// TenantShareCap of the CPU concurrency, if any (Rule 3).
-func (d *DualLayer) monopolizingTenant() string {
-	d.inflightMu.Lock()
-	defer d.inflightMu.Unlock()
+// TryRun runs t on the calling goroutine when its turn is free: the
+// layer is open, nothing is queued in its CPU-WFQ and a CPU slot is
+// free — exactly when a worker would pop it at once. t then takes a
+// worker's steps: VFT accounting as if it had queued, the dequeue-point
+// Ctx check, Rule 3 accounting and the CPU stage. On a miss its I/O
+// stage also runs on the caller when the I/O-WFQ is empty and a basic
+// slot is free; otherwise it queues for the I/O workers.
+//
+// taken reports whether TryRun dealt with t; when it did not, nothing
+// happened and the caller Submits t instead. When taken, accepted is
+// what Submit would have returned: false means the write ceiling
+// refused t, and neither Done nor Abort is called.
+func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
+	d.mu.Lock()
+	if d.closed || d.cpuQ.len() > 0 || d.cpuTotal >= d.cfg.CPUWorkers {
+		d.mu.Unlock()
+		return false, false
+	}
+	if !d.ceilingAllows(t) {
+		d.mu.Unlock()
+		return true, false
+	}
+	d.cpuQ.admitInline(t, t.RUCost)
+	d.holdCPULocked(t)
+	d.wg.Add(1) // Close waits for the run like for a worker
+	d.mu.Unlock()
+	defer d.wg.Done()
+	d.runCPU(t, true)
+	return true, true
+}
+
+// ceilingAllows applies the write-RU ceiling (Rule 2) to t.
+func (d *DualLayer) ceilingAllows(t *Task) bool {
+	return !t.Class.IsWrite() || d.cfg.WriteCeilingBucket == nil || d.cfg.WriteCeilingBucket.Allow(t.RUCost)
+}
+
+// monopolizingTenantLocked returns the tenant currently holding at
+// least TenantShareCap of the CPU concurrency, if any (Rule 3).
+// +locked:d.mu
+func (d *DualLayer) monopolizingTenantLocked() string {
 	if d.cpuTotal == 0 {
 		return ""
 	}
@@ -140,164 +177,229 @@ func (d *DualLayer) monopolizingTenant() string {
 	return ""
 }
 
+// holdCPULocked gives t a CPU slot.
+// +locked:d.mu
+func (d *DualLayer) holdCPULocked(t *Task) {
+	d.cpuInflight[t.Tenant]++
+	d.cpuTotal++
+}
+
+// holdIOLocked gives t a basic I/O slot.
+// +locked:d.mu
+func (d *DualLayer) holdIOLocked(t *Task) {
+	d.ioBusy[t.Tenant]++
+	d.ioBusyTotal++
+}
+
+// drainedLocked reports whether nothing can reach the I/O-WFQ any more:
+// the layer is closed and no task is queued for or running a CPU stage.
+// +locked:d.mu
+func (d *DualLayer) drainedLocked() bool {
+	return d.closed && d.cpuQ.len() == 0 && d.cpuTotal == 0
+}
+
 func (d *DualLayer) cpuWorker() {
 	defer d.wg.Done()
-	for {
-		d.mu.Lock()
-		for d.cpuQ.len() == 0 && !d.closed {
-			d.cpuCond.Wait()
-		}
-		if d.closed && d.cpuQ.len() == 0 {
-			d.mu.Unlock()
-			return
-		}
-		d.mu.Unlock()
-
-		skip := d.monopolizingTenant()
-		if skip != "" && d.cpuQ.hasOtherTenant(skip) {
-			d.rule3Skips.Add(1)
-		} else {
-			skip = ""
-		}
-		t := d.cpuQ.pop(skip)
-		if t == nil {
-			continue
-		}
-		// A task whose context expired while it waited sheds here,
-		// before its CPU stage burns any service time.
-		if t.aborted() {
-			d.completed.Add(1)
-			continue
-		}
-
-		d.inflightMu.Lock()
-		d.cpuInflight[t.Tenant]++
-		d.cpuTotal++
-		d.inflightMu.Unlock()
-
-		needIO := false
-		if t.CPUStage != nil {
-			needIO = t.CPUStage()
-		}
-
-		d.inflightMu.Lock()
-		d.cpuInflight[t.Tenant]--
-		if d.cpuInflight[t.Tenant] == 0 {
-			delete(d.cpuInflight, t.Tenant)
-		}
-		d.cpuTotal--
-		d.inflightMu.Unlock()
-
-		if needIO && t.IOStage != nil {
-			d.ioQ.push(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
-			d.mu.Lock()
-			d.ioCond.Signal()
-			d.mu.Unlock()
-			d.maybeSpawnExtra()
-		} else {
-			if t.Done != nil {
-				t.Done()
-			}
-			d.completed.Add(1)
-		}
+	for t := d.nextCPU(); t != nil; t = d.nextCPU() {
+		d.runCPU(t, false)
 	}
 }
 
-// maybeSpawnExtra implements Rule 4: if every basic I/O thread is busy
-// serving a single tenant and another tenant has queued I/O, spawn a
-// temporary extra thread dedicated to the other tenants.
-func (d *DualLayer) maybeSpawnExtra() {
-	d.ioMu.Lock()
-	var mono string
-	if d.ioBusyTotal >= d.cfg.BasicIOThreads && len(d.ioBusy) == 1 {
-		for tenant := range d.ioBusy {
-			mono = tenant
+// nextCPU waits until a task is queued and a CPU slot is free, then
+// pops the next task in VFT order into that slot. It returns nil once
+// the layer is closed and its CPU-WFQ is empty.
+func (d *DualLayer) nextCPU() *Task {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.cpuQ.len() == 0 || d.cpuTotal >= d.cfg.CPUWorkers {
+		if d.closed && d.cpuQ.len() == 0 {
+			return nil
 		}
+		d.cpuCond.Wait()
 	}
-	canSpawn := mono != "" && d.extraAlive < d.cfg.ExtraIOThreads
-	if canSpawn {
-		d.extraAlive++
+	skip := d.monopolizingTenantLocked()
+	if skip != "" && d.cpuQ.hasOtherTenant(skip) {
+		d.rule3Skips.Add(1)
+	} else {
+		skip = ""
 	}
-	d.ioMu.Unlock()
-	if !canSpawn {
+	t := d.cpuQ.pop(skip)
+	d.holdCPULocked(t)
+	d.dequeued.Add(1)
+	return t
+}
+
+// runCPU takes t, which holds a CPU slot, through the CPU layer. inline
+// lets its I/O stage stay on the calling goroutine (see handOff).
+func (d *DualLayer) runCPU(t *Task, inline bool) {
+	// A task whose context expired while it waited sheds here,
+	// before its CPU stage burns any service time.
+	if t.aborted() {
+		d.handOff(t, false, false)
+		d.completed.Add(1)
 		return
+	}
+	needIO := t.CPUStage != nil && t.CPUStage() && t.IOStage != nil
+	switch {
+	case d.handOff(t, needIO, inline):
+		d.runIO(t, true)
+	case !needIO:
+		d.done(t)
+	}
+}
+
+// handOff releases t's CPU slot and, when t needs its I/O stage, moves
+// it to the I/O layer in the same step, so the I/O workers never find
+// the layer drained while a CPU stage can still feed it. An inline run
+// keeps t when the I/O-WFQ is empty and a basic slot is free: handOff
+// then reports true and t holds that slot. Otherwise t queues for the
+// I/O workers, and Rule 4 may spawn an extra one.
+func (d *DualLayer) handOff(t *Task, needIO, inline bool) (runIO bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.cpuInflight[t.Tenant]--
+	if d.cpuInflight[t.Tenant] == 0 {
+		delete(d.cpuInflight, t.Tenant)
+	}
+	d.cpuTotal--
+	switch {
+	case d.cpuQ.len() > 0:
+		d.cpuCond.Signal() // the freed slot has a taker
+	case d.closed:
+		d.cpuCond.Broadcast() // every waiting CPU worker can exit
+	}
+	if d.drainedLocked() {
+		d.ioCond.Broadcast() // and so can the I/O workers, once their queue is empty
+	}
+	switch {
+	case !needIO:
+		return false
+	case inline && d.ioQ.len() == 0 && d.ioBusyTotal < d.cfg.BasicIOThreads:
+		d.ioQ.admitInline(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
+		d.holdIOLocked(t)
+		return true
+	}
+	d.ioQ.push(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
+	d.ioCond.Signal()
+	d.maybeSpawnExtraLocked()
+	return false
+}
+
+// maybeSpawnExtraLocked implements Rule 4: if every basic I/O slot is
+// busy serving a single tenant and another tenant has queued I/O, spawn
+// a temporary extra thread dedicated to the other tenants.
+// +locked:d.mu
+func (d *DualLayer) maybeSpawnExtraLocked() {
+	if d.ioBusyTotal < d.cfg.BasicIOThreads || len(d.ioBusy) != 1 || d.extraAlive >= d.cfg.ExtraIOThreads {
+		return
+	}
+	var mono string
+	for tenant := range d.ioBusy {
+		mono = tenant
 	}
 	if !d.ioQ.hasOtherTenant(mono) {
-		d.ioMu.Lock()
-		d.extraAlive--
-		d.ioMu.Unlock()
 		return
 	}
+	d.extraAlive++
 	d.extraSpawns.Add(1)
 	d.wg.Add(1)
-	go d.ioWorker(true, mono)
+	go d.extraIOWorker(mono)
 }
 
-// ioWorker serves the I/O-WFQ. Basic workers (extra=false) run forever;
-// extra workers serve only tenants other than avoid and exit when no
-// such work remains.
-func (d *DualLayer) ioWorker(extra bool, avoid string) {
+// ioWorker serves the I/O-WFQ in the basic slots until the layer is
+// closed and drained.
+func (d *DualLayer) ioWorker() {
+	defer d.wg.Done()
+	for t := d.nextIO(); t != nil; t = d.nextIO() {
+		d.runIO(t, true)
+	}
+}
+
+// nextIO waits until an I/O task is queued and a basic slot is free,
+// then pops the next task in VFT order into that slot. It returns nil
+// once nothing is queued and nothing can arrive.
+func (d *DualLayer) nextIO() *Task {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.ioQ.len() == 0 || d.ioBusyTotal >= d.cfg.BasicIOThreads {
+		if d.ioQ.len() == 0 && d.drainedLocked() {
+			return nil
+		}
+		d.ioCond.Wait()
+	}
+	t := d.ioQ.pop("")
+	d.holdIOLocked(t)
+	d.dequeued.Add(1)
+	return t
+}
+
+// extraIOWorker is a temporary Rule 4 thread: outside the basic slots it
+// serves tenants other than avoid, and exits when none is queued.
+func (d *DualLayer) extraIOWorker(avoid string) {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
-		for d.ioQ.len() == 0 && !d.closed && !extra {
-			d.ioCond.Wait()
-		}
-		if (d.closed && d.ioQ.len() == 0) || (extra && !d.ioQ.hasOtherTenant(avoid)) {
-			d.mu.Unlock()
-			if extra {
-				d.ioMu.Lock()
-				d.extraAlive--
-				d.ioMu.Unlock()
-			}
-			return
+		t := d.ioQ.pop(avoid)
+		if t == nil {
+			d.extraAlive--
 		}
 		d.mu.Unlock()
-
-		var t *Task
-		if extra {
-			t = d.ioQ.pop(avoid)
-		} else {
-			t = d.ioQ.pop("")
-		}
 		if t == nil {
-			continue
+			return
 		}
-		// Same shed point for the I/O layer: a cache-missing request
-		// canceled between the CPU and I/O stages skips the disk work.
-		if t.aborted() {
-			d.completed.Add(1)
-			continue
-		}
-
-		if !extra {
-			d.ioMu.Lock()
-			d.ioBusy[t.Tenant]++
-			d.ioBusyTotal++
-			d.ioMu.Unlock()
-		}
-
-		t.IOStage()
-		d.ioServed.Add(1)
-
-		if !extra {
-			d.ioMu.Lock()
-			d.ioBusy[t.Tenant]--
-			if d.ioBusy[t.Tenant] == 0 {
-				delete(d.ioBusy, t.Tenant)
-			}
-			d.ioBusyTotal--
-			d.ioMu.Unlock()
-		}
-
-		if t.Done != nil {
-			t.Done()
-		}
-		d.completed.Add(1)
+		d.dequeued.Add(1)
+		d.runIO(t, false)
 	}
 }
 
-// Close stops accepting tasks and waits for queued work to drain.
+// runIO runs t's I/O stage; basic means t holds a basic I/O slot, which
+// is released before Done.
+func (d *DualLayer) runIO(t *Task, basic bool) {
+	// Same shed point for the I/O layer: a cache-missing request
+	// canceled between the CPU and I/O stages skips the disk work.
+	aborted := t.aborted()
+	if !aborted {
+		t.IOStage()
+		d.ioServed.Add(1)
+	}
+	if basic {
+		d.releaseIO(t)
+	}
+	if aborted {
+		d.completed.Add(1)
+	} else {
+		d.done(t)
+	}
+}
+
+// done completes t: it is counted before Done runs, so a caller that
+// Done wakes reads it in Stats.
+func (d *DualLayer) done(t *Task) {
+	d.completed.Add(1)
+	if t.Done != nil {
+		t.Done()
+	}
+}
+
+// releaseIO frees t's basic I/O slot.
+func (d *DualLayer) releaseIO(t *Task) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.ioBusy[t.Tenant]--
+	if d.ioBusy[t.Tenant] == 0 {
+		delete(d.ioBusy, t.Tenant)
+	}
+	d.ioBusyTotal--
+	switch {
+	case d.ioQ.len() > 0:
+		d.ioCond.Signal()
+	case d.drainedLocked():
+		d.ioCond.Broadcast()
+	}
+}
+
+// Close stops accepting tasks and waits for queued work to drain and
+// for the inline runs in progress to finish.
 func (d *DualLayer) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -323,13 +425,16 @@ type Stats struct {
 
 // Stats returns a snapshot of counters.
 func (d *DualLayer) Stats() Stats {
+	d.mu.Lock()
+	cpuQueued, ioQueued := d.cpuQ.len(), d.ioQ.len()
+	d.mu.Unlock()
 	return Stats{
 		Completed:   d.completed.Load(),
 		IOServed:    d.ioServed.Load(),
 		ExtraSpawns: d.extraSpawns.Load(),
 		Rule3Skips:  d.rule3Skips.Load(),
-		CPUQueued:   d.cpuQ.len(),
-		IOQueued:    d.ioQ.len(),
+		CPUQueued:   cpuQueued,
+		IOQueued:    ioQueued,
 	}
 }
 
@@ -349,11 +454,19 @@ func NewScheduler(cfg Config) *Scheduler {
 }
 
 // Submit routes the task to its class's dual-layer WFQ.
-func (s *Scheduler) Submit(t *Task) bool {
+func (s *Scheduler) Submit(t *Task) bool { return s.route(t).Submit(t) }
+
+// TryRun offers the task to its class's dual-layer WFQ to run on the
+// caller (see DualLayer.TryRun).
+func (s *Scheduler) TryRun(t *Task) (taken, accepted bool) { return s.route(t).TryRun(t) }
+
+// route returns t's class's dual-layer WFQ; an unknown class is a
+// small read.
+func (s *Scheduler) route(t *Task) *DualLayer {
 	if t.Class < 0 || t.Class >= numClasses {
 		t.Class = SmallRead
 	}
-	return s.queues[t.Class].Submit(t)
+	return s.queues[t.Class]
 }
 
 // Queue returns the dual-layer WFQ for a class (test and stats access).

@@ -3,7 +3,6 @@ package wfq
 import (
 	"container/heap"
 	"context"
-	"sync"
 )
 
 // Class categorizes a request by type and size into one of the four
@@ -104,9 +103,9 @@ func (t *Task) aborted() bool {
 }
 
 // queue is a min-heap of tasks ordered by VFT with per-tenant
-// cumulative virtual time.
+// cumulative virtual time. It has no lock of its own: its DualLayer's
+// mu guards it, together with the slots a popped task runs in.
 type queue struct {
-	mu       sync.Mutex
 	items    taskHeap
 	preVFT   map[string]float64
 	vtime    float64        // system virtual time: VFT of the last dequeued task
@@ -135,8 +134,22 @@ func (h *taskHeap) Pop() interface{} {
 // push computes the task's VFT and enqueues it. cost selects which cost
 // dimension applies at this layer (Rule 1).
 func (q *queue) push(t *Task, cost float64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	q.stamp(t, cost)
+	heap.Push(&q.items, t)
+	q.byTenant[t.Tenant]++
+}
+
+// admitInline accounts t as pushed and popped at once — what a task
+// that finds the queue empty and a slot free goes through — without
+// touching the heap: its tenant's preVFT and the virtual time advance
+// exactly as if it had queued.
+func (q *queue) admitInline(t *Task, cost float64) {
+	q.stamp(t, cost)
+	q.advance(t)
+}
+
+// stamp sets t's VFT and charges it to its tenant's preVFT.
+func (q *queue) stamp(t *Task, cost float64) {
 	share := t.QuotaShare
 	if share <= 0 {
 		share = 1e-6
@@ -151,8 +164,13 @@ func (q *queue) push(t *Task, cost float64) {
 	}
 	t.vft = pre + wReqCost
 	q.preVFT[t.Tenant] = t.vft
-	heap.Push(&q.items, t)
-	q.byTenant[t.Tenant]++
+}
+
+// advance moves the virtual time up to a dequeued task's VFT.
+func (q *queue) advance(t *Task) {
+	if t.vft > q.vtime {
+		q.vtime = t.vft
+	}
 }
 
 // pop removes and returns the lowest-VFT task, or nil when empty.
@@ -160,14 +178,13 @@ func (q *queue) push(t *Task, cost float64) {
 // (Rule 3 / Rule 4 support); nil is returned if only skip's tasks
 // remain.
 func (q *queue) pop(skip string) *Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.items) == 0 {
 		return nil
 	}
+	best := 0
 	if skip != "" {
 		// Find the lowest-VFT task not from skip.
-		best := -1
+		best = -1
 		for i, t := range q.items {
 			if t.Tenant == skip {
 				continue
@@ -179,40 +196,18 @@ func (q *queue) pop(skip string) *Task {
 		if best < 0 {
 			return nil
 		}
-		t := q.items[best]
-		heap.Remove(&q.items, best)
-		q.byTenant[t.Tenant]--
-		if t.vft > q.vtime {
-			q.vtime = t.vft
-		}
-		return t
 	}
-	t := heap.Pop(&q.items).(*Task)
+	t := heap.Remove(&q.items, best).(*Task)
 	q.byTenant[t.Tenant]--
-	if t.vft > q.vtime {
-		q.vtime = t.vft
-	}
+	q.advance(t)
 	return t
 }
 
 // len returns the queued task count.
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
-}
-
-// tenantCount returns queued tasks for one tenant.
-func (q *queue) tenantCount(tenant string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.byTenant[tenant]
-}
+func (q *queue) len() int { return len(q.items) }
 
 // hasOtherTenant reports whether any queued task belongs to a tenant
 // other than the given one.
 func (q *queue) hasOtherTenant(tenant string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.byTenant[tenant] < len(q.items)
 }

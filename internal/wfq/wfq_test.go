@@ -3,6 +3,8 @@ package wfq
 import (
 	"context"
 	"errors"
+	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,28 +200,43 @@ func TestDualLayerDoneCalledOncePerTask(t *testing.T) {
 }
 
 func TestWriteRUCeiling(t *testing.T) {
-	// Rule 2: writes beyond the ceiling are rejected at submit.
-	bucket := quota.NewBucket(10, 10, nil)
-	d := NewDualLayer(Config{WriteCeilingBucket: bucket, WriteRUCeiling: 10})
-	defer d.Close()
-	accepted := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		ok := d.Submit(&Task{
-			Tenant: "T", Class: SmallWrite, RUCost: 1, QuotaShare: 1,
-			CPUStage: func() bool { return false },
-			Done:     func() { wg.Done() },
-		})
-		if ok {
-			accepted++
-		} else {
-			wg.Done()
+	// Rule 2: writes beyond the ceiling are rejected at submit — and by
+	// TryRun, which applies the same ceiling to a write it would run.
+	for _, inline := range []bool{false, true} {
+		bucket := quota.NewBucket(10, 10, nil)
+		d := NewDualLayer(Config{WriteCeilingBucket: bucket, WriteRUCeiling: 10})
+		accepted := 0
+		var wg sync.WaitGroup
+		for i := 0; i < 100; i++ {
+			wg.Add(1)
+			tk := &Task{
+				Tenant: "T", Class: SmallWrite, RUCost: 1, QuotaShare: 1,
+				CPUStage: func() bool { return false },
+				Done:     func() { wg.Done() },
+			}
+			ok := false
+			if inline {
+				var taken bool
+				if taken, ok = d.TryRun(tk); !taken {
+					t.Fatalf("write %d: TryRun on an idle layer did not take it", i)
+				}
+			} else {
+				ok = d.Submit(tk)
+			}
+			if ok {
+				accepted++
+			} else {
+				wg.Done()
+			}
 		}
-	}
-	wg.Wait()
-	if accepted != 10 {
-		t.Fatalf("accepted %d writes, want 10 (ceiling)", accepted)
+		wg.Wait()
+		d.Close()
+		if accepted != 10 {
+			t.Fatalf("inline=%v: accepted %d writes, want 10 (ceiling)", inline, accepted)
+		}
+		if got := d.Stats().Completed; got != 10 {
+			t.Fatalf("inline=%v: %d tasks completed, want only the 10 accepted", inline, got)
+		}
 	}
 }
 
@@ -243,41 +260,53 @@ func TestReadsNotSubjectToWriteCeiling(t *testing.T) {
 }
 
 func TestRule4ExtraThreads(t *testing.T) {
-	// One tenant monopolizes the single basic IO thread with slow tasks;
-	// another tenant's IO must still complete via extra threads.
-	d := NewDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: 2})
-	defer d.Close()
-	var wg sync.WaitGroup
-	block := make(chan struct{})
-	// Monopolist tasks hold the basic thread.
-	for i := 0; i < 3; i++ {
+	// One tenant monopolizes the single basic IO slot with slow tasks —
+	// queued, or run inline by TryRun; another tenant's IO must still
+	// complete via extra threads.
+	for _, inline := range []bool{false, true} {
+		d := NewDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: 2})
+		var wg sync.WaitGroup
+		block := make(chan struct{})
+		entered := make(chan struct{}, 3)
+		// Monopolist tasks hold the basic slot.
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			hog := &Task{
+				Tenant: "hog", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
+				CPUStage: func() bool { return true },
+				IOStage:  func() { entered <- struct{}{}; <-block },
+				Done:     func() { wg.Done() },
+			}
+			if inline {
+				go func() {
+					if taken, _ := d.TryRun(hog); !taken {
+						d.Submit(hog)
+					}
+				}()
+			} else {
+				d.Submit(hog)
+			}
+		}
+		<-entered // a hog occupies the basic slot
+		victimDone := make(chan struct{})
 		wg.Add(1)
 		d.Submit(&Task{
-			Tenant: "hog", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
+			Tenant: "victim", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
 			CPUStage: func() bool { return true },
-			IOStage:  func() { <-block },
-			Done:     func() { wg.Done() },
+			IOStage:  func() {},
+			Done:     func() { close(victimDone); wg.Done() },
 		})
-	}
-	// Give the hog time to occupy the basic thread.
-	time.Sleep(50 * time.Millisecond)
-	victimDone := make(chan struct{})
-	wg.Add(1)
-	d.Submit(&Task{
-		Tenant: "victim", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
-		CPUStage: func() bool { return true },
-		IOStage:  func() {},
-		Done:     func() { close(victimDone); wg.Done() },
-	})
-	select {
-	case <-victimDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("victim IO starved behind monopolizing tenant")
-	}
-	close(block)
-	wg.Wait()
-	if d.Stats().ExtraSpawns == 0 {
-		t.Fatal("no extra thread spawned")
+		select {
+		case <-victimDone:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("inline=%v: victim IO starved behind monopolizing tenant", inline)
+		}
+		close(block)
+		wg.Wait()
+		d.Close()
+		if d.Stats().ExtraSpawns == 0 {
+			t.Fatalf("inline=%v: no extra thread spawned", inline)
+		}
 	}
 }
 
@@ -425,5 +454,359 @@ func TestCanceledTaskFallsBackToDone(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled task never resolved")
+	}
+}
+
+// probe records what the scheduler did with one task.
+type probe struct {
+	cpu, io, done atomic.Int32
+	abort         chan error
+}
+
+func newProbe() *probe { return &probe{abort: make(chan error, 1)} }
+
+func (p *probe) task(tenant string, miss bool) *Task {
+	return &Task{
+		Tenant: tenant, QuotaShare: 1, RUCost: 2, IOPSCost: 1,
+		CPUStage: func() bool { p.cpu.Add(1); return miss },
+		IOStage:  func() { p.io.Add(1) },
+		Done:     func() { p.done.Add(1) },
+		Abort:    func(err error) { p.abort <- err },
+	}
+}
+
+// parkInline occupies a CPU slot of d — with io, a basic I/O slot
+// instead — by a TryRun parked in its stage until release is closed.
+func parkInline(t *testing.T, d *DualLayer, io bool, release chan struct{}) {
+	t.Helper()
+	entered := make(chan struct{})
+	park := func() { close(entered); <-release }
+	// Tenant T, like every task the tests queue behind it: with a single
+	// tenant, Rule 4 spawns no extra thread around a parked I/O slot.
+	tk := &Task{Tenant: "T", QuotaShare: 1, RUCost: 1, IOPSCost: 1}
+	if io {
+		tk.CPUStage = func() bool { return true }
+		tk.IOStage = park
+	} else {
+		tk.CPUStage = func() bool { park(); return false }
+	}
+	go func() {
+		if taken, _ := d.TryRun(tk); !taken {
+			t.Error("the parking run was not taken")
+			close(entered)
+		}
+	}()
+	<-entered
+}
+
+// TestTryRun: TryRun takes a task exactly when a worker would have
+// started it at once, and then does what the worker would have done.
+func TestTryRun(t *testing.T) {
+	tests := []struct {
+		name string
+		cfg  Config
+		// noWorkers starts none: a queued task stays queued, as it does
+		// for the instant before a worker pops it.
+		noWorkers bool
+		// setup brings the layer into the row's state; the returned
+		// function, if any, runs after TryRun.
+		setup   func(t *testing.T, d *DualLayer, release chan struct{}) func()
+		write   bool // a SmallWrite at RUCost 2
+		miss    bool // the CPU stage asks for the I/O stage
+		ctxDone bool // Ctx is done before the call
+
+		taken, accepted bool
+		cpuRan, ioRan   bool // the stage ran before TryRun returned
+		doneOnReturn    bool // Done ran before TryRun returned
+		ioToWorker      bool // the I/O stage went to a worker
+		aborts          bool // resolved through Abort with the context error
+	}{
+		{name: "idle layer", taken: true, accepted: true, cpuRan: true, doneOnReturn: true},
+		{name: "idle layer, miss", miss: true, taken: true, accepted: true, cpuRan: true, ioRan: true, doneOnReturn: true},
+		{
+			name:      "task queued ahead",
+			noWorkers: true,
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+				// A worker would pop it first, so TryRun must not
+				// overtake it.
+				d.mu.Lock()
+				d.cpuQ.push(newProbe().task("ahead", false), 1)
+				d.mu.Unlock()
+				return nil
+			},
+		},
+		{
+			name: "every CPU slot busy",
+			cfg:  Config{CPUWorkers: 2},
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+				parkInline(t, d, false, release)
+				parkInline(t, d, false, release)
+				return nil
+			},
+		},
+		{
+			name: "closed",
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+				d.Close()
+				return nil
+			},
+		},
+		{
+			name:  "write over the ceiling",
+			cfg:   Config{WriteCeilingBucket: quota.NewBucket(1, 1, nil), WriteRUCeiling: 1},
+			write: true, taken: true,
+		},
+		{name: "done ctx", ctxDone: true, taken: true, accepted: true, aborts: true},
+		{
+			name: "basic I/O slot busy",
+			cfg:  Config{BasicIOThreads: 1},
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+				parkInline(t, d, true, release)
+				return nil
+			},
+			miss: true, taken: true, accepted: true, cpuRan: true, ioToWorker: true,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDualLayer(tc.cfg)
+			if tc.noWorkers {
+				d.Close()
+				d = &DualLayer{cfg: tc.cfg.withDefaults(), cpuQ: newQueue(), ioQ: newQueue(),
+					cpuInflight: make(map[string]int), ioBusy: make(map[string]int)}
+				d.cpuCond, d.ioCond = sync.NewCond(&d.mu), sync.NewCond(&d.mu)
+			}
+			release := make(chan struct{})
+			after := func() {}
+			if tc.setup != nil {
+				if f := tc.setup(t, d, release); f != nil {
+					after = f
+				}
+			}
+			p := newProbe()
+			tk := p.task("T", tc.miss)
+			if tc.write {
+				tk.Class = SmallWrite
+			}
+			if tc.ctxDone {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				tk.Ctx = ctx
+			}
+			before, dequeuedBefore := d.Stats(), d.dequeued.Load()
+			taken, accepted := d.TryRun(tk)
+			cpuRan, ioRan, doneRan := p.cpu.Load() == 1, p.io.Load() == 1, p.done.Load() == 1
+			after()
+			if taken != tc.taken || accepted != tc.accepted {
+				t.Fatalf("TryRun = (%v, %v), want (%v, %v)", taken, accepted, tc.taken, tc.accepted)
+			}
+			if cpuRan != tc.cpuRan || ioRan != tc.ioRan || doneRan != tc.doneOnReturn {
+				t.Errorf("on return: CPU stage ran %v, I/O stage %v, Done %v; want %v, %v, %v",
+					cpuRan, ioRan, doneRan, tc.cpuRan, tc.ioRan, tc.doneOnReturn)
+			}
+			if tc.aborts {
+				select {
+				case err := <-p.abort:
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("Abort err = %v, want context.Canceled", err)
+					}
+				default:
+					t.Error("a done Ctx did not resolve through Abort")
+				}
+			}
+			if tc.doneOnReturn {
+				if st := d.Stats(); st.Completed != before.Completed+1 || d.dequeued.Load() != dequeuedBefore {
+					t.Errorf("stats %+v after %+v, %d dequeues after %d: want one more completion and no dequeue",
+						st, before, d.dequeued.Load(), dequeuedBefore)
+				}
+			}
+			close(release)
+			if tc.ioToWorker {
+				for p.done.Load() == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				if p.io.Load() != 1 || d.dequeued.Load() == dequeuedBefore {
+					t.Errorf("the queued I/O stage ran %d times, dequeued by a worker: %v", p.io.Load(), d.dequeued.Load() > dequeuedBefore)
+				}
+			}
+			d.Close()
+			if !taken && (p.cpu.Load() != 0 || p.done.Load() != 0) {
+				t.Error("a task TryRun did not take ran anyway")
+			}
+		})
+	}
+}
+
+// TestTryRunAccountsVFTLikeAQueue: a run of inline tasks leaves each
+// layer's per-tenant preVFT and virtual time exactly where pushing and
+// popping the same tasks would have.
+func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
+	d := NewDualLayer(Config{})
+	defer d.Close()
+	cpuRef, ioRef := newQueue(), newQueue()
+	tenants := []struct {
+		name  string
+		share float64
+	}{{"A", 0.5}, {"B", 0.3}, {"C", 0.2}}
+	for i := 0; i < 60; i++ {
+		tn := tenants[i%3]
+		if i < 30 && tn.name == "C" {
+			tn = tenants[0] // C arrives late: it re-enters at the virtual time
+		}
+		ru, iops, miss := float64(1+i%4), float64(1+i%3), i%2 == 0
+		tk := &Task{Tenant: tn.name, QuotaShare: tn.share, RUCost: ru, IOPSCost: iops,
+			CPUStage: func() bool { return miss }, IOStage: func() {}}
+		if taken, ok := d.TryRun(tk); !taken || !ok {
+			t.Fatalf("task %d: TryRun = (%v, %v) on an idle layer", i, taken, ok)
+		}
+		ref := &Task{Tenant: tn.name, QuotaShare: tn.share}
+		cpuRef.push(ref, ru)
+		cpuRef.pop("")
+		if miss {
+			ioRef.push(ref, iops)
+			ioRef.pop("")
+		}
+	}
+	d.mu.Lock()
+	for _, c := range []struct {
+		layer    string
+		got, ref *queue
+	}{{"CPU", d.cpuQ, cpuRef}, {"I/O", d.ioQ, ioRef}} {
+		if !maps.Equal(c.got.preVFT, c.ref.preVFT) || c.got.vtime != c.ref.vtime {
+			t.Errorf("%s layer: preVFT %v vtime %v, want %v and %v", c.layer, c.got.preVFT, c.got.vtime, c.ref.preVFT, c.ref.vtime)
+		}
+	}
+	d.mu.Unlock()
+	if st := d.Stats(); d.dequeued.Load() != 0 || st.Completed != 60 {
+		t.Errorf("stats %+v, %d dequeues: want 60 completions, none dequeued", st, d.dequeued.Load())
+	}
+}
+
+// TestTryRunStressRespectsSlots mixes Submit and TryRun from many
+// goroutines (run it under -race): inline runs and workers together
+// never exceed CPUWorkers concurrent CPU stages or BasicIOThreads
+// concurrent basic I/O stages, and every task completes once.
+func TestTryRunStressRespectsSlots(t *testing.T) {
+	const cpuSlots, ioSlots, numCallers, perCaller = 2, 1, 8, 300
+	// One tenant: Rule 4 spawns no extra thread, so every I/O stage runs
+	// in a basic slot.
+	d := NewDualLayer(Config{CPUWorkers: cpuSlots, BasicIOThreads: ioSlots})
+	var cpuNow, cpuMax, ioNow, ioMax, inline atomic.Int64
+	enter := func(now, peak *atomic.Int64) {
+		n := now.Add(1)
+		for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+		}
+		runtime.Gosched()
+		now.Add(-1)
+	}
+	var callers sync.WaitGroup
+	for c := 0; c < numCallers; c++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			// Each caller waits for its task, as a DataNode request does.
+			for i := 0; i < perCaller; i++ {
+				miss, done := i%2 == 0, make(chan struct{})
+				tk := &Task{Tenant: "T", QuotaShare: 1, RUCost: 1, IOPSCost: 1,
+					CPUStage: func() bool { enter(&cpuNow, &cpuMax); return miss },
+					IOStage:  func() { enter(&ioNow, &ioMax) },
+					Done:     func() { close(done) },
+				}
+				if (c+i)%2 == 0 {
+					if taken, _ := d.TryRun(tk); taken {
+						inline.Add(1)
+						<-done
+						continue
+					}
+				}
+				if !d.Submit(tk) {
+					t.Error("Submit refused on an open layer")
+					return
+				}
+				<-done
+			}
+		}()
+	}
+	callers.Wait()
+	d.Close()
+	st := d.Stats()
+	if cpuMax.Load() > cpuSlots || ioMax.Load() > ioSlots {
+		t.Errorf("peak concurrency: %d CPU stages (slots %d), %d I/O stages (slots %d)", cpuMax.Load(), cpuSlots, ioMax.Load(), ioSlots)
+	}
+	if st.Completed != numCallers*perCaller || st.ExtraSpawns != 0 {
+		t.Errorf("stats %+v: want %d completions and no extra thread", st, numCallers*perCaller)
+	}
+	dequeued := d.dequeued.Load()
+	t.Logf("%d inline runs, %d dequeues; peak %d CPU, %d I/O stages", inline.Load(), dequeued, cpuMax.Load(), ioMax.Load())
+	if inline.Load() == 0 || dequeued == 0 {
+		t.Errorf("%d inline runs, %d dequeues: the stress did not mix both paths", inline.Load(), dequeued)
+	}
+}
+
+// TestCloseWaitsForInlineRuns: Close does not return while a TryRun is
+// still in its CPU or I/O stage — the owner of the stage's resources
+// (a DataNode closing its engines) relies on it.
+func TestCloseWaitsForInlineRuns(t *testing.T) {
+	for _, io := range []bool{false, true} {
+		d := NewDualLayer(Config{})
+		release := make(chan struct{})
+		parkInline(t, d, io, release)
+		closed := make(chan struct{})
+		go func() {
+			d.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+			t.Fatalf("io=%v: Close returned while an inline run was in its stage", io)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		<-closed
+	}
+}
+
+// TestCloseWakesWorkersWaitingForASlot: workers that wait for a slot
+// held by inline runs while the layer closes must still exit once the
+// last queued stage is served — Close returns. Each layer in turn: both
+// of its slots parked, one task queued behind them.
+func TestCloseWakesWorkersWaitingForASlot(t *testing.T) {
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+	for _, io := range []bool{false, true} {
+		d := NewDualLayer(Config{CPUWorkers: 2, BasicIOThreads: 2})
+		first, second := make(chan struct{}), make(chan struct{})
+		parkInline(t, d, io, first)
+		parkInline(t, d, io, second)
+		done := make(chan struct{})
+		d.Submit(&Task{Tenant: "T", QuotaShare: 1, RUCost: 1, IOPSCost: 1,
+			CPUStage: func() bool { return io }, IOStage: func() {}, Done: func() { close(done) }})
+		waitFor("the task queues behind the held slots", func() bool {
+			st := d.Stats()
+			return st.CPUQueued+st.IOQueued == 1 && (st.IOQueued == 1) == io
+		})
+		closed := make(chan struct{})
+		go func() {
+			d.Close()
+			close(closed)
+		}()
+		waitFor("Close marks the layer closed", func() bool {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return d.closed
+		})
+		close(first) // a worker takes the freed slot and serves the task
+		<-done
+		close(second) // the other worker's slot frees with nothing left to serve
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("io=%v: Close never returned: a waiting worker missed the wake-up to exit", io)
+		}
 	}
 }
