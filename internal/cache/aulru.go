@@ -101,10 +101,14 @@ func NewAULRU(cfg AUConfig) *AULRU {
 	}
 }
 
-// Get returns the cached value and whether it was present and fresh.
-// Accessing a hot entry close to expiry triggers a synchronous active
-// update through the Refresher, renewing the entry in place.
-func (c *AULRU) Get(key string) ([]byte, bool) {
+// Get is GetAt at the cache clock's current time.
+func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt(key, c.clk.Now()) }
+
+// GetAt returns the cached value and whether it was present and fresh
+// at now, the caller's arrival time for the request. Accessing a hot
+// entry close to expiry triggers a synchronous active update through
+// the Refresher, renewing the entry in place.
+func (c *AULRU) GetAt(key string, now time.Time) ([]byte, bool) {
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
@@ -113,7 +117,6 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	e := el.Value.(*auEntry)
-	now := c.clk.Now()
 	if !now.Before(e.expireAt) {
 		// Expired: treat as miss and drop.
 		c.removeElement(el)

@@ -1,6 +1,7 @@
 package datanode
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"time"
@@ -22,8 +23,9 @@ var ErrOverloaded = errors.New("datanode: request queue overloaded")
 // unless the proxy intercepts it first. The queue has no workers: a
 // request takes its step on its caller's goroutine, at once when a slot
 // is free, and otherwise waits for one in a bounded FIFO — callers
-// blocked sending on a Go channel are served in the order they blocked,
-// and a freed slot passes straight to the first of them.
+// blocked sending on a Go channel (in a select or not) are served in the
+// order they blocked, and a freed slot passes straight to the first of
+// them. A caller whose ctx ends while it waits leaves the queue at once.
 type admission struct {
 	closed atomic.Bool
 	// slots holds one token per request in its admission step; its
@@ -52,19 +54,25 @@ func newAdmission(slots, queueCap int) *admission {
 }
 
 // enter takes an admission slot for the caller, waiting behind the
-// requests that wait already; it reports false when the queue is full or
-// the node is shutting down. The caller leaves once its step is done.
-func (a *admission) enter() bool {
+// requests that wait already. It fails with ErrOverloaded when the queue
+// is full or the node is shutting down, and with ctx's error when the
+// caller gives up while it waits. The caller leaves once its step is
+// done.
+func (a *admission) enter(ctx context.Context) error {
 	if a.closed.Load() {
-		return false
+		return ErrOverloaded
 	}
 	if a.pending.Add(1) > a.limit {
 		a.pending.Add(-1)
-		return false
+		return ErrOverloaded
 	}
-	a.slots <- struct{}{}
-	a.pending.Add(-1)
-	return true
+	defer a.pending.Add(-1)
+	select {
+	case a.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // leave releases an admission slot.

@@ -116,10 +116,10 @@ func (n *Node) placeRead(r *readOp, pid partition.ID) error {
 	return nil
 }
 
-func (r *readOp) heat() {
-	r.rep.heat.Add(float64(len(r.keys)))
+func (r *readOp) heat(now time.Time) {
+	r.rep.heat.Add(float64(len(r.keys)), now)
 	for _, key := range r.keys {
-		r.rep.hot.Touch(key)
+		r.rep.hot.Touch(key, now)
 	}
 }
 

@@ -3,6 +3,7 @@ package datanode
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,8 +157,8 @@ func (c *gateClock) Sleep(d time.Duration) {
 
 // TestCanceledInAdmissionQueueAborts: a request of any kind canceled
 // while it waits in the admission queue resolves with the context
-// error when its admission step comes — without burning admit cost,
-// spending quota, or running a stage.
+// error — without burning admit cost, spending quota, or running a
+// stage.
 func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 	for _, op := range opKinds {
 		t.Run(op.name, func(t *testing.T) {
@@ -186,7 +187,7 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 				t.Fatalf("queued err = %v, want context.Canceled", err)
 			}
 			<-first
-			// Both took the admission step; only the occupier paid for it.
+			// Only the occupier paid admit cost.
 			if got := clk.sleeps.Load(); got != 1 {
 				t.Errorf("admit cost was burned %d times, want once: the canceled request must not pay it", got)
 			}
@@ -197,6 +198,62 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 				t.Errorf("canceled request was counted: %+v", st)
 			}
 		})
+	}
+}
+
+// TestCancelWakesSlotWaiter: a caller blocked waiting for the admission
+// slot is woken by its ctx — it returns the context error while the slot
+// is still held, leaves the queue, and burns no admit cost and no quota.
+func TestCancelWakesSlotWaiter(t *testing.T) {
+	const admitCost = 30 * time.Millisecond
+	clk := &gateClock{hold: admitCost, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
+	release := sync.OnceFunc(func() { close(clk.release) })
+	t.Cleanup(release) // runs before the node's Close
+	first := make(chan error, 1)
+	go func() {
+		_, err := n.Put(context.Background(), pid, []byte("occupy"), []byte("v"), 0)
+		first <- err
+	}()
+	<-clk.entered // the first request holds the only slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.Get(ctx, pid, []byte("victim"))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); n.admit.depth() == 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the Get never waited for the held slot")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled Get err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the canceled Get kept waiting for the held slot")
+	}
+	if d := n.admit.depth(); d != 0 {
+		t.Errorf("admission depth after the cancel = %d, want 0", d)
+	}
+	// The holder is charged only after its admit cost, which is still
+	// parked: anything charged now is the canceled Get's.
+	if charged, _ := n.TenantRULedger("t"); charged != 0 {
+		t.Errorf("the canceled Get was charged %v RU", charged)
+	}
+	release()
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.sleeps.Load(); got != 1 {
+		t.Errorf("admit cost was burned %d times, want once (the holder's)", got)
+	}
+	if st := n.TenantStats("t"); st.Success != 1 || st.Errors != 0 || st.Throttled != 0 {
+		t.Errorf("the canceled Get was counted: %+v", st)
 	}
 }
 

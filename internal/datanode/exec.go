@@ -16,11 +16,12 @@ import (
 // it. Every client-facing operation is one implementation; the op
 // struct embeds its unit, so a request is a single heap object.
 type stages interface {
-	// heat records the request's offered load on its replica. It runs
-	// at arrival, before admission — including the deadline shed — so
-	// the control plane sees the load a partition sheds or throttles
-	// away: that partition is exactly the one that needs a split.
-	heat()
+	// heat records the request's offered load on its replica at now, the
+	// request's arrival time. It runs at arrival, before admission —
+	// including the deadline shed — so the control plane sees the load a
+	// partition sheds or throttles away: that partition is exactly the
+	// one that needs a split.
+	heat(now time.Time)
 	// cpu is the CPU-WFQ stage after the common CPU burn; it reports
 	// whether the request missed the node cache and must go on to the
 	// I/O-WFQ.
@@ -118,9 +119,11 @@ func (u *unit) bill(charged float64) {
 // caller's goroutine, after it waits for a slot if none is free; a WFQ
 // stage runs there too when its turn is free — nothing queued ahead and
 // a slot open — and waits for a worker otherwise. ctx bounds the request
-// end to end: done at arrival it fails fast before any admission, and a
-// cancel while a unit waits in the request queue or a WFQ drops it at
-// the next dequeue point without executing.
+// end to end: done at arrival it fails fast before any admission, a
+// cancel while the request waits for an admission slot ends the wait at
+// once, and a cancel while a unit waits in a WFQ drops it at the next
+// dequeue point without executing. start, read once at arrival, is the
+// "now" of everything the request does before it completes.
 func (n *Node) run(ctx context.Context, units []*unit) {
 	start := n.cfg.Clock.Now()
 	admitted := false
@@ -128,7 +131,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		if u.err = ctx.Err(); u.err != nil {
 			continue // the caller is gone: not offered load
 		}
-		u.op.heat()
+		u.op.heat(start)
 		if u.err = n.admitCtx(ctx, u.ts); u.err != nil {
 			continue
 		}
@@ -150,8 +153,15 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 	}
 	// Request-queue stage: quota filtering happens here, so a flood of
 	// over-quota traffic occupies the admission slots (Figure 6). Units
-	// refused at arrival carry an err already and are skipped.
-	entered := admitted && n.admit.enter()
+	// refused at arrival carry an err already and are skipped. A request
+	// that never gets a slot — the queue is full, the node is closing, or
+	// the caller left while it waited — resolves its units with why,
+	// having burned no admit cost and charged no quota.
+	var qerr error
+	if admitted {
+		qerr = n.admit.enter(ctx)
+	}
+	entered := admitted && qerr == nil
 	var lat time.Duration
 	if entered {
 		n.admitStep(ctx, units)
@@ -165,7 +175,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 	}
 	for _, u := range units {
 		if !entered && u.err == nil {
-			u.err = ErrOverloaded
+			u.err = qerr
 		}
 		u.lat = lat
 		switch {

@@ -111,13 +111,13 @@ func TestPointOpsRunOnTheirCaller(t *testing.T) {
 // behind it.
 func TestQueuedRequestGoesFirst(t *testing.T) {
 	a := newAdmission(1, 4)
-	if !a.enter() {
-		t.Fatal("enter on an idle queue refused")
+	if err := a.enter(bg); err != nil {
+		t.Fatalf("enter on an idle queue: %v", err)
 	}
 	order := make(chan string, 2)
 	arrive := func(name string) {
 		go func() {
-			if a.enter() {
+			if a.enter(bg) == nil {
 				order <- name
 				a.leave()
 			}

@@ -174,10 +174,10 @@ func (n *Node) placeWrite(w *writeOp, pid partition.ID, epoch uint64) error {
 	return nil
 }
 
-func (w *writeOp) heat() {
-	w.rep.heat.Add(float64(len(w.muts)))
+func (w *writeOp) heat(now time.Time) {
+	w.rep.heat.Add(float64(len(w.muts)), now)
 	for k := range w.muts {
-		w.rep.hot.Touch(w.muts[k].Key)
+		w.rep.hot.Touch(w.muts[k].Key, now)
 	}
 }
 

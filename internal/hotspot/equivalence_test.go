@@ -49,8 +49,8 @@ func (r *refDetector) cells(key []byte) []*float64 {
 	return out
 }
 
-func (r *refDetector) decay() {
-	elapsed := r.clk.Now().Sub(r.lastDecay)
+func (r *refDetector) decay(now time.Time) {
+	elapsed := now.Sub(r.lastDecay)
 	if elapsed < r.window {
 		return
 	}
@@ -79,8 +79,8 @@ func (r *refDetector) debias(est float64) float64 {
 	return math.Max(0, est-r.total/float64(r.width))
 }
 
-func (r *refDetector) touch(key []byte, w float64) (est float64) {
-	r.decay()
+func (r *refDetector) touch(key []byte, w float64, now time.Time) (est float64) {
+	r.decay(now)
 	est = math.Inf(1)
 	for _, c := range r.cells(key) {
 		*c += w
@@ -108,7 +108,7 @@ func (r *refDetector) touch(key []byte, w float64) (est float64) {
 }
 
 func (r *refDetector) estimate(key []byte) float64 {
-	r.decay()
+	r.decay(r.clk.Now())
 	est := math.Inf(1)
 	for _, c := range r.cells(key) {
 		est = math.Min(est, *c)
@@ -117,7 +117,7 @@ func (r *refDetector) estimate(key []byte) float64 {
 }
 
 func (r *refDetector) topKeys() []HotKey {
-	r.decay()
+	r.decay(r.clk.Now())
 	out := make([]HotKey, 0, len(r.ss))
 	for k, e := range r.ss {
 		out = append(out, HotKey{Key: k, Count: e.count, Err: e.err})
@@ -144,7 +144,11 @@ func (r *refDetector) reset() {
 // reference with the same seeded streams — Zipf and uniform phases,
 // across decay boundaries (single, multiple and summary-emptying) and a
 // Reset — and requires every touch's return value, every estimate and
-// the whole summary (keys, counts, error bounds) to match exactly.
+// the whole summary (keys, counts, error bounds) to match exactly. Each
+// touch carries an explicit arrival time: the clock's reading, or in the
+// "-lagging" runs one up to a few milliseconds behind it, as when a
+// request that arrived earlier touches after a later one already
+// decayed the counts. Queries read the clock.
 func TestTouchMatchesAlwaysScan(t *testing.T) {
 	configs := map[string]Config{
 		// The proxy sketch: 32 counters, unsampled, debiased reads.
@@ -154,75 +158,86 @@ func TestTouchMatchesAlwaysScan(t *testing.T) {
 		// A summary far smaller than the hot set, so eviction is constant.
 		"tiny": {TopK: 4, Width: 64, Depth: 2, Window: time.Second},
 	}
-	for name, cfg := range configs {
-		t.Run(name, func(t *testing.T) {
-			clk := clock.NewSim(time.Unix(0, 0))
-			cfg.Clock = clk
-			d, ref := NewDetector(cfg), newRefDetector(cfg)
-			rng := rand.New(rand.NewSource(42))
-			zipf := rand.NewZipf(rng, 1.1, 1, 1<<16)
-			const touches = 120000
-			for i := 0; i < touches; i++ {
-				var k []byte
-				if (i/20000)%2 == 0 {
-					k = key(int(zipf.Uint64()))
-				} else {
-					k = key(rng.Intn(5000))
-				}
-				// Mostly unit weight (Touch at SampleRate 1); the rest
-				// are the weights a sampled detector records.
-				w := 1.0
-				if rng.Intn(10) == 0 {
-					w = float64(1 + rng.Intn(8))
-				}
-				var got, want float64
-				if i%2 == 0 {
-					got, want = d.touchN(k, w, true), ref.debias(ref.touch(k, w))
-				} else {
-					got, want = d.TouchN(k, w), ref.touch(k, w)
-				}
-				if got != want {
-					t.Fatalf("touch %d of %s: returned %v, reference %v", i, k, got, want)
-				}
-				if i%7 == 0 {
-					clk.Advance(time.Millisecond)
-				}
-				if i%9973 == 0 {
-					clk.Advance(3 * cfg.Window) // several halvings at once
-				}
-				if i == 70000 {
-					clk.Advance(40 * cfg.Window) // decays the summary empty
-				}
-				if i == 90000 {
-					d.Reset()
-					ref.reset()
-				}
-				if i%1000 != 0 && i != touches-1 {
-					continue
-				}
-				got2, want2 := d.TopK(), ref.topKeys()
-				if len(got2) != len(want2) {
-					t.Fatalf("touch %d: summary holds %d keys, reference %d", i, len(got2), len(want2))
-				}
-				for j := range got2 {
-					if got2[j] != want2[j] {
-						t.Fatalf("touch %d: TopK[%d] = %+v, reference %+v", i, j, got2[j], want2[j])
-					}
-				}
-				for j := 0; j < 64; j++ {
-					probe := key(rng.Intn(6000))
-					if got, want := d.Estimate(probe), ref.estimate(probe); got != want {
-						t.Fatalf("touch %d: Estimate(%s) = %v, reference %v", i, probe, got, want)
-					}
-					if got, want := d.EstimateDebiased(probe), ref.debias(ref.estimate(probe)); got != want {
-						t.Fatalf("touch %d: EstimateDebiased(%s) = %v, reference %v", i, probe, got, want)
-					}
-				}
-				if total := d.Total(); total != ref.total {
-					t.Fatalf("touch %d: Total = %v, reference %v", i, total, ref.total)
-				}
+	for _, lagging := range []bool{false, true} {
+		for name, cfg := range configs {
+			if lagging {
+				name += "-lagging"
 			}
-		})
+			t.Run(name, func(t *testing.T) { touchMatchesAlwaysScan(t, cfg, lagging) })
+		}
+	}
+}
+
+func touchMatchesAlwaysScan(t *testing.T, cfg Config, lagging bool) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	cfg.Clock = clk
+	d, ref := NewDetector(cfg), newRefDetector(cfg)
+	rng := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rng, 1.1, 1, 1<<16)
+	const touches = 120000
+	for i := 0; i < touches; i++ {
+		var k []byte
+		if (i/20000)%2 == 0 {
+			k = key(int(zipf.Uint64()))
+		} else {
+			k = key(rng.Intn(5000))
+		}
+		// Mostly unit weight (Touch at SampleRate 1); the rest
+		// are the weights a sampled detector records.
+		w := 1.0
+		if rng.Intn(10) == 0 {
+			w = float64(1 + rng.Intn(8))
+		}
+		now := clk.Now()
+		if lagging {
+			now = now.Add(-time.Duration(rng.Intn(5000)) * time.Microsecond)
+		}
+		var got, want float64
+		if i%2 == 0 {
+			got, want = d.touchN(k, w, true, now), ref.debias(ref.touch(k, w, now))
+		} else {
+			got, want = d.TouchN(k, w, now), ref.touch(k, w, now)
+		}
+		if got != want {
+			t.Fatalf("touch %d of %s: returned %v, reference %v", i, k, got, want)
+		}
+		if i%7 == 0 {
+			clk.Advance(time.Millisecond)
+		}
+		if i%9973 == 0 {
+			clk.Advance(3 * cfg.Window) // several halvings at once
+		}
+		if i == 70000 {
+			clk.Advance(40 * cfg.Window) // decays the summary empty
+		}
+		if i == 90000 {
+			d.Reset()
+			ref.reset()
+		}
+		if i%1000 != 0 && i != touches-1 {
+			continue
+		}
+		got2, want2 := d.TopK(), ref.topKeys()
+		if len(got2) != len(want2) {
+			t.Fatalf("touch %d: summary holds %d keys, reference %d", i, len(got2), len(want2))
+		}
+		for j := range got2 {
+			if got2[j] != want2[j] {
+				t.Fatalf("touch %d: TopK[%d] = %+v, reference %+v", i, j, got2[j], want2[j])
+			}
+		}
+		for j := 0; j < 64; j++ {
+			probe := key(rng.Intn(6000))
+			if got, want := d.Estimate(probe), ref.estimate(probe); got != want {
+				t.Fatalf("touch %d: Estimate(%s) = %v, reference %v", i, probe, got, want)
+			}
+			if got, want := d.EstimateDebiased(probe), ref.debias(ref.estimate(probe)); got != want {
+				t.Fatalf("touch %d: EstimateDebiased(%s) = %v, reference %v", i, probe, got, want)
+			}
+		}
+		if total := d.Total(); total != ref.total {
+			t.Fatalf("touch %d: Total = %v, reference %v", i, total, ref.total)
+		}
 	}
 }
 
@@ -231,22 +246,25 @@ func TestTouchMatchesAlwaysScan(t *testing.T) {
 func saturated(b *testing.B) *Detector {
 	d := NewDetector(Config{TopK: 32, Width: 2048, Window: time.Hour})
 	for i := 0; i < 32; i++ {
-		d.TouchN(key(i), 1e6)
+		d.TouchN(key(i), 1e6, time.Now())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	return d
 }
 
-// BenchmarkTouchHot touches keys held by the summary.
+// BenchmarkTouchHot touches keys held by the summary. The arrival time
+// is the caller's, read once outside the loop as a request reads it
+// once outside the sketch.
 func BenchmarkTouchHot(b *testing.B) {
 	d := saturated(b)
 	keys := make([][]byte, 32)
 	for i := range keys {
 		keys[i] = key(i)
 	}
+	now := time.Now()
 	for i := 0; i < b.N; i++ {
-		d.Touch(keys[i%len(keys)])
+		d.Touch(keys[i%len(keys)], now)
 	}
 }
 
@@ -259,7 +277,8 @@ func BenchmarkTouchCold(b *testing.B) {
 	for i := range keys {
 		keys[i] = key(1000 + i)
 	}
+	now := time.Now()
 	for i := 0; i < b.N; i++ {
-		d.Touch(keys[i%len(keys)])
+		d.Touch(keys[i%len(keys)], now)
 	}
 }

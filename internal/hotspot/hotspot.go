@@ -156,18 +156,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Touch records one access to key (subject to sampling) and returns
-// the key's post-touch windowed count estimate, or -1 when sampling
-// skipped the access — skipped touches never take the lock. The
-// sampling decision mixes the sequence counter through SplitMix64, so
-// periodic access patterns (fixed-size batches with a stable key
-// order) cannot alias with the sampling stride and systematically
-// over- or under-count positions.
-func (d *Detector) Touch(key []byte) float64 {
+// Touch records one access to key at now (subject to sampling) and
+// returns the key's post-touch windowed count estimate, or -1 when
+// sampling skipped the access — skipped touches never take the lock.
+// now is the caller's arrival time for the request: the count decays to
+// it, so a request reads the clock once for everything that needs
+// "now". The sampling decision mixes the sequence counter through
+// SplitMix64, so periodic access patterns (fixed-size batches with a
+// stable key order) cannot alias with the sampling stride and
+// systematically over- or under-count positions.
+func (d *Detector) Touch(key []byte, now time.Time) float64 {
 	if d.rate > 1 && splitmix64(d.ctr.Add(1))%d.rate != 0 {
 		return -1
 	}
-	return d.TouchN(key, float64(d.rate))
+	return d.touchN(key, float64(d.rate), false, now)
 }
 
 // TouchDebiased is Touch returning the collision-corrected
@@ -176,20 +178,20 @@ func (d *Detector) Touch(key []byte) float64 {
 // min, so the admission threshold keeps meaning "accesses in the
 // window" even when traffic volume saturates the sketch. -1 when
 // sampling skipped the access.
-func (d *Detector) TouchDebiased(key []byte) float64 {
+func (d *Detector) TouchDebiased(key []byte, now time.Time) float64 {
 	if d.rate > 1 && splitmix64(d.ctr.Add(1))%d.rate != 0 {
 		return -1
 	}
-	return d.touchN(key, float64(d.rate), true)
+	return d.touchN(key, float64(d.rate), true, now)
 }
 
-// TouchN records an access with explicit weight w > 0 (bypassing the
-// sampler) and returns the key's post-touch estimate.
-func (d *Detector) TouchN(key []byte, w float64) float64 {
-	return d.touchN(key, w, false)
+// TouchN records an access at now with explicit weight w > 0
+// (bypassing the sampler) and returns the key's post-touch estimate.
+func (d *Detector) TouchN(key []byte, w float64, now time.Time) float64 {
+	return d.touchN(key, w, false, now)
 }
 
-func (d *Detector) touchN(key []byte, w float64, debias bool) float64 {
+func (d *Detector) touchN(key []byte, w float64, debias bool, now time.Time) float64 {
 	h1 := fnv1a(key)
 	h2 := h1>>29 | h1<<35 // odd-ish second hash; any mix works for K-M
 	if h2 == 0 {
@@ -197,7 +199,7 @@ func (d *Detector) touchN(key []byte, w float64, debias bool) float64 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.maybeDecayLocked()
+	d.maybeDecayLocked(now)
 	est := math.Inf(1)
 	for i := range d.rows {
 		c := &d.rows[i][d.cell(h1, h2, i)]
@@ -265,7 +267,7 @@ func (d *Detector) estimate(key []byte, debias bool) float64 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.maybeDecayLocked()
+	d.maybeDecayLocked(d.clk.Now())
 	est := math.Inf(1)
 	for i := range d.rows {
 		if c := d.rows[i][d.cell(h1, h2, i)]; c < est {
@@ -286,7 +288,7 @@ func (d *Detector) estimate(key []byte, debias bool) float64 {
 // Space-Saving error of the reported value.
 func (d *Detector) TopK() []HotKey {
 	d.mu.Lock()
-	d.maybeDecayLocked()
+	d.maybeDecayLocked(d.clk.Now())
 	out := make([]HotKey, 0, len(d.ss))
 	for k, e := range d.ss {
 		out = append(out, HotKey{Key: k, Count: e.count, Err: e.err})
@@ -305,7 +307,7 @@ func (d *Detector) TopK() []HotKey {
 func (d *Detector) Total() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.maybeDecayLocked()
+	d.maybeDecayLocked(d.clk.Now())
 	return d.total
 }
 
@@ -324,12 +326,12 @@ func (d *Detector) Reset() {
 	d.lastDecay = d.clk.Now()
 }
 
-// maybeDecayLocked halves every count once per elapsed window. Decay is
-// lazy — applied on the next touch or query — so idle detectors cost
-// nothing.
+// maybeDecayLocked halves every count once per window elapsed by now.
+// Decay is lazy — applied on the next touch or query — so idle detectors
+// cost nothing. A now behind the last decay (a request that arrived
+// before a concurrent one decayed the counts) decays nothing.
 // +locked:d.mu
-func (d *Detector) maybeDecayLocked() {
-	now := d.clk.Now()
+func (d *Detector) maybeDecayLocked(now time.Time) {
 	elapsed := now.Sub(d.lastDecay)
 	if elapsed < d.window {
 		return
@@ -397,11 +399,12 @@ func (m *Meter) decayLocked(now time.Time) {
 	m.last = now
 }
 
-// Add records n events now.
-func (m *Meter) Add(n float64) {
+// Add records n events at now, the caller's arrival time for the
+// request.
+func (m *Meter) Add(n float64, now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.decayLocked(m.clk.Now())
+	m.decayLocked(now)
 	m.value += n
 }
 

@@ -30,14 +30,14 @@ func TestTopKRecallAdversarial(t *testing.T) {
 			reps := 2 + h%3
 			for r := 0; r < reps; r++ {
 				k := key(h)
-				d.Touch(k)
+				d.Touch(k, time.Now())
 				exact[string(k)]++
 				// Adversarial interleaving: cold keys separate every
 				// hot repetition.
 				for c := 0; c < 1+rng.Intn(3); c++ {
 					cold++
 					ck := []byte(fmt.Sprintf("cold-%09d", cold))
-					d.Touch(ck)
+					d.Touch(ck, time.Now())
 					exact[string(ck)]++
 				}
 			}
@@ -82,8 +82,8 @@ func TestEstimateColdKeysStayCold(t *testing.T) {
 	d := NewDetector(Config{Width: 1024, Depth: 4, Window: time.Hour})
 	hotKey := []byte("the-hot-key")
 	for i := 0; i < 5000; i++ {
-		d.Touch(hotKey)
-		d.Touch(key(i)) // each cold key exactly once
+		d.Touch(hotKey, time.Now())
+		d.Touch(key(i), time.Now()) // each cold key exactly once
 	}
 	if est := d.Estimate(hotKey); est < 5000 {
 		t.Fatalf("hot estimate %.0f < 5000", est)
@@ -108,7 +108,7 @@ func TestWindowDecay(t *testing.T) {
 	d := NewDetector(Config{Window: time.Second, Clock: clk})
 	k := []byte("burst")
 	for i := 0; i < 1024; i++ {
-		d.Touch(k)
+		d.Touch(k, clk.Now())
 	}
 	if est := d.Estimate(k); est != 1024 {
 		t.Fatalf("pre-decay estimate %.0f", est)
@@ -133,7 +133,7 @@ func TestSampledTouchUnbiased(t *testing.T) {
 	d := NewDetector(Config{SampleRate: 8, Window: time.Hour})
 	k := []byte("sampled-hot")
 	for i := 0; i < 8000; i++ {
-		d.Touch(k)
+		d.Touch(k, time.Now())
 	}
 	est := d.Estimate(k)
 	if est < 7000 || est > 9000 {
@@ -151,7 +151,7 @@ func TestDetectorConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				d.Touch(key(i % 50))
+				d.Touch(key(i%50), time.Now())
 				if i%100 == 0 {
 					d.Estimate(key(g))
 					d.TopK()
@@ -172,7 +172,7 @@ func TestMeterRate(t *testing.T) {
 	m := NewMeter(10*time.Second, clk)
 	// 100 events/s for 60s (several time constants).
 	for i := 0; i < 600; i++ {
-		m.Add(10)
+		m.Add(10, clk.Now())
 		clk.Advance(100 * time.Millisecond)
 	}
 	r := m.Rate()

@@ -53,13 +53,18 @@ func (g *Gauge) Swap(v float64) float64 {
 
 // MovingAverage maintains the average of the last k observations. It is
 // used by the RU estimator for E[S_read] and E[R_hit] over the last k
-// requests (§4.1). Safe for concurrent use.
+// requests (§4.1). Safe for concurrent use: Observe serializes on a
+// mutex, and Value reads the mean the last Observe published without
+// taking it.
 type MovingAverage struct {
 	mu   sync.Mutex
 	buf  []float64
 	next int
 	full bool
 	sum  float64
+	// mean is the window's mean, sum/n, as float64 bits: NaN before the
+	// first sample, written only under mu.
+	mean atomic.Uint64
 }
 
 // NewMovingAverage returns a moving average over a window of k samples.
@@ -68,7 +73,9 @@ func NewMovingAverage(k int) *MovingAverage {
 	if k <= 0 {
 		panic("metrics: MovingAverage window must be positive")
 	}
-	return &MovingAverage{buf: make([]float64, k)}
+	m := &MovingAverage{buf: make([]float64, k)}
+	m.mean.Store(math.Float64bits(math.NaN()))
+	return m
 }
 
 // Observe adds a sample, evicting the oldest when the window is full.
@@ -85,27 +92,28 @@ func (m *MovingAverage) Observe(v float64) {
 		m.next = 0
 		m.full = true
 	}
+	m.mean.Store(math.Float64bits(m.sum / float64(m.countLocked())))
 }
 
 // Value returns the current average, or def when no samples have been
 // observed yet.
 func (m *MovingAverage) Value(def float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.next
-	if m.full {
-		n = len(m.buf)
+	if v := math.Float64frombits(m.mean.Load()); !math.IsNaN(v) {
+		return v
 	}
-	if n == 0 {
-		return def
-	}
-	return m.sum / float64(n)
+	return def
 }
 
 // Count returns the number of samples currently in the window.
 func (m *MovingAverage) Count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.countLocked()
+}
+
+// countLocked is Count under mu.
+// +locked:m.mu
+func (m *MovingAverage) countLocked() int {
 	if m.full {
 		return len(m.buf)
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,21 +42,10 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]uint64, histBuckets+1)}
 }
 
+// bucketFor returns the index of the first bound at or above d, or
+// histBuckets (the overflow bucket) when d exceeds every bound.
 func bucketFor(d time.Duration) int {
-	if d <= histBucket0 {
-		return 0
-	}
-	i := int(math.Log(float64(d)/float64(histBucket0)) / math.Log(histBase))
-	if i >= histBuckets {
-		return histBuckets
-	}
-	// Log rounding can land one bucket off; fix up.
-	for i > 0 && histBounds[i-1] >= d {
-		i--
-	}
-	for i < histBuckets && histBounds[i] < d {
-		i++
-	}
+	i, _ := slices.BinarySearch(histBounds, d)
 	return i
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,49 @@ func TestHistogramRelativeError(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// logBucket is the bucket rule bucketFor replaced, kept as the
+// reference: a math.Log estimate of the bucket, fixed up to the first
+// bound at or above d.
+func logBucket(d time.Duration) int {
+	if d <= histBucket0 {
+		return 0
+	}
+	i := int(math.Log(float64(d)/float64(histBucket0)) / math.Log(histBase))
+	if i >= histBuckets {
+		return histBuckets
+	}
+	for i > 0 && histBounds[i-1] >= d {
+		i--
+	}
+	for i < histBuckets && histBounds[i] < d {
+		i++
+	}
+	return i
+}
+
+// TestBucketForMatchesLogRule: the binary search picks the bucket the
+// logarithm rule picks, at every bound, one nanosecond either side of
+// it, and on a seeded log-uniform sweep past the last bound.
+func TestBucketForMatchesLogRule(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketFor(d), logBucket(d); got != want {
+			t.Fatalf("bucketFor(%d) = %d, log rule %d", d, got, want)
+		}
+	}
+	check(0)
+	for _, b := range histBounds {
+		check(b - 1)
+		check(b)
+		check(b + 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	top := math.Log(2 * float64(histBounds[histBuckets-1]))
+	for i := 0; i < 200_000; i++ {
+		check(time.Duration(math.Exp(rng.Float64() * top)))
 	}
 }
 
@@ -315,6 +359,56 @@ func TestMovingAverage(t *testing.T) {
 	}
 	if m.Count() != 3 {
 		t.Fatalf("Count = %d", m.Count())
+	}
+}
+
+// TestMovingAverageConcurrentValue mixes Observe and Value calls (run it
+// under -race): Value is def before the first sample, the mean of some
+// window while writers run, and exactly sum/n of the final window once
+// they stop.
+func TestMovingAverageConcurrentValue(t *testing.T) {
+	const def = -1
+	m := NewMovingAverage(64)
+	if v := m.Value(def); v != def {
+		t.Fatalf("Value before any sample = %v, want %v", v, def)
+	}
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Every sample is in [1, 8], so is every window's mean.
+				if v := m.Value(def); v != def && (v < 1 || v > 8) {
+					t.Errorf("Value = %v, outside every window's range", v)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 8; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 5000; i++ {
+				m.Observe(float64(w + 1))
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	m.mu.Lock()
+	want := m.sum / float64(m.countLocked())
+	m.mu.Unlock()
+	if got := m.Value(def); got != want {
+		t.Fatalf("Value after the writers stopped = %v, want sum/n = %v", got, want)
 	}
 }
 

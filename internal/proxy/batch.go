@@ -193,7 +193,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 	admit := make([]int, 0, len(op.keys))
 	var cost float64
 	for i, k := range op.keys {
-		heat, v, hit := p.cacheLookup(op.use, k)
+		heat, v, hit := p.cacheLookup(op.use, k, start)
 		if hit {
 			op.hit(i, v)
 			continue

@@ -13,6 +13,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"time"
 
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
@@ -43,19 +44,20 @@ const (
 )
 
 // cacheLookup is the policy's half before admission — before the
-// limiter, so throttled traffic still heats the sketch. It returns the
-// key's sketch estimate after this access, for the hotness-gated cache
-// fills, and for a cacheRead the AU-LRU's answer: a hit is a served
-// request that cost no quota.
-func (p *Proxy) cacheLookup(use cacheUse, key []byte) (heat float64, v []byte, hit bool) {
+// limiter, so throttled traffic still heats the sketch. now is the
+// request's arrival time: the sketch decays to it and the AU-LRU checks
+// expiry against it. It returns the key's sketch estimate after this
+// access, for the hotness-gated cache fills, and for a cacheRead the
+// AU-LRU's answer: a hit is a served request that cost no quota.
+func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (heat float64, v []byte, hit bool) {
 	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
 		return 0, nil, false
 	}
-	heat = p.touchHot(key)
+	heat = p.touchHot(key, now)
 	if use == cacheWrite {
 		return heat, nil, false
 	}
-	if v, hit = p.cache.Get(string(key)); hit {
+	if v, hit = p.cache.GetAt(string(key), now); hit {
 		p.hits.Inc()
 		p.success.Inc()
 	} else {
@@ -99,7 +101,7 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 		return err
 	}
 	start := p.cfg.Clock.Now()
-	heat, v, hit := p.cacheLookup(op.use, op.key)
+	heat, v, hit := p.cacheLookup(op.use, op.key, start)
 	if hit {
 		*op.hit = v
 		p.latency.Observe(p.cfg.Clock.Since(start))

@@ -192,16 +192,16 @@ func (p *Proxy) refreshGate() cache.RefreshGate {
 	}
 }
 
-// touchHot records one access in the admission sketch and returns the
-// key's post-touch debiased estimate (0 when gating is disabled; the
-// proxy sketch is unsampled, so recording never skips). The estimate
-// is threaded to hotAdmit so the admission decision does not re-lock
-// the sketch.
-func (p *Proxy) touchHot(key []byte) float64 {
+// touchHot records one access at now in the admission sketch and
+// returns the key's post-touch debiased estimate (0 when gating is
+// disabled; the proxy sketch is unsampled, so recording never skips).
+// The estimate is threaded to hotAdmit so the admission decision does
+// not re-lock the sketch.
+func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 	if p.hot == nil {
 		return 0
 	}
-	return p.hot.TouchDebiased(key)
+	return p.hot.TouchDebiased(key, now)
 }
 
 // hotAdmit reports whether a key whose touchHot estimate was est has
@@ -495,10 +495,14 @@ func NewFleet(cfg Config, numProxies, numGroups int, seed int64) (*Fleet, error)
 }
 
 // Route returns the proxy that should serve key: hash to a group, then
-// a random member of that group.
+// a random member of that group. A group of one (the default layout,
+// one group per proxy) has nothing to draw.
 func (f *Fleet) Route(key []byte) *Proxy {
 	g := int(partition.Hash(key) % uint64(len(f.groups)))
 	members := f.groups[g]
+	if len(members) == 1 {
+		return members[0]
+	}
 	f.mu.Lock()
 	idx := f.rng.Intn(len(members))
 	f.mu.Unlock()

@@ -14,7 +14,8 @@ type Config struct {
 	// BasicIOThreads is the I/O-WFQ basic thread count (Rule 4). Default 2.
 	BasicIOThreads int
 	// ExtraIOThreads is the maximum temporary extra threads spawned when
-	// one tenant monopolizes the basic threads (Rule 4). Default 2.
+	// one tenant monopolizes the basic threads (Rule 4). Default 2; a
+	// negative value spawns none.
 	ExtraIOThreads int
 	// TenantShareCap is Rule 3: the maximum fraction of CPU concurrency
 	// a single tenant may occupy. Default 0.9.
@@ -34,10 +35,10 @@ func (c Config) withDefaults() Config {
 	if c.BasicIOThreads <= 0 {
 		c.BasicIOThreads = 2
 	}
-	if c.ExtraIOThreads < 0 {
+	switch {
+	case c.ExtraIOThreads < 0:
 		c.ExtraIOThreads = 0
-	}
-	if c.ExtraIOThreads == 0 {
+	case c.ExtraIOThreads == 0:
 		c.ExtraIOThreads = 2
 	}
 	if c.TenantShareCap <= 0 || c.TenantShareCap > 1 {

@@ -259,53 +259,87 @@ func TestReadsNotSubjectToWriteCeiling(t *testing.T) {
 	wg.Wait()
 }
 
+// monopolist has tenant "hog" hold d's single basic I/O slot with slow
+// tasks — queued, or run inline by TryRun — and submits one task of
+// tenant "victim" once a hog holds the slot. release lets the hogs
+// finish and waits for every task.
+func monopolist(d *DualLayer, inline bool) (victimDone <-chan struct{}, release func()) {
+	var wg sync.WaitGroup
+	block := make(chan struct{})
+	entered := make(chan struct{}, 3)
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		hog := &Task{
+			Tenant: "hog", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
+			CPUStage: func() bool { return true },
+			IOStage:  func() { entered <- struct{}{}; <-block },
+			Done:     func() { wg.Done() },
+		}
+		if inline {
+			go func() {
+				if taken, _ := d.TryRun(hog); !taken {
+					d.Submit(hog)
+				}
+			}()
+		} else {
+			d.Submit(hog)
+		}
+	}
+	<-entered // a hog occupies the basic slot
+	done := make(chan struct{})
+	wg.Add(1)
+	d.Submit(&Task{
+		Tenant: "victim", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
+		CPUStage: func() bool { return true },
+		IOStage:  func() {},
+		Done:     func() { close(done); wg.Done() },
+	})
+	return done, func() { close(block); wg.Wait() }
+}
+
 func TestRule4ExtraThreads(t *testing.T) {
-	// One tenant monopolizes the single basic IO slot with slow tasks —
-	// queued, or run inline by TryRun; another tenant's IO must still
-	// complete via extra threads.
+	// One tenant monopolizes the single basic IO slot; another tenant's
+	// IO must still complete via extra threads.
 	for _, inline := range []bool{false, true} {
 		d := NewDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: 2})
-		var wg sync.WaitGroup
-		block := make(chan struct{})
-		entered := make(chan struct{}, 3)
-		// Monopolist tasks hold the basic slot.
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			hog := &Task{
-				Tenant: "hog", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
-				CPUStage: func() bool { return true },
-				IOStage:  func() { entered <- struct{}{}; <-block },
-				Done:     func() { wg.Done() },
-			}
-			if inline {
-				go func() {
-					if taken, _ := d.TryRun(hog); !taken {
-						d.Submit(hog)
-					}
-				}()
-			} else {
-				d.Submit(hog)
-			}
-		}
-		<-entered // a hog occupies the basic slot
-		victimDone := make(chan struct{})
-		wg.Add(1)
-		d.Submit(&Task{
-			Tenant: "victim", QuotaShare: 0.5, RUCost: 1, IOPSCost: 1,
-			CPUStage: func() bool { return true },
-			IOStage:  func() {},
-			Done:     func() { close(victimDone); wg.Done() },
-		})
+		victimDone, release := monopolist(d, inline)
 		select {
 		case <-victimDone:
 		case <-time.After(2 * time.Second):
 			t.Fatalf("inline=%v: victim IO starved behind monopolizing tenant", inline)
 		}
-		close(block)
-		wg.Wait()
+		release()
 		d.Close()
 		if d.Stats().ExtraSpawns == 0 {
 			t.Fatalf("inline=%v: no extra thread spawned", inline)
+		}
+	}
+}
+
+// TestNegativeExtraIOThreadsMeansNone: ExtraIOThreads -1 turns Rule 4's
+// extra threads off instead of taking the default, so the monopolist's
+// victim waits for the basic slot.
+func TestNegativeExtraIOThreadsMeansNone(t *testing.T) {
+	if got := (Config{ExtraIOThreads: -1}).withDefaults().ExtraIOThreads; got != 0 {
+		t.Fatalf("ExtraIOThreads -1 defaults to %d, want 0", got)
+	}
+	for _, inline := range []bool{false, true} {
+		d := NewDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: -1})
+		_, release := monopolist(d, inline)
+		// The victim's I/O stage queued behind the two waiting hogs, or
+		// an extra thread already took it.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			if st := d.Stats(); st.IOQueued == 3 || st.ExtraSpawns > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("inline=%v: the victim never reached the I/O-WFQ", inline)
+			}
+		}
+		release()
+		d.Close()
+		if n := d.Stats().ExtraSpawns; n != 0 {
+			t.Errorf("inline=%v: %d extra threads spawned, want none", inline, n)
 		}
 	}
 }
