@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,5 +129,66 @@ func TestNodeOpIsOneRun(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestEngineHasOneWriteBody keeps LavaStore's write path one body by
+// construction: outside recovery only DB.Commit appends to the WAL or
+// inserts into the memtable, and the exported *DB methods that write are
+// Commit and Put, its one-line forward. A second write entry is either a
+// second body (caught by the first rule) or another caller of Commit
+// (caught by the second).
+func TestEngineHasOneWriteBody(t *testing.T) {
+	fset := token.NewFileSet()
+	// Open re-logs the recovered memtable into a fresh WAL; recover
+	// rebuilds that memtable from the old logs.
+	bodies := map[string]bool{"Commit": true, "Open": true, "recover": true}
+	writers := map[string]bool{}
+	for _, f := range parseNonTest(t, fset, "internal/lavastore") {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			onDB := false
+			if fn.Recv != nil {
+				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+					id, _ := star.X.(*ast.Ident)
+					onDB = id != nil && id.Name == "DB"
+				}
+			}
+			if onDB && fn.Name.Name == "Commit" {
+				writers["Commit"] = true
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				field := ""
+				if x, ok := sel.X.(*ast.SelectorExpr); ok {
+					field = x.Sel.Name
+				}
+				switch name := sel.Sel.Name; {
+				case field == "wal" && (name == "Append" || name == "AppendMany"), field == "mem" && name == "Put":
+					if !bodies[fn.Name.Name] {
+						t.Errorf("%s: %s calls %s.%s: only Commit writes the WAL and the memtable", fset.Position(call.Pos()), fn.Name.Name, field, name)
+					}
+				case name == "Commit":
+					if !onDB || !fn.Name.IsExported() {
+						t.Errorf("%s: %s calls Commit: only exported DB methods may forward to it", fset.Position(call.Pos()), fn.Name.Name)
+					}
+					writers[fn.Name.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	if got := slices.Sorted(maps.Keys(writers)); !slices.Equal(got, []string{"Commit", "Put"}) {
+		t.Errorf("the exported *lavastore.DB write methods are %v, want [Commit Put]", got)
 	}
 }

@@ -8,7 +8,7 @@
 // printable string the client treats as a bookmark and the system can
 // decode back into (tenant, per-partition replication positions).
 // Because positions are engine sequence numbers that replicas share
-// byte-for-byte (see lavastore.ApplyAt), a token minted against one
+// byte-for-byte (see lavastore.DB.Commit), a token minted against one
 // primary resumes cleanly against whichever replica is primary later —
 // the property that makes subscriptions survive failover. Tokens
 // survive splits too: a split only appends partitions, so a shorter

@@ -169,7 +169,7 @@ func TestReplicationFabric(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			follower.ApplyReplicated(r.Partition, WriteOp{Key: key, Value: value, TTL: ttl, Delete: del})
+			follower.ApplyReplicated(r.Partition, 0, WriteOp{Key: key, Value: value, TTL: ttl, Delete: del})
 		}()
 	}))
 	primary.Put(bg, pid("t1", 0), []byte("k"), []byte("v"), 0)

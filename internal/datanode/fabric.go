@@ -109,7 +109,7 @@ func (f *Fabric) work(lane <-chan replJob) {
 func (f *Fabric) apply(job replJob) {
 	// Best effort: eventual consistency tolerates transient errors (a
 	// down follower drops its deltas; revival and repair rebuild it).
-	_ = job.node.ApplyReplicatedAt(job.pid, job.pos, job.ops)
+	_ = job.node.ApplyReplicated(job.pid, job.pos, job.ops...)
 	f.finish()
 }
 

@@ -37,7 +37,7 @@ func TestNodeDownFailsFast(t *testing.T) {
 	if _, err := n.Put(bg, pid, []byte("k"), []byte("v"), 0); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("Put on down node: %v", err)
 	}
-	if err := n.ApplyReplicated(pid, WriteOp{Key: []byte("k"), Value: []byte("v")}); !errors.Is(err, ErrNodeDown) {
+	if err := n.ApplyReplicated(pid, 0, WriteOp{Key: []byte("k"), Value: []byte("v")}); !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("ApplyReplicated on down node: %v", err)
 	}
 	if res := n.MultiGet(bg, []GetBatch{{PID: pid, Keys: [][]byte{[]byte("k")}}}); !errors.Is(res[0].Err, ErrNodeDown) {
@@ -60,7 +60,7 @@ func TestWriteFencing(t *testing.T) {
 		t.Fatalf("write at follower: %v", err)
 	}
 	// Replication applies bypass the fence (they ARE the follower path).
-	if err := n.ApplyReplicated(pid, WriteOp{Key: []byte("k"), Value: []byte("v")}); err != nil {
+	if err := n.ApplyReplicated(pid, 0, WriteOp{Key: []byte("k"), Value: []byte("v")}); err != nil {
 		t.Fatalf("ApplyReplicated at follower: %v", err)
 	}
 	// Promote under epoch 5: plain and matching-epoch writes work,
@@ -98,8 +98,8 @@ func TestReplicationPositionTracksApplies(t *testing.T) {
 		t.Fatalf("initial position = %d", got)
 	}
 	n.Put(bg, pid, []byte("a"), []byte("1"), 0)
-	n.ApplyReplicated(pid, WriteOp{Key: []byte("b"), Value: []byte("2")})
-	n.ApplyReplicated(pid, WriteOp{Key: []byte("c"), Value: []byte("3")}, WriteOp{Key: []byte("d"), Delete: true})
+	n.ApplyReplicated(pid, 0, WriteOp{Key: []byte("b"), Value: []byte("2")})
+	n.ApplyReplicated(pid, 0, WriteOp{Key: []byte("c"), Value: []byte("3")}, WriteOp{Key: []byte("d"), Delete: true})
 	if got := n.ReplicationPosition(pid); got != 4 {
 		t.Fatalf("position = %d, want 4", got)
 	}

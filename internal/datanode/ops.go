@@ -235,7 +235,7 @@ func (w *writeOp) io() {
 		return
 	}
 	burn(n.cfg.Clock, time.Duration(len(w.committed))*n.cfg.Cost.IOWriteTime)
-	last, err := w.rep.commit(w.committed, 0)
+	last, err := w.rep.db.Commit(w.committed, 0)
 	for k := range w.vals {
 		if w.vals[k].Err == errUncommitted {
 			w.vals[k].Err = err
@@ -313,42 +313,20 @@ func (w *writeOp) settle() {
 	w.bill(w.charged)
 }
 
-// commit is the engine half of every write, client or system: one op
-// commits alone, several as one group. seq forces the sequence of the
-// LAST op (the ops then take the contiguous range ending there) or, when
-// 0, lets the engine assign the next ones; the last op's sequence is
-// returned.
-func (r *replica) commit(ops []WriteOp, seq uint64) (uint64, error) {
-	var err error
-	switch op := ops[0]; {
-	case len(ops) > 1 && seq != 0:
-		err = r.db.ApplyBatchAt(ops, seq)
-	case len(ops) > 1:
-		seq, err = r.db.WriteBatchSeq(ops)
-	case seq != 0:
-		err = r.db.ApplyAt(op.Key, op.Value, op.TTL, op.Delete, seq)
-	case op.Delete:
-		seq, err = r.db.DeleteSeq(op.Key)
-	default:
-		seq, err = r.db.PutSeq(op.Key, op.Value, op.TTL)
-	}
-	return seq, err
-}
-
 // apply is the one body behind every system write — replication
 // applies, bulk-copy records, split rehash, fixture preload: ops commit
 // on the hosted replica of pid as one group, bypassing quota and the
 // WFQ (replication traffic is system traffic). The callers differ only
-// in the three parameters: seq is commit's (forced, or 0 for
-// engine-assigned); advance raises the replication position
-// to the last sequence; forward hands the committed ops to the
-// replication fabric.
+// in the three parameters: seq is lavastore.DB.Commit's (the forced
+// sequence of the last op, or 0 for engine-assigned); advance raises
+// the replication position to the last sequence; forward hands the
+// committed ops to the replication fabric.
 func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forward bool) error {
 	rep, err := n.getReplica(pid)
 	if err != nil || len(ops) == 0 {
 		return err
 	}
-	if seq, err = rep.commit(ops, seq); err != nil {
+	if seq, err = rep.db.Commit(ops, seq); err != nil {
 		return err
 	}
 	// Invalidate rather than populate: follower reads are rare next to
@@ -366,31 +344,15 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 	return nil
 }
 
-// ApplyReplicated applies system writes directly on a hosted replica at
-// engine-assigned sequences, advancing its replication position
-// (fixture preload, tests).
-func (n *Node) ApplyReplicated(pid partition.ID, ops ...WriteOp) error {
-	return n.apply(pid, ops, 0, true, false)
-}
-
-// ApplyReplicatedAt is the replication fabric's apply: pos (never 0 —
-// engine sequences start at 1) is the sequence the PRIMARY's engine
-// committed the last op at. The follower applies the ops at the same
-// sequences and adopts pos, so every replica's change log is
-// offset-aligned and a subscriber's resume token stays valid across a
-// promotion.
-func (n *Node) ApplyReplicatedAt(pid partition.ID, pos uint64, ops []WriteOp) error {
+// ApplyReplicated applies system writes directly on a hosted replica
+// and advances its replication position. It is the replication fabric's
+// apply: pos is the sequence the PRIMARY's engine committed the last op
+// at, and the follower applies the ops at the same sequences and adopts
+// pos, so every replica's change log is offset-aligned and a
+// subscriber's resume token stays valid across a promotion. pos == 0
+// lets the engine assign sequences (fixture preload, tests).
+func (n *Node) ApplyReplicated(pid partition.ID, pos uint64, ops ...WriteOp) error {
 	return n.apply(pid, ops, pos, true, false)
-}
-
-// ApplyCopied applies one record of a replica-repair bulk copy at its
-// SOURCE sequence number, leaving the replication position alone (the
-// copy adopts the source's position wholesale once it completes — see
-// CopyReplicaTo). Keeping source sequences keeps the destination's
-// engine sequence at or below the primary's, so post-repair replicated
-// applies are never mistaken for stale ones.
-func (n *Node) ApplyCopied(pid partition.ID, seq uint64, key, value []byte, ttl time.Duration) error {
-	return n.apply(pid, []WriteOp{{Key: key, Value: value, TTL: ttl}}, seq, false, false)
 }
 
 // WriteThrough applies a system write on a partition primary and hands

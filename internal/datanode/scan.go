@@ -57,13 +57,9 @@ func (s *scanOp) heat(now time.Time) { s.rep.heat.Add(s.iops, now) }
 func (s *scanOp) cpu() bool { return true }
 
 func (s *scanOp) io() {
-	scan := s.rep.db.ScanRange
-	if s.opts.KeysOnly {
-		// Value-free variant: no value bytes are copied, billing
-		// unchanged (the engine read the records either way).
-		scan = s.rep.db.ScanRangeKeys
-	}
-	s.page, s.ioErr = scan(s.opts.Start, nil, s.opts.Limit)
+	// KeysOnly copies no value bytes, billing unchanged (the engine read
+	// the records either way).
+	s.page, s.ioErr = s.rep.db.ScanRange(s.opts.Start, s.opts.Limit, s.opts.KeysOnly)
 	// Sequential reads amortize across the sparse-index granularity:
 	// one simulated disk read covers a block of examined records.
 	reads := 1 + s.page.Examined/scanEntriesPerIO

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"abase/internal/clock"
+	"abase/internal/lavastore"
 )
 
 func TestRangeScanPaginates(t *testing.T) {
@@ -142,7 +143,7 @@ func TestExpiredKeyConsistentAcrossGetScanAndCount(t *testing.T) {
 		t.Fatalf("RangeScan = %v, want only 'live'", res.Entries)
 	}
 	count := 0
-	if err := n.ScanReplica(p, func(_, _ []byte) bool { count++; return true }); err != nil {
+	if err := n.ScanReplica(p, func(lavastore.ScanEntry) bool { count++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {

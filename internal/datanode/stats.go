@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"abase/internal/hotspot"
+	"abase/internal/lavastore"
 	"abase/internal/partition"
 	"abase/internal/wfq"
 )
@@ -190,9 +191,12 @@ func (n *Node) ReplicaDiskUsed(pid partition.ID) int64 {
 	return st.TableBytes + st.MemtableBytes
 }
 
-// ScanReplica iterates a hosted replica's live key/value pairs in key
-// order. fn returning false stops the scan.
-func (n *Node) ScanReplica(pid partition.ID, fn func(key, value []byte) bool) error {
+// ScanReplica iterates a hosted replica's live records in key order,
+// each with its TTL deadline and commit sequence, so migration, split
+// and repair can rewrite records without making them immortal. fn
+// returning false stops the scan; the entry is only valid during the
+// call.
+func (n *Node) ScanReplica(pid partition.ID, fn func(lavastore.ScanEntry) bool) error {
 	n.mu.RLock()
 	rep, ok := n.replicas[pid]
 	n.mu.RUnlock()
@@ -200,19 +204,6 @@ func (n *Node) ScanReplica(pid partition.ID, fn func(key, value []byte) bool) er
 		return ErrNoPartition
 	}
 	return rep.db.Scan(fn)
-}
-
-// ScanReplicaWithExpiry is ScanReplica with each record's TTL deadline
-// (Unix seconds, 0 = none) passed alongside — the form migration and
-// split use so rewritten records keep their expiry.
-func (n *Node) ScanReplicaWithExpiry(pid partition.ID, fn func(key, value []byte, expireAt int64) bool) error {
-	n.mu.RLock()
-	rep, ok := n.replicas[pid]
-	n.mu.RUnlock()
-	if !ok {
-		return ErrNoPartition
-	}
-	return rep.db.ScanWithExpiry(fn)
 }
 
 // RemainingTTL converts a record's TTL deadline into the duration to
@@ -240,13 +231,11 @@ func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 		return ErrNoPartition
 	}
 	var applyErr error
-	err := rep.db.ScanWithSeq(func(key, value []byte, expireAt int64, seq uint64) bool {
-		ttl, alive := n.RemainingTTL(expireAt)
+	err := rep.db.Scan(func(e lavastore.ScanEntry) bool {
+		ttl, alive := n.RemainingTTL(e.ExpireAt)
 		if !alive {
 			return true
 		}
-		k := append([]byte(nil), key...)
-		v := append([]byte(nil), value...)
 		// Each record keeps its SOURCE sequence on the destination.
 		// Fresh local sequences would run the destination's engine ahead
 		// of the primary's, making every later replicated apply look
@@ -254,8 +243,9 @@ func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 		// acknowledged writes on the rebuilt follower. The replication
 		// position is still adopted wholesale from the source below,
 		// never advanced per record: a partial copy must not look
-		// caught up.
-		applyErr = dst.ApplyCopied(pid, seq, k, v, ttl)
+		// caught up. The commit copies the entry's bytes before the scan
+		// moves on.
+		applyErr = dst.apply(pid, []WriteOp{{Key: e.Key, Value: e.Value, TTL: ttl}}, e.Seq, false, false)
 		return applyErr == nil
 	})
 	if err == nil {

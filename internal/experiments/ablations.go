@@ -108,7 +108,7 @@ func AblationFanout(ops int) Table {
 			key := []byte(fmt.Sprintf("key-%012d", k))
 			route, _ := m.RouteFor(tenant, key)
 			node, _ := m.Node(route.Primary)
-			node.ApplyReplicated(route.Partition, datanode.WriteOp{Key: key, Value: val})
+			node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
 		}
 		gen := workload.NewZipfKeys(keys, 1.3, 5)
 		for op := 0; op < ops; op++ {

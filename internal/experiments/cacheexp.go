@@ -143,7 +143,7 @@ func Table2(opts Table2Opts) ([]Table2Row, Table) {
 				key := []byte(fmt.Sprintf("key-%012d", k))
 				route, _ := m.RouteFor(tenant, key)
 				node, _ := m.Node(route.Primary)
-				node.ApplyReplicated(route.Partition, datanode.WriteOp{Key: key, Value: val})
+				node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
 			}
 			gen := workload.NewZipfKeys(keys, sp.skew, int64(i)+7)
 			for op := 0; op < opts.Ops; op++ {
@@ -250,7 +250,7 @@ func Figure5(opts Figure5Opts) ([]Fig5Scenario, Table) {
 		val := make([]byte, 256)
 		// Preload a keyspace large enough for every phase generator.
 		for k := 0; k < baseKeys*8; k++ {
-			node.ApplyReplicated(pid, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
+			node.ApplyReplicated(pid, 0, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
 		}
 		var wins []Fig5Window
 		widx := 0

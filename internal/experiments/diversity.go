@@ -67,7 +67,7 @@ func Table1(opts Table1Opts) ([]Table1Row, Table) {
 		}
 		val := make([]byte, size)
 		for k := 0; k < keys; k++ {
-			node.ApplyReplicated(pid, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
+			node.ApplyReplicated(pid, 0, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
 		}
 		// The LLM profile bypasses caching (reads from underlying logs).
 		gen := workload.NewZipfKeys(keys, p.KeySkew, int64(i))
@@ -201,7 +201,7 @@ func Figure34(opts Figure34Opts) (Fig34Result, Table) {
 		// high-hit tenant has a small hot set relative to cache.
 		keys := 200 + int((1-ts.HitRatio)*8000)
 		for k := 0; k < keys; k++ {
-			node.ApplyReplicated(pid, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
+			node.ApplyReplicated(pid, 0, datanode.WriteOp{Key: []byte(fmt.Sprintf("key-%012d", k)), Value: val})
 		}
 		gen := workload.NewZipfKeys(keys, 1.1+ts.HitRatio, opts.Seed+int64(i))
 		mix := workload.NewMix(ts.ReadRatio, opts.Seed+int64(i))

@@ -141,7 +141,7 @@ func preload(m *metaserver.Meta, tenant string, keys, valueBytes int) {
 		key := []byte(fmt.Sprintf("key-%012d", k))
 		route, _ := m.RouteFor(tenant, key)
 		node, _ := m.Node(route.Primary)
-		node.ApplyReplicated(route.Partition, datanode.WriteOp{Key: key, Value: val})
+		node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
 	}
 }
 

@@ -80,8 +80,8 @@ func newIsoStack(tenantQuota, partitionQuota float64, quotaOn bool) *isoStack {
 	val := make([]byte, isoValSize)
 	for i := 0; i < isoKeys; i++ {
 		k := []byte(fmt.Sprintf("key-%012d", i))
-		node.ApplyReplicated(t1, datanode.WriteOp{Key: k, Value: val})
-		node.ApplyReplicated(t2, datanode.WriteOp{Key: k, Value: val})
+		node.ApplyReplicated(t1, 0, datanode.WriteOp{Key: k, Value: val})
+		node.ApplyReplicated(t2, 0, datanode.WriteOp{Key: k, Value: val})
 	}
 	return s
 }

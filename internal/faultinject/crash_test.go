@@ -74,11 +74,11 @@ func TestWALTornGroupCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.TearNextWrite(cut)
-			_ = db.WriteBatch([]lavastore.BatchOp{
+			_, _ = db.Commit([]lavastore.BatchOp{
 				{Key: []byte("b0"), Value: []byte("x")},
 				{Key: []byte("b1"), Value: []byte("y")},
 				{Key: []byte("b2"), Value: []byte("z")},
-			})
+			}, 0)
 			db2 := reopen(t, fs.SnapshotAt(fs.Ops()), dir)
 			defer db2.Close()
 			if _, err := db2.Get([]byte("base")); err != nil {
@@ -89,7 +89,7 @@ func TestWALTornGroupCommit(t *testing.T) {
 }
 
 // TestCrashTorture is the property-style recovery test: a scripted
-// interleaving of Put/Delete/WriteBatch/Flush/Compact runs against a
+// interleaving of Put/delete/group Commit/Flush/Compact runs against a
 // journaling FS, then the store is "crashed" at EVERY mutation
 // boundary (plus torn mid-write variants), reopened, and compared
 // against the model of acknowledged writes. The only keys allowed to
@@ -145,11 +145,11 @@ func TestCrashTorture(t *testing.T) {
 		case r < 70: // Delete
 			k := key(rng.Intn(keySpace))
 			touched[string(k)] = true
-			if err := db.Delete(k); err != nil {
+			if _, err := db.Commit([]lavastore.BatchOp{{Key: k, Delete: true}}, 0); err != nil {
 				t.Fatalf("step %d delete: %v", step, err)
 			}
 			delete(model, string(k))
-		case r < 85: // WriteBatch (atomic group commit)
+		case r < 85: // atomic group commit
 			n := 2 + rng.Intn(4)
 			ops := make([]lavastore.BatchOp, 0, n)
 			for j := 0; j < n; j++ {
@@ -161,7 +161,7 @@ func TestCrashTorture(t *testing.T) {
 					ops = append(ops, lavastore.BatchOp{Key: k, Value: []byte(fmt.Sprintf("bat-%04d-%d", step, j))})
 				}
 			}
-			if err := db.WriteBatch(ops); err != nil {
+			if _, err := db.Commit(ops, 0); err != nil {
 				t.Fatalf("step %d batch: %v", step, err)
 			}
 			for j, op := range ops {

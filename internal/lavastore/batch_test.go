@@ -8,15 +8,17 @@ import (
 	"time"
 )
 
+// TestWriteBatchMixedOps: one group Commit of puts, a delete, a TTL and
+// an in-batch overwrite applies in order.
 func TestWriteBatchMixedOps(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("gone"), []byte("v"), 0)
-	err := db.WriteBatch([]BatchOp{
+	_, err := db.Commit([]BatchOp{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("gone"), Delete: true},
 		{Key: []byte("b"), Value: []byte("2"), TTL: time.Hour},
 		{Key: []byte("a"), Value: []byte("1b")}, // overwrite inside the batch
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestWriteBatchRecovery(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchOp{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("v%02d", i))}
 	}
-	if err := db.WriteBatch(ops); err != nil {
+	if _, err := db.Commit(ops, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate after the batch so sequence ordering crosses the modes.
@@ -83,13 +85,18 @@ func TestOverwriteWorkloadRotatesWAL(t *testing.T) {
 	}
 }
 
+// TestWriteBatchEmptyAndClosed: an empty Commit is a no-op; a closed DB
+// refuses both engine-assigned and forced commits.
 func TestWriteBatchEmptyAndClosed(t *testing.T) {
 	db := openMem(t, Options{})
-	if err := db.WriteBatch(nil); err != nil {
-		t.Fatal(err)
+	if last, err := db.Commit(nil, 0); err != nil || last != 0 {
+		t.Fatalf("empty Commit = %d, %v", last, err)
 	}
 	db.Close()
-	if err := db.WriteBatch([]BatchOp{{Key: []byte("k"), Value: []byte("v")}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed WriteBatch err = %v", err)
+	if _, err := db.Commit([]BatchOp{{Key: []byte("k"), Value: []byte("v")}}, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed Commit err = %v", err)
+	}
+	if _, err := put(db, "k", "v", 7); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed forced Commit err = %v", err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 )
 
 // noRetention is the default retention floor: no sequence is below it,
@@ -161,156 +160,6 @@ func recSeq(rec []byte) uint64 {
 		return 0
 	}
 	return r.Seq
-}
-
-// newerRecordExistsLocked reports whether the newest visible record for
-// key carries a sequence number above seq. Used by the forced-sequence
-// apply paths to keep last-writer-wins semantics when the replication
-// fabric delivers two writes to the same key out of sequence order.
-// +locked:db.mu
-func (db *DB) newerRecordExistsLocked(key []byte, seq uint64) bool {
-	if rec, ok := db.mem.Get(key); ok {
-		return recSeq(rec) > seq
-	}
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		if rec, ok := db.imm[i].Get(key); ok {
-			return recSeq(rec) > seq
-		}
-	}
-	for _, t := range db.tables {
-		rec, found, _, err := t.Get(key)
-		if err != nil {
-			return false // fail open: the apply proceeds
-		}
-		if found {
-			return recSeq(rec) > seq
-		}
-	}
-	return false
-}
-
-// ApplyAt applies one replicated write at the PRIMARY-ASSIGNED sequence
-// number instead of allocating a local one, keeping the change log
-// byte-for-byte aligned across replicas — the property that lets a
-// resume token survive a promotion. The record always lands in the WAL
-// (history must hold every sequence); the memtable is only updated when
-// no newer-sequence record exists for the key, so out-of-order fabric
-// delivery cannot make an older write win reads.
-func (db *DB) ApplyAt(key, value []byte, ttl time.Duration, del bool, seq uint64) error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	r := record{Kind: kindSet, Value: value, Seq: seq}
-	if del {
-		r = record{Kind: kindDelete, Seq: seq}
-	} else if ttl > 0 {
-		r.ExpireAt = expireAt(db.opt.Clock.Now(), ttl)
-	}
-	rec := encodeRecord(r)
-	if err := db.wal.Append(key, rec); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	if db.opt.SyncWrites {
-		if err := db.wal.Sync(); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-	}
-	db.walBytes += int64(len(key) + len(rec) + 16)
-	// seq above the end of log: no newer record can possibly exist.
-	if seq > db.seq || !db.newerRecordExistsLocked(key, seq) {
-		db.mem.Put(append([]byte(nil), key...), rec)
-	}
-	if seq < db.liveLo {
-		db.liveLo = seq
-	}
-	if seq > db.seq {
-		db.seq = seq
-	}
-	if fn := db.notify; fn != nil {
-		fn(db.seq)
-	}
-	needFlush := db.needFlushLocked()
-	db.mu.Unlock()
-	if needFlush {
-		return db.Flush()
-	}
-	return nil
-}
-
-// ApplyBatchAt applies a replicated batch whose records were assigned
-// the contiguous sequence range ending at last by the primary (the
-// batch's replication position). Semantics per record match ApplyAt.
-func (db *DB) ApplyBatchAt(ops []BatchOp, last uint64) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	if last < uint64(len(ops)) {
-		return fmt.Errorf("lavastore: batch position %d below op count %d", last, len(ops))
-	}
-	base := last - uint64(len(ops)) + 1
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	now := db.opt.Clock.Now()
-	keys := make([][]byte, len(ops))
-	recs := make([][]byte, len(ops))
-	size := 0
-	for _, op := range ops {
-		size += len(op.Key) + recordBound(record{Value: op.Value})
-	}
-	arena := make([]byte, 0, size)
-	for i, op := range ops {
-		r := record{Kind: kindSet, Value: op.Value, Seq: base + uint64(i)}
-		if op.Delete {
-			r = record{Kind: kindDelete, Seq: r.Seq}
-		} else if op.TTL > 0 {
-			r.ExpireAt = expireAt(now, op.TTL)
-		}
-		start := len(arena)
-		arena = append(arena, op.Key...)
-		keys[i] = arena[start:len(arena):len(arena)]
-		start = len(arena)
-		arena = appendRecord(arena, r)
-		recs[i] = arena[start:len(arena):len(arena)]
-	}
-	if err := db.wal.AppendMany(keys, recs); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	if db.opt.SyncWrites {
-		if err := db.wal.Sync(); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-	}
-	fastPath := base > db.seq // whole batch is beyond the end of log
-	for i := range ops {
-		db.walBytes += int64(len(keys[i]) + len(recs[i]) + 16)
-		if fastPath || !db.newerRecordExistsLocked(keys[i], base+uint64(i)) {
-			db.mem.Put(keys[i], recs[i])
-		}
-	}
-	if base < db.liveLo {
-		db.liveLo = base
-	}
-	if last > db.seq {
-		db.seq = last
-	}
-	if fn := db.notify; fn != nil {
-		fn(db.seq)
-	}
-	needFlush := db.needFlushLocked()
-	db.mu.Unlock()
-	if needFlush {
-		return db.Flush()
-	}
-	return nil
 }
 
 // AlignSeq raises the engine's end-of-log sequence to at least pos and

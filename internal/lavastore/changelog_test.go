@@ -15,9 +15,9 @@ func fill(t *testing.T, db *DB, n int, tag string) uint64 {
 	t.Helper()
 	var last uint64
 	for i := 0; i < n; i++ {
-		seq, err := db.PutSeq([]byte(fmt.Sprintf("%s-%04d", tag, i)), []byte(fmt.Sprintf("v%d", i)), 0)
+		seq, err := put(db, fmt.Sprintf("%s-%04d", tag, i), fmt.Sprintf("v%d", i), 0)
 		if err != nil {
-			t.Fatalf("PutSeq: %v", err)
+			t.Fatalf("Commit: %v", err)
 		}
 		last = seq
 	}
@@ -79,7 +79,7 @@ func TestReplayCapturesDeletesAndTTL(t *testing.T) {
 	db := openMem(t, Options{Clock: clock.NewSim(time.Unix(1000, 0))})
 	db.Put([]byte("a"), []byte("1"), 0)
 	db.Put([]byte("b"), []byte("2"), 30*time.Second)
-	db.Delete([]byte("a"))
+	del(db, []byte("a"))
 	evs, err := db.Replay(1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestReplayAfterReopenTruncated(t *testing.T) {
 		t.Fatalf("fresh bounds = [%d, %d], want empty", lo, hi)
 	}
 	// New writes replay from the new floor.
-	seq, err := db2.PutSeq([]byte("new"), []byte("v"), 0)
+	seq, err := put(db2, "new", "v", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +248,14 @@ func TestReplayAfterReopenTruncated(t *testing.T) {
 	}
 }
 
+// TestApplyAtAlignsSequence: one-op forced commits (Commit with at > 0)
+// take exactly the primary's sequences, and local writes continue after.
 func TestApplyAtAlignsSequence(t *testing.T) {
 	db := openMem(t, Options{})
 	db.SetHistoryRetention(1)
 	// A follower applying the primary's stream at forced offsets.
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := db.ApplyAt([]byte(fmt.Sprintf("k%d", seq)), []byte("v"), 0, false, seq); err != nil {
+		if _, err := put(db, fmt.Sprintf("k%d", seq), "v", seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,21 +268,23 @@ func TestApplyAtAlignsSequence(t *testing.T) {
 		t.Fatalf("replay forced stream = %d events, %v", len(evs), err)
 	}
 	// The next local write continues the sequence.
-	seq, err := db.PutSeq([]byte("local"), []byte("v"), 0)
+	seq, err := put(db, "local", "v", 0)
 	if err != nil || seq != 6 {
 		t.Fatalf("local seq after applies = %d, %v", seq, err)
 	}
 }
 
+// TestApplyAtOutOfOrderLastWriterWins: a forced commit below a newer
+// record for its key is logged but never wins reads.
 func TestApplyAtOutOfOrderLastWriterWins(t *testing.T) {
 	db := openMem(t, Options{})
 	db.SetHistoryRetention(1)
 	// Two writes to the same key delivered newest-first (racing fabric
 	// lanes): the older apply must not clobber the newer value.
-	if err := db.ApplyAt([]byte("k"), []byte("newer"), 0, false, 2); err != nil {
+	if _, err := put(db, "k", "newer", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ApplyAt([]byte("k"), []byte("older"), 0, false, 1); err != nil {
+	if _, err := put(db, "k", "older", 1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db.Get([]byte("k"))
@@ -297,13 +301,13 @@ func TestApplyAtOutOfOrderLastWriterWins(t *testing.T) {
 	}
 
 	// Same property across a flush boundary (newer record in a table).
-	if err := db.ApplyAt([]byte("j"), []byte("newer"), 0, false, 4); err != nil {
+	if _, err := put(db, "j", "newer", 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ApplyAt([]byte("j"), []byte("older"), 0, false, 3); err != nil {
+	if _, err := put(db, "j", "older", 3); err != nil {
 		t.Fatal(err)
 	}
 	got, err = db.Get([]byte("j"))
@@ -312,6 +316,8 @@ func TestApplyAtOutOfOrderLastWriterWins(t *testing.T) {
 	}
 }
 
+// TestApplyBatchAtForcedRange: a forced group commit takes the
+// contiguous range ending at at, and at below the op count is refused.
 func TestApplyBatchAtForcedRange(t *testing.T) {
 	db := openMem(t, Options{})
 	db.SetHistoryRetention(1)
@@ -320,7 +326,7 @@ func TestApplyBatchAtForcedRange(t *testing.T) {
 		{Key: []byte("b"), Value: []byte("2")},
 		{Key: []byte("c"), Delete: true},
 	}
-	if err := db.ApplyBatchAt(ops, 3); err != nil {
+	if last, err := db.Commit(ops, 3); err != nil || last != 3 {
 		t.Fatal(err)
 	}
 	evs, err := db.Replay(1, 3)
@@ -330,18 +336,20 @@ func TestApplyBatchAtForcedRange(t *testing.T) {
 	if evs[0].Seq != 1 || string(evs[0].Key) != "a" || !evs[2].Delete {
 		t.Fatalf("batch events = %+v", evs)
 	}
-	if err := db.ApplyBatchAt(ops, 2); err == nil {
+	if _, err := db.Commit(ops, 2); err == nil {
 		t.Fatal("underflowing batch position accepted")
 	}
 }
 
+// TestWriteBatchSeqContiguous: an engine-assigned group commit returns
+// the sequence of its last op.
 func TestWriteBatchSeqContiguous(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("warm"), []byte("x"), 0)
-	last, err := db.WriteBatchSeq([]BatchOp{
+	last, err := db.Commit([]BatchOp{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("b"), Value: []byte("2")},
-	})
+	}, 0)
 	if err != nil || last != 3 {
 		t.Fatalf("batch last seq = %d, %v; want 3", last, err)
 	}
@@ -359,7 +367,7 @@ func TestAlignSeqInvalidatesHistory(t *testing.T) {
 	if lo != 101 || hi != 100 {
 		t.Fatalf("bounds after align = [%d, %d]", lo, hi)
 	}
-	if seq, err := db.PutSeq([]byte("next"), []byte("v"), 0); err != nil || seq != 101 {
+	if seq, err := put(db, "next", "v", 0); err != nil || seq != 101 {
 		t.Fatalf("seq after align = %d, %v", seq, err)
 	}
 }
@@ -369,8 +377,8 @@ func TestCommitNotify(t *testing.T) {
 	var got []uint64
 	db.SetCommitNotify(func(seq uint64) { got = append(got, seq) })
 	db.Put([]byte("a"), []byte("1"), 0)
-	db.WriteBatch([]BatchOp{{Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: []byte("3")}})
-	db.ApplyAt([]byte("d"), []byte("4"), 0, false, 9)
+	db.Commit([]BatchOp{{Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: []byte("3")}}, 0)
+	put(db, "d", "4", 9)
 	want := []uint64{1, 3, 9}
 	if len(got) != len(want) {
 		t.Fatalf("notifications = %v", got)

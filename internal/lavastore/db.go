@@ -1,7 +1,6 @@
 package lavastore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,8 +28,11 @@ type Options struct {
 	// MaxTables is the SSTable count that triggers a full compaction.
 	// Defaults to 8.
 	MaxTables int
-	// SyncWrites makes every Put sync the WAL. Defaults to false
-	// (periodic durability, matching eventual-consistency deployments).
+	// SyncWrites makes every Commit fsync the WAL before it returns.
+	// Defaults to false: a commit is then acknowledged once its WAL
+	// write(2) returns, with no fsync, so it survives a process crash but
+	// not a machine crash — nothing syncs periodically. (ROADMAP item 8
+	// is where a stated ack level lands.)
 	SyncWrites bool
 	// DisableAutoCompact turns off compaction scheduling (tests).
 	DisableAutoCompact bool
@@ -258,28 +260,8 @@ func (db *DB) rotateWAL() (old string, err error) {
 
 // Put stores value under key with an optional TTL (0 = no expiry).
 func (db *DB) Put(key, value []byte, ttl time.Duration) error {
-	_, err := db.write(key, record{Kind: kindSet, Value: value}, ttl)
+	_, err := db.Commit([]BatchOp{{Key: key, Value: value, TTL: ttl}}, 0)
 	return err
-}
-
-// PutSeq is Put returning the record's assigned sequence number — the
-// offset the write commits at in the change log. The DataNode uses it
-// as the write's replication position, keeping sequence numbers
-// identical across replicas.
-func (db *DB) PutSeq(key, value []byte, ttl time.Duration) (uint64, error) {
-	return db.write(key, record{Kind: kindSet, Value: value}, ttl)
-}
-
-// Delete removes key by writing a tombstone.
-func (db *DB) Delete(key []byte) error {
-	_, err := db.write(key, record{Kind: kindDelete}, 0)
-	return err
-}
-
-// DeleteSeq is Delete returning the tombstone's assigned sequence
-// number (see PutSeq).
-func (db *DB) DeleteSeq(key []byte) (uint64, error) {
-	return db.write(key, record{Kind: kindDelete}, 0)
 }
 
 // expireAt converts a TTL into the record's second-resolution deadline.
@@ -295,44 +277,8 @@ func expireAt(now time.Time, ttl time.Duration) int64 {
 	return at
 }
 
-func (db *DB) write(key []byte, r record, ttl time.Duration) (uint64, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return 0, ErrClosed
-	}
-	db.seq++
-	r.Seq = db.seq
-	if ttl > 0 {
-		r.ExpireAt = expireAt(db.opt.Clock.Now(), ttl)
-	}
-	rec := encodeRecord(r)
-	if err := db.wal.Append(key, rec); err != nil {
-		db.mu.Unlock()
-		return 0, err
-	}
-	if db.opt.SyncWrites {
-		if err := db.wal.Sync(); err != nil {
-			db.mu.Unlock()
-			return 0, err
-		}
-	}
-	db.walBytes += int64(len(key) + len(rec) + 16)
-	db.mem.Put(append([]byte(nil), key...), rec)
-	seq := r.Seq
-	if fn := db.notify; fn != nil {
-		fn(db.seq)
-	}
-	needFlush := db.needFlushLocked()
-	db.mu.Unlock()
-	if needFlush {
-		return seq, db.Flush()
-	}
-	return seq, nil
-}
-
-// BatchOp is one write in a group-committed WriteBatch: a put, or a
-// tombstone delete when Delete is set (Value and TTL then ignored).
+// BatchOp is one write in a Commit: a put, or a tombstone delete when
+// Delete is set (Value and TTL then ignored).
 type BatchOp struct {
 	Key    []byte
 	Value  []byte
@@ -340,56 +286,71 @@ type BatchOp struct {
 	Delete bool
 }
 
-// WriteBatch applies ops under a single lock acquisition, a single WAL
-// device write, and (with SyncWrites) a single sync — group commit.
-// Records keep their individual framing and sequence numbers, so WAL
-// replay and compaction are oblivious to batching.
-func (db *DB) WriteBatch(ops []BatchOp) error {
-	_, err := db.writeBatch(ops)
-	return err
-}
-
-// WriteBatchSeq is WriteBatch returning the LAST sequence number the
-// batch committed at; the ops hold the contiguous range ending there,
-// in order. The DataNode uses it to position the whole batch in the
-// replication stream atomically with the engine commit.
-func (db *DB) WriteBatchSeq(ops []BatchOp) (uint64, error) {
-	return db.writeBatch(ops)
-}
-
-func (db *DB) writeBatch(ops []BatchOp) (uint64, error) {
+// Commit is the engine's one write: it applies ops in order under one
+// lock acquisition, one WAL device write and (with SyncWrites) one sync
+// — a group commit when there are several. Records keep their own
+// framing and sequence numbers, so WAL replay and compaction are
+// oblivious to batching. It returns the sequence the last op committed
+// at; the ops hold the contiguous range ending there, and that is the
+// offset the DataNode replicates the whole group at.
+//
+// With at == 0 the engine assigns the next sequences. With at > 0 the
+// ops take the range ending at at — the PRIMARY-assigned sequences, which
+// keep the change log aligned across replicas so a resume token
+// survives a promotion. Every forced record lands in the WAL (history
+// must hold every sequence), but the memtable takes it only when no
+// newer-sequence record exists for its key, so out-of-order fabric
+// delivery cannot make an older write win reads.
+func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 	if len(ops) == 0 {
 		return 0, nil
+	}
+	if at > 0 && at < uint64(len(ops)) {
+		return 0, fmt.Errorf("lavastore: batch position %d below op count %d", at, len(ops))
+	}
+	// A single op keeps its key and record headers off the heap.
+	var oneKey, oneRec [1][]byte
+	keys, recs := oneKey[:], oneRec[:]
+	if len(ops) > 1 {
+		keys, recs = make([][]byte, len(ops)), make([][]byte, len(ops))
 	}
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return 0, ErrClosed
 	}
-	now := db.opt.Clock.Now()
-	keys := make([][]byte, len(ops))
-	recs := make([][]byte, len(ops))
-	// One arena holds every copied key and encoded record; the
-	// memtable retains stable sub-slices of it.
-	size := 0
-	for _, op := range ops {
-		size += len(op.Key) + recordBound(record{Value: op.Value})
+	base := db.seq + 1
+	if at > 0 {
+		base = at - uint64(len(ops)) + 1
 	}
-	arena := make([]byte, 0, size)
+	// One arena holds the copied keys and one the encoded records; the
+	// memtable retains stable sub-slices of both. Keys stay apart from
+	// the values so the memtable's key comparisons walk small, dense
+	// allocations rather than one key per value-sized block. The clock
+	// is read only for a TTL.
+	var now time.Time
+	keyBytes, recBytes := 0, 0
+	for _, op := range ops {
+		keyBytes += len(op.Key)
+		recBytes += recordBound(record{Value: op.Value})
+		if !op.Delete && op.TTL > 0 && now.IsZero() {
+			now = db.opt.Clock.Now()
+		}
+	}
+	keyArena, recArena := make([]byte, 0, keyBytes), make([]byte, 0, recBytes)
 	for i, op := range ops {
-		db.seq++
-		r := record{Kind: kindSet, Value: op.Value, Seq: db.seq}
+		r := record{Kind: kindSet, Value: op.Value, Seq: base + uint64(i)}
 		if op.Delete {
-			r = record{Kind: kindDelete, Seq: db.seq}
+			r = record{Kind: kindDelete, Seq: r.Seq}
 		} else if op.TTL > 0 {
 			r.ExpireAt = expireAt(now, op.TTL)
 		}
-		start := len(arena)
-		arena = append(arena, op.Key...)
-		keys[i] = arena[start:len(arena):len(arena)]
-		start = len(arena)
-		arena = appendRecord(arena, r)
-		recs[i] = arena[start:len(arena):len(arena)]
+		start := len(keyArena)
+		keyArena = append(keyArena, op.Key...)
+		keys[i] = keyArena[start:len(keyArena):len(keyArena)]
+		start = len(recArena)
+		recArena = appendRecord(recArena, r)
+		recs[i] = recArena[start:len(recArena):len(recArena)]
 	}
 	if err := db.wal.AppendMany(keys, recs); err != nil {
 		db.mu.Unlock()
@@ -401,11 +362,21 @@ func (db *DB) writeBatch(ops []BatchOp) (uint64, error) {
 			return 0, err
 		}
 	}
+	// Only a forced range reaching below the end of log can be shadowed;
+	// the guard fails open on a read error.
+	guard := at > 0 && base <= db.seq
 	for i := range ops {
 		db.walBytes += int64(len(keys[i]) + len(recs[i]) + 16)
+		if guard {
+			if cur, _, err := lookup(db.mem, db.imm, db.tables, keys[i]); err == nil && recSeq(cur) > base+uint64(i) {
+				continue
+			}
+		}
 		db.mem.Put(keys[i], recs[i])
 	}
-	last := db.seq
+	last = base + uint64(len(ops)) - 1
+	db.liveLo = min(db.liveLo, base)
+	db.seq = max(db.seq, last)
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
 	}
@@ -444,51 +415,62 @@ type GetResult struct {
 // Get returns the value stored under key. Expired and deleted keys
 // return ErrNotFound. The returned value is a copy.
 func (db *DB) Get(key []byte) (GetResult, error) {
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
-		return GetResult{}, ErrClosed
-	}
-	mem := db.mem
-	imm := db.imm
-	tables := db.tables
-	db.mu.RUnlock()
-
-	now := db.opt.Clock.Now().Unix()
-	// Memtable first, then immutable memtables newest-first.
-	if rec, ok := mem.Get(key); ok {
-		return db.finishGet(rec, 0, now)
-	}
-	for i := len(imm) - 1; i >= 0; i-- {
-		if rec, ok := imm[i].Get(key); ok {
-			return db.finishGet(rec, 0, now)
-		}
-	}
-	ioReads := 0
-	for _, t := range tables {
-		rec, found, ios, err := t.Get(key)
-		ioReads += ios
-		if err != nil {
-			return GetResult{IOReads: ioReads}, err
-		}
-		if found {
-			db.getIOReads.Add(int64(ioReads))
-			return db.finishGet(rec, ioReads, now)
-		}
-	}
-	db.getIOReads.Add(int64(ioReads))
-	return GetResult{IOReads: ioReads}, ErrNotFound
-}
-
-func (db *DB) finishGet(rec []byte, ioReads int, now int64) (GetResult, error) {
-	r, err := decodeRecord(rec)
+	r, ioReads, _, err := db.live(key)
 	if err != nil {
 		return GetResult{IOReads: ioReads}, err
 	}
-	if r.Kind == kindDelete || r.expired(now) {
-		return GetResult{IOReads: ioReads}, ErrNotFound
-	}
 	return GetResult{Value: append([]byte(nil), r.Value...), IOReads: ioReads, ExpireAt: r.ExpireAt}, nil
+}
+
+// live reads key's newest record through a snapshot of the layers and
+// returns it if it is a live value, with the table reads the lookup cost
+// (counted in Stats.GetIOReads) and the time its expiry was judged at.
+// Deleted and expired keys return ErrNotFound.
+func (db *DB) live(key []byte) (r record, ioReads int, now time.Time, err error) {
+	db.mu.RLock()
+	if db.closed {
+		db.mu.RUnlock()
+		return r, 0, now, ErrClosed
+	}
+	mem, imm, tables := db.mem, db.imm, db.tables
+	db.mu.RUnlock()
+	rec, ioReads, err := lookup(mem, imm, tables, key)
+	if ioReads > 0 {
+		db.getIOReads.Add(int64(ioReads))
+	}
+	if err == nil {
+		r, err = decodeRecord(rec)
+	}
+	if err == nil {
+		if now = db.opt.Clock.Now(); r.Kind == kindDelete || r.expired(now.Unix()) {
+			err = ErrNotFound
+		}
+	}
+	return r, ioReads, now, err
+}
+
+// lookup is the engine's one layered point read: the memtable, then the
+// immutable memtables newest-first, then the tables newest-first. It
+// returns the first record found for key and the table reads it made,
+// or ErrNotFound. Callers pass a snapshot (imm and tables are replaced
+// whole, never written in place) or hold db.mu.
+func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key []byte) (rec []byte, ioReads int, err error) {
+	if rec, ok := mem.Get(key); ok {
+		return rec, 0, nil
+	}
+	for i := len(imm) - 1; i >= 0; i-- {
+		if rec, ok := imm[i].Get(key); ok {
+			return rec, 0, nil
+		}
+	}
+	for _, t := range tables {
+		rec, found, ios, err := t.Get(key)
+		ioReads += ios
+		if err != nil || found {
+			return rec, ioReads, err
+		}
+	}
+	return nil, ioReads, ErrNotFound
 }
 
 // Flush freezes the current memtable and writes it out as an SSTable.
@@ -630,9 +612,8 @@ func (db *DB) Compact() error {
 	now := db.opt.Clock.Now().Unix()
 	var dropped int64
 
-	merge := newMergeIterator(old)
-	for merge.Next() {
-		rec := merge.Rec()
+	ms := newMergedScanner(nil, old, nil)
+	for key, rec, ok := ms.next(); ok; key, rec, ok = ms.next() {
 		r, err := decodeRecord(rec)
 		if err != nil {
 			f.Close()
@@ -642,12 +623,12 @@ func (db *DB) Compact() error {
 			dropped++
 			continue
 		}
-		if err := w.Add(merge.Key(), rec); err != nil {
+		if err := w.Add(key, rec); err != nil {
 			f.Close()
 			return err
 		}
 	}
-	if err := merge.Err(); err != nil {
+	if err := ms.checkErr(); err != nil {
 		f.Close()
 		return err
 	}
@@ -746,62 +727,3 @@ func (db *DB) Close() error {
 	}
 	return nil
 }
-
-// mergeIterator merges multiple tables (newest first) into a single
-// ascending key stream, emitting only the newest record per key.
-type mergeIterator struct {
-	iters []*tableIterator // index 0 = newest table
-	valid []bool
-	key   []byte
-	rec   []byte
-	err   error
-}
-
-func newMergeIterator(tables []*Table) *mergeIterator {
-	m := &mergeIterator{
-		iters: make([]*tableIterator, len(tables)),
-		valid: make([]bool, len(tables)),
-	}
-	for i, t := range tables {
-		m.iters[i] = t.iterator()
-		m.valid[i] = m.iters[i].Next()
-	}
-	return m
-}
-
-// Next advances to the next distinct key, preferring the newest table's
-// record when multiple tables contain the key.
-func (m *mergeIterator) Next() bool {
-	// Find the smallest key among valid iterators; ties resolved by
-	// lowest index (newest).
-	best := -1
-	for i, ok := range m.valid {
-		if !ok {
-			continue
-		}
-		if best == -1 || bytes.Compare(m.iters[i].Key(), m.iters[best].Key()) < 0 {
-			best = i
-		}
-	}
-	if best == -1 {
-		for _, it := range m.iters {
-			if it.Err() != nil {
-				m.err = it.Err()
-			}
-		}
-		return false
-	}
-	m.key = append(m.key[:0], m.iters[best].Key()...)
-	m.rec = append(m.rec[:0], m.iters[best].Rec()...)
-	// Advance every iterator positioned at this key.
-	for i, ok := range m.valid {
-		if ok && bytes.Equal(m.iters[i].Key(), m.key) {
-			m.valid[i] = m.iters[i].Next()
-		}
-	}
-	return true
-}
-
-func (m *mergeIterator) Key() []byte { return m.key }
-func (m *mergeIterator) Rec() []byte { return m.rec }
-func (m *mergeIterator) Err() error  { return m.err }

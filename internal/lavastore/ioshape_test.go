@@ -146,8 +146,8 @@ func TestIOShape(t *testing.T) {
 
 	// A short page seeks, then reads ahead from one index run up: it
 	// never pays for a whole block.
-	if page, err := db.ScanRangeKeys(nextKey(puts/2), nil, 4); err != nil || len(page.Entries) != 4 {
-		t.Fatalf("ScanRangeKeys: %d entries, err %v", len(page.Entries), err)
+	if page, err := db.ScanRange(nextKey(puts/2), 4, true); err != nil || len(page.Entries) != 4 {
+		t.Fatalf("ScanRange: %d entries, err %v", len(page.Entries), err)
 	}
 	if got := fs.total(".sst"); got.reads > 3 || got.maxRead > 4*indexBytes {
 		t.Errorf("a 4-entry page: %d ReadAts, largest %d bytes; want <= 3 of <= %d", got.reads, got.maxRead, 4*indexBytes)
@@ -176,7 +176,7 @@ func TestIOShape(t *testing.T) {
 	}
 	t.Logf("flush %d writes / %d bytes; compaction %d reads / %d bytes in, %d writes out",
 		flush.writes, flush.writeBytes, in.reads, st.TableBytes, out.writes)
-	if n, err := db.Keys(); err != nil || n != puts {
+	if n, err := liveKeys(db); err != nil || n != puts {
 		t.Errorf("after compaction: %d keys, err %v; want %d", n, err, puts)
 	}
 }
@@ -208,7 +208,7 @@ func TestReadsRaceFlushAndCompaction(t *testing.T) {
 				}
 				j := i % c
 				if r == 0 {
-					page, err := db.ScanRange(key(j), nil, 8)
+					page, err := db.ScanRange(key(j), 8, false)
 					if err != nil || len(page.Entries) == 0 || !bytes.Equal(page.Entries[0].Key, key(j)) || !bytes.Equal(page.Entries[0].Value, val(j)) {
 						t.Errorf("ScanRange from committed key %d: %d entries, err %v", j, len(page.Entries), err)
 						return

@@ -24,6 +24,24 @@ func openMem(t *testing.T, opt Options) *DB {
 	return db
 }
 
+// del writes a tombstone for key.
+func del(db *DB, key []byte) error {
+	_, err := db.Commit([]BatchOp{{Key: key, Delete: true}}, 0)
+	return err
+}
+
+// put commits one put at sequence at (0 = the engine's next).
+func put(db *DB, key, value string, at uint64) (uint64, error) {
+	return db.Commit([]BatchOp{{Key: []byte(key), Value: []byte(value)}}, at)
+}
+
+// liveKeys counts the records a full Scan visits.
+func liveKeys(db *DB) (int, error) {
+	n := 0
+	err := db.Scan(func(ScanEntry) bool { n++; return true })
+	return n, err
+}
+
 func TestPutGetDelete(t *testing.T) {
 	db := openMem(t, Options{})
 	if err := db.Put([]byte("k1"), []byte("v1"), 0); err != nil {
@@ -36,7 +54,7 @@ func TestPutGetDelete(t *testing.T) {
 	if got.IOReads != 0 {
 		t.Fatalf("memtable hit charged %d IO reads", got.IOReads)
 	}
-	if err := db.Delete([]byte("k1")); err != nil {
+	if err := del(db, []byte("k1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("k1")); !errors.Is(err, ErrNotFound) {
@@ -126,7 +144,7 @@ func TestDeleteAcrossFlush(t *testing.T) {
 	db := openMem(t, Options{DisableAutoCompact: true})
 	db.Put([]byte("k"), []byte("v"), 0)
 	db.Flush()
-	db.Delete([]byte("k"))
+	del(db, []byte("k"))
 	db.Flush()
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tombstone not honored: %v", err)
@@ -140,7 +158,7 @@ func TestCompactMergesAndDropsTombstones(t *testing.T) {
 	}
 	db.Flush()
 	for i := 0; i < 25; i++ {
-		db.Delete([]byte(fmt.Sprintf("k%02d", i)))
+		del(db, []byte(fmt.Sprintf("k%02d", i)))
 	}
 	db.Flush()
 	if err := db.Compact(); err != nil {
@@ -235,7 +253,7 @@ func TestRecoveryFromWAL(t *testing.T) {
 	}
 	db.Put([]byte("a"), []byte("1"), 0)
 	db.Put([]byte("b"), []byte("2"), 0)
-	db.Delete([]byte("a"))
+	del(db, []byte("a"))
 	// Simulate crash: do NOT close (no flush), just reopen on same FS.
 	db2, err := Open(Options{FS: fs, Dir: "d"})
 	if err != nil {
@@ -356,7 +374,7 @@ func TestPropertyMatchesMapAcrossFlushes(t *testing.T) {
 		for _, o := range ops {
 			k := fmt.Sprintf("k%03d", o.Key)
 			if o.Del {
-				db.Delete([]byte(k))
+				del(db, []byte(k))
 				delete(ref, k)
 			} else {
 				v := fmt.Sprintf("v%05d", o.Val)

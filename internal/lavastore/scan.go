@@ -6,89 +6,43 @@ import (
 	"abase/internal/skiplist"
 )
 
-// Scan invokes fn for every live key/value pair in ascending key order,
-// merging the memtable, immutable memtables, and SSTables. Deleted and
-// expired records are skipped. fn returning false stops the scan.
-// Values passed to fn are only valid during the call; copy to retain.
-//
-// Scan is used for replica migration: the rescheduler copies a
-// partition replica to its destination DataNode by scanning the source.
-// Client-facing traversal uses the bounded ScanRange instead; callers
-// that must preserve TTLs across a copy use ScanWithExpiry.
-func (db *DB) Scan(fn func(key, value []byte) bool) error {
-	return db.ScanWithExpiry(func(key, value []byte, _ int64) bool {
-		return fn(key, value)
-	})
-}
-
-// ScanWithExpiry is Scan with each record's TTL deadline (Unix seconds,
-// 0 = no expiry) passed alongside, so migration and repair can rewrite
-// records at their destination without silently making them immortal.
-func (db *DB) ScanWithExpiry(fn func(key, value []byte, expireAt int64) bool) error {
-	ms, err := db.newMergedScanner(nil)
-	if err != nil {
-		return err
-	}
-	now := db.opt.Clock.Now().Unix()
-	for {
-		k, rec, ok := ms.next()
-		if !ok {
-			return ms.checkErr()
-		}
-		r, err := decodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if r.Kind == kindSet && !r.expired(now) {
-			if !fn(k, r.Value, r.ExpireAt) {
-				return nil
-			}
-		}
-	}
-}
-
-// ScanWithSeq is ScanWithExpiry with each record's commit sequence
-// number passed alongside — the form replica repair uses so copied
-// records keep their change-log offsets on the destination instead of
-// taking fresh local ones (which would run the destination's sequence
-// ahead of its source and make later forced-sequence applies look
-// stale).
-func (db *DB) ScanWithSeq(fn func(key, value []byte, expireAt int64, seq uint64) bool) error {
-	ms, err := db.newMergedScanner(nil)
-	if err != nil {
-		return err
-	}
-	now := db.opt.Clock.Now().Unix()
-	for {
-		k, rec, ok := ms.next()
-		if !ok {
-			return ms.checkErr()
-		}
-		r, err := decodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if r.Kind == kindSet && !r.expired(now) {
-			if !fn(k, r.Value, r.ExpireAt, r.Seq) {
-				return nil
-			}
-		}
-	}
-}
-
-// Keys returns the number of live keys (full scan; intended for tests
-// and migration verification, not hot paths).
-func (db *DB) Keys() (int, error) {
-	n := 0
-	err := db.Scan(func(_, _ []byte) bool { n++; return true })
-	return n, err
-}
-
-// ScanEntry is one live key/value pair returned by ScanRange. Both
-// slices are copies owned by the caller.
+// ScanEntry is one live record: Key and Value (nil under keysOnly)
+// with the record's TTL deadline and commit sequence.
 type ScanEntry struct {
 	Key   []byte
 	Value []byte
+	// ExpireAt is the TTL deadline in Unix seconds, 0 for none, so a
+	// copy can rewrite the record without making it immortal.
+	ExpireAt int64
+	// Seq is the sequence the record committed at, so a copy can keep
+	// the record's change-log offset on its destination.
+	Seq uint64
+}
+
+// Scan invokes fn for every live record in ascending key order, merging
+// the memtable, immutable memtables, and SSTables. Deleted and expired
+// records are skipped. fn returning false stops the scan. The entry's
+// Key and Value are only valid during the call; copy to retain.
+//
+// Scan is the whole-replica read: repair, migration and the split
+// rehash copy a partition through it. Client-facing traversal uses the
+// bounded ScanRange instead.
+func (db *DB) Scan(fn func(ScanEntry) bool) error {
+	ms, err := db.scanner(nil)
+	if err != nil {
+		return err
+	}
+	now := db.opt.Clock.Now().Unix()
+	for key, rec, ok := ms.next(); ok; key, rec, ok = ms.next() {
+		r, err := decodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		if r.Kind == kindSet && !r.expired(now) && !fn(ScanEntry{Key: key, Value: r.Value, ExpireAt: r.ExpireAt, Seq: r.Seq}) {
+			return nil
+		}
+	}
+	return ms.checkErr()
 }
 
 // ScanPage is the result of one bounded ScanRange call.
@@ -123,55 +77,31 @@ const MaxScanLimit = 1 << 20
 // NextKey and the caller pays for the next stretch separately.
 const scanExamineFactor = 32
 
-// ScanRange returns up to limit live key/value pairs with key in
-// [start, end), in ascending order, merging all storage layers and
-// skipping tombstones and TTL-expired records exactly like Get. A nil
-// start begins at the first key; a nil end is unbounded; a
-// non-positive limit means DefaultScanLimit. The page reports the
-// billable bytes it carries and an inclusive NextKey to resume from,
-// so callers can traverse a keyspace in quota-admitted increments.
-func (db *DB) ScanRange(start, end []byte, limit int) (ScanPage, error) {
-	return db.scanRange(start, end, limit, false)
-}
-
-// ScanRangeKeys is ScanRange without value transfer: entries carry nil
-// Values and no value bytes are copied (KEYS/DBSIZE traffic). The
-// engine still reads every record, so Bytes keeps the same billing
-// semantics, value sizes included.
-func (db *DB) ScanRangeKeys(start, end []byte, limit int) (ScanPage, error) {
-	return db.scanRange(start, end, limit, true)
-}
-
-func (db *DB) scanRange(start, end []byte, limit int, keysOnly bool) (ScanPage, error) {
+// ScanRange returns up to limit live records with key >= start, in
+// ascending order, merging all storage layers and skipping tombstones
+// and TTL-expired records exactly like Get. A nil start begins at the
+// first key; a non-positive limit means DefaultScanLimit. Entries are
+// copies; keysOnly leaves their Values nil (KEYS/DBSIZE traffic) but
+// keeps Bytes' billing, value sizes included, since the engine read the
+// records either way. The page reports the billable bytes it carries
+// and an inclusive NextKey to resume from, so callers can traverse a
+// keyspace in quota-admitted increments.
+func (db *DB) ScanRange(start []byte, limit int, keysOnly bool) (ScanPage, error) {
 	if limit <= 0 {
 		limit = DefaultScanLimit
 	}
-	if limit > MaxScanLimit {
-		limit = MaxScanLimit
-	}
-	ms, err := db.newMergedScanner(start)
+	limit = min(limit, MaxScanLimit)
+	ms, err := db.scanner(start)
 	if err != nil {
 		return ScanPage{}, err
 	}
 	now := db.opt.Clock.Now().Unix()
 	maxExamine := limit * scanExamineFactor
 	var page ScanPage
-	for {
-		if len(page.Entries) >= limit || page.Examined >= maxExamine {
-			if err := ms.checkErr(); err != nil {
-				return page, err
-			}
-			if k, ok := ms.peek(); ok && (end == nil || bytes.Compare(k, end) < 0) {
-				page.NextKey = append([]byte(nil), k...)
-			}
-			return page, nil
-		}
+	for len(page.Entries) < limit && page.Examined < maxExamine {
 		k, rec, ok := ms.next()
 		if !ok {
 			return page, ms.checkErr()
-		}
-		if end != nil && bytes.Compare(k, end) >= 0 {
-			return page, nil
 		}
 		page.Examined++
 		r, err := decodeRecord(rec)
@@ -181,44 +111,42 @@ func (db *DB) scanRange(start, end []byte, limit int, keysOnly bool) (ScanPage, 
 		if r.Kind != kindSet || r.expired(now) {
 			continue
 		}
-		e := ScanEntry{Key: append([]byte(nil), k...)}
+		e := ScanEntry{Key: append([]byte(nil), k...), ExpireAt: r.ExpireAt, Seq: r.Seq}
 		if !keysOnly {
 			e.Value = append([]byte(nil), r.Value...)
 		}
 		page.Bytes += int64(len(k) + len(r.Value))
 		page.Entries = append(page.Entries, e)
 	}
+	if err := ms.checkErr(); err != nil {
+		return page, err
+	}
+	if k, ok := ms.peek(); ok {
+		page.NextKey = append([]byte(nil), k...)
+	}
+	return page, nil
 }
 
 // mergedScanner yields the newest record per distinct key in ascending
-// key order across a snapshot of all storage layers.
+// key order across its sources: every layer for Scan and ScanRange,
+// the input tables for compaction. Each source's current key is cached
+// beside it, so picking the next key costs no calls into the sources.
 type mergedScanner struct {
-	sources []scanSource
+	heads   []head // newest source first
 	lastKey []byte
 	failed  error
 }
 
-// checkErr reports the first source failure. A source that hit an I/O
-// or corruption error looks exhausted to the merge; without this check
-// a scan would silently truncate — returning "complete" results that
-// miss every remaining key in the failed source — instead of erroring
-// the way point reads do.
-func (m *mergedScanner) checkErr() error {
-	if m.failed != nil {
-		return m.failed
-	}
-	for _, s := range m.sources {
-		if e := s.err(); e != nil {
-			m.failed = e
-			return e
-		}
-	}
-	return nil
+// head is one source and its current key (ok false once exhausted).
+type head struct {
+	src scanSource
+	key []byte
+	ok  bool
 }
 
-// newMergedScanner snapshots the storage layers and positions every
-// source at the first key >= start (nil start = the first key).
-func (db *DB) newMergedScanner(start []byte) (*mergedScanner, error) {
+// scanner snapshots every storage layer and merges it from the first
+// key >= start (nil start = the first key).
+func (db *DB) scanner(start []byte) (*mergedScanner, error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
@@ -226,32 +154,54 @@ func (db *DB) newMergedScanner(start []byte) (*mergedScanner, error) {
 	}
 	// Sources ordered newest first so the first occurrence of a key is
 	// its newest record.
-	var sources []scanSource
-	sources = append(sources, &memSource{it: db.mem.NewIterator()})
+	sources := make([]scanSource, 0, 1+len(db.imm)+len(db.tables))
+	sources = append(sources, memSource{db.mem.NewIterator()})
 	for i := len(db.imm) - 1; i >= 0; i-- {
-		sources = append(sources, &memSource{it: db.imm[i].NewIterator()})
+		sources = append(sources, memSource{db.imm[i].NewIterator()})
 	}
-	for _, t := range db.tables {
-		sources = append(sources, &tableSource{it: t.iterator()})
-	}
+	tables := db.tables
 	db.mu.RUnlock()
-
-	for _, s := range sources {
-		s.seek(start)
-	}
-	return &mergedScanner{sources: sources}, nil
+	return newMergedScanner(sources, tables, start), nil
 }
+
+// newMergedScanner merges sources followed by tables, each list newest
+// first, positioning every source at the first key >= start.
+func newMergedScanner(sources []scanSource, tables []*Table, start []byte) *mergedScanner {
+	for _, t := range tables {
+		sources = append(sources, t.iterator())
+	}
+	m := &mergedScanner{heads: make([]head, len(sources))}
+	for i, s := range sources {
+		m.heads[i].src = s
+		m.load(&m.heads[i], s.seek(start))
+	}
+	return m
+}
+
+// load caches h's position after a seek or step that reported ok, and
+// keeps the first source failure.
+func (m *mergedScanner) load(h *head, ok bool) {
+	if h.ok = ok; ok {
+		h.key = h.src.Key()
+	} else if err := h.src.Err(); err != nil && m.failed == nil {
+		m.failed = err
+	}
+}
+
+// checkErr reports the first source failure. A source that hit an I/O
+// or corruption error looks exhausted; without this check a scan would
+// silently truncate — returning "complete" results that miss every
+// remaining key in the failed source — instead of erroring the way
+// point reads do.
+func (m *mergedScanner) checkErr() error { return m.failed }
 
 // best returns the index of the source holding the smallest current
 // key, preferring the newest source on ties, or -1 when all sources
 // are exhausted.
 func (m *mergedScanner) best() int {
 	best := -1
-	for i, s := range m.sources {
-		if !s.valid() {
-			continue
-		}
-		if best == -1 || bytes.Compare(s.key(), m.sources[best].key()) < 0 {
+	for i := range m.heads {
+		if h := &m.heads[i]; h.ok && (best == -1 || bytes.Compare(h.key, m.heads[best].key) < 0) {
 			best = i
 		}
 	}
@@ -261,77 +211,55 @@ func (m *mergedScanner) best() int {
 // peek returns the next distinct key without consuming it. The slice
 // is only valid until the next call to next.
 func (m *mergedScanner) peek() ([]byte, bool) {
-	best := m.best()
-	if best == -1 {
-		return nil, false
+	if best := m.best(); best != -1 {
+		return m.heads[best].key, true
 	}
-	return m.sources[best].key(), true
+	return nil, false
 }
 
 // next returns the next distinct key and its newest raw record. The
-// returned slices are only valid until the following call. After a
-// false return, callers must consult checkErr to distinguish
-// exhaustion from a source failure.
+// returned slices are only valid until the following call. The merge
+// stops at the first source failure; after a false return, callers must
+// consult checkErr to distinguish exhaustion from a failure.
 func (m *mergedScanner) next() (key, rec []byte, ok bool) {
-	if m.checkErr() != nil {
-		return nil, nil, false
-	}
 	best := m.best()
-	if best == -1 {
+	if best == -1 || m.failed != nil {
 		return nil, nil, false
 	}
-	m.lastKey = append(m.lastKey[:0], m.sources[best].key()...)
-	rec = m.sources[best].rec()
+	m.lastKey = append(m.lastKey[:0], m.heads[best].key...)
+	rec = m.heads[best].src.Rec()
 	// Advance every source positioned at this key so older shadowed
 	// records are consumed with it.
-	for _, s := range m.sources {
-		if s.valid() && bytes.Equal(s.key(), m.lastKey) {
-			s.advance()
+	for i := range m.heads {
+		if h := &m.heads[i]; h.ok && bytes.Equal(h.key, m.lastKey) {
+			m.load(h, h.src.Next())
 		}
 	}
 	return m.lastKey, rec, true
 }
 
-// scanSource abstracts memtable and table iterators for the merge.
+// scanSource is one layer's iterator in a merge. *tableIterator is one
+// as it stands; memSource adapts a memtable's.
 type scanSource interface {
 	// seek positions the source at the first key >= target (nil target
-	// = the first key).
-	seek(target []byte)
-	advance()
-	valid() bool
-	key() []byte
-	rec() []byte
-	// err reports a read or corruption failure; an errored source also
-	// reports valid() == false.
-	err() error
+	// = the first key), reporting whether there is one.
+	seek(target []byte) bool
+	Next() bool
+	Key() []byte
+	Rec() []byte
+	// Err reports a read or corruption failure; a failed source reports
+	// false from seek and Next.
+	Err() error
 }
 
-type memSource struct {
-	it *skiplist.Iterator
-	ok bool
-}
+// memSource is a memtable's iterator; in-memory iteration cannot fail.
+type memSource struct{ *skiplist.Iterator }
 
-func (m *memSource) seek(target []byte) {
+func (m memSource) seek(target []byte) bool {
 	if len(target) == 0 {
-		m.ok = m.it.Next()
-	} else {
-		m.ok = m.it.Seek(target)
+		return m.Next()
 	}
+	return m.Seek(target)
 }
-func (m *memSource) advance()    { m.ok = m.it.Next() }
-func (m *memSource) valid() bool { return m.ok }
-func (m *memSource) key() []byte { return m.it.Key() }
-func (m *memSource) rec() []byte { return m.it.Value() }
-func (m *memSource) err() error  { return nil } // in-memory iteration cannot fail
-
-type tableSource struct {
-	it *tableIterator
-	ok bool
-}
-
-func (t *tableSource) seek(target []byte) { t.ok = t.it.seek(target) }
-func (t *tableSource) advance()           { t.ok = t.it.Next() }
-func (t *tableSource) valid() bool        { return t.ok }
-func (t *tableSource) key() []byte        { return t.it.Key() }
-func (t *tableSource) rec() []byte        { return t.it.Rec() }
-func (t *tableSource) err() error         { return t.it.Err() }
+func (m memSource) Rec() []byte { return m.Value() }
+func (m memSource) Err() error  { return nil }

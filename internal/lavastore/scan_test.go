@@ -21,13 +21,13 @@ func TestScanMergesAllLayers(t *testing.T) {
 	db.Flush()
 	// Layer 3: memtable adds d, deletes b.
 	db.Put([]byte("d"), []byte("d"), 0)
-	db.Delete([]byte("b"))
+	del(db, []byte("b"))
 
 	got := map[string]string{}
 	var keysInOrder []string
-	err := db.Scan(func(k, v []byte) bool {
-		got[string(k)] = string(v)
-		keysInOrder = append(keysInOrder, string(k))
+	err := db.Scan(func(e ScanEntry) bool {
+		got[string(e.Key)] = string(e.Value)
+		keysInOrder = append(keysInOrder, string(e.Key))
 		return true
 	})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestScanSkipsExpired(t *testing.T) {
 	db.Put([]byte("ttl"), []byte("v"), time.Minute)
 	db.Put([]byte("live"), []byte("v"), 0)
 	sim.Advance(time.Hour)
-	n, err := db.Keys()
+	n, err := liveKeys(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestScanEarlyStop(t *testing.T) {
 		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"), 0)
 	}
 	seen := 0
-	db.Scan(func(_, _ []byte) bool {
+	db.Scan(func(ScanEntry) bool {
 		seen++
 		return seen < 3
 	})
@@ -82,14 +82,14 @@ func TestScanEarlyStop(t *testing.T) {
 func TestScanClosed(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Close()
-	if err := db.Scan(func(_, _ []byte) bool { return true }); !errors.Is(err, ErrClosed) {
+	if err := db.Scan(func(ScanEntry) bool { return true }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestKeysEmpty(t *testing.T) {
 	db := openMem(t, Options{})
-	if n, _ := db.Keys(); n != 0 {
+	if n, _ := liveKeys(db); n != 0 {
 		t.Fatalf("Keys = %d", n)
 	}
 }

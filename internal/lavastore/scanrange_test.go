@@ -18,7 +18,7 @@ func collectPages(t *testing.T, db *DB, limit int) ([]ScanEntry, int) {
 	var start []byte
 	pages := 0
 	for {
-		page, err := db.ScanRange(start, nil, limit)
+		page, err := db.ScanRange(start, limit, false)
 		if err != nil {
 			t.Fatalf("ScanRange: %v", err)
 		}
@@ -72,18 +72,23 @@ func TestScanRangeBounds(t *testing.T) {
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		db.Put([]byte(k), []byte("v"), 0)
 	}
-	page, err := db.ScanRange([]byte("b"), []byte("d"), 10)
+	// start is inclusive; a page that runs out of keys has no NextKey.
+	page, err := db.ScanRange([]byte("c"), 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Entries) != 2 || string(page.Entries[0].Key) != "b" || string(page.Entries[1].Key) != "c" {
+	if len(page.Entries) != 3 || string(page.Entries[0].Key) != "c" || string(page.Entries[2].Key) != "e" {
 		t.Fatalf("entries = %v", page.Entries)
 	}
 	if page.NextKey != nil {
-		t.Fatalf("NextKey = %q, want nil (end bound reached)", page.NextKey)
+		t.Fatalf("NextKey = %q, want nil (keyspace exhausted)", page.NextKey)
 	}
-	// Limit inside the bound: NextKey must point at the first unread key.
-	page, err = db.ScanRange([]byte("b"), []byte("e"), 1)
+	// Entries carry their commit sequence: c was the third write.
+	if e := page.Entries[0]; e.Seq != 3 || e.ExpireAt != 0 {
+		t.Fatalf("entry c: Seq %d, ExpireAt %d; want 3, 0", e.Seq, e.ExpireAt)
+	}
+	// Limit reached: NextKey must point at the first unread key.
+	page, err = db.ScanRange([]byte("b"), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +104,10 @@ func TestScanRangeSkipsTombstonesAndExpiredLikeGet(t *testing.T) {
 	db.Put([]byte("ttl"), []byte("v"), time.Minute)
 	db.Put([]byte("dead"), []byte("v"), 0)
 	db.Flush() // tombstone below shadows from a newer layer
-	db.Delete([]byte("dead"))
+	del(db, []byte("dead"))
 	sim.Advance(time.Hour)
 
-	page, err := db.ScanRange(nil, nil, 10)
+	page, err := db.ScanRange(nil, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestScanRangeExamineCapReturnsUsableCursor(t *testing.T) {
 	for i := 0; i < 3*scanExamineFactor; i++ {
 		k := []byte(fmt.Sprintf("t%04d", i))
 		db.Put(k, []byte("v"), 0)
-		db.Delete(k)
+		del(db, k)
 	}
 	db.Put([]byte("zz-live"), []byte("v"), 0)
 
@@ -143,7 +148,7 @@ func TestScanRangeExamineCapReturnsUsableCursor(t *testing.T) {
 	pages := 0
 	var found []ScanEntry
 	for {
-		page, err := db.ScanRange(start, nil, 1)
+		page, err := db.ScanRange(start, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +174,7 @@ func TestScanRangeBillableBytes(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("ab"), []byte("1234"), 0)
 	db.Put([]byte("cd"), []byte("56"), 0)
-	page, err := db.ScanRange(nil, nil, 10)
+	page, err := db.ScanRange(nil, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +183,15 @@ func TestScanRangeBillableBytes(t *testing.T) {
 	}
 	// The value-free variant transfers no values but bills the same:
 	// the engine read the records either way.
-	kpage, err := db.ScanRangeKeys(nil, nil, 10)
+	kpage, err := db.ScanRange(nil, 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kpage.Entries) != 2 || kpage.Entries[0].Value != nil || kpage.Entries[1].Value != nil {
-		t.Fatalf("ScanRangeKeys entries = %v, want value-free", kpage.Entries)
+		t.Fatalf("keysOnly entries = %v, want value-free", kpage.Entries)
 	}
 	if kpage.Bytes != page.Bytes {
-		t.Fatalf("ScanRangeKeys Bytes = %d, want %d", kpage.Bytes, page.Bytes)
+		t.Fatalf("keysOnly Bytes = %d, want %d", kpage.Bytes, page.Bytes)
 	}
 }
 
@@ -199,12 +204,11 @@ type failingSource struct {
 	data []byte
 }
 
-func (f *failingSource) seek([]byte) { f.pos = 1 }
-func (f *failingSource) advance()    { f.pos++ }
-func (f *failingSource) valid() bool { return f.pos <= f.n }
-func (f *failingSource) key() []byte { return []byte(fmt.Sprintf("k%02d", f.pos)) }
-func (f *failingSource) rec() []byte { return f.data }
-func (f *failingSource) err() error {
+func (f *failingSource) seek([]byte) bool { f.pos = 1; return f.pos <= f.n }
+func (f *failingSource) Next() bool       { f.pos++; return f.pos <= f.n }
+func (f *failingSource) Key() []byte      { return []byte(fmt.Sprintf("k%02d", f.pos)) }
+func (f *failingSource) Rec() []byte      { return f.data }
+func (f *failingSource) Err() error {
 	if f.pos > f.n {
 		return f.e
 	}
@@ -218,8 +222,7 @@ func (f *failingSource) err() error {
 func TestMergedScannerSurfacesSourceErrors(t *testing.T) {
 	readErr := errors.New("lavastore: simulated read failure")
 	src := &failingSource{n: 2, e: readErr, data: encodeRecord(record{Kind: kindSet, Value: []byte("v"), Seq: 1})}
-	ms := &mergedScanner{sources: []scanSource{src}}
-	src.seek(nil)
+	ms := newMergedScanner([]scanSource{src}, nil, nil)
 	seen := 0
 	for {
 		_, _, ok := ms.next()
@@ -241,7 +244,7 @@ func TestScanRangeResumeInterleavedWithWrites(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v"), 0)
 	}
-	page, err := db.ScanRange(nil, nil, 4)
+	page, err := db.ScanRange(nil, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +255,13 @@ func TestScanRangeResumeInterleavedWithWrites(t *testing.T) {
 	// Mutations behind and ahead of the cursor, plus a flush so the
 	// resume crosses a layer boundary.
 	db.Put([]byte("k00"), []byte("rewritten"), 0) // behind: must not reappear
-	db.Delete([]byte("k05"))                      // ahead: must disappear
+	del(db, []byte("k05"))                        // ahead: must disappear
 	db.Put([]byte("k99"), []byte("new"), 0)       // ahead: must appear
 	db.Flush()
 
 	start := page.NextKey
 	for start != nil {
-		page, err = db.ScanRange(start, nil, 4)
+		page, err = db.ScanRange(start, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,3 +57,26 @@ func TestTTLSurvivesFlush(t *testing.T) {
 		t.Fatalf("TTL after flush = %v, %v", ttl, err)
 	}
 }
+
+// TestTTLCountsTableReads: TTL reads through the same lookup as Get, so
+// a key held only in a flushed table costs it the same table reads, and
+// Stats.GetIOReads counts them.
+func TestTTLCountsTableReads(t *testing.T) {
+	db := openMem(t, Options{DisableAutoCompact: true})
+	db.Put([]byte("k"), []byte("v"), time.Hour)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Stats().GetIOReads
+	res, err := db.Get([]byte("k"))
+	if err != nil || res.IOReads == 0 {
+		t.Fatalf("Get from a table: %d reads, %v", res.IOReads, err)
+	}
+	afterGet := db.Stats().GetIOReads
+	if _, err := db.TTL([]byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := db.Stats().GetIOReads-afterGet, afterGet-before; got != want {
+		t.Fatalf("TTL added %d to GetIOReads, Get added %d", got, want)
+	}
+}

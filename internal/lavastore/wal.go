@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"math/bits"
+	"slices"
 )
 
 // walWriter appends length-prefixed, CRC-protected records to a log
@@ -73,15 +74,18 @@ func (w *walWriter) Close() error { return w.f.Close() }
 // rewrites the surviving records into a fresh log and deletes this
 // one, so the truncation becomes physical.) Only fn's own error
 // propagates.
+//
+// The header and payload are read into buffers every record reuses, so
+// key and rec are only valid during fn's call; copy to retain.
 func replayWAL(f File, fn func(key []byte, rec []byte) error) error {
 	size, err := f.Size()
 	if err != nil {
 		return err
 	}
-	var off int64
-	var hdr [8]byte
-	for off < size {
-		if _, err := io.ReadFull(io.NewSectionReader(f, off, 8), hdr[:]); err != nil {
+	hdr := make([]byte, 8)
+	var payload []byte
+	for off := int64(0); off < size; {
+		if readFullAt(f, hdr, off) != nil {
 			return nil // torn header at tail
 		}
 		crc := binary.LittleEndian.Uint32(hdr[0:4])
@@ -89,19 +93,17 @@ func replayWAL(f File, fn func(key []byte, rec []byte) error) error {
 		if off+8+plen > size {
 			return nil // torn payload at tail
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(io.NewSectionReader(f, off+8, plen), payload); err != nil {
-			return nil
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload = slices.Grow(payload[:0], int(plen))[:plen]
+		if readFullAt(f, payload, off+8) != nil || crc32.ChecksumIEEE(payload) != crc {
 			return nil // corrupt tail record: stop replay
 		}
 		klen, n := binary.Uvarint(payload)
-		if n <= 0 || int64(n)+int64(klen) > plen {
+		if n <= 0 || n != uvarintLen(klen) || klen > uint64(len(payload)-n) {
 			// A CRC-valid frame with unparsable key framing can only be
 			// a torn/garbage tail (e.g. a partial multi-record group
 			// commit whose cut landed frame-aligned): truncate here too
-			// instead of failing recovery.
+			// instead of failing recovery. The writer only emits the
+			// shortest varint, so a longer one is garbage as well.
 			return nil
 		}
 		key := payload[n : n+int(klen)]
@@ -113,3 +115,6 @@ func replayWAL(f File, fn func(key []byte, rec []byte) error) error {
 	}
 	return nil
 }
+
+// uvarintLen is the length of v's shortest uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }

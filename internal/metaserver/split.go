@@ -3,6 +3,7 @@ package metaserver
 import (
 	"fmt"
 
+	"abase/internal/lavastore"
 	"abase/internal/partition"
 )
 
@@ -74,12 +75,12 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 			expireAt int64
 		}
 		var moved []kv
-		err := srcNode.ScanReplicaWithExpiry(src.Partition, func(key, value []byte, expireAt int64) bool {
-			if partition.PartitionOf(key, newN) != src.Partition.Index {
+		err := srcNode.ScanReplica(src.Partition, func(e lavastore.ScanEntry) bool {
+			if partition.PartitionOf(e.Key, newN) != src.Partition.Index {
 				moved = append(moved, kv{
-					k:        append([]byte(nil), key...),
-					v:        append([]byte(nil), value...),
-					expireAt: expireAt,
+					k:        append([]byte(nil), e.Key...),
+					v:        append([]byte(nil), e.Value...),
+					expireAt: e.ExpireAt,
 				})
 			}
 			return true
