@@ -32,6 +32,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -151,30 +153,24 @@ type ClusterConfig struct {
 	Clock clock.Clock
 	// NodeCacheBytes sizes each DataNode's SA-LRU (default 64 MiB).
 	NodeCacheBytes int64
-	// Cost overrides the simulated service-time model.
+	// Cost is each node's simulated service-time model; the zero model
+	// simulates none.
 	Cost datanode.CostModel
 	// WFQ tunes each node's dual-layer WFQs.
 	WFQ wfq.Config
-	// DisablePartitionQuota turns off partition-level admission.
-	DisablePartitionQuota bool
 	// FS backs the storage engines (default: in-memory).
 	FS lavastore.FS
-	// NodeRUCapacity is each node's nominal RU/s capacity.
-	NodeRUCapacity float64
 	// AdmitCost is each node's simulated request-queue processing time
-	// per request (default 2µs; tests and benchmarks use 1ns).
+	// per request; zero simulates none.
 	AdmitCost time.Duration
 	// HeatSplitThreshold enables heat-driven automatic partition
 	// splits: when a tenant's hottest partition sustains more than this
 	// many ops/sec (decayed) for HeatSplitWindows consecutive
-	// MonitorTrafficOnce cycles, its partition count is doubled. Zero
-	// disables automatic splitting.
+	// MonitorTrafficOnce cycles, its partition count is doubled, up to
+	// 256 partitions. Zero disables automatic splitting.
 	HeatSplitThreshold float64
 	// HeatSplitWindows is the consecutive-cycle requirement (default 3).
 	HeatSplitWindows int
-	// HeatSplitMaxPartitions caps heat-driven automatic doubling
-	// (default 256).
-	HeatSplitMaxPartitions int
 	// HotSampleRate samples the DataNode heavy-hitter sketches: one in
 	// every N key accesses is recorded (default 4; 1 records all).
 	HotSampleRate int
@@ -197,12 +193,45 @@ type Cluster struct {
 	closed   bool
 }
 
+// validate refuses every negative count, size, duration and cost cfg
+// owns: zero picks a default, and a negative value means nothing. WFQ
+// passes through, because its ExtraIOThreads uses -1 for "none".
+func (cfg ClusterConfig) validate() error {
+	return refuseNegative("ClusterConfig", map[string]float64{
+		"Nodes":              float64(cfg.Nodes),
+		"Replicas":           float64(cfg.Replicas),
+		"NodeCacheBytes":     float64(cfg.NodeCacheBytes),
+		"Cost.CPUTime":       float64(cfg.Cost.CPUTime),
+		"Cost.IOReadTime":    float64(cfg.Cost.IOReadTime),
+		"Cost.IOWriteTime":   float64(cfg.Cost.IOWriteTime),
+		"AdmitCost":          float64(cfg.AdmitCost),
+		"HeatSplitThreshold": cfg.HeatSplitThreshold,
+		"HeatSplitWindows":   float64(cfg.HeatSplitWindows),
+		"HotSampleRate":      float64(cfg.HotSampleRate),
+		"DownAfterProbes":    float64(cfg.DownAfterProbes),
+	})
+}
+
+// refuseNegative returns an error naming the first field, in name
+// order, of the struct called kind whose value is negative.
+func refuseNegative(kind string, fields map[string]float64) error {
+	for _, name := range slices.Sorted(maps.Keys(fields)) {
+		if v := fields[name]; v < 0 {
+			return fmt.Errorf("abase: %s.%s is negative (%v)", kind, name, v)
+		}
+	}
+	return nil
+}
+
 // NewCluster starts a cluster with cfg.Nodes DataNodes.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Nodes == 0 {
 		cfg.Nodes = 3
 	}
-	if cfg.Replicas <= 0 {
+	if cfg.Replicas == 0 {
 		cfg.Replicas = 3
 	}
 	if cfg.Replicas > cfg.Nodes {
@@ -214,12 +243,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg: cfg,
 		Meta: metaserver.New(metaserver.Config{
-			Clock:                  cfg.Clock,
-			Replicas:               cfg.Replicas,
-			HeatSplitThreshold:     cfg.HeatSplitThreshold,
-			HeatSplitWindows:       cfg.HeatSplitWindows,
-			HeatSplitMaxPartitions: cfg.HeatSplitMaxPartitions,
-			DownAfterProbes:        cfg.DownAfterProbes,
+			Clock:              cfg.Clock,
+			Replicas:           cfg.Replicas,
+			HeatSplitThreshold: cfg.HeatSplitThreshold,
+			HeatSplitWindows:   cfg.HeatSplitWindows,
+			DownAfterProbes:    cfg.DownAfterProbes,
 		}),
 		tenants: make(map[string]*Tenant),
 	}
@@ -244,8 +272,7 @@ func (c *Cluster) addNodeLocked() *datanode.Node {
 		WFQ:                  cfg.WFQ,
 		Cost:                 cfg.Cost,
 		Replicas:             cfg.Replicas,
-		EnablePartitionQuota: !cfg.DisablePartitionQuota,
-		RUCapacity:           cfg.NodeRUCapacity,
+		EnablePartitionQuota: true,
 		AdmitCost:            cfg.AdmitCost,
 		HotSampleRate:        cfg.HotSampleRate,
 	})
@@ -321,8 +348,6 @@ type TenantSpec struct {
 	Name string
 	// QuotaRU is the tenant quota in RU/s.
 	QuotaRU float64
-	// StorageGB is the storage quota.
-	StorageGB float64
 	// Partitions is the partition count (default 1).
 	Partitions int
 	// Proxies is N, the tenant's proxy count (default 1).
@@ -331,23 +356,22 @@ type TenantSpec struct {
 	ProxyGroups int
 	// DisableProxyCache turns off the AU-LRU.
 	DisableProxyCache bool
-	// DisableProxyQuota turns off proxy-level admission.
-	DisableProxyQuota bool
-	// ProxyCacheTTL is the AU-LRU entry TTL (default 10s).
-	ProxyCacheTTL time.Duration
-	// ProxyCacheBytes sizes each proxy's AU-LRU (default 32 MiB).
+	// ProxyCacheBytes sizes each proxy's AU-LRU (default 32 MiB). Its
+	// entries live 10s, a value is cached once its key has been read
+	// twice in the hotspot window, and follower reads may trail their
+	// primary by 1024 writes (the proxy package's defaults).
 	ProxyCacheBytes int64
-	// ProxyHotAdmitThreshold gates proxy-cache admission on the hotspot
-	// sketch: a fetched value is cached only once its key has been
-	// accessed this many times in the detection window. 0 uses the
-	// default (2); negative disables the gate and caches every read
-	// (the legacy policy).
-	ProxyHotAdmitThreshold int
-	// MaxFollowerLag bounds follower-read staleness in replication
-	// positions (applied writes the follower may trail its primary by;
-	// default 1024). Only consulted by clients that opt into
-	// ReadFollower.
-	MaxFollowerLag uint64
+}
+
+// validate refuses every negative count, size and quota spec owns.
+func (spec TenantSpec) validate() error {
+	return refuseNegative("TenantSpec", map[string]float64{
+		"QuotaRU":         spec.QuotaRU,
+		"Partitions":      float64(spec.Partitions),
+		"Proxies":         float64(spec.Proxies),
+		"ProxyGroups":     float64(spec.ProxyGroups),
+		"ProxyCacheBytes": float64(spec.ProxyCacheBytes),
+	})
 }
 
 // Tenant is a provisioned tenant with its proxy fleet.
@@ -368,16 +392,12 @@ func (c *Cluster) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	if spec.Name == "" {
 		return nil, errors.New("abase: tenant name required")
 	}
-	if spec.Proxies <= 0 {
-		spec.Proxies = 1
-	}
-	if spec.ProxyGroups <= 0 {
-		spec.ProxyGroups = spec.Proxies
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	mt, err := c.Meta.CreateTenant(metaserver.TenantSpec{
 		Name:       spec.Name,
 		QuotaRU:    spec.QuotaRU,
-		StorageGB:  spec.StorageGB,
 		Partitions: spec.Partitions,
 		Proxies:    spec.Proxies,
 		Groups:     spec.ProxyGroups,
@@ -386,17 +406,14 @@ func (c *Cluster) CreateTenant(spec TenantSpec) (*Tenant, error) {
 		return nil, err
 	}
 	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant:            spec.Name,
-		Meta:              c.Meta,
-		Clock:             c.cfg.Clock,
-		CacheBytes:        spec.ProxyCacheBytes,
-		CacheTTL:          spec.ProxyCacheTTL,
-		EnableCache:       !spec.DisableProxyCache,
-		EnableQuota:       !spec.DisableProxyQuota,
-		ProxyQuota:        mt.Quota.ProxyQuota(),
-		HotAdmitThreshold: spec.ProxyHotAdmitThreshold,
-		MaxFollowerLag:    spec.MaxFollowerLag,
-	}, spec.Proxies, spec.ProxyGroups, 1)
+		Tenant:      spec.Name,
+		Meta:        c.Meta,
+		Clock:       c.cfg.Clock,
+		CacheBytes:  spec.ProxyCacheBytes,
+		EnableCache: !spec.DisableProxyCache,
+		EnableQuota: true,
+		ProxyQuota:  mt.Quota.ProxyQuota(),
+	}, mt.Proxies, mt.Groups, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -692,37 +709,6 @@ func (c *Client) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL
 // full traversal amortizes better over fewer quota admissions.
 const scanPageSize = 256
 
-// scanPacer spaces out the cursor pages of a full traversal while the
-// tenant quota is throttling sub-scans: partial pages return instantly
-// with a resumable cursor, and without pacing Keys/DBSize would spin
-// on the quota, burning CPU to fetch nothing. Waits double from 1ms up
-// to 128ms and honor the caller's context.
-type scanPacer struct {
-	wait time.Duration
-}
-
-func newScanPacer() *scanPacer { return &scanPacer{wait: time.Millisecond} }
-
-// reset restores the initial pace after a page that made full progress.
-func (p *scanPacer) reset() { p.wait = time.Millisecond }
-
-// backoff sleeps the current wait (doubling it for next time), or
-// returns ctx's error as soon as the context ends. Context deadlines
-// are wall-clock, so this uses the real timer.
-func (p *scanPacer) backoff(ctx context.Context) error {
-	t := time.NewTimer(p.wait)
-	defer t.Stop()
-	if p.wait < 128*time.Millisecond {
-		p.wait *= 2
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Scan fetches one page of a distributed cursor traversal: pass "" (or
 // the cursor from the previous page) and receive up to count keys plus
 // the next cursor, "" when the traversal is complete. match is an
@@ -756,10 +742,48 @@ func (c *Client) Scan(ctx context.Context, cursor string, match string, count in
 // traversal, so it inherits Scan's guarantee and cost — intended for
 // migrations, audits, and tests, not hot paths.
 func (c *Client) Keys(ctx context.Context, match string) ([][]byte, error) {
-	seen := make(map[string]struct{})
 	var out [][]byte
+	err := c.traverse(ctx, match, func(k []byte) { out = append(out, k) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DBSize reports the number of live keys via a value-free full scan,
+// deduplicated across cursor pages. Like Keys, it agrees with Get:
+// expired-TTL records and tombstones are not counted.
+func (c *Client) DBSize(ctx context.Context) (int64, error) {
+	var n int64
+	err := c.traverse(ctx, "", func([]byte) { n++ })
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// traverse drives a full keys-only Scan traversal, calling fn once per
+// distinct key that matches match ("" for all). While the tenant quota
+// throttles sub-scans, partial pages return at once with a resumable
+// cursor; without pacing, the traversal would spin on the quota, burning
+// CPU to fetch nothing. So it waits between such pages, 1ms doubling up
+// to 128ms, and gives up when ctx ends. Context deadlines are
+// wall-clock, so the wait uses the real timer.
+func (c *Client) traverse(ctx context.Context, match string, fn func(key []byte)) error {
+	seen := make(map[string]struct{})
 	cursor := ""
-	pace := newScanPacer()
+	wait := time.Millisecond
+	backoff := func() error {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		wait = min(2*wait, 128*time.Millisecond)
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-t.C:
+			return nil
+		}
+	}
 	for {
 		page, err := c.fleet.Scan(ctx, cursor, proxy.ScanOptions{Match: match, Count: scanPageSize, KeysOnly: true})
 		if err != nil {
@@ -767,66 +791,31 @@ func (c *Client) Keys(ctx context.Context, match string) ([][]byte, error) {
 			// the same cursor instead of busy-spinning against the
 			// quota, bounded by the caller's deadline.
 			if errors.Is(err, ErrThrottled) {
-				if werr := pace.backoff(ctx); werr != nil {
-					return nil, werr
+				if werr := backoff(); werr != nil {
+					return werr
 				}
 				continue
 			}
-			return nil, err
+			return err
 		}
 		for _, k := range page.Keys {
 			if _, dup := seen[string(k)]; !dup {
 				seen[string(k)] = struct{}{}
-				out = append(out, k)
+				fn(k)
 			}
 		}
 		if page.Cursor == "" {
-			return out, nil
+			return nil
 		}
 		cursor = page.Cursor
 		if page.Throttled {
 			// Partial page: the cursor advanced, but hammering the next
 			// page immediately would hit the same empty bucket.
-			if werr := pace.backoff(ctx); werr != nil {
-				return nil, werr
+			if werr := backoff(); werr != nil {
+				return werr
 			}
 		} else {
-			pace.reset()
-		}
-	}
-}
-
-// DBSize reports the number of live keys via a value-free full scan,
-// deduplicated across cursor pages. Like Keys, it agrees with Get:
-// expired-TTL records and tombstones are not counted.
-func (c *Client) DBSize(ctx context.Context) (int64, error) {
-	seen := make(map[string]struct{})
-	cursor := ""
-	pace := newScanPacer()
-	for {
-		page, err := c.fleet.Scan(ctx, cursor, proxy.ScanOptions{Count: scanPageSize, KeysOnly: true})
-		if err != nil {
-			if errors.Is(err, ErrThrottled) {
-				if werr := pace.backoff(ctx); werr != nil {
-					return 0, werr
-				}
-				continue
-			}
-			return 0, err
-		}
-		for _, k := range page.Keys {
-			seen[string(k)] = struct{}{}
-		}
-		if page.Cursor == "" {
-			return int64(len(seen)), nil
-		}
-		cursor = page.Cursor
-		if page.Throttled {
-			if werr := pace.backoff(ctx); werr != nil {
-				return 0, werr
-			}
-		} else {
-			pace.reset()
+			wait = time.Millisecond
 		}
 	}
 }

@@ -4,22 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"abase/internal/datanode"
 	"abase/internal/resp"
+	"abase/internal/wfq"
 )
-
-func fastCost() datanode.CostModel {
-	return datanode.CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}
-}
 
 func newCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
-	if cfg.Cost == (datanode.CostModel{}) {
-		cfg.Cost = fastCost()
-	}
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,6 +57,51 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if _, err := c.Tenant("ghost"); err == nil {
 		t.Fatal("unknown tenant lookup succeeded")
+	}
+}
+
+// TestNegativeConfigRefused: a negative count, size, duration, cost or
+// quota is an error naming the field, not a value quietly replaced by
+// its default. WFQ passes through: ExtraIOThreads -1 means "none".
+func TestNegativeConfigRefused(t *testing.T) {
+	c := newCluster(t, ClusterConfig{Nodes: 3, WFQ: wfq.Config{ExtraIOThreads: -1}})
+	for _, tc := range []struct {
+		field   string
+		cluster ClusterConfig
+		tenant  TenantSpec
+	}{
+		{field: "ClusterConfig.Nodes", cluster: ClusterConfig{Nodes: -1}},
+		{field: "ClusterConfig.Replicas", cluster: ClusterConfig{Replicas: -1}},
+		{field: "ClusterConfig.NodeCacheBytes", cluster: ClusterConfig{NodeCacheBytes: -1}},
+		{field: "ClusterConfig.Cost.CPUTime", cluster: ClusterConfig{Cost: datanode.CostModel{CPUTime: -time.Microsecond}}},
+		{field: "ClusterConfig.Cost.IOReadTime", cluster: ClusterConfig{Cost: datanode.CostModel{IOReadTime: -1}}},
+		{field: "ClusterConfig.Cost.IOWriteTime", cluster: ClusterConfig{Cost: datanode.CostModel{IOWriteTime: -1}}},
+		{field: "ClusterConfig.AdmitCost", cluster: ClusterConfig{AdmitCost: -time.Microsecond}},
+		{field: "ClusterConfig.HeatSplitThreshold", cluster: ClusterConfig{HeatSplitThreshold: -1}},
+		{field: "ClusterConfig.HeatSplitWindows", cluster: ClusterConfig{HeatSplitWindows: -1}},
+		{field: "ClusterConfig.HotSampleRate", cluster: ClusterConfig{HotSampleRate: -1}},
+		{field: "ClusterConfig.DownAfterProbes", cluster: ClusterConfig{DownAfterProbes: -1}},
+		{field: "TenantSpec.QuotaRU", tenant: TenantSpec{Name: "q", QuotaRU: -1}},
+		{field: "TenantSpec.Partitions", tenant: TenantSpec{Name: "p", Partitions: -4}},
+		{field: "TenantSpec.Proxies", tenant: TenantSpec{Name: "x", Proxies: -1}},
+		{field: "TenantSpec.ProxyGroups", tenant: TenantSpec{Name: "g", ProxyGroups: -1}},
+		{field: "TenantSpec.ProxyCacheBytes", tenant: TenantSpec{Name: "b", ProxyCacheBytes: -1}},
+	} {
+		var err error
+		if tc.tenant.Name == "" {
+			var bad *Cluster
+			if bad, err = NewCluster(tc.cluster); err == nil {
+				bad.Close()
+			}
+		} else {
+			_, err = c.CreateTenant(tc.tenant)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.field+" is negative") {
+			t.Errorf("%s < 0: error %v, want one naming the field", tc.field, err)
+		}
+	}
+	if _, err := c.Tenant("p"); err == nil {
+		t.Error("a refused tenant was provisioned")
 	}
 }
 
@@ -312,7 +352,6 @@ func TestServeTTLCommands(t *testing.T) {
 func TestAutoSplitOnSustainedHeat(t *testing.T) {
 	c := newCluster(t, ClusterConfig{
 		Nodes:              3,
-		AdmitCost:          time.Nanosecond,
 		HeatSplitThreshold: 50, // ops/sec, decayed
 		HeatSplitWindows:   2,
 	})
@@ -356,7 +395,7 @@ func TestAutoSplitOnSustainedHeat(t *testing.T) {
 // TestClientHotKeysAndPersist: the client surface over the new
 // subsystem — HotKeys aggregation and Persist TTL removal.
 func TestClientHotKeysAndPersist(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 3, HotSampleRate: 1, AdmitCost: time.Nanosecond})
+	c := newCluster(t, ClusterConfig{Nodes: 3, HotSampleRate: 1})
 	tn, err := c.CreateTenant(TenantSpec{
 		Name: "api", QuotaRU: 1e9, Partitions: 2, DisableProxyCache: true,
 	})
@@ -398,7 +437,7 @@ func TestClientHotKeysAndPersist(t *testing.T) {
 // its reads stop reaching the data plane — HOTKEYS must still surface
 // it via the proxy fleet's own admission sketches.
 func TestHotKeysSeesCacheAbsorbedKeys(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 3, AdmitCost: time.Nanosecond})
+	c := newCluster(t, ClusterConfig{Nodes: 3})
 	tn, err := c.CreateTenant(TenantSpec{
 		Name: "absorb", QuotaRU: 1e9, Partitions: 2, // proxy cache ON
 	})

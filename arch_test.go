@@ -4,12 +4,15 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"maps"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"abase/internal/analysis/load"
 )
 
 // parseNonTest parses every non-test Go file of dir.
@@ -191,4 +194,110 @@ func TestEngineHasOneWriteBody(t *testing.T) {
 	if got := slices.Sorted(maps.Keys(writers)); !slices.Equal(got, []string{"Commit", "Put"}) {
 		t.Errorf("the exported *lavastore.DB write methods are %v, want [Commit Put]", got)
 	}
+}
+
+// TestEveryConfigFieldIsSet keeps the configuration free of knobs nobody
+// turns: every exported field of the structs below is set somewhere in
+// the module, bench/ included — by a keyed element of a composite literal
+// of its type, or by an assignment outside the file that declares it
+// (assignments there are the defaulting code). A field no caller sets is
+// a constant that reads like a choice. A forwarded value such as
+// `Replicas: cfg.Replicas` sets the inner field, so for a chain of
+// forwards only the outermost unset field is named.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	structs := []string{
+		"abase.ClusterConfig", "abase.TenantSpec",
+		"abase/internal/datanode.Config", "abase/internal/datanode.CostModel",
+		"abase/internal/proxy.Config",
+		"abase/internal/metaserver.Config", "abase/internal/metaserver.TenantSpec",
+		"abase/internal/wfq.Config", "abase/internal/lavastore.Options",
+	}
+	unset := map[string]string{
+		// The fsync path: ROADMAP item 8 gives writes an ack level that sets it.
+		"abase/internal/lavastore.Options.SyncWrites": "",
+	}
+	var pkgs []*load.Package
+	for _, dir := range []string{".", "bench"} {
+		loaded, err := load.PackagesWithTests(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	// declFile maps each struct to the file that declares it; want holds
+	// its fields until something sets them.
+	declFile := map[string]string{}
+	want := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			for _, name := range structs {
+				obj := pkg.Types.Scope().Lookup(name[strings.LastIndex(name, ".")+1:])
+				if obj == nil || typeName(obj.Type()) != name || pkg.Fset.Position(obj.Pos()).Filename != pkg.Fset.Position(f.Pos()).Filename {
+					continue
+				}
+				declFile[name] = pkg.Fset.Position(f.Pos()).Filename
+				st := obj.Type().Underlying().(*types.Struct)
+				for i := range st.NumFields() {
+					if fld := st.Field(i); fld.Exported() {
+						want[name+"."+fld.Name()] = true
+					}
+				}
+			}
+		}
+	}
+	if len(declFile) != len(structs) {
+		t.Fatalf("found the declarations of %v, want all of %v", slices.Sorted(maps.Keys(declFile)), structs)
+	}
+	set := func(typ types.Type, field string) { delete(want, typeName(typ)+"."+field) }
+	for _, pkg := range pkgs {
+		info := pkg.TypesInfo
+		for _, f := range pkg.Syntax {
+			file := pkg.Fset.Position(f.Pos()).Filename
+			assigned := func(lhs ast.Expr) {
+				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+				if s := info.Selections[sel]; ok && s != nil && s.Kind() == types.FieldVal && declFile[typeName(s.Recv())] != file {
+					set(s.Recv(), sel.Sel.Name)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								set(info.TypeOf(n), key.Name)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						assigned(lhs)
+					}
+				case *ast.IncDecStmt:
+					assigned(n.X)
+				}
+				return true
+			})
+		}
+	}
+	for field := range unset {
+		delete(want, field)
+	}
+	for _, field := range slices.Sorted(maps.Keys(want)) {
+		t.Errorf("%s is set nowhere in the module: make it a constant", field)
+	}
+}
+
+// typeName names typ, or the type it points to, as "pkgpath.Name", with
+// the test-variant suffix of a package path dropped.
+func typeName(typ types.Type) string {
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	named, ok := typ.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	path, _, _ := strings.Cut(named.Obj().Pkg().Path(), " [")
+	return path + "." + named.Obj().Name()
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"abase"
-	"abase/internal/datanode"
 	"abase/internal/experiments"
 	"abase/internal/sim"
 )
@@ -138,10 +137,6 @@ func newBatchBenchClient(b *testing.B) *abase.Client {
 	b.Helper()
 	cluster, err := abase.NewCluster(abase.ClusterConfig{
 		Nodes: 3,
-		Cost: datanode.CostModel{
-			CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-		},
-		AdmitCost: time.Nanosecond,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -106,29 +106,41 @@ func TestClientConditionalWrites(t *testing.T) {
 // persistently throttled backs off between pages and gives up with the
 // deadline sentinel instead of spinning until the throttle lifts.
 func TestKeysBackoffBoundedByDeadline(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 3})
-	// A quota so small every scan admission is rejected at the proxy.
-	c.CreateTenant(TenantSpec{Name: "kb", QuotaRU: 0.000001, DisableProxyCache: true})
-	tn, _ := c.Tenant("kb")
-	cl := tn.Client()
+	// Keys and DBSize share one paced traversal; each must honour it.
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context, cl *Client) error
+	}{
+		{"Keys", func(ctx context.Context, cl *Client) error { _, err := cl.Keys(ctx, "*"); return err }},
+		{"DBSize", func(ctx context.Context, cl *Client) error { _, err := cl.DBSize(ctx); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, ClusterConfig{Nodes: 3})
+			// A quota so small every scan admission is rejected at the proxy.
+			c.CreateTenant(TenantSpec{Name: "kb", QuotaRU: 0.000001, DisableProxyCache: true})
+			tn, _ := c.Tenant("kb")
+			cl := tn.Client()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := cl.Keys(ctx, "*")
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Keys err = %v, want ErrDeadlineExceeded", err)
-	}
-	if elapsed > 400*time.Millisecond {
-		t.Fatalf("Keys ran %v past its 150ms deadline", elapsed)
-	}
-	// The backoff must actually pace the retries: with ~1ms, 2ms, 4ms...
-	// waits, a 150ms window fits well under 5000 attempts; a busy-spin
-	// would do millions. Proxy rejected counter bounds the attempts.
-	rejected := tn.Fleet().AggregateStats().Rejected
-	if rejected > 5000 {
-		t.Fatalf("Keys busy-spun: %d throttled attempts in 150ms", rejected)
+			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			err := tc.run(ctx, cl)
+			elapsed := time.Since(start)
+			if !errors.Is(err, ErrDeadlineExceeded) {
+				t.Fatalf("%s err = %v, want ErrDeadlineExceeded", tc.name, err)
+			}
+			if elapsed > 400*time.Millisecond {
+				t.Fatalf("%s ran %v past its 150ms deadline", tc.name, elapsed)
+			}
+			// The backoff must actually pace the retries: with ~1ms, 2ms,
+			// 4ms... waits, a 150ms window fits well under 5000 attempts; a
+			// busy-spin would do millions. Proxy rejected counter bounds the
+			// attempts.
+			rejected := tn.Fleet().AggregateStats().Rejected
+			if rejected > 5000 {
+				t.Fatalf("%s busy-spun: %d throttled attempts in 150ms", tc.name, rejected)
+			}
+		})
 	}
 }
 

@@ -63,7 +63,19 @@ type listPkg struct {
 // patterns, resolved relative to dir. Dependencies are imported from
 // export data; only the matched packages themselves are parsed.
 func Packages(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-json", "-deps", "--"}, patterns...)
+	return list(dir, nil, patterns)
+}
+
+// PackagesWithTests is Packages over what the matched packages' tests
+// compile: a package with in-package tests is loaded with its _test.go
+// files, and its external test package is loaded beside it.
+func PackagesWithTests(dir string, patterns ...string) ([]*Package, error) {
+	return list(dir, []string{"-test"}, patterns)
+}
+
+func list(dir string, flags, patterns []string) ([]*Package, error) {
+	args := append(append([]string{"list", "-e", "-export", "-json", "-deps"}, flags...), "--")
+	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -89,8 +101,11 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	}
 	pkgs := make([]*Package, 0, len(targets))
 	for _, lp := range targets {
-		if lp.ImportPath == "unsafe" || len(lp.GoFiles) == 0 {
-			continue
+		if lp.ImportPath == "unsafe" || len(lp.GoFiles) == 0 || strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // .test: a generated test main
+		}
+		if byPath[lp.ImportPath+" ["+lp.ImportPath+".test]"] != nil {
+			continue // its test variant holds the same files and more
 		}
 		pkg := check(lp, exportLookup(byPath, lp))
 		pkgs = append(pkgs, pkg)

@@ -40,7 +40,6 @@ type admission struct {
 const (
 	defaultAdmitWorkers  = 2
 	defaultAdmitQueueCap = 1024
-	defaultAdmitCost     = 2 * time.Microsecond
 )
 
 func newAdmission(slots, queueCap int) *admission {
@@ -92,8 +91,8 @@ func (a *admission) close() { a.closed.Store(true) }
 // unavailable for other requests while it "serves" one, which is what
 // creates queueing — without monopolizing the machine's real cores.
 func burn(clk clock.Clock, d time.Duration) {
-	// Sub-microsecond costs are noise next to sleep syscall overhead;
-	// treat them as free (fast test/benchmark configurations use 1ns).
+	// A zero cost is no cost. Sub-microsecond costs are free too, for
+	// the frozen bench/ configuration, which states its costs as 1ns.
 	if d < time.Microsecond {
 		return
 	}

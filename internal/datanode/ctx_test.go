@@ -23,9 +23,9 @@ func wfqOneWorker() wfq.Config {
 // request queue drains one request per admitCost through a single
 // worker, so a second request reliably waits in the admission queue
 // behind the first.
-func slowNode(t *testing.T, cost CostModel, admitCost time.Duration) (*Node, partition.ID) {
+func slowNode(t *testing.T, cost CostModel) (*Node, partition.ID) {
 	t.Helper()
-	return quotaNode(t, Config{Cost: cost, AdmitCost: admitCost}, 1e9)
+	return quotaNode(t, Config{Cost: cost}, 1e9)
 }
 
 func quotaNode(t *testing.T, cfg Config, quotaRU float64) (*Node, partition.ID) {
@@ -111,7 +111,7 @@ func netCharged(n *Node) float64 {
 // refused before admission — no op kind heats the partition, touches
 // the engine, or leaves a counter or a charge behind.
 func TestPreCanceledNeverReachesEngine(t *testing.T) {
-	n, pid := slowNode(t, fastCost(), time.Nanosecond)
+	n, pid := quotaNode(t, Config{}, 1e9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, op := range opKinds {
@@ -167,7 +167,7 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 			// sits in the queue while we cancel it.
 			const admitCost = 30 * time.Millisecond
 			clk := &gateClock{hold: admitCost, entered: make(chan struct{}, len(opKinds)), release: make(chan struct{})}
-			n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
+			n, pid := quotaNode(t, Config{AdmitCost: admitCost, Clock: clk}, 1e9)
 			first := make(chan struct{})
 			go func() {
 				op.call(context.Background(), n, pid, []byte("occupy"))
@@ -207,7 +207,7 @@ func TestCanceledInAdmissionQueueAborts(t *testing.T) {
 func TestCancelWakesSlotWaiter(t *testing.T) {
 	const admitCost = 30 * time.Millisecond
 	clk := &gateClock{hold: admitCost, entered: make(chan struct{}, 2), release: make(chan struct{})}
-	n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
+	n, pid := quotaNode(t, Config{AdmitCost: admitCost, Clock: clk}, 1e9)
 	release := sync.OnceFunc(func() { close(clk.release) })
 	t.Cleanup(release) // runs before the node's Close
 	first := make(chan error, 1)
@@ -267,7 +267,7 @@ func TestCanceledMidWFQWaitAborts(t *testing.T) {
 			// One CPU worker per class and a 40ms CPU stage: a second
 			// request of the same kind waits in the CPU-WFQ while the
 			// first burns.
-			n, pid := slowNode(t, CostModel{CPUTime: 40 * time.Millisecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}, time.Nanosecond)
+			n, pid := slowNode(t, CostModel{CPUTime: 40 * time.Millisecond})
 			first := make(chan struct{})
 			go func() {
 				op.call(context.Background(), n, pid, []byte("occupy"))
@@ -306,7 +306,7 @@ func TestCanceledMidWFQWaitAborts(t *testing.T) {
 func TestRefusalsConform(t *testing.T) {
 	t.Run("quota exhausted", func(t *testing.T) {
 		// The bucket holds 3× the quota: less than a one-byte write.
-		n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: time.Nanosecond}, 1e-9)
+		n, pid := quotaNode(t, Config{}, 1e-9)
 		for i, op := range opKinds {
 			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrThrottled) {
 				t.Errorf("%s err = %v, want ErrThrottled", op.name, err)
@@ -319,7 +319,7 @@ func TestRefusalsConform(t *testing.T) {
 	t.Run("queue full", func(t *testing.T) {
 		// One admission slot held by a request for 150ms and a queue of
 		// one: the second arrival waits, the third finds no room.
-		n, pid := quotaNode(t, Config{Cost: fastCost(), AdmitCost: 150 * time.Millisecond, AdmitQueueCap: 1}, 1e9)
+		n, pid := quotaNode(t, Config{AdmitCost: 150 * time.Millisecond, AdmitQueueCap: 1}, 1e9)
 		for i := 0; i < 2; i++ {
 			go n.Put(bg, pid, []byte{byte(i)}, []byte("v"), 0)
 			time.Sleep(5 * time.Millisecond)
@@ -334,7 +334,7 @@ func TestRefusalsConform(t *testing.T) {
 		}
 	})
 	t.Run("scheduler closed", func(t *testing.T) {
-		n, pid := slowNode(t, fastCost(), time.Nanosecond)
+		n, pid := quotaNode(t, Config{}, 1e9)
 		n.sched.Close()
 		for _, op := range opKinds {
 			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrClosed) {
@@ -355,7 +355,7 @@ func TestRefusalsConform(t *testing.T) {
 // request's remaining budget, the request is refused instantly with
 // ErrDeadlineShed (matching context.DeadlineExceeded) and counted.
 func TestDeadlineShedding(t *testing.T) {
-	n, pid := slowNode(t, CostModel{CPUTime: 5 * time.Millisecond, IOReadTime: time.Nanosecond, IOWriteTime: 5 * time.Millisecond}, time.Nanosecond)
+	n, pid := slowNode(t, CostModel{CPUTime: 5 * time.Millisecond, IOWriteTime: 5 * time.Millisecond})
 
 	// Warm the service-time estimate with real requests (~10ms each).
 	for i := 0; i < 5; i++ {
@@ -403,7 +403,7 @@ func TestDeadlineShedding(t *testing.T) {
 // TestPutWithConditionalSemantics covers the NX/XX/KEEPTTL/GET matrix
 // at the data plane: one read-modify-write through the write pipeline.
 func TestPutWithConditionalSemantics(t *testing.T) {
-	n, pid := slowNode(t, fastCost(), time.Nanosecond)
+	n, pid := quotaNode(t, Config{}, 1e9)
 	bg := context.Background()
 	key := []byte("cond")
 

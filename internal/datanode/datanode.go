@@ -64,7 +64,8 @@ var ErrDeadlineShed = fmt.Errorf("datanode: request shed, deadline tighter than 
 
 // CostModel holds the simulated service times that make cache hits and
 // misses consume different resources (Challenge 1). Durations are
-// slept on the node's clock inside the WFQ stages.
+// slept on the node's clock inside the WFQ stages; a zero duration burns
+// nothing, so the zero CostModel simulates no service time at all.
 type CostModel struct {
 	// CPUTime is the CPU-stage service time for every request.
 	CPUTime time.Duration
@@ -74,15 +75,12 @@ type CostModel struct {
 	IOWriteTime time.Duration
 }
 
-// DefaultCostModel mirrors the relative costs of a cache hit (CPU+mem
-// only) versus a miss (adds disk I/O an order of magnitude slower).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		CPUTime:     5 * time.Microsecond,
-		IOReadTime:  50 * time.Microsecond,
-		IOWriteTime: 20 * time.Microsecond,
-	}
-}
+// Every node's nominal capacities, which Snapshot reports for the
+// rescheduler's accounting.
+const (
+	ruCapacity   = 100_000
+	diskCapacity = 1 << 40
+)
 
 // Config configures a DataNode.
 type Config struct {
@@ -96,7 +94,7 @@ type Config struct {
 	CacheBytes int64
 	// WFQ tunes the four dual-layer WFQs.
 	WFQ wfq.Config
-	// Cost is the simulated service-time model.
+	// Cost is the simulated service-time model (zero: none).
 	Cost CostModel
 	// Replicas is the replication factor used for write RU (r·RU).
 	Replicas int
@@ -114,22 +112,12 @@ type Config struct {
 	// AdmitQueueCap bounds the request queue; arrivals beyond it fail
 	// with ErrOverloaded (default 1024).
 	AdmitQueueCap int
-	// AdmitCost is the per-request queue processing time (default 2µs).
+	// AdmitCost is the per-request queue processing time (zero: none).
 	AdmitCost time.Duration
-	// RUCapacity is the node's RU/s capacity (rescheduler accounting).
-	RUCapacity float64
-	// DiskCapacity is the node's disk bytes capacity.
-	DiskCapacity int64
-	// HotTopK is each replica's heavy-hitter summary capacity
-	// (default 16).
-	HotTopK int
 	// HotSampleRate records one in every N key accesses in the
 	// heavy-hitter sketch, keeping the hot path cheap (default 4;
 	// 1 records every access). Partition heat meters always count.
 	HotSampleRate int
-	// HotWindow is the sketch decay half-life and the heat meter time
-	// constant (default 10s).
-	HotWindow time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -142,29 +130,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 64 << 20
 	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
-	}
 	if c.Replicas <= 0 {
 		c.Replicas = 3
 	}
-	if c.RUCapacity <= 0 {
-		c.RUCapacity = 100_000
-	}
-	if c.DiskCapacity <= 0 {
-		c.DiskCapacity = 1 << 40
-	}
-	if c.AdmitCost <= 0 {
-		c.AdmitCost = defaultAdmitCost
-	}
-	if c.HotTopK <= 0 {
-		c.HotTopK = 16
-	}
 	if c.HotSampleRate <= 0 {
 		c.HotSampleRate = 4
-	}
-	if c.HotWindow <= 0 {
-		c.HotWindow = hotspot.DefaultWindow
 	}
 	return c
 }
@@ -469,13 +439,13 @@ func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool
 		db:      db,
 		limiter: quota.NewPartitionLimiter(quotaRU, n.cfg.Clock),
 		ts:      n.tenantStateLocked(rid.Partition.Tenant),
+		// The sketch keeps the package's top-k and decay window; the heat
+		// meter decays over the same window.
 		hot: hotspot.NewDetector(hotspot.Config{
-			TopK:       n.cfg.HotTopK,
 			SampleRate: n.cfg.HotSampleRate,
-			Window:     n.cfg.HotWindow,
 			Clock:      n.cfg.Clock,
 		}),
-		heat: hotspot.NewMeter(n.cfg.HotWindow, n.cfg.Clock),
+		heat: hotspot.NewMeter(hotspot.DefaultWindow, n.cfg.Clock),
 	}
 	rep.quotaRU.Set(quotaRU)
 	rep.route.Store(&replicaRoute{primary: primary, epoch: 1})

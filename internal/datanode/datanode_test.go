@@ -12,17 +12,10 @@ import (
 	"abase/internal/partition"
 )
 
-func fastCost() CostModel {
-	return CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}
-}
-
 func newTestNode(t *testing.T, cfg Config) *Node {
 	t.Helper()
 	if cfg.ID == "" {
 		cfg.ID = "node-test"
-	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = fastCost()
 	}
 	n := New(cfg)
 	t.Cleanup(func() { n.Close() })
@@ -454,7 +447,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 func BenchmarkNodeGetCacheHit(b *testing.B) {
-	n := New(Config{ID: "bench", Cost: fastCost(), AdmitCost: time.Nanosecond})
+	n := New(Config{ID: "bench"})
 	defer n.Close()
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
@@ -467,7 +460,7 @@ func BenchmarkNodeGetCacheHit(b *testing.B) {
 }
 
 func BenchmarkNodePut(b *testing.B) {
-	n := New(Config{ID: "bench", Cost: fastCost(), AdmitCost: time.Nanosecond})
+	n := New(Config{ID: "bench"})
 	defer n.Close()
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
@@ -483,7 +476,7 @@ func BenchmarkNodePut(b *testing.B) {
 // heavy-hitter sketch and heat meter, and HotKeys/PartitionHeat expose
 // them for the HOTKEYS command and the control plane.
 func TestHotKeysAndPartitionHeat(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond, HotSampleRate: 1})
+	n := newTestNode(t, Config{HotSampleRate: 1})
 	if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +527,7 @@ func TestHotKeysAndPartitionHeat(t *testing.T) {
 // TestBatchPathsFeedHeat: the batched read path records every key of a
 // sub-batch in the sketch with one meter update.
 func TestBatchPathsFeedHeat(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond, HotSampleRate: 1})
+	n := newTestNode(t, Config{HotSampleRate: 1})
 	if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +567,7 @@ func TestBatchPathsFeedHeat(t *testing.T) {
 // TestHSetMultiSemantics: one read-modify-write applies all pairs in
 // order; duplicates are last-wins and count once when new.
 func TestHSetMultiSemantics(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond})
+	n := newTestNode(t, Config{})
 	if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,13 @@ package datanode
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"abase/internal/partition"
 )
 
 func fenceNode(t *testing.T) *Node {
 	t.Helper()
-	n := New(Config{
-		ID:   "fence-node",
-		Cost: CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond},
-	})
+	n := New(Config{ID: "fence-node"})
 	t.Cleanup(func() { n.Close() })
 	return n
 }

@@ -37,6 +37,59 @@ func (c *callerClock) Sleep(time.Duration) {
 	}
 }
 
+// pointOps runs 1,000 rounds of a Put, a Get of the key it wrote and a
+// Get of an absent key against n's replica of partition t1/0.
+func pointOps(t *testing.T, n *Node) {
+	t.Helper()
+	p := pid("t1", 0)
+	for i := 0; i < 1000; i++ {
+		key := []byte(fmt.Sprintf("k%d", i%50))
+		if _, err := n.Put(bg, p, key, []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Get(bg, p, key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Get(bg, p, []byte(fmt.Sprintf("absent%d", i))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of an absent key: %v, want ErrNotFound", err)
+		}
+	}
+}
+
+// pointOpsBurns is how many costs pointOps burns when every cost is set:
+// a Put burns admit, CPU and write cost; a Get the node cache answers
+// (the Put wrote through to it) admit and CPU cost; a Get of an absent
+// key admit, CPU and read cost.
+const pointOpsBurns = 1000 * (3 + 2 + 3)
+
+// TestZeroCostBurnsNothing: the zero CostModel and AdmitCost simulate
+// no service time, so a node built without them never sleeps, while 1µs
+// costs sleep once per cost a request incurs.
+func TestZeroCostBurnsNothing(t *testing.T) {
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		sleeps int64
+	}{
+		{"zero", Config{}, 0},
+		{"1µs", Config{Cost: CostModel{CPUTime: us, IOReadTime: us, IOWriteTime: us}, AdmitCost: us}, pointOpsBurns},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := &callerClock{caller: goid()}
+			tc.cfg.Clock = clk
+			n := newTestNode(t, tc.cfg)
+			if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
+				t.Fatal(err)
+			}
+			pointOps(t, n)
+			if got := clk.burns.Load(); got != tc.sleeps {
+				t.Errorf("%d sleeps over 3,000 point ops, want %d", got, tc.sleeps)
+			}
+		})
+	}
+}
+
 // TestPointOpsRunOnTheirCaller: on an idle node a point op takes every
 // step on its caller's goroutine — the admission step and every WFQ
 // stage — and a request that finds the admission slot taken waits for
@@ -51,23 +104,9 @@ func TestPointOpsRunOnTheirCaller(t *testing.T) {
 		if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
 			t.Fatal(err)
 		}
-		p := pid("t1", 0)
-		for i := 0; i < 1000; i++ {
-			key := []byte(fmt.Sprintf("k%d", i%50))
-			if _, err := n.Put(bg, p, key, []byte("v"), 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := n.Get(bg, p, key); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := n.Get(bg, p, []byte(fmt.Sprintf("absent%d", i))); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get of an absent key: %v, want ErrNotFound", err)
-			}
-		}
-		// A Put burns admit, CPU and write cost; a Get admit, CPU and, on
-		// a miss, read cost.
-		if burns := clk.burns.Load(); burns < 8000 {
-			t.Fatalf("%d costs burned by 3,000 point ops, want at least 8,000", burns)
+		pointOps(t, n)
+		if burns := clk.burns.Load(); burns != pointOpsBurns {
+			t.Fatalf("%d costs burned by 3,000 point ops, want %d", burns, pointOpsBurns)
 		}
 		if got := clk.elsewhere.Load(); got != 0 {
 			t.Errorf("%d of %d steps of sequential point ops on an idle node ran off their caller's goroutine, want 0", got, clk.burns.Load())
@@ -78,7 +117,7 @@ func TestPointOpsRunOnTheirCaller(t *testing.T) {
 		// the second request must wait for it.
 		const admitCost = 30 * time.Millisecond
 		clk := &gateClock{hold: admitCost, entered: make(chan struct{}, 2), release: make(chan struct{})}
-		n, p := quotaNode(t, Config{Cost: fastCost(), AdmitCost: admitCost, Clock: clk}, 1e9)
+		n, p := quotaNode(t, Config{AdmitCost: admitCost, Clock: clk}, 1e9)
 		errs := make(chan error, 2)
 		go func() {
 			_, err := n.Put(bg, p, []byte("first"), []byte("v"), 0)
@@ -145,9 +184,9 @@ func TestQueuedRequestGoesFirst(t *testing.T) {
 // than basic I/O slots, so no queued stage keeps the workers — and the
 // engines — alive for them.
 func TestCloseWaitsForInlineRuns(t *testing.T) {
-	cost := CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: 200 * time.Microsecond}
+	cost := CostModel{IOWriteTime: 200 * time.Microsecond}
 	for round := 0; round < 20; round++ {
-		n := New(Config{ID: "close-race", Cost: cost, AdmitCost: time.Nanosecond})
+		n := New(Config{ID: "close-race", Cost: cost})
 		if err := n.AddReplica(rid("t1", 0, 0), 1e9, true); err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func TestRangeScanUnknownPartition(t *testing.T) {
 // returning it.
 func TestExpiredKeyConsistentAcrossGetScanAndCount(t *testing.T) {
 	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
-	n := newTestNode(t, Config{Clock: sim, AdmitCost: time.Nanosecond})
+	n := newTestNode(t, Config{Clock: sim})
 	p := pid("t1", 0)
 	if err := n.AddReplica(rid("t1", 0, 0), 100000, true); err != nil {
 		t.Fatal(err)

@@ -171,8 +171,8 @@ func (n *Node) Snapshot() NodeSnapshot {
 		ID:           n.cfg.ID,
 		Replicas:     len(n.replicas),
 		DiskUsed:     disk,
-		DiskCapacity: n.cfg.DiskCapacity,
-		RUCapacity:   n.cfg.RUCapacity,
+		DiskCapacity: diskCapacity,
+		RUCapacity:   ruCapacity,
 		CacheUsed:    n.cache.Used(),
 		CacheHit:     n.cache.HitRatio(),
 		Shed:         n.shedTotal.Value(),

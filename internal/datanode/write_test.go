@@ -88,7 +88,7 @@ func (r *recorder) Replicate(_ partition.ReplicaID, _ []Peer, ops []WriteOp, pos
 // fields of one hash lose nothing (the two-pipeline form kept 86–158 of
 // 400).
 func TestConcurrentFieldWritesKeepEveryAckedField(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p, key := pid("t1", 0), []byte("h")
 	const writers, each = 8, 50
@@ -114,7 +114,7 @@ func TestConcurrentFieldWritesKeepEveryAckedField(t *testing.T) {
 // rewrite the record they read inside the same I/O stage, so whichever
 // order they take with a racing SET, the SET's value is what remains.
 func TestTTLMutationsNeverOverwriteAConcurrentPut(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
 	for round := 0; round < 200; round++ {
@@ -146,7 +146,7 @@ func TestTTLMutationsNeverOverwriteAConcurrentPut(t *testing.T) {
 // TestWriteIsOneRun: every mutation kind is one admission, one quota
 // charge and one counted request — and obeys the stale-epoch fence.
 func TestWriteIsOneRun(t *testing.T) {
-	n, p := quotaNode(t, Config{Cost: fastCost(), AdmitCost: time.Nanosecond}, 1e9)
+	n, p := quotaNode(t, Config{}, 1e9)
 	if err := n.SetRoute(p, true, 7, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMutationKindsSemantics(t *testing.T) {
 		{"clear-ttl persistent", state{[]byte("o"), false}, Mutation{Kind: MutClearTTL}, nil, false, 0, state{[]byte("o"), false}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newTestNode(t, Config{AdmitCost: time.Nanosecond})
+			n := newTestNode(t, Config{})
 			n.AddReplica(rid("t1", 0, 0), 1e9, true)
 			p, key := pid("t1", 0), []byte("k")
 			if tc.seed.value != nil {
@@ -305,7 +305,7 @@ func TestMutationKindsSemantics(t *testing.T) {
 // error slot, and commit as one group: one forward message, contiguous
 // sequences.
 func TestMixedBatchAppliesInOrder(t *testing.T) {
-	n := newTestNode(t, Config{AdmitCost: time.Nanosecond})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1e9, true)
 	p := pid("t1", 0)
 	n.Put(bg, p, []byte("str"), []byte("plain string"), 0)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
@@ -35,8 +34,8 @@ type BatchPoint struct {
 	BatchedTasks float64
 }
 
-// batchStack builds a minimal three-plane stack with a near-free cost
-// model, so the measurement isolates per-request orchestration overhead
+// batchStack builds a minimal three-plane stack with no simulated cost,
+// so the measurement isolates per-request orchestration overhead
 // (admission, quota, WFQ round trips) — exactly what batching amortizes.
 // It returns the stack's DataNodes too, whose WFQ task counts wfqTasks
 // reads.
@@ -44,13 +43,7 @@ func batchStack() (*proxy.Fleet, []*datanode.Node, func()) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	var nodes []*datanode.Node
 	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID: fmt.Sprintf("bn-%d", i),
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
-			AdmitCost: time.Nanosecond,
-		})
+		n := datanode.New(datanode.Config{ID: fmt.Sprintf("bn-%d", i)})
 		m.RegisterNode(n)
 		nodes = append(nodes, n)
 	}

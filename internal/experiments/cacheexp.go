@@ -14,25 +14,15 @@ import (
 	"abase/internal/workload"
 )
 
-func fastNodeCost() datanode.CostModel {
-	return datanode.CostModel{
-		CPUTime:     time.Nanosecond,
-		IOReadTime:  time.Nanosecond,
-		IOWriteTime: time.Nanosecond,
-	}
-}
-
-// proxyStack builds a meta + 3 fast nodes + a tenant, for cache
+// proxyStack builds a meta + 3 cost-free nodes + a tenant, for cache
 // experiments where latency modeling is irrelevant.
 func proxyStack(tenant string, partitions int) (*metaserver.Meta, func()) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	var nodes []*datanode.Node
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
-			ID:        fmt.Sprintf("%s-node-%d", tenant, i),
-			Cost:      fastNodeCost(),
-			AdmitCost: time.Nanosecond,
-			WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+			ID:  fmt.Sprintf("%s-node-%d", tenant, i),
+			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 			// Node cache intentionally small: Table 2 isolates the
 			// PROXY cache's benefit.
 			CacheBytes: 16 << 10,
@@ -240,8 +230,6 @@ func Figure5(opts Figure5Opts) ([]Fig5Scenario, Table) {
 	for si, sc := range scenarios {
 		node := datanode.New(datanode.Config{
 			ID:         fmt.Sprintf("fig5-%d", si),
-			Cost:       fastNodeCost(),
-			AdmitCost:  time.Nanosecond,
 			CacheBytes: 256 << 10, // holds ~1/4 of the base keyspace
 			WFQ:        wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 		})

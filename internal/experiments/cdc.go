@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"abase"
-	"abase/internal/datanode"
 	"abase/internal/metrics"
 	"abase/internal/wfq"
 )
@@ -70,10 +69,8 @@ func ChangeStreamFanout(opts ChangeStreamOpts) (ChangeStreamResult, Table) {
 	opts = opts.withDefaults()
 
 	cluster, err := abase.NewCluster(abase.ClusterConfig{
-		Nodes:     4,
-		Cost:      datanode.CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond},
-		AdmitCost: time.Nanosecond,
-		WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+		Nodes: 4,
+		WFQ:   wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 	})
 	if err != nil {
 		panic(err)

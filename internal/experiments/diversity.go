@@ -46,8 +46,6 @@ func Table1(opts Table1Opts) ([]Table1Row, Table) {
 	for i, p := range workload.Table1Profiles() {
 		node := datanode.New(datanode.Config{
 			ID:         fmt.Sprintf("t1-%d", i),
-			Cost:       fastNodeCost(),
-			AdmitCost:  time.Nanosecond,
 			CacheBytes: 4 << 20,
 			WFQ:        wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 		})
@@ -183,6 +181,7 @@ func Figure34(opts Figure34Opts) (Fig34Result, Table) {
 			IOReadTime:  800 * time.Microsecond,
 			IOWriteTime: 300 * time.Microsecond,
 		},
+		AdmitCost:  2 * time.Microsecond,
 		CacheBytes: 8 << 20,
 		WFQ:        wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 	})

@@ -99,10 +99,8 @@ func FailoverAvailability(opts FailoverOpts) (FailoverResult, Table) {
 	var nodes []*datanode.Node
 	for i := 0; i < 4; i++ {
 		n := datanode.New(datanode.Config{
-			ID:        fmt.Sprintf("fo-node-%d", i),
-			Cost:      fastNodeCost(),
-			AdmitCost: time.Nanosecond,
-			WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+			ID:  fmt.Sprintf("fo-node-%d", i),
+			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 		})
 		defer n.Close()
 		m.RegisterNode(n)

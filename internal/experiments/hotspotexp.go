@@ -100,8 +100,8 @@ type HotspotSplit struct {
 	Cycles int
 }
 
-// hotspotStack builds a meta + 3 nodes + a tenant with a near-free
-// cost model, so the proxy-cache benefit shows up as skipped
+// hotspotStack builds a meta + 3 nodes + a tenant with no simulated
+// cost, so the proxy-cache benefit shows up as skipped
 // orchestration round trips (admission, WFQ, engine read) — the same
 // isolation the batch and Table 2 experiments use.
 func hotspotStack(tenant string, partitions int) (*metaserver.Meta, func()) {
@@ -109,10 +109,8 @@ func hotspotStack(tenant string, partitions int) (*metaserver.Meta, func()) {
 	var nodes []*datanode.Node
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
-			ID:        fmt.Sprintf("%s-node-%d", tenant, i),
-			Cost:      fastNodeCost(),
-			AdmitCost: time.Nanosecond,
-			WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+			ID:  fmt.Sprintf("%s-node-%d", tenant, i),
+			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 			// Node cache intentionally small: the proxy AU-LRU is the
 			// mitigation layer under test.
 			CacheBytes: 16 << 10,
@@ -315,10 +313,8 @@ func autoSplitScenario(opts HotspotOpts) HotspotSplit {
 	defer m.Close()
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
-			ID:        fmt.Sprintf("hs-split-%d", i),
-			Cost:      fastNodeCost(),
-			AdmitCost: time.Nanosecond,
-			WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+			ID:  fmt.Sprintf("hs-split-%d", i),
+			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 		})
 		defer n.Close()
 		m.RegisterNode(n)

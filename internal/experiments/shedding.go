@@ -95,8 +95,6 @@ func sheddingStack(workers int) (*proxy.Fleet, *datanode.Node, func()) {
 	n := datanode.New(datanode.Config{
 		ID: "shed-0",
 		Cost: datanode.CostModel{
-			CPUTime:     time.Nanosecond,
-			IOReadTime:  time.Nanosecond,
 			IOWriteTime: 2 * time.Millisecond,
 		},
 		WFQ: wfq.Config{
@@ -106,8 +104,7 @@ func sheddingStack(workers int) (*proxy.Fleet, *datanode.Node, func()) {
 			// in a queue — the waste shedding exists to prevent.
 			BasicIOThreads: 3 * workers,
 		},
-		AdmitCost: time.Nanosecond,
-		Replicas:  1,
+		Replicas: 1,
 	})
 	m.RegisterNode(n)
 	if _, err := m.CreateTenant(metaserver.TenantSpec{

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"abase/internal/datanode"
 	"abase/internal/faultinject"
@@ -40,9 +39,6 @@ func newCommitFixture(t *testing.T) *commitFixture {
 	spare := datanode.New(datanode.Config{
 		ID: "spare",
 		FS: fx.spareFS,
-		Cost: datanode.CostModel{
-			CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-		},
 	})
 	t.Cleanup(func() { spare.Close() })
 	m.RegisterNode(spare)

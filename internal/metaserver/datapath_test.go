@@ -22,13 +22,7 @@ func TestDataPathDoesNotWaitOnControlPlane(t *testing.T) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID: fmt.Sprintf("node-%d", i),
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
-			AdmitCost: time.Nanosecond,
-		})
+		n := datanode.New(datanode.Config{ID: fmt.Sprintf("node-%d", i)})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
 	}

@@ -3,7 +3,6 @@ package metaserver
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"abase/internal/datanode"
 )
@@ -20,15 +19,7 @@ func heatCluster(t *testing.T, nodes int, threshold float64, windows, maxParts i
 	t.Cleanup(m.Close)
 	var ns []*datanode.Node
 	for i := 0; i < nodes; i++ {
-		// AdmitCost at a nanosecond: heat tests hammer thousands of ops
-		// and the default 2µs admission sleep has ~ms real granularity.
-		n := datanode.New(datanode.Config{
-			ID: fmt.Sprintf("heat-node-%d", i),
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
-			AdmitCost: time.Nanosecond,
-		})
+		n := datanode.New(datanode.Config{ID: fmt.Sprintf("heat-node-%d", i)})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
 		ns = append(ns, n)

@@ -179,7 +179,6 @@ func (m *Meta) Node(id string) (*datanode.Node, error) {
 type TenantSpec struct {
 	Name       string
 	QuotaRU    float64
-	StorageGB  float64
 	Partitions int
 	Proxies    int
 	Groups     int
@@ -207,7 +206,7 @@ func (m *Meta) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	}
 	ten := &Tenant{
 		Name:    spec.Name,
-		Quota:   quota.NewTenantQuota(spec.QuotaRU, spec.StorageGB, spec.Proxies, spec.Partitions),
+		Quota:   quota.NewTenantQuota(spec.QuotaRU, spec.Proxies, spec.Partitions),
 		Table:   &partition.Table{Tenant: spec.Name},
 		Proxies: spec.Proxies,
 		Groups:  spec.Groups,

@@ -13,12 +13,7 @@ import (
 
 func fastNode(t *testing.T, id string) *datanode.Node {
 	t.Helper()
-	n := datanode.New(datanode.Config{
-		ID: id,
-		Cost: datanode.CostModel{
-			CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-		},
-	})
+	n := datanode.New(datanode.Config{ID: id})
 	t.Cleanup(func() { n.Close() })
 	return n
 }

@@ -3,23 +3,16 @@ package metaserver
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"abase/internal/datanode"
 	"abase/internal/partition"
 )
 
-// newHeatNode builds a nanosecond-cost DataNode matching heatCluster's
-// configuration, for mid-test pool growth.
+// newHeatNode builds a DataNode matching heatCluster's configuration,
+// for mid-test pool growth.
 func newHeatNode(t *testing.T, id string) *datanode.Node {
 	t.Helper()
-	n := datanode.New(datanode.Config{
-		ID: id,
-		Cost: datanode.CostModel{
-			CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-		},
-		AdmitCost: time.Nanosecond,
-	})
+	n := datanode.New(datanode.Config{ID: id})
 	t.Cleanup(func() { n.Close() })
 	return n
 }

@@ -156,8 +156,7 @@ func conformStack(t *testing.T, tenantRU, proxyRU float64, node func(*datanode.C
 	t.Cleanup(m.Close)
 	for i := 0; i < 4; i++ {
 		cfg := datanode.Config{
-			ID:   fmt.Sprintf("conf-node-%d", i),
-			Cost: datanode.CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond},
+			ID: fmt.Sprintf("conf-node-%d", i),
 		}
 		if node != nil {
 			node(&cfg)

@@ -122,9 +122,7 @@ type slowScanStack struct {
 func newSlowScanStack(t *testing.T, ioTime time.Duration) *slowScanStack {
 	t.Helper()
 	m := newMetaWithNodes(t, datanode.CostModel{
-		CPUTime:     time.Nanosecond,
-		IOReadTime:  ioTime,
-		IOWriteTime: time.Nanosecond,
+		IOReadTime: ioTime,
 	})
 	p, err := New(Config{
 		Tenant:      "t1",

@@ -21,10 +21,6 @@ func fastStack(tb testing.TB, clk clock.Clock, cfg Config) *Proxy {
 		n := datanode.New(datanode.Config{
 			ID:    fmt.Sprintf("node-%d", i),
 			Clock: clk,
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
-			AdmitCost: time.Nanosecond,
 		})
 		tb.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)

@@ -18,9 +18,6 @@ func newStack(t *testing.T, quotaRU float64, cfgMut func(*Config)) (*metaserver.
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
 			ID: fmt.Sprintf("node-%d", i),
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
 		})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
@@ -176,8 +173,7 @@ func TestFleetRoutesConsistently(t *testing.T) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{ID: fmt.Sprintf("n%d", i),
-			Cost: datanode.CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}})
+		n := datanode.New(datanode.Config{ID: fmt.Sprintf("n%d", i)})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
 	}
@@ -222,8 +218,7 @@ func TestFleetGroupClamp(t *testing.T) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{ID: fmt.Sprintf("nn%d", i),
-			Cost: datanode.CostModel{CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond}})
+		n := datanode.New(datanode.Config{ID: fmt.Sprintf("nn%d", i)})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
 	}

@@ -18,10 +18,7 @@ func newQuotaStack(t *testing.T, quotaRU float64) (*metaserver.Meta, *Proxy) {
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
-			ID: fmt.Sprintf("qnode-%d", i),
-			Cost: datanode.CostModel{
-				CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-			},
+			ID:                   fmt.Sprintf("qnode-%d", i),
 			EnablePartitionQuota: true,
 		})
 		t.Cleanup(func() { n.Close() })

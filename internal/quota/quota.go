@@ -136,21 +136,20 @@ func (b *Bucket) RUTotals() (charged, refunded float64) {
 type TenantQuota struct {
 	mu         sync.RWMutex
 	tenantRU   float64 // total RU/s
-	storageGB  float64
 	proxies    int
 	partitions int
 }
 
-// NewTenantQuota returns a tenant quota of ru RU/s and storage GB,
-// divided across the given proxy and partition counts (minimum 1 each).
-func NewTenantQuota(ru, storageGB float64, proxies, partitions int) *TenantQuota {
+// NewTenantQuota returns a tenant quota of ru RU/s, divided across the
+// given proxy and partition counts (minimum 1 each).
+func NewTenantQuota(ru float64, proxies, partitions int) *TenantQuota {
 	if proxies < 1 {
 		proxies = 1
 	}
 	if partitions < 1 {
 		partitions = 1
 	}
-	return &TenantQuota{tenantRU: ru, storageGB: storageGB, proxies: proxies, partitions: partitions}
+	return &TenantQuota{tenantRU: ru, proxies: proxies, partitions: partitions}
 }
 
 // RU returns the tenant's total RU/s quota.
@@ -160,25 +159,11 @@ func (q *TenantQuota) RU() float64 {
 	return q.tenantRU
 }
 
-// StorageGB returns the tenant's storage quota in GB.
-func (q *TenantQuota) StorageGB() float64 {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	return q.storageGB
-}
-
 // SetRU updates the tenant RU quota (autoscaler scaling decision).
 func (q *TenantQuota) SetRU(ru float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.tenantRU = ru
-}
-
-// SetStorageGB updates the storage quota.
-func (q *TenantQuota) SetStorageGB(gb float64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.storageGB = gb
 }
 
 // SetPartitions updates the partition count (after a split).

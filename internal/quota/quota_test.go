@@ -95,7 +95,7 @@ func TestBucketStats(t *testing.T) {
 }
 
 func TestTenantQuotaDivision(t *testing.T) {
-	q := NewTenantQuota(1000, 500, 10, 4)
+	q := NewTenantQuota(1000, 10, 4)
 	if q.ProxyQuota() != 100 {
 		t.Fatalf("ProxyQuota = %v", q.ProxyQuota())
 	}
@@ -116,20 +116,9 @@ func TestTenantQuotaDivision(t *testing.T) {
 }
 
 func TestTenantQuotaClampsCounts(t *testing.T) {
-	q := NewTenantQuota(100, 10, 0, 0)
+	q := NewTenantQuota(100, 0, 0)
 	if q.ProxyQuota() != 100 || q.PartitionQuota() != 100 {
 		t.Fatal("zero counts not clamped to 1")
-	}
-}
-
-func TestTenantQuotaStorage(t *testing.T) {
-	q := NewTenantQuota(100, 10, 1, 1)
-	if q.StorageGB() != 10 {
-		t.Fatalf("StorageGB = %v", q.StorageGB())
-	}
-	q.SetStorageGB(20)
-	if q.StorageGB() != 20 {
-		t.Fatalf("StorageGB = %v", q.StorageGB())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"abase"
 	"abase/internal/benchjson"
 	"abase/internal/clock"
-	"abase/internal/datanode"
 	"abase/internal/faultinject"
 	"abase/internal/forecast"
 	"abase/internal/metrics"
@@ -277,11 +276,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	cluster, err := abase.NewCluster(abase.ClusterConfig{
 		Nodes:    cfg.BaseNodes,
 		Replicas: cfg.Replicas,
-		Cost: datanode.CostModel{
-			CPUTime: time.Nanosecond, IOReadTime: time.Nanosecond, IOWriteTime: time.Nanosecond,
-		},
-		AdmitCost: time.Nanosecond,
-		WFQ:       wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
+		WFQ:      wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
 		// A 1-byte node cache makes every read a miss. This is a
 		// determinism choice, not an accident: read billing discounts
 		// cache hits, and hit patterns depend on timing-sensitive

@@ -17,16 +17,14 @@ type Config struct {
 	// one tenant monopolizes the basic threads (Rule 4). Default 2; a
 	// negative value spawns none.
 	ExtraIOThreads int
-	// TenantShareCap is Rule 3: the maximum fraction of CPU concurrency
-	// a single tenant may occupy. Default 0.9.
-	TenantShareCap float64
-	// WriteRUCeiling caps the write RU admitted per second into the CPU
-	// stage (Rule 2, compaction stability). Zero disables the ceiling.
-	WriteRUCeiling float64
-	// WriteCeilingBucket is provided by the caller when WriteRUCeiling
-	// is set; it supplies the clock for ceiling accounting.
+	// WriteCeilingBucket caps the write RU admitted into the CPU stage
+	// at its rate (Rule 2, compaction stability); nil sets no ceiling.
 	WriteCeilingBucket *quota.Bucket
 }
+
+// tenantShareCap is Rule 3: the largest fraction of the CPU concurrency
+// one tenant may occupy.
+const tenantShareCap = 0.9
 
 func (c Config) withDefaults() Config {
 	if c.CPUWorkers <= 0 {
@@ -40,9 +38,6 @@ func (c Config) withDefaults() Config {
 		c.ExtraIOThreads = 0
 	case c.ExtraIOThreads == 0:
 		c.ExtraIOThreads = 2
-	}
-	if c.TenantShareCap <= 0 || c.TenantShareCap > 1 {
-		c.TenantShareCap = 0.9
 	}
 	return c
 }
@@ -163,15 +158,14 @@ func (d *DualLayer) ceilingAllows(t *Task) bool {
 }
 
 // monopolizingTenantLocked returns the tenant currently holding at
-// least TenantShareCap of the CPU concurrency, if any (Rule 3).
+// least tenantShareCap of the CPU concurrency, if any (Rule 3).
 // +locked:d.mu
 func (d *DualLayer) monopolizingTenantLocked() string {
 	if d.cpuTotal == 0 {
 		return ""
 	}
-	cap := d.cfg.TenantShareCap
 	for tenant, n := range d.cpuInflight {
-		if float64(n) >= cap*float64(d.cfg.CPUWorkers) && float64(n)/float64(d.cpuTotal) >= cap {
+		if float64(n) >= tenantShareCap*float64(d.cfg.CPUWorkers) && float64(n)/float64(d.cpuTotal) >= tenantShareCap {
 			return tenant
 		}
 	}

@@ -204,7 +204,7 @@ func TestWriteRUCeiling(t *testing.T) {
 	// TryRun, which applies the same ceiling to a write it would run.
 	for _, inline := range []bool{false, true} {
 		bucket := quota.NewBucket(10, 10, nil)
-		d := NewDualLayer(Config{WriteCeilingBucket: bucket, WriteRUCeiling: 10})
+		d := NewDualLayer(Config{WriteCeilingBucket: bucket})
 		accepted := 0
 		var wg sync.WaitGroup
 		for i := 0; i < 100; i++ {
@@ -242,7 +242,7 @@ func TestWriteRUCeiling(t *testing.T) {
 
 func TestReadsNotSubjectToWriteCeiling(t *testing.T) {
 	bucket := quota.NewBucket(1, 1, nil)
-	d := NewDualLayer(Config{WriteCeilingBucket: bucket, WriteRUCeiling: 1})
+	d := NewDualLayer(Config{WriteCeilingBucket: bucket})
 	defer d.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
@@ -587,7 +587,7 @@ func TestTryRun(t *testing.T) {
 		},
 		{
 			name:  "write over the ceiling",
-			cfg:   Config{WriteCeilingBucket: quota.NewBucket(1, 1, nil), WriteRUCeiling: 1},
+			cfg:   Config{WriteCeilingBucket: quota.NewBucket(1, 1, nil)},
 			write: true, taken: true,
 		},
 		{name: "done ctx", ctxDone: true, taken: true, accepted: true, aborts: true},

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestPoolResize exercises the autoscaler's physical levers: AddNode
 // grows the pool mid-run, RemoveNode gracefully decommissions a node
 // hosting live data, and no acknowledged write is lost across either.
 func TestPoolResize(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 4, Replicas: 3, AdmitCost: time.Nanosecond})
+	c := newCluster(t, ClusterConfig{Nodes: 4, Replicas: 3})
 	tenant, err := c.CreateTenant(TenantSpec{Name: "rsz", QuotaRU: 1e6, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +107,7 @@ func TestPoolShrinkBounds(t *testing.T) {
 // acknowledge a write the repair's promotion (drain, then the freshest
 // follower) does not see.
 func TestWritesRacingRemoveNode(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 5, Replicas: 3, AdmitCost: time.Nanosecond})
+	c := newCluster(t, ClusterConfig{Nodes: 5, Replicas: 3})
 	tenant, err := c.CreateTenant(TenantSpec{Name: "race", QuotaRU: 1e9, Partitions: 4, DisableProxyCache: true})
 	if err != nil {
 		t.Fatal(err)

@@ -363,7 +363,7 @@ func TestServeHSETMultiField(t *testing.T) {
 func TestServeHotkeysCommand(t *testing.T) {
 	// Sample every access and disable the proxy cache so the hammered
 	// key's traffic reaches the DataNode sketches deterministically.
-	c := newCluster(t, ClusterConfig{Nodes: 3, HotSampleRate: 1, AdmitCost: time.Nanosecond})
+	c := newCluster(t, ClusterConfig{Nodes: 3, HotSampleRate: 1})
 	c.CreateTenant(TenantSpec{Name: "hotk", QuotaRU: 1e9, Partitions: 2, DisableProxyCache: true})
 	addr, srv, err := c.Serve("127.0.0.1:0", "hotk")
 	if err != nil {

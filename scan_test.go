@@ -149,7 +149,7 @@ func TestClientScanAgreesWithGetOnTTL(t *testing.T) {
 	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	// The proxy cache stays ON: TTL-bearing values must never be served
 	// from the AU-LRU, so expiry is observable through the full stack.
-	_, cl := scanTenant(t, ClusterConfig{Nodes: 3, Clock: sim, AdmitCost: time.Nanosecond},
+	_, cl := scanTenant(t, ClusterConfig{Nodes: 3, Clock: sim},
 		TenantSpec{Name: "app", QuotaRU: 1e8, Partitions: 2, Proxies: 1})
 	if err := cl.Set(bg, []byte("ttl"), []byte("v"), WithTTL(time.Minute)); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestClientScanAgreesWithGetOnTTL(t *testing.T) {
 // expiry stays consistent with un-moved keys after a split.
 func TestSplitPreservesTTL(t *testing.T) {
 	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
-	c, cl := scanTenant(t, ClusterConfig{Nodes: 3, Clock: sim, AdmitCost: time.Nanosecond},
+	c, cl := scanTenant(t, ClusterConfig{Nodes: 3, Clock: sim},
 		TenantSpec{Name: "app", QuotaRU: 1e8, Partitions: 2, Proxies: 1})
 	const n = 20
 	for i := 0; i < n; i++ {
