@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"maps"
 	"path/filepath"
 	"slices"
@@ -138,7 +139,7 @@ func TestNodeOpIsOneRun(t *testing.T) {
 // TestEngineHasOneWriteBody keeps LavaStore's write path one body by
 // construction: outside recovery only DB.Commit appends to the WAL or
 // inserts into the memtable, and the exported *DB methods that write are
-// Commit and Put, its one-line forward. A second write entry is either a
+// Commit and Put, its forward. A second write entry is either a
 // second body (caught by the first rule) or another caller of Commit
 // (caught by the second).
 func TestEngineHasOneWriteBody(t *testing.T) {
@@ -193,6 +194,92 @@ func TestEngineHasOneWriteBody(t *testing.T) {
 	}
 	if got := slices.Sorted(maps.Keys(writers)); !slices.Equal(got, []string{"Commit", "Put"}) {
 		t.Errorf("the exported *lavastore.DB write methods are %v, want [Commit Put]", got)
+	}
+}
+
+// TestOneTTLToDeadlineRule keeps expiry one absolute deadline below the
+// client API. A relative TTL becomes a deadline only in
+// lavastore.Deadline: no other code adds a duration to a time and takes
+// its Unix seconds. Deadline's callers are DB.Put and the node's write
+// op, the two places a client's TTL arrives; replication, repair copies
+// and the split carry the deadline as it is. The way back, a deadline
+// to the time left (time.Unix(...).Sub), is Node.TTL's alone.
+func TestOneTTLToDeadlineRule(t *testing.T) {
+	fset := token.NewFileSet()
+	var dirs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "."):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			if dir := filepath.Dir(path); !slices.Contains(dirs, dir) {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers, backs := map[string]bool{}, map[string]bool{}
+	for _, dir := range dirs {
+		for _, f := range parseNonTest(t, fset, dir) {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := f.Name.Name + "." + fn.Name.Name
+				if fn.Recv != nil {
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = f.Name.Name + "." + id.Name + "." + fn.Name.Name
+					}
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						if fun.Name == "Deadline" && f.Name.Name == "lavastore" {
+							callers[name] = true
+						}
+					case *ast.SelectorExpr:
+						if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "lavastore" && fun.Sel.Name == "Deadline" {
+							callers[name] = true
+						}
+						inner, ok := fun.X.(*ast.CallExpr)
+						if !ok {
+							break
+						}
+						sel, ok := inner.Fun.(*ast.SelectorExpr)
+						switch {
+						case !ok:
+						case fun.Sel.Name == "Unix" && sel.Sel.Name == "Add" && name != "lavastore.Deadline":
+							t.Errorf("%s: %s turns a duration into a deadline: only lavastore.Deadline may", fset.Position(call.Pos()), name)
+						case fun.Sel.Name == "Sub" && sel.Sel.Name == "Unix":
+							if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+								backs[name] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if got, want := slices.Sorted(maps.Keys(callers)), []string{"datanode.writeOp.io", "lavastore.DB.Put"}; !slices.Equal(got, want) {
+		t.Errorf("lavastore.Deadline is called from %v, want %v", got, want)
+	}
+	if got, want := slices.Sorted(maps.Keys(backs)), []string{"datanode.Node.TTL"}; !slices.Equal(got, want) {
+		t.Errorf("a deadline becomes the time left in %v, want %v", got, want)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // WriteOp is one committed write — a put, or a delete when Delete is set
-// (Value and TTL are then ignored): what a mutation came to once the
-// primary had decided it. It is the engine's own batch element, so group
+// (Value and ExpireAt are then ignored): what a mutation came to once the
+// primary had decided it, its expiry an absolute deadline every replica
+// stores as it is. It is the engine's own batch element, so group
 // commits and replication messages hand their ops to LavaStore without a
 // conversion copy.
 type WriteOp = lavastore.BatchOp
@@ -116,7 +117,7 @@ func (n *Node) placeRead(r *readOp, pid partition.ID) error {
 	return nil
 }
 
-func (r *readOp) heat(now time.Time) {
+func (r *readOp) arrive(now time.Time) {
 	r.rep.heat.Add(float64(len(r.keys)), now)
 	for _, key := range r.keys {
 		r.rep.hot.Touch(key, now)
@@ -150,13 +151,8 @@ func (r *readOp) io() {
 		}
 		var err error
 		if r.valueFree {
-			var ttl time.Duration
 			burn(cfg.Clock, cfg.Cost.IOReadTime)
-			if ttl, err = r.rep.db.TTL(key); err == nil {
-				bv.ExpireAt = cfg.Clock.Now().Add(ttl).Unix()
-			} else if errors.Is(err, lavastore.ErrNoTTL) {
-				err = nil // exists, without expiry
-			}
+			bv.ExpireAt, err = r.rep.db.ExpireAt(key)
 		} else {
 			var got lavastore.GetResult
 			got, err = r.rep.db.Get(key)

@@ -158,11 +158,11 @@ func TestReplicationFabric(t *testing.T) {
 	primary.AddReplica(rid("t1", 0, 0), 1000, true)
 	follower.AddReplica(rid("t1", 0, 1), 1000, false)
 	var wg sync.WaitGroup
-	primary.SetReplicator(replFunc(func(r partition.ReplicaID, key, value []byte, ttl time.Duration, del bool) {
+	primary.SetReplicator(replFunc(func(r partition.ReplicaID, key, value []byte, expireAt int64, del bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			follower.ApplyReplicated(r.Partition, 0, WriteOp{Key: key, Value: value, TTL: ttl, Delete: del})
+			follower.ApplyReplicated(r.Partition, 0, WriteOp{Key: key, Value: value, ExpireAt: expireAt, Delete: del})
 		}()
 	}))
 	primary.Put(bg, pid("t1", 0), []byte("k"), []byte("v"), 0)
@@ -173,11 +173,11 @@ func TestReplicationFabric(t *testing.T) {
 	}
 }
 
-type replFunc func(partition.ReplicaID, []byte, []byte, time.Duration, bool)
+type replFunc func(partition.ReplicaID, []byte, []byte, int64, bool)
 
 func (f replFunc) Replicate(r partition.ReplicaID, _ []Peer, ops []WriteOp, _ uint64) {
 	for _, op := range ops {
-		f(r, op.Key, op.Value, op.TTL, op.Delete)
+		f(r, op.Key, op.Value, op.ExpireAt, op.Delete)
 	}
 }
 
@@ -322,6 +322,9 @@ func TestCopyReplicaToDownTargetFails(t *testing.T) {
 	}
 }
 
+// TestMigrateTo: the metaserver movers' data path — a CopyReplicaTo
+// followed by RemoveReplica on the source — leaves every key on the
+// destination and nothing hosted on the source.
 func TestMigrateTo(t *testing.T) {
 	src := newTestNode(t, Config{ID: "src"})
 	dst := newTestNode(t, Config{ID: "dst"})
@@ -333,7 +336,10 @@ func TestMigrateTo(t *testing.T) {
 	if err := dst.AddReplica(rid("t1", 0, 0), 1000, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.MigrateTo(p, dst); err != nil {
+	if err := src.CopyReplicaTo(p, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.RemoveReplica(p); err != nil {
 		t.Fatal(err)
 	}
 	if src.HostsReplica(p) {

@@ -16,12 +16,13 @@ import (
 // it. Every client-facing operation is one implementation; the op
 // struct embeds its unit, so a request is a single heap object.
 type stages interface {
-	// heat records the request's offered load on its replica at now, the
-	// request's arrival time. It runs at arrival, before admission —
-	// including the deadline shed — so the control plane sees the load a
-	// partition sheds or throttles away: that partition is exactly the
-	// one that needs a split.
-	heat(now time.Time)
+	// arrive records the request's arrival at now: its offered load on
+	// its replica (heat) and, for a write, the instant its TTLs count
+	// from. It runs at arrival, before admission — including the
+	// deadline shed — so the control plane sees the load a partition
+	// sheds or throttles away: that partition is exactly the one that
+	// needs a split.
+	arrive(now time.Time)
 	// cpu is the CPU-WFQ stage after the common CPU burn; it reports
 	// whether the request missed the node cache and must go on to the
 	// I/O-WFQ.
@@ -131,7 +132,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		if u.err = ctx.Err(); u.err != nil {
 			continue // the caller is gone: not offered load
 		}
-		u.op.heat(start)
+		u.op.arrive(start)
 		if u.err = n.admitCtx(ctx, u.ts); u.err != nil {
 			continue
 		}

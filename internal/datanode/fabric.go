@@ -140,7 +140,8 @@ func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, po
 	}
 	copied := make([]WriteOp, len(ops))
 	for i, op := range ops {
-		copied[i] = WriteOp{Key: own(op.Key), Value: own(op.Value), TTL: op.TTL, Delete: op.Delete}
+		op.Key, op.Value = own(op.Key), own(op.Value)
+		copied[i] = op
 	}
 	f.mu.Lock()
 	f.enq += uint64(len(to))

@@ -47,9 +47,11 @@ const (
 // PutOptions carries the typed per-op options of a put.
 type PutOptions struct {
 	// TTL sets the new record's expiry (0 = none unless KeepTTL). For
-	// MutSetTTL it is the expiry to set.
+	// MutSetTTL it is the expiry to set. The primary turns it into a
+	// deadline once, at the request's arrival (lavastore.Deadline); the
+	// replicas store that deadline.
 	TTL time.Duration
-	// KeepTTL preserves the existing record's remaining TTL instead of
+	// KeepTTL preserves the existing record's deadline instead of
 	// clearing it (Redis SET KEEPTTL). Ignored when TTL is set.
 	KeepTTL bool
 	// Cond gates the write on the key's current existence.
@@ -128,10 +130,10 @@ func (m *Mutation) AdmitRU(est *ru.Estimator, replicas int) float64 {
 // keyState is a key's record as a mutation sees it: the engine's answer,
 // or what an earlier mutation of the same op made of it.
 type keyState struct {
-	known  need // how much of the rest is filled in (a mutation's result: all)
-	exists bool
-	value  []byte
-	ttl    time.Duration // remaining expiry, 0 = none
+	known    need // how much of the rest is filled in (a mutation's result: all)
+	exists   bool
+	value    []byte
+	expireAt int64 // deadline in Unix seconds, 0 = none
 }
 
 // effect is what a mutation makes of its key's current record.
@@ -149,27 +151,30 @@ const (
 // stores, and the kind's own count — fields added (MutSetFields) or
 // removed (MutDelFields), otherwise 1 when the record changed. err is a
 // stored value the mutation cannot work on (hashfield.ErrNotHash).
-func (m *Mutation) apply(cur keyState) (eff effect, next keyState, count int, err error) {
+// deadline is m.TTL as a deadline (lavastore.Deadline, 0 without one);
+// every other kind of write keeps cur.expireAt or clears it.
+func (m *Mutation) apply(cur keyState, deadline int64) (eff effect, next keyState, count int, err error) {
 	switch m.Kind {
 	case MutPut:
 		if (m.Cond == CondNX && cur.exists) || (m.Cond == CondXX && !cur.exists) {
 			return effLeave, cur, 0, nil
 		}
-		ttl := m.TTL
-		if ttl == 0 && m.KeepTTL {
-			ttl = cur.ttl
+		if deadline == 0 && m.KeepTTL {
+			deadline = cur.expireAt
 		}
-		return effWrite, keyState{known: needRecord, exists: true, value: m.Value, ttl: ttl}, 1, nil
+		return effWrite, keyState{known: needRecord, exists: true, value: m.Value, expireAt: deadline}, 1, nil
 	case MutDelete, MutSetTTL, MutClearTTL:
 		switch {
 		case !cur.exists:
 			return effNotFound, cur, 0, nil
 		case m.Kind == MutDelete:
 			return effTombstone, keyState{known: needRecord}, 1, nil
-		case m.Kind == MutClearTTL && cur.ttl == 0:
+		case m.Kind == MutClearTTL && cur.expireAt == 0:
 			return effLeave, cur, 0, nil // already persistent: no write, nothing to replicate
+		case m.Kind == MutClearTTL:
+			deadline = 0
 		}
-		return effWrite, keyState{known: needRecord, exists: true, value: cur.value, ttl: m.TTL}, 1, nil
+		return effWrite, keyState{known: needRecord, exists: true, value: cur.value, expireAt: deadline}, 1, nil
 	}
 	// Field mutations: an absent key reads as the empty hash, and the
 	// key's expiry is kept.
@@ -194,5 +199,5 @@ func (m *Mutation) apply(cur keyState) (eff effect, next keyState, count int, er
 	case len(h) == 0:
 		return effTombstone, keyState{known: needRecord}, count, nil // a stored hash has at least one field
 	}
-	return effWrite, keyState{known: needRecord, exists: true, value: hashfield.Encode(h), ttl: cur.ttl}, count, nil
+	return effWrite, keyState{known: needRecord, exists: true, value: hashfield.Encode(h), expireAt: cur.expireAt}, count, nil
 }

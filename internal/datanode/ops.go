@@ -54,8 +54,12 @@ func (n *Node) TTL(ctx context.Context, pid partition.ID, key []byte) (time.Dura
 	if err != nil {
 		return 0, false, err
 	}
-	ttl, alive := n.RemainingTTL(res.ExpireAt)
-	if !alive {
+	if res.ExpireAt == 0 {
+		return 0, true, nil
+	}
+	// The one place a deadline becomes a remaining duration.
+	ttl := time.Unix(res.ExpireAt, 0).Sub(n.cfg.Clock.Now())
+	if ttl <= 0 {
 		return 0, false, ErrNotFound // lapsed since the probe
 	}
 	return ttl, true, nil
@@ -145,6 +149,10 @@ type writeOp struct {
 	lastSeq   uint64
 	charged   float64 // probes at what they read, writes at what they stored
 	probes    bool    // some mutation reads the record before it writes
+	// arrived is the request's arrival in Unix nanoseconds, what its TTLs
+	// count from (an int64, not a time.Time, keeps the op in its
+	// allocation size class).
+	arrived int64
 }
 
 // errUncommitted marks, during the I/O stage, the slots whose mutation
@@ -174,7 +182,8 @@ func (n *Node) placeWrite(w *writeOp, pid partition.ID, epoch uint64) error {
 	return nil
 }
 
-func (w *writeOp) heat(now time.Time) {
+func (w *writeOp) arrive(now time.Time) {
+	w.arrived = now.UnixNano()
 	w.rep.heat.Add(float64(len(w.muts)), now)
 	for k := range w.muts {
 		w.rep.hot.Touch(w.muts[k].Key, now)
@@ -212,7 +221,7 @@ func (w *writeOp) io() {
 				continue
 			}
 		}
-		eff, next, count, err := m.apply(cur)
+		eff, next, count, err := m.apply(cur, lavastore.Deadline(time.Unix(0, w.arrived), m.TTL))
 		switch {
 		case err != nil:
 			slot.Err = err
@@ -220,10 +229,10 @@ func (w *writeOp) io() {
 			slot.Err = ErrNotFound
 		case eff != effLeave:
 			slot.Err = errUncommitted
-			w.committed = append(w.committed, WriteOp{Key: m.Key, Value: next.value, TTL: next.ttl, Delete: eff == effTombstone})
+			w.committed = append(w.committed, WriteOp{Key: m.Key, Value: next.value, ExpireAt: next.expireAt, Delete: eff == effTombstone})
 		}
 		written := slot.Err == errUncommitted
-		w.res = PutResult{Written: written, Count: count, Expiring: written && next.ttl > 0, OldExists: cur.exists}
+		w.res = PutResult{Written: written, Count: count, Expiring: written && next.expireAt != 0, OldExists: cur.exists}
 		if m.ReturnOld && cur.exists {
 			w.res.Old = cur.value
 		}
@@ -251,7 +260,7 @@ func (w *writeOp) io() {
 		// Write-through keeps the node cache coherent — except for
 		// TTL-bearing values, which the SA-LRU cannot expire and so must
 		// not hold (see readOp.io).
-		if ck := w.rep.cacheKey(op.Key); op.Delete || op.TTL > 0 {
+		if ck := w.rep.cacheKey(op.Key); op.Delete || op.ExpireAt != 0 {
 			n.cache.Delete(ck)
 		} else {
 			n.cache.Put(ck, op.Value)
@@ -269,16 +278,11 @@ func (w *writeOp) probe(key []byte, nd need) (keyState, error) {
 	st := keyState{known: nd, exists: true}
 	var err error
 	if nd == needExistence {
-		if st.ttl, err = w.rep.db.TTL(key); errors.Is(err, lavastore.ErrNoTTL) {
-			err = nil
-		}
+		st.expireAt, err = w.rep.db.ExpireAt(key)
 	} else {
 		var got lavastore.GetResult
 		got, err = w.rep.db.Get(key)
-		if st.value = got.Value; got.ExpireAt != 0 {
-			// Never 0: a record about to lapse must not turn persistent.
-			st.ttl = max(time.Unix(got.ExpireAt, 0).Sub(cfg.Clock.Now()), 1)
-		}
+		st.value, st.expireAt = got.Value, got.ExpireAt
 		w.est.ObserveRead(len(got.Value), false)
 		w.charged += ru.ReadRU(len(got.Value), 0)
 	}
@@ -357,11 +361,11 @@ func (n *Node) ApplyReplicated(pid partition.ID, pos uint64, ops ...WriteOp) err
 
 // WriteThrough applies a system write on a partition primary and hands
 // it to the replication fabric. The split rehash uses it: migrated
-// records and their source tombstones commit on the primary (taking an
-// engine sequence) and reach followers through the same FIFO lanes as
-// client writes — applying directly on followers would interleave
-// differently per replica and misalign the change logs that resume
-// tokens index into.
-func (n *Node) WriteThrough(pid partition.ID, key, value []byte, ttl time.Duration, del bool) error {
-	return n.apply(pid, []WriteOp{{Key: key, Value: value, TTL: ttl, Delete: del}}, 0, true, true)
+// records (with their deadlines as they are) and their source
+// tombstones commit on the primary (taking an engine sequence) and reach
+// followers through the same FIFO lanes as client writes — applying
+// directly on followers would interleave differently per replica and
+// misalign the change logs that resume tokens index into.
+func (n *Node) WriteThrough(pid partition.ID, op WriteOp) error {
+	return n.apply(pid, []WriteOp{op}, 0, true, true)
 }

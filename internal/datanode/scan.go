@@ -50,7 +50,7 @@ type scanOp struct {
 // Scans heat the partition (IO-equivalent units per page) but mark no
 // individual key hot: a range traversal says nothing about per-key
 // popularity.
-func (s *scanOp) heat(now time.Time) { s.rep.heat.Add(s.iops, now) }
+func (s *scanOp) arrive(now time.Time) { s.rep.heat.Add(s.iops, now) }
 
 // Scans bypass the SA-LRU (a range traversal would only churn it), so
 // the CPU stage always proceeds to the I/O layer.

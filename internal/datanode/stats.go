@@ -206,23 +206,10 @@ func (n *Node) ScanReplica(pid partition.ID, fn func(lavastore.ScanEntry) bool) 
 	return rep.db.Scan(fn)
 }
 
-// RemainingTTL converts a record's TTL deadline into the duration to
-// pass when rewriting it on another node: 0 for records without expiry,
-// and a non-positive value (ok=false) for records that lapsed since
-// they were scanned — the caller should drop those instead of writing
-// an already-dead record.
-func (n *Node) RemainingTTL(expireAt int64) (ttl time.Duration, ok bool) {
-	if expireAt == 0 {
-		return 0, true
-	}
-	remaining := time.Unix(expireAt, 0).Sub(n.cfg.Clock.Now())
-	return remaining, remaining > 0
-}
-
 // CopyReplicaTo streams a hosted replica's live data into dst (which
 // must already host the replica via AddReplica). The source keeps
-// serving; this is the replica-repair data path (§3.3). TTLs survive
-// the copy; records that expire mid-copy are skipped.
+// serving; this is the replica-repair data path (§3.3). Each record
+// keeps its deadline as it is.
 func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 	n.mu.RLock()
 	rep, ok := n.replicas[pid]
@@ -232,10 +219,6 @@ func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 	}
 	var applyErr error
 	err := rep.db.Scan(func(e lavastore.ScanEntry) bool {
-		ttl, alive := n.RemainingTTL(e.ExpireAt)
-		if !alive {
-			return true
-		}
 		// Each record keeps its SOURCE sequence on the destination.
 		// Fresh local sequences would run the destination's engine ahead
 		// of the primary's, making every later replicated apply look
@@ -245,7 +228,7 @@ func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 		// never advanced per record: a partial copy must not look
 		// caught up. The commit copies the entry's bytes before the scan
 		// moves on.
-		applyErr = dst.apply(pid, []WriteOp{{Key: e.Key, Value: e.Value, TTL: ttl}}, e.Seq, false, false)
+		applyErr = dst.apply(pid, []WriteOp{{Key: e.Key, Value: e.Value, ExpireAt: e.ExpireAt}}, e.Seq, false, false)
 		return applyErr == nil
 	})
 	if err == nil {
@@ -265,16 +248,6 @@ func (n *Node) CopyReplicaTo(pid partition.ID, dst *Node) error {
 	// than a long-dead one at promotion time.
 	dst.AdoptReplicationPosition(pid, rep.replPos.Load())
 	return nil
-}
-
-// MigrateTo copies a hosted replica's live data into dst (which must
-// already host the replica via AddReplica) and removes it here. This is
-// the data path the rescheduler's Migration() step uses.
-func (n *Node) MigrateTo(pid partition.ID, dst *Node) error {
-	if err := n.CopyReplicaTo(pid, dst); err != nil {
-		return err
-	}
-	return n.RemoveReplica(pid)
 }
 
 // Scheduler exposes the node's WFQ scheduler for observability.

@@ -292,7 +292,7 @@ func TestMutationKindsSemantics(t *testing.T) {
 				t.Fatalf("forwarded %v at %v; position %d → %d; want one op at the new position", rec.msgs, rec.pos, posBefore, pos)
 			}
 			op := rec.msgs[0][0]
-			if op.Delete != (tc.want.value == nil) || !bytes.Equal(op.Value, tc.want.value) || (op.TTL > 0) != tc.want.ttl {
+			if op.Delete != (tc.want.value == nil) || !bytes.Equal(op.Value, tc.want.value) || (op.ExpireAt != 0) != tc.want.ttl {
 				t.Errorf("forwarded %+v, want value %q ttl %v", op, tc.want.value, tc.want.ttl)
 			}
 		})

@@ -13,10 +13,11 @@ import (
 func TestWriteBatchMixedOps(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("gone"), []byte("v"), 0)
+	exp := Deadline(time.Now(), time.Hour)
 	_, err := db.Commit([]BatchOp{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("gone"), Delete: true},
-		{Key: []byte("b"), Value: []byte("2"), TTL: time.Hour},
+		{Key: []byte("b"), Value: []byte("2"), ExpireAt: exp},
 		{Key: []byte("a"), Value: []byte("1b")}, // overwrite inside the batch
 	}, 0)
 	if err != nil {
@@ -28,8 +29,8 @@ func TestWriteBatchMixedOps(t *testing.T) {
 	if _, err := db.Get([]byte("gone")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("gone survived: %v", err)
 	}
-	if ttl, err := db.TTL([]byte("b")); err != nil || ttl <= 0 || ttl > time.Hour {
-		t.Fatalf("b TTL = %v, %v", ttl, err)
+	if got, err := db.ExpireAt([]byte("b")); err != nil || got != exp {
+		t.Fatalf("b ExpireAt = %d, %v; want %d", got, err, exp)
 	}
 }
 

@@ -275,32 +275,41 @@ func (db *DB) rotateWAL() (old string, err error) {
 	return old, nil
 }
 
-// Put stores value under key with an optional TTL (0 = no expiry).
+// Put stores value under key with an optional TTL (0 = no expiry),
+// counted from the engine clock's now; the clock is read only for a TTL.
 func (db *DB) Put(key, value []byte, ttl time.Duration) error {
-	_, err := db.Commit([]BatchOp{{Key: key, Value: value, TTL: ttl}}, 0)
+	op := BatchOp{Key: key, Value: value}
+	if ttl > 0 {
+		op.ExpireAt = Deadline(db.opt.Clock.Now(), ttl)
+	}
+	_, err := db.Commit([]BatchOp{op}, 0)
 	return err
 }
 
-// expireAt converts a TTL into the record's second-resolution deadline.
-// The deadline truncates to whole seconds (so a record never outlives
-// its requested TTL at this resolution) but is clamped to at least one
-// second past now: plain truncation would let a sub-second TTL written
-// late in a wall-clock second expire instantly — or even in the past.
-func expireAt(now time.Time, ttl time.Duration) int64 {
-	at := now.Add(ttl).Unix()
-	if min := now.Unix() + 1; at < min {
-		at = min
+// Deadline is the one rule that turns a relative TTL counted from now
+// into a record's absolute deadline (Unix seconds), 0 for no TTL
+// (ttl <= 0). The deadline truncates to whole seconds (so a record never
+// outlives its requested TTL at this resolution) but is clamped to at
+// least one second past now: plain truncation would let a sub-second TTL
+// written late in a wall-clock second expire instantly — or even in the
+// past.
+func Deadline(now time.Time, ttl time.Duration) int64 {
+	if ttl <= 0 {
+		return 0
 	}
-	return at
+	return max(now.Add(ttl).Unix(), now.Unix()+1)
 }
 
 // BatchOp is one write in a Commit: a put, or a tombstone delete when
-// Delete is set (Value and TTL then ignored).
+// Delete is set (Value and ExpireAt then ignored). ExpireAt is the
+// record's absolute deadline in Unix seconds (0 = none), stored as
+// given: a follower, a copy and a split hold exactly the deadline the
+// primary chose.
 type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	TTL    time.Duration
-	Delete bool
+	Key      []byte
+	Value    []byte
+	ExpireAt int64
+	Delete   bool
 }
 
 // Commit is the engine's one write: it applies ops in order under one
@@ -328,10 +337,9 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 	if at > 0 && at < uint64(len(ops)) {
 		return 0, fmt.Errorf("lavastore: batch position %d below op count %d", at, len(ops))
 	}
-	size, ttl := int64(0), false
+	size := int64(0)
 	for _, op := range ops {
 		size += int64(len(op.Key) + len(op.Value))
-		ttl = ttl || !op.Delete && op.TTL > 0
 	}
 	if !skiplist.Fits(size, len(ops)) {
 		return 0, fmt.Errorf("lavastore: a commit of %d ops and %d bytes does not fit one memtable", len(ops), size)
@@ -346,12 +354,7 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 		base = at - uint64(len(ops)) + 1
 	}
 	// Only a forced range reaching below the end of log can be shadowed.
-	// The clock is read only for a TTL.
 	guard := at > 0 && base <= db.seq
-	var now time.Time
-	if ttl {
-		now = db.opt.Clock.Now()
-	}
 	// Each record is encoded once, into the memtable's pages, and the WAL
 	// frames it from there. A forced record the guard keeps out of the
 	// memtable is encoded on the heap instead (rare), with no reference.
@@ -363,11 +366,9 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 		keys, recs, refs = make([][]byte, 0, len(ops)), make([][]byte, 0, len(ops)), make([]skiplist.ValueRef, 0, len(ops))
 	}
 	for i, op := range ops {
-		r := record{Kind: kindSet, Value: op.Value, Seq: base + uint64(i)}
+		r := record{Kind: kindSet, Value: op.Value, ExpireAt: op.ExpireAt, Seq: base + uint64(i)}
 		if op.Delete {
 			r = record{Kind: kindDelete, Seq: r.Seq}
-		} else if op.TTL > 0 {
-			r.ExpireAt = expireAt(now, op.TTL)
 		}
 		ref, rec := skiplist.ValueRef(0), []byte(nil)
 		if guard && db.shadowedLocked(op.Key, r.Seq) {
@@ -446,22 +447,33 @@ type GetResult struct {
 // Get returns the value stored under key. Expired and deleted keys
 // return ErrNotFound. The returned value is a copy.
 func (db *DB) Get(key []byte) (GetResult, error) {
-	r, ioReads, _, err := db.live(key)
+	r, ioReads, err := db.live(key)
 	if err != nil {
 		return GetResult{IOReads: ioReads}, err
 	}
 	return GetResult{Value: append([]byte(nil), r.Value...), IOReads: ioReads, ExpireAt: r.ExpireAt}, nil
 }
 
+// ExpireAt is the value-free read: key's deadline in Unix seconds (0 for
+// none), or ErrNotFound for absent or expired keys. The lookup charges
+// the same I/O as a Get.
+func (db *DB) ExpireAt(key []byte) (int64, error) {
+	r, _, err := db.live(key)
+	if err != nil {
+		return 0, err
+	}
+	return r.ExpireAt, nil
+}
+
 // live reads key's newest record through a snapshot of the layers and
 // returns it if it is a live value, with the table reads the lookup cost
-// (counted in Stats.GetIOReads) and the time its expiry was judged at.
-// Deleted and expired keys return ErrNotFound.
-func (db *DB) live(key []byte) (r record, ioReads int, now time.Time, err error) {
+// (counted in Stats.GetIOReads). Deleted and expired keys return
+// ErrNotFound.
+func (db *DB) live(key []byte) (r record, ioReads int, err error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
-		return r, 0, now, ErrClosed
+		return r, 0, ErrClosed
 	}
 	mem, imm, tables := db.mem, db.imm, db.tables
 	db.mu.RUnlock()
@@ -472,12 +484,10 @@ func (db *DB) live(key []byte) (r record, ioReads int, now time.Time, err error)
 	if err == nil {
 		r, err = decodeRecord(rec)
 	}
-	if err == nil {
-		if now = db.opt.Clock.Now(); r.Kind == kindDelete || r.expired(now.Unix()) {
-			err = ErrNotFound
-		}
+	if err == nil && (r.Kind == kindDelete || r.expired(db.opt.Clock.Now().Unix())) {
+		err = ErrNotFound
 	}
-	return r, ioReads, now, err
+	return r, ioReads, err
 }
 
 // lookup is the engine's one layered point read: the memtable, then the

@@ -3,6 +3,7 @@ package metaserver
 import (
 	"fmt"
 
+	"abase/internal/datanode"
 	"abase/internal/lavastore"
 	"abase/internal/partition"
 )
@@ -53,7 +54,7 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 
 	// Rehash: keys whose new partition differs move to it. With the
 	// doubled count, hash%newN == hash%oldN for roughly half the keys;
-	// the rest migrate, keeping their TTLs. A rehashed record (and its
+	// the rest migrate, keeping their deadlines. A rehashed record (and its
 	// source tombstone) commits on the partition PRIMARY and the
 	// replication fabric carries it to followers — followers must hold the
 	// moved keys too, or the first failover after a split would promote a
@@ -70,17 +71,13 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 		if !ok {
 			continue
 		}
-		type kv struct {
-			k, v     []byte
-			expireAt int64
-		}
-		var moved []kv
+		var moved []datanode.WriteOp
 		err := srcNode.ScanReplica(src.Partition, func(e lavastore.ScanEntry) bool {
 			if partition.PartitionOf(e.Key, newN) != src.Partition.Index {
-				moved = append(moved, kv{
-					k:        append([]byte(nil), e.Key...),
-					v:        append([]byte(nil), e.Value...),
-					expireAt: e.ExpireAt,
+				moved = append(moved, datanode.WriteOp{
+					Key:      append([]byte(nil), e.Key...),
+					Value:    append([]byte(nil), e.Value...),
+					ExpireAt: e.ExpireAt,
 				})
 			}
 			return true
@@ -88,21 +85,18 @@ func (m *Meta) SplitTenantPartitions(tenant string) error {
 		if err != nil {
 			return err
 		}
-		for _, e := range moved {
-			route := routes[partition.PartitionOf(e.k, newN)]
+		for _, op := range moved {
+			route := routes[partition.PartitionOf(op.Key, newN)]
 			dst, ok := nodes[route.Primary]
 			if !ok {
 				continue
 			}
-			// Rewriting a TTL'd record must not make it immortal: carry
-			// the remaining TTL, and drop records that lapsed since the
-			// scan (deleting the source copy stays correct either way).
-			if ttl, alive := dst.RemainingTTL(e.expireAt); alive {
-				if err := dst.WriteThrough(route.Partition, e.k, e.v, ttl, false); err != nil {
-					return err
-				}
+			// A moved record keeps its deadline, so it neither turns
+			// immortal nor outlives its un-moved neighbours.
+			if err := dst.WriteThrough(route.Partition, op); err != nil {
+				return err
 			}
-			if err := srcNode.WriteThrough(src.Partition, e.k, nil, 0, true); err != nil {
+			if err := srcNode.WriteThrough(src.Partition, datanode.WriteOp{Key: op.Key, Delete: true}); err != nil {
 				return err
 			}
 		}

@@ -60,7 +60,9 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 // reads its own clock: the proxy limiter on every request that reaches a
 // node, the partition limiter when partition quota is on (off here), the
 // engine's TTL check on a node-cache miss, and the AU-LRU's expiry stamp
-// on a fill.
+// on a fill. A write's TTL becomes a deadline at the arrival time the
+// node already read, and the followers store that deadline as it is, so
+// a replicated SET EX reads the clock no more often than a SET.
 func TestClockReadsPerRequest(t *testing.T) {
 	clk := &countingClock{}
 	// A key earns its AU-LRU slot on its third access, so the second is a
@@ -69,8 +71,8 @@ func TestClockReadsPerRequest(t *testing.T) {
 		EnableCache: true, EnableQuota: true, ProxyQuota: 1e9, CacheTTL: time.Minute,
 		HotAdmitThreshold: 3,
 	})
-	// reads runs op and returns how many clock reads it took. Replication
-	// of a TTL-free write reads no clock, so the count is the request's.
+	// reads runs op and returns how many clock reads it took.
+	// Replication reads no clock, so the count is the request's.
 	reads := func(op func() error) int64 {
 		t.Helper()
 		before := clk.reads.Load()
@@ -105,6 +107,25 @@ func TestClockReadsPerRequest(t *testing.T) {
 	}
 	if fillGet > 6 {
 		t.Errorf("a GET that reached a node and filled the AU-LRU read the clock up to %d times, want at most 6", fillGet)
+	}
+	// Followers apply on the fabric's goroutines; FlushReplication waits
+	// for them, so their reads land in the count too. The fewest reads of
+	// each kind keeps a stray background read out of the comparison.
+	replicated := func(k string, ttl time.Duration) func() error {
+		return func() error {
+			err := p.Put(bg, []byte(k), []byte("v"), ttl)
+			p.cfg.Meta.FlushReplication()
+			return err
+		}
+	}
+	flushedSet, flushedSetEX := int64(1<<62), int64(1<<62)
+	for i := 0; i < 64; i++ {
+		flushedSet = min(flushedSet, reads(replicated(fmt.Sprintf("plain-%03d", i), 0)))
+		flushedSetEX = min(flushedSetEX, reads(replicated(fmt.Sprintf("ex-%03d", i), time.Hour)))
+	}
+	t.Logf("clock reads at fewest, replication included: SET %d, SET EX %d", flushedSet, flushedSetEX)
+	if flushedSetEX > flushedSet {
+		t.Errorf("a replicated SET EX read the clock %d times, a replicated SET %d", flushedSetEX, flushedSet)
 	}
 }
 

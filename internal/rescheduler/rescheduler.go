@@ -225,14 +225,6 @@ func (p *Pool) SetReplicaRU(r *Replica, ru Vec24) {
 	r.RU = ru
 }
 
-// SetReplicaStorage updates a replica's storage footprint in place.
-func (p *Pool) SetReplicaStorage(r *Replica, sto float64) {
-	if r.node != nil {
-		r.node.stoLoad += sto - r.Storage
-	}
-	r.Storage = sto
-}
-
 // SetReplicaHeat updates a replica's heat in place, keeping its node's
 // heat sum consistent (online telemetry refresh between passes).
 func (p *Pool) SetReplicaHeat(r *Replica, heat float64) {

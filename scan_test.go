@@ -186,8 +186,8 @@ func TestClientScanAgreesWithGetOnTTL(t *testing.T) {
 }
 
 // TestSplitPreservesTTL: the split rehash rewrites moved records with
-// their remaining TTL instead of silently making them immortal, so
-// expiry stays consistent with un-moved keys after a split.
+// their deadline instead of silently making them immortal, so expiry
+// stays consistent with un-moved keys after a split, on every replica.
 func TestSplitPreservesTTL(t *testing.T) {
 	sim := clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	c, cl := scanTenant(t, ClusterConfig{Nodes: 3, Clock: sim},
@@ -212,6 +212,7 @@ func TestSplitPreservesTTL(t *testing.T) {
 			t.Fatalf("TTL(%s) after split = %v, %v, %v; want a live expiry", k, ttl, hasTTL, err)
 		}
 	}
+	replicasAgree(t, c, "app") // the moved TTL'd records are live here
 	sim.Advance(2 * time.Hour)
 	size, err := cl.DBSize(bg)
 	if err != nil {
@@ -223,6 +224,7 @@ func TestSplitPreservesTTL(t *testing.T) {
 	if _, err := cl.Get(bg, []byte("ttl:000")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get(ttl:000) after expiry = %v, want ErrNotFound", err)
 	}
+	replicasAgree(t, c, "app")
 }
 
 func TestServeScanKeysDBSize(t *testing.T) {
