@@ -574,20 +574,30 @@ type SetResult = proxy.SetResult
 // deadline-expired ctx aborts the request wherever it is queued —
 // proxy quota, DataNode admission queue, or WFQ — without executing.
 func (c *Client) Get(ctx context.Context, key []byte, opts ...GetOption) ([]byte, error) {
-	o := getOptions{pref: c.pref}
-	for _, opt := range opts {
-		opt(&o)
+	pref := c.pref
+	if len(opts) > 0 {
+		// The options see a heap copy: an option is an unknown func, so
+		// what it is handed escapes, and a plain Get pays nothing for it.
+		o := &getOptions{pref: pref}
+		for _, opt := range opts {
+			opt(o)
+		}
+		pref = o.pref
 	}
-	return c.fleet.GetPref(ctx, key, o.pref)
+	return c.fleet.GetPref(ctx, key, pref)
 }
 
-// setOptions folds opts into the proxy-level typed options.
+// setOptions folds opts into the proxy-level typed options; like Get's,
+// they are built on the heap only when there are any.
 func setOptions(opts []SetOption) proxy.PutOptions {
-	var o proxy.PutOptions
-	for _, opt := range opts {
-		opt(&o)
+	if len(opts) == 0 {
+		return proxy.PutOptions{}
 	}
-	return o
+	o := new(proxy.PutOptions)
+	for _, opt := range opts {
+		opt(o)
+	}
+	return *o
 }
 
 // Set writes a key. Options select a TTL (WithTTL), conditional

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 
@@ -26,8 +25,8 @@ type AULRU struct {
 	mu        sync.Mutex
 	capacity  int64
 	used      int64
-	ll        *list.List
-	items     map[string]*list.Element
+	ll        lruList[auMeta]
+	items     map[string]*auEntry
 	ttl       time.Duration
 	refreshAt time.Duration // remaining-TTL threshold that triggers refresh
 	clk       clock.Clock
@@ -35,7 +34,7 @@ type AULRU struct {
 	gate      RefreshGate
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
-	// gen stamps every value a caller stores (see auEntry.gen).
+	// gen stamps every value a caller stores (see auMeta.gen).
 	gen uint64
 
 	hits      int64
@@ -43,17 +42,18 @@ type AULRU struct {
 	refreshes int64
 }
 
-type auEntry struct {
-	key      string
-	value    []byte
+// auEntry is one AU-LRU entry.
+type auEntry = entry[auMeta]
+
+type auMeta struct {
 	expireAt time.Time
-	hot      bool // accessed at least twice within the current TTL window
 	// gen identifies the Put or Update that stored value. A refresh
 	// reads the origin outside the lock; it installs what it read only
 	// if the entry still carries the generation it started from, so a
 	// write-through that lands meanwhile is never replaced by the older
 	// origin value.
 	gen uint64
+	hot bool // accessed at least twice within the current TTL window
 }
 
 // AUConfig configures an AULRU.
@@ -88,10 +88,9 @@ func NewAULRU(cfg AUConfig) *AULRU {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	return &AULRU{
+	c := &AULRU{
 		capacity:   cfg.Capacity,
-		ll:         list.New(),
-		items:      make(map[string]*list.Element),
+		items:      make(map[string]*auEntry),
 		ttl:        cfg.TTL,
 		refreshAt:  cfg.RefreshWindow,
 		clk:        cfg.Clock,
@@ -99,47 +98,48 @@ func NewAULRU(cfg AUConfig) *AULRU {
 		gate:       cfg.RefreshGate,
 		refreshing: make(map[string]bool),
 	}
+	c.ll.init()
+	return c
 }
 
-// Get is GetAt at the cache clock's current time.
-func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt(key, c.clk.Now()) }
+// Get is GetAt of a string key at the cache clock's current time.
+func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt([]byte(key), c.clk.Now()) }
 
 // GetAt returns the cached value and whether it was present and fresh
 // at now, the caller's arrival time for the request. Accessing a hot
 // entry close to expiry triggers a synchronous active update through
 // the Refresher, renewing the entry in place.
-func (c *AULRU) GetAt(key string, now time.Time) ([]byte, bool) {
+func (c *AULRU) GetAt(key []byte, now time.Time) ([]byte, bool) {
 	c.mu.Lock()
-	el, ok := c.items[key]
+	e, ok := c.items[string(key)]
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*auEntry)
-	if !now.Before(e.expireAt) {
+	if !now.Before(e.meta.expireAt) {
 		// Expired: treat as miss and drop.
-		c.removeElement(el)
+		c.remove(e)
 		c.misses++
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
+	c.ll.moveToFront(e)
 	c.hits++
-	needRefresh := e.hot &&
-		e.expireAt.Sub(now) <= c.refreshAt &&
+	needRefresh := e.meta.hot &&
+		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
-		!c.refreshing[key] &&
-		(c.gate == nil || c.gate(key))
-	e.hot = true
-	val, gen := e.value, e.gen
+		!c.refreshing[e.key] &&
+		(c.gate == nil || c.gate(e.key))
+	e.meta.hot = true
+	val, gen, name := e.value, e.meta.gen, e.key
 	if needRefresh {
-		c.refreshing[key] = true
+		c.refreshing[name] = true
 	}
 	c.mu.Unlock()
 
 	if needRefresh {
-		c.refresh(key, gen)
+		c.refresh(name, gen)
 	}
 	return val, true
 }
@@ -151,74 +151,85 @@ func (c *AULRU) refresh(key string, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.refreshing, key)
-	el, present := c.items[key]
-	if !present || el.Value.(*auEntry).gen != gen {
+	e, present := c.items[key]
+	if !present || e.meta.gen != gen {
 		return
 	}
 	if !ok {
-		c.removeElement(el)
+		c.remove(e)
 		return
 	}
 	if int64(len(key)+len(fresh)) > c.capacity {
-		c.removeElement(el) // grew past any possible fit (see Update)
+		c.remove(e) // grew past any possible fit (see UpdateAt)
 		return
 	}
-	e := el.Value.(*auEntry)
 	c.used += int64(len(fresh)) - int64(len(e.value))
 	e.value = fresh
-	e.expireAt = c.clk.Now().Add(c.ttl)
+	e.meta.expireAt = c.clk.Now().Add(c.ttl)
 	c.refreshes++
 	for c.used > c.capacity {
 		c.evictOne()
 	}
 }
 
-// Put inserts or updates key with a fresh TTL.
-func (c *AULRU) Put(key string, value []byte) {
+// Put is PutAt of a string key at the cache clock's current time.
+func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.clk.Now()) }
+
+// PutAt inserts or updates key with a fresh TTL counted from now, the
+// caller's arrival time for the request; only a new key copies key.
+func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 	size := int64(len(key) + len(value))
 	if size > c.capacity {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
+	e, ok := c.items[string(key)]
+	if ok {
+		c.used -= e.size()
+		c.ll.moveToFront(e)
+		e.value = value
+	} else {
+		e = &auEntry{key: string(key), value: value}
+		c.items[e.key] = e
+		c.ll.pushFront(e)
 	}
 	c.gen++
-	e := &auEntry{key: key, value: value, expireAt: c.clk.Now().Add(c.ttl), gen: c.gen}
-	el := c.ll.PushFront(e)
-	c.items[key] = el
+	e.meta = auMeta{expireAt: now.Add(c.ttl), gen: c.gen}
 	c.used += size
 	for c.used > c.capacity {
 		c.evictOne()
 	}
 }
 
-// Update overwrites key's value with a fresh TTL only if the key is
-// already cached, reporting whether it was. Hotness-gated admission
-// uses it for write-through: an existing entry must stay coherent with
-// the store, but a write alone does not earn a cold key a cache slot.
-func (c *AULRU) Update(key string, value []byte) bool {
+// Update is UpdateAt at the cache clock's current time.
+func (c *AULRU) Update(key, value []byte) bool { return c.UpdateAt(key, value, c.clk.Now()) }
+
+// UpdateAt overwrites key's value with a fresh TTL counted from now
+// only if the key is already cached, reporting whether it was.
+// Hotness-gated admission uses it for write-through: an existing entry
+// must stay coherent with the store, but a write alone does not earn a
+// cold key a cache slot.
+func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[string(key)]
 	if !ok {
 		return false
 	}
-	// A value too large to ever fit (Put's guard) must not enter the
+	// A value too large to ever fit (PutAt's guard) must not enter the
 	// evict loop — it would flush the whole cache and then evict
 	// itself. Drop the now-stale entry instead; coherence is kept.
 	if int64(len(key)+len(value)) > c.capacity {
-		c.removeElement(el)
+		c.remove(e)
 		return true
 	}
-	e := el.Value.(*auEntry)
 	c.used += int64(len(value)) - int64(len(e.value))
 	e.value = value
-	e.expireAt = c.clk.Now().Add(c.ttl)
+	e.meta.expireAt = now.Add(c.ttl)
 	c.gen++
-	e.gen = c.gen
-	c.ll.MoveToFront(el)
+	e.meta.gen = c.gen
+	c.ll.moveToFront(e)
 	for c.used > c.capacity {
 		c.evictOne()
 	}
@@ -226,24 +237,23 @@ func (c *AULRU) Update(key string, value []byte) bool {
 }
 
 // Delete removes key if present.
-func (c *AULRU) Delete(key string) {
+func (c *AULRU) Delete(key []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
+	if e, ok := c.items[string(key)]; ok {
+		c.remove(e)
 	}
 }
 
-func (c *AULRU) removeElement(el *list.Element) {
-	e := el.Value.(*auEntry)
-	c.ll.Remove(el)
-	c.used -= int64(len(e.key) + len(e.value))
+func (c *AULRU) remove(e *auEntry) {
+	c.ll.remove(e)
+	c.used -= e.size()
 	delete(c.items, e.key)
 }
 
 func (c *AULRU) evictOne() {
-	if tail := c.ll.Back(); tail != nil {
-		c.removeElement(tail)
+	if tail := c.ll.back(); tail != nil {
+		c.remove(tail)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSALRUBasics(t *testing.T) {
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("missing key found")
 	}
-	c.Delete("a")
+	c.Delete([]byte("a"))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("deleted key found")
 	}
@@ -203,7 +203,7 @@ func TestAULRUBasics(t *testing.T) {
 	if v, ok := c.Get("a"); !ok || string(v) != "1" {
 		t.Fatalf("Get = %q %v", v, ok)
 	}
-	c.Delete("a")
+	c.Delete([]byte("a"))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("deleted key present")
 	}
@@ -291,10 +291,10 @@ func TestAULRURefreshKeepsNewerWriteThrough(t *testing.T) {
 		write func(c *AULRU) // lands while the refresh reads the origin
 		want  string         // "" = the key must stay absent
 	}{
-		{"update", func(c *AULRU) { c.Update("k", []byte("v2")) }, "v2"},
+		{"update", func(c *AULRU) { c.Update([]byte("k"), []byte("v2")) }, "v2"},
 		{"put", func(c *AULRU) { c.Put("k", []byte("v2")) }, "v2"},
-		{"delete", func(c *AULRU) { c.Delete("k") }, ""},
-		{"delete then put", func(c *AULRU) { c.Delete("k"); c.Put("k", []byte("v2")) }, "v2"},
+		{"delete", func(c *AULRU) { c.Delete([]byte("k")) }, ""},
+		{"delete then put", func(c *AULRU) { c.Delete([]byte("k")); c.Put("k", []byte("v2")) }, "v2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := clock.NewSim(time.Unix(0, 0))
@@ -394,25 +394,39 @@ func TestAULRUConcurrent(t *testing.T) {
 	}
 }
 
+// benchKeys returns n distinct cache keys.
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%05d", i))
+	}
+	return keys
+}
+
 func BenchmarkSALRUGet(b *testing.B) {
 	c := NewSALRU(1 << 24)
-	for i := 0; i < 10000; i++ {
-		c.Put(fmt.Sprintf("key%05d", i), bytes.Repeat([]byte("v"), 100))
+	keys := benchKeys(10000)
+	for _, k := range keys {
+		c.Insert(k, bytes.Repeat([]byte("v"), 100))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Get(fmt.Sprintf("key%05d", i%10000))
+		c.Lookup(keys[i%len(keys)])
 	}
 }
 
 func BenchmarkAULRUGet(b *testing.B) {
 	c := NewAULRU(AUConfig{Capacity: 1 << 24, TTL: time.Hour})
-	for i := 0; i < 10000; i++ {
-		c.Put(fmt.Sprintf("key%05d", i), bytes.Repeat([]byte("v"), 100))
+	keys := benchKeys(10000)
+	now := time.Now()
+	for _, k := range keys {
+		c.PutAt(k, bytes.Repeat([]byte("v"), 100), now)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Get(fmt.Sprintf("key%05d", i%10000))
+		c.GetAt(keys[i%len(keys)], now)
 	}
 }
 
@@ -421,14 +435,14 @@ func BenchmarkAULRUGet(b *testing.B) {
 func TestAULRUUpdateOnlyExisting(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
 	c := newTestAULRU(sim, nil)
-	if c.Update("ghost", []byte("v")) {
+	if c.Update([]byte("ghost"), []byte("v")) {
 		t.Fatal("Update created an entry for an uncached key")
 	}
 	if _, ok := c.Get("ghost"); ok {
 		t.Fatal("ghost entry present after rejected Update")
 	}
 	c.Put("k", []byte("v1"))
-	if !c.Update("k", []byte("v2-longer")) {
+	if !c.Update([]byte("k"), []byte("v2-longer")) {
 		t.Fatal("Update missed an existing entry")
 	}
 	if v, ok := c.Get("k"); !ok || string(v) != "v2-longer" {
@@ -437,7 +451,7 @@ func TestAULRUUpdateOnlyExisting(t *testing.T) {
 	// Update renews the TTL: entry written at t=0 (TTL 60s), updated at
 	// t=50s, must still be alive at t=100s.
 	sim.Advance(50 * time.Second)
-	c.Update("k", []byte("v3"))
+	c.Update([]byte("k"), []byte("v3"))
 	sim.Advance(50 * time.Second)
 	if v, ok := c.Get("k"); !ok || string(v) != "v3" {
 		t.Fatalf("updated entry at t=100s = %q %v, want alive with v3", v, ok)
@@ -490,7 +504,7 @@ func TestAULRUUpdateOversizedDropsOnlyThatEntry(t *testing.T) {
 	c := NewAULRU(AUConfig{Capacity: 1 << 10, TTL: time.Minute, Clock: sim})
 	c.Put("other", []byte("safe"))
 	c.Put("k", []byte("small"))
-	if !c.Update("k", make([]byte, 4096)) {
+	if !c.Update([]byte("k"), make([]byte, 4096)) {
 		t.Fatal("oversized Update on existing key not acknowledged")
 	}
 	if _, ok := c.Get("k"); ok {

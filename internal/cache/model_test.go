@@ -1,0 +1,542 @@
+package cache
+
+// This file keeps the caches' previous implementation — container/list
+// queues, map[string]*list.Element, string keys — as a reference model,
+// and fuzzes the intrusive-list caches against it: every call must
+// return what the model returns and leave the same entries, in the same
+// LRU order, with the same counters. The only edit to the model is that
+// its writes take the "now" their TTL counts from, as PutAt and
+// UpdateAt do.
+
+import (
+	"container/list"
+	"fmt"
+	"math/bits"
+	"strings"
+	"testing"
+	"time"
+
+	"abase/internal/clock"
+)
+
+// --- reference SA-LRU ---
+
+type modelSALRU struct {
+	capacity int64
+	used     int64
+	classes  []*modelClass
+	items    map[string]*list.Element
+
+	hits   int64
+	misses int64
+}
+
+type modelClass struct {
+	ll    *list.List // front = most recent
+	bytes int64
+	hits  int64
+}
+
+type modelSAEntry struct {
+	key   string
+	value []byte
+	class int
+}
+
+func newModelSALRU(capacity int64) *modelSALRU {
+	c := &modelSALRU{
+		capacity: capacity,
+		classes:  make([]*modelClass, saNumClasses),
+		items:    make(map[string]*list.Element),
+	}
+	for i := range c.classes {
+		c.classes[i] = &modelClass{ll: list.New()}
+	}
+	return c
+}
+
+func modelClassFor(size int) int {
+	if size <= saBaseSize {
+		return 0
+	}
+	c := bits.Len(uint(size-1)) - bits.Len(uint(saBaseSize)) + 1
+	if c >= saNumClasses {
+		return saNumClasses - 1
+	}
+	return c
+}
+
+func (c *modelSALRU) Get(key string) ([]byte, bool) {
+	el, ok := c.items[key]
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	e := el.Value.(*modelSAEntry)
+	cls := c.classes[e.class]
+	cls.ll.MoveToFront(el)
+	cls.hits++
+	c.hits++
+	return e.value, true
+}
+
+func (c *modelSALRU) Put(key string, value []byte) {
+	size := int64(len(key) + len(value))
+	if size > c.capacity {
+		return
+	}
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
+	cls := modelClassFor(len(value))
+	e := &modelSAEntry{key: key, value: value, class: cls}
+	el := c.classes[cls].ll.PushFront(e)
+	c.items[key] = el
+	c.classes[cls].bytes += size
+	c.used += size
+	for c.used > c.capacity {
+		c.evictOne()
+	}
+}
+
+func (c *modelSALRU) Delete(key string) {
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
+}
+
+func (c *modelSALRU) DeletePrefix(prefix string) {
+	for key, el := range c.items {
+		if strings.HasPrefix(key, prefix) {
+			c.removeElement(el)
+		}
+	}
+}
+
+func (c *modelSALRU) removeElement(el *list.Element) {
+	e := el.Value.(*modelSAEntry)
+	cls := c.classes[e.class]
+	cls.ll.Remove(el)
+	size := int64(len(e.key) + len(e.value))
+	cls.bytes -= size
+	c.used -= size
+	delete(c.items, e.key)
+}
+
+func (c *modelSALRU) evictOne() {
+	victim := -1
+	var worst float64
+	for i, cls := range c.classes {
+		if cls.ll.Len() == 0 {
+			continue
+		}
+		density := float64(cls.hits+1) / float64(cls.bytes+1)
+		if victim == -1 || density < worst {
+			victim, worst = i, density
+		}
+	}
+	if victim == -1 {
+		return
+	}
+	cls := c.classes[victim]
+	if tail := cls.ll.Back(); tail != nil {
+		c.removeElement(tail)
+		cls.hits -= cls.hits / 8
+	}
+}
+
+// --- reference AU-LRU ---
+
+type modelAULRU struct {
+	capacity   int64
+	used       int64
+	ll         *list.List
+	items      map[string]*list.Element
+	ttl        time.Duration
+	refreshAt  time.Duration
+	clk        clock.Clock
+	refresher  Refresher
+	gate       RefreshGate
+	refreshing map[string]bool
+	gen        uint64
+
+	hits      int64
+	misses    int64
+	refreshes int64
+}
+
+type modelAUEntry struct {
+	key      string
+	value    []byte
+	expireAt time.Time
+	hot      bool
+	gen      uint64
+}
+
+func newModelAULRU(cfg AUConfig) *modelAULRU {
+	if cfg.RefreshWindow <= 0 {
+		cfg.RefreshWindow = cfg.TTL / 10
+	}
+	return &modelAULRU{
+		capacity:   cfg.Capacity,
+		ll:         list.New(),
+		items:      make(map[string]*list.Element),
+		ttl:        cfg.TTL,
+		refreshAt:  cfg.RefreshWindow,
+		clk:        cfg.Clock,
+		refresher:  cfg.Refresher,
+		gate:       cfg.RefreshGate,
+		refreshing: make(map[string]bool),
+	}
+}
+
+func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool) {
+	el, ok := c.items[key]
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	e := el.Value.(*modelAUEntry)
+	if !now.Before(e.expireAt) {
+		c.removeElement(el)
+		c.misses++
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.hits++
+	needRefresh := e.hot &&
+		e.expireAt.Sub(now) <= c.refreshAt &&
+		c.refresher != nil &&
+		!c.refreshing[key] &&
+		(c.gate == nil || c.gate(key))
+	e.hot = true
+	val, gen := e.value, e.gen
+	if needRefresh {
+		c.refreshing[key] = true
+		c.refresh(key, gen)
+	}
+	return val, true
+}
+
+func (c *modelAULRU) refresh(key string, gen uint64) {
+	fresh, ok := c.refresher(key)
+	delete(c.refreshing, key)
+	el, present := c.items[key]
+	if !present || el.Value.(*modelAUEntry).gen != gen {
+		return
+	}
+	if !ok {
+		c.removeElement(el)
+		return
+	}
+	if int64(len(key)+len(fresh)) > c.capacity {
+		c.removeElement(el)
+		return
+	}
+	e := el.Value.(*modelAUEntry)
+	c.used += int64(len(fresh)) - int64(len(e.value))
+	e.value = fresh
+	e.expireAt = c.clk.Now().Add(c.ttl)
+	c.refreshes++
+	for c.used > c.capacity {
+		c.evictOne()
+	}
+}
+
+func (c *modelAULRU) PutAt(key string, value []byte, now time.Time) {
+	size := int64(len(key) + len(value))
+	if size > c.capacity {
+		return
+	}
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
+	c.gen++
+	e := &modelAUEntry{key: key, value: value, expireAt: now.Add(c.ttl), gen: c.gen}
+	el := c.ll.PushFront(e)
+	c.items[key] = el
+	c.used += size
+	for c.used > c.capacity {
+		c.evictOne()
+	}
+}
+
+func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	if int64(len(key)+len(value)) > c.capacity {
+		c.removeElement(el)
+		return true
+	}
+	e := el.Value.(*modelAUEntry)
+	c.used += int64(len(value)) - int64(len(e.value))
+	e.value = value
+	e.expireAt = now.Add(c.ttl)
+	c.gen++
+	e.gen = c.gen
+	c.ll.MoveToFront(el)
+	for c.used > c.capacity {
+		c.evictOne()
+	}
+	return true
+}
+
+func (c *modelAULRU) Delete(key string) {
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
+}
+
+func (c *modelAULRU) removeElement(el *list.Element) {
+	e := el.Value.(*modelAUEntry)
+	c.ll.Remove(el)
+	c.used -= int64(len(e.key) + len(e.value))
+	delete(c.items, e.key)
+}
+
+func (c *modelAULRU) evictOne() {
+	if tail := c.ll.Back(); tail != nil {
+		c.removeElement(tail)
+	}
+}
+
+// --- differential fuzzing ---
+
+// fuzzOps reads a fuzz input as a stream of small numbers.
+type fuzzOps struct{ b []byte }
+
+func (f *fuzzOps) more() bool { return len(f.b) > 0 }
+
+// next returns the next byte modulo n (0 once the input is spent).
+func (f *fuzzOps) next(n int) int {
+	if len(f.b) == 0 {
+		return 0
+	}
+	v := int(f.b[0]) % n
+	f.b = f.b[1:]
+	return v
+}
+
+// key picks one of a few owners' keys, so prefixes overlap ("p1" is a
+// prefix of "p10") the way node cache keys' partition names do.
+func (f *fuzzOps) key() string {
+	owners := []string{"p1", "p10", "p2"}
+	return fmt.Sprintf("%s\x00k%d", owners[f.next(len(owners))], f.next(6))
+}
+
+// value picks a length across the first size classes, now and then one
+// past the capacity of the caches below.
+func (f *fuzzOps) value(tag int) []byte {
+	sizes := []int{0, 1, 30, 64, 65, 100, 130, 300, 600, 1500}
+	v := make([]byte, sizes[f.next(len(sizes))])
+	for i := range v {
+		v[i] = byte('a' + tag%26)
+	}
+	return v
+}
+
+func seedCacheFuzz(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 3, 0, 0, 0, 0, 1, 0, 0, 9, 9})
+	f.Add([]byte("an AU-LRU and an SA-LRU differential seed with some length to it"))
+	seq := make([]byte, 256)
+	for i := range seq {
+		seq[i] = byte(i * 37)
+	}
+	f.Add(seq)
+}
+
+// saSnapshot lists c's entries class by class in LRU order, with the
+// class counters.
+func saSnapshot(c *SALRU) string {
+	var b strings.Builder
+	for i, cls := range c.classes {
+		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
+		for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
+			fmt.Fprintf(&b, " %q=%q", e.key, e.value)
+		}
+	}
+	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(c.items), c.used, c.hits, c.misses)
+	return b.String()
+}
+
+func modelSASnapshot(c *modelSALRU) string {
+	var b strings.Builder
+	for i, cls := range c.classes {
+		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
+		for el := cls.ll.Front(); el != nil; el = el.Next() {
+			e := el.Value.(*modelSAEntry)
+			fmt.Fprintf(&b, " %q=%q", e.key, e.value)
+		}
+	}
+	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(c.items), c.used, c.hits, c.misses)
+	return b.String()
+}
+
+func FuzzSALRUModel(f *testing.F) {
+	seedCacheFuzz(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := &fuzzOps{data}
+		c, m := NewSALRU(1024), newModelSALRU(1024)
+		for step := 0; ops.more(); step++ {
+			var desc string
+			switch k := ops.key(); ops.next(5) {
+			case 0, 1:
+				desc = "Get " + k
+				v, ok := c.Get(k)
+				mv, mok := m.Get(k)
+				if ok != mok || string(v) != string(mv) {
+					t.Fatalf("step %d %s = %q %v, model %q %v", step, desc, v, ok, mv, mok)
+				}
+			case 2:
+				v := ops.value(step)
+				desc = fmt.Sprintf("Put %s (%d B)", k, len(v))
+				if ops.next(2) == 0 {
+					c.Put(k, v)
+				} else {
+					c.Insert([]byte(k), v)
+				}
+				m.Put(k, v)
+			case 3:
+				desc = "Delete " + k
+				c.Delete([]byte(k))
+				m.Delete(k)
+			case 4:
+				p := k[:strings.IndexByte(k, 0)+ops.next(2)]
+				desc = fmt.Sprintf("DeletePrefix %q", p)
+				c.DeletePrefix(p)
+				m.DeletePrefix(p)
+			}
+			if got, want := saSnapshot(c), modelSASnapshot(m); got != want {
+				t.Fatalf("after step %d %s:\n got %s\nwant %s", step, desc, got, want)
+			}
+			if c.Len() != len(m.items) || c.Used() != m.used {
+				t.Fatalf("after step %d %s: Len %d Used %d, model %d %d", step, desc, c.Len(), c.Used(), len(m.items), m.used)
+			}
+		}
+	})
+}
+
+// refreshOrigin is a deterministic origin for one side of the AU-LRU
+// differential: its n-th fetch answers from n and the key, and every
+// fifth says the key is gone. Now and then the value outgrows the cache.
+type refreshOrigin struct{ n int }
+
+func (o *refreshOrigin) fetch(key string) ([]byte, bool) {
+	o.n++
+	if o.n%5 == 0 {
+		return nil, false
+	}
+	if o.n%7 == 0 {
+		return make([]byte, 2048), true
+	}
+	return []byte(fmt.Sprintf("r%d-%s", o.n, key)), true
+}
+
+func auSnapshot(c *AULRU) string {
+	var b strings.Builder
+	for e := c.ll.root.next; e != &c.ll.root; e = e.next {
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.meta.expireAt.UnixNano(), e.meta.hot, e.meta.gen)
+	}
+	h, m, r := c.Stats()
+	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", c.Len(), c.Used(), h, m, r, len(c.refreshing))
+	return b.String()
+}
+
+func modelAUSnapshot(c *modelAULRU) string {
+	var b strings.Builder
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*modelAUEntry)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.gen)
+	}
+	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", len(c.items), c.used, c.hits, c.misses, c.refreshes, len(c.refreshing))
+	return b.String()
+}
+
+func FuzzAULRUModel(f *testing.F) {
+	seedCacheFuzz(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := &fuzzOps{data}
+		sim := clock.NewSim(time.Unix(1000, 0))
+		// The gate approves what the fuzz input last chose; both sides
+		// consult it at the same points when they agree.
+		gateOpen := true
+		gate := func(string) bool { return gateOpen }
+		var origin, modelOrigin refreshOrigin
+		cfg := AUConfig{Capacity: 1024, TTL: time.Minute, RefreshWindow: 10 * time.Second, Clock: sim, Refresher: origin.fetch}
+		if ops.next(2) == 1 {
+			cfg.RefreshGate = gate
+		}
+		c := NewAULRU(cfg)
+		cfg.Refresher = modelOrigin.fetch
+		m := newModelAULRU(cfg)
+		for step := 0; ops.more(); step++ {
+			var desc string
+			// A request's arrival time is at or a little before the
+			// cache clock's reading.
+			now := sim.Now().Add(-time.Duration(ops.next(3)) * time.Second)
+			switch k := ops.key(); ops.next(9) {
+			case 0, 1:
+				desc = "Get " + k
+				var v []byte
+				var ok bool
+				if ops.next(2) == 0 {
+					now = sim.Now()
+					v, ok = c.Get(k)
+				} else {
+					v, ok = c.GetAt([]byte(k), now)
+				}
+				mv, mok := m.GetAt(k, now)
+				if ok != mok || string(v) != string(mv) {
+					t.Fatalf("step %d %s = %q %v, model %q %v", step, desc, v, ok, mv, mok)
+				}
+			case 2:
+				v := ops.value(step)
+				desc = fmt.Sprintf("Put %s (%d B)", k, len(v))
+				if ops.next(2) == 0 {
+					now = sim.Now()
+					c.Put(k, v)
+				} else {
+					c.PutAt([]byte(k), v, now)
+				}
+				m.PutAt(k, v, now)
+			case 3:
+				v := ops.value(step)
+				desc = fmt.Sprintf("Update %s (%d B)", k, len(v))
+				var ok bool
+				if ops.next(2) == 0 {
+					now = sim.Now()
+					ok = c.Update([]byte(k), v)
+				} else {
+					ok = c.UpdateAt([]byte(k), v, now)
+				}
+				if mok := m.UpdateAt(k, v, now); ok != mok {
+					t.Fatalf("step %d %s = %v, model %v", step, desc, ok, mok)
+				}
+			case 4:
+				desc = "Delete " + k
+				c.Delete([]byte(k))
+				m.Delete(k)
+			case 5, 6:
+				d := time.Duration(ops.next(40)) * time.Second
+				desc = fmt.Sprintf("Advance %v", d)
+				sim.Advance(d)
+			case 7:
+				gateOpen = !gateOpen
+				desc = fmt.Sprintf("gate open %v", gateOpen)
+			case 8:
+				desc = "ResetStats"
+				c.ResetStats()
+				m.hits, m.misses, m.refreshes = 0, 0, 0
+			}
+			if got, want := auSnapshot(c), modelAUSnapshot(m); got != want {
+				t.Fatalf("after step %d %s:\n got %s\nwant %s", step, desc, got, want)
+			}
+			if origin.n != modelOrigin.n {
+				t.Fatalf("after step %d %s: %d origin fetches, model %d", step, desc, origin.n, modelOrigin.n)
+			}
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"math/bits"
 	"strings"
 	"sync"
@@ -14,23 +13,22 @@ type SALRU struct {
 	capacity int64
 	used     int64
 	classes  []*sizeClass
-	items    map[string]*list.Element
+	items    map[string]*saEntry
 
 	hits   int64
 	misses int64
 }
 
 type sizeClass struct {
-	ll    *list.List // front = most recent
+	ll    lruList[saMeta]
 	bytes int64
 	hits  int64 // decayed hit counter for the class
 }
 
-type saEntry struct {
-	key   string
-	value []byte
-	class int
-}
+// saEntry is one SA-LRU entry; meta names its size class.
+type saEntry = entry[saMeta]
+
+type saMeta struct{ class int }
 
 // Size classes are powers of two from 64B; class i holds entries with
 // size in (64·2^(i-1), 64·2^i].
@@ -48,10 +46,11 @@ func NewSALRU(capacity int64) *SALRU {
 	c := &SALRU{
 		capacity: capacity,
 		classes:  make([]*sizeClass, saNumClasses),
-		items:    make(map[string]*list.Element),
+		items:    make(map[string]*saEntry),
 	}
 	for i := range c.classes {
-		c.classes[i] = &sizeClass{ll: list.New()}
+		c.classes[i] = &sizeClass{}
+		c.classes[i].ll.init()
 	}
 	return c
 }
@@ -67,43 +66,49 @@ func classFor(size int) int {
 	return c
 }
 
-func entrySize(e *saEntry) int64 { return int64(len(e.key) + len(e.value)) }
+// Get is Lookup of a string key.
+func (c *SALRU) Get(key string) ([]byte, bool) { return c.Lookup([]byte(key)) }
 
-// Get returns the cached value and whether it was present. The returned
-// slice must not be modified.
-func (c *SALRU) Get(key string) ([]byte, bool) {
+// Lookup returns the cached value and whether it was present. The
+// returned slice must not be modified.
+func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.items[string(key)]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
-	e := el.Value.(*saEntry)
-	cls := c.classes[e.class]
-	cls.ll.MoveToFront(el)
+	cls := c.classes[e.meta.class]
+	cls.ll.moveToFront(e)
 	cls.hits++
 	c.hits++
 	return e.value, true
 }
 
-// Put inserts or updates key. Values larger than the total capacity are
-// not cached.
-func (c *SALRU) Put(key string, value []byte) {
+// Put is Insert of a string key.
+func (c *SALRU) Put(key string, value []byte) { c.Insert([]byte(key), value) }
+
+// Insert inserts or updates key; only a new key copies key. Values
+// larger than the total capacity are not cached.
+func (c *SALRU) Insert(key, value []byte) {
 	size := int64(len(key) + len(value))
 	if size > c.capacity {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
+	e, ok := c.items[string(key)]
+	if ok {
+		c.unlink(e)
+		e.value, e.meta.class = value, classFor(len(value))
+	} else {
+		e = &saEntry{key: string(key), value: value, meta: saMeta{class: classFor(len(value))}}
+		c.items[e.key] = e
 	}
-	cls := classFor(len(value))
-	e := &saEntry{key: key, value: value, class: cls}
-	el := c.classes[cls].ll.PushFront(e)
-	c.items[key] = el
-	c.classes[cls].bytes += size
+	cls := c.classes[e.meta.class]
+	cls.ll.pushFront(e)
+	cls.bytes += size
 	c.used += size
 	for c.used > c.capacity {
 		c.evictOne()
@@ -111,11 +116,11 @@ func (c *SALRU) Put(key string, value []byte) {
 }
 
 // Delete removes key if present.
-func (c *SALRU) Delete(key string) {
+func (c *SALRU) Delete(key []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
+	if e, ok := c.items[string(key)]; ok {
+		c.remove(e)
 	}
 }
 
@@ -125,20 +130,25 @@ func (c *SALRU) Delete(key string) {
 func (c *SALRU) DeletePrefix(prefix string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for key, el := range c.items {
+	for key, e := range c.items {
 		if strings.HasPrefix(key, prefix) {
-			c.removeElement(el)
+			c.remove(e)
 		}
 	}
 }
 
-func (c *SALRU) removeElement(el *list.Element) {
-	e := el.Value.(*saEntry)
-	cls := c.classes[e.class]
-	cls.ll.Remove(el)
-	size := entrySize(e)
+// unlink takes e out of its class list and the byte counts, leaving it
+// in the map.
+func (c *SALRU) unlink(e *saEntry) {
+	cls := c.classes[e.meta.class]
+	cls.ll.remove(e)
+	size := e.size()
 	cls.bytes -= size
 	c.used -= size
+}
+
+func (c *SALRU) remove(e *saEntry) {
+	c.unlink(e)
 	delete(c.items, e.key)
 }
 
@@ -149,7 +159,7 @@ func (c *SALRU) evictOne() {
 	victim := -1
 	var worst float64
 	for i, cls := range c.classes {
-		if cls.ll.Len() == 0 {
+		if cls.ll.len() == 0 {
 			continue
 		}
 		density := float64(cls.hits+1) / float64(cls.bytes+1)
@@ -161,8 +171,8 @@ func (c *SALRU) evictOne() {
 		return
 	}
 	cls := c.classes[victim]
-	if tail := cls.ll.Back(); tail != nil {
-		c.removeElement(tail)
+	if tail := cls.ll.back(); tail != nil {
+		c.remove(tail)
 		// Decay class hits so stale popularity fades.
 		cls.hits -= cls.hits / 8
 	}

@@ -128,8 +128,9 @@ func (r *readOp) arrive(now time.Time) {
 // value-free form completely: cached values never carry a TTL.
 func (r *readOp) cpu() bool {
 	needIO := false
+	var buf [cacheKeyBuf]byte
 	for k, key := range r.keys {
-		v, ok := r.n.cache.Get(r.rep.cacheKey(key))
+		v, ok := r.n.cache.Lookup(r.rep.cacheKey(buf[:0], key))
 		if !ok {
 			needIO = true
 			continue
@@ -144,6 +145,7 @@ func (r *readOp) cpu() bool {
 
 func (r *readOp) io() {
 	cfg := &r.n.cfg
+	var buf [cacheKeyBuf]byte
 	for k, key := range r.keys {
 		bv := &r.vals[k]
 		if bv.CacheHit {
@@ -162,7 +164,7 @@ func (r *readOp) io() {
 			// expires — point reads would then disagree with Scan/Keys,
 			// which consult the engine. TTL'd values stay uncached.
 			if err == nil && got.ExpireAt == 0 {
-				r.n.cache.Put(r.rep.cacheKey(key), got.Value)
+				r.n.cache.Insert(r.rep.cacheKey(buf[:0], key), got.Value)
 			}
 			bv.Value, bv.ExpireAt = got.Value, got.ExpireAt
 		}
@@ -178,28 +180,45 @@ func (r *readOp) io() {
 // form at the estimate it was admitted at.
 func (r *readOp) settle() {
 	charged := 0.0
+	// The op's keys are tallied here and handed to the shared tenant
+	// counters and estimator at once: a batch's concurrent sub-batches
+	// would otherwise contend on them key by key.
+	var reads ru.ReadBatch
+	var failed, cacheHits, cacheMiss int64
 	for k := range r.vals {
 		bv := &r.vals[k]
 		if bv.Err != nil {
 			if !r.valueFree && errors.Is(bv.Err, ErrNotFound) {
-				r.est.ObserveRead(0, false) // an absent key still cost a lookup
+				reads.Add(r.est, 0, false) // an absent key still cost a lookup
 			}
-			r.ts.errors.Inc()
+			failed++
 			continue
 		}
-		r.ts.success.Inc()
 		if r.valueFree {
 			continue
 		}
-		r.est.ObserveRead(len(bv.Value), bv.CacheHit)
+		reads.Add(r.est, len(bv.Value), bv.CacheHit)
 		if bv.CacheHit {
 			charged += ru.ReadRU(len(bv.Value), 1)
-			r.ts.cacheHits.Inc()
+			cacheHits++
 		} else {
 			charged += ru.ReadRU(len(bv.Value), 0)
-			r.ts.cacheMiss.Inc()
+			cacheMiss++
 		}
 	}
+	if ok := int64(len(r.vals)) - failed; ok > 0 {
+		r.ts.success.Add(ok)
+	}
+	if failed > 0 {
+		r.ts.errors.Add(failed)
+	}
+	if cacheHits > 0 {
+		r.ts.cacheHits.Add(cacheHits)
+	}
+	if cacheMiss > 0 {
+		r.ts.cacheMiss.Add(cacheMiss)
+	}
+	reads.Flush(r.est)
 	if r.valueFree {
 		charged = r.cost
 	}

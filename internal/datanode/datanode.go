@@ -572,7 +572,7 @@ func (n *Node) RemoveReplica(pid partition.ID) error {
 	// its files and cached values go too: left behind, the files stay
 	// resident on a MemFS forever, and a later replica of the same number
 	// would reopen them — or be answered from the cache — as its own.
-	n.cache.DeletePrefix(rep.cacheKey(nil)) // the empty key's name prefixes every key's
+	n.cache.DeletePrefix(string(rep.cacheKey(nil, nil))) // the empty key's name prefixes every key's
 	names, lerr := n.cfg.FS.List(rep.dir)
 	for _, name := range names {
 		err = errors.Join(err, n.cfg.FS.Remove(rep.dir+"/"+name))
@@ -661,10 +661,19 @@ func (n *Node) quotaShare(rep *replica) float64 {
 	return rep.quotaRU.Value() / sum
 }
 
-// cacheKey is key's name in the node-wide SA-LRU.
-func (r *replica) cacheKey(key []byte) string {
-	return r.part + "\x00" + string(key)
+// cacheKey appends key's name in the node-wide SA-LRU to dst. Callers
+// build it in a stack buffer of cacheKeyBuf bytes, so a lookup, a
+// write-through and an invalidation allocate nothing; the SA-LRU copies
+// the name only when it inserts a new entry.
+func (r *replica) cacheKey(dst, key []byte) []byte {
+	dst = append(dst, r.part...)
+	dst = append(dst, 0)
+	return append(dst, key...)
 }
+
+// cacheKeyBuf sizes the stack buffers cache keys are built in; a longer
+// name spills to the heap and is otherwise handled alike.
+const cacheKeyBuf = 128
 
 // Close drains the WFQ and closes all replica stores.
 func (n *Node) Close() error {

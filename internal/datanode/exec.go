@@ -61,6 +61,22 @@ type unit struct {
 	lat     time.Duration // request latency, set by run
 	billed  float64       // RU the served request really cost, set by bill
 	done    sync.WaitGroup
+	// fns are the unit's stage, completion and drop funcs, bound to it
+	// once (see bind) and copied into task by run: binding a method
+	// value allocates, and a pooled op keeps its bindings across uses.
+	fns stageFns
+}
+
+type stageFns struct {
+	cpu   func() bool
+	io    func()
+	done  func()
+	abort func(error)
+}
+
+// bind binds u's funcs, op being the op that embeds u.
+func (u *unit) bind(op stages) {
+	u.fns = stageFns{cpu: u.cpuStage, io: op.io, done: u.done.Done, abort: u.drop}
 }
 
 // place resolves the replica and tenant state a new unit is accounted
@@ -78,6 +94,9 @@ func (n *Node) place(u *unit, op stages, pid partition.ID, write bool, epoch uin
 	}
 	u.n, u.op, u.rep = n, op, rep
 	u.ts, u.est = rep.ts, rep.ts.est
+	if u.fns.cpu == nil {
+		u.bind(op)
+	}
 	return nil
 }
 
@@ -144,10 +163,10 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 			IOPSCost:   u.iops,
 			QuotaShare: n.quotaShare(u.rep),
 			Ctx:        ctx,
-			CPUStage:   u.cpuStage,
-			IOStage:    u.op.io,
-			Done:       u.done.Done,
-			Abort:      u.drop,
+			CPUStage:   u.fns.cpu,
+			IOStage:    u.fns.io,
+			Done:       u.fns.done,
+			Abort:      u.fns.abort,
 		}
 		u.done.Add(1)
 		admitted = true

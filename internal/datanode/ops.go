@@ -3,6 +3,7 @@ package datanode
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"abase/internal/lavastore"
@@ -23,10 +24,36 @@ type OpResult struct {
 	ExpireAt int64
 }
 
+// A point op comes from a pool and goes back once its run has returned
+// and its result is copied out; a batch op is built per batch. Putting
+// an op back drops every reference it holds but its own bound funcs, so
+// the pool pins no node, replica, key or value — not even of a closed
+// cluster, which the pool's victim cache would otherwise keep alive.
+var (
+	readOps  = sync.Pool{New: func() any { return new(readOp) }}
+	writeOps = sync.Pool{New: func() any { return new(writeOp) }}
+)
+
+func (r *readOp) release() {
+	fns := r.fns
+	*r = readOp{}
+	r.fns = fns
+	readOps.Put(r)
+}
+
+func (w *writeOp) release() {
+	fns := w.fns
+	*w = writeOp{}
+	w.fns = fns
+	writeOps.Put(w)
+}
+
 // readOne runs a readOp of one key. The error is the pipeline's or,
 // failing that, the key's own (ErrNotFound, engine failure).
 func (n *Node) readOne(ctx context.Context, pid partition.ID, key []byte, valueFree bool) (OpResult, error) {
-	r := &readOp{valueFree: valueFree}
+	r := readOps.Get().(*readOp)
+	defer r.release()
+	r.valueFree = valueFree
 	r.one.k[0] = key
 	r.keys, r.vals = r.one.k[:], r.one.v[:]
 	if err := n.placeRead(r, pid); err != nil {
@@ -113,7 +140,8 @@ func (n *Node) Write(ctx context.Context, pid partition.ID, epoch uint64, m Muta
 }
 
 func (n *Node) write(ctx context.Context, pid partition.ID, epoch uint64, m Mutation) (PutResult, error) {
-	w := &writeOp{}
+	w := writeOps.Get().(*writeOp)
+	defer w.release()
 	w.one.m[0] = m
 	w.muts, w.vals = w.one.m[:], w.one.v[:]
 	if err := n.placeWrite(w, pid, epoch); err != nil {
@@ -135,11 +163,13 @@ type writeOp struct {
 	unit
 	muts []Mutation
 	vals []BatchValue // per-mutation error slot, parallel to muts
-	// one backs muts and vals for a point write, so the request stays a
-	// single heap object.
+	// one backs muts, vals and committed for a point write, so the
+	// request stays a single heap object (the Replicator copies what it
+	// keeps of committed).
 	one struct {
 		m [1]Mutation
 		v [1]BatchValue
+		c [1]WriteOp
 	}
 	res PutResult // the last mutation's outcome: a point write's result
 	// committed is what the engine committed, in order (mutations that
@@ -212,6 +242,8 @@ func (w *writeOp) io() {
 	if len(w.muts) > 1 {
 		overlay = make(map[string]keyState)
 		w.committed = make([]WriteOp, 0, len(w.muts))
+	} else {
+		w.committed = w.one.c[:0]
 	}
 	for k := range w.muts {
 		m, slot := &w.muts[k], &w.vals[k]
@@ -255,15 +287,16 @@ func (w *writeOp) io() {
 		return
 	}
 	w.lastSeq = last
+	var buf [cacheKeyBuf]byte
 	for _, op := range w.committed {
 		w.charged += ru.WriteRU(len(op.Value), n.cfg.Replicas) // a tombstone carries no value
 		// Write-through keeps the node cache coherent — except for
 		// TTL-bearing values, which the SA-LRU cannot expire and so must
 		// not hold (see readOp.io).
-		if ck := w.rep.cacheKey(op.Key); op.Delete || op.ExpireAt != 0 {
+		if ck := w.rep.cacheKey(buf[:0], op.Key); op.Delete || op.ExpireAt != 0 {
 			n.cache.Delete(ck)
 		} else {
-			n.cache.Put(ck, op.Value)
+			n.cache.Insert(ck, op.Value)
 		}
 	}
 }
@@ -336,8 +369,9 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 	// Invalidate rather than populate: follower reads are rare next to
 	// primary traffic, so write-through would fill the cache with
 	// values that are seldom read while still risking staleness.
+	var buf [cacheKeyBuf]byte
 	for _, op := range ops {
-		n.cache.Delete(rep.cacheKey(op.Key))
+		n.cache.Delete(rep.cacheKey(buf[:0], op.Key))
 	}
 	if advance {
 		rep.advancePos(seq)

@@ -78,19 +78,25 @@ func NewMovingAverage(k int) *MovingAverage {
 	return m
 }
 
-// Observe adds a sample, evicting the oldest when the window is full.
-func (m *MovingAverage) Observe(v float64) {
+// Observe adds samples in order, evicting the oldest while the window
+// is full. Several samples take the lock once.
+func (m *MovingAverage) Observe(vs ...float64) {
+	if len(vs) == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.full {
-		m.sum -= m.buf[m.next]
-	}
-	m.buf[m.next] = v
-	m.sum += v
-	m.next++
-	if m.next == len(m.buf) {
-		m.next = 0
-		m.full = true
+	for _, v := range vs {
+		if m.full {
+			m.sum -= m.buf[m.next]
+		}
+		m.buf[m.next] = v
+		m.sum += v
+		m.next++
+		if m.next == len(m.buf) {
+			m.next = 0
+			m.full = true
+		}
 	}
 	m.mean.Store(math.Float64bits(m.sum / float64(m.countLocked())))
 }

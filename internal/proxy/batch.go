@@ -57,32 +57,48 @@ func (p *Proxy) groupByNode(keys [][]byte, idxs []int, errs []error) []*nodeBatc
 		}
 		return nil
 	}
+	// A first pass sizes every partition's group, so the groups' keys
+	// and positions are cut from one allocation each instead of growing
+	// key by key; the second resolves a partition's node once, at its
+	// first key.
+	parts := make([]int, len(idxs))
+	count := make([]int, len(view.Partitions))
+	for j, i := range idxs {
+		parts[j] = partition.PartitionOf(keys[i], len(view.Partitions))
+		count[parts[j]]++
+	}
+	keyBuf, idxBuf := make([][]byte, len(idxs)), make([]int, len(idxs))
+	type group struct {
+		nb *nodeBatch
+		g  int // index into nb.gets
+	}
+	groups := make([]group, len(view.Partitions))
 	byNode := make(map[string]*nodeBatch)
-	slot := make(map[partition.ID]int) // partition → index into nb.gets
 	var order []*nodeBatch
-	for _, i := range idxs {
-		route := view.Partitions[partition.PartitionOf(keys[i], len(view.Partitions))]
-		nb, ok := byNode[route.Primary]
-		if !ok {
-			node, err := view.Node(route.Primary)
-			if err != nil {
-				errs[i] = err
-				continue
+	for j, i := range idxs {
+		gr := &groups[parts[j]]
+		if gr.nb == nil {
+			route := &view.Partitions[parts[j]]
+			nb, ok := byNode[route.Primary]
+			if !ok {
+				node, err := view.Node(route.Primary)
+				if err != nil {
+					errs[i] = err
+					continue
+				}
+				nb = &nodeBatch{node: node}
+				byNode[route.Primary] = nb
+				order = append(order, nb)
 			}
-			nb = &nodeBatch{node: node}
-			byNode[route.Primary] = nb
-			order = append(order, nb)
-		}
-		g, ok := slot[route.Partition]
-		if !ok {
-			g = len(nb.gets)
-			slot[route.Partition] = g
-			nb.gets = append(nb.gets, datanode.GetBatch{PID: route.Partition})
-			nb.idxs = append(nb.idxs, nil)
+			n := count[parts[j]]
+			gr.nb, gr.g = nb, len(nb.gets)
+			nb.gets = append(nb.gets, datanode.GetBatch{PID: route.Partition, Keys: keyBuf[:0:n]})
+			nb.idxs = append(nb.idxs, idxBuf[:0:n])
 			nb.epochs = append(nb.epochs, route.Epoch)
+			keyBuf, idxBuf = keyBuf[n:], idxBuf[n:]
 		}
-		nb.gets[g].Keys = append(nb.gets[g].Keys, keys[i])
-		nb.idxs[g] = append(nb.idxs[g], i)
+		gr.nb.gets[gr.g].Keys = append(gr.nb.gets[gr.g].Keys, keys[i])
+		gr.nb.idxs[gr.g] = append(gr.nb.idxs[gr.g], i)
 	}
 	return order
 }
@@ -159,13 +175,16 @@ type batchOp struct {
 	cost func(i int) float64
 	// hit answers key i from the AU-LRU (cacheRead only).
 	hit func(i int, v []byte)
+	// reads has the estimator learn from every key a node read, found
+	// or not, by sub-batch (see ru.ReadBatch).
+	reads bool
 	// dispatch sends one node its per-partition sub-batches; the results
 	// are parallel to nb.gets.
 	dispatch func(nb *nodeBatch) []datanode.BatchResult
 	// result takes key i's own answer from a served sub-batch, returning
-	// nil when the key was served. heat is the key's sketch estimate
-	// after this access, for the hotness-gated cache fills.
-	result func(i int, bv datanode.BatchValue, heat float64) error
+	// nil when the key was served. acc is the key's access, for the
+	// cache fills.
+	result func(i int, bv datanode.BatchValue, acc access) error
 }
 
 // batch runs one batched operation and returns its per-key errors,
@@ -193,12 +212,12 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 	admit := make([]int, 0, len(op.keys))
 	var cost float64
 	for i, k := range op.keys {
-		heat, v, hit := p.cacheLookup(op.use, k, start)
+		acc, v, hit := p.cacheLookup(op.use, k, start)
 		if hit {
 			op.hit(i, v)
 			continue
 		}
-		heats[i] = heat
+		heats[i] = acc.heat
 		admit = append(admit, i)
 		cost += op.cost(i)
 	}
@@ -232,11 +251,16 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 					continue
 				}
 				p.windowRU.Add(res.RU)
+				var reads ru.ReadBatch
 				for j, i := range nb.idxs[g] {
 					bv := res.Values[j]
 					p.cacheSettle(op.use, op.keys[i], bv.Err)
-					errs[i] = op.result(i, bv, heats[i])
+					if op.reads && (bv.Err == nil || errors.Is(bv.Err, datanode.ErrNotFound)) {
+						reads.Add(p.est, len(bv.Value), bv.CacheHit) // an absent key still cost a lookup
+					}
+					errs[i] = op.result(i, bv, access{at: start, heat: heats[i]})
 				}
+				reads.Flush(p.est)
 			}
 		})
 		if attempt == 0 {
@@ -272,19 +296,16 @@ func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, e
 		dispatch: func(nb *nodeBatch) []datanode.BatchResult {
 			return nb.node.MultiGet(ctx, nb.gets)
 		},
-		result: func(i int, bv datanode.BatchValue, heat float64) error {
+		reads: true,
+		result: func(i int, bv datanode.BatchValue, acc access) error {
 			if bv.Err != nil {
-				if errors.Is(bv.Err, datanode.ErrNotFound) {
-					p.est.ObserveRead(0, false)
-				}
 				return bv.Err
 			}
-			p.est.ObserveRead(len(bv.Value), bv.CacheHit)
 			values[i] = bv.Value
 			// TTL-bearing values stay out of the AU-LRU (see GetPref);
 			// TTL-free fills go through the hotness gate.
 			if bv.ExpireAt == 0 {
-				p.cacheFill(keys[i], bv.Value, heat)
+				p.cacheFill(keys[i], bv.Value, acc)
 			}
 			return nil
 		},
@@ -306,7 +327,7 @@ func (p *Proxy) BatchExists(ctx context.Context, keys [][]byte) (exists []bool, 
 		dispatch: func(nb *nodeBatch) []datanode.BatchResult {
 			return nb.node.MultiContains(ctx, nb.gets)
 		},
-		result: func(i int, bv datanode.BatchValue, _ float64) error {
+		result: func(i int, bv datanode.BatchValue, _ access) error {
 			// Absent is a successful answer, not a failure.
 			if errors.Is(bv.Err, datanode.ErrNotFound) {
 				return nil
@@ -350,9 +371,9 @@ func (p *Proxy) BatchPut(ctx context.Context, kvs []KV) []error {
 		dispatch: multiWrite(ctx, func(i int) datanode.Mutation {
 			return datanode.Mutation{Key: kvs[i].Key, Value: kvs[i].Value, PutOptions: PutOptions{TTL: kvs[i].TTL}}
 		}),
-		result: func(i int, bv datanode.BatchValue, heat float64) error {
+		result: func(i int, bv datanode.BatchValue, acc access) error {
 			if bv.Err == nil {
-				p.cacheWriteThrough(kvs[i].Key, kvs[i].Value, kvs[i].TTL > 0, heat)
+				p.cacheWriteThrough(kvs[i].Key, kvs[i].Value, kvs[i].TTL > 0, acc)
 			}
 			return bv.Err
 		},
@@ -369,7 +390,7 @@ func (p *Proxy) BatchDelete(ctx context.Context, keys [][]byte) []error {
 		dispatch: multiWrite(ctx, func(i int) datanode.Mutation {
 			return datanode.Mutation{Kind: datanode.MutDelete, Key: keys[i]}
 		}),
-		result: func(_ int, bv datanode.BatchValue, _ float64) error { return bv.Err },
+		result: func(_ int, bv datanode.BatchValue, _ access) error { return bv.Err },
 	})
 }
 
@@ -398,12 +419,20 @@ func (f *Fleet) assign(keys [][]byte) []*fleetSub {
 		members[g] = ps[f.rng.Intn(len(ps))]
 	}
 	f.mu.Unlock()
+	// Like groupByNode: count first, so every share's positions are cut
+	// from one allocation.
+	group, count := make([]int, len(keys)), make([]int, len(f.groups))
+	for i, k := range keys {
+		group[i] = int(partition.Hash(k) % uint64(len(f.groups)))
+		count[group[i]]++
+	}
+	buf := make([]int, len(keys))
 	subs := make([]*fleetSub, len(f.groups))
 	var order []*fleetSub
-	for i, k := range keys {
-		g := int(partition.Hash(k) % uint64(len(f.groups)))
+	for i, g := range group {
 		if subs[g] == nil {
-			subs[g] = &fleetSub{proxy: members[g]}
+			subs[g] = &fleetSub{proxy: members[g], idxs: buf[:0:count[g]]}
+			buf = buf[count[g]:]
 			order = append(order, subs[g])
 		}
 		subs[g].idxs = append(subs[g].idxs, i)

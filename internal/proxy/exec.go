@@ -43,27 +43,37 @@ const (
 	cacheInvalidate
 )
 
+// access is one key's arrival as the AU-LRU policy saw it: when the
+// request arrived, which a fill or write-through counts the entry's TTL
+// from, and the key's sketch estimate after this access, for the
+// hotness-gated fills.
+type access struct {
+	at   time.Time
+	heat float64
+}
+
 // cacheLookup is the policy's half before admission — before the
 // limiter, so throttled traffic still heats the sketch. now is the
 // request's arrival time: the sketch decays to it and the AU-LRU checks
-// expiry against it. It returns the key's sketch estimate after this
-// access, for the hotness-gated cache fills, and for a cacheRead the
-// AU-LRU's answer: a hit is a served request that cost no quota.
-func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (heat float64, v []byte, hit bool) {
+// expiry against it. It returns the key's access, for the cache fills,
+// and for a cacheRead the AU-LRU's answer: a hit is a served request
+// that cost no quota.
+func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access, v []byte, hit bool) {
+	acc.at = now
 	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
-		return 0, nil, false
+		return acc, nil, false
 	}
-	heat = p.touchHot(key, now)
+	acc.heat = p.touchHot(key, now)
 	if use == cacheWrite {
-		return heat, nil, false
+		return acc, nil, false
 	}
-	if v, hit = p.cache.GetAt(string(key), now); hit {
+	if v, hit = p.cache.GetAt(key, now); hit {
 		p.hits.Inc()
 		p.success.Inc()
 	} else {
 		p.misses.Inc()
 	}
-	return heat, v, hit
+	return acc, v, hit
 }
 
 // cacheSettle is the policy's half after the node call, given the
@@ -72,7 +82,7 @@ func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (heat float
 // or invalidate inside the node call, where the stored value is known.)
 func (p *Proxy) cacheSettle(use cacheUse, key []byte, err error) {
 	if use == cacheInvalidate && p.cache != nil && (err == nil || errors.Is(err, datanode.ErrNotFound)) {
-		p.cache.Delete(string(key))
+		p.cache.Delete(key)
 	}
 }
 
@@ -91,9 +101,8 @@ type keyed struct {
 // quota, call the key's primary with the one bounded retry withRoute
 // gives every keyed path, and account for the outcome. call reports
 // the RU the node billed, which feeds the MetaServer's traffic-control
-// window; heat is the key's sketch estimate after this access, for the
-// hotness-gated cache fills.
-func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.Node, route partition.Route, heat float64) (float64, error)) error {
+// window; acc is the key's access, for the cache fills.
+func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.Node, route partition.Route, acc access) (float64, error)) error {
 	// A context that is already done never touches the sketch, the
 	// cache, the quota, or the data plane: doomed requests are shed at
 	// the door.
@@ -101,7 +110,7 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 		return err
 	}
 	start := p.cfg.Clock.Now()
-	heat, v, hit := p.cacheLookup(op.use, op.key, start)
+	acc, v, hit := p.cacheLookup(op.use, op.key, start)
 	if hit {
 		*op.hit = v
 		p.latency.Observe(p.cfg.Clock.Since(start))
@@ -114,7 +123,7 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 	var billed float64
 	err := p.withRoute(ctx, op.key, func(node *datanode.Node, route partition.Route) error {
 		var err error
-		billed, err = call(node, route, heat)
+		billed, err = call(node, route, acc)
 		return err
 	})
 	p.cacheSettle(op.use, op.key, err)
@@ -136,13 +145,13 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 // was.
 func (p *Proxy) write(ctx context.Context, use cacheUse, m datanode.Mutation) (res datanode.PutResult, err error) {
 	op := keyed{key: m.Key, cost: m.AdmitRU(p.est, 3), use: use}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, acc access) (float64, error) {
 		var err error
 		if res, err = node.Write(ctx, route.Partition, route.Epoch, m); err != nil {
 			return 0, err
 		}
 		if use == cacheWrite && res.Written {
-			p.cacheWriteThrough(m.Key, m.Value, res.Expiring, heat)
+			p.cacheWriteThrough(m.Key, m.Value, res.Expiring, acc)
 		}
 		return res.RU, nil
 	})

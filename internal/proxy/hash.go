@@ -52,7 +52,7 @@ func (p *Proxy) HDel(ctx context.Context, key []byte, fields ...string) (int, er
 // the empty hash (a stored hash always has at least one field). The
 // decoded length feeds the complex-operation estimate (§4.1).
 func (p *Proxy) readHash(ctx context.Context, key []byte, cost float64, pick func(m map[string][]byte) error) error {
-	return p.point(ctx, keyed{key: key, cost: cost}, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
+	return p.point(ctx, keyed{key: key, cost: cost}, func(node *datanode.Node, route partition.Route, _ access) (float64, error) {
 		res, err := node.Get(ctx, route.Partition, key)
 		if err != nil && !errors.Is(err, datanode.ErrNotFound) {
 			return 0, err

@@ -58,11 +58,12 @@ func (c *countingClock) Since(t time.Time) time.Duration {
 // to everything in between that needs "now" — the proxy's hot-key sketch
 // and AU-LRU expiry check, the node's heat meter and sketch. What still
 // reads its own clock: the proxy limiter on every request that reaches a
-// node, the partition limiter when partition quota is on (off here), the
-// engine's TTL check on a node-cache miss, and the AU-LRU's expiry stamp
-// on a fill. A write's TTL becomes a deadline at the arrival time the
-// node already read, and the followers store that deadline as it is, so
-// a replicated SET EX reads the clock no more often than a SET.
+// node, the partition limiter when partition quota is on (off here), and
+// the engine's TTL check on a node-cache miss. An AU-LRU fill or
+// write-through stamps its expiry from the proxy's arrival time. A
+// write's TTL becomes a deadline at the arrival time the node already
+// read, and the followers store that deadline as it is, so a replicated
+// SET EX reads the clock no more often than a SET.
 func TestClockReadsPerRequest(t *testing.T) {
 	clk := &countingClock{}
 	// A key earns its AU-LRU slot on its third access, so the second is a
@@ -105,8 +106,26 @@ func TestClockReadsPerRequest(t *testing.T) {
 	if nodeGet > 5 {
 		t.Errorf("a GET that reached a node read the clock up to %d times, want at most 5", nodeGet)
 	}
-	if fillGet > 6 {
-		t.Errorf("a GET that reached a node and filled the AU-LRU read the clock up to %d times, want at most 6", fillGet)
+	if fillGet > 5 {
+		t.Errorf("a GET that reached a node and filled the AU-LRU read the clock up to %d times, want at most 5", fillGet)
+	}
+	// A SET to a key the AU-LRU holds writes the value through, its TTL
+	// counted from the SET's arrival; a SET to a key it does not hold
+	// leaves the cache alone (a first write does not pass the hotness
+	// gate). The fewest reads of each compares the two paths.
+	cachedSet, coldSet := int64(1<<62), int64(1<<62)
+	for i := 0; i < 64; i++ {
+		k := []byte(fmt.Sprintf("key-%03d", i))
+		cachedSet = min(cachedSet, reads(func() error { return p.Put(bg, k, []byte("v2"), 0) }))
+		coldSet = min(coldSet, reads(func() error { return p.Put(bg, []byte(fmt.Sprintf("cold-%03d", i)), []byte("v"), 0) }))
+		hits := p.Stats().CacheHits
+		if v, err := p.Get(bg, k); err != nil || string(v) != "v2" || p.Stats().CacheHits != hits+1 {
+			t.Fatalf("GET %s after the write-through = %q, %v, hit %v; want v2 from the AU-LRU", k, v, err, p.Stats().CacheHits == hits+1)
+		}
+	}
+	t.Logf("clock reads at fewest: SET writing through the AU-LRU %d, SET to an uncached key %d", cachedSet, coldSet)
+	if cachedSet > coldSet {
+		t.Errorf("a SET writing through the AU-LRU read the clock %d times, a SET to an uncached key %d", cachedSet, coldSet)
 	}
 	// Followers apply on the fabric's goroutines; FlushReplication waits
 	// for them, so their reads land in the count too. The fewest reads of

@@ -212,9 +212,9 @@ func (p *Proxy) hotAdmit(est float64) bool {
 }
 
 // cacheFill inserts a fetched TTL-free value under the hotness gate.
-func (p *Proxy) cacheFill(key, value []byte, est float64) {
-	if p.cache != nil && p.hotAdmit(est) {
-		p.cache.Put(string(key), value)
+func (p *Proxy) cacheFill(key, value []byte, acc access) {
+	if p.cache != nil && p.hotAdmit(acc.heat) {
+		p.cache.PutAt(key, value, acc.at)
 	}
 }
 
@@ -224,14 +224,14 @@ func (p *Proxy) cacheFill(key, value []byte, est float64) {
 // slot only when the sketch flags it hot. An expiring value invalidates
 // instead, so the AU-LRU never holds a copy that could outlive the
 // record (see GetPref).
-func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, heat float64) {
+func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, acc access) {
 	switch {
 	case p.cache == nil:
 	case expiring:
-		p.cache.Delete(string(key))
-	case p.cache.Update(string(key), value):
-	case p.hotAdmit(heat):
-		p.cache.Put(string(key), value)
+		p.cache.Delete(key)
+	case p.cache.UpdateAt(key, value, acc.at):
+	case p.hotAdmit(acc.heat):
+		p.cache.PutAt(key, value, acc.at)
 	}
 }
 
@@ -310,7 +310,7 @@ func (p *Proxy) Get(ctx context.Context, key []byte) ([]byte, error) {
 func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([]byte, error) {
 	var value []byte
 	op := keyed{key: key, cost: p.est.EstimateReadRU(), use: cacheRead, hit: &value}
-	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, heat float64) (float64, error) {
+	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, acc access) (float64, error) {
 		fromFollower := false
 		var res datanode.OpResult
 		var err error
@@ -335,7 +335,7 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 		// except follower-read values, whose bounded staleness must
 		// not leak into the cache other clients share.
 		if res.ExpireAt == 0 && !fromFollower {
-			p.cacheFill(key, res.Value, heat)
+			p.cacheFill(key, res.Value, acc)
 		}
 		value = res.Value
 		return res.RU, nil
@@ -564,7 +564,7 @@ func (f *Fleet) ResetStats() {
 func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL bool, err error) {
 	// A value-free metadata read: charged what the node admits it at.
 	op := keyed{key: key, cost: p.est.EstimateHLenRU()}
-	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ float64) (float64, error) {
+	err = p.point(ctx, op, func(node *datanode.Node, route partition.Route, _ access) (float64, error) {
 		var err error
 		ttl, hasTTL, err = node.TTL(ctx, route.Partition, key)
 		return op.cost, err

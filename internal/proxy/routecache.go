@@ -116,11 +116,11 @@ func (p *Proxy) routeForIndex(part int) (partition.Route, *datanode.Node, error)
 // knowledge (not the request itself) is bad: the shared signal for
 // "refresh the route cache and retry once".
 func retryableRouteErr(err error) bool {
-	return errors.Is(err, datanode.ErrNodeDown) ||
+	return err != nil && (errors.Is(err, datanode.ErrNodeDown) ||
 		errors.Is(err, datanode.ErrNotPrimary) ||
 		errors.Is(err, datanode.ErrStaleEpoch) ||
 		errors.Is(err, datanode.ErrNoPartition) ||
-		errors.Is(err, metaserver.ErrUnknownNode)
+		errors.Is(err, metaserver.ErrUnknownNode))
 }
 
 // noteRouteFailure reacts to a routing-shaped failure: the cache is

@@ -99,6 +99,38 @@ func (e *Estimator) ObserveRead(size int, hit bool) {
 	}
 }
 
+// ReadBatch gathers a batch's reads for an estimator, which learns them
+// as from ObserveRead one by one, in order, but takes each average's
+// lock once per readBatchLen reads: the concurrent sub-batches of one
+// batch then do not contend on it key by key. The zero value is empty;
+// Flush when done. It lives on its user's stack and allocates nothing.
+type ReadBatch struct {
+	n           int
+	sizes, hits [readBatchLen]float64
+}
+
+const readBatchLen = 16
+
+// Add records one read (see ObserveRead), first handing e the reads
+// gathered so far when the batch is full.
+func (b *ReadBatch) Add(e *Estimator, size int, hit bool) {
+	if b.n == readBatchLen {
+		b.Flush(e)
+	}
+	b.sizes[b.n], b.hits[b.n] = float64(size), 0
+	if hit {
+		b.hits[b.n] = 1
+	}
+	b.n++
+}
+
+// Flush hands e the reads gathered since the last Flush.
+func (b *ReadBatch) Flush(e *Estimator) {
+	e.readSize.Observe(b.sizes[:b.n]...)
+	e.hitRatio.Observe(b.hits[:b.n]...)
+	b.n = 0
+}
+
 // ObserveCollectionLen records an observed collection length (e.g. the
 // number of fields in a hash) for complex-operation estimation.
 func (e *Estimator) ObserveCollectionLen(n int) {

@@ -93,6 +93,25 @@ func TestEstimatorWindowSlides(t *testing.T) {
 	}
 }
 
+// TestReadBatchMatchesObserveRead: a ReadBatch teaches the estimator
+// exactly what the same reads through ObserveRead would, in order — here
+// across several flushes and a window that slides mid-batch.
+func TestReadBatchMatchesObserveRead(t *testing.T) {
+	one, batched := NewEstimator(24), NewEstimator(24)
+	var b ReadBatch
+	for i := 0; i < 3*readBatchLen+5; i++ {
+		size, hit := 64+i*37%1000, i%3 == 0
+		one.ObserveRead(size, hit)
+		b.Add(batched, size, hit)
+	}
+	b.Flush(batched)
+	b.Flush(batched) // an empty flush changes nothing
+	if one.ExpectedReadSize() != batched.ExpectedReadSize() || one.ExpectedHitRatio() != batched.ExpectedHitRatio() {
+		t.Fatalf("batched E[S] %v, E[hit] %v; one by one %v, %v",
+			batched.ExpectedReadSize(), batched.ExpectedHitRatio(), one.ExpectedReadSize(), one.ExpectedHitRatio())
+	}
+}
+
 func TestComplexOpEstimates(t *testing.T) {
 	e := NewEstimator(8)
 	// Hashes of 100 fields × 1KB values, always missing cache.

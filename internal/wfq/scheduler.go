@@ -229,9 +229,9 @@ func (d *DualLayer) nextCPU() *Task {
 func (d *DualLayer) runCPU(t *Task, inline bool) {
 	// A task whose context expired while it waited sheds here,
 	// before its CPU stage burns any service time.
-	if t.aborted() {
+	if err := t.shed(); err != nil {
 		d.handOff(t, false, false)
-		d.completed.Add(1)
+		d.resolve(t, err)
 		return
 	}
 	needIO := t.CPUStage != nil && t.CPUStage() && t.IOStage != nil
@@ -239,7 +239,7 @@ func (d *DualLayer) runCPU(t *Task, inline bool) {
 	case d.handOff(t, needIO, inline):
 		d.runIO(t, true)
 	case !needIO:
-		d.done(t)
+		d.resolve(t, nil)
 	}
 }
 
@@ -348,30 +348,31 @@ func (d *DualLayer) extraIOWorker(avoid string) {
 }
 
 // runIO runs t's I/O stage; basic means t holds a basic I/O slot, which
-// is released before Done.
+// is released before t is resolved.
 func (d *DualLayer) runIO(t *Task, basic bool) {
 	// Same shed point for the I/O layer: a cache-missing request
 	// canceled between the CPU and I/O stages skips the disk work.
-	aborted := t.aborted()
-	if !aborted {
+	err := t.shed()
+	if err == nil {
 		t.IOStage()
 		d.ioServed.Add(1)
 	}
 	if basic {
 		d.releaseIO(t)
 	}
-	if aborted {
-		d.completed.Add(1)
-	} else {
-		d.done(t)
-	}
+	d.resolve(t, err)
 }
 
-// done completes t: it is counted before Done runs, so a caller that
-// Done wakes reads it in Stats.
-func (d *DualLayer) done(t *Task) {
+// resolve completes t — through Done, or through Abort (falling back to
+// Done) when it was shed with err — counting it first, so a caller the
+// resolution wakes reads it in Stats. Resolving is the scheduler's last
+// access to t: whoever it wakes may reuse the task at once.
+func (d *DualLayer) resolve(t *Task, err error) {
 	d.completed.Add(1)
-	if t.Done != nil {
+	switch {
+	case err != nil && t.Abort != nil:
+		t.Abort(err)
+	case t.Done != nil:
 		t.Done()
 	}
 }

@@ -86,20 +86,14 @@ type Task struct {
 	idx int
 }
 
-// aborted checks Ctx at a dequeue point. When the context is done it
-// resolves the task through Abort (falling back to Done) and reports
-// true; the worker must then skip the task's stages.
-func (t *Task) aborted() bool {
-	if t.Ctx == nil || t.Ctx.Err() == nil {
-		return false
+// shed checks Ctx at a dequeue point: a non-nil error means the
+// context is done and the worker must skip the task's stages, release
+// what the task holds, and then resolve it with the error.
+func (t *Task) shed() error {
+	if t.Ctx == nil {
+		return nil
 	}
-	switch {
-	case t.Abort != nil:
-		t.Abort(t.Ctx.Err())
-	case t.Done != nil:
-		t.Done()
-	}
-	return true
+	return t.Ctx.Err()
 }
 
 // queue is a min-heap of tasks ordered by VFT with per-tenant

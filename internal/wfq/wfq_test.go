@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -842,5 +843,142 @@ func TestCloseWakesWorkersWaitingForASlot(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("io=%v: Close never returned: a waiting worker missed the wake-up to exit", io)
 		}
+	}
+}
+
+// TestTaskUntouchedAfterResolve: resolving a task — Done, or Abort for
+// a shed one — is the scheduler's last access to it, because whoever
+// the resolution wakes may reuse the Task at once (the DataNode pools
+// its point ops). Here Done and Abort zero the Task they resolve, which
+// stands in for that reuse. On every path the slot counts must then be
+// exactly where the tasks left them — nothing held, nothing queued —
+// when the last resolution arrives.
+//
+//	go test -race -count=20 -run TestTaskUntouchedAfterResolve ./internal/wfq
+func TestTaskUntouchedAfterResolve(t *testing.T) {
+	type env struct {
+		d        *DualLayer
+		resolved chan string
+	}
+	// task is a task of tenant whose CPU stage reports miss and then, on
+	// a miss, whose I/O stage runs io; ctx may be nil.
+	task := func(e env, tenant string, miss bool, ctx context.Context, io func()) *Task {
+		tk := &Task{Tenant: tenant, QuotaShare: 1, RUCost: 1, IOPSCost: 1, Ctx: ctx,
+			CPUStage: func() bool { return miss }, IOStage: io}
+		tk.Done = func() { *tk = Task{}; e.resolved <- tenant + " done" }
+		tk.Abort = func(error) { *tk = Task{}; e.resolved <- tenant + " aborted" }
+		return tk
+	}
+	noop := func() {}
+	// blocked returns an I/O stage that holds its slot until release is
+	// closed, and a channel closed once it holds it.
+	blocked := func() (io func(), holding, release chan struct{}) {
+		holding, release = make(chan struct{}), make(chan struct{})
+		return func() { close(holding); <-release }, holding, release
+	}
+	// waitIOQueued waits until n tasks are queued in the I/O-WFQ.
+	waitIOQueued := func(t *testing.T, d *DualLayer, n int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); d.Stats().IOQueued != n; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d tasks queued for I/O, want %d", d.Stats().IOQueued, n)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// run starts the path's tasks and returns how they must resolve.
+		run func(t *testing.T, e env) []string
+	}{
+		{"inline TryRun, hit", Config{}, func(t *testing.T, e env) []string {
+			if taken, ok := e.d.TryRun(task(e, "a", false, nil, noop)); !taken || !ok {
+				t.Fatal("an idle layer did not take the task inline")
+			}
+			return []string{"a done"}
+		}},
+		{"inline TryRun, miss", Config{}, func(t *testing.T, e env) []string {
+			if taken, ok := e.d.TryRun(task(e, "a", true, nil, noop)); !taken || !ok {
+				t.Fatal("an idle layer did not take the task inline")
+			}
+			return []string{"a done"}
+		}},
+		{"Submit through both layers", Config{}, func(t *testing.T, e env) []string {
+			e.d.Submit(task(e, "a", true, nil, noop))
+			return []string{"a done"}
+		}},
+		{"canceled while queued in the CPU-WFQ", Config{CPUWorkers: 1}, func(t *testing.T, e env) []string {
+			holding, release := make(chan struct{}), make(chan struct{})
+			blocker := task(e, "a", false, nil, nil)
+			blocker.CPUStage = func() bool { close(holding); <-release; return false }
+			e.d.Submit(blocker)
+			<-holding
+			ctx, cancel := context.WithCancel(context.Background())
+			e.d.Submit(task(e, "a", false, ctx, noop))
+			cancel()
+			close(release)
+			return []string{"a done", "a aborted"}
+		}},
+		{"canceled while queued in the I/O-WFQ", Config{BasicIOThreads: 1, ExtraIOThreads: -1}, func(t *testing.T, e env) []string {
+			io, holding, release := blocked()
+			e.d.Submit(task(e, "a", true, nil, io))
+			<-holding
+			ctx, cancel := context.WithCancel(context.Background())
+			e.d.Submit(task(e, "a", true, ctx, noop))
+			waitIOQueued(t, e.d, 1)
+			cancel()
+			close(release)
+			return []string{"a done", "a aborted"}
+		}},
+		{"Rule 4 extra worker", Config{BasicIOThreads: 1, ExtraIOThreads: 1}, func(t *testing.T, e env) []string {
+			io, holding, release := blocked()
+			e.d.Submit(task(e, "hog", true, nil, io))
+			<-holding
+			e.d.Submit(task(e, "b", true, nil, noop))
+			// Completed counts b before its Done runs.
+			for deadline := time.Now().Add(5 * time.Second); e.d.Stats().Completed == 0; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the second tenant's task did not complete while the hog held the basic slot")
+				}
+			}
+			if e.d.Stats().ExtraSpawns != 1 {
+				t.Fatal("no extra worker served the second tenant")
+			}
+			close(release)
+			return []string{"b done", "hog done"}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := env{d: NewDualLayer(tc.cfg), resolved: make(chan string, 4)}
+			defer e.d.Close()
+			want := tc.run(t, e)
+			var got []string
+			for range want {
+				select {
+				case r := <-e.resolved:
+					got = append(got, r)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("resolved %q, want %q", got, want)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("resolved %q, want %q", got, want)
+			}
+			e.d.mu.Lock()
+			cpu, io := maps.Clone(e.d.cpuInflight), maps.Clone(e.d.ioBusy)
+			cpuTotal, ioTotal := e.d.cpuTotal, e.d.ioBusyTotal
+			e.d.mu.Unlock()
+			if len(cpu) != 0 || len(io) != 0 || cpuTotal != 0 || ioTotal != 0 {
+				t.Errorf("after the last resolution: CPU slots %v (total %d), basic I/O slots %v (total %d), want none held",
+					cpu, cpuTotal, io, ioTotal)
+			}
+			st := e.d.Stats()
+			if st.CPUQueued != 0 || st.IOQueued != 0 {
+				t.Errorf("stats %+v: tasks still queued", st)
+			}
+			if st.Completed != int64(len(want)) {
+				t.Errorf("%d tasks counted completed, want %d", st.Completed, len(want))
+			}
+		})
 	}
 }
