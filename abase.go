@@ -265,16 +265,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func (c *Cluster) addNodeLocked() *datanode.Node {
 	cfg := c.cfg
 	n := datanode.New(datanode.Config{
-		ID:                   fmt.Sprintf("dn-%03d", c.nextNode),
-		Clock:                cfg.Clock,
-		FS:                   cfg.FS,
-		CacheBytes:           cfg.NodeCacheBytes,
-		WFQ:                  cfg.WFQ,
-		Cost:                 cfg.Cost,
-		Replicas:             cfg.Replicas,
-		EnablePartitionQuota: true,
-		AdmitCost:            cfg.AdmitCost,
-		HotSampleRate:        cfg.HotSampleRate,
+		ID:            fmt.Sprintf("dn-%03d", c.nextNode),
+		Clock:         cfg.Clock,
+		FS:            cfg.FS,
+		CacheBytes:    cfg.NodeCacheBytes,
+		WFQ:           cfg.WFQ,
+		Cost:          cfg.Cost,
+		Replicas:      cfg.Replicas,
+		AdmitCost:     cfg.AdmitCost,
+		HotSampleRate: cfg.HotSampleRate,
 	})
 	c.nextNode++
 	c.Meta.RegisterNode(n)
@@ -411,7 +410,6 @@ func (c *Cluster) CreateTenant(spec TenantSpec) (*Tenant, error) {
 		Clock:       c.cfg.Clock,
 		CacheBytes:  spec.ProxyCacheBytes,
 		EnableCache: !spec.DisableProxyCache,
-		EnableQuota: true,
 		ProxyQuota:  mt.Quota.ProxyQuota(),
 	}, mt.Proxies, mt.Groups, 1)
 	if err != nil {

@@ -216,7 +216,7 @@ func budgetProxy(t *testing.T, hotAdmit int) (p *proxy.Proxy, settle func()) {
 	p, err := proxy.New(proxy.Config{
 		Tenant: "t1", ID: "p0", Meta: m,
 		EnableCache: true, CacheTTL: time.Hour, HotAdmitThreshold: hotAdmit,
-		EnableQuota: true, ProxyQuota: 1e9,
+		ProxyQuota: 1e9,
 	})
 	if err != nil {
 		t.Fatal(err)

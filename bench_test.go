@@ -1,10 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6), plus design-choice ablations. Each benchmark wraps
-// the corresponding runner in internal/experiments; run with
+// Benchmarks of the public Client's multi-key paths, and the hotspot
+// mitigation experiment CI's bench smoke runs once. Run with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// and see cmd/abase-bench for tabular output of the same experiments.
+// cmd/abase-bench prints every table and figure of the paper's
+// evaluation, which internal/experiments' shape tests check.
 package abase_test
 
 import (
@@ -12,18 +12,16 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"abase"
 	"abase/internal/experiments"
-	"abase/internal/sim"
 )
 
 // bg is the background context for benchmark workloads.
 var bg = context.Background()
 
-// benchTable runs an experiment once per benchmark iteration and
-// prints its table on the first iteration when -v is set.
+// printOnce prints an experiment's table on the first benchmark
+// iteration when -v is set.
 func printOnce(b *testing.B, i int, t experiments.Table) {
 	if i == 0 && testing.Verbose() {
 		t.Fprint(testWriter{b})
@@ -38,92 +36,6 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 var _ io.Writer = testWriter{}
-
-func BenchmarkTable1BusinessProfiles(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Table1(experiments.Table1Opts{Ops: 3000})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure3TenantDiversity(b *testing.B) {
-	// Figure 3 is the population scatter; the statistics come from the
-	// same population generator as Figure 4.
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure34(experiments.Figure34Opts{ServedTenants: 8, OpsPerTenant: 300})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure4TenantMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure34(experiments.Figure34Opts{ServedTenants: 12, OpsPerTenant: 400})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure5Dynamism(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure5(experiments.Figure5Opts{OpsPerWindow: 1000})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure6ProxyQuota(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure6(experiments.Figure6Opts{PhaseDur: 800 * time.Millisecond})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure7PartitionQuotaWFQ(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure7(experiments.Figure7Opts{PhaseDur: 800 * time.Millisecond})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure8aScalingCase(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure8a()
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure8bOncallReduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure8b(sim.OncallConfig{Tenants: 40, Weeks: 16, DeployWeek: 8, Seed: 4})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure9Rescheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Figure9(experiments.Figure9Opts{Nodes: 300, Tenants: 120})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkFigure10OnlineRescheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, t := experiments.Figure10(experiments.Figure10Opts{Nodes: 60, Tenants: 30, Hours: 72})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkTable2ProxyCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.Table2(experiments.Table2Opts{Ops: 10000, ProxyScale: 50})
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkUtilizationPreVsMulti(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, t := experiments.UtilizationComparison(120, 7)
-		printOnce(b, i, t)
-	}
-}
 
 // --- Batched vs looped multi-key path ---
 //
@@ -231,13 +143,6 @@ func BenchmarkLoopedPut(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchComparisonTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.BatchComparison(experiments.BatchOpts{Keys: 256})
-		printOnce(b, i, t)
-	}
-}
-
 // BenchmarkScan measures one full distributed cursor traversal per
 // iteration; ns/op divided by the key count is the per-key scan cost
 // through admission, partition quota, and the large-read WFQ.
@@ -268,13 +173,6 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
-func BenchmarkScanThroughputTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, t := experiments.ScanThroughput(experiments.ScanOpts{Keys: 1024})
-		printOnce(b, i, t)
-	}
-}
-
 // BenchmarkHotspot runs the hotspot mitigation experiment once per
 // iteration: skewed reads against a scarce proxy cache, hotness-gated
 // admission vs cache-everything. The reported metrics quantify the win
@@ -302,42 +200,5 @@ func BenchmarkHotspot(b *testing.B) {
 				b.Fatal("sustained heat never fired the automatic split")
 			}
 		}
-	}
-}
-
-// --- Design-choice ablations ---
-
-func BenchmarkAblationSALRUvsLRU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationSALRU(20000)
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkAblationEnsembleForecast(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationForecast()
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkAblationActiveUpdate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationActiveUpdate()
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkAblationFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationFanout(8000)
-		printOnce(b, i, t)
-	}
-}
-
-func BenchmarkAblationVFT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.AblationVFT()
-		printOnce(b, i, t)
 	}
 }

@@ -3,7 +3,10 @@
 // deliberately annotated as keeping the charge.
 package rutest
 
-import "errors"
+import (
+	"errors"
+	"time"
+)
 
 var errThrottled = errors.New("rutest: throttled")
 
@@ -67,4 +70,36 @@ func deferred(b *Bucket, cost float64) (err error) {
 		}
 	}()
 	return work()
+}
+
+// PartitionLimiter is a limiter whose Allow takes the request's arrival
+// time, read once by its plane.
+type PartitionLimiter struct{ b Bucket }
+
+func (p *PartitionLimiter) Allow(cost float64, now time.Time) bool { return p.b.Allow(cost) }
+
+func (p *PartitionLimiter) Refund(cost float64) { p.b.Refund(cost) }
+
+// loseAt charges at the arrival time, then loses the charge on the error
+// path: the second argument does not hide the charge.
+func loseAt(p *PartitionLimiter, cost float64, now time.Time) error {
+	if !p.Allow(cost, now) {
+		return errThrottled
+	}
+	if err := work(); err != nil {
+		return err // want "loses the RU charged by Allow"
+	}
+	return nil
+}
+
+// refundsAt returns the tokens before surfacing the failure.
+func refundsAt(p *PartitionLimiter, cost float64, now time.Time) error {
+	if !p.Allow(cost, now) {
+		return errThrottled
+	}
+	if err := work(); err != nil {
+		p.Refund(cost)
+		return err
+	}
+	return nil
 }

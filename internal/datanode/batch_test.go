@@ -63,7 +63,7 @@ func TestBatchGetOrderAndPartialMisses(t *testing.T) {
 }
 
 func TestBatchGetSingleQuotaAdmission(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 100000, true)
 	p := pid("t1", 0)
 	keys := make([][]byte, 16)
@@ -86,7 +86,7 @@ func TestBatchGetSingleQuotaAdmission(t *testing.T) {
 }
 
 func TestBatchGetThrottledAsBatch(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 0.000001, true)
 	p := pid("t1", 0)
 	keys := [][]byte{[]byte("a"), []byte("b")}
@@ -186,7 +186,7 @@ func TestDeleteAbsentSingleOp(t *testing.T) {
 }
 
 func TestBatchWriteSingleQuotaAdmission(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 100000, true)
 	p := pid("t1", 0)
 	ops := make([]Mutation, 16)

@@ -31,7 +31,6 @@ func slowNode(t *testing.T, cost CostModel) (*Node, partition.ID) {
 func quotaNode(t *testing.T, cfg Config, quotaRU float64) (*Node, partition.ID) {
 	t.Helper()
 	cfg.ID, cfg.AdmitWorkers, cfg.WFQ, cfg.Replicas = "ctx-node", 1, wfqOneWorker(), 1
-	cfg.EnablePartitionQuota = true
 	n := New(cfg)
 	t.Cleanup(func() { n.Close() })
 	pid := partition.ID{Tenant: "t", Index: 0}

@@ -98,9 +98,6 @@ type Config struct {
 	Cost CostModel
 	// Replicas is the replication factor used for write RU (r·RU).
 	Replicas int
-	// EnablePartitionQuota turns partition-level admission on/off
-	// (Figure 7 ablates this).
-	EnablePartitionQuota bool
 	// RejectCost is the CPU time the node burns rejecting a throttled
 	// request (parsing, queueing, and error response). The Figure 6
 	// experiment shows this overhead starving co-tenants when a burst
@@ -290,9 +287,8 @@ type Node struct {
 	quotaSum   metrics.Gauge
 	replicator atomic.Pointer[Replicator]
 
-	quotaOn atomic.Bool // runtime partition-quota toggle (experiments)
-	down    atomic.Bool // fault-injected or control-plane-declared outage
-	shedOn  atomic.Bool // runtime deadline-shedding toggle (experiments)
+	down   atomic.Bool // fault-injected or control-plane-declared outage
+	shedOn atomic.Bool // runtime deadline-shedding toggle (experiments)
 	// svcEWMA is the decayed mean of recent request latencies in
 	// nanoseconds (float64 bits): the wait a newly arriving request
 	// should expect, which deadline-aware admission compares against
@@ -315,7 +311,6 @@ func New(cfg Config) *Node {
 		retired:  make(map[string]ruLedger),
 	}
 	n.SetReplicator(nil)
-	n.quotaOn.Store(c.EnablePartitionQuota)
 	n.shedOn.Store(true)
 	return n
 }
@@ -389,10 +384,6 @@ func (n *Node) admitCtx(ctx context.Context, ts *tenantStats) error {
 	return nil
 }
 
-// SetPartitionQuotaEnabled toggles partition-level admission at
-// runtime (the Figure 7 experiment flips it mid-run).
-func (n *Node) SetPartitionQuotaEnabled(on bool) { n.quotaOn.Store(on) }
-
 // ID returns the node's identifier.
 func (n *Node) ID() string { return n.cfg.ID }
 
@@ -412,8 +403,8 @@ func (n *Node) forward(rep *replica, ops []WriteOp, pos uint64) {
 }
 
 // AddReplica hosts a partition replica with the given partition quota
-// in RU/s. primary selects whether this node serves client writes for
-// the partition.
+// in RU/s, always enforced at 3× (§4.2). primary selects whether this
+// node serves client writes for the partition.
 func (n *Node) AddReplica(rid partition.ReplicaID, quotaRU float64, primary bool) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -111,7 +111,7 @@ func TestCacheMissChargesRU(t *testing.T) {
 }
 
 func TestPartitionQuotaThrottles(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 10, true) // 10 RU/s → 30 burst
 	p := pid("t1", 0)
 	throttled := 0
@@ -126,17 +126,6 @@ func TestPartitionQuotaThrottles(t *testing.T) {
 	}
 	if n.TenantStats("t1").Throttled == 0 {
 		t.Fatal("throttle not counted")
-	}
-}
-
-func TestQuotaDisabledNeverThrottles(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: false})
-	n.AddReplica(rid("t1", 0, 0), 1, true)
-	p := pid("t1", 0)
-	for i := 0; i < 100; i++ {
-		if _, err := n.Put(bg, p, []byte("k"), []byte("v"), 0); err != nil {
-			t.Fatalf("unexpected error: %v", err)
-		}
 	}
 }
 
@@ -354,7 +343,7 @@ func TestMigrateTo(t *testing.T) {
 }
 
 func TestSetPartitionQuota(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	n.AddReplica(rid("t1", 0, 0), 1, true)
 	if err := n.SetPartitionQuota(pid("t1", 0), 1_000_000); err != nil {
 		t.Fatal(err)

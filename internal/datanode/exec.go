@@ -184,7 +184,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 	entered := admitted && qerr == nil
 	var lat time.Duration
 	if entered {
-		n.admitStep(ctx, units)
+		n.admitStep(ctx, units, start)
 		n.admit.leave()
 		n.dispatch(units)
 		for _, u := range units {
@@ -216,8 +216,9 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 // admission slot. A request canceled while it queued drops every unit
 // before spending admit cost or quota; otherwise the admit cost is
 // burned once for the request and each unit is charged against its own
-// partition quota, a refusal burning RejectCost.
-func (n *Node) admitStep(ctx context.Context, units []*unit) {
+// partition quota at the request's arrival time now, a refusal burning
+// RejectCost.
+func (n *Node) admitStep(ctx context.Context, units []*unit, now time.Time) {
 	cerr := ctx.Err()
 	if cerr == nil {
 		burn(n.cfg.Clock, n.cfg.AdmitCost)
@@ -230,14 +231,12 @@ func (n *Node) admitStep(ctx context.Context, units []*unit) {
 			u.drop(cerr)
 			continue
 		}
-		if n.quotaOn.Load() {
-			if !u.rep.limiter.Allow(u.cost) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				u.drop(ErrThrottled)
-				continue
-			}
-			u.charged = true
+		if !u.rep.limiter.Allow(u.cost, now) {
+			burn(n.cfg.Clock, n.cfg.RejectCost)
+			u.drop(ErrThrottled)
+			continue
 		}
+		u.charged = true
 	}
 }
 

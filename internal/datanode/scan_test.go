@@ -78,7 +78,7 @@ func TestRangeScanKeysOnly(t *testing.T) {
 }
 
 func TestRangeScanThrottledByPartitionQuota(t *testing.T) {
-	n := newTestNode(t, Config{EnablePartitionQuota: true})
+	n := newTestNode(t, Config{})
 	p := pid("t1", 0)
 	// Quota 1 RU/s → burst 3 RU; the default scan estimate for a
 	// 256-entry page is ~256 RU, so admission rejects it outright.

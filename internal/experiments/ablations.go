@@ -7,7 +7,7 @@ import (
 
 	"abase/internal/cache"
 	"abase/internal/clock"
-	"abase/internal/datanode"
+	"abase/internal/metaserver"
 	"abase/internal/proxy"
 	"abase/internal/wfq"
 	"abase/internal/workload"
@@ -83,13 +83,9 @@ func AblationFanout(ops int) Table {
 		Header: []string{"groups n", "proxies per key (N/n)", "hit ratio", "hot-key max share"},
 	}
 	for _, groups := range []int{1, 2, 4, 8, 16} {
-		tenant := fmt.Sprintf("fanout-%d", groups)
-		m, closeAll := proxyStack(tenant, 4)
-		fleet, err := proxy.NewFleet(proxy.Config{
-			Tenant:      tenant,
-			Meta:        m,
+		s := newStack(metaserver.Config{}, 3, smallCacheNode, fmt.Sprintf("fanout-%d", groups), 4)
+		fleet := s.fleet(proxy.Config{
 			EnableCache: true,
-			EnableQuota: false,
 			CacheBytes:  32 << 10,
 			CacheTTL:    time.Hour,
 			// Legacy cache-everything policy: this ablation isolates
@@ -97,19 +93,8 @@ func AblationFanout(ops int) Table {
 			// before hotness-gated admission existed.
 			HotAdmitThreshold: -1,
 		}, proxies, groups, int64(groups))
-		if err != nil {
-			closeAll()
-			panic(err)
-		}
-		// Preload.
-		val := make([]byte, 512)
-		keys := 4000
-		for k := 0; k < keys; k++ {
-			key := []byte(fmt.Sprintf("key-%012d", k))
-			route, _ := m.RouteFor(tenant, key)
-			node, _ := m.Node(route.Primary)
-			node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
-		}
+		const keys = 4000
+		s.preload(keys, 512)
 		gen := workload.NewZipfKeys(keys, 1.3, 5)
 		for op := 0; op < ops; op++ {
 			fleet.Get(bg, gen.Next())
@@ -135,7 +120,7 @@ func AblationFanout(ops int) Table {
 			pct(st.HitRatio()),
 			pct(maxShare),
 		})
-		closeAll()
+		s.close()
 	}
 	t.Notes = append(t.Notes,
 		"larger n: higher per-proxy hit ratio; smaller n: a hot key spreads over more proxies")

@@ -34,46 +34,10 @@ type BatchPoint struct {
 	BatchedTasks float64
 }
 
-// batchStack builds a minimal three-plane stack with no simulated cost,
-// so the measurement isolates per-request orchestration overhead
-// (admission, quota, WFQ round trips) — exactly what batching amortizes.
-// It returns the stack's DataNodes too, whose WFQ task counts wfqTasks
-// reads.
-func batchStack() (*proxy.Fleet, []*datanode.Node, func()) {
-	m := metaserver.New(metaserver.Config{Replicas: 3})
-	var nodes []*datanode.Node
-	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{ID: fmt.Sprintf("bn-%d", i)})
-		m.RegisterNode(n)
-		nodes = append(nodes, n)
-	}
-	if _, err := m.CreateTenant(metaserver.TenantSpec{
-		Name: "bench", QuotaRU: 1e9, Partitions: 4, Proxies: 2,
-	}); err != nil {
-		panic(err)
-	}
-	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant:      "bench",
-		Meta:        m,
-		EnableCache: false, // reads must reach the DataNodes both ways
-		EnableQuota: true,
-		ProxyQuota:  1e9,
-	}, 2, 2, 1)
-	if err != nil {
-		panic(err)
-	}
-	cleanup := func() {
-		m.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
-	return fleet, nodes, cleanup
-}
-
-// wfqTasks sums the WFQ tasks nodes have completed, over all classes.
-func wfqTasks(nodes []*datanode.Node) (total int64) {
-	for _, n := range nodes {
+// wfqTasks sums the WFQ tasks the stack's nodes have completed, over
+// all classes.
+func (s *stack) wfqTasks() (total int64) {
+	for _, n := range s.nodes {
 		for c := wfq.SmallRead; c <= wfq.LargeWrite; c++ {
 			total += n.Scheduler().Queue(c).Stats().Completed
 		}
@@ -94,8 +58,12 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	if opts.ValueBytes <= 0 {
 		opts.ValueBytes = 128
 	}
-	fleet, nodes, cleanup := batchStack()
-	defer cleanup()
+	// No simulated cost and no proxy cache: reads reach the DataNodes
+	// both ways, and the measurement isolates per-request orchestration
+	// (admission, quota, WFQ round trips) — what batching amortizes.
+	s := newStack(metaserver.Config{}, 3, datanode.Config{}, "bench", 4)
+	defer s.close()
+	fleet := s.fleet(proxy.Config{}, 2, 2, 1)
 
 	keys := make([][]byte, opts.Keys)
 	kvs := make([]proxy.KV, opts.Keys)
@@ -126,7 +94,7 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	for _, size := range opts.Sizes {
 		rounds := opts.Keys / size
 		moved := float64(passes * rounds * size)
-		tasks, start := wfqTasks(nodes), clk.Now()
+		tasks, start := s.wfqTasks(), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				for _, k := range keys[r*size : (r+1)*size] {
@@ -135,16 +103,16 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 			}
 		}
 		looped := moved / clk.Since(start).Seconds()
-		loopedTasks := float64(wfqTasks(nodes)-tasks) / moved
+		loopedTasks := float64(s.wfqTasks()-tasks) / moved
 
-		tasks, start = wfqTasks(nodes), clk.Now()
+		tasks, start = s.wfqTasks(), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				fleet.BatchGet(bg, keys[r*size:(r+1)*size])
 			}
 		}
 		batched := moved / clk.Since(start).Seconds()
-		batchedTasks := float64(wfqTasks(nodes)-tasks) / moved
+		batchedTasks := float64(s.wfqTasks()-tasks) / moved
 
 		pt := BatchPoint{
 			BatchSize: size, LoopedOps: looped, BatchedOps: batched, Speedup: batched / looped,

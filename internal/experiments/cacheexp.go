@@ -14,33 +14,6 @@ import (
 	"abase/internal/workload"
 )
 
-// proxyStack builds a meta + 3 cost-free nodes + a tenant, for cache
-// experiments where latency modeling is irrelevant.
-func proxyStack(tenant string, partitions int) (*metaserver.Meta, func()) {
-	m := metaserver.New(metaserver.Config{Replicas: 3})
-	var nodes []*datanode.Node
-	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID:  fmt.Sprintf("%s-node-%d", tenant, i),
-			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
-			// Node cache intentionally small: Table 2 isolates the
-			// PROXY cache's benefit.
-			CacheBytes: 16 << 10,
-		})
-		m.RegisterNode(n)
-		nodes = append(nodes, n)
-	}
-	m.CreateTenant(metaserver.TenantSpec{
-		Name: tenant, QuotaRU: 1e12, Partitions: partitions, Proxies: 1,
-	})
-	return m, func() {
-		m.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
-}
-
 // Table2Row is one tenant's proxy-cache outcome.
 type Table2Row struct {
 	Tenant      string
@@ -109,14 +82,10 @@ func Table2(opts Table2Opts) ([]Table2Row, Table) {
 		keys := sp.keys / opts.ProxyScale
 
 		run := func(groups int) (hit float64, nodeRU float64) {
-			tenant := fmt.Sprintf("t2-%d-%d", i, groups)
-			m, closeAll := proxyStack(tenant, 4)
-			defer closeAll()
-			fleet, err := proxy.NewFleet(proxy.Config{
-				Tenant:      tenant,
-				Meta:        m,
+			s := newStack(metaserver.Config{}, 3, smallCacheNode, fmt.Sprintf("t2-%d-%d", i, groups), 4)
+			defer s.close()
+			fleet := s.fleet(proxy.Config{
 				EnableCache: true,
-				EnableQuota: false,
 				CacheBytes:  64 << 10, // per-proxy memory is scarce (paper: <10GB)
 				CacheTTL:    time.Hour,
 				// Legacy cache-everything policy: Table 2 reproduces the
@@ -124,17 +93,7 @@ func Table2(opts Table2Opts) ([]Table2Row, Table) {
 				// HotspotMitigation measures the gated policy.
 				HotAdmitThreshold: -1,
 			}, proxies, groups, int64(i))
-			if err != nil {
-				panic(err)
-			}
-			// Preload values (key format must match the generator's).
-			val := make([]byte, 1024)
-			for k := 0; k < keys; k++ {
-				key := []byte(fmt.Sprintf("key-%012d", k))
-				route, _ := m.RouteFor(tenant, key)
-				node, _ := m.Node(route.Primary)
-				node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
-			}
+			s.preload(keys, 1024)
 			gen := workload.NewZipfKeys(keys, sp.skew, int64(i)+7)
 			for op := 0; op < opts.Ops; op++ {
 				k := gen.Next()
@@ -142,13 +101,7 @@ func Table2(opts Table2Opts) ([]Table2Row, Table) {
 					panic(err)
 				}
 			}
-			st := fleet.AggregateStats()
-			var ru float64
-			for _, nid := range m.Nodes() {
-				n, _ := m.Node(nid)
-				ru += n.TenantStats(tenant).RUUsed
-			}
-			return st.HitRatio(), ru
+			return fleet.AggregateStats().HitRatio(), s.nodeRU()
 		}
 
 		hitBefore, ruBefore := run(1) // random-routing limit

@@ -403,7 +403,7 @@ func TestExperimentsDeadlineShedding(t *testing.T) {
 // largest batch size — is a median of five samples, since one sample on
 // a loaded host is noise.
 func TestExperimentsBatch(t *testing.T) {
-	const samples, partitions = 5, 4 // batchStack's tenant has 4 partitions
+	const samples, partitions = 5, 4 // BatchComparison's tenant has 4 partitions
 	sizes := []int{16, 64, 128}
 	var points []BatchPoint
 	var tbl Table
@@ -476,6 +476,25 @@ func TestExperimentsPoint(t *testing.T) {
 	res.Schema = benchjson.SchemaVersion
 	if err := benchjson.Validate(res); err != nil {
 		t.Fatalf("PointBench result invalid: %v", err)
+	}
+}
+
+// TestExperimentsScan: a full traversal takes at least keys/size cursor
+// pages, and larger pages take fewer.
+func TestExperimentsScan(t *testing.T) {
+	const keys = 1024
+	sizes := []int{16, 128}
+	points, tbl := ScanThroughput(ScanOpts{Keys: keys, PageSizes: sizes})
+	if len(points) != len(sizes) || len(tbl.Rows) != len(sizes) {
+		t.Fatalf("%d points, %d rows, want %d", len(points), len(tbl.Rows), len(sizes))
+	}
+	for i, p := range points {
+		if p.PageSize != sizes[i] || p.Pages < keys/p.PageSize || p.KeysPerSec <= 0 {
+			t.Errorf("point %d = %+v, want page size %d, at least %d pages, keys/s > 0", i, p, sizes[i], keys/sizes[i])
+		}
+	}
+	if points[1].Pages >= points[0].Pages {
+		t.Errorf("%d-key pages took %d pages, %d-key pages %d", sizes[1], points[1].Pages, sizes[0], points[0].Pages)
 	}
 }
 

@@ -94,29 +94,11 @@ func FailoverAvailability(opts FailoverOpts) (FailoverResult, Table) {
 	opts = opts.withDefaults()
 	const tenant = "failover"
 
-	m := metaserver.New(metaserver.Config{Replicas: 3, DownAfterProbes: 2})
-	defer m.Close()
-	var nodes []*datanode.Node
-	for i := 0; i < 4; i++ {
-		n := datanode.New(datanode.Config{
-			ID:  fmt.Sprintf("fo-node-%d", i),
-			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
-		})
-		defer n.Close()
-		m.RegisterNode(n)
-		nodes = append(nodes, n)
-	}
-	if _, err := m.CreateTenant(metaserver.TenantSpec{
-		Name: tenant, QuotaRU: 1e12, Partitions: 4, Proxies: 1,
-	}); err != nil {
-		panic(err)
-	}
-	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant: tenant, Meta: m, EnableCache: false, EnableQuota: false,
-	}, 1, 1, 42)
-	if err != nil {
-		panic(err)
-	}
+	s := newStack(metaserver.Config{DownAfterProbes: 2}, 4,
+		datanode.Config{WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2}}, tenant, 4)
+	defer s.close()
+	m := s.meta
+	fleet := s.fleet(proxy.Config{}, 1, 1, 42)
 
 	// Baseline: write the whole keyspace through the proxy plane, then
 	// drain replication so followers hold everything.
@@ -138,11 +120,9 @@ func FailoverAvailability(opts FailoverOpts) (FailoverResult, Table) {
 	}
 	nparts := len(view.Partitions)
 	victimID := view.Partitions[0].Primary
-	var victim *datanode.Node
-	for _, n := range nodes {
-		if n.ID() == victimID {
-			victim = n
-		}
+	victim, err := m.Node(victimID)
+	if err != nil {
+		panic(err)
 	}
 	affected := map[int]bool{}
 	for _, r := range view.Partitions {

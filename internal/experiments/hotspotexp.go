@@ -100,49 +100,6 @@ type HotspotSplit struct {
 	Cycles int
 }
 
-// hotspotStack builds a meta + 3 nodes + a tenant with no simulated
-// cost, so the proxy-cache benefit shows up as skipped
-// orchestration round trips (admission, WFQ, engine read) — the same
-// isolation the batch and Table 2 experiments use.
-func hotspotStack(tenant string, partitions int) (*metaserver.Meta, func()) {
-	m := metaserver.New(metaserver.Config{Replicas: 3})
-	var nodes []*datanode.Node
-	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID:  fmt.Sprintf("%s-node-%d", tenant, i),
-			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
-			// Node cache intentionally small: the proxy AU-LRU is the
-			// mitigation layer under test.
-			CacheBytes: 16 << 10,
-		})
-		m.RegisterNode(n)
-		nodes = append(nodes, n)
-	}
-	if _, err := m.CreateTenant(metaserver.TenantSpec{
-		Name: tenant, QuotaRU: 1e12, Partitions: partitions, Proxies: 1,
-	}); err != nil {
-		panic(err)
-	}
-	return m, func() {
-		m.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
-}
-
-// preload writes the keyspace directly to the primaries in the
-// generators' key format.
-func preload(m *metaserver.Meta, tenant string, keys, valueBytes int) {
-	val := make([]byte, valueBytes)
-	for k := 0; k < keys; k++ {
-		key := []byte(fmt.Sprintf("key-%012d", k))
-		route, _ := m.RouteFor(tenant, key)
-		node, _ := m.Node(route.Primary)
-		node.ApplyReplicated(route.Partition, 0, datanode.WriteOp{Key: key, Value: val})
-	}
-}
-
 // HotspotMitigation measures what the hotspot subsystem buys under
 // skewed traffic. For each workload (Zipf and a hot-key mix) it runs
 // the same read stream through a proxy whose AU-LRU is deliberately
@@ -174,25 +131,18 @@ func HotspotMitigation(opts HotspotOpts) ([]HotspotRow, HotspotSplit, Table) {
 	for wi, w := range workloads {
 		recall := detectionRecall(w.gen(int64(wi)+11), w.truth, opts)
 		for _, gated := range []bool{false, true} {
-			tenant := fmt.Sprintf("hs-%d-%v", wi, gated)
-			m, closeAll := hotspotStack(tenant, 4)
+			s := newStack(metaserver.Config{}, 3, smallCacheNode, fmt.Sprintf("hs-%d-%v", wi, gated), 4)
 			threshold := 0 // 0 = default gate
 			if !gated {
 				threshold = -1 // negative disables the gate entirely
 			}
-			fleet, err := proxy.NewFleet(proxy.Config{
-				Tenant:            tenant,
-				Meta:              m,
+			fleet := s.fleet(proxy.Config{
 				EnableCache:       true,
-				EnableQuota:       false,
 				CacheBytes:        opts.CacheBytes,
 				CacheTTL:          time.Hour,
 				HotAdmitThreshold: threshold,
 			}, 1, 1, int64(wi))
-			if err != nil {
-				panic(err)
-			}
-			preload(m, tenant, opts.Keys, opts.ValueBytes)
+			s.preload(opts.Keys, opts.ValueBytes)
 			gen := w.gen(int64(wi) + 11)
 			start := clk.Now()
 			for op := 0; op < opts.Ops; op++ {
@@ -201,26 +151,20 @@ func HotspotMitigation(opts HotspotOpts) ([]HotspotRow, HotspotSplit, Table) {
 				}
 			}
 			elapsed := clk.Since(start).Seconds()
-			st := fleet.AggregateStats()
-			var ru float64
-			for _, nid := range m.Nodes() {
-				n, _ := m.Node(nid)
-				ru += n.TenantStats(tenant).RUUsed
-			}
 			row := HotspotRow{
 				Workload:  w.name,
 				Gated:     gated,
 				Policy:    "cache-everything",
-				HitRatio:  st.HitRatio(),
+				HitRatio:  fleet.AggregateStats().HitRatio(),
 				OpsPerSec: float64(opts.Ops) / elapsed,
-				NodeRU:    ru,
+				NodeRU:    s.nodeRU(),
 				Recall10:  recall,
 			}
 			if gated {
 				row.Policy = "hotness-gated"
 			}
 			rows = append(rows, row)
-			closeAll()
+			s.close()
 		}
 	}
 
@@ -262,16 +206,10 @@ func HotspotMitigation(opts HotspotOpts) ([]HotspotRow, HotspotSplit, Table) {
 // 0..truthSize-1 for both generators). Uncached because mitigation, by
 // design, hides hot keys from the data plane.
 func detectionRecall(gen workload.KeyGen, truthSize int, opts HotspotOpts) float64 {
-	const tenant = "hs-recall"
-	m, closeAll := hotspotStack(tenant, 4)
-	defer closeAll()
-	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant: tenant, Meta: m, EnableCache: false, EnableQuota: false,
-	}, 1, 1, 5)
-	if err != nil {
-		panic(err)
-	}
-	preload(m, tenant, opts.Keys, opts.ValueBytes)
+	s := newStack(metaserver.Config{}, 3, smallCacheNode, "hs-recall", 4)
+	defer s.close()
+	fleet := s.fleet(proxy.Config{}, 1, 1, 5)
+	s.preload(opts.Keys, opts.ValueBytes)
 	ops := opts.Ops / 3
 	if ops < 2000 {
 		ops = 2000
@@ -304,32 +242,12 @@ func detectionRecall(gen workload.KeyGen, truthSize int, opts HotspotOpts) float
 // after HeatSplitWindows consecutive over-threshold cycles the
 // partition count doubles automatically.
 func autoSplitScenario(opts HotspotOpts) HotspotSplit {
-	const tenant = "hs-split"
-	m := metaserver.New(metaserver.Config{
-		Replicas:           3,
+	s := newStack(metaserver.Config{
 		HeatSplitThreshold: opts.SplitThreshold,
 		HeatSplitWindows:   2,
-	})
-	defer m.Close()
-	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID:  fmt.Sprintf("hs-split-%d", i),
-			WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2},
-		})
-		defer n.Close()
-		m.RegisterNode(n)
-	}
-	if _, err := m.CreateTenant(metaserver.TenantSpec{
-		Name: tenant, QuotaRU: 1e12, Partitions: 2, Proxies: 1,
-	}); err != nil {
-		panic(err)
-	}
-	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant: tenant, Meta: m, EnableCache: false, EnableQuota: false,
-	}, 1, 1, 3)
-	if err != nil {
-		panic(err)
-	}
+	}, 3, datanode.Config{WFQ: wfq.Config{CPUWorkers: 2, BasicIOThreads: 2}}, "hs-split", 2)
+	defer s.close()
+	fleet := s.fleet(proxy.Config{}, 1, 1, 3)
 	out := HotspotSplit{PartitionsBefore: 2, PartitionsAfter: 2}
 	gen := workload.NewZipfKeys(opts.Keys, opts.Skew, 17)
 	perCycle := opts.Ops / opts.SplitCycles
@@ -342,12 +260,12 @@ func autoSplitScenario(opts HotspotOpts) HotspotSplit {
 				panic(err)
 			}
 		}
-		if split := m.MonitorPartitionHeat(); len(split) > 0 {
+		if split := s.meta.MonitorPartitionHeat(); len(split) > 0 {
 			out.Cycles = cy
 			break
 		}
 	}
-	if n, err := m.NumPartitions(tenant); err == nil {
+	if n, err := s.meta.NumPartitions(s.tenant.Name); err == nil {
 		out.PartitionsAfter = n
 	}
 	return out

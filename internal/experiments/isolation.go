@@ -40,7 +40,7 @@ const (
 	isoReadRU  = 0.25
 )
 
-func newIsoStack(tenantQuota, partitionQuota float64, quotaOn bool) *isoStack {
+func newIsoStack(tenantQuota, partitionQuota float64) *isoStack {
 	// Service times are in the millisecond regime so timer granularity
 	// (the only timing source on small CI hosts) stays ≪ service time.
 	node := datanode.New(datanode.Config{
@@ -52,12 +52,11 @@ func newIsoStack(tenantQuota, partitionQuota float64, quotaOn bool) *isoStack {
 		},
 		// One basic I/O thread ⇒ ~500 reads/s service capacity, so the
 		// burst phases genuinely saturate the node.
-		WFQ:                  wfq.Config{CPUWorkers: 2, BasicIOThreads: 1, ExtraIOThreads: 1},
-		EnablePartitionQuota: quotaOn,
-		RejectCost:           time.Millisecond,
-		AdmitWorkers:         1,
-		AdmitQueueCap:        128,
-		AdmitCost:            200 * time.Microsecond,
+		WFQ:           wfq.Config{CPUWorkers: 2, BasicIOThreads: 1, ExtraIOThreads: 1},
+		RejectCost:    time.Millisecond,
+		AdmitWorkers:  1,
+		AdmitQueueCap: 128,
+		AdmitCost:     200 * time.Microsecond,
 		// A near-useless cache keeps the workload cache-adverse, so a
 		// read costs a steady ≈0.25 RU and quota admission decisions
 		// are visible (with a warm cache the cache-aware RU would make
@@ -124,7 +123,7 @@ func (s *isoStack) drive(pid partition.ID, rate float64, dur time.Duration) wind
 			k := []byte(fmt.Sprintf("key-%012d", (seq+i*37)%isoKeys))
 			seq++
 			if pid == s.t1 && s.proxyOn.Load() {
-				if !s.t1Limiter.Allow(isoReadRU) {
+				if !s.t1Limiter.Allow(isoReadRU, now) {
 					errs.Add(1) // intercepted at the proxy
 					continue
 				}
@@ -203,7 +202,7 @@ func Figure6(opts Figure6Opts) ([]IsolationResult, Table) {
 	}
 	// Tenant quota 25 RU/s ⇒ the proxy admits ~100 reads/s at ≈0.25 RU
 	// each. Partition quota 3× that before the node rejects.
-	s := newIsoStack(25, 25, true)
+	s := newIsoStack(25, 25)
 	s.timeout = 100 * time.Millisecond
 	defer s.node.Close()
 
@@ -229,15 +228,20 @@ type Figure7Opts struct {
 // Figure7 reproduces the partition-quota + dual-layer-WFQ ablation
 // (§6.2, Figure 7):
 //
-//	phase 1: low traffic, partition quota disabled — all healthy.
+//	phase 1: low traffic, partition quota off — all healthy.
 //	phase 2: T1 directs a heavy skewed burst at its partition. It stays
 //	         under the tenant quota, so nothing is intercepted; the
 //	         node must serve everything. The dual-layer WFQ preserves
 //	         T2's latency (T2's throughput dips moderately), while
 //	         T1's own latency inflates by an order of magnitude.
-//	phase 3: the partition quota is enabled: T1's success rate drops to
+//	phase 3: the partition quota is on: T1's success rate drops to
 //	         the 3× partition-quota cap, the excess is rejected as
 //	         error QPS, and T2 returns to normal.
+//
+// The node always enforces partition quotas, so "quota off" is an
+// unbounded quota: both tenants' partitions start at the same
+// unbounded quota, which keeps their WFQ shares 1:1, and phase 3 sets
+// both to the real quota.
 func Figure7(opts Figure7Opts) ([]IsolationResult, Table) {
 	if opts.BaseQPS <= 0 {
 		opts.BaseQPS = 50
@@ -248,9 +252,10 @@ func Figure7(opts Figure7Opts) ([]IsolationResult, Table) {
 	if opts.PhaseDur <= 0 {
 		opts.PhaseDur = 1500 * time.Millisecond
 	}
-	// Huge tenant quota (proxy never binds); partition quota 25 RU/s
-	// ⇒ cap ≈ 3×25/0.25 = 300 reads/s once enabled.
-	s := newIsoStack(1e9, 25, false)
+	// Unbounded tenant quota (the proxy never binds); partition quota
+	// 25 RU/s in phase 3 ⇒ cap ≈ 3×25/0.25 = 300 reads/s.
+	const partitionQuota = 25
+	s := newIsoStack(unbounded, unbounded)
 	defer s.node.Close()
 
 	var results []IsolationResult
@@ -258,13 +263,17 @@ func Figure7(opts Figure7Opts) ([]IsolationResult, Table) {
 		s.runIsolationPhase("baseline (quota off)", opts.BaseQPS, opts.BaseQPS, opts.PhaseDur))
 	results = append(results,
 		s.runIsolationPhase("T1 skewed burst, quota OFF", opts.BurstQPS, opts.BaseQPS, opts.PhaseDur))
-	s.node.SetPartitionQuotaEnabled(true)
+	s.node.SetPartitionQuota(s.t1, partitionQuota)
+	s.node.SetPartitionQuota(s.t2, partitionQuota)
 	// Run the quota-on phase longer: the partition bucket enters it
 	// full (3× quota of burst allowance, by design), so the success
 	// rate converges to the cap only after that allowance drains.
 	results = append(results,
 		s.runIsolationPhase("T1 skewed burst, quota ON", opts.BurstQPS, opts.BaseQPS, 3*opts.PhaseDur))
-	return results, isolationTable("Figure 7: partition quota + dual-layer WFQ ablation", results)
+	tbl := isolationTable("Figure 7: partition quota + dual-layer WFQ ablation", results)
+	tbl.Notes = append(tbl.Notes, fmt.Sprintf(
+		"quota off: both partitions at an unbounded quota (WFQ shares 1:1); quota on: both at %d RU/s", partitionQuota))
+	return results, tbl
 }
 
 func isolationTable(title string, results []IsolationResult) Table {

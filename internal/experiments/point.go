@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"abase/internal/datanode"
+	"abase/internal/metaserver"
 	"abase/internal/metrics"
+	"abase/internal/proxy"
 )
 
 // PointOpts configures the single-key read/write latency experiment.
@@ -43,8 +46,9 @@ func PointLatency(opts PointOpts) ([]PointStats, Table) {
 	if opts.ValueBytes <= 0 {
 		opts.ValueBytes = 128
 	}
-	fleet, _, cleanup := batchStack()
-	defer cleanup()
+	s := newStack(metaserver.Config{}, 3, datanode.Config{}, "bench", 4)
+	defer s.close()
+	fleet := s.fleet(proxy.Config{}, 2, 2, 1)
 
 	keys := make([][]byte, opts.Keys)
 	value := make([]byte, opts.ValueBytes)
@@ -95,12 +99,12 @@ func PointLatency(opts PointOpts) ([]PointStats, Table) {
 			"the per-request baseline the batched paths amortize",
 		},
 	}
-	for _, s := range stats {
+	for _, st := range stats {
 		tbl.Rows = append(tbl.Rows, []string{
-			s.Path,
-			fmt.Sprintf("%.0f", s.OpsPerSec),
-			s.P50.String(),
-			s.P99.String(),
+			st.Path,
+			fmt.Sprintf("%.0f", st.OpsPerSec),
+			st.P50.String(),
+			st.P99.String(),
 		})
 	}
 	return stats, tbl

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"abase/internal/datanode"
+	"abase/internal/metaserver"
 	"abase/internal/proxy"
 )
 
@@ -39,8 +41,9 @@ func ScanThroughput(opts ScanOpts) ([]ScanPoint, Table) {
 	if len(opts.PageSizes) == 0 {
 		opts.PageSizes = []int{16, 64, 256}
 	}
-	fleet, _, cleanup := batchStack()
-	defer cleanup()
+	s := newStack(metaserver.Config{}, 3, datanode.Config{}, "bench", 4)
+	defer s.close()
+	fleet := s.fleet(proxy.Config{}, 2, 2, 1)
 
 	value := make([]byte, opts.ValueBytes)
 	kvs := make([]proxy.KV, opts.Keys)

@@ -83,50 +83,6 @@ type SheddingResult struct {
 	Off SheddingStats // shedding disabled: doomed requests queue anyway
 }
 
-// sheddingStack builds a single DataNode behind a proxy with quotas
-// off and ample I/O threads: the simulated 2ms write service — above
-// the tight deadline — is the only limit, so a doomed request's cost
-// is exactly the service time it steals from its caller's concurrency
-// budget. That isolates what shedding changes, independent of the
-// host's sleep granularity (everything scales with the real service
-// time).
-func sheddingStack(workers int) (*proxy.Fleet, *datanode.Node, func()) {
-	m := metaserver.New(metaserver.Config{Replicas: 1})
-	n := datanode.New(datanode.Config{
-		ID: "shed-0",
-		Cost: datanode.CostModel{
-			IOWriteTime: 2 * time.Millisecond,
-		},
-		WFQ: wfq.Config{
-			CPUWorkers: 8,
-			// No I/O queueing: every in-flight request gets a thread, so
-			// a doomed request completes (late) instead of dying cheaply
-			// in a queue — the waste shedding exists to prevent.
-			BasicIOThreads: 3 * workers,
-		},
-		Replicas: 1,
-	})
-	m.RegisterNode(n)
-	if _, err := m.CreateTenant(metaserver.TenantSpec{
-		Name: "shed", QuotaRU: 1e12, Partitions: 1, Proxies: 1,
-	}); err != nil {
-		panic(err)
-	}
-	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant:      "shed",
-		Meta:        m,
-		EnableCache: false,
-		EnableQuota: false,
-	}, 1, 1, 1)
-	if err != nil {
-		panic(err)
-	}
-	return fleet, n, func() {
-		m.Close()
-		n.Close()
-	}
-}
-
 // runShedding drives the mixed-deadline closed loop for one
 // configuration and collects its stats.
 func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomic.Int64) SheddingStats {
@@ -202,8 +158,25 @@ func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomi
 // can still make their deadlines.
 func DeadlineShedding(opts SheddingOpts) (SheddingResult, Table) {
 	opts = opts.withDefaults()
-	fleet, node, cleanup := sheddingStack(opts.Workers)
-	defer cleanup()
+	// One DataNode behind a proxy, with ample I/O threads: the
+	// simulated 2ms write service — above the tight deadline — is the
+	// only limit, so a doomed request's cost is exactly the service time
+	// it steals from its caller's concurrency budget. That isolates what
+	// shedding changes, independent of the host's sleep granularity
+	// (everything scales with the real service time).
+	s := newStack(metaserver.Config{Replicas: 1}, 1, datanode.Config{
+		Cost: datanode.CostModel{IOWriteTime: 2 * time.Millisecond},
+		WFQ: wfq.Config{
+			CPUWorkers: 8,
+			// No I/O queueing: every in-flight request gets a thread, so
+			// a doomed request completes (late) instead of dying cheaply
+			// in a queue — the waste shedding exists to prevent.
+			BasicIOThreads: 3 * opts.Workers,
+		},
+		Replicas: 1,
+	}, "shed", 1)
+	defer s.close()
+	fleet, node := s.fleet(proxy.Config{}, 1, 1, 1), s.nodes[0]
 
 	value := make([]byte, opts.ValueBytes)
 	var seq atomic.Int64

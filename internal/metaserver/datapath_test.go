@@ -30,7 +30,7 @@ func TestDataPathDoesNotWaitOnControlPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet, err := proxy.NewFleet(proxy.Config{
-		Tenant: "t1", Meta: m, EnableCache: true, EnableQuota: true, ProxyQuota: 1e9,
+		Tenant: "t1", Meta: m, EnableCache: true, ProxyQuota: 1e9,
 	}, 2, 2, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -224,7 +224,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 	if len(admit) == 0 {
 		return errs
 	}
-	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
+	if !p.limiter.Allow(cost, start) {
 		p.rejected.Inc()
 		for _, i := range admit {
 			errs[i] = ErrThrottled

@@ -75,7 +75,7 @@ func TestProxyBatchGetCacheHitsSurviveThrottle(t *testing.T) {
 		p.Put(bg, []byte(fmt.Sprintf("w%d", i)), big, 0) // drain quota
 	}
 	// Deterministically empty the bucket below the 1-RU read estimate.
-	for p.limiter.Allow(0.9) {
+	for p.limiter.Allow(0.9, p.cfg.Clock.Now()) {
 	}
 	values, errs := p.BatchGet(bg, [][]byte{[]byte("hot"), []byte("cold")})
 	if errs[0] != nil || string(values[0]) != "v" {
@@ -119,7 +119,7 @@ func TestFleetBatchOpsAcrossGroups(t *testing.T) {
 		Tenant:      "t1",
 		Meta:        m,
 		EnableCache: false,
-		EnableQuota: false,
+		ProxyQuota:  1e9,
 	}, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func conformStack(t *testing.T, tenantRU, proxyRU float64, node func(*datanode.C
 	}
 	p, err := New(Config{
 		Tenant: "t1", ID: "p0", Meta: m,
-		EnableCache: true, EnableQuota: true, ProxyQuota: proxyRU, CacheTTL: time.Minute,
+		EnableCache: true, ProxyQuota: proxyRU, CacheTTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestProxyOpsConform(t *testing.T) {
 		// The proxy quota is generous, the DataNodes' is not: the
 		// node-side throttle reaches every caller as the proxy's own
 		// sentinel, and the proxy charge stands as the throttling signal.
-		p := conformStack(t, 1e-9, 1e9, func(c *datanode.Config) { c.EnablePartitionQuota = true })
+		p := conformStack(t, 1e-9, 1e9, nil)
 		eachOp(t, p, background, func(t *testing.T, name string, _ bool, err error, d books) {
 			if !errors.Is(err, ErrThrottled) {
 				t.Errorf("%s err = %v, want proxy.ErrThrottled", name, err)

@@ -129,7 +129,7 @@ func newSlowScanStack(t *testing.T, ioTime time.Duration) *slowScanStack {
 		ID:          "p0",
 		Meta:        m,
 		EnableCache: false,
-		EnableQuota: false,
+		ProxyQuota:  1e9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestShedCountsInProxyStats(t *testing.T) {
 		IOReadTime:  4 * time.Millisecond,
 		IOWriteTime: 4 * time.Millisecond,
 	})
-	p, err := New(Config{Tenant: "t1", ID: "p0", Meta: m, EnableCache: false, EnableQuota: false})
+	p, err := New(Config{Tenant: "t1", ID: "p0", Meta: m, ProxyQuota: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

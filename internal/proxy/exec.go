@@ -116,7 +116,7 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 		p.latency.Observe(p.cfg.Clock.Since(start))
 		return nil
 	}
-	if p.cfg.EnableQuota && !p.limiter.Allow(op.cost) {
+	if !p.limiter.Allow(op.cost, start) {
 		p.rejected.Inc()
 		return ErrThrottled
 	}
@@ -209,7 +209,7 @@ func (p *Proxy) noteFailure(err error) {
 // node performed; a node-side throttle is the throttling signal). The
 // error is counted once and returned as the proxy's own sentinel.
 func (p *Proxy) refundFailure(cost float64, err error) error {
-	if p.cfg.EnableQuota && noWorkErr(err) {
+	if noWorkErr(err) {
 		p.limiter.Refund(cost)
 	}
 	p.noteFailure(err)

@@ -44,10 +44,9 @@ type Config struct {
 	CacheTTL time.Duration
 	// EnableCache turns the proxy AU-LRU on.
 	EnableCache bool
-	// EnableQuota turns proxy-level admission on (Figure 6 ablates it).
-	EnableQuota bool
 	// ProxyQuota is this proxy's standard quota share in RU/s
-	// (tenant quota / proxy count).
+	// (tenant quota / proxy count). It is always enforced, at 2× while
+	// the proxy is not restricted (§4.2).
 	ProxyQuota float64
 	// HotAdmitThreshold gates AU-LRU admission on the proxy's
 	// heavy-hitter sketch: a fetched value is inserted only once its

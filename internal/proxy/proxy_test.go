@@ -32,7 +32,6 @@ func newStack(t *testing.T, quotaRU float64, cfgMut func(*Config)) (*metaserver.
 		ID:          "p0",
 		Meta:        m,
 		EnableCache: true,
-		EnableQuota: true,
 		ProxyQuota:  quotaRU,
 		CacheTTL:    time.Minute,
 	}
@@ -119,15 +118,6 @@ func TestProxyThrottlesBeyondQuota(t *testing.T) {
 	}
 }
 
-func TestProxyQuotaDisabled(t *testing.T) {
-	_, p := newStack(t, 1, func(c *Config) { c.EnableQuota = false; c.EnableCache = false })
-	for i := 0; i < 50; i++ {
-		if err := p.Put(bg, []byte("k"), []byte("v"), 0); err != nil {
-			t.Fatalf("unexpected throttle: %v", err)
-		}
-	}
-}
-
 func TestProxyRestrictRelaxFromMeta(t *testing.T) {
 	m, p := newStack(t, 100, func(c *Config) { c.EnableCache = false })
 	// Simulate heavy admitted traffic, then run the monitor: the proxy
@@ -179,7 +169,7 @@ func TestFleetRoutesConsistently(t *testing.T) {
 	}
 	m.CreateTenant(metaserver.TenantSpec{Name: "t1", QuotaRU: 100000, Partitions: 2})
 	f, err := NewFleet(Config{
-		Tenant: "t1", Meta: m, EnableCache: true, EnableQuota: true,
+		Tenant: "t1", Meta: m, EnableCache: true,
 		ProxyQuota: 10000, CacheTTL: time.Minute,
 	}, 8, 4, 1)
 	if err != nil {

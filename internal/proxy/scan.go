@@ -139,7 +139,7 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		count = MaxScanCount
 	}
 	estimate := p.est.EstimateScanRU(count)
-	if p.cfg.EnableQuota && !p.limiter.Allow(estimate) {
+	if !p.limiter.Allow(estimate, start) {
 		p.rejected.Inc()
 		return ScanPage{}, ErrThrottled
 	}

@@ -18,8 +18,7 @@ func newQuotaStack(t *testing.T, quotaRU float64) (*metaserver.Meta, *Proxy) {
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
 		n := datanode.New(datanode.Config{
-			ID:                   fmt.Sprintf("qnode-%d", i),
-			EnablePartitionQuota: true,
+			ID: fmt.Sprintf("qnode-%d", i),
 		})
 		t.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
@@ -34,7 +33,6 @@ func newQuotaStack(t *testing.T, quotaRU float64) (*metaserver.Meta, *Proxy) {
 		ID:          "p0",
 		Meta:        m,
 		EnableCache: true,
-		EnableQuota: true,
 		ProxyQuota:  quotaRU,
 		CacheTTL:    time.Minute,
 	})

@@ -55,14 +55,18 @@ func (b *Bucket) refillLocked(now time.Time) {
 }
 
 // Allow consumes cost tokens if available, reporting whether the
-// request is admitted.
-func (b *Bucket) Allow(cost float64) bool {
+// request is admitted. now is the request's arrival time, read once by
+// its plane: the bucket first credits what accrued up to now. Callers
+// race, so a now at or before the last refill credits nothing and
+// leaves the refill time where it is; the next later now credits the
+// whole gap once.
+func (b *Bucket) Allow(cost float64, now time.Time) bool {
 	if cost < 0 {
 		cost = 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.refillLocked(b.clk.Now())
+	b.refillLocked(now)
 	if b.tokens >= cost {
 		b.tokens -= cost
 		b.allowed++
@@ -78,13 +82,15 @@ func (b *Bucket) Allow(cost float64) bool {
 // route, deadline shed before admission): the tenant should not pay RU
 // for work the system never performed. Refunds never rewrite the
 // allowed/rejected counters — the admission decision did happen.
+// Refund reads no clock: crediting the refund before the accrual since
+// the last refill, both capped at burst, leaves the same tokens as
+// crediting it after.
 func (b *Bucket) Refund(cost float64) {
 	if cost <= 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.refillLocked(b.clk.Now())
 	b.tokens += cost
 	if b.tokens > b.burst {
 		b.tokens = b.burst
@@ -106,6 +112,10 @@ func (b *Bucket) SetRate(rate, burst float64) {
 		b.tokens = burst
 	}
 }
+
+// Now reads the bucket's clock, for a caller that has no arrival time
+// of its own to pass to Allow (the WFQ's write ceiling).
+func (b *Bucket) Now() time.Time { return b.clk.Now() }
 
 // Rate returns the current refill rate.
 func (b *Bucket) Rate() float64 {
@@ -226,8 +236,8 @@ func NewProxyLimiter(proxyQuota float64, clk clock.Clock) *ProxyLimiter {
 	}
 }
 
-// Allow admits a request of the given RU cost.
-func (p *ProxyLimiter) Allow(cost float64) bool { return p.bucket.Allow(cost) }
+// Allow admits a request of the given RU cost arriving at now.
+func (p *ProxyLimiter) Allow(cost float64, now time.Time) bool { return p.bucket.Allow(cost, now) }
 
 // Refund returns cost RU charged by Allow for a request that did no
 // downstream work.
@@ -288,18 +298,17 @@ type PartitionLimiter struct {
 	bucket *Bucket
 	mu     sync.Mutex
 	quota  float64
-	clk    clock.Clock
 }
 
 // NewPartitionLimiter returns a limiter admitting up to
 // PartitionBurstFactor × partition_quota RU/s.
 func NewPartitionLimiter(partitionQuota float64, clk clock.Clock) *PartitionLimiter {
 	rate := partitionQuota * PartitionBurstFactor
-	return &PartitionLimiter{bucket: NewBucket(rate, rate, clk), quota: partitionQuota, clk: clk}
+	return &PartitionLimiter{bucket: NewBucket(rate, rate, clk), quota: partitionQuota}
 }
 
-// Allow admits a request of the given RU cost.
-func (p *PartitionLimiter) Allow(cost float64) bool { return p.bucket.Allow(cost) }
+// Allow admits a request of the given RU cost arriving at now.
+func (p *PartitionLimiter) Allow(cost float64, now time.Time) bool { return p.bucket.Allow(cost, now) }
 
 // Refund returns cost RU charged by Allow for a request that did no
 // downstream work.

@@ -16,15 +16,15 @@ func TestBucketAdmitsWithinRate(t *testing.T) {
 	b := NewBucket(100, 100, sim)
 	// Starts full: 100 tokens available.
 	for i := 0; i < 100; i++ {
-		if !b.Allow(1) {
+		if !b.Allow(1, sim.Now()) {
 			t.Fatalf("request %d rejected within burst", i)
 		}
 	}
-	if b.Allow(1) {
+	if b.Allow(1, sim.Now()) {
 		t.Fatal("request beyond burst admitted")
 	}
 	sim.Advance(time.Second)
-	if !b.Allow(100) {
+	if !b.Allow(100, sim.Now()) {
 		t.Fatal("refill after 1s insufficient")
 	}
 }
@@ -32,12 +32,12 @@ func TestBucketAdmitsWithinRate(t *testing.T) {
 func TestBucketPartialRefill(t *testing.T) {
 	sim := simClock()
 	b := NewBucket(100, 100, sim)
-	b.Allow(100)
+	b.Allow(100, sim.Now())
 	sim.Advance(500 * time.Millisecond)
-	if !b.Allow(50) {
+	if !b.Allow(50, sim.Now()) {
 		t.Fatal("0.5s refill should admit 50")
 	}
-	if b.Allow(1) {
+	if b.Allow(1, sim.Now()) {
 		t.Fatal("over-admitted after partial refill")
 	}
 }
@@ -46,18 +46,19 @@ func TestBucketBurstCap(t *testing.T) {
 	sim := simClock()
 	b := NewBucket(10, 20, sim)
 	sim.Advance(time.Hour) // long idle: tokens cap at burst
-	if !b.Allow(20) {
+	if !b.Allow(20, sim.Now()) {
 		t.Fatal("burst tokens unavailable")
 	}
-	if b.Allow(1) {
+	if b.Allow(1, sim.Now()) {
 		t.Fatal("tokens exceeded burst cap")
 	}
 }
 
 func TestBucketBurstFloor(t *testing.T) {
-	b := NewBucket(100, 1, simClock())
+	sim := simClock()
+	b := NewBucket(100, 1, sim)
 	// burst below rate is raised to rate
-	if !b.Allow(100) {
+	if !b.Allow(100, sim.Now()) {
 		t.Fatal("burst floor not applied")
 	}
 }
@@ -65,20 +66,21 @@ func TestBucketBurstFloor(t *testing.T) {
 func TestBucketSetRate(t *testing.T) {
 	sim := simClock()
 	b := NewBucket(10, 10, sim)
-	b.Allow(10)
+	b.Allow(10, sim.Now())
 	b.SetRate(1000, 1000)
 	if b.Rate() != 1000 {
 		t.Fatalf("Rate = %v", b.Rate())
 	}
 	sim.Advance(time.Second)
-	if !b.Allow(1000) {
+	if !b.Allow(1000, sim.Now()) {
 		t.Fatal("new rate not applied")
 	}
 }
 
 func TestBucketNegativeCost(t *testing.T) {
-	b := NewBucket(1, 1, simClock())
-	if !b.Allow(-5) {
+	sim := simClock()
+	b := NewBucket(1, 1, sim)
+	if !b.Allow(-5, sim.Now()) {
 		t.Fatal("negative cost should be admitted as zero")
 	}
 }
@@ -86,8 +88,8 @@ func TestBucketNegativeCost(t *testing.T) {
 func TestBucketStats(t *testing.T) {
 	sim := simClock()
 	b := NewBucket(1, 1, sim)
-	b.Allow(1)
-	b.Allow(1)
+	b.Allow(1, sim.Now())
+	b.Allow(1, sim.Now())
 	a, r := b.Stats()
 	if a != 1 || r != 1 {
 		t.Fatalf("stats = %d/%d", a, r)
@@ -128,7 +130,7 @@ func TestProxyLimiterAutonomousBurst(t *testing.T) {
 	// 2× autonomy: 200 RU available initially.
 	admitted := 0
 	for i := 0; i < 300; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -147,7 +149,7 @@ func TestProxyLimiterRestrictRevert(t *testing.T) {
 	sim.Advance(time.Second)
 	admitted := 0
 	for i := 0; i < 300; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -161,7 +163,7 @@ func TestProxyLimiterRestrictRevert(t *testing.T) {
 	sim.Advance(time.Second)
 	admitted = 0
 	for i := 0; i < 300; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -178,7 +180,7 @@ func TestProxyLimiterSetQuotaPreservesRestriction(t *testing.T) {
 	sim.Advance(time.Second)
 	admitted := 0
 	for i := 0; i < 200; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -195,7 +197,7 @@ func TestPartitionLimiterTripleCeiling(t *testing.T) {
 	}
 	admitted := 0
 	for i := 0; i < 5000; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -212,7 +214,7 @@ func TestPartitionLimiterSetQuota(t *testing.T) {
 	// Rate is now 300/s; bucket capacity 300.
 	admitted := 0
 	for i := 0; i < 1000; i++ {
-		if p.Allow(1) {
+		if p.Allow(1, sim.Now()) {
 			admitted++
 		}
 	}
@@ -233,7 +235,7 @@ func TestSustainedRateConvergence(t *testing.T) {
 	total := 0
 	for tick := 0; tick < 100; tick++ {
 		for i := 0; i < 50; i++ {
-			if b.Allow(1) {
+			if b.Allow(1, sim.Now()) {
 				total++
 			}
 		}
@@ -242,5 +244,59 @@ func TestSustainedRateConvergence(t *testing.T) {
 	// 10s × 100/s = 1000 plus initial burst 100.
 	if total < 1000 || total > 1150 {
 		t.Fatalf("sustained admitted = %d, want ≈1100", total)
+	}
+}
+
+// TestAllowOutOfOrderArrivals: concurrent callers read their arrival
+// times before they reach the bucket's lock, so Allow can see a now
+// older than the last refill. That call credits nothing and leaves the
+// refill time where it is, and the next later now credits rate × the
+// gap once.
+func TestAllowOutOfOrderArrivals(t *testing.T) {
+	sim := simClock()
+	t0 := sim.Now()
+	b := NewBucket(100, 100, sim)
+	if !b.Allow(100, t0) {
+		t.Fatal("a full bucket refused its burst")
+	}
+	late := t0.Add(200 * time.Millisecond) // credits 20
+	if !b.Allow(20, late) || b.Allow(1, late) {
+		t.Fatal("200ms at 100 RU/s did not credit exactly 20")
+	}
+	// An arrival read before late reaches the bucket after it.
+	early := t0.Add(100 * time.Millisecond)
+	if b.Allow(1, early) {
+		t.Fatal("an arrival before the last refill was credited")
+	}
+	// Were the refill time moved back to early, this would credit 20.
+	if b.Allow(1, late) {
+		t.Fatal("a repeated arrival time credited the gap again")
+	}
+	later := late.Add(300 * time.Millisecond) // credits 30, once
+	if !b.Allow(30, later) || b.Allow(1, later) {
+		t.Fatal("300ms after the last refill did not credit exactly 30")
+	}
+	if a, r := b.Stats(); a != 3 || r != 4 {
+		t.Fatalf("stats = %d/%d, want 3 admitted, 4 refused", a, r)
+	}
+}
+
+// TestRefundCreditsWithoutRefill: a refund credits its tokens without a refill,
+// and the next Allow still credits the whole gap since the last one,
+// both capped at burst.
+func TestRefundCreditsWithoutRefill(t *testing.T) {
+	sim := simClock()
+	t0 := sim.Now()
+	b := NewBucket(100, 100, sim)
+	b.Allow(100, t0)
+	b.Refund(30)
+	if !b.Allow(30, t0) || b.Allow(1, t0) {
+		t.Fatal("a refund of 30 did not credit exactly 30")
+	}
+	b.Refund(90)
+	// 90 refunded + 50 accrued caps at the burst of 100.
+	at := t0.Add(500 * time.Millisecond)
+	if !b.Allow(100, at) || b.Allow(1, at) {
+		t.Fatal("refund plus accrual was not capped at burst")
 	}
 }

@@ -154,7 +154,8 @@ func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
 
 // ceilingAllows applies the write-RU ceiling (Rule 2) to t.
 func (d *DualLayer) ceilingAllows(t *Task) bool {
-	return !t.Class.IsWrite() || d.cfg.WriteCeilingBucket == nil || d.cfg.WriteCeilingBucket.Allow(t.RUCost)
+	b := d.cfg.WriteCeilingBucket
+	return !t.Class.IsWrite() || b == nil || b.Allow(t.RUCost, b.Now())
 }
 
 // monopolizingTenantLocked returns the tenant currently holding at
