@@ -1,17 +1,20 @@
 // Command abase-bench regenerates the paper's tables and figures and,
-// with -json-out, emits one machine-readable BENCH_<experiment>.json
-// trajectory point per measuring experiment for cmd/benchdiff to gate.
+// with -json-out, writes one BENCH_<experiment>.json trajectory point
+// per experiment that has one: batch, scan, hotspot, failover and soak.
+// A trajectory point holds deterministic counts only, so regenerating
+// the committed files in place must leave `git diff` empty; CI fails
+// when it does not. Timings are printed in the tables, never written.
 //
 // Usage:
 //
 //	abase-bench -run all
 //	abase-bench -run table1,fig6,fig9
-//	abase-bench -run all -json-out .
+//	abase-bench -run batch,scan,hotspot,failover,soak -json-out .
 //
 // Experiments: table1, fig3 (alias fig4), fig5, fig6, fig7, fig8a,
-// fig8b, fig9, fig10, table2, util, batch, scan, point, hotspot,
-// failover, shedding, cdc, soak, ablations. Unknown ids are rejected
-// up front (exit 2) so a typo cannot silently skip a measurement.
+// fig8b, fig9, fig10, table2, util, batch, scan, hotspot, failover,
+// shedding, cdc, soak, ablations. Unknown ids are rejected up front
+// (exit 2) so a typo cannot silently skip a measurement.
 package main
 
 import (
@@ -52,9 +55,9 @@ func tables(fn func(o options, out io.Writer)) func(options, io.Writer) ([]bench
 	}
 }
 
-// registry lists every experiment in presentation order. The measuring
-// experiments (batch, scan, point, hotspot, failover, shedding, cdc,
-// soak) return trajectory points; the paper figures print tables only.
+// registry lists every experiment in presentation order. Batch, scan,
+// hotspot, failover and soak return trajectory points; every other
+// experiment prints tables only.
 func registry() []experiment {
 	return []experiment{
 		{id: "table1", run: tables(func(o options, out io.Writer) {
@@ -111,11 +114,6 @@ func registry() []experiment {
 			t.Fprint(out)
 			return []benchjson.Result{experiments.ScanBench(points)}, nil
 		}},
-		{id: "point", run: func(o options, out io.Writer) ([]benchjson.Result, error) {
-			stats, t := experiments.PointLatency(experiments.PointOpts{})
-			t.Fprint(out)
-			return []benchjson.Result{experiments.PointBench(stats)}, nil
-		}},
 		{id: "hotspot", run: func(o options, out io.Writer) ([]benchjson.Result, error) {
 			rows, split, t := experiments.HotspotMitigation(experiments.HotspotOpts{})
 			t.Fprint(out)
@@ -126,16 +124,14 @@ func registry() []experiment {
 			t.Fprint(out)
 			return []benchjson.Result{experiments.FailoverBench(res)}, nil
 		}},
-		{id: "shedding", run: func(o options, out io.Writer) ([]benchjson.Result, error) {
-			res, t := experiments.DeadlineShedding(experiments.SheddingOpts{})
+		{id: "shedding", run: tables(func(o options, out io.Writer) {
+			_, t := experiments.DeadlineShedding(experiments.SheddingOpts{})
 			t.Fprint(out)
-			return []benchjson.Result{experiments.SheddingBench(res)}, nil
-		}},
-		{id: "cdc", run: func(o options, out io.Writer) ([]benchjson.Result, error) {
-			res, t := experiments.ChangeStreamFanout(experiments.ChangeStreamOpts{})
+		})},
+		{id: "cdc", run: tables(func(o options, out io.Writer) {
+			_, t := experiments.ChangeStreamFanout(experiments.ChangeStreamOpts{})
 			t.Fprint(out)
-			return []benchjson.Result{experiments.ChangeStreamBench(res)}, nil
-		}},
+		})},
 		{id: "soak", run: func(o options, out io.Writer) ([]benchjson.Result, error) {
 			report, err := soak.Run(context.Background(), soak.DefaultConfig())
 			if err != nil {
@@ -165,6 +161,12 @@ func printSoak(out io.Writer, r soak.Report) {
 	fmt.Fprintf(out, "failovers         %d\n", r.Failovers)
 	fmt.Fprintf(out, "migrations        %d\n", r.Migrations)
 	fmt.Fprintf(out, "RU billed         %.0f (net charged %.0f)\n", r.BilledRU, r.ChargedRU-r.RefundedRU)
+	if r.BilledRU > 0 {
+		fmt.Fprintf(out, "RU balance        %.6f (net charged / billed)\n", (r.ChargedRU-r.RefundedRU)/r.BilledRU)
+	}
+	for _, p := range r.Phases {
+		fmt.Fprintf(out, "%-17s p50 %v  p99 %v  (%d ops)\n", p.Name, p.P50, p.P99, p.Ops)
+	}
 	for _, ev := range r.ResizeEvents {
 		fmt.Fprintf(out, "  resize @h%-3d %d -> %d nodes\n", ev.Hour, ev.From, ev.To)
 	}

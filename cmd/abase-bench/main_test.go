@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,14 +13,14 @@ import (
 // to stderr, and exits 2.
 func TestUnknownExperimentID(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-run", "point,figg9"}, &stdout, &stderr)
+	code := run([]string{"-run", "scan,figg9"}, &stdout, &stderr)
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "figg9") {
 		t.Fatalf("stderr does not name the bad id: %q", stderr.String())
 	}
-	for _, id := range []string{"table1", "fig9", "batch", "scan", "point", "hotspot", "failover", "shedding", "soak", "ablations", "all"} {
+	for _, id := range []string{"table1", "fig9", "batch", "scan", "hotspot", "failover", "shedding", "soak", "ablations", "all"} {
 		if !strings.Contains(stderr.String(), id) {
 			t.Errorf("known-id list missing %q: %q", id, stderr.String())
 		}
@@ -44,28 +42,25 @@ func TestEmptyRunList(t *testing.T) {
 }
 
 // TestRunPointWritesTrajectory runs the cheapest measuring experiment
-// end to end with -json-out and checks a schema-valid BENCH_point.json
-// lands in the directory.
+// end to end with -json-out next to two experiments that have no
+// trajectory point, and checks that exactly one schema-valid
+// BENCH_scan.json lands in the directory.
 func TestRunPointWritesTrajectory(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "point", "-json-out", dir}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-run", "scan,shedding,cdc", "-json-out", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, stderr.String())
 	}
-	path := filepath.Join(dir, benchjson.FileName("point"))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("trajectory file not written: %v", err)
-	}
-	res, err := benchjson.ReadFile(path)
+	results, err := benchjson.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Experiment != "point" {
-		t.Fatalf("experiment = %q", res.Experiment)
+	if len(results) != 1 || results[0].Experiment != "scan" {
+		t.Fatalf("trajectory files = %+v, want only BENCH_scan.json", results)
 	}
-	for _, name := range []string{"get_ops_per_sec", "set_ops_per_sec", "get_p99_us", "set_p99_us"} {
-		if _, ok := res.Metrics[name]; !ok {
-			t.Errorf("metric %q missing from %v", name, res.Metrics)
+	for _, name := range []string{"pages_p16", "pages_p64", "pages_p256"} {
+		if m, ok := results[0].Metrics[name]; !ok || m.Value <= 0 || m.Unit != "pages" {
+			t.Errorf("metric %q = %+v (present %v), want a positive page count", name, m, ok)
 		}
 	}
 	if !strings.Contains(stdout.String(), "wrote ") {

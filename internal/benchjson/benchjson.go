@@ -1,13 +1,12 @@
-// Package benchjson defines the machine-readable perf-trajectory
-// schema emitted by cmd/abase-bench and consumed by cmd/benchdiff.
+// Package benchjson defines the committed perf-trajectory schema
+// emitted by cmd/abase-bench.
 //
-// Every experiment writes one BENCH_<experiment>.json file: a
-// versioned envelope holding a metrics map where each metric carries
-// its unit, sample count, variance, and a direction that tells the
-// regression gate which way is bad (throughput down = regression,
-// latency up = regression). Files are deterministic for a given run —
-// no timestamps — so a committed baseline only changes when the
-// numbers do.
+// Every measuring experiment writes one BENCH_<experiment>.json file: a
+// versioned envelope holding a metrics map of value and unit. Every
+// value is a count or a ratio of counts that a given tree reproduces
+// exactly — no timings, no timestamps — so the gate is regenerating the
+// files in place and requiring `git diff` to be empty. Wall-clock
+// figures live in abase-bench's printed tables and in bench/.
 package benchjson
 
 import (
@@ -20,55 +19,20 @@ import (
 	"sort"
 )
 
-// SchemaVersion is the current envelope version. Readers accept any
-// version in [1, SchemaVersion]; newer files are rejected so an old
-// benchdiff never silently misreads a future schema.
-const SchemaVersion = 1
+// SchemaVersion is the envelope version. Readers accept only this
+// version: a file written under another schema is re-cut, not read.
+const SchemaVersion = 2
 
-// Direction tells the regression gate how to interpret a metric's
-// movement.
-type Direction string
-
-const (
-	// HigherIsBetter marks throughput-like metrics: a drop beyond
-	// the noise band is a regression.
-	HigherIsBetter Direction = "higher_better"
-	// LowerIsBetter marks latency-like metrics: a rise beyond the
-	// noise band is a regression.
-	LowerIsBetter Direction = "lower_better"
-	// Info marks context metrics (counts, configuration echoes)
-	// that are reported but never gated.
-	Info Direction = "info"
-)
-
-// Metric is one measured value plus enough statistical context to
-// judge a future comparison.
+// Metric is one deterministic value and its unit.
 type Metric struct {
-	Value     float64   `json:"value"`
-	Unit      string    `json:"unit"`
-	Samples   int       `json:"samples,omitempty"`
-	Variance  float64   `json:"variance,omitempty"`
-	Direction Direction `json:"direction,omitempty"`
-}
-
-// SimClock records how the run's clock was driven, so two trajectory
-// points are only compared like-for-like.
-type SimClock struct {
-	// Mode is "real" for wall-clock experiments and "sim" for
-	// simulated-time harnesses (the soak).
-	Mode string `json:"mode"`
-	// Seed is the deterministic seed for sim-mode runs.
-	Seed int64 `json:"seed,omitempty"`
-	// SimulatedSpan is the simulated duration covered (e.g. "24h").
-	SimulatedSpan string `json:"simulated_span,omitempty"`
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
 // Result is the envelope for one experiment's metrics.
 type Result struct {
 	Schema     int               `json:"schema"`
 	Experiment string            `json:"experiment"`
-	GitRev     string            `json:"git_rev,omitempty"`
-	SimClock   SimClock          `json:"sim_clock"`
 	Metrics    map[string]Metric `json:"metrics"`
 }
 
@@ -82,8 +46,8 @@ func FileName(experiment string) string {
 // id, and finite metric values (JSON has no NaN/Inf literal, and a
 // trajectory point that is not a number is not a measurement).
 func Validate(r Result) error {
-	if r.Schema < 1 || r.Schema > SchemaVersion {
-		return fmt.Errorf("benchjson: schema version %d outside supported range [1, %d]", r.Schema, SchemaVersion)
+	if r.Schema != SchemaVersion {
+		return fmt.Errorf("benchjson: schema version %d, want %d", r.Schema, SchemaVersion)
 	}
 	if r.Experiment == "" {
 		return fmt.Errorf("benchjson: empty experiment id")
@@ -102,17 +66,6 @@ func Validate(r Result) error {
 		}
 		if math.IsNaN(m.Value) || math.IsInf(m.Value, 0) {
 			return fmt.Errorf("benchjson: metric %s/%s value is not finite", r.Experiment, name)
-		}
-		if math.IsNaN(m.Variance) || math.IsInf(m.Variance, 0) || m.Variance < 0 {
-			return fmt.Errorf("benchjson: metric %s/%s variance is not a finite non-negative number", r.Experiment, name)
-		}
-		if m.Samples < 0 {
-			return fmt.Errorf("benchjson: metric %s/%s has negative sample count", r.Experiment, name)
-		}
-		switch m.Direction {
-		case "", HigherIsBetter, LowerIsBetter, Info:
-		default:
-			return fmt.Errorf("benchjson: metric %s/%s has unknown direction %q", r.Experiment, name, m.Direction)
 		}
 	}
 	return nil
@@ -154,9 +107,8 @@ func WriteFile(dir string, r Result) (string, error) {
 }
 
 // Read decodes and validates one result. Unknown metric names and
-// unknown envelope fields are tolerated — a newer writer may add
-// metrics an older reader has never heard of — but an envelope from a
-// newer schema version is rejected outright.
+// unknown envelope fields are tolerated, but an envelope from another
+// schema version is rejected outright.
 func Read(rd io.Reader) (Result, error) {
 	var r Result
 	dec := json.NewDecoder(rd)
@@ -185,7 +137,7 @@ func ReadFile(path string) (Result, error) {
 
 // ReadDir loads every BENCH_*.json in dir, sorted by experiment id.
 // A directory with no trajectory files returns an empty slice, not an
-// error: an empty trajectory is a valid (if sad) baseline.
+// error.
 func ReadDir(dir string) ([]Result, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
@@ -202,49 +154,4 @@ func ReadDir(dir string) ([]Result, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Experiment < out[j].Experiment })
 	return out, nil
-}
-
-// M is a convenience constructor for a gated metric.
-func M(value float64, unit string, dir Direction) Metric {
-	return Metric{Value: value, Unit: unit, Direction: dir}
-}
-
-// MS is M with a sample count and variance attached.
-func MS(value float64, unit string, dir Direction, samples int, variance float64) Metric {
-	return Metric{Value: value, Unit: unit, Direction: dir, Samples: samples, Variance: variance}
-}
-
-// VarianceOf computes the population variance of samples; it returns
-// 0 for fewer than two samples.
-func VarianceOf(samples []float64) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	var mean float64
-	for _, s := range samples {
-		mean += s
-	}
-	mean /= float64(len(samples))
-	var acc float64
-	for _, s := range samples {
-		d := s - mean
-		acc += d * d
-	}
-	return acc / float64(len(samples))
-}
-
-// sortedMetricNames gives deterministic iteration order for reports.
-func sortedMetricNames(ms ...map[string]Metric) []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range ms {
-		for name := range m {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }

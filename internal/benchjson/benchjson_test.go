@@ -12,12 +12,10 @@ import (
 func sample() Result {
 	return Result{
 		Experiment: "batch",
-		GitRev:     "abc1234",
-		SimClock:   SimClock{Mode: "real"},
 		Metrics: map[string]Metric{
-			"speedup_16":  MS(2.4, "x", HigherIsBetter, 5, 0.01),
-			"p99_latency": M(1.8, "ms", LowerIsBetter),
-			"batch_sizes": M(4, "count", Info),
+			"batched_tasks_per_key_b16": {0.0625, "tasks/key"},
+			"looped_tasks_per_key_b16":  {1, "tasks/key"},
+			"pages_p16":                 {129, "pages"},
 		},
 	}
 }
@@ -35,14 +33,13 @@ func TestRoundTrip(t *testing.T) {
 	if out.Schema != SchemaVersion {
 		t.Errorf("schema not stamped: got %d", out.Schema)
 	}
-	if out.Experiment != in.Experiment || out.GitRev != in.GitRev {
+	if out.Experiment != in.Experiment {
 		t.Errorf("envelope mismatch: %+v", out)
 	}
 	if len(out.Metrics) != len(in.Metrics) {
 		t.Fatalf("metrics count: got %d want %d", len(out.Metrics), len(in.Metrics))
 	}
-	m := out.Metrics["speedup_16"]
-	if m.Value != 2.4 || m.Unit != "x" || m.Samples != 5 || m.Variance != 0.01 || m.Direction != HigherIsBetter {
+	if m := out.Metrics["batched_tasks_per_key_b16"]; m != in.Metrics["batched_tasks_per_key_b16"] {
 		t.Errorf("metric round-trip mismatch: %+v", m)
 	}
 }
@@ -90,16 +87,13 @@ func TestValidation(t *testing.T) {
 		{"valid", mk(func(r *Result) {}), ""},
 		{"version zero rejected on read", mk(func(r *Result) { r.Schema = -1 }), "schema version"},
 		{"future schema rejected", mk(func(r *Result) { r.Schema = SchemaVersion + 1 }), "schema version"},
+		{"older schema rejected", mk(func(r *Result) { r.Schema = SchemaVersion - 1 }), "schema version"},
 		{"empty experiment", mk(func(r *Result) { r.Experiment = "" }), "empty experiment"},
 		{"unsafe experiment id", mk(func(r *Result) { r.Experiment = "../evil" }), "not filename-safe"},
 		{"no metrics", mk(func(r *Result) { r.Metrics = nil }), "no metrics"},
-		{"NaN value", mk(func(r *Result) { r.Metrics["bad"] = M(math.NaN(), "x", Info) }), "not finite"},
-		{"+Inf value", mk(func(r *Result) { r.Metrics["bad"] = M(math.Inf(1), "x", Info) }), "not finite"},
-		{"-Inf value", mk(func(r *Result) { r.Metrics["bad"] = M(math.Inf(-1), "x", Info) }), "not finite"},
-		{"NaN variance", mk(func(r *Result) { r.Metrics["bad"] = MS(1, "x", Info, 2, math.NaN()) }), "variance"},
-		{"negative variance", mk(func(r *Result) { r.Metrics["bad"] = MS(1, "x", Info, 2, -1) }), "variance"},
-		{"negative samples", mk(func(r *Result) { r.Metrics["bad"] = MS(1, "x", Info, -3, 0) }), "negative sample"},
-		{"unknown direction", mk(func(r *Result) { r.Metrics["bad"] = M(1, "x", Direction("sideways")) }), "unknown direction"},
+		{"NaN value", mk(func(r *Result) { r.Metrics["bad"] = Metric{math.NaN(), "x"} }), "not finite"},
+		{"+Inf value", mk(func(r *Result) { r.Metrics["bad"] = Metric{math.Inf(1), "x"} }), "not finite"},
+		{"-Inf value", mk(func(r *Result) { r.Metrics["bad"] = Metric{math.Inf(-1), "x"} }), "not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,7 +113,7 @@ func TestValidation(t *testing.T) {
 
 func TestWriteRejectsNaN(t *testing.T) {
 	r := sample()
-	r.Metrics["oops"] = M(math.NaN(), "x", Info)
+	r.Metrics["oops"] = Metric{math.NaN(), "x"}
 	if err := Write(&bytes.Buffer{}, r); err == nil {
 		t.Fatal("Write accepted NaN metric")
 	}
@@ -132,12 +126,11 @@ func TestReadToleratesUnknownFieldsAndMetrics(t *testing.T) {
 	// A future writer may add envelope fields and metric names this
 	// reader has never heard of; both must round through untouched.
 	raw := `{
-	  "schema": 1,
+	  "schema": 2,
 	  "experiment": "batch",
 	  "some_future_field": {"nested": true},
-	  "sim_clock": {"mode": "real", "future_knob": 7},
 	  "metrics": {
-	    "metric_from_the_future": {"value": 3, "unit": "zorps", "direction": "higher_better", "novel_annotation": "yes"}
+	    "metric_from_the_future": {"value": 3, "unit": "zorps", "novel_annotation": "yes"}
 	  }
 	}`
 	r, err := Read(strings.NewReader(raw))
@@ -150,7 +143,7 @@ func TestReadToleratesUnknownFieldsAndMetrics(t *testing.T) {
 }
 
 func TestReadRejectsFutureSchema(t *testing.T) {
-	raw := `{"schema": 99, "experiment": "batch", "sim_clock": {"mode": "real"}, "metrics": {"m": {"value": 1, "unit": "x"}}}`
+	raw := `{"schema": 99, "experiment": "batch", "metrics": {"m": {"value": 1, "unit": "x"}}}`
 	if _, err := Read(strings.NewReader(raw)); err == nil {
 		t.Fatal("Read accepted schema version 99")
 	}
@@ -161,7 +154,7 @@ func TestReadRejectsMalformedJSON(t *testing.T) {
 		t.Fatal("Read accepted truncated JSON")
 	}
 	// JSON has no NaN literal; a file that smuggles one is malformed.
-	if _, err := Read(strings.NewReader(`{"schema": 1, "experiment": "x", "metrics": {"m": {"value": NaN}}}`)); err == nil {
+	if _, err := Read(strings.NewReader(`{"schema": 2, "experiment": "x", "metrics": {"m": {"value": NaN}}}`)); err == nil {
 		t.Fatal("Read accepted NaN literal")
 	}
 }
@@ -176,17 +169,5 @@ func TestReadDirSurfacesBadFile(t *testing.T) {
 	}
 	if _, err := ReadDir(dir); err == nil {
 		t.Fatal("ReadDir ignored a corrupt trajectory file")
-	}
-}
-
-func TestVarianceOf(t *testing.T) {
-	if v := VarianceOf(nil); v != 0 {
-		t.Errorf("nil: %v", v)
-	}
-	if v := VarianceOf([]float64{5}); v != 0 {
-		t.Errorf("single: %v", v)
-	}
-	if v := VarianceOf([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(v-4) > 1e-12 {
-		t.Errorf("variance: got %v want 4", v)
 	}
 }

@@ -1,11 +1,10 @@
 package experiments
 
-// Perf-trajectory adapters: each experiment's structured result folds
-// into one benchjson.Result so abase-bench -json-out can emit a
-// BENCH_<experiment>.json trajectory point and benchdiff can gate the
-// next run against it. Direction marks which way is bad — throughput
-// metrics regress downward, latency metrics upward; configuration
-// echoes and counts ride along ungated as Info.
+// Perf-trajectory adapters: each measuring experiment's structured
+// result folds into one benchjson.Result so abase-bench -json-out can
+// write a BENCH_<experiment>.json trajectory point. An adapter emits
+// only counts and ratios of counts, which a given tree reproduces
+// exactly; the experiment's timings stay in its printed table.
 
 import (
 	"fmt"
@@ -33,30 +32,25 @@ func slug(label string) string {
 	return strings.TrimSuffix(b.String(), "_")
 }
 
-// realClock is the SimClock stamp shared by all wall-clock experiments.
-var realClock = benchjson.SimClock{Mode: "real"}
-
 // BatchBench folds the batched-vs-looped comparison into a trajectory
-// point: per batch size, both paths' throughput and the speedup.
+// point: per batch size, the WFQ tasks each path ran per key.
 func BatchBench(points []BatchPoint) benchjson.Result {
 	m := map[string]benchjson.Metric{}
 	for _, p := range points {
-		m[fmt.Sprintf("looped_keys_per_sec_b%d", p.BatchSize)] = benchjson.M(p.LoopedOps, "keys/s", benchjson.HigherIsBetter)
-		m[fmt.Sprintf("batched_keys_per_sec_b%d", p.BatchSize)] = benchjson.M(p.BatchedOps, "keys/s", benchjson.HigherIsBetter)
-		m[fmt.Sprintf("speedup_b%d", p.BatchSize)] = benchjson.M(p.Speedup, "x", benchjson.HigherIsBetter)
+		m[fmt.Sprintf("looped_tasks_per_key_b%d", p.BatchSize)] = benchjson.Metric{Value: p.LoopedTasks, Unit: "tasks/key"}
+		m[fmt.Sprintf("batched_tasks_per_key_b%d", p.BatchSize)] = benchjson.Metric{Value: p.BatchedTasks, Unit: "tasks/key"}
 	}
-	return benchjson.Result{Experiment: "batch", SimClock: realClock, Metrics: m}
+	return benchjson.Result{Experiment: "batch", Metrics: m}
 }
 
 // ScanBench folds the distributed-scan traversal into a trajectory
-// point: throughput per page size, page counts as context.
+// point: the cursor pages a full traversal took per page size.
 func ScanBench(points []ScanPoint) benchjson.Result {
 	m := map[string]benchjson.Metric{}
 	for _, p := range points {
-		m[fmt.Sprintf("keys_per_sec_p%d", p.PageSize)] = benchjson.M(p.KeysPerSec, "keys/s", benchjson.HigherIsBetter)
-		m[fmt.Sprintf("pages_p%d", p.PageSize)] = benchjson.M(float64(p.Pages), "pages", benchjson.Info)
+		m[fmt.Sprintf("pages_p%d", p.PageSize)] = benchjson.Metric{Value: float64(p.Pages), Unit: "pages"}
 	}
-	return benchjson.Result{Experiment: "scan", SimClock: realClock, Metrics: m}
+	return benchjson.Result{Experiment: "scan", Metrics: m}
 }
 
 // HotspotBench folds the hotspot-mitigation outcome into a trajectory
@@ -70,69 +64,25 @@ func HotspotBench(rows []HotspotRow, split HotspotSplit) benchjson.Result {
 			policy = "gated"
 		}
 		prefix := fmt.Sprintf("%s_%s", slug(r.Workload), policy)
-		m[prefix+"_hit_ratio"] = benchjson.M(r.HitRatio, "ratio", benchjson.HigherIsBetter)
-		// Origin RU is the load the mitigation sheds; more of it is the
-		// regression direction.
-		m[prefix+"_node_ru"] = benchjson.M(r.NodeRU, "RU", benchjson.LowerIsBetter)
-		m[prefix+"_ops_per_sec"] = benchjson.M(r.OpsPerSec, "ops/s", benchjson.HigherIsBetter)
-		m[slug(r.Workload)+"_recall10"] = benchjson.M(r.Recall10, "ratio", benchjson.HigherIsBetter)
+		m[prefix+"_hit_ratio"] = benchjson.Metric{Value: r.HitRatio, Unit: "ratio"}
+		m[prefix+"_node_ru"] = benchjson.Metric{Value: r.NodeRU, Unit: "RU"}
+		m[slug(r.Workload)+"_recall10"] = benchjson.Metric{Value: r.Recall10, Unit: "ratio"}
 	}
-	m["split_cycles"] = benchjson.M(float64(split.Cycles), "cycles", benchjson.Info)
-	m["partitions_after_split"] = benchjson.M(float64(split.PartitionsAfter), "partitions", benchjson.Info)
-	return benchjson.Result{Experiment: "hotspot", SimClock: realClock, Metrics: m}
+	m["split_cycles"] = benchjson.Metric{Value: float64(split.Cycles), Unit: "cycles"}
+	m["partitions_after_split"] = benchjson.Metric{Value: float64(split.PartitionsAfter), Unit: "partitions"}
+	return benchjson.Result{Experiment: "hotspot", Metrics: m}
 }
 
 // FailoverBench folds the failover-availability outcome into a
-// trajectory point. Lost acknowledged writes gate downward with a zero
-// baseline: ANY rise is a regression regardless of band.
+// trajectory point: what the outage cost in writes, and what kept
+// serving through it.
 func FailoverBench(r FailoverResult) benchjson.Result {
-	return benchjson.Result{Experiment: "failover", SimClock: realClock, Metrics: map[string]benchjson.Metric{
-		"unavailable_window_us": benchjson.M(float64(r.UnavailableWindow.Microseconds()), "us", benchjson.LowerIsBetter),
-		"unavailable_writes":    benchjson.M(float64(r.UnavailableWrites), "writes", benchjson.LowerIsBetter),
-		"lost_acked_writes":     benchjson.M(float64(r.LostAckedWrites), "writes", benchjson.LowerIsBetter),
-		"acked_writes":          benchjson.M(float64(r.AckedWrites), "writes", benchjson.Info),
-		"affected_partitions":   benchjson.M(float64(r.AffectedPartitions), "partitions", benchjson.Info),
-		"promoted_partitions":   benchjson.M(float64(r.PromotedPartitions), "partitions", benchjson.Info),
-		"follower_reads_served": benchjson.M(float64(r.FollowerReadsServed), "reads", benchjson.HigherIsBetter),
-	}}
-}
-
-// SheddingBench folds the deadline-shedding comparison into a
-// trajectory point: goodput with shedding on is the headline metric;
-// the off-side numbers are context for the win.
-func SheddingBench(r SheddingResult) benchjson.Result {
-	return benchjson.Result{Experiment: "shedding", SimClock: realClock, Metrics: map[string]benchjson.Metric{
-		"goodput_on":           benchjson.M(r.On.Goodput, "ops/s", benchjson.HigherIsBetter),
-		"goodput_off":          benchjson.M(r.Off.Goodput, "ops/s", benchjson.Info),
-		"tight_latency_on_us":  benchjson.M(float64(r.On.TightLatency.Microseconds()), "us", benchjson.LowerIsBetter),
-		"tight_latency_off_us": benchjson.M(float64(r.Off.TightLatency.Microseconds()), "us", benchjson.Info),
-		"shed_on":              benchjson.M(float64(r.On.Shed), "requests", benchjson.Info),
-		"late_on":              benchjson.M(float64(r.On.Late), "requests", benchjson.LowerIsBetter),
-	}}
-}
-
-// PointBench folds the single-key baseline into a trajectory point.
-func PointBench(stats []PointStats) benchjson.Result {
-	m := map[string]benchjson.Metric{}
-	for _, s := range stats {
-		m[s.Path+"_ops_per_sec"] = benchjson.MS(s.OpsPerSec, "ops/s", benchjson.HigherIsBetter, s.Ops, 0)
-		m[s.Path+"_p50_us"] = benchjson.MS(float64(s.P50.Microseconds()), "us", benchjson.LowerIsBetter, s.Ops, 0)
-		m[s.Path+"_p99_us"] = benchjson.MS(float64(s.P99.Microseconds()), "us", benchjson.LowerIsBetter, s.Ops, 0)
-	}
-	return benchjson.Result{Experiment: "point", SimClock: realClock, Metrics: m}
-}
-
-// ChangeStreamBench folds the change-stream fan-out outcome into a
-// trajectory point: fan-out throughput and replay bandwidth gate
-// upward, commit-to-delivery latency gates downward, and the scale
-// numbers ride along as context.
-func ChangeStreamBench(r ChangeStreamResult) benchjson.Result {
-	return benchjson.Result{Experiment: "cdc", SimClock: realClock, Metrics: map[string]benchjson.Metric{
-		"fanout_events_per_sec": benchjson.M(r.EventsPerSec, "events/s", benchjson.HigherIsBetter),
-		"notify_p50_us":         benchjson.M(float64(r.NotifyP50.Microseconds()), "us", benchjson.LowerIsBetter),
-		"notify_p99_us":         benchjson.M(float64(r.NotifyP99.Microseconds()), "us", benchjson.LowerIsBetter),
-		"replay_mb_per_sec":     benchjson.M(r.ReplayMBPerSec, "MB/s", benchjson.HigherIsBetter),
-		"delivered_events":      benchjson.M(float64(r.Delivered), "events", benchjson.Info),
-		"subscribers":           benchjson.M(float64(r.Subscribers), "subscribers", benchjson.Info),
+	return benchjson.Result{Experiment: "failover", Metrics: map[string]benchjson.Metric{
+		"unavailable_writes":    {Value: float64(r.UnavailableWrites), Unit: "writes"},
+		"lost_acked_writes":     {Value: float64(r.LostAckedWrites), Unit: "writes"},
+		"acked_writes":          {Value: float64(r.AckedWrites), Unit: "writes"},
+		"affected_partitions":   {Value: float64(r.AffectedPartitions), Unit: "partitions"},
+		"promoted_partitions":   {Value: float64(r.PromotedPartitions), Unit: "partitions"},
+		"follower_reads_served": {Value: float64(r.FollowerReadsServed), Unit: "reads"},
 	}}
 }

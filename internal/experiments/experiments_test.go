@@ -442,40 +442,14 @@ func TestExperimentsBatch(t *testing.T) {
 	}
 
 	// The trajectory adapter must produce a schema-valid result with
-	// one gated metric triple per batch size.
+	// one metric pair (looped and batched tasks per key) per batch size.
 	res := BatchBench(points)
 	res.Schema = benchjson.SchemaVersion
 	if err := benchjson.Validate(res); err != nil {
 		t.Fatalf("BatchBench result invalid: %v", err)
 	}
-	if res.Experiment != "batch" || len(res.Metrics) != 3*len(sizes) {
-		t.Fatalf("adapter emitted %d metrics for %q, want %d", len(res.Metrics), res.Experiment, 3*len(sizes))
-	}
-}
-
-// TestExperimentsPoint is the CI smoke for the single-key baseline:
-// both paths measure, latencies order sanely, and the adapter emits a
-// schema-valid trajectory point.
-func TestExperimentsPoint(t *testing.T) {
-	stats, tbl := PointLatency(PointOpts{Ops: 1024})
-	if len(stats) != 2 || stats[0].Path != "get" || stats[1].Path != "set" {
-		t.Fatalf("stats = %+v, want [get set]", stats)
-	}
-	for _, s := range stats {
-		if s.OpsPerSec <= 0 {
-			t.Errorf("%s: ops/sec = %.0f", s.Path, s.OpsPerSec)
-		}
-		if s.P99 < s.P50 {
-			t.Errorf("%s: p99 %v < p50 %v", s.Path, s.P99, s.P50)
-		}
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("table rows = %d", len(tbl.Rows))
-	}
-	res := PointBench(stats)
-	res.Schema = benchjson.SchemaVersion
-	if err := benchjson.Validate(res); err != nil {
-		t.Fatalf("PointBench result invalid: %v", err)
+	if res.Experiment != "batch" || len(res.Metrics) != 2*len(sizes) {
+		t.Fatalf("adapter emitted %d metrics for %q, want %d", len(res.Metrics), res.Experiment, 2*len(sizes))
 	}
 }
 
@@ -501,7 +475,7 @@ func TestExperimentsScan(t *testing.T) {
 // TestBenchAdaptersSchemaValid feeds each remaining trajectory adapter
 // a representative structured result and requires a schema-valid
 // envelope with stable, filename-safe experiment ids — the contract
-// BENCH_*.json baselines and benchdiff depend on.
+// the committed BENCH_*.json files depend on.
 func TestBenchAdaptersSchemaValid(t *testing.T) {
 	cases := []struct {
 		id  string
@@ -516,10 +490,6 @@ func TestBenchAdaptersSchemaValid(t *testing.T) {
 			Victim: "node-1", AffectedPartitions: 2, PromotedPartitions: 2,
 			UnavailableWindow: 40 * time.Millisecond, AckedWrites: 4000, FollowerReadsServed: 12,
 		})},
-		{"shedding", SheddingBench(SheddingResult{
-			On:  SheddingStats{Offered: 1000, InDeadline: 700, Shed: 250, Goodput: 900, TightLatency: time.Millisecond},
-			Off: SheddingStats{Offered: 1000, InDeadline: 400, Late: 300, Goodput: 500, TightLatency: 3 * time.Millisecond},
-		})},
 	}
 	for _, tc := range cases {
 		tc.res.Schema = benchjson.SchemaVersion
@@ -528,9 +498,6 @@ func TestBenchAdaptersSchemaValid(t *testing.T) {
 		}
 		if tc.res.Experiment != tc.id {
 			t.Errorf("adapter experiment id = %q, want %q", tc.res.Experiment, tc.id)
-		}
-		if tc.res.SimClock.Mode != "real" {
-			t.Errorf("%s: sim-clock mode = %q, want real", tc.id, tc.res.SimClock.Mode)
 		}
 	}
 	// The hotspot metric names must be slugged (no spaces/parens from
@@ -546,11 +513,31 @@ func TestBenchAdaptersSchemaValid(t *testing.T) {
 	}
 }
 
+// TestBenchAdaptersDeterministic runs the batch and scan experiments
+// twice and requires byte-identical trajectory files: the committed
+// BENCH_*.json files are gated by regenerating them and diffing, so an
+// adapter may emit only what the tree reproduces exactly.
+func TestBenchAdaptersDeterministic(t *testing.T) {
+	encode := func() []byte {
+		var buf bytes.Buffer
+		points, _ := BatchComparison(BatchOpts{Keys: 256, Sizes: []int{4, 16}})
+		scans, _ := ScanThroughput(ScanOpts{Keys: 256, PageSizes: []int{16, 64}})
+		for _, r := range []benchjson.Result{BatchBench(points), ScanBench(scans)} {
+			if err := benchjson.Write(&buf, r); err != nil {
+				t.Fatalf("%s: %v", r.Experiment, err)
+			}
+		}
+		return buf.Bytes()
+	}
+	if first, second := encode(), encode(); !bytes.Equal(first, second) {
+		t.Fatalf("trajectory differs between two runs:\n%s\n---\n%s", first, second)
+	}
+}
+
 // TestExperimentsChangeStream is the CI smoke for the change-stream
 // fan-out harness (`go test -run TestExperiments`): every subscriber
 // drains every committed write, latency percentiles order sanely,
-// replay covers the whole history, and the adapter emits a
-// schema-valid trajectory point.
+// and replay covers the whole history.
 func TestExperimentsChangeStream(t *testing.T) {
 	res, tbl := ChangeStreamFanout(ChangeStreamOpts{Subscribers: 4, Events: 400, Partitions: 2})
 	if want := res.Subscribers * res.Events; res.Delivered != want {
@@ -570,13 +557,5 @@ func TestExperimentsChangeStream(t *testing.T) {
 	}
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("table rows = %d", len(tbl.Rows))
-	}
-	out := ChangeStreamBench(res)
-	out.Schema = benchjson.SchemaVersion
-	if err := benchjson.Validate(out); err != nil {
-		t.Fatalf("ChangeStreamBench result invalid: %v", err)
-	}
-	if out.Experiment != "cdc" {
-		t.Fatalf("adapter experiment id = %q, want cdc", out.Experiment)
 	}
 }

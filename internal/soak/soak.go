@@ -176,58 +176,56 @@ type Report struct {
 	Violations []string
 }
 
-// Fingerprint digests the run's deterministic outcomes: two runs with
-// the same Config must produce identical fingerprints. Migration
-// counts and latencies are excluded — heat decays on the real clock,
-// so the rescheduler's exact plan is timing-dependent even though the
-// client-visible stream is not.
+// outcome is one deterministic field of a Report: a trajectory metric
+// name, its unit and its value.
+type outcome struct {
+	name, unit string
+	value      float64
+}
+
+// outcomes lists the run's deterministic outcomes: two runs with the
+// same Config produce identical lists. Fingerprint digests exactly this
+// list and ToResult emits exactly this list, so the determinism test
+// and the committed trajectory cannot drift apart. Migration counts,
+// the RU balance ratio and latencies are left out — heat decays on the
+// real clock, so the rescheduler's exact plan (and the books it moves)
+// is timing-dependent even though the client-visible stream is not.
+func (r Report) outcomes() []outcome {
+	out := []outcome{
+		{"ops_issued", "count", float64(r.OpsIssued)},
+		{"acked_writes", "count", float64(r.Acked)},
+		{"audit_reads", "count", float64(r.AuditReads)},
+		{"lost_acked_writes", "count", float64(r.LostAcked)},
+		{"availability", "ratio", r.Availability},
+		{"failovers", "count", float64(r.Failovers)},
+		{"pool_resizes", "count", float64(r.Resizes)},
+		{"peak_nodes", "count", float64(r.PeakNodes)},
+		{"final_nodes", "count", float64(r.FinalNodes)},
+		{"ru_billed", "RU", r.BilledRU},
+	}
+	for _, e := range r.ResizeEvents {
+		out = append(out, outcome{fmt.Sprintf("resize_h%02d_nodes", e.Hour), "nodes", float64(e.To)})
+	}
+	return out
+}
+
+// Fingerprint digests the run's deterministic outcomes.
 func (r Report) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ops=%d acked=%d audit=%d lost=%d failovers=%d nodes=%d billed=%.3f resizes=",
-		r.OpsIssued, r.Acked, r.AuditReads, r.LostAcked, r.Failovers, r.FinalNodes, r.BilledRU)
-	for _, e := range r.ResizeEvents {
-		fmt.Fprintf(&b, "[h%d:%d->%d]", e.Hour, e.From, e.To)
+	for _, o := range r.outcomes() {
+		fmt.Fprintf(&b, "%s=%v ", o.name, o.value)
 	}
 	return b.String()
 }
 
-// ToResult converts the report into the trajectory schema. The caller
-// stamps GitRev.
+// ToResult converts the report's deterministic outcomes into the
+// trajectory schema.
 func (r Report) ToResult() benchjson.Result {
-	res := benchjson.Result{
-		Experiment: "soak",
-		SimClock: benchjson.SimClock{
-			Mode:          "sim",
-			Seed:          r.Seed,
-			SimulatedSpan: r.SimulatedSpan.String(),
-		},
-		Metrics: map[string]benchjson.Metric{
-			"availability":      benchjson.MS(r.Availability, "ratio", benchjson.HigherIsBetter, int(r.OpsIssued), 0),
-			"ops_issued":        benchjson.M(float64(r.OpsIssued), "count", benchjson.Info),
-			"acked_writes":      benchjson.M(float64(r.Acked), "count", benchjson.Info),
-			"lost_acked_writes": benchjson.M(float64(r.LostAcked), "count", benchjson.LowerIsBetter),
-			"failovers":         benchjson.M(float64(r.Failovers), "count", benchjson.Info),
-			"pool_resizes":      benchjson.M(float64(r.Resizes), "count", benchjson.Info),
-			"migrations":        benchjson.M(float64(r.Migrations), "count", benchjson.Info),
-			"peak_nodes":        benchjson.M(float64(r.PeakNodes), "count", benchjson.Info),
-			"ru_billed":         benchjson.M(r.BilledRU, "RU", benchjson.Info),
-			"ru_balance_ratio":  benchjson.M(r.balanceRatio(), "ratio", benchjson.Info),
-		},
-	}
-	for _, p := range r.Phases {
-		res.Metrics["p50_"+p.Name+"_us"] = benchjson.MS(
-			float64(p.P50.Microseconds()), "us", benchjson.LowerIsBetter, int(p.Ops), 0)
-		res.Metrics["p99_"+p.Name+"_us"] = benchjson.MS(
-			float64(p.P99.Microseconds()), "us", benchjson.LowerIsBetter, int(p.Ops), 0)
+	res := benchjson.Result{Experiment: "soak", Metrics: map[string]benchjson.Metric{}}
+	for _, o := range r.outcomes() {
+		res.Metrics[o.name] = benchjson.Metric{Value: o.value, Unit: o.unit}
 	}
 	return res
-}
-
-func (r Report) balanceRatio() float64 {
-	if r.BilledRU <= 0 {
-		return 0
-	}
-	return (r.ChargedRU - r.RefundedRU) / r.BilledRU
 }
 
 // ledgerTracker accumulates per-node monotone counters into a running
