@@ -92,8 +92,7 @@ type DB struct {
 
 	mu        sync.RWMutex
 	mem       *skiplist.List
-	imm       []*skiplist.List // immutable memtables awaiting flush; replaced whole like tables
-	tables    []*Table         // newest first; replaced whole, never written in place
+	v         *view // the immutable memtables and tables; see view
 	wal       *walWriter
 	walName   string
 	walBytes  int64 // appended to the live WAL since the last rotation
@@ -168,6 +167,7 @@ func (db *DB) recover() ([]string, error) {
 		return nil, err
 	}
 	var tableNames, walNames []string
+	var tables []*Table
 	for _, n := range names {
 		switch {
 		case strings.HasSuffix(n, ".sst"):
@@ -200,8 +200,11 @@ func (db *DB) recover() ([]string, error) {
 			db.opt.FS.Remove(db.filePath(n))
 			continue
 		}
-		db.tables = append(db.tables, t)
+		tables = append(tables, t)
 	}
+	db.mu.Lock()
+	db.installLocked(nil, tables)
+	db.mu.Unlock()
 	// Replay WALs oldest-first so newer records win.
 	sort.Slice(walNames, func(i, j int) bool {
 		return tableFileNum(walNames[i]) < tableFileNum(walNames[j])
@@ -413,7 +416,7 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 // seq. It fails open on a read error.
 // +locked:db.mu
 func (db *DB) shadowedLocked(key []byte, seq uint64) bool {
-	cur, _, err := lookup(db.mem, db.imm, db.tables, key)
+	cur, _, err := lookup(db.mem, db.v.imm, db.v.tables, key)
 	return err == nil && recSeq(cur) > seq
 }
 
@@ -475,9 +478,10 @@ func (db *DB) live(key []byte) (r record, ioReads int, err error) {
 		db.mu.RUnlock()
 		return r, 0, ErrClosed
 	}
-	mem, imm, tables := db.mem, db.imm, db.tables
+	mem, v := db.mem, db.acquireLocked()
 	db.mu.RUnlock()
-	rec, ioReads, err := lookup(mem, imm, tables, key)
+	rec, ioReads, err := lookup(mem, v.imm, v.tables, key)
+	v.release() // rec is a copy when it comes from a table
 	if ioReads > 0 {
 		db.getIOReads.Add(int64(ioReads))
 	}
@@ -493,8 +497,7 @@ func (db *DB) live(key []byte) (r record, ioReads int, err error) {
 // lookup is the engine's one layered point read: the memtable, then the
 // immutable memtables newest-first, then the tables newest-first. It
 // returns the first record found for key and the table reads it made,
-// or ErrNotFound. Callers pass a snapshot (imm and tables are replaced
-// whole, never written in place) or hold db.mu.
+// or ErrNotFound. Callers pass an acquired view's layers or hold db.mu.
 func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key []byte) (rec []byte, ioReads int, err error) {
 	if rec, ok := mem.Get(key); ok {
 		return rec, 0, nil
@@ -543,9 +546,8 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		return false, nil
 	}
 	frozen := db.mem
-	// imm and tables are replaced whole, never written in place: Get
-	// reads the slices it snapshotted after dropping mu.
-	db.imm = append(db.imm[:len(db.imm):len(db.imm)], frozen)
+	imm := db.v.imm
+	db.installLocked(append(imm[:len(imm):len(imm)], frozen), db.v.tables)
 	db.mem = skiplist.New(1)
 	// The old WAL holds frozen's records; it must outlive this flush
 	// (removed below only once the SSTable is installed), or a crash
@@ -587,18 +589,16 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 	}
 
 	db.mu.Lock()
-	// Remove frozen from imm and install the table as newest, both as
-	// fresh slices (see the freeze above).
-	var imm []*skiplist.List
-	for _, m := range db.imm {
+	// Remove frozen from imm and install the table as newest.
+	var rest []*skiplist.List
+	for _, m := range db.v.imm {
 		if m != frozen {
-			imm = append(imm, m)
+			rest = append(rest, m)
 		}
 	}
-	db.imm = imm
-	db.tables = append([]*Table{t}, db.tables...)
+	db.installLocked(rest, append([]*Table{t}, db.v.tables...))
 	db.flushes++
-	tooMany = len(db.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
+	tooMany = len(db.v.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
 	// frozen's records are durable in the installed table; its sealed
 	// WAL segment is now deletable — unless the change-log retention
 	// floor still references it for Replay.
@@ -616,7 +616,8 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 
 // Compact merges all SSTables into one, dropping tombstones, shadowed
 // versions, and expired records. It blocks concurrent compactions but
-// not reads.
+// not reads: a merged-away table closes once the last reader of a view
+// holding it is done.
 func (db *DB) Compact() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
@@ -635,8 +636,10 @@ func (db *DB) Compact() error {
 		db.flushMu.Unlock()
 		return ErrClosed
 	}
-	old := append([]*Table(nil), db.tables...)
+	snap := db.acquireLocked()
 	db.mu.RUnlock()
+	defer snap.release()
+	old := snap.tables
 	if len(old) <= 1 {
 		db.flushMu.Unlock()
 		return nil
@@ -695,13 +698,12 @@ func (db *DB) Compact() error {
 		oldSet[o] = true
 	}
 	var next []*Table
-	for _, cur := range db.tables {
+	for _, cur := range db.v.tables {
 		if !oldSet[cur] {
 			next = append(next, cur)
 		}
 	}
-	next = append(next, t)
-	db.tables = next // likewise built fresh
+	db.installLocked(db.v.imm, append(next, t))
 	db.compactions++
 	db.expiredDropped += dropped
 	db.mu.Unlock()
@@ -714,9 +716,9 @@ func (db *DB) Compact() error {
 	// tombstone's table necessarily still exists too and recovery
 	// keeps the key dead. Newest-first removal would open the inverse
 	// window and resurrect deleted keys (the crash-torture test
-	// catches exactly that).
+	// catches exactly that). Readers still holding a removed table keep
+	// its open file; snap's release closes it after the last of them.
 	for i := len(old) - 1; i >= 0; i-- {
-		old[i].Close()
 		db.opt.FS.Remove(db.filePath(old[i].Name()))
 	}
 	return nil
@@ -738,16 +740,16 @@ func (db *DB) Stats() Stats {
 		MemtableBytes:     db.mem.Bytes(),
 		MemtablePageBytes: db.mem.PageBytes(),
 		MemtableKeys:      db.mem.Len(),
-		Tables:            len(db.tables),
+		Tables:            len(db.v.tables),
 		Flushes:           db.flushes,
 		Compactions:       db.compactions,
 		GetIOReads:        db.getIOReads.Load(),
 		ExpiredDropped:    db.expiredDropped,
 	}
-	for _, m := range db.imm {
+	for _, m := range db.v.imm {
 		s.MemtablePageBytes += m.PageBytes()
 	}
-	for _, t := range db.tables {
+	for _, t := range db.v.tables {
 		s.TableBytes += t.Size()
 	}
 	return s
@@ -767,8 +769,6 @@ func (db *DB) Close() error {
 	if db.wal != nil {
 		db.wal.Close()
 	}
-	for _, t := range db.tables {
-		t.Close()
-	}
+	db.v.release() // its tables close after the last reader's release
 	return nil
 }

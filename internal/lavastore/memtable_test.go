@@ -100,7 +100,7 @@ func TestMemtablePageBytes(t *testing.T) {
 	// imm alike. Freeze by hand, as doFlush does before it writes.
 	db.mu.Lock()
 	frozen := db.mem.PageBytes()
-	db.imm = append(db.imm, db.mem)
+	db.installLocked(append(db.v.imm, db.mem), db.v.tables)
 	db.mem = skiplist.New(1)
 	db.mu.Unlock()
 	if got := db.Stats().MemtablePageBytes; got != frozen {

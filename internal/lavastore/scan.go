@@ -32,6 +32,7 @@ func (db *DB) Scan(fn func(ScanEntry) bool) error {
 	if err != nil {
 		return err
 	}
+	defer ms.release()
 	now := db.opt.Clock.Now().Unix()
 	for key, rec, ok := ms.next(); ok; key, rec, ok = ms.next() {
 		r, err := decodeRecord(rec)
@@ -95,6 +96,7 @@ func (db *DB) ScanRange(start []byte, limit int, keysOnly bool) (ScanPage, error
 	if err != nil {
 		return ScanPage{}, err
 	}
+	defer ms.release()
 	now := db.opt.Clock.Now().Unix()
 	maxExamine := limit * scanExamineFactor
 	var page ScanPage
@@ -135,6 +137,7 @@ type mergedScanner struct {
 	heads   []head // newest source first
 	lastKey []byte
 	failed  error
+	view    *view // the layers a DB scanner reads; nil for compaction's
 }
 
 // head is one source and its current key (ok false once exhausted).
@@ -145,7 +148,7 @@ type head struct {
 }
 
 // scanner snapshots every storage layer and merges it from the first
-// key >= start (nil start = the first key).
+// key >= start (nil start = the first key). The caller releases it.
 func (db *DB) scanner(start []byte) (*mergedScanner, error) {
 	db.mu.RLock()
 	if db.closed {
@@ -154,15 +157,20 @@ func (db *DB) scanner(start []byte) (*mergedScanner, error) {
 	}
 	// Sources ordered newest first so the first occurrence of a key is
 	// its newest record.
-	sources := make([]scanSource, 0, 1+len(db.imm)+len(db.tables))
+	v := db.acquireLocked()
+	sources := make([]scanSource, 0, 1+len(v.imm)+len(v.tables))
 	sources = append(sources, memSource{db.mem.NewIterator()})
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		sources = append(sources, memSource{db.imm[i].NewIterator()})
+	for i := len(v.imm) - 1; i >= 0; i-- {
+		sources = append(sources, memSource{v.imm[i].NewIterator()})
 	}
-	tables := db.tables
 	db.mu.RUnlock()
-	return newMergedScanner(sources, tables, start), nil
+	ms := newMergedScanner(sources, v.tables, start)
+	ms.view = v
+	return ms, nil
 }
+
+// release lets go of the layers a DB scanner read.
+func (m *mergedScanner) release() { m.view.release() }
 
 // newMergedScanner merges sources followed by tables, each list newest
 // first, positioning every source at the first key >= start.
