@@ -20,18 +20,27 @@ type RefreshGate func(key string) bool
 
 // AULRU is an active-update LRU: a TTL'd LRU cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
-// cache and stampede the data nodes (§4.4). Safe for concurrent use.
+// cache and stampede the data nodes (§4.4). It is split into
+// Shards(Capacity) shards by key hash, each an LRU over its share of
+// the capacity. Safe for concurrent use.
 type AULRU struct {
-	mu        sync.Mutex
-	capacity  int64
-	used      int64
-	ll        lruList[auMeta]
-	items     map[string]*auEntry
+	shards    []auShard
+	pick      picker
 	ttl       time.Duration
 	refreshAt time.Duration // remaining-TTL threshold that triggers refresh
 	clk       clock.Clock
 	refresher Refresher
 	gate      RefreshGate
+}
+
+// auShard is one shard: the LRU list, the index and the counters of the
+// keys hashed to it, under one lock.
+type auShard struct {
+	mu       sync.Mutex
+	capacity int64
+	used     int64
+	ll       lruList[auMeta]
+	items    map[string]*auEntry
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
 	// gen stamps every value a caller stores (see auMeta.gen).
@@ -40,6 +49,8 @@ type AULRU struct {
 	hits      int64
 	misses    int64
 	refreshes int64
+
+	_ [64]byte // keeps the next shard's lock off this shard's cache lines
 }
 
 // auEntry is one AU-LRU entry.
@@ -79,6 +90,11 @@ func NewAULRU(cfg AUConfig) *AULRU {
 	if cfg.Capacity <= 0 {
 		panic("cache: AULRU capacity must be positive")
 	}
+	return newAULRU(cfg, Shards(cfg.Capacity))
+}
+
+// newAULRU splits cfg.Capacity over n shards, n a power of two.
+func newAULRU(cfg AUConfig, n int) *AULRU {
 	if cfg.TTL <= 0 {
 		panic("cache: AULRU TTL must be positive")
 	}
@@ -89,18 +105,25 @@ func NewAULRU(cfg AUConfig) *AULRU {
 		cfg.Clock = clock.Real{}
 	}
 	c := &AULRU{
-		capacity:   cfg.Capacity,
-		items:      make(map[string]*auEntry),
-		ttl:        cfg.TTL,
-		refreshAt:  cfg.RefreshWindow,
-		clk:        cfg.Clock,
-		refresher:  cfg.Refresher,
-		gate:       cfg.RefreshGate,
-		refreshing: make(map[string]bool),
+		shards:    make([]auShard, n),
+		pick:      newPicker(n),
+		ttl:       cfg.TTL,
+		refreshAt: cfg.RefreshWindow,
+		clk:       cfg.Clock,
+		refresher: cfg.Refresher,
+		gate:      cfg.RefreshGate,
 	}
-	c.ll.init()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.capacity = cfg.Capacity / int64(n)
+		s.items = make(map[string]*auEntry)
+		s.refreshing = make(map[string]bool)
+		s.ll.init()
+	}
 	return c
 }
+
+func (c *AULRU) shard(key []byte) *auShard { return &c.shards[c.pick.pick(key)] }
 
 // Get is GetAt of a string key at the cache clock's current time.
 func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt([]byte(key), c.clk.Now()) }
@@ -110,65 +133,67 @@ func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt([]byte(key), c.c
 // entry close to expiry triggers a synchronous active update through
 // the Refresher, renewing the entry in place.
 func (c *AULRU) GetAt(key []byte, now time.Time) ([]byte, bool) {
-	c.mu.Lock()
-	e, ok := c.items[string(key)]
+	s := c.shard(key)
+	s.mu.Lock()
+	e, ok := s.items[string(key)]
 	if !ok {
-		c.misses++
-		c.mu.Unlock()
+		s.misses++
+		s.mu.Unlock()
 		return nil, false
 	}
 	if !now.Before(e.meta.expireAt) {
 		// Expired: treat as miss and drop.
-		c.remove(e)
-		c.misses++
-		c.mu.Unlock()
+		s.remove(e)
+		s.misses++
+		s.mu.Unlock()
 		return nil, false
 	}
-	c.ll.moveToFront(e)
-	c.hits++
+	s.ll.moveToFront(e)
+	s.hits++
 	needRefresh := e.meta.hot &&
 		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
-		!c.refreshing[e.key] &&
+		!s.refreshing[e.key] &&
 		(c.gate == nil || c.gate(e.key))
 	e.meta.hot = true
 	val, gen, name := e.value, e.meta.gen, e.key
 	if needRefresh {
-		c.refreshing[name] = true
+		s.refreshing[name] = true
 	}
-	c.mu.Unlock()
+	s.mu.Unlock()
 
 	if needRefresh {
-		c.refresh(name, gen)
+		c.refresh(s, name, gen)
 	}
 	return val, true
 }
 
-// refresh re-fetches key and renews the entry of generation gen, unless
-// a caller stored a newer value (or deleted it) in the meantime.
-func (c *AULRU) refresh(key string, gen uint64) {
+// refresh re-fetches key, which hashes to s, and renews the entry of
+// generation gen, unless a caller stored a newer value (or deleted it)
+// in the meantime.
+func (c *AULRU) refresh(s *auShard, key string, gen uint64) {
 	fresh, ok := c.refresher(key)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.refreshing, key)
-	e, present := c.items[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.refreshing, key)
+	e, present := s.items[key]
 	if !present || e.meta.gen != gen {
 		return
 	}
 	if !ok {
-		c.remove(e)
+		s.remove(e)
 		return
 	}
-	if int64(len(key)+len(fresh)) > c.capacity {
-		c.remove(e) // grew past any possible fit (see UpdateAt)
+	if int64(len(key)+len(fresh)) > s.capacity {
+		s.remove(e) // grew past any possible fit (see UpdateAt)
 		return
 	}
-	c.used += int64(len(fresh)) - int64(len(e.value))
+	s.used += int64(len(fresh)) - int64(len(e.value))
 	e.value = fresh
 	e.meta.expireAt = c.clk.Now().Add(c.ttl)
-	c.refreshes++
-	for c.used > c.capacity {
-		c.evictOne()
+	s.refreshes++
+	for s.used > s.capacity {
+		s.evictOne()
 	}
 }
 
@@ -177,28 +202,30 @@ func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.cl
 
 // PutAt inserts or updates key with a fresh TTL counted from now, the
 // caller's arrival time for the request; only a new key copies key.
+// Values larger than the key's shard are not cached.
 func (c *AULRU) PutAt(key, value []byte, now time.Time) {
+	s := c.shard(key)
 	size := int64(len(key) + len(value))
-	if size > c.capacity {
+	if size > s.capacity {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[string(key)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[string(key)]
 	if ok {
-		c.used -= e.size()
-		c.ll.moveToFront(e)
+		s.used -= e.size()
+		s.ll.moveToFront(e)
 		e.value = value
 	} else {
 		e = &auEntry{key: string(key), value: value}
-		c.items[e.key] = e
-		c.ll.pushFront(e)
+		s.items[e.key] = e
+		s.ll.pushFront(e)
 	}
-	c.gen++
-	e.meta = auMeta{expireAt: now.Add(c.ttl), gen: c.gen}
-	c.used += size
-	for c.used > c.capacity {
-		c.evictOne()
+	s.gen++
+	e.meta = auMeta{expireAt: now.Add(c.ttl), gen: s.gen}
+	s.used += size
+	for s.used > s.capacity {
+		s.evictOne()
 	}
 }
 
@@ -211,72 +238,83 @@ func (c *AULRU) Update(key, value []byte) bool { return c.UpdateAt(key, value, c
 // must stay coherent with the store, but a write alone does not earn a
 // cold key a cache slot.
 func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[string(key)]
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[string(key)]
 	if !ok {
 		return false
 	}
 	// A value too large to ever fit (PutAt's guard) must not enter the
-	// evict loop — it would flush the whole cache and then evict
+	// evict loop — it would flush the whole shard and then evict
 	// itself. Drop the now-stale entry instead; coherence is kept.
-	if int64(len(key)+len(value)) > c.capacity {
-		c.remove(e)
+	if int64(len(key)+len(value)) > s.capacity {
+		s.remove(e)
 		return true
 	}
-	c.used += int64(len(value)) - int64(len(e.value))
+	s.used += int64(len(value)) - int64(len(e.value))
 	e.value = value
 	e.meta.expireAt = now.Add(c.ttl)
-	c.gen++
-	e.meta.gen = c.gen
-	c.ll.moveToFront(e)
-	for c.used > c.capacity {
-		c.evictOne()
+	s.gen++
+	e.meta.gen = s.gen
+	s.ll.moveToFront(e)
+	for s.used > s.capacity {
+		s.evictOne()
 	}
 	return true
 }
 
 // Delete removes key if present.
 func (c *AULRU) Delete(key []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[string(key)]; ok {
-		c.remove(e)
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.items[string(key)]; ok {
+		s.remove(e)
 	}
 }
 
-func (c *AULRU) remove(e *auEntry) {
-	c.ll.remove(e)
-	c.used -= e.size()
-	delete(c.items, e.key)
+func (s *auShard) remove(e *auEntry) {
+	s.ll.remove(e)
+	s.used -= e.size()
+	delete(s.items, e.key)
 }
 
-func (c *AULRU) evictOne() {
-	if tail := c.ll.back(); tail != nil {
-		c.remove(tail)
+func (s *auShard) evictOne() {
+	if tail := s.ll.back(); tail != nil {
+		s.remove(tail)
+	}
+}
+
+// each calls f on every shard under its lock.
+func (c *AULRU) each(f func(*auShard)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		f(s)
+		s.mu.Unlock()
 	}
 }
 
 // Len returns the number of cached entries (including not-yet-swept
 // expired ones).
-func (c *AULRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+func (c *AULRU) Len() (n int) {
+	c.each(func(s *auShard) { n += len(s.items) })
+	return n
 }
 
 // Used returns the bytes currently cached.
-func (c *AULRU) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+func (c *AULRU) Used() (used int64) {
+	c.each(func(s *auShard) { used += s.used })
+	return used
 }
 
 // Stats returns cumulative hits, misses, and active refreshes.
 func (c *AULRU) Stats() (hits, misses, refreshes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.refreshes
+	c.each(func(s *auShard) {
+		hits, misses, refreshes = hits+s.hits, misses+s.misses, refreshes+s.refreshes
+	})
+	return hits, misses, refreshes
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookups.
@@ -290,7 +328,5 @@ func (c *AULRU) HitRatio() float64 {
 
 // ResetStats zeroes hit/miss/refresh counters.
 func (c *AULRU) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses, c.refreshes = 0, 0, 0
+	c.each(func(s *auShard) { s.hits, s.misses, s.refreshes = 0, 0, 0 })
 }

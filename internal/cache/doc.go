@@ -8,4 +8,9 @@
 //     a TTL; hot entries approaching expiry are refreshed in the
 //     background instead of expiring, preventing request spikes from
 //     expired hot keys.
+//
+// Both split into Shards(capacity) shards by a seeded hash of the key,
+// each with its own lock and an equal share of the capacity, so callers
+// on different cores that touch different keys do not queue on one
+// mutex; a cache under 2 MiB is one shard.
 package cache

@@ -1,12 +1,13 @@
 package cache
 
-// This file keeps the caches' previous implementation — container/list
-// queues, map[string]*list.Element, string keys — as a reference model,
-// and fuzzes the intrusive-list caches against it: every call must
-// return what the model returns and leave the same entries, in the same
-// LRU order, with the same counters. The only edit to the model is that
-// its writes take the "now" their TTL counts from, as PutAt and
-// UpdateAt do.
+// This file keeps the caches' previous implementation — one lock,
+// container/list queues, map[string]*list.Element, string keys — as a
+// reference model, and fuzzes the sharded intrusive-list caches against
+// one model per shard, each key sent to the model of the shard the
+// cache's own hash picks: every call must return what the model returns
+// and leave the same entries, in the same LRU order, with the same
+// counters, shard by shard. The only edit to the model is that its
+// writes take the "now" their TTL counts from, as PutAt and UpdateAt do.
 
 import (
 	"container/list"
@@ -348,17 +349,22 @@ func seedCacheFuzz(f *testing.F) {
 	f.Add(seq)
 }
 
-// saSnapshot lists c's entries class by class in LRU order, with the
+// fuzzShards is how many shards the fuzzed caches have, each the size
+// of one model.
+const fuzzShards = 4
+
+// saSnapshot lists s's entries class by class in LRU order, with the
 // class counters.
-func saSnapshot(c *SALRU) string {
+func saSnapshot(s *saShard) string {
 	var b strings.Builder
-	for i, cls := range c.classes {
+	for i := range s.classes {
+		cls := &s.classes[i]
 		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
 		for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
 			fmt.Fprintf(&b, " %q=%q", e.key, e.value)
 		}
 	}
-	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(c.items), c.used, c.hits, c.misses)
+	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(s.items), s.used, s.hits, s.misses)
 	return b.String()
 }
 
@@ -379,10 +385,16 @@ func FuzzSALRUModel(f *testing.F) {
 	seedCacheFuzz(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := &fuzzOps{data}
-		c, m := NewSALRU(1024), newModelSALRU(1024)
+		c := newSALRU(fuzzShards*1024, fuzzShards)
+		var models [fuzzShards]*modelSALRU
+		for i := range models {
+			models[i] = newModelSALRU(1024)
+		}
 		for step := 0; ops.more(); step++ {
 			var desc string
-			switch k := ops.key(); ops.next(5) {
+			k := ops.key()
+			m := models[c.pick.pick([]byte(k))]
+			switch ops.next(5) {
 			case 0, 1:
 				desc = "Get " + k
 				v, ok := c.Get(k)
@@ -407,13 +419,20 @@ func FuzzSALRUModel(f *testing.F) {
 				p := k[:strings.IndexByte(k, 0)+ops.next(2)]
 				desc = fmt.Sprintf("DeletePrefix %q", p)
 				c.DeletePrefix(p)
-				m.DeletePrefix(p)
+				for _, m := range models {
+					m.DeletePrefix(p)
+				}
 			}
-			if got, want := saSnapshot(c), modelSASnapshot(m); got != want {
-				t.Fatalf("after step %d %s:\n got %s\nwant %s", step, desc, got, want)
+			var n int
+			var used int64
+			for i, m := range models {
+				if got, want := saSnapshot(&c.shards[i]), modelSASnapshot(m); got != want {
+					t.Fatalf("after step %d %s, shard %d:\n got %s\nwant %s", step, desc, i, got, want)
+				}
+				n, used = n+len(m.items), used+m.used
 			}
-			if c.Len() != len(m.items) || c.Used() != m.used {
-				t.Fatalf("after step %d %s: Len %d Used %d, model %d %d", step, desc, c.Len(), c.Used(), len(m.items), m.used)
+			if c.Len() != n || c.Used() != used {
+				t.Fatalf("after step %d %s: Len %d Used %d, models %d %d", step, desc, c.Len(), c.Used(), n, used)
 			}
 		}
 	})
@@ -435,13 +454,12 @@ func (o *refreshOrigin) fetch(key string) ([]byte, bool) {
 	return []byte(fmt.Sprintf("r%d-%s", o.n, key)), true
 }
 
-func auSnapshot(c *AULRU) string {
+func auSnapshot(s *auShard) string {
 	var b strings.Builder
-	for e := c.ll.root.next; e != &c.ll.root; e = e.next {
+	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
 		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.meta.expireAt.UnixNano(), e.meta.hot, e.meta.gen)
 	}
-	h, m, r := c.Stats()
-	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", c.Len(), c.Used(), h, m, r, len(c.refreshing))
+	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", len(s.items), s.used, s.hits, s.misses, s.refreshes, len(s.refreshing))
 	return b.String()
 }
 
@@ -469,15 +487,21 @@ func FuzzAULRUModel(f *testing.F) {
 		if ops.next(2) == 1 {
 			cfg.RefreshGate = gate
 		}
-		c := NewAULRU(cfg)
-		cfg.Refresher = modelOrigin.fetch
-		m := newModelAULRU(cfg)
+		cfg.Capacity = fuzzShards * 1024
+		c := newAULRU(cfg, fuzzShards)
+		cfg.Capacity, cfg.Refresher = 1024, modelOrigin.fetch
+		var models [fuzzShards]*modelAULRU
+		for i := range models {
+			models[i] = newModelAULRU(cfg)
+		}
 		for step := 0; ops.more(); step++ {
 			var desc string
 			// A request's arrival time is at or a little before the
 			// cache clock's reading.
 			now := sim.Now().Add(-time.Duration(ops.next(3)) * time.Second)
-			switch k := ops.key(); ops.next(9) {
+			k := ops.key()
+			m := models[c.pick.pick([]byte(k))]
+			switch ops.next(9) {
 			case 0, 1:
 				desc = "Get " + k
 				var v []byte
@@ -529,10 +553,23 @@ func FuzzAULRUModel(f *testing.F) {
 			case 8:
 				desc = "ResetStats"
 				c.ResetStats()
-				m.hits, m.misses, m.refreshes = 0, 0, 0
+				for _, m := range models {
+					m.hits, m.misses, m.refreshes = 0, 0, 0
+				}
 			}
-			if got, want := auSnapshot(c), modelAUSnapshot(m); got != want {
-				t.Fatalf("after step %d %s:\n got %s\nwant %s", step, desc, got, want)
+			var n int
+			var used, hits, misses, refreshes int64
+			for i, m := range models {
+				if got, want := auSnapshot(&c.shards[i]), modelAUSnapshot(m); got != want {
+					t.Fatalf("after step %d %s, shard %d:\n got %s\nwant %s", step, desc, i, got, want)
+				}
+				n, used = n+len(m.items), used+m.used
+				hits, misses, refreshes = hits+m.hits, misses+m.misses, refreshes+m.refreshes
+			}
+			h, mi, r := c.Stats()
+			if c.Len() != n || c.Used() != used || h != hits || mi != misses || r != refreshes {
+				t.Fatalf("after step %d %s: Len %d Used %d Stats %d/%d/%d, models %d %d %d/%d/%d",
+					step, desc, c.Len(), c.Used(), h, mi, r, n, used, hits, misses, refreshes)
 			}
 			if origin.n != modelOrigin.n {
 				t.Fatalf("after step %d %s: %d origin fetches, model %d", step, desc, origin.n, modelOrigin.n)

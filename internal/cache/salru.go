@@ -6,17 +6,27 @@ import (
 	"sync"
 )
 
-// SALRU is a size-aware LRU cache bounded by total bytes.
-// Safe for concurrent use.
+// SALRU is a size-aware LRU cache bounded by total bytes, split into
+// Shards(capacity) shards by key hash. Each shard runs the whole policy
+// over its share of the capacity. Safe for concurrent use.
 type SALRU struct {
+	shards []saShard
+	pick   picker
+}
+
+// saShard is one shard: the size classes, the index and the counters
+// of the keys hashed to it, under one lock.
+type saShard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	classes  []*sizeClass
+	classes  [saNumClasses]sizeClass
 	items    map[string]*saEntry
 
 	hits   int64
 	misses int64
+
+	_ [64]byte // keeps the next shard's lock off this shard's cache lines
 }
 
 type sizeClass struct {
@@ -43,17 +53,24 @@ func NewSALRU(capacity int64) *SALRU {
 	if capacity <= 0 {
 		panic("cache: SALRU capacity must be positive")
 	}
-	c := &SALRU{
-		capacity: capacity,
-		classes:  make([]*sizeClass, saNumClasses),
-		items:    make(map[string]*saEntry),
-	}
-	for i := range c.classes {
-		c.classes[i] = &sizeClass{}
-		c.classes[i].ll.init()
+	return newSALRU(capacity, Shards(capacity))
+}
+
+// newSALRU splits capacity over n shards, n a power of two.
+func newSALRU(capacity int64, n int) *SALRU {
+	c := &SALRU{shards: make([]saShard, n), pick: newPicker(n)}
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.capacity = capacity / int64(n)
+		s.items = make(map[string]*saEntry)
+		for j := range s.classes {
+			s.classes[j].ll.init()
+		}
 	}
 	return c
 }
+
+func (c *SALRU) shard(key []byte) *saShard { return &c.shards[c.pick.pick(key)] }
 
 func classFor(size int) int {
 	if size <= saBaseSize {
@@ -72,17 +89,18 @@ func (c *SALRU) Get(key string) ([]byte, bool) { return c.Lookup([]byte(key)) }
 // Lookup returns the cached value and whether it was present. The
 // returned slice must not be modified.
 func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[string(key)]
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[string(key)]
 	if !ok {
-		c.misses++
+		s.misses++
 		return nil, false
 	}
-	cls := c.classes[e.meta.class]
+	cls := &s.classes[e.meta.class]
 	cls.ll.moveToFront(e)
 	cls.hits++
-	c.hits++
+	s.hits++
 	return e.value, true
 }
 
@@ -90,75 +108,79 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 func (c *SALRU) Put(key string, value []byte) { c.Insert([]byte(key), value) }
 
 // Insert inserts or updates key; only a new key copies key. Values
-// larger than the total capacity are not cached.
+// larger than the key's shard are not cached.
 func (c *SALRU) Insert(key, value []byte) {
+	s := c.shard(key)
 	size := int64(len(key) + len(value))
-	if size > c.capacity {
+	if size > s.capacity {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[string(key)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[string(key)]
 	if ok {
-		c.unlink(e)
+		s.unlink(e)
 		e.value, e.meta.class = value, classFor(len(value))
 	} else {
 		e = &saEntry{key: string(key), value: value, meta: saMeta{class: classFor(len(value))}}
-		c.items[e.key] = e
+		s.items[e.key] = e
 	}
-	cls := c.classes[e.meta.class]
+	cls := &s.classes[e.meta.class]
 	cls.ll.pushFront(e)
 	cls.bytes += size
-	c.used += size
-	for c.used > c.capacity {
-		c.evictOne()
+	s.used += size
+	for s.used > s.capacity {
+		s.evictOne()
 	}
 }
 
 // Delete removes key if present.
 func (c *SALRU) Delete(key []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[string(key)]; ok {
-		c.remove(e)
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.items[string(key)]; ok {
+		s.remove(e)
 	}
 }
 
 // DeletePrefix removes every key that starts with prefix — one owner's
 // whole share of a cache whose keys are namespaced by owner. It walks
-// all entries, so it is for rare events, not request paths.
+// all entries of every shard, so it is for rare events, not request
+// paths.
 func (c *SALRU) DeletePrefix(prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.items {
-		if strings.HasPrefix(key, prefix) {
-			c.remove(e)
+	c.each(func(s *saShard) {
+		for key, e := range s.items {
+			if strings.HasPrefix(key, prefix) {
+				s.remove(e)
+			}
 		}
-	}
+	})
 }
 
 // unlink takes e out of its class list and the byte counts, leaving it
 // in the map.
-func (c *SALRU) unlink(e *saEntry) {
-	cls := c.classes[e.meta.class]
+func (s *saShard) unlink(e *saEntry) {
+	cls := &s.classes[e.meta.class]
 	cls.ll.remove(e)
 	size := e.size()
 	cls.bytes -= size
-	c.used -= size
+	s.used -= size
 }
 
-func (c *SALRU) remove(e *saEntry) {
-	c.unlink(e)
-	delete(c.items, e.key)
+func (s *saShard) remove(e *saEntry) {
+	s.unlink(e)
+	delete(s.items, e.key)
 }
 
 // evictOne removes the LRU entry of the size class with the lowest
 // hits-per-byte density, preferring to keep small, hot data resident.
 // Caller holds the lock.
-func (c *SALRU) evictOne() {
+func (s *saShard) evictOne() {
 	victim := -1
 	var worst float64
-	for i, cls := range c.classes {
+	for i := range s.classes {
+		cls := &s.classes[i]
 		if cls.ll.len() == 0 {
 			continue
 		}
@@ -170,43 +192,48 @@ func (c *SALRU) evictOne() {
 	if victim == -1 {
 		return
 	}
-	cls := c.classes[victim]
+	cls := &s.classes[victim]
 	if tail := cls.ll.back(); tail != nil {
-		c.remove(tail)
+		s.remove(tail)
 		// Decay class hits so stale popularity fades.
 		cls.hits -= cls.hits / 8
 	}
 }
 
+// each calls f on every shard under its lock.
+func (c *SALRU) each(f func(*saShard)) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		f(s)
+		s.mu.Unlock()
+	}
+}
+
 // Len returns the number of cached entries.
-func (c *SALRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+func (c *SALRU) Len() (n int) {
+	c.each(func(s *saShard) { n += len(s.items) })
+	return n
 }
 
 // Used returns the bytes currently cached.
-func (c *SALRU) Used() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+func (c *SALRU) Used() (used int64) {
+	c.each(func(s *saShard) { used += s.used })
+	return used
 }
 
 // HitRatio returns hits/(hits+misses) since creation, or 0 before any
 // lookups.
 func (c *SALRU) HitRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.hits + c.misses
+	var hits, total int64
+	c.each(func(s *saShard) { hits, total = hits+s.hits, total+s.hits+s.misses })
 	if total == 0 {
 		return 0
 	}
-	return float64(c.hits) / float64(total)
+	return float64(hits) / float64(total)
 }
 
 // ResetStats zeroes the hit/miss counters.
 func (c *SALRU) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hits, c.misses = 0, 0
+	c.each(func(s *saShard) { s.hits, s.misses = 0, 0 })
 }

@@ -1,0 +1,167 @@
+package cache
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"abase/internal/clock"
+)
+
+// TestShardRule pins how a capacity splits: one shard per MiB, rounded
+// down to a power of two, at most 16, each shard an equal share.
+func TestShardRule(t *testing.T) {
+	for _, tc := range []struct {
+		capacity int64
+		shards   int
+	}{
+		{1, 1}, {1 << 20, 1}, {2<<20 - 1, 1}, {2 << 20, 2}, {3 << 20, 2},
+		{8 << 20, 8}, {15 << 20, 8}, {16 << 20, 16}, {64 << 20, 16}, {1 << 40, 16},
+	} {
+		if got := Shards(tc.capacity); got != tc.shards {
+			t.Errorf("Shards(%d) = %d, want %d", tc.capacity, got, tc.shards)
+		}
+		sa := NewSALRU(tc.capacity)
+		au := NewAULRU(AUConfig{Capacity: tc.capacity, TTL: time.Minute})
+		if len(sa.shards) != tc.shards || len(au.shards) != tc.shards {
+			t.Errorf("capacity %d: SA-LRU %d shards, AU-LRU %d, want %d", tc.capacity, len(sa.shards), len(au.shards), tc.shards)
+		}
+		share := tc.capacity / int64(tc.shards)
+		if sa.shards[0].capacity != share || au.shards[0].capacity != share {
+			t.Errorf("capacity %d: shard capacity %d/%d, want %d", tc.capacity, sa.shards[0].capacity, au.shards[0].capacity, share)
+		}
+	}
+}
+
+// TestEntryLargerThanItsShardRefused: a shard is the bound an entry must
+// fit, as the whole cache was before the split.
+func TestEntryLargerThanItsShardRefused(t *testing.T) {
+	const capacity = 2 << 20 // two 1 MiB shards
+	big, fits := make([]byte, 1<<20), make([]byte, 1<<20-16)
+	sa := NewSALRU(capacity)
+	sa.Put("big", big)
+	if sa.Len() != 0 {
+		t.Fatal("SA-LRU cached an entry larger than its shard")
+	}
+	sa.Put("fits", fits)
+	if sa.Len() != 1 {
+		t.Fatal("SA-LRU refused an entry that fits its shard")
+	}
+
+	sim := clock.NewSim(time.Unix(0, 0))
+	au := NewAULRU(AUConfig{Capacity: capacity, TTL: time.Minute, Clock: sim})
+	au.Put("big", big)
+	if au.Len() != 0 {
+		t.Fatal("AU-LRU cached an entry larger than its shard")
+	}
+	au.Put("fits", fits)
+	au.Put("other", []byte("v"))
+	if au.Len() != 2 {
+		t.Fatal("AU-LRU refused an entry that fits its shard")
+	}
+	// A write-through that outgrows the shard drops only that entry.
+	if !au.Update([]byte("fits"), big) || au.Len() != 1 {
+		t.Fatalf("oversized write-through: Len %d, want 1", au.Len())
+	}
+	if _, ok := au.Get("other"); !ok {
+		t.Fatal("oversized write-through evicted another entry")
+	}
+}
+
+// TestShardsConcurrent drives every method of both caches from several
+// goroutines over small shards that evict all the time, then checks
+// each shard's books: the bytes it counts are the bytes its entries
+// hold, every listed entry is indexed, and no shard exceeds its share.
+// Under -race it is the sharded caches' stress test.
+func TestShardsConcurrent(t *testing.T) {
+	const shards, share = 4, 2048
+	sa := newSALRU(shards*share, shards)
+	sim := clock.NewSim(time.Unix(0, 0))
+	var fetches sync.Mutex
+	au := newAULRU(AUConfig{
+		Capacity: shards * share, TTL: time.Minute, RefreshWindow: 30 * time.Second, Clock: sim,
+		Refresher: func(key string) ([]byte, bool) {
+			fetches.Lock()
+			defer fetches.Unlock()
+			return []byte("fresh-" + key), len(key)%7 != 0
+		},
+		RefreshGate: func(key string) bool { return len(key)%3 != 0 },
+	}, shards)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := []byte(fmt.Sprintf("p%d\x00k%d", i%3, (g*7+i)%97))
+				v := make([]byte, (g*31+i)%300)
+				switch i % 8 {
+				case 0, 1, 2:
+					sa.Lookup(k)
+					au.GetAt(k, sim.Now())
+				case 3, 4:
+					sa.Insert(k, v)
+					au.PutAt(k, v, sim.Now())
+				case 5:
+					au.UpdateAt(k, v, sim.Now())
+					sa.Delete(k)
+				case 6:
+					au.Delete(k)
+					if i%64 == 6 {
+						sa.DeletePrefix("p1\x00")
+					}
+				case 7:
+					sa.Len()
+					sa.HitRatio()
+					au.Stats()
+					au.Used()
+					if g == 0 {
+						sim.Advance(time.Second)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	for i := range sa.shards {
+		s := &sa.shards[i]
+		var used int64
+		n := 0
+		for j := range s.classes {
+			cls := &s.classes[j]
+			var bytes int64
+			for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
+				if s.items[e.key] != e || e.meta.class != j {
+					t.Fatalf("SA-LRU shard %d: listed entry %q not indexed in class %d", i, e.key, j)
+				}
+				bytes += e.size()
+				n++
+			}
+			if bytes != cls.bytes {
+				t.Fatalf("SA-LRU shard %d class %d counts %d B, entries hold %d", i, j, cls.bytes, bytes)
+			}
+			used += bytes
+		}
+		if n != len(s.items) || used != s.used || used > share {
+			t.Fatalf("SA-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d", i, n, len(s.items), used, s.used, share)
+		}
+	}
+	for i := range au.shards {
+		s := &au.shards[i]
+		var used int64
+		n := 0
+		for e := s.ll.root.next; e != &s.ll.root; e = e.next {
+			if s.items[e.key] != e {
+				t.Fatalf("AU-LRU shard %d: listed entry %q not indexed", i, e.key)
+			}
+			used += e.size()
+			n++
+		}
+		if n != len(s.items) || used != s.used || used > share || len(s.refreshing) != 0 {
+			t.Fatalf("AU-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d, %d refreshing",
+				i, n, len(s.items), used, s.used, share, len(s.refreshing))
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -452,6 +453,37 @@ func BenchmarkNodeGetCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.Get(bg, p, []byte("k"))
 	}
+}
+
+// BenchmarkNodeGetCacheHitParallel is BenchmarkNodeGetCacheHit with one
+// caller per CPU over 64 warm keys, as BenchmarkProxyGetHit is for the
+// proxy: run it at -cpu 1,2 to see whether a second core pays less per
+// hit or queues on a lock.
+func BenchmarkNodeGetCacheHitParallel(b *testing.B) {
+	n := New(Config{ID: "bench"})
+	defer n.Close()
+	n.AddReplica(rid("t1", 0, 0), 1e9, true)
+	p := pid("t1", 0)
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
+		n.Put(bg, p, keys[i], bytes.Repeat([]byte("v"), 100), 0)
+		if _, err := n.Get(bg, p, keys[i]); err != nil { // fills the SA-LRU
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := next.Add(1) // callers start on different keys
+		for ; pb.Next(); i++ {
+			if _, err := n.Get(bg, p, keys[i%uint64(len(keys))]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkNodePut(b *testing.B) {

@@ -194,7 +194,7 @@ func touchMatchesAlwaysScan(t *testing.T, cfg Config, lagging bool) {
 		}
 		var got, want float64
 		if i%2 == 0 {
-			got, want = d.touchN(k, w, true, now), ref.debias(ref.touch(k, w, now))
+			got, want = d.touchN(k, fnv1a(k), w, true, now), ref.debias(ref.touch(k, w, now))
 		} else {
 			got, want = d.TouchN(k, w, now), ref.touch(k, w, now)
 		}

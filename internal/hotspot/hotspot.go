@@ -1,6 +1,7 @@
 package hotspot
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"sync"
@@ -57,6 +58,10 @@ type HotKey struct {
 
 // ssEntry is one Space-Saving counter.
 type ssEntry struct {
+	// key is the counted key. An evicted entry is reused for the key
+	// that displaced it, buffer included, so a full summary allocates
+	// nothing when its members change.
+	key   []byte
 	count float64
 	// err bounds the overestimate inherited from the evicted minimum.
 	err float64
@@ -80,7 +85,9 @@ type Detector struct {
 
 	mu   sync.Mutex
 	rows [][]float64
-	ss   map[string]*ssEntry
+	// ss is the Space-Saving summary, keyed by fnv1a hash: keys that
+	// share one count as one, as they already do in the count-min.
+	ss map[uint64]*ssEntry
 	// ssFloor is a lower bound of the smallest count in ss (+Inf while
 	// ss is empty). A key outside a full summary displaces the minimum
 	// only when its estimate exceeds it, so a touch whose estimate is
@@ -90,6 +97,11 @@ type Detector struct {
 	ssFloor   float64
 	lastDecay time.Time
 	total     float64 // decayed total recorded weight
+	// all is, for a shard of a Sharded sketch, the shards' summed total
+	// (see Sharded); nil for a Detector of its own. published is the
+	// total this shard last added to it.
+	all       *sharedTotal
+	published float64
 }
 
 // NewDetector returns a detector with cfg's parameters (zero fields
@@ -121,7 +133,7 @@ func NewDetector(cfg Config) *Detector {
 		rate:    uint64(cfg.SampleRate),
 		clk:     cfg.Clock,
 		rows:    make([][]float64, cfg.Depth),
-		ss:      make(map[string]*ssEntry, cfg.TopK),
+		ss:      make(map[uint64]*ssEntry, cfg.TopK),
 		ssFloor: math.Inf(1),
 	}
 	for i := range d.rows {
@@ -166,10 +178,10 @@ func splitmix64(x uint64) uint64 {
 // stable key order) cannot alias with the sampling stride and
 // systematically over- or under-count positions.
 func (d *Detector) Touch(key []byte, now time.Time) float64 {
-	if d.rate > 1 && splitmix64(d.ctr.Add(1))%d.rate != 0 {
+	if d.skip() {
 		return -1
 	}
-	return d.touchN(key, float64(d.rate), false, now)
+	return d.touchN(key, fnv1a(key), float64(d.rate), false, now)
 }
 
 // TouchDebiased is Touch returning the collision-corrected
@@ -179,24 +191,35 @@ func (d *Detector) Touch(key []byte, now time.Time) float64 {
 // window" even when traffic volume saturates the sketch. -1 when
 // sampling skipped the access.
 func (d *Detector) TouchDebiased(key []byte, now time.Time) float64 {
-	if d.rate > 1 && splitmix64(d.ctr.Add(1))%d.rate != 0 {
+	if d.skip() {
 		return -1
 	}
-	return d.touchN(key, float64(d.rate), true, now)
+	return d.touchN(key, fnv1a(key), float64(d.rate), true, now)
+}
+
+// skip reports whether sampling skips this touch.
+func (d *Detector) skip() bool {
+	return d.rate > 1 && splitmix64(d.ctr.Add(1))%d.rate != 0
 }
 
 // TouchN records an access at now with explicit weight w > 0
 // (bypassing the sampler) and returns the key's post-touch estimate.
 func (d *Detector) TouchN(key []byte, w float64, now time.Time) float64 {
-	return d.touchN(key, w, false, now)
+	return d.touchN(key, fnv1a(key), w, false, now)
 }
 
-func (d *Detector) touchN(key []byte, w float64, debias bool, now time.Time) float64 {
-	h1 := fnv1a(key)
+// secondHash derives the double-hashing stride from h1.
+func secondHash(h1 uint64) uint64 {
 	h2 := h1>>29 | h1<<35 // odd-ish second hash; any mix works for K-M
 	if h2 == 0 {
 		h2 = 0x9e3779b97f4a7c15
 	}
+	return h2
+}
+
+// touchN records weight w for key, whose fnv1a hash is h1.
+func (d *Detector) touchN(key []byte, h1 uint64, w float64, debias bool, now time.Time) float64 {
+	h2 := secondHash(h1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.maybeDecayLocked(now)
@@ -209,38 +232,72 @@ func (d *Detector) touchN(key []byte, w float64, debias bool, now time.Time) flo
 		}
 	}
 	d.total += w
+	d.publishLocked(false)
 	ret := est
 	if debias {
-		ret = est - d.total/float64(d.width)
+		ret = est - d.collisions()
 		if ret < 0 {
 			ret = 0
 		}
 	}
 	// Space-Saving update keyed on the same weight.
-	if e, ok := d.ss[string(key)]; ok {
+	if e, ok := d.ss[h1]; ok {
 		e.count += w
 	} else if len(d.ss) < d.topK {
-		d.ss[string(key)] = &ssEntry{count: w}
+		d.ss[h1] = &ssEntry{key: bytes.Clone(key), count: w}
 		d.ssFloor = math.Min(d.ssFloor, w)
 	} else if est > d.ssFloor { // est already includes this touch
 		// Evict the minimum counter and inherit its count as error;
 		// equal counts fall to the smallest key, so the summary is a
 		// function of the touch sequence and not of map order.
-		var minKey string
-		minCount := math.Inf(1)
-		for k, e := range d.ss {
-			if e.count < minCount || (e.count == minCount && k < minKey) {
-				minKey, minCount = k, e.count
+		var victimH uint64
+		var victim *ssEntry
+		for h, e := range d.ss {
+			if victim == nil || e.count < victim.count || (e.count == victim.count && bytes.Compare(e.key, victim.key) < 0) {
+				victimH, victim = h, e
 			}
 		}
 		// The entry that replaces the minimum counts more than it did.
-		d.ssFloor = minCount
-		if minCount < est {
-			delete(d.ss, minKey)
-			d.ss[string(key)] = &ssEntry{count: minCount + w, err: minCount}
+		d.ssFloor = victim.count
+		if victim.count < est {
+			delete(d.ss, victimH)
+			victim.key = append(victim.key[:0], key...)
+			victim.count, victim.err = victim.count+w, victim.count
+			d.ss[h1] = victim
 		}
 	}
 	return ret
+}
+
+// publishShare sets how stale a shard lets the shared total get: a touch
+// publishes once the shard's unpublished weight reaches this share of
+// the shared total, so at volume the shards seldom write the one shared
+// word, and the shared total stays within shards/publishShare of the sum
+// of the shards' totals.
+const publishShare = 4096
+
+// publishLocked adds to the shared total what d's total changed by since
+// d last did: at once when force is set (a decay or a reset), otherwise
+// once the change is publishShare's share of the shared total.
+// +locked:d.mu
+func (d *Detector) publishLocked(force bool) {
+	if d.all == nil {
+		return
+	}
+	if delta := d.total - d.published; force || delta >= d.all.Value()/publishShare {
+		d.all.Add(delta)
+		d.published = d.total
+	}
+}
+
+// collisions is the expected collision mass in one cell, which the
+// debiased estimates subtract: the decayed total over the width, both
+// summed over every shard when d is one.
+func (d *Detector) collisions() float64 {
+	if d.all != nil {
+		return d.all.Value() / d.all.width
+	}
+	return d.total / float64(d.width)
 }
 
 // Estimate returns the key's windowed access-count estimate (the
@@ -248,7 +305,7 @@ func (d *Detector) touchN(key []byte, w float64, debias bool, now time.Time) flo
 // underestimates a key recorded in the window; collisions can
 // overestimate by at most the window total / width.
 func (d *Detector) Estimate(key []byte) float64 {
-	return d.estimate(key, false)
+	return d.estimate(fnv1a(key), false)
 }
 
 // EstimateDebiased returns the collision-corrected (count-mean-min)
@@ -256,15 +313,13 @@ func (d *Detector) Estimate(key []byte) float64 {
 // before the min, clamped at zero. Slightly noisy around zero for cold
 // keys but volume-independent, which is what admission gates need.
 func (d *Detector) EstimateDebiased(key []byte) float64 {
-	return d.estimate(key, true)
+	return d.estimate(fnv1a(key), true)
 }
 
-func (d *Detector) estimate(key []byte, debias bool) float64 {
-	h1 := fnv1a(key)
-	h2 := h1>>29 | h1<<35
-	if h2 == 0 {
-		h2 = 0x9e3779b97f4a7c15
-	}
+// estimate is Estimate or EstimateDebiased of the key whose fnv1a hash
+// is h1.
+func (d *Detector) estimate(h1 uint64, debias bool) float64 {
+	h2 := secondHash(h1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.maybeDecayLocked(d.clk.Now())
@@ -275,7 +330,7 @@ func (d *Detector) estimate(key []byte, debias bool) float64 {
 		}
 	}
 	if debias {
-		est -= d.total / float64(d.width)
+		est -= d.collisions()
 		if est < 0 {
 			est = 0
 		}
@@ -290,17 +345,22 @@ func (d *Detector) TopK() []HotKey {
 	d.mu.Lock()
 	d.maybeDecayLocked(d.clk.Now())
 	out := make([]HotKey, 0, len(d.ss))
-	for k, e := range d.ss {
-		out = append(out, HotKey{Key: k, Count: e.count, Err: e.err})
+	for _, e := range d.ss {
+		out = append(out, HotKey{Key: string(e.key), Count: e.count, Err: e.err})
 	}
 	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
+	sortHot(out)
 	return out
+}
+
+// sortHot orders a summary hottest first, ties by key.
+func sortHot(keys []HotKey) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Count != keys[j].Count {
+			return keys[i].Count > keys[j].Count
+		}
+		return keys[i].Key < keys[j].Key
+	})
 }
 
 // Total returns the decayed total weight recorded in the window.
@@ -320,9 +380,10 @@ func (d *Detector) Reset() {
 			d.rows[i][j] = 0
 		}
 	}
-	d.ss = make(map[string]*ssEntry, d.topK)
+	clear(d.ss)
 	d.ssFloor = math.Inf(1)
 	d.total = 0
+	d.publishLocked(true)
 	d.lastDecay = d.clk.Now()
 }
 
@@ -349,6 +410,7 @@ func (d *Detector) maybeDecayLocked(now time.Time) {
 		}
 	}
 	d.total *= factor
+	d.publishLocked(true)
 	d.ssFloor *= factor // Inf stays Inf: factor is never zero
 	for k, e := range d.ss {
 		e.count *= factor

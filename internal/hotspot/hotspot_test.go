@@ -184,3 +184,88 @@ func TestMeterRate(t *testing.T) {
 		t.Fatalf("idle rate %.2f did not decay", r)
 	}
 }
+
+// TestShardedNeverUnderestimates drives a 16-shard sketch with a skewed
+// stream: every key's count-min estimate on the shard a touch reaches
+// is at least its exact count, the debiased estimate a caller reads is
+// the routed shard's, and every shard gets keys. Each shard's summary
+// holds its share of TopK, four keys, so the merged TopK holds every key
+// that Space-Saving guarantees a shard keeps — one seen more often than
+// a quarter of its shard's touches — each with a count at least its
+// exact one.
+func TestShardedNeverUnderestimates(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	s := NewSharded(Config{TopK: 64, Width: 4096, Window: time.Hour, Clock: clk}, 16)
+	exact := map[string]float64{}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40000; i++ {
+		// Zipf-like: key r in 1..2000 is drawn with probability
+		// about 1/(r(r+1)).
+		k := key(int(2000 / (1 + rng.Float64()*1999)))
+		s.TouchDebiased(k, clk.Now())
+		exact[string(k)]++
+	}
+	for k, n := range exact {
+		d, h := s.shard([]byte(k))
+		if est := d.estimate(h, false); est < n {
+			t.Fatalf("key %s: estimate %.0f below its %v touches", k, est, n)
+		}
+		if got, want := s.EstimateDebiased([]byte(k)), d.EstimateDebiased([]byte(k)); got != want {
+			t.Fatalf("key %s: debiased estimate %v, its shard says %v", k, got, want)
+		}
+	}
+	for i, d := range s.shards {
+		if d.Total() == 0 { // keys that differ in their last bytes spread
+			t.Fatalf("shard %d of 16 saw none of %d keys", i, len(exact))
+		}
+	}
+	top := s.TopK()
+	inTop := map[string]HotKey{}
+	for _, hk := range top {
+		inTop[hk.Key] = hk
+		if hk.Count < exact[hk.Key] {
+			t.Fatalf("TopK %s: count %.0f below its %v touches", hk.Key, hk.Count, exact[hk.Key])
+		}
+	}
+	guaranteed := 0
+	for k, n := range exact {
+		d, _ := s.shard([]byte(k))
+		if n > d.Total()/4 {
+			guaranteed++
+			if _, ok := inTop[k]; !ok {
+				t.Fatalf("key %s: %v of its shard's %v touches, missing from TopK", k, n, d.Total())
+			}
+		}
+	}
+	if guaranteed == 0 {
+		t.Fatal("no key is a heavy hitter of its shard")
+	}
+}
+
+// TestShardedTopKMergesShards: the sharded TopK is the shards' own
+// summaries merged, hottest first, cut to the configured size; one
+// shard is exactly one Detector.
+func TestShardedTopKMergesShards(t *testing.T) {
+	clk := clock.NewSim(time.Unix(0, 0))
+	cfg := Config{TopK: 8, Width: 1024, Window: time.Hour, Clock: clk}
+	s := NewSharded(cfg, 4)
+	one, d := NewSharded(cfg, 1), NewDetector(cfg)
+	for i := 0; i < 5000; i++ {
+		k := key(i % (1 + i%97))
+		s.TouchDebiased(k, clk.Now())
+		if got, want := one.TouchDebiased(k, clk.Now()), d.TouchDebiased(k, clk.Now()); got != want {
+			t.Fatalf("touch %d: one-shard estimate %v, Detector %v", i, got, want)
+		}
+	}
+	var merged []HotKey
+	for _, sh := range s.shards {
+		merged = append(merged, sh.TopK()...)
+	}
+	sortHot(merged)
+	if got, want := fmt.Sprint(s.TopK()), fmt.Sprint(merged[:8]); got != want {
+		t.Fatalf("TopK %s\nmerge %s", got, want)
+	}
+	if got, want := fmt.Sprint(one.TopK()), fmt.Sprint(d.TopK()); got != want {
+		t.Fatalf("one shard's TopK %s, Detector's %s", got, want)
+	}
+}

@@ -589,6 +589,11 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 	}
 
 	db.mu.Lock()
+	if db.closed { // Close released the view this flush would replace
+		db.mu.Unlock()
+		t.Close()
+		return false, ErrClosed
+	}
 	// Remove frozen from imm and install the table as newest.
 	var rest []*skiplist.List
 	for _, m := range db.v.imm {
@@ -691,6 +696,11 @@ func (db *DB) Compact() error {
 	}
 
 	db.mu.Lock()
+	if db.closed { // the inputs stay on disk, so the merged file is redundant
+		db.mu.Unlock()
+		t.Close()
+		return ErrClosed
+	}
 	// Replace exactly the tables we merged; tables flushed during the
 	// compaction stay in front (they are newer).
 	oldSet := make(map[*Table]bool, len(old))

@@ -5,26 +5,37 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Histogram is a log-bucketed latency histogram supporting percentile
 // queries. Buckets grow geometrically from 1µs to ~17min, giving
-// better-than-5% relative error across the range. Safe for concurrent use.
+// better-than-5% relative error across the range. Safe for concurrent
+// use, and Observe takes no lock: every field is an atomic, so callers
+// on many cores never queue behind one another. A sample writes one
+// cache line: its bucket's count and sum sit side by side, the sample
+// count is the buckets' sum, and min and max are only read unless the
+// sample is a new extreme.
 type Histogram struct {
-	mu     sync.Mutex
-	counts []uint64
-	total  uint64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
+	buckets []bucket
+	min     atomic.Int64 // nanoseconds; noMin while empty
+	max     atomic.Int64 // nanoseconds
+}
+
+// bucket counts the samples in one bucket and sums their nanoseconds.
+type bucket struct {
+	n   atomic.Uint64
+	sum atomic.Int64
 }
 
 const (
 	histBase    = 1.05 // geometric bucket growth factor
 	histBucket0 = time.Microsecond
 	histBuckets = 420 // 1.05^420 µs ≈ 13 min
+
+	// noMin is min's value before the first sample.
+	noMin = math.MaxInt64
 )
 
 var histBounds = func() []time.Duration {
@@ -39,7 +50,9 @@ var histBounds = func() []time.Duration {
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]uint64, histBuckets+1)}
+	h := &Histogram{buckets: make([]bucket, histBuckets+1)}
+	h.min.Store(noMin)
+	return h
 }
 
 // bucketFor returns the index of the first bound at or above d, or
@@ -54,100 +67,122 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i := bucketFor(d)
-	h.mu.Lock()
-	h.counts[i]++
-	h.total++
-	h.sum += d
-	if h.total == 1 || d < h.min {
-		h.min = d
+	b := &h.buckets[bucketFor(d)]
+	b.n.Add(1)
+	b.sum.Add(int64(d))
+	lower(&h.min, int64(d))
+	raise(&h.max, int64(d))
+}
+
+// lower stores v in a unless a already holds a value at or below it.
+func lower(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v < cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
-	if d > h.max {
-		h.max = d
+}
+
+// raise stores v in a unless a already holds a value at or above it.
+func raise(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
-	h.mu.Unlock()
+}
+
+// load copies the bucket counts into counts and returns their total and
+// the samples' summed nanoseconds. Quantiles taken from one copy agree
+// with each other however many samples Observe adds meanwhile.
+func (h *Histogram) load(counts *[histBuckets + 1]uint64) (n uint64, sum int64) {
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].n.Load()
+		n += counts[i]
+		sum += h.buckets[i].sum.Load()
+	}
+	return n, sum
 }
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
+	var counts [histBuckets + 1]uint64
+	n, _ := h.load(&counts)
+	return n
 }
 
 // Mean returns the average of recorded samples, or 0 when empty.
 func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	var counts [histBuckets + 1]uint64
+	return mean(h.load(&counts))
+}
+
+// mean is the average of n samples summing to sum nanoseconds.
+func mean(n uint64, sum int64) time.Duration {
+	if n == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.total)
+	return time.Duration(sum / int64(n))
 }
 
 // Min returns the smallest recorded sample, or 0 when empty.
 func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
+	if m := h.min.Load(); m != noMin {
+		return time.Duration(m)
+	}
+	return 0
 }
 
 // Max returns the largest recorded sample, or 0 when empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile returns the latency at quantile q in [0,1]. It returns 0 for
 // an empty histogram. q is clamped to [0,1].
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	var counts [histBuckets + 1]uint64
+	n, _ := h.load(&counts)
+	return h.quantile(q, n, &counts)
+}
+
+// quantile is Quantile over counts, which hold total samples.
+func (h *Histogram) quantile(q float64, total uint64, counts *[histBuckets + 1]uint64) time.Duration {
+	if total == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank == 0 {
-		rank = 1
-	}
+	q = min(max(q, 0), 1)
+	rank := max(uint64(math.Ceil(q*float64(total))), 1)
 	var cum uint64
-	for i, c := range h.counts {
+	for i, c := range counts {
 		cum += c
-		if cum >= rank {
-			if i >= histBuckets {
-				return h.max
-			}
+		if cum >= rank && i < histBuckets {
 			return histBounds[i]
 		}
 	}
-	return h.max
+	return h.Max()
 }
 
-// Reset clears all recorded samples.
+// Reset clears all recorded samples. Samples observed while it runs may
+// be partly kept.
 func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.counts {
-		h.counts[i] = 0
+	for i := range h.buckets {
+		h.buckets[i].n.Store(0)
+		h.buckets[i].sum.Store(0)
 	}
-	h.total, h.sum, h.min, h.max = 0, 0, 0, 0
+	h.min.Store(noMin)
+	h.max.Store(0)
 }
 
-// Snapshot returns a point-in-time summary of the histogram.
+// Snapshot returns a summary of the histogram. Its quantiles come from
+// one read of the buckets, so they are ordered even while Observe runs.
 func (h *Histogram) Snapshot() Summary {
+	var counts [histBuckets + 1]uint64
+	total, sum := h.load(&counts)
 	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
+		Count: total,
+		Mean:  mean(total, sum),
+		P50:   h.quantile(0.50, total, &counts),
+		P90:   h.quantile(0.90, total, &counts),
+		P99:   h.quantile(0.99, total, &counts),
 		Max:   h.Max(),
 	}
 }

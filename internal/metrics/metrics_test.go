@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -151,6 +152,67 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("Count = %d, want 8000", h.Count())
+	}
+}
+
+// TestHistogramObserveWhileRead runs lock-free Observes against every
+// reader: a reader never sees a quantile outside the observed range or
+// out of order, and once the writers stop every total is exact.
+func TestHistogramObserveWhileRead(t *testing.T) {
+	h := NewHistogram()
+	const writers, each = 4, 2000
+	sample := func(g, i int) time.Duration { return time.Duration(1+(g*each+i)%500) * time.Microsecond }
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(sample(g, i))
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := h.Snapshot()
+			if s.Count == 0 {
+				continue
+			}
+			lo, hi := h.Min(), h.Max()
+			if lo < time.Microsecond || hi > 500*time.Microsecond || lo > hi {
+				read <- fmt.Errorf("min %v max %v outside [1µs, 500µs]", lo, hi)
+				return
+			}
+			if s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > 525*time.Microsecond {
+				read <- fmt.Errorf("quantiles out of order: %v", s)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for g := 0; g < writers; g++ {
+		for i := 0; i < each; i++ {
+			sum += sample(g, i)
+		}
+	}
+	if n := h.Count(); n != writers*each {
+		t.Fatalf("Count = %d, want %d", n, writers*each)
+	}
+	if h.Min() != time.Microsecond || h.Max() != 500*time.Microsecond || h.Mean() != sum/(writers*each) {
+		t.Fatalf("min %v max %v mean %v, want 1µs 500µs %v", h.Min(), h.Max(), h.Mean(), sum/(writers*each))
 	}
 }
 

@@ -108,9 +108,10 @@ type Proxy struct {
 	cache   *cache.AULRU
 	limiter *quota.ProxyLimiter
 	est     *ru.Estimator
-	// hot is the admission sketch; nil when gating is disabled (then
-	// every fetched value is cached, the pre-hotspot policy).
-	hot          *hotspot.Detector
+	// hot is the admission sketch, sharded like the AU-LRU; nil when
+	// gating is disabled (then every fetched value is cached, the
+	// pre-hotspot policy).
+	hot          *hotspot.Sharded
 	hotThreshold float64
 	// routes is the epoch-stamped routing-table cache (routecache.go).
 	routes routeTable
@@ -152,12 +153,12 @@ func New(cfg Config) (*Proxy, error) {
 			if threshold == 0 {
 				threshold = DefaultHotAdmitThreshold
 			}
-			p.hot = hotspot.NewDetector(hotspot.Config{
+			p.hot = hotspot.NewSharded(hotspot.Config{
 				TopK:   hotTopK,
 				Width:  hotWidth,
 				Window: hotspot.DefaultWindow,
 				Clock:  cfg.Clock,
-			})
+			}, cache.Shards(cfg.CacheBytes))
 			// Half-count tolerance: debiased estimates sit slightly
 			// below the integer access count (the subtracted collision
 			// mean includes the key's own contribution), so an exact
