@@ -641,10 +641,12 @@ func (db *DB) Compact() error {
 		db.flushMu.Unlock()
 		return ErrClosed
 	}
-	snap := db.acquireLocked()
+	// Only a compaction drops a table, and compactMu admits one at a
+	// time, so every view holds old until this one replaces it: it reads
+	// them without acquiring a view, which would also keep that view's
+	// immutable memtables alive for the whole merge.
+	old := db.v.tables
 	db.mu.RUnlock()
-	defer snap.release()
-	old := snap.tables
 	if len(old) <= 1 {
 		db.flushMu.Unlock()
 		return nil
@@ -726,8 +728,9 @@ func (db *DB) Compact() error {
 	// tombstone's table necessarily still exists too and recovery
 	// keeps the key dead. Newest-first removal would open the inverse
 	// window and resurrect deleted keys (the crash-torture test
-	// catches exactly that). Readers still holding a removed table keep
-	// its open file; snap's release closes it after the last of them.
+	// catches exactly that). A reader still holding a removed table
+	// keeps its open file; the last release of a view holding it closes
+	// it.
 	for i := len(old) - 1; i >= 0; i-- {
 		db.opt.FS.Remove(db.filePath(old[i].Name()))
 	}
@@ -779,6 +782,7 @@ func (db *DB) Close() error {
 	if db.wal != nil {
 		db.wal.Close()
 	}
+	db.v.drop = db.v.tables
 	db.v.release() // its tables close after the last reader's release
 	return nil
 }

@@ -137,7 +137,7 @@ type mergedScanner struct {
 	heads   []head // newest source first
 	lastKey []byte
 	failed  error
-	view    *view // the layers a DB scanner reads; nil for compaction's
+	ref     *viewRef // the count of the view a DB scanner reads; nil for compaction's
 }
 
 // head is one source and its current key (ok false once exhausted).
@@ -165,12 +165,12 @@ func (db *DB) scanner(start []byte) (*mergedScanner, error) {
 	}
 	db.mu.RUnlock()
 	ms := newMergedScanner(sources, v.tables, start)
-	ms.view = v
+	ms.ref = v.viewRef
 	return ms, nil
 }
 
 // release lets go of the layers a DB scanner read.
-func (m *mergedScanner) release() { m.view.release() }
+func (m *mergedScanner) release() { m.ref.release() }
 
 // newMergedScanner merges sources followed by tables, each list newest
 // first, positioning every source at the first key >= start.

@@ -71,3 +71,51 @@ func TestReadsRaceCompactionOnOSFS(t *testing.T) {
 		t.Fatal("no compaction ran")
 	}
 }
+
+// TestHeldViewKeepsItsTablesOpen: a reader holding a view keeps the
+// tables a compaction merged away open while newer views come and go,
+// and its release closes them.
+func TestHeldViewKeepsItsTablesOpen(t *testing.T) {
+	db, err := Open(Options{FS: OSFS{}, Dir: t.TempDir(), DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := put(db, fmt.Sprintf("k%d", i), "v", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.mu.RLock()
+	held := db.acquireLocked()
+	db.mu.RUnlock()
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := put(db, "k2", "v", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil { // a newer view, with a memtable frozen and flushed
+		t.Fatal(err)
+	}
+	if held.next == nil || held.next.next == nil {
+		t.Fatal("held view's count is not linked to its successors'")
+	}
+	for i, tab := range held.tables {
+		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i))); err != nil {
+			t.Fatalf("a merged-away table closed under its reader: %v", err)
+		}
+	}
+	held.release()
+	for i, tab := range held.tables {
+		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i))); err == nil {
+			t.Fatal("a merged-away table is still open after its last reader released it")
+		}
+	}
+	if n, err := liveKeys(db); err != nil || n != 3 {
+		t.Fatalf("after the release: %d keys, err %v", n, err)
+	}
+}

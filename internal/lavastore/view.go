@@ -14,32 +14,43 @@ import (
 // under db.mu and reads it after dropping the lock, so a table that a
 // compaction swaps out must stay open until every reader of every view
 // holding it is done.
-//
-// One count per view does that. refs counts the view's holders: the DB
-// while the view is current, each reader that acquired it, and the view
-// it replaced, which holds its successor through next. So a view's
-// count reaches zero only once every older view's has, and then the
-// tables it holds that its successor does not have no reader left and
-// close. The tables of the last view close when the DB is closed and
-// its last reader is done.
 type view struct {
 	imm    []*skiplist.List
 	tables []*Table
-	refs   atomic.Int32
-	next   *view // the view that replaced this one; nil while current
+	*viewRef
+}
+
+// viewRef is a view's one reference count. Its holders are the DB while
+// the view is current, each reader that acquired the view, and the
+// count of the view it replaced, which holds this one through next. So
+// a count reaches zero only once every older view's has, and then the
+// tables its view held that the next view does not have no reader left:
+// they are drop, and they close. The chain links counts, not views, so
+// a reader that holds an old view keeps no newer view's memtables alive.
+// The last view's tables close when the DB is closed and its last
+// reader is done.
+type viewRef struct {
+	refs atomic.Int32
+	next *viewRef // the next view's count; nil while current
+	drop []*Table // set when the view is replaced or the DB closed
 }
 
 // installLocked makes a view of imm and tables, both fresh slices, the
 // current one.
 // +locked:db.mu
 func (db *DB) installLocked(imm []*skiplist.List, tables []*Table) {
-	v := &view{imm: imm, tables: tables}
+	v := &view{imm: imm, tables: tables, viewRef: &viewRef{}}
 	v.refs.Store(1) // the DB's
 	old := db.v
 	db.v = v
 	if old != nil {
 		v.refs.Add(1) // old's link
-		old.next = v
+		for _, t := range old.tables {
+			if !slices.Contains(tables, t) {
+				old.drop = append(old.drop, t)
+			}
+		}
+		old.next = v.viewRef
 		old.release() // the DB's, moved to v
 	}
 }
@@ -53,14 +64,12 @@ func (db *DB) acquireLocked() *view {
 	return v
 }
 
-// release drops one reference to v. The last one closes the tables v
-// holds that its successor does not, and drops v's link to it.
-func (v *view) release() {
-	for ; v != nil && v.refs.Add(-1) == 0; v = v.next {
-		for _, t := range v.tables {
-			if v.next == nil || !slices.Contains(v.next.tables, t) {
-				t.Close()
-			}
+// release drops one reference. The last one closes the tables in drop
+// and drops the link to the next view's count.
+func (r *viewRef) release() {
+	for ; r != nil && r.refs.Add(-1) == 0; r = r.next {
+		for _, t := range r.drop {
+			t.Close()
 		}
 	}
 }
