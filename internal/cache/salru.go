@@ -109,7 +109,14 @@ func (c *SALRU) Put(key string, value []byte) { c.Insert([]byte(key), value) }
 
 // Insert inserts or updates key; only a new key copies key. Values
 // larger than the key's shard are not cached.
-func (c *SALRU) Insert(key, value []byte) {
+func (c *SALRU) Insert(key, value []byte) { c.InsertIf(key, value, nil) }
+
+// InsertIf is Insert, made only if fresh — called under the key's shard
+// lock — reports true; a nil fresh always inserts. A read that fills the
+// cache from the store passes a check that no write of the key has
+// landed since it read: a write-through takes the same lock to store
+// its value, so the read's older value cannot replace it.
+func (c *SALRU) InsertIf(key, value []byte, fresh func() bool) {
 	s := c.shard(key)
 	size := int64(len(key) + len(value))
 	if size > s.capacity {
@@ -117,6 +124,9 @@ func (c *SALRU) Insert(key, value []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if fresh != nil && !fresh() {
+		return
+	}
 	e, ok := s.items[string(key)]
 	if ok {
 		s.unlink(e)

@@ -157,14 +157,18 @@ func (r *readOp) io() {
 			bv.ExpireAt, err = r.rep.db.ExpireAt(key)
 		} else {
 			var got lavastore.GetResult
+			seen := r.rep.writes.Load()
 			got, err = r.rep.db.Get(key)
 			burn(cfg.Clock, time.Duration(max(got.IOReads, 1))*cfg.Cost.IOReadTime)
 			// The SA-LRU has no per-entry expiry, so caching a
 			// TTL-bearing value would keep serving it after the record
 			// expires — point reads would then disagree with Scan/Keys,
-			// which consult the engine. TTL'd values stay uncached.
+			// which consult the engine. TTL'd values stay uncached. A
+			// write that committed since the read began has written
+			// through or invalidated already, and the value read may be
+			// older than its: the fill then stands down.
 			if err == nil && got.ExpireAt == 0 {
-				r.n.cache.Insert(r.rep.cacheKey(buf[:0], key), got.Value)
+				r.n.cache.InsertIf(r.rep.cacheKey(buf[:0], key), got.Value, func() bool { return r.rep.writes.Load() == seen })
 			}
 			bv.Value, bv.ExpireAt = got.Value, got.ExpireAt
 		}

@@ -180,6 +180,11 @@ type replica struct {
 	// reads before it writes holds it exclusively from the read to the
 	// commit, blind writes share it (see writeOp.io).
 	writeGate sync.RWMutex
+	// writes counts the commits on this replica, each bumped after its
+	// commit and before it writes through to or invalidates the SA-LRU:
+	// a read whose fill finds it moved since the read began may hold an
+	// older value than the cache's, and does not fill (see readOp.io).
+	writes atomic.Uint64
 	// ts is the owning tenant's node-wide state, resolved when the
 	// replica is added so no request looks it up.
 	ts *tenantStats

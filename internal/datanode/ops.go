@@ -287,6 +287,7 @@ func (w *writeOp) io() {
 		return
 	}
 	w.lastSeq = last
+	w.rep.writes.Add(1)
 	var buf [cacheKeyBuf]byte
 	for _, op := range w.committed {
 		w.charged += ru.WriteRU(len(op.Value), n.cfg.Replicas) // a tombstone carries no value
@@ -369,6 +370,7 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 	// Invalidate rather than populate: follower reads are rare next to
 	// primary traffic, so write-through would fill the cache with
 	// values that are seldom read while still risking staleness.
+	rep.writes.Add(1)
 	var buf [cacheKeyBuf]byte
 	for _, op := range ops {
 		n.cache.Delete(rep.cacheKey(buf[:0], op.Key))
