@@ -15,8 +15,16 @@ type Refresher func(key string) ([]byte, bool)
 // RefreshGate decides whether a near-expiry entry still deserves an
 // active update. A nil gate refreshes every entry that was accessed at
 // least twice in its TTL window; a hotspot-detector-backed gate
-// reserves origin refresh traffic for the keys that are still hot.
-type RefreshGate func(key string) bool
+// reserves origin refresh traffic for the keys that are still hot. It
+// is asked on a hit, with the hit's arrival time, under the key's shard
+// lock; a gate backed by an access sketch records the hit it is asked
+// about, and GetAt then does not report that hit sampled.
+type RefreshGate func(key string, now time.Time) bool
+
+// HitSample is how many hits one sampled hit stands for: GetAt reports
+// one hit in HitSample sampled, by its shard's hit count, for a caller
+// that records hits in an access sketch at that weight.
+const HitSample = 8
 
 // AULRU is an active-update LRU: a TTL'd LRU cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
@@ -34,20 +42,22 @@ type AULRU struct {
 }
 
 // auShard is one shard: the LRU list, the index and the counters of the
-// keys hashed to it, under one lock.
+// keys hashed to it, under one lock. What a hit writes — the lock, the
+// hit count and the list's front — leads the struct, so a hit writes
+// as few of the shard's cache lines as it can.
 type auShard struct {
-	mu       sync.Mutex
+	mu     sync.Mutex
+	hits   int64
+	misses int64
+	items  map[string]*auEntry
+	ll     lruList[auMeta]
+
 	capacity int64
 	used     int64
-	ll       lruList[auMeta]
-	items    map[string]*auEntry
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
 	// gen stamps every value a caller stores (see auMeta.gen).
-	gen uint64
-
-	hits      int64
-	misses    int64
+	gen       uint64
 	refreshes int64
 
 	_ [64]byte // keeps the next shard's lock off this shard's cache lines
@@ -126,35 +136,43 @@ func newAULRU(cfg AUConfig, n int) *AULRU {
 func (c *AULRU) shard(key []byte) *auShard { return &c.shards[c.pick.pick(key)] }
 
 // Get is GetAt of a string key at the cache clock's current time.
-func (c *AULRU) Get(key string) ([]byte, bool) { return c.GetAt([]byte(key), c.clk.Now()) }
+func (c *AULRU) Get(key string) ([]byte, bool) {
+	v, hit, _ := c.GetAt([]byte(key), c.clk.Now())
+	return v, hit
+}
 
 // GetAt returns the cached value and whether it was present and fresh
 // at now, the caller's arrival time for the request. Accessing a hot
 // entry close to expiry triggers a synchronous active update through
-// the Refresher, renewing the entry in place.
-func (c *AULRU) GetAt(key []byte, now time.Time) ([]byte, bool) {
+// the Refresher, renewing the entry in place. sampled reports a hit
+// that stands for HitSample hits in the caller's access sketch: one in
+// HitSample, picked by mixing the shard's hit count, and never a hit
+// the RefreshGate was asked about.
+func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, sampled bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[string(key)]
 	if !ok {
 		s.misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, false, false
 	}
 	if !now.Before(e.meta.expireAt) {
 		// Expired: treat as miss and drop.
 		s.remove(e)
 		s.misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, false, false
 	}
 	s.ll.moveToFront(e)
 	s.hits++
-	needRefresh := e.meta.hot &&
+	refreshable := e.meta.hot &&
 		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
-		!s.refreshing[e.key] &&
-		(c.gate == nil || c.gate(e.key))
+		!s.refreshing[e.key]
+	gated := refreshable && c.gate != nil
+	needRefresh := refreshable && (!gated || c.gate(e.key, now))
+	sampled = !gated && splitmix64(uint64(s.hits))%HitSample == 0
 	e.meta.hot = true
 	val, gen, name := e.value, e.meta.gen, e.key
 	if needRefresh {
@@ -165,7 +183,7 @@ func (c *AULRU) GetAt(key []byte, now time.Time) ([]byte, bool) {
 	if needRefresh {
 		c.refresh(s, name, gen)
 	}
-	return val, true
+	return val, true, sampled
 }
 
 // refresh re-fetches key, which hashes to s, and renews the entry of

@@ -473,7 +473,7 @@ func TestAULRURefreshGateReservesActiveUpdate(t *testing.T) {
 			refreshed[key]++
 			return []byte("fresh"), true
 		},
-		RefreshGate: func(key string) bool { return stillHot[key] },
+		RefreshGate: func(key string, _ time.Time) bool { return stillHot[key] },
 	})
 	c.Put("hot", []byte("v"))
 	c.Put("cooled", []byte("v"))

@@ -209,7 +209,7 @@ func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool) {
 		e.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
 		!c.refreshing[key] &&
-		(c.gate == nil || c.gate(key))
+		(c.gate == nil || c.gate(key, now))
 	e.hot = true
 	val, gen := e.value, e.gen
 	if needRefresh {
@@ -481,7 +481,7 @@ func FuzzAULRUModel(f *testing.F) {
 		// The gate approves what the fuzz input last chose; both sides
 		// consult it at the same points when they agree.
 		gateOpen := true
-		gate := func(string) bool { return gateOpen }
+		gate := func(string, time.Time) bool { return gateOpen }
 		var origin, modelOrigin refreshOrigin
 		cfg := AUConfig{Capacity: 1024, TTL: time.Minute, RefreshWindow: 10 * time.Second, Clock: sim, Refresher: origin.fetch}
 		if ops.next(2) == 1 {
@@ -510,7 +510,7 @@ func FuzzAULRUModel(f *testing.F) {
 					now = sim.Now()
 					v, ok = c.Get(k)
 				} else {
-					v, ok = c.GetAt([]byte(k), now)
+					v, ok, _ = c.GetAt([]byte(k), now)
 				}
 				mv, mok := m.GetAt(k, now)
 				if ok != mok || string(v) != string(mv) {

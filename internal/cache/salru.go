@@ -17,14 +17,15 @@ type SALRU struct {
 // saShard is one shard: the size classes, the index and the counters
 // of the keys hashed to it, under one lock.
 type saShard struct {
-	mu       sync.Mutex
+	// The lock and what every lookup writes or reads lead, as in auShard.
+	mu     sync.Mutex
+	hits   int64
+	misses int64
+	items  map[string]*saEntry
+
 	capacity int64
 	used     int64
 	classes  [saNumClasses]sizeClass
-	items    map[string]*saEntry
-
-	hits   int64
-	misses int64
 
 	_ [64]byte // keeps the next shard's lock off this shard's cache lines
 }

@@ -86,7 +86,7 @@ func TestShardsConcurrent(t *testing.T) {
 			defer fetches.Unlock()
 			return []byte("fresh-" + key), len(key)%7 != 0
 		},
-		RefreshGate: func(key string) bool { return len(key)%3 != 0 },
+		RefreshGate: func(key string, _ time.Time) bool { return len(key)%3 != 0 },
 	}, shards)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -61,6 +61,14 @@ func (a *admission) enter(ctx context.Context) error {
 	if a.closed.Load() {
 		return ErrOverloaded
 	}
+	// A free slot is taken at once. A slot is free only while no one
+	// waits: the receive in leave hands a freed slot straight to the
+	// first waiter, so this never overtakes the queue.
+	select {
+	case a.slots <- struct{}{}:
+		return nil
+	default:
+	}
 	if a.pending.Add(1) > a.limit {
 		a.pending.Add(-1)
 		return ErrOverloaded

@@ -210,17 +210,18 @@ func (r *readOp) settle() {
 			cacheMiss++
 		}
 	}
+	c := r.ts.reqs.Cell()
 	if ok := int64(len(r.vals)) - failed; ok > 0 {
-		r.ts.success.Add(ok)
+		c.Success.Add(ok)
 	}
 	if failed > 0 {
-		r.ts.errors.Add(failed)
+		c.Errors.Add(failed)
 	}
 	if cacheHits > 0 {
-		r.ts.cacheHits.Add(cacheHits)
+		c.Hits.Add(cacheHits)
 	}
 	if cacheMiss > 0 {
-		r.ts.cacheMiss.Add(cacheMiss)
+		c.Misses.Add(cacheMiss)
 	}
 	reads.Flush(r.est)
 	if r.valueFree {

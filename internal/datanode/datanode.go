@@ -257,17 +257,16 @@ func (r *replica) checkWrite(epoch uint64) error {
 }
 
 // tenantStats is one tenant's state on this node: its observability
-// counters and its RU estimator. It outlives the tenant's replicas.
+// counters, its RU estimator and its WFQ flows. It outlives the
+// tenant's replicas.
 type tenantStats struct {
-	success   metrics.Counter
-	throttled metrics.Counter
-	shed      metrics.Counter
-	errors    metrics.Counter
-	cacheHits metrics.Counter
-	cacheMiss metrics.Counter
-	ruUsed    metrics.Gauge
-	latency   *metrics.Histogram
-	est       *ru.Estimator
+	// reqs tallies the tenant's requests, one cell per P (Refused counts
+	// partition-quota throttles, Hits and Misses the SA-LRU).
+	reqs *metrics.Striped[metrics.Requests]
+	est  *ru.Estimator
+	// flows is the tenant's flow in each class's dual-layer WFQ, which
+	// every task of the tenant carries.
+	flows [wfq.LargeWrite + 1]*wfq.Flow
 }
 
 // Node is a DataNode instance.
@@ -301,6 +300,8 @@ type Node struct {
 	svcEWMA atomic.Uint64
 	// shedTotal counts requests shed by deadline-aware admission.
 	shedTotal metrics.Counter
+	// visits counts the requests that took the admission step.
+	visits *metrics.Striped[metrics.Counter]
 }
 
 // New starts a DataNode.
@@ -314,6 +315,7 @@ func New(cfg Config) *Node {
 		replicas: make(map[partition.ID]*replica),
 		tenants:  make(map[string]*tenantStats),
 		retired:  make(map[string]ruLedger),
+		visits:   metrics.NewStriped[metrics.Counter](),
 	}
 	n.SetReplicator(nil)
 	n.shedOn.Store(true)
@@ -373,7 +375,7 @@ func (n *Node) admitCtx(ctx context.Context, ts *tenantStats) error {
 	}
 	floor := time.Duration(n.admit.depth()+1) * n.cfg.AdmitCost
 	if clock.Until(dl) < n.EstimatedWait() {
-		ts.shed.Inc()
+		ts.reqs.Cell().Shed.Inc()
 		n.shedTotal.Inc()
 		// Sheds must also feed the estimator, folding in the current
 		// backlog floor: completions alone can never lower the EWMA
@@ -631,7 +633,10 @@ func (n *Node) getReplica(pid partition.ID) (*replica, error) {
 func (n *Node) tenantStateLocked(tenant string) *tenantStats {
 	ts, ok := n.tenants[tenant]
 	if !ok {
-		ts = &tenantStats{latency: metrics.NewHistogram(), est: ru.NewEstimator(0)}
+		ts = &tenantStats{reqs: metrics.NewStriped[metrics.Requests](), est: ru.NewEstimator(0)}
+		for c := range ts.flows {
+			ts.flows[c] = n.sched.Flow(wfq.Class(c), tenant)
+		}
 		n.tenants[tenant] = ts
 	}
 	return ts

@@ -118,15 +118,16 @@ func (u *unit) drop(err error) {
 
 // fail records a stage-level failure from settle.
 func (u *unit) fail(err error) {
-	u.ts.errors.Inc()
+	u.ts.reqs.Cell().Errors.Inc()
 	u.err = err
 }
 
 // bill records what a served unit actually cost.
 func (u *unit) bill(charged float64) {
 	u.billed = charged
-	u.ts.ruUsed.Add(charged)
-	u.ts.latency.Observe(u.lat)
+	c := u.ts.reqs.Cell()
+	c.RU.Add(charged)
+	c.Latency.Observe(u.lat)
 }
 
 // run is the DataNode's one request pipeline (§4.1–4.3): every unit is
@@ -158,6 +159,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		u.task = wfq.Task{
 			Tenant:     u.rep.id.Partition.Tenant,
 			Partition:  u.rep.part,
+			Flow:       u.ts.flows[u.class],
 			Class:      u.class,
 			RUCost:     u.cost,
 			IOPSCost:   u.iops,
@@ -184,6 +186,7 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 	entered := admitted && qerr == nil
 	var lat time.Duration
 	if entered {
+		n.visits.Cell().Inc()
 		n.admitStep(ctx, units, start)
 		n.admit.leave()
 		n.dispatch(units)
@@ -202,12 +205,12 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		case u.err == nil:
 			u.op.settle()
 		case errors.Is(u.err, ErrThrottled):
-			u.ts.throttled.Inc()
+			u.ts.reqs.Cell().Refused.Inc()
 		case isCtxErr(u.err):
 			// The caller left (or was shed, counted at the front
 			// door); the service didn't fail.
 		default:
-			u.ts.errors.Inc()
+			u.ts.reqs.Cell().Errors.Inc()
 		}
 	}
 }

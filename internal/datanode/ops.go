@@ -336,8 +336,9 @@ func (w *writeOp) settle() {
 			failed++
 		}
 	}
-	w.ts.success.Add(int64(len(w.vals)) - failed)
-	w.ts.errors.Add(failed)
+	c := w.ts.reqs.Cell()
+	c.Success.Add(int64(len(w.vals)) - failed)
+	c.Errors.Add(failed)
 	if len(w.committed) > 0 {
 		// The engine sequence assigned under the commit lock IS the
 		// write's replication position: followers apply the ops at the

@@ -71,7 +71,7 @@ func (s *scanOp) settle() {
 		s.fail(s.ioErr)
 		return
 	}
-	s.ts.success.Inc()
+	s.ts.reqs.Cell().Success.Inc()
 	s.bill(ru.ScanRU(int(s.page.Bytes), s.page.Examined))
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"abase/internal/hotspot"
 	"abase/internal/lavastore"
+	"abase/internal/metrics"
 	"abase/internal/partition"
 	"abase/internal/wfq"
 )
@@ -43,17 +44,18 @@ func (n *Node) TenantStats(tenant string) TenantSnapshot {
 	if !ok {
 		return TenantSnapshot{Tenant: tenant}
 	}
+	r := metrics.SumRequests(ts.reqs)
 	return TenantSnapshot{
 		Tenant:     tenant,
-		Success:    ts.success.Value(),
-		Throttled:  ts.throttled.Value(),
-		Shed:       ts.shed.Value(),
-		Errors:     ts.errors.Value(),
-		CacheHits:  ts.cacheHits.Value(),
-		CacheMiss:  ts.cacheMiss.Value(),
-		RUUsed:     ts.ruUsed.Value(),
-		LatencyP50: ts.latency.Quantile(0.5),
-		LatencyP99: ts.latency.Quantile(0.99),
+		Success:    r.Success.Value(),
+		Throttled:  r.Refused.Value(),
+		Shed:       r.Shed.Value(),
+		Errors:     r.Errors.Value(),
+		CacheHits:  r.Hits.Value(),
+		CacheMiss:  r.Misses.Value(),
+		RUUsed:     r.RU.Value(),
+		LatencyP50: r.Latency.Quantile(0.5),
+		LatencyP99: r.Latency.Quantile(0.99),
 	}
 }
 
@@ -86,14 +88,10 @@ func (n *Node) ResetTenantStats(tenant string) {
 	if !ok {
 		return
 	}
-	ts.success.Reset()
-	ts.throttled.Reset()
-	ts.shed.Reset()
-	ts.errors.Reset()
-	ts.cacheHits.Reset()
-	ts.cacheMiss.Reset()
-	ts.ruUsed.Set(0)
-	ts.latency.Reset()
+	ts.reqs.Each(func(c *metrics.Requests) {
+		c.Reset()
+		c.RU.Set(0)
+	})
 }
 
 // HotKeys returns up to k heavy hitters of a hosted replica, hottest
@@ -156,10 +154,15 @@ type NodeSnapshot struct {
 	// Shed counts requests refused node-wide by deadline-aware
 	// admission since the node started.
 	Shed int64
+	// Visits counts the requests that took the admission step since the
+	// node started: a point op is one, and so is a node batch.
+	Visits int64
 }
 
 // Snapshot returns node-level load and capacity.
 func (n *Node) Snapshot() NodeSnapshot {
+	var visits int64
+	n.visits.Each(func(c *metrics.Counter) { visits += c.Value() })
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	var disk int64
@@ -176,6 +179,7 @@ func (n *Node) Snapshot() NodeSnapshot {
 		CacheUsed:    n.cache.Used(),
 		CacheHit:     n.cache.HitRatio(),
 		Shed:         n.shedTotal.Value(),
+		Visits:       visits,
 	}
 }
 

@@ -29,20 +29,38 @@ type BatchPoint struct {
 	Speedup    float64
 	// LoopedTasks and BatchedTasks are the WFQ tasks the DataNodes ran
 	// per key on each path: what batching saves, counted exactly rather
-	// than timed.
-	LoopedTasks  float64
-	BatchedTasks float64
+	// than timed. Visits are the node requests (admission steps) per key,
+	// and Admissions the proxy-quota admissions per key.
+	LoopedTasks       float64
+	BatchedTasks      float64
+	LoopedVisits      float64
+	BatchedVisits     float64
+	LoopedAdmissions  float64
+	BatchedAdmissions float64
 }
 
-// wfqTasks sums the WFQ tasks the stack's nodes have completed, over
-// all classes.
-func (s *stack) wfqTasks() (total int64) {
+// work is what the stack's planes have done so far, counted exactly.
+type work struct {
+	tasks, visits, admissions int64
+}
+
+// work sums the WFQ tasks the stack's nodes have completed, over all
+// classes, the requests they admitted, and the quota admissions of
+// fleet's proxies.
+func (s *stack) work(fleet *proxy.Fleet) (w work) {
 	for _, n := range s.nodes {
 		for c := wfq.SmallRead; c <= wfq.LargeWrite; c++ {
-			total += n.Scheduler().Queue(c).Stats().Completed
+			w.tasks += n.Scheduler().Queue(c).Stats().Completed
 		}
+		w.visits += n.Snapshot().Visits
 	}
-	return total
+	w.admissions = fleet.AggregateStats().Admitted
+	return w
+}
+
+// perKey is the work done since w0, per key moved.
+func (w work) perKey(w0 work, keys float64) (tasks, visits, admissions float64) {
+	return float64(w.tasks-w0.tasks) / keys, float64(w.visits-w0.visits) / keys, float64(w.admissions-w0.admissions) / keys
 }
 
 // BatchComparison measures multi-key reads and writes through the
@@ -94,7 +112,7 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	for _, size := range opts.Sizes {
 		rounds := opts.Keys / size
 		moved := float64(passes * rounds * size)
-		tasks, start := s.wfqTasks(), clk.Now()
+		w0, start := s.work(fleet), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				for _, k := range keys[r*size : (r+1)*size] {
@@ -103,26 +121,23 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 			}
 		}
 		looped := moved / clk.Since(start).Seconds()
-		loopedTasks := float64(s.wfqTasks()-tasks) / moved
+		pt := BatchPoint{BatchSize: size, LoopedOps: looped}
+		pt.LoopedTasks, pt.LoopedVisits, pt.LoopedAdmissions = s.work(fleet).perKey(w0, moved)
 
-		tasks, start = s.wfqTasks(), clk.Now()
+		w0, start = s.work(fleet), clk.Now()
 		for p := 0; p < passes; p++ {
 			for r := 0; r < rounds; r++ {
 				fleet.BatchGet(bg, keys[r*size:(r+1)*size])
 			}
 		}
-		batched := moved / clk.Since(start).Seconds()
-		batchedTasks := float64(s.wfqTasks()-tasks) / moved
-
-		pt := BatchPoint{
-			BatchSize: size, LoopedOps: looped, BatchedOps: batched, Speedup: batched / looped,
-			LoopedTasks: loopedTasks, BatchedTasks: batchedTasks,
-		}
+		pt.BatchedOps = moved / clk.Since(start).Seconds()
+		pt.BatchedTasks, pt.BatchedVisits, pt.BatchedAdmissions = s.work(fleet).perKey(w0, moved)
+		pt.Speedup = pt.BatchedOps / looped
 		points = append(points, pt)
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", size),
 			fmt.Sprintf("%.0f", looped),
-			fmt.Sprintf("%.0f", batched),
+			fmt.Sprintf("%.0f", pt.BatchedOps),
 			fmt.Sprintf("%.2fx", pt.Speedup),
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"abase/internal/clock"
+	"abase/internal/metrics"
 )
 
 // Defaults for Config fields left zero.
@@ -425,15 +426,29 @@ func (d *Detector) maybeDecayLocked(now time.Time) {
 
 // Meter is an exponentially decayed rate counter: Add accumulates
 // events and Rate reports the recent per-second rate with time
-// constant Tau. It is the per-partition heat signal. Safe for
-// concurrent use.
+// constant Tau. It is the per-partition heat signal, added to on every
+// request, so Add takes no lock and computes no exponential: it adds to
+// a pending count, and the decay is folded in at most once per
+// meterStep of a time constant — by the Add that finds the step over,
+// or by Rate. An event therefore decays from the fold after it, at most
+// a step late; a meter added to less often than once a step decays
+// every event from its own arrival, exactly. Safe for concurrent use.
 type Meter struct {
+	tau float64 // seconds
+	clk clock.Clock
+	// pending holds the events added since the last fold.
+	pending metrics.Gauge
+	// nextFold is when, in Unix nanoseconds, an Add next folds.
+	nextFold atomic.Int64
+	// mu guards the fold: value is the decayed count at last.
 	mu    sync.Mutex
-	tau   float64 // seconds
-	clk   clock.Clock
 	value float64
 	last  time.Time
 }
+
+// meterStep is how many folds a Meter makes per time constant at most:
+// an event's weight is off by at most 1/meterStep.
+const meterStep = 1024
 
 // DefaultTau is the Meter decay time constant.
 const DefaultTau = 10 * time.Second
@@ -450,24 +465,26 @@ func NewMeter(tau time.Duration, clk clock.Clock) *Meter {
 	return &Meter{tau: tau.Seconds(), clk: clk, last: clk.Now()}
 }
 
-// decayLocked applies exponential decay to the meter's rate estimate.
+// foldLocked decays the meter's count to now and adds the pending
+// events to it.
 // +locked:m.mu
-func (m *Meter) decayLocked(now time.Time) {
-	dt := now.Sub(m.last).Seconds()
-	if dt <= 0 {
-		return
+func (m *Meter) foldLocked(now time.Time) {
+	if dt := now.Sub(m.last).Seconds(); dt > 0 {
+		m.value *= math.Exp(-dt / m.tau)
+		m.last = now
 	}
-	m.value *= math.Exp(-dt / m.tau)
-	m.last = now
+	m.value += m.pending.Swap(0)
+	m.nextFold.Store(now.UnixNano() + int64(m.tau*1e9/meterStep))
 }
 
 // Add records n events at now, the caller's arrival time for the
 // request.
 func (m *Meter) Add(n float64, now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.decayLocked(now)
-	m.value += n
+	m.pending.Add(n)
+	if now.UnixNano() >= m.nextFold.Load() && m.mu.TryLock() {
+		m.foldLocked(now)
+		m.mu.Unlock()
+	}
 }
 
 // Rate returns the decayed events-per-second rate: under a steady
@@ -475,7 +492,7 @@ func (m *Meter) Add(n float64, now time.Time) {
 func (m *Meter) Rate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.decayLocked(m.clk.Now())
+	m.foldLocked(m.clk.Now())
 	return m.value / m.tau
 }
 
@@ -483,6 +500,8 @@ func (m *Meter) Rate() float64 {
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.pending.Swap(0)
 	m.value = 0
 	m.last = m.clk.Now()
+	m.nextFold.Store(0)
 }

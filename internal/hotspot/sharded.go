@@ -80,6 +80,12 @@ func (s *Sharded) TouchDebiased(key []byte, now time.Time) float64 {
 	return d.touchN(key, h, float64(d.rate), true, now)
 }
 
+// TouchN is Detector.TouchN on key's shard.
+func (s *Sharded) TouchN(key []byte, w float64, now time.Time) float64 {
+	d, h := s.shard(key)
+	return d.touchN(key, h, w, false, now)
+}
+
 // EstimateDebiased is Detector.EstimateDebiased on key's shard.
 func (s *Sharded) EstimateDebiased(key []byte) float64 {
 	d, h := s.shard(key)

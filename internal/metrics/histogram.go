@@ -16,11 +16,13 @@ import (
 // on many cores never queue behind one another. A sample writes one
 // cache line: its bucket's count and sum sit side by side, the sample
 // count is the buckets' sum, and min and max are only read unless the
-// sample is a new extreme.
+// sample is a new extreme. The zero value is an empty histogram, so a
+// Striped cell holds one by value.
 type Histogram struct {
-	buckets []bucket
-	min     atomic.Int64 // nanoseconds; noMin while empty
-	max     atomic.Int64 // nanoseconds
+	buckets [histBuckets + 1]bucket
+	// min is the smallest sample in nanoseconds plus one: 0 while empty.
+	min atomic.Int64
+	max atomic.Int64 // nanoseconds
 }
 
 // bucket counts the samples in one bucket and sums their nanoseconds.
@@ -34,8 +36,6 @@ const (
 	histBucket0 = time.Microsecond
 	histBuckets = 420 // 1.05^420 µs ≈ 13 min
 
-	// noMin is min's value before the first sample.
-	noMin = math.MaxInt64
 )
 
 var histBounds = func() []time.Duration {
@@ -49,11 +49,7 @@ var histBounds = func() []time.Duration {
 }()
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{buckets: make([]bucket, histBuckets+1)}
-	h.min.Store(noMin)
-	return h
-}
+func NewHistogram() *Histogram { return new(Histogram) }
 
 // bucketFor returns the index of the first bound at or above d, or
 // histBuckets (the overflow bucket) when d exceeds every bound.
@@ -67,16 +63,19 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
+	// The extremes first: a reader that sees the sample counted sees it
+	// within Min and Max.
+	lower(&h.min, int64(d)+1)
+	raise(&h.max, int64(d))
 	b := &h.buckets[bucketFor(d)]
 	b.n.Add(1)
 	b.sum.Add(int64(d))
-	lower(&h.min, int64(d))
-	raise(&h.max, int64(d))
 }
 
-// lower stores v in a unless a already holds a value at or below it.
+// lower stores v in a unless a already holds a value at or below it; 0
+// in a holds nothing.
 func lower(a *atomic.Int64, v int64) {
-	for cur := a.Load(); v < cur; cur = a.Load() {
+	for cur := a.Load(); cur == 0 || v < cur; cur = a.Load() {
 		if a.CompareAndSwap(cur, v) {
 			return
 		}
@@ -127,8 +126,8 @@ func mean(n uint64, sum int64) time.Duration {
 
 // Min returns the smallest recorded sample, or 0 when empty.
 func (h *Histogram) Min() time.Duration {
-	if m := h.min.Load(); m != noMin {
-		return time.Duration(m)
+	if m := h.min.Load(); m != 0 {
+		return time.Duration(m - 1)
 	}
 	return 0
 }
@@ -168,8 +167,23 @@ func (h *Histogram) Reset() {
 		h.buckets[i].n.Store(0)
 		h.buckets[i].sum.Store(0)
 	}
-	h.min.Store(noMin)
+	h.min.Store(0)
 	h.max.Store(0)
+}
+
+// Merge adds o's samples to h: how a reader of a Striped histogram
+// gathers its cells into one.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.buckets {
+		if n := o.buckets[i].n.Load(); n != 0 {
+			h.buckets[i].n.Add(n)
+			h.buckets[i].sum.Add(o.buckets[i].sum.Load())
+		}
+	}
+	if m := o.min.Load(); m != 0 {
+		lower(&h.min, m)
+	}
+	raise(&h.max, o.max.Load())
 }
 
 // Snapshot returns a summary of the histogram. Its quantiles come from

@@ -204,7 +204,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 		return errs
 	}
 	start := p.cfg.Clock.Now()
-	defer func() { p.latency.Observe(p.cfg.Clock.Since(start)) }()
+	defer func() { p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start)) }()
 
 	// AU-LRU pre-pass, before the limiter: hits cost no quota and
 	// survive a throttle, and throttled traffic still heats the sketch.
@@ -225,7 +225,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 		return errs
 	}
 	if !p.limiter.Allow(cost, start) {
-		p.rejected.Inc()
+		p.reqs.Cell().Refused.Inc()
 		for _, i := range admit {
 			errs[i] = ErrThrottled
 		}
@@ -250,7 +250,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 					}
 					continue
 				}
-				p.windowRU.Add(res.RU)
+				p.reqs.Cell().RU.Add(res.RU)
 				var reads ru.ReadBatch
 				for j, i := range nb.idxs[g] {
 					bv := res.Values[j]
@@ -271,7 +271,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 		if errs[i] != nil {
 			errs[i] = p.refundFailure(op.cost(i), errs[i])
 		} else {
-			p.success.Inc()
+			p.reqs.Cell().Success.Inc()
 		}
 	}
 	return errs

@@ -10,6 +10,7 @@ import (
 
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
+	"abase/internal/metrics"
 )
 
 // This file is the proxy plane's conformance table: every keyed
@@ -188,7 +189,7 @@ type books struct {
 }
 
 func readBooks(p *Proxy) books {
-	b := books{stats: p.Stats(), latencies: p.latency.Count()}
+	b := books{stats: p.Stats(), latencies: metrics.SumRequests(p.reqs).Latency.Count()}
 	b.stats.LatencyP99 = 0
 	p.routes.mu.RLock()
 	b.refreshes = p.routes.gen

@@ -57,23 +57,28 @@ type access struct {
 // request's arrival time: the sketch decays to it and the AU-LRU checks
 // expiry against it. It returns the key's access, for the cache fills,
 // and for a cacheRead the AU-LRU's answer: a hit is a served request
-// that cost no quota.
+// that cost no quota. A miss or a write touches the sketch exactly; a
+// hit, only when the AU-LRU sampled it (see touchHit).
 func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access, v []byte, hit bool) {
 	acc.at = now
 	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
 		return acc, nil, false
 	}
+	if use == cacheRead {
+		var sampled bool
+		if v, hit, sampled = p.cache.GetAt(key, now); hit {
+			c := p.reqs.Cell()
+			c.Hits.Inc()
+			c.Success.Inc()
+			if sampled {
+				p.touchHit(key, now)
+			}
+			return acc, v, true
+		}
+		p.reqs.Cell().Misses.Inc()
+	}
 	acc.heat = p.touchHot(key, now)
-	if use == cacheWrite {
-		return acc, nil, false
-	}
-	if v, hit = p.cache.GetAt(key, now); hit {
-		p.hits.Inc()
-		p.success.Inc()
-	} else {
-		p.misses.Inc()
-	}
-	return acc, v, hit
+	return acc, nil, false
 }
 
 // cacheSettle is the policy's half after the node call, given the
@@ -113,11 +118,11 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 	acc, v, hit := p.cacheLookup(op.use, op.key, start)
 	if hit {
 		*op.hit = v
-		p.latency.Observe(p.cfg.Clock.Since(start))
+		p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 		return nil
 	}
 	if !p.limiter.Allow(op.cost, start) {
-		p.rejected.Inc()
+		p.reqs.Cell().Refused.Inc()
 		return ErrThrottled
 	}
 	var billed float64
@@ -130,9 +135,9 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 	if err != nil {
 		return p.refundFailure(op.cost, err)
 	}
-	p.windowRU.Add(billed)
-	p.success.Inc()
-	p.latency.Observe(p.cfg.Clock.Since(start))
+	p.reqs.Cell().RU.Add(billed)
+	p.reqs.Cell().Success.Inc()
+	p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 	return nil
 }
 
@@ -193,11 +198,11 @@ func noWorkErr(err error) bool {
 func (p *Proxy) noteFailure(err error) {
 	switch {
 	case errors.Is(err, datanode.ErrDeadlineShed):
-		p.shed.Inc()
+		p.reqs.Cell().Shed.Inc()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The caller's budget ran out; nothing here failed.
 	default:
-		p.errors.Inc()
+		p.reqs.Cell().Errors.Inc()
 	}
 }
 

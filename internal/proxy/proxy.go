@@ -116,14 +116,10 @@ type Proxy struct {
 	// routes is the epoch-stamped routing-table cache (routecache.go).
 	routes routeTable
 
-	windowRU metrics.Gauge
-	success  metrics.Counter
-	rejected metrics.Counter
-	shed     metrics.Counter
-	errors   metrics.Counter
-	hits     metrics.Counter
-	misses   metrics.Counter
-	latency  *metrics.Histogram
+	// reqs tallies the proxy's requests, one cell per P: Refused counts
+	// proxy-quota throttles, Hits and Misses the AU-LRU, and RU the
+	// billed RU of the traffic-control window WindowRU takes.
+	reqs *metrics.Striped[metrics.Requests]
 }
 
 // New creates a proxy and registers it with the MetaServer for traffic
@@ -145,7 +141,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:     cfg,
 		limiter: quota.NewProxyLimiter(cfg.ProxyQuota, cfg.Clock),
 		est:     ru.NewEstimator(0),
-		latency: metrics.NewHistogram(),
+		reqs:    metrics.NewStriped[metrics.Requests](),
 	}
 	if cfg.EnableCache {
 		if cfg.HotAdmitThreshold >= 0 {
@@ -182,13 +178,14 @@ func New(cfg Config) (*Proxy, error) {
 }
 
 // refreshGate returns the AU-LRU refresh gate, nil when hotness gating
-// is disabled.
+// is disabled. It records the access it is asked about, exactly, and
+// counts it: a key must be hot with the access that would refresh it.
 func (p *Proxy) refreshGate() cache.RefreshGate {
 	if p.hot == nil {
 		return nil
 	}
-	return func(key string) bool {
-		return p.hot.EstimateDebiased([]byte(key)) >= p.hotThreshold
+	return func(key string, now time.Time) bool {
+		return p.touchHot([]byte(key), now) >= p.hotThreshold
 	}
 }
 
@@ -196,12 +193,24 @@ func (p *Proxy) refreshGate() cache.RefreshGate {
 // returns the key's post-touch debiased estimate (0 when gating is
 // disabled; the proxy sketch is unsampled, so recording never skips).
 // The estimate is threaded to hotAdmit so the admission decision does
-// not re-lock the sketch.
+// not re-lock the sketch. Misses and writes touch it; hits are sampled
+// (see touchHit).
 func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 	if p.hot == nil {
 		return 0
 	}
 	return p.hot.TouchDebiased(key, now)
+}
+
+// touchHit records an AU-LRU hit the cache sampled, at the weight of
+// the cache.HitSample hits it stands for. A hit key holds its slot
+// already, and the sketch only gates the admission of misses and the
+// refresh gate, so one hit in HitSample keeps the key's estimate
+// unbiased while the others write nothing the cores share.
+func (p *Proxy) touchHit(key []byte, now time.Time) {
+	if p.hot != nil {
+		p.hot.TouchN(key, cache.HitSample, now)
+	}
 }
 
 // hotAdmit reports whether a key whose touchHot estimate was est has
@@ -399,7 +408,11 @@ func (p *Proxy) Relax() { p.limiter.Relax() }
 
 // WindowRU implements metaserver.RestrictableProxy: it returns and
 // resets the RU admitted since the previous call.
-func (p *Proxy) WindowRU() float64 { return p.windowRU.Swap(0) }
+func (p *Proxy) WindowRU() float64 {
+	var ru float64
+	p.reqs.Each(func(c *metrics.Requests) { ru += c.RU.Swap(0) })
+	return ru
+}
 
 // Stats is a snapshot of proxy counters.
 type Stats struct {
@@ -412,6 +425,9 @@ type Stats struct {
 	CacheHits  int64
 	CacheMiss  int64
 	LatencyP99 time.Duration
+	// Admitted counts the admissions the proxy quota granted: one per
+	// point op and one per batch that reached the data plane.
+	Admitted int64
 }
 
 // HitRatio returns the proxy cache hit ratio.
@@ -425,26 +441,23 @@ func (s Stats) HitRatio() float64 {
 
 // Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() Stats {
+	r := metrics.SumRequests(p.reqs)
+	admitted, _ := p.limiter.Stats()
 	return Stats{
-		Success:    p.success.Value(),
-		Rejected:   p.rejected.Value(),
-		Shed:       p.shed.Value(),
-		Errors:     p.errors.Value(),
-		CacheHits:  p.hits.Value(),
-		CacheMiss:  p.misses.Value(),
-		LatencyP99: p.latency.Quantile(0.99),
+		Admitted:   admitted,
+		Success:    r.Success.Value(),
+		Rejected:   r.Refused.Value(),
+		Shed:       r.Shed.Value(),
+		Errors:     r.Errors.Value(),
+		CacheHits:  r.Hits.Value(),
+		CacheMiss:  r.Misses.Value(),
+		LatencyP99: r.Latency.Quantile(0.99),
 	}
 }
 
 // ResetStats zeroes the proxy counters (experiment windows).
 func (p *Proxy) ResetStats() {
-	p.success.Reset()
-	p.rejected.Reset()
-	p.shed.Reset()
-	p.errors.Reset()
-	p.hits.Reset()
-	p.misses.Reset()
-	p.latency.Reset()
+	p.reqs.Each((*metrics.Requests).Reset)
 	if p.cache != nil {
 		p.cache.ResetStats()
 	}
@@ -545,6 +558,7 @@ func (f *Fleet) AggregateStats() Stats {
 		out.Errors += s.Errors
 		out.CacheHits += s.CacheHits
 		out.CacheMiss += s.CacheMiss
+		out.Admitted += s.Admitted
 		if s.LatencyP99 > out.LatencyP99 {
 			out.LatencyP99 = s.LatencyP99
 		}

@@ -122,7 +122,7 @@ func TestProxyRestrictRelaxFromMeta(t *testing.T) {
 	m, p := newStack(t, 100, func(c *Config) { c.EnableCache = false })
 	// Simulate heavy admitted traffic, then run the monitor: the proxy
 	// must be restricted.
-	p.windowRU.Add(100000)
+	p.reqs.Cell().RU.Add(100000)
 	m.MonitorProxyTraffic(time.Second)
 	if !p.limiter.Restricted() {
 		t.Fatal("meta did not restrict overloaded proxy")

@@ -128,7 +128,7 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 	start := p.cfg.Clock.Now()
 	cur, err := decodeCursor(cursor)
 	if err != nil {
-		p.errors.Inc()
+		p.reqs.Cell().Errors.Inc()
 		return ScanPage{}, err
 	}
 	count := opts.Count
@@ -140,7 +140,7 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 	}
 	estimate := p.est.EstimateScanRU(count)
 	if !p.limiter.Allow(estimate, start) {
-		p.rejected.Inc()
+		p.reqs.Cell().Refused.Inc()
 		return ScanPage{}, ErrThrottled
 	}
 
@@ -164,8 +164,8 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		}
 		if cur.part >= parts {
 			// Traversal complete.
-			p.success.Inc()
-			p.latency.Observe(p.cfg.Clock.Since(start))
+			p.reqs.Cell().Success.Inc()
+			p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 			return page, nil
 		}
 		// Each sub-scan is a routed call like any other: one route
@@ -187,7 +187,7 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		if err != nil {
 			return p.refundFinishScan(page, cur, fetched, estimate, err, start)
 		}
-		p.windowRU.Add(res.RU)
+		p.reqs.Cell().RU.Add(res.RU)
 		// Even an empty sub-scan (exhausted or vacant partition) costs a
 		// DataNode round trip; charge at least one unit of budget so a
 		// heavily-split sparse tenant cannot make one page fan out to
@@ -213,8 +213,8 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		}
 	}
 	page.Cursor = encodeCursor(cur)
-	p.success.Inc()
-	p.latency.Observe(p.cfg.Clock.Since(start))
+	p.reqs.Cell().Success.Inc()
+	p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 	return page, nil
 }
 
@@ -227,7 +227,7 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 // proves no sub-scan ever executed, so the tenant does not pay for a
 // page the system never served.
 func (p *Proxy) refundFinishScan(page ScanPage, cur scanCursor, fetched int, estimate float64, err error, start time.Time) (ScanPage, error) {
-	p.latency.Observe(p.cfg.Clock.Since(start))
+	p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 	aborted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	throttled := errors.Is(err, datanode.ErrThrottled)
 	switch {
@@ -238,12 +238,12 @@ func (p *Proxy) refundFinishScan(page ScanPage, cur scanCursor, fetched int, est
 	case fetched > 0:
 		page.Cursor = encodeCursor(cur)
 		page.Throttled = throttled
-		p.success.Inc()
+		p.reqs.Cell().Success.Inc()
 		return page, nil
 	case throttled:
 		// The DataNode's partition quota refused the first sub-scan: the
 		// page charge stands as the throttling signal.
-		p.rejected.Inc()
+		p.reqs.Cell().Refused.Inc()
 		return ScanPage{}, ErrThrottled
 	case aborted:
 		// The cursor stays at the unfinished spot.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"abase/internal/metrics"
 	"abase/internal/quota"
 )
 
@@ -49,26 +50,36 @@ func (c Config) withDefaults() Config {
 // slot for the next queued task; TryRun takes one on its caller's
 // goroutine when nothing is queued ahead, so an idle layer starts a task
 // at once without a hand-off, as a work-conserving WFQ should.
+//
+// The books are kept per Flow — one per tenant, reached from the task
+// (see Task.Flow) — so no step hashes a tenant's name.
 type DualLayer struct {
 	cfg Config
 
-	// mu guards both queues, closed, and the slot accounting below; the
-	// workers wait on the conds.
+	// mu guards both queues, the flows and the slot accounting below,
+	// except what releaseCPU changes without it; the workers wait on the
+	// conds.
 	mu      sync.Mutex
 	cpuQ    *queue
 	ioQ     *queue
 	cpuCond *sync.Cond
 	ioCond  *sync.Cond
-	closed  bool
+	// closed is written under mu and read without it by releaseCPU.
+	closed atomic.Bool
 
-	// CPU slots, and Rule 3's view of them: tasks holding a CPU slot per
-	// tenant and in total (cpuTotal <= CPUWorkers).
-	cpuInflight map[string]int
-	cpuTotal    int
+	// flows holds every tenant's flow, for tasks that come without one.
+	flows map[string]*Flow
 
-	// Basic I/O slots, and Rule 4's view of them: which tenants the basic
+	// CPU slots held in total (at most CPUWorkers), and Rule 3's view of
+	// them: the flows that may hold some — every flow holding a slot is
+	// listed, and a listed flow holding none leaves at Rule 3's next look.
+	// The total rises under mu and may fall without it (releaseCPU).
+	cpuTotal atomic.Int64
+	cpuFlows []*Flow
+
+	// Basic I/O slots, and Rule 4's view of them: the flows the basic
 	// slots are serving (ioBusyTotal <= BasicIOThreads).
-	ioBusy      map[string]int
+	ioFlows     []*Flow
 	ioBusyTotal int
 	extraAlive  int
 
@@ -76,7 +87,7 @@ type DualLayer struct {
 	wg sync.WaitGroup
 
 	// stats
-	completed   atomic.Int64
+	completed   *metrics.Striped[metrics.Counter]
 	ioServed    atomic.Int64
 	extraSpawns atomic.Int64
 	rule3Skips  atomic.Int64
@@ -87,15 +98,7 @@ type DualLayer struct {
 
 // NewDualLayer starts the workers for one dual-layer WFQ.
 func NewDualLayer(cfg Config) *DualLayer {
-	d := &DualLayer{
-		cfg:         cfg.withDefaults(),
-		cpuQ:        newQueue(),
-		ioQ:         newQueue(),
-		cpuInflight: make(map[string]int),
-		ioBusy:      make(map[string]int),
-	}
-	d.cpuCond = sync.NewCond(&d.mu)
-	d.ioCond = sync.NewCond(&d.mu)
+	d := newDualLayer(cfg)
 	for i := 0; i < d.cfg.CPUWorkers; i++ {
 		d.wg.Add(1)
 		go d.cpuWorker()
@@ -107,15 +110,56 @@ func NewDualLayer(cfg Config) *DualLayer {
 	return d
 }
 
+// newDualLayer returns a dual-layer WFQ without its workers.
+func newDualLayer(cfg Config) *DualLayer {
+	d := &DualLayer{
+		cfg:       cfg.withDefaults(),
+		cpuQ:      newQueue(cpuLayer),
+		ioQ:       newQueue(ioLayer),
+		flows:     make(map[string]*Flow),
+		completed: metrics.NewStriped[metrics.Counter](),
+	}
+	d.cpuCond = sync.NewCond(&d.mu)
+	d.ioCond = sync.NewCond(&d.mu)
+	return d
+}
+
+// Flow returns tenant's flow in this layer, created on first use.
+func (d *DualLayer) Flow(tenant string) *Flow {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.flowLocked(tenant)
+}
+
+// +locked:d.mu
+func (d *DualLayer) flowLocked(tenant string) *Flow {
+	f, ok := d.flows[tenant]
+	if !ok {
+		f = &Flow{d: d, tenant: tenant}
+		d.flows[tenant] = f
+	}
+	return f
+}
+
+// bindLocked gives t its tenant's flow unless it carries this layer's
+// flow already.
+// +locked:d.mu
+func (d *DualLayer) bindLocked(t *Task) {
+	if t.Flow == nil || t.Flow.d != d {
+		t.Flow = d.flowLocked(t.Tenant)
+	}
+}
+
 // Submit enqueues a task into the CPU-WFQ. It returns false if the
 // scheduler is closed or a write exceeds the write-RU ceiling (Rule 2),
 // in which case Done is not called.
 func (d *DualLayer) Submit(t *Task) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed || !d.ceilingAllows(t) {
+	if d.closed.Load() || !d.ceilingAllows(t) {
 		return false
 	}
+	d.bindLocked(t)
 	d.cpuQ.push(t, t.RUCost) // Rule 1: CPU layer costs RU
 	d.cpuCond.Signal()
 	return true
@@ -127,7 +171,9 @@ func (d *DualLayer) Submit(t *Task) bool {
 // worker's steps: VFT accounting as if it had queued, the dequeue-point
 // Ctx check, Rule 3 accounting and the CPU stage. On a miss its I/O
 // stage also runs on the caller when the I/O-WFQ is empty and a basic
-// slot is free; otherwise it queues for the I/O workers.
+// slot is free; otherwise it queues for the I/O workers. A task its CPU
+// stage answers takes the layer's lock once: its slot goes back without
+// it unless a task waits for the slot or the layer is closing.
 //
 // taken reports whether TryRun dealt with t; when it did not, nothing
 // happened and the caller Submits t instead. When taken, accepted is
@@ -135,7 +181,7 @@ func (d *DualLayer) Submit(t *Task) bool {
 // refused t, and neither Done nor Abort is called.
 func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
 	d.mu.Lock()
-	if d.closed || d.cpuQ.len() > 0 || d.cpuTotal >= d.cfg.CPUWorkers {
+	if d.closed.Load() || d.cpuQ.len() > 0 || d.cpuTotal.Load() >= int64(d.cfg.CPUWorkers) {
 		d.mu.Unlock()
 		return false, false
 	}
@@ -143,8 +189,9 @@ func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
 		d.mu.Unlock()
 		return true, false
 	}
+	d.bindLocked(t)
 	d.cpuQ.admitInline(t, t.RUCost)
-	d.holdCPULocked(t)
+	d.holdCPULocked(t.Flow)
 	d.wg.Add(1) // Close waits for the run like for a worker
 	d.mu.Unlock()
 	defer d.wg.Done()
@@ -158,32 +205,84 @@ func (d *DualLayer) ceilingAllows(t *Task) bool {
 	return !t.Class.IsWrite() || b == nil || b.Allow(t.RUCost, b.Now())
 }
 
-// monopolizingTenantLocked returns the tenant currently holding at
-// least tenantShareCap of the CPU concurrency, if any (Rule 3).
+// monopolizingFlowLocked returns the flow currently holding at least
+// tenantShareCap of the CPU concurrency, if any (Rule 3). It walks the
+// listed flows, and unlists those that hold no slot.
 // +locked:d.mu
-func (d *DualLayer) monopolizingTenantLocked() string {
-	if d.cpuTotal == 0 {
-		return ""
+func (d *DualLayer) monopolizingFlowLocked() *Flow {
+	total := d.cpuTotal.Load()
+	if total == 0 {
+		return nil
 	}
-	for tenant, n := range d.cpuInflight {
-		if float64(n) >= tenantShareCap*float64(d.cfg.CPUWorkers) && float64(n)/float64(d.cpuTotal) >= tenantShareCap {
-			return tenant
+	var mono *Flow
+	live := d.cpuFlows[:0]
+	for _, f := range d.cpuFlows {
+		n := f.cpu.Load()
+		if n == 0 {
+			f.cpuListed = false
+			continue
+		}
+		live = append(live, f)
+		if float64(n) >= tenantShareCap*float64(d.cfg.CPUWorkers) && float64(n)/float64(total) >= tenantShareCap {
+			mono = f
 		}
 	}
-	return ""
+	clear(d.cpuFlows[len(live):])
+	d.cpuFlows = live
+	return mono
 }
 
-// holdCPULocked gives t a CPU slot.
+// holdCPULocked gives a task of f a CPU slot.
 // +locked:d.mu
-func (d *DualLayer) holdCPULocked(t *Task) {
-	d.cpuInflight[t.Tenant]++
-	d.cpuTotal++
+func (d *DualLayer) holdCPULocked(f *Flow) {
+	if !f.cpuListed {
+		f.cpuListed = true
+		d.cpuFlows = append(d.cpuFlows, f)
+	}
+	f.cpu.Add(1)
+	d.cpuTotal.Add(1)
 }
 
-// holdIOLocked gives t a basic I/O slot.
+// releaseCPU frees a CPU slot a task of f held, without the lock: only
+// a CPU worker waiting for the slot, or a layer closing, needs to hear
+// of it, and both are then woken under the lock. The slot is freed
+// before the waiters are looked for, and a task is queued (or the layer
+// closed) before a worker looks at the slots, so either the worker sees
+// the slot free or releaseCPU sees the waiter.
+func (d *DualLayer) releaseCPU(f *Flow) {
+	f.cpu.Add(-1)
+	d.cpuTotal.Add(-1)
+	if d.cpuQ.waiting.Load() > 0 || d.closed.Load() {
+		d.mu.Lock()
+		d.cpuFreedLocked()
+		d.mu.Unlock()
+	}
+}
+
+// cpuFreedLocked wakes what a freed CPU slot lets go on: a CPU worker
+// with a queued task for it, every CPU worker of a closed layer, and the
+// I/O workers once nothing more can reach the I/O-WFQ.
 // +locked:d.mu
-func (d *DualLayer) holdIOLocked(t *Task) {
-	d.ioBusy[t.Tenant]++
+func (d *DualLayer) cpuFreedLocked() {
+	switch {
+	case d.cpuQ.len() > 0:
+		d.cpuCond.Signal() // the freed slot has a taker
+	case d.closed.Load():
+		d.cpuCond.Broadcast() // every waiting CPU worker can exit
+	}
+	if d.drainedLocked() {
+		d.ioCond.Broadcast() // and so can the I/O workers, once their queue is empty
+	}
+}
+
+// holdIOLocked gives a task of f a basic I/O slot.
+// +locked:d.mu
+func (d *DualLayer) holdIOLocked(f *Flow) {
+	if f.io == 0 {
+		f.ioIdx = len(d.ioFlows)
+		d.ioFlows = append(d.ioFlows, f)
+	}
+	f.io++
 	d.ioBusyTotal++
 }
 
@@ -191,7 +290,7 @@ func (d *DualLayer) holdIOLocked(t *Task) {
 // the layer is closed and no task is queued for or running a CPU stage.
 // +locked:d.mu
 func (d *DualLayer) drainedLocked() bool {
-	return d.closed && d.cpuQ.len() == 0 && d.cpuTotal == 0
+	return d.closed.Load() && d.cpuQ.len() == 0 && d.cpuTotal.Load() == 0
 }
 
 func (d *DualLayer) cpuWorker() {
@@ -207,20 +306,20 @@ func (d *DualLayer) cpuWorker() {
 func (d *DualLayer) nextCPU() *Task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for d.cpuQ.len() == 0 || d.cpuTotal >= d.cfg.CPUWorkers {
-		if d.closed && d.cpuQ.len() == 0 {
+	for d.cpuQ.len() == 0 || d.cpuTotal.Load() >= int64(d.cfg.CPUWorkers) {
+		if d.closed.Load() && d.cpuQ.len() == 0 {
 			return nil
 		}
 		d.cpuCond.Wait()
 	}
-	skip := d.monopolizingTenantLocked()
-	if skip != "" && d.cpuQ.hasOtherTenant(skip) {
+	skip := d.monopolizingFlowLocked()
+	if skip != nil && d.cpuQ.hasOther(skip) {
 		d.rule3Skips.Add(1)
 	} else {
-		skip = ""
+		skip = nil
 	}
 	t := d.cpuQ.pop(skip)
-	d.holdCPULocked(t)
+	d.holdCPULocked(t.Flow)
 	d.dequeued.Add(1)
 	return t
 }
@@ -231,48 +330,35 @@ func (d *DualLayer) runCPU(t *Task, inline bool) {
 	// A task whose context expired while it waited sheds here,
 	// before its CPU stage burns any service time.
 	if err := t.shed(); err != nil {
-		d.handOff(t, false, false)
+		d.releaseCPU(t.Flow)
 		d.resolve(t, err)
 		return
 	}
-	needIO := t.CPUStage != nil && t.CPUStage() && t.IOStage != nil
-	switch {
-	case d.handOff(t, needIO, inline):
-		d.runIO(t, true)
-	case !needIO:
+	if t.CPUStage == nil || !t.CPUStage() || t.IOStage == nil {
+		d.releaseCPU(t.Flow)
 		d.resolve(t, nil)
+		return
+	}
+	if d.handOff(t, inline) {
+		d.runIO(t, true)
 	}
 }
 
-// handOff releases t's CPU slot and, when t needs its I/O stage, moves
-// it to the I/O layer in the same step, so the I/O workers never find
-// the layer drained while a CPU stage can still feed it. An inline run
-// keeps t when the I/O-WFQ is empty and a basic slot is free: handOff
-// then reports true and t holds that slot. Otherwise t queues for the
-// I/O workers, and Rule 4 may spawn an extra one.
-func (d *DualLayer) handOff(t *Task, needIO, inline bool) (runIO bool) {
+// handOff releases t's CPU slot and moves t to the I/O layer in the
+// same step, so the I/O workers never find the layer drained while a
+// CPU stage can still feed it. An inline run keeps t when the I/O-WFQ is
+// empty and a basic slot is free: handOff then reports true and t holds
+// that slot. Otherwise t queues for the I/O workers, and Rule 4 may
+// spawn an extra one.
+func (d *DualLayer) handOff(t *Task, inline bool) (runIO bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cpuInflight[t.Tenant]--
-	if d.cpuInflight[t.Tenant] == 0 {
-		delete(d.cpuInflight, t.Tenant)
-	}
-	d.cpuTotal--
-	switch {
-	case d.cpuQ.len() > 0:
-		d.cpuCond.Signal() // the freed slot has a taker
-	case d.closed:
-		d.cpuCond.Broadcast() // every waiting CPU worker can exit
-	}
-	if d.drainedLocked() {
-		d.ioCond.Broadcast() // and so can the I/O workers, once their queue is empty
-	}
-	switch {
-	case !needIO:
-		return false
-	case inline && d.ioQ.len() == 0 && d.ioBusyTotal < d.cfg.BasicIOThreads:
+	t.Flow.cpu.Add(-1)
+	d.cpuTotal.Add(-1)
+	d.cpuFreedLocked()
+	if inline && d.ioQ.len() == 0 && d.ioBusyTotal < d.cfg.BasicIOThreads {
 		d.ioQ.admitInline(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
-		d.holdIOLocked(t)
+		d.holdIOLocked(t.Flow)
 		return true
 	}
 	d.ioQ.push(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
@@ -286,14 +372,11 @@ func (d *DualLayer) handOff(t *Task, needIO, inline bool) (runIO bool) {
 // a temporary extra thread dedicated to the other tenants.
 // +locked:d.mu
 func (d *DualLayer) maybeSpawnExtraLocked() {
-	if d.ioBusyTotal < d.cfg.BasicIOThreads || len(d.ioBusy) != 1 || d.extraAlive >= d.cfg.ExtraIOThreads {
+	if d.ioBusyTotal < d.cfg.BasicIOThreads || len(d.ioFlows) != 1 || d.extraAlive >= d.cfg.ExtraIOThreads {
 		return
 	}
-	var mono string
-	for tenant := range d.ioBusy {
-		mono = tenant
-	}
-	if !d.ioQ.hasOtherTenant(mono) {
+	mono := d.ioFlows[0]
+	if !d.ioQ.hasOther(mono) {
 		return
 	}
 	d.extraAlive++
@@ -323,15 +406,15 @@ func (d *DualLayer) nextIO() *Task {
 		}
 		d.ioCond.Wait()
 	}
-	t := d.ioQ.pop("")
-	d.holdIOLocked(t)
+	t := d.ioQ.pop(nil)
+	d.holdIOLocked(t.Flow)
 	d.dequeued.Add(1)
 	return t
 }
 
 // extraIOWorker is a temporary Rule 4 thread: outside the basic slots it
-// serves tenants other than avoid, and exits when none is queued.
-func (d *DualLayer) extraIOWorker(avoid string) {
+// serves flows other than avoid, and exits when none is queued.
+func (d *DualLayer) extraIOWorker(avoid *Flow) {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
@@ -359,7 +442,7 @@ func (d *DualLayer) runIO(t *Task, basic bool) {
 		d.ioServed.Add(1)
 	}
 	if basic {
-		d.releaseIO(t)
+		d.releaseIO(t.Flow)
 	}
 	d.resolve(t, err)
 }
@@ -369,7 +452,7 @@ func (d *DualLayer) runIO(t *Task, basic bool) {
 // resolution wakes reads it in Stats. Resolving is the scheduler's last
 // access to t: whoever it wakes may reuse the task at once.
 func (d *DualLayer) resolve(t *Task, err error) {
-	d.completed.Add(1)
+	d.completed.Cell().Inc()
 	switch {
 	case err != nil && t.Abort != nil:
 		t.Abort(err)
@@ -378,13 +461,15 @@ func (d *DualLayer) resolve(t *Task, err error) {
 	}
 }
 
-// releaseIO frees t's basic I/O slot.
-func (d *DualLayer) releaseIO(t *Task) {
+// releaseIO frees a basic I/O slot a task of f held.
+func (d *DualLayer) releaseIO(f *Flow) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ioBusy[t.Tenant]--
-	if d.ioBusy[t.Tenant] == 0 {
-		delete(d.ioBusy, t.Tenant)
+	if f.io--; f.io == 0 {
+		last := d.ioFlows[len(d.ioFlows)-1]
+		d.ioFlows[f.ioIdx], last.ioIdx = last, f.ioIdx
+		d.ioFlows[len(d.ioFlows)-1] = nil
+		d.ioFlows = d.ioFlows[:len(d.ioFlows)-1]
 	}
 	d.ioBusyTotal--
 	switch {
@@ -399,11 +484,11 @@ func (d *DualLayer) releaseIO(t *Task) {
 // for the inline runs in progress to finish.
 func (d *DualLayer) Close() {
 	d.mu.Lock()
-	if d.closed {
+	if d.closed.Load() {
 		d.mu.Unlock()
 		return
 	}
-	d.closed = true
+	d.closed.Store(true)
 	d.cpuCond.Broadcast()
 	d.ioCond.Broadcast()
 	d.mu.Unlock()
@@ -425,8 +510,10 @@ func (d *DualLayer) Stats() Stats {
 	d.mu.Lock()
 	cpuQueued, ioQueued := d.cpuQ.len(), d.ioQ.len()
 	d.mu.Unlock()
+	var completed int64
+	d.completed.Each(func(c *metrics.Counter) { completed += c.Value() })
 	return Stats{
-		Completed:   d.completed.Load(),
+		Completed:   completed,
 		IOServed:    d.ioServed.Load(),
 		ExtraSpawns: d.extraSpawns.Load(),
 		Rule3Skips:  d.rule3Skips.Load(),
@@ -448,6 +535,16 @@ func NewScheduler(cfg Config) *Scheduler {
 		s.queues[i] = NewDualLayer(cfg)
 	}
 	return s
+}
+
+// Flow returns tenant's flow in class c's dual-layer WFQ, for a caller
+// that keeps it and hands it over with every task of that class (see
+// Task.Flow); an unknown class is a small read.
+func (s *Scheduler) Flow(c Class, tenant string) *Flow {
+	if c < 0 || c >= numClasses {
+		c = SmallRead
+	}
+	return s.queues[c].Flow(tenant)
 }
 
 // Submit routes the task to its class's dual-layer WFQ.

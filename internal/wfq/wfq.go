@@ -3,6 +3,7 @@ package wfq
 import (
 	"container/heap"
 	"context"
+	"sync/atomic"
 )
 
 // Class categorizes a request by type and size into one of the four
@@ -57,6 +58,12 @@ type Task struct {
 	Tenant    string
 	Partition string
 	Class     Class
+	// Flow is Tenant's state in the class's dual-layer WFQ (see
+	// Scheduler.Flow). A caller that keeps it hands it over with every
+	// task, and the scheduler keeps its books on it without looking the
+	// tenant up; a task without one is bound to Tenant's flow when it is
+	// submitted, so a task reused for another tenant must clear it.
+	Flow *Flow
 	// RUCost is the CPU-layer cost (Rule 1).
 	RUCost float64
 	// IOPSCost is the I/O-layer cost charged if the CPU stage misses
@@ -96,19 +103,49 @@ func (t *Task) shed() error {
 	return t.Ctx.Err()
 }
 
-// queue is a min-heap of tasks ordered by VFT with per-tenant
-// cumulative virtual time. It has no lock of its own: its DualLayer's
-// mu guards it, together with the slots a popped task runs in.
-type queue struct {
-	items    taskHeap
-	preVFT   map[string]float64
-	vtime    float64        // system virtual time: VFT of the last dequeued task
-	byTenant map[string]int // queued count per tenant
+// Flow is one tenant's state in one dual-layer WFQ: the virtual finish
+// time it reached in each layer, how many of its tasks each layer's
+// queue holds, and the CPU and basic I/O slots its tasks hold. Its
+// DualLayer's mu guards it, except cpu (see DualLayer.releaseCPU).
+type Flow struct {
+	d      *DualLayer
+	tenant string
+
+	preVFT [numLayers]float64
+	queued [numLayers]int
+	// cpu is the CPU slots the flow's tasks hold. It rises under the
+	// layer's mu and may fall without it, so Rule 3 reads it atomically.
+	cpu atomic.Int64
+	// cpuListed reports whether the flow is in its layer's cpuFlows.
+	cpuListed bool
+	// io is the basic I/O slots the flow's tasks hold; ioIdx is the
+	// flow's place in its layer's ioFlows while io > 0.
+	io    int
+	ioIdx int
 }
 
-func newQueue() *queue {
-	return &queue{preVFT: make(map[string]float64), byTenant: make(map[string]int)}
+// Tenant returns the tenant the flow accounts.
+func (f *Flow) Tenant() string { return f.tenant }
+
+// The two layers of a dual-layer WFQ, indexing a Flow's per-layer state.
+const (
+	cpuLayer = iota
+	ioLayer
+	numLayers
+)
+
+// queue is a min-heap of tasks ordered by VFT with per-flow cumulative
+// virtual time. It has no lock of its own: its DualLayer's mu guards it,
+// together with the slots a popped task runs in.
+type queue struct {
+	layer int // which of a Flow's per-layer states this queue keeps
+	items taskHeap
+	vtime float64 // system virtual time: VFT of the last dequeued task
+	// waiting is len(items), for a reader that does not hold the lock.
+	waiting atomic.Int64
 }
+
+func newQueue(layer int) *queue { return &queue{layer: layer} }
 
 type taskHeap []*Task
 
@@ -130,34 +167,35 @@ func (h *taskHeap) Pop() interface{} {
 func (q *queue) push(t *Task, cost float64) {
 	q.stamp(t, cost)
 	heap.Push(&q.items, t)
-	q.byTenant[t.Tenant]++
+	t.Flow.queued[q.layer]++
+	q.waiting.Store(int64(len(q.items)))
 }
 
 // admitInline accounts t as pushed and popped at once — what a task
 // that finds the queue empty and a slot free goes through — without
-// touching the heap: its tenant's preVFT and the virtual time advance
+// touching the heap: its flow's preVFT and the virtual time advance
 // exactly as if it had queued.
 func (q *queue) admitInline(t *Task, cost float64) {
 	q.stamp(t, cost)
 	q.advance(t)
 }
 
-// stamp sets t's VFT and charges it to its tenant's preVFT.
+// stamp sets t's VFT and charges it to its flow's preVFT.
 func (q *queue) stamp(t *Task, cost float64) {
 	share := t.QuotaShare
 	if share <= 0 {
 		share = 1e-6
 	}
 	wReqCost := cost / share
-	pre := q.preVFT[t.Tenant]
-	if pre < q.vtime {
+	pre := &t.Flow.preVFT[q.layer]
+	if *pre < q.vtime {
 		// A tenant idle long enough re-enters at the current virtual
 		// time instead of catching up from the past (standard WFQ
 		// re-entry), and never ahead of tenants that kept working.
-		pre = q.vtime
+		*pre = q.vtime
 	}
-	t.vft = pre + wReqCost
-	q.preVFT[t.Tenant] = t.vft
+	t.vft = *pre + wReqCost
+	*pre = t.vft
 }
 
 // advance moves the virtual time up to a dequeued task's VFT.
@@ -168,19 +206,18 @@ func (q *queue) advance(t *Task) {
 }
 
 // pop removes and returns the lowest-VFT task, or nil when empty.
-// When skip is non-empty, tasks from that tenant are never returned
-// (Rule 3 / Rule 4 support); nil is returned if only skip's tasks
-// remain.
-func (q *queue) pop(skip string) *Task {
+// When skip is non-nil, tasks of that flow are never returned (Rule 3
+// / Rule 4 support); nil is returned if only skip's tasks remain.
+func (q *queue) pop(skip *Flow) *Task {
 	if len(q.items) == 0 {
 		return nil
 	}
 	best := 0
-	if skip != "" {
+	if skip != nil {
 		// Find the lowest-VFT task not from skip.
 		best = -1
 		for i, t := range q.items {
-			if t.Tenant == skip {
+			if t.Flow == skip {
 				continue
 			}
 			if best == -1 || t.vft < q.items[best].vft {
@@ -192,7 +229,8 @@ func (q *queue) pop(skip string) *Task {
 		}
 	}
 	t := heap.Remove(&q.items, best).(*Task)
-	q.byTenant[t.Tenant]--
+	t.Flow.queued[q.layer]--
+	q.waiting.Store(int64(len(q.items)))
 	q.advance(t)
 	return t
 }
@@ -200,8 +238,8 @@ func (q *queue) pop(skip string) *Task {
 // len returns the queued task count.
 func (q *queue) len() int { return len(q.items) }
 
-// hasOtherTenant reports whether any queued task belongs to a tenant
-// other than the given one.
-func (q *queue) hasOtherTenant(tenant string) bool {
-	return q.byTenant[tenant] < len(q.items)
+// hasOther reports whether any queued task belongs to a flow other
+// than f.
+func (q *queue) hasOther(f *Flow) bool {
+	return f.queued[q.layer] < len(q.items)
 }

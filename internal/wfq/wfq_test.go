@@ -46,7 +46,7 @@ func TestClassString(t *testing.T) {
 }
 
 func TestQueueVFTOrdering(t *testing.T) {
-	q := newQueue()
+	q := newTestQueue()
 	// Tenant A has share 0.9, tenant B share 0.1. Equal costs: B's
 	// weighted cost is 9× A's, so As should drain ~9× faster... but
 	// cumulative VFT means after one B task, A gets several turns.
@@ -78,7 +78,7 @@ func TestQueueVFTOrdering(t *testing.T) {
 }
 
 func TestQueueCumulativeVFTPreventsStarvation(t *testing.T) {
-	q := newQueue()
+	q := newTestQueue()
 	// Tenant A floods with cheap requests; tenant B sends fewer costly
 	// ones. B must still get service interleaved, not starved to the end.
 	for i := 0; i < 20; i++ {
@@ -104,7 +104,7 @@ func TestQueueCumulativeVFTPreventsStarvation(t *testing.T) {
 }
 
 func TestQueuePopSkip(t *testing.T) {
-	q := newQueue()
+	q := newTestQueue()
 	q.push(&Task{Tenant: "A", QuotaShare: 1}, 1)
 	q.push(&Task{Tenant: "B", QuotaShare: 1}, 5)
 	got := q.pop("A")
@@ -121,7 +121,7 @@ func TestQueuePopSkip(t *testing.T) {
 }
 
 func TestQueueIdleTenantReentry(t *testing.T) {
-	q := newQueue()
+	q := newTestQueue()
 	// A accumulates VFT.
 	for i := 0; i < 100; i++ {
 		q.push(&Task{Tenant: "A", QuotaShare: 1}, 1)
@@ -565,7 +565,9 @@ func TestTryRun(t *testing.T) {
 				// A worker would pop it first, so TryRun must not
 				// overtake it.
 				d.mu.Lock()
-				d.cpuQ.push(newProbe().task("ahead", false), 1)
+				ahead := newProbe().task("ahead", false)
+				d.bindLocked(ahead)
+				d.cpuQ.push(ahead, 1)
 				d.mu.Unlock()
 				return nil
 			},
@@ -607,9 +609,7 @@ func TestTryRun(t *testing.T) {
 			d := NewDualLayer(tc.cfg)
 			if tc.noWorkers {
 				d.Close()
-				d = &DualLayer{cfg: tc.cfg.withDefaults(), cpuQ: newQueue(), ioQ: newQueue(),
-					cpuInflight: make(map[string]int), ioBusy: make(map[string]int)}
-				d.cpuCond, d.ioCond = sync.NewCond(&d.mu), sync.NewCond(&d.mu)
+				d = newDualLayer(tc.cfg)
 			}
 			release := make(chan struct{})
 			after := func() {}
@@ -678,7 +678,8 @@ func TestTryRun(t *testing.T) {
 func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 	d := NewDualLayer(Config{})
 	defer d.Close()
-	cpuRef, ioRef := newQueue(), newQueue()
+	ref := newTestQueue() // a worker-less layer: its CPU queue and, below, its I/O queue
+	ioRef := testQueue{ref.d, ref.d.ioQ}
 	tenants := []struct {
 		name  string
 		share float64
@@ -694,11 +695,11 @@ func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 		if taken, ok := d.TryRun(tk); !taken || !ok {
 			t.Fatalf("task %d: TryRun = (%v, %v) on an idle layer", i, taken, ok)
 		}
-		ref := &Task{Tenant: tn.name, QuotaShare: tn.share}
-		cpuRef.push(ref, ru)
-		cpuRef.pop("")
+		rt := &Task{Tenant: tn.name, QuotaShare: tn.share}
+		ref.push(rt, ru)
+		ref.pop("")
 		if miss {
-			ioRef.push(ref, iops)
+			ioRef.push(rt, iops)
 			ioRef.pop("")
 		}
 	}
@@ -706,9 +707,10 @@ func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 	for _, c := range []struct {
 		layer    string
 		got, ref *queue
-	}{{"CPU", d.cpuQ, cpuRef}, {"I/O", d.ioQ, ioRef}} {
-		if !maps.Equal(c.got.preVFT, c.ref.preVFT) || c.got.vtime != c.ref.vtime {
-			t.Errorf("%s layer: preVFT %v vtime %v, want %v and %v", c.layer, c.got.preVFT, c.got.vtime, c.ref.preVFT, c.ref.vtime)
+	}{{"CPU", d.cpuQ, ref.queue}, {"I/O", d.ioQ, ioRef.queue}} {
+		got, want := preVFTs(d, c.got.layer), preVFTs(ref.d, c.ref.layer)
+		if !maps.Equal(got, want) || c.got.vtime != c.ref.vtime {
+			t.Errorf("%s layer: preVFT %v vtime %v, want %v and %v", c.layer, got, c.got.vtime, want, c.ref.vtime)
 		}
 	}
 	d.mu.Unlock()
@@ -833,7 +835,7 @@ func TestCloseWakesWorkersWaitingForASlot(t *testing.T) {
 		waitFor("Close marks the layer closed", func() bool {
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			return d.closed
+			return d.closed.Load()
 		})
 		close(first) // a worker takes the freed slot and serves the task
 		<-done
@@ -965,12 +967,13 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 				t.Errorf("resolved %q, want %q", got, want)
 			}
 			e.d.mu.Lock()
-			cpu, io := maps.Clone(e.d.cpuInflight), maps.Clone(e.d.ioBusy)
-			cpuTotal, ioTotal := e.d.cpuTotal, e.d.ioBusyTotal
+			cpu, io := slotsHeld(e.d)
+			cpuTotal, ioTotal := e.d.cpuTotal.Load(), e.d.ioBusyTotal
+			serving := len(e.d.ioFlows)
 			e.d.mu.Unlock()
-			if len(cpu) != 0 || len(io) != 0 || cpuTotal != 0 || ioTotal != 0 {
-				t.Errorf("after the last resolution: CPU slots %v (total %d), basic I/O slots %v (total %d), want none held",
-					cpu, cpuTotal, io, ioTotal)
+			if len(cpu) != 0 || len(io) != 0 || cpuTotal != 0 || ioTotal != 0 || serving != 0 {
+				t.Errorf("after the last resolution: CPU slots %v (total %d), basic I/O slots %v (total %d, %d flows served), want none held",
+					cpu, cpuTotal, io, ioTotal, serving)
 			}
 			st := e.d.Stats()
 			if st.CPUQueued != 0 || st.IOQueued != 0 {
@@ -981,4 +984,61 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 			}
 		})
 	}
+}
+
+// testQueue is the CPU queue of a worker-less layer, taking tasks that
+// name only their tenant: push binds each to its tenant's flow as
+// Submit does, and pop skips a tenant by name.
+type testQueue struct {
+	d *DualLayer
+	*queue
+}
+
+func newTestQueue() testQueue {
+	d := newDualLayer(Config{})
+	return testQueue{d, d.cpuQ}
+}
+
+func (q testQueue) push(t *Task, cost float64) {
+	q.d.mu.Lock()
+	defer q.d.mu.Unlock()
+	q.d.bindLocked(t)
+	q.queue.push(t, cost)
+}
+
+func (q testQueue) pop(skip string) *Task {
+	q.d.mu.Lock()
+	defer q.d.mu.Unlock()
+	var f *Flow
+	if skip != "" {
+		f = q.d.flowLocked(skip)
+	}
+	return q.queue.pop(f)
+}
+
+// preVFTs is every tenant's preVFT in one layer of d, by tenant.
+// +locked:d.mu
+func preVFTs(d *DualLayer, layer int) map[string]float64 {
+	out := make(map[string]float64)
+	for name, f := range d.flows {
+		out[name] = f.preVFT[layer]
+	}
+	return out
+}
+
+// slotsHeld is the CPU and basic I/O slots each flow of d holds, by
+// tenant, leaving out flows that hold none: the per-tenant books Rules
+// 3 and 4 read.
+// +locked:d.mu
+func slotsHeld(d *DualLayer) (cpu, io map[string]int) {
+	cpu, io = make(map[string]int), make(map[string]int)
+	for name, f := range d.flows {
+		if n := f.cpu.Load(); n != 0 {
+			cpu[name] = int(n)
+		}
+		if f.io != 0 {
+			io[name] = f.io
+		}
+	}
+	return cpu, io
 }
