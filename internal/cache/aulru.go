@@ -3,6 +3,7 @@ package cache
 import (
 	"sync"
 	"time"
+	"unsafe"
 
 	"abase/internal/clock"
 )
@@ -42,10 +43,20 @@ type AULRU struct {
 }
 
 // auShard is one shard: the LRU list, the index and the counters of the
-// keys hashed to it, under one lock. What a hit writes — the lock, the
-// hit count and the list's front — leads the struct, so a hit writes
-// as few of the shard's cache lines as it can.
+// keys hashed to it, under one lock. The pad is at least a cache line,
+// so no shard's fields share a line with the next one's, and rounds the
+// shard up to whole lines, so every shard of the slice starts at the
+// same offset within a line and the fields a hit writes, which lead the
+// state, fall in one line rather than straddling two.
 type auShard struct {
+	auState
+	_ [64 + (64-unsafe.Sizeof(auState{})%64)%64]byte
+}
+
+// auState is a shard's state. What a hit writes — the lock, the hit
+// count and the list's front — leads the struct, so a hit writes one of
+// the shard's cache lines.
+type auState struct {
 	mu     sync.Mutex
 	hits   int64
 	misses int64
@@ -59,8 +70,6 @@ type auShard struct {
 	// gen stamps every value a caller stores (see auMeta.gen).
 	gen       uint64
 	refreshes int64
-
-	_ [64]byte // keeps the next shard's lock off this shard's cache lines
 }
 
 // auEntry is one AU-LRU entry.
@@ -173,7 +182,9 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, sampled bool) {
 	gated := refreshable && c.gate != nil
 	needRefresh := refreshable && (!gated || c.gate(e.key, now))
 	sampled = !gated && splitmix64(uint64(s.hits))%HitSample == 0
-	e.meta.hot = true
+	if !e.meta.hot {
+		e.meta.hot = true // a write only when it changes: the line stays shared
+	}
 	val, gen, name := e.value, e.meta.gen, e.key
 	if needRefresh {
 		s.refreshing[name] = true

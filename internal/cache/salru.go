@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // SALRU is a size-aware LRU cache bounded by total bytes, split into
@@ -15,9 +16,15 @@ type SALRU struct {
 }
 
 // saShard is one shard: the size classes, the index and the counters
-// of the keys hashed to it, under one lock.
+// of the keys hashed to it, under one lock, padded as auShard is.
 type saShard struct {
-	// The lock and what every lookup writes or reads lead, as in auShard.
+	saState
+	_ [64 + (64-unsafe.Sizeof(saState{})%64)%64]byte
+}
+
+// saState is a shard's state, the lock and what every lookup writes or
+// reads first, as in auState.
+type saState struct {
 	mu     sync.Mutex
 	hits   int64
 	misses int64
@@ -26,8 +33,6 @@ type saShard struct {
 	capacity int64
 	used     int64
 	classes  [saNumClasses]sizeClass
-
-	_ [64]byte // keeps the next shard's lock off this shard's cache lines
 }
 
 type sizeClass struct {

@@ -54,7 +54,7 @@ func (s *stack) work(fleet *proxy.Fleet) (w work) {
 		}
 		w.visits += n.Snapshot().Visits
 	}
-	w.admissions = fleet.AggregateStats().Admitted
+	w.admissions = fleet.QuotaAdmissions()
 	return w
 }
 

@@ -427,12 +427,13 @@ func (d *Detector) maybeDecayLocked(now time.Time) {
 // Meter is an exponentially decayed rate counter: Add accumulates
 // events and Rate reports the recent per-second rate with time
 // constant Tau. It is the per-partition heat signal, added to on every
-// request, so Add takes no lock and computes no exponential: it adds to
-// a pending count, and the decay is folded in at most once per
-// meterStep of a time constant — by the Add that finds the step over,
-// or by Rate. An event therefore decays from the fold after it, at most
-// a step late; a meter added to less often than once a step decays
-// every event from its own arrival, exactly. Safe for concurrent use.
+// request, so Add takes no lock and computes no exponential: within a
+// step (a meterStep-th of a time constant) of the last fold it adds to
+// a pending count, and the first Add after the step, or Rate, folds the
+// count in, decayed from the last fold. A pending event therefore
+// decays from up to a step before its arrival; a meter added to less
+// often than once a step decays every event from its own arrival,
+// exactly. Safe for concurrent use.
 type Meter struct {
 	tau float64 // seconds
 	clk clock.Clock
@@ -440,7 +441,8 @@ type Meter struct {
 	pending metrics.Gauge
 	// nextFold is when, in Unix nanoseconds, an Add next folds.
 	nextFold atomic.Int64
-	// mu guards the fold: value is the decayed count at last.
+	// mu guards the fold: value is the decayed count at last, the last
+	// fold.
 	mu    sync.Mutex
 	value float64
 	last  time.Time
@@ -465,26 +467,28 @@ func NewMeter(tau time.Duration, clk clock.Clock) *Meter {
 	return &Meter{tau: tau.Seconds(), clk: clk, last: clk.Now()}
 }
 
-// foldLocked decays the meter's count to now and adds the pending
-// events to it.
+// foldLocked adds the pending events, which arrived within a step of
+// the last fold, to the meter's count and decays it from there to now.
 // +locked:m.mu
 func (m *Meter) foldLocked(now time.Time) {
+	m.value += m.pending.Swap(0)
 	if dt := now.Sub(m.last).Seconds(); dt > 0 {
 		m.value *= math.Exp(-dt / m.tau)
 		m.last = now
 	}
-	m.value += m.pending.Swap(0)
 	m.nextFold.Store(now.UnixNano() + int64(m.tau*1e9/meterStep))
 }
 
 // Add records n events at now, the caller's arrival time for the
 // request.
 func (m *Meter) Add(n float64, now time.Time) {
-	m.pending.Add(n)
 	if now.UnixNano() >= m.nextFold.Load() && m.mu.TryLock() {
 		m.foldLocked(now)
+		m.value += n
 		m.mu.Unlock()
+		return
 	}
+	m.pending.Add(n)
 }
 
 // Rate returns the decayed events-per-second rate: under a steady

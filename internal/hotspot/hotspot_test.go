@@ -183,6 +183,29 @@ func TestMeterRate(t *testing.T) {
 	if r := m.Rate(); r > 1 {
 		t.Fatalf("idle rate %.2f did not decay", r)
 	}
+
+	// A burst inside one fold step, from many goroutines, is counted
+	// whole, and decays from when it arrived however late it is folded.
+	m.Reset()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				m.Add(1, clk.Now())
+			}
+		}()
+	}
+	wg.Wait()
+	if r := m.Rate(); r != 8000/10 {
+		t.Fatalf("a burst of 8000 at one instant reads %v events/s, want 800", r)
+	}
+	m.Add(1000, clk.Now()) // inside the step: pending until the next fold
+	clk.Advance(100 * time.Second)
+	if r := m.Rate(); r > 1 {
+		t.Fatalf("a burst folded after 10 idle time constants reads %.2f events/s, want it decayed", r)
+	}
 }
 
 // TestShardedNeverUnderestimates drives a 16-shard sketch with a skewed

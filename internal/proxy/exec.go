@@ -135,9 +135,10 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 	if err != nil {
 		return p.refundFailure(op.cost, err)
 	}
-	p.reqs.Cell().RU.Add(billed)
-	p.reqs.Cell().Success.Inc()
-	p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
+	c := p.reqs.Cell()
+	c.RU.Add(billed)
+	c.Success.Inc()
+	c.Latency.Observe(p.cfg.Clock.Since(start))
 	return nil
 }
 

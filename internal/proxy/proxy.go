@@ -425,9 +425,6 @@ type Stats struct {
 	CacheHits  int64
 	CacheMiss  int64
 	LatencyP99 time.Duration
-	// Admitted counts the admissions the proxy quota granted: one per
-	// point op and one per batch that reached the data plane.
-	Admitted int64
 }
 
 // HitRatio returns the proxy cache hit ratio.
@@ -442,9 +439,7 @@ func (s Stats) HitRatio() float64 {
 // Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() Stats {
 	r := metrics.SumRequests(p.reqs)
-	admitted, _ := p.limiter.Stats()
 	return Stats{
-		Admitted:   admitted,
 		Success:    r.Success.Value(),
 		Rejected:   r.Refused.Value(),
 		Shed:       r.Shed.Value(),
@@ -558,12 +553,22 @@ func (f *Fleet) AggregateStats() Stats {
 		out.Errors += s.Errors
 		out.CacheHits += s.CacheHits
 		out.CacheMiss += s.CacheMiss
-		out.Admitted += s.Admitted
 		if s.LatencyP99 > out.LatencyP99 {
 			out.LatencyP99 = s.LatencyP99
 		}
 	}
 	return out
+}
+
+// QuotaAdmissions counts the admissions the fleet's proxy quotas have
+// granted: one per point op and one per proxy's share of a batch that
+// went on to the data plane.
+func (f *Fleet) QuotaAdmissions() (n int64) {
+	for _, p := range f.proxies {
+		allowed, _ := p.limiter.Stats()
+		n += allowed
+	}
+	return n
 }
 
 // ResetStats zeroes every proxy's counters.

@@ -164,8 +164,9 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		}
 		if cur.part >= parts {
 			// Traversal complete.
-			p.reqs.Cell().Success.Inc()
-			p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
+			c := p.reqs.Cell()
+			c.Success.Inc()
+			c.Latency.Observe(p.cfg.Clock.Since(start))
 			return page, nil
 		}
 		// Each sub-scan is a routed call like any other: one route
@@ -213,8 +214,9 @@ func (p *Proxy) Scan(ctx context.Context, cursor string, opts ScanOptions) (Scan
 		}
 	}
 	page.Cursor = encodeCursor(cur)
-	p.reqs.Cell().Success.Inc()
-	p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
+	c := p.reqs.Cell()
+	c.Success.Inc()
+	c.Latency.Observe(p.cfg.Clock.Since(start))
 	return page, nil
 }
 

@@ -135,7 +135,7 @@ func (d *DualLayer) Flow(tenant string) *Flow {
 func (d *DualLayer) flowLocked(tenant string) *Flow {
 	f, ok := d.flows[tenant]
 	if !ok {
-		f = &Flow{d: d, tenant: tenant}
+		f = &Flow{d: d}
 		d.flows[tenant] = f
 	}
 	return f

@@ -108,8 +108,7 @@ func (t *Task) shed() error {
 // queue holds, and the CPU and basic I/O slots its tasks hold. Its
 // DualLayer's mu guards it, except cpu (see DualLayer.releaseCPU).
 type Flow struct {
-	d      *DualLayer
-	tenant string
+	d *DualLayer // the layer the flow belongs to
 
 	preVFT [numLayers]float64
 	queued [numLayers]int
@@ -123,9 +122,6 @@ type Flow struct {
 	io    int
 	ioIdx int
 }
-
-// Tenant returns the tenant the flow accounts.
-func (f *Flow) Tenant() string { return f.tenant }
 
 // The two layers of a dual-layer WFQ, indexing a Flow's per-layer state.
 const (
