@@ -538,3 +538,50 @@ func TestMaxFloat(t *testing.T) {
 		t.Fatal("MaxFloat(nil) != 0")
 	}
 }
+
+// TestStripedSumsEveryCell adds to a Striped from many goroutines at
+// once (run it under -race): the sums are exact, SumRequests merges the
+// cells' histograms into what one histogram observing every sample
+// holds, and Reset zeroes every count but leaves RU to its owner.
+func TestStripedSumsEveryCell(t *testing.T) {
+	s := NewStriped[Requests]()
+	want := NewHistogram()
+	const goroutines, each = 8, 1000
+	sample := func(g, i int) time.Duration { return time.Duration(1+(g*each+i)%700) * time.Microsecond }
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < each; i++ {
+			want.Observe(sample(g, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c := s.Cell()
+				c.Success.Inc()
+				c.Hits.Add(2)
+				c.RU.Add(0.5)
+				c.Latency.Observe(sample(g, i))
+			}
+		}(g)
+	}
+	wg.Wait()
+	r := SumRequests(s)
+	if r.Success.Value() != goroutines*each || r.Hits.Value() != 2*goroutines*each || r.RU.Value() != goroutines*each/2 {
+		t.Fatalf("sums: success %d, hits %d, RU %v", r.Success.Value(), r.Hits.Value(), r.RU.Value())
+	}
+	if got, exp := r.Latency.Snapshot(), want.Snapshot(); got != exp {
+		t.Fatalf("merged latency %v, one histogram of every sample %v", got, exp)
+	}
+	if r.Latency.Min() != want.Min() {
+		t.Fatalf("merged min %v, want %v", r.Latency.Min(), want.Min())
+	}
+	s.Each((*Requests).Reset)
+	r = SumRequests(s)
+	if r.Success.Value() != 0 || r.Hits.Value() != 0 || r.Latency.Count() != 0 || r.RU.Value() != goroutines*each/2 {
+		t.Fatalf("after Reset: success %d, hits %d, %d samples, RU %v; want zeros and RU kept",
+			r.Success.Value(), r.Hits.Value(), r.Latency.Count(), r.RU.Value())
+	}
+}
