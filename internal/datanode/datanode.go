@@ -257,16 +257,12 @@ func (r *replica) checkWrite(epoch uint64) error {
 }
 
 // tenantStats is one tenant's state on this node: its observability
-// counters, its RU estimator and its WFQ flows. It outlives the
-// tenant's replicas.
+// counters and its RU estimator. It outlives the tenant's replicas.
 type tenantStats struct {
 	// reqs tallies the tenant's requests, one cell per P (Refused counts
 	// partition-quota throttles, Hits and Misses the SA-LRU).
 	reqs *metrics.Striped[metrics.Requests]
 	est  *ru.Estimator
-	// flows is the tenant's flow in each class's dual-layer WFQ, which
-	// every task of the tenant carries.
-	flows [wfq.LargeWrite + 1]*wfq.Flow
 }
 
 // Node is a DataNode instance.
@@ -634,9 +630,6 @@ func (n *Node) tenantStateLocked(tenant string) *tenantStats {
 	ts, ok := n.tenants[tenant]
 	if !ok {
 		ts = &tenantStats{reqs: metrics.NewStriped[metrics.Requests](), est: ru.NewEstimator(0)}
-		for c := range ts.flows {
-			ts.flows[c] = n.sched.Flow(wfq.Class(c), tenant)
-		}
 		n.tenants[tenant] = ts
 	}
 	return ts

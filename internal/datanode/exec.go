@@ -159,7 +159,6 @@ func (n *Node) run(ctx context.Context, units []*unit) {
 		u.task = wfq.Task{
 			Tenant:     u.rep.id.Partition.Tenant,
 			Partition:  u.rep.part,
-			Flow:       u.ts.flows[u.class],
 			Class:      u.class,
 			RUCost:     u.cost,
 			IOPSCost:   u.iops,

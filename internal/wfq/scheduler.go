@@ -51,8 +51,9 @@ func (c Config) withDefaults() Config {
 // goroutine when nothing is queued ahead, so an idle layer starts a task
 // at once without a hand-off, as a work-conserving WFQ should.
 //
-// The books are kept per Flow — one per tenant, reached from the task
-// (see Task.Flow) — so no step hashes a tenant's name.
+// The books are kept per flow, one per tenant: a task is bound to its
+// tenant's flow once, when it enters, and no later step hashes the
+// tenant's name.
 type DualLayer struct {
 	cfg Config
 
@@ -67,19 +68,19 @@ type DualLayer struct {
 	// closed is written under mu and read without it by releaseCPU.
 	closed atomic.Bool
 
-	// flows holds every tenant's flow, for tasks that come without one.
-	flows map[string]*Flow
+	// flows holds every tenant's flow.
+	flows map[string]*flow
 
 	// CPU slots held in total (at most CPUWorkers), and Rule 3's view of
 	// them: the flows that may hold some — every flow holding a slot is
 	// listed, and a listed flow holding none leaves at Rule 3's next look.
 	// The total rises under mu and may fall without it (releaseCPU).
 	cpuTotal atomic.Int64
-	cpuFlows []*Flow
+	cpuFlows []*flow
 
 	// Basic I/O slots, and Rule 4's view of them: the flows the basic
 	// slots are serving (ioBusyTotal <= BasicIOThreads).
-	ioFlows     []*Flow
+	ioFlows     []*flow
 	ioBusyTotal int
 	extraAlive  int
 
@@ -116,7 +117,7 @@ func newDualLayer(cfg Config) *DualLayer {
 		cfg:       cfg.withDefaults(),
 		cpuQ:      newQueue(cpuLayer),
 		ioQ:       newQueue(ioLayer),
-		flows:     make(map[string]*Flow),
+		flows:     make(map[string]*flow),
 		completed: metrics.NewStriped[metrics.Counter](),
 	}
 	d.cpuCond = sync.NewCond(&d.mu)
@@ -124,31 +125,20 @@ func newDualLayer(cfg Config) *DualLayer {
 	return d
 }
 
-// Flow returns tenant's flow in this layer, created on first use.
-func (d *DualLayer) Flow(tenant string) *Flow {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.flowLocked(tenant)
-}
-
+// flowLocked returns tenant's flow, created on first use.
 // +locked:d.mu
-func (d *DualLayer) flowLocked(tenant string) *Flow {
+func (d *DualLayer) flowLocked(tenant string) *flow {
 	f, ok := d.flows[tenant]
 	if !ok {
-		f = &Flow{d: d}
+		f = new(flow)
 		d.flows[tenant] = f
 	}
 	return f
 }
 
-// bindLocked gives t its tenant's flow unless it carries this layer's
-// flow already.
+// bindLocked binds t to its tenant's flow.
 // +locked:d.mu
-func (d *DualLayer) bindLocked(t *Task) {
-	if t.Flow == nil || t.Flow.d != d {
-		t.Flow = d.flowLocked(t.Tenant)
-	}
-}
+func (d *DualLayer) bindLocked(t *Task) { t.flow = d.flowLocked(t.Tenant) }
 
 // Submit enqueues a task into the CPU-WFQ. It returns false if the
 // scheduler is closed or a write exceeds the write-RU ceiling (Rule 2),
@@ -191,7 +181,7 @@ func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
 	}
 	d.bindLocked(t)
 	d.cpuQ.admitInline(t, t.RUCost)
-	d.holdCPULocked(t.Flow)
+	d.holdCPULocked(t.flow)
 	d.wg.Add(1) // Close waits for the run like for a worker
 	d.mu.Unlock()
 	defer d.wg.Done()
@@ -209,12 +199,12 @@ func (d *DualLayer) ceilingAllows(t *Task) bool {
 // tenantShareCap of the CPU concurrency, if any (Rule 3). It walks the
 // listed flows, and unlists those that hold no slot.
 // +locked:d.mu
-func (d *DualLayer) monopolizingFlowLocked() *Flow {
+func (d *DualLayer) monopolizingFlowLocked() *flow {
 	total := d.cpuTotal.Load()
 	if total == 0 {
 		return nil
 	}
-	var mono *Flow
+	var mono *flow
 	live := d.cpuFlows[:0]
 	for _, f := range d.cpuFlows {
 		n := f.cpu.Load()
@@ -234,7 +224,7 @@ func (d *DualLayer) monopolizingFlowLocked() *Flow {
 
 // holdCPULocked gives a task of f a CPU slot.
 // +locked:d.mu
-func (d *DualLayer) holdCPULocked(f *Flow) {
+func (d *DualLayer) holdCPULocked(f *flow) {
 	if !f.cpuListed {
 		f.cpuListed = true
 		d.cpuFlows = append(d.cpuFlows, f)
@@ -249,7 +239,7 @@ func (d *DualLayer) holdCPULocked(f *Flow) {
 // before the waiters are looked for, and a task is queued (or the layer
 // closed) before a worker looks at the slots, so either the worker sees
 // the slot free or releaseCPU sees the waiter.
-func (d *DualLayer) releaseCPU(f *Flow) {
+func (d *DualLayer) releaseCPU(f *flow) {
 	f.cpu.Add(-1)
 	d.cpuTotal.Add(-1)
 	if d.cpuQ.waiting.Load() > 0 || d.closed.Load() {
@@ -277,7 +267,7 @@ func (d *DualLayer) cpuFreedLocked() {
 
 // holdIOLocked gives a task of f a basic I/O slot.
 // +locked:d.mu
-func (d *DualLayer) holdIOLocked(f *Flow) {
+func (d *DualLayer) holdIOLocked(f *flow) {
 	if f.io == 0 {
 		f.ioIdx = len(d.ioFlows)
 		d.ioFlows = append(d.ioFlows, f)
@@ -319,7 +309,7 @@ func (d *DualLayer) nextCPU() *Task {
 		skip = nil
 	}
 	t := d.cpuQ.pop(skip)
-	d.holdCPULocked(t.Flow)
+	d.holdCPULocked(t.flow)
 	d.dequeued.Add(1)
 	return t
 }
@@ -330,12 +320,12 @@ func (d *DualLayer) runCPU(t *Task, inline bool) {
 	// A task whose context expired while it waited sheds here,
 	// before its CPU stage burns any service time.
 	if err := t.shed(); err != nil {
-		d.releaseCPU(t.Flow)
+		d.releaseCPU(t.flow)
 		d.resolve(t, err)
 		return
 	}
 	if t.CPUStage == nil || !t.CPUStage() || t.IOStage == nil {
-		d.releaseCPU(t.Flow)
+		d.releaseCPU(t.flow)
 		d.resolve(t, nil)
 		return
 	}
@@ -353,12 +343,12 @@ func (d *DualLayer) runCPU(t *Task, inline bool) {
 func (d *DualLayer) handOff(t *Task, inline bool) (runIO bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	t.Flow.cpu.Add(-1)
+	t.flow.cpu.Add(-1)
 	d.cpuTotal.Add(-1)
 	d.cpuFreedLocked()
 	if inline && d.ioQ.len() == 0 && d.ioBusyTotal < d.cfg.BasicIOThreads {
 		d.ioQ.admitInline(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
-		d.holdIOLocked(t.Flow)
+		d.holdIOLocked(t.flow)
 		return true
 	}
 	d.ioQ.push(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
@@ -407,14 +397,14 @@ func (d *DualLayer) nextIO() *Task {
 		d.ioCond.Wait()
 	}
 	t := d.ioQ.pop(nil)
-	d.holdIOLocked(t.Flow)
+	d.holdIOLocked(t.flow)
 	d.dequeued.Add(1)
 	return t
 }
 
 // extraIOWorker is a temporary Rule 4 thread: outside the basic slots it
 // serves flows other than avoid, and exits when none is queued.
-func (d *DualLayer) extraIOWorker(avoid *Flow) {
+func (d *DualLayer) extraIOWorker(avoid *flow) {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
@@ -442,7 +432,7 @@ func (d *DualLayer) runIO(t *Task, basic bool) {
 		d.ioServed.Add(1)
 	}
 	if basic {
-		d.releaseIO(t.Flow)
+		d.releaseIO(t.flow)
 	}
 	d.resolve(t, err)
 }
@@ -462,7 +452,7 @@ func (d *DualLayer) resolve(t *Task, err error) {
 }
 
 // releaseIO frees a basic I/O slot a task of f held.
-func (d *DualLayer) releaseIO(f *Flow) {
+func (d *DualLayer) releaseIO(f *flow) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if f.io--; f.io == 0 {
@@ -535,16 +525,6 @@ func NewScheduler(cfg Config) *Scheduler {
 		s.queues[i] = NewDualLayer(cfg)
 	}
 	return s
-}
-
-// Flow returns tenant's flow in class c's dual-layer WFQ, for a caller
-// that keeps it and hands it over with every task of that class (see
-// Task.Flow); an unknown class is a small read.
-func (s *Scheduler) Flow(c Class, tenant string) *Flow {
-	if c < 0 || c >= numClasses {
-		c = SmallRead
-	}
-	return s.queues[c].Flow(tenant)
 }
 
 // Submit routes the task to its class's dual-layer WFQ.

@@ -1,57 +1,65 @@
 package wfq
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestFlowHandlesMatchNames drives one seeded task stream through a
-// worker-less layer twice — once with every task carrying its tenant's
-// Flow, once with tasks that name only their tenant and are bound at
-// Submit — taking the workers' steps on the test goroutine: pop a CPU
-// task, finish its CPU stage (a hit, or a miss handed to the I/O layer),
-// pop an I/O task, finish it. Both runs must dequeue the same tasks in
-// the same order at the same VFTs, skip the same tenants under Rule 3
-// and spawn the same Rule 4 extra workers. The stream makes one tenant
-// a hog, so both rules fire.
-func TestFlowHandlesMatchNames(t *testing.T) {
-	withFlows := runFlowStream(t, 7, true)
-	byName := runFlowStream(t, 7, false)
-	if !slices.Equal(withFlows.events, byName.events) {
-		for i := range min(len(withFlows.events), len(byName.events)) {
-			if withFlows.events[i] != byName.events[i] {
-				t.Fatalf("event %d: %q with flows, %q by name", i, withFlows.events[i], byName.events[i])
+// update rewrites the recorded schedule from the scheduler under test.
+var update = flag.Bool("update", false, "rewrite testdata/seeded_stream.golden")
+
+// TestSeededStreamSchedule drives one seeded task stream through a
+// worker-less layer, taking the workers' steps on the test goroutine:
+// pop a CPU task, finish its CPU stage (a hit, or a miss handed to the
+// I/O layer), pop an I/O task, finish it. It must dequeue the tasks in
+// the order and at the VFTs, and take the Rule 3 skips and Rule 4 extra
+// workers, that testdata/seeded_stream.golden records: the schedule the
+// layer produced when it kept its books in maps keyed by tenant name,
+// before they moved onto per-tenant flows. The stream makes one tenant a
+// hog, so both rules fire. A change meant to alter scheduling reruns the
+// test with -update and commits the new schedule.
+func TestSeededStreamSchedule(t *testing.T) {
+	events, st := runSeededStream(t, 7)
+	got := fmt.Sprintf("%sstats %+v\n", strings.Join(events, "\n")+"\n", st)
+	const golden = "testdata/seeded_stream.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(g), len(w)) {
+			if g[i] != w[i] {
+				t.Fatalf("line %d: %q, recorded %q", i+1, g[i], w[i])
 			}
 		}
-		t.Fatalf("%d events with flows, %d by name", len(withFlows.events), len(byName.events))
+		t.Fatalf("%d lines, recorded %d", len(g), len(w))
 	}
-	if withFlows.stats != byName.stats {
-		t.Fatalf("stats %+v with flows, %+v by name", withFlows.stats, byName.stats)
-	}
-	st := withFlows.stats
-	t.Logf("%d events; stats %+v", len(withFlows.events), st)
+	t.Logf("%d events; stats %+v", len(events), st)
 	if st.Rule3Skips == 0 || st.ExtraSpawns == 0 {
 		t.Fatalf("stats %+v: the stream did not exercise Rules 3 and 4", st)
 	}
 }
 
-type flowRun struct {
-	events []string
-	stats  Stats
-}
-
-// runFlowStream runs the seeded stream; flows says whether tasks carry
-// their Flow.
-func runFlowStream(t *testing.T, seed int64, flows bool) flowRun {
+// runSeededStream runs the seeded stream and returns what it dequeued
+// and the layer's stats after it.
+func runSeededStream(t *testing.T, seed int64) (events []string, st Stats) {
 	t.Helper()
 	const workers, basic = 10, 2
 	d := newDualLayer(Config{CPUWorkers: workers, BasicIOThreads: basic, ExtraIOThreads: 2})
 	rng := rand.New(rand.NewSource(seed))
-	var run flowRun
-	record := func(format string, args ...any) { run.events = append(run.events, fmt.Sprintf(format, args...)) }
+	record := func(format string, args ...any) { events = append(events, fmt.Sprintf(format, args...)) }
 	tenants := []struct {
 		name  string
 		share float64
@@ -71,9 +79,6 @@ func runFlowStream(t *testing.T, seed int64, flows bool) flowRun {
 			tk.CPUStage = func() bool { return miss }
 			tk.IOStage = func() { record("extra I/O %s", name) } // only an extra worker runs it
 			tk.Partition = name
-			if flows {
-				tk.Flow = d.Flow(tn.name)
-			}
 			if !d.Submit(tk) {
 				t.Fatal("Submit refused a task")
 			}
@@ -86,7 +91,7 @@ func runFlowStream(t *testing.T, seed int64, flows bool) flowRun {
 			tk := cpuHeld[i]
 			cpuHeld = slices.Delete(cpuHeld, i, i+1)
 			if !tk.CPUStage() {
-				d.releaseCPU(tk.Flow)
+				d.releaseCPU(tk.flow)
 				d.resolve(tk, nil)
 				continue
 			}
@@ -100,12 +105,11 @@ func runFlowStream(t *testing.T, seed int64, flows bool) flowRun {
 			i := rng.Intn(len(ioHeld))
 			tk := ioHeld[i]
 			ioHeld = slices.Delete(ioHeld, i, i+1)
-			d.releaseIO(tk.Flow)
+			d.releaseIO(tk.flow)
 			d.resolve(tk, nil)
 		}
 	}
-	run.stats = d.Stats()
-	return run
+	return events, d.Stats()
 }
 
 // waitExtraWorkers waits until the Rule 4 extra workers a hand-off

@@ -58,12 +58,6 @@ type Task struct {
 	Tenant    string
 	Partition string
 	Class     Class
-	// Flow is Tenant's state in the class's dual-layer WFQ (see
-	// Scheduler.Flow). A caller that keeps it hands it over with every
-	// task, and the scheduler keeps its books on it without looking the
-	// tenant up; a task without one is bound to Tenant's flow when it is
-	// submitted, so a task reused for another tenant must clear it.
-	Flow *Flow
 	// RUCost is the CPU-layer cost (Rule 1).
 	RUCost float64
 	// IOPSCost is the I/O-layer cost charged if the CPU stage misses
@@ -89,8 +83,11 @@ type Task struct {
 	// when the task is dropped at a dequeue point because Ctx was done.
 	Abort func(err error)
 
-	vft float64
-	idx int
+	// flow is Tenant's state in the layer the task was submitted to,
+	// bound at Submit or TryRun: every later step keeps its books there.
+	flow *flow
+	vft  float64
+	idx  int
 }
 
 // shed checks Ctx at a dequeue point: a non-nil error means the
@@ -103,13 +100,11 @@ func (t *Task) shed() error {
 	return t.Ctx.Err()
 }
 
-// Flow is one tenant's state in one dual-layer WFQ: the virtual finish
+// flow is one tenant's state in one dual-layer WFQ: the virtual finish
 // time it reached in each layer, how many of its tasks each layer's
 // queue holds, and the CPU and basic I/O slots its tasks hold. Its
 // DualLayer's mu guards it, except cpu (see DualLayer.releaseCPU).
-type Flow struct {
-	d *DualLayer // the layer the flow belongs to
-
+type flow struct {
 	preVFT [numLayers]float64
 	queued [numLayers]int
 	// cpu is the CPU slots the flow's tasks hold. It rises under the
@@ -123,7 +118,7 @@ type Flow struct {
 	ioIdx int
 }
 
-// The two layers of a dual-layer WFQ, indexing a Flow's per-layer state.
+// The two layers of a dual-layer WFQ, indexing a flow's per-layer state.
 const (
 	cpuLayer = iota
 	ioLayer
@@ -134,7 +129,7 @@ const (
 // virtual time. It has no lock of its own: its DualLayer's mu guards it,
 // together with the slots a popped task runs in.
 type queue struct {
-	layer int // which of a Flow's per-layer states this queue keeps
+	layer int // which of a flow's per-layer states this queue keeps
 	items taskHeap
 	vtime float64 // system virtual time: VFT of the last dequeued task
 	// waiting is len(items), for a reader that does not hold the lock.
@@ -163,7 +158,7 @@ func (h *taskHeap) Pop() interface{} {
 func (q *queue) push(t *Task, cost float64) {
 	q.stamp(t, cost)
 	heap.Push(&q.items, t)
-	t.Flow.queued[q.layer]++
+	t.flow.queued[q.layer]++
 	q.waiting.Store(int64(len(q.items)))
 }
 
@@ -183,7 +178,7 @@ func (q *queue) stamp(t *Task, cost float64) {
 		share = 1e-6
 	}
 	wReqCost := cost / share
-	pre := &t.Flow.preVFT[q.layer]
+	pre := &t.flow.preVFT[q.layer]
 	if *pre < q.vtime {
 		// A tenant idle long enough re-enters at the current virtual
 		// time instead of catching up from the past (standard WFQ
@@ -204,7 +199,7 @@ func (q *queue) advance(t *Task) {
 // pop removes and returns the lowest-VFT task, or nil when empty.
 // When skip is non-nil, tasks of that flow are never returned (Rule 3
 // / Rule 4 support); nil is returned if only skip's tasks remain.
-func (q *queue) pop(skip *Flow) *Task {
+func (q *queue) pop(skip *flow) *Task {
 	if len(q.items) == 0 {
 		return nil
 	}
@@ -213,7 +208,7 @@ func (q *queue) pop(skip *Flow) *Task {
 		// Find the lowest-VFT task not from skip.
 		best = -1
 		for i, t := range q.items {
-			if t.Flow == skip {
+			if t.flow == skip {
 				continue
 			}
 			if best == -1 || t.vft < q.items[best].vft {
@@ -225,7 +220,7 @@ func (q *queue) pop(skip *Flow) *Task {
 		}
 	}
 	t := heap.Remove(&q.items, best).(*Task)
-	t.Flow.queued[q.layer]--
+	t.flow.queued[q.layer]--
 	q.waiting.Store(int64(len(q.items)))
 	q.advance(t)
 	return t
@@ -236,6 +231,6 @@ func (q *queue) len() int { return len(q.items) }
 
 // hasOther reports whether any queued task belongs to a flow other
 // than f.
-func (q *queue) hasOther(f *Flow) bool {
+func (q *queue) hasOther(f *flow) bool {
 	return f.queued[q.layer] < len(q.items)
 }

@@ -966,11 +966,12 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("resolved %q, want %q", got, want)
 			}
-			e.d.mu.Lock()
-			cpu, io := slotsHeld(e.d)
-			cpuTotal, ioTotal := e.d.cpuTotal.Load(), e.d.ioBusyTotal
-			serving := len(e.d.ioFlows)
-			e.d.mu.Unlock()
+			d := e.d
+			d.mu.Lock()
+			cpu, io := slotsHeld(d)
+			cpuTotal, ioTotal := d.cpuTotal.Load(), d.ioBusyTotal
+			serving := len(d.ioFlows)
+			d.mu.Unlock()
 			if len(cpu) != 0 || len(io) != 0 || cpuTotal != 0 || ioTotal != 0 || serving != 0 {
 				t.Errorf("after the last resolution: CPU slots %v (total %d), basic I/O slots %v (total %d, %d flows served), want none held",
 					cpu, cpuTotal, io, ioTotal, serving)
@@ -1009,7 +1010,7 @@ func (q testQueue) push(t *Task, cost float64) {
 func (q testQueue) pop(skip string) *Task {
 	q.d.mu.Lock()
 	defer q.d.mu.Unlock()
-	var f *Flow
+	var f *flow
 	if skip != "" {
 		f = q.d.flowLocked(skip)
 	}
