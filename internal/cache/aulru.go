@@ -18,14 +18,9 @@ type Refresher func(key string) ([]byte, bool)
 // least twice in its TTL window; a hotspot-detector-backed gate
 // reserves origin refresh traffic for the keys that are still hot. It
 // is asked on a hit, with the hit's arrival time, under the key's shard
-// lock; a gate backed by an access sketch records the hit it is asked
-// about, and GetAt then does not report that hit sampled.
+// lock, and GetAt reports whether it was: a gate backed by an access
+// sketch can record the hit it is asked about.
 type RefreshGate func(key string, now time.Time) bool
-
-// HitSample is how many hits one sampled hit stands for: GetAt reports
-// one hit in HitSample sampled, by its shard's hit count, for a caller
-// that records hits in an access sketch at that weight.
-const HitSample = 8
 
 // AULRU is an active-update LRU: a TTL'd LRU cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
@@ -153,11 +148,9 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // GetAt returns the cached value and whether it was present and fresh
 // at now, the caller's arrival time for the request. Accessing a hot
 // entry close to expiry triggers a synchronous active update through
-// the Refresher, renewing the entry in place. sampled reports a hit
-// that stands for HitSample hits in the caller's access sketch: one in
-// HitSample, picked by mixing the shard's hit count, and never a hit
-// the RefreshGate was asked about.
-func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, sampled bool) {
+// the Refresher, renewing the entry in place. gated reports a hit the
+// RefreshGate was asked about.
+func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[string(key)]
@@ -179,9 +172,8 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, sampled bool) {
 		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
 		!s.refreshing[e.key]
-	gated := refreshable && c.gate != nil
+	gated = refreshable && c.gate != nil
 	needRefresh := refreshable && (!gated || c.gate(e.key, now))
-	sampled = !gated && splitmix64(uint64(s.hits))%HitSample == 0
 	if !e.meta.hot {
 		e.meta.hot = true // a write only when it changes: the line stays shared
 	}
@@ -194,7 +186,7 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, sampled bool) {
 	if needRefresh {
 		c.refresh(s, name, gen)
 	}
-	return val, true, sampled
+	return val, true, gated
 }
 
 // refresh re-fetches key, which hashes to s, and renews the entry of

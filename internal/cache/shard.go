@@ -40,13 +40,3 @@ func (p picker) pick(key []byte) int {
 	}
 	return int(maphash.Bytes(p.seed, key) & p.mask)
 }
-
-// splitmix64 is the SplitMix64 finalizer: it turns a count into a
-// sequence without the count's period, so a sample of every n-th count
-// does not alias with a periodic access pattern.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

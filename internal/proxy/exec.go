@@ -57,20 +57,21 @@ type access struct {
 // request's arrival time: the sketch decays to it and the AU-LRU checks
 // expiry against it. It returns the key's access, for the cache fills,
 // and for a cacheRead the AU-LRU's answer: a hit is a served request
-// that cost no quota. A miss or a write touches the sketch exactly; a
-// hit, only when the AU-LRU sampled it (see touchHit).
+// that cost no quota. A miss or a write touches the sketch after the
+// lookup; a hit is recorded by the refresh gate when the AU-LRU asks it,
+// and otherwise by touchHit.
 func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access, v []byte, hit bool) {
 	acc.at = now
 	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
 		return acc, nil, false
 	}
 	if use == cacheRead {
-		var sampled bool
-		if v, hit, sampled = p.cache.GetAt(key, now); hit {
+		var gated bool
+		if v, hit, gated = p.cache.GetAt(key, now); hit {
 			c := p.reqs.Cell()
 			c.Hits.Inc()
 			c.Success.Inc()
-			if sampled {
+			if !gated {
 				p.touchHit(key, now)
 			}
 			return acc, v, true

@@ -113,6 +113,9 @@ type Proxy struct {
 	// pre-hotspot policy).
 	hot          *hotspot.Sharded
 	hotThreshold float64
+	// hitWeight is how many AU-LRU hits one sketch touch records (see
+	// touchHit).
+	hitWeight uint32
 	// routes is the epoch-stamped routing-table cache (routecache.go).
 	routes routeTable
 
@@ -149,12 +152,17 @@ func New(cfg Config) (*Proxy, error) {
 			if threshold == 0 {
 				threshold = DefaultHotAdmitThreshold
 			}
+			shards := cache.Shards(cfg.CacheBytes)
 			p.hot = hotspot.NewSharded(hotspot.Config{
 				TopK:   hotTopK,
 				Width:  hotWidth,
 				Window: hotspot.DefaultWindow,
 				Clock:  cfg.Clock,
-			}, cache.Shards(cfg.CacheBytes))
+			}, shards)
+			p.hitWeight = 1
+			if shards > 1 {
+				p.hitWeight = hitSample
+			}
 			// Half-count tolerance: debiased estimates sit slightly
 			// below the integer access count (the subtracted collision
 			// mean includes the key's own contribution), so an exact
@@ -193,8 +201,8 @@ func (p *Proxy) refreshGate() cache.RefreshGate {
 // returns the key's post-touch debiased estimate (0 when gating is
 // disabled; the proxy sketch is unsampled, so recording never skips).
 // The estimate is threaded to hotAdmit so the admission decision does
-// not re-lock the sketch. Misses and writes touch it; hits are sampled
-// (see touchHit).
+// not re-lock the sketch. Misses, writes and the hits the refresh gate
+// is asked about touch it; other hits go through touchHit.
 func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 	if p.hot == nil {
 		return 0
@@ -202,15 +210,24 @@ func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 	return p.hot.TouchDebiased(key, now)
 }
 
-// touchHit records an AU-LRU hit the cache sampled, at the weight of
-// the cache.HitSample hits it stands for. A hit key holds its slot
-// already, and the sketch only gates the admission of misses and the
-// refresh gate, so one hit in HitSample keeps the key's estimate
-// unbiased while the others write nothing the cores share.
+// hitSample is how many AU-LRU hits one sketch touch stands for when
+// the cache is sharded (see touchHit).
+const hitSample = 8
+
+// touchHit records an AU-LRU hit the refresh gate was not asked about.
+// A sharded cache, one that serves many cores, records one hit in
+// hitWeight, picked at random, at weight hitWeight: a hit key holds its
+// slot already, and the sketch only gates the admission of misses and
+// the refresh gate, so the sample keeps the key's estimate unbiased
+// while the other hits write nothing the cores share. A one-shard
+// cache records every hit, exactly, as it keeps one exact LRU. The
+// pick draws on the runtime's per-thread generator, which no two cores
+// share.
 func (p *Proxy) touchHit(key []byte, now time.Time) {
-	if p.hot != nil {
-		p.hot.TouchN(key, cache.HitSample, now)
+	if p.hot == nil || rand.Uint32()%p.hitWeight != 0 {
+		return
 	}
+	p.hot.TouchN(key, float64(p.hitWeight), now)
 }
 
 // hotAdmit reports whether a key whose touchHot estimate was est has
