@@ -6,8 +6,9 @@ import (
 )
 
 // Striped is a cell of type T kept once per P (the scheduler's logical
-// processor): a writer updates the cell of the P it runs on, so writers
-// on different cores write different cache lines, and a reader visits
+// processor), up to maxStripes cells: a writer updates the cell of the P
+// it runs on, so writers on different cores write different cache lines
+// (past maxStripes Ps, a few Ps share each cell), and a reader visits
 // every cell and adds them up. T is a struct of Counter, Gauge and
 // Histogram fields, all atomics: a goroutine can move to another P
 // between taking its cell and writing it, so a cell is seldom shared,
@@ -24,9 +25,15 @@ type stripe[T any] struct {
 	_ [64]byte
 }
 
-// NewStriped returns a Striped with one zero cell per P.
+// maxStripes caps the cells of a Striped: a tally kept per tenant holds
+// a latency histogram in every cell, so past this many cores, cores
+// share cells rather than the tally growing with the core count.
+const maxStripes = 8
+
+// NewStriped returns a Striped with one zero cell per P, up to
+// maxStripes cells.
 func NewStriped[T any]() *Striped[T] {
-	return &Striped[T]{cells: make([]stripe[T], runtime.GOMAXPROCS(0))}
+	return &Striped[T]{cells: make([]stripe[T], min(runtime.GOMAXPROCS(0), maxStripes))}
 }
 
 // Cell returns the cell of the P the caller runs on.
