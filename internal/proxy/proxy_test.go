@@ -3,10 +3,12 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"abase/internal/clock"
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
 )
@@ -258,6 +260,54 @@ func TestHotGateDisabledCachesEverything(t *testing.T) {
 	}
 	if _, ok := p.cache.Get(string(key)); !ok {
 		t.Fatal("ungated proxy did not cache a first-access write")
+	}
+}
+
+// TestHitTouchWeight: a one-shard AU-LRU records every hit in the
+// admission sketch, so the key's count is exact; a sharded one records
+// one hit in hitSample at weight hitSample, so the count stays unbiased.
+func TestHitTouchWeight(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+		weight     uint32
+		tolerance  float64 // of the hits
+	}{
+		{"one shard", 1 << 20, 1, 0},
+		{"sharded", 32 << 20, hitSample, 0.15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A clock that stands still: the sketch never decays.
+			sim := clock.NewSim(time.Unix(0, 0))
+			_, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = tc.cacheBytes })
+			if p.hitWeight != tc.weight {
+				t.Fatalf("hit weight %d, want %d", p.hitWeight, tc.weight)
+			}
+			key := []byte("hot")
+			if err := p.Put(bg, key, []byte("v"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Get(bg, key); err != nil { // the second access fills the AU-LRU
+				t.Fatal(err)
+			}
+			const hits = 8000
+			for i := 0; i < hits; i++ {
+				if _, err := p.Get(bg, key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := p.Stats(); st.CacheHits != hits {
+				t.Fatalf("%d hits, want %d", st.CacheHits, hits)
+			}
+			top := p.hot.TopK()
+			if len(top) != 1 || top[0].Key != string(key) {
+				t.Fatalf("sketch top-k %+v, want the one key", top)
+			}
+			recorded := top[0].Count - 2 // the write and the miss
+			if math.Abs(recorded-hits) > tc.tolerance*hits {
+				t.Fatalf("the sketch recorded %v of %d hits", recorded, hits)
+			}
+		})
 	}
 }
 
