@@ -15,13 +15,18 @@ import (
 // simulated cost off. cfg supplies the proxy's own settings.
 func fastStack(tb testing.TB, clk clock.Clock, cfg Config) *Proxy {
 	tb.Helper()
+	return nodeStack(tb, clk, datanode.Config{}, cfg)
+}
+
+// nodeStack is fastStack over nodes configured as node, each with its
+// own ID and clk.
+func nodeStack(tb testing.TB, clk clock.Clock, node datanode.Config, cfg Config) *Proxy {
+	tb.Helper()
 	m := metaserver.New(metaserver.Config{Replicas: 3, Clock: clk})
 	tb.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
-		n := datanode.New(datanode.Config{
-			ID:    fmt.Sprintf("node-%d", i),
-			Clock: clk,
-		})
+		node.ID, node.Clock = fmt.Sprintf("node-%d", i), clk
+		n := datanode.New(node)
 		tb.Cleanup(func() { n.Close() })
 		m.RegisterNode(n)
 	}
