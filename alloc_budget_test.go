@@ -97,7 +97,7 @@ func TestAllocBudget(t *testing.T) {
 			}
 		}},
 		{"proxy", "Get", "AU-LRU hit", 0, 256, func(t *testing.T) func() {
-			p, settle := budgetProxy(t, 0)
+			p, settle := budgetProxy(t, 0, time.Hour)
 			key := []byte("key-0001")
 			must(t, p.Put(bg, key, value, 0))
 			for i := 0; i < 3; i++ { // hot on the second access, then cached
@@ -107,14 +107,23 @@ func TestAllocBudget(t *testing.T) {
 			return func() { must(t, errOf(p.Get(bg, key))) }
 		}},
 		{"proxy", "Get", "miss", 0, 256, func(t *testing.T) func() {
-			p, settle := budgetProxy(t, 1<<30) // no key ever earns an AU-LRU slot
+			p, settle := budgetProxy(t, 1<<30, time.Hour) // no key ever earns an AU-LRU slot
+			key := []byte("key-0001")
+			must(t, p.Put(bg, key, value, 0))
+			settle()
+			return func() { must(t, errOf(p.Get(bg, key))) }
+		}},
+		{"proxy", "Get", "miss that fills", 2, 256, func(t *testing.T) func() {
+			// Every entry has expired by the next request, so each Get
+			// misses, reads the node and fills the AU-LRU anew.
+			p, settle := budgetProxy(t, 0, time.Nanosecond)
 			key := []byte("key-0001")
 			must(t, p.Put(bg, key, value, 0))
 			settle()
 			return func() { must(t, errOf(p.Get(bg, key))) }
 		}},
 		{"proxy", "Set", "", 2, 1536, func(t *testing.T) func() {
-			p, _ := budgetProxy(t, 0)
+			p, _ := budgetProxy(t, 0, time.Hour)
 			key := []byte("key-0001")
 			return func() { must(t, p.Put(bg, key, value, 0)) }
 		}},
@@ -199,10 +208,11 @@ func budgetNode(t *testing.T, cacheBytes int64) (*datanode.Node, partition.ID) {
 }
 
 // budgetProxy is a proxy of tenant t1 over three nodes, its AU-LRU
-// admitting a key on its hotAdmit-th access (0 = the default). settle
+// admitting a key on its hotAdmit-th access (0 = the default) and
+// keeping an entry for ttl. settle
 // waits until the followers have applied every write so far, so a read
 // row measures no replication.
-func budgetProxy(t *testing.T, hotAdmit int) (p *proxy.Proxy, settle func()) {
+func budgetProxy(t *testing.T, hotAdmit int, ttl time.Duration) (p *proxy.Proxy, settle func()) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	t.Cleanup(m.Close)
 	for i := 0; i < 3; i++ {
@@ -215,7 +225,7 @@ func budgetProxy(t *testing.T, hotAdmit int) (p *proxy.Proxy, settle func()) {
 	}
 	p, err := proxy.New(proxy.Config{
 		Tenant: "t1", ID: "p0", Meta: m,
-		EnableCache: true, CacheTTL: time.Hour, HotAdmitThreshold: hotAdmit,
+		EnableCache: true, CacheTTL: ttl, HotAdmitThreshold: hotAdmit,
 		ProxyQuota: 1e9,
 	})
 	if err != nil {

@@ -62,8 +62,13 @@ type auState struct {
 	used     int64
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
-	// gen stamps every value a caller stores (see auMeta.gen).
-	gen       uint64
+	// gen stamps every value the shard stores (see auMeta.gen).
+	gen uint64
+	// writes counts the writes callers made to the shard's keys —
+	// PutAt, UpdateAt and Delete, whether or not the key was cached. A
+	// miss reports it, and the fill of what the miss read from the
+	// store stands down if it moved (see FillAt).
+	writes    uint64
 	refreshes int64
 }
 
@@ -72,7 +77,7 @@ type auEntry = entry[auMeta]
 
 type auMeta struct {
 	expireAt time.Time
-	// gen identifies the Put or Update that stored value. A refresh
+	// gen identifies the store that put value here. A refresh
 	// reads the origin outside the lock; it installs what it read only
 	// if the entry still carries the generation it started from, so a
 	// write-through that lands meanwhile is never replaced by the older
@@ -141,7 +146,7 @@ func (c *AULRU) shard(key []byte) *auShard { return &c.shards[c.pick.pick(key)] 
 
 // Get is GetAt of a string key at the cache clock's current time.
 func (c *AULRU) Get(key string) ([]byte, bool) {
-	v, hit, _ := c.GetAt([]byte(key), c.clk.Now())
+	v, hit, _, _ := c.GetAt([]byte(key), c.clk.Now())
 	return v, hit
 }
 
@@ -149,22 +154,21 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // at now, the caller's arrival time for the request. Accessing a hot
 // entry close to expiry triggers a synchronous active update through
 // the Refresher, renewing the entry in place. gated reports a hit the
-// RefreshGate was asked about.
-func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool) {
+// RefreshGate was asked about. A miss returns the shard's write count,
+// which a fill of the value then read from the store passes to FillAt.
+func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool, writes uint64) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[string(key)]
+	if ok && !now.Before(e.meta.expireAt) {
+		s.remove(e) // expired: a miss
+		ok = false
+	}
 	if !ok {
 		s.misses++
+		writes = s.writes
 		s.mu.Unlock()
-		return nil, false, false
-	}
-	if !now.Before(e.meta.expireAt) {
-		// Expired: treat as miss and drop.
-		s.remove(e)
-		s.misses++
-		s.mu.Unlock()
-		return nil, false, false
+		return nil, false, false, writes
 	}
 	s.ll.moveToFront(e)
 	s.hits++
@@ -186,7 +190,7 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool) {
 	if needRefresh {
 		c.refresh(s, name, gen)
 	}
-	return val, true, gated
+	return val, true, gated, 0
 }
 
 // refresh re-fetches key, which hashes to s, and renews the entry of
@@ -226,12 +230,45 @@ func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.cl
 // Values larger than the key's shard are not cached.
 func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.writes++
+	s.storeLocked(key, value, now.Add(c.ttl))
+}
+
+// FillAt is PutAt for a value a read fetched from the store after a
+// GetAt miss that returned writes. It stores only if no write reached
+// key's shard since, so the value cannot be older than one a write
+// left cached or meant to drop, and, unless evict is set, only if the
+// value fits in the shard's free room: such a fill never pushes another
+// entry out.
+func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, evict bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.writes != writes {
+		return
+	}
+	if !evict {
+		room := s.capacity - s.used
+		if e, ok := s.items[string(key)]; ok {
+			room += e.size()
+		}
+		if int64(len(key)+len(value)) > room {
+			return
+		}
+	}
+	s.storeLocked(key, value, now.Add(c.ttl))
+}
+
+// storeLocked stores key=value, expiring at expireAt, evicting what it
+// must to fit; a value larger than the shard is not cached.
+// +locked:s.mu
+func (s *auShard) storeLocked(key, value []byte, expireAt time.Time) {
 	size := int64(len(key) + len(value))
 	if size > s.capacity {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.items[string(key)]
 	if ok {
 		s.used -= e.size()
@@ -243,7 +280,7 @@ func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 		s.ll.pushFront(e)
 	}
 	s.gen++
-	e.meta = auMeta{expireAt: now.Add(c.ttl), gen: s.gen}
+	e.meta = auMeta{expireAt: expireAt, gen: s.gen}
 	s.used += size
 	for s.used > s.capacity {
 		s.evictOne()
@@ -262,6 +299,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.writes++
 	e, ok := s.items[string(key)]
 	if !ok {
 		return false
@@ -290,6 +328,7 @@ func (c *AULRU) Delete(key []byte) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.writes++
 	if e, ok := s.items[string(key)]; ok {
 		s.remove(e)
 	}

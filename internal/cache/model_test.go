@@ -160,6 +160,7 @@ type modelAULRU struct {
 	gate       RefreshGate
 	refreshing map[string]bool
 	gen        uint64
+	writes     uint64
 
 	hits      int64
 	misses    int64
@@ -191,17 +192,18 @@ func newModelAULRU(cfg AUConfig) *modelAULRU {
 	}
 }
 
-func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool) {
+// GetAt returns the write count on a miss, as AULRU.GetAt does.
+func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, false, c.writes
 	}
 	e := el.Value.(*modelAUEntry)
 	if !now.Before(e.expireAt) {
 		c.removeElement(el)
 		c.misses++
-		return nil, false
+		return nil, false, c.writes
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
@@ -216,7 +218,7 @@ func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool) {
 		c.refreshing[key] = true
 		c.refresh(key, gen)
 	}
-	return val, true
+	return val, true, 0
 }
 
 func (c *modelAULRU) refresh(key string, gen uint64) {
@@ -245,6 +247,27 @@ func (c *modelAULRU) refresh(key string, gen uint64) {
 }
 
 func (c *modelAULRU) PutAt(key string, value []byte, now time.Time) {
+	c.writes++
+	c.store(key, value, now)
+}
+
+// FillAt stores only if no write came since the miss that returned
+// writes and, unless evict, only into free room.
+func (c *modelAULRU) FillAt(key string, value []byte, now time.Time, writes uint64, evict bool) {
+	if writes != c.writes {
+		return
+	}
+	room := c.capacity - c.used
+	if el, ok := c.items[key]; ok {
+		room += int64(len(key) + len(el.Value.(*modelAUEntry).value))
+	}
+	if !evict && int64(len(key)+len(value)) > room {
+		return
+	}
+	c.store(key, value, now)
+}
+
+func (c *modelAULRU) store(key string, value []byte, now time.Time) {
 	size := int64(len(key) + len(value))
 	if size > c.capacity {
 		return
@@ -263,6 +286,7 @@ func (c *modelAULRU) PutAt(key string, value []byte, now time.Time) {
 }
 
 func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
+	c.writes++
 	el, ok := c.items[key]
 	if !ok {
 		return false
@@ -285,6 +309,7 @@ func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
 }
 
 func (c *modelAULRU) Delete(key string) {
+	c.writes++
 	if el, ok := c.items[key]; ok {
 		c.removeElement(el)
 	}
@@ -459,7 +484,7 @@ func auSnapshot(s *auShard) string {
 	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
 		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.meta.expireAt.UnixNano(), e.meta.hot, e.meta.gen)
 	}
-	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", len(s.items), s.used, s.hits, s.misses, s.refreshes, len(s.refreshing))
+	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d writes=%d", len(s.items), s.used, s.hits, s.misses, s.refreshes, len(s.refreshing), s.writes)
 	return b.String()
 }
 
@@ -469,7 +494,7 @@ func modelAUSnapshot(c *modelAULRU) string {
 		e := el.Value.(*modelAUEntry)
 		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.gen)
 	}
-	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d", len(c.items), c.used, c.hits, c.misses, c.refreshes, len(c.refreshing))
+	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d writes=%d", len(c.items), c.used, c.hits, c.misses, c.refreshes, len(c.refreshing), c.writes)
 	return b.String()
 }
 
@@ -501,20 +526,24 @@ func FuzzAULRUModel(f *testing.F) {
 			now := sim.Now().Add(-time.Duration(ops.next(3)) * time.Second)
 			k := ops.key()
 			m := models[c.pick.pick([]byte(k))]
-			switch ops.next(9) {
+			switch ops.next(10) {
 			case 0, 1:
 				desc = "Get " + k
 				var v []byte
 				var ok bool
+				writes := ^uint64(0) // Get does not say
 				if ops.next(2) == 0 {
 					now = sim.Now()
 					v, ok = c.Get(k)
 				} else {
-					v, ok, _ = c.GetAt([]byte(k), now)
+					v, ok, _, writes = c.GetAt([]byte(k), now)
 				}
-				mv, mok := m.GetAt(k, now)
+				mv, mok, mwrites := m.GetAt(k, now)
 				if ok != mok || string(v) != string(mv) {
 					t.Fatalf("step %d %s = %q %v, model %q %v", step, desc, v, ok, mv, mok)
+				}
+				if writes != ^uint64(0) && writes != mwrites {
+					t.Fatalf("step %d %s: miss at write %d, model %d", step, desc, writes, mwrites)
 				}
 			case 2:
 				v := ops.value(step)
@@ -550,6 +579,13 @@ func FuzzAULRUModel(f *testing.F) {
 			case 7:
 				gateOpen = !gateOpen
 				desc = fmt.Sprintf("gate open %v", gateOpen)
+			case 9:
+				// A fill after a miss, with no write since or one.
+				v := ops.value(step)
+				writes, evict := m.writes-uint64(ops.next(2)), ops.next(2) == 0
+				desc = fmt.Sprintf("Fill %s (%d B) at write %d, evict %v", k, len(v), writes, evict)
+				c.FillAt([]byte(k), v, now, writes, evict)
+				m.FillAt(k, v, now, writes, evict)
 			case 8:
 				desc = "ResetStats"
 				c.ResetStats()

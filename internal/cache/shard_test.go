@@ -99,7 +99,9 @@ func TestShardsConcurrent(t *testing.T) {
 				switch i % 8 {
 				case 0, 1, 2:
 					sa.Lookup(k)
-					au.GetAt(k, sim.Now())
+					if _, hit, _, writes := au.GetAt(k, sim.Now()); !hit {
+						au.FillAt(k, v, sim.Now(), writes, i%2 == 0)
+					}
 				case 3, 4:
 					sa.Insert(k, v)
 					au.PutAt(k, v, sim.Now())

@@ -192,11 +192,13 @@ func touchMatchesAlwaysScan(t *testing.T, cfg Config, lagging bool) {
 		if lagging {
 			now = now.Add(-time.Duration(rng.Intn(5000)) * time.Microsecond)
 		}
-		var got, want float64
+		var got, want Heat
 		if i%2 == 0 {
-			got, want = d.touchN(k, fnv1a(k), w, true, now), ref.debias(ref.touch(k, w, now))
+			got = d.touchN(k, fnv1a(k), w, now)
+			want.Upper = ref.touch(k, w, now)
+			want.Debiased = ref.debias(want.Upper)
 		} else {
-			got, want = d.TouchN(k, w, now), ref.touch(k, w, now)
+			got.Upper, want.Upper = d.TouchN(k, w, now), ref.touch(k, w, now)
 		}
 		if got != want {
 			t.Fatalf("touch %d of %s: returned %v, reference %v", i, k, got, want)

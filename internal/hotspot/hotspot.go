@@ -47,6 +47,23 @@ type Config struct {
 	Clock clock.Clock
 }
 
+// Heat is a key's windowed access count after a touch, as the two
+// estimates the sketch gives. Upper is the count-min minimum: it never
+// undercounts a key recorded in the window, and collisions can inflate
+// it by up to the window total over the width. Debiased is the
+// count-mean-min estimate, Upper less the expected collision mass
+// (total over width), clamped at zero. It is close to a key's count
+// while traffic is light or even, but it is not volume-independent:
+// under skew the few cells the heavy hitters land in hold most of the
+// total, so a typical cell collects less than the mean it subtracts,
+// a warm key's estimate falls short of its count by the difference,
+// and a key read dozens of times in the window can read as zero. A decision whose overestimate costs nothing uses
+// Upper; one whose mistake costs another key, such as evicting it,
+// uses Debiased.
+type Heat struct {
+	Upper, Debiased float64
+}
+
 // HotKey is one entry of a top-k summary.
 type HotKey struct {
 	Key   string
@@ -182,20 +199,17 @@ func (d *Detector) Touch(key []byte, now time.Time) float64 {
 	if d.skip() {
 		return -1
 	}
-	return d.touchN(key, fnv1a(key), float64(d.rate), false, now)
+	return d.touchN(key, fnv1a(key), float64(d.rate), now).Upper
 }
 
-// TouchDebiased is Touch returning the collision-corrected
-// (count-mean-min) estimate instead of the raw minimum: the expected
-// collision mass total/width is subtracted from each cell before the
-// min, so the admission threshold keeps meaning "accesses in the
-// window" even when traffic volume saturates the sketch. -1 when
-// sampling skipped the access.
-func (d *Detector) TouchDebiased(key []byte, now time.Time) float64 {
+// TouchHeat is Touch returning both of the key's post-touch estimates
+// (see Heat), read in the one critical section that records the touch;
+// both are -1 when sampling skipped the access.
+func (d *Detector) TouchHeat(key []byte, now time.Time) Heat {
 	if d.skip() {
-		return -1
+		return Heat{-1, -1}
 	}
-	return d.touchN(key, fnv1a(key), float64(d.rate), true, now)
+	return d.touchN(key, fnv1a(key), float64(d.rate), now)
 }
 
 // skip reports whether sampling skips this touch.
@@ -206,7 +220,7 @@ func (d *Detector) skip() bool {
 // TouchN records an access at now with explicit weight w > 0
 // (bypassing the sampler) and returns the key's post-touch estimate.
 func (d *Detector) TouchN(key []byte, w float64, now time.Time) float64 {
-	return d.touchN(key, fnv1a(key), w, false, now)
+	return d.touchN(key, fnv1a(key), w, now).Upper
 }
 
 // secondHash derives the double-hashing stride from h1.
@@ -218,8 +232,9 @@ func secondHash(h1 uint64) uint64 {
 	return h2
 }
 
-// touchN records weight w for key, whose fnv1a hash is h1.
-func (d *Detector) touchN(key []byte, h1 uint64, w float64, debias bool, now time.Time) float64 {
+// touchN records weight w for key, whose fnv1a hash is h1, and returns
+// the key's post-touch estimates.
+func (d *Detector) touchN(key []byte, h1 uint64, w float64, now time.Time) Heat {
 	h2 := secondHash(h1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -234,13 +249,7 @@ func (d *Detector) touchN(key []byte, h1 uint64, w float64, debias bool, now tim
 	}
 	d.total += w
 	d.publishLocked(false)
-	ret := est
-	if debias {
-		ret = est - d.collisions()
-		if ret < 0 {
-			ret = 0
-		}
-	}
+	heat := Heat{Upper: est, Debiased: max(est-d.collisions(), 0)}
 	// Space-Saving update keyed on the same weight.
 	if e, ok := d.ss[h1]; ok {
 		e.count += w
@@ -267,7 +276,7 @@ func (d *Detector) touchN(key []byte, h1 uint64, w float64, debias bool, now tim
 			d.ss[h1] = victim
 		}
 	}
-	return ret
+	return heat
 }
 
 // publishShare sets how stale a shard lets the shared total get: a touch
@@ -311,8 +320,8 @@ func (d *Detector) Estimate(key []byte) float64 {
 
 // EstimateDebiased returns the collision-corrected (count-mean-min)
 // estimate: the expected collision mass total/width is subtracted
-// before the min, clamped at zero. Slightly noisy around zero for cold
-// keys but volume-independent, which is what admission gates need.
+// before the min, clamped at zero. It undercounts under skew (see
+// Heat).
 func (d *Detector) EstimateDebiased(key []byte) float64 {
 	return d.estimate(fnv1a(key), true)
 }
@@ -331,10 +340,7 @@ func (d *Detector) estimate(h1 uint64, debias bool) float64 {
 		}
 	}
 	if debias {
-		est -= d.collisions()
-		if est < 0 {
-			est = 0
-		}
+		est = max(est-d.collisions(), 0)
 	}
 	return est
 }

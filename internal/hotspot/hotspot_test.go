@@ -209,8 +209,10 @@ func TestMeterRate(t *testing.T) {
 }
 
 // TestShardedNeverUnderestimates drives a 16-shard sketch with a skewed
-// stream: every key's count-min estimate on the shard a touch reaches
-// is at least its exact count, the debiased estimate a caller reads is
+// stream: every key's count-min estimate on the shard a touch reaches,
+// and the upper estimate each touch returns, is at least its exact
+// count and at least its debiased estimate, the debiased estimate a
+// caller reads is
 // the routed shard's, and every shard gets keys. Each shard's summary
 // holds its share of TopK, four keys, so the merged TopK holds every key
 // that Space-Saving guarantees a shard keeps — one seen more often than
@@ -225,8 +227,10 @@ func TestShardedNeverUnderestimates(t *testing.T) {
 		// Zipf-like: key r in 1..2000 is drawn with probability
 		// about 1/(r(r+1)).
 		k := key(int(2000 / (1 + rng.Float64()*1999)))
-		s.TouchDebiased(k, clk.Now())
 		exact[string(k)]++
+		if h := s.TouchHeat(k, clk.Now()); h.Upper < exact[string(k)] || h.Debiased > h.Upper {
+			t.Fatalf("touch %d of %s: %+v, %v touches", i, k, h, exact[string(k)])
+		}
 	}
 	for k, n := range exact {
 		d, h := s.shard([]byte(k))
@@ -275,8 +279,8 @@ func TestShardedTopKMergesShards(t *testing.T) {
 	one, d := NewSharded(cfg, 1), NewDetector(cfg)
 	for i := 0; i < 5000; i++ {
 		k := key(i % (1 + i%97))
-		s.TouchDebiased(k, clk.Now())
-		if got, want := one.TouchDebiased(k, clk.Now()), d.TouchDebiased(k, clk.Now()); got != want {
+		s.TouchHeat(k, clk.Now())
+		if got, want := one.TouchHeat(k, clk.Now()), d.TouchHeat(k, clk.Now()); got != want {
 			t.Fatalf("touch %d: one-shard estimate %v, Detector %v", i, got, want)
 		}
 	}

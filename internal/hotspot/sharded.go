@@ -71,19 +71,25 @@ func (s *Sharded) shard(key []byte) (*Detector, uint64) {
 	return s.shards[splitmix64(h)>>s.shift], h
 }
 
-// TouchDebiased is Detector.TouchDebiased on key's shard.
-func (s *Sharded) TouchDebiased(key []byte, now time.Time) float64 {
+// TouchHeat is Detector.TouchHeat on key's shard.
+func (s *Sharded) TouchHeat(key []byte, now time.Time) Heat {
 	d, h := s.shard(key)
 	if d.skip() {
-		return -1
+		return Heat{-1, -1}
 	}
-	return d.touchN(key, h, float64(d.rate), true, now)
+	return d.touchN(key, h, float64(d.rate), now)
 }
 
 // TouchN is Detector.TouchN on key's shard.
 func (s *Sharded) TouchN(key []byte, w float64, now time.Time) float64 {
 	d, h := s.shard(key)
-	return d.touchN(key, h, w, false, now)
+	return d.touchN(key, h, w, now).Upper
+}
+
+// Estimate is Detector.Estimate on key's shard.
+func (s *Sharded) Estimate(key []byte) float64 {
+	d, h := s.shard(key)
+	return d.estimate(h, false)
 }
 
 // EstimateDebiased is Detector.EstimateDebiased on key's shard.

@@ -208,7 +208,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 
 	// AU-LRU pre-pass, before the limiter: hits cost no quota and
 	// survive a throttle, and throttled traffic still heats the sketch.
-	heats := make([]float64, len(op.keys))
+	accs := make([]access, len(op.keys))
 	admit := make([]int, 0, len(op.keys))
 	var cost float64
 	for i, k := range op.keys {
@@ -217,7 +217,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 			op.hit(i, v)
 			continue
 		}
-		heats[i] = acc.heat
+		accs[i] = acc
 		admit = append(admit, i)
 		cost += op.cost(i)
 	}
@@ -258,7 +258,7 @@ func (p *Proxy) batch(ctx context.Context, op batchOp) []error {
 					if op.reads && (bv.Err == nil || errors.Is(bv.Err, datanode.ErrNotFound)) {
 						reads.Add(p.est, len(bv.Value), bv.CacheHit) // an absent key still cost a lookup
 					}
-					errs[i] = op.result(i, bv, access{at: start, heat: heats[i]})
+					errs[i] = op.result(i, bv, accs[i])
 				}
 				reads.Flush(p.est)
 			}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"abase/internal/datanode"
+	"abase/internal/hotspot"
 	"abase/internal/metaserver"
 	"abase/internal/partition"
 )
@@ -45,11 +46,13 @@ const (
 
 // access is one key's arrival as the AU-LRU policy saw it: when the
 // request arrived, which a fill or write-through counts the entry's TTL
-// from, and the key's sketch estimate after this access, for the
-// hotness-gated fills.
+// from, the key's sketch estimates after this access, for the
+// hotness-gated fills, and, for a read that missed, the write count the
+// AU-LRU returned, which its fill passes back (see AULRU.FillAt).
 type access struct {
-	at   time.Time
-	heat float64
+	at     time.Time
+	heat   hotspot.Heat
+	writes uint64
 }
 
 // cacheLookup is the policy's half before admission — before the
@@ -67,7 +70,7 @@ func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access
 	}
 	if use == cacheRead {
 		var gated bool
-		if v, hit, gated = p.cache.GetAt(key, now); hit {
+		if v, hit, gated, acc.writes = p.cache.GetAt(key, now); hit {
 			c := p.reqs.Cell()
 			c.Hits.Inc()
 			c.Success.Inc()

@@ -1,11 +1,16 @@
 package proxy
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"abase/internal/clock"
 	"abase/internal/datanode"
+	"abase/internal/metaserver"
 )
 
 // parkedReadStack is a proxy with a one-shard AU-LRU on sim, over nodes
@@ -80,4 +85,124 @@ func TestAULRUFillLosesToWriteThrough(t *testing.T) {
 			}
 		})
 	}
+}
+
+// skewedReads reads n keys of a 20,000-key Zipf stream, none of them
+// stored, so each one misses, touches p's sketch and fills nothing. At
+// 60,000 reads the collision mass, total over width, is about 15.
+func skewedReads(t *testing.T, p *Proxy, n int) {
+	t.Helper()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(7)), 1.1, 1, 20_000-1)
+	for i := 0; i < n; i++ {
+		if _, err := p.Get(bg, []byte(fmt.Sprintf("bg-%d", zipf.Uint64()))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("background read: %v", err)
+		}
+	}
+}
+
+// storeBehind stores key=value at key's primary behind the proxy's back:
+// neither its sketch nor its AU-LRU sees the write.
+func storeBehind(t *testing.T, m *metaserver.Meta, p *Proxy, key, value []byte) {
+	t.Helper()
+	route, _, err := p.routeForKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := m.Node(route.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.PutAt(bg, route.Partition, route.Epoch, key, value, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFillIntoRoomAdmitsOnSecondRead: once skewed traffic has made the
+// sketch's collision mass far larger than the admission threshold, the
+// debiased estimate of a key read twice is below it, yet a read fill
+// into a shard with room is decided on the upper estimate, so the key
+// is cached after its second read.
+func TestFillIntoRoomAdmitsOnSecondRead(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0)) // stands still: nothing decays
+	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = 32 << 20 })
+	key := []byte("cold")
+	storeBehind(t, m, p, key, []byte("v"))
+	skewedReads(t, p, 60_000)
+	for i := 0; i < 2; i++ {
+		if v, err := p.Get(bg, key); err != nil || string(v) != "v" {
+			t.Fatalf("read %d = %q, %v", i+1, v, err)
+		}
+	}
+	if est := p.hot.EstimateDebiased(key); est >= p.hotThreshold {
+		t.Fatalf("debiased estimate %v after two reads: the stream is too even to show the undercount", est)
+	}
+	if v, ok := p.cache.Get(string(key)); !ok || string(v) != "v" {
+		t.Fatal("a key read twice was not cached, though its shard has room")
+	}
+}
+
+// TestFillThatEvictsNeedsDebiasedHeat: in a full one-shard AU-LRU, a
+// key whose upper estimate passes the threshold only on the collision
+// mass must not push out a resident; a key read often enough to pass
+// on its debiased estimate still takes a resident's place.
+func TestFillThatEvictsNeedsDebiasedHeat(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	const residents, entry = 8, 128 // bytes per entry, key included
+	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = residents * entry })
+	value := func(key string) []byte { return bytes.Repeat([]byte("v"), entry-len(key)) }
+	var names []string
+	for i := 0; i < residents; i++ {
+		names = append(names, fmt.Sprintf("r%d", i))
+	}
+	for _, k := range append(names, "cold", "hot") {
+		storeBehind(t, m, p, []byte(k), value(k))
+	}
+	for _, k := range names { // two reads each, while the sketch is quiet
+		for i := 0; i < 2; i++ {
+			if _, err := p.Get(bg, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n, used := p.cache.Len(), p.cache.Used(); n != residents || used != residents*entry {
+		t.Fatalf("the AU-LRU holds %d entries, %d B; want it full with the %d residents", n, used, residents)
+	}
+	cached := func() (out []string) {
+		for _, k := range append(names, "cold", "hot") {
+			if _, ok := p.cache.Get(k); ok {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	skewedReads(t, p, 60_000)
+
+	for i := 0; i < 2; i++ {
+		if _, err := p.Get(bg, []byte("cold")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if up, est := p.hot.Estimate([]byte("cold")), p.hot.EstimateDebiased([]byte("cold")); up < p.hotThreshold || est >= p.hotThreshold {
+		t.Fatalf("cold key's estimates: upper %v, debiased %v; want only the upper one past %v", up, est, p.hotThreshold)
+	}
+	if got := cached(); fmt.Sprint(got) != fmt.Sprint(names) {
+		t.Fatalf("after the cold key's reads the AU-LRU holds %v, want the residents %v", got, names)
+	}
+
+	reads := 0
+	for ; reads < 1000; reads++ {
+		if _, ok := p.cache.Get("hot"); ok {
+			break
+		}
+		if _, err := p.Get(bg, []byte("hot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if est := p.hot.EstimateDebiased([]byte("hot")); reads == 1000 || est < p.hotThreshold {
+		t.Fatalf("after %d reads the hot key is not cached (debiased estimate %v)", reads, est)
+	}
+	if got := cached(); len(got) != residents || got[residents-1] != "hot" {
+		t.Fatalf("after the hot key's fill the AU-LRU holds %v, want it and %d residents", got, residents-1)
+	}
+	t.Logf("the hot key was cached after %d reads", reads)
 }

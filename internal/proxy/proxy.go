@@ -50,10 +50,12 @@ type Config struct {
 	ProxyQuota float64
 	// HotAdmitThreshold gates AU-LRU admission on the proxy's
 	// heavy-hitter sketch: a fetched value is inserted only once its
-	// key's windowed access estimate reaches the threshold, so cold
-	// singleton reads cannot churn hot entries out of scarce proxy
-	// memory. 0 uses DefaultHotAdmitThreshold; negative disables the
-	// gate (the legacy cache-everything policy).
+	// key's windowed access estimate reaches the threshold — the upper
+	// estimate for a fill into free room, the debiased one for a fill
+	// that would evict and for a write — so cold singleton reads cannot
+	// churn hot entries out of scarce proxy memory. 0 uses
+	// DefaultHotAdmitThreshold; negative disables the gate (the legacy
+	// cache-everything policy).
 	HotAdmitThreshold int
 	// MaxFollowerLag bounds follower-read staleness in replication
 	// positions: a follower whose applied-write count trails its
@@ -86,7 +88,11 @@ const (
 
 // DefaultHotAdmitThreshold admits a key into the AU-LRU on its second
 // sketched access within the detection window: one access is noise,
-// two is a candidate hot key.
+// two is a candidate hot key. A read fill into free room is decided on
+// the key's upper estimate, so it holds there at any traffic volume; a
+// fill that would evict is decided on the debiased estimate, which
+// undercounts under skew, so there it admits the head of the
+// distribution first (see cacheFill).
 const DefaultHotAdmitThreshold = 2
 
 // The admission sketch's shape. It decays with hotspot.DefaultWindow,
@@ -96,9 +102,9 @@ const (
 	// hotTopK is the sketch's heavy-hitter summary size.
 	hotTopK = 32
 	// hotWidth is the sketch's count-min row width (~96 KiB of sketch
-	// per proxy). The gate uses debiased (count-mean-min) estimates, so
-	// the threshold stays meaningful at any traffic volume; width only
-	// controls the residual noise around zero for cold keys.
+	// per proxy). It sets the collision mass, the window total over the
+	// width: about what a cold key's upper estimate can gain from
+	// collisions, and what the debiased estimate subtracts.
 	hotWidth = 4096
 )
 
@@ -193,21 +199,21 @@ func (p *Proxy) refreshGate() cache.RefreshGate {
 		return nil
 	}
 	return func(key string, now time.Time) bool {
-		return p.touchHot([]byte(key), now) >= p.hotThreshold
+		return p.touchHot([]byte(key), now).Debiased >= p.hotThreshold
 	}
 }
 
 // touchHot records one access at now in the admission sketch and
-// returns the key's post-touch debiased estimate (0 when gating is
-// disabled; the proxy sketch is unsampled, so recording never skips).
-// The estimate is threaded to hotAdmit so the admission decision does
-// not re-lock the sketch. Misses, writes and the hits the refresh gate
-// is asked about touch it; other hits go through touchHit.
-func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
+// returns the key's post-touch estimates (zero when gating is disabled;
+// the proxy sketch is unsampled, so recording never skips). They are
+// threaded to the fill and write-through so those decisions do not
+// re-lock the sketch. Misses, writes and the hits the refresh gate is
+// asked about touch it; other hits go through touchHit.
+func (p *Proxy) touchHot(key []byte, now time.Time) hotspot.Heat {
 	if p.hot == nil {
-		return 0
+		return hotspot.Heat{}
 	}
-	return p.hot.TouchDebiased(key, now)
+	return p.hot.TouchHeat(key, now)
 }
 
 // hitSample is how many AU-LRU hits one sketch touch stands for when
@@ -230,24 +236,29 @@ func (p *Proxy) touchHit(key []byte, now time.Time) {
 	p.hot.TouchN(key, float64(p.hitWeight), now)
 }
 
-// hotAdmit reports whether a key whose touchHot estimate was est has
-// earned an AU-LRU slot: always when gating is disabled, otherwise
-// once the estimate reaches the admission threshold.
+// hotAdmit reports whether est, one of a key's touchHot estimates,
+// passes the admission threshold: always when gating is disabled.
 func (p *Proxy) hotAdmit(est float64) bool {
 	return p.hot == nil || est >= p.hotThreshold
 }
 
-// cacheFill inserts a fetched TTL-free value under the hotness gate.
+// cacheFill inserts a fetched TTL-free value under the hotness gate,
+// unless a write reached the key's AU-LRU shard since the miss. A fill
+// into free room costs no other key its slot, so the key's upper
+// estimate, which never undercounts, decides it. A fill that would
+// evict must pass on the debiased estimate, which collisions do not
+// inflate, so a cold key cannot push out a resident of a scarce cache.
 func (p *Proxy) cacheFill(key, value []byte, acc access) {
-	if p.cache != nil && p.hotAdmit(acc.heat) {
-		p.cache.PutAt(key, value, acc.at)
+	if p.cache != nil && p.hotAdmit(acc.heat.Upper) {
+		p.cache.FillAt(key, value, acc.at, acc.writes, p.hotAdmit(acc.heat.Debiased))
 	}
 }
 
 // cacheWriteThrough applies the write policy after a stored write. A
 // TTL-free value writes through: an already-cached entry is always
 // updated in place (coherence), but a write alone earns a cold key a
-// slot only when the sketch flags it hot. An expiring value invalidates
+// slot only when its debiased estimate flags it hot, free room or not:
+// a key written and never read would only take up memory. An expiring value invalidates
 // instead, so the AU-LRU never holds a copy that could outlive the
 // record (see GetPref).
 func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, acc access) {
@@ -256,7 +267,7 @@ func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, acc access) 
 	case expiring:
 		p.cache.Delete(key)
 	case p.cache.UpdateAt(key, value, acc.at):
-	case p.hotAdmit(acc.heat):
+	case p.hotAdmit(acc.heat.Debiased):
 		p.cache.PutAt(key, value, acc.at)
 	}
 }
