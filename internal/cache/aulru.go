@@ -62,7 +62,7 @@ type auState struct {
 	used     int64
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
-	// gen stamps every value the shard stores (see auMeta.gen).
+	// gen stamps every value a caller stores (see auMeta.gen).
 	gen uint64
 	// writes counts the writes callers made to the shard's keys —
 	// PutAt, UpdateAt and Delete, whether or not the key was cached. A

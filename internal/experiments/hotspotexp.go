@@ -176,7 +176,7 @@ func HotspotMitigation(opts HotspotOpts) ([]HotspotRow, HotspotSplit, Table) {
 		Notes: []string{
 			fmt.Sprintf("%d reads over %d keys, %d B values, %d B proxy cache per run",
 				opts.Ops, opts.Keys, opts.ValueBytes, opts.CacheBytes),
-			"gated: only sketch-flagged keys earn an AU-LRU slot, so cold singletons cannot churn the hot set",
+			"gated: a fill that would evict needs the key's debiased sketch estimate at the threshold, so cold singletons cannot churn the hot set; a fill into free room needs only the upper estimate",
 			"top-10 recall: data-plane heavy hitters vs the true hot set, sampled on an uncached pass",
 		},
 	}

@@ -57,9 +57,11 @@ type Config struct {
 // under skew the few cells the heavy hitters land in hold most of the
 // total, so a typical cell collects less than the mean it subtracts,
 // a warm key's estimate falls short of its count by the difference,
-// and a key read dozens of times in the window can read as zero. A decision whose overestimate costs nothing uses
-// Upper; one whose mistake costs another key, such as evicting it,
-// uses Debiased.
+// and a key read dozens of times in the window can read as zero. A
+// decision whose overestimate costs nothing uses Upper, as the proxy's
+// AU-LRU fill into free room does; one whose mistake costs another
+// key, such as evicting it, uses Debiased, as the proxy's evicting
+// fills, write admissions and refresh gate do.
 type Heat struct {
 	Upper, Debiased float64
 }
@@ -340,7 +342,10 @@ func (d *Detector) estimate(h1 uint64, debias bool) float64 {
 		}
 	}
 	if debias {
-		est = max(est-d.collisions(), 0)
+		est -= d.collisions()
+		if est < 0 {
+			est = 0
+		}
 	}
 	return est
 }

@@ -86,12 +86,6 @@ func (s *Sharded) TouchN(key []byte, w float64, now time.Time) float64 {
 	return d.touchN(key, h, w, now).Upper
 }
 
-// Estimate is Detector.Estimate on key's shard.
-func (s *Sharded) Estimate(key []byte) float64 {
-	d, h := s.shard(key)
-	return d.estimate(h, false)
-}
-
 // EstimateDebiased is Detector.EstimateDebiased on key's shard.
 func (s *Sharded) EstimateDebiased(key []byte) float64 {
 	d, h := s.shard(key)
