@@ -46,7 +46,7 @@ func TestAllocBudget(t *testing.T) {
 			must(t, db.Put(key, value, 0))
 			return func() { must(t, errOf(db.Get(key))) }
 		}},
-		{"engine", "Get", "table", 2, 384, func(t *testing.T) func() {
+		{"engine", "Get", "table", 1, 160, func(t *testing.T) func() {
 			db := openEngine(t)
 			key := []byte("key-0001")
 			must(t, db.Put(key, value, 0))
@@ -75,7 +75,7 @@ func TestAllocBudget(t *testing.T) {
 			must(t, errOf(n.Put(bg, pid, key, value, 0)))
 			return func() { must(t, errOf(n.Get(bg, pid, key))) }
 		}},
-		{"node", "Get", "table", 2, 384, func(t *testing.T) func() {
+		{"node", "Get", "table", 1, 256, func(t *testing.T) func() {
 			n, pid := budgetNode(t, 1)
 			key := []byte("key-0001")
 			must(t, errOf(n.Put(bg, pid, key, value, 0)))

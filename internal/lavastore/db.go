@@ -126,6 +126,14 @@ func Open(opt Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{opt: o, mem: skiplist.New(1), retain: noRetention}
+	opened := false
+	defer func() {
+		if !opened { // close what recovery opened
+			db.mu.Lock()
+			db.releaseFilesLocked()
+			db.mu.Unlock()
+		}
+	}()
 	oldWALs, err := db.recover()
 	if err != nil {
 		return nil, err
@@ -153,6 +161,7 @@ func Open(opt Options) (*DB, error) {
 	// so per-write history before this point is gone: the history floor
 	// starts at the next sequence the engine will assign.
 	db.histLo = db.seq + 1
+	opened = true
 	return db, nil
 }
 
@@ -186,6 +195,9 @@ func (db *DB) recover() ([]string, error) {
 		}
 		f, err := db.opt.FS.Open(db.filePath(n))
 		if err != nil {
+			for _, t := range tables {
+				t.Close()
+			}
 			return nil, fmt.Errorf("lavastore: recover open %s: %w", n, err)
 		}
 		t, err := openTable(f, n)
@@ -416,7 +428,7 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 // seq. It fails open on a read error.
 // +locked:db.mu
 func (db *DB) shadowedLocked(key []byte, seq uint64) bool {
-	cur, _, err := lookup(db.mem, db.v.imm, db.v.tables, key)
+	cur, _, err := lookup(db.mem, db.v.imm, db.v.tables, key, nil)
 	return err == nil && recSeq(cur) > seq
 }
 
@@ -447,10 +459,24 @@ type GetResult struct {
 	ExpireAt int64
 }
 
+// runBufSize is the capacity of a pooled point-read buffer. An index
+// run holds at most indexBytes of entries plus the entry that crosses
+// that bound, so every run fits one unless that last entry is a large
+// value; such a run gets a buffer of its own.
+const runBufSize = 2 * indexBytes
+
+// runBufs lends table point reads their index-run buffer.
+var runBufs = sync.Pool{New: func() any {
+	b := make([]byte, runBufSize)
+	return &b
+}}
+
 // Get returns the value stored under key. Expired and deleted keys
 // return ErrNotFound. The returned value is a copy.
 func (db *DB) Get(key []byte) (GetResult, error) {
-	r, ioReads, err := db.live(key)
+	buf := runBufs.Get().(*[]byte)
+	defer runBufs.Put(buf)
+	r, ioReads, err := db.live(key, *buf)
 	if err != nil {
 		return GetResult{IOReads: ioReads}, err
 	}
@@ -461,7 +487,9 @@ func (db *DB) Get(key []byte) (GetResult, error) {
 // none), or ErrNotFound for absent or expired keys. The lookup charges
 // the same I/O as a Get.
 func (db *DB) ExpireAt(key []byte) (int64, error) {
-	r, _, err := db.live(key)
+	buf := runBufs.Get().(*[]byte)
+	defer runBufs.Put(buf)
+	r, _, err := db.live(key, *buf)
 	if err != nil {
 		return 0, err
 	}
@@ -471,8 +499,10 @@ func (db *DB) ExpireAt(key []byte) (int64, error) {
 // live reads key's newest record through a snapshot of the layers and
 // returns it if it is a live value, with the table reads the lookup cost
 // (counted in Stats.GetIOReads). Deleted and expired keys return
-// ErrNotFound.
-func (db *DB) live(key []byte) (r record, ioReads int, err error) {
+// ErrNotFound. A record read from a table lies in buf, or in a buffer of
+// its own when its index run does not fit buf, so the caller copies out
+// what it keeps before it reuses buf.
+func (db *DB) live(key, buf []byte) (r record, ioReads int, err error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
@@ -480,8 +510,8 @@ func (db *DB) live(key []byte) (r record, ioReads int, err error) {
 	}
 	mem, v := db.mem, db.acquireLocked()
 	db.mu.RUnlock()
-	rec, ioReads, err := lookup(mem, v.imm, v.tables, key)
-	v.release() // rec is a copy when it comes from a table
+	rec, ioReads, err := lookup(mem, v.imm, v.tables, key, buf)
+	v.release() // a table's rec is in a read buffer, not the file
 	if ioReads > 0 {
 		db.getIOReads.Add(int64(ioReads))
 	}
@@ -497,8 +527,9 @@ func (db *DB) live(key []byte) (r record, ioReads int, err error) {
 // lookup is the engine's one layered point read: the memtable, then the
 // immutable memtables newest-first, then the tables newest-first. It
 // returns the first record found for key and the table reads it made,
-// or ErrNotFound. Callers pass an acquired view's layers or hold db.mu.
-func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key []byte) (rec []byte, ioReads int, err error) {
+// or ErrNotFound. Callers pass an acquired view's layers or hold db.mu;
+// buf is the table reads' buffer, as for Table.Get.
+func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key, buf []byte) (rec []byte, ioReads int, err error) {
 	if rec, ok := mem.Get(key); ok {
 		return rec, 0, nil
 	}
@@ -508,7 +539,7 @@ func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key []byt
 		}
 	}
 	for _, t := range tables {
-		rec, found, ios, err := t.Get(key)
+		rec, found, ios, err := t.Get(key, buf)
 		ioReads += ios
 		if err != nil || found {
 			return rec, ioReads, err
@@ -561,29 +592,15 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 	db.nextFile++
 	db.mu.Unlock()
 
-	name := fmt.Sprintf("%06d.sst", num)
-	f, err := db.opt.FS.Create(db.filePath(name))
-	if err != nil {
-		return false, err
-	}
-	w := newTableWriter(f)
-	it := frozen.NewIterator()
-	for it.Next() {
-		if err := w.Add(it.Key(), it.Value()); err != nil {
-			f.Close()
-			return false, err
+	t, err := db.buildTable(fmt.Sprintf("%06d.sst", num), func(w *tableWriter) error {
+		it := frozen.NewIterator()
+		for it.Next() {
+			if err := w.Add(it.Key(), it.Value()); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Finish(); err != nil {
-		f.Close()
-		return false, err
-	}
-	f.Close()
-	rf, err := db.opt.FS.Open(db.filePath(name))
-	if err != nil {
-		return false, err
-	}
-	t, err := openTable(rf, name)
+		return nil
+	})
 	if err != nil {
 		return false, err
 	}
@@ -654,45 +671,25 @@ func (db *DB) Compact() error {
 	num := db.allocFileNum()
 	db.flushMu.Unlock()
 
-	name := fmt.Sprintf("%06d.sst", num)
-	f, err := db.opt.FS.Create(db.filePath(name))
-	if err != nil {
-		return err
-	}
-	w := newTableWriter(f)
 	now := db.opt.Clock.Now().Unix()
 	var dropped int64
-
-	ms := newMergedScanner(nil, old, nil)
-	for key, rec, ok := ms.next(); ok; key, rec, ok = ms.next() {
-		r, err := decodeRecord(rec)
-		if err != nil {
-			f.Close()
-			return err
+	t, err := db.buildTable(fmt.Sprintf("%06d.sst", num), func(w *tableWriter) error {
+		ms := newMergedScanner(nil, old, nil)
+		for key, rec, ok := ms.next(); ok; key, rec, ok = ms.next() {
+			r, err := decodeRecord(rec)
+			if err != nil {
+				return err
+			}
+			if r.Kind == kindDelete || r.expired(now) {
+				dropped++
+				continue
+			}
+			if err := w.Add(key, rec); err != nil {
+				return err
+			}
 		}
-		if r.Kind == kindDelete || r.expired(now) {
-			dropped++
-			continue
-		}
-		if err := w.Add(key, rec); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := ms.checkErr(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Finish(); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
-	rf, err := db.opt.FS.Open(db.filePath(name))
-	if err != nil {
-		return err
-	}
-	t, err := openTable(rf, name)
+		return ms.checkErr()
+	})
 	if err != nil {
 		return err
 	}
@@ -737,6 +734,40 @@ func (db *DB) Compact() error {
 	return nil
 }
 
+// buildTable writes the table file name, its entries added by fill,
+// and opens it for reading. On an error it closes what it opened and
+// removes the partial file, so a failed flush or compaction holds no
+// handle and leaves no table behind.
+func (db *DB) buildTable(name string, fill func(w *tableWriter) error) (t *Table, err error) {
+	path := db.filePath(name)
+	f, err := db.opt.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			db.opt.FS.Remove(path)
+		}
+	}()
+	w := newTableWriter(f)
+	if err = fill(w); err == nil {
+		err = w.Finish()
+	}
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	rf, err := db.opt.FS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if t, err = openTable(rf, name); err != nil {
+		rf.Close()
+		return nil, err
+	}
+	return t, nil
+}
+
 func (db *DB) allocFileNum() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -779,10 +810,19 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	db.closed = true
+	db.releaseFilesLocked()
+	return nil
+}
+
+// releaseFilesLocked closes the WAL and gives up the DB's reference to
+// the current view, whose tables close after the last reader's release.
+// +locked:db.mu
+func (db *DB) releaseFilesLocked() {
 	if db.wal != nil {
 		db.wal.Close()
 	}
-	db.v.drop = db.v.tables
-	db.v.release() // its tables close after the last reader's release
-	return nil
+	if db.v != nil {
+		db.v.drop = db.v.tables
+		db.v.release()
+	}
 }

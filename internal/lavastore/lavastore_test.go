@@ -314,7 +314,7 @@ func TestTornWALTailIgnored(t *testing.T) {
 	names, _ := fs.List("d")
 	for _, n := range names {
 		if len(n) > 4 && n[len(n)-4:] == ".wal" {
-			fs.files["d/"+n].Write([]byte{0xDE, 0xAD, 0xBE})
+			fs.files["d/"+n].write([]byte{0xDE, 0xAD, 0xBE})
 		}
 	}
 	db2, err := Open(Options{FS: fs, Dir: "d"})

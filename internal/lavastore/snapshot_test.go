@@ -10,10 +10,20 @@ import (
 // TestReadsRaceCompactionOnOSFS runs point reads and scans against a
 // flush loop that compacts every other flush, on real files: a table
 // the compaction swaps out must stay open until the last reader that
-// snapshotted it is done. MemFS cannot show this, because closing one
-// of its files is a no-op.
+// snapshotted it is done.
 func TestReadsRaceCompactionOnOSFS(t *testing.T) {
-	db, err := Open(Options{FS: OSFS{}, Dir: t.TempDir(), MaxTables: 2})
+	readsRaceCompaction(t, OSFS{}, t.TempDir())
+}
+
+// TestReadsRaceCompactionOnMemFS is the same race on MemFS, whose
+// handles refuse a read after Close as an *os.File does, and whose
+// compacted files hand their chunks on once the last handle closes.
+func TestReadsRaceCompactionOnMemFS(t *testing.T) {
+	readsRaceCompaction(t, NewMemFS(), "d")
+}
+
+func readsRaceCompaction(t *testing.T, fs FS, dir string) {
+	db, err := Open(Options{FS: fs, Dir: dir, MaxTables: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +115,13 @@ func TestHeldViewKeepsItsTablesOpen(t *testing.T) {
 		t.Fatal("held view's count is not linked to its successors'")
 	}
 	for i, tab := range held.tables {
-		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i))); err != nil {
+		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i)), nil); err != nil {
 			t.Fatalf("a merged-away table closed under its reader: %v", err)
 		}
 	}
 	held.release()
 	for i, tab := range held.tables {
-		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i))); err == nil {
+		if _, _, _, err := tab.Get([]byte(fmt.Sprintf("k%d", 1-i)), nil); err == nil {
 			t.Fatal("a merged-away table is still open after its last reader released it")
 		}
 	}

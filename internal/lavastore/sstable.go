@@ -261,8 +261,10 @@ func (t *Table) indexFloor(target []byte) int {
 // Get looks up key. It returns the encoded record, whether the key is
 // present, and the number of simulated disk reads performed (0 when the
 // bloom filter rejects, 1 when the entry region was scanned). A served
-// lookup is one ReadAt of one index run.
-func (t *Table) Get(key []byte) (rec []byte, found bool, ioReads int, err error) {
+// lookup is one ReadAt of one index run, into buf when the run fits its
+// capacity and into a buffer of its own when it does not; the record
+// points into that buffer.
+func (t *Table) Get(key, buf []byte) (rec []byte, found bool, ioReads int, err error) {
 	if !t.bloom.MayContain(key) {
 		return nil, false, 0, nil
 	}
@@ -275,7 +277,11 @@ func (t *Table) Get(key []byte) (rec []byte, found bool, ioReads int, err error)
 	if pos+1 < len(t.index) {
 		end = t.index[pos+1].off
 	}
-	buf := make([]byte, end-start)
+	if n := end - start; int64(cap(buf)) >= n {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if err := readFullAt(t.f, buf, start); err != nil {
 		return nil, false, 1, fmt.Errorf("lavastore: read %s: %w", t.name, err)
 	}

@@ -88,19 +88,21 @@ func writeEvery16(f File, entries []kv) error {
 // checkServes holds a table to its entries: every key is served with
 // its record, absent keys before, between and after are not, a full
 // iteration and a seek to every key and every gap land where they
-// should.
+// should. Every Get borrows one buffer, as the engine's reads share
+// pooled ones; a run too large for it is read into one of its own.
 func checkServes(t *testing.T, tbl *Table, entries []kv) {
 	t.Helper()
 	if tbl.Count() != len(entries) {
 		t.Fatalf("Count = %d, want %d", tbl.Count(), len(entries))
 	}
+	buf := make([]byte, runBufSize)
 	for i, e := range entries {
-		rec, found, _, err := tbl.Get(e.key)
+		rec, found, _, err := tbl.Get(e.key, buf)
 		if err != nil || !found || !bytes.Equal(rec, e.rec) {
 			t.Fatalf("Get(entry %d): found=%v err=%v, %d record bytes want %d", i, found, err, len(rec), len(e.rec))
 		}
 		gap := append(append([]byte(nil), e.key...), 0) // sorts right after e.key
-		if _, found, _, err := tbl.Get(gap); found || err != nil {
+		if _, found, _, err := tbl.Get(gap, buf); found || err != nil {
 			t.Fatalf("Get(gap after entry %d): found=%v err=%v", i, found, err)
 		}
 		it := tbl.iterator()
@@ -111,7 +113,7 @@ func checkServes(t *testing.T, tbl *Table, entries []kv) {
 			t.Fatalf("seek(gap after entry %d) = %v on %q (err %v)", i, ok, it.Key(), it.Err())
 		}
 	}
-	if _, found, _, err := tbl.Get([]byte("\x00")); found || err != nil {
+	if _, found, _, err := tbl.Get([]byte("\x00"), buf); found || err != nil {
 		t.Fatalf("Get(before first): found=%v err=%v", found, err)
 	}
 	it := tbl.iterator()

@@ -3,6 +3,7 @@ package lavastore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -111,10 +112,11 @@ func TestMemFSMatchesFlatModel(t *testing.T) {
 // already holds — every chunk but the first stays where it was first
 // allocated, and slack never exceeds one chunk.
 func TestMemFSAppendCostsItsOwnBytes(t *testing.T) {
-	f := &memFile{}
+	h, _ := NewMemFS().Create("f")
+	f := h.(*memHandle).f
 	var firstByte []*byte
 	for i := 0; i < 5*memChunkSize/1000; i++ {
-		f.Write(make([]byte, 1000))
+		h.Write(make([]byte, 1000))
 		for c := len(firstByte); c < len(f.chunks); c++ {
 			firstByte = append(firstByte, &f.chunks[c][0])
 		}
@@ -131,5 +133,181 @@ func TestMemFSAppendCostsItsOwnBytes(t *testing.T) {
 	}
 	if len(f.chunks) != 5 {
 		t.Fatalf("%d chunks for %d bytes, want 5", len(f.chunks), f.size)
+	}
+}
+
+// memFileOf returns the memFile behind a MemFS handle.
+func memFileOf(h File) *memFile { return h.(*memHandle).f }
+
+// freeChunks is the length of m's free list.
+func freeChunks(m *MemFS) int {
+	m.freeMu.Lock()
+	defer m.freeMu.Unlock()
+	return len(m.free)
+}
+
+// mustCreate creates name on m holding n bytes of b.
+func mustCreate(t *testing.T, m *MemFS, name string, b byte, n int) File {
+	t.Helper()
+	h, err := m.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Write(bytes.Repeat([]byte{b}, n)); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestMemFSHandles: each Create and Open is a handle of its own that
+// refuses every call once closed, as an *os.File does; a file whose
+// name is gone lives until its last handle closes, then gives its
+// full-size chunks to the free list, where the next file to grow takes
+// them instead of making new ones.
+func TestMemFSHandles(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, m *MemFS)
+	}{
+		{"calls after Close, and a second Close", func(t *testing.T, m *MemFS) {
+			h := mustCreate(t, m, "f", 1, 10)
+			g, err := m.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := h.ReadAt(make([]byte, 1), 0)
+			_, werr := h.Write([]byte{1})
+			_, serr := h.Size()
+			for what, err := range map[string]error{
+				"ReadAt": rerr, "Write": werr, "Size": serr, "Sync": h.Sync(), "second Close": h.Close(),
+			} {
+				if !errors.Is(err, os.ErrClosed) {
+					t.Errorf("%s after Close: err = %v, want os.ErrClosed", what, err)
+				}
+			}
+			checkAgainstModel(t, g, bytes.Repeat([]byte{1}, 10)) // the other handle is open
+		}},
+		{"a removed file lives until its last Close", func(t *testing.T, m *MemFS) {
+			h := mustCreate(t, m, "f", 2, 2*memChunkSize+7)
+			g, _ := m.Open("f")
+			h.Close()
+			if err := m.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstModel(t, g, bytes.Repeat([]byte{2}, 2*memChunkSize+7))
+			if n := freeChunks(m); n != 0 {
+				t.Fatalf("%d chunks freed while a handle is open", n)
+			}
+			f := memFileOf(g)
+			g.Close()
+			if !f.dead || f.size != 0 || f.chunks != nil {
+				t.Fatalf("after the last Close: dead %v, size %d, %d chunks", f.dead, f.size, len(f.chunks))
+			}
+			if _, err := f.readAt(make([]byte, 1), 0); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("a late read of a dead file: err = %v, want os.ErrClosed", err)
+			}
+			if n := freeChunks(m); n != 3 { // the partial third chunk is full-size too
+				t.Fatalf("%d chunks freed, want the file's 3", n)
+			}
+		}},
+		{"Create over a name unlinks the old file", func(t *testing.T, m *MemFS) {
+			old := mustCreate(t, m, "f", 3, 2*memChunkSize)
+			nu := mustCreate(t, m, "f", 4, 1)
+			checkAgainstModel(t, old, bytes.Repeat([]byte{3}, 2*memChunkSize))
+			made := m.made
+			old.Close()
+			if n := freeChunks(m); n != 2 {
+				t.Fatalf("%d chunks freed, want the old file's 2", n)
+			}
+			nu.Write(bytes.Repeat([]byte{4}, 2*memChunkSize-1))
+			if m.made != made || freeChunks(m) != 0 {
+				t.Fatalf("growing the new file made %d chunks with %d free", m.made-made, freeChunks(m))
+			}
+			checkAgainstModel(t, nu, bytes.Repeat([]byte{4}, 2*memChunkSize))
+		}},
+		{"Rename over a name unlinks the old file", func(t *testing.T, m *MemFS) {
+			old := mustCreate(t, m, "b", 5, memChunkSize)
+			src := mustCreate(t, m, "a", 6, 3)
+			if err := m.Rename("a", "b"); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstModel(t, old, bytes.Repeat([]byte{5}, memChunkSize))
+			old.Close()
+			if n := freeChunks(m); n != 1 {
+				t.Fatalf("%d chunks freed, want the old file's 1", n)
+			}
+			g, err := m.Open("b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstModel(t, g, []byte{6, 6, 6})
+			src.Close()
+			if f := memFileOf(g); f.dead {
+				t.Fatal("the renamed file died with a handle and a name")
+			}
+		}},
+		{"a reused chunk's old bytes stay past the new file's end", func(t *testing.T, m *MemFS) {
+			mustCreate(t, m, "f", 7, 2*memChunkSize).Close()
+			m.Remove("f")
+			h := mustCreate(t, m, "g", 8, memChunkSize+5) // a full first chunk and a reused second
+			if freeChunks(m) != 0 {
+				t.Fatal("the new file did not take the freed chunks")
+			}
+			checkAgainstModel(t, h, bytes.Repeat([]byte{8}, memChunkSize+5))
+			p := bytes.Repeat([]byte{0}, 100)
+			if n, err := h.ReadAt(p, memChunkSize); n != 5 || err != io.EOF || !bytes.Equal(p, append(bytes.Repeat([]byte{8}, 5), make([]byte, 95)...)) {
+				t.Fatalf("ReadAt past the end: %d bytes, %v, %v", n, err, p[:8])
+			}
+		}},
+		{"the free list holds at most memFreeChunks", func(t *testing.T, m *MemFS) {
+			mustCreate(t, m, "f", 9, (memFreeChunks+1)*memChunkSize).Close()
+			m.Remove("f")
+			if n := freeChunks(m); n != memFreeChunks {
+				t.Fatalf("%d chunks free, want %d", n, memFreeChunks)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewMemFS()) })
+	}
+}
+
+// TestMemFSReadRacesLastClose: a reader whose handle is closed and
+// whose file is removed under it, while new files reuse the freed
+// chunks, reads its own bytes or gets os.ErrClosed — never another
+// file's bytes. Run it under -race.
+func TestMemFSReadRacesLastClose(t *testing.T) {
+	m := NewMemFS()
+	for round := 1; round <= 20; round++ {
+		mine := byte(round)
+		mustCreate(t, m, "f", mine, 2*memChunkSize).Close()
+		g, err := m.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error)
+		go func() {
+			p := make([]byte, 4096)
+			for off := int64(0); ; off = (off + 4099) % (2*memChunkSize - 4096) {
+				if _, err := g.ReadAt(p, off); err != nil {
+					done <- err
+					return
+				}
+				if bytes.Count(p, []byte{mine}) != len(p) {
+					done <- fmt.Errorf("read another file's bytes at %d", off)
+					return
+				}
+			}
+		}()
+		m.Remove("f")
+		g.Close()
+		mustCreate(t, m, "g", 0xFF, 2*memChunkSize) // reuses f's chunks
+		if err := <-done; !errors.Is(err, os.ErrClosed) {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		m.Remove("g")
 	}
 }
