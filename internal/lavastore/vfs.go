@@ -129,10 +129,12 @@ const (
 	memChunkSize = 256 << 10
 	// memFirstChunkMin is the capacity a file's first chunk starts at.
 	memFirstChunkMin = 512
-	// memFreeChunks caps a MemFS's free list: 256 chunks, 64 MiB. On
-	// the bench's churn workload (three nodes, 4 MiB memtables) this
-	// bound cut peak RSS from 644 to 570 MB, the median of five
-	// alternating pairs; chunks freed beyond it go to the collector.
+	// memFreeChunks caps a MemFS's free list at 256 chunks, 64 MiB, so
+	// an idle MemFS keeps at most that much; chunks freed beyond it go
+	// to the collector. With this cap, the bench's churn workload,
+	// whose flushes and compactions delete WAL segments and tables
+	// throughout, peaked at 571 MB RSS where fresh chunks took 648 MB
+	// (medians of ten alternating pairs on a 2-core box).
 	memFreeChunks = 256
 )
 

@@ -275,10 +275,11 @@ func TestMemFSHandles(t *testing.T) {
 	}
 }
 
-// TestMemFSReadRacesLastClose: a reader whose handle is closed and
-// whose file is removed under it, while new files reuse the freed
-// chunks, reads its own bytes or gets os.ErrClosed — never another
-// file's bytes. Run it under -race.
+// TestMemFSReadRacesLastClose: a read that passed its handle's closed
+// check just before the last Close, and so reads the file itself while
+// the file is removed and freed and new files reuse its chunks, reads
+// the file's own bytes or gets os.ErrClosed — never another file's
+// bytes. Run it under -race.
 func TestMemFSReadRacesLastClose(t *testing.T) {
 	m := NewMemFS()
 	for round := 1; round <= 20; round++ {
@@ -288,11 +289,12 @@ func TestMemFSReadRacesLastClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		f := memFileOf(g)
 		done := make(chan error)
 		go func() {
 			p := make([]byte, 4096)
 			for off := int64(0); ; off = (off + 4099) % (2*memChunkSize - 4096) {
-				if _, err := g.ReadAt(p, off); err != nil {
+				if _, err := f.readAt(p, off); err != nil {
 					done <- err
 					return
 				}
