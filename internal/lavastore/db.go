@@ -753,7 +753,9 @@ func (db *DB) buildTable(name string, fill func(w *tableWriter) error) (t *Table
 	if err = fill(w); err == nil {
 		err = w.Finish()
 	}
-	f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
