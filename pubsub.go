@@ -22,6 +22,7 @@ package abase
 // pub/sub clients) rather than buffering without bound.
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"strings"
@@ -37,16 +38,6 @@ const keyspacePrefix = "__keyspace@0__:"
 // pubsubOutBuffer is the per-connection push buffer (values, not
 // bytes); a full buffer disconnects the consumer.
 const pubsubOutBuffer = 256
-
-// pubsubAllowed lists the commands a subscribed connection may still
-// issue (Redis semantics).
-func pubsubAllowed(name string) bool {
-	switch name {
-	case "SUBSCRIBE", "UNSUBSCRIBE", "PSUBSCRIBE", "PUNSUBSCRIBE", "PING", "QUIT", "RESET":
-		return true
-	}
-	return false
-}
 
 // notifier is a session's live notification fan-out: one change
 // subscription feeding a bounded push buffer.
@@ -155,28 +146,18 @@ func (s *session) closeNotifier() {
 	}
 }
 
-// handlePubSub dispatches the push-protocol commands. handled reports
-// whether cmd was one of them.
-func (s *session) handlePubSub(cmd resp.Command) (v resp.Value, handled bool) {
-	switch cmd.Name {
-	case "SUBSCRIBE", "PSUBSCRIBE":
-		if len(cmd.Args) == 0 {
-			return wrongArgs(strings.ToLower(cmd.Name)), true
-		}
+// subscribeTo is SUBSCRIBE (patterns false) and PSUBSCRIBE (true):
+// it starts the session's notifier and confirms each channel or
+// pattern with a push.
+func subscribeTo(patterns bool) handler {
+	return func(s *session, _ context.Context, c *Client, cmd resp.Command) resp.Value {
 		if s.push == nil {
-			return resp.Err("ERR %s requires a network connection", cmd.Name), true
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV, true
+			return resp.Err("ERR %s requires a network connection", cmd.Name)
 		}
 		if v := s.startNotifier(c); v.Kind != 0 {
-			return v, true
+			return v
 		}
-		kind, set := "subscribe", s.channels
-		if cmd.Name == "PSUBSCRIBE" {
-			kind, set = "psubscribe", s.patterns
-		}
+		kind, set := strings.ToLower(cmd.Name), s.subscriptions(patterns)
 		s.subMu.Lock()
 		confirms := make([]resp.Value, 0, len(cmd.Args))
 		for _, arg := range cmd.Args {
@@ -185,21 +166,20 @@ func (s *session) handlePubSub(cmd resp.Command) (v resp.Value, handled bool) {
 				resp.BulkStr(kind), resp.Bulk(arg), resp.Int64(s.subCount())))
 		}
 		s.subMu.Unlock()
-		for _, v := range confirms {
-			if s.push.Push(v) != nil {
-				break
-			}
-		}
-		return resp.NoReply(), true
+		s.pushAll(confirms)
+		return resp.NoReply()
+	}
+}
 
-	case "UNSUBSCRIBE", "PUNSUBSCRIBE":
+// unsubscribeFrom is UNSUBSCRIBE (patterns false) and PUNSUBSCRIBE
+// (true): it drops the named channels or patterns, or all of them
+// when none is named, and confirms each with a push.
+func unsubscribeFrom(patterns bool) handler {
+	return func(s *session, _ context.Context, _ *Client, cmd resp.Command) resp.Value {
 		if s.push == nil {
-			return resp.Err("ERR %s requires a network connection", cmd.Name), true
+			return resp.Err("ERR %s requires a network connection", cmd.Name)
 		}
-		kind, set := "unsubscribe", s.channels
-		if cmd.Name == "PUNSUBSCRIBE" {
-			kind, set = "punsubscribe", s.patterns
-		}
+		kind, set := strings.ToLower(cmd.Name), s.subscriptions(patterns)
 		s.subMu.Lock()
 		targets := make([]string, 0, len(cmd.Args))
 		if len(cmd.Args) == 0 {
@@ -224,36 +204,50 @@ func (s *session) handlePubSub(cmd resp.Command) (v resp.Value, handled bool) {
 				resp.BulkStr(kind), resp.Null(), resp.Int64(s.subCount())))
 		}
 		s.subMu.Unlock()
-		for _, v := range confirms {
-			if s.push.Push(v) != nil {
-				break
-			}
-		}
-		return resp.NoReply(), true
-
-	case "RESET":
-		// Exits subscribed mode (among Redis RESET's duties; the rest
-		// of this server's per-connection state is AUTH and READONLY,
-		// which RESET also clears).
-		s.subMu.Lock()
-		s.channels = make(map[string]struct{})
-		s.patterns = make(map[string]struct{})
-		s.subMu.Unlock()
-		s.setReadPref(ReadPrimary)
-		return resp.Str("RESET"), true
-
-	case "QUIT":
-		if s.push != nil {
-			s.push.Push(resp.OK())
-			s.push.Kick()
-			return resp.NoReply(), true
-		}
-		return resp.OK(), true
+		s.pushAll(confirms)
+		return resp.NoReply()
 	}
-	return resp.Value{}, false
 }
 
-// handleChanges implements the CHANGES polling command:
+// subscriptions returns the session's pattern set or its channel set.
+func (s *session) subscriptions(patterns bool) map[string]struct{} {
+	if patterns {
+		return s.patterns
+	}
+	return s.channels
+}
+
+// pushAll pushes vs in order, stopping at the first failed push.
+func (s *session) pushAll(vs []resp.Value) {
+	for _, v := range vs {
+		if s.push.Push(v) != nil {
+			return
+		}
+	}
+}
+
+// reset exits subscribed mode (among Redis RESET's duties; the rest of
+// this server's per-connection state is AUTH and READONLY, which RESET
+// also clears).
+func (s *session) reset(context.Context, *Client, resp.Command) resp.Value {
+	s.subMu.Lock()
+	s.channels = make(map[string]struct{})
+	s.patterns = make(map[string]struct{})
+	s.subMu.Unlock()
+	s.setReadPref(ReadPrimary)
+	return resp.Str("RESET")
+}
+
+func (s *session) quit(context.Context, *Client, resp.Command) resp.Value {
+	if s.push != nil {
+		s.push.Push(resp.OK())
+		s.push.Kick()
+		return resp.NoReply()
+	}
+	return resp.OK()
+}
+
+// changes implements the CHANGES polling command:
 //
 //	CHANGES <token|0|$> [COUNT n]
 //
@@ -262,18 +256,12 @@ func (s *session) handlePubSub(cmd resp.Command) (v resp.Value, handled bool) {
 // (the XREAD idiom for "new events only"). The reply is a two-element
 // array: the resume token for the next call, and an array of events,
 // each [partition, seq, op, key, value] with a nil value for deletes.
-func (s *session) handleChanges(cmd resp.Command) resp.Value {
-	if len(cmd.Args) != 1 && len(cmd.Args) != 3 {
-		return wrongArgs("changes")
-	}
-	c, errV := s.client()
-	if c == nil {
-		return errV
-	}
-	ctx, cancel := s.cmdCtx()
-	defer cancel()
+func (s *session) changes(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
 	count := 256
-	if len(cmd.Args) == 3 {
+	switch len(cmd.Args) {
+	case 2:
+		return wrongArgs(cmd.Name)
+	case 3:
 		if !strings.EqualFold(string(cmd.Args[1]), "COUNT") {
 			return resp.Err("ERR syntax error")
 		}

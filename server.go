@@ -179,8 +179,10 @@ func (s *session) setReadPref(pref ReadPreference) {
 	}
 }
 
+// wrongArgs is the reply to a command given an argument count it does
+// not accept.
 func wrongArgs(name string) resp.Value {
-	return resp.Err("ERR wrong number of arguments for '%s' command", name)
+	return resp.Err("ERR wrong number of arguments for '%s' command", strings.ToLower(name))
 }
 
 func opErr(err error) resp.Value {
@@ -218,519 +220,441 @@ func firstKeyErr(err error) error {
 	return err
 }
 
-// Handle implements resp.Handler.
+// command is one row of the session's command table: the argument
+// counts the command accepts, whether it runs as the selected tenant,
+// whether a subscribed connection may issue it, and its handler.
+// Adding a command is adding a row.
+type command struct {
+	min, max   int  // accepted argument counts; max < 0 is unbounded
+	tenant     bool // resolves the session's client before run
+	subscribed bool // allowed in subscribed mode (Redis semantics)
+	run        handler
+}
+
+// handler runs one command. c is the session's client and ctx the
+// command's context; both are nil unless the command's row needs a
+// tenant.
+type handler func(s *session, ctx context.Context, c *Client, cmd resp.Command) resp.Value
+
+// commands is the session's command table, keyed by upper-case name:
+// {min args, max args, tenant, subscribed, handler}.
+var commands = map[string]command{
+	"PING":      {0, -1, false, true, (*session).pong},
+	"AUTH":      {1, 1, false, false, (*session).auth},
+	"GET":       {1, 1, true, false, (*session).get},
+	"SET":       {2, -1, true, false, (*session).set},
+	"DEL":       {1, -1, true, false, (*session).del},
+	"EXISTS":    {1, -1, true, false, (*session).exists},
+	"MGET":      {1, -1, true, false, (*session).mget},
+	"MSET":      {2, -1, true, false, (*session).mset},
+	"HSET":      {3, -1, true, false, (*session).hset},
+	"HGET":      {2, 2, true, false, (*session).hget},
+	"HLEN":      {1, 1, true, false, (*session).hlen},
+	"HGETALL":   {1, 1, true, false, (*session).hgetall},
+	"HDEL":      {2, -1, true, false, (*session).hdel},
+	"TTL":       {1, 1, true, false, ttlIn(time.Second)},
+	"PTTL":      {1, 1, true, false, ttlIn(time.Millisecond)},
+	"EXPIRE":    {2, 2, true, false, (*session).expire},
+	"PERSIST":   {1, 1, true, false, (*session).persist},
+	"SCAN":      {1, -1, true, false, (*session).scan},
+	"KEYS":      {1, 1, true, false, (*session).keys},
+	"DBSIZE":    {0, 0, true, false, (*session).dbsize},
+	"HOTKEYS":   {0, 1, true, false, (*session).hotkeys},
+	"CHANGES":   {1, 3, true, false, (*session).changes},
+	"READONLY":  {0, 0, false, false, readPref(ReadFollower)},
+	"READWRITE": {0, 0, false, false, readPref(ReadPrimary)},
+	"COMMAND":   {0, -1, false, false, (*session).noDocs},
+	// The push protocol, in pubsub.go.
+	"SUBSCRIBE":    {1, -1, true, true, subscribeTo(false)},
+	"PSUBSCRIBE":   {1, -1, true, true, subscribeTo(true)},
+	"UNSUBSCRIBE":  {0, -1, false, true, unsubscribeFrom(false)},
+	"PUNSUBSCRIBE": {0, -1, false, true, unsubscribeFrom(true)},
+	"RESET":        {0, -1, false, true, (*session).reset},
+	"QUIT":         {0, -1, false, true, (*session).quit},
+}
+
+// Handle implements resp.Handler: it looks the command up and applies
+// the checks every command shares, in order — subscribed mode, then
+// the argument count, then the tenant — before running it.
 func (s *session) Handle(cmd resp.Command) resp.Value {
-	// Push-protocol commands first, then the subscribed-mode state
-	// machine: once a connection has subscriptions, only the pub/sub
-	// command family (plus PING/QUIT/RESET) is legal until it
-	// unsubscribes (Redis semantics).
-	if v, handled := s.handlePubSub(cmd); handled {
-		return v
-	}
-	if s.subscribed() && !pubsubAllowed(cmd.Name) {
+	row, ok := commands[cmd.Name]
+	// Once a connection has subscriptions, only the pub/sub family
+	// (plus PING/QUIT/RESET) is legal until it unsubscribes.
+	if !row.subscribed && s.subscribed() {
 		return resp.Err("ERR Can't execute '%s': only (P)SUBSCRIBE / (P)UNSUBSCRIBE / PING / QUIT / RESET are allowed in this context",
 			strings.ToLower(cmd.Name))
 	}
+	if !ok {
+		return resp.Err("ERR unknown command '%s'", cmd.Name)
+	}
+	if n := len(cmd.Args); n < row.min || row.max >= 0 && n > row.max {
+		return wrongArgs(cmd.Name)
+	}
+	if !row.tenant {
+		return row.run(s, nil, nil, cmd)
+	}
+	c, errV := s.client()
+	if c == nil {
+		return errV
+	}
 	ctx, cancel := s.cmdCtx()
 	defer cancel()
-	switch cmd.Name {
-	case "PING":
-		return resp.Pong()
+	return row.run(s, ctx, c, cmd)
+}
 
-	case "CHANGES":
-		return s.handleChanges(cmd)
+func (*session) pong(context.Context, *Client, resp.Command) resp.Value { return resp.Pong() }
 
-	case "AUTH":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("auth")
-		}
-		if errV := s.use(string(cmd.Args[0])); errV.Kind != 0 {
-			return errV
-		}
+// noDocs answers COMMAND, which clients probe at connect, with an
+// empty list.
+func (*session) noDocs(context.Context, *Client, resp.Command) resp.Value { return resp.Arr() }
+
+func (s *session) auth(_ context.Context, _ *Client, cmd resp.Command) resp.Value {
+	if errV := s.use(string(cmd.Args[0])); errV.Kind != 0 {
+		return errV
+	}
+	return resp.OK()
+}
+
+// readPref is READONLY and READWRITE. READONLY opts the connection
+// into serving reads from replicas (Redis Cluster semantics): here
+// staleness-bounded follower reads, so it keeps reading through a
+// primary outage. READWRITE returns to primary reads
+// (read-your-writes).
+func readPref(pref ReadPreference) handler {
+	return func(s *session, _ context.Context, _ *Client, _ resp.Command) resp.Value {
+		s.setReadPref(pref)
 		return resp.OK()
+	}
+}
 
-	case "GET":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("get")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		v, err := c.Get(ctx, cmd.Args[0])
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Bulk(v)
+func (s *session) get(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	v, err := c.Get(ctx, cmd.Args[0])
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Bulk(v)
+}
 
-	case "SET":
-		if len(cmd.Args) < 2 {
-			return wrongArgs("set")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		var opts []SetOption
-		var nx, xx, get, keepTTL, ttlSet bool
-		for i := 2; i < len(cmd.Args); i++ {
-			switch strings.ToUpper(string(cmd.Args[i])) {
-			case "EX", "PX":
-				// Redis rejects duplicate or conflicting EX/PX options,
-				// and KEEPTTL combined with an explicit expiry.
-				if ttlSet || keepTTL || i+1 >= len(cmd.Args) {
-					return resp.Err("ERR syntax error")
-				}
-				n, err := strconv.Atoi(string(cmd.Args[i+1]))
-				if err != nil || n <= 0 {
-					return resp.Err("ERR invalid expire time")
-				}
-				unit := time.Second
-				if strings.EqualFold(string(cmd.Args[i]), "PX") {
-					unit = time.Millisecond
-				}
-				opts = append(opts, WithTTL(time.Duration(n)*unit))
-				ttlSet = true
-				i++
-			case "NX":
-				if xx {
-					return resp.Err("ERR syntax error")
-				}
-				nx = true
-				opts = append(opts, IfNotExists())
-			case "XX":
-				if nx {
-					return resp.Err("ERR syntax error")
-				}
-				xx = true
-				opts = append(opts, IfExists())
-			case "GET":
-				get = true
-				opts = append(opts, ReturnOld())
-			case "KEEPTTL":
-				if ttlSet {
-					return resp.Err("ERR syntax error")
-				}
-				keepTTL = true
-				opts = append(opts, KeepTTL())
-			default:
+func (s *session) set(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	var opts []SetOption
+	var nx, xx, get, keepTTL, ttlSet bool
+	for i := 2; i < len(cmd.Args); i++ {
+		switch strings.ToUpper(string(cmd.Args[i])) {
+		case "EX", "PX":
+			// Redis rejects duplicate or conflicting EX/PX options,
+			// and KEEPTTL combined with an explicit expiry.
+			if ttlSet || keepTTL || i+1 >= len(cmd.Args) {
 				return resp.Err("ERR syntax error")
 			}
-		}
-		// One write either way: a SET without NX/XX/GET/KEEPTTL is a
-		// mutation that needs nothing of the old record, so the primary
-		// pays for no probe.
-		res, err := c.SetWith(ctx, cmd.Args[0], cmd.Args[1], opts...)
-		if err != nil {
-			return opErr(err)
-		}
-		switch {
-		case get:
-			// With GET the reply is always the old value: nil when the
-			// key was absent (including an NX miss that did write).
-			if !res.OldExists {
-				return resp.Null()
+			n, err := strconv.Atoi(string(cmd.Args[i+1]))
+			if err != nil || n <= 0 {
+				return resp.Err("ERR invalid expire time")
 			}
-			return resp.Bulk(res.Old)
-		case !res.Written:
-			// NX/XX condition not met: Redis replies nil, not an error.
+			unit := time.Second
+			if strings.EqualFold(string(cmd.Args[i]), "PX") {
+				unit = time.Millisecond
+			}
+			opts = append(opts, WithTTL(time.Duration(n)*unit))
+			ttlSet = true
+			i++
+		case "NX":
+			if xx {
+				return resp.Err("ERR syntax error")
+			}
+			nx = true
+			opts = append(opts, IfNotExists())
+		case "XX":
+			if nx {
+				return resp.Err("ERR syntax error")
+			}
+			xx = true
+			opts = append(opts, IfExists())
+		case "GET":
+			get = true
+			opts = append(opts, ReturnOld())
+		case "KEEPTTL":
+			if ttlSet {
+				return resp.Err("ERR syntax error")
+			}
+			keepTTL = true
+			opts = append(opts, KeepTTL())
+		default:
+			return resp.Err("ERR syntax error")
+		}
+	}
+	// One write either way: a SET without NX/XX/GET/KEEPTTL is a
+	// mutation that needs nothing of the old record, so the primary
+	// pays for no probe.
+	res, err := c.SetWith(ctx, cmd.Args[0], cmd.Args[1], opts...)
+	if err != nil {
+		return opErr(err)
+	}
+	switch {
+	case get:
+		// With GET the reply is always the old value: nil when the
+		// key was absent (including an NX miss that did write).
+		if !res.OldExists {
 			return resp.Null()
-		default:
-			return resp.OK()
 		}
-
-	case "DEL":
-		if len(cmd.Args) < 1 {
-			return wrongArgs("del")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		deleted, err := c.MDelete(ctx, cmd.Args...)
-		if err != nil {
-			return opErr(firstKeyErr(err))
-		}
-		return resp.Int64(int64(deleted))
-
-	case "EXISTS":
-		if len(cmd.Args) < 1 {
-			return wrongArgs("exists")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		exists, err := c.MExists(ctx, cmd.Args...)
-		if err != nil {
-			return opErr(firstKeyErr(err))
-		}
-		count := int64(0)
-		for _, ok := range exists {
-			if ok {
-				count++
-			}
-		}
-		return resp.Int64(count)
-
-	case "MGET":
-		if len(cmd.Args) < 1 {
-			return wrongArgs("mget")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		vs, err := c.MGet(ctx, cmd.Args...)
-		var be *BatchError
-		if err != nil && !errors.As(err, &be) {
-			return opErr(err)
-		}
-		// Per-key reply slots: missing keys are null, failed keys carry
-		// their own error value — one throttled key no longer aborts the
-		// whole reply.
-		out := make([]resp.Value, len(vs))
-		for i, v := range vs {
-			switch {
-			case be != nil && be.Errs[i] != nil:
-				out[i] = opErr(be.Errs[i])
-			case v == nil:
-				out[i] = resp.Null()
-			default:
-				out[i] = resp.Bulk(v)
-			}
-		}
-		return resp.Arr(out...)
-
-	case "MSET":
-		if len(cmd.Args) < 2 || len(cmd.Args)%2 != 0 {
-			return wrongArgs("mset")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		kvs := make([]KV, 0, len(cmd.Args)/2)
-		for i := 0; i < len(cmd.Args); i += 2 {
-			kvs = append(kvs, KV{Key: cmd.Args[i], Value: cmd.Args[i+1]})
-		}
-		if err := c.MSetPairs(ctx, kvs); err != nil {
-			return opErr(firstKeyErr(err))
-		}
+		return resp.Bulk(res.Old)
+	case !res.Written:
+		// NX/XX condition not met: Redis replies nil, not an error.
+		return resp.Null()
+	default:
 		return resp.OK()
+	}
+}
 
-	case "HSET":
-		if len(cmd.Args) < 3 || len(cmd.Args)%2 != 1 {
-			return wrongArgs("hset")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		// One command is one admission: all field/value pairs travel as
-		// a single multi-field write instead of one round trip per pair.
-		fvs := make([]FieldValue, 0, len(cmd.Args)/2)
-		for i := 1; i < len(cmd.Args); i += 2 {
-			fvs = append(fvs, FieldValue{Field: string(cmd.Args[i]), Value: cmd.Args[i+1]})
-		}
-		added, err := c.HSetFields(ctx, cmd.Args[0], fvs)
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Int64(int64(added))
+func (s *session) del(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	deleted, err := c.MDelete(ctx, cmd.Args...)
+	if err != nil {
+		return opErr(firstKeyErr(err))
+	}
+	return resp.Int64(int64(deleted))
+}
 
-	case "HGET":
-		if len(cmd.Args) != 2 {
-			return wrongArgs("hget")
+func (s *session) exists(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	exists, err := c.MExists(ctx, cmd.Args...)
+	if err != nil {
+		return opErr(firstKeyErr(err))
+	}
+	count := int64(0)
+	for _, ok := range exists {
+		if ok {
+			count++
 		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		v, err := c.HGet(ctx, cmd.Args[0], string(cmd.Args[1]))
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Bulk(v)
+	}
+	return resp.Int64(count)
+}
 
-	case "HLEN":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("hlen")
+func (s *session) mget(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	vs, err := c.MGet(ctx, cmd.Args...)
+	var be *BatchError
+	if err != nil && !errors.As(err, &be) {
+		return opErr(err)
+	}
+	// Per-key reply slots: missing keys are null, failed keys carry
+	// their own error value — one throttled key no longer aborts the
+	// whole reply.
+	out := make([]resp.Value, len(vs))
+	for i, v := range vs {
+		switch {
+		case be != nil && be.Errs[i] != nil:
+			out[i] = opErr(be.Errs[i])
+		case v == nil:
+			out[i] = resp.Null()
+		default:
+			out[i] = resp.Bulk(v)
 		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		n, err := c.HLen(ctx, cmd.Args[0])
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Int64(int64(n))
+	}
+	return resp.Arr(out...)
+}
 
-	case "HGETALL":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("hgetall")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		m, err := c.HGetAll(ctx, cmd.Args[0])
-		if err != nil {
-			return opErr(err)
-		}
-		out := make([]resp.Value, 0, len(m)*2)
-		for f, v := range m {
-			out = append(out, resp.BulkStr(f), resp.Bulk(v))
-		}
-		return resp.Arr(out...)
+func (s *session) mset(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	if len(cmd.Args)%2 != 0 {
+		return wrongArgs(cmd.Name)
+	}
+	kvs := make([]KV, 0, len(cmd.Args)/2)
+	for i := 0; i < len(cmd.Args); i += 2 {
+		kvs = append(kvs, KV{Key: cmd.Args[i], Value: cmd.Args[i+1]})
+	}
+	if err := c.MSetPairs(ctx, kvs); err != nil {
+		return opErr(firstKeyErr(err))
+	}
+	return resp.OK()
+}
 
-	case "HDEL":
-		if len(cmd.Args) < 2 {
-			return wrongArgs("hdel")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		fields := make([]string, len(cmd.Args)-1)
-		for i, f := range cmd.Args[1:] {
-			fields[i] = string(f)
-		}
-		n, err := c.HDel(ctx, cmd.Args[0], fields...)
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Int64(int64(n))
+func (s *session) hset(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	if len(cmd.Args)%2 != 1 {
+		return wrongArgs(cmd.Name)
+	}
+	// One command is one admission: all field/value pairs travel as a
+	// single multi-field write instead of one round trip per pair.
+	fvs := make([]FieldValue, 0, len(cmd.Args)/2)
+	for i := 1; i < len(cmd.Args); i += 2 {
+		fvs = append(fvs, FieldValue{Field: string(cmd.Args[i]), Value: cmd.Args[i+1]})
+	}
+	added, err := c.HSetFields(ctx, cmd.Args[0], fvs)
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Int64(int64(added))
+}
 
-	case "TTL":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("ttl")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
+func (s *session) hget(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	v, err := c.HGet(ctx, cmd.Args[0], string(cmd.Args[1]))
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Bulk(v)
+}
+
+func (s *session) hlen(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	n, err := c.HLen(ctx, cmd.Args[0])
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Int64(int64(n))
+}
+
+func (s *session) hgetall(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	m, err := c.HGetAll(ctx, cmd.Args[0])
+	if err != nil {
+		return opErr(err)
+	}
+	out := make([]resp.Value, 0, len(m)*2)
+	for f, v := range m {
+		out = append(out, resp.BulkStr(f), resp.Bulk(v))
+	}
+	return resp.Arr(out...)
+}
+
+func (s *session) hdel(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	fields := make([]string, len(cmd.Args)-1)
+	for i, f := range cmd.Args[1:] {
+		fields[i] = string(f)
+	}
+	n, err := c.HDel(ctx, cmd.Args[0], fields...)
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Int64(int64(n))
+}
+
+// ttlIn is TTL (unit time.Second) and PTTL (time.Millisecond), with
+// Redis's -2 for a missing key and -1 for one without an expiry. The
+// remainder rounds up, so a key with 900ms left reports 1 second, not
+// 0: a live key never reports that it has expired.
+func ttlIn(unit time.Duration) handler {
+	return func(_ *session, ctx context.Context, c *Client, cmd resp.Command) resp.Value {
 		ttl, hasTTL, err := c.TTL(ctx, cmd.Args[0])
 		switch {
 		case errors.Is(err, ErrNotFound):
-			return resp.Int64(-2) // Redis: key does not exist
+			return resp.Int64(-2)
 		case err != nil:
 			return opErr(err)
 		case !hasTTL:
-			return resp.Int64(-1) // Redis: no associated expire
-		default:
-			// Round up like Redis: a key with 900ms left reports 1, not 0.
-			return resp.Int64(int64((ttl + time.Second - 1) / time.Second))
+			return resp.Int64(-1)
 		}
+		return resp.Int64(int64((ttl + unit - 1) / unit))
+	}
+}
 
-	case "EXPIRE":
-		if len(cmd.Args) != 2 {
-			return wrongArgs("expire")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		sec, err := strconv.Atoi(string(cmd.Args[1]))
-		if err != nil {
-			return resp.Err("ERR value is not an integer or out of range")
-		}
-		if sec <= 0 {
-			// Redis semantics: a zero or negative expiry deletes the key
-			// immediately and replies 1 (0 when it did not exist).
-			switch err := c.Delete(ctx, cmd.Args[0]); {
-			case errors.Is(err, ErrNotFound):
-				return resp.Int64(0)
-			case err != nil:
-				return opErr(err)
-			default:
-				return resp.Int64(1)
-			}
-		}
-		switch err := c.Expire(ctx, cmd.Args[0], time.Duration(sec)*time.Second); {
-		case errors.Is(err, ErrNotFound):
-			return resp.Int64(0)
-		case err != nil:
-			return opErr(err)
-		default:
-			return resp.Int64(1)
-		}
+// changed is the 0/1 reply of EXPIRE and PERSIST: 1 when the key
+// exists and the command changed it, 0 when it is absent or unchanged.
+func changed(ok bool, err error) resp.Value {
+	switch {
+	case errors.Is(err, ErrNotFound):
+		return resp.Int64(0)
+	case err != nil:
+		return opErr(err)
+	case ok:
+		return resp.Int64(1)
+	}
+	return resp.Int64(0)
+}
 
-	case "PERSIST":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("persist")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		removed, err := c.Persist(ctx, cmd.Args[0])
-		switch {
-		case errors.Is(err, ErrNotFound):
-			return resp.Int64(0)
-		case err != nil:
-			return opErr(err)
-		case removed:
-			return resp.Int64(1)
-		default:
-			return resp.Int64(0) // key exists but had no TTL
-		}
+func (s *session) expire(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	sec, err := strconv.Atoi(string(cmd.Args[1]))
+	if err != nil {
+		return resp.Err("ERR value is not an integer or out of range")
+	}
+	if sec <= 0 {
+		// Redis semantics: a zero or negative expiry deletes the key
+		// immediately.
+		return changed(true, c.Delete(ctx, cmd.Args[0]))
+	}
+	return changed(true, c.Expire(ctx, cmd.Args[0], time.Duration(sec)*time.Second))
+}
 
-	case "PTTL":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("pttl")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		ttl, hasTTL, err := c.TTL(ctx, cmd.Args[0])
-		switch {
-		case errors.Is(err, ErrNotFound):
-			return resp.Int64(-2) // Redis: key does not exist
-		case err != nil:
-			return opErr(err)
-		case !hasTTL:
-			return resp.Int64(-1) // Redis: no associated expire
-		default:
-			return resp.Int64(ttl.Milliseconds())
-		}
+func (s *session) persist(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	return changed(c.Persist(ctx, cmd.Args[0]))
+}
 
-	case "SCAN":
-		if len(cmd.Args) < 1 {
-			return wrongArgs("scan")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		cursor, ok := cursorFromWire(string(cmd.Args[0]))
-		if !ok {
-			return resp.Err("ERR invalid cursor")
-		}
-		match := ""
-		count := 0
-		for i := 1; i < len(cmd.Args); i++ {
-			switch strings.ToUpper(string(cmd.Args[i])) {
-			case "MATCH":
-				if i+1 >= len(cmd.Args) {
-					return resp.Err("ERR syntax error")
-				}
-				match = string(cmd.Args[i+1])
-				i++
-			case "COUNT":
-				if i+1 >= len(cmd.Args) {
-					return resp.Err("ERR syntax error")
-				}
-				n, err := strconv.Atoi(string(cmd.Args[i+1]))
-				if err != nil || n <= 0 {
-					return resp.Err("ERR value is not an integer or out of range")
-				}
-				count = n
-				i++
-			default:
+func (s *session) scan(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	cursor, ok := cursorFromWire(string(cmd.Args[0]))
+	if !ok {
+		return resp.Err("ERR invalid cursor")
+	}
+	match := ""
+	count := 0
+	for i := 1; i < len(cmd.Args); i++ {
+		switch strings.ToUpper(string(cmd.Args[i])) {
+		case "MATCH":
+			if i+1 >= len(cmd.Args) {
 				return resp.Err("ERR syntax error")
 			}
-		}
-		keys, next, err := c.Scan(ctx, cursor, match, count)
-		if err != nil {
-			if errors.Is(err, ErrBadCursor) {
-				return resp.Err("ERR invalid cursor")
+			match = string(cmd.Args[i+1])
+			i++
+		case "COUNT":
+			if i+1 >= len(cmd.Args) {
+				return resp.Err("ERR syntax error")
 			}
-			return opErr(err)
-		}
-		out := make([]resp.Value, len(keys))
-		for i, k := range keys {
-			out[i] = resp.Bulk(k)
-		}
-		return resp.Arr(resp.BulkStr(cursorToWire(next)), resp.Arr(out...))
-
-	case "KEYS":
-		if len(cmd.Args) != 1 {
-			return wrongArgs("keys")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		keys, err := c.Keys(ctx, string(cmd.Args[0]))
-		if err != nil {
-			return opErr(err)
-		}
-		out := make([]resp.Value, len(keys))
-		for i, k := range keys {
-			out[i] = resp.Bulk(k)
-		}
-		return resp.Arr(out...)
-
-	case "DBSIZE":
-		if len(cmd.Args) != 0 {
-			return wrongArgs("dbsize")
-		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		n, err := c.DBSize(ctx)
-		if err != nil {
-			return opErr(err)
-		}
-		return resp.Int64(n)
-
-	case "HOTKEYS":
-		// Admin command: HOTKEYS [count] returns the tenant's current
-		// heavy hitters as a flat key/estimated-count pair list,
-		// hottest first. Counts are decayed window estimates from the
-		// data plane's hotspot sketches.
-		if len(cmd.Args) > 1 {
-			return wrongArgs("hotkeys")
-		}
-		count := 10
-		if len(cmd.Args) == 1 {
-			n, err := strconv.Atoi(string(cmd.Args[0]))
+			n, err := strconv.Atoi(string(cmd.Args[i+1]))
 			if err != nil || n <= 0 {
 				return resp.Err("ERR value is not an integer or out of range")
 			}
 			count = n
+			i++
+		default:
+			return resp.Err("ERR syntax error")
 		}
-		c, errV := s.client()
-		if c == nil {
-			return errV
-		}
-		hot, err := c.HotKeys(ctx, count)
-		if err != nil {
-			return opErr(err)
-		}
-		out := make([]resp.Value, 0, len(hot)*2)
-		for _, hk := range hot {
-			out = append(out, resp.Bulk(hk.Key), resp.Int64(int64(hk.Count+0.5)))
-		}
-		return resp.Arr(out...)
-
-	case "READONLY":
-		// Redis Cluster semantics: the connection opts into serving
-		// reads from replicas. Here that enables staleness-bounded
-		// follower reads — the connection keeps reading through a
-		// primary outage.
-		if len(cmd.Args) != 0 {
-			return wrongArgs("readonly")
-		}
-		s.setReadPref(ReadFollower)
-		return resp.OK()
-
-	case "READWRITE":
-		// Back to primary reads (read-your-writes).
-		if len(cmd.Args) != 0 {
-			return wrongArgs("readwrite")
-		}
-		s.setReadPref(ReadPrimary)
-		return resp.OK()
-
-	case "COMMAND":
-		return resp.Arr() // clients probe this at connect
-
-	default:
-		return resp.Err("ERR unknown command '%s'", cmd.Name)
 	}
+	keys, next, err := c.Scan(ctx, cursor, match, count)
+	if err != nil {
+		if errors.Is(err, ErrBadCursor) {
+			return resp.Err("ERR invalid cursor")
+		}
+		return opErr(err)
+	}
+	return resp.Arr(resp.BulkStr(cursorToWire(next)), bulkArr(keys))
+}
+
+func (s *session) keys(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	keys, err := c.Keys(ctx, string(cmd.Args[0]))
+	if err != nil {
+		return opErr(err)
+	}
+	return bulkArr(keys)
+}
+
+// bulkArr is keys as an array of bulk strings.
+func bulkArr(keys [][]byte) resp.Value {
+	out := make([]resp.Value, len(keys))
+	for i, k := range keys {
+		out[i] = resp.Bulk(k)
+	}
+	return resp.Arr(out...)
+}
+
+func (s *session) dbsize(ctx context.Context, c *Client, _ resp.Command) resp.Value {
+	n, err := c.DBSize(ctx)
+	if err != nil {
+		return opErr(err)
+	}
+	return resp.Int64(n)
+}
+
+// hotkeys is the admin command HOTKEYS [count]: the tenant's current
+// heavy hitters as a flat key/estimated-count pair list, hottest
+// first. Counts are decayed window estimates from the data plane's
+// hotspot sketches.
+func (s *session) hotkeys(ctx context.Context, c *Client, cmd resp.Command) resp.Value {
+	count := 10
+	if len(cmd.Args) == 1 {
+		n, err := strconv.Atoi(string(cmd.Args[0]))
+		if err != nil || n <= 0 {
+			return resp.Err("ERR value is not an integer or out of range")
+		}
+		count = n
+	}
+	hot, err := c.HotKeys(ctx, count)
+	if err != nil {
+		return opErr(err)
+	}
+	out := make([]resp.Value, 0, len(hot)*2)
+	for _, hk := range hot {
+		out = append(out, resp.Bulk(hk.Key), resp.Int64(int64(hk.Count+0.5)))
+	}
+	return resp.Arr(out...)
 }
