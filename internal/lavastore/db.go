@@ -105,6 +105,7 @@ type DB struct {
 	retain    uint64           // retention floor; noRetention = delete flushed segments
 	notify    func(seq uint64) // commit hook, see SetCommitNotify
 	flushMu   sync.Mutex       // serializes flushes so table order matches freeze order
+	frozen    []frozenMem      // guarded by flushMu: frozen memtables not yet written, oldest first
 	compactMu sync.Mutex       // serializes compactions
 
 	flushes        int64
@@ -201,7 +202,7 @@ func (db *DB) recover() ([]string, error) {
 			return nil, fmt.Errorf("lavastore: recover open %s: %w", n, err)
 		}
 		t, err := openTable(f, n)
-		if err != nil {
+		if errors.Is(err, errBadTable) {
 			// A table that does not parse is a flush or compaction the
 			// crash interrupted: its contents are still covered by the
 			// WAL (flush keeps the old log until the table is durable)
@@ -211,6 +212,13 @@ func (db *DB) recover() ([]string, error) {
 			f.Close()
 			db.opt.FS.Remove(db.filePath(n))
 			continue
+		}
+		if err != nil { // a read fault, not a torn table: keep the file
+			f.Close()
+			for _, t := range tables {
+				t.Close()
+			}
+			return nil, fmt.Errorf("lavastore: recover read %s: %w", n, err)
 		}
 		tables = append(tables, t)
 	}
@@ -562,8 +570,18 @@ func (db *DB) Flush() error {
 	return nil
 }
 
+// frozenMem is a frozen memtable waiting for its table, with the
+// sealed WAL segment that holds its records.
+type frozenMem struct {
+	mem *skiplist.List
+	wal string
+}
+
 // doFlush is Flush's body; it acquires flushMu itself and reports
-// whether the table count crossed the compaction threshold.
+// whether the table count crossed the compaction threshold. It freezes
+// the memtable, then writes every frozen memtable oldest first: one a
+// failed flush left behind goes before the memtable frozen now, so a
+// table's file number stays the age of its content.
 func (db *DB) doFlush() (tooMany bool, err error) {
 	db.flushMu.Lock()
 	defer db.flushMu.Unlock()
@@ -572,28 +590,36 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		db.mu.Unlock()
 		return false, ErrClosed
 	}
-	if db.mem.Len() == 0 {
-		db.mu.Unlock()
-		return false, nil
+	if db.mem.Len() > 0 {
+		// The old WAL holds the frozen memtable's records; it must
+		// outlive the flush (sealed below only once the table is
+		// installed), or a crash mid-flush would lose every
+		// acknowledged write in it.
+		oldWAL, err := db.rotateWAL()
+		if err != nil {
+			db.mu.Unlock()
+			return false, err
+		}
+		imm := db.v.imm
+		db.installLocked(append(imm[:len(imm):len(imm)], db.mem), db.v.tables)
+		db.frozen = append(db.frozen, frozenMem{mem: db.mem, wal: oldWAL})
+		db.mem = skiplist.New(1)
 	}
-	frozen := db.mem
-	imm := db.v.imm
-	db.installLocked(append(imm[:len(imm):len(imm)], frozen), db.v.tables)
-	db.mem = skiplist.New(1)
-	// The old WAL holds frozen's records; it must outlive this flush
-	// (removed below only once the SSTable is installed), or a crash
-	// mid-flush would lose every acknowledged write in frozen.
-	oldWAL, err := db.rotateWAL()
-	if err != nil {
-		db.mu.Unlock()
-		return false, err
-	}
-	num := db.nextFile
-	db.nextFile++
 	db.mu.Unlock()
+	for len(db.frozen) > 0 {
+		if tooMany, err = db.flushFrozen(db.frozen[0]); err != nil {
+			return false, err
+		}
+		db.frozen = db.frozen[1:]
+	}
+	return tooMany, nil
+}
 
-	t, err := db.buildTable(fmt.Sprintf("%06d.sst", num), func(w *tableWriter) error {
-		it := frozen.NewIterator()
+// flushFrozen writes one frozen memtable as the newest table and seals
+// its WAL segment. Callers hold flushMu.
+func (db *DB) flushFrozen(fm frozenMem) (tooMany bool, err error) {
+	t, err := db.buildTable(fmt.Sprintf("%06d.sst", db.allocFileNum()), func(w *tableWriter) error {
+		it := fm.mem.NewIterator()
 		for it.Next() {
 			if err := w.Add(it.Key(), it.Value()); err != nil {
 				return err
@@ -611,23 +637,19 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		t.Close()
 		return false, ErrClosed
 	}
-	// Remove frozen from imm and install the table as newest.
 	var rest []*skiplist.List
 	for _, m := range db.v.imm {
-		if m != frozen {
+		if m != fm.mem {
 			rest = append(rest, m)
 		}
 	}
 	db.installLocked(rest, append([]*Table{t}, db.v.tables...))
 	db.flushes++
 	tooMany = len(db.v.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
-	// frozen's records are durable in the installed table; its sealed
-	// WAL segment is now deletable — unless the change-log retention
-	// floor still references it for Replay.
-	var removeWALs []string
-	if oldWAL != "" {
-		removeWALs = db.sealFlushedLocked(oldWAL)
-	}
+	// The records are durable in the installed table; the sealed WAL
+	// segment is now deletable — unless the change-log retention floor
+	// still references it for Replay.
+	removeWALs := db.sealFlushedLocked(fm.wal)
 	db.mu.Unlock()
 
 	for _, n := range removeWALs {

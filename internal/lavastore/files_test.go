@@ -236,3 +236,83 @@ func TestFailedOpenClosesItsTables(t *testing.T) {
 		t.Fatalf("%d table handles open after the failed Open", fs.open)
 	}
 }
+
+// TestOpenKeepsTablesItCannotRead: a table whose reads fail during
+// Open is not a table a crash tore. Open fails, closes what it opened
+// and keeps the file, so an Open after the fault clears serves every
+// key.
+func TestOpenKeepsTablesItCannotRead(t *testing.T) {
+	fs := &faultyFS{MemFS: NewMemFS()}
+	db := openMem(t, Options{FS: fs, Dir: "d", DisableAutoCompact: true})
+	for i := 0; i < 2; i++ {
+		if _, err := put(db, fmt.Sprintf("k%d", i), "v", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables := fs.tables(t, "d")
+	fs.open, fs.failRead = 0, true
+	if _, err := Open(Options{FS: fs, Dir: "d"}); !errors.Is(err, errInjected) {
+		t.Fatalf("Open err = %v, want the injected fault", err)
+	}
+	fs.failRead = false
+	if fs.open != 0 {
+		t.Errorf("%d table handles open after the failed Open", fs.open)
+	}
+	if got := fs.tables(t, "d"); !slices.Equal(got, tables) {
+		t.Fatalf("tables %v after the failed Open, want %v", got, tables)
+	}
+	db = openMem(t, Options{FS: fs, Dir: "d"})
+	for i := 0; i < 2; i++ {
+		if _, err := db.Get([]byte(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatalf("k%d: %v", i, err)
+		}
+	}
+}
+
+// TestFailedFlushIsRetried: the next flush writes the memtable a failed
+// flush froze, before the one it freezes itself, and seals its WAL
+// segment, so neither the memtable nor any later segment is kept for
+// good. The retried table is older than the next one: across a reopen
+// the newest value of a key written on both sides of the failure wins.
+func TestFailedFlushIsRetried(t *testing.T) {
+	fs := &faultyFS{MemFS: NewMemFS()}
+	db := openMem(t, Options{FS: fs, Dir: "d", DisableAutoCompact: true})
+	if _, err := put(db, "k", "old", 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.failWrite = true
+	if err := db.Flush(); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected fault", err)
+	}
+	fs.failWrite = false
+	if _, err := put(db, "k", "new", 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := put(db, fmt.Sprintf("f%d", i), "v", 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.mu.RLock()
+	imm, segs := len(db.v.imm), len(db.segs)
+	db.mu.RUnlock()
+	if imm != 0 || segs != 0 {
+		t.Fatalf("%d frozen memtables and %d sealed WAL segments kept, want none", imm, segs)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openMem(t, Options{FS: fs, Dir: "d"})
+	if r, err := db.Get([]byte("k")); err != nil || string(r.Value) != "new" {
+		t.Fatalf("k after reopen = %q, %v; want \"new\"", r.Value, err)
+	}
+}
