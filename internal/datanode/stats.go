@@ -80,20 +80,6 @@ func (n *Node) TenantRULedger(tenant string) (charged, refunded float64) {
 	return charged, refunded
 }
 
-// ResetTenantStats zeroes one tenant's counters (experiment windows).
-func (n *Node) ResetTenantStats(tenant string) {
-	n.mu.RLock()
-	ts, ok := n.tenants[tenant]
-	n.mu.RUnlock()
-	if !ok {
-		return
-	}
-	ts.reqs.Each(func(c *metrics.Requests) {
-		c.Reset()
-		c.RU.Set(0)
-	})
-}
-
 // HotKeys returns up to k heavy hitters of a hosted replica, hottest
 // first, with windowed (decayed) access-count estimates. k <= 0 returns
 // the whole summary. The summary is sampled (Config.HotSampleRate), so

@@ -325,22 +325,6 @@ func (m *Meta) NumPartitions(tenant string) (int, error) {
 	return len(t.Table.Partitions), nil
 }
 
-// RouteForIndex returns the routing entry for one partition addressed
-// by index rather than by key — the lookup a partition-ordered scan
-// cursor performs.
-func (m *Meta) RouteForIndex(tenant string, idx int) (partition.Route, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tenants[tenant]
-	if !ok {
-		return partition.Route{}, fmt.Errorf("%w: %s", ErrUnknownTenant, tenant)
-	}
-	if idx < 0 || idx >= len(t.Table.Partitions) {
-		return partition.Route{}, fmt.Errorf("%w: %s/%d", ErrUnknownPartition, tenant, idx)
-	}
-	return t.Table.Partitions[idx], nil
-}
-
 // RegisterProxy records a proxy for traffic-control monitoring.
 func (m *Meta) RegisterProxy(p RestrictableProxy) {
 	m.mu.Lock()

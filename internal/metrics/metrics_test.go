@@ -274,33 +274,6 @@ func TestSeriesAppendOrdered(t *testing.T) {
 	}
 }
 
-func TestSeriesLast(t *testing.T) {
-	s := NewSeries()
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series")
-	}
-	s.Append(time.Unix(5, 0), 42)
-	p, ok := s.Last()
-	if !ok || p.V != 42 {
-		t.Fatalf("Last = %v %v", p, ok)
-	}
-}
-
-func TestSeriesTrimBefore(t *testing.T) {
-	s := NewSeries()
-	t0 := time.Unix(0, 0)
-	for i := 0; i < 10; i++ {
-		s.Append(t0.Add(time.Duration(i)*time.Hour), float64(i))
-	}
-	s.TrimBefore(t0.Add(5 * time.Hour))
-	if s.Len() != 5 {
-		t.Fatalf("Len after trim = %d, want 5", s.Len())
-	}
-	if s.Points()[0].V != 5 {
-		t.Fatalf("first point after trim = %v", s.Points()[0])
-	}
-}
-
 func TestSeriesDownsample(t *testing.T) {
 	s := NewSeries()
 	t0 := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -527,15 +500,6 @@ func TestStats(t *testing.T) {
 	}
 	if m, s := Stats(nil); m != 0 || s != 0 {
 		t.Fatal("empty Stats should be 0,0")
-	}
-}
-
-func TestMaxFloat(t *testing.T) {
-	if MaxFloat([]float64{1, 9, 3}) != 9 {
-		t.Fatal("MaxFloat wrong")
-	}
-	if MaxFloat(nil) != 0 {
-		t.Fatal("MaxFloat(nil) != 0")
 	}
 }
 

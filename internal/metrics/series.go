@@ -79,27 +79,6 @@ func (s *Series) Values() []float64 {
 	return vs
 }
 
-// Last returns the most recent point and true, or the zero Point and
-// false when empty.
-func (s *Series) Last() (Point, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
-
-// TrimBefore discards points older than t.
-func (s *Series) TrimBefore(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := sort.Search(len(s.points), func(i int) bool { return !s.points[i].T.Before(t) })
-	if i > 0 {
-		s.points = append([]Point(nil), s.points[i:]...)
-	}
-}
-
 // Agg selects the statistic used when downsampling a bucket.
 type Agg int
 
@@ -214,18 +193,4 @@ func Stats(vs []float64) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(vs)))
 	return mean, std
-}
-
-// MaxFloat returns the maximum value, or 0 for an empty slice.
-func MaxFloat(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -567,9 +567,6 @@ func (f *Fleet) Proxies() []*Proxy { return f.proxies }
 // Tenant returns the owning tenant's name.
 func (f *Fleet) Tenant() string { return f.tenant }
 
-// NumGroups returns n.
-func (f *Fleet) NumGroups() int { return len(f.groups) }
-
 // AggregateStats sums the stats across the fleet.
 func (f *Fleet) AggregateStats() Stats {
 	var out Stats

@@ -177,8 +177,8 @@ func TestFleetRoutesConsistently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumGroups() != 4 || len(f.Proxies()) != 8 {
-		t.Fatalf("fleet shape: %d groups %d proxies", f.NumGroups(), len(f.Proxies()))
+	if len(f.groups) != 4 || len(f.Proxies()) != 8 {
+		t.Fatalf("fleet shape: %d groups %d proxies", len(f.groups), len(f.Proxies()))
 	}
 	// The same key always lands in the same group (any member).
 	group := map[*Proxy]bool{}
@@ -219,8 +219,8 @@ func TestFleetGroupClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumGroups() != 2 {
-		t.Fatalf("groups = %d, want clamped to 2", f.NumGroups())
+	if len(f.groups) != 2 {
+		t.Fatalf("groups = %d, want clamped to 2", len(f.groups))
 	}
 }
 

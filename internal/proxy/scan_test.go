@@ -141,10 +141,11 @@ func TestProxyScanThrottledPartialPage(t *testing.T) {
 	}
 	// Starve partition 1's quota so its sub-scan rejects. (The stack
 	// provisions 2 partitions; a full-keyspace page visits 0 then 1.)
-	route, err := m.RouteForIndex("t1", 1)
+	view, err := m.RoutingView("t1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	route := view.Partitions[1]
 	node, err := m.Node(route.Primary)
 	if err != nil {
 		t.Fatal(err)
@@ -201,11 +202,11 @@ func TestProxyScanThrottledEmptyPageErrors(t *testing.T) {
 	if err := p.Put(bg, []byte("k"), []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}
-	for idx := 0; idx < 2; idx++ {
-		route, err := m.RouteForIndex("t1", idx)
-		if err != nil {
-			t.Fatal(err)
-		}
+	view, err := m.RoutingView("t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range view.Partitions {
 		node, err := m.Node(route.Primary)
 		if err != nil {
 			t.Fatal(err)
