@@ -2,6 +2,7 @@ package abase
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -199,6 +200,38 @@ func TestSessionConformance(t *testing.T) {
 		w.Flush()
 		if got := wire.String(); got != tc.want {
 			t.Errorf("state %d, %s: reply %q, want %q", tc.state, tc.cmd, got, tc.want)
+		}
+	}
+}
+
+// TestREADMEListsEveryCommand: the README's command reference has one
+// row per row of the session's command table, and no other.
+func TestREADMEListsEveryCommand(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, ok := strings.Cut(string(readme), "\n## RESP command reference\n")
+	if !ok {
+		t.Fatal("README.md has no RESP command reference")
+	}
+	ref, _, _ = strings.Cut(ref, "\n## ")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(ref, "\n") {
+		if cell, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(cell, "`")
+			name, _, _ = strings.Cut(name, " ")
+			documented[name] = true
+		}
+	}
+	for name := range commands {
+		if !documented[name] {
+			t.Errorf("%s is served but has no row in the README's command reference", name)
+		}
+	}
+	for name := range documented {
+		if _, ok := commands[name]; !ok {
+			t.Errorf("the README's command reference lists %s, which the session does not serve", name)
 		}
 	}
 }
