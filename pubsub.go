@@ -157,13 +157,13 @@ func subscribeTo(patterns bool) handler {
 		if v := s.startNotifier(c); v.Kind != 0 {
 			return v
 		}
-		kind, set := strings.ToLower(cmd.Name), s.subscriptions(patterns)
+		kind, set := resp.BulkStr(strings.ToLower(cmd.Name)), s.subscriptions(patterns)
 		s.subMu.Lock()
 		confirms := make([]resp.Value, 0, len(cmd.Args))
 		for _, arg := range cmd.Args {
 			set[string(arg)] = struct{}{}
 			confirms = append(confirms, resp.Arr(
-				resp.BulkStr(kind), resp.Bulk(arg), resp.Int64(s.subCount())))
+				kind, resp.Bulk(arg), resp.Int64(s.subCount())))
 		}
 		s.subMu.Unlock()
 		s.pushAll(confirms)
@@ -179,7 +179,7 @@ func unsubscribeFrom(patterns bool) handler {
 		if s.push == nil {
 			return resp.Err("ERR %s requires a network connection", cmd.Name)
 		}
-		kind, set := strings.ToLower(cmd.Name), s.subscriptions(patterns)
+		kind, set := resp.BulkStr(strings.ToLower(cmd.Name)), s.subscriptions(patterns)
 		s.subMu.Lock()
 		targets := make([]string, 0, len(cmd.Args))
 		if len(cmd.Args) == 0 {
@@ -195,13 +195,13 @@ func unsubscribeFrom(patterns bool) handler {
 		for _, ch := range targets {
 			delete(set, ch)
 			confirms = append(confirms, resp.Arr(
-				resp.BulkStr(kind), resp.BulkStr(ch), resp.Int64(s.subCount())))
+				kind, resp.BulkStr(ch), resp.Int64(s.subCount())))
 		}
 		if len(confirms) == 0 {
 			// Redis acknowledges an unsubscribe-from-nothing with a nil
 			// channel so the client's reply accounting stays in step.
 			confirms = append(confirms, resp.Arr(
-				resp.BulkStr(kind), resp.Null(), resp.Int64(s.subCount())))
+				kind, resp.Null(), resp.Int64(s.subCount())))
 		}
 		s.subMu.Unlock()
 		s.pushAll(confirms)

@@ -231,9 +231,8 @@ type command struct {
 	run        handler
 }
 
-// handler runs one command. c is the session's client and ctx the
-// command's context; both are nil unless the command's row needs a
-// tenant.
+// handler runs one command under its context ctx. c is the session's
+// client, nil unless the command's row needs a tenant.
 type handler func(s *session, ctx context.Context, c *Client, cmd resp.Command) resp.Value
 
 // commands is the session's command table, keyed by upper-case name:
@@ -275,7 +274,8 @@ var commands = map[string]command{
 
 // Handle implements resp.Handler: it looks the command up and applies
 // the checks every command shares, in order — subscribed mode, then
-// the argument count, then the tenant — before running it.
+// the argument count, then the tenant — before running it under the
+// command's context.
 func (s *session) Handle(cmd resp.Command) resp.Value {
 	row, ok := commands[cmd.Name]
 	// Once a connection has subscriptions, only the pub/sub family
@@ -290,12 +290,12 @@ func (s *session) Handle(cmd resp.Command) resp.Value {
 	if n := len(cmd.Args); n < row.min || row.max >= 0 && n > row.max {
 		return wrongArgs(cmd.Name)
 	}
-	if !row.tenant {
-		return row.run(s, nil, nil, cmd)
-	}
-	c, errV := s.client()
-	if c == nil {
-		return errV
+	var c *Client
+	if row.tenant {
+		var errV resp.Value
+		if c, errV = s.client(); c == nil {
+			return errV
+		}
 	}
 	ctx, cancel := s.cmdCtx()
 	defer cancel()
