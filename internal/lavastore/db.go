@@ -3,6 +3,7 @@ package lavastore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -610,7 +611,7 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		if tooMany, err = db.flushFrozen(db.frozen[0]); err != nil {
 			return false, err
 		}
-		db.frozen = db.frozen[1:]
+		db.frozen = slices.Delete(db.frozen, 0, 1) // zeroes the freed slot: no stale memtable
 	}
 	return tooMany, nil
 }

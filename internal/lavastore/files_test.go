@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"abase/internal/skiplist"
 )
 
 // chunkWatch is a MemFS that, after every write, counts the full-size
@@ -294,9 +298,15 @@ func TestFailedFlushIsRetried(t *testing.T) {
 	if _, err := put(db, "k", "new", 0); err != nil {
 		t.Fatal(err)
 	}
+	released := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		if _, err := put(db, fmt.Sprintf("f%d", i), "v", 0); err != nil {
 			t.Fatal(err)
+		}
+		if i == 3 { // once in its table, the flushed memtable is garbage
+			db.mu.RLock()
+			runtime.SetFinalizer(db.mem, func(*skiplist.List) { close(released) })
+			db.mu.RUnlock()
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -308,6 +318,7 @@ func TestFailedFlushIsRetried(t *testing.T) {
 	if imm != 0 || segs != 0 {
 		t.Fatalf("%d frozen memtables and %d sealed WAL segments kept, want none", imm, segs)
 	}
+	waitReleased(t, released)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,4 +326,19 @@ func TestFailedFlushIsRetried(t *testing.T) {
 	if r, err := db.Get([]byte("k")); err != nil || string(r.Value) != "new" {
 		t.Fatalf("k after reopen = %q, %v; want \"new\"", r.Value, err)
 	}
+}
+
+// waitReleased collects garbage until released is closed, and fails
+// after 5 s.
+func waitReleased(t *testing.T, released <-chan struct{}) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a flushed memtable is still reachable")
 }
