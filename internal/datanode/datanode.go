@@ -498,6 +498,21 @@ func (n *Node) ReplicaRole(pid partition.ID) (primary bool, epoch uint64, err er
 	return cur.primary, cur.epoch, nil
 }
 
+// ReplicaPeers reports the ids of the followers a hosted replica
+// replicates to: the peer set of the last route push (empty on a
+// follower).
+func (n *Node) ReplicaPeers(pid partition.ID) ([]string, error) {
+	rep, err := n.getReplica(pid)
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	for _, p := range rep.route.Load().peers {
+		ids = append(ids, p.node.ID())
+	}
+	return ids, nil
+}
+
 // ReplicationPosition returns how many write operations have been
 // applied to the hosted replica's store. Comparing a follower's
 // position with its primary's bounds the follower's staleness: the

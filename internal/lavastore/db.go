@@ -106,7 +106,7 @@ type DB struct {
 	retain    uint64           // retention floor; noRetention = delete flushed segments
 	notify    func(seq uint64) // commit hook, see SetCommitNotify
 	flushMu   sync.Mutex       // serializes flushes so table order matches freeze order
-	frozen    []frozenMem      // guarded by flushMu: frozen memtables not yet written, oldest first
+	frozenWAL []string         // guarded by flushMu: frozenWAL[i] is the sealed WAL of v.imm[i]
 	compactMu sync.Mutex       // serializes compactions
 
 	flushes        int64
@@ -571,13 +571,6 @@ func (db *DB) Flush() error {
 	return nil
 }
 
-// frozenMem is a frozen memtable waiting for its table, with the
-// sealed WAL segment that holds its records.
-type frozenMem struct {
-	mem *skiplist.List
-	wal string
-}
-
 // doFlush is Flush's body; it acquires flushMu itself and reports
 // whether the table count crossed the compaction threshold. It freezes
 // the memtable, then writes every frozen memtable oldest first: one a
@@ -603,24 +596,28 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		}
 		imm := db.v.imm
 		db.installLocked(append(imm[:len(imm):len(imm)], db.mem), db.v.tables)
-		db.frozen = append(db.frozen, frozenMem{mem: db.mem, wal: oldWAL})
+		db.frozenWAL = append(db.frozenWAL, oldWAL)
 		db.mem = skiplist.New(1)
 	}
 	db.mu.Unlock()
-	for len(db.frozen) > 0 {
-		if tooMany, err = db.flushFrozen(db.frozen[0]); err != nil {
+	for len(db.frozenWAL) > 0 {
+		if tooMany, err = db.flushOldest(db.frozenWAL[0]); err != nil {
 			return false, err
 		}
-		db.frozen = slices.Delete(db.frozen, 0, 1) // zeroes the freed slot: no stale memtable
+		db.frozenWAL = db.frozenWAL[1:]
 	}
 	return tooMany, nil
 }
 
-// flushFrozen writes one frozen memtable as the newest table and seals
-// its WAL segment. Callers hold flushMu.
-func (db *DB) flushFrozen(fm frozenMem) (tooMany bool, err error) {
+// flushOldest writes the oldest frozen memtable, v.imm[0], as the
+// newest table and seals wal, the segment that holds its records.
+// Callers hold flushMu, so only this flush changes v.imm.
+func (db *DB) flushOldest(wal string) (tooMany bool, err error) {
+	db.mu.RLock()
+	mem := db.v.imm[0]
+	db.mu.RUnlock()
 	t, err := db.buildTable(fmt.Sprintf("%06d.sst", db.allocFileNum()), func(w *tableWriter) error {
-		it := fm.mem.NewIterator()
+		it := mem.NewIterator()
 		for it.Next() {
 			if err := w.Add(it.Key(), it.Value()); err != nil {
 				return err
@@ -638,19 +635,13 @@ func (db *DB) flushFrozen(fm frozenMem) (tooMany bool, err error) {
 		t.Close()
 		return false, ErrClosed
 	}
-	var rest []*skiplist.List
-	for _, m := range db.v.imm {
-		if m != fm.mem {
-			rest = append(rest, m)
-		}
-	}
-	db.installLocked(rest, append([]*Table{t}, db.v.tables...))
+	db.installLocked(slices.Clone(db.v.imm[1:]), append([]*Table{t}, db.v.tables...))
 	db.flushes++
 	tooMany = len(db.v.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
 	// The records are durable in the installed table; the sealed WAL
 	// segment is now deletable — unless the change-log retention floor
 	// still references it for Replay.
-	removeWALs := db.sealFlushedLocked(fm.wal)
+	removeWALs := db.sealFlushedLocked(wal)
 	db.mu.Unlock()
 
 	for _, n := range removeWALs {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"abase/internal/skiplist"
 )
@@ -328,16 +327,17 @@ func TestFailedFlushIsRetried(t *testing.T) {
 	}
 }
 
-// waitReleased collects garbage until released is closed, and fails
-// after 5 s.
+// waitReleased runs up to 20 collections, yielding after each so the
+// finalizer goroutine runs, until released is closed.
 func waitReleased(t *testing.T, released <-chan struct{}) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+	for i := 0; i < 20; i++ {
 		runtime.GC()
+		runtime.Gosched()
 		select {
 		case <-released:
 			return
-		case <-time.After(10 * time.Millisecond):
+		default:
 		}
 	}
 	t.Fatal("a flushed memtable is still reachable")

@@ -79,8 +79,8 @@ func failPrimary(t *testing.T, fx *commitFixture) {
 // what the one commit owes each of them afterwards: (a) the table
 // version rose and the tenant's proxies were invalidated; (b) every
 // reachable member's replica holds the role and epoch the table gives
-// it; (c) a fresh write at the primary reaches exactly the members, so
-// the primary replicates to the route's followers; (d) no node hosts a
+// it; (c) the primary's pushed peer set is the route's follower list,
+// and a fresh write reaches exactly the members; (d) no node hosts a
 // replica the table does not list.
 func TestRouteCommitConformance(t *testing.T) {
 	errDisk := errors.New("injected: disk full")
@@ -202,6 +202,9 @@ func TestRouteCommitConformance(t *testing.T) {
 				}
 				// (c)
 				primary := nodeByID(t, fx.m, route.Primary)
+				if peers, err := primary.ReplicaPeers(pid); err != nil || !slices.Equal(peers, route.Followers) {
+					t.Errorf("%s: primary %s replicates to %v (%v), route lists %v", pid, route.Primary, peers, err, route.Followers)
+				}
 				fresh := []byte("fresh-" + pid.String())
 				if _, err := primary.PutAt(bg, pid, route.Epoch, fresh, []byte("v"), 0); err != nil {
 					t.Fatalf("write at %s's primary %s: %v", pid, route.Primary, err)
