@@ -22,11 +22,12 @@ type Refresher func(key string) ([]byte, bool)
 // sketch can record the hit it is asked about.
 type RefreshGate func(key string, now time.Time) bool
 
-// AULRU is an active-update LRU: a TTL'd LRU cache that refreshes hot
+// AULRU is an active-update LRU: a TTL'd cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
 // cache and stampede the data nodes (§4.4). It is split into
-// Shards(Capacity) shards by key hash, each an LRU over its share of
-// the capacity. Safe for concurrent use.
+// Shards(Capacity) shards by key hash, each a CLOCK queue (clockList)
+// over its share of the capacity, the LRU approximation whose hit moves
+// nothing. Safe for concurrent use.
 type AULRU struct {
 	shards    []auShard
 	pick      picker
@@ -37,8 +38,8 @@ type AULRU struct {
 	gate      RefreshGate
 }
 
-// auShard is one shard: the LRU list, the index and the counters of the
-// keys hashed to it, under one lock. The pad is at least a cache line,
+// auShard is one shard: the CLOCK list, the index and the counters of
+// the keys hashed to it, under one lock. The pad is at least a cache line,
 // so no shard's fields share a line with the next one's, and rounds the
 // shard up to whole lines, so every shard of the slice starts at the
 // same offset within a line and the fields a hit writes, which lead the
@@ -48,15 +49,13 @@ type auShard struct {
 	_ [64 + (64-unsafe.Sizeof(auState{})%64)%64]byte
 }
 
-// auState is a shard's state. What a hit writes — the lock, the hit
-// count and the list's front — leads the struct, so a hit writes one of
-// the shard's cache lines.
+// auState is a shard's state. What a hit writes — only the lock — and
+// the index it reads lead the struct, so a hit touches one of the
+// shard's cache lines.
 type auState struct {
-	mu     sync.Mutex
-	hits   int64
-	misses int64
-	items  map[string]*auEntry
-	ll     lruList[auMeta]
+	mu    sync.Mutex
+	items map[string]*auEntry
+	ll    clockList[auMeta]
 
 	capacity int64
 	used     int64
@@ -83,7 +82,6 @@ type auMeta struct {
 	// write-through that lands meanwhile is never replaced by the older
 	// origin value.
 	gen uint64
-	hot bool // accessed at least twice within the current TTL window
 }
 
 // AUConfig configures an AULRU.
@@ -165,21 +163,19 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool, wri
 		ok = false
 	}
 	if !ok {
-		s.misses++
 		writes = s.writes
 		s.mu.Unlock()
 		return nil, false, false, writes
 	}
-	s.ll.moveToFront(e)
-	s.hits++
-	refreshable := e.meta.hot &&
+	e.touch()
+	refreshable := e.hot &&
 		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
 		!s.refreshing[e.key]
 	gated = refreshable && c.gate != nil
 	needRefresh := refreshable && (!gated || c.gate(e.key, now))
-	if !e.meta.hot {
-		e.meta.hot = true // a write only when it changes: the line stays shared
+	if !e.hot {
+		e.hot = true // a write only when it changes: the line stays shared
 	}
 	val, gen, name := e.value, e.meta.gen, e.key
 	if needRefresh {
@@ -262,7 +258,10 @@ func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, evict bo
 }
 
 // storeLocked stores key=value, expiring at expireAt, evicting what it
-// must to fit; a value larger than the shard is not cached.
+// must to fit; a value larger than the shard is not cached. A cached
+// key is overwritten in place and marked visited. A new key is listed
+// after the evictions, behind the hand, so its own store never evicts
+// it.
 // +locked:s.mu
 func (s *auShard) storeLocked(key, value []byte, expireAt time.Time) {
 	size := int64(len(key) + len(value))
@@ -272,18 +271,19 @@ func (s *auShard) storeLocked(key, value []byte, expireAt time.Time) {
 	e, ok := s.items[string(key)]
 	if ok {
 		s.used -= e.size()
-		s.ll.moveToFront(e)
-		e.value = value
+		e.value, e.visited, e.hot = value, true, false
 	} else {
 		e = &auEntry{key: string(key), value: value}
-		s.items[e.key] = e
-		s.ll.pushFront(e)
 	}
 	s.gen++
 	e.meta = auMeta{expireAt: expireAt, gen: s.gen}
 	s.used += size
 	for s.used > s.capacity {
 		s.evictOne()
+	}
+	if !ok {
+		s.items[e.key] = e
+		s.ll.pushBack(e)
 	}
 }
 
@@ -316,7 +316,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 	e.meta.expireAt = now.Add(c.ttl)
 	s.gen++
 	e.meta.gen = s.gen
-	s.ll.moveToFront(e)
+	e.visited = true
 	for s.used > s.capacity {
 		s.evictOne()
 	}
@@ -341,8 +341,8 @@ func (s *auShard) remove(e *auEntry) {
 }
 
 func (s *auShard) evictOne() {
-	if tail := s.ll.back(); tail != nil {
-		s.remove(tail)
+	if v := s.ll.victim(); v != nil {
+		s.remove(v)
 	}
 }
 
@@ -369,24 +369,13 @@ func (c *AULRU) Used() (used int64) {
 	return used
 }
 
-// Stats returns cumulative hits, misses, and active refreshes.
-func (c *AULRU) Stats() (hits, misses, refreshes int64) {
-	c.each(func(s *auShard) {
-		hits, misses, refreshes = hits+s.hits, misses+s.misses, refreshes+s.refreshes
-	})
-	return hits, misses, refreshes
+// Refreshes returns how many active updates renewed an entry.
+func (c *AULRU) Refreshes() (n int64) {
+	c.each(func(s *auShard) { n += s.refreshes })
+	return n
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any lookups.
-func (c *AULRU) HitRatio() float64 {
-	h, m, _ := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
-// ResetStats zeroes hit/miss/refresh counters.
+// ResetStats zeroes the refresh count.
 func (c *AULRU) ResetStats() {
-	c.each(func(s *auShard) { s.hits, s.misses, s.refreshes = 0, 0, 0 })
+	c.each(func(s *auShard) { s.refreshes = 0 })
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"abase/internal/clock"
 )
@@ -217,9 +218,8 @@ func TestAULRUExpiry(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("expired entry served")
 	}
-	h, m, _ := c.Stats()
-	if h != 0 || m != 1 {
-		t.Fatalf("stats = %d hits %d misses", h, m)
+	if c.Len() != 0 || c.Used() != 0 {
+		t.Fatalf("the expired lookup left %d entries, %d B", c.Len(), c.Used())
 	}
 }
 
@@ -246,9 +246,12 @@ func TestAULRUActiveUpdateRenewsHotKeys(t *testing.T) {
 	if !ok || string(v) != "fresh" {
 		t.Fatalf("renewed value = %q %v", v, ok)
 	}
-	_, _, r := c.Stats()
-	if r != 1 {
+	if r := c.Refreshes(); r != 1 {
 		t.Fatalf("refresh count = %d", r)
+	}
+	c.ResetStats()
+	if r := c.Refreshes(); r != 0 {
+		t.Fatalf("refresh count after ResetStats = %d", r)
 	}
 }
 
@@ -339,22 +342,6 @@ func TestAULRULRUEvictionOrder(t *testing.T) {
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry retained")
-	}
-}
-
-func TestAULRUHitRatio(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	c := newTestAULRU(sim, nil)
-	c.Put("a", []byte("v"))
-	c.Get("a")
-	c.Get("zz")
-	if got := c.HitRatio(); got != 0.5 {
-		t.Fatalf("HitRatio = %v", got)
-	}
-	c.ResetStats()
-	h, m, r := c.Stats()
-	if h != 0 || m != 0 || r != 0 {
-		t.Fatal("ResetStats incomplete")
 	}
 }
 
@@ -512,5 +499,18 @@ func TestAULRUUpdateOversizedDropsOnlyThatEntry(t *testing.T) {
 	}
 	if v, ok := c.Get("other"); !ok || string(v) != "safe" {
 		t.Fatal("oversized Update evicted an unrelated entry")
+	}
+}
+
+// TestEntrySizes pins what one cached key costs on the heap, on a
+// 64-bit platform: the CLOCK bit and the AU-LRU's hot flag fit in the
+// word after meta, so an AU-LRU entry is 96 bytes and an SA-LRU entry
+// 64, each exactly a heap size class.
+func TestEntrySizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if au, sa := unsafe.Sizeof(auEntry{}), unsafe.Sizeof(saEntry{}); au != 96 || sa != 64 {
+		t.Fatalf("entry sizes: AU-LRU %d B, SA-LRU %d B, want 96 and 64", au, sa)
 	}
 }

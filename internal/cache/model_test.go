@@ -1,13 +1,21 @@
 package cache
 
-// This file keeps the caches' previous implementation — one lock,
-// container/list queues, map[string]*list.Element, string keys — as a
-// reference model, and fuzzes the sharded intrusive-list caches against
-// one model per shard, each key sent to the model of the shard the
-// cache's own hash picks: every call must return what the model returns
-// and leave the same entries, in the same LRU order, with the same
-// counters, shard by shard. The only edit to the model is that its
-// writes take the "now" their TTL counts from, as PutAt and UpdateAt do.
+// This file states the caches' policy as a plain reference model — no
+// lock, container/list queues, map[string]*list.Element, string keys —
+// and fuzzes the sharded intrusive-list caches against one model per
+// shard, each key sent to the model of the shard the cache's own hash
+// picks: every call must return what the model returns and leave the
+// same entries, in the same order, with the same visited bits and
+// counters, shard by shard.
+//
+// The policy is CLOCK with second-chance eviction. A queue holds its
+// entries in insertion order, the front where the hand points. A hit
+// sets the entry's visited bit and moves nothing. An eviction clears
+// the bit of each visited entry at the front and moves it to the back,
+// then evicts the first unvisited one. A new entry joins the back after
+// the evictions its store makes room with. An overwrite sets the bit;
+// the AU-LRU keeps the entry in place, the SA-LRU moves it to the back
+// of its (possibly new) size class.
 
 import (
 	"container/list"
@@ -33,15 +41,16 @@ type modelSALRU struct {
 }
 
 type modelClass struct {
-	ll    *list.List // front = most recent
+	ll    *list.List // front = the hand, back = newest
 	bytes int64
 	hits  int64
 }
 
 type modelSAEntry struct {
-	key   string
-	value []byte
-	class int
+	key     string
+	value   []byte
+	class   int
+	visited bool
 }
 
 func newModelSALRU(capacity int64) *modelSALRU {
@@ -74,8 +83,8 @@ func (c *modelSALRU) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	e := el.Value.(*modelSAEntry)
+	e.visited = true
 	cls := c.classes[e.class]
-	cls.ll.MoveToFront(el)
 	cls.hits++
 	c.hits++
 	return e.value, true
@@ -86,18 +95,18 @@ func (c *modelSALRU) Put(key string, value []byte) {
 	if size > c.capacity {
 		return
 	}
-	if el, ok := c.items[key]; ok {
+	el, updated := c.items[key]
+	if updated {
 		c.removeElement(el)
 	}
-	cls := modelClassFor(len(value))
-	e := &modelSAEntry{key: key, value: value, class: cls}
-	el := c.classes[cls].ll.PushFront(e)
-	c.items[key] = el
-	c.classes[cls].bytes += size
-	c.used += size
-	for c.used > c.capacity {
+	for c.used+size > c.capacity {
 		c.evictOne()
 	}
+	cls := modelClassFor(len(value))
+	e := &modelSAEntry{key: key, value: value, class: cls, visited: updated}
+	c.items[key] = c.classes[cls].ll.PushBack(e)
+	c.classes[cls].bytes += size
+	c.used += size
 }
 
 func (c *modelSALRU) Delete(key string) {
@@ -140,10 +149,19 @@ func (c *modelSALRU) evictOne() {
 		return
 	}
 	cls := c.classes[victim]
-	if tail := cls.ll.Back(); tail != nil {
-		c.removeElement(tail)
-		cls.hits -= cls.hits / 8
+	c.removeElement(handVictim(cls.ll, func(el *list.Element) *bool { return &el.Value.(*modelSAEntry).visited }))
+	cls.hits -= cls.hits / 8
+}
+
+// handVictim runs second chance over ll: while the front entry is
+// visited, clear its bit and move it to the back. It returns the front,
+// the first unvisited entry. ll must not be empty.
+func handVictim(ll *list.List, visited func(*list.Element) *bool) *list.Element {
+	for el := ll.Front(); *visited(el); el = ll.Front() {
+		*visited(el) = false
+		ll.MoveToBack(el)
 	}
+	return ll.Front()
 }
 
 // --- reference AU-LRU ---
@@ -161,10 +179,7 @@ type modelAULRU struct {
 	refreshing map[string]bool
 	gen        uint64
 	writes     uint64
-
-	hits      int64
-	misses    int64
-	refreshes int64
+	refreshes  int64
 }
 
 type modelAUEntry struct {
@@ -173,6 +188,7 @@ type modelAUEntry struct {
 	expireAt time.Time
 	hot      bool
 	gen      uint64
+	visited  bool
 }
 
 func newModelAULRU(cfg AUConfig) *modelAULRU {
@@ -196,17 +212,14 @@ func newModelAULRU(cfg AUConfig) *modelAULRU {
 func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false, c.writes
 	}
 	e := el.Value.(*modelAUEntry)
 	if !now.Before(e.expireAt) {
 		c.removeElement(el)
-		c.misses++
 		return nil, false, c.writes
 	}
-	c.ll.MoveToFront(el)
-	c.hits++
+	e.visited = true
 	needRefresh := e.hot &&
 		e.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
@@ -272,17 +285,22 @@ func (c *modelAULRU) store(key string, value []byte, now time.Time) {
 	if size > c.capacity {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
-	}
 	c.gen++
-	e := &modelAUEntry{key: key, value: value, expireAt: now.Add(c.ttl), gen: c.gen}
-	el := c.ll.PushFront(e)
-	c.items[key] = el
-	c.used += size
-	for c.used > c.capacity {
+	if el, ok := c.items[key]; ok {
+		e := el.Value.(*modelAUEntry)
+		c.used += size - int64(len(key)+len(e.value))
+		*e = modelAUEntry{key: key, value: value, expireAt: now.Add(c.ttl), gen: c.gen, visited: true}
+		for c.used > c.capacity {
+			c.evictOne()
+		}
+		return
+	}
+	for c.used+size > c.capacity {
 		c.evictOne()
 	}
+	e := &modelAUEntry{key: key, value: value, expireAt: now.Add(c.ttl), gen: c.gen}
+	c.items[key] = c.ll.PushBack(e)
+	c.used += size
 }
 
 func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
@@ -301,7 +319,7 @@ func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
 	e.expireAt = now.Add(c.ttl)
 	c.gen++
 	e.gen = c.gen
-	c.ll.MoveToFront(el)
+	e.visited = true
 	for c.used > c.capacity {
 		c.evictOne()
 	}
@@ -323,9 +341,7 @@ func (c *modelAULRU) removeElement(el *list.Element) {
 }
 
 func (c *modelAULRU) evictOne() {
-	if tail := c.ll.Back(); tail != nil {
-		c.removeElement(tail)
-	}
+	c.removeElement(handVictim(c.ll, func(el *list.Element) *bool { return &el.Value.(*modelAUEntry).visited }))
 }
 
 // --- differential fuzzing ---
@@ -372,21 +388,31 @@ func seedCacheFuzz(f *testing.F) {
 		seq[i] = byte(i * 37)
 	}
 	f.Add(seq)
+	// To the SA-LRU: store every key at 300 B, which overflows any shard
+	// holding four of them, hit every key, then store them all again, so
+	// the hand sweeps past entries the hits visited.
+	var sweep []byte
+	for _, op := range [][]byte{{2, 7, 0}, {0}, {2, 7, 1}} {
+		for k := 0; k < 18; k++ {
+			sweep = append(append(sweep, byte(k/6), byte(k%6)), op...)
+		}
+	}
+	f.Add(sweep)
 }
 
 // fuzzShards is how many shards the fuzzed caches have, each the size
 // of one model.
 const fuzzShards = 4
 
-// saSnapshot lists s's entries class by class in LRU order, with the
-// class counters.
+// saSnapshot lists s's entries class by class from the hand on, with
+// their visited bits and the class counters.
 func saSnapshot(s *saShard) string {
 	var b strings.Builder
 	for i := range s.classes {
 		cls := &s.classes[i]
 		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
 		for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
-			fmt.Fprintf(&b, " %q=%q", e.key, e.value)
+			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.value, e.visited)
 		}
 	}
 	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(s.items), s.used, s.hits, s.misses)
@@ -399,7 +425,7 @@ func modelSASnapshot(c *modelSALRU) string {
 		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
 		for el := cls.ll.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*modelSAEntry)
-			fmt.Fprintf(&b, " %q=%q", e.key, e.value)
+			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.value, e.visited)
 		}
 	}
 	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(c.items), c.used, c.hits, c.misses)
@@ -482,9 +508,9 @@ func (o *refreshOrigin) fetch(key string) ([]byte, bool) {
 func auSnapshot(s *auShard) string {
 	var b strings.Builder
 	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.meta.expireAt.UnixNano(), e.meta.hot, e.meta.gen)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, e.value, e.meta.expireAt.UnixNano(), e.hot, e.meta.gen, e.visited)
 	}
-	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d writes=%d", len(s.items), s.used, s.hits, s.misses, s.refreshes, len(s.refreshing), s.writes)
+	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", len(s.items), s.used, s.refreshes, len(s.refreshing), s.writes)
 	return b.String()
 }
 
@@ -492,9 +518,9 @@ func modelAUSnapshot(c *modelAULRU) string {
 	var b strings.Builder
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*modelAUEntry)
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%d ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.gen)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.gen, e.visited)
 	}
-	fmt.Fprintf(&b, "len=%d used=%d hits=%d misses=%d refreshes=%d refreshing=%d writes=%d", len(c.items), c.used, c.hits, c.misses, c.refreshes, len(c.refreshing), c.writes)
+	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", len(c.items), c.used, c.refreshes, len(c.refreshing), c.writes)
 	return b.String()
 }
 
@@ -590,22 +616,20 @@ func FuzzAULRUModel(f *testing.F) {
 				desc = "ResetStats"
 				c.ResetStats()
 				for _, m := range models {
-					m.hits, m.misses, m.refreshes = 0, 0, 0
+					m.refreshes = 0
 				}
 			}
 			var n int
-			var used, hits, misses, refreshes int64
+			var used, refreshes int64
 			for i, m := range models {
 				if got, want := auSnapshot(&c.shards[i]), modelAUSnapshot(m); got != want {
 					t.Fatalf("after step %d %s, shard %d:\n got %s\nwant %s", step, desc, i, got, want)
 				}
-				n, used = n+len(m.items), used+m.used
-				hits, misses, refreshes = hits+m.hits, misses+m.misses, refreshes+m.refreshes
+				n, used, refreshes = n+len(m.items), used+m.used, refreshes+m.refreshes
 			}
-			h, mi, r := c.Stats()
-			if c.Len() != n || c.Used() != used || h != hits || mi != misses || r != refreshes {
-				t.Fatalf("after step %d %s: Len %d Used %d Stats %d/%d/%d, models %d %d %d/%d/%d",
-					step, desc, c.Len(), c.Used(), h, mi, r, n, used, hits, misses, refreshes)
+			if c.Len() != n || c.Used() != used || c.Refreshes() != refreshes {
+				t.Fatalf("after step %d %s: Len %d Used %d Refreshes %d, models %d %d %d",
+					step, desc, c.Len(), c.Used(), c.Refreshes(), n, used, refreshes)
 			}
 			if origin.n != modelOrigin.n {
 				t.Fatalf("after step %d %s: %d origin fetches, model %d", step, desc, origin.n, modelOrigin.n)

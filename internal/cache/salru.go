@@ -9,7 +9,8 @@ import (
 
 // SALRU is a size-aware LRU cache bounded by total bytes, split into
 // Shards(capacity) shards by key hash. Each shard runs the whole policy
-// over its share of the capacity. Safe for concurrent use.
+// over its share of the capacity, every size class a CLOCK queue
+// (clockList). Safe for concurrent use.
 type SALRU struct {
 	shards []saShard
 	pick   picker
@@ -36,7 +37,7 @@ type saState struct {
 }
 
 type sizeClass struct {
-	ll    lruList[saMeta]
+	ll    clockList[saMeta]
 	bytes int64
 	hits  int64 // decayed hit counter for the class
 }
@@ -44,7 +45,7 @@ type sizeClass struct {
 // saEntry is one SA-LRU entry; meta names its size class.
 type saEntry = entry[saMeta]
 
-type saMeta struct{ class int }
+type saMeta struct{ class int32 }
 
 // Size classes are powers of two from 64B; class i holds entries with
 // size in (64·2^(i-1), 64·2^i].
@@ -103,8 +104,8 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 		s.misses++
 		return nil, false
 	}
+	e.touch()
 	cls := &s.classes[e.meta.class]
-	cls.ll.moveToFront(e)
 	cls.hits++
 	s.hits++
 	return e.value, true
@@ -114,7 +115,9 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 func (c *SALRU) Put(key string, value []byte) { c.Insert([]byte(key), value) }
 
 // Insert inserts or updates key; only a new key copies key. Values
-// larger than the key's shard are not cached.
+// larger than the key's shard are not cached. The stored entry goes to
+// the back of its size class after the evictions, so its own insert
+// never evicts it; an update also marks it visited.
 func (c *SALRU) Insert(key, value []byte) { c.InsertIf(key, value, nil) }
 
 // InsertIf is Insert, made only if fresh — called under the key's shard
@@ -136,18 +139,16 @@ func (c *SALRU) InsertIf(key, value []byte, fresh func() bool) {
 	e, ok := s.items[string(key)]
 	if ok {
 		s.unlink(e)
-		e.value, e.meta.class = value, classFor(len(value))
+		e.value, e.visited = value, true
 	} else {
-		e = &saEntry{key: string(key), value: value, meta: saMeta{class: classFor(len(value))}}
+		e = &saEntry{key: string(key), value: value}
 		s.items[e.key] = e
 	}
-	cls := &s.classes[e.meta.class]
-	cls.ll.pushFront(e)
-	cls.bytes += size
-	s.used += size
-	for s.used > s.capacity {
+	e.meta.class = int32(classFor(len(value)))
+	for s.used+size > s.capacity {
 		s.evictOne()
 	}
+	s.link(e)
 }
 
 // Delete removes key if present.
@@ -174,6 +175,16 @@ func (c *SALRU) DeletePrefix(prefix string) {
 	})
 }
 
+// link puts e, which is in no list, at the back of its class list and
+// into the byte counts.
+func (s *saShard) link(e *saEntry) {
+	cls := &s.classes[e.meta.class]
+	cls.ll.pushBack(e)
+	size := e.size()
+	cls.bytes += size
+	s.used += size
+}
+
 // unlink takes e out of its class list and the byte counts, leaving it
 // in the map.
 func (s *saShard) unlink(e *saEntry) {
@@ -189,7 +200,7 @@ func (s *saShard) remove(e *saEntry) {
 	delete(s.items, e.key)
 }
 
-// evictOne removes the LRU entry of the size class with the lowest
+// evictOne removes the hand's victim in the size class with the lowest
 // hits-per-byte density, preferring to keep small, hot data resident.
 // Caller holds the lock.
 func (s *saShard) evictOne() {
@@ -209,8 +220,8 @@ func (s *saShard) evictOne() {
 		return
 	}
 	cls := &s.classes[victim]
-	if tail := cls.ll.back(); tail != nil {
-		s.remove(tail)
+	if v := cls.ll.victim(); v != nil {
+		s.remove(v)
 		// Decay class hits so stale popularity fades.
 		cls.hits -= cls.hits / 8
 	}

@@ -116,7 +116,7 @@ func TestShardsConcurrent(t *testing.T) {
 				case 7:
 					sa.Len()
 					sa.HitRatio()
-					au.Stats()
+					au.Refreshes()
 					au.Used()
 					if g == 0 {
 						sim.Advance(time.Second)
@@ -126,16 +126,41 @@ func TestShardsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	checkSABooks(t, sa, share)
+	checkAUBooks(t, au, share)
+}
 
-	for i := range sa.shards {
-		s := &sa.shards[i]
+// checkList checks l's links run both ways and number l.n, and returns
+// its entries front to back.
+func checkList[M any](t *testing.T, l *clockList[M]) []*entry[M] {
+	t.Helper()
+	var es []*entry[M]
+	for e := l.root.next; e != &l.root; e = e.next {
+		if e.next.prev != e || e.prev.next != e {
+			t.Fatalf("entry %q is linked one way only", e.key)
+		}
+		es = append(es, e)
+	}
+	if len(es) != l.n {
+		t.Fatalf("list counts %d entries, links reach %d", l.n, len(es))
+	}
+	return es
+}
+
+// checkSABooks checks every shard of c: each listed entry is indexed
+// in its class, the bytes each class and the shard count are the bytes
+// its entries hold, and no shard exceeds share.
+func checkSABooks(t *testing.T, c *SALRU, share int64) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
 		var used int64
 		n := 0
 		for j := range s.classes {
 			cls := &s.classes[j]
 			var bytes int64
-			for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
-				if s.items[e.key] != e || e.meta.class != j {
+			for _, e := range checkList(t, &cls.ll) {
+				if s.items[e.key] != e || int(e.meta.class) != j {
 					t.Fatalf("SA-LRU shard %d: listed entry %q not indexed in class %d", i, e.key, j)
 				}
 				bytes += e.size()
@@ -150,20 +175,76 @@ func TestShardsConcurrent(t *testing.T) {
 			t.Fatalf("SA-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d", i, n, len(s.items), used, s.used, share)
 		}
 	}
-	for i := range au.shards {
-		s := &au.shards[i]
+}
+
+// checkAUBooks checks every shard of c as checkSABooks does, and that
+// no refresh is left marked in flight.
+func checkAUBooks(t *testing.T, c *AULRU, share int64) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
 		var used int64
-		n := 0
-		for e := s.ll.root.next; e != &s.ll.root; e = e.next {
+		es := checkList(t, &s.ll)
+		for _, e := range es {
 			if s.items[e.key] != e {
 				t.Fatalf("AU-LRU shard %d: listed entry %q not indexed", i, e.key)
 			}
 			used += e.size()
-			n++
 		}
-		if n != len(s.items) || used != s.used || used > share || len(s.refreshing) != 0 {
+		if len(es) != len(s.items) || used != s.used || used > share || len(s.refreshing) != 0 {
 			t.Fatalf("AU-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d, %d refreshing",
-				i, n, len(s.items), used, s.used, share, len(s.refreshing))
+				i, len(es), len(s.items), used, s.used, share, len(s.refreshing))
 		}
 	}
+}
+
+// TestClockHandConcurrent races the CLOCK hand against the hits that
+// set the bits it clears. Goroutines hit a small hot set, fill a stream
+// of cold keys that keeps every shard evicting, write through, and
+// delete, on small shards of both caches; then every shard's books must
+// hold. Under -race it is the hand's stress test.
+func TestClockHandConcurrent(t *testing.T) {
+	const shards, share = 4, 1024
+	sa := newSALRU(shards*share, shards)
+	sim := clock.NewSim(time.Unix(0, 0))
+	au := newAULRU(AUConfig{Capacity: shards * share, TTL: time.Minute, Clock: sim}, shards)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				hot := []byte(fmt.Sprintf("hot%d", i%12))
+				cold := []byte(fmt.Sprintf("cold%d-%d", g, i))
+				v := make([]byte, 16+(g*37+i)%200)
+				switch i % 8 {
+				case 0, 1, 2, 3: // hits set bits while the hand clears them
+					if _, hit, _, writes := au.GetAt(hot, sim.Now()); !hit {
+						au.FillAt(hot, v, sim.Now(), writes, true)
+					}
+					if _, ok := sa.Lookup(hot); !ok {
+						sa.Insert(hot, v)
+					}
+				case 4, 5: // cold fills move the hand
+					if _, hit, _, writes := au.GetAt(cold, sim.Now()); !hit {
+						au.FillAt(cold, v, sim.Now(), writes, true)
+					}
+					sa.Insert(cold, v)
+				case 6: // write-through, sometimes growing the entry
+					au.UpdateAt(hot, v, sim.Now())
+					au.PutAt(cold, v, sim.Now())
+					sa.Insert(hot, v)
+				case 7:
+					au.Delete(hot)
+					sa.Delete(hot)
+					if g == 0 && i%64 == 7 {
+						sim.Advance(10 * time.Second) // expire some entries
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	checkSABooks(t, sa, share)
+	checkAUBooks(t, au, share)
 }

@@ -263,26 +263,35 @@ func TestCancelWakesSlotWaiter(t *testing.T) {
 func TestCanceledMidWFQWaitAborts(t *testing.T) {
 	for _, op := range opKinds {
 		t.Run(op.name, func(t *testing.T) {
-			// One CPU worker per class and a 40ms CPU stage: a second
-			// request of the same kind waits in the CPU-WFQ while the
-			// first burns.
-			n, pid := slowNode(t, CostModel{CPUTime: 40 * time.Millisecond})
+			// One CPU worker per class, and a CPU stage the first request
+			// stays parked in for as long as the test likes: a second
+			// request of the same kind waits in the CPU-WFQ meanwhile.
+			const cpuTime = 40 * time.Millisecond
+			clk := &gateClock{hold: cpuTime, entered: make(chan struct{}, 2), release: make(chan struct{})}
+			n, pid := quotaNode(t, Config{Cost: CostModel{CPUTime: cpuTime}, Clock: clk}, 1e9)
+			release := sync.OnceFunc(func() { close(clk.release) })
+			t.Cleanup(release) // runs before the node's Close
 			first := make(chan struct{})
 			go func() {
 				op.call(context.Background(), n, pid, []byte("occupy"))
 				close(first)
 			}()
-			time.Sleep(5 * time.Millisecond) // the first request occupies the CPU worker
+			<-clk.entered // the first request was charged and holds the CPU worker
 			before := netCharged(n)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() { done <- op.call(ctx, n, pid, []byte("victim")) }()
-			time.Sleep(5 * time.Millisecond) // let it pass admission into the WFQ
+			for deadline := time.Now().Add(5 * time.Second); cpuQueued(n) != 1; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the victim never queued in the CPU-WFQ")
+				}
+			}
 			if netCharged(n) <= before {
 				t.Fatal("the victim was not charged: it never passed admission")
 			}
 			cancel()
+			release() // the worker frees and dequeues the canceled victim
 			if err := <-done; !errors.Is(err, context.Canceled) {
 				t.Fatalf("WFQ-queued err = %v, want context.Canceled", err)
 			}
@@ -295,6 +304,14 @@ func TestCanceledMidWFQWaitAborts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cpuQueued counts the tasks waiting in the node's four CPU-WFQs.
+func cpuQueued(n *Node) (total int) {
+	for _, c := range []wfq.Class{wfq.SmallRead, wfq.LargeRead, wfq.SmallWrite, wfq.LargeWrite} {
+		total += n.Scheduler().Queue(c).Stats().CPUQueued
+	}
+	return total
 }
 
 // TestRefusalsConform: the three ways the pipeline turns a request away

@@ -259,8 +259,8 @@ func TestProxyOpsConform(t *testing.T) {
 		if hot := p.LocalHotKeys(0); len(hot) != 0 {
 			t.Errorf("pre-cancelled requests heated the sketch: %+v", hot)
 		}
-		if h, m, _ := p.cache.Stats(); h+m != 0 || p.cache.Len() != 0 {
-			t.Errorf("pre-cancelled requests reached the AU-LRU: %d hits %d misses %d entries", h, m, p.cache.Len())
+		if st := p.Stats(); st.CacheHits+st.CacheMiss != 0 || p.cache.Len() != 0 {
+			t.Errorf("pre-cancelled requests reached the AU-LRU: %d hits %d misses %d entries", st.CacheHits, st.CacheMiss, p.cache.Len())
 		}
 		for _, id := range p.cfg.Meta.Nodes() {
 			n, _ := p.cfg.Meta.Node(id)

@@ -161,6 +161,25 @@ func TestProxyStatsReset(t *testing.T) {
 	}
 }
 
+// TestProxyCacheHitRatio: the proxy's own counters tally every AU-LRU
+// lookup, a hit and a miss each, and ResetStats zeroes them.
+func TestProxyCacheHitRatio(t *testing.T) {
+	_, p := newStack(t, 100000, nil)
+	if p.Stats().HitRatio() != 0 {
+		t.Fatal("a fresh proxy reports a hit ratio")
+	}
+	p.Put(bg, []byte("k"), []byte("v"), 0)
+	p.Get(bg, []byte("k")) // a miss: the key's second access fills the AU-LRU
+	p.Get(bg, []byte("k")) // a hit
+	if s := p.Stats(); s.CacheHits != 1 || s.CacheMiss != 1 || s.HitRatio() != 0.5 {
+		t.Fatalf("after a miss and a hit: %d hits %d misses, ratio %v", s.CacheHits, s.CacheMiss, s.HitRatio())
+	}
+	p.ResetStats()
+	if s := p.Stats(); s.CacheHits+s.CacheMiss != 0 || s.HitRatio() != 0 {
+		t.Fatalf("ResetStats left %d hits %d misses", s.CacheHits, s.CacheMiss)
+	}
+}
+
 func TestFleetRoutesConsistently(t *testing.T) {
 	m := metaserver.New(metaserver.Config{Replicas: 3})
 	t.Cleanup(m.Close)
