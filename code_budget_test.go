@@ -30,24 +30,24 @@ func TestCodeBudget(t *testing.T) {
 		"internal/cache":        519,
 		"internal/changestream": 96,
 		"internal/clock":        111,
-		"internal/datanode":     1771,
+		"internal/datanode":     1792,
 		"internal/experiments":  2244,
 		"internal/faultinject":  238,
 		"internal/forecast":     530,
 		"internal/glob":         85,
 		"internal/hashfield":    55,
 		"internal/hotspot":      404,
-		"internal/lavastore":    1818,
+		"internal/lavastore":    1859,
 		"internal/metaserver":   966,
 		"internal/metrics":      481,
 		"internal/partition":    49,
-		"internal/proxy":        1440,
+		"internal/proxy":        1446,
 		"internal/quota":        219,
 		"internal/rescheduler":  509,
 		"internal/resp":         550,
 		"internal/ru":           110,
 		"internal/sim":          399,
-		"internal/skiplist":     281,
+		"internal/skiplist":     325,
 		"internal/soak":         492,
 		"internal/wfq":          534,
 		"internal/workload":     368,

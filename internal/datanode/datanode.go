@@ -141,22 +141,26 @@ func (c Config) withDefaults() Config {
 // commit for a batch) travel as one replication message to each peer in
 // to — the follower set the control plane last pushed to the replica
 // (SetRoute). Implementations must not block the caller for long —
-// ABase replication is asynchronous (eventual consistency) — and must
-// copy what they keep: ops and the bytes they reference belong to the
-// caller. pos is the primary's replication position after the last op:
-// followers adopt it monotonically, which keeps positions comparable
-// across replicas — a rebuilt follower does not restart from zero and a
-// long-dead one cannot look fresher than it is. The cluster's
+// ABase replication is asynchronous (eventual consistency). The ops'
+// keys and values are the primary's memtable pages, which pin keeps from
+// reuse: an implementation reads them until it releases pin, exactly
+// once, and copies what it keeps past that. The ops slice itself
+// belongs to the caller. pos is the primary's replication position after
+// the last op: followers adopt it monotonically, which keeps positions
+// comparable across replicas — a rebuilt follower does not restart from
+// zero and a long-dead one cannot look fresher than it is. The cluster's
 // implementation is Fabric.
 type Replicator interface {
-	Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64)
+	Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64, pin lavastore.Pin)
 }
 
 // NopReplicator discards replication traffic (single-node tests).
 type NopReplicator struct{}
 
 // Replicate implements Replicator.
-func (NopReplicator) Replicate(partition.ReplicaID, []Peer, []WriteOp, uint64) {}
+func (NopReplicator) Replicate(_ partition.ReplicaID, _ []Peer, _ []WriteOp, _ uint64, pin lavastore.Pin) {
+	pin.Release()
+}
 
 // replica is one hosted partition replica.
 // ruLedger is the cumulative quota charge/refund total retained for a
@@ -400,9 +404,10 @@ func (n *Node) SetReplicator(r Replicator) {
 }
 
 // forward hands ops committed on rep, the last of them at position pos,
-// to the replication fabric, addressed to the peers last pushed to rep.
-func (n *Node) forward(rep *replica, ops []WriteOp, pos uint64) {
-	(*n.replicator.Load()).Replicate(rep.id, rep.route.Load().peers, ops, pos)
+// to the replication fabric, addressed to the peers last pushed to rep,
+// with the pin that keeps their bytes.
+func (n *Node) forward(rep *replica, ops []WriteOp, pos uint64, pin lavastore.Pin) {
+	(*n.replicator.Load()).Replicate(rep.id, rep.route.Load().peers, ops, pos, pin)
 }
 
 // AddReplica hosts a partition replica with the given partition quota

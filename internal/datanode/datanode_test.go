@@ -165,7 +165,8 @@ func TestReplicationFabric(t *testing.T) {
 
 type replFunc func(partition.ReplicaID, []byte, []byte, int64, bool)
 
-func (f replFunc) Replicate(r partition.ReplicaID, _ []Peer, ops []WriteOp, _ uint64) {
+func (f replFunc) Replicate(r partition.ReplicaID, _ []Peer, ops []WriteOp, _ uint64, pin lavastore.Pin) {
+	defer pin.Release()
 	for _, op := range ops {
 		f(r, op.Key, op.Value, op.ExpireAt, op.Delete)
 	}

@@ -11,7 +11,9 @@ import (
 	"hash/fnv"
 	"io"
 	"sync"
+	"sync/atomic"
 
+	"abase/internal/lavastore"
 	"abase/internal/partition"
 )
 
@@ -32,8 +34,25 @@ const (
 type replJob struct {
 	node *Node
 	pid  partition.ID
-	ops  []WriteOp
+	msg  *replMsg
 	pos  uint64
+}
+
+// replMsg is what a message's jobs share: the ops, whose bytes are the
+// primary's memtable pages, and the pin on those pages, released when
+// the last follower has applied or dropped its job.
+type replMsg struct {
+	ops  []WriteOp
+	pin  lavastore.Pin
+	left atomic.Int32 // jobs not yet applied or dropped
+	one  [1]WriteOp   // backs ops for a point write
+}
+
+// done counts one job as applied or dropped.
+func (m *replMsg) done() {
+	if m.left.Add(-1) == 0 {
+		m.pin.Release()
+	}
 }
 
 // Peer is one follower of a partition as its primary sees it: the node
@@ -109,7 +128,8 @@ func (f *Fabric) work(lane <-chan replJob) {
 func (f *Fabric) apply(job replJob) {
 	// Best effort: eventual consistency tolerates transient errors (a
 	// down follower drops its deltas; revival and repair rebuild it).
-	_ = job.node.ApplyReplicated(job.pid, job.pos, job.ops...)
+	_ = job.node.ApplyReplicated(job.pid, job.pos, job.msg.ops...)
+	job.msg.done()
 	f.finish()
 }
 
@@ -122,34 +142,25 @@ func (f *Fabric) finish() {
 }
 
 // Replicate implements Replicator: the ops travel as one message per
-// peer and are applied there as one group commit. The message owns its
-// bytes — one arena holds every copied key and value, shared read-only
-// by all peers.
-func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64) {
+// peer and are applied there as one group commit. The peers share the
+// ops' bytes where the primary's memtable holds them, read-only, and the
+// last one to apply or drop its message releases pin.
+func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64, pin lavastore.Pin) {
 	if len(to) == 0 {
+		pin.Release()
 		return
 	}
-	size := 0
-	for _, op := range ops {
-		size += len(op.Key) + len(op.Value)
-	}
-	arena := make([]byte, 0, size)
-	own := func(b []byte) []byte {
-		arena = append(arena, b...)
-		return arena[len(arena)-len(b) : len(arena) : len(arena)]
-	}
-	copied := make([]WriteOp, len(ops))
-	for i, op := range ops {
-		op.Key, op.Value = own(op.Key), own(op.Value)
-		copied[i] = op
-	}
+	m := &replMsg{pin: pin}
+	m.ops = append(m.one[:0], ops...)
+	m.left.Store(int32(len(to)))
 	f.mu.Lock()
 	f.enq += uint64(len(to))
 	f.mu.Unlock()
 	for _, p := range to {
 		select {
-		case p.lane <- replJob{node: p.node, pid: rid.Partition, ops: copied, pos: pos}:
+		case p.lane <- replJob{node: p.node, pid: rid.Partition, msg: m, pos: pos}:
 		case <-f.stop:
+			m.done()
 			f.finish()
 		}
 	}

@@ -1,12 +1,14 @@
 package datanode
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"abase/internal/partition"
+	"abase/internal/skiplist"
 )
 
 // fabricTrio builds a primary and two followers of partition t/0 wired
@@ -122,5 +124,48 @@ func TestFabricFlushIsADrainMarker(t *testing.T) {
 	}
 	if _, err := early.Get(bg, p, []byte("a")); err != nil {
 		t.Fatalf("the message Flush waited for was not applied: %v", err)
+	}
+}
+
+// TestStalledMessageKeepsItsPages: a replication message carries its ops
+// as slices of the primary's memtable pages, so while it waits in a
+// stalled lane those pages stay out of the free list — through a flush
+// that drops the memtable and a refill of the free list — and the
+// follower applies the value intact once the lane moves. The lane is
+// stalled by holding the follower's lock, as in
+// TestFabricFlushIsADrainMarker.
+func TestStalledMessageKeepsItsPages(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	fo := followers[0]
+	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, fo)}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := primary.getReplica(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("0123456789"), 100)
+	var free, after int
+	filler := bytes.Repeat([]byte{'x'}, 1000)
+	fo.mu.Lock()
+	if _, err = primary.Put(bg, p, []byte("k"), want, 0); err == nil {
+		_, free = skiplist.PoolPages()
+		err = rep.db.Flush()
+		_, after = skiplist.PoolPages()
+	}
+	for i := 0; i < 300 && err == nil; i++ {
+		err = rep.db.Put([]byte(fmt.Sprintf("fill%03d", i)), filler, 0)
+	}
+	fo.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != free {
+		t.Errorf("the flush gave %d pages back while a queued message held them", after-free)
+	}
+	f.Flush()
+	got, err := fo.Get(bg, p, []byte("k"))
+	if err != nil || !bytes.Equal(got.Value, want) {
+		t.Fatalf("the follower applied k = %.20q…, %v; want the value the primary committed", got.Value, err)
 	}
 }

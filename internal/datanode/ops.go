@@ -163,13 +163,14 @@ type writeOp struct {
 	unit
 	muts []Mutation
 	vals []BatchValue // per-mutation error slot, parallel to muts
-	// one backs muts, vals and committed for a point write, so the
-	// request stays a single heap object (the Replicator copies what it
-	// keeps of committed).
+	// one backs muts, vals, committed and stored for a point write, so
+	// the request stays a single heap object (the Replicator copies the
+	// slice of stored it keeps, not the bytes).
 	one struct {
 		m [1]Mutation
 		v [1]BatchValue
 		c [1]WriteOp
+		s [1]WriteOp
 	}
 	res PutResult // the last mutation's outcome: a point write's result
 	// committed is what the engine committed, in order (mutations that
@@ -177,8 +178,12 @@ type writeOp struct {
 	// final op landed at — the whole group's replication position.
 	committed []WriteOp
 	lastSeq   uint64
-	charged   float64 // probes at what they read, writes at what they stored
-	probes    bool    // some mutation reads the record before it writes
+	// stored is committed as the engine's memtable holds it, and pin keeps
+	// those pages from reuse: both go to the replication fabric.
+	stored  []WriteOp
+	pin     lavastore.Pin
+	charged float64 // probes at what they read, writes at what they stored
+	probes  bool    // some mutation reads the record before it writes
 	// arrived is the request's arrival in Unix nanoseconds, what its TTLs
 	// count from (an int64, not a time.Time, keeps the op in its
 	// allocation size class).
@@ -237,10 +242,14 @@ func (w *writeOp) io() {
 	}
 	// overlay is each touched key's state as the op's own mutations
 	// apply in order; the engine only answers for the state before the
-	// op. A point write has one mutation and needs neither map nor slice.
+	// op, and only a mutation that reads its record asks. A point write
+	// has one mutation and needs neither map nor slice, and a blind batch
+	// needs no map.
 	var overlay map[string]keyState
 	if len(w.muts) > 1 {
-		overlay = make(map[string]keyState)
+		if w.probes {
+			overlay = make(map[string]keyState)
+		}
 		w.committed = make([]WriteOp, 0, len(w.muts))
 	} else {
 		w.committed = w.one.c[:0]
@@ -276,17 +285,21 @@ func (w *writeOp) io() {
 		return
 	}
 	burn(n.cfg.Clock, time.Duration(len(w.committed))*n.cfg.Cost.IOWriteTime)
-	last, err := w.rep.db.Commit(w.committed, 0)
+	w.stored = w.one.s[:]
+	if len(w.committed) > 1 {
+		w.stored = make([]WriteOp, len(w.committed))
+	}
+	last, pin, err := w.rep.db.Commit(w.committed, 0, w.stored)
 	for k := range w.vals {
 		if w.vals[k].Err == errUncommitted {
 			w.vals[k].Err = err
 		}
 	}
 	if err != nil {
-		w.committed = nil
+		w.committed, w.stored = nil, nil
 		return
 	}
-	w.lastSeq = last
+	w.lastSeq, w.pin = last, pin
 	w.rep.writes.Add(1)
 	var buf [cacheKeyBuf]byte
 	for _, op := range w.committed {
@@ -347,7 +360,7 @@ func (w *writeOp) settle() {
 		// survives promotion. (A position counter bumped out here could
 		// order two concurrent commits differently from the engine.)
 		w.rep.advancePos(w.lastSeq)
-		w.n.forward(w.rep, w.committed, w.lastSeq)
+		w.n.forward(w.rep, w.stored, w.lastSeq, w.pin)
 	}
 	w.bill(w.charged)
 }
@@ -365,7 +378,12 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 	if err != nil || len(ops) == 0 {
 		return err
 	}
-	if seq, err = rep.db.Commit(ops, seq); err != nil {
+	var stored []WriteOp
+	if forward {
+		stored = make([]WriteOp, len(ops))
+	}
+	seq, pin, err := rep.db.Commit(ops, seq, stored)
+	if err != nil {
 		return err
 	}
 	// Invalidate rather than populate: follower reads are rare next to
@@ -380,7 +398,7 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 		rep.advancePos(seq)
 	}
 	if forward {
-		n.forward(rep, ops, seq)
+		n.forward(rep, stored, seq, pin)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"abase/internal/hashfield"
+	"abase/internal/lavastore"
 	"abase/internal/partition"
 )
 
@@ -76,10 +77,16 @@ type recorder struct {
 	pos  []uint64
 }
 
-func (r *recorder) Replicate(_ partition.ReplicaID, _ []Peer, ops []WriteOp, pos uint64) {
+func (r *recorder) Replicate(_ partition.ReplicaID, _ []Peer, ops []WriteOp, pos uint64, pin lavastore.Pin) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.msgs = append(r.msgs, append([]WriteOp(nil), ops...))
+	msg := make([]WriteOp, len(ops))
+	for i, op := range ops {
+		op.Key, op.Value = bytes.Clone(op.Key), bytes.Clone(op.Value)
+		msg[i] = op
+	}
+	pin.Release()
+	r.msgs = append(r.msgs, msg)
 	r.pos = append(r.pos, pos)
 }
 
@@ -347,5 +354,68 @@ func TestMixedBatchAppliesInOrder(t *testing.T) {
 	// tombstone: six committed ops in one message.
 	if len(rec.msgs) != 1 || len(rec.msgs[0]) != 6 || rec.pos[0] != posBefore+6 || n.ReplicationPosition(p) != posBefore+6 {
 		t.Fatalf("forwarded %d messages %v at %v, position %d → %d; want one group of 6", len(rec.msgs), rec.msgs, rec.pos, posBefore, n.ReplicationPosition(p))
+	}
+}
+
+// TestRepeatedKeyBatches pins the per-slot results of a sub-batch that
+// writes one key several times, once with blind puts only (which build
+// no overlay) and once with mutations that read the record the batch
+// itself wrote: the slots, the key's final state and the one forwarded
+// message, in order.
+func TestRepeatedKeyBatches(t *testing.T) {
+	k, j := []byte("k"), []byte("j")
+	for _, tc := range []struct {
+		name      string
+		ops       []Mutation
+		slots     []error
+		final     string // k's value at the end; "" for absent
+		forwarded []string
+	}{
+		{"blind", []Mutation{
+			{Key: k, Value: []byte("a")},
+			{Key: j, Value: []byte("b")},
+			{Key: k, Value: []byte("c")},
+		}, []error{nil, nil, nil}, "c", []string{"k=a", "j=b", "k=c"}},
+		{"probing", []Mutation{
+			{Key: k, Value: []byte("v1")},
+			{Kind: MutDelete, Key: k},
+			{Key: k, Value: []byte("v2"), PutOptions: PutOptions{Cond: CondXX}}, // deleted by now: left alone
+			{Kind: MutDelete, Key: k},
+			{Key: k, Value: []byte("v3"), PutOptions: PutOptions{Cond: CondNX}},
+		}, []error{nil, nil, nil, ErrNotFound, nil}, "v3", []string{"k=v1", "k deleted", "k=v3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := newTestNode(t, Config{})
+			n.AddReplica(rid("t1", 0, 0), 1e9, true)
+			p := pid("t1", 0)
+			rec := &recorder{}
+			n.SetReplicator(rec)
+			res, err := multiWrite(n, p, tc.ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, bv := range res.Values {
+				if !errors.Is(bv.Err, tc.slots[i]) || (tc.slots[i] == nil && bv.Err != nil) {
+					t.Errorf("slot %d err = %v, want %v", i, bv.Err, tc.slots[i])
+				}
+			}
+			if got, err := n.Get(bg, p, k); err != nil || string(got.Value) != tc.final {
+				t.Errorf("k = %q, %v; want %q", got.Value, err, tc.final)
+			}
+			if len(rec.msgs) != 1 {
+				t.Fatalf("%d forwarded messages, want one", len(rec.msgs))
+			}
+			var fwd []string
+			for _, op := range rec.msgs[0] {
+				if op.Delete {
+					fwd = append(fwd, string(op.Key)+" deleted")
+				} else {
+					fwd = append(fwd, string(op.Key)+"="+string(op.Value))
+				}
+			}
+			if fmt.Sprint(fwd) != fmt.Sprint(tc.forwarded) {
+				t.Errorf("forwarded %v, want %v", fwd, tc.forwarded)
+			}
+		})
 	}
 }

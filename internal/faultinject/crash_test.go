@@ -74,11 +74,11 @@ func TestWALTornGroupCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.TearNextWrite(cut)
-			_, _ = db.Commit([]lavastore.BatchOp{
+			_, _, _ = db.Commit([]lavastore.BatchOp{
 				{Key: []byte("b0"), Value: []byte("x")},
 				{Key: []byte("b1"), Value: []byte("y")},
 				{Key: []byte("b2"), Value: []byte("z")},
-			}, 0)
+			}, 0, nil)
 			db2 := reopen(t, fs.SnapshotAt(fs.Ops()), dir)
 			defer db2.Close()
 			if _, err := db2.Get([]byte("base")); err != nil {
@@ -145,7 +145,7 @@ func TestCrashTorture(t *testing.T) {
 		case r < 70: // Delete
 			k := key(rng.Intn(keySpace))
 			touched[string(k)] = true
-			if _, err := db.Commit([]lavastore.BatchOp{{Key: k, Delete: true}}, 0); err != nil {
+			if _, _, err := db.Commit([]lavastore.BatchOp{{Key: k, Delete: true}}, 0, nil); err != nil {
 				t.Fatalf("step %d delete: %v", step, err)
 			}
 			delete(model, string(k))
@@ -161,7 +161,7 @@ func TestCrashTorture(t *testing.T) {
 					ops = append(ops, lavastore.BatchOp{Key: k, Value: []byte(fmt.Sprintf("bat-%04d-%d", step, j))})
 				}
 			}
-			if _, err := db.Commit(ops, 0); err != nil {
+			if _, _, err := db.Commit(ops, 0, nil); err != nil {
 				t.Fatalf("step %d batch: %v", step, err)
 			}
 			for j, op := range ops {

@@ -14,12 +14,12 @@ func TestWriteBatchMixedOps(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("gone"), []byte("v"), 0)
 	exp := Deadline(time.Now(), time.Hour)
-	_, err := db.Commit([]BatchOp{
+	_, _, err := db.Commit([]BatchOp{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("gone"), Delete: true},
 		{Key: []byte("b"), Value: []byte("2"), ExpireAt: exp},
 		{Key: []byte("a"), Value: []byte("1b")}, // overwrite inside the batch
-	}, 0)
+	}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestWriteBatchRecovery(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchOp{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("v%02d", i))}
 	}
-	if _, err := db.Commit(ops, 0); err != nil {
+	if _, _, err := db.Commit(ops, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate after the batch so sequence ordering crosses the modes.
@@ -90,11 +90,11 @@ func TestOverwriteWorkloadRotatesWAL(t *testing.T) {
 // refuses both engine-assigned and forced commits.
 func TestWriteBatchEmptyAndClosed(t *testing.T) {
 	db := openMem(t, Options{})
-	if last, err := db.Commit(nil, 0); err != nil || last != 0 {
+	if last, _, err := db.Commit(nil, 0, nil); err != nil || last != 0 {
 		t.Fatalf("empty Commit = %d, %v", last, err)
 	}
 	db.Close()
-	if _, err := db.Commit([]BatchOp{{Key: []byte("k"), Value: []byte("v")}}, 0); !errors.Is(err, ErrClosed) {
+	if _, _, err := db.Commit([]BatchOp{{Key: []byte("k"), Value: []byte("v")}}, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed Commit err = %v", err)
 	}
 	if _, err := put(db, "k", "v", 7); !errors.Is(err, ErrClosed) {

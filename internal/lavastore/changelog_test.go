@@ -326,7 +326,7 @@ func TestApplyBatchAtForcedRange(t *testing.T) {
 		{Key: []byte("b"), Value: []byte("2")},
 		{Key: []byte("c"), Delete: true},
 	}
-	if last, err := db.Commit(ops, 3); err != nil || last != 3 {
+	if last, _, err := db.Commit(ops, 3, nil); err != nil || last != 3 {
 		t.Fatal(err)
 	}
 	evs, err := db.Replay(1, 3)
@@ -336,7 +336,7 @@ func TestApplyBatchAtForcedRange(t *testing.T) {
 	if evs[0].Seq != 1 || string(evs[0].Key) != "a" || !evs[2].Delete {
 		t.Fatalf("batch events = %+v", evs)
 	}
-	if _, err := db.Commit(ops, 2); err == nil {
+	if _, _, err := db.Commit(ops, 2, nil); err == nil {
 		t.Fatal("underflowing batch position accepted")
 	}
 }
@@ -346,10 +346,10 @@ func TestApplyBatchAtForcedRange(t *testing.T) {
 func TestWriteBatchSeqContiguous(t *testing.T) {
 	db := openMem(t, Options{})
 	db.Put([]byte("warm"), []byte("x"), 0)
-	last, err := db.Commit([]BatchOp{
+	last, _, err := db.Commit([]BatchOp{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("b"), Value: []byte("2")},
-	}, 0)
+	}, 0, nil)
 	if err != nil || last != 3 {
 		t.Fatalf("batch last seq = %d, %v; want 3", last, err)
 	}
@@ -377,7 +377,7 @@ func TestCommitNotify(t *testing.T) {
 	var got []uint64
 	db.SetCommitNotify(func(seq uint64) { got = append(got, seq) })
 	db.Put([]byte("a"), []byte("1"), 0)
-	db.Commit([]BatchOp{{Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: []byte("3")}}, 0)
+	db.Commit([]BatchOp{{Key: []byte("b"), Value: []byte("2")}, {Key: []byte("c"), Value: []byte("3")}}, 0, nil)
 	put(db, "d", "4", 9)
 	want := []uint64{1, 3, 9}
 	if len(got) != len(want) {

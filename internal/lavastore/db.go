@@ -92,8 +92,7 @@ type DB struct {
 	opt Options
 
 	mu        sync.RWMutex
-	mem       *skiplist.List
-	v         *view // the immutable memtables and tables; see view
+	v         *view // the memtables and tables; see view
 	wal       *walWriter
 	walName   string
 	walBytes  int64 // appended to the live WAL since the last rotation
@@ -127,7 +126,7 @@ func Open(opt Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{opt: o, mem: skiplist.New(1), retain: noRetention}
+	db := &DB{opt: o, retain: noRetention}
 	opened := false
 	defer func() {
 		if !opened { // close what recovery opened
@@ -145,8 +144,8 @@ func Open(opt Options) (*DB, error) {
 	}
 	// Re-log replayed records into the fresh WAL before discarding the
 	// old logs, so a crash immediately after Open loses nothing.
-	if db.mem.Len() > 0 {
-		it := db.mem.NewIterator()
+	if db.v.mem.Len() > 0 {
+		it := db.v.mem.NewIterator()
 		for it.Next() {
 			if err := db.wal.Append(it.Key(), it.Value()); err != nil {
 				return nil, err
@@ -224,7 +223,7 @@ func (db *DB) recover() ([]string, error) {
 		tables = append(tables, t)
 	}
 	db.mu.Lock()
-	db.installLocked(nil, tables)
+	db.installLocked(skiplist.New(1), nil, tables)
 	db.mu.Unlock()
 	// Replay WALs oldest-first so newer records win.
 	sort.Slice(walNames, func(i, j int) bool {
@@ -242,7 +241,7 @@ func (db *DB) recover() ([]string, error) {
 				// whose append order disagrees with sequence order for the
 				// same key; keep the highest-sequence record, not the last
 				// appended one.
-				if cur, ok := db.mem.Get(key); ok {
+				if cur, ok := db.v.mem.Get(key); ok {
 					if cr, cerr := decodeRecord(cur); cerr == nil && cr.Seq > r.Seq {
 						return nil
 					}
@@ -251,7 +250,7 @@ func (db *DB) recover() ([]string, error) {
 					db.seq = r.Seq
 				}
 			}
-			db.mem.Put(key, rec) // Put copies: replay reuses its buffers
+			db.v.mem.Put(key, rec) // Put copies: replay reuses its buffers
 			return nil
 		})
 		f.Close()
@@ -288,13 +287,15 @@ func (db *DB) rotateWAL() (old string, err error) {
 	if err != nil {
 		return "", err
 	}
+	w := newWALWriter(f)
 	if db.wal != nil {
 		db.wal.Close()
+		w.out = db.wal.out // the framing scratch outlives its file
 		old = db.walName
 		db.segs = append(db.segs, walSeg{name: db.walName, lo: db.liveLo, hi: db.seq})
 	}
 	db.liveLo = db.seq + 1
-	db.wal = newWALWriter(f)
+	db.wal = w
 	db.walName = name
 	return old, nil
 }
@@ -306,7 +307,7 @@ func (db *DB) Put(key, value []byte, ttl time.Duration) error {
 	if ttl > 0 {
 		op.ExpireAt = Deadline(db.opt.Clock.Now(), ttl)
 	}
-	_, err := db.Commit([]BatchOp{op}, 0)
+	_, _, err := db.Commit([]BatchOp{op}, 0, nil)
 	return err
 }
 
@@ -352,27 +353,36 @@ type BatchOp struct {
 // newer-sequence record exists for its key, so out-of-order fabric
 // delivery cannot make an older write win reads.
 //
+// A caller that hands the committed bytes on passes stored, as long as
+// ops: Commit then fills it, under the commit lock, with each op as the
+// memtable holds it — Key and Value are slices of the memtable's pages —
+// and returns a Pin that keeps those pages from reuse until released.
+// That is how a primary's replication message carries its writes
+// without a copy. With a nil stored the Pin is zero. On an error the Pin
+// is zero and stored must not be read.
+//
 // A commit too large for one memtable's page addresses (over half a
 // gigabyte) is refused.
-func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
+func (db *DB) Commit(ops []BatchOp, at uint64, stored []BatchOp) (last uint64, pin Pin, err error) {
 	if len(ops) == 0 {
-		return 0, nil
+		return 0, pin, nil
 	}
 	if at > 0 && at < uint64(len(ops)) {
-		return 0, fmt.Errorf("lavastore: batch position %d below op count %d", at, len(ops))
+		return 0, pin, fmt.Errorf("lavastore: batch position %d below op count %d", at, len(ops))
 	}
 	size := int64(0)
 	for _, op := range ops {
 		size += int64(len(op.Key) + len(op.Value))
 	}
 	if !skiplist.Fits(size, len(ops)) {
-		return 0, fmt.Errorf("lavastore: a commit of %d ops and %d bytes does not fit one memtable", len(ops), size)
+		return 0, pin, fmt.Errorf("lavastore: a commit of %d ops and %d bytes does not fit one memtable", len(ops), size)
 	}
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return 0, ErrClosed
+		return 0, pin, ErrClosed
 	}
+	mem := db.v.mem
 	base := db.seq + 1
 	if at > 0 {
 		base = at - uint64(len(ops)) + 1
@@ -398,26 +408,40 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 		if guard && db.shadowedLocked(op.Key, r.Seq) {
 			rec = encodeRecord(r)
 		} else {
-			ref, rec = db.mem.Alloc(recordLen(r))
+			ref, rec = mem.Alloc(recordLen(r))
 			appendRecord(rec[:0], r)
 		}
 		keys, recs, refs = append(keys, op.Key), append(recs, rec), append(refs, ref)
 	}
 	if err := db.wal.AppendMany(keys, recs); err != nil {
 		db.mu.Unlock()
-		return 0, err
+		return 0, pin, err
 	}
 	if db.opt.SyncWrites {
 		if err := db.wal.Sync(); err != nil {
 			db.mu.Unlock()
-			return 0, err
+			return 0, pin, err
 		}
 	}
 	for i, ref := range refs {
 		db.walBytes += int64(len(keys[i]) + len(recs[i]) + 16)
+		key := keys[i]
 		if ref != 0 {
-			db.mem.Insert(keys[i], ref)
+			key = mem.Insert(key, ref)
+		} else if stored != nil { // rec is on the heap, and so the key goes
+			key = slices.Clone(key)
 		}
+		if stored != nil {
+			s := ops[i]
+			s.Key, s.Value = key, nil
+			if !s.Delete { // the value is the record's tail
+				s.Value = recs[i][len(recs[i])-len(ops[i].Value):]
+			}
+			stored[i] = s
+		}
+	}
+	if stored != nil {
+		pin = Pin{db.acquireLocked().viewRef}
 	}
 	last = base + uint64(len(ops)) - 1
 	db.liveLo = min(db.liveLo, base)
@@ -428,16 +452,19 @@ func (db *DB) Commit(ops []BatchOp, at uint64) (last uint64, err error) {
 	needFlush := db.needFlushLocked()
 	db.mu.Unlock()
 	if needFlush {
-		return last, db.Flush()
+		if err := db.Flush(); err != nil {
+			pin.Release()
+			return last, Pin{}, err
+		}
 	}
-	return last, nil
+	return last, pin, nil
 }
 
 // shadowedLocked reports whether key already has a record newer than
 // seq. It fails open on a read error.
 // +locked:db.mu
 func (db *DB) shadowedLocked(key []byte, seq uint64) bool {
-	cur, _, err := lookup(db.mem, db.v.imm, db.v.tables, key, nil)
+	cur, _, err := lookup(db.v, key, nil)
 	return err == nil && recSeq(cur) > seq
 }
 
@@ -450,9 +477,9 @@ func (db *DB) shadowedLocked(key []byte, seq uint64) bool {
 // fill half its page addresses first.
 // +locked:db.mu
 func (db *DB) needFlushLocked() bool {
-	return db.mem.Bytes() >= db.opt.MemtableBytes ||
+	return db.v.mem.Bytes() >= db.opt.MemtableBytes ||
 		db.walBytes >= 4*db.opt.MemtableBytes ||
-		db.mem.Full()
+		db.v.mem.Full()
 }
 
 // GetResult carries a Get's value plus the I/O accounting the DataNode
@@ -485,11 +512,13 @@ var runBufs = sync.Pool{New: func() any {
 func (db *DB) Get(key []byte) (GetResult, error) {
 	buf := runBufs.Get().(*[]byte)
 	defer runBufs.Put(buf)
-	r, ioReads, err := db.live(key, *buf)
+	r, ioReads, v, err := db.live(key, *buf)
 	if err != nil {
 		return GetResult{IOReads: ioReads}, err
 	}
-	return GetResult{Value: append([]byte(nil), r.Value...), IOReads: ioReads, ExpireAt: r.ExpireAt}, nil
+	value := append([]byte(nil), r.Value...)
+	v.release()
+	return GetResult{Value: value, IOReads: ioReads, ExpireAt: r.ExpireAt}, nil
 }
 
 // ExpireAt is the value-free read: key's deadline in Unix seconds (0 for
@@ -498,29 +527,31 @@ func (db *DB) Get(key []byte) (GetResult, error) {
 func (db *DB) ExpireAt(key []byte) (int64, error) {
 	buf := runBufs.Get().(*[]byte)
 	defer runBufs.Put(buf)
-	r, _, err := db.live(key, *buf)
+	r, _, v, err := db.live(key, *buf)
 	if err != nil {
 		return 0, err
 	}
+	v.release()
 	return r.ExpireAt, nil
 }
 
-// live reads key's newest record through a snapshot of the layers and
-// returns it if it is a live value, with the table reads the lookup cost
-// (counted in Stats.GetIOReads). Deleted and expired keys return
-// ErrNotFound. A record read from a table lies in buf, or in a buffer of
-// its own when its index run does not fit buf, so the caller copies out
-// what it keeps before it reuses buf.
-func (db *DB) live(key, buf []byte) (r record, ioReads int, err error) {
+// live reads key's newest record through an acquired view and returns
+// it if it is a live value, with the table reads the lookup cost
+// (counted in Stats.GetIOReads) and the view, which the caller releases
+// once it has copied out what it keeps. Deleted and expired keys return
+// ErrNotFound, with the view already released. A record read from a
+// memtable lies in its pages, which the view keeps from reuse; one read
+// from a table lies in buf, or in a buffer of its own when its index run
+// does not fit buf.
+func (db *DB) live(key, buf []byte) (r record, ioReads int, v *view, err error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
-		return r, 0, ErrClosed
+		return r, 0, nil, ErrClosed
 	}
-	mem, v := db.mem, db.acquireLocked()
+	v = db.acquireLocked()
 	db.mu.RUnlock()
-	rec, ioReads, err := lookup(mem, v.imm, v.tables, key, buf)
-	v.release() // a table's rec is in a read buffer, not the file
+	rec, ioReads, err := lookup(v, key, buf)
 	if ioReads > 0 {
 		db.getIOReads.Add(int64(ioReads))
 	}
@@ -530,24 +561,28 @@ func (db *DB) live(key, buf []byte) (r record, ioReads int, err error) {
 	if err == nil && (r.Kind == kindDelete || r.expired(db.opt.Clock.Now().Unix())) {
 		err = ErrNotFound
 	}
-	return r, ioReads, err
+	if err != nil {
+		v.release()
+		return r, ioReads, nil, err
+	}
+	return r, ioReads, v, nil
 }
 
 // lookup is the engine's one layered point read: the memtable, then the
 // immutable memtables newest-first, then the tables newest-first. It
 // returns the first record found for key and the table reads it made,
-// or ErrNotFound. Callers pass an acquired view's layers or hold db.mu;
-// buf is the table reads' buffer, as for Table.Get.
-func lookup(mem *skiplist.List, imm []*skiplist.List, tables []*Table, key, buf []byte) (rec []byte, ioReads int, err error) {
-	if rec, ok := mem.Get(key); ok {
+// or ErrNotFound. Callers pass an acquired view or hold db.mu; buf is
+// the table reads' buffer, as for Table.Get.
+func lookup(v *view, key, buf []byte) (rec []byte, ioReads int, err error) {
+	if rec, ok := v.mem.Get(key); ok {
 		return rec, 0, nil
 	}
-	for i := len(imm) - 1; i >= 0; i-- {
-		if rec, ok := imm[i].Get(key); ok {
+	for i := len(v.imm) - 1; i >= 0; i-- {
+		if rec, ok := v.imm[i].Get(key); ok {
 			return rec, 0, nil
 		}
 	}
-	for _, t := range tables {
+	for _, t := range v.tables {
 		rec, found, ios, err := t.Get(key, buf)
 		ioReads += ios
 		if err != nil || found {
@@ -584,7 +619,7 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 		db.mu.Unlock()
 		return false, ErrClosed
 	}
-	if db.mem.Len() > 0 {
+	if db.v.mem.Len() > 0 {
 		// The old WAL holds the frozen memtable's records; it must
 		// outlive the flush (sealed below only once the table is
 		// installed), or a crash mid-flush would lose every
@@ -595,9 +630,8 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 			return false, err
 		}
 		imm := db.v.imm
-		db.installLocked(append(imm[:len(imm):len(imm)], db.mem), db.v.tables)
+		db.installLocked(skiplist.New(1), append(imm[:len(imm):len(imm)], db.v.mem), db.v.tables)
 		db.frozenWAL = append(db.frozenWAL, oldWAL)
-		db.mem = skiplist.New(1)
 	}
 	db.mu.Unlock()
 	for len(db.frozenWAL) > 0 {
@@ -611,11 +645,15 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 
 // flushOldest writes the oldest frozen memtable, v.imm[0], as the
 // newest table and seals wal, the segment that holds its records.
-// Callers hold flushMu, so only this flush changes v.imm.
+// Callers hold flushMu, so only this flush changes v.imm; it reads
+// through an acquired view all the same, so that a Close meanwhile
+// cannot release the memtable under it.
 func (db *DB) flushOldest(wal string) (tooMany bool, err error) {
 	db.mu.RLock()
-	mem := db.v.imm[0]
+	v := db.acquireLocked()
 	db.mu.RUnlock()
+	defer v.release()
+	mem := v.imm[0]
 	t, err := db.buildTable(fmt.Sprintf("%06d.sst", db.allocFileNum()), func(w *tableWriter) error {
 		it := mem.NewIterator()
 		for it.Next() {
@@ -635,7 +673,7 @@ func (db *DB) flushOldest(wal string) (tooMany bool, err error) {
 		t.Close()
 		return false, ErrClosed
 	}
-	db.installLocked(slices.Clone(db.v.imm[1:]), append([]*Table{t}, db.v.tables...))
+	db.installLocked(db.v.mem, slices.Clone(db.v.imm[1:]), append([]*Table{t}, db.v.tables...))
 	db.flushes++
 	tooMany = len(db.v.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
 	// The records are durable in the installed table; the sealed WAL
@@ -726,7 +764,7 @@ func (db *DB) Compact() error {
 			next = append(next, cur)
 		}
 	}
-	db.installLocked(db.v.imm, append(next, t))
+	db.installLocked(db.v.mem, db.v.imm, append(next, t))
 	db.compactions++
 	db.expiredDropped += dropped
 	db.mu.Unlock()
@@ -797,9 +835,9 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s := Stats{
-		MemtableBytes:     db.mem.Bytes(),
-		MemtablePageBytes: db.mem.PageBytes(),
-		MemtableKeys:      db.mem.Len(),
+		MemtableBytes:     db.v.mem.Bytes(),
+		MemtablePageBytes: db.v.mem.PageBytes(),
+		MemtableKeys:      db.v.mem.Len(),
 		Tables:            len(db.v.tables),
 		Flushes:           db.flushes,
 		Compactions:       db.compactions,
@@ -831,14 +869,15 @@ func (db *DB) Close() error {
 }
 
 // releaseFilesLocked closes the WAL and gives up the DB's reference to
-// the current view, whose tables close after the last reader's release.
+// the current view, whose tables close and memtables release their pages
+// after the last reader's release.
 // +locked:db.mu
 func (db *DB) releaseFilesLocked() {
 	if db.wal != nil {
 		db.wal.Close()
 	}
 	if db.v != nil {
-		db.v.drop = db.v.tables
+		db.v.dropTables, db.v.dropLists = db.v.tables, db.v.lists()
 		db.v.release()
 	}
 }

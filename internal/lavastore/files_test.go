@@ -304,7 +304,7 @@ func TestFailedFlushIsRetried(t *testing.T) {
 		}
 		if i == 3 { // once in its table, the flushed memtable is garbage
 			db.mu.RLock()
-			runtime.SetFinalizer(db.mem, func(*skiplist.List) { close(released) })
+			runtime.SetFinalizer(db.v.mem, func(*skiplist.List) { close(released) })
 			db.mu.RUnlock()
 		}
 		if err := db.Flush(); err != nil {

@@ -26,13 +26,14 @@ func openMem(t *testing.T, opt Options) *DB {
 
 // del writes a tombstone for key.
 func del(db *DB, key []byte) error {
-	_, err := db.Commit([]BatchOp{{Key: key, Delete: true}}, 0)
+	_, _, err := db.Commit([]BatchOp{{Key: key, Delete: true}}, 0, nil)
 	return err
 }
 
 // put commits one put at sequence at (0 = the engine's next).
 func put(db *DB, key, value string, at uint64) (uint64, error) {
-	return db.Commit([]BatchOp{{Key: []byte(key), Value: []byte(value)}}, at)
+	last, _, err := db.Commit([]BatchOp{{Key: []byte(key), Value: []byte(value)}}, at, nil)
+	return last, err
 }
 
 // liveKeys counts the records a full Scan visits.

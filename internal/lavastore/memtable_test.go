@@ -19,7 +19,7 @@ func hotBatches(t *testing.T, db *DB, n int) {
 	for i := 0; i < n; i++ {
 		ops = append(ops, BatchOp{Key: []byte(fmt.Sprintf("key-%08d", i)), Value: value})
 		if len(ops) == cap(ops) || i == n-1 {
-			if _, err := db.Commit(ops, 0); err != nil {
+			if _, _, err := db.Commit(ops, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			ops = ops[:0]
@@ -99,9 +99,8 @@ func TestMemtablePageBytes(t *testing.T) {
 	// A frozen memtable awaiting flush still counts: Stats reads mem and
 	// imm alike. Freeze by hand, as doFlush does before it writes.
 	db.mu.Lock()
-	frozen := db.mem.PageBytes()
-	db.installLocked(append(db.v.imm, db.mem), db.v.tables)
-	db.mem = skiplist.New(1)
+	frozen := db.v.mem.PageBytes()
+	db.installLocked(skiplist.New(1), append(db.v.imm, db.v.mem), db.v.tables)
 	db.mu.Unlock()
 	if got := db.Stats().MemtablePageBytes; got != frozen {
 		t.Fatalf("with the memtable frozen, pages hold %d B, want its %d B", got, frozen)
@@ -147,7 +146,7 @@ func TestCommitTooLargeRefused(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchOp{Key: []byte("k"), Value: value}
 	}
-	if _, err := db.Commit(ops, 0); err == nil || !strings.Contains(err.Error(), "does not fit") {
+	if _, _, err := db.Commit(ops, 0, nil); err == nil || !strings.Contains(err.Error(), "does not fit") {
 		t.Fatalf("Commit of 625 MiB = %v, want refused", err)
 	}
 	if st := db.Stats(); st.MemtableKeys != 0 || st.MemtablePageBytes != 0 {

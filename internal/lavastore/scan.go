@@ -158,12 +158,12 @@ func (db *DB) scanner(start []byte) (*mergedScanner, error) {
 	// Sources ordered newest first so the first occurrence of a key is
 	// its newest record.
 	v := db.acquireLocked()
+	db.mu.RUnlock()
 	sources := make([]scanSource, 0, 1+len(v.imm)+len(v.tables))
-	sources = append(sources, memSource{db.mem.NewIterator()})
+	sources = append(sources, memSource{v.mem.NewIterator()})
 	for i := len(v.imm) - 1; i >= 0; i-- {
 		sources = append(sources, memSource{v.imm[i].NewIterator()})
 	}
-	db.mu.RUnlock()
 	ms := newMergedScanner(sources, v.tables, start)
 	ms.ref = v.viewRef
 	return ms, nil

@@ -93,10 +93,10 @@ func TestCommitStoresDeadlineVerbatim(t *testing.T) {
 	clk := &nowCounter{Sim: clock.NewSim(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))}
 	db := openMem(t, Options{Clock: clk})
 	future, past := clk.Sim.Now().Unix()+7, clk.Sim.Now().Unix()-1
-	if _, err := db.Commit([]BatchOp{
+	if _, _, err := db.Commit([]BatchOp{
 		{Key: []byte("f"), Value: []byte("v"), ExpireAt: future},
 		{Key: []byte("p"), Value: []byte("v"), ExpireAt: past},
-	}, 0); err != nil {
+	}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if clk.reads != 0 {

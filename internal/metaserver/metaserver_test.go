@@ -150,7 +150,7 @@ func TestFailNodeRepairsReplicas(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		primary.Put(bg, pid, []byte(fmt.Sprintf("k%02d", i)), []byte("v"), 0)
 	}
-	time.Sleep(50 * time.Millisecond) // let replication drain
+	m.FlushReplication() // every write above reached both followers
 
 	// Fail the primary of partition 0.
 	if err := m.FailNode(route.Primary); err != nil {

@@ -206,7 +206,7 @@ func (b books) moved(before books) books {
 	b.stats.Rejected -= before.stats.Rejected
 	b.stats.Shed -= before.stats.Shed
 	b.stats.Errors -= before.stats.Errors
-	b.stats.CacheHits, b.stats.CacheMiss = 0, 0
+	b.stats.CacheHits, b.stats.CacheMiss, b.stats.CacheRefreshes = 0, 0, 0
 	b.latencies -= before.latencies
 	b.charged -= before.charged
 	b.refunded -= before.refunded

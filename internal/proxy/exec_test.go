@@ -151,4 +151,14 @@ func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 		t.Fatalf("Get = %q with %d new misses, want the refreshed v2 served from the cache",
 			v, p.Stats().CacheMiss-missesBefore)
 	}
+	if n := p.Stats().CacheRefreshes; n != 1 {
+		t.Fatalf("Stats counts %d active updates, want 1", n)
+	}
+	if n := (&Fleet{proxies: []*Proxy{p, p}}).AggregateStats().CacheRefreshes; n != 2 {
+		t.Fatalf("a fleet of the proxy twice sums %d active updates, want 2", n)
+	}
+	p.ResetStats()
+	if n := p.Stats().CacheRefreshes; n != 0 {
+		t.Fatalf("after ResetStats, Stats counts %d active updates, want 0", n)
+	}
 }

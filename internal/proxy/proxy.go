@@ -448,11 +448,14 @@ type Stats struct {
 	Rejected int64
 	// Shed counts requests the data plane refused via deadline-aware
 	// admission shedding (remaining budget below estimated queue wait).
-	Shed       int64
-	Errors     int64
-	CacheHits  int64
-	CacheMiss  int64
-	LatencyP99 time.Duration
+	Shed      int64
+	Errors    int64
+	CacheHits int64
+	CacheMiss int64
+	// CacheRefreshes counts the AU-LRU's active updates: entries renewed
+	// from the origin before they expired.
+	CacheRefreshes int64
+	LatencyP99     time.Duration
 }
 
 // HitRatio returns the proxy cache hit ratio.
@@ -467,7 +470,7 @@ func (s Stats) HitRatio() float64 {
 // Stats returns a snapshot of the proxy's counters.
 func (p *Proxy) Stats() Stats {
 	r := metrics.SumRequests(p.reqs)
-	return Stats{
+	s := Stats{
 		Success:    r.Success.Value(),
 		Rejected:   r.Refused.Value(),
 		Shed:       r.Shed.Value(),
@@ -476,9 +479,14 @@ func (p *Proxy) Stats() Stats {
 		CacheMiss:  r.Misses.Value(),
 		LatencyP99: r.Latency.Quantile(0.99),
 	}
+	if p.cache != nil {
+		s.CacheRefreshes = p.cache.Refreshes()
+	}
+	return s
 }
 
-// ResetStats zeroes the proxy counters (experiment windows).
+// ResetStats zeroes the proxy counters (experiment windows), the
+// AU-LRU's refresh count included.
 func (p *Proxy) ResetStats() {
 	p.reqs.Each((*metrics.Requests).Reset)
 	if p.cache != nil {
@@ -578,6 +586,7 @@ func (f *Fleet) AggregateStats() Stats {
 		out.Errors += s.Errors
 		out.CacheHits += s.CacheHits
 		out.CacheMiss += s.CacheMiss
+		out.CacheRefreshes += s.CacheRefreshes
 		if s.LatencyP99 > out.LatencyP99 {
 			out.LatencyP99 = s.LatencyP99
 		}

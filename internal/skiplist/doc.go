@@ -9,8 +9,10 @@
 // in 64 KiB byte pages (a value over a quarter page gets a page of its
 // own), nodes in 16 KiB pages of 32-bit slots, each node's tower sized to
 // its height. Nodes, keys and values address each other by 32-bit
-// offsets. Pages are allocated on demand and, once published, never
-// move and are never reused, so a slice returned by Get, Key or Value
-// stays valid for as long as the caller holds it. An overwrite leaves
-// the old value in its page; the list is dropped whole.
+// offsets. A published page never moves, so a slice returned by Get, Key
+// or Value stays valid until the list is released. An overwrite leaves
+// the old value in its page; the list is released whole. Release gives
+// its full-size data pages to a bounded free list that the next lists
+// fill before they make new ones, so the owner calls it only once no
+// reader holds a slice of the list.
 package skiplist

@@ -384,3 +384,48 @@ func TestReadersSeePublishedValues(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRecyclesPages: a released list's full-size data pages go to
+// the free list, the next list fills them before it makes new ones, a
+// page of its own for a large value is left to the collector, and a
+// second Release panics rather than hand a page out twice.
+func TestReleaseRecyclesPages(t *testing.T) {
+	fill := func(l *List, tag byte) {
+		for i := 0; i < 200; i++ {
+			l.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{tag}, 1000))
+		}
+	}
+	a := New(1)
+	fill(a, 'a')
+	a.Put([]byte("big"), make([]byte, 3*bigData))
+	made0, free0 := PoolPages()
+	full := 0
+	for _, p := range a.dir.Load().data {
+		if len(p) == dataPageSize {
+			full++
+		}
+	}
+	a.Release()
+	if made, free := PoolPages(); made != made0 || free != min(free0+full, MaxFreePages) {
+		t.Fatalf("after Release: %d pages made, %d free; want %d made, %d free", made, free, made0, min(free0+full, MaxFreePages))
+	}
+
+	b := New(1)
+	fill(b, 'b')
+	if made, _ := PoolPages(); made != made0 {
+		t.Fatalf("a list the free list can fill made %d pages", made-made0)
+	}
+	for i := 0; i < 200; i++ {
+		if v, ok := b.Get([]byte(fmt.Sprintf("k%03d", i))); !ok || !bytes.Equal(v, bytes.Repeat([]byte{'b'}, 1000)) {
+			t.Fatalf("k%03d in reused pages = %.8q…, %v", i, v, ok)
+		}
+	}
+	b.Release()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release did not panic")
+		}
+	}()
+	a.Release()
+}

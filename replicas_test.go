@@ -117,12 +117,13 @@ type heldFrom struct {
 	from *datanode.Node
 }
 
-func (r heldFrom) Replicate(rid partition.ReplicaID, _ []datanode.Peer, ops []datanode.WriteOp, pos uint64) {
+func (r heldFrom) Replicate(rid partition.ReplicaID, _ []datanode.Peer, ops []datanode.WriteOp, pos uint64, pin lavastore.Pin) {
 	m := heldMessage{from: r.from, pid: rid.Partition, pos: pos}
 	for _, op := range ops {
 		op.Key, op.Value = bytes.Clone(op.Key), bytes.Clone(op.Value)
 		m.ops = append(m.ops, op)
 	}
+	pin.Release()
 	r.h.mu.Lock()
 	hold := r.h.hold
 	if hold {
