@@ -293,7 +293,8 @@ func TestOneTTLToDeadlineRule(t *testing.T) {
 // forwards only the outermost unset field is named.
 func TestEveryConfigFieldIsSet(t *testing.T) {
 	structs := []string{
-		"abase.ClusterConfig", "abase.TenantSpec",
+		"abase.ClusterConfig", "abase.TenantSpec", "abase.SubscribeOptions",
+		"abase/internal/cache.AUConfig",
 		"abase/internal/datanode.Config", "abase/internal/datanode.CostModel",
 		"abase/internal/proxy.Config",
 		"abase/internal/metaserver.Config", "abase/internal/metaserver.TenantSpec",

@@ -85,7 +85,9 @@ func TestClientBatchOps(t *testing.T) {
 // served and only the uncached slots report ErrThrottled — the batch
 // is not aborted.
 func TestMGetPartialThrottle(t *testing.T) {
-	c := newCluster(t, ClusterConfig{Nodes: 3})
+	// The nodes cache nothing, so the warm-up reads are node misses and
+	// the proxies go on charging an uncached read.
+	c := newCluster(t, ClusterConfig{Nodes: 3, NodeCacheBytes: 1})
 	tn, err := c.CreateTenant(TenantSpec{
 		Name: "throttle", QuotaRU: 100000, Proxies: 2,
 	})
@@ -93,11 +95,17 @@ func TestMGetPartialThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := tn.Client()
-	// Two accesses per key cross the hotness-gated admission threshold
-	// (with one proxy per group, a key always lands on the same proxy).
-	for i := 0; i < 2; i++ {
-		cl.Set(bg, []byte("hot1"), []byte("a"))
-		cl.Set(bg, []byte("hot2"), []byte("b"))
+	// A write earns no proxy-cache slot; the read after it is the key's
+	// second access, which crosses the hotness-gated admission
+	// threshold (with one proxy per group, a key always lands on the
+	// same proxy).
+	for k, v := range map[string]string{"hot1": "a", "hot2": "b"} {
+		if err := cl.Set(bg, []byte(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Get(bg, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Collapse the quota: the proxy limiters clamp their buckets, so

@@ -275,16 +275,18 @@ type SubscribeOptions struct {
 	// SlowConsumerGrace is how long a delivery may block on a full
 	// buffer before the subscription is declared slow (default 5s).
 	SlowConsumerGrace time.Duration
-	// PollInterval is the fallback poll cadence used when commit
-	// signals are quiet — after a failover re-routes the stream, or
-	// for partitions appended by a split (default 25ms).
-	PollInterval time.Duration
-	// HoldTTL is the lease on the retention holds the subscription
-	// places so the history between polls outlives WAL pruning
-	// (default 30s). Holds refresh continuously and lapse on their
-	// own if the process dies.
-	HoldTTL time.Duration
 }
+
+const (
+	// subPollEvery is a subscription's fallback poll cadence, used when
+	// commit signals are quiet — after a failover re-routes the stream,
+	// or for partitions appended by a split.
+	subPollEvery = 25 * time.Millisecond
+	// subHoldTTL is the lease on the retention holds a subscription
+	// places so the history between polls outlives WAL pruning. Holds
+	// refresh continuously and lapse on their own if the process dies.
+	subHoldTTL = 30 * time.Second
+)
 
 // Subscription is a live change stream: a pump goroutine follows every
 // partition's log and delivers committed events on Events in per-
@@ -296,9 +298,7 @@ type Subscription struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	grace     time.Duration
-	pollEvery time.Duration
-	holdTTL   time.Duration
+	grace time.Duration
 
 	mu  sync.Mutex
 	tok changestream.Token
@@ -317,7 +317,7 @@ type Subscription struct {
 // surfaced.
 //
 // The subscription holds WAL history at its cursor on every replica
-// of every partition (leased, HoldTTL) so the events between polls
+// of every partition (leased, subHoldTTL) so the events between polls
 // are never pruned out from under it.
 func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (*Subscription, error) {
 	tok, err := c.resolveToken(ctx, opts.Resume, opts.FromStart)
@@ -329,12 +329,6 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (*Subscri
 	}
 	if opts.SlowConsumerGrace <= 0 {
 		opts.SlowConsumerGrace = 5 * time.Second
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 25 * time.Millisecond
-	}
-	if opts.HoldTTL <= 0 {
-		opts.HoldTTL = 30 * time.Second
 	}
 	// Fail a stale resume fast, before the caller starts consuming.
 	if opts.Resume != "" {
@@ -351,16 +345,14 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (*Subscri
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Subscription{
-		c:         c,
-		holder:    fmt.Sprintf("%s/sub-%d", c.fleet.Tenant(), subSeq.Add(1)),
-		events:    make(chan Change, opts.Buffer),
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		grace:     opts.SlowConsumerGrace,
-		pollEvery: opts.PollInterval,
-		holdTTL:   opts.HoldTTL,
-		tok:       tok,
-		wake:      make(chan struct{}, 1),
+		c:      c,
+		holder: fmt.Sprintf("%s/sub-%d", c.fleet.Tenant(), subSeq.Add(1)),
+		events: make(chan Change, opts.Buffer),
+		cancel: cancel,
+		done:   make(chan struct{}),
+		grace:  opts.SlowConsumerGrace,
+		tok:    tok,
+		wake:   make(chan struct{}, 1),
 	}
 	s.refreshHolds(sctx)
 	// Commit-signal forwarders give sub-interval wake-ups. They are
@@ -448,7 +440,7 @@ func (s *Subscription) refreshHolds(ctx context.Context) {
 	positions := append([]uint64(nil), s.tok.Positions...)
 	s.mu.Unlock()
 	for part, pos := range positions {
-		_ = s.c.fleet.HoldChanges(ctx, part, s.holder, pos+1, s.holdTTL)
+		_ = s.c.fleet.HoldChanges(ctx, part, s.holder, pos+1, subHoldTTL)
 	}
 }
 
@@ -460,7 +452,7 @@ func (s *Subscription) pump(ctx context.Context) {
 	defer close(s.events)
 	// Hold renewal is time-based, not round-based: a busy stream
 	// cycles rounds fast, an idle one slowly; both renew at ~1/3 TTL.
-	nextHold := time.Now().Add(s.holdTTL / 3)
+	nextHold := time.Now().Add(subHoldTTL / 3)
 	for {
 		if ctx.Err() != nil {
 			s.fail(ctx.Err())
@@ -468,7 +460,7 @@ func (s *Subscription) pump(ctx context.Context) {
 		}
 		if now := time.Now(); now.After(nextHold) {
 			s.refreshHolds(ctx)
-			nextHold = now.Add(s.holdTTL / 3)
+			nextHold = now.Add(subHoldTTL / 3)
 		}
 		// Deep-copy the cursor: page mutates Positions in place, and
 		// Token() reads s.tok concurrently.
@@ -504,7 +496,7 @@ func (s *Subscription) pump(ctx context.Context) {
 		if len(events) > 0 && err == nil {
 			continue // keep draining a busy log before idling
 		}
-		t := time.NewTimer(s.pollEvery)
+		t := time.NewTimer(subPollEvery)
 		select {
 		case <-ctx.Done():
 			t.Stop()

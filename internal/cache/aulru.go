@@ -13,21 +13,13 @@ import (
 // and whether the key still exists.
 type Refresher func(key string) ([]byte, bool)
 
-// RefreshGate decides whether a near-expiry entry still deserves an
-// active update. A nil gate refreshes every entry that was accessed at
-// least twice in its TTL window; a hotspot-detector-backed gate
-// reserves origin refresh traffic for the keys that are still hot. It
-// is asked on a hit, with the hit's arrival time, under the key's shard
-// lock, and GetAt reports whether it was: a gate backed by an access
-// sketch can record the hit it is asked about.
-type RefreshGate func(key string, now time.Time) bool
-
 // AULRU is an active-update LRU: a TTL'd cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
-// cache and stampede the data nodes (§4.4). It is split into
-// Shards(Capacity) shards by key hash, each a CLOCK queue (clockList)
-// over its share of the capacity, the LRU approximation whose hit moves
-// nothing. Safe for concurrent use.
+// cache and stampede the data nodes (§4.4). An entry is hot once hit
+// since its value was stored. It is split into Shards(Capacity) shards
+// by key hash, each a CLOCK queue (clockList) over its share of the
+// capacity, the LRU approximation whose hit moves nothing. Safe for
+// concurrent use.
 type AULRU struct {
 	shards    []auShard
 	pick      picker
@@ -35,7 +27,6 @@ type AULRU struct {
 	refreshAt time.Duration // remaining-TTL threshold that triggers refresh
 	clk       clock.Clock
 	refresher Refresher
-	gate      RefreshGate
 }
 
 // auShard is one shard: the CLOCK list, the index and the counters of
@@ -97,9 +88,6 @@ type AUConfig struct {
 	Clock clock.Clock
 	// Refresher fetches fresh values; nil disables active update.
 	Refresher Refresher
-	// RefreshGate restricts active updates to keys it approves; nil
-	// approves every twice-accessed entry.
-	RefreshGate RefreshGate
 }
 
 // NewAULRU returns an active-update LRU.
@@ -128,7 +116,6 @@ func newAULRU(cfg AUConfig, n int) *AULRU {
 		refreshAt: cfg.RefreshWindow,
 		clk:       cfg.Clock,
 		refresher: cfg.Refresher,
-		gate:      cfg.RefreshGate,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -144,17 +131,17 @@ func (c *AULRU) shard(key []byte) *auShard { return &c.shards[c.pick.pick(key)] 
 
 // Get is GetAt of a string key at the cache clock's current time.
 func (c *AULRU) Get(key string) ([]byte, bool) {
-	v, hit, _, _ := c.GetAt([]byte(key), c.clk.Now())
+	v, hit, _ := c.GetAt([]byte(key), c.clk.Now())
 	return v, hit
 }
 
 // GetAt returns the cached value and whether it was present and fresh
-// at now, the caller's arrival time for the request. Accessing a hot
-// entry close to expiry triggers a synchronous active update through
-// the Refresher, renewing the entry in place. gated reports a hit the
-// RefreshGate was asked about. A miss returns the shard's write count,
-// which a fill of the value then read from the store passes to FillAt.
-func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool, writes uint64) {
+// at now, the caller's arrival time for the request. A hit on an entry
+// already hit since it was stored, inside its refresh window, triggers
+// a synchronous active update through the Refresher, renewing the
+// entry in place. A miss returns the shard's write count, which a fill
+// of the value then read from the store passes to FillAt.
+func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
 	s := c.shard(key)
 	s.mu.Lock()
 	e, ok := s.items[string(key)]
@@ -165,15 +152,13 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool, wri
 	if !ok {
 		writes = s.writes
 		s.mu.Unlock()
-		return nil, false, false, writes
+		return nil, false, writes
 	}
 	e.touch()
-	refreshable := e.hot &&
+	needRefresh := e.hot &&
 		e.meta.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
 		!s.refreshing[e.key]
-	gated = refreshable && c.gate != nil
-	needRefresh := refreshable && (!gated || c.gate(e.key, now))
 	if !e.hot {
 		e.hot = true // a write only when it changes: the line stays shared
 	}
@@ -186,7 +171,7 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit, gated bool, wri
 	if needRefresh {
 		c.refresh(s, name, gen)
 	}
-	return val, true, gated, 0
+	return val, true, 0
 }
 
 // refresh re-fetches key, which hashes to s, and renews the entry of
@@ -235,26 +220,40 @@ func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 // FillAt is PutAt for a value a read fetched from the store after a
 // GetAt miss that returned writes. It stores only if no write reached
 // key's shard since, so the value cannot be older than one a write
-// left cached or meant to drop, and, unless evict is set, only if the
-// value fits in the shard's free room: such a fill never pushes another
-// entry out.
-func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, evict bool) {
+// left cached or meant to drop. A fill that needs room must beat the
+// entry eviction takes next, as TinyLFU admits: it stores if that
+// victim has not been hit since it was stored, or if est, the key's
+// access estimate, is above the victim's, which estimate reads from the
+// same sketch, so what collisions add to both cancels out. A nil
+// estimate admits every fill. estimate runs under the key's shard lock,
+// so it must not call into the AU-LRU.
+func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, est float64, estimate func(key string) float64) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writes != writes {
 		return
 	}
-	if !evict {
-		room := s.capacity - s.used
-		if e, ok := s.items[string(key)]; ok {
-			room += e.size()
-		}
-		if int64(len(key)+len(value)) > room {
-			return
-		}
+	if estimate != nil && !s.admitsLocked(key, len(value), est, estimate) {
+		return
 	}
 	s.storeLocked(key, value, now.Add(c.ttl))
+}
+
+// admitsLocked reports whether FillAt stores key with a value of n
+// bytes: always into free room, and otherwise if the victim is unhit or
+// colder than est.
+// +locked:s.mu
+func (s *auShard) admitsLocked(key []byte, n int, est float64, estimate func(string) float64) bool {
+	room := s.capacity - s.used
+	if e, ok := s.items[string(key)]; ok {
+		room += e.size()
+	}
+	if int64(len(key)+n) <= room {
+		return true
+	}
+	v := s.ll.victim()
+	return v == nil || !v.hot || est > estimate(v.key)
 }
 
 // storeLocked stores key=value, expiring at expireAt, evicting what it

@@ -445,44 +445,6 @@ func TestAULRUUpdateOnlyExisting(t *testing.T) {
 	}
 }
 
-// TestAULRURefreshGateReservesActiveUpdate: active updates are origin
-// traffic, so the gate must confine them to keys still flagged hot.
-func TestAULRURefreshGateReservesActiveUpdate(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	refreshed := map[string]int{}
-	stillHot := map[string]bool{"hot": true}
-	c := NewAULRU(AUConfig{
-		Capacity:      1 << 20,
-		TTL:           time.Minute,
-		RefreshWindow: 10 * time.Second,
-		Clock:         sim,
-		Refresher: func(key string) ([]byte, bool) {
-			refreshed[key]++
-			return []byte("fresh"), true
-		},
-		RefreshGate: func(key string, _ time.Time) bool { return stillHot[key] },
-	})
-	c.Put("hot", []byte("v"))
-	c.Put("cooled", []byte("v"))
-	c.Get("hot") // twice-accessed: refresh-eligible
-	c.Get("cooled")
-	sim.Advance(55 * time.Second) // inside the refresh window
-	c.Get("hot")
-	c.Get("cooled")
-	if refreshed["hot"] != 1 || refreshed["cooled"] != 0 {
-		t.Fatalf("refreshed = %v, want hot once and cooled never", refreshed)
-	}
-	// Past the original TTL: the gated key was renewed, the cooled one
-	// fell out at expiry instead of consuming origin refresh traffic.
-	sim.Advance(10 * time.Second)
-	if _, ok := c.Get("cooled"); ok {
-		t.Fatal("cooled entry survived expiry")
-	}
-	if v, ok := c.Get("hot"); !ok || string(v) != "fresh" {
-		t.Fatalf("hot entry after renewal = %q %v", v, ok)
-	}
-}
-
 // TestAULRUUpdateOversizedDropsOnlyThatEntry: an update too large to
 // ever fit must not churn the rest of the cache through the evict
 // loop — it drops the (now stale) entry and leaves neighbors alone.

@@ -12,9 +12,10 @@ type entry[M any] struct {
 	// visited is CLOCK's reference bit: a hit or a write sets it, the
 	// hand clears it.
 	visited bool
-	// hot is the AU-LRU's active-update flag: the entry was accessed at
-	// least twice since its value was stored. The SA-LRU leaves it
-	// false. The two flags share the word after meta, so neither cache's
+	// hot is the AU-LRU's flag that the entry was hit since its value
+	// was stored: it makes the entry eligible for an active update and
+	// lets it stand against a fill that would evict it. The SA-LRU
+	// leaves it false. The two flags share the word after meta, so neither cache's
 	// entry outgrows the heap size class it took before the bit
 	// (TestEntrySizes).
 	hot bool

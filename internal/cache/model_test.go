@@ -175,7 +175,6 @@ type modelAULRU struct {
 	refreshAt  time.Duration
 	clk        clock.Clock
 	refresher  Refresher
-	gate       RefreshGate
 	refreshing map[string]bool
 	gen        uint64
 	writes     uint64
@@ -203,7 +202,6 @@ func newModelAULRU(cfg AUConfig) *modelAULRU {
 		refreshAt:  cfg.RefreshWindow,
 		clk:        cfg.Clock,
 		refresher:  cfg.Refresher,
-		gate:       cfg.RefreshGate,
 		refreshing: make(map[string]bool),
 	}
 }
@@ -223,8 +221,7 @@ func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 	needRefresh := e.hot &&
 		e.expireAt.Sub(now) <= c.refreshAt &&
 		c.refresher != nil &&
-		!c.refreshing[key] &&
-		(c.gate == nil || c.gate(key, now))
+		!c.refreshing[key]
 	e.hot = true
 	val, gen := e.value, e.gen
 	if needRefresh {
@@ -265,8 +262,9 @@ func (c *modelAULRU) PutAt(key string, value []byte, now time.Time) {
 }
 
 // FillAt stores only if no write came since the miss that returned
-// writes and, unless evict, only into free room.
-func (c *modelAULRU) FillAt(key string, value []byte, now time.Time, writes uint64, evict bool) {
+// writes and, with an estimate, only into free room or over a victim
+// that is unhit or whose estimate is below est.
+func (c *modelAULRU) FillAt(key string, value []byte, now time.Time, writes uint64, est float64, estimate func(string) float64) {
 	if writes != c.writes {
 		return
 	}
@@ -274,8 +272,11 @@ func (c *modelAULRU) FillAt(key string, value []byte, now time.Time, writes uint
 	if el, ok := c.items[key]; ok {
 		room += int64(len(key) + len(el.Value.(*modelAUEntry).value))
 	}
-	if !evict && int64(len(key)+len(value)) > room {
-		return
+	if estimate != nil && int64(len(key)+len(value)) > room && c.ll.Len() > 0 {
+		v := handVictim(c.ll, func(el *list.Element) *bool { return &el.Value.(*modelAUEntry).visited }).Value.(*modelAUEntry)
+		if v.hot && est <= estimate(v.key) {
+			return
+		}
 	}
 	c.store(key, value, now)
 }
@@ -398,6 +399,22 @@ func seedCacheFuzz(f *testing.F) {
 		}
 	}
 	f.Add(sweep)
+	// To the AU-LRU, with victim estimates: store half the keys at
+	// 300 B, hit each, then fill the other half at 300 B with estimates
+	// 0, 1 and 2, so fills that need room meet victims hit since they
+	// were stored, colder, as hot and hotter than the fill.
+	hot := []byte{1}
+	for _, op := range [][]byte{{2, 7, 0}, {0, 0}} {
+		for k := 0; k < 9; k++ {
+			hot = append(append(hot, 0, byte(k/3), byte(k%3)), op...)
+		}
+	}
+	for est := byte(0); est < 3; est++ {
+		for k := 0; k < 9; k++ {
+			hot = append(hot, 0, byte(k/3), byte(3+k%3), 9, 7, 0, est)
+		}
+	}
+	f.Add(hot)
 }
 
 // fuzzShards is how many shards the fuzzed caches have, each the size
@@ -529,15 +546,16 @@ func FuzzAULRUModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := &fuzzOps{data}
 		sim := clock.NewSim(time.Unix(1000, 0))
-		// The gate approves what the fuzz input last chose; both sides
-		// consult it at the same points when they agree.
-		gateOpen := true
-		gate := func(string, time.Time) bool { return gateOpen }
+		// A victim's estimate is a function of its key and of a shift
+		// the fuzz input moves; both sides ask it at the same points
+		// when they agree. Without one, every fill is admitted.
+		shift := 0
+		var estimate func(string) float64
+		if ops.next(2) == 1 {
+			estimate = func(k string) float64 { return float64((len(k) + shift) % 4) }
+		}
 		var origin, modelOrigin refreshOrigin
 		cfg := AUConfig{Capacity: 1024, TTL: time.Minute, RefreshWindow: 10 * time.Second, Clock: sim, Refresher: origin.fetch}
-		if ops.next(2) == 1 {
-			cfg.RefreshGate = gate
-		}
 		cfg.Capacity = fuzzShards * 1024
 		c := newAULRU(cfg, fuzzShards)
 		cfg.Capacity, cfg.Refresher = 1024, modelOrigin.fetch
@@ -562,7 +580,7 @@ func FuzzAULRUModel(f *testing.F) {
 					now = sim.Now()
 					v, ok = c.Get(k)
 				} else {
-					v, ok, _, writes = c.GetAt([]byte(k), now)
+					v, ok, writes = c.GetAt([]byte(k), now)
 				}
 				mv, mok, mwrites := m.GetAt(k, now)
 				if ok != mok || string(v) != string(mv) {
@@ -603,15 +621,15 @@ func FuzzAULRUModel(f *testing.F) {
 				desc = fmt.Sprintf("Advance %v", d)
 				sim.Advance(d)
 			case 7:
-				gateOpen = !gateOpen
-				desc = fmt.Sprintf("gate open %v", gateOpen)
+				shift++
+				desc = fmt.Sprintf("estimate shift %d", shift)
 			case 9:
 				// A fill after a miss, with no write since or one.
 				v := ops.value(step)
-				writes, evict := m.writes-uint64(ops.next(2)), ops.next(2) == 0
-				desc = fmt.Sprintf("Fill %s (%d B) at write %d, evict %v", k, len(v), writes, evict)
-				c.FillAt([]byte(k), v, now, writes, evict)
-				m.FillAt(k, v, now, writes, evict)
+				writes, est := m.writes-uint64(ops.next(2)), float64(ops.next(5))
+				desc = fmt.Sprintf("Fill %s (%d B) at write %d, estimate %v", k, len(v), writes, est)
+				c.FillAt([]byte(k), v, now, writes, est, estimate)
+				m.FillAt(k, v, now, writes, est, estimate)
 			case 8:
 				desc = "ResetStats"
 				c.ResetStats()

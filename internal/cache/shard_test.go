@@ -86,8 +86,8 @@ func TestShardsConcurrent(t *testing.T) {
 			defer fetches.Unlock()
 			return []byte("fresh-" + key), len(key)%7 != 0
 		},
-		RefreshGate: func(key string, _ time.Time) bool { return len(key)%3 != 0 },
 	}, shards)
+	estimate := func(key string) float64 { return float64(len(key) % 3) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -99,8 +99,8 @@ func TestShardsConcurrent(t *testing.T) {
 				switch i % 8 {
 				case 0, 1, 2:
 					sa.Lookup(k)
-					if _, hit, _, writes := au.GetAt(k, sim.Now()); !hit {
-						au.FillAt(k, v, sim.Now(), writes, i%2 == 0)
+					if _, hit, writes := au.GetAt(k, sim.Now()); !hit {
+						au.FillAt(k, v, sim.Now(), writes, float64(i%4), estimate)
 					}
 				case 3, 4:
 					sa.Insert(k, v)
@@ -208,6 +208,7 @@ func TestClockHandConcurrent(t *testing.T) {
 	sa := newSALRU(shards*share, shards)
 	sim := clock.NewSim(time.Unix(0, 0))
 	au := newAULRU(AUConfig{Capacity: shards * share, TTL: time.Minute, Clock: sim}, shards)
+	estimate := func(key string) float64 { return float64(len(key) % 3) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -219,15 +220,15 @@ func TestClockHandConcurrent(t *testing.T) {
 				v := make([]byte, 16+(g*37+i)%200)
 				switch i % 8 {
 				case 0, 1, 2, 3: // hits set bits while the hand clears them
-					if _, hit, _, writes := au.GetAt(hot, sim.Now()); !hit {
-						au.FillAt(hot, v, sim.Now(), writes, true)
+					if _, hit, writes := au.GetAt(hot, sim.Now()); !hit {
+						au.FillAt(hot, v, sim.Now(), writes, 0, nil)
 					}
 					if _, ok := sa.Lookup(hot); !ok {
 						sa.Insert(hot, v)
 					}
-				case 4, 5: // cold fills move the hand
-					if _, hit, _, writes := au.GetAt(cold, sim.Now()); !hit {
-						au.FillAt(cold, v, sim.Now(), writes, true)
+				case 4, 5: // cold fills move the hand, admitted or not
+					if _, hit, writes := au.GetAt(cold, sim.Now()); !hit {
+						au.FillAt(cold, v, sim.Now(), writes, float64(i%3), estimate)
 					}
 					sa.Insert(cold, v)
 				case 6: // write-through, sometimes growing the entry

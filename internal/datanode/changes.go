@@ -64,10 +64,12 @@ func (r *replica) signalCommit() {
 // Changes reads the partition's change log starting at sequence from
 // (0 means from the oldest committed write), returning at most max
 // events. Only the PRIMARY serves changes, and only up to its
-// replication position — the acknowledged prefix of the log — so a
-// subscriber never sees a write whose acknowledgment could still be
-// lost. A from below the retention floor fails with
-// lavastore.ErrHistoryTruncated (wrapped, errors.Is-matchable).
+// replication position: what it has committed and handed to
+// replication. Followers apply those writes later, so a failover
+// inside that window can lose an event a subscriber has already seen
+// (TestChangesServesAheadOfFollowers). A from below the retention floor
+// fails with lavastore.ErrHistoryTruncated (wrapped,
+// errors.Is-matchable).
 func (n *Node) Changes(ctx context.Context, pid partition.ID, from uint64, max int) (ChangeBatch, error) {
 	if err := ctx.Err(); err != nil {
 		return ChangeBatch{}, err

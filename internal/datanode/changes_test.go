@@ -179,3 +179,36 @@ func TestChangesBounds(t *testing.T) {
 		t.Fatalf("bounds = %d..%d, %v", lo, end, err)
 	}
 }
+
+// TestChangesServesAheadOfFollowers: Changes serves what the primary has
+// committed and handed to replication, not what its followers applied.
+// The follower is held at its lock, as in TestFabricFlushIsADrainMarker,
+// so it cannot apply the write; the primary serves the write's event at
+// once, while the follower's replication position is still below it. A
+// failover to that follower would lose an event a subscriber has seen.
+func TestChangesServesAheadOfFollowers(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	fo := followers[0]
+	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, fo)}); err != nil {
+		t.Fatal(err)
+	}
+	frep, err := fo.getReplica(p) // ReplicationPosition waits on the lock
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	if _, err := primary.Put(bg, p, []byte("a"), []byte("1"), 0); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := primary.Changes(bg, p, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Events) != 1 || batch.End != 1 {
+		t.Fatalf("Changes served %d events up to %d, want the write at 1", len(batch.Events), batch.End)
+	}
+	if pos := frep.replPos.Load(); pos >= batch.End {
+		t.Fatalf("the follower is at %d, want it below the served event %d", pos, batch.End)
+	}
+}

@@ -176,7 +176,7 @@ func HotspotMitigation(opts HotspotOpts) ([]HotspotRow, HotspotSplit, Table) {
 		Notes: []string{
 			fmt.Sprintf("%d reads over %d keys, %d B values, %d B proxy cache per run",
 				opts.Ops, opts.Keys, opts.ValueBytes, opts.CacheBytes),
-			"gated: a fill that would evict needs the key's debiased sketch estimate at the threshold, so cold singletons cannot churn the hot set; a fill into free room needs only the upper estimate",
+			"gated: a read fill needs the key's sketch estimate at the threshold, and a fill that would evict must also beat its victim, one hit since stored, in the same sketch, so cold singletons cannot churn the hot set; a write earns no slot",
 			"top-10 recall: data-plane heavy hitters vs the true hot set, sampled on an uncached pass",
 		},
 	}

@@ -75,10 +75,6 @@ func (r *refDetector) decay(now time.Time) {
 	}
 }
 
-func (r *refDetector) debias(est float64) float64 {
-	return math.Max(0, est-r.total/float64(r.width))
-}
-
 func (r *refDetector) touch(key []byte, w float64, now time.Time) (est float64) {
 	r.decay(now)
 	est = math.Inf(1)
@@ -151,7 +147,7 @@ func (r *refDetector) reset() {
 // decayed the counts. Queries read the clock.
 func TestTouchMatchesAlwaysScan(t *testing.T) {
 	configs := map[string]Config{
-		// The proxy sketch: 32 counters, unsampled, debiased reads.
+		// The proxy sketch: 32 counters, unsampled.
 		"proxy": {TopK: 32, Width: 2048, Depth: DefaultDepth, Window: 10 * time.Second},
 		// The DataNode detector's defaults.
 		"datanode": {TopK: DefaultTopK, Width: DefaultWidth, Depth: DefaultDepth, Window: 10 * time.Second},
@@ -192,15 +188,7 @@ func touchMatchesAlwaysScan(t *testing.T, cfg Config, lagging bool) {
 		if lagging {
 			now = now.Add(-time.Duration(rng.Intn(5000)) * time.Microsecond)
 		}
-		var got, want Heat
-		if i%2 == 0 {
-			got = d.touchN(k, fnv1a(k), w, now)
-			want.Upper = ref.touch(k, w, now)
-			want.Debiased = ref.debias(want.Upper)
-		} else {
-			got.Upper, want.Upper = d.TouchN(k, w, now), ref.touch(k, w, now)
-		}
-		if got != want {
+		if got, want := d.TouchN(k, w, now), ref.touch(k, w, now); got != want {
 			t.Fatalf("touch %d of %s: returned %v, reference %v", i, k, got, want)
 		}
 		if i%7 == 0 {
@@ -232,9 +220,6 @@ func touchMatchesAlwaysScan(t *testing.T, cfg Config, lagging bool) {
 			probe := key(rng.Intn(6000))
 			if got, want := d.Estimate(probe), ref.estimate(probe); got != want {
 				t.Fatalf("touch %d: Estimate(%s) = %v, reference %v", i, probe, got, want)
-			}
-			if got, want := d.EstimateDebiased(probe), ref.debias(ref.estimate(probe)); got != want {
-				t.Fatalf("touch %d: EstimateDebiased(%s) = %v, reference %v", i, probe, got, want)
 			}
 		}
 		if total := d.Total(); total != ref.total {

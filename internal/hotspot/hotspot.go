@@ -47,25 +47,6 @@ type Config struct {
 	Clock clock.Clock
 }
 
-// Heat is a key's windowed access count after a touch, as the two
-// estimates the sketch gives. Upper is the count-min minimum: it never
-// undercounts a key recorded in the window, and collisions can inflate
-// it by up to the window total over the width. Debiased is the
-// count-mean-min estimate, Upper less the expected collision mass
-// (total over width), clamped at zero. It is close to a key's count
-// while traffic is light or even, but it is not volume-independent:
-// under skew the few cells the heavy hitters land in hold most of the
-// total, so a typical cell collects less than the mean it subtracts,
-// a warm key's estimate falls short of its count by the difference,
-// and a key read dozens of times in the window can read as zero. A
-// decision whose overestimate costs nothing uses Upper, as the proxy's
-// AU-LRU fill into free room does; one whose mistake costs another
-// key, such as evicting it, uses Debiased, as the proxy's evicting
-// fills, write admissions and refresh gate do.
-type Heat struct {
-	Upper, Debiased float64
-}
-
 // HotKey is one entry of a top-k summary.
 type HotKey struct {
 	Key   string
@@ -117,11 +98,6 @@ type Detector struct {
 	ssFloor   float64
 	lastDecay time.Time
 	total     float64 // decayed total recorded weight
-	// all is, for a shard of a Sharded sketch, the shards' summed total
-	// (see Sharded); nil for a Detector of its own. published is the
-	// total this shard last added to it.
-	all       *sharedTotal
-	published float64
 }
 
 // NewDetector returns a detector with cfg's parameters (zero fields
@@ -164,10 +140,10 @@ func NewDetector(cfg Config) *Detector {
 }
 
 // fnv1a is the 64-bit FNV-1a hash, inlined so Touch allocates nothing.
-func fnv1a(key []byte) uint64 {
+func fnv1a[K string | []byte](key K) uint64 {
 	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
 	return h
@@ -201,16 +177,6 @@ func (d *Detector) Touch(key []byte, now time.Time) float64 {
 	if d.skip() {
 		return -1
 	}
-	return d.touchN(key, fnv1a(key), float64(d.rate), now).Upper
-}
-
-// TouchHeat is Touch returning both of the key's post-touch estimates
-// (see Heat), read in the one critical section that records the touch;
-// both are -1 when sampling skipped the access.
-func (d *Detector) TouchHeat(key []byte, now time.Time) Heat {
-	if d.skip() {
-		return Heat{-1, -1}
-	}
 	return d.touchN(key, fnv1a(key), float64(d.rate), now)
 }
 
@@ -222,7 +188,7 @@ func (d *Detector) skip() bool {
 // TouchN records an access at now with explicit weight w > 0
 // (bypassing the sampler) and returns the key's post-touch estimate.
 func (d *Detector) TouchN(key []byte, w float64, now time.Time) float64 {
-	return d.touchN(key, fnv1a(key), w, now).Upper
+	return d.touchN(key, fnv1a(key), w, now)
 }
 
 // secondHash derives the double-hashing stride from h1.
@@ -235,8 +201,8 @@ func secondHash(h1 uint64) uint64 {
 }
 
 // touchN records weight w for key, whose fnv1a hash is h1, and returns
-// the key's post-touch estimates.
-func (d *Detector) touchN(key []byte, h1 uint64, w float64, now time.Time) Heat {
+// the key's post-touch estimate.
+func (d *Detector) touchN(key []byte, h1 uint64, w float64, now time.Time) float64 {
 	h2 := secondHash(h1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -250,8 +216,6 @@ func (d *Detector) touchN(key []byte, h1 uint64, w float64, now time.Time) Heat 
 		}
 	}
 	d.total += w
-	d.publishLocked(false)
-	heat := Heat{Upper: est, Debiased: max(est-d.collisions(), 0)}
 	// Space-Saving update keyed on the same weight.
 	if e, ok := d.ss[h1]; ok {
 		e.count += w
@@ -278,38 +242,7 @@ func (d *Detector) touchN(key []byte, h1 uint64, w float64, now time.Time) Heat 
 			d.ss[h1] = victim
 		}
 	}
-	return heat
-}
-
-// publishShare sets how stale a shard lets the shared total get: a touch
-// publishes once the shard's unpublished weight reaches this share of
-// the shared total, so at volume the shards seldom write the one shared
-// word, and the shared total stays within shards/publishShare of the sum
-// of the shards' totals.
-const publishShare = 4096
-
-// publishLocked adds to the shared total what d's total changed by since
-// d last did: at once when force is set (a decay or a reset), otherwise
-// once the change is publishShare's share of the shared total.
-// +locked:d.mu
-func (d *Detector) publishLocked(force bool) {
-	if d.all == nil {
-		return
-	}
-	if delta := d.total - d.published; force || delta >= d.all.Value()/publishShare {
-		d.all.Add(delta)
-		d.published = d.total
-	}
-}
-
-// collisions is the expected collision mass in one cell, which the
-// debiased estimates subtract: the decayed total over the width, both
-// summed over every shard when d is one.
-func (d *Detector) collisions() float64 {
-	if d.all != nil {
-		return d.all.Value() / d.all.width
-	}
-	return d.total / float64(d.width)
+	return est
 }
 
 // Estimate returns the key's windowed access-count estimate (the
@@ -317,20 +250,11 @@ func (d *Detector) collisions() float64 {
 // underestimates a key recorded in the window; collisions can
 // overestimate by at most the window total / width.
 func (d *Detector) Estimate(key []byte) float64 {
-	return d.estimate(fnv1a(key), false)
+	return d.estimate(fnv1a(key))
 }
 
-// EstimateDebiased returns the collision-corrected (count-mean-min)
-// estimate: the expected collision mass total/width is subtracted
-// before the min, clamped at zero. It undercounts under skew (see
-// Heat).
-func (d *Detector) EstimateDebiased(key []byte) float64 {
-	return d.estimate(fnv1a(key), true)
-}
-
-// estimate is Estimate or EstimateDebiased of the key whose fnv1a hash
-// is h1.
-func (d *Detector) estimate(h1 uint64, debias bool) float64 {
+// estimate is Estimate of the key whose fnv1a hash is h1.
+func (d *Detector) estimate(h1 uint64) float64 {
 	h2 := secondHash(h1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -339,12 +263,6 @@ func (d *Detector) estimate(h1 uint64, debias bool) float64 {
 	for i := range d.rows {
 		if c := d.rows[i][d.cell(h1, h2, i)]; c < est {
 			est = c
-		}
-	}
-	if debias {
-		est -= d.collisions()
-		if est < 0 {
-			est = 0
 		}
 	}
 	return est
@@ -395,7 +313,6 @@ func (d *Detector) Reset() {
 	clear(d.ss)
 	d.ssFloor = math.Inf(1)
 	d.total = 0
-	d.publishLocked(true)
 	d.lastDecay = d.clk.Now()
 }
 
@@ -422,7 +339,6 @@ func (d *Detector) maybeDecayLocked(now time.Time) {
 		}
 	}
 	d.total *= factor
-	d.publishLocked(true)
 	d.ssFloor *= factor // Inf stays Inf: factor is never zero
 	for k, e := range d.ss {
 		e.count *= factor

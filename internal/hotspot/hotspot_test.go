@@ -209,11 +209,9 @@ func TestMeterRate(t *testing.T) {
 }
 
 // TestShardedNeverUnderestimates drives a 16-shard sketch with a skewed
-// stream: every key's count-min estimate on the shard a touch reaches,
-// and the upper estimate each touch returns, is at least its exact
-// count and at least its debiased estimate, the debiased estimate a
-// caller reads is
-// the routed shard's, and every shard gets keys. Each shard's summary
+// stream: the estimate each touch returns, and every key's estimate
+// afterwards, is at least its exact count, the estimate a caller reads
+// is the routed shard's, and every shard gets keys. Each shard's summary
 // holds its share of TopK, four keys, so the merged TopK holds every key
 // that Space-Saving guarantees a shard keeps — one seen more often than
 // a quarter of its shard's touches — each with a count at least its
@@ -228,17 +226,16 @@ func TestShardedNeverUnderestimates(t *testing.T) {
 		// about 1/(r(r+1)).
 		k := key(int(2000 / (1 + rng.Float64()*1999)))
 		exact[string(k)]++
-		if h := s.TouchHeat(k, clk.Now()); h.Upper < exact[string(k)] || h.Debiased > h.Upper {
-			t.Fatalf("touch %d of %s: %+v, %v touches", i, k, h, exact[string(k)])
+		if est := s.Touch(k, clk.Now()); est < exact[string(k)] {
+			t.Fatalf("touch %d of %s: estimate %v, %v touches", i, k, est, exact[string(k)])
 		}
 	}
 	for k, n := range exact {
-		d, h := s.shard([]byte(k))
-		if est := d.estimate(h, false); est < n {
+		if est := s.Estimate(k); est < n {
 			t.Fatalf("key %s: estimate %.0f below its %v touches", k, est, n)
 		}
-		if got, want := s.EstimateDebiased([]byte(k)), d.EstimateDebiased([]byte(k)); got != want {
-			t.Fatalf("key %s: debiased estimate %v, its shard says %v", k, got, want)
+		if got, want := s.Estimate(k), s.shard(fnv1a(k)).Estimate([]byte(k)); got != want {
+			t.Fatalf("key %s: estimate %v, its shard says %v", k, got, want)
 		}
 	}
 	for i, d := range s.shards {
@@ -256,7 +253,7 @@ func TestShardedNeverUnderestimates(t *testing.T) {
 	}
 	guaranteed := 0
 	for k, n := range exact {
-		d, _ := s.shard([]byte(k))
+		d := s.shard(fnv1a(k))
 		if n > d.Total()/4 {
 			guaranteed++
 			if _, ok := inTop[k]; !ok {
@@ -279,8 +276,8 @@ func TestShardedTopKMergesShards(t *testing.T) {
 	one, d := NewSharded(cfg, 1), NewDetector(cfg)
 	for i := 0; i < 5000; i++ {
 		k := key(i % (1 + i%97))
-		s.TouchHeat(k, clk.Now())
-		if got, want := one.TouchHeat(k, clk.Now()), d.TouchHeat(k, clk.Now()); got != want {
+		s.Touch(k, clk.Now())
+		if got, want := one.Touch(k, clk.Now()), d.Touch(k, clk.Now()); got != want {
 			t.Fatalf("touch %d: one-shard estimate %v, Detector %v", i, got, want)
 		}
 	}

@@ -5,6 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
+
+	"abase/internal/clock"
+	"abase/internal/datanode"
+	"abase/internal/ru"
 )
 
 func TestProxyBatchPutGetOrder(t *testing.T) {
@@ -62,13 +67,19 @@ func TestProxyBatchGetSingleQuotaAdmission(t *testing.T) {
 func TestProxyBatchGetCacheHitsSurviveThrottle(t *testing.T) {
 	// Tiny quota: the cached key must still be served while the
 	// uncached key's slot reports ErrThrottled — not the whole batch.
-	_, p := newStack(t, 5, nil)
-	// Two accesses cross the hotness-gated admission threshold, so the
-	// second write actually caches the value.
-	for i := 0; i < 2; i++ {
-		if err := p.Put(bg, []byte("hot"), []byte("v"), 0); err != nil {
-			t.Fatal(err)
-		}
+	// The nodes cache nothing, so the warm-up read is a node miss and
+	// the estimator goes on charging an uncached read its value's size:
+	// 2 RU for the hot key's.
+	p := nodeStack(t, clock.Real{}, datanode.Config{CacheBytes: 1}, Config{EnableCache: true, ProxyQuota: 5, CacheTTL: time.Minute})
+	hot := bytes.Repeat([]byte("v"), 2*ru.UnitBytes)
+	// A write earns no AU-LRU slot; the read after it is the key's
+	// second access, which crosses the hotness-gated admission
+	// threshold and caches the value.
+	if err := p.Put(bg, []byte("hot"), hot, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Get(bg, []byte("hot")); err != nil {
+		t.Fatal(err)
 	}
 	big := bytes.Repeat([]byte("x"), 2048) // 3 RU per write at r=3
 	for i := 0; i < 20; i++ {
@@ -78,8 +89,8 @@ func TestProxyBatchGetCacheHitsSurviveThrottle(t *testing.T) {
 	for p.limiter.Allow(0.9, p.cfg.Clock.Now()) {
 	}
 	values, errs := p.BatchGet(bg, [][]byte{[]byte("hot"), []byte("cold")})
-	if errs[0] != nil || string(values[0]) != "v" {
-		t.Fatalf("cached slot = %q, %v", values[0], errs[0])
+	if errs[0] != nil || !bytes.Equal(values[0], hot) {
+		t.Fatalf("cached slot = %d B, %v", len(values[0]), errs[0])
 	}
 	if !errors.Is(errs[1], ErrThrottled) {
 		t.Fatalf("uncached slot err = %v, want ErrThrottled", errs[1])

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"abase/internal/datanode"
-	"abase/internal/hotspot"
 	"abase/internal/metaserver"
 	"abase/internal/partition"
 )
@@ -34,8 +33,8 @@ const (
 	// cache (Get, BatchGet, BatchExists).
 	cacheRead
 	// cacheWrite heats the sketch — writes count toward hotness too —
-	// and writes through or invalidates according to what the node
-	// stored (Put, PutWith, BatchPut).
+	// and updates a cached entry or invalidates it according to what
+	// the node stored (Put, PutWith, BatchPut).
 	cacheWrite
 	// cacheInvalidate drops the entry once a node has answered, found or
 	// not: the AU-LRU's TTL is independent of the engine's, so an
@@ -46,12 +45,12 @@ const (
 
 // access is one key's arrival as the AU-LRU policy saw it: when the
 // request arrived, which a fill or write-through counts the entry's TTL
-// from, the key's sketch estimates after this access, for the
-// hotness-gated fills, and, for a read that missed, the write count the
+// from, the key's sketch estimate after this access, for the
+// hotness-gated fill, and, for a read that missed, the write count the
 // AU-LRU returned, which its fill passes back (see AULRU.FillAt).
 type access struct {
 	at     time.Time
-	heat   hotspot.Heat
+	est    float64
 	writes uint64
 }
 
@@ -61,27 +60,23 @@ type access struct {
 // expiry against it. It returns the key's access, for the cache fills,
 // and for a cacheRead the AU-LRU's answer: a hit is a served request
 // that cost no quota. A miss or a write touches the sketch after the
-// lookup; a hit is recorded by the refresh gate when the AU-LRU asks it,
-// and otherwise by touchHit.
+// lookup; a hit is recorded by touchHit.
 func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access, v []byte, hit bool) {
 	acc.at = now
 	if p.cache == nil || (use != cacheRead && use != cacheWrite) {
 		return acc, nil, false
 	}
 	if use == cacheRead {
-		var gated bool
-		if v, hit, gated, acc.writes = p.cache.GetAt(key, now); hit {
+		if v, hit, acc.writes = p.cache.GetAt(key, now); hit {
 			c := p.reqs.Cell()
 			c.Hits.Inc()
 			c.Success.Inc()
-			if !gated {
-				p.touchHit(key, now)
-			}
+			p.touchHit(key, now)
 			return acc, v, true
 		}
 		p.reqs.Cell().Misses.Inc()
 	}
-	acc.heat = p.touchHot(key, now)
+	acc.est = p.touchHot(key, now)
 	return acc, nil, false
 }
 

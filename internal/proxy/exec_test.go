@@ -114,8 +114,9 @@ func TestDeleteAndHashTrafficIsRestricted(t *testing.T) {
 	}
 }
 
-// TestActiveUpdateRefreshesFromOrigin: a still-hot AU-LRU entry nearing
-// expiry is renewed from the key's primary without a miss, so a value
+// TestActiveUpdateRefreshesFromOrigin: an AU-LRU entry hit since it was
+// stored and hit again near expiry is renewed from the key's primary
+// without a miss, so a value
 // the origin acquired behind the cache's back replaces the cached one.
 func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
@@ -140,8 +141,8 @@ func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 	sim.Advance(55 * time.Second) // CacheTTL is a minute: inside the refresh window
 	missesBefore := p.Stats().CacheMiss
 	var v []byte
-	// The sketch decayed over the idle minute; two accesses re-heat the
-	// key past the refresh gate, and the hit after the refresh sees v2.
+	// The first hit inside the window renews the entry, and the hits
+	// after the refresh see v2.
 	for i := 0; i < 4; i++ {
 		if v, err = p.Get(bg, key); err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"abase/internal/cache"
 	"abase/internal/clock"
 	"abase/internal/datanode"
 	"abase/internal/metaserver"
@@ -36,9 +37,9 @@ func waitParked(t *testing.T, sim *clock.Sim, base int) {
 
 // TestAULRUFillLosesToWriteThrough parks a read of a hot, uncached key
 // between its node read and its AU-LRU fill, and stores a newer value
-// meanwhile: the write finds the key absent and, the key being hot,
-// caches its own value. The parked read's fill carries the older value
-// and must not replace it, on the point GET path and on the MGET path.
+// meanwhile: the write finds the key absent and caches nothing. The
+// parked read's fill carries the older value and must not install it,
+// on the point GET path and on the MGET path.
 func TestAULRUFillLosesToWriteThrough(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -73,15 +74,15 @@ func TestAULRUFillLosesToWriteThrough(t *testing.T) {
 			if err := p.Put(bg, key, []byte("v2"), 0); err != nil {
 				t.Fatal(err)
 			}
-			if v, ok := p.cache.Get(string(key)); !ok || string(v) != "v2" {
-				t.Fatalf("after the write the AU-LRU holds %q (%v), want the written-through v2", v, ok)
+			if v, ok := p.cache.Get(string(key)); ok {
+				t.Fatalf("after the write the AU-LRU holds %q: a write cached an uncached key", v)
 			}
 			sim.Advance(time.Microsecond)
 			if v := <-read; string(v) != "v1" {
 				t.Fatalf("the parked read = %q, want v1 from the node", v)
 			}
-			if v, ok := p.cache.Get(string(key)); !ok || string(v) != "v2" {
-				t.Fatalf("the AU-LRU serves %q (%v) after the read's fill, want v2: the fill overwrote the write-through", v, ok)
+			if v, ok := p.cache.Get(string(key)); ok {
+				t.Fatalf("the AU-LRU serves %q after the read's fill, want nothing: the fill installed a value older than the write", v)
 			}
 		})
 	}
@@ -118,10 +119,11 @@ func storeBehind(t *testing.T, m *metaserver.Meta, p *Proxy, key, value []byte) 
 }
 
 // TestFillIntoRoomAdmitsOnSecondRead: once skewed traffic has made the
-// sketch's collision mass far larger than the admission threshold, the
-// debiased estimate of a key read twice is below it, yet a read fill
-// into a shard with room is decided on the upper estimate, so the key
-// is cached after its second read.
+// sketch's collision mass far larger than the admission threshold, so
+// that an estimate less that mass would read a key read twice as cold,
+// a read fill into a shard with room is decided on the count-min
+// estimate, which never undercounts, so the key is cached after its
+// second read.
 func TestFillIntoRoomAdmitsOnSecondRead(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0)) // stands still: nothing decays
 	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = 32 << 20 })
@@ -133,77 +135,135 @@ func TestFillIntoRoomAdmitsOnSecondRead(t *testing.T) {
 			t.Fatalf("read %d = %q, %v", i+1, v, err)
 		}
 	}
-	if est := p.hot.EstimateDebiased(key); est >= p.hotThreshold {
-		t.Fatalf("debiased estimate %v after two reads: the stream is too even to show the undercount", est)
+	if mass := float64(p.Stats().CacheMiss) / hotWidth; mass < 4*p.hotThreshold {
+		t.Fatalf("collision mass %v: the stream is too light to show the undercount of subtracting it", mass)
 	}
 	if v, ok := p.cache.Get(string(key)); !ok || string(v) != "v" {
 		t.Fatal("a key read twice was not cached, though its shard has room")
 	}
 }
 
-// TestFillThatEvictsNeedsDebiasedHeat: in a full one-shard AU-LRU, a
-// key whose upper estimate passes the threshold only on the collision
-// mass must not push out a resident; a key read often enough to pass
-// on its debiased estimate still takes a resident's place.
-func TestFillThatEvictsNeedsDebiasedHeat(t *testing.T) {
+// fullStack is a proxy whose one-shard AU-LRU is full with the
+// residents r0..r7, each read twice (the second read fills it) and not
+// hit since, over a sketch that is quiet and never decays. cand is
+// stored too, behind the proxy's back, for a read to fill.
+func fullStack(t *testing.T, cand string) (p *Proxy, residents []string) {
+	t.Helper()
 	sim := clock.NewSim(time.Unix(0, 0))
-	const residents, entry = 8, 128 // bytes per entry, key included
-	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = residents * entry })
-	value := func(key string) []byte { return bytes.Repeat([]byte("v"), entry-len(key)) }
-	var names []string
-	for i := 0; i < residents; i++ {
-		names = append(names, fmt.Sprintf("r%d", i))
+	const n, entry = 8, 128 // bytes per entry, key included
+	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = n * entry })
+	for i := 0; i < n; i++ {
+		residents = append(residents, fmt.Sprintf("r%d", i))
 	}
-	for _, k := range append(names, "cold", "hot") {
-		storeBehind(t, m, p, []byte(k), value(k))
+	for _, k := range append(residents, cand) {
+		storeBehind(t, m, p, []byte(k), bytes.Repeat([]byte("v"), entry-len(k)))
 	}
-	for _, k := range names { // two reads each, while the sketch is quiet
-		for i := 0; i < 2; i++ {
-			if _, err := p.Get(bg, []byte(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for _, k := range residents {
+		readN(t, p, k, 2)
 	}
-	if n, used := p.cache.Len(), p.cache.Used(); n != residents || used != residents*entry {
-		t.Fatalf("the AU-LRU holds %d entries, %d B; want it full with the %d residents", n, used, residents)
+	if n, used := p.cache.Len(), p.cache.Used(); n != len(residents) || used != int64(len(residents)*entry) {
+		t.Fatalf("the AU-LRU holds %d entries, %d B; want it full with the %d residents", n, used, len(residents))
 	}
-	cached := func() (out []string) {
-		for _, k := range append(names, "cold", "hot") {
-			if _, ok := p.cache.Get(k); ok {
-				out = append(out, k)
-			}
-		}
-		return out
-	}
-	skewedReads(t, p, 60_000)
+	return p, residents
+}
 
-	for i := 0; i < 2; i++ {
-		if _, err := p.Get(bg, []byte("cold")); err != nil {
+// readN reads key n times through the proxy.
+func readN(t *testing.T, p *Proxy, key string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := p.Get(bg, []byte(key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Read twice, the key's upper estimate is at the threshold.
-	if est := p.hot.EstimateDebiased([]byte("cold")); est >= p.hotThreshold {
-		t.Fatalf("cold key's debiased estimate %v: the stream is too even to show the undercount", est)
-	}
-	if got := cached(); fmt.Sprint(got) != fmt.Sprint(names) {
-		t.Fatalf("after the cold key's reads the AU-LRU holds %v, want the residents %v", got, names)
-	}
+}
 
-	reads := 0
-	for ; reads < 1000; reads++ {
-		if _, ok := p.cache.Get("hot"); ok {
+// cachedOf returns which of keys the AU-LRU holds, marking them hit.
+func cachedOf(p *Proxy, keys ...string) (out []string) {
+	for _, k := range keys {
+		if _, ok := p.cache.Get(k); ok {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestFillThatEvictsBeatsItsVictim: in a full one-shard AU-LRU, a read
+// fill that needs room evicts the entry the CLOCK hand reaches first,
+// r0, if r0 has not been hit since it was stored; once r0 has been hit,
+// the fill must count more reads in the sketch than r0 does.
+func TestFillThatEvictsBeatsItsVictim(t *testing.T) {
+	t.Run("unhit victim", func(t *testing.T) {
+		p, residents := fullStack(t, "cand")
+		readN(t, p, "cand", 2)
+		if got, want := fmt.Sprint(cachedOf(p, append(residents, "cand")...)), fmt.Sprint(append(residents[1:], "cand")); got != want {
+			t.Fatalf("the AU-LRU holds %v, want %v", got, want)
+		}
+	})
+	t.Run("hit victim, colder candidate", func(t *testing.T) {
+		p, residents := fullStack(t, "cand")
+		for _, k := range residents {
+			readN(t, p, k, 1) // a hit: three reads counted
+		}
+		readN(t, p, "cand", 3)
+		if got := fmt.Sprint(cachedOf(p, append(residents, "cand")...)); got != fmt.Sprint(residents) {
+			t.Fatalf("the AU-LRU holds %v, want the residents %v", got, residents)
+		}
+	})
+	t.Run("hit victim, hotter candidate", func(t *testing.T) {
+		p, residents := fullStack(t, "cand")
+		for _, k := range residents {
+			readN(t, p, k, 1)
+		}
+		readN(t, p, "cand", 4)
+		if got, want := fmt.Sprint(cachedOf(p, append(residents, "cand")...)), fmt.Sprint(append(residents[1:], "cand")); got != want {
+			t.Fatalf("the AU-LRU holds %v, want %v", got, want)
+		}
+	})
+}
+
+// TestSampledHitsWeighTheVictim: a sharded AU-LRU's sketch records one
+// hit in hitSample, at weight hitSample, and a fill that needs room is
+// weighed against those samples. In a full shard, a resident hit k
+// times keeps its slot against a candidate read k/2 times, and loses it
+// to one read 2k times.
+func TestSampledHitsWeighTheVictim(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0)) // stands still: nothing decays
+	const cacheBytes, k = 32 << 20, 2000
+	m, p := newStack(t, 1e9, func(c *Config) { c.Clock = sim; c.CacheBytes = cacheBytes })
+	if p.hitWeight != hitSample {
+		t.Fatalf("hit weight %d, want %d", p.hitWeight, hitSample)
+	}
+	// Deleting an absent key counts a write in its shard alone, so a
+	// miss reports one write only for a key of the resident's shard.
+	resident := "resident"
+	p.cache.Delete([]byte(resident))
+	cand := ""
+	for i := 0; cand == ""; i++ {
+		if _, _, writes := p.cache.GetAt(fmt.Appendf(nil, "cand%d", i), sim.Now()); writes == 1 {
+			cand = fmt.Sprintf("cand%d", i)
+		}
+	}
+	// The resident fills its shard but for two bytes.
+	share := cacheBytes / cache.Shards(cacheBytes)
+	storeBehind(t, m, p, []byte(resident), make([]byte, share-len(resident)-2))
+	storeBehind(t, m, p, []byte(cand), []byte("v"))
+	readN(t, p, resident, 2+k) // the second read fills it, the rest hit
+	if st := p.Stats(); p.cache.Len() != 1 || st.CacheHits != k {
+		t.Fatalf("%d entries cached, %d hits; want the resident hit %d times", p.cache.Len(), st.CacheHits, k)
+	}
+	readN(t, p, cand, k/2)
+	if _, ok := p.cache.Get(cand); ok || p.cache.Len() != 1 {
+		t.Fatalf("a candidate read %d times displaced a resident hit %d times", k/2, k)
+	}
+	reads := k / 2
+	for ; reads < 2*k; reads++ {
+		if _, ok := p.cache.Get(cand); ok {
 			break
 		}
-		if _, err := p.Get(bg, []byte("hot")); err != nil {
-			t.Fatal(err)
-		}
+		readN(t, p, cand, 1)
 	}
-	if est := p.hot.EstimateDebiased([]byte("hot")); reads == 1000 || est < p.hotThreshold {
-		t.Fatalf("after %d reads the hot key is not cached (debiased estimate %v)", reads, est)
+	if _, ok := p.cache.Get(cand); !ok || p.cache.Len() != 1 {
+		t.Fatalf("a candidate read %d times did not displace a resident hit %d times", reads, k)
 	}
-	if got := cached(); len(got) != residents || got[residents-1] != "hot" {
-		t.Fatalf("after the hot key's fill the AU-LRU holds %v, want it and %d residents", got, residents-1)
-	}
-	t.Logf("the hot key was cached after %d reads", reads)
+	t.Logf("the candidate displaced the resident after %d reads", reads)
 }

@@ -49,11 +49,11 @@ type Config struct {
 	// the proxy is not restricted (§4.2).
 	ProxyQuota float64
 	// HotAdmitThreshold gates AU-LRU admission on the proxy's
-	// heavy-hitter sketch: a fetched value is inserted only once its
-	// key's windowed access estimate reaches the threshold — the upper
-	// estimate for a fill into free room, the debiased one for a fill
-	// that would evict and for a write — so cold singleton reads cannot
-	// churn hot entries out of scarce proxy memory. 0 uses
+	// heavy-hitter sketch: a value a read fetched is inserted only once
+	// its key's windowed access estimate reaches the threshold, and a
+	// fill that would evict only if it also beats its victim (see
+	// cacheFill), so cold singleton reads cannot churn hot entries out
+	// of scarce proxy memory; a write earns no slot. 0 uses
 	// DefaultHotAdmitThreshold; negative disables the gate (the legacy
 	// cache-everything policy).
 	HotAdmitThreshold int
@@ -88,11 +88,8 @@ const (
 
 // DefaultHotAdmitThreshold admits a key into the AU-LRU on its second
 // sketched access within the detection window: one access is noise,
-// two is a candidate hot key. A read fill into free room is decided on
-// the key's upper estimate, so it holds there at any traffic volume; a
-// fill that would evict is decided on the debiased estimate, which
-// undercounts under skew, so there it admits the head of the
-// distribution first (see cacheFill).
+// two is a candidate hot key. The count-min estimate never undercounts,
+// so this holds at any traffic volume.
 const DefaultHotAdmitThreshold = 2
 
 // The admission sketch's shape. It decays with hotspot.DefaultWindow,
@@ -103,8 +100,7 @@ const (
 	hotTopK = 32
 	// hotWidth is the sketch's count-min row width (~96 KiB of sketch
 	// per proxy). It sets the collision mass, the window total over the
-	// width: about what a cold key's upper estimate can gain from
-	// collisions, and what the debiased estimate subtracts.
+	// width: about what a cold key's estimate can gain from collisions.
 	hotWidth = 4096
 )
 
@@ -119,6 +115,9 @@ type Proxy struct {
 	// pre-hotspot policy).
 	hot          *hotspot.Sharded
 	hotThreshold float64
+	// estimate is hot.Estimate, bound once so a fill passes it to the
+	// AU-LRU without allocating; nil when gating is disabled.
+	estimate func(key string) float64
 	// hitWeight is how many AU-LRU hits one sketch touch records (see
 	// touchHit).
 	hitWeight uint32
@@ -165,15 +164,13 @@ func New(cfg Config) (*Proxy, error) {
 				Window: hotspot.DefaultWindow,
 				Clock:  cfg.Clock,
 			}, shards)
+			p.estimate = p.hot.Estimate
 			p.hitWeight = 1
 			if shards > 1 {
 				p.hitWeight = hitSample
 			}
-			// Half-count tolerance: debiased estimates sit slightly
-			// below the integer access count (the subtracted collision
-			// mean includes the key's own contribution), so an exact
-			// >= threshold would reject a key on its threshold-th
-			// access.
+			// Half-count tolerance: counts decay by halves, so a key
+			// read threshold times across a decay reads just under it.
 			p.hotThreshold = float64(threshold) - 0.5
 		}
 		p.cache = cache.NewAULRU(cache.AUConfig{
@@ -181,54 +178,36 @@ func New(cfg Config) (*Proxy, error) {
 			TTL:       cfg.CacheTTL,
 			Clock:     cfg.Clock,
 			Refresher: p.refreshFromOrigin,
-			// Active updates are reserved for keys the sketch still
-			// flags hot: refresh traffic is origin load, and a key that
-			// cooled off should fall out at expiry instead.
-			RefreshGate: p.refreshGate(),
 		})
 	}
 	cfg.Meta.RegisterProxy(p)
 	return p, nil
 }
 
-// refreshGate returns the AU-LRU refresh gate, nil when hotness gating
-// is disabled. It records the access it is asked about, exactly, and
-// counts it: a key must be hot with the access that would refresh it.
-func (p *Proxy) refreshGate() cache.RefreshGate {
-	if p.hot == nil {
-		return nil
-	}
-	return func(key string, now time.Time) bool {
-		return p.touchHot([]byte(key), now).Debiased >= p.hotThreshold
-	}
-}
-
 // touchHot records one access at now in the admission sketch and
-// returns the key's post-touch estimates (zero when gating is disabled;
-// the proxy sketch is unsampled, so recording never skips). They are
-// threaded to the fill and write-through so those decisions do not
-// re-lock the sketch. Misses, writes and the hits the refresh gate is
-// asked about touch it; other hits go through touchHit.
-func (p *Proxy) touchHot(key []byte, now time.Time) hotspot.Heat {
+// returns the key's post-touch estimate (zero when gating is disabled;
+// the proxy sketch is unsampled, so recording never skips). It is
+// threaded to the fill so that decision does not re-lock the sketch for
+// the candidate. Misses and writes touch it; hits go through touchHit.
+func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 	if p.hot == nil {
-		return hotspot.Heat{}
+		return 0
 	}
-	return p.hot.TouchHeat(key, now)
+	return p.hot.Touch(key, now)
 }
 
 // hitSample is how many AU-LRU hits one sketch touch stands for when
 // the cache is sharded (see touchHit).
 const hitSample = 8
 
-// touchHit records an AU-LRU hit the refresh gate was not asked about.
-// A sharded cache, one that serves many cores, records one hit in
-// hitWeight, picked at random, at weight hitWeight: a hit key holds its
-// slot already, and the sketch only gates the admission of misses and
-// the refresh gate, so the sample keeps the key's estimate unbiased
-// while the other hits write nothing the cores share. A one-shard
-// cache records every hit, exactly, as it keeps one exact LRU. The
-// pick draws on the runtime's per-thread generator, which no two cores
-// share.
+// touchHit records an AU-LRU hit. A sharded cache, one that serves many
+// cores, records one hit in hitWeight, picked at random, at weight
+// hitWeight: a hit key holds its slot already, and the sketch only
+// weighs it against fills that would evict it, so the sample keeps the
+// key's estimate unbiased while the other hits write nothing the cores
+// share. A one-shard cache records every hit, exactly, as it keeps one
+// exact LRU. The pick draws on the runtime's per-thread generator,
+// which no two cores share.
 func (p *Proxy) touchHit(key []byte, now time.Time) {
 	if p.hot == nil || rand.Uint32()%p.hitWeight != 0 {
 		return
@@ -236,38 +215,32 @@ func (p *Proxy) touchHit(key []byte, now time.Time) {
 	p.hot.TouchN(key, float64(p.hitWeight), now)
 }
 
-// hotAdmit reports whether est, one of a key's touchHot estimates,
-// passes the admission threshold: always when gating is disabled.
-func (p *Proxy) hotAdmit(est float64) bool {
-	return p.hot == nil || est >= p.hotThreshold
-}
-
 // cacheFill inserts a fetched TTL-free value under the hotness gate,
-// unless a write reached the key's AU-LRU shard since the miss. A fill
-// into free room costs no other key its slot, so the key's upper
-// estimate, which never undercounts, decides it. A fill that would
-// evict must pass on the debiased estimate, which collisions do not
-// inflate, so a cold key cannot push out a resident of a scarce cache.
+// unless a write reached the key's AU-LRU shard since the miss. The
+// key's estimate must reach the threshold; a fill that needs room must
+// also beat the entry eviction takes next, which the AU-LRU weighs with
+// the same sketch (see AULRU.FillAt), so a cold key cannot push out a
+// resident of a scarce cache at any traffic volume.
 func (p *Proxy) cacheFill(key, value []byte, acc access) {
-	if p.cache != nil && p.hotAdmit(acc.heat.Upper) {
-		p.cache.FillAt(key, value, acc.at, acc.writes, p.hotAdmit(acc.heat.Debiased))
+	if p.cache != nil && (p.hot == nil || acc.est >= p.hotThreshold) {
+		p.cache.FillAt(key, value, acc.at, acc.writes, acc.est, p.estimate)
 	}
 }
 
 // cacheWriteThrough applies the write policy after a stored write. A
 // TTL-free value writes through: an already-cached entry is always
-// updated in place (coherence), but a write alone earns a cold key a
-// slot only when its debiased estimate flags it hot, free room or not:
-// a key written and never read would only take up memory. An expiring value invalidates
-// instead, so the AU-LRU never holds a copy that could outlive the
-// record (see GetPref).
+// updated in place (coherence), but with gating on a write earns an
+// uncached key no slot, only a read does: a key written and never read
+// would only take up memory. An expiring value invalidates instead, so
+// the AU-LRU never holds a copy that could outlive the record (see
+// GetPref).
 func (p *Proxy) cacheWriteThrough(key, value []byte, expiring bool, acc access) {
 	switch {
 	case p.cache == nil:
 	case expiring:
 		p.cache.Delete(key)
 	case p.cache.UpdateAt(key, value, acc.at):
-	case p.hotAdmit(acc.heat.Debiased):
+	case p.hot == nil:
 		p.cache.PutAt(key, value, acc.at)
 	}
 }

@@ -296,15 +296,13 @@ func (p *ProxyLimiter) RUTotals() (charged, refunded float64) { return p.bucket.
 // DataNode request-queue entry point.
 type PartitionLimiter struct {
 	bucket *Bucket
-	mu     sync.Mutex
-	quota  float64
 }
 
 // NewPartitionLimiter returns a limiter admitting up to
 // PartitionBurstFactor × partition_quota RU/s.
 func NewPartitionLimiter(partitionQuota float64, clk clock.Clock) *PartitionLimiter {
 	rate := partitionQuota * PartitionBurstFactor
-	return &PartitionLimiter{bucket: NewBucket(rate, rate, clk), quota: partitionQuota}
+	return &PartitionLimiter{bucket: NewBucket(rate, rate, clk)}
 }
 
 // Allow admits a request of the given RU cost arriving at now.
@@ -316,18 +314,8 @@ func (p *PartitionLimiter) Refund(cost float64) { p.bucket.Refund(cost) }
 
 // SetQuota updates the partition quota (after scaling or splits).
 func (p *PartitionLimiter) SetQuota(partitionQuota float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.quota = partitionQuota
 	rate := partitionQuota * PartitionBurstFactor
 	p.bucket.SetRate(rate, rate)
-}
-
-// Quota returns the standard partition quota.
-func (p *PartitionLimiter) Quota() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.quota
 }
 
 // Stats exposes the underlying bucket's counters.

@@ -192,8 +192,8 @@ func TestProxyLimiterSetQuotaPreservesRestriction(t *testing.T) {
 func TestPartitionLimiterTripleCeiling(t *testing.T) {
 	sim := simClock()
 	p := NewPartitionLimiter(1000, sim)
-	if p.Quota() != 1000 {
-		t.Fatalf("Quota = %v", p.Quota())
+	if p.bucket.rate != 3000 {
+		t.Fatalf("bucket rate = %v, want 3× the quota", p.bucket.rate)
 	}
 	admitted := 0
 	for i := 0; i < 5000; i++ {
