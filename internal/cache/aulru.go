@@ -18,13 +18,17 @@ type Refresher func(key string) ([]byte, bool)
 // cache and stampede the data nodes (§4.4). An entry is hot once hit
 // since its value was stored. It is split into Shards(Capacity) shards
 // by key hash, each a CLOCK queue (clockList) over its share of the
-// capacity, the LRU approximation whose hit moves nothing. Safe for
-// concurrent use.
+// capacity, the LRU approximation whose hit moves nothing, indexed by
+// an open-addressed table whose slots (auSlot) hold what a hit reads.
+// Safe for concurrent use.
 type AULRU struct {
 	shards    []auShard
 	pick      picker
 	ttl       time.Duration
 	refreshAt time.Duration // remaining-TTL threshold that triggers refresh
+	// epoch is the cache clock's reading at creation; expiries are
+	// nanoseconds after it (see nanos).
+	epoch     time.Time
 	clk       clock.Clock
 	refresher Refresher
 }
@@ -42,10 +46,13 @@ type auShard struct {
 
 // auState is a shard's state. What a hit writes — only the lock — and
 // the index it reads lead the struct, so a hit touches one of the
-// shard's cache lines.
+// shard's cache lines before it reaches its slot.
 type auState struct {
-	mu    sync.Mutex
-	items map[string]*auEntry
+	mu sync.Mutex
+	// slots is the index: a power-of-two table probed linearly from a
+	// key's hash, never more than 3/4 full, so every probe run ends at
+	// a free slot. It doubles when full and never shrinks.
+	slots []auSlot
 	ll    clockList[auMeta]
 
 	capacity int64
@@ -62,18 +69,56 @@ type auState struct {
 	refreshes int64
 }
 
-// auEntry is one AU-LRU entry.
+// auEntry is one AU-LRU entry: what its CLOCK list, a fill's victim
+// comparison and a refresh need. A hit reads only its slot.
 type auEntry = entry[auMeta]
 
 type auMeta struct {
-	expireAt time.Time
-	// gen identifies the store that put value here. A refresh
+	// gen identifies the store that put the slot's value. A refresh
 	// reads the origin outside the lock; it installs what it read only
 	// if the entry still carries the generation it started from, so a
 	// write-through that lands meanwhile is never replaced by the older
 	// origin value.
 	gen uint64
+	// slot is where the entry sits in its shard's index. Moving a slot
+	// (growth, a deletion's backward shift) updates it.
+	slot uint32
 }
+
+// auSlot is one slot of a shard's index, one cache line on a 64-bit
+// platform (TestEntrySizes). It holds everything a hit reads, so a hit
+// reads the slot and the value and never the entry. A slot is free
+// when e is nil.
+type auSlot struct {
+	e     *auEntry
+	value []byte
+	// expire is when the value expires, in nanoseconds after the
+	// cache's epoch (see AULRU.nanos).
+	expire int64
+	// hash is the high half of the key's hash: masked, the slot the
+	// key's probe starts from; whole, the tag a probe compares before
+	// the key.
+	hash uint32
+	// klen is the key's length, capped at 255. A key of at most
+	// auInlineKey bytes is held in key; a longer one is compared
+	// against the entry's.
+	klen uint8
+	// visited is CLOCK's reference bit: a hit or a write sets it, the
+	// hand clears it.
+	visited bool
+	// hot is set once the entry is hit since its value was stored: it
+	// makes the entry eligible for an active update and lets it stand
+	// against a fill that would evict it.
+	hot bool
+	key [auInlineKey]byte
+}
+
+const (
+	// auInlineKey is the longest key a slot holds itself.
+	auInlineKey = 16
+	// auMinSlots is the size of a new shard's index.
+	auMinSlots = 8
+)
 
 // AUConfig configures an AULRU.
 type AUConfig struct {
@@ -114,20 +159,27 @@ func newAULRU(cfg AUConfig, n int) *AULRU {
 		pick:      newPicker(n),
 		ttl:       cfg.TTL,
 		refreshAt: cfg.RefreshWindow,
+		epoch:     cfg.Clock.Now(),
 		clk:       cfg.Clock,
 		refresher: cfg.Refresher,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.capacity = cfg.Capacity / int64(n)
-		s.items = make(map[string]*auEntry)
+		s.slots = make([]auSlot, auMinSlots)
 		s.refreshing = make(map[string]bool)
 		s.ll.init()
 	}
 	return c
 }
 
-func (c *AULRU) shard(key []byte) *auShard { return &c.shards[c.pick.pick(key)] }
+// shard returns the shard of a key whose hash is h.
+func (c *AULRU) shard(h uint64) *auShard { return &c.shards[h&c.pick.mask] }
+
+// nanos returns t in nanoseconds after the cache's epoch, read from
+// the monotonic clock when t carries a monotonic reading as the real
+// clock's do (see time.Time.Sub).
+func (c *AULRU) nanos(t time.Time) int64 { return int64(t.Sub(c.epoch)) }
 
 // Get is GetAt of a string key at the cache clock's current time.
 func (c *AULRU) Get(key string) ([]byte, bool) {
@@ -142,11 +194,13 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // entry in place. A miss returns the shard's write count, which a fill
 // of the value then read from the store passes to FillAt.
 func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
-	s := c.shard(key)
+	h := c.pick.hash(key)
+	s := c.shard(h)
+	t := c.nanos(now)
 	s.mu.Lock()
-	e, ok := s.items[string(key)]
-	if ok && !now.Before(e.meta.expireAt) {
-		s.remove(e) // expired: a miss
+	i, ok := s.find(key, h)
+	if ok && t >= s.slots[i].expire {
+		s.remove(s.slots[i].e) // expired: a miss
 		ok = false
 	}
 	if !ok {
@@ -154,49 +208,48 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 		s.mu.Unlock()
 		return nil, false, writes
 	}
-	e.touch()
-	needRefresh := e.hot &&
-		e.meta.expireAt.Sub(now) <= c.refreshAt &&
-		c.refresher != nil &&
-		!s.refreshing[e.key]
-	if !e.hot {
-		e.hot = true // a write only when it changes: the line stays shared
+	sl := &s.slots[i]
+	if !sl.visited {
+		sl.visited = true // writes only when they change: the line stays shared
 	}
-	val, gen, name := e.value, e.meta.gen, e.key
-	if needRefresh {
-		s.refreshing[name] = true
+	var e *auEntry // to refresh
+	var gen uint64
+	if sl.hot && sl.expire-t <= int64(c.refreshAt) && c.refresher != nil && !s.refreshing[sl.e.key] {
+		e, gen = sl.e, sl.e.meta.gen
+		s.refreshing[e.key] = true
 	}
+	if !sl.hot {
+		sl.hot = true
+	}
+	v = sl.value
 	s.mu.Unlock()
 
-	if needRefresh {
-		c.refresh(s, name, gen)
+	if e != nil {
+		c.refresh(s, e, gen)
 	}
-	return val, true, 0
+	return v, true, 0
 }
 
-// refresh re-fetches key, which hashes to s, and renews the entry of
-// generation gen, unless a caller stored a newer value (or deleted it)
-// in the meantime.
-func (c *AULRU) refresh(s *auShard, key string, gen uint64) {
-	fresh, ok := c.refresher(key)
+// refresh re-fetches e's key and renews e, of generation gen, unless a
+// caller stored a newer value (or deleted it) in the meantime.
+func (c *AULRU) refresh(s *auShard, e *auEntry, gen uint64) {
+	fresh, ok := c.refresher(e.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.refreshing, key)
-	e, present := s.items[key]
-	if !present || e.meta.gen != gen {
+	delete(s.refreshing, e.key)
+	// A removed entry's slot holds another entry or none: entries are
+	// never indexed twice.
+	if s.slots[e.meta.slot].e != e || e.meta.gen != gen {
 		return
 	}
-	if !ok {
-		s.remove(e)
+	if !ok || int64(len(e.key)+len(fresh)) > s.capacity {
+		s.remove(e) // gone, or grew past any possible fit (see UpdateAt)
 		return
 	}
-	if int64(len(key)+len(fresh)) > s.capacity {
-		s.remove(e) // grew past any possible fit (see UpdateAt)
-		return
-	}
-	s.used += int64(len(fresh)) - int64(len(e.value))
-	e.value = fresh
-	e.meta.expireAt = c.clk.Now().Add(c.ttl)
+	sl := &s.slots[e.meta.slot]
+	s.used += int64(len(fresh)) - int64(len(sl.value))
+	sl.value = fresh
+	sl.expire = c.nanos(c.clk.Now()) + int64(c.ttl)
 	s.refreshes++
 	for s.used > s.capacity {
 		s.evictOne()
@@ -210,11 +263,13 @@ func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.cl
 // caller's arrival time for the request; only a new key copies key.
 // Values larger than the key's shard are not cached.
 func (c *AULRU) PutAt(key, value []byte, now time.Time) {
-	s := c.shard(key)
+	h := c.pick.hash(key)
+	s := c.shard(h)
+	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	s.storeLocked(key, value, now.Add(c.ttl))
+	s.storeLocked(key, value, h, expire)
 }
 
 // FillAt is PutAt for a value a read fetched from the store after a
@@ -228,60 +283,62 @@ func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 // estimate admits every fill. estimate runs under the key's shard lock,
 // so it must not call into the AU-LRU.
 func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, est float64, estimate func(key string) float64) {
-	s := c.shard(key)
+	h := c.pick.hash(key)
+	s := c.shard(h)
+	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writes != writes {
 		return
 	}
-	if estimate != nil && !s.admitsLocked(key, len(value), est, estimate) {
+	if estimate != nil && !s.admitsLocked(key, h, len(value), est, estimate) {
 		return
 	}
-	s.storeLocked(key, value, now.Add(c.ttl))
+	s.storeLocked(key, value, h, expire)
 }
 
-// admitsLocked reports whether FillAt stores key with a value of n
-// bytes: always into free room, and otherwise if the victim is unhit or
-// colder than est.
+// admitsLocked reports whether FillAt stores key, whose hash is h,
+// with a value of n bytes: always into free room, and otherwise if the
+// victim is unhit or colder than est.
 // +locked:s.mu
-func (s *auShard) admitsLocked(key []byte, n int, est float64, estimate func(string) float64) bool {
+func (s *auShard) admitsLocked(key []byte, h uint64, n int, est float64, estimate func(string) float64) bool {
 	room := s.capacity - s.used
-	if e, ok := s.items[string(key)]; ok {
-		room += e.size()
+	if i, ok := s.find(key, h); ok {
+		room += int64(len(key) + len(s.slots[i].value))
 	}
 	if int64(len(key)+n) <= room {
 		return true
 	}
-	v := s.ll.victim()
-	return v == nil || !v.hot || est > estimate(v.key)
+	v := s.ll.victim(s.visited)
+	return v == nil || !s.slots[v.meta.slot].hot || est > estimate(v.key)
 }
 
-// storeLocked stores key=value, expiring at expireAt, evicting what it
-// must to fit; a value larger than the shard is not cached. A cached
-// key is overwritten in place and marked visited. A new key is listed
-// after the evictions, behind the hand, so its own store never evicts
-// it.
+// storeLocked stores key=value, key's hash being h, expiring at expire,
+// evicting what it must to fit; a value larger than the shard is not
+// cached. A cached key is overwritten in place and marked visited. A
+// new key is listed after the evictions, behind the hand, so its own
+// store never evicts it.
 // +locked:s.mu
-func (s *auShard) storeLocked(key, value []byte, expireAt time.Time) {
+func (s *auShard) storeLocked(key, value []byte, h uint64, expire int64) {
 	size := int64(len(key) + len(value))
 	if size > s.capacity {
 		return
 	}
-	e, ok := s.items[string(key)]
-	if ok {
-		s.used -= e.size()
-		e.value, e.visited, e.hot = value, true, false
-	} else {
-		e = &auEntry{key: string(key), value: value}
-	}
 	s.gen++
-	e.meta = auMeta{expireAt: expireAt, gen: s.gen}
+	i, ok := s.find(key, h)
+	if ok {
+		sl := &s.slots[i]
+		s.used -= int64(len(key) + len(sl.value))
+		sl.value, sl.expire, sl.visited, sl.hot = value, expire, true, false
+		sl.e.meta.gen = s.gen
+	}
 	s.used += size
 	for s.used > s.capacity {
 		s.evictOne()
 	}
 	if !ok {
-		s.items[e.key] = e
+		e := &auEntry{key: string(key), meta: auMeta{gen: s.gen}}
+		s.index(e, key, h, value, expire)
 		s.ll.pushBack(e)
 	}
 }
@@ -295,27 +352,28 @@ func (c *AULRU) Update(key, value []byte) bool { return c.UpdateAt(key, value, c
 // must stay coherent with the store, but a write alone does not earn a
 // cold key a cache slot.
 func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
-	s := c.shard(key)
+	h := c.pick.hash(key)
+	s := c.shard(h)
+	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	e, ok := s.items[string(key)]
+	i, ok := s.find(key, h)
 	if !ok {
 		return false
 	}
+	sl := &s.slots[i]
 	// A value too large to ever fit (PutAt's guard) must not enter the
 	// evict loop — it would flush the whole shard and then evict
 	// itself. Drop the now-stale entry instead; coherence is kept.
 	if int64(len(key)+len(value)) > s.capacity {
-		s.remove(e)
+		s.remove(sl.e)
 		return true
 	}
-	s.used += int64(len(value)) - int64(len(e.value))
-	e.value = value
-	e.meta.expireAt = now.Add(c.ttl)
+	s.used += int64(len(value)) - int64(len(sl.value))
 	s.gen++
-	e.meta.gen = s.gen
-	e.visited = true
+	sl.value, sl.expire, sl.visited = value, expire, true
+	sl.e.meta.gen = s.gen
 	for s.used > s.capacity {
 		s.evictOne()
 	}
@@ -324,23 +382,101 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 
 // Delete removes key if present.
 func (c *AULRU) Delete(key []byte) {
-	s := c.shard(key)
+	h := c.pick.hash(key)
+	s := c.shard(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	if e, ok := s.items[string(key)]; ok {
-		s.remove(e)
+	if i, ok := s.find(key, h); ok {
+		s.remove(s.slots[i].e)
 	}
 }
 
+// find returns the slot holding key, whose hash is h, and true, or the
+// free slot that ends key's probe run and false.
+func (s *auShard) find(key []byte, h uint64) (int, bool) {
+	tag, klen := uint32(h>>32), uint8(min(len(key), 255))
+	mask := len(s.slots) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.e == nil {
+			return i, false
+		}
+		if sl.hash == tag && sl.klen == klen && sl.holds(key) {
+			return i, true
+		}
+	}
+}
+
+// holds reports whether the slot's key, of key's length, is key.
+func (sl *auSlot) holds(key []byte) bool {
+	if len(key) <= auInlineKey {
+		return string(sl.key[:len(key)]) == string(key)
+	}
+	return sl.e.key == string(key)
+}
+
+// index gives e, a new entry for key, whose hash is h, a slot holding
+// value until expire, doubling the table first if it would be more
+// than 3/4 full.
+func (s *auShard) index(e *auEntry, key []byte, h uint64, value []byte, expire int64) {
+	if 4*(s.ll.len()+1) > 3*len(s.slots) {
+		old := s.slots
+		s.slots = make([]auSlot, 2*len(old))
+		for _, sl := range old {
+			if sl.e != nil {
+				s.place(sl)
+			}
+		}
+	}
+	sl := auSlot{e: e, value: value, expire: expire, hash: uint32(h >> 32), klen: uint8(min(len(key), 255))}
+	if len(key) <= auInlineKey {
+		copy(sl.key[:], key)
+	}
+	s.place(sl)
+}
+
+// place copies sl into the free slot that ends its key's probe run.
+func (s *auShard) place(sl auSlot) {
+	mask := len(s.slots) - 1
+	i := int(sl.hash) & mask
+	for s.slots[i].e != nil {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = sl
+	sl.e.meta.slot = uint32(i)
+}
+
+// free empties slot i by backward shift: each later slot of the probe
+// run whose key's probe passes the hole moves into it, leaving a hole
+// where it was, until the run ends. No probe run then has a gap, so
+// find needs no tombstones.
+func (s *auShard) free(i int) {
+	mask := len(s.slots) - 1
+	for j := (i + 1) & mask; s.slots[j].e != nil; j = (j + 1) & mask {
+		// The slot may move back to i if its probe starts no later:
+		// i lies between its home and j.
+		if home := int(s.slots[j].hash) & mask; (j-home)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			s.slots[i].e.meta.slot = uint32(i)
+			i = j
+		}
+	}
+	s.slots[i] = auSlot{}
+}
+
+// visited returns the CLOCK bit of e, one of s's entries (see
+// clockList.victim).
+func (s *auShard) visited(e *auEntry) *bool { return &s.slots[e.meta.slot].visited }
+
 func (s *auShard) remove(e *auEntry) {
 	s.ll.remove(e)
-	s.used -= e.size()
-	delete(s.items, e.key)
+	s.used -= int64(len(e.key) + len(s.slots[e.meta.slot].value))
+	s.free(int(e.meta.slot))
 }
 
 func (s *auShard) evictOne() {
-	if v := s.ll.victim(); v != nil {
+	if v := s.ll.victim(s.visited); v != nil {
 		s.remove(v)
 	}
 }
@@ -358,7 +494,7 @@ func (c *AULRU) each(f func(*auShard)) {
 // Len returns the number of cached entries (including not-yet-swept
 // expired ones).
 func (c *AULRU) Len() (n int) {
-	c.each(func(s *auShard) { n += len(s.items) })
+	c.each(func(s *auShard) { n += s.ll.len() })
 	return n
 }
 

@@ -3,7 +3,9 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -403,18 +405,36 @@ func BenchmarkSALRUGet(b *testing.B) {
 	}
 }
 
+// BenchmarkAULRUGet is an AU-LRU hit as the proxy serves a hot-key
+// workload: a Zipf(1.01) stream over 65,536 "key-%08d" keys, all cached
+// with 128-byte values, one caller per CPU (run it at -cpu 1,2).
 func BenchmarkAULRUGet(b *testing.B) {
-	c := NewAULRU(AUConfig{Capacity: 1 << 24, TTL: time.Hour})
-	keys := benchKeys(10000)
+	const nkeys, stream = 1 << 16, 1 << 20
+	c := NewAULRU(AUConfig{Capacity: 32 << 20, TTL: time.Hour})
+	keys := make([][]byte, nkeys)
+	value := bytes.Repeat([]byte("v"), 128)
 	now := time.Now()
-	for _, k := range keys {
-		c.PutAt(k, bytes.Repeat([]byte("v"), 100), now)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "key-%08d", i)
+		c.PutAt(keys[i], value, now)
 	}
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, nkeys-1)
+	order := make([]int32, stream)
+	for i := range order {
+		order[i] = int32(zipf.Uint64())
+	}
+	var callers atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.GetAt(keys[i%len(keys)], now)
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		// Each caller walks the stream from its own offset.
+		for i := int(callers.Add(1)) * stream / 8; pb.Next(); i++ {
+			if _, hit, _ := c.GetAt(keys[order[i%stream]], now); !hit {
+				b.Error("miss")
+				return
+			}
+		}
+	})
 }
 
 // TestAULRUUpdateOnlyExisting: Update is write-through coherence for
@@ -465,14 +485,16 @@ func TestAULRUUpdateOversizedDropsOnlyThatEntry(t *testing.T) {
 }
 
 // TestEntrySizes pins what one cached key costs on the heap, on a
-// 64-bit platform: the CLOCK bit and the AU-LRU's hot flag fit in the
-// word after meta, so an AU-LRU entry is 96 bytes and an SA-LRU entry
-// 64, each exactly a heap size class.
+// 64-bit platform. An SA-LRU entry is 64 bytes, a heap size class. An
+// AU-LRU entry keeps only its list links, key, generation and slot
+// number, 48 bytes; what a hit reads is in its index slot, one 64-byte
+// cache line.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if au, sa := unsafe.Sizeof(auEntry{}), unsafe.Sizeof(saEntry{}); au != 96 || sa != 64 {
-		t.Fatalf("entry sizes: AU-LRU %d B, SA-LRU %d B, want 96 and 64", au, sa)
+	au, sa, slot := unsafe.Sizeof(auEntry{}), unsafe.Sizeof(saEntry{}), unsafe.Sizeof(auSlot{})
+	if au != 48 || sa != 64 || slot != 64 {
+		t.Fatalf("AU-LRU entry %d B, SA-LRU entry %d B, AU-LRU slot %d B, want 48, 64 and 64", au, sa, slot)
 	}
 }

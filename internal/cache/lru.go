@@ -1,36 +1,14 @@
 package cache
 
 // entry is one cached key. Its list links live in the entry itself, so
-// a lookup reaches the value, the links and the cache's own bookkeeping
-// (meta) through the one pointer the map holds, and listing an entry
-// allocates nothing.
+// listing an entry allocates nothing. meta is the cache's own: the
+// SA-LRU keeps there the value, the size class and the CLOCK bit its
+// hits set (saMeta); the AU-LRU keeps those in its index slot (auSlot)
+// and here only what its list and a refresh need (auMeta).
 type entry[M any] struct {
 	prev, next *entry[M]
 	key        string
-	value      []byte
 	meta       M
-	// visited is CLOCK's reference bit: a hit or a write sets it, the
-	// hand clears it.
-	visited bool
-	// hot is the AU-LRU's flag that the entry was hit since its value
-	// was stored: it makes the entry eligible for an active update and
-	// lets it stand against a fill that would evict it. The SA-LRU
-	// leaves it false. The two flags share the word after meta, so neither cache's
-	// entry outgrows the heap size class it took before the bit
-	// (TestEntrySizes).
-	hot bool
-}
-
-// size is what the entry counts against its cache's byte bound.
-func (e *entry[M]) size() int64 { return int64(len(e.key) + len(e.value)) }
-
-// touch records a hit. It writes the bit only when it is clear, so a
-// hot entry's steady-state hit writes nothing and its cache line stays
-// shared between the cores that read it.
-func (e *entry[M]) touch() {
-	if !e.visited {
-		e.visited = true
-	}
 }
 
 // clockList is a CLOCK queue of entries in insertion order, an
@@ -67,16 +45,18 @@ func (l *clockList[M]) remove(e *entry[M]) {
 
 // victim moves the hand to the entry eviction takes next and returns
 // it, or nil when empty: each visited entry the hand passes loses its
-// bit and goes to the back. It ends within one round, since by then
-// every bit is clear.
-func (l *clockList[M]) victim() *entry[M] {
-	if l.n == 0 {
-		return nil
-	}
-	for e := l.root.next; e.visited; e = l.root.next {
-		e.visited = false
+// bit and goes to the back. bit returns a listed entry's visited bit,
+// which each cache keeps where its hits set it. It ends within one
+// round, since by then every bit is clear.
+func (l *clockList[M]) victim(bit func(*entry[M]) *bool) *entry[M] {
+	for e := l.root.next; e != &l.root; e = l.root.next {
+		visited := bit(e)
+		if !*visited {
+			return e
+		}
+		*visited = false
 		l.remove(e)
 		l.pushBack(e)
 	}
-	return l.root.next
+	return nil
 }

@@ -429,7 +429,7 @@ func saSnapshot(s *saShard) string {
 		cls := &s.classes[i]
 		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
 		for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
-			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.value, e.visited)
+			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.meta.value, e.meta.visited)
 		}
 	}
 	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(s.items), s.used, s.hits, s.misses)
@@ -522,12 +522,14 @@ func (o *refreshOrigin) fetch(key string) ([]byte, bool) {
 	return []byte(fmt.Sprintf("r%d-%s", o.n, key)), true
 }
 
-func auSnapshot(s *auShard) string {
+func auSnapshot(c *AULRU, s *auShard) string {
 	var b strings.Builder
 	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, e.value, e.meta.expireAt.UnixNano(), e.hot, e.meta.gen, e.visited)
+		sl := &s.slots[e.meta.slot]
+		expireAt := c.epoch.Add(time.Duration(sl.expire))
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, sl.value, expireAt.UnixNano(), sl.hot, e.meta.gen, sl.visited)
 	}
-	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", len(s.items), s.used, s.refreshes, len(s.refreshing), s.writes)
+	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", s.ll.len(), s.used, s.refreshes, len(s.refreshing), s.writes)
 	return b.String()
 }
 
@@ -640,7 +642,7 @@ func FuzzAULRUModel(f *testing.F) {
 			var n int
 			var used, refreshes int64
 			for i, m := range models {
-				if got, want := auSnapshot(&c.shards[i]), modelAUSnapshot(m); got != want {
+				if got, want := auSnapshot(c, &c.shards[i]), modelAUSnapshot(m); got != want {
 					t.Fatalf("after step %d %s, shard %d:\n got %s\nwant %s", step, desc, i, got, want)
 				}
 				n, used, refreshes = n+len(m.items), used+m.used, refreshes+m.refreshes

@@ -42,10 +42,22 @@ type sizeClass struct {
 	hits  int64 // decayed hit counter for the class
 }
 
-// saEntry is one SA-LRU entry; meta names its size class.
+// saEntry is one SA-LRU entry.
 type saEntry = entry[saMeta]
 
-type saMeta struct{ class int32 }
+type saMeta struct {
+	value []byte
+	class int32
+	// visited is CLOCK's reference bit: a hit or a write sets it, the
+	// hand clears it.
+	visited bool
+}
+
+// saSize is what e counts against its cache's byte bound.
+func saSize(e *saEntry) int64 { return int64(len(e.key) + len(e.meta.value)) }
+
+// saVisited returns e's CLOCK bit (see clockList.victim).
+func saVisited(e *saEntry) *bool { return &e.meta.visited }
 
 // Size classes are powers of two from 64B; class i holds entries with
 // size in (64·2^(i-1), 64·2^i].
@@ -104,11 +116,13 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 		s.misses++
 		return nil, false
 	}
-	e.touch()
+	if !e.meta.visited {
+		e.meta.visited = true // a write only when it changes: the line stays shared
+	}
 	cls := &s.classes[e.meta.class]
 	cls.hits++
 	s.hits++
-	return e.value, true
+	return e.meta.value, true
 }
 
 // Put is Insert of a string key.
@@ -139,9 +153,9 @@ func (c *SALRU) InsertIf(key, value []byte, fresh func() bool) {
 	e, ok := s.items[string(key)]
 	if ok {
 		s.unlink(e)
-		e.value, e.visited = value, true
+		e.meta.value, e.meta.visited = value, true
 	} else {
-		e = &saEntry{key: string(key), value: value}
+		e = &saEntry{key: string(key), meta: saMeta{value: value}}
 		s.items[e.key] = e
 	}
 	e.meta.class = int32(classFor(len(value)))
@@ -180,7 +194,7 @@ func (c *SALRU) DeletePrefix(prefix string) {
 func (s *saShard) link(e *saEntry) {
 	cls := &s.classes[e.meta.class]
 	cls.ll.pushBack(e)
-	size := e.size()
+	size := saSize(e)
 	cls.bytes += size
 	s.used += size
 }
@@ -190,7 +204,7 @@ func (s *saShard) link(e *saEntry) {
 func (s *saShard) unlink(e *saEntry) {
 	cls := &s.classes[e.meta.class]
 	cls.ll.remove(e)
-	size := e.size()
+	size := saSize(e)
 	cls.bytes -= size
 	s.used -= size
 }
@@ -220,7 +234,7 @@ func (s *saShard) evictOne() {
 		return
 	}
 	cls := &s.classes[victim]
-	if v := cls.ll.victim(); v != nil {
+	if v := cls.ll.victim(saVisited); v != nil {
 		s.remove(v)
 		// Decay class hits so stale popularity fades.
 		cls.hits -= cls.hits / 8

@@ -33,10 +33,14 @@ func newPicker(shards int) picker {
 	return picker{seed: maphash.MakeSeed(), mask: uint64(shards - 1)}
 }
 
+// hash returns key's seeded hash. Its low bits pick the shard, as in
+// pick; the AU-LRU probes its shard's index with the high half.
+func (p picker) hash(key []byte) uint64 { return maphash.Bytes(p.seed, key) }
+
 // pick returns key's shard index. One shard hashes nothing.
 func (p picker) pick(key []byte) int {
 	if p.mask == 0 {
 		return 0
 	}
-	return int(maphash.Bytes(p.seed, key) & p.mask)
+	return int(p.hash(key) & p.mask)
 }

@@ -163,7 +163,7 @@ func checkSABooks(t *testing.T, c *SALRU, share int64) {
 				if s.items[e.key] != e || int(e.meta.class) != j {
 					t.Fatalf("SA-LRU shard %d: listed entry %q not indexed in class %d", i, e.key, j)
 				}
-				bytes += e.size()
+				bytes += saSize(e)
 				n++
 			}
 			if bytes != cls.bytes {
@@ -177,8 +177,8 @@ func checkSABooks(t *testing.T, c *SALRU, share int64) {
 	}
 }
 
-// checkAUBooks checks every shard of c as checkSABooks does, and that
-// no refresh is left marked in flight.
+// checkAUBooks checks every shard of c as checkSABooks does, its index
+// as checkIndex does, and that no refresh is left marked in flight.
 func checkAUBooks(t *testing.T, c *AULRU, share int64) {
 	t.Helper()
 	for i := range c.shards {
@@ -186,14 +186,147 @@ func checkAUBooks(t *testing.T, c *AULRU, share int64) {
 		var used int64
 		es := checkList(t, &s.ll)
 		for _, e := range es {
-			if s.items[e.key] != e {
-				t.Fatalf("AU-LRU shard %d: listed entry %q not indexed", i, e.key)
-			}
-			used += e.size()
+			used += int64(len(e.key) + len(s.slots[e.meta.slot].value))
 		}
-		if len(es) != len(s.items) || used != s.used || used > share || len(s.refreshing) != 0 {
-			t.Fatalf("AU-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d, %d refreshing",
-				i, len(es), len(s.items), used, s.used, share, len(s.refreshing))
+		checkIndex(t, c, s, es)
+		if used != s.used || used > share || len(s.refreshing) != 0 {
+			t.Fatalf("AU-LRU shard %d: %d B used of %d counted, share %d, %d refreshing",
+				i, used, s.used, share, len(s.refreshing))
+		}
+	}
+}
+
+// checkIndex checks that s's index holds exactly the listed entries es:
+// a probe for each one's key finds it at the slot the entry records, no
+// other slot is taken, and the table is at most 3/4 full.
+func checkIndex(t *testing.T, c *AULRU, s *auShard, es []*auEntry) {
+	t.Helper()
+	for _, e := range es {
+		key := []byte(e.key)
+		if i, ok := s.find(key, c.pick.hash(key)); !ok || i != int(e.meta.slot) || s.slots[i].e != e {
+			t.Fatalf("entry %q records slot %d, its probe ends at %d (found %v)", e.key, e.meta.slot, i, ok)
+		}
+	}
+	taken := 0
+	for i := range s.slots {
+		if s.slots[i].e != nil {
+			taken++
+		}
+	}
+	if taken != len(es) || 4*taken > 3*len(s.slots) {
+		t.Fatalf("index takes %d of %d slots for %d listed entries", taken, len(s.slots), len(es))
+	}
+}
+
+// TestAULRUIndexBackwardShift deletes through a probe run that wraps
+// past the end of a shard's table, and through a growth, checking after
+// each step that every key left is found at the slot its entry records.
+// Keys are picked by the slot their probe starts from, on both sides of
+// the inline-key limit, so the slots each step leaves are known.
+func TestAULRUIndexBackwardShift(t *testing.T) {
+	sim := clock.NewSim(time.Unix(0, 0))
+	c := newAULRU(AUConfig{Capacity: 1 << 20, TTL: time.Minute, Clock: sim}, 1)
+	s := &c.shards[0]
+	taken := map[string]bool{}
+	// keyAt returns a new key whose probe starts at slot home of the
+	// first table, longer than a slot holds if long.
+	keyAt := func(home int, long bool) string {
+		for n := 0; ; n++ {
+			k := fmt.Sprintf("k%d", n)
+			if long {
+				k = fmt.Sprintf("a-key-longer-than-a-slot-%d", n)
+			}
+			if !taken[k] && int(c.pick.hash([]byte(k))>>32)&(auMinSlots-1) == home {
+				taken[k] = true
+				return k
+			}
+		}
+	}
+	check := func(desc string, at map[string]int) {
+		t.Helper()
+		checkAUBooks(t, c, 1<<20)
+		for k, want := range at {
+			if i, ok := s.find([]byte(k), c.pick.hash([]byte(k))); !ok || i != want {
+				t.Fatalf("%s: %q at slot %d (found %v), want %d", desc, k, i, ok, want)
+			}
+			if v, ok := c.Get(k); !ok || string(v) != "v-"+k {
+				t.Fatalf("%s: Get(%q) = %q %v", desc, k, v, ok)
+			}
+		}
+	}
+	// a and b's run starts at 6 and wraps: b2 lands in 0 and d in 1,
+	// ahead of e, whose probe starts at 0.
+	a, b, b2, d, e := keyAt(6, false), keyAt(7, true), keyAt(6, false), keyAt(7, false), keyAt(0, true)
+	for _, k := range []string{a, b, b2, d, e} {
+		c.Put(k, []byte("v-"+k))
+	}
+	check("filled", map[string]int{a: 6, b: 7, b2: 0, d: 1, e: 2})
+	c.Delete([]byte(a)) // b stays home; b2, d and e each shift back one
+	check("deleted a", map[string]int{b: 7, b2: 6, d: 0, e: 1})
+	c.Delete([]byte(b)) // d returns home past the end; e follows it
+	check("deleted b", map[string]int{b2: 6, d: 7, e: 0})
+
+	// Grow past 3/4 of the first table, then delete everything.
+	keys := []string{b2, d, e}
+	for n := 0; len(s.slots) == auMinSlots; n++ {
+		k := fmt.Sprintf("g%d", n)
+		if n%2 == 1 {
+			k += "-longer-than-a-slot"
+		}
+		c.Put(k, []byte("v-"+k))
+		keys = append(keys, k)
+	}
+	if len(s.slots) != 2*auMinSlots || len(keys) != 3*auMinSlots/4+1 {
+		t.Fatalf("%d keys in %d slots, want %d in %d", len(keys), len(s.slots), 3*auMinSlots/4+1, 2*auMinSlots)
+	}
+	check("grown", nil)
+	for i, k := range keys {
+		c.Delete([]byte(k))
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("%q found after its delete", k)
+		}
+		check("deleted "+k, nil)
+		for _, left := range keys[i+1:] {
+			if v, ok := c.Get(left); !ok || string(v) != "v-"+left {
+				t.Fatalf("after deleting %q: Get(%q) = %q %v", k, left, v, ok)
+			}
+		}
+	}
+}
+
+// TestAULRUTagCollision stores two keys of one length whose hashes
+// share the tag a slot keeps, short enough to sit in their slots and
+// too long to, and reads each one's own value back: a tag is a filter,
+// never the match.
+func TestAULRUTagCollision(t *testing.T) {
+	for _, format := range []string{"t%07d", "a-key-longer-than-a-slot-%07d"} {
+		c := newAULRU(AUConfig{Capacity: 1 << 20, TTL: time.Minute}, 1)
+		first := map[uint32]string{}
+		var a, b string
+		for n := 0; b == "" && n < 1<<22; n++ {
+			k := fmt.Sprintf(format, n)
+			tag := uint32(c.pick.hash([]byte(k)) >> 32)
+			if other, ok := first[tag]; ok {
+				a, b = other, k
+			}
+			first[tag] = k
+		}
+		if b == "" {
+			t.Fatalf("%s: no two keys share a tag", format)
+		}
+		c.Put(a, []byte("v-"+a))
+		c.Put(b, []byte("v-"+b))
+		for _, k := range []string{a, b} {
+			if v, ok := c.Get(k); !ok || string(v) != "v-"+k {
+				t.Fatalf("Get(%q) = %q %v, its tag shared with %q", k, v, ok, a+" "+b)
+			}
+		}
+		c.Delete([]byte(a))
+		if _, ok := c.Get(a); ok {
+			t.Fatalf("%q found after its delete", a)
+		}
+		if v, ok := c.Get(b); !ok || string(v) != "v-"+b {
+			t.Fatalf("Get(%q) = %q %v after deleting %q", b, v, ok, a)
 		}
 	}
 }
@@ -201,10 +334,13 @@ func checkAUBooks(t *testing.T, c *AULRU, share int64) {
 // TestClockHandConcurrent races the CLOCK hand against the hits that
 // set the bits it clears. Goroutines hit a small hot set, fill a stream
 // of cold keys that keeps every shard evicting, write through, and
-// delete, on small shards of both caches; then every shard's books must
-// hold. Under -race it is the hand's stress test.
+// delete, on small shards of both caches, with keys on both sides of
+// the AU-LRU slot's inline limit and enough of them that its indexes
+// grow; then every shard's books and index must hold. Under -race it
+// is the hand's stress test and the index's concurrent insert, lookup
+// and evict test.
 func TestClockHandConcurrent(t *testing.T) {
-	const shards, share = 4, 1024
+	const shards, share = 4, 4096
 	sa := newSALRU(shards*share, shards)
 	sim := clock.NewSim(time.Unix(0, 0))
 	au := newAULRU(AUConfig{Capacity: shards * share, TTL: time.Minute, Clock: sim}, shards)
@@ -215,8 +351,15 @@ func TestClockHandConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				hot := []byte(fmt.Sprintf("hot%d", i%12))
-				cold := []byte(fmt.Sprintf("cold%d-%d", g, i))
+				// Keys on both sides of the AU-LRU slot's inline limit.
+				hot := fmt.Appendf(nil, "hot%d", i%12)
+				if i%24 >= 12 {
+					hot = fmt.Appendf(hot, "-longer-than-a-slot")
+				}
+				cold := fmt.Appendf(nil, "cold%d-%d", g, i)
+				if i%2 == 1 {
+					cold = fmt.Appendf(cold, "-longer-than-a-slot")
+				}
 				v := make([]byte, 16+(g*37+i)%200)
 				switch i % 8 {
 				case 0, 1, 2, 3: // hits set bits while the hand clears them
@@ -248,4 +391,13 @@ func TestClockHandConcurrent(t *testing.T) {
 	wg.Wait()
 	checkSABooks(t, sa, share)
 	checkAUBooks(t, au, share)
+	grown := 0
+	for i := range au.shards {
+		if len(au.shards[i].slots) > auMinSlots {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Fatal("no AU-LRU shard's index grew")
+	}
 }
