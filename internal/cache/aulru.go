@@ -15,8 +15,8 @@ type Refresher func(key string) ([]byte, bool)
 
 // AULRU is an active-update LRU: a TTL'd cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
-// cache and stampede the data nodes (§4.4). An entry is hot once hit
-// since its value was stored. It is split into Shards(Capacity) shards
+// cache and stampede the data nodes (§4.4). The second hit inside an
+// entry's refresh window renews it (see GetAt). It is split into Shards(Capacity) shards
 // by key hash, each a CLOCK queue (clockList) over its share of the
 // capacity, the LRU approximation whose hit moves nothing, indexed by
 // an open-addressed table whose slots (auSlot) hold what a hit reads.
@@ -107,9 +107,11 @@ type auSlot struct {
 	// hand clears it.
 	visited bool
 	// hot is set once the entry is hit since its value was stored: it
-	// makes the entry eligible for an active update and lets it stand
-	// against a fill that would evict it.
+	// lets the entry stand against a fill that would evict it.
 	hot bool
+	// due is set by the first hit inside the refresh window since the
+	// value was stored; the second such hit renews the entry.
+	due bool
 	key [auInlineKey]byte
 }
 
@@ -188,10 +190,11 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 }
 
 // GetAt returns the cached value and whether it was present and fresh
-// at now, the caller's arrival time for the request. A hit on an entry
-// already hit since it was stored, inside its refresh window, triggers
+// at now, the caller's arrival time for the request. The second hit
+// inside an entry's refresh window since its value was stored triggers
 // a synchronous active update through the Refresher, renewing the
-// entry in place. A miss returns the shard's write count, which a fill
+// entry in place; the first only marks it due, so a key read once per
+// window is not read from the origin for it. A miss returns the shard's write count, which a fill
 // of the value then read from the store passes to FillAt.
 func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
 	h := c.pick.hash(key)
@@ -214,9 +217,14 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 	}
 	var e *auEntry // to refresh
 	var gen uint64
-	if sl.hot && sl.expire-t <= int64(c.refreshAt) && c.refresher != nil && !s.refreshing[sl.e.key] {
-		e, gen = sl.e, sl.e.meta.gen
-		s.refreshing[e.key] = true
+	if sl.expire-t <= int64(c.refreshAt) && c.refresher != nil {
+		if sl.due && !s.refreshing[sl.e.key] {
+			e, gen = sl.e, sl.e.meta.gen
+			s.refreshing[e.key] = true
+		}
+		if !sl.due {
+			sl.due = true
+		}
 	}
 	if !sl.hot {
 		sl.hot = true
@@ -248,7 +256,7 @@ func (c *AULRU) refresh(s *auShard, e *auEntry, gen uint64) {
 	}
 	sl := &s.slots[e.meta.slot]
 	s.used += int64(len(fresh)) - int64(len(sl.value))
-	sl.value = fresh
+	sl.value, sl.due = fresh, false
 	sl.expire = c.nanos(c.clk.Now()) + int64(c.ttl)
 	s.refreshes++
 	for s.used > s.capacity {
@@ -329,7 +337,7 @@ func (s *auShard) storeLocked(key, value []byte, h uint64, expire int64) {
 	if ok {
 		sl := &s.slots[i]
 		s.used -= int64(len(key) + len(sl.value))
-		sl.value, sl.expire, sl.visited, sl.hot = value, expire, true, false
+		sl.value, sl.expire, sl.visited, sl.hot, sl.due = value, expire, true, false, false
 		sl.e.meta.gen = s.gen
 	}
 	s.used += size
@@ -372,7 +380,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 	}
 	s.used += int64(len(value)) - int64(len(sl.value))
 	s.gen++
-	sl.value, sl.expire, sl.visited = value, expire, true
+	sl.value, sl.expire, sl.visited, sl.due = value, expire, true, false
 	sl.e.meta.gen = s.gen
 	for s.used > s.capacity {
 		s.evictOne()

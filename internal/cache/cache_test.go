@@ -239,6 +239,12 @@ func TestAULRUActiveUpdateRenewsHotKeys(t *testing.T) {
 	if _, ok := c.Get("hot"); !ok {
 		t.Fatal("hot key missing before expiry")
 	}
+	if refreshed != 0 {
+		t.Fatalf("first hit inside the window refreshed %d times, want 0", refreshed)
+	}
+	if _, ok := c.Get("hot"); !ok { // the second one renews it
+		t.Fatal("hot key missing before expiry")
+	}
 	if refreshed != 1 {
 		t.Fatalf("refreshed = %d, want 1", refreshed)
 	}
@@ -278,8 +284,8 @@ func TestAULRURefreshDeletesVanishedKeys(t *testing.T) {
 		return nil, false // key no longer exists at origin
 	})
 	c.Put("gone", []byte("v"))
-	c.Get("gone")
 	sim.Advance(55 * time.Second)
+	c.Get("gone") // inside the refresh window: marks it due
 	c.Get("gone") // triggers refresh, which deletes
 	if _, ok := c.Get("gone"); ok {
 		t.Fatal("vanished key still cached")
@@ -309,9 +315,9 @@ func TestAULRURefreshKeepsNewerWriteThrough(t *testing.T) {
 				return []byte("v1"), true // what the origin held before the write
 			})
 			c.Put("k", []byte("v1"))
-			c.Get("k") // marks hot
 			sim.Advance(55 * time.Second)
-			c.Get("k") // inside the refresh window: runs the refresher
+			c.Get("k") // inside the refresh window: marks it due
+			c.Get("k") // runs the refresher
 			v, ok := c.Get("k")
 			if ok != (tc.want != "") || string(v) != tc.want {
 				t.Fatalf("after the racing refresh Get = %q %v, want %q", v, ok, tc.want)

@@ -186,8 +186,10 @@ type modelAUEntry struct {
 	value    []byte
 	expireAt time.Time
 	hot      bool
-	gen      uint64
-	visited  bool
+	// due: hit inside the refresh window since the value was stored.
+	due     bool
+	gen     uint64
+	visited bool
 }
 
 func newModelAULRU(cfg AUConfig) *modelAULRU {
@@ -218,10 +220,9 @@ func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 		return nil, false, c.writes
 	}
 	e.visited = true
-	needRefresh := e.hot &&
-		e.expireAt.Sub(now) <= c.refreshAt &&
-		c.refresher != nil &&
-		!c.refreshing[key]
+	inWindow := e.expireAt.Sub(now) <= c.refreshAt && c.refresher != nil
+	needRefresh := inWindow && e.due && !c.refreshing[key]
+	e.due = e.due || inWindow
 	e.hot = true
 	val, gen := e.value, e.gen
 	if needRefresh {
@@ -248,7 +249,7 @@ func (c *modelAULRU) refresh(key string, gen uint64) {
 	}
 	e := el.Value.(*modelAUEntry)
 	c.used += int64(len(fresh)) - int64(len(e.value))
-	e.value = fresh
+	e.value, e.due = fresh, false
 	e.expireAt = c.clk.Now().Add(c.ttl)
 	c.refreshes++
 	for c.used > c.capacity {
@@ -316,7 +317,7 @@ func (c *modelAULRU) UpdateAt(key string, value []byte, now time.Time) bool {
 	}
 	e := el.Value.(*modelAUEntry)
 	c.used += int64(len(value)) - int64(len(e.value))
-	e.value = value
+	e.value, e.due = value, false
 	e.expireAt = now.Add(c.ttl)
 	c.gen++
 	e.gen = c.gen
@@ -415,6 +416,20 @@ func seedCacheFuzz(f *testing.F) {
 		}
 	}
 	f.Add(hot)
+	// To the AU-LRU's active update: store three keys and hit each,
+	// move 52 s into their 60 s TTL, inside the refresh window, and hit
+	// them once, twice and three times: only a second hit there renews.
+	due := []byte{0}
+	for k := byte(0); k < 3; k++ {
+		due = append(due, 0, 0, k, 2, 1, 0, 0, 0, k, 0, 0)
+	}
+	due = append(due, 0, 0, 0, 5, 39, 0, 0, 0, 5, 13)
+	for k := byte(0); k < 3; k++ {
+		for range k + 1 {
+			due = append(due, 0, 0, k, 0, 0)
+		}
+	}
+	f.Add(due)
 }
 
 // fuzzShards is how many shards the fuzzed caches have, each the size
@@ -527,7 +542,7 @@ func auSnapshot(c *AULRU, s *auShard) string {
 	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
 		sl := &s.slots[e.meta.slot]
 		expireAt := c.epoch.Add(time.Duration(sl.expire))
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, sl.value, expireAt.UnixNano(), sl.hot, e.meta.gen, sl.visited)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%v/%d/%v ", e.key, sl.value, expireAt.UnixNano(), sl.hot, sl.due, e.meta.gen, sl.visited)
 	}
 	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", s.ll.len(), s.used, s.refreshes, len(s.refreshing), s.writes)
 	return b.String()
@@ -537,7 +552,7 @@ func modelAUSnapshot(c *modelAULRU) string {
 	var b strings.Builder
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*modelAUEntry)
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%d/%v ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.gen, e.visited)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%v/%d/%v ", e.key, e.value, e.expireAt.UnixNano(), e.hot, e.due, e.gen, e.visited)
 	}
 	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", len(c.items), c.used, c.refreshes, len(c.refreshing), c.writes)
 	return b.String()

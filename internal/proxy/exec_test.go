@@ -114,9 +114,8 @@ func TestDeleteAndHashTrafficIsRestricted(t *testing.T) {
 	}
 }
 
-// TestActiveUpdateRefreshesFromOrigin: an AU-LRU entry hit since it was
-// stored and hit again near expiry is renewed from the key's primary
-// without a miss, so a value
+// TestActiveUpdateRefreshesFromOrigin: an AU-LRU entry hit twice near
+// expiry is renewed from the key's primary without a miss, so a value
 // the origin acquired behind the cache's back replaces the cached one.
 func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 	sim := clock.NewSim(time.Unix(0, 0))
@@ -126,7 +125,7 @@ func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Get(bg, key) // second sketched access: fills the AU-LRU
-	p.Get(bg, key) // a hit: the entry is now worth refreshing
+	p.Get(bg, key) // a hit
 	route, _, err := p.routeForKey(key)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +140,8 @@ func TestActiveUpdateRefreshesFromOrigin(t *testing.T) {
 	sim.Advance(55 * time.Second) // CacheTTL is a minute: inside the refresh window
 	missesBefore := p.Stats().CacheMiss
 	var v []byte
-	// The first hit inside the window renews the entry, and the hits
-	// after the refresh see v2.
+	// The first hit inside the window marks the entry due, the second
+	// renews it, and the hits after the refresh see v2.
 	for i := 0; i < 4; i++ {
 		if v, err = p.Get(bg, key); err != nil {
 			t.Fatal(err)
