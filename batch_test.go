@@ -85,9 +85,9 @@ func TestClientBatchOps(t *testing.T) {
 // served and only the uncached slots report ErrThrottled — the batch
 // is not aborted.
 func TestMGetPartialThrottle(t *testing.T) {
-	// The nodes cache nothing, so the warm-up reads are node misses and
-	// the proxies go on charging an uncached read.
-	c := newCluster(t, ClusterConfig{Nodes: 3, NodeCacheBytes: 1})
+	// The warm-up reads hit the node caches, so the proxies' estimators
+	// see only node hits; an uncached read still costs the read floor.
+	c := newCluster(t, ClusterConfig{Nodes: 3})
 	tn, err := c.CreateTenant(TenantSpec{
 		Name: "throttle", QuotaRU: 100000, Proxies: 2,
 	})

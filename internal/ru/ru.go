@@ -46,10 +46,11 @@ func ReadRU(size int, hitRatio float64) float64 {
 // return nothing) is far cheaper than transferring it, but not free.
 const scanExaminedPerRU = 256
 
-// minScanRU is the floor charge for a scan page, mirroring the
-// metadata-lookup floor used for length queries: even an empty page
-// consumed a seek and a merge setup.
-const minScanRU = 1.0 / 8
+// minReadRU is the least any read costs: a length query's metadata
+// lookup, an empty scan page's seek and merge set-up, and a read a node
+// cache answers. It floors every read estimate and scan charge, so an
+// estimate never reaches 0, which an empty token bucket would admit.
+const minReadRU = 1.0 / 8
 
 // ScanRU returns the RU charge for one range-scan page that returned
 // size bytes of keys+values and examined n merged records. Scans
@@ -58,8 +59,8 @@ const minScanRU = 1.0 / 8
 // when it returns little.
 func ScanRU(size int, examined int) float64 {
 	charge := float64(size)/UnitBytes + float64(examined)/scanExaminedPerRU
-	if charge < minScanRU {
-		charge = minScanRU
+	if charge < minReadRU {
+		charge = minReadRU
 	}
 	return charge
 }
@@ -156,16 +157,17 @@ func (e *Estimator) ExpectedCollectionLen() float64 {
 }
 
 // EstimateReadRU returns the pre-execution RU estimate for a simple
-// read: E[S_read]·(1−E[R_hit])/U.
+// read: E[S_read]·(1−E[R_hit])/U, at least minReadRU. Without the
+// floor, reads that recently all hit node caches would estimate 0.
 func (e *Estimator) EstimateReadRU() float64 {
-	return e.ExpectedReadSize() * (1 - e.ExpectedHitRatio()) / UnitBytes
+	return max(e.ExpectedReadSize()*(1-e.ExpectedHitRatio())/UnitBytes, minReadRU)
 }
 
 // EstimateHLenRU returns the RU estimate for a length query (HLen):
 // a fixed small CPU cost independent of collection size, one unit's
 // worth of work.
 func (e *Estimator) EstimateHLenRU() float64 {
-	return 1.0 / 8 // metadata-only lookup: fraction of a unit
+	return minReadRU // metadata-only lookup: fraction of a unit
 }
 
 // EstimateScanRU returns the pre-execution RU estimate for a range
@@ -177,8 +179,8 @@ func (e *Estimator) EstimateScanRU(limit int) float64 {
 		limit = 1
 	}
 	est := float64(limit) * e.ExpectedReadSize() / UnitBytes
-	if est < minScanRU {
-		est = minScanRU
+	if est < minReadRU {
+		est = minReadRU
 	}
 	return est
 }

@@ -155,3 +155,14 @@ func TestPropertyWriteRUScalesWithReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadEstimateFloor: reads that all hit a node cache still estimate
+// the metadata floor, never 0, which an empty token bucket admits.
+func TestReadEstimateFloor(t *testing.T) {
+	e := NewEstimator(2)
+	e.ObserveRead(5000, true)
+	e.ObserveRead(5000, true)
+	if got := e.EstimateReadRU(); got != minReadRU || got != e.EstimateHLenRU() {
+		t.Fatalf("all-hit read estimate = %v, want the %v floor", got, minReadRU)
+	}
+}

@@ -193,9 +193,9 @@ func TestServeTTLReplies(t *testing.T) {
 // inside the MGET array while cached keys are still served — the reply
 // is not aborted.
 func TestServeMGETPartialThrottle(t *testing.T) {
-	// The nodes cache nothing, so the warm-up GET is a node miss and
-	// the proxy goes on charging an uncached read.
-	c := newCluster(t, ClusterConfig{Nodes: 3, NodeCacheBytes: 1})
+	// The warm-up GET hits a node cache, so the proxy's estimator sees
+	// only node hits; an uncached read still costs the read floor.
+	c := newCluster(t, ClusterConfig{Nodes: 3})
 	tn, err := c.CreateTenant(TenantSpec{Name: "edge", QuotaRU: 100000})
 	if err != nil {
 		t.Fatal(err)
