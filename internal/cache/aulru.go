@@ -16,11 +16,11 @@ type Refresher func(key string) ([]byte, bool)
 // AULRU is an active-update LRU: a TTL'd cache that refreshes hot
 // entries shortly before they expire, so hot keys never fall out of
 // cache and stampede the data nodes (§4.4). The second hit inside an
-// entry's refresh window renews it (see GetAt). It is split into Shards(Capacity) shards
-// by key hash, each a CLOCK queue (clockList) over its share of the
-// capacity, the LRU approximation whose hit moves nothing, indexed by
-// an open-addressed table whose slots (auSlot) hold what a hit reads.
-// Safe for concurrent use.
+// entry's refresh window renews it (see GetAt). It is split into
+// Shards(Capacity) shards by key hash, each a CLOCK queue (clockList)
+// over its share of the capacity, the LRU approximation whose hit
+// moves nothing, indexed by an open-addressed table whose slots
+// (auSlot) hold what a hit reads. Safe for concurrent use.
 type AULRU struct {
 	shards    []auShard
 	pick      picker
@@ -175,8 +175,11 @@ func newAULRU(cfg AUConfig, n int) *AULRU {
 	return c
 }
 
-// shard returns the shard of a key whose hash is h.
-func (c *AULRU) shard(h uint64) *auShard { return &c.shards[h&c.pick.mask] }
+// shard returns key's shard and key's hash, which probes its index.
+func (c *AULRU) shard(key []byte) (*auShard, uint64) {
+	h := c.pick.hash(key)
+	return &c.shards[h&c.pick.mask], h
+}
 
 // nanos returns t in nanoseconds after the cache's epoch, read from
 // the monotonic clock when t carries a monotonic reading as the real
@@ -194,11 +197,11 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // inside an entry's refresh window since its value was stored triggers
 // a synchronous active update through the Refresher, renewing the
 // entry in place; the first only marks it due, so a key read once per
-// window is not read from the origin for it. A miss returns the shard's write count, which a fill
-// of the value then read from the store passes to FillAt.
+// window is not read from the origin for it. A miss returns the
+// shard's write count, which a fill of the value then read from the
+// store passes to FillAt.
 func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
-	h := c.pick.hash(key)
-	s := c.shard(h)
+	s, h := c.shard(key)
 	t := c.nanos(now)
 	s.mu.Lock()
 	i, ok := s.find(key, h)
@@ -271,8 +274,7 @@ func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.cl
 // caller's arrival time for the request; only a new key copies key.
 // Values larger than the key's shard are not cached.
 func (c *AULRU) PutAt(key, value []byte, now time.Time) {
-	h := c.pick.hash(key)
-	s := c.shard(h)
+	s, h := c.shard(key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,8 +293,7 @@ func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 // estimate admits every fill. estimate runs under the key's shard lock,
 // so it must not call into the AU-LRU.
 func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, est float64, estimate func(key string) float64) {
-	h := c.pick.hash(key)
-	s := c.shard(h)
+	s, h := c.shard(key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,8 +361,7 @@ func (c *AULRU) Update(key, value []byte) bool { return c.UpdateAt(key, value, c
 // must stay coherent with the store, but a write alone does not earn a
 // cold key a cache slot.
 func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
-	h := c.pick.hash(key)
-	s := c.shard(h)
+	s, h := c.shard(key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,8 +390,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 
 // Delete removes key if present.
 func (c *AULRU) Delete(key []byte) {
-	h := c.pick.hash(key)
-	s := c.shard(h)
+	s, h := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
