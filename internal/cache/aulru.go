@@ -19,8 +19,8 @@ type Refresher func(key string) ([]byte, bool)
 // entry's refresh window renews it (see GetAt). It is split into
 // Shards(Capacity) shards by key hash, each a CLOCK queue (clockList)
 // over its share of the capacity, the LRU approximation whose hit
-// moves nothing, indexed by an open-addressed table whose slots
-// (auSlot) hold what a hit reads. Safe for concurrent use.
+// moves nothing, indexed by an open-addressed table (index) whose
+// slots hold what a hit reads. Safe for concurrent use.
 type AULRU struct {
 	shards    []auShard
 	pick      picker
@@ -49,17 +49,12 @@ type auShard struct {
 // shard's cache lines before it reaches its slot.
 type auState struct {
 	mu sync.Mutex
-	// slots is the index: a power-of-two table probed linearly from a
-	// key's hash, never more than 3/4 full, so every probe run ends at
-	// a free slot. It doubles when full and never shrinks.
-	slots []auSlot
-	ll    clockList[auMeta]
+	index
+	ll clockList
 
 	capacity int64
 	used     int64
-	// refreshing guards against duplicate concurrent refreshes per key.
-	refreshing map[string]bool
-	// gen stamps every value a caller stores (see auMeta.gen).
+	// gen stamps every value a caller stores (see entry.gen).
 	gen uint64
 	// writes counts the writes callers made to the shard's keys —
 	// PutAt, UpdateAt and Delete, whether or not the key was cached. A
@@ -68,59 +63,6 @@ type auState struct {
 	writes    uint64
 	refreshes int64
 }
-
-// auEntry is one AU-LRU entry: what its CLOCK list, a fill's victim
-// comparison and a refresh need. A hit reads only its slot.
-type auEntry = entry[auMeta]
-
-type auMeta struct {
-	// gen identifies the store that put the slot's value. A refresh
-	// reads the origin outside the lock; it installs what it read only
-	// if the entry still carries the generation it started from, so a
-	// write-through that lands meanwhile is never replaced by the older
-	// origin value.
-	gen uint64
-	// slot is where the entry sits in its shard's index. Moving a slot
-	// (growth, a deletion's backward shift) updates it.
-	slot uint32
-}
-
-// auSlot is one slot of a shard's index, one cache line on a 64-bit
-// platform (TestEntrySizes). It holds everything a hit reads, so a hit
-// reads the slot and the value and never the entry. A slot is free
-// when e is nil.
-type auSlot struct {
-	e     *auEntry
-	value []byte
-	// expire is when the value expires, in nanoseconds after the
-	// cache's epoch (see AULRU.nanos).
-	expire int64
-	// hash is the high half of the key's hash: masked, the slot the
-	// key's probe starts from; whole, the tag a probe compares before
-	// the key.
-	hash uint32
-	// klen is the key's length, capped at 255. A key of at most
-	// auInlineKey bytes is held in key; a longer one is compared
-	// against the entry's.
-	klen uint8
-	// visited is CLOCK's reference bit: a hit or a write sets it, the
-	// hand clears it.
-	visited bool
-	// hot is set once the entry is hit since its value was stored: it
-	// lets the entry stand against a fill that would evict it.
-	hot bool
-	// due is set by the first hit inside the refresh window since the
-	// value was stored; the second such hit renews the entry.
-	due bool
-	key [auInlineKey]byte
-}
-
-const (
-	// auInlineKey is the longest key a slot holds itself.
-	auInlineKey = 16
-	// auMinSlots is the size of a new shard's index.
-	auMinSlots = 8
-)
 
 // AUConfig configures an AULRU.
 type AUConfig struct {
@@ -168,17 +110,10 @@ func newAULRU(cfg AUConfig, n int) *AULRU {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.capacity = cfg.Capacity / int64(n)
-		s.slots = make([]auSlot, auMinSlots)
-		s.refreshing = make(map[string]bool)
+		s.slots = make([]slot, minSlots)
 		s.ll.init()
 	}
 	return c
-}
-
-// shard returns key's shard and key's hash, which probes its index.
-func (c *AULRU) shard(key []byte) (*auShard, uint64) {
-	h := c.pick.hash(key)
-	return &c.shards[h&c.pick.mask], h
 }
 
 // nanos returns t in nanoseconds after the cache's epoch, read from
@@ -201,7 +136,7 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // shard's write count, which a fill of the value then read from the
 // store passes to FillAt.
 func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
-	s, h := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	t := c.nanos(now)
 	s.mu.Lock()
 	i, ok := s.find(key, h)
@@ -218,12 +153,12 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 	if !sl.visited {
 		sl.visited = true // writes only when they change: the line stays shared
 	}
-	var e *auEntry // to refresh
+	var e *entry // to refresh
 	var gen uint64
 	if sl.expire-t <= int64(c.refreshAt) && c.refresher != nil {
-		if sl.due && !s.refreshing[sl.e.key] {
-			e, gen = sl.e, sl.e.meta.gen
-			s.refreshing[e.key] = true
+		if sl.due && !sl.e.refreshing {
+			e, gen = sl.e, sl.e.gen
+			e.refreshing = true
 		}
 		if !sl.due {
 			sl.due = true
@@ -243,21 +178,21 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 
 // refresh re-fetches e's key and renews e, of generation gen, unless a
 // caller stored a newer value (or deleted it) in the meantime.
-func (c *AULRU) refresh(s *auShard, e *auEntry, gen uint64) {
+func (c *AULRU) refresh(s *auShard, e *entry, gen uint64) {
 	fresh, ok := c.refresher(e.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.refreshing, e.key)
+	e.refreshing = false
 	// A removed entry's slot holds another entry or none: entries are
 	// never indexed twice.
-	if s.slots[e.meta.slot].e != e || e.meta.gen != gen {
+	if s.slots[e.slot].e != e || e.gen != gen {
 		return
 	}
 	if !ok || int64(len(e.key)+len(fresh)) > s.capacity {
 		s.remove(e) // gone, or grew past any possible fit (see UpdateAt)
 		return
 	}
-	sl := &s.slots[e.meta.slot]
+	sl := &s.slots[e.slot]
 	s.used += int64(len(fresh)) - int64(len(sl.value))
 	sl.value, sl.due = fresh, false
 	sl.expire = c.nanos(c.clk.Now()) + int64(c.ttl)
@@ -274,7 +209,7 @@ func (c *AULRU) Put(key string, value []byte) { c.PutAt([]byte(key), value, c.cl
 // caller's arrival time for the request; only a new key copies key.
 // Values larger than the key's shard are not cached.
 func (c *AULRU) PutAt(key, value []byte, now time.Time) {
-	s, h := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -293,7 +228,7 @@ func (c *AULRU) PutAt(key, value []byte, now time.Time) {
 // estimate admits every fill. estimate runs under the key's shard lock,
 // so it must not call into the AU-LRU.
 func (c *AULRU) FillAt(key, value []byte, now time.Time, writes uint64, est float64, estimate func(key string) float64) {
-	s, h := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,8 +253,8 @@ func (s *auShard) admitsLocked(key []byte, h uint64, n int, est float64, estimat
 	if int64(len(key)+n) <= room {
 		return true
 	}
-	v := s.ll.victim(s.visited)
-	return v == nil || !s.slots[v.meta.slot].hot || est > estimate(v.key)
+	v := s.ll.victim(&s.index)
+	return v == nil || !s.slots[v.slot].hot || est > estimate(v.key)
 }
 
 // storeLocked stores key=value, key's hash being h, expiring at expire,
@@ -339,15 +274,15 @@ func (s *auShard) storeLocked(key, value []byte, h uint64, expire int64) {
 		sl := &s.slots[i]
 		s.used -= int64(len(key) + len(sl.value))
 		sl.value, sl.expire, sl.visited, sl.hot, sl.due = value, expire, true, false, false
-		sl.e.meta.gen = s.gen
+		sl.e.gen = s.gen
 	}
 	s.used += size
 	for s.used > s.capacity {
 		s.evictOne()
 	}
 	if !ok {
-		e := &auEntry{key: string(key), meta: auMeta{gen: s.gen}}
-		s.index(e, key, h, value, expire)
+		e := &entry{key: string(key), gen: s.gen}
+		s.add(e, key, h, value, expire)
 		s.ll.pushBack(e)
 	}
 }
@@ -361,7 +296,7 @@ func (c *AULRU) Update(key, value []byte) bool { return c.UpdateAt(key, value, c
 // must stay coherent with the store, but a write alone does not earn a
 // cold key a cache slot.
 func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
-	s, h := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	expire := c.nanos(now) + int64(c.ttl)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,7 +316,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 	s.used += int64(len(value)) - int64(len(sl.value))
 	s.gen++
 	sl.value, sl.expire, sl.visited, sl.due = value, expire, true, false
-	sl.e.meta.gen = s.gen
+	sl.e.gen = s.gen
 	for s.used > s.capacity {
 		s.evictOne()
 	}
@@ -390,7 +325,7 @@ func (c *AULRU) UpdateAt(key, value []byte, now time.Time) bool {
 
 // Delete removes key if present.
 func (c *AULRU) Delete(key []byte) {
-	s, h := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
@@ -399,91 +334,14 @@ func (c *AULRU) Delete(key []byte) {
 	}
 }
 
-// find returns the slot holding key, whose hash is h, and true, or the
-// free slot that ends key's probe run and false.
-func (s *auShard) find(key []byte, h uint64) (int, bool) {
-	tag, klen := uint32(h>>32), uint8(min(len(key), 255))
-	mask := len(s.slots) - 1
-	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.e == nil {
-			return i, false
-		}
-		if sl.hash == tag && sl.klen == klen && sl.holds(key) {
-			return i, true
-		}
-	}
-}
-
-// holds reports whether the slot's key, of key's length, is key.
-func (sl *auSlot) holds(key []byte) bool {
-	if len(key) <= auInlineKey {
-		return string(sl.key[:len(key)]) == string(key)
-	}
-	return sl.e.key == string(key)
-}
-
-// index gives e, a new entry for key, whose hash is h, a slot holding
-// value until expire, doubling the table first if it would be more
-// than 3/4 full.
-func (s *auShard) index(e *auEntry, key []byte, h uint64, value []byte, expire int64) {
-	if 4*(s.ll.len()+1) > 3*len(s.slots) {
-		old := s.slots
-		s.slots = make([]auSlot, 2*len(old))
-		for _, sl := range old {
-			if sl.e != nil {
-				s.place(sl)
-			}
-		}
-	}
-	sl := auSlot{e: e, value: value, expire: expire, hash: uint32(h >> 32), klen: uint8(min(len(key), 255))}
-	if len(key) <= auInlineKey {
-		copy(sl.key[:], key)
-	}
-	s.place(sl)
-}
-
-// place copies sl into the free slot that ends its key's probe run.
-func (s *auShard) place(sl auSlot) {
-	mask := len(s.slots) - 1
-	i := int(sl.hash) & mask
-	for s.slots[i].e != nil {
-		i = (i + 1) & mask
-	}
-	s.slots[i] = sl
-	sl.e.meta.slot = uint32(i)
-}
-
-// free empties slot i by backward shift: each later slot of the probe
-// run whose key's probe passes the hole moves into it, leaving a hole
-// where it was, until the run ends. No probe run then has a gap, so
-// find needs no tombstones.
-func (s *auShard) free(i int) {
-	mask := len(s.slots) - 1
-	for j := (i + 1) & mask; s.slots[j].e != nil; j = (j + 1) & mask {
-		// The slot may move back to i if its probe starts no later:
-		// i lies between its home and j.
-		if home := int(s.slots[j].hash) & mask; (j-home)&mask >= (j-i)&mask {
-			s.slots[i] = s.slots[j]
-			s.slots[i].e.meta.slot = uint32(i)
-			i = j
-		}
-	}
-	s.slots[i] = auSlot{}
-}
-
-// visited returns the CLOCK bit of e, one of s's entries (see
-// clockList.victim).
-func (s *auShard) visited(e *auEntry) *bool { return &s.slots[e.meta.slot].visited }
-
-func (s *auShard) remove(e *auEntry) {
+func (s *auShard) remove(e *entry) {
 	s.ll.remove(e)
-	s.used -= int64(len(e.key) + len(s.slots[e.meta.slot].value))
-	s.free(int(e.meta.slot))
+	s.used -= s.size(e)
+	s.free(int(e.slot))
 }
 
 func (s *auShard) evictOne() {
-	if v := s.ll.victim(s.visited); v != nil {
+	if v := s.ll.victim(&s.index); v != nil {
 		s.remove(v)
 	}
 }

@@ -46,6 +46,22 @@ func TestSALRUDeletePrefix(t *testing.T) {
 	if want := int64(len("p10\x00a") + len("p2\x00a") + 2*len("value")); c.Len() != 2 || c.Used() != want {
 		t.Errorf("Len %d Used %d, want 2 and %d", c.Len(), c.Used(), want)
 	}
+
+	// Two prefixed keys and an unprefixed one share one probe run:
+	// freeing the first shifts the others back a slot, so a walk over
+	// the slots would pass the second by.
+	one, taken := newSALRU(1<<20, 1), map[string]bool{}
+	run := []string{keyAt(one.pick, taken, "p1\x00a%d", 3), keyAt(one.pick, taken, "p1\x00b%d", 3), keyAt(one.pick, taken, "p10\x00%d", 3)}
+	for _, k := range run {
+		one.Put(k, []byte("value"))
+	}
+	one.DeletePrefix("p1\x00")
+	for i, k := range run {
+		if _, ok := one.Get(k); ok != (i == 2) {
+			t.Errorf("after DeletePrefix in one probe run: %q present = %v", k, ok)
+		}
+	}
+	checkSABooks(t, one, 1<<20)
 }
 
 func TestSALRUUpdateReplaces(t *testing.T) {
@@ -389,53 +405,64 @@ func TestAULRUConcurrent(t *testing.T) {
 	}
 }
 
-// benchKeys returns n distinct cache keys.
-func benchKeys(n int) [][]byte {
-	keys := make([][]byte, n)
+// streamLen is the length of a benchStream, a constant so the timed
+// loops wrap with a mask, not a division.
+const streamLen = 1 << 20
+
+// benchStream returns n keys formatted from format and 0..n-1, each
+// cached by put with a 128-byte value, and a Zipf(1.01) stream of
+// indexes into them, the hot-key shape of the bench workloads.
+func benchStream(format string, n int, put func(key, value []byte)) (keys [][]byte, order []int32) {
+	keys = make([][]byte, n)
+	value := bytes.Repeat([]byte("v"), 128)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key%05d", i))
+		keys[i] = fmt.Appendf(nil, format, i)
+		put(keys[i], value)
 	}
-	return keys
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, uint64(n-1))
+	order = make([]int32, streamLen)
+	for i := range order {
+		order[i] = int32(zipf.Uint64())
+	}
+	return keys, order
 }
 
+// BenchmarkSALRUGet is an SA-LRU hit as a DataNode serves a hot-key
+// workload: a Zipf(1.01) stream over 65,536 keys of the node's shape
+// (partition, NUL, "key-%08d": past a slot's inline limit), all cached
+// with 128-byte values in the node's default 64 MiB, one caller per
+// CPU (run it at -cpu 1,2).
 func BenchmarkSALRUGet(b *testing.B) {
-	c := NewSALRU(1 << 24)
-	keys := benchKeys(10000)
-	for _, k := range keys {
-		c.Insert(k, bytes.Repeat([]byte("v"), 100))
-	}
+	c := NewSALRU(64 << 20)
+	keys, order := benchStream("main/0\x00key-%08d", 1<<16, c.Insert)
+	var callers atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Lookup(keys[i%len(keys)])
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		// Each caller walks the stream from its own offset.
+		for i := int(callers.Add(1)) * streamLen / 8; pb.Next(); i++ {
+			if _, hit := c.Lookup(keys[order[i%streamLen]]); !hit {
+				b.Error("miss")
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkAULRUGet is an AU-LRU hit as the proxy serves a hot-key
 // workload: a Zipf(1.01) stream over 65,536 "key-%08d" keys, all cached
 // with 128-byte values, one caller per CPU (run it at -cpu 1,2).
 func BenchmarkAULRUGet(b *testing.B) {
-	const nkeys, stream = 1 << 16, 1 << 20
 	c := NewAULRU(AUConfig{Capacity: 32 << 20, TTL: time.Hour})
-	keys := make([][]byte, nkeys)
-	value := bytes.Repeat([]byte("v"), 128)
 	now := time.Now()
-	for i := range keys {
-		keys[i] = fmt.Appendf(nil, "key-%08d", i)
-		c.PutAt(keys[i], value, now)
-	}
-	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, nkeys-1)
-	order := make([]int32, stream)
-	for i := range order {
-		order[i] = int32(zipf.Uint64())
-	}
+	keys, order := benchStream("key-%08d", 1<<16, func(key, value []byte) { c.PutAt(key, value, now) })
 	var callers atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// Each caller walks the stream from its own offset.
-		for i := int(callers.Add(1)) * stream / 8; pb.Next(); i++ {
-			if _, hit, _ := c.GetAt(keys[order[i%stream]], now); !hit {
+		for i := int(callers.Add(1)) * streamLen / 8; pb.Next(); i++ {
+			if _, hit, _ := c.GetAt(keys[order[i%streamLen]], now); !hit {
 				b.Error("miss")
 				return
 			}
@@ -491,16 +518,14 @@ func TestAULRUUpdateOversizedDropsOnlyThatEntry(t *testing.T) {
 }
 
 // TestEntrySizes pins what one cached key costs on the heap, on a
-// 64-bit platform. An SA-LRU entry is 64 bytes, a heap size class. An
-// AU-LRU entry keeps only its list links, key, generation and slot
-// number, 48 bytes; what a hit reads is in its index slot, one 64-byte
-// cache line.
+// 64-bit platform. An entry of either cache keeps only its list links,
+// key, generation, slot number, size class and refreshing bit, 48
+// bytes; what a hit reads is in its index slot, one 64-byte cache line.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	au, sa, slot := unsafe.Sizeof(auEntry{}), unsafe.Sizeof(saEntry{}), unsafe.Sizeof(auSlot{})
-	if au != 48 || sa != 64 || slot != 64 {
-		t.Fatalf("AU-LRU entry %d B, SA-LRU entry %d B, AU-LRU slot %d B, want 48, 64 and 64", au, sa, slot)
+	if e, sl := unsafe.Sizeof(entry{}), unsafe.Sizeof(slot{}); e != 48 || sl != 64 {
+		t.Fatalf("entry %d B, slot %d B, want 48 and 64", e, sl)
 	}
 }

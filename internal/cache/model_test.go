@@ -437,17 +437,18 @@ func seedCacheFuzz(f *testing.F) {
 const fuzzShards = 4
 
 // saSnapshot lists s's entries class by class from the hand on, with
-// their visited bits and the class counters.
+// the values and visited bits their slots hold, and the class counters.
 func saSnapshot(s *saShard) string {
 	var b strings.Builder
 	for i := range s.classes {
 		cls := &s.classes[i]
 		fmt.Fprintf(&b, "[%d %d %d]", i, cls.bytes, cls.hits)
 		for e := cls.ll.root.next; e != &cls.ll.root; e = e.next {
-			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.meta.value, e.meta.visited)
+			sl := &s.slots[e.slot]
+			fmt.Fprintf(&b, " %q=%q/%v", e.key, sl.value, sl.visited)
 		}
 	}
-	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(s.items), s.used, s.hits, s.misses)
+	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", s.n, s.used, s.hits, s.misses)
 	return b.String()
 }
 
@@ -476,7 +477,7 @@ func FuzzSALRUModel(f *testing.F) {
 		for step := 0; ops.more(); step++ {
 			var desc string
 			k := ops.key()
-			m := models[c.pick.pick([]byte(k))]
+			m := models[c.pick.hash([]byte(k))&c.pick.mask]
 			switch ops.next(5) {
 			case 0, 1:
 				desc = "Get " + k
@@ -539,12 +540,16 @@ func (o *refreshOrigin) fetch(key string) ([]byte, bool) {
 
 func auSnapshot(c *AULRU, s *auShard) string {
 	var b strings.Builder
+	refreshing := 0
 	for e := s.ll.root.next; e != &s.ll.root; e = e.next {
-		sl := &s.slots[e.meta.slot]
+		sl := &s.slots[e.slot]
 		expireAt := c.epoch.Add(time.Duration(sl.expire))
-		fmt.Fprintf(&b, "%q=%q@%d/%v/%v/%d/%v ", e.key, sl.value, expireAt.UnixNano(), sl.hot, sl.due, e.meta.gen, sl.visited)
+		fmt.Fprintf(&b, "%q=%q@%d/%v/%v/%d/%v ", e.key, sl.value, expireAt.UnixNano(), sl.hot, sl.due, e.gen, sl.visited)
+		if e.refreshing {
+			refreshing++
+		}
 	}
-	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", s.ll.len(), s.used, s.refreshes, len(s.refreshing), s.writes)
+	fmt.Fprintf(&b, "len=%d used=%d refreshes=%d refreshing=%d writes=%d", s.ll.len(), s.used, s.refreshes, refreshing, s.writes)
 	return b.String()
 }
 
@@ -586,7 +591,7 @@ func FuzzAULRUModel(f *testing.F) {
 			// cache clock's reading.
 			now := sim.Now().Add(-time.Duration(ops.next(3)) * time.Second)
 			k := ops.key()
-			m := models[c.pick.pick([]byte(k))]
+			m := models[c.pick.hash([]byte(k))&c.pick.mask]
 			switch ops.next(10) {
 			case 0, 1:
 				desc = "Get " + k

@@ -29,7 +29,7 @@ type saState struct {
 	mu     sync.Mutex
 	hits   int64
 	misses int64
-	items  map[string]*saEntry
+	index
 
 	capacity int64
 	used     int64
@@ -37,27 +37,10 @@ type saState struct {
 }
 
 type sizeClass struct {
-	ll    clockList[saMeta]
+	ll    clockList
 	bytes int64
 	hits  int64 // decayed hit counter for the class
 }
-
-// saEntry is one SA-LRU entry.
-type saEntry = entry[saMeta]
-
-type saMeta struct {
-	value []byte
-	class int32
-	// visited is CLOCK's reference bit: a hit or a write sets it, the
-	// hand clears it.
-	visited bool
-}
-
-// saSize is what e counts against its cache's byte bound.
-func saSize(e *saEntry) int64 { return int64(len(e.key) + len(e.meta.value)) }
-
-// saVisited returns e's CLOCK bit (see clockList.victim).
-func saVisited(e *saEntry) *bool { return &e.meta.visited }
 
 // Size classes are powers of two from 64B; class i holds entries with
 // size in (64·2^(i-1), 64·2^i].
@@ -81,15 +64,13 @@ func newSALRU(capacity int64, n int) *SALRU {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.capacity = capacity / int64(n)
-		s.items = make(map[string]*saEntry)
+		s.slots = make([]slot, minSlots)
 		for j := range s.classes {
 			s.classes[j].ll.init()
 		}
 	}
 	return c
 }
-
-func (c *SALRU) shard(key []byte) *saShard { return &c.shards[c.pick.pick(key)] }
 
 func classFor(size int) int {
 	if size <= saBaseSize {
@@ -108,21 +89,23 @@ func (c *SALRU) Get(key string) ([]byte, bool) { return c.Lookup([]byte(key)) }
 // Lookup returns the cached value and whether it was present. The
 // returned slice must not be modified.
 func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
-	s := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.items[string(key)]
+	i, ok := s.find(key, h)
 	if !ok {
 		s.misses++
 		return nil, false
 	}
-	if !e.meta.visited {
-		e.meta.visited = true // a write only when it changes: the line stays shared
+	sl := &s.slots[i]
+	if !sl.visited {
+		sl.visited = true // a write only when it changes: the line stays shared
 	}
-	cls := &s.classes[e.meta.class]
-	cls.hits++
+	// The value's length gives the class the entry is listed in, so the
+	// hit need not read the entry.
+	s.classes[classFor(len(sl.value))].hits++
 	s.hits++
-	return e.meta.value, true
+	return sl.value, true
 }
 
 // Put is Insert of a string key.
@@ -140,7 +123,7 @@ func (c *SALRU) Insert(key, value []byte) { c.InsertIf(key, value, nil) }
 // landed since it read: a write-through takes the same lock to store
 // its value, so the read's older value cannot replace it.
 func (c *SALRU) InsertIf(key, value []byte, fresh func() bool) {
-	s := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	size := int64(len(key) + len(value))
 	if size > s.capacity {
 		return
@@ -150,40 +133,49 @@ func (c *SALRU) InsertIf(key, value []byte, fresh func() bool) {
 	if fresh != nil && !fresh() {
 		return
 	}
-	e, ok := s.items[string(key)]
-	if ok {
+	// The evictions move slots, so the loop holds the entry.
+	var e *entry
+	if i, ok := s.find(key, h); ok {
+		e = s.slots[i].e
 		s.unlink(e)
-		e.meta.value, e.meta.visited = value, true
-	} else {
-		e = &saEntry{key: string(key), meta: saMeta{value: value}}
-		s.items[e.key] = e
+		s.slots[i].value, s.slots[i].visited = value, true
 	}
-	e.meta.class = int32(classFor(len(value)))
 	for s.used+size > s.capacity {
 		s.evictOne()
 	}
+	if e == nil {
+		e = &entry{key: string(key)}
+		s.add(e, key, h, value, 0)
+	}
+	e.class = uint8(classFor(len(value)))
 	s.link(e)
 }
 
 // Delete removes key if present.
 func (c *SALRU) Delete(key []byte) {
-	s := c.shard(key)
+	s, h := shardOf(c.shards, c.pick, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.items[string(key)]; ok {
-		s.remove(e)
+	if i, ok := s.find(key, h); ok {
+		s.remove(s.slots[i].e)
 	}
 }
 
 // DeletePrefix removes every key that starts with prefix — one owner's
 // whole share of a cache whose keys are namespaced by owner. It walks
 // all entries of every shard, so it is for rare events, not request
-// paths.
+// paths. It walks the class lists, not the index, whose backward shift
+// moves a later slot into the one just freed.
 func (c *SALRU) DeletePrefix(prefix string) {
 	c.each(func(s *saShard) {
-		for key, e := range s.items {
-			if strings.HasPrefix(key, prefix) {
-				s.remove(e)
+		for i := range s.classes {
+			l := &s.classes[i].ll
+			for e := l.root.next; e != &l.root; {
+				next := e.next
+				if strings.HasPrefix(e.key, prefix) {
+					s.remove(e)
+				}
+				e = next
 			}
 		}
 	})
@@ -191,27 +183,27 @@ func (c *SALRU) DeletePrefix(prefix string) {
 
 // link puts e, which is in no list, at the back of its class list and
 // into the byte counts.
-func (s *saShard) link(e *saEntry) {
-	cls := &s.classes[e.meta.class]
+func (s *saShard) link(e *entry) {
+	cls := &s.classes[e.class]
 	cls.ll.pushBack(e)
-	size := saSize(e)
+	size := s.size(e)
 	cls.bytes += size
 	s.used += size
 }
 
 // unlink takes e out of its class list and the byte counts, leaving it
-// in the map.
-func (s *saShard) unlink(e *saEntry) {
-	cls := &s.classes[e.meta.class]
+// in the index.
+func (s *saShard) unlink(e *entry) {
+	cls := &s.classes[e.class]
 	cls.ll.remove(e)
-	size := saSize(e)
+	size := s.size(e)
 	cls.bytes -= size
 	s.used -= size
 }
 
-func (s *saShard) remove(e *saEntry) {
+func (s *saShard) remove(e *entry) {
 	s.unlink(e)
-	delete(s.items, e.key)
+	s.free(int(e.slot))
 }
 
 // evictOne removes the hand's victim in the size class with the lowest
@@ -234,7 +226,7 @@ func (s *saShard) evictOne() {
 		return
 	}
 	cls := &s.classes[victim]
-	if v := cls.ll.victim(saVisited); v != nil {
+	if v := cls.ll.victim(&s.index); v != nil {
 		s.remove(v)
 		// Decay class hits so stale popularity fades.
 		cls.hits -= cls.hits / 8
@@ -253,7 +245,7 @@ func (c *SALRU) each(f func(*saShard)) {
 
 // Len returns the number of cached entries.
 func (c *SALRU) Len() (n int) {
-	c.each(func(s *saShard) { n += len(s.items) })
+	c.each(func(s *saShard) { n += s.n })
 	return n
 }
 

@@ -33,14 +33,13 @@ func newPicker(shards int) picker {
 	return picker{seed: maphash.MakeSeed(), mask: uint64(shards - 1)}
 }
 
-// hash returns key's seeded hash. Its low bits pick the shard, as in
-// pick; the AU-LRU probes its shard's index with the high half.
+// hash returns key's seeded hash. Its low bits, masked, pick the
+// shard; the shard's index is probed with the high half.
 func (p picker) hash(key []byte) uint64 { return maphash.Bytes(p.seed, key) }
 
-// pick returns key's shard index. One shard hashes nothing.
-func (p picker) pick(key []byte) int {
-	if p.mask == 0 {
-		return 0
-	}
-	return int(p.hash(key) & p.mask)
+// shardOf returns key's shard of shards, which p splits the cache
+// into, and key's hash, which probes the shard's index.
+func shardOf[S any](shards []S, p picker, key []byte) (*S, uint64) {
+	h := p.hash(key)
+	return &shards[h&p.mask], h
 }

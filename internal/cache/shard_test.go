@@ -132,9 +132,9 @@ func TestShardsConcurrent(t *testing.T) {
 
 // checkList checks l's links run both ways and number l.n, and returns
 // its entries front to back.
-func checkList[M any](t *testing.T, l *clockList[M]) []*entry[M] {
+func checkList(t *testing.T, l *clockList) []*entry {
 	t.Helper()
-	var es []*entry[M]
+	var es []*entry
 	for e := l.root.next; e != &l.root; e = e.next {
 		if e.next.prev != e || e.prev.next != e {
 			t.Fatalf("entry %q is linked one way only", e.key)
@@ -147,38 +147,40 @@ func checkList[M any](t *testing.T, l *clockList[M]) []*entry[M] {
 	return es
 }
 
-// checkSABooks checks every shard of c: each listed entry is indexed
-// in its class, the bytes each class and the shard count are the bytes
-// its entries hold, and no shard exceeds share.
+// checkSABooks checks every shard of c: each listed entry is listed in
+// its class, the bytes each class and the shard count are the bytes its
+// entries hold, no shard exceeds share, and the index is as checkIndex
+// checks.
 func checkSABooks(t *testing.T, c *SALRU, share int64) {
 	t.Helper()
 	for i := range c.shards {
 		s := &c.shards[i]
 		var used int64
-		n := 0
+		var all []*entry
 		for j := range s.classes {
 			cls := &s.classes[j]
 			var bytes int64
 			for _, e := range checkList(t, &cls.ll) {
-				if s.items[e.key] != e || int(e.meta.class) != j {
-					t.Fatalf("SA-LRU shard %d: listed entry %q not indexed in class %d", i, e.key, j)
+				if int(e.class) != j {
+					t.Fatalf("SA-LRU shard %d: entry %q of class %d listed in class %d", i, e.key, e.class, j)
 				}
-				bytes += saSize(e)
-				n++
+				bytes += s.size(e)
+				all = append(all, e)
 			}
 			if bytes != cls.bytes {
 				t.Fatalf("SA-LRU shard %d class %d counts %d B, entries hold %d", i, j, cls.bytes, bytes)
 			}
 			used += bytes
 		}
-		if n != len(s.items) || used != s.used || used > share {
-			t.Fatalf("SA-LRU shard %d: %d listed, %d indexed, %d B used of %d counted, share %d", i, n, len(s.items), used, s.used, share)
+		checkIndex(t, c.pick, &s.index, all)
+		if used != s.used || used > share {
+			t.Fatalf("SA-LRU shard %d: %d B used of %d counted, share %d", i, used, s.used, share)
 		}
 	}
 }
 
-// checkAUBooks checks every shard of c as checkSABooks does, its index
-// as checkIndex does, and that no refresh is left marked in flight.
+// checkAUBooks checks every shard of c as checkSABooks does, and that
+// no refresh is left marked in flight.
 func checkAUBooks(t *testing.T, c *AULRU, share int64) {
 	t.Helper()
 	for i := range c.shards {
@@ -186,147 +188,178 @@ func checkAUBooks(t *testing.T, c *AULRU, share int64) {
 		var used int64
 		es := checkList(t, &s.ll)
 		for _, e := range es {
-			used += int64(len(e.key) + len(s.slots[e.meta.slot].value))
+			used += s.size(e)
+			if e.refreshing {
+				t.Fatalf("AU-LRU shard %d: entry %q left marked refreshing", i, e.key)
+			}
 		}
-		checkIndex(t, c, s, es)
-		if used != s.used || used > share || len(s.refreshing) != 0 {
-			t.Fatalf("AU-LRU shard %d: %d B used of %d counted, share %d, %d refreshing",
-				i, used, s.used, share, len(s.refreshing))
+		checkIndex(t, c.pick, &s.index, es)
+		if used != s.used || used > share {
+			t.Fatalf("AU-LRU shard %d: %d B used of %d counted, share %d", i, used, s.used, share)
 		}
 	}
 }
 
-// checkIndex checks that s's index holds exactly the listed entries es:
-// a probe for each one's key finds it at the slot the entry records, no
-// other slot is taken, and the table is at most 3/4 full.
-func checkIndex(t *testing.T, c *AULRU, s *auShard, es []*auEntry) {
+// checkIndex checks that x, indexing keys hashed by p, holds exactly
+// the listed entries es: a probe for each one's key finds it at the
+// slot the entry records, no other slot is taken, the count is right,
+// and the table is at most 3/4 full.
+func checkIndex(t *testing.T, p picker, x *index, es []*entry) {
 	t.Helper()
 	for _, e := range es {
 		key := []byte(e.key)
-		if i, ok := s.find(key, c.pick.hash(key)); !ok || i != int(e.meta.slot) || s.slots[i].e != e {
-			t.Fatalf("entry %q records slot %d, its probe ends at %d (found %v)", e.key, e.meta.slot, i, ok)
+		if i, ok := x.find(key, p.hash(key)); !ok || i != int(e.slot) || x.slots[i].e != e {
+			t.Fatalf("entry %q records slot %d, its probe ends at %d (found %v)", e.key, e.slot, i, ok)
 		}
 	}
 	taken := 0
-	for i := range s.slots {
-		if s.slots[i].e != nil {
+	for i := range x.slots {
+		if x.slots[i].e != nil {
 			taken++
 		}
 	}
-	if taken != len(es) || 4*taken > 3*len(s.slots) {
-		t.Fatalf("index takes %d of %d slots for %d listed entries", taken, len(s.slots), len(es))
+	if taken != len(es) || taken != x.n || 4*taken > 3*len(x.slots) {
+		t.Fatalf("index takes %d of %d slots, counts %d, for %d listed entries", taken, len(x.slots), x.n, len(es))
 	}
 }
 
-// TestAULRUIndexBackwardShift deletes through a probe run that wraps
-// past the end of a shard's table, and through a growth, checking after
-// each step that every key left is found at the slot its entry records.
+// indexed is a one-shard cache of either kind, seen through what the
+// index tests drive and check.
+type indexed struct {
+	name  string
+	pick  picker
+	x     *index
+	put   func(key string, value []byte)
+	get   func(key string) ([]byte, bool)
+	del   func(key string)
+	books func(t *testing.T)
+}
+
+// indexedCaches returns a new one-shard cache of each kind.
+func indexedCaches() []indexed {
+	sa := newSALRU(1<<20, 1)
+	au := newAULRU(AUConfig{Capacity: 1 << 20, TTL: time.Minute, Clock: clock.NewSim(time.Unix(0, 0))}, 1)
+	return []indexed{
+		{"SA-LRU", sa.pick, &sa.shards[0].index, sa.Put, sa.Get,
+			func(k string) { sa.Delete([]byte(k)) }, func(t *testing.T) { t.Helper(); checkSABooks(t, sa, 1<<20) }},
+		{"AU-LRU", au.pick, &au.shards[0].index, au.Put, au.Get,
+			func(k string) { au.Delete([]byte(k)) }, func(t *testing.T) { t.Helper(); checkAUBooks(t, au, 1<<20) }},
+	}
+}
+
+// keyAt returns a key not in taken, formatted from format and a number,
+// whose probe starts at slot home of a new index under p, and adds it
+// to taken.
+func keyAt(p picker, taken map[string]bool, format string, home int) string {
+	for n := 0; ; n++ {
+		k := fmt.Sprintf(format, n)
+		if !taken[k] && int(p.hash([]byte(k))>>32)&(minSlots-1) == home {
+			taken[k] = true
+			return k
+		}
+	}
+}
+
+// TestIndexBackwardShift deletes through a probe run that wraps past
+// the end of a shard's table, and through a growth, checking after each
+// step that every key left is found at the slot its entry records.
 // Keys are picked by the slot their probe starts from, on both sides of
 // the inline-key limit, so the slots each step leaves are known.
-func TestAULRUIndexBackwardShift(t *testing.T) {
-	sim := clock.NewSim(time.Unix(0, 0))
-	c := newAULRU(AUConfig{Capacity: 1 << 20, TTL: time.Minute, Clock: sim}, 1)
-	s := &c.shards[0]
-	taken := map[string]bool{}
-	// keyAt returns a new key whose probe starts at slot home of the
-	// first table, longer than a slot holds if long.
-	keyAt := func(home int, long bool) string {
-		for n := 0; ; n++ {
-			k := fmt.Sprintf("k%d", n)
-			if long {
-				k = fmt.Sprintf("a-key-longer-than-a-slot-%d", n)
+func TestIndexBackwardShift(t *testing.T) {
+	for _, c := range indexedCaches() {
+		t.Run(c.name, func(t *testing.T) {
+			taken := map[string]bool{}
+			const short, long = "k%d", "a-key-longer-than-a-slot-%d"
+			check := func(desc string, at map[string]int) {
+				t.Helper()
+				c.books(t)
+				for k, want := range at {
+					if i, ok := c.x.find([]byte(k), c.pick.hash([]byte(k))); !ok || i != want {
+						t.Fatalf("%s: %q at slot %d (found %v), want %d", desc, k, i, ok, want)
+					}
+					if v, ok := c.get(k); !ok || string(v) != "v-"+k {
+						t.Fatalf("%s: Get(%q) = %q %v", desc, k, v, ok)
+					}
+				}
 			}
-			if !taken[k] && int(c.pick.hash([]byte(k))>>32)&(auMinSlots-1) == home {
-				taken[k] = true
-				return k
+			// a and b's run starts at 6 and wraps: b2 lands in 0 and d in 1,
+			// ahead of e, whose probe starts at 0.
+			a, b, b2 := keyAt(c.pick, taken, short, 6), keyAt(c.pick, taken, long, 7), keyAt(c.pick, taken, short, 6)
+			d, e := keyAt(c.pick, taken, short, 7), keyAt(c.pick, taken, long, 0)
+			for _, k := range []string{a, b, b2, d, e} {
+				c.put(k, []byte("v-"+k))
 			}
-		}
-	}
-	check := func(desc string, at map[string]int) {
-		t.Helper()
-		checkAUBooks(t, c, 1<<20)
-		for k, want := range at {
-			if i, ok := s.find([]byte(k), c.pick.hash([]byte(k))); !ok || i != want {
-				t.Fatalf("%s: %q at slot %d (found %v), want %d", desc, k, i, ok, want)
-			}
-			if v, ok := c.Get(k); !ok || string(v) != "v-"+k {
-				t.Fatalf("%s: Get(%q) = %q %v", desc, k, v, ok)
-			}
-		}
-	}
-	// a and b's run starts at 6 and wraps: b2 lands in 0 and d in 1,
-	// ahead of e, whose probe starts at 0.
-	a, b, b2, d, e := keyAt(6, false), keyAt(7, true), keyAt(6, false), keyAt(7, false), keyAt(0, true)
-	for _, k := range []string{a, b, b2, d, e} {
-		c.Put(k, []byte("v-"+k))
-	}
-	check("filled", map[string]int{a: 6, b: 7, b2: 0, d: 1, e: 2})
-	c.Delete([]byte(a)) // b stays home; b2, d and e each shift back one
-	check("deleted a", map[string]int{b: 7, b2: 6, d: 0, e: 1})
-	c.Delete([]byte(b)) // d returns home past the end; e follows it
-	check("deleted b", map[string]int{b2: 6, d: 7, e: 0})
+			check("filled", map[string]int{a: 6, b: 7, b2: 0, d: 1, e: 2})
+			c.del(a) // b stays home; b2, d and e each shift back one
+			check("deleted a", map[string]int{b: 7, b2: 6, d: 0, e: 1})
+			c.del(b) // d returns home past the end; e follows it
+			check("deleted b", map[string]int{b2: 6, d: 7, e: 0})
 
-	// Grow past 3/4 of the first table, then delete everything.
-	keys := []string{b2, d, e}
-	for n := 0; len(s.slots) == auMinSlots; n++ {
-		k := fmt.Sprintf("g%d", n)
-		if n%2 == 1 {
-			k += "-longer-than-a-slot"
-		}
-		c.Put(k, []byte("v-"+k))
-		keys = append(keys, k)
-	}
-	if len(s.slots) != 2*auMinSlots || len(keys) != 3*auMinSlots/4+1 {
-		t.Fatalf("%d keys in %d slots, want %d in %d", len(keys), len(s.slots), 3*auMinSlots/4+1, 2*auMinSlots)
-	}
-	check("grown", nil)
-	for i, k := range keys {
-		c.Delete([]byte(k))
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("%q found after its delete", k)
-		}
-		check("deleted "+k, nil)
-		for _, left := range keys[i+1:] {
-			if v, ok := c.Get(left); !ok || string(v) != "v-"+left {
-				t.Fatalf("after deleting %q: Get(%q) = %q %v", k, left, v, ok)
+			// Grow past 3/4 of the first table, then delete everything.
+			keys := []string{b2, d, e}
+			for n := 0; len(c.x.slots) == minSlots; n++ {
+				k := fmt.Sprintf("g%d", n)
+				if n%2 == 1 {
+					k += "-longer-than-a-slot"
+				}
+				c.put(k, []byte("v-"+k))
+				keys = append(keys, k)
 			}
-		}
+			if len(c.x.slots) != 2*minSlots || len(keys) != 3*minSlots/4+1 {
+				t.Fatalf("%d keys in %d slots, want %d in %d", len(keys), len(c.x.slots), 3*minSlots/4+1, 2*minSlots)
+			}
+			check("grown", nil)
+			for i, k := range keys {
+				c.del(k)
+				if _, ok := c.get(k); ok {
+					t.Fatalf("%q found after its delete", k)
+				}
+				check("deleted "+k, nil)
+				for _, left := range keys[i+1:] {
+					if v, ok := c.get(left); !ok || string(v) != "v-"+left {
+						t.Fatalf("after deleting %q: Get(%q) = %q %v", k, left, v, ok)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestAULRUTagCollision stores two keys of one length whose hashes
+// TestIndexTagCollision stores two keys of one length whose hashes
 // share the tag a slot keeps, short enough to sit in their slots and
 // too long to, and reads each one's own value back: a tag is a filter,
 // never the match.
-func TestAULRUTagCollision(t *testing.T) {
+func TestIndexTagCollision(t *testing.T) {
 	for _, format := range []string{"t%07d", "a-key-longer-than-a-slot-%07d"} {
-		c := newAULRU(AUConfig{Capacity: 1 << 20, TTL: time.Minute}, 1)
-		first := map[uint32]string{}
-		var a, b string
-		for n := 0; b == "" && n < 1<<22; n++ {
-			k := fmt.Sprintf(format, n)
-			tag := uint32(c.pick.hash([]byte(k)) >> 32)
-			if other, ok := first[tag]; ok {
-				a, b = other, k
+		for _, c := range indexedCaches() {
+			first := map[uint32]string{}
+			var a, b string
+			for n := 0; b == "" && n < 1<<22; n++ {
+				k := fmt.Sprintf(format, n)
+				tag := uint32(c.pick.hash([]byte(k)) >> 32)
+				if other, ok := first[tag]; ok {
+					a, b = other, k
+				}
+				first[tag] = k
 			}
-			first[tag] = k
-		}
-		if b == "" {
-			t.Fatalf("%s: no two keys share a tag", format)
-		}
-		c.Put(a, []byte("v-"+a))
-		c.Put(b, []byte("v-"+b))
-		for _, k := range []string{a, b} {
-			if v, ok := c.Get(k); !ok || string(v) != "v-"+k {
-				t.Fatalf("Get(%q) = %q %v, its tag shared with %q", k, v, ok, a+" "+b)
+			if b == "" {
+				t.Fatalf("%s %s: no two keys share a tag", c.name, format)
 			}
-		}
-		c.Delete([]byte(a))
-		if _, ok := c.Get(a); ok {
-			t.Fatalf("%q found after its delete", a)
-		}
-		if v, ok := c.Get(b); !ok || string(v) != "v-"+b {
-			t.Fatalf("Get(%q) = %q %v after deleting %q", b, v, ok, a)
+			c.put(a, []byte("v-"+a))
+			c.put(b, []byte("v-"+b))
+			for _, k := range []string{a, b} {
+				if v, ok := c.get(k); !ok || string(v) != "v-"+k {
+					t.Fatalf("%s: Get(%q) = %q %v, its tag shared with %q", c.name, k, v, ok, a+" "+b)
+				}
+			}
+			c.del(a)
+			if _, ok := c.get(a); ok {
+				t.Fatalf("%s: %q found after its delete", c.name, a)
+			}
+			if v, ok := c.get(b); !ok || string(v) != "v-"+b {
+				t.Fatalf("%s: Get(%q) = %q %v after deleting %q", c.name, b, v, ok, a)
+			}
+			c.books(t)
 		}
 	}
 }
@@ -335,7 +368,7 @@ func TestAULRUTagCollision(t *testing.T) {
 // set the bits it clears. Goroutines hit a small hot set, fill a stream
 // of cold keys that keeps every shard evicting, write through, and
 // delete, on small shards of both caches, with keys on both sides of
-// the AU-LRU slot's inline limit and enough of them that its indexes
+// the slot's inline limit and enough of them that the AU-LRU's indexes
 // grow; then every shard's books and index must hold. Under -race it
 // is the hand's stress test and the index's concurrent insert, lookup
 // and evict test.
@@ -351,7 +384,7 @@ func TestClockHandConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				// Keys on both sides of the AU-LRU slot's inline limit.
+				// Keys on both sides of the slot's inline limit.
 				hot := fmt.Appendf(nil, "hot%d", i%12)
 				if i%24 >= 12 {
 					hot = fmt.Appendf(hot, "-longer-than-a-slot")
@@ -393,7 +426,7 @@ func TestClockHandConcurrent(t *testing.T) {
 	checkAUBooks(t, au, share)
 	grown := 0
 	for i := range au.shards {
-		if len(au.shards[i].slots) > auMinSlots {
+		if len(au.shards[i].slots) > minSlots {
 			grown++
 		}
 	}

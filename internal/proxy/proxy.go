@@ -38,7 +38,7 @@ type Config struct {
 	// Clock defaults to the real clock.
 	Clock clock.Clock
 	// CacheBytes sizes the AU-LRU (paper: proxy memory < 10 GB;
-	// default 32 MiB). Zero with EnableCache=false disables caching.
+	// default 32 MiB). EnableCache alone decides whether there is one.
 	CacheBytes int64
 	// CacheTTL is the proxy cache entry lifetime. Default 10s.
 	CacheTTL time.Duration
