@@ -333,12 +333,20 @@ func TestRefusalsConform(t *testing.T) {
 		}
 	})
 	t.Run("queue full", func(t *testing.T) {
-		// One admission slot held by a request for 150ms and a queue of
-		// one: the second arrival waits, the third finds no room.
-		n, pid := quotaNode(t, Config{AdmitCost: 150 * time.Millisecond, AdmitQueueCap: 1}, 1e9)
-		for i := 0; i < 2; i++ {
-			go n.Put(bg, pid, []byte{byte(i)}, []byte("v"), 0)
-			time.Sleep(5 * time.Millisecond)
+		// One admission slot, held by a request parked in its admit cost
+		// until the test ends, and a queue of one: the second arrival
+		// waits, the third finds no room.
+		const admitCost = 150 * time.Millisecond
+		clk := &gateClock{hold: admitCost, entered: make(chan struct{}, 2), release: make(chan struct{})}
+		n, pid := quotaNode(t, Config{AdmitCost: admitCost, AdmitQueueCap: 1, Clock: clk}, 1e9)
+		t.Cleanup(func() { close(clk.release) }) // runs before the node's Close
+		go n.Put(bg, pid, []byte{0}, []byte("v"), 0)
+		<-clk.entered // the first request holds the only slot
+		go n.Put(bg, pid, []byte{1}, []byte("v"), 0)
+		for deadline := time.Now().Add(5 * time.Second); n.admit.depth() == 0; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the second request never queued for the held slot")
+			}
 		}
 		for i, op := range opKinds {
 			if err := op.call(bg, n, pid, []byte("k")); !errors.Is(err, ErrOverloaded) {

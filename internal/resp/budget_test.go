@@ -11,8 +11,8 @@ import (
 // one command decoded by a Server's connection loop and its reply
 // encoded and written, over net.Pipe with a handler that allocates
 // nothing, so what is counted is the protocol's own work. A decoded
-// command costs its argument payloads, which the handler owns; the
-// reply costs nothing. Counts are exact and fail at one more or one
+// command costs one allocation holding its argument payloads, which
+// the handler owns; the reply costs nothing. Counts are exact and fail at one more or one
 // fewer.
 //
 //	go test -run TestAllocBudget -count=3 ./internal/resp
@@ -32,8 +32,8 @@ func TestAllocBudget(t *testing.T) {
 		allocs           int
 		bytes            uint64
 	}{
-		{"GET", "*2\r\n$3\r\nGET\r\n$8\r\nkey-0001\r\n", "$16\r\n0123456789abcdef\r\n", 1, 64},
-		{"SET", "*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$16\r\n0123456789abcdef\r\n", "+OK\r\n", 2, 96},
+		{"GET", "*2\r\n$3\r\nGET\r\n$8\r\nkey-0001\r\n", "$16\r\n0123456789abcdef\r\n", 1, 16},
+		{"SET", "*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$16\r\n0123456789abcdef\r\n", "+OK\r\n", 1, 48},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			client, _ := servePipe(t, shared(handler))

@@ -3,8 +3,11 @@ package resp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"runtime/metrics"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzRESPParse feeds arbitrary bytes to the RESP reader: the decoder
@@ -13,7 +16,9 @@ import (
 // write/re-read round trip. The command decoder is held to the generic
 // one: on every input ReadCommand accepts what Read plus the command
 // shape check accepts, with the same name and arguments, and nothing
-// else.
+// else, however the input arrives: whole, in chunks whose sizes the
+// input picks, or a byte at a time, so its one-pass path and its
+// streaming path agree.
 func FuzzRESPParse(f *testing.F) {
 	seeds := [][]byte{
 		[]byte("+OK\r\n"),
@@ -50,6 +55,13 @@ func FuzzRESPParse(f *testing.F) {
 		// Lengths inside the limits on a stream that ends at once.
 		[]byte("*2\r\n$3\r\nGET\r\n$400000000\r\nk\r\n"),
 		[]byte("*1000000\r\n$3\r\nGET\r\n"),
+		// Inputs that steer the command decoder off its one-pass path: a
+		// command straddling the end of the 4 KiB buffer, more arguments
+		// than that path takes, a 19-digit length, and empty strings.
+		bytes.Repeat([]byte("*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$100\r\n"+strings.Repeat("v", 100)+"\r\n"), 40),
+		[]byte("*12\r\n$4\r\nMGET\r\n" + strings.Repeat("$1\r\nk\r\n", 11)),
+		[]byte("*2\r\n$3\r\nGET\r\n$0000000000000000001\r\nk\r\n"),
+		[]byte("*2\r\n$3\r\nGET\r\n$0\r\n\r\n*1\r\n$0\r\n\r\n"),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -79,41 +91,76 @@ func FuzzRESPParse(f *testing.F) {
 				t.Fatalf("round trip changed value: %#v -> %#v", v, v2)
 			}
 		}
-		// The command decoder against the generic one.
-		ref := NewReader(bytes.NewReader(data))
-		rc := NewReader(bytes.NewReader(data))
-		before := heapAllocBytes()
-		for i := 0; i < 64; i++ {
-			want, wantErr := refReadCommand(ref)
-			got, err := rc.ReadCommand()
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("command %d: ReadCommand err %v, Read + shape check err %v", i, err, wantErr)
-			}
-			if err != nil {
-				// The generic reader parses the whole value before its
-				// shape is checked, so it may run out of input where the
-				// command decoder has already seen the malformed element;
-				// never the other way round.
-				if errors.Is(wantErr, ErrProtocol) && !errors.Is(err, ErrProtocol) {
-					t.Fatalf("command %d: ReadCommand err %v, want a protocol error (%v)", i, err, wantErr)
-				}
-				break
-			}
-			if got.Name != want.Name || len(got.Args) != len(want.Args) {
-				t.Fatalf("command %d: ReadCommand %q %q, reference %q %q", i, got.Name, got.Args, want.Name, want.Args)
-			}
-			for j := range got.Args {
-				if !bytes.Equal(got.Args[j], want.Args[j]) {
-					t.Fatalf("command %d arg %d: %q, reference %q", i, j, got.Args[j], want.Args[j])
-				}
-			}
-		}
-		// Both decoders allocate for the bytes that arrived, never for
-		// the lengths a header claims.
-		if grown := heapAllocBytes() - before; grown > 1<<20+64*uint64(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grown)
+		// The command decoder against the generic one, over the input
+		// whole, in chunks and a byte at a time.
+		for _, src := range []io.Reader{
+			bytes.NewReader(data),
+			&chunkReader{data: data, sizes: data},
+			iotest.OneByteReader(bytes.NewReader(data)),
+		} {
+			checkCommands(t, NewReader(bytes.NewReader(data)), NewReader(src), len(data))
 		}
 	})
+}
+
+// checkCommands reads up to 64 commands from rc with ReadCommand and
+// from ref with refReadCommand, and fails on any difference.
+func checkCommands(t *testing.T, ref, rc *Reader, inputLen int) {
+	t.Helper()
+	before := heapAllocBytes()
+	for i := 0; i < 64; i++ {
+		want, wantErr := refReadCommand(ref)
+		got, err := rc.ReadCommand()
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("command %d: ReadCommand err %v, Read + shape check err %v", i, err, wantErr)
+		}
+		if err != nil {
+			// The generic reader parses the whole value before its
+			// shape is checked, so it may run out of input where the
+			// command decoder has already seen the malformed element;
+			// never the other way round.
+			if errors.Is(wantErr, ErrProtocol) && !errors.Is(err, ErrProtocol) {
+				t.Fatalf("command %d: ReadCommand err %v, want a protocol error (%v)", i, err, wantErr)
+			}
+			break
+		}
+		if got.Name != want.Name || len(got.Args) != len(want.Args) {
+			t.Fatalf("command %d: ReadCommand %q %q, reference %q %q", i, got.Name, got.Args, want.Name, want.Args)
+		}
+		// Appending to an argument must not write into its neighbours,
+		// though they may share an allocation.
+		for j := range got.Args {
+			_ = append(got.Args[j], '!')
+		}
+		for j := range got.Args {
+			if !bytes.Equal(got.Args[j], want.Args[j]) {
+				t.Fatalf("command %d arg %d: %q, reference %q", i, j, got.Args[j], want.Args[j])
+			}
+		}
+	}
+	// Both decoders allocate for the bytes that arrived, never for
+	// the lengths a header claims.
+	if grown := heapAllocBytes() - before; grown > 1<<20+64*uint64(inputLen) {
+		t.Fatalf("decoding %d bytes allocated %d", inputLen, grown)
+	}
+}
+
+// chunkReader returns data in pieces of 1 to 256 bytes, their sizes
+// taken in turn from sizes.
+type chunkReader struct {
+	data, sizes []byte
+	next        int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(1+int(c.sizes[c.next%len(c.sizes)]), len(p), len(c.data))
+	c.next++
+	copy(p, c.data[:n])
+	c.data = c.data[n:]
+	return n, nil
 }
 
 // heapAllocBytes is the process's cumulative heap allocation; large

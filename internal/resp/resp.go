@@ -270,12 +270,18 @@ func (r *Reader) read(depth int) (Value, error) {
 }
 
 // Command is a parsed client command: a name plus raw byte arguments.
-// Each argument is its own allocation, the receiver's to keep; the Args
+// The arguments are fresh memory, the receiver's to keep, and may share
+// one allocation per command; each has its capacity capped at its
+// length, so an append to one never writes into another. The Args
 // slice holding them belongs to the Reader and is overwritten by its
 // next ReadCommand.
 type Command struct {
 	Name string
-	Args [][]byte
+	// Known numbers Name's place in KnownNames, from 1, when the name
+	// was matched there; 0 for any other name. A dispatcher can index a
+	// table by it instead of hashing the name.
+	Known int
+	Args  [][]byte
 }
 
 // commandNames are the names ReadCommand returns without building a
@@ -292,9 +298,30 @@ var commandNames = [...]string{
 	"SUBSCRIBE", "UNSUBSCRIBE", "PSUBSCRIBE", "PUNSUBSCRIBE",
 }
 
+// KnownNames returns the names ReadCommand matches in place, in the
+// order Command.Known numbers them.
+func KnownNames() []string { return append([]string(nil), commandNames[:]...) }
+
+// commandName returns the upper-case name b spells and its Known
+// number: the entry of commandNames it matches in any case, without
+// allocating, or a new string and 0.
+func commandName(b []byte) (string, int) {
+	for i, name := range commandNames[:] { // a slice: ranging over the array would copy it
+		if len(name) == len(b) && equalFold(name, b) {
+			return name, i + 1
+		}
+	}
+	return upper(string(b)), 0
+}
+
 // maxNameLen bounds the names looked up in place; a longer name is read
 // like an argument.
 const maxNameLen = 32
+
+// maxFastArgs bounds the arguments of a command parsed in one pass over
+// the read buffer. It also bounds what one retained argument keeps
+// alive, since the arguments of such a command share one allocation.
+const maxFastArgs = 8
 
 // maxKeptArgs bounds the Args backing array a Reader keeps between
 // commands, so one huge MSET does not pin its slice for the life of the
@@ -303,9 +330,71 @@ const maxKeptArgs = 1024
 
 // ReadCommand parses a client command (a non-empty array of non-null
 // bulk strings). It accepts exactly the inputs Read accepts with that
-// shape, but parses the length lines and the command name in the read
-// buffer, so the argument payloads are its only allocations.
+// shape. A command that lies whole in the read buffer in the usual form
+// (lengths of at most 18 plain digits, a name of at most maxNameLen
+// bytes, at most maxFastArgs arguments) is parsed in one pass there,
+// and its arguments are copied out in one allocation; any other input
+// is read piece by piece, each argument in an allocation of its own.
 func (r *Reader) ReadCommand() (Command, error) {
+	if cap(r.args) > maxKeptArgs {
+		r.args = nil
+	}
+	r.args = r.args[:0]
+	// With the buffer empty, Peek fills it from the connection, which
+	// flushes the replies buffered so far before it waits.
+	if _, err := r.r.Peek(1); err != nil {
+		return Command{}, err
+	}
+	if cmd, ok := r.readBuffered(); ok {
+		return cmd, nil
+	}
+	return r.readStreaming()
+}
+
+// readBuffered parses one command from the bytes already in the read
+// buffer and consumes them. It reports false, having consumed and
+// allocated nothing, when the buffer does not start with a whole
+// command in the usual form; the streaming path then decides.
+func (r *Reader) readBuffered() (Command, bool) {
+	b, _ := r.r.Peek(r.r.Buffered())
+	n, p := lenLine(b, Array)
+	if p == 0 || n < 1 || n > maxFastArgs+1 {
+		return Command{}, false
+	}
+	// Find every element and check its CRLFs before anything is
+	// allocated or consumed.
+	var els [maxFastArgs + 1][]byte
+	total := 0
+	for i := range int(n) {
+		l, used := lenLine(b[p:], BulkString)
+		end := p + used + int(l)
+		if used == 0 || l > maxBulkLen || l > int64(len(b)-p-used-2) || b[end] != '\r' || b[end+1] != '\n' {
+			return Command{}, false
+		}
+		els[i] = b[p+used : end]
+		total += int(l)
+		p = end + 2
+	}
+	if len(els[0]) > maxNameLen {
+		return Command{}, false
+	}
+	var cmd Command
+	cmd.Name, cmd.Known = commandName(els[0])
+	buf := make([]byte, 0, total-len(els[0]))
+	for _, el := range els[1:n] {
+		buf = append(buf, el...)
+		r.args = append(r.args, buf[len(buf)-len(el):len(buf):len(buf)])
+	}
+	cmd.Args = r.args
+	r.r.Discard(p)
+	return cmd, true
+}
+
+// readStreaming parses a command as it arrives, refilling the read
+// buffer as it goes. It parses the length lines and the command name
+// in the read buffer, so the argument payloads are its only
+// allocations.
+func (r *Reader) readStreaming() (Command, error) {
 	n, err := r.readLen(Array)
 	if err != nil {
 		return Command{}, err
@@ -313,15 +402,11 @@ func (r *Reader) ReadCommand() (Command, error) {
 	if n < 1 || n > maxArrayLen {
 		return Command{}, fmt.Errorf("%w: command must be a non-empty array", ErrProtocol)
 	}
-	name, err := r.readName()
+	name, known, err := r.readName()
 	if err != nil {
 		return Command{}, err
 	}
-	if cap(r.args) > maxKeptArgs {
-		r.args = nil
-	}
 	// The slice grows with the arguments parsed, not the untrusted count.
-	r.args = r.args[:0]
 	for i := int64(1); i < n; i++ {
 		arg, err := r.readArg()
 		if err != nil {
@@ -329,7 +414,27 @@ func (r *Reader) ReadCommand() (Command, error) {
 		}
 		r.args = append(r.args, arg)
 	}
-	return Command{Name: name, Args: r.args}, nil
+	return Command{Name: name, Known: known, Args: r.args}, nil
+}
+
+// lenLine parses a length line of the given kind at the start of b in
+// its usual form: the kind byte, 1 to 18 digits, CRLF. It returns the
+// length and the bytes the line takes, or a zero size when b does not
+// start with such a line. Eighteen digits cannot overflow an int64, and
+// parseInt reads them alike, so both decoders agree on every line it
+// accepts.
+func lenLine(b []byte, kind Kind) (n int64, size int) {
+	if len(b) == 0 || Kind(b[0]) != kind {
+		return 0, 0
+	}
+	i := 1
+	for ; i < len(b) && i <= 18 && '0' <= b[i] && b[i] <= '9'; i++ {
+		n = n*10 + int64(b[i]-'0')
+	}
+	if i == 1 || i+1 >= len(b) || b[i] != '\r' || b[i+1] != '\n' {
+		return 0, 0
+	}
+	return n, i + 2
 }
 
 // readLen reads one length line of the given kind ("*3", "$5"). The
@@ -342,6 +447,9 @@ func (r *Reader) readLen(kind Kind) (int64, error) {
 	}
 	if err != nil {
 		return 0, err
+	}
+	if n, size := lenLine(line, kind); size == len(line) {
+		return n, nil
 	}
 	if len(line) < 3 || line[len(line)-2] != '\r' || Kind(line[0]) != kind {
 		return 0, fmt.Errorf("%w: expected a %q length line, got %q", ErrProtocol, kind, line)
@@ -371,35 +479,27 @@ func (r *Reader) readArg() ([]byte, error) {
 	return r.readBulk(n)
 }
 
-// readName reads the command name, a bulk string, upper-cased.
-func (r *Reader) readName() (string, error) {
+// readName reads the command name, a bulk string, upper-cased, and its
+// Known number.
+func (r *Reader) readName() (string, int, error) {
 	n, err := r.readBulkLen()
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if n > maxNameLen {
 		b, err := r.readBulk(n)
-		return upper(string(b)), err
+		return upper(string(b)), 0, err
 	}
 	b, err := r.r.Peek(int(n) + 2)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if b[n] != '\r' || b[n+1] != '\n' {
-		return "", fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+		return "", 0, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
 	}
-	name := ""
-	for _, known := range commandNames {
-		if len(known) == int(n) && equalFold(known, b[:n]) {
-			name = known
-			break
-		}
-	}
-	if name == "" {
-		name = upper(string(b[:n]))
-	}
+	name, known := commandName(b[:n])
 	_, err = r.r.Discard(int(n) + 2)
-	return name, err
+	return name, known, err
 }
 
 // equalFold reports whether b is the upper-case ASCII name in any case.

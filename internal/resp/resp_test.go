@@ -151,8 +151,9 @@ func TestReadCommandArgsAreOwned(t *testing.T) {
 }
 
 // TestCodecAllocations pins the hot path's allocation budget: a decoded
-// command costs its argument payloads (one more is allowed for), and
-// encoding a reply costs nothing.
+// command costs one allocation for all its argument payloads (the few
+// commands that straddle a buffer refill cost one per argument, which
+// the average rounds away), and encoding a reply costs nothing.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -166,11 +167,11 @@ func TestCodecAllocations(t *testing.T) {
 			}
 		})
 	}
-	if n := decode("*2\r\n$3\r\nget\r\n$8\r\nkey-0001\r\n"); n > 2 {
-		t.Errorf("decoding GET: %v allocations, want at most 2", n)
+	if n := decode("*2\r\n$3\r\nget\r\n$8\r\nkey-0001\r\n"); n > 1 {
+		t.Errorf("decoding GET: %v allocations, want at most 1", n)
 	}
-	if n := decode("*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$16\r\n0123456789abcdef\r\n"); n > 3 {
-		t.Errorf("decoding SET: %v allocations, want at most 3", n)
+	if n := decode("*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$16\r\n0123456789abcdef\r\n"); n > 1 {
+		t.Errorf("decoding SET: %v allocations, want at most 1", n)
 	}
 	w := NewWriter(io.Discard)
 	for name, v := range map[string]Value{

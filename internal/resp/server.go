@@ -16,9 +16,11 @@ import (
 // handlers use this to cancel their per-connection base context, which
 // aborts any of the connection's requests still queued in the cluster.
 //
-// Ownership: every cmd.Args[i] is a fresh allocation that is the
-// handler's to keep (the caches retain SET values), but the cmd.Args
-// slice holding them is reused for the connection's next command and is
+// Ownership: every cmd.Args[i] is fresh memory that is the handler's to
+// keep (the caches retain SET values). A command's arguments may share
+// one allocation, so a kept argument keeps its neighbours alive too,
+// but none aliases another or the read buffer. The cmd.Args slice
+// holding them is reused for the connection's next command and is
 // valid only until Handle returns. The reply's payload is only read.
 type Handler interface {
 	Handle(cmd Command) Value

@@ -50,12 +50,12 @@ type notifier struct {
 // connection's push writer before the first command.
 func (s *session) Bind(p resp.Pusher) { s.push = p }
 
-// subscribed reports whether the connection is in subscribed mode.
-func (s *session) subscribed() bool {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return len(s.channels)+len(s.patterns) > 0
-}
+// subscribed reports whether the connection is in subscribed mode. It
+// runs on every command, so it reads the two sets without subMu: only
+// the command goroutine, its one caller, writes them (SUBSCRIBE,
+// UNSUBSCRIBE, RESET), so its own reads race with nothing; the lock
+// orders those writes against the fan-out goroutine's reads.
+func (s *session) subscribed() bool { return len(s.channels)+len(s.patterns) > 0 }
 
 // subCount returns the Redis subscription count (channels + patterns).
 // Callers hold s.subMu.
