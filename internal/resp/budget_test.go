@@ -12,8 +12,8 @@ import (
 // encoded and written, over net.Pipe with a handler that allocates
 // nothing, so what is counted is the protocol's own work. A decoded
 // command costs one allocation holding its argument payloads, which
-// the handler owns; the reply costs nothing. Counts are exact and fail at one more or one
-// fewer.
+// the handler owns; the reply costs nothing. Counts are exact and fail
+// at one more or one fewer.
 //
 //	go test -run TestAllocBudget -count=3 ./internal/resp
 func TestAllocBudget(t *testing.T) {

@@ -386,7 +386,7 @@ func (r *Reader) readBuffered() (Command, bool) {
 		r.args = append(r.args, buf[len(buf)-len(el):len(buf):len(buf)])
 	}
 	cmd.Args = r.args
-	r.r.Discard(p)
+	r.r.Discard(p) // all p bytes are buffered, so Discard cannot fail
 	return cmd, true
 }
 
