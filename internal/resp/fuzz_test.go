@@ -57,11 +57,13 @@ func FuzzRESPParse(f *testing.F) {
 		[]byte("*1000000\r\n$3\r\nGET\r\n"),
 		// Inputs that steer the command decoder off its one-pass path: a
 		// command straddling the end of the 4 KiB buffer, more arguments
-		// than that path takes, a 19-digit length, and empty strings.
+		// than that path takes, a 19-digit length, and empty strings;
+		// then arguments too large together to share one allocation.
 		bytes.Repeat([]byte("*3\r\n$3\r\nSET\r\n$8\r\nkey-0001\r\n$100\r\n"+strings.Repeat("v", 100)+"\r\n"), 40),
 		[]byte("*12\r\n$4\r\nMGET\r\n" + strings.Repeat("$1\r\nk\r\n", 11)),
 		[]byte("*2\r\n$3\r\nGET\r\n$0000000000000000001\r\nk\r\n"),
 		[]byte("*2\r\n$3\r\nGET\r\n$0\r\n\r\n*1\r\n$0\r\n\r\n"),
+		[]byte("*4\r\n$3\r\nSET\r\n$1\r\nk\r\n$300\r\n" + strings.Repeat("v", 300) + "\r\n$0\r\n\r\n"),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -277,11 +278,7 @@ func (r *Reader) read(depth int) (Value, error) {
 // next ReadCommand.
 type Command struct {
 	Name string
-	// Known numbers Name's place in KnownNames, from 1, when the name
-	// was matched there; 0 for any other name. A dispatcher can index a
-	// table by it instead of hashing the name.
-	Known int
-	Args  [][]byte
+	Args [][]byte
 }
 
 // commandNames are the names ReadCommand returns without building a
@@ -298,20 +295,16 @@ var commandNames = [...]string{
 	"SUBSCRIBE", "UNSUBSCRIBE", "PSUBSCRIBE", "PUNSUBSCRIBE",
 }
 
-// KnownNames returns the names ReadCommand matches in place, in the
-// order Command.Known numbers them.
-func KnownNames() []string { return append([]string(nil), commandNames[:]...) }
-
-// commandName returns the upper-case name b spells and its Known
-// number: the entry of commandNames it matches in any case, without
-// allocating, or a new string and 0.
-func commandName(b []byte) (string, int) {
-	for i, name := range commandNames[:] { // a slice: ranging over the array would copy it
+// commandName returns the upper-case name b spells: the entry of
+// commandNames it matches in any case, without allocating, or a new
+// string.
+func commandName(b []byte) string {
+	for _, name := range commandNames[:] { // a slice: ranging over the array would copy it
 		if len(name) == len(b) && equalFold(name, b) {
-			return name, i + 1
+			return name
 		}
 	}
-	return upper(string(b)), 0
+	return upper(string(b))
 }
 
 // maxNameLen bounds the names looked up in place; a longer name is read
@@ -319,9 +312,13 @@ func commandName(b []byte) (string, int) {
 const maxNameLen = 32
 
 // maxFastArgs bounds the arguments of a command parsed in one pass over
-// the read buffer. It also bounds what one retained argument keeps
-// alive, since the arguments of such a command share one allocation.
+// the read buffer.
 const maxFastArgs = 8
+
+// maxSharedBytes bounds the argument payloads of a command that share
+// one allocation, and so what one kept argument can keep alive beyond
+// its own bytes: a cache charges a value only its length.
+const maxSharedBytes = 256
 
 // maxKeptArgs bounds the Args backing array a Reader keeps between
 // commands, so one huge MSET does not pin its slice for the life of the
@@ -331,10 +328,10 @@ const maxKeptArgs = 1024
 // ReadCommand parses a client command (a non-empty array of non-null
 // bulk strings). It accepts exactly the inputs Read accepts with that
 // shape. A command that lies whole in the read buffer in the usual form
-// (lengths of at most 18 plain digits, a name of at most maxNameLen
-// bytes, at most maxFastArgs arguments) is parsed in one pass there,
-// and its arguments are copied out in one allocation; any other input
-// is read piece by piece, each argument in an allocation of its own.
+// (lengths of at most 18 plain digits, at most maxFastArgs arguments)
+// is parsed in one pass there, and its arguments are copied out, in one
+// allocation when they total at most maxSharedBytes; any other input is
+// read piece by piece, each argument in an allocation of its own.
 func (r *Reader) ReadCommand() (Command, error) {
 	if cap(r.args) > maxKeptArgs {
 		r.args = nil
@@ -375,13 +372,18 @@ func (r *Reader) readBuffered() (Command, bool) {
 		total += int(l)
 		p = end + 2
 	}
-	if len(els[0]) > maxNameLen {
-		return Command{}, false
+	cmd := Command{Name: commandName(els[0])}
+	// A kept argument keeps its whole allocation alive, so the
+	// arguments share one only when together they are small.
+	var buf []byte
+	if size := total - len(els[0]); size <= maxSharedBytes {
+		buf = make([]byte, 0, size)
 	}
-	var cmd Command
-	cmd.Name, cmd.Known = commandName(els[0])
-	buf := make([]byte, 0, total-len(els[0]))
 	for _, el := range els[1:n] {
+		if buf == nil {
+			r.args = append(r.args, bytes.Clone(el))
+			continue
+		}
 		buf = append(buf, el...)
 		r.args = append(r.args, buf[len(buf)-len(el):len(buf):len(buf)])
 	}
@@ -402,7 +404,7 @@ func (r *Reader) readStreaming() (Command, error) {
 	if n < 1 || n > maxArrayLen {
 		return Command{}, fmt.Errorf("%w: command must be a non-empty array", ErrProtocol)
 	}
-	name, known, err := r.readName()
+	name, err := r.readName()
 	if err != nil {
 		return Command{}, err
 	}
@@ -414,7 +416,7 @@ func (r *Reader) readStreaming() (Command, error) {
 		}
 		r.args = append(r.args, arg)
 	}
-	return Command{Name: name, Known: known, Args: r.args}, nil
+	return Command{Name: name, Args: r.args}, nil
 }
 
 // lenLine parses a length line of the given kind at the start of b in
@@ -479,27 +481,26 @@ func (r *Reader) readArg() ([]byte, error) {
 	return r.readBulk(n)
 }
 
-// readName reads the command name, a bulk string, upper-cased, and its
-// Known number.
-func (r *Reader) readName() (string, int, error) {
+// readName reads the command name, a bulk string, upper-cased.
+func (r *Reader) readName() (string, error) {
 	n, err := r.readBulkLen()
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	if n > maxNameLen {
 		b, err := r.readBulk(n)
-		return upper(string(b)), 0, err
+		return upper(string(b)), err
 	}
 	b, err := r.r.Peek(int(n) + 2)
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	if b[n] != '\r' || b[n+1] != '\n' {
-		return "", 0, fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
+		return "", fmt.Errorf("%w: bulk missing CRLF", ErrProtocol)
 	}
-	name, known := commandName(b[:n])
+	name := commandName(b[:n])
 	_, err = r.r.Discard(int(n) + 2)
-	return name, known, err
+	return name, err
 }
 
 // equalFold reports whether b is the upper-case ASCII name in any case.

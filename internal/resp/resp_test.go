@@ -1,6 +1,7 @@
 package resp
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -147,6 +148,38 @@ func TestReadCommandArgsAreOwned(t *testing.T) {
 		if string(args[0]) != key || string(args[1]) != value {
 			t.Fatalf("command %d's arguments changed after later reads: %q", i, args)
 		}
+	}
+}
+
+// TestKeptArgumentPinsNoLargeNeighbour: a cache charges a kept value
+// only its length, so a small argument of a command parsed in one pass
+// must not share an allocation with a large one. Each MSET here lies
+// whole in a connection-sized read buffer; keeping its 1-byte value
+// must not keep its 32 KiB neighbour alive.
+func TestKeptArgumentPinsNoLargeNeighbour(t *testing.T) {
+	const commands, big = 64, 32 << 10
+	var wire bytes.Buffer
+	NewWriter(&wire).WriteCommand("MSET", []byte("k1"), []byte("a"), []byte("k2"), bytes.Repeat([]byte("v"), big))
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	held := make([][]byte, commands)
+	before := heap()
+	for i := range held {
+		r := &Reader{r: bufio.NewReaderSize(bytes.NewReader(wire.Bytes()), connBufSize)}
+		cmd, err := r.ReadCommand()
+		if err != nil || len(cmd.Args) != 4 || string(cmd.Args[1]) != "a" {
+			t.Fatalf("decoded %q %q, %v", cmd.Name, cmd.Args, err)
+		}
+		held[i] = cmd.Args[1]
+	}
+	grown := heap() - before
+	runtime.KeepAlive(held)
+	if grown > commands*big/8 {
+		t.Errorf("%d kept 1-byte arguments hold %d bytes of heap: each keeps its %d-byte neighbour alive", commands, grown, big)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 //
 // Ownership: every cmd.Args[i] is fresh memory that is the handler's to
 // keep (the caches retain SET values). A command's arguments may share
-// one allocation, so a kept argument keeps its neighbours alive too,
-// but none aliases another or the read buffer. The cmd.Args slice
+// one allocation when they total at most maxSharedBytes, so a kept
+// argument keeps that much of its neighbours alive at most; none
+// aliases another or the read buffer. The cmd.Args slice
 // holding them is reused for the connection's next command and is
 // valid only until Handle returns. The reply's payload is only read.
 type Handler interface {

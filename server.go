@@ -274,29 +274,12 @@ var commands = map[string]command{
 	"QUIT":         {0, -1, false, true, (*session).quit},
 }
 
-// known is commands indexed by resp.Command.Known, built once: the
-// row of a name the decoder matched in its table is found without
-// hashing the name. known[0], and the entry of a matched name the
-// session does not serve, stay empty.
-var known = func() []command {
-	rows := make([]command, 1, 1+len(commands))
-	for _, name := range resp.KnownNames() {
-		rows = append(rows, commands[name])
-	}
-	return rows
-}()
-
-// Handle implements resp.Handler: it looks the command up (by its
-// Known number, or by name when the decoder did not match it) and
-// applies the checks every command shares, in order — subscribed mode, then
+// Handle implements resp.Handler: it looks the command up and applies
+// the checks every command shares, in order — subscribed mode, then
 // the argument count, then the tenant — before running it under the
 // command's context.
 func (s *session) Handle(cmd resp.Command) resp.Value {
-	row := known[cmd.Known]
-	ok := row.run != nil
-	if !ok {
-		row, ok = commands[cmd.Name]
-	}
+	row, ok := commands[cmd.Name]
 	// Once a connection has subscriptions, only the pub/sub family
 	// (plus PING/QUIT/RESET) is legal until it unsubscribes.
 	if !row.subscribed && s.subscribed() {

@@ -2,9 +2,7 @@ package abase
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -234,32 +232,6 @@ func TestREADMEListsEveryCommand(t *testing.T) {
 	for name := range documented {
 		if _, ok := commands[name]; !ok {
 			t.Errorf("the README's command reference lists %s, which the session does not serve", name)
-		}
-	}
-}
-
-// TestEveryCommandResolvesByNumber: the decoder matches the name of
-// every command the session serves, in any case, and the Known number
-// it reports leads lookup to that command's own row, so no served
-// name is hashed on its way to its handler.
-func TestEveryCommandResolvesByNumber(t *testing.T) {
-	names := resp.KnownNames()
-	for name, row := range commands {
-		for _, spelled := range []string{name, strings.ToLower(name)} {
-			wire := fmt.Sprintf("*1\r\n$%d\r\n%s\r\n", len(spelled), spelled)
-			cmd, err := resp.NewReader(strings.NewReader(wire)).ReadCommand()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cmd.Known == 0 || names[cmd.Known-1] != name {
-				t.Errorf("%s: decoded as %q, Known %d: not matched in the decoder's name table", spelled, cmd.Name, cmd.Known)
-				continue
-			}
-			got := known[cmd.Known]
-			if got.min != row.min || got.max != row.max || got.tenant != row.tenant || got.subscribed != row.subscribed ||
-				reflect.ValueOf(got.run).Pointer() != reflect.ValueOf(row.run).Pointer() {
-				t.Errorf("%s: Known %d holds another row", spelled, cmd.Known)
-			}
 		}
 	}
 }
