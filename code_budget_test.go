@@ -39,15 +39,15 @@ func TestCodeBudget(t *testing.T) {
 		"internal/hotspot":      354,
 		"internal/lavastore":    1859,
 		"internal/metaserver":   966,
-		"internal/metrics":      481,
-		"internal/partition":    49,
-		"internal/proxy":        1432,
+		"internal/metrics":      484,
+		"internal/partition":    51,
+		"internal/proxy":        1435,
 		"internal/quota":        209,
 		"internal/rescheduler":  509,
 		"internal/resp":         612,
 		"internal/ru":           110,
 		"internal/sim":          399,
-		"internal/skiplist":     325,
+		"internal/skiplist":     390,
 		"internal/soak":         492,
 		"internal/wfq":          534,
 		"internal/workload":     368,

@@ -52,8 +52,13 @@ var histBounds = func() []time.Duration {
 func NewHistogram() *Histogram { return new(Histogram) }
 
 // bucketFor returns the index of the first bound at or above d, or
-// histBuckets (the overflow bucket) when d exceeds every bound.
+// histBuckets (the overflow bucket) when d exceeds every bound. A sample
+// within the first bound, as nearly every proxy cache hit is, skips the
+// search.
 func bucketFor(d time.Duration) int {
+	if d <= histBucket0 {
+		return 0
+	}
 	i, _ := slices.BinarySearch(histBounds, d)
 	return i
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -547,5 +548,18 @@ func TestStripedSumsEveryCell(t *testing.T) {
 	if r.Success.Value() != 0 || r.Hits.Value() != 0 || r.Latency.Count() != 0 || r.RU.Value() != goroutines*each/2 {
 		t.Fatalf("after Reset: success %d, hits %d, %d samples, RU %v; want zeros and RU kept",
 			r.Success.Value(), r.Hits.Value(), r.Latency.Count(), r.RU.Value())
+	}
+}
+
+// TestBucketForMatchesSearch: the first-bound shortcut leaves every
+// sample in the bucket the plain binary search picks, at zero, at every
+// bound and one nanosecond either side of it.
+func TestBucketForMatchesSearch(t *testing.T) {
+	for _, b := range histBounds {
+		for _, d := range []time.Duration{0, b - 1, b, b + 1} {
+			if want, _ := slices.BinarySearch(histBounds, d); bucketFor(d) != want {
+				t.Fatalf("bucketFor(%d) = %d, binary search %d", d, bucketFor(d), want)
+			}
+		}
 	}
 }

@@ -17,6 +17,27 @@ func TestIDString(t *testing.T) {
 	}
 }
 
+// TestHashGolden pins Hash on the published FNV-1a 64 vectors and on
+// three bench-shaped keys: a change to any of them would move every
+// key's partition and proxy group.
+func TestHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		key  string
+		want uint64
+	}{
+		{"", 0xcbf29ce484222325},
+		{"a", 0xaf63dc4c8601ec8c},
+		{"foobar", 0x85944171f73967e8},
+		{"key-00000000", 0x7a6bee47179436d3},
+		{"key-00000001", 0x7a6bed4717943520},
+		{"key-00016383", 0xe5516841fc460ae6},
+	} {
+		if got := Hash([]byte(c.key)); got != c.want {
+			t.Errorf("Hash(%q) = %#x, want %#x", c.key, got, c.want)
+		}
+	}
+}
+
 func TestPartitionOfStable(t *testing.T) {
 	key := []byte("some-key")
 	a := PartitionOf(key, 16)

@@ -93,7 +93,9 @@ func (p *Proxy) cacheSettle(use cacheUse, key []byte, err error) {
 // keyed is what a point operation hands the executor.
 type keyed struct {
 	key []byte
-	// cost is the admission charge: the pre-execution RU estimate.
+	// cost is the admission charge: the pre-execution RU estimate. A
+	// cacheRead leaves it unset: point takes the read estimate only
+	// after a cache miss, since a hit is never charged.
 	cost float64
 	use  cacheUse
 	// hit is where an AU-LRU hit lands (cacheRead only).
@@ -119,6 +121,9 @@ func (p *Proxy) point(ctx context.Context, op keyed, call func(node *datanode.No
 		*op.hit = v
 		p.reqs.Cell().Latency.Observe(p.cfg.Clock.Since(start))
 		return nil
+	}
+	if op.use == cacheRead {
+		op.cost = p.est.EstimateReadRU()
 	}
 	if !p.limiter.Allow(op.cost, start) {
 		p.reqs.Cell().Refused.Inc()

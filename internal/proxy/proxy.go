@@ -319,7 +319,7 @@ func (p *Proxy) Get(ctx context.Context, key []byte) ([]byte, error) {
 // when no follower qualifies.
 func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([]byte, error) {
 	var value []byte
-	op := keyed{key: key, cost: p.est.EstimateReadRU(), use: cacheRead, hit: &value}
+	op := keyed{key: key, use: cacheRead, hit: &value}
 	err := p.point(ctx, op, func(node *datanode.Node, route partition.Route, acc access) (float64, error) {
 		fromFollower := false
 		var res datanode.OpResult

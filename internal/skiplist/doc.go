@@ -15,4 +15,12 @@
 // its full-size data pages to a bounded free list that the next lists
 // fill before they make new ones, so the owner calls it only once no
 // reader holds a slice of the list.
+//
+// Beside the towers, a hash index maps each key to its node, so Get and
+// an overwrite take one probe of an open-addressed slot table instead of
+// a walk; a new key still walks the towers to be linked in order, and
+// scans and iterators only ever use the towers. The index is made on
+// the first insert, small, doubles at 3/4 load and is dropped by
+// Release; like the pages, it holds no pointers. A key becomes visible
+// to Get, Seek and iteration at one point, its level-0 link (see List).
 package skiplist

@@ -3,6 +3,7 @@ package skiplist
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -50,12 +51,21 @@ type pages struct {
 }
 
 // List is a concurrent skiplist whose nodes, keys and values all live in
-// pages holding no pointers. Readers never lock; writers serialize on a
-// mutex. The zero value is not usable; call New.
+// pages holding no pointers, with a hash index beside the towers. Readers
+// never lock; writers serialize on a mutex. The zero value is not
+// usable; call New.
+//
+// A key has one linearization point, its level-0 link: from then on Get,
+// Seek and iteration all find it, and before it none does. The writer
+// fills the key's index slot twice around that link: marked linking
+// before it, plain after it. A Get whose probe ends on a linking slot
+// answers from the towers, as a seek, so it finds the key exactly when
+// an iterator would.
 type List struct {
 	head   [maxHeight]atomic.Uint32
 	height atomic.Int32 // levels in use; every level above it is empty
 	dir    atomic.Pointer[pages]
+	index  atomic.Pointer[index] // nil until the first insert and after Release
 	length atomic.Int64
 	bytes  atomic.Int64 // live key and value bytes
 	paged  atomic.Int64 // bytes of every page, live or dead
@@ -67,6 +77,68 @@ type List struct {
 	towers []atomic.Uint32 // current tower page
 	towerN uint32          // its index
 	towerO uint32          // its first free slot
+}
+
+// index maps each key to its node: an open-addressed table of 8-byte
+// slots, a power of two long, probed linearly from the slot the key's
+// tag picks and never more than 3/4 full, so every probe run ends at a
+// free slot. A slot is 0 when free, else linking | tag<<32 | node
+// reference, where the tag is the top 31 bits of the key's hash, never
+// 0. Keys are never removed, so a filled slot stays filled. The writer
+// doubles the table by re-placing every slot from its tag, reading no
+// key, and publishes the new table with one store. The old table is
+// never written again, so a reader still probing it finds every key
+// filled before the doubling.
+type index []atomic.Uint64
+
+const (
+	// minSlots is a new index's length, 1 KiB of slots, so that an idle
+	// or one-key list stays small.
+	minSlots = 128
+	// linking marks the slot of a node whose level-0 link may not be
+	// stored yet.
+	linking = 1 << 63
+)
+
+var hashSeed = maphash.MakeSeed()
+
+// tagOf returns key's tag: the top 31 bits of its hash, never 0.
+func tagOf(key []byte) uint32 {
+	return max(uint32(maphash.Bytes(hashSeed, key)>>33), 1)
+}
+
+// find returns the slot whose node holds key, whose tag is tag, or 0,
+// and where that slot is, or the free slot that ends key's probe run.
+func (l *List) find(x index, key []byte, tag uint32) (s uint64, i int) {
+	mask := len(x) - 1
+	for i = int(tag) & mask; ; i = (i + 1) & mask {
+		s = x[i].Load()
+		if s == 0 {
+			return 0, i
+		}
+		if (s&^linking)>>32 == uint64(tag) && string(l.data(l.node(uint32(s))[nodeKey].Load())) == string(key) {
+			return s, i
+		}
+	}
+}
+
+// grow publishes an index twice as long as x, holding x's slots.
+// +locked:l.mu
+func (l *List) grow(x index) {
+	y := make(index, 2*len(x))
+	mask := len(y) - 1
+	for i := range x {
+		s := x[i].Load()
+		if s == 0 {
+			continue
+		}
+		j := int(s>>32) & mask
+		for y[j].Load() != 0 {
+			j = (j + 1) & mask
+		}
+		y[j].Store(s)
+	}
+	l.index.Store(&y)
 }
 
 // Released lists give their full-size data pages to one free list,
@@ -130,6 +202,7 @@ func (l *List) Release() {
 		}
 	}
 	pagePool.mu.Unlock()
+	l.index.Store(nil)
 	l.keys, l.vals = cursor{}, cursor{}
 }
 
@@ -343,26 +416,39 @@ func (l *List) Put(key, value []byte) {
 	l.insert(key, a)
 }
 
+// insert probes the index once: a hit overwrites the value in place, and
+// a miss builds the node, links it (see List) and fills the free slot the
+// probe ended at.
 // +locked:l.mu
 func (l *List) insert(key []byte, v uint32) []byte {
 	vlen := len(l.data(v))
-	var prev [maxHeight]uint32
-	n, found := l.seek(key, &prev)
-	if found {
-		nd := l.node(n)
+	x := l.index.Load()
+	if x == nil {
+		y := make(index, minSlots)
+		x = &y
+		l.index.Store(x)
+	}
+	tag := tagOf(key)
+	s, free := l.find(*x, key, tag)
+	if s != 0 {
+		nd := l.node(uint32(s))
 		l.bytes.Add(int64(vlen - len(l.data(nd[nodeValue].Load()))))
 		nd[nodeValue].Store(v)
 		return l.data(nd[nodeKey].Load())
 	}
 	h := l.randomHeight()
-	for lvl := int(l.height.Load()); lvl < h; lvl++ {
-		prev[lvl] = none
-	}
 	k, kb := l.allocData(&l.keys, len(key))
 	copy(kb, key)
 	n, nd := l.allocNode(h)
 	nd[nodeValue].Store(v)
 	nd[nodeKey].Store(k)
+	s = uint64(tag)<<32 | uint64(n)
+	(*x)[free].Store(s | linking)
+	var prev [maxHeight]uint32
+	l.seek(key, &prev)
+	for lvl := int(l.height.Load()); lvl < h; lvl++ {
+		prev[lvl] = none
+	}
 	for lvl := 0; lvl < h; lvl++ {
 		nd[nodeTower+lvl].Store(l.tower(prev[lvl])[lvl].Load())
 	}
@@ -370,10 +456,13 @@ func (l *List) insert(key []byte, v uint32) []byte {
 	for lvl := 0; lvl < h; lvl++ {
 		l.tower(prev[lvl])[lvl].Store(n)
 	}
+	(*x)[free].Store(s)
 	if int32(h) > l.height.Load() {
 		l.height.Store(int32(h))
 	}
-	l.length.Add(1)
+	if l.length.Add(1)*4 > int64(len(*x))*3 {
+		l.grow(*x)
+	}
 	l.bytes.Add(int64(len(key) + vlen))
 	return kb
 }
@@ -381,11 +470,23 @@ func (l *List) insert(key []byte, v uint32) []byte {
 // Get returns the value stored under key and whether it was found. The
 // slice stays valid until the list is released.
 func (l *List) Get(key []byte) ([]byte, bool) {
-	n, found := l.seek(key, nil)
-	if !found {
+	x := l.index.Load()
+	if x == nil { // empty, or released
+		if l.dir.Load() == nil {
+			panic("skiplist: use of a released list")
+		}
 		return nil, false
 	}
-	return l.data(l.node(n)[nodeValue].Load()), true
+	s, _ := l.find(*x, key, tagOf(key))
+	if s == 0 {
+		return nil, false
+	}
+	if s&linking != 0 {
+		if _, linked := l.seek(key, nil); !linked {
+			return nil, false
+		}
+	}
+	return l.data(l.node(uint32(s))[nodeValue].Load()), true
 }
 
 // Len returns the number of keys in the list.

@@ -387,8 +387,9 @@ func TestReadersSeePublishedValues(t *testing.T) {
 
 // TestReleaseRecyclesPages: a released list's full-size data pages go to
 // the free list, the next list fills them before it makes new ones, a
-// page of its own for a large value is left to the collector, and a
-// second Release panics rather than hand a page out twice.
+// page of its own for a large value is left to the collector, as is the
+// index, and a Get or a second Release panics rather than read or hand
+// out a page twice.
 func TestReleaseRecyclesPages(t *testing.T) {
 	fill := func(l *List, tag byte) {
 		for i := 0; i < 200; i++ {
@@ -405,10 +406,24 @@ func TestReleaseRecyclesPages(t *testing.T) {
 			full++
 		}
 	}
+	if a.index.Load() == nil {
+		t.Fatal("a filled list has no index")
+	}
 	a.Release()
 	if made, free := PoolPages(); made != made0 || free != min(free0+full, MaxFreePages) {
 		t.Fatalf("after Release: %d pages made, %d free; want %d made, %d free", made, free, made0, min(free0+full, MaxFreePages))
 	}
+	if a.index.Load() != nil {
+		t.Fatal("Release kept the index")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Get on a released list did not panic")
+			}
+		}()
+		a.Get([]byte("k000"))
+	}()
 
 	b := New(1)
 	fill(b, 'b')
