@@ -27,11 +27,11 @@ func TestCodeBudget(t *testing.T) {
 		"internal/analysis":     1602,
 		"internal/autoscaler":   110,
 		"internal/benchjson":    117,
-		"internal/cache":        597,
+		"internal/cache":        582,
 		"internal/changestream": 96,
 		"internal/clock":        111,
-		"internal/datanode":     1792,
-		"internal/experiments":  2244,
+		"internal/datanode":     1780,
+		"internal/experiments":  2242,
 		"internal/faultinject":  238,
 		"internal/forecast":     530,
 		"internal/glob":         85,
@@ -39,10 +39,10 @@ func TestCodeBudget(t *testing.T) {
 		"internal/hotspot":      354,
 		"internal/lavastore":    1859,
 		"internal/metaserver":   966,
-		"internal/metrics":      484,
+		"internal/metrics":      403,
 		"internal/partition":    51,
-		"internal/proxy":        1435,
-		"internal/quota":        209,
+		"internal/proxy":        1426,
+		"internal/quota":        207,
 		"internal/rescheduler":  509,
 		"internal/resp":         612,
 		"internal/ru":           110,

@@ -127,23 +127,6 @@ func TestSALRUPrefersEvictingColdLargeItems(t *testing.T) {
 	}
 }
 
-func TestSALRUHitRatio(t *testing.T) {
-	c := NewSALRU(1 << 20)
-	if c.HitRatio() != 0 {
-		t.Fatal("fresh cache should report 0 hit ratio")
-	}
-	c.Put("a", []byte("v"))
-	c.Get("a")
-	c.Get("b")
-	if got := c.HitRatio(); got != 0.5 {
-		t.Fatalf("HitRatio = %v", got)
-	}
-	c.ResetStats()
-	if c.HitRatio() != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
-}
-
 func TestSALRUClassFor(t *testing.T) {
 	cases := []struct {
 		size, class int

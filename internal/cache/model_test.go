@@ -35,9 +35,6 @@ type modelSALRU struct {
 	used     int64
 	classes  []*modelClass
 	items    map[string]*list.Element
-
-	hits   int64
-	misses int64
 }
 
 type modelClass struct {
@@ -79,14 +76,11 @@ func modelClassFor(size int) int {
 func (c *modelSALRU) Get(key string) ([]byte, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
 	e := el.Value.(*modelSAEntry)
 	e.visited = true
-	cls := c.classes[e.class]
-	cls.hits++
-	c.hits++
+	c.classes[e.class].hits++
 	return e.value, true
 }
 
@@ -448,7 +442,7 @@ func saSnapshot(s *saShard) string {
 			fmt.Fprintf(&b, " %q=%q/%v", e.key, sl.value, sl.visited)
 		}
 	}
-	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", s.n, s.used, s.hits, s.misses)
+	fmt.Fprintf(&b, " len=%d used=%d", s.n, s.used)
 	return b.String()
 }
 
@@ -461,7 +455,7 @@ func modelSASnapshot(c *modelSALRU) string {
 			fmt.Fprintf(&b, " %q=%q/%v", e.key, e.value, e.visited)
 		}
 	}
-	fmt.Fprintf(&b, " len=%d used=%d hits=%d misses=%d", len(c.items), c.used, c.hits, c.misses)
+	fmt.Fprintf(&b, " len=%d used=%d", len(c.items), c.used)
 	return b.String()
 }
 

@@ -26,9 +26,7 @@ type saShard struct {
 // saState is a shard's state, the lock and what every lookup writes or
 // reads first, as in auState.
 type saState struct {
-	mu     sync.Mutex
-	hits   int64
-	misses int64
+	mu sync.Mutex
 	index
 
 	capacity int64
@@ -94,7 +92,6 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 	defer s.mu.Unlock()
 	i, ok := s.find(key, h)
 	if !ok {
-		s.misses++
 		return nil, false
 	}
 	sl := &s.slots[i]
@@ -104,7 +101,6 @@ func (c *SALRU) Lookup(key []byte) ([]byte, bool) {
 	// The value's length gives the class the entry is listed in, so the
 	// hit need not read the entry.
 	s.classes[classFor(len(sl.value))].hits++
-	s.hits++
 	return sl.value, true
 }
 
@@ -253,20 +249,4 @@ func (c *SALRU) Len() (n int) {
 func (c *SALRU) Used() (used int64) {
 	c.each(func(s *saShard) { used += s.used })
 	return used
-}
-
-// HitRatio returns hits/(hits+misses) since creation, or 0 before any
-// lookups.
-func (c *SALRU) HitRatio() float64 {
-	var hits, total int64
-	c.each(func(s *saShard) { hits, total = hits+s.hits, total+s.hits+s.misses })
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// ResetStats zeroes the hit/miss counters.
-func (c *SALRU) ResetStats() {
-	c.each(func(s *saShard) { s.hits, s.misses = 0, 0 })
 }

@@ -115,7 +115,6 @@ func TestShardsConcurrent(t *testing.T) {
 					}
 				case 7:
 					sa.Len()
-					sa.HitRatio()
 					au.Refreshes()
 					au.Used()
 					if g == 0 {

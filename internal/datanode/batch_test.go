@@ -75,11 +75,11 @@ func TestBatchGetSingleQuotaAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := rep.limiter.Stats()
+	before := rep.limiter.Admitted()
 	if _, err := multiGet(n, p, keys); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := rep.limiter.Stats()
+	after := rep.limiter.Admitted()
 	if after-before != 1 {
 		t.Fatalf("batch of 16 keys took %d quota admissions, want 1", after-before)
 	}
@@ -194,11 +194,11 @@ func TestBatchWriteSingleQuotaAdmission(t *testing.T) {
 		ops[i] = Mutation{Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")}
 	}
 	rep, _ := n.getReplica(p)
-	before, _ := rep.limiter.Stats()
+	before := rep.limiter.Admitted()
 	if _, err := multiWrite(n, p, ops); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := rep.limiter.Stats()
+	after := rep.limiter.Admitted()
 	if after-before != 1 {
 		t.Fatalf("batch of 16 writes took %d quota admissions, want 1", after-before)
 	}

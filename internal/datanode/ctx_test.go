@@ -407,22 +407,25 @@ func TestDeadlineShedding(t *testing.T) {
 	if st := n.TenantStats("t"); st.Shed != 1 {
 		t.Fatalf("tenant shed = %d, want 1", st.Shed)
 	}
-	if sn := n.Snapshot(); sn.Shed != 1 {
-		t.Fatalf("node shed = %d, want 1", sn.Shed)
-	}
 
-	// Disabled: the same doomed request is admitted (and, with its 1ms
-	// budget against a ~10ms pipeline, dies at a dequeue point).
-	n.SetDeadlineShedEnabled(false)
+	// The same doomed request with its deadline hidden from the node,
+	// as the DeadlineShedding experiment's unshed phase sends it, is
+	// admitted.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	if _, err := n.Get(ctx2, pid, []byte{0}); errors.Is(err, ErrDeadlineShed) {
-		t.Fatalf("shed while disabled: %v", err)
+	if _, err := n.Get(hiddenDeadline{ctx2}, pid, []byte{0}); errors.Is(err, ErrDeadlineShed) {
+		t.Fatalf("shed with its deadline hidden: %v", err)
 	}
 	if st := n.TenantStats("t"); st.Shed != 1 {
-		t.Fatalf("shed count moved while disabled: %d", st.Shed)
+		t.Fatalf("shed count moved with the deadline hidden: %d", st.Shed)
 	}
 }
+
+// hiddenDeadline is a context that ends at its parent's deadline but
+// reports none, so admission has no budget to shed on.
+type hiddenDeadline struct{ context.Context }
+
+func (hiddenDeadline) Deadline() (time.Time, bool) { return time.Time{}, false }
 
 // TestPutWithConditionalSemantics covers the NX/XX/KEEPTTL/GET matrix
 // at the data plane: one read-modify-write through the write pipeline.

@@ -291,15 +291,12 @@ type Node struct {
 	quotaSum   metrics.Gauge
 	replicator atomic.Pointer[Replicator]
 
-	down   atomic.Bool // fault-injected or control-plane-declared outage
-	shedOn atomic.Bool // runtime deadline-shedding toggle (experiments)
+	down atomic.Bool // fault-injected or control-plane-declared outage
 	// svcEWMA is the decayed mean of recent request latencies in
 	// nanoseconds (float64 bits): the wait a newly arriving request
 	// should expect, which deadline-aware admission compares against
 	// the request's remaining budget.
 	svcEWMA atomic.Uint64
-	// shedTotal counts requests shed by deadline-aware admission.
-	shedTotal metrics.Counter
 	// visits counts the requests that took the admission step.
 	visits *metrics.Striped[metrics.Counter]
 }
@@ -318,13 +315,8 @@ func New(cfg Config) *Node {
 		visits:   metrics.NewStriped[metrics.Counter](),
 	}
 	n.SetReplicator(nil)
-	n.shedOn.Store(true)
 	return n
 }
-
-// SetDeadlineShedEnabled toggles deadline-aware admission shedding at
-// runtime (the DeadlineShedding experiment ablates it mid-run).
-func (n *Node) SetDeadlineShedEnabled(on bool) { n.shedOn.Store(on) }
 
 // observeServiceTime folds one completed request's latency into the
 // node's decayed service-time estimate. Every admitted request —
@@ -356,18 +348,15 @@ func (n *Node) EstimatedWait() time.Duration {
 
 // admitCtx is the deadline-aware front door shared by every
 // client-facing operation: a context that is already done fails fast
-// before the request consumes a queue slot, admit cost, or RU; and,
-// when shedding is enabled, a request whose remaining deadline budget
-// is smaller than the node's estimated wait is shed the same way —
-// doomed work is refused while the caller can still react. Context
-// deadlines are wall-clock times, so the comparison uses real time
-// even when the node itself runs on a simulated clock.
+// before the request consumes a queue slot, admit cost, or RU; and a
+// request whose remaining deadline budget is smaller than the node's
+// estimated wait is shed the same way — doomed work is refused while
+// the caller can still react. A context with no deadline is never
+// shed. Context deadlines are wall-clock times, so the comparison uses
+// real time even when the node itself runs on a simulated clock.
 func (n *Node) admitCtx(ctx context.Context, ts *tenantStats) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if !n.shedOn.Load() {
-		return nil
 	}
 	dl, ok := ctx.Deadline()
 	if !ok {
@@ -376,7 +365,6 @@ func (n *Node) admitCtx(ctx context.Context, ts *tenantStats) error {
 	floor := time.Duration(n.admit.depth()+1) * n.cfg.AdmitCost
 	if clock.Until(dl) < n.EstimatedWait() {
 		ts.reqs.Cell().Shed.Inc()
-		n.shedTotal.Inc()
 		// Sheds must also feed the estimator, folding in the current
 		// backlog floor: completions alone can never lower the EWMA
 		// while everything is being shed, so without this a burst of

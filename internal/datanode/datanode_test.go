@@ -97,17 +97,25 @@ func TestCacheMissChargesRU(t *testing.T) {
 		n.Put(bg, p, []byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte("x"), 200), 0)
 	}
 	var missRU float64
+	var hits, misses int64
 	for i := 0; i < 50; i++ {
 		res, err := n.Get(bg, p, []byte(fmt.Sprintf("k%02d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.CacheHit {
+		if res.CacheHit {
+			hits++
+		} else {
+			misses++
 			missRU += res.RU
 		}
 	}
 	if missRU == 0 {
 		t.Fatal("no cache misses observed with tiny cache")
+	}
+	// The tenant's cells count each read's SA-LRU outcome once.
+	if st := n.TenantStats("t1"); st.CacheHits != hits || st.CacheMiss != misses {
+		t.Fatalf("tenant counted %d hits, %d misses; the reads saw %d, %d", st.CacheHits, st.CacheMiss, hits, misses)
 	}
 }
 

@@ -11,10 +11,16 @@ import (
 // the cells stop at a fixed count, so the state stops growing with the
 // core count. 200 tenants are built at 8 Ps and at 64, and 64 Ps may
 // cost at most a tenth more heap per tenant (uncapped, it cost 5.7
-// times as much).
+// times as much). A histogram bucket is one 8-byte counter, so a
+// tenant takes at most maxTenantBytes at 8 Ps (82 KB when each bucket
+// also summed its samples).
 func TestTenantStateFootprint(t *testing.T) {
+	const maxTenantBytes = 56_000
 	at8, at64 := tenantStateHeap(t, 8), tenantStateHeap(t, 64)
 	t.Logf("heap per tenant: %.0f B at 8 Ps, %.0f B at 64 Ps", at8, at64)
+	if at8 > maxTenantBytes {
+		t.Fatalf("a tenant takes %.0f B at 8 Ps, over the %d B ceiling", at8, maxTenantBytes)
+	}
 	if at64 > 1.1*at8 {
 		t.Fatalf("a tenant takes %.0f B at 64 Ps and %.0f B at 8: its state grows with the core count", at64, at8)
 	}

@@ -136,10 +136,6 @@ type NodeSnapshot struct {
 	DiskCapacity int64
 	RUCapacity   float64
 	CacheUsed    int64
-	CacheHit     float64
-	// Shed counts requests refused node-wide by deadline-aware
-	// admission since the node started.
-	Shed int64
 	// Visits counts the requests that took the admission step since the
 	// node started: a point op is one, and so is a node batch.
 	Visits int64
@@ -163,8 +159,6 @@ func (n *Node) Snapshot() NodeSnapshot {
 		DiskCapacity: diskCapacity,
 		RUCapacity:   ruCapacity,
 		CacheUsed:    n.cache.Used(),
-		CacheHit:     n.cache.HitRatio(),
-		Shed:         n.shedTotal.Value(),
 		Visits:       visits,
 	}
 }

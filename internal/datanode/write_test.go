@@ -167,7 +167,7 @@ func TestWriteIsOneRun(t *testing.T) {
 		{Kind: MutClearTTL, Key: []byte("plain")},
 		{Kind: MutDelete, Key: []byte("plain")},
 	} {
-		admitted, _ := rep.limiter.Stats()
+		admitted := rep.limiter.Admitted()
 		before := n.TenantStats("t")
 		if _, err := n.Write(bg, p, 8, m); !errors.Is(err, ErrStaleEpoch) {
 			t.Errorf("kind %d at a stale epoch: %v, want ErrStaleEpoch", m.Kind, err)
@@ -177,7 +177,7 @@ func TestWriteIsOneRun(t *testing.T) {
 			t.Errorf("kind %d = %+v, %v", m.Kind, res, err)
 		}
 		after := n.TenantStats("t")
-		if now, _ := rep.limiter.Stats(); now-admitted != 1 || after.Success-before.Success != 1 || after.Errors != before.Errors {
+		if now := rep.limiter.Admitted(); now-admitted != 1 || after.Success-before.Success != 1 || after.Errors != before.Errors {
 			t.Errorf("kind %d: %d quota charges, success +%d, errors +%d; want one request",
 				m.Kind, now-admitted, after.Success-before.Success, after.Errors-before.Errors)
 		}

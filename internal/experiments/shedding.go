@@ -79,16 +79,25 @@ type SheddingStats struct {
 
 // SheddingResult pairs the two configurations.
 type SheddingResult struct {
-	On  SheddingStats // deadline-aware shedding enabled (the default)
-	Off SheddingStats // shedding disabled: doomed requests queue anyway
+	On  SheddingStats // the node sees each deadline and sheds doomed requests
+	Off SheddingStats // deadlines hidden from the node: doomed requests queue anyway
 }
 
+// hiddenDeadline is a context that ends at its parent's deadline but
+// reports none: deadline-aware admission is the one reader of a
+// request's deadline, so a node handed one cannot shed it.
+type hiddenDeadline struct{ context.Context }
+
+func (hiddenDeadline) Deadline() (time.Time, bool) { return time.Time{}, false }
+
 // runShedding drives the mixed-deadline closed loop for one
-// configuration and collects its stats.
-func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomic.Int64) SheddingStats {
+// configuration and collects its stats; hide sends every request's
+// deadline as a hiddenDeadline.
+func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomic.Int64, hide bool) SheddingStats {
+	// The workers count straight into st; it is read once they stop.
 	var st SheddingStats
 	var tightHeld atomic.Int64 // summed ns tight attempts held their caller
-	var tightN, offered, inDL, late, shed, expired atomic.Int64
+	var tightN atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -108,24 +117,27 @@ func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomi
 				}
 				key := []byte(fmt.Sprintf("k%08d", seq.Add(1)))
 				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				if hide {
+					ctx = hiddenDeadline{ctx}
+				}
 				start := clk.Now()
 				err := fleet.Put(ctx, key, value, 0)
 				lat := clk.Since(start)
 				cancel()
-				offered.Add(1)
+				atomic.AddInt64(&st.Offered, 1)
 				if tight {
 					tightHeld.Add(int64(lat))
 					tightN.Add(1)
 				}
 				switch {
 				case err == nil && lat <= deadline:
-					inDL.Add(1)
+					atomic.AddInt64(&st.InDeadline, 1)
 				case err == nil:
-					late.Add(1)
+					atomic.AddInt64(&st.Late, 1)
 				case errors.Is(err, datanode.ErrDeadlineShed):
-					shed.Add(1)
+					atomic.AddInt64(&st.Shed, 1)
 				case errors.Is(err, context.DeadlineExceeded):
-					expired.Add(1)
+					atomic.AddInt64(&st.Expired, 1)
 				}
 				tight = !tight
 			}
@@ -134,11 +146,6 @@ func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomi
 	clk.Sleep(opts.Duration)
 	close(stop)
 	wg.Wait()
-	st.Offered = offered.Load()
-	st.InDeadline = inDL.Load()
-	st.Late = late.Load()
-	st.Shed = shed.Load()
-	st.Expired = expired.Load()
 	st.Goodput = float64(st.InDeadline) / opts.Duration.Seconds()
 	if n := tightN.Load(); n > 0 {
 		st.TightLatency = time.Duration(tightHeld.Load() / n)
@@ -149,10 +156,11 @@ func runShedding(fleet *proxy.Fleet, opts SheddingOpts, value []byte, seq *atomi
 // DeadlineShedding measures goodput under overload with deadline-aware
 // admission shedding on versus off. The workload alternates doomed
 // tight-deadline requests with servable loose-deadline ones from each
-// closed-loop worker. With shedding off, every tight request queues,
-// holds its caller for the full queue wait, and dies at a dequeue
-// point — so the servable half is issued (and completed) at half the
-// possible rate. With shedding on, the node compares the request's
+// closed-loop worker. With shedding off (each request's deadline hidden
+// from the node, which then has no budget to compare), every tight
+// request queues, holds its caller for the full queue wait, and dies at
+// a dequeue point — so the servable half is issued (and completed) at
+// half the possible rate. With shedding on, the node compares the request's
 // remaining budget against its estimated wait and refuses doomed work
 // in microseconds, so callers spend their concurrency on requests that
 // can still make their deadlines.
@@ -176,7 +184,7 @@ func DeadlineShedding(opts SheddingOpts) (SheddingResult, Table) {
 		Replicas: 1,
 	}, "shed", 1)
 	defer s.close()
-	fleet, node := s.fleet(proxy.Config{}, 1, 1, 1), s.nodes[0]
+	fleet := s.fleet(proxy.Config{}, 1, 1, 1)
 
 	value := make([]byte, opts.ValueBytes)
 	var seq atomic.Int64
@@ -186,13 +194,11 @@ func DeadlineShedding(opts SheddingOpts) (SheddingResult, Table) {
 	var res SheddingResult
 	// Shedding off first: it leaves no estimator state the on-run
 	// depends on (the EWMA keeps updating either way).
-	node.SetDeadlineShedEnabled(false)
-	runShedding(fleet, warm, value, &seq) // warm the queue + estimator
-	res.Off = runShedding(fleet, opts, value, &seq)
+	runShedding(fleet, warm, value, &seq, true) // warm the queue + estimator
+	res.Off = runShedding(fleet, opts, value, &seq, true)
 
-	node.SetDeadlineShedEnabled(true)
-	runShedding(fleet, warm, value, &seq)
-	res.On = runShedding(fleet, opts, value, &seq)
+	runShedding(fleet, warm, value, &seq, false)
+	res.On = runShedding(fleet, opts, value, &seq, false)
 
 	row := func(name string, s SheddingStats) []string {
 		return []string{

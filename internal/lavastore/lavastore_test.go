@@ -504,39 +504,77 @@ func TestMemFSListIsolatesDirs(t *testing.T) {
 	}
 }
 
+// benchKeys returns n keys formatted by format from 0 up, in one
+// allocation, so a benchmark builds its keys before its timer starts.
+func benchKeys(n int, format string) [][]byte {
+	size := len(fmt.Sprintf(format, 0))
+	buf := make([]byte, 0, n*size)
+	keys := make([][]byte, n)
+	for i := range keys {
+		buf = fmt.Appendf(buf, format, i)
+		keys[i] = buf[i*size : (i+1)*size : (i+1)*size]
+	}
+	return keys
+}
+
+// benchDB opens a MemFS engine with opts for a benchmark and puts
+// value under each of keys.
+func benchDB(b *testing.B, opts Options, keys [][]byte, value []byte) *DB {
+	b.Helper()
+	opts.FS = NewMemFS()
+	db, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	for _, k := range keys {
+		if err := db.Put(k, value, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkPutSmall times a fresh 100-byte insert; the keys are built
+// before the timer starts.
 func BenchmarkPutSmall(b *testing.B) {
-	db, _ := Open(Options{FS: NewMemFS()})
-	defer db.Close()
+	db := benchDB(b, Options{}, nil, nil)
+	keys := benchKeys(b.N, "key%09d")
 	val := bytes.Repeat([]byte("v"), 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Put([]byte(fmt.Sprintf("key%09d", i)), val, 0)
+		if err := db.Put(keys[i], val, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
+// BenchmarkGetMemtable times a point read of one of 10,000 keys held
+// in the memtable.
 func BenchmarkGetMemtable(b *testing.B) {
-	db, _ := Open(Options{FS: NewMemFS(), MemtableBytes: 1 << 30})
-	defer db.Close()
-	const n = 10000
-	for i := 0; i < n; i++ {
-		db.Put([]byte(fmt.Sprintf("key%06d", i)), []byte("value"), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.Get([]byte(fmt.Sprintf("key%06d", i%n)))
-	}
+	keys := benchKeys(10000, "key%06d")
+	benchGet(b, benchDB(b, Options{MemtableBytes: 1 << 30}, keys, []byte("value")), keys)
 }
 
+// BenchmarkGetSSTable times a point read of one of 10,000 keys flushed
+// to a table.
 func BenchmarkGetSSTable(b *testing.B) {
-	db, _ := Open(Options{FS: NewMemFS()})
-	defer db.Close()
-	const n = 10000
-	for i := 0; i < n; i++ {
-		db.Put([]byte(fmt.Sprintf("key%06d", i)), []byte("value"), 0)
+	keys := benchKeys(10000, "key%06d")
+	db := benchDB(b, Options{}, keys, []byte("value"))
+	if err := db.Flush(); err != nil {
+		b.Fatal(err)
 	}
-	db.Flush()
+	benchGet(b, db, keys)
+}
+
+// benchGet times Get over keys in turn, each of which db holds.
+func benchGet(b *testing.B, db *DB, keys [][]byte) {
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db.Get([]byte(fmt.Sprintf("key%06d", i%n)))
+		if _, err := db.Get(keys[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

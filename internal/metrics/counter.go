@@ -125,17 +125,3 @@ func (m *MovingAverage) countLocked() int {
 	}
 	return m.next
 }
-
-// RateMeter tracks a running count within the current window for QPS-style
-// measurements under an external clock. The caller advances windows by
-// calling Tick, which returns the count accumulated since the last Tick.
-type RateMeter struct {
-	cur atomic.Int64
-}
-
-// Observe records n events.
-func (r *RateMeter) Observe(n int64) { r.cur.Add(n) }
-
-// Tick returns the events observed since the previous Tick and resets
-// the window.
-func (r *RateMeter) Tick() int64 { return r.cur.Swap(0) }

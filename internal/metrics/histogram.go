@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -14,21 +13,12 @@ import (
 // better-than-5% relative error across the range. Safe for concurrent
 // use, and Observe takes no lock: every field is an atomic, so callers
 // on many cores never queue behind one another. A sample writes one
-// cache line: its bucket's count and sum sit side by side, the sample
-// count is the buckets' sum, and min and max are only read unless the
-// sample is a new extreme. The zero value is an empty histogram, so a
-// Striped cell holds one by value.
+// counter, its bucket's; the sample count is the buckets' sum, and max
+// is only read unless the sample is a new largest. The zero value is an
+// empty histogram, so a Striped cell holds one by value.
 type Histogram struct {
-	buckets [histBuckets + 1]bucket
-	// min is the smallest sample in nanoseconds plus one: 0 while empty.
-	min atomic.Int64
-	max atomic.Int64 // nanoseconds
-}
-
-// bucket counts the samples in one bucket and sums their nanoseconds.
-type bucket struct {
-	n   atomic.Uint64
-	sum atomic.Int64
+	buckets [histBuckets + 1]atomic.Uint64
+	max     atomic.Int64 // nanoseconds
 }
 
 const (
@@ -68,23 +58,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	// The extremes first: a reader that sees the sample counted sees it
-	// within Min and Max.
-	lower(&h.min, int64(d)+1)
+	// Max first: a reader that sees the sample counted sees it within
+	// Max.
 	raise(&h.max, int64(d))
-	b := &h.buckets[bucketFor(d)]
-	b.n.Add(1)
-	b.sum.Add(int64(d))
-}
-
-// lower stores v in a unless a already holds a value at or below it; 0
-// in a holds nothing.
-func lower(a *atomic.Int64, v int64) {
-	for cur := a.Load(); cur == 0 || v < cur; cur = a.Load() {
-		if a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	h.buckets[bucketFor(d)].Add(1)
 }
 
 // raise stores v in a unless a already holds a value at or above it.
@@ -96,45 +73,21 @@ func raise(a *atomic.Int64, v int64) {
 	}
 }
 
-// load copies the bucket counts into counts and returns their total and
-// the samples' summed nanoseconds. Quantiles taken from one copy agree
-// with each other however many samples Observe adds meanwhile.
-func (h *Histogram) load(counts *[histBuckets + 1]uint64) (n uint64, sum int64) {
+// load copies the bucket counts into counts and returns their total.
+// Quantiles taken from one copy agree with each other however many
+// samples Observe adds meanwhile.
+func (h *Histogram) load(counts *[histBuckets + 1]uint64) (n uint64) {
 	for i := range h.buckets {
-		counts[i] = h.buckets[i].n.Load()
+		counts[i] = h.buckets[i].Load()
 		n += counts[i]
-		sum += h.buckets[i].sum.Load()
 	}
-	return n, sum
+	return n
 }
 
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 {
 	var counts [histBuckets + 1]uint64
-	n, _ := h.load(&counts)
-	return n
-}
-
-// Mean returns the average of recorded samples, or 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	var counts [histBuckets + 1]uint64
-	return mean(h.load(&counts))
-}
-
-// mean is the average of n samples summing to sum nanoseconds.
-func mean(n uint64, sum int64) time.Duration {
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(sum / int64(n))
-}
-
-// Min returns the smallest recorded sample, or 0 when empty.
-func (h *Histogram) Min() time.Duration {
-	if m := h.min.Load(); m != 0 {
-		return time.Duration(m - 1)
-	}
-	return 0
+	return h.load(&counts)
 }
 
 // Max returns the largest recorded sample, or 0 when empty.
@@ -144,8 +97,7 @@ func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 // an empty histogram. q is clamped to [0,1].
 func (h *Histogram) Quantile(q float64) time.Duration {
 	var counts [histBuckets + 1]uint64
-	n, _ := h.load(&counts)
-	return h.quantile(q, n, &counts)
+	return h.quantile(q, h.load(&counts), &counts)
 }
 
 // quantile is Quantile over counts, which hold total samples.
@@ -169,10 +121,8 @@ func (h *Histogram) quantile(q float64, total uint64, counts *[histBuckets + 1]u
 // be partly kept.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
-		h.buckets[i].n.Store(0)
-		h.buckets[i].sum.Store(0)
+		h.buckets[i].Store(0)
 	}
-	h.min.Store(0)
 	h.max.Store(0)
 }
 
@@ -180,46 +130,11 @@ func (h *Histogram) Reset() {
 // gathers its cells into one.
 func (h *Histogram) Merge(o *Histogram) {
 	for i := range o.buckets {
-		if n := o.buckets[i].n.Load(); n != 0 {
-			h.buckets[i].n.Add(n)
-			h.buckets[i].sum.Add(o.buckets[i].sum.Load())
+		if n := o.buckets[i].Load(); n != 0 {
+			h.buckets[i].Add(n)
 		}
 	}
-	if m := o.min.Load(); m != 0 {
-		lower(&h.min, m)
-	}
 	raise(&h.max, o.max.Load())
-}
-
-// Snapshot returns a summary of the histogram. Its quantiles come from
-// one read of the buckets, so they are ordered even while Observe runs.
-func (h *Histogram) Snapshot() Summary {
-	var counts [histBuckets + 1]uint64
-	total, sum := h.load(&counts)
-	return Summary{
-		Count: total,
-		Mean:  mean(total, sum),
-		P50:   h.quantile(0.50, total, &counts),
-		P90:   h.quantile(0.90, total, &counts),
-		P99:   h.quantile(0.99, total, &counts),
-		Max:   h.Max(),
-	}
-}
-
-// Summary is a point-in-time percentile summary of a Histogram.
-type Summary struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	Max   time.Duration
-}
-
-// String renders the summary in a compact single line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p90=%v p99=%v max=%v",
-		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of a float

@@ -13,7 +13,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.99) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
@@ -36,19 +36,13 @@ func TestHistogramBasicPercentiles(t *testing.T) {
 	}
 }
 
-func TestHistogramMinMaxMean(t *testing.T) {
+func TestHistogramMax(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(10 * time.Millisecond)
-	h.Observe(20 * time.Millisecond)
 	h.Observe(30 * time.Millisecond)
-	if h.Min() != 10*time.Millisecond {
-		t.Fatalf("Min = %v", h.Min())
-	}
+	h.Observe(20 * time.Millisecond)
 	if h.Max() != 30*time.Millisecond {
 		t.Fatalf("Max = %v", h.Max())
-	}
-	if h.Mean() != 20*time.Millisecond {
-		t.Fatalf("Mean = %v", h.Mean())
 	}
 }
 
@@ -156,9 +150,11 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramObserveWhileRead runs lock-free Observes against every
-// reader: a reader never sees a quantile outside the observed range or
-// out of order, and once the writers stop every total is exact.
+// TestHistogramObserveWhileRead runs lock-free Observes against a
+// reader: quantiles taken from one load of the buckets come out in
+// order and within the observed range, Max never exceeds the largest
+// sample, and once the writers stop Count, Max and the lowest quantile
+// are exact.
 func TestHistogramObserveWhileRead(t *testing.T) {
 	h := NewHistogram()
 	const writers, each = 4, 2000
@@ -177,23 +173,24 @@ func TestHistogramObserveWhileRead(t *testing.T) {
 	read := make(chan error, 1)
 	go func() {
 		defer close(read)
+		var counts [histBuckets + 1]uint64
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			s := h.Snapshot()
-			if s.Count == 0 {
+			n := h.load(&counts)
+			if n == 0 {
 				continue
 			}
-			lo, hi := h.Min(), h.Max()
-			if lo < time.Microsecond || hi > 500*time.Microsecond || lo > hi {
-				read <- fmt.Errorf("min %v max %v outside [1µs, 500µs]", lo, hi)
+			if hi := h.Max(); hi < time.Microsecond || hi > 500*time.Microsecond {
+				read <- fmt.Errorf("max %v outside [1µs, 500µs]", hi)
 				return
 			}
-			if s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > 525*time.Microsecond {
-				read <- fmt.Errorf("quantiles out of order: %v", s)
+			p0, p50, p90, p99 := h.quantile(0, n, &counts), h.quantile(0.5, n, &counts), h.quantile(0.9, n, &counts), h.quantile(0.99, n, &counts)
+			if p0 < time.Microsecond || p0 > p50 || p50 > p90 || p90 > p99 || p99 > 525*time.Microsecond {
+				read <- fmt.Errorf("quantiles out of order: p0 %v p50 %v p90 %v p99 %v", p0, p50, p90, p99)
 				return
 			}
 		}
@@ -203,30 +200,33 @@ func TestHistogramObserveWhileRead(t *testing.T) {
 	if err := <-read; err != nil {
 		t.Fatal(err)
 	}
-	var sum time.Duration
-	for g := 0; g < writers; g++ {
-		for i := 0; i < each; i++ {
-			sum += sample(g, i)
-		}
-	}
 	if n := h.Count(); n != writers*each {
 		t.Fatalf("Count = %d, want %d", n, writers*each)
 	}
-	if h.Min() != time.Microsecond || h.Max() != 500*time.Microsecond || h.Mean() != sum/(writers*each) {
-		t.Fatalf("min %v max %v mean %v, want 1µs 500µs %v", h.Min(), h.Max(), h.Mean(), sum/(writers*each))
+	if h.Quantile(0) != time.Microsecond || h.Max() != 500*time.Microsecond {
+		t.Fatalf("lowest quantile %v max %v, want 1µs 500µs", h.Quantile(0), h.Max())
 	}
 }
 
-func TestSnapshotString(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Millisecond)
-	s := h.Snapshot()
-	if s.Count != 1 {
-		t.Fatalf("snapshot count = %d", s.Count)
+// BenchmarkHistogramObserve times one Observe into the caller's cell of
+// a Striped histogram, as a request's latency is recorded, over samples
+// spread from under a microsecond to a few milliseconds:
+//
+//	go test -run '^$' -bench HistogramObserve -benchmem -cpu 1,2 ./internal/metrics
+func BenchmarkHistogramObserve(b *testing.B) {
+	s := NewStriped[Histogram]()
+	var samples [256]time.Duration
+	rng := rand.New(rand.NewSource(1))
+	for i := range samples {
+		samples[i] = time.Duration(math.Exp(rng.Float64() * math.Log(float64(4*time.Millisecond))))
 	}
-	if s.String() == "" {
-		t.Fatal("empty snapshot string")
-	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			s.Cell().Observe(samples[i%len(samples)])
+		}
+	})
 }
 
 func TestPercentile(t *testing.T) {
@@ -311,18 +311,6 @@ func TestSeriesDownsampleAggs(t *testing.T) {
 	}
 	if got := s.Downsample(time.Hour, AggSum).Points()[0].V; got != 4 {
 		t.Errorf("sum = %v", got)
-	}
-}
-
-func TestHourOfDayMax(t *testing.T) {
-	s := NewSeries()
-	t0 := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	// Day 1 hour 3: 10. Day 2 hour 3: 50 → max at hour 3 should be 50.
-	s.Append(t0.Add(3*time.Hour), 10)
-	s.Append(t0.Add(27*time.Hour), 50)
-	v := s.HourOfDayMax()
-	if v[3] != 50 {
-		t.Fatalf("hour3 = %v, want 50", v[3])
 	}
 }
 
@@ -479,18 +467,6 @@ func TestMovingAverageProperty(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	var r RateMeter
-	r.Observe(3)
-	r.Observe(2)
-	if got := r.Tick(); got != 5 {
-		t.Fatalf("Tick = %d", got)
-	}
-	if got := r.Tick(); got != 0 {
-		t.Fatalf("second Tick = %d", got)
-	}
-}
-
 func TestStats(t *testing.T) {
 	mean, std := Stats([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if mean != 5 {
@@ -506,8 +482,9 @@ func TestStats(t *testing.T) {
 
 // TestStripedSumsEveryCell adds to a Striped from many goroutines at
 // once (run it under -race): the sums are exact, SumRequests merges the
-// cells' histograms into what one histogram observing every sample
-// holds, and Reset zeroes every count but leaves RU to its owner.
+// cells' histograms into one whose Count, Max and quantiles are those
+// of one histogram observing every sample, and Reset zeroes every count
+// but leaves RU to its owner.
 func TestStripedSumsEveryCell(t *testing.T) {
 	s := NewStriped[Requests]()
 	want := NewHistogram()
@@ -537,11 +514,14 @@ func TestStripedSumsEveryCell(t *testing.T) {
 	if r.Success.Value() != goroutines*each || r.Hits.Value() != 2*goroutines*each || r.RU.Value() != goroutines*each/2 {
 		t.Fatalf("sums: success %d, hits %d, RU %v", r.Success.Value(), r.Hits.Value(), r.RU.Value())
 	}
-	if got, exp := r.Latency.Snapshot(), want.Snapshot(); got != exp {
-		t.Fatalf("merged latency %v, one histogram of every sample %v", got, exp)
+	if r.Latency.Count() != want.Count() || r.Latency.Max() != want.Max() {
+		t.Fatalf("merged latency: %d samples, max %v; one histogram of every sample: %d, %v",
+			r.Latency.Count(), r.Latency.Max(), want.Count(), want.Max())
 	}
-	if r.Latency.Min() != want.Min() {
-		t.Fatalf("merged min %v, want %v", r.Latency.Min(), want.Min())
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if got, exp := r.Latency.Quantile(q), want.Quantile(q); got != exp {
+			t.Fatalf("merged quantile %v = %v, one histogram of every sample %v", q, got, exp)
+		}
 	}
 	s.Each((*Requests).Reset)
 	r = SumRequests(s)

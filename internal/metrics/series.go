@@ -163,21 +163,6 @@ func (s *Series) Downsample(step time.Duration, agg Agg) *Series {
 	return out
 }
 
-// HourOfDayMax aggregates the series into a 24-element vector: for each
-// hour-of-day h, the maximum of the hourly values observed at that hour.
-// This is the replica load vector RE^ld of §5.3.
-func (s *Series) HourOfDayMax() [24]float64 {
-	var out [24]float64
-	hourly := s.Downsample(time.Hour, AggMean)
-	for _, p := range hourly.Points() {
-		h := p.T.Hour()
-		if p.V > out[h] {
-			out[h] = p.V
-		}
-	}
-	return out
-}
-
 // Stats returns mean and population standard deviation of the values.
 func Stats(vs []float64) (mean, std float64) {
 	if len(vs) == 0 {

@@ -47,18 +47,18 @@ func TestProxyBatchGetSingleQuotaAdmission(t *testing.T) {
 		keys[i] = []byte(fmt.Sprintf("k%d", i))
 		kvs[i] = KV{Key: keys[i], Value: []byte("v")}
 	}
-	before, _ := p.limiter.Stats()
+	before := p.limiter.Admitted()
 	if errs := p.BatchPut(bg, kvs); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	mid, _ := p.limiter.Stats()
+	mid := p.limiter.Admitted()
 	if mid-before != 1 {
 		t.Fatalf("16-key BatchPut took %d admissions, want 1", mid-before)
 	}
 	if _, errs := p.BatchGet(bg, keys); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	after, _ := p.limiter.Stats()
+	after := p.limiter.Admitted()
 	if after-mid != 1 {
 		t.Fatalf("16-key BatchGet took %d admissions, want 1", after-mid)
 	}

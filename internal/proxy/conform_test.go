@@ -184,7 +184,7 @@ type books struct {
 	stats             Stats
 	latencies         uint64 // observations in the latency histogram
 	charged, refunded float64
-	admitted, refused int64  // limiter decisions
+	admitted          int64  // limiter admissions
 	refreshes         uint64 // route-cache invalidations
 }
 
@@ -195,7 +195,7 @@ func readBooks(p *Proxy) books {
 	b.refreshes = p.routes.gen
 	p.routes.mu.RUnlock()
 	b.charged, b.refunded = p.limiter.RUTotals()
-	b.admitted, b.refused = p.limiter.Stats()
+	b.admitted = p.limiter.Admitted()
 	return b
 }
 
@@ -211,7 +211,6 @@ func (b books) moved(before books) books {
 	b.charged -= before.charged
 	b.refunded -= before.refunded
 	b.admitted -= before.admitted
-	b.refused -= before.refused
 	b.refreshes -= before.refreshes
 	return b
 }
@@ -278,7 +277,7 @@ func TestProxyOpsConform(t *testing.T) {
 			if !errors.Is(err, ErrThrottled) {
 				t.Errorf("%s err = %v, want ErrThrottled", name, err)
 			}
-			want := books{stats: Stats{Rejected: 1}, refused: 1}
+			want := books{stats: Stats{Rejected: 1}}
 			if batch {
 				want.latencies = 1 // a batch times its refusals too
 			}

@@ -138,39 +138,56 @@ func TestFollowerReadsServeDuringOutage(t *testing.T) {
 }
 
 // TestFollowerReadStalenessBound checks the replication-position gate:
-// a follower that missed writes beyond MaxFollowerLag is skipped in
-// favor of the primary (or a fresher follower).
+// a follower that missed up to DefaultMaxFollowerLag writes still
+// serves a follower read, and one that missed more is skipped in favor
+// of the primary.
 func TestFollowerReadStalenessBound(t *testing.T) {
-	m, p := newStack(t, 1e9, func(c *Config) {
-		c.EnableCache = false
-		c.MaxFollowerLag = 4
-	})
+	m, p := newStack(t, 1e9, func(c *Config) { c.EnableCache = false })
 	key := []byte("lag-key")
 	route, err := m.RouteFor("t1", key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Take both followers down so they miss every write.
 	var followers []*datanode.Node
 	for _, f := range route.Followers {
 		n, _ := m.Node(f)
-		n.SetDown(true)
 		followers = append(followers, n)
 	}
-	for i := 0; i < 20; i++ {
-		if err := p.Put(bg, key, []byte(fmt.Sprintf("v%d", i)), 0); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.Put(bg, key, []byte("base"), 0); err != nil {
+		t.Fatal(err)
 	}
 	m.FlushReplication()
-	for _, n := range followers {
-		n.SetDown(false)
+	// missWrites writes the key writes more times with both followers
+	// down, so they miss every one of those writes.
+	written := 0
+	missWrites := func(writes int) {
+		t.Helper()
+		for _, n := range followers {
+			n.SetDown(true)
+		}
+		for end := written + writes; written < end; written++ {
+			if err := p.Put(bg, key, []byte(fmt.Sprintf("v%d", written)), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.FlushReplication()
+		for _, n := range followers {
+			n.SetDown(false)
+		}
 	}
-	// Both followers lag by ~20 > 4: the read must come from the
-	// primary and see the newest value.
-	got, err := p.GetPref(bg, key, ReadFollower)
-	if err != nil || string(got) != "v19" {
-		t.Fatalf("lag-bounded follower read = %q, %v (want v19 from primary)", got, err)
+
+	// Within the bound: a follower serves the read, with the value it
+	// holds.
+	missWrites(4)
+	if got, err := p.GetPref(bg, key, ReadFollower); err != nil || string(got) != "base" {
+		t.Fatalf("follower 4 writes behind read %q, %v (want base from a follower)", got, err)
+	}
+	// Past it: the read must come from the primary and see the newest
+	// value.
+	missWrites(DefaultMaxFollowerLag)
+	want := fmt.Sprintf("v%d", written-1)
+	if got, err := p.GetPref(bg, key, ReadFollower); err != nil || string(got) != want {
+		t.Fatalf("follower %d writes behind read %q, %v (want %s from the primary)", written, got, err, want)
 	}
 }
 

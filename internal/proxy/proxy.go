@@ -57,18 +57,14 @@ type Config struct {
 	// DefaultHotAdmitThreshold; negative disables the gate (the legacy
 	// cache-everything policy).
 	HotAdmitThreshold int
-	// MaxFollowerLag bounds follower-read staleness in replication
-	// positions: a follower whose applied-write count trails its
-	// primary's by more than this serves no reads and the request
-	// falls through to the primary (default DefaultMaxFollowerLag).
-	// When the primary is unreachable the bound is waived — during a
-	// failover window a bounded-stale answer beats no answer, which is
-	// the point of follower reads.
-	MaxFollowerLag uint64
 }
 
-// DefaultMaxFollowerLag is the follower-read staleness bound when
-// Config.MaxFollowerLag is zero.
+// DefaultMaxFollowerLag bounds follower-read staleness in replication
+// positions: a follower whose applied-write count trails its primary's
+// by more than this serves no reads and the request falls through to
+// the primary. When the primary is unreachable the bound is waived —
+// during a failover window a bounded-stale answer beats no answer,
+// which is the point of follower reads.
 const DefaultMaxFollowerLag = 1024
 
 // ReadPreference selects which replica serves a read.
@@ -79,7 +75,7 @@ const (
 	// (read-your-writes for a single client; the default).
 	ReadPrimary ReadPreference = iota
 	// ReadFollower routes reads to a follower replica when one is
-	// live and within the proxy's staleness bound (MaxFollowerLag),
+	// live and within the staleness bound (DefaultMaxFollowerLag),
 	// falling back to the primary otherwise. Read-mostly tenants opt
 	// in per connection (RESP READONLY) to keep serving through a
 	// primary outage and to spread read load.
@@ -264,14 +260,6 @@ func (p *Proxy) refreshFromOrigin(key string) ([]byte, bool) {
 	return res.Value, true
 }
 
-// maxFollowerLag resolves the configured staleness bound.
-func (p *Proxy) maxFollowerLag() uint64 {
-	if p.cfg.MaxFollowerLag > 0 {
-		return p.cfg.MaxFollowerLag
-	}
-	return DefaultMaxFollowerLag
-}
-
 // followerRead serves key from a live, sufficiently caught-up follower
 // of route. served=false means no follower qualified and the caller
 // should read the primary. When the primary is unreachable the
@@ -284,14 +272,13 @@ func (p *Proxy) followerRead(ctx context.Context, primary *datanode.Node, route 
 	if primaryAlive {
 		primaryPos = primary.ReplicationPosition(route.Partition)
 	}
-	maxLag := p.maxFollowerLag()
 	for _, f := range route.Followers {
 		fn, nerr := view.Node(f)
 		if nerr != nil || !fn.Alive() {
 			continue
 		}
 		if primaryAlive {
-			if fpos := fn.ReplicationPosition(route.Partition); fpos+maxLag < primaryPos {
+			if fpos := fn.ReplicationPosition(route.Partition); fpos+DefaultMaxFollowerLag < primaryPos {
 				continue // too stale; next candidate
 			}
 		}
@@ -572,8 +559,7 @@ func (f *Fleet) AggregateStats() Stats {
 // went on to the data plane.
 func (f *Fleet) QuotaAdmissions() (n int64) {
 	for _, p := range f.proxies {
-		allowed, _ := p.limiter.Stats()
-		n += allowed
+		n += p.limiter.Admitted()
 	}
 	return n
 }

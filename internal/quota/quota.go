@@ -17,8 +17,7 @@ type Bucket struct {
 	last   time.Time
 	clk    clock.Clock
 
-	allowed  int64
-	rejected int64
+	allowed int64
 
 	// Cumulative RU ledger for the soak harness's balance invariant:
 	// every admitted charge and every refund is totalled so that
@@ -73,7 +72,6 @@ func (b *Bucket) Allow(cost float64, now time.Time) bool {
 		b.chargedRU += cost
 		return true
 	}
-	b.rejected++
 	return false
 }
 
@@ -81,7 +79,7 @@ func (b *Bucket) Allow(cost float64, now time.Time) bool {
 // an Allow whose request did no work downstream (node down, stale
 // route, deadline shed before admission): the tenant should not pay RU
 // for work the system never performed. Refunds never rewrite the
-// allowed/rejected counters — the admission decision did happen.
+// allowed counter — the admission decision did happen.
 // Refund reads no clock: crediting the refund before the accrual since
 // the last refill, both capped at burst, leaves the same tokens as
 // crediting it after.
@@ -124,11 +122,12 @@ func (b *Bucket) Rate() float64 {
 	return b.rate
 }
 
-// Stats returns cumulative admitted and rejected request counts.
-func (b *Bucket) Stats() (allowed, rejected int64) {
+// Admitted returns the requests the bucket has admitted; each refusal
+// is counted by the caller that was refused.
+func (b *Bucket) Admitted() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.allowed, b.rejected
+	return b.allowed
 }
 
 // RUTotals returns the cumulative RU charged by admissions and
@@ -286,8 +285,8 @@ func (p *ProxyLimiter) SetQuota(proxyQuota float64) {
 	p.bucket.SetRate(rate, rate)
 }
 
-// Stats exposes the underlying bucket's counters.
-func (p *ProxyLimiter) Stats() (allowed, rejected int64) { return p.bucket.Stats() }
+// Admitted returns the requests the bucket has admitted.
+func (p *ProxyLimiter) Admitted() int64 { return p.bucket.Admitted() }
 
 // RUTotals exposes the bucket's cumulative charge/refund ledger.
 func (p *ProxyLimiter) RUTotals() (charged, refunded float64) { return p.bucket.RUTotals() }
@@ -318,8 +317,8 @@ func (p *PartitionLimiter) SetQuota(partitionQuota float64) {
 	p.bucket.SetRate(rate, rate)
 }
 
-// Stats exposes the underlying bucket's counters.
-func (p *PartitionLimiter) Stats() (allowed, rejected int64) { return p.bucket.Stats() }
+// Admitted returns the requests the bucket has admitted.
+func (p *PartitionLimiter) Admitted() int64 { return p.bucket.Admitted() }
 
 // RUTotals exposes the bucket's cumulative charge/refund ledger.
 func (p *PartitionLimiter) RUTotals() (charged, refunded float64) { return p.bucket.RUTotals() }
