@@ -122,7 +122,7 @@ func TestAllocBudget(t *testing.T) {
 			settle()
 			return func() { must(t, errOf(p.Get(bg, key))) }
 		}},
-		{"proxy", "Set", "", 1, 1536, func(t *testing.T) func() {
+		{"proxy", "Set", "", 0, 1536, func(t *testing.T) func() {
 			p, _ := budgetProxy(t, 0, time.Hour)
 			key := []byte("key-0001")
 			return func() { must(t, p.Put(bg, key, value, 0)) }
@@ -137,7 +137,7 @@ func TestAllocBudget(t *testing.T) {
 			settle()
 			return func() { must(t, errOf(c.Get(bg, key))) }
 		}},
-		{"client", "Set", "", 1, 1536, func(t *testing.T) func() {
+		{"client", "Set", "", 0, 1536, func(t *testing.T) func() {
 			c, _ := budgetClient(t)
 			key := []byte("key-0001")
 			return func() { must(t, c.Set(bg, key, value)) }

@@ -28,18 +28,18 @@ func TestCodeBudget(t *testing.T) {
 		"internal/autoscaler":   110,
 		"internal/benchjson":    117,
 		"internal/cache":        582,
-		"internal/changestream": 96,
+		"internal/changestream": 89,
 		"internal/clock":        111,
-		"internal/datanode":     1780,
+		"internal/datanode":     1773,
 		"internal/experiments":  2242,
 		"internal/faultinject":  238,
 		"internal/forecast":     530,
 		"internal/glob":         85,
 		"internal/hashfield":    55,
 		"internal/hotspot":      354,
-		"internal/lavastore":    1859,
+		"internal/lavastore":    1863,
 		"internal/metaserver":   966,
-		"internal/metrics":      403,
+		"internal/metrics":      319,
 		"internal/partition":    51,
 		"internal/proxy":        1426,
 		"internal/quota":        207,

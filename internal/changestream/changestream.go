@@ -45,21 +45,6 @@ var ErrHistoryTruncated = lavastore.ErrHistoryTruncated
 // with nothing lost.
 var ErrSlowConsumer = errors.New("changestream: subscriber too slow, buffer overflow")
 
-// Event is one committed write delivered to a subscriber.
-type Event struct {
-	// Partition is the index of the partition the write committed in.
-	Partition int
-	// Seq is the write's commit sequence in that partition's change
-	// log — the replication position its acknowledgment covered.
-	Seq uint64
-	// Key is the written key.
-	Key []byte
-	// Value is the written value (nil for deletes).
-	Value []byte
-	// Delete reports a tombstone.
-	Delete bool
-}
-
 // Token is a subscription's decoded resume position: for each
 // partition index, the last delivered sequence (0 = nothing delivered,
 // deliver from the start of retained history).

@@ -193,7 +193,9 @@ func (r *readOp) settle() {
 		bv := &r.vals[k]
 		if bv.Err != nil {
 			if !r.valueFree && errors.Is(bv.Err, ErrNotFound) {
-				reads.Add(r.est, 0, false) // an absent key still cost a lookup
+				// An absent key missed the SA-LRU and still cost a lookup.
+				reads.Add(r.est, 0, false)
+				cacheMiss++
 			}
 			failed++
 			continue

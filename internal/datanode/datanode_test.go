@@ -13,7 +13,7 @@ import (
 	"abase/internal/partition"
 )
 
-func newTestNode(t *testing.T, cfg Config) *Node {
+func newTestNode(t testing.TB, cfg Config) *Node {
 	t.Helper()
 	if cfg.ID == "" {
 		cfg.ID = "node-test"
@@ -116,6 +116,13 @@ func TestCacheMissChargesRU(t *testing.T) {
 	// The tenant's cells count each read's SA-LRU outcome once.
 	if st := n.TenantStats("t1"); st.CacheHits != hits || st.CacheMiss != misses {
 		t.Fatalf("tenant counted %d hits, %d misses; the reads saw %d, %d", st.CacheHits, st.CacheMiss, hits, misses)
+	}
+	// A key never written missed the SA-LRU too: the engine was read.
+	if _, err := n.Get(bg, p, []byte("never-written")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a never-written key = %v, want ErrNotFound", err)
+	}
+	if st := n.TenantStats("t1"); st.CacheMiss != misses+1 {
+		t.Fatalf("a read of an absent key counted %d misses, want %d", st.CacheMiss-misses, 1)
 	}
 }
 

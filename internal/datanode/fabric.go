@@ -5,13 +5,15 @@ package datanode
 // It belongs to the data plane — a primary replicates to the peer set
 // the control plane last PUSHED to it (Node.SetRoute), so an
 // acknowledged write consults no routing table, takes no control-plane
-// lock and resolves no node id.
+// lock and resolves no node id. A message travels by value, one job per
+// follower, each holding its own reference on the primary's memtable
+// pages, so a replicated point write allocates nothing and takes no
+// fabric-wide lock. Flush is a marker queued behind each lane, so it
+// waits for exactly the messages queued before it.
 
 import (
-	"hash/fnv"
-	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"abase/internal/lavastore"
 	"abase/internal/partition"
@@ -27,32 +29,21 @@ const (
 	laneDepth = 1024
 )
 
-// replJob is one replication message for one follower: the ops a
-// primary committed together (one for a point write) and pos, the
-// primary's replication position after the last of them, which the
-// follower adopts monotonically.
+// replJob is one replication message for one follower, or a Flush
+// marker (mark set, nothing else). A message is the ops a primary
+// committed together and pos, the primary's replication position after
+// the last of them, which the follower adopts monotonically. A point
+// write's op travels in op; a group commit's ops are one read-only copy
+// its jobs share. The ops' bytes are the primary's memtable pages, and
+// pin is this job's own reference on them.
 type replJob struct {
 	node *Node
 	pid  partition.ID
-	msg  *replMsg
 	pos  uint64
-}
-
-// replMsg is what a message's jobs share: the ops, whose bytes are the
-// primary's memtable pages, and the pin on those pages, released when
-// the last follower has applied or dropped its job.
-type replMsg struct {
-	ops  []WriteOp
+	op   WriteOp
+	ops  []WriteOp // nil for a point write
 	pin  lavastore.Pin
-	left atomic.Int32 // jobs not yet applied or dropped
-	one  [1]WriteOp   // backs ops for a point write
-}
-
-// done counts one job as applied or dropped.
-func (m *replMsg) done() {
-	if m.left.Add(-1) == 0 {
-		m.pin.Release()
-	}
+	mark chan<- struct{}
 }
 
 // Peer is one follower of a partition as its primary sees it: the node
@@ -70,25 +61,16 @@ type Peer struct {
 // Fabric carries replication messages from primaries to followers. One
 // fabric serves a whole cluster; nodes reach it as their Replicator.
 type Fabric struct {
-	lanes [fabricLanes]chan replJob
-	stop  chan struct{} // closed by Close; lanes themselves never close
-	once  sync.Once
-	wg    sync.WaitGroup
-
-	// enq/done count messages enqueued and applied; Flush waits for done
-	// to reach the enq it saw when called. closed is set once the workers
-	// have drained and exited.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	enq    uint64
-	done   uint64
-	closed bool
+	lanes  [fabricLanes]chan replJob
+	stop   chan struct{} // closed by Close; lanes themselves never close
+	exited chan struct{} // closed once the workers have drained and exited
+	once   sync.Once
+	wg     sync.WaitGroup
 }
 
 // NewFabric starts a fabric's lane workers.
 func NewFabric() *Fabric {
-	f := &Fabric{stop: make(chan struct{})}
-	f.cond = sync.NewCond(&f.mu)
+	f := &Fabric{stop: make(chan struct{}), exited: make(chan struct{})}
 	for i := range f.lanes {
 		f.lanes[i] = make(chan replJob, laneDepth)
 		f.wg.Add(1)
@@ -100,10 +82,8 @@ func NewFabric() *Fabric {
 // Peer binds follower n of partition pid to its lane. The control
 // plane resolves peers once per route change; writes only read them.
 func (f *Fabric) Peer(pid partition.ID, n *Node) Peer {
-	h := fnv.New32a()
-	io.WriteString(h, pid.String())
-	io.WriteString(h, "/"+n.ID())
-	return Peer{node: n, lane: f.lanes[h.Sum32()%fabricLanes]}
+	h := partition.Hash([]byte(pid.String() + "/" + n.ID()))
+	return Peer{node: n, lane: f.lanes[h%fabricLanes]}
 }
 
 func (f *Fabric) work(lane <-chan replJob) {
@@ -111,12 +91,12 @@ func (f *Fabric) work(lane <-chan replJob) {
 	for {
 		select {
 		case job := <-lane:
-			f.apply(job)
+			job.run()
 		case <-f.stop:
 			for { // drain what was queued before the stop
 				select {
 				case job := <-lane:
-					f.apply(job)
+					job.run()
 				default:
 					return
 				}
@@ -125,58 +105,74 @@ func (f *Fabric) work(lane <-chan replJob) {
 	}
 }
 
-func (f *Fabric) apply(job replJob) {
+// run applies the job's message on its follower and lets its pages go,
+// or signals a marker.
+func (job *replJob) run() {
+	if job.mark != nil {
+		job.mark <- struct{}{}
+		return
+	}
 	// Best effort: eventual consistency tolerates transient errors (a
 	// down follower drops its deltas; revival and repair rebuild it).
-	_ = job.node.ApplyReplicated(job.pid, job.pos, job.msg.ops...)
-	job.msg.done()
-	f.finish()
-}
-
-// finish counts one message as applied, failed or dropped.
-func (f *Fabric) finish() {
-	f.mu.Lock()
-	f.done++
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	if job.ops != nil {
+		_ = job.node.ApplyReplicated(job.pid, job.pos, job.ops...)
+	} else {
+		_ = job.node.ApplyReplicated(job.pid, job.pos, job.op)
+	}
+	job.pin.Release()
 }
 
 // Replicate implements Replicator: the ops travel as one message per
 // peer and are applied there as one group commit. The peers share the
-// ops' bytes where the primary's memtable holds them, read-only, and the
-// last one to apply or drop its message releases pin.
+// ops' bytes where the primary's memtable holds them, read-only, each
+// job holding one reference of pin, released once it is applied or
+// dropped.
 func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64, pin lavastore.Pin) {
 	if len(to) == 0 {
 		pin.Release()
 		return
 	}
-	m := &replMsg{pin: pin}
-	m.ops = append(m.one[:0], ops...)
-	m.left.Store(int32(len(to)))
-	f.mu.Lock()
-	f.enq += uint64(len(to))
-	f.mu.Unlock()
+	pin.Share(len(to) - 1)
+	job := replJob{pid: rid.Partition, pos: pos, pin: pin}
+	if len(ops) == 1 {
+		job.op = ops[0]
+	} else {
+		job.ops = slices.Clone(ops)
+	}
 	for _, p := range to {
+		job.node = p.node
 		select {
-		case p.lane <- replJob{node: p.node, pid: rid.Partition, msg: m, pos: pos}:
+		case p.lane <- job:
 		case <-f.stop:
-			m.done()
-			f.finish()
+			pin.Release()
 		}
 	}
 }
 
-// Flush blocks until every message enqueued BEFORE the call has been
-// applied (or failed against a down follower). The wait is a drain
-// marker, not a quiescence wait: messages enqueued by writes that keep
-// flowing do not extend it, so a promotion cannot stall behind
-// unrelated traffic. A closed fabric has nothing left to wait for.
+// Flush queues a marker behind every lane and blocks until each lane's
+// worker has reached it, or the fabric has exited. So every message
+// whose Replicate returned before Flush was called has been applied (or
+// dropped against a down follower) when Flush returns, and a write is
+// acknowledged only after its Replicate returned. Messages queued by
+// writes that keep flowing land behind the markers and do not extend
+// the wait, so a promotion cannot stall behind unrelated traffic; a
+// write still inside Replicate when Flush is called is not covered.
 func (f *Fabric) Flush() {
-	f.mu.Lock()
-	for target := f.enq; f.done < target && !f.closed; {
-		f.cond.Wait()
+	reached := make(chan struct{}, fabricLanes)
+	for _, lane := range f.lanes {
+		select {
+		case lane <- replJob{mark: reached}:
+		case <-f.exited:
+			return
+		}
 	}
-	f.mu.Unlock()
+	for range f.lanes {
+		select {
+		case <-reached:
+		case <-f.exited:
+			return
+		}
+	}
 }
 
 // Close stops the workers after they drain what is queued. A write
@@ -186,9 +182,6 @@ func (f *Fabric) Close() {
 	f.once.Do(func() {
 		close(f.stop)
 		f.wg.Wait()
-		f.mu.Lock()
-		f.closed = true
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		close(f.exited)
 	})
 }

@@ -2,6 +2,7 @@ package datanode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // fabricTrio builds a primary and two followers of partition t/0 wired
 // through one fabric, the primary's route naming both followers.
-func fabricTrio(t *testing.T) (f *Fabric, primary *Node, followers [2]*Node, p partition.ID) {
+func fabricTrio(t testing.TB) (f *Fabric, primary *Node, followers [2]*Node, p partition.ID) {
 	t.Helper()
 	f = NewFabric()
 	t.Cleanup(f.Close)
@@ -168,4 +169,176 @@ func TestStalledMessageKeepsItsPages(t *testing.T) {
 	if err != nil || !bytes.Equal(got.Value, want) {
 		t.Fatalf("the follower applied k = %.20q…, %v; want the value the primary committed", got.Value, err)
 	}
+}
+
+// apart fails the test unless the fabric queues the two followers'
+// messages in different lanes, which the tests that stall one lane and
+// watch the other rely on.
+func apart(t *testing.T, f *Fabric, p partition.ID, a, b *Node) {
+	t.Helper()
+	if f.Peer(p, a).lane == f.Peer(p, b).lane {
+		t.Fatalf("%s and %s share a lane", a.ID(), b.ID())
+	}
+}
+
+// laneReached blocks until the worker of n's lane for p has applied
+// everything queued there before the call.
+func laneReached(f *Fabric, p partition.ID, n *Node) {
+	reached := make(chan struct{}, 1)
+	f.Peer(p, n).lane <- replJob{mark: reached}
+	<-reached
+}
+
+// TestFlushWaitsForItsOwnMessages: a message applied on another lane
+// after the call cannot stand in for one queued before it. Flush is
+// called with "a" stalled in f0's lane; "b" then goes to f1 on a
+// different lane and is applied, and Flush must still wait for "a".
+func TestFlushWaitsForItsOwnMessages(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	f0, f1 := followers[0], followers[1]
+	apart(t, f, p, f0, f1)
+	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, f0)}); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan struct{})
+	f0.mu.Lock()
+	_, err := primary.Put(bg, p, []byte("a"), []byte("1"), 0)
+	if err == nil {
+		go func() {
+			f.Flush()
+			close(flushed)
+		}()
+		// Give Flush time to be called before "b" is queued: with "b"
+		// queued first, a drain that counts messages would also wait for
+		// "a", and the test could not tell it from a barrier.
+		time.Sleep(50 * time.Millisecond)
+		err = primary.SetRoute(p, true, 1, []Peer{f.Peer(p, f1)})
+	}
+	if err == nil {
+		_, err = primary.Put(bg, p, []byte("b"), []byte("2"), 0)
+	}
+	for deadline := time.Now().Add(5 * time.Second); err == nil && f1.ReplicationPosition(p) < primary.ReplicationPosition(p); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			err = errors.New("f1 never applied the later message")
+		}
+	}
+	if err == nil {
+		select {
+		case <-flushed:
+			err = errors.New("Flush returned with a message queued before the call still unapplied")
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	f0.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush did not return once its lanes moved")
+	}
+	if _, err := f0.Get(bg, p, []byte("a")); err != nil {
+		t.Fatalf("Flush returned before the message it waited for was applied: %v", err)
+	}
+}
+
+// TestEveryJobHoldsItsPages: each follower's job holds its own reference
+// on the primary's memtable pages. With f0 stalled and f1's job applied,
+// a flush that drops the primary's memtable gives no page back; once
+// f0's job is applied too, the pages return to the free list.
+func TestEveryJobHoldsItsPages(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	f0, f1 := followers[0], followers[1]
+	apart(t, f, p, f0, f1)
+	rep, err := primary.getReplica(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first write gives every memtable its pages, so f0's apply below
+	// takes none from the free list while the primary's go back.
+	if _, err = primary.Put(bg, p, []byte("warm"), []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Flush()
+	var free, held int
+	f0.mu.Lock()
+	if _, err = primary.Put(bg, p, []byte("k"), bytes.Repeat([]byte("v"), 1000), 0); err == nil {
+		laneReached(f, p, f1) // f1's job is applied and released
+		_, free = skiplist.PoolPages()
+		err = rep.db.Flush()
+		_, held = skiplist.PoolPages()
+	}
+	f0.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held != free {
+		t.Errorf("the flush gave %d pages back while f0's job held them", held-free)
+	}
+	f.Flush()
+	if _, back := skiplist.PoolPages(); back <= held {
+		t.Errorf("free list at %d pages after both jobs were applied, %d before: the pages did not return", back, held)
+	}
+}
+
+// TestFlushReturnsAcrossClose: a Flush called after Close returns, and
+// so does one blocked behind a stalled lane while Close runs.
+func TestFlushReturnsAcrossClose(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	done := func(fn func()) <-chan struct{} {
+		c := make(chan struct{})
+		go func() {
+			fn()
+			close(c)
+		}()
+		return c
+	}
+	wait := func(what string, c <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-c:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s hung", what)
+		}
+	}
+
+	fo := followers[0]
+	var flushed, closed <-chan struct{}
+	fo.mu.Lock()
+	_, err := primary.Put(bg, p, []byte("k"), []byte("v"), 0)
+	if err == nil {
+		flushed = done(f.Flush)
+		time.Sleep(20 * time.Millisecond) // let Flush block behind the stalled lane
+		closed = done(f.Close)
+		time.Sleep(20 * time.Millisecond)
+	}
+	fo.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait("a Flush blocked behind a stalled lane while Close ran", flushed)
+	wait("Close", closed)
+	wait("a Flush after Close", done(f.Flush))
+}
+
+// BenchmarkNodePutReplicated is BenchmarkNodePut on a primary that
+// replicates every write to two followers over one Fabric: the write
+// path plus the hand-off to the lanes, whose workers apply on the
+// followers meanwhile. Keys are built before the timer starts.
+func BenchmarkNodePutReplicated(b *testing.B) {
+	f, primary, _, p := fabricTrio(b)
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	val := bytes.Repeat([]byte("v"), 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := primary.Put(bg, p, keys[i%len(keys)], val, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f.Flush()
 }

@@ -83,7 +83,6 @@ type Stats struct {
 	Compactions       int64
 	GetIOReads        int64 // cumulative simulated disk reads served
 	ExpiredDropped    int64 // records dropped by TTL at compaction
-	TombstonesAlive   int64
 }
 
 // DB is the storage engine instance backing one partition replica on a

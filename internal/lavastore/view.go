@@ -100,3 +100,11 @@ type Pin struct{ r *viewRef }
 
 // Release lets the pages go.
 func (p Pin) Release() { p.r.release() }
+
+// Share adds n references to p, one for each further holder, who
+// releases it on its own. The caller holds p, so the count is at least 1.
+func (p Pin) Share(n int) {
+	if p.r != nil {
+		p.r.refs.Add(int32(n))
+	}
+}

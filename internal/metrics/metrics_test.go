@@ -275,54 +275,6 @@ func TestSeriesAppendOrdered(t *testing.T) {
 	}
 }
 
-func TestSeriesDownsample(t *testing.T) {
-	s := NewSeries()
-	t0 := time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC)
-	// Two points in hour 0, one in hour 2 (hour 1 empty → carried forward).
-	s.Append(t0.Add(10*time.Minute), 10)
-	s.Append(t0.Add(20*time.Minute), 20)
-	s.Append(t0.Add(2*time.Hour+5*time.Minute), 30)
-	ds := s.Downsample(time.Hour, AggMean)
-	pts := ds.Points()
-	if len(pts) != 3 {
-		t.Fatalf("downsample len = %d: %v", len(pts), pts)
-	}
-	if pts[0].V != 15 {
-		t.Fatalf("hour0 mean = %v, want 15", pts[0].V)
-	}
-	if pts[1].V != 15 { // carried forward
-		t.Fatalf("hour1 carry = %v, want 15", pts[1].V)
-	}
-	if pts[2].V != 30 {
-		t.Fatalf("hour2 = %v, want 30", pts[2].V)
-	}
-}
-
-func TestSeriesDownsampleAggs(t *testing.T) {
-	s := NewSeries()
-	t0 := time.Unix(0, 0).UTC()
-	s.Append(t0, 1)
-	s.Append(t0.Add(time.Minute), 3)
-	if got := s.Downsample(time.Hour, AggMax).Points()[0].V; got != 3 {
-		t.Errorf("max = %v", got)
-	}
-	if got := s.Downsample(time.Hour, AggMin).Points()[0].V; got != 1 {
-		t.Errorf("min = %v", got)
-	}
-	if got := s.Downsample(time.Hour, AggSum).Points()[0].V; got != 4 {
-		t.Errorf("sum = %v", got)
-	}
-}
-
-func TestSeriesFromPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched slices")
-		}
-	}()
-	SeriesFrom([]time.Time{time.Now()}, nil)
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
