@@ -30,7 +30,7 @@ func TestCodeBudget(t *testing.T) {
 		"internal/cache":        582,
 		"internal/changestream": 89,
 		"internal/clock":        111,
-		"internal/datanode":     1773,
+		"internal/datanode":     1791,
 		"internal/experiments":  2242,
 		"internal/faultinject":  238,
 		"internal/forecast":     530,

@@ -69,19 +69,20 @@ func (s state) clone() state {
 }
 
 // merge folds other into s as the intersection of definitely-held
-// locks, marking keys whose depth disagrees as fuzzy.
+// locks, marking keys whose depth disagrees, in either direction, as
+// fuzzy.
 func (s state) merge(other state) {
 	for k, ls := range s {
 		o, ok := other[k]
 		if !ok {
 			o = &lockState{}
 		}
-		if o.write < ls.write {
-			ls.write = o.write
+		if o.write != ls.write {
+			ls.write = min(ls.write, o.write)
 			ls.fuzzy = true
 		}
-		if o.read < ls.read {
-			ls.read = o.read
+		if o.read != ls.read {
+			ls.read = min(ls.read, o.read)
 			ls.fuzzy = true
 		}
 		ls.deferredW = min(ls.deferredW, o.deferredW)

@@ -62,3 +62,19 @@ func (t *table) balanced(cond bool) int {
 	t.mu.Unlock()
 	return 0
 }
+
+// fataler is the shape of testing.TB's Fatal, which the checker does not
+// know ends the path.
+type fataler interface{ Fatal(args ...any) }
+
+// unlockThenFatal releases on a branch that ends in tb.Fatal while the
+// other path still holds the lock and releases it after the if: the
+// paths disagree, so the merge stops judging the lock and stays silent.
+func (t *table) unlockThenFatal(tb fataler, failed bool) {
+	t.mu.Lock()
+	if failed {
+		t.mu.Unlock()
+		tb.Fatal("failed")
+	}
+	t.mu.Unlock()
+}

@@ -182,22 +182,22 @@ func TestChangesBounds(t *testing.T) {
 
 // TestChangesServesAheadOfFollowers: Changes serves what the primary has
 // committed and handed to replication, not what its followers applied.
-// The follower is held at its lock, as in TestFabricFlushIsADrainMarker,
-// so it cannot apply the write; the primary serves the write's event at
-// once, while the follower's replication position is still below it. A
-// failover to that follower would lose an event a subscriber has seen.
+// The follower's lane is occupied, as in TestFabricFlushIsADrainMarker,
+// so the write queues there and is not applied; the primary serves the
+// write's event at once, while the follower's replication position is
+// still below it. A failover to that follower would lose an event a
+// subscriber has seen.
 func TestChangesServesAheadOfFollowers(t *testing.T) {
 	f, primary, followers, p := fabricTrio(t)
 	fo := followers[0]
 	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, fo)}); err != nil {
 		t.Fatal(err)
 	}
-	frep, err := fo.getReplica(p) // ReplicationPosition waits on the lock
+	frep, err := fo.getReplica(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo.mu.Lock()
-	defer fo.mu.Unlock()
+	occupy(t, f, p, fo)
 	if _, err := primary.Put(bg, p, []byte("a"), []byte("1"), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,9 @@ func (c Config) withDefaults() Config {
 // commit for a batch) travel as one replication message to each peer in
 // to — the follower set the control plane last pushed to the replica
 // (SetRoute). Implementations must not block the caller for long —
-// ABase replication is asynchronous (eventual consistency). The ops'
+// ABase replication is asynchronous (eventual consistency) — but may
+// apply on an idle follower on the caller's goroutine, which holds no
+// lock (Fabric does so for a point write). The ops'
 // keys and values are the primary's memtable pages, which pin keeps from
 // reuse: an implementation reads them until it releases pin, exactly
 // once, and copies what it keeps past that. The ops slice itself

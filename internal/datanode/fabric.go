@@ -8,12 +8,20 @@ package datanode
 // lock and resolves no node id. A message travels by value, one job per
 // follower, each holding its own reference on the primary's memtable
 // pages, so a replicated point write allocates nothing and takes no
-// fabric-wide lock. Flush is a marker queued behind each lane, so it
-// waits for exactly the messages queued before it.
+// fabric-wide lock. A point write whose lane is idle is applied on the
+// follower by the writer itself, before its Replicate returns: handing
+// it to the lane's worker would cost a goroutine wake-up per write. The
+// trade: a stalled follower holds the one write that found its lane
+// idle (the lane then counts as busy, so every later write to it queues
+// and returns), and a follower flush or compaction that apply sets off
+// runs on the writer, as the primary's own does. Group commits always
+// queue. Flush is a marker queued behind each lane, so it waits for
+// exactly the messages queued before it.
 
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"abase/internal/lavastore"
 	"abase/internal/partition"
@@ -25,7 +33,8 @@ const (
 	// laneDepth is how many replication messages a lane buffers before a
 	// primary's acknowledgement waits for its followers: deep enough that
 	// a flush or compaction stall on one follower does not reach the
-	// write path.
+	// write path beyond the one point write that found the lane idle and
+	// is applying inline; every later write to that lane queues.
 	laneDepth = 1024
 )
 
@@ -46,6 +55,29 @@ type replJob struct {
 	mark chan<- struct{}
 }
 
+// lane is one FIFO lane and n, the count of every job it holds: queued
+// or running, inline applies and Flush markers included. A point write
+// runs inline only when it claims n at 0, so nothing is ahead of it.
+// The pad keeps each lane's count off its neighbours' cache line.
+type lane struct {
+	jobs chan replJob
+	n    atomic.Int64
+	_    [48]byte
+}
+
+// queue counts job into the lane and sends it, or, once stop is closed,
+// drops it uncounted and reports false.
+func (l *lane) queue(job replJob, stop <-chan struct{}) bool {
+	l.n.Add(1)
+	select {
+	case l.jobs <- job:
+		return true
+	case <-stop:
+		l.n.Add(-1)
+		return false
+	}
+}
+
 // Peer is one follower of a partition as its primary sees it: the node
 // and the lane its replication messages queue in. A (partition,
 // follower) pair always maps to the same lane, so the applies to one
@@ -55,13 +87,13 @@ type replJob struct {
 // otherwise.
 type Peer struct {
 	node *Node
-	lane chan<- replJob
+	lane *lane
 }
 
 // Fabric carries replication messages from primaries to followers. One
 // fabric serves a whole cluster; nodes reach it as their Replicator.
 type Fabric struct {
-	lanes  [fabricLanes]chan replJob
+	lanes  [fabricLanes]lane
 	stop   chan struct{} // closed by Close; lanes themselves never close
 	exited chan struct{} // closed once the workers have drained and exited
 	once   sync.Once
@@ -72,9 +104,9 @@ type Fabric struct {
 func NewFabric() *Fabric {
 	f := &Fabric{stop: make(chan struct{}), exited: make(chan struct{})}
 	for i := range f.lanes {
-		f.lanes[i] = make(chan replJob, laneDepth)
+		f.lanes[i].jobs = make(chan replJob, laneDepth)
 		f.wg.Add(1)
-		go f.work(f.lanes[i])
+		go f.work(&f.lanes[i])
 	}
 	return f
 }
@@ -83,20 +115,22 @@ func NewFabric() *Fabric {
 // plane resolves peers once per route change; writes only read them.
 func (f *Fabric) Peer(pid partition.ID, n *Node) Peer {
 	h := partition.Hash([]byte(pid.String() + "/" + n.ID()))
-	return Peer{node: n, lane: f.lanes[h%fabricLanes]}
+	return Peer{node: n, lane: &f.lanes[h%fabricLanes]}
 }
 
-func (f *Fabric) work(lane <-chan replJob) {
+func (f *Fabric) work(l *lane) {
 	defer f.wg.Done()
 	for {
 		select {
-		case job := <-lane:
+		case job := <-l.jobs:
 			job.run()
+			l.n.Add(-1)
 		case <-f.stop:
 			for { // drain what was queued before the stop
 				select {
-				case job := <-lane:
+				case job := <-l.jobs:
 					job.run()
+					l.n.Add(-1)
 				default:
 					return
 				}
@@ -126,7 +160,9 @@ func (job *replJob) run() {
 // peer and are applied there as one group commit. The peers share the
 // ops' bytes where the primary's memtable holds them, read-only, each
 // job holding one reference of pin, released once it is applied or
-// dropped.
+// dropped. A point write's job whose lane is idle is applied here, on
+// the caller, so the caller must hold no lock a follower's apply could
+// need; a group commit's jobs always queue.
 func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, pos uint64, pin lavastore.Pin) {
 	if len(to) == 0 {
 		pin.Release()
@@ -141,9 +177,11 @@ func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, po
 	}
 	for _, p := range to {
 		job.node = p.node
-		select {
-		case p.lane <- job:
-		case <-f.stop:
+		switch {
+		case job.ops == nil && p.lane.n.CompareAndSwap(0, 1):
+			job.run()
+			p.lane.n.Add(-1)
+		case !p.lane.queue(job, f.stop):
 			pin.Release()
 		}
 	}
@@ -152,17 +190,16 @@ func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, po
 // Flush queues a marker behind every lane and blocks until each lane's
 // worker has reached it, or the fabric has exited. So every message
 // whose Replicate returned before Flush was called has been applied (or
-// dropped against a down follower) when Flush returns, and a write is
+// dropped against a down follower) when Flush returns — an inline one
+// was applied before its Replicate returned — and a write is
 // acknowledged only after its Replicate returned. Messages queued by
 // writes that keep flowing land behind the markers and do not extend
 // the wait, so a promotion cannot stall behind unrelated traffic; a
 // write still inside Replicate when Flush is called is not covered.
 func (f *Fabric) Flush() {
 	reached := make(chan struct{}, fabricLanes)
-	for _, lane := range f.lanes {
-		select {
-		case lane <- replJob{mark: reached}:
-		case <-f.exited:
+	for i := range f.lanes {
+		if !f.lanes[i].queue(replJob{mark: reached}, f.exited) {
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -80,17 +81,37 @@ func TestFabricAppliesInOrderPerFollower(t *testing.T) {
 	}
 }
 
+// occupy makes n's lane for p busy with a marker whose unbuffered
+// channel nobody reads yet. The lane counts it, so a write to n queues
+// behind it instead of applying inline, and waits there: the lane is
+// stalled. release reads the marker and returns once the lane's worker
+// has reached it; cleanup calls it if the test has not.
+func occupy(t *testing.T, f *Fabric, p partition.ID, n *Node) (release func()) {
+	reached := make(chan struct{})
+	f.Peer(p, n).lane.queue(replJob{mark: reached}, f.stop)
+	release = sync.OnceFunc(func() { <-reached })
+	t.Cleanup(release)
+	return release
+}
+
+// holds blocks until n's lane for p counts at least want jobs: the
+// handshake that tells a test a Flush marker or an inline apply is in.
+func holds(f *Fabric, p partition.ID, n *Node, want int64) {
+	for l := f.Peer(p, n).lane; l.n.Load() < want; {
+		runtime.Gosched()
+	}
+}
+
 // TestFabricFlushIsADrainMarker pins what Flush waits for: the messages
 // enqueued before the call, not the ones that arrive while it waits. A
-// message is held up by stalling its follower (the lane worker blocks
-// resolving the replica under the follower's lock).
+// message is held up by occupying its lane (see occupy).
 func TestFabricFlushIsADrainMarker(t *testing.T) {
 	f, primary, followers, p := fabricTrio(t)
 	early, late := followers[0], followers[1]
 	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, early)}); err != nil {
 		t.Fatal(err)
 	}
-	early.mu.Lock()
+	releaseEarly := occupy(t, f, p, early)
 	if _, err := primary.Put(bg, p, []byte("a"), []byte("1"), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -99,25 +120,22 @@ func TestFabricFlushIsADrainMarker(t *testing.T) {
 		f.Flush()
 		close(flushed)
 	}()
-	// Give Flush time to take its marker. Too short a wait can only fail
-	// the test (the later message would be counted in), never pass it.
-	time.Sleep(50 * time.Millisecond)
+	holds(f, p, early, 3) // the occupant, "a" and Flush's marker
 	select {
 	case <-flushed:
 		t.Fatal("Flush returned with an earlier message still queued")
 	default:
 	}
 
-	// A message enqueued after the call, stuck behind the other follower.
-	late.mu.Lock()
-	defer late.mu.Unlock()
+	// A message enqueued after the call, stuck behind its own occupant.
+	occupy(t, f, p, late)
 	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, late)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := primary.Put(bg, p, []byte("b"), []byte("2"), 0); err != nil {
 		t.Fatal(err)
 	}
-	early.mu.Unlock()
+	releaseEarly()
 	select {
 	case <-flushed:
 	case <-time.After(5 * time.Second):
@@ -133,8 +151,7 @@ func TestFabricFlushIsADrainMarker(t *testing.T) {
 // stalled lane those pages stay out of the free list — through a flush
 // that drops the memtable and a refill of the free list — and the
 // follower applies the value intact once the lane moves. The lane is
-// stalled by holding the follower's lock, as in
-// TestFabricFlushIsADrainMarker.
+// stalled by occupying it, as in TestFabricFlushIsADrainMarker.
 func TestStalledMessageKeepsItsPages(t *testing.T) {
 	f, primary, followers, p := fabricTrio(t)
 	fo := followers[0]
@@ -148,7 +165,7 @@ func TestStalledMessageKeepsItsPages(t *testing.T) {
 	want := bytes.Repeat([]byte("0123456789"), 100)
 	var free, after int
 	filler := bytes.Repeat([]byte{'x'}, 1000)
-	fo.mu.Lock()
+	release := occupy(t, f, p, fo)
 	if _, err = primary.Put(bg, p, []byte("k"), want, 0); err == nil {
 		_, free = skiplist.PoolPages()
 		err = rep.db.Flush()
@@ -157,7 +174,7 @@ func TestStalledMessageKeepsItsPages(t *testing.T) {
 	for i := 0; i < 300 && err == nil; i++ {
 		err = rep.db.Put([]byte(fmt.Sprintf("fill%03d", i)), filler, 0)
 	}
-	fo.mu.Unlock()
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +202,7 @@ func apart(t *testing.T, f *Fabric, p partition.ID, a, b *Node) {
 // everything queued there before the call.
 func laneReached(f *Fabric, p partition.ID, n *Node) {
 	reached := make(chan struct{}, 1)
-	f.Peer(p, n).lane <- replJob{mark: reached}
+	f.Peer(p, n).lane.queue(replJob{mark: reached}, f.stop)
 	<-reached
 }
 
@@ -201,24 +218,25 @@ func TestFlushWaitsForItsOwnMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed := make(chan struct{})
-	f0.mu.Lock()
+	release := occupy(t, f, p, f0)
 	_, err := primary.Put(bg, p, []byte("a"), []byte("1"), 0)
 	if err == nil {
 		go func() {
 			f.Flush()
 			close(flushed)
 		}()
-		// Give Flush time to be called before "b" is queued: with "b"
+		// Flush's marker is in f0's lane before "b" is queued: with "b"
 		// queued first, a drain that counts messages would also wait for
 		// "a", and the test could not tell it from a barrier.
-		time.Sleep(50 * time.Millisecond)
+		holds(f, p, f0, 3)
 		err = primary.SetRoute(p, true, 1, []Peer{f.Peer(p, f1)})
 	}
 	if err == nil {
 		_, err = primary.Put(bg, p, []byte("b"), []byte("2"), 0)
 	}
-	for deadline := time.Now().Add(5 * time.Second); err == nil && f1.ReplicationPosition(p) < primary.ReplicationPosition(p); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
+	if err == nil {
+		laneReached(f, p, f1)
+		if f1.ReplicationPosition(p) < primary.ReplicationPosition(p) {
 			err = errors.New("f1 never applied the later message")
 		}
 	}
@@ -229,7 +247,7 @@ func TestFlushWaitsForItsOwnMessages(t *testing.T) {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	f0.mu.Unlock()
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +262,9 @@ func TestFlushWaitsForItsOwnMessages(t *testing.T) {
 }
 
 // TestEveryJobHoldsItsPages: each follower's job holds its own reference
-// on the primary's memtable pages. With f0 stalled and f1's job applied,
-// a flush that drops the primary's memtable gives no page back; once
-// f0's job is applied too, the pages return to the free list.
+// on the primary's memtable pages. With f0's lane stalled and f1's job
+// applied, a flush that drops the primary's memtable gives no page back;
+// once f0's job is applied too, the pages return to the free list.
 func TestEveryJobHoldsItsPages(t *testing.T) {
 	f, primary, followers, p := fabricTrio(t)
 	f0, f1 := followers[0], followers[1]
@@ -262,14 +280,14 @@ func TestEveryJobHoldsItsPages(t *testing.T) {
 	}
 	f.Flush()
 	var free, held int
-	f0.mu.Lock()
+	release := occupy(t, f, p, f0)
 	if _, err = primary.Put(bg, p, []byte("k"), bytes.Repeat([]byte("v"), 1000), 0); err == nil {
 		laneReached(f, p, f1) // f1's job is applied and released
 		_, free = skiplist.PoolPages()
 		err = rep.db.Flush()
 		_, held = skiplist.PoolPages()
 	}
-	f0.mu.Unlock()
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,15 +323,15 @@ func TestFlushReturnsAcrossClose(t *testing.T) {
 
 	fo := followers[0]
 	var flushed, closed <-chan struct{}
-	fo.mu.Lock()
+	release := occupy(t, f, p, fo)
 	_, err := primary.Put(bg, p, []byte("k"), []byte("v"), 0)
 	if err == nil {
 		flushed = done(f.Flush)
-		time.Sleep(20 * time.Millisecond) // let Flush block behind the stalled lane
+		holds(f, p, fo, 3) // Flush's marker waits behind the stalled lane
 		closed = done(f.Close)
-		time.Sleep(20 * time.Millisecond)
+		<-f.stop // Close has begun
 	}
-	fo.mu.Unlock()
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,10 +340,119 @@ func TestFlushReturnsAcrossClose(t *testing.T) {
 	wait("a Flush after Close", done(f.Flush))
 }
 
+// TestIdleLaneAppliesBeforeAck: a point write whose lanes are idle is
+// applied on both followers before Put returns, with no Flush.
+func TestIdleLaneAppliesBeforeAck(t *testing.T) {
+	_, primary, followers, p := fabricTrio(t)
+	for i := 0; i < 100; i++ {
+		if _, err := primary.Put(bg, p, []byte(fmt.Sprintf("k%d", i%7)), []byte(fmt.Sprintf("v%d", i)), 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, fo := range followers {
+			if got, want := fo.ReplicationPosition(p), primary.ReplicationPosition(p); got != want {
+				t.Fatalf("write %d: %s at position %d when Put returned, primary at %d", i, fo.ID(), got, want)
+			}
+		}
+	}
+}
+
+// TestStalledFollowerHoldsOneWrite: a stalled follower (its lock held)
+// holds exactly the one write that found its lane idle. That write's
+// Put blocks applying inline; the lane then counts as busy, so every
+// later Put to it queues and returns. Once the follower moves, every
+// write is applied and the newest value stands.
+func TestStalledFollowerHoldsOneWrite(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	fo := followers[0]
+	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, fo)}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(i int) error {
+		_, err := primary.Put(bg, p, []byte("k"), []byte(fmt.Sprintf("v%d", i)), 0)
+		return err
+	}
+	const writes = 10
+	first := make(chan error, 1)
+	later := make(chan error, 1)
+	var err error
+	fo.mu.Lock()
+	go func() { first <- put(0) }()
+	holds(f, p, fo, 1) // the first write claimed the lane
+	go func() {
+		for i := 1; i < writes; i++ {
+			if err := put(i); err != nil {
+				later <- err
+				return
+			}
+		}
+		later <- nil
+	}()
+	select {
+	case err = <-later:
+	case <-time.After(5 * time.Second):
+		err = errors.New("a Put behind the inline one did not return")
+	}
+	if err == nil {
+		select {
+		case <-first:
+			err = errors.New("the first Put returned while its follower was stalled")
+		default:
+		}
+	}
+	if n := f.Peer(p, fo).lane.n.Load(); err == nil && n != writes {
+		err = fmt.Errorf("the lane counts %d jobs, want %d: one inline, the rest queued", n, writes)
+	}
+	fo.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	f.Flush()
+	if got, want := fo.ReplicationPosition(p), primary.ReplicationPosition(p); got != want {
+		t.Fatalf("follower at position %d, primary at %d", got, want)
+	}
+	if got, err := fo.Get(bg, p, []byte("k")); err != nil || string(got.Value) != fmt.Sprintf("v%d", writes-1) {
+		t.Fatalf("follower holds k = %q (%v), want the newest value", got.Value, err)
+	}
+}
+
+// TestGroupCommitQueues: a group commit's jobs always queue, so a
+// MultiWrite returns while its follower is stalled on an idle lane.
+func TestGroupCommitQueues(t *testing.T) {
+	f, primary, followers, p := fabricTrio(t)
+	fo := followers[0]
+	if err := primary.SetRoute(p, true, 1, []Peer{f.Peer(p, fo)}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []Mutation{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}
+	wrote := make(chan error, 1)
+	var err error
+	fo.mu.Lock()
+	go func() { wrote <- primary.MultiWrite(bg, []PutBatch{{PID: p, Ops: ops}})[0].Err }()
+	select {
+	case err = <-wrote:
+	case <-time.After(5 * time.Second):
+		err = errors.New("MultiWrite waited for its stalled follower")
+	}
+	fo.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Flush()
+	for _, op := range ops {
+		if got, err := fo.Get(bg, p, op.Key); err != nil || !bytes.Equal(got.Value, op.Value) {
+			t.Fatalf("follower holds %s = %q (%v), want %q", op.Key, got.Value, err, op.Value)
+		}
+	}
+}
+
 // BenchmarkNodePutReplicated is BenchmarkNodePut on a primary that
-// replicates every write to two followers over one Fabric: the write
-// path plus the hand-off to the lanes, whose workers apply on the
-// followers meanwhile. Keys are built before the timer starts.
+// replicates every write to two followers over one Fabric. Each Put
+// finds its followers' lanes idle, so it is the write path plus both
+// follower applies, run inline on the writer: no lane worker wakes.
+// Keys are built before the timer starts.
 func BenchmarkNodePutReplicated(b *testing.B) {
 	f, primary, _, p := fabricTrio(b)
 	keys := make([][]byte, 1024)

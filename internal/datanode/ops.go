@@ -360,6 +360,8 @@ func (w *writeOp) settle() {
 		// survives promotion. (A position counter bumped out here could
 		// order two concurrent commits differently from the engine.)
 		w.rep.advancePos(w.lastSeq)
+		// No lock is held here: the fabric may apply a point write on
+		// the followers on this goroutine.
 		w.n.forward(w.rep, w.stored, w.lastSeq, w.pin)
 	}
 	w.bill(w.charged)
@@ -398,6 +400,8 @@ func (n *Node) apply(pid partition.ID, ops []WriteOp, seq uint64, advance, forwa
 		rep.advancePos(seq)
 	}
 	if forward {
+		// No lock is held here (WriteThrough's callers hold none): the
+		// fabric may apply the write on the followers on this goroutine.
 		n.forward(rep, stored, seq, pin)
 	}
 	return nil
