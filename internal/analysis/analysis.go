@@ -53,14 +53,3 @@ type Diagnostic struct {
 	// Message states the violation and, where possible, the fix.
 	Message string
 }
-
-// CommentMaps builds a per-file ast.CommentMap for annotation lookups
-// (// ru:final, // +locked:…). Built lazily by analyzers that need
-// statement-level comments.
-func (p *Pass) CommentMaps() map[*ast.File]ast.CommentMap {
-	m := make(map[*ast.File]ast.CommentMap, len(p.Files))
-	for _, f := range p.Files {
-		m[f] = ast.NewCommentMap(p.Fset, f, f.Comments)
-	}
-	return m
-}

@@ -44,11 +44,13 @@ type auShard struct {
 	_ [64 + (64-unsafe.Sizeof(auState{})%64)%64]byte
 }
 
-// auState is a shard's state. What a hit writes — only the lock — and
-// the index it reads lead the struct, so a hit touches one of the
-// shard's cache lines before it reaches its slot.
+// auState is a shard's state. What a hit writes — the lock and the hit
+// count — and the index it reads lead the struct, so a hit touches one
+// of the shard's cache lines before it reaches its slot.
 type auState struct {
 	mu sync.Mutex
+	// hits counts the hits the shard served (see GetAt).
+	hits uint64
 	index
 	ll clockList
 
@@ -132,10 +134,12 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 // inside an entry's refresh window since its value was stored triggers
 // a synchronous active update through the Refresher, renewing the
 // entry in place; the first only marks it due, so a key read once per
-// window is not read from the origin for it. A miss returns the
-// shard's write count, which a fill of the value then read from the
-// store passes to FillAt.
-func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uint64) {
+// window is not read from the origin for it. n is a count of the key's
+// shard: on a miss its write count, which a fill of the value then
+// read from the store passes to FillAt, and on a hit its hit count,
+// this hit included, which a caller that records one hit in so many
+// picks by.
+func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, n uint64) {
 	s, h := shardOf(c.shards, c.pick, key)
 	t := c.nanos(now)
 	s.mu.Lock()
@@ -145,9 +149,9 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 		ok = false
 	}
 	if !ok {
-		writes = s.writes
+		n = s.writes
 		s.mu.Unlock()
-		return nil, false, writes
+		return nil, false, n
 	}
 	sl := &s.slots[i]
 	if !sl.visited {
@@ -168,12 +172,14 @@ func (c *AULRU) GetAt(key []byte, now time.Time) (v []byte, hit bool, writes uin
 		sl.hot = true
 	}
 	v = sl.value
+	s.hits++
+	n = s.hits
 	s.mu.Unlock()
 
 	if e != nil {
 		c.refresh(s, e, gen)
 	}
-	return v, true, 0
+	return v, true, n
 }
 
 // refresh re-fetches e's key and renews e, of generation gen, unless a

@@ -172,6 +172,7 @@ type modelAULRU struct {
 	refreshing map[string]bool
 	gen        uint64
 	writes     uint64
+	hits       uint64
 	refreshes  int64
 }
 
@@ -202,7 +203,8 @@ func newModelAULRU(cfg AUConfig) *modelAULRU {
 	}
 }
 
-// GetAt returns the write count on a miss, as AULRU.GetAt does.
+// GetAt returns the write count on a miss and the hit count on a hit,
+// as AULRU.GetAt does.
 func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 	el, ok := c.items[key]
 	if !ok {
@@ -223,7 +225,8 @@ func (c *modelAULRU) GetAt(key string, now time.Time) ([]byte, bool, uint64) {
 		c.refreshing[key] = true
 		c.refresh(key, gen)
 	}
-	return val, true, 0
+	c.hits++
+	return val, true, c.hits
 }
 
 func (c *modelAULRU) refresh(key string, gen uint64) {
@@ -591,19 +594,19 @@ func FuzzAULRUModel(f *testing.F) {
 				desc = "Get " + k
 				var v []byte
 				var ok bool
-				writes := ^uint64(0) // Get does not say
+				n := ^uint64(0) // Get does not say
 				if ops.next(2) == 0 {
 					now = sim.Now()
 					v, ok = c.Get(k)
 				} else {
-					v, ok, writes = c.GetAt([]byte(k), now)
+					v, ok, n = c.GetAt([]byte(k), now)
 				}
-				mv, mok, mwrites := m.GetAt(k, now)
+				mv, mok, mn := m.GetAt(k, now)
 				if ok != mok || string(v) != string(mv) {
 					t.Fatalf("step %d %s = %q %v, model %q %v", step, desc, v, ok, mv, mok)
 				}
-				if writes != ^uint64(0) && writes != mwrites {
-					t.Fatalf("step %d %s: miss at write %d, model %d", step, desc, writes, mwrites)
+				if n != ^uint64(0) && n != mn {
+					t.Fatalf("step %d %s: shard count %d (writes on a miss, hits on a hit), model %d", step, desc, n, mn)
 				}
 			case 2:
 				v := ops.value(step)

@@ -245,7 +245,7 @@ func (n *Node) admitStep(ctx context.Context, units []*unit, now time.Time) {
 // dispatch hands the units that passed admission to the WFQ. Every unit
 // but the last is submitted to the workers, so a batch's units still run
 // in parallel, and the last takes its turn on the caller if it is free
-// (wfq TryRun).
+// (wfq Run).
 func (n *Node) dispatch(units []*unit) {
 	last := -1
 	for i := len(units) - 1; i >= 0; i-- {
@@ -258,11 +258,10 @@ func (n *Node) dispatch(units []*unit) {
 		if u.err != nil {
 			continue
 		}
-		taken, ok := false, false
+		var ok bool
 		if i == last {
-			taken, ok = n.sched.TryRun(&u.task)
-		}
-		if !taken {
+			ok = n.sched.Run(&u.task)
+		} else {
 			ok = n.sched.Submit(&u.task)
 		}
 		if !ok {

@@ -58,23 +58,37 @@ type replJob struct {
 // lane is one FIFO lane and n, the count of every job it holds: queued
 // or running, inline applies and Flush markers included. A point write
 // runs inline only when it claims n at 0, so nothing is ahead of it.
+// A lane closes itself: a sender holds mu's read side across its send,
+// and close takes the write side, so no send meets a closed channel.
 // The pad keeps each lane's count off its neighbours' cache line.
 type lane struct {
-	jobs chan replJob
-	n    atomic.Int64
-	_    [48]byte
+	jobs   chan replJob
+	n      atomic.Int64
+	mu     sync.RWMutex
+	closed bool
+	_      [16]byte
 }
 
-// queue counts job into the lane and sends it, or, once stop is closed,
-// drops it uncounted and reports false.
-func (l *lane) queue(job replJob, stop <-chan struct{}) bool {
-	l.n.Add(1)
-	select {
-	case l.jobs <- job:
-		return true
-	case <-stop:
-		l.n.Add(-1)
+// queue counts job into the lane and sends it, or, once the lane is
+// closed, drops it and reports false.
+func (l *lane) queue(job replJob) bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if l.closed {
 		return false
+	}
+	l.n.Add(1)
+	l.jobs <- job
+	return true
+}
+
+// close stops the lane taking jobs; its worker drains what is queued.
+func (l *lane) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.closed = true
+		close(l.jobs)
 	}
 }
 
@@ -93,16 +107,13 @@ type Peer struct {
 // Fabric carries replication messages from primaries to followers. One
 // fabric serves a whole cluster; nodes reach it as their Replicator.
 type Fabric struct {
-	lanes  [fabricLanes]lane
-	stop   chan struct{} // closed by Close; lanes themselves never close
-	exited chan struct{} // closed once the workers have drained and exited
-	once   sync.Once
-	wg     sync.WaitGroup
+	lanes [fabricLanes]lane
+	wg    sync.WaitGroup
 }
 
 // NewFabric starts a fabric's lane workers.
 func NewFabric() *Fabric {
-	f := &Fabric{stop: make(chan struct{}), exited: make(chan struct{})}
+	f := &Fabric{}
 	for i := range f.lanes {
 		f.lanes[i].jobs = make(chan replJob, laneDepth)
 		f.wg.Add(1)
@@ -118,24 +129,12 @@ func (f *Fabric) Peer(pid partition.ID, n *Node) Peer {
 	return Peer{node: n, lane: &f.lanes[h%fabricLanes]}
 }
 
+// work applies l's jobs in order until the lane is closed and drained.
 func (f *Fabric) work(l *lane) {
 	defer f.wg.Done()
-	for {
-		select {
-		case job := <-l.jobs:
-			job.run()
-			l.n.Add(-1)
-		case <-f.stop:
-			for { // drain what was queued before the stop
-				select {
-				case job := <-l.jobs:
-					job.run()
-					l.n.Add(-1)
-				default:
-					return
-				}
-			}
-		}
+	for job := range l.jobs {
+		job.run()
+		l.n.Add(-1)
 	}
 }
 
@@ -181,44 +180,41 @@ func (f *Fabric) Replicate(rid partition.ReplicaID, to []Peer, ops []WriteOp, po
 		case job.ops == nil && p.lane.n.CompareAndSwap(0, 1):
 			job.run()
 			p.lane.n.Add(-1)
-		case !p.lane.queue(job, f.stop):
+		case !p.lane.queue(job):
 			pin.Release()
 		}
 	}
 }
 
 // Flush queues a marker behind every lane and blocks until each lane's
-// worker has reached it, or the fabric has exited. So every message
-// whose Replicate returned before Flush was called has been applied (or
-// dropped against a down follower) when Flush returns — an inline one
-// was applied before its Replicate returned — and a write is
-// acknowledged only after its Replicate returned. Messages queued by
-// writes that keep flowing land behind the markers and do not extend
-// the wait, so a promotion cannot stall behind unrelated traffic; a
-// write still inside Replicate when Flush is called is not covered.
+// worker has reached it; a Flush that finds a lane closed returns at
+// once. A lane drains before its worker exits, so a queued marker is
+// always reached. So every message whose Replicate returned before
+// Flush was called has been applied (or dropped against a down
+// follower) when Flush returns — an inline one was applied before its
+// Replicate returned — and a write is acknowledged only after its
+// Replicate returned. Messages queued by writes that keep flowing land
+// behind the markers and do not extend the wait, so a promotion cannot
+// stall behind unrelated traffic; a write still inside Replicate when
+// Flush is called is not covered.
 func (f *Fabric) Flush() {
 	reached := make(chan struct{}, fabricLanes)
 	for i := range f.lanes {
-		if !f.lanes[i].queue(replJob{mark: reached}, f.exited) {
+		if !f.lanes[i].queue(replJob{mark: reached}) {
 			return
 		}
 	}
 	for range f.lanes {
-		select {
-		case <-reached:
-		case <-f.exited:
-			return
-		}
+		<-reached
 	}
 }
 
-// Close stops the workers after they drain what is queued. A write
-// that races it may be acknowledged without being replicated: the
-// cluster is shutting down.
+// Close closes every lane and waits for the workers to drain what is
+// queued and exit. A write that races it may be acknowledged without
+// being replicated: the cluster is shutting down.
 func (f *Fabric) Close() {
-	f.once.Do(func() {
-		close(f.stop)
-		f.wg.Wait()
-		close(f.exited)
-	})
+	for i := range f.lanes {
+		f.lanes[i].close()
+	}
+	f.wg.Wait()
 }

@@ -88,7 +88,7 @@ func TestFabricAppliesInOrderPerFollower(t *testing.T) {
 // has reached it; cleanup calls it if the test has not.
 func occupy(t *testing.T, f *Fabric, p partition.ID, n *Node) (release func()) {
 	reached := make(chan struct{})
-	f.Peer(p, n).lane.queue(replJob{mark: reached}, f.stop)
+	f.Peer(p, n).lane.queue(replJob{mark: reached})
 	release = sync.OnceFunc(func() { <-reached })
 	t.Cleanup(release)
 	return release
@@ -100,6 +100,13 @@ func holds(f *Fabric, p partition.ID, n *Node, want int64) {
 	for l := f.Peer(p, n).lane; l.n.Load() < want; {
 		runtime.Gosched()
 	}
+}
+
+// shut reports whether Close has closed l.
+func shut(l *lane) bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.closed
 }
 
 // TestFabricFlushIsADrainMarker pins what Flush waits for: the messages
@@ -202,7 +209,7 @@ func apart(t *testing.T, f *Fabric, p partition.ID, a, b *Node) {
 // everything queued there before the call.
 func laneReached(f *Fabric, p partition.ID, n *Node) {
 	reached := make(chan struct{}, 1)
-	f.Peer(p, n).lane.queue(replJob{mark: reached}, f.stop)
+	f.Peer(p, n).lane.queue(replJob{mark: reached})
 	<-reached
 }
 
@@ -329,7 +336,9 @@ func TestFlushReturnsAcrossClose(t *testing.T) {
 		flushed = done(f.Flush)
 		holds(f, p, fo, 3) // Flush's marker waits behind the stalled lane
 		closed = done(f.Close)
-		<-f.stop // Close has begun
+		for l := f.Peer(p, fo).lane; !shut(l); { // Close has begun
+			runtime.Gosched()
+		}
 	}
 	release()
 	if err != nil {

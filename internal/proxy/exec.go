@@ -67,13 +67,15 @@ func (p *Proxy) cacheLookup(use cacheUse, key []byte, now time.Time) (acc access
 		return acc, nil, false
 	}
 	if use == cacheRead {
-		if v, hit, acc.writes = p.cache.GetAt(key, now); hit {
+		var n uint64
+		if v, hit, n = p.cache.GetAt(key, now); hit {
 			c := p.reqs.Cell()
 			c.Hits.Inc()
 			c.Success.Inc()
-			p.touchHit(key, now)
+			p.touchHit(key, n, now)
 			return acc, v, true
 		}
+		acc.writes = n
 		p.reqs.Cell().Misses.Inc()
 	}
 	acc.est = p.touchHot(key, now)

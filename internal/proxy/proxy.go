@@ -196,16 +196,17 @@ func (p *Proxy) touchHot(key []byte, now time.Time) float64 {
 // the cache is sharded (see touchHit).
 const hitSample = 8
 
-// touchHit records an AU-LRU hit. A sharded cache, one that serves many
-// cores, records one hit in hitWeight, picked at random, at weight
-// hitWeight: a hit key holds its slot already, and the sketch only
-// weighs it against fills that would evict it, so the sample keeps the
-// key's estimate unbiased while the other hits write nothing the cores
-// share. A one-shard cache records every hit, exactly, as it keeps one
-// exact LRU. The pick draws on the runtime's per-thread generator,
-// which no two cores share.
-func (p *Proxy) touchHit(key []byte, now time.Time) {
-	if p.hot == nil || rand.Uint32()%p.hitWeight != 0 {
+// touchHit records an AU-LRU hit, the nth hit its shard served. A
+// sharded cache, one that serves many cores, records every hitWeight-th
+// hit of a shard at weight hitWeight: a hit key holds its slot already,
+// and the sketch only weighs it against fills that would evict it, so
+// the sample keeps the key's estimate near its hits while the other hits
+// write nothing the cores share. The shard counts its hits under the
+// lock a hit takes anyway, so the pick is a count, not a draw: a key
+// alone in its shard is recorded within hitWeight of its hits. A
+// one-shard cache records every hit, exactly, as it keeps one exact LRU.
+func (p *Proxy) touchHit(key []byte, n uint64, now time.Time) {
+	if p.hot == nil || n%uint64(p.hitWeight) != 0 {
 		return
 	}
 	p.hot.TouchN(key, float64(p.hitWeight), now)

@@ -46,10 +46,12 @@ func (c Config) withDefaults() Config {
 // DualLayer is one dual-layer WFQ: a CPU queue feeding an I/O queue.
 //
 // A task runs each stage in a slot of its layer — CPUWorkers CPU slots
-// (Rule 2), BasicIOThreads basic I/O slots (Rule 4). A worker takes a
-// slot for the next queued task; TryRun takes one on its caller's
-// goroutine when nothing is queued ahead, so an idle layer starts a task
-// at once without a hand-off, as a work-conserving WFQ should.
+// (Rule 2), BasicIOThreads basic I/O slots (Rule 4). A task is offered
+// to a layer when it enters it (offerLocked): a task whose caller runs
+// it (Run, and its own hand-off to the I/O layer) takes a slot at once
+// when nothing is queued ahead, so an idle layer starts it without a
+// hand-off, as a work-conserving WFQ should; any other task queues, and
+// a worker takes the next one when a slot frees (takeLocked).
 //
 // The books are kept per flow, one per tenant: a task is bound to its
 // tenant's flow once, when it enters, and no later step hashes the
@@ -58,13 +60,11 @@ type DualLayer struct {
 	cfg Config
 
 	// mu guards both queues, the flows and the slot accounting below,
-	// except what releaseCPU changes without it; the workers wait on the
-	// conds.
-	mu      sync.Mutex
-	cpuQ    *queue
-	ioQ     *queue
-	cpuCond *sync.Cond
-	ioCond  *sync.Cond
+	// except what releaseCPU changes without it; each layer's workers
+	// wait on its cond.
+	mu   sync.Mutex
+	q    [numLayers]queue
+	cond [numLayers]sync.Cond
 	// closed is written under mu and read without it by releaseCPU.
 	closed atomic.Bool
 
@@ -84,7 +84,7 @@ type DualLayer struct {
 	ioBusyTotal int
 	extraAlive  int
 
-	// wg counts the workers and the inline runs in progress.
+	// wg counts the workers and the runs on callers in progress.
 	wg sync.WaitGroup
 
 	// stats
@@ -93,20 +93,18 @@ type DualLayer struct {
 	extraSpawns atomic.Int64
 	rule3Skips  atomic.Int64
 	// dequeued counts the stages workers took off either queue; a task
-	// whose stages all ran on its TryRun caller adds none.
+	// whose stages all ran on its Run caller adds none.
 	dequeued atomic.Int64
 }
 
 // NewDualLayer starts the workers for one dual-layer WFQ.
 func NewDualLayer(cfg Config) *DualLayer {
 	d := newDualLayer(cfg)
-	for i := 0; i < d.cfg.CPUWorkers; i++ {
-		d.wg.Add(1)
-		go d.cpuWorker()
-	}
-	for i := 0; i < d.cfg.BasicIOThreads; i++ {
-		d.wg.Add(1)
-		go d.ioWorker()
+	for l, n := range [numLayers]int{d.cfg.CPUWorkers, d.cfg.BasicIOThreads} {
+		for range n {
+			d.wg.Add(1)
+			go d.worker(l, nil)
+		}
 	}
 	return d
 }
@@ -115,13 +113,13 @@ func NewDualLayer(cfg Config) *DualLayer {
 func newDualLayer(cfg Config) *DualLayer {
 	d := &DualLayer{
 		cfg:       cfg.withDefaults(),
-		cpuQ:      newQueue(cpuLayer),
-		ioQ:       newQueue(ioLayer),
 		flows:     make(map[string]*flow),
 		completed: metrics.NewStriped[metrics.Counter](),
 	}
-	d.cpuCond = sync.NewCond(&d.mu)
-	d.ioCond = sync.NewCond(&d.mu)
+	for l := range d.q {
+		d.q[l].layer = l
+		d.cond[l].L = &d.mu
+	}
 	return d
 }
 
@@ -143,56 +141,99 @@ func (d *DualLayer) bindLocked(t *Task) { t.flow = d.flowLocked(t.Tenant) }
 // Submit enqueues a task into the CPU-WFQ. It returns false if the
 // scheduler is closed or a write exceeds the write-RU ceiling (Rule 2),
 // in which case Done is not called.
-func (d *DualLayer) Submit(t *Task) bool {
+func (d *DualLayer) Submit(t *Task) bool { return d.enter(t, false) }
+
+// Run is Submit for a caller that waits for t anyway: when t's turn is
+// free — nothing queued in the CPU-WFQ and a CPU slot free, exactly when
+// a worker would pop it at once — t takes a worker's steps on the
+// calling goroutine: VFT accounting as if it had queued, the
+// dequeue-point Ctx check, Rule 3 accounting and the CPU stage. On a
+// miss its I/O stage also runs on the caller when its turn in the
+// I/O-WFQ is free; otherwise it queues for the I/O workers. A task its
+// CPU stage answers takes the layer's lock once: its slot goes back
+// without it unless a task waits for the slot or the layer is closing.
+// When t's turn is not free, t queues as Submit queues it.
+func (d *DualLayer) Run(t *Task) bool { return d.enter(t, true) }
+
+// enter applies the write-RU ceiling (Rule 2), binds t to its flow and
+// offers it to the CPU layer; inline runs it on the caller when its
+// turn is free.
+func (d *DualLayer) enter(t *Task, inline bool) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed.Load() || !d.ceilingAllows(t) {
+		d.mu.Unlock()
 		return false
 	}
 	d.bindLocked(t)
-	d.cpuQ.push(t, t.RUCost) // Rule 1: CPU layer costs RU
-	d.cpuCond.Signal()
-	return true
-}
-
-// TryRun runs t on the calling goroutine when its turn is free: the
-// layer is open, nothing is queued in its CPU-WFQ and a CPU slot is
-// free — exactly when a worker would pop it at once. t then takes a
-// worker's steps: VFT accounting as if it had queued, the dequeue-point
-// Ctx check, Rule 3 accounting and the CPU stage. On a miss its I/O
-// stage also runs on the caller when the I/O-WFQ is empty and a basic
-// slot is free; otherwise it queues for the I/O workers. A task its CPU
-// stage answers takes the layer's lock once: its slot goes back without
-// it unless a task waits for the slot or the layer is closing.
-//
-// taken reports whether TryRun dealt with t; when it did not, nothing
-// happened and the caller Submits t instead. When taken, accepted is
-// what Submit would have returned: false means the write ceiling
-// refused t, and neither Done nor Abort is called.
-func (d *DualLayer) TryRun(t *Task) (taken, accepted bool) {
-	d.mu.Lock()
-	if d.closed.Load() || d.cpuQ.len() > 0 || d.cpuTotal.Load() >= int64(d.cfg.CPUWorkers) {
+	if !d.offerLocked(t, cpuLayer, inline) {
 		d.mu.Unlock()
-		return false, false
+		return true
 	}
-	if !d.ceilingAllows(t) {
-		d.mu.Unlock()
-		return true, false
-	}
-	d.bindLocked(t)
-	d.cpuQ.admitInline(t, t.RUCost)
-	d.holdCPULocked(t.flow)
 	d.wg.Add(1) // Close waits for the run like for a worker
 	d.mu.Unlock()
 	defer d.wg.Done()
 	d.runCPU(t, true)
-	return true, true
+	return true
+}
+
+// offerLocked gives t its turn in layer l, charged at the layer's cost
+// (Rule 1: RU in the CPU layer, IOPS in the I/O layer). When inline and
+// the turn is free — nothing queued in the layer and a slot free — t
+// takes the slot at once, its flow's preVFT and the virtual time
+// advancing exactly as if it had queued and been popped, and
+// offerLocked reports true: the caller runs the stage. Otherwise t
+// queues and a worker of the layer is woken.
+// +locked:d.mu
+func (d *DualLayer) offerLocked(t *Task, l int, inline bool) bool {
+	q, cost := &d.q[l], t.RUCost
+	if l == ioLayer {
+		cost = t.IOPSCost
+	}
+	if inline && q.len() == 0 && d.slotFreeLocked(l) {
+		q.admitInline(t, cost)
+		d.holdLocked(l, t.flow)
+		return true
+	}
+	q.push(t, cost)
+	d.cond[l].Signal()
+	return false
 }
 
 // ceilingAllows applies the write-RU ceiling (Rule 2) to t.
 func (d *DualLayer) ceilingAllows(t *Task) bool {
 	b := d.cfg.WriteCeilingBucket
 	return !t.Class.IsWrite() || b == nil || b.Allow(t.RUCost, b.Now())
+}
+
+// takeLocked is one worker step: it pops layer l's next task in VFT
+// order into a slot of the layer and returns it, or returns nil when
+// nothing is queued or no slot is free. Rule 3: a CPU take passes over
+// the flow holding most of the CPU slots while another flow has a task
+// queued. Rule 4: an extra worker's take (avoid non-nil) serves flows
+// other than avoid, outside the slots.
+// +locked:d.mu
+func (d *DualLayer) takeLocked(l int, avoid *flow) *Task {
+	q := &d.q[l]
+	if q.len() == 0 || avoid == nil && !d.slotFreeLocked(l) {
+		return nil
+	}
+	skip := avoid
+	if avoid == nil && l == cpuLayer {
+		if skip = d.monopolizingFlowLocked(); skip != nil && q.hasOther(skip) {
+			d.rule3Skips.Add(1)
+		} else {
+			skip = nil
+		}
+	}
+	t := q.pop(skip)
+	if t == nil {
+		return nil // only avoid's tasks are queued
+	}
+	if avoid == nil {
+		d.holdLocked(l, t.flow)
+	}
+	d.dequeued.Add(1)
+	return t
 }
 
 // monopolizingFlowLocked returns the flow currently holding at least
@@ -222,15 +263,33 @@ func (d *DualLayer) monopolizingFlowLocked() *flow {
 	return mono
 }
 
-// holdCPULocked gives a task of f a CPU slot.
+// slotFreeLocked reports whether layer l has a slot free.
 // +locked:d.mu
-func (d *DualLayer) holdCPULocked(f *flow) {
-	if !f.cpuListed {
-		f.cpuListed = true
-		d.cpuFlows = append(d.cpuFlows, f)
+func (d *DualLayer) slotFreeLocked(l int) bool {
+	if l == cpuLayer {
+		return d.cpuTotal.Load() < int64(d.cfg.CPUWorkers)
 	}
-	f.cpu.Add(1)
-	d.cpuTotal.Add(1)
+	return d.ioBusyTotal < d.cfg.BasicIOThreads
+}
+
+// holdLocked gives a task of f a slot in layer l.
+// +locked:d.mu
+func (d *DualLayer) holdLocked(l int, f *flow) {
+	if l == cpuLayer {
+		if !f.cpuListed {
+			f.cpuListed = true
+			d.cpuFlows = append(d.cpuFlows, f)
+		}
+		f.cpu.Add(1)
+		d.cpuTotal.Add(1)
+		return
+	}
+	if f.io == 0 {
+		f.ioIdx = len(d.ioFlows)
+		d.ioFlows = append(d.ioFlows, f)
+	}
+	f.io++
+	d.ioBusyTotal++
 }
 
 // releaseCPU frees a CPU slot a task of f held, without the lock: only
@@ -242,7 +301,7 @@ func (d *DualLayer) holdCPULocked(f *flow) {
 func (d *DualLayer) releaseCPU(f *flow) {
 	f.cpu.Add(-1)
 	d.cpuTotal.Add(-1)
-	if d.cpuQ.waiting.Load() > 0 || d.closed.Load() {
+	if d.q[cpuLayer].waiting.Load() > 0 || d.closed.Load() {
 		d.mu.Lock()
 		d.cpuFreedLocked()
 		d.mu.Unlock()
@@ -255,63 +314,56 @@ func (d *DualLayer) releaseCPU(f *flow) {
 // +locked:d.mu
 func (d *DualLayer) cpuFreedLocked() {
 	switch {
-	case d.cpuQ.len() > 0:
-		d.cpuCond.Signal() // the freed slot has a taker
+	case d.q[cpuLayer].len() > 0:
+		d.cond[cpuLayer].Signal() // the freed slot has a taker
 	case d.closed.Load():
-		d.cpuCond.Broadcast() // every waiting CPU worker can exit
+		d.cond[cpuLayer].Broadcast() // every waiting CPU worker can exit
 	}
-	if d.drainedLocked() {
-		d.ioCond.Broadcast() // and so can the I/O workers, once their queue is empty
+	if d.exhaustedLocked(ioLayer) {
+		d.cond[ioLayer].Broadcast() // and so can the I/O workers
 	}
 }
 
-// holdIOLocked gives a task of f a basic I/O slot.
+// exhaustedLocked reports whether layer l is done: the layer is closed,
+// nothing is queued in l, and for the I/O layer nothing can reach it
+// any more — no task is queued for or running a CPU stage.
 // +locked:d.mu
-func (d *DualLayer) holdIOLocked(f *flow) {
-	if f.io == 0 {
-		f.ioIdx = len(d.ioFlows)
-		d.ioFlows = append(d.ioFlows, f)
+func (d *DualLayer) exhaustedLocked(l int) bool {
+	if !d.closed.Load() || d.q[l].len() > 0 {
+		return false
 	}
-	f.io++
-	d.ioBusyTotal++
+	return l == cpuLayer || d.q[cpuLayer].len() == 0 && d.cpuTotal.Load() == 0
 }
 
-// drainedLocked reports whether nothing can reach the I/O-WFQ any more:
-// the layer is closed and no task is queued for or running a CPU stage.
-// +locked:d.mu
-func (d *DualLayer) drainedLocked() bool {
-	return d.closed.Load() && d.cpuQ.len() == 0 && d.cpuTotal.Load() == 0
-}
-
-func (d *DualLayer) cpuWorker() {
+// worker serves layer l one takeLocked step at a time. A basic worker
+// (avoid nil) serves in the layer's slots, waiting when the step finds
+// nothing to take, until the layer is exhausted. A temporary Rule 4
+// worker serves flows other than avoid outside the basic slots, and
+// exits when none is queued.
+func (d *DualLayer) worker(l int, avoid *flow) {
 	defer d.wg.Done()
-	for t := d.nextCPU(); t != nil; t = d.nextCPU() {
-		d.runCPU(t, false)
-	}
-}
-
-// nextCPU waits until a task is queued and a CPU slot is free, then
-// pops the next task in VFT order into that slot. It returns nil once
-// the layer is closed and its CPU-WFQ is empty.
-func (d *DualLayer) nextCPU() *Task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for d.cpuQ.len() == 0 || d.cpuTotal.Load() >= int64(d.cfg.CPUWorkers) {
-		if d.closed.Load() && d.cpuQ.len() == 0 {
-			return nil
+	for !d.exhaustedLocked(l) {
+		t := d.takeLocked(l, avoid)
+		if t == nil && avoid != nil {
+			break
 		}
-		d.cpuCond.Wait()
+		if t == nil {
+			d.cond[l].Wait()
+			continue
+		}
+		d.mu.Unlock()
+		if l == cpuLayer {
+			d.runCPU(t, false)
+		} else {
+			d.runIO(t, avoid == nil)
+		}
+		d.mu.Lock()
 	}
-	skip := d.monopolizingFlowLocked()
-	if skip != nil && d.cpuQ.hasOther(skip) {
-		d.rule3Skips.Add(1)
-	} else {
-		skip = nil
+	if avoid != nil {
+		d.extraAlive--
 	}
-	t := d.cpuQ.pop(skip)
-	d.holdCPULocked(t.flow)
-	d.dequeued.Add(1)
-	return t
 }
 
 // runCPU takes t, which holds a CPU slot, through the CPU layer. inline
@@ -334,91 +386,39 @@ func (d *DualLayer) runCPU(t *Task, inline bool) {
 	}
 }
 
-// handOff releases t's CPU slot and moves t to the I/O layer in the
+// handOff releases t's CPU slot and offers t to the I/O layer in the
 // same step, so the I/O workers never find the layer drained while a
-// CPU stage can still feed it. An inline run keeps t when the I/O-WFQ is
-// empty and a basic slot is free: handOff then reports true and t holds
-// that slot. Otherwise t queues for the I/O workers, and Rule 4 may
-// spawn an extra one.
+// CPU stage can still feed it. It reports whether t took a basic slot
+// inline (see offerLocked); when t queued instead, Rule 4 may spawn an
+// extra worker.
 func (d *DualLayer) handOff(t *Task, inline bool) (runIO bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t.flow.cpu.Add(-1)
 	d.cpuTotal.Add(-1)
 	d.cpuFreedLocked()
-	if inline && d.ioQ.len() == 0 && d.ioBusyTotal < d.cfg.BasicIOThreads {
-		d.ioQ.admitInline(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
-		d.holdIOLocked(t.flow)
+	if d.offerLocked(t, ioLayer, inline) {
 		return true
 	}
-	d.ioQ.push(t, t.IOPSCost) // Rule 1: IO layer costs IOPS
-	d.ioCond.Signal()
-	d.maybeSpawnExtraLocked()
+	if mono := d.extraDueLocked(); mono != nil {
+		d.extraAlive++
+		d.extraSpawns.Add(1)
+		d.wg.Add(1)
+		go d.worker(ioLayer, mono)
+	}
 	return false
 }
 
-// maybeSpawnExtraLocked implements Rule 4: if every basic I/O slot is
-// busy serving a single tenant and another tenant has queued I/O, spawn
-// a temporary extra thread dedicated to the other tenants.
+// extraDueLocked implements Rule 4's trigger: when every basic I/O slot
+// is busy serving a single flow, another flow has I/O queued and fewer
+// than ExtraIOThreads extra workers are alive, it returns that single
+// flow, which a temporary extra worker is to pass over; otherwise nil.
 // +locked:d.mu
-func (d *DualLayer) maybeSpawnExtraLocked() {
-	if d.ioBusyTotal < d.cfg.BasicIOThreads || len(d.ioFlows) != 1 || d.extraAlive >= d.cfg.ExtraIOThreads {
-		return
+func (d *DualLayer) extraDueLocked() *flow {
+	if d.ioBusyTotal < d.cfg.BasicIOThreads || len(d.ioFlows) != 1 || d.extraAlive >= d.cfg.ExtraIOThreads || !d.q[ioLayer].hasOther(d.ioFlows[0]) {
+		return nil
 	}
-	mono := d.ioFlows[0]
-	if !d.ioQ.hasOther(mono) {
-		return
-	}
-	d.extraAlive++
-	d.extraSpawns.Add(1)
-	d.wg.Add(1)
-	go d.extraIOWorker(mono)
-}
-
-// ioWorker serves the I/O-WFQ in the basic slots until the layer is
-// closed and drained.
-func (d *DualLayer) ioWorker() {
-	defer d.wg.Done()
-	for t := d.nextIO(); t != nil; t = d.nextIO() {
-		d.runIO(t, true)
-	}
-}
-
-// nextIO waits until an I/O task is queued and a basic slot is free,
-// then pops the next task in VFT order into that slot. It returns nil
-// once nothing is queued and nothing can arrive.
-func (d *DualLayer) nextIO() *Task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.ioQ.len() == 0 || d.ioBusyTotal >= d.cfg.BasicIOThreads {
-		if d.ioQ.len() == 0 && d.drainedLocked() {
-			return nil
-		}
-		d.ioCond.Wait()
-	}
-	t := d.ioQ.pop(nil)
-	d.holdIOLocked(t.flow)
-	d.dequeued.Add(1)
-	return t
-}
-
-// extraIOWorker is a temporary Rule 4 thread: outside the basic slots it
-// serves flows other than avoid, and exits when none is queued.
-func (d *DualLayer) extraIOWorker(avoid *flow) {
-	defer d.wg.Done()
-	for {
-		d.mu.Lock()
-		t := d.ioQ.pop(avoid)
-		if t == nil {
-			d.extraAlive--
-		}
-		d.mu.Unlock()
-		if t == nil {
-			return
-		}
-		d.dequeued.Add(1)
-		d.runIO(t, false)
-	}
+	return d.ioFlows[0]
 }
 
 // runIO runs t's I/O stage; basic means t holds a basic I/O slot, which
@@ -463,15 +463,15 @@ func (d *DualLayer) releaseIO(f *flow) {
 	}
 	d.ioBusyTotal--
 	switch {
-	case d.ioQ.len() > 0:
-		d.ioCond.Signal()
-	case d.drainedLocked():
-		d.ioCond.Broadcast()
+	case d.q[ioLayer].len() > 0:
+		d.cond[ioLayer].Signal()
+	case d.exhaustedLocked(ioLayer):
+		d.cond[ioLayer].Broadcast()
 	}
 }
 
 // Close stops accepting tasks and waits for queued work to drain and
-// for the inline runs in progress to finish.
+// for the runs on callers in progress to finish.
 func (d *DualLayer) Close() {
 	d.mu.Lock()
 	if d.closed.Load() {
@@ -479,8 +479,8 @@ func (d *DualLayer) Close() {
 		return
 	}
 	d.closed.Store(true)
-	d.cpuCond.Broadcast()
-	d.ioCond.Broadcast()
+	d.cond[cpuLayer].Broadcast()
+	d.cond[ioLayer].Broadcast()
 	d.mu.Unlock()
 	d.wg.Wait()
 }
@@ -498,7 +498,7 @@ type Stats struct {
 // Stats returns a snapshot of counters.
 func (d *DualLayer) Stats() Stats {
 	d.mu.Lock()
-	cpuQueued, ioQueued := d.cpuQ.len(), d.ioQ.len()
+	cpuQueued, ioQueued := d.q[cpuLayer].len(), d.q[ioLayer].len()
 	d.mu.Unlock()
 	var completed int64
 	d.completed.Each(func(c *metrics.Counter) { completed += c.Value() })
@@ -530,9 +530,9 @@ func NewScheduler(cfg Config) *Scheduler {
 // Submit routes the task to its class's dual-layer WFQ.
 func (s *Scheduler) Submit(t *Task) bool { return s.route(t).Submit(t) }
 
-// TryRun offers the task to its class's dual-layer WFQ to run on the
-// caller (see DualLayer.TryRun).
-func (s *Scheduler) TryRun(t *Task) (taken, accepted bool) { return s.route(t).TryRun(t) }
+// Run routes the task to its class's dual-layer WFQ, to run on the
+// caller when its turn is free (see DualLayer.Run).
+func (s *Scheduler) Run(t *Task) bool { return s.route(t).Run(t) }
 
 // route returns t's class's dual-layer WFQ; an unknown class is a
 // small read.

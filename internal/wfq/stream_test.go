@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // update rewrites the recorded schedule from the scheduler under test.
@@ -16,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite testdata/seeded_stream.golden")
 
 // TestSeededStreamSchedule drives one seeded task stream through a
 // worker-less layer, taking the workers' steps on the test goroutine:
-// pop a CPU task, finish its CPU stage (a hit, or a miss handed to the
-// I/O layer), pop an I/O task, finish it. It must dequeue the tasks in
+// take a CPU task, finish its CPU stage (a hit, or a miss handed to the
+// I/O layer), take an I/O task, finish it. It must dequeue the tasks in
 // the order and at the VFTs, and take the Rule 3 skips and Rule 4 extra
 // workers, that testdata/seeded_stream.golden records: the schedule the
 // layer produced when it kept its books in maps keyed by tenant name,
@@ -83,7 +82,7 @@ func runSeededStream(t *testing.T, seed int64) (events []string, st Stats) {
 				t.Fatal("Submit refused a task")
 			}
 		case step <= 3 && len(cpuHeld) < workers && d.Stats().CPUQueued > 0:
-			tk := d.nextCPU()
+			tk := take(d, cpuLayer)
 			record("CPU %s vft %.4f", tk.Partition, tk.vft)
 			cpuHeld = append(cpuHeld, tk)
 		case step == 4 && len(cpuHeld) > 0:
@@ -96,9 +95,13 @@ func runSeededStream(t *testing.T, seed int64) (events []string, st Stats) {
 				continue
 			}
 			d.handOff(tk, false)
-			waitExtraWorkers(t, d)
+			// On a worker-less layer wg counts only the Rule 4 extra
+			// workers: wait until they have served what they may and
+			// exited, so the stream's next step finds the layer as the
+			// same stream always leaves it.
+			d.wg.Wait()
 		case step == 5 && len(ioHeld) < basic && d.Stats().IOQueued > 0:
-			tk := d.nextIO()
+			tk := take(d, ioLayer)
 			record("I/O %s vft %.4f", tk.Partition, tk.vft)
 			ioHeld = append(ioHeld, tk)
 		case step == 6 && len(ioHeld) > 0:
@@ -112,20 +115,10 @@ func runSeededStream(t *testing.T, seed int64) (events []string, st Stats) {
 	return events, d.Stats()
 }
 
-// waitExtraWorkers waits until the Rule 4 extra workers a hand-off
-// spawned have served what they may and exited, so the stream's next
-// step finds the layer as the same stream always leaves it.
-func waitExtraWorkers(t *testing.T, d *DualLayer) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Microsecond) {
-		d.mu.Lock()
-		alive := d.extraAlive
-		d.mu.Unlock()
-		if alive == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("a Rule 4 extra worker did not exit")
-		}
-	}
+// take is one worker step on layer l of d: the next task in VFT order,
+// now holding a slot, or nil.
+func take(d *DualLayer, l int) *Task {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.takeLocked(l, nil)
 }

@@ -83,8 +83,8 @@ type Task struct {
 	// when the task is dropped at a dequeue point because Ctx was done.
 	Abort func(err error)
 
-	// flow is Tenant's state in the layer the task was submitted to,
-	// bound at Submit or TryRun: every later step keeps its books there.
+	// flow is Tenant's state in the layer the task entered, bound when
+	// it entered (Submit or Run): every later step keeps its books there.
 	flow *flow
 	vft  float64
 	idx  int
@@ -136,8 +136,6 @@ type queue struct {
 	waiting atomic.Int64
 }
 
-func newQueue(layer int) *queue { return &queue{layer: layer} }
-
 type taskHeap []*Task
 
 func (h taskHeap) Len() int            { return len(h) }
@@ -162,10 +160,10 @@ func (q *queue) push(t *Task, cost float64) {
 	q.waiting.Store(int64(len(q.items)))
 }
 
-// admitInline accounts t as pushed and popped at once — what a task
-// that finds the queue empty and a slot free goes through — without
-// touching the heap: its flow's preVFT and the virtual time advance
-// exactly as if it had queued.
+// admitInline accounts t as pushed and popped at once — what a task run
+// on its caller that finds the queue empty and a slot free goes through
+// (see DualLayer.offerLocked) — without touching the heap: its flow's
+// preVFT and the virtual time advance exactly as if it had queued.
 func (q *queue) admitInline(t *Task, cost float64) {
 	q.stamp(t, cost)
 	q.advance(t)

@@ -202,7 +202,7 @@ func TestDualLayerDoneCalledOncePerTask(t *testing.T) {
 
 func TestWriteRUCeiling(t *testing.T) {
 	// Rule 2: writes beyond the ceiling are rejected at submit — and by
-	// TryRun, which applies the same ceiling to a write it would run.
+	// Run, which applies the same ceiling to a write it would run.
 	for _, inline := range []bool{false, true} {
 		bucket := quota.NewBucket(10, 10, nil)
 		d := NewDualLayer(Config{WriteCeilingBucket: bucket})
@@ -215,16 +215,11 @@ func TestWriteRUCeiling(t *testing.T) {
 				CPUStage: func() bool { return false },
 				Done:     func() { wg.Done() },
 			}
-			ok := false
+			ok := d.Submit
 			if inline {
-				var taken bool
-				if taken, ok = d.TryRun(tk); !taken {
-					t.Fatalf("write %d: TryRun on an idle layer did not take it", i)
-				}
-			} else {
-				ok = d.Submit(tk)
+				ok = d.Run
 			}
-			if ok {
+			if ok(tk) {
 				accepted++
 			} else {
 				wg.Done()
@@ -261,7 +256,7 @@ func TestReadsNotSubjectToWriteCeiling(t *testing.T) {
 }
 
 // monopolist has tenant "hog" hold d's single basic I/O slot with slow
-// tasks — queued, or run inline by TryRun — and submits one task of
+// tasks — queued, or run by Run on their callers — and submits one task of
 // tenant "victim" once a hog holds the slot. release lets the hogs
 // finish and waits for every task.
 func monopolist(d *DualLayer, inline bool) (victimDone <-chan struct{}, release func()) {
@@ -277,11 +272,7 @@ func monopolist(d *DualLayer, inline bool) (victimDone <-chan struct{}, release 
 			Done:     func() { wg.Done() },
 		}
 		if inline {
-			go func() {
-				if taken, _ := d.TryRun(hog); !taken {
-					d.Submit(hog)
-				}
-			}()
+			go d.Run(hog)
 		} else {
 			d.Submit(hog)
 		}
@@ -318,30 +309,136 @@ func TestRule4ExtraThreads(t *testing.T) {
 }
 
 // TestNegativeExtraIOThreadsMeansNone: ExtraIOThreads -1 turns Rule 4's
-// extra threads off instead of taking the default, so the monopolist's
-// victim waits for the basic slot.
+// extra threads off instead of taking the default, so a victim waits for
+// the basic slot a hog holds. Stepped on a worker-less layer: the hog's
+// first task takes the single basic slot, and the victim's I/O stage
+// then queues behind the hog's second with no extra worker spawned.
 func TestNegativeExtraIOThreadsMeansNone(t *testing.T) {
 	if got := (Config{ExtraIOThreads: -1}).withDefaults().ExtraIOThreads; got != 0 {
 		t.Fatalf("ExtraIOThreads -1 defaults to %d, want 0", got)
 	}
-	for _, inline := range []bool{false, true} {
-		d := NewDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: -1})
-		_, release := monopolist(d, inline)
-		// The victim's I/O stage queued behind the two waiting hogs, or
-		// an extra thread already took it.
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-			if st := d.Stats(); st.IOQueued == 3 || st.ExtraSpawns > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("inline=%v: the victim never reached the I/O-WFQ", inline)
-			}
+	d := newDualLayer(Config{CPUWorkers: 4, BasicIOThreads: 1, ExtraIOThreads: -1})
+	miss := func(tenant string) { // a CPU worker's steps for a cache miss
+		d.Submit(&Task{Tenant: tenant, QuotaShare: 0.5, RUCost: 1, IOPSCost: 1})
+		d.handOff(take(d, cpuLayer), false)
+	}
+	miss("hog")
+	take(d, ioLayer) // the hog's first task holds the basic slot
+	miss("hog")
+	miss("victim")
+	if st := d.Stats(); st.IOQueued != 2 || st.ExtraSpawns != 0 {
+		t.Errorf("stats %+v: want the hog's second task and the victim queued, and no extra thread", st)
+	}
+}
+
+// The three stepped rule tests below drive a worker-less layer on the
+// test goroutine alone, one take step at a time.
+
+// TestRule2Stepped: the write-RU ceiling refuses a write past its burst
+// at entry, and the CPU layer takes no task past CPUWorkers until a slot
+// is released.
+func TestRule2Stepped(t *testing.T) {
+	d := newDualLayer(Config{CPUWorkers: 2, WriteCeilingBucket: quota.NewBucket(3, 3, nil)})
+	accepted := 0
+	for range 4 {
+		if d.Submit(&Task{Tenant: "T", Class: SmallWrite, QuotaShare: 1, RUCost: 1}) {
+			accepted++
 		}
-		release()
-		d.Close()
-		if n := d.Stats().ExtraSpawns; n != 0 {
-			t.Errorf("inline=%v: %d extra threads spawned, want none", inline, n)
-		}
+	}
+	if accepted != 3 {
+		t.Fatalf("the ceiling accepted %d writes of 1 RU, want its burst of 3", accepted)
+	}
+	first := take(d, cpuLayer)
+	if first == nil || take(d, cpuLayer) == nil {
+		t.Fatal("an idle layer did not take two tasks into its two CPU slots")
+	}
+	if tk := take(d, cpuLayer); tk != nil {
+		t.Fatal("a third task took a CPU slot past CPUWorkers")
+	}
+	d.releaseCPU(first.flow)
+	if take(d, cpuLayer) == nil {
+		t.Fatal("the released CPU slot was not taken")
+	}
+	if st := d.Stats(); st.CPUQueued != 0 || d.cpuTotal.Load() != 2 {
+		t.Errorf("stats %+v, %d CPU slots held: want none queued and both slots held", st, d.cpuTotal.Load())
+	}
+}
+
+// TestRule3Stepped: a tenant holding 90 % of the CPU slots is passed over
+// while another tenant has a task queued, even one with a later VFT; it
+// is taken again once it holds less.
+func TestRule3Stepped(t *testing.T) {
+	d := newDualLayer(Config{CPUWorkers: 10})
+	hog := make([]*Task, 0, 10)
+	for range 10 {
+		d.Submit(&Task{Tenant: "hog", QuotaShare: 0.5, RUCost: 1})
+	}
+	for range 9 {
+		hog = append(hog, take(d, cpuLayer))
+	}
+	// The hog's queued task finishes at VFT 20; the other tenant's, at
+	// the virtual time (18) plus 4/0.5, at 26.
+	d.Submit(&Task{Tenant: "b", QuotaShare: 0.5, RUCost: 4})
+	if tk := take(d, cpuLayer); tk == nil || tk.Tenant != "b" {
+		t.Fatalf("took %+v, want tenant b's task past the monopolizing hog's", tk)
+	}
+	if n := d.rule3Skips.Load(); n != 1 {
+		t.Fatalf("%d Rule 3 skips, want 1", n)
+	}
+	if tk := take(d, cpuLayer); tk != nil {
+		t.Fatal("a task took a CPU slot past CPUWorkers")
+	}
+	d.releaseCPU(hog[0].flow)
+	if tk := take(d, cpuLayer); tk == nil || tk.Tenant != "hog" {
+		t.Fatalf("took %+v, want the hog's task once it holds less than 90 %%", tk)
+	}
+	if n := d.rule3Skips.Load(); n != 1 {
+		t.Errorf("%d Rule 3 skips, want still 1", n)
+	}
+}
+
+// TestRule4Stepped: with the single basic I/O slot serving a hog, an
+// extra worker is due exactly when another tenant's I/O is queued and
+// fewer than ExtraIOThreads are alive, and its take serves that tenant
+// outside the basic slot, never the hog.
+func TestRule4Stepped(t *testing.T) {
+	d := newDualLayer(Config{BasicIOThreads: 1, ExtraIOThreads: 1})
+	offer := func(tenant string) { // a hand-off's offer of an I/O stage
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		tk := &Task{Tenant: tenant, QuotaShare: 0.5, IOPSCost: 1}
+		d.bindLocked(tk)
+		d.offerLocked(tk, ioLayer, false)
+	}
+	due := func() *flow {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.extraDueLocked()
+	}
+	offer("hog")
+	offer("hog")
+	hog := take(d, ioLayer)
+	if hog == nil || due() != nil {
+		t.Fatal("with only the hog's I/O queued, want the hog in the basic slot and no extra worker due")
+	}
+	offer("victim")
+	if due() != hog.flow {
+		t.Fatal("no extra worker due to pass over the hog holding the basic slot")
+	}
+	if take(d, ioLayer) != nil {
+		t.Fatal("a basic take went past BasicIOThreads")
+	}
+	d.mu.Lock()
+	victim, next := d.takeLocked(ioLayer, hog.flow), d.takeLocked(ioLayer, hog.flow)
+	held := d.ioBusyTotal
+	d.extraAlive = d.cfg.ExtraIOThreads // as once the extra worker is spawned
+	d.mu.Unlock()
+	if victim == nil || victim.Tenant != "victim" || next != nil || held != 1 {
+		t.Fatalf("the extra takes got %+v then %+v with %d basic slots held: want the victim outside the slot, then nothing", victim, next, held)
+	}
+	offer("victim")
+	if due() != nil {
+		t.Error("an extra worker is due past ExtraIOThreads")
 	}
 }
 
@@ -511,7 +608,8 @@ func (p *probe) task(tenant string, miss bool) *Task {
 }
 
 // parkInline occupies a CPU slot of d — with io, a basic I/O slot
-// instead — by a TryRun parked in its stage until release is closed.
+// instead — by a Run parked in its stage on its caller until release is
+// closed.
 func parkInline(t *testing.T, d *DualLayer, io bool, release chan struct{}) {
 	t.Helper()
 	entered := make(chan struct{})
@@ -525,98 +623,87 @@ func parkInline(t *testing.T, d *DualLayer, io bool, release chan struct{}) {
 	} else {
 		tk.CPUStage = func() bool { park(); return false }
 	}
-	go func() {
-		if taken, _ := d.TryRun(tk); !taken {
-			t.Error("the parking run was not taken")
-			close(entered)
-		}
-	}()
+	dequeued := d.dequeued.Load()
+	go d.Run(tk)
 	<-entered
+	if d.dequeued.Load() != dequeued {
+		t.Error("the parking run went to a worker")
+	}
 }
 
-// TestTryRun: TryRun takes a task exactly when a worker would have
-// started it at once, and then does what the worker would have done.
-func TestTryRun(t *testing.T) {
+// TestRun: Run runs a task on its caller exactly when a worker would
+// have started it at once, and then does what the worker would have
+// done; otherwise it queues the task as Submit does.
+func TestRun(t *testing.T) {
 	tests := []struct {
 		name string
 		cfg  Config
 		// noWorkers starts none: a queued task stays queued, as it does
 		// for the instant before a worker pops it.
 		noWorkers bool
-		// setup brings the layer into the row's state; the returned
-		// function, if any, runs after TryRun.
-		setup   func(t *testing.T, d *DualLayer, release chan struct{}) func()
+		// setup brings the layer into the row's state.
+		setup   func(t *testing.T, d *DualLayer, release chan struct{})
 		write   bool // a SmallWrite at RUCost 2
 		miss    bool // the CPU stage asks for the I/O stage
 		ctxDone bool // Ctx is done before the call
 
-		taken, accepted bool
-		cpuRan, ioRan   bool // the stage ran before TryRun returned
-		doneOnReturn    bool // Done ran before TryRun returned
-		ioToWorker      bool // the I/O stage went to a worker
-		aborts          bool // resolved through Abort with the context error
+		accepted      bool
+		queued        bool // the task queued in the CPU-WFQ
+		cpuRan, ioRan bool // the stage ran before Run returned
+		doneOnReturn  bool // Done ran before Run returned
+		ioToWorker    bool // the I/O stage went to a worker
+		aborts        bool // resolved through Abort with the context error
 	}{
-		{name: "idle layer", taken: true, accepted: true, cpuRan: true, doneOnReturn: true},
-		{name: "idle layer, miss", miss: true, taken: true, accepted: true, cpuRan: true, ioRan: true, doneOnReturn: true},
+		{name: "idle layer", accepted: true, cpuRan: true, doneOnReturn: true},
+		{name: "idle layer, miss", miss: true, accepted: true, cpuRan: true, ioRan: true, doneOnReturn: true},
 		{
 			name:      "task queued ahead",
 			noWorkers: true,
-			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
-				// A worker would pop it first, so TryRun must not
-				// overtake it.
-				d.mu.Lock()
-				ahead := newProbe().task("ahead", false)
-				d.bindLocked(ahead)
-				d.cpuQ.push(ahead, 1)
-				d.mu.Unlock()
-				return nil
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) {
+				// A worker would pop it first, so Run must not overtake it.
+				d.Submit(newProbe().task("ahead", false))
 			},
+			accepted: true, queued: true,
 		},
 		{
 			name: "every CPU slot busy",
 			cfg:  Config{CPUWorkers: 2},
-			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) {
 				parkInline(t, d, false, release)
 				parkInline(t, d, false, release)
-				return nil
 			},
+			accepted: true, queued: true,
 		},
 		{
 			name: "closed",
-			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) {
 				d.Close()
-				return nil
 			},
 		},
 		{
 			name:  "write over the ceiling",
 			cfg:   Config{WriteCeilingBucket: quota.NewBucket(1, 1, nil)},
-			write: true, taken: true,
+			write: true,
 		},
-		{name: "done ctx", ctxDone: true, taken: true, accepted: true, aborts: true},
+		{name: "done ctx", ctxDone: true, accepted: true, aborts: true},
 		{
 			name: "basic I/O slot busy",
 			cfg:  Config{BasicIOThreads: 1},
-			setup: func(t *testing.T, d *DualLayer, release chan struct{}) func() {
+			setup: func(t *testing.T, d *DualLayer, release chan struct{}) {
 				parkInline(t, d, true, release)
-				return nil
 			},
-			miss: true, taken: true, accepted: true, cpuRan: true, ioToWorker: true,
+			miss: true, accepted: true, cpuRan: true, ioToWorker: true,
 		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDualLayer(tc.cfg)
-			if tc.noWorkers {
-				d.Close()
-				d = newDualLayer(tc.cfg)
+			d := newDualLayer(tc.cfg)
+			if !tc.noWorkers {
+				d = NewDualLayer(tc.cfg)
 			}
 			release := make(chan struct{})
-			after := func() {}
 			if tc.setup != nil {
-				if f := tc.setup(t, d, release); f != nil {
-					after = f
-				}
+				tc.setup(t, d, release)
 			}
 			p := newProbe()
 			tk := p.task("T", tc.miss)
@@ -629,11 +716,10 @@ func TestTryRun(t *testing.T) {
 				tk.Ctx = ctx
 			}
 			before, dequeuedBefore := d.Stats(), d.dequeued.Load()
-			taken, accepted := d.TryRun(tk)
+			accepted := d.Run(tk)
 			cpuRan, ioRan, doneRan := p.cpu.Load() == 1, p.io.Load() == 1, p.done.Load() == 1
-			after()
-			if taken != tc.taken || accepted != tc.accepted {
-				t.Fatalf("TryRun = (%v, %v), want (%v, %v)", taken, accepted, tc.taken, tc.accepted)
+			if accepted != tc.accepted {
+				t.Fatalf("Run = %v, want %v", accepted, tc.accepted)
 			}
 			if cpuRan != tc.cpuRan || ioRan != tc.ioRan || doneRan != tc.doneOnReturn {
 				t.Errorf("on return: CPU stage ran %v, I/O stage %v, Done %v; want %v, %v, %v",
@@ -655,31 +741,41 @@ func TestTryRun(t *testing.T) {
 						st, before, d.dequeued.Load(), dequeuedBefore)
 				}
 			}
-			close(release)
-			if tc.ioToWorker {
-				for p.done.Load() == 0 {
-					time.Sleep(100 * time.Microsecond)
-				}
-				if p.io.Load() != 1 || d.dequeued.Load() == dequeuedBefore {
-					t.Errorf("the queued I/O stage ran %d times, dequeued by a worker: %v", p.io.Load(), d.dequeued.Load() > dequeuedBefore)
+			if st := d.Stats(); tc.queued && st.CPUQueued != before.CPUQueued+1 {
+				t.Errorf("stats %+v after %+v: the task did not queue", st, before)
+			}
+			if tc.noWorkers {
+				// A worker's steps take the task queued ahead first.
+				for _, want := range []string{"ahead", "T"} {
+					if got := take(d, cpuLayer); got == nil || got.Tenant != want {
+						t.Fatalf("a worker's step took %+v, want tenant %s's task", got, want)
+					}
 				}
 			}
-			d.Close()
-			if !taken && (p.cpu.Load() != 0 || p.done.Load() != 0) {
-				t.Error("a task TryRun did not take ran anyway")
+			close(release)
+			d.Close() // a queued task or stage is served before Close returns
+			served := p.done.Load() == 1 && d.dequeued.Load() > dequeuedBefore
+			if tc.ioToWorker && (p.io.Load() != 1 || !served) {
+				t.Errorf("the queued I/O stage ran %d times, dequeued by a worker: %v", p.io.Load(), served)
+			}
+			if tc.queued && !tc.noWorkers && !served {
+				t.Error("a worker did not serve the queued task")
+			}
+			if !tc.accepted && (p.cpu.Load() != 0 || p.done.Load() != 0) {
+				t.Error("a task Run refused ran anyway")
 			}
 		})
 	}
 }
 
-// TestTryRunAccountsVFTLikeAQueue: a run of inline tasks leaves each
+// TestRunAccountsVFTLikeAQueue: a run of inline tasks leaves each
 // layer's per-tenant preVFT and virtual time exactly where pushing and
 // popping the same tasks would have.
-func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
+func TestRunAccountsVFTLikeAQueue(t *testing.T) {
 	d := NewDualLayer(Config{})
 	defer d.Close()
 	ref := newTestQueue() // a worker-less layer: its CPU queue and, below, its I/O queue
-	ioRef := testQueue{ref.d, ref.d.ioQ}
+	ioRef := testQueue{ref.d, &ref.d.q[ioLayer]}
 	tenants := []struct {
 		name  string
 		share float64
@@ -692,8 +788,8 @@ func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 		ru, iops, miss := float64(1+i%4), float64(1+i%3), i%2 == 0
 		tk := &Task{Tenant: tn.name, QuotaShare: tn.share, RUCost: ru, IOPSCost: iops,
 			CPUStage: func() bool { return miss }, IOStage: func() {}}
-		if taken, ok := d.TryRun(tk); !taken || !ok {
-			t.Fatalf("task %d: TryRun = (%v, %v) on an idle layer", i, taken, ok)
+		if !d.Run(tk) {
+			t.Fatalf("task %d: Run refused on an idle layer", i)
 		}
 		rt := &Task{Tenant: tn.name, QuotaShare: tn.share}
 		ref.push(rt, ru)
@@ -707,7 +803,7 @@ func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 	for _, c := range []struct {
 		layer    string
 		got, ref *queue
-	}{{"CPU", d.cpuQ, ref.queue}, {"I/O", d.ioQ, ioRef.queue}} {
+	}{{"CPU", &d.q[cpuLayer], ref.queue}, {"I/O", &d.q[ioLayer], ioRef.queue}} {
 		got, want := preVFTs(d, c.got.layer), preVFTs(ref.d, c.ref.layer)
 		if !maps.Equal(got, want) || c.got.vtime != c.ref.vtime {
 			t.Errorf("%s layer: preVFT %v vtime %v, want %v and %v", c.layer, got, c.got.vtime, want, c.ref.vtime)
@@ -719,11 +815,11 @@ func TestTryRunAccountsVFTLikeAQueue(t *testing.T) {
 	}
 }
 
-// TestTryRunStressRespectsSlots mixes Submit and TryRun from many
+// TestRunStressRespectsSlots mixes Submit and Run from many
 // goroutines (run it under -race): inline runs and workers together
 // never exceed CPUWorkers concurrent CPU stages or BasicIOThreads
 // concurrent basic I/O stages, and every task completes once.
-func TestTryRunStressRespectsSlots(t *testing.T) {
+func TestRunStressRespectsSlots(t *testing.T) {
 	const cpuSlots, ioSlots, numCallers, perCaller = 2, 1, 8, 300
 	// One tenant: Rule 4 spawns no extra thread, so every I/O stage runs
 	// in a basic slot.
@@ -749,18 +845,20 @@ func TestTryRunStressRespectsSlots(t *testing.T) {
 					IOStage:  func() { enter(&ioNow, &ioMax) },
 					Done:     func() { close(done) },
 				}
+				put := d.Submit
 				if (c+i)%2 == 0 {
-					if taken, _ := d.TryRun(tk); taken {
-						inline.Add(1)
-						<-done
-						continue
-					}
+					put = d.Run
 				}
-				if !d.Submit(tk) {
-					t.Error("Submit refused on an open layer")
+				if !put(tk) {
+					t.Error("a task refused on an open layer")
 					return
 				}
-				<-done
+				select {
+				case <-done:
+					inline.Add(1) // done on return: it ran on its caller
+				default:
+					<-done
+				}
 			}
 		}()
 	}
@@ -774,13 +872,13 @@ func TestTryRunStressRespectsSlots(t *testing.T) {
 		t.Errorf("stats %+v: want %d completions and no extra thread", st, numCallers*perCaller)
 	}
 	dequeued := d.dequeued.Load()
-	t.Logf("%d inline runs, %d dequeues; peak %d CPU, %d I/O stages", inline.Load(), dequeued, cpuMax.Load(), ioMax.Load())
+	t.Logf("%d tasks done on return, %d dequeues; peak %d CPU, %d I/O stages", inline.Load(), dequeued, cpuMax.Load(), ioMax.Load())
 	if inline.Load() == 0 || dequeued == 0 {
-		t.Errorf("%d inline runs, %d dequeues: the stress did not mix both paths", inline.Load(), dequeued)
+		t.Errorf("%d tasks done on return, %d dequeues: the stress did not mix both paths", inline.Load(), dequeued)
 	}
 }
 
-// TestCloseWaitsForInlineRuns: Close does not return while a TryRun is
+// TestCloseWaitsForInlineRuns: Close does not return while a Run is
 // still in its CPU or I/O stage — the owner of the stage's resources
 // (a DataNode closing its engines) relies on it.
 func TestCloseWaitsForInlineRuns(t *testing.T) {
@@ -806,37 +904,30 @@ func TestCloseWaitsForInlineRuns(t *testing.T) {
 // TestCloseWakesWorkersWaitingForASlot: workers that wait for a slot
 // held by inline runs while the layer closes must still exit once the
 // last queued stage is served — Close returns. Each layer in turn: both
-// of its slots parked, one task queued behind them.
+// of its slots parked, one task queued behind them. The task goes in by
+// Run, which queues it in the layer whose slots are held — straight away
+// for the CPU layer, after running its CPU stage on the test goroutine
+// for the I/O layer — before it returns.
 func TestCloseWakesWorkersWaitingForASlot(t *testing.T) {
-	waitFor := func(what string, cond func() bool) {
-		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting until %s", what)
-			}
-		}
-	}
 	for _, io := range []bool{false, true} {
 		d := NewDualLayer(Config{CPUWorkers: 2, BasicIOThreads: 2})
 		first, second := make(chan struct{}), make(chan struct{})
 		parkInline(t, d, io, first)
 		parkInline(t, d, io, second)
 		done := make(chan struct{})
-		d.Submit(&Task{Tenant: "T", QuotaShare: 1, RUCost: 1, IOPSCost: 1,
+		d.Run(&Task{Tenant: "T", QuotaShare: 1, RUCost: 1, IOPSCost: 1,
 			CPUStage: func() bool { return io }, IOStage: func() {}, Done: func() { close(done) }})
-		waitFor("the task queues behind the held slots", func() bool {
-			st := d.Stats()
-			return st.CPUQueued+st.IOQueued == 1 && (st.IOQueued == 1) == io
-		})
+		if st := d.Stats(); st.CPUQueued+st.IOQueued != 1 || (st.IOQueued == 1) != io {
+			t.Fatalf("io=%v: stats %+v: the task did not queue behind the held slots", io, st)
+		}
 		closed := make(chan struct{})
 		go func() {
 			d.Close()
 			close(closed)
 		}()
-		waitFor("Close marks the layer closed", func() bool {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return d.closed.Load()
-		})
+		for !d.closed.Load() { // Close has marked the layer closed
+			runtime.Gosched()
+		}
 		close(first) // a worker takes the freed slot and serves the task
 		<-done
 		close(second) // the other worker's slot frees with nothing left to serve
@@ -878,13 +969,11 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 		holding, release = make(chan struct{}), make(chan struct{})
 		return func() { close(holding); <-release }, holding, release
 	}
-	// waitIOQueued waits until n tasks are queued in the I/O-WFQ.
-	waitIOQueued := func(t *testing.T, d *DualLayer, n int) {
+	// runInline runs tk on an idle layer, on the test goroutine.
+	runInline := func(t *testing.T, e env, tk *Task) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); d.Stats().IOQueued != n; time.Sleep(50 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d tasks queued for I/O, want %d", d.Stats().IOQueued, n)
-			}
+		if !e.d.Run(tk) || e.d.dequeued.Load() != 0 {
+			t.Fatal("an idle layer did not run the task inline")
 		}
 	}
 	for _, tc := range []struct {
@@ -893,16 +982,12 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 		// run starts the path's tasks and returns how they must resolve.
 		run func(t *testing.T, e env) []string
 	}{
-		{"inline TryRun, hit", Config{}, func(t *testing.T, e env) []string {
-			if taken, ok := e.d.TryRun(task(e, "a", false, nil, noop)); !taken || !ok {
-				t.Fatal("an idle layer did not take the task inline")
-			}
+		{"inline Run, hit", Config{}, func(t *testing.T, e env) []string {
+			runInline(t, e, task(e, "a", false, nil, noop))
 			return []string{"a done"}
 		}},
-		{"inline TryRun, miss", Config{}, func(t *testing.T, e env) []string {
-			if taken, ok := e.d.TryRun(task(e, "a", true, nil, noop)); !taken || !ok {
-				t.Fatal("an idle layer did not take the task inline")
-			}
+		{"inline Run, miss", Config{}, func(t *testing.T, e env) []string {
+			runInline(t, e, task(e, "a", true, nil, noop))
 			return []string{"a done"}
 		}},
 		{"Submit through both layers", Config{}, func(t *testing.T, e env) []string {
@@ -925,9 +1010,14 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 			io, holding, release := blocked()
 			e.d.Submit(task(e, "a", true, nil, io))
 			<-holding
+			// Run takes the second task's CPU stage on the test
+			// goroutine and queues its I/O stage behind the held slot
+			// before it returns.
 			ctx, cancel := context.WithCancel(context.Background())
-			e.d.Submit(task(e, "a", true, ctx, noop))
-			waitIOQueued(t, e.d, 1)
+			e.d.Run(task(e, "a", true, ctx, noop))
+			if n := e.d.Stats().IOQueued; n != 1 {
+				t.Fatalf("%d tasks queued for I/O, want 1", n)
+			}
 			cancel()
 			close(release)
 			return []string{"a done", "a aborted"}
@@ -936,12 +1026,14 @@ func TestTaskUntouchedAfterResolve(t *testing.T) {
 			io, holding, release := blocked()
 			e.d.Submit(task(e, "hog", true, nil, io))
 			<-holding
-			e.d.Submit(task(e, "b", true, nil, noop))
-			// Completed counts b before its Done runs.
-			for deadline := time.Now().Add(5 * time.Second); e.d.Stats().Completed == 0; time.Sleep(50 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("the second tenant's task did not complete while the hog held the basic slot")
-				}
+			b := task(e, "b", true, nil, noop)
+			resolve, served := b.Done, make(chan struct{})
+			b.Done = func() { resolve(); close(served) }
+			e.d.Submit(b)
+			select {
+			case <-served:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the second tenant's task did not complete while the hog held the basic slot")
 			}
 			if e.d.Stats().ExtraSpawns != 1 {
 				t.Fatal("no extra worker served the second tenant")
@@ -997,7 +1089,7 @@ type testQueue struct {
 
 func newTestQueue() testQueue {
 	d := newDualLayer(Config{})
-	return testQueue{d, d.cpuQ}
+	return testQueue{d, &d.q[cpuLayer]}
 }
 
 func (q testQueue) push(t *Task, cost float64) {
